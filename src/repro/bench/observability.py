@@ -42,7 +42,7 @@ def _build_db(rows: int, tracing: bool = False) -> tuple[Database, Any]:
 def _plain_execute(session: Any, sql: str) -> Any:
     """The pre-observability ``Session.execute`` body: the no-dispatch
     baseline the dark-mode gate compares against."""
-    session.statement_log.append(sql)
+    session.statement_count += 1
     return session.execute_statement(parse(sql))
 
 

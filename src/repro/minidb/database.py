@@ -68,8 +68,9 @@ class Session:
         # (redo flush) and explicit-transaction lifetimes; the in-memory
         # engine skips redo logging entirely
         self.tx = TransactionManager(hooks=db if db.engine.durable else None)
-        #: statements executed through this session (benchmark observability)
-        self.statement_log: list[str] = []
+        #: statements attempted through this session, failed parses
+        #: included (``system.sessions`` reports it)
+        self.statement_count = 0
         #: stable human-readable lock-owner label for diagnostics
         self.label = f"{user}#{next(_session_ids)}"
         db.live_sessions.add(self)
@@ -105,7 +106,7 @@ class Session:
         opts = self.db.observability_options
         if opts["tracing"] or opts["slow_statement_s"] is not None:
             return self._execute_traced(sql, _skip_privileges)
-        self.statement_log.append(sql)
+        self.statement_count += 1
         stmt = parse(sql)
         return self.execute_statement(stmt, _skip_privileges=_skip_privileges)
 
@@ -117,12 +118,11 @@ class Session:
         checkpoint spans, executor scan/join events) find the trace through
         the tracer's thread-local slot.
         """
-        self.statement_log.append(sql)
+        self.statement_count += 1
         db = self.db
         trace = db.tracer.start(sql, user=self.user, session=self.label)
         status = "ERROR"
         error: BaseException | None = None
-        stmt: ast.Statement | None = None
         try:
             with trace.span("parse"):
                 stmt = parse(sql)
@@ -139,31 +139,17 @@ class Session:
             db.tracer.finish(trace, status=status, error=error)
             slow_s = db.observability_options["slow_statement_s"]
             if slow_s is not None and trace.duration_s >= slow_s:
-                self._record_slow_statement(trace, stmt)
-
-    def _record_slow_statement(
-        self, trace: Any, stmt: ast.Statement | None
-    ) -> None:
-        """Capture SQL + trace + EXPLAIN plan for a threshold-crossing
-        statement. Runs after the trace is finished (so the EXPLAIN below
-        records no events of its own) and must never raise."""
-        plan: list[str] = []
-        if isinstance(stmt, ast.SelectStatement):
-            try:
-                explain = self.db.executor.execute(ast.ExplainStatement(stmt), self)
-                plan = [row[0] for row in explain.rows]
-            except (MiniDBError, KeyError):
-                # a concurrent DROP can invalidate the plan between
-                # execution and capture; the slow entry is still useful
-                plan = []
-        self.db.tracer.record_slow(
-            {
-                "sql": trace.sql,
-                "duration_s": round(trace.duration_s, 9),
-                "trace": trace.to_dict(),
-                "plan": plan,
-            }
-        )
+                # sql + trace + the rendered lines of the plan a SELECT
+                # actually ran (empty for everything else)
+                db.tracer.record_slow(
+                    {
+                        "sql": trace.sql,
+                        "duration_s": round(trace.duration_s, 9),
+                        "trace": trace.to_dict(),
+                        "plan": trace.plan.lines() if trace.plan is not None else [],
+                    }
+                )
+            trace.release_plan()
 
     def execute_script(self, sql: str) -> list[ResultSet]:
         """Execute a ``;``-separated script, stopping at the first error."""

@@ -5,45 +5,49 @@ performs them against the database's catalog and heaps, logging undo actions
 through the session's transaction manager so every statement is atomic and
 every explicit transaction can roll back.
 
-The SELECT pipeline is a materializing implementation: resolve FROM sources
-(expanding views, probing covering indexes, slicing sorted indexes for
-range conjuncts, and pre-filtering with pushed-down single-source
-predicates), fold sources and explicit joins one at a time, WHERE filter,
-GROUP BY with accumulator aggregates, HAVING, projection, DISTINCT, set
-operations, ORDER BY, LIMIT/OFFSET. Correlated subqueries are supported
-via scope chaining.
+Every SELECT block is planned exactly once, by
+:func:`repro.minidb.planner.plan_select`, and this module only *consumes*
+the :class:`~repro.minidb.planner.SelectPlan` it is handed: access paths,
+the index and key to probe, pushed-down filters, join strategies and the
+pipeline choice are all read off plan nodes (``EXPLAIN`` renders the same
+value; tracer events and ``EXPLAIN ANALYZE`` actuals are keyed on the
+node objects). UPDATE/DELETE resolve their target rows through the same
+scan planner. A block is planned only after the S locks on its base
+tables are granted (:meth:`Executor._plan_select`).
 
-Three ordered-access fast paths ride on that pipeline (PR 5):
+Three pipelines run a planned block, sharing one tail (DISTINCT, set
+operations, ORDER BY / bounded top-N via ``heapq``, OFFSET/LIMIT):
 
-* **Range scans** — WHERE range conjuncts slice a ``USING BTREE``
-  :class:`SortedIndex` (``planner_stats["range_scans"]``); candidates
-  still get the full WHERE re-applied, so the plan is a pure reduction.
-* **Ordered scans** — when a sorted index's order is exactly the
-  statement's ORDER BY (equality-bound prefix + order columns), rows are
-  read from the index in output order, the sort is skipped, and the scan
-  stops after OFFSET+LIMIT surviving rows (``ordered_scans``).
-* **Top-N** — ``ORDER BY ... LIMIT k`` without such an index keeps a
-  bounded ``heapq`` selection instead of sorting everything
-  (``topn_limits``).
+* **Row fold** — the general, materializing path: scan each source
+  (:meth:`Executor._scan_source` — child blocks for views and derived
+  tables, index probes / range slices / unions or a heap scan for base
+  tables, then the pushed-down prefilter), fold sources and explicit
+  joins one at a time, WHERE filter, GROUP BY with accumulator
+  aggregates, HAVING, projection. Correlated subqueries are supported
+  via scope chaining.
+* **Ordered scan** — a ``kind == "ordered"`` path reads rows from a
+  sorted index in ORDER BY order, applies WHERE per row, skips the sort
+  and stops after OFFSET+LIMIT surviving rows.
+* **Column batch** — a single-base-table block (``ScanPlan.batched``)
+  scans :class:`RowBatch` column slices and evaluates WHERE, projection
+  and aggregates as whole-column kernels, falling back per row *inside*
+  the batch for what the batch compiler punts on.
 
 WHERE/residual/pushdown predicates are compiled once per statement into
 closure chains (:func:`repro.minidb.expressions.compile_predicate`),
 falling back to the AST interpreter for subquery-bearing or correlated
-expressions; UPDATE/DELETE resolve their target rows through the same
-access-path planning as SELECT sources. All of it is toggleable through
-``db.planner_options`` (``enable_index_scan``, ``enable_topn``,
-``enable_compiled_predicates``) for baselines and debugging.
+expressions. Hash joins build a table over the right side and probe it
+per left row — including LEFT/RIGHT NULL extension for unmatched rows —
+non-equi conditions run nested loops and conditionless pairings remain
+cross products. Row scopes are built from a precomputed column layout
+(:class:`_ScopeLayout`), so constructing the scope for a row or a
+candidate pair is O(1) instead of O(total columns).
 
-Joins follow the strategy chosen by :mod:`repro.minidb.planner`: equi-joins
-(keys harvested from ON and WHERE conjuncts) build a hash table over the
-right side and probe it per left row — including LEFT/RIGHT NULL extension
-for unmatched rows — while non-equi conditions fall back to nested loops
-and conditionless pairings remain cross products. Row scopes are built from
-a precomputed column layout (:class:`_ScopeLayout`), so constructing the
-scope for a row or a candidate pair is O(1) instead of O(total columns).
-The chosen strategies are observable via ``EXPLAIN`` and
-``db.planner_stats`` and the hash path can be disabled with
-``db.planner_options["enable_hash_join"] = False`` (benchmark baseline).
+``db.planner_options`` keeps the baselines the equivalence suites compare
+against (``enable_index_scan``, ``enable_topn``,
+``enable_compiled_predicates``, ``enable_batch_execution`` +
+``batch_size``, ``enable_hash_join``); ``db.planner_stats`` counts what
+actually ran.
 """
 
 from __future__ import annotations
@@ -52,7 +56,7 @@ import heapq
 from time import perf_counter
 from typing import TYPE_CHECKING, Any
 
-from ..obs.views import is_system_relation, system_view_rows
+from ..obs.views import system_view_rows
 from . import ast_nodes as ast
 from .batch import DEFAULT_BATCH_SIZE, BatchError, RowBatch
 from .catalog import Column, ForeignKey, IndexSchema, TableSchema, ViewSchema
@@ -77,14 +81,12 @@ from .expressions import (
 from .functions import AGGREGATE_NAMES, make_aggregate
 from .planner import (
     JoinPlan,
-    choose_access_path,
-    extract_equality_bindings,
-    extract_pushdown_filter,
-    extract_range_bindings,
-    extract_union_bindings,
-    plan_join,
-    plan_select_joins,
-    plan_select_paths,
+    ScanPlan,
+    SelectPlan,
+    expand_items,
+    item_name,
+    plan_select,
+    plan_table_scan,
 )
 from .engines.serial import dump_column, dump_index, dump_table_schema
 from .result import ResultSet
@@ -430,48 +432,6 @@ def _raise_first_batch_error(columns: list[list]) -> None:
         raise best[2].exc
 
 
-def _collect_aggregates(expr: ast.Expr | None, out: list[ast.FunctionCall]) -> None:
-    """Find aggregate FunctionCall nodes (not descending into subqueries)."""
-    if expr is None:
-        return
-    if isinstance(expr, ast.FunctionCall):
-        if expr.name in AGGREGATE_NAMES:
-            out.append(expr)
-            return  # nested aggregates are invalid; don't descend
-        for arg in expr.args:
-            _collect_aggregates(arg, out)
-        return
-    if isinstance(expr, ast.BinaryOp):
-        _collect_aggregates(expr.left, out)
-        _collect_aggregates(expr.right, out)
-    elif isinstance(expr, ast.UnaryOp):
-        _collect_aggregates(expr.operand, out)
-    elif isinstance(expr, ast.CaseExpr):
-        if expr.operand:
-            _collect_aggregates(expr.operand, out)
-        for when, then in expr.whens:
-            _collect_aggregates(when, out)
-            _collect_aggregates(then, out)
-        if expr.default:
-            _collect_aggregates(expr.default, out)
-    elif isinstance(expr, ast.InExpr):
-        _collect_aggregates(expr.operand, out)
-        if isinstance(expr.candidates, list):
-            for c in expr.candidates:
-                _collect_aggregates(c, out)
-    elif isinstance(expr, ast.BetweenExpr):
-        _collect_aggregates(expr.operand, out)
-        _collect_aggregates(expr.low, out)
-        _collect_aggregates(expr.high, out)
-    elif isinstance(expr, (ast.LikeExpr,)):
-        _collect_aggregates(expr.operand, out)
-        _collect_aggregates(expr.pattern, out)
-    elif isinstance(expr, ast.IsNullExpr):
-        _collect_aggregates(expr.operand, out)
-    elif isinstance(expr, ast.CastExpr):
-        _collect_aggregates(expr.operand, out)
-
-
 def _order_sensitive_expr(expr: ast.Expr | None) -> bool:
     """Whether evaluating ``expr`` for a single ungrouped aggregate row can
     observe the input row order (bare column refs read the group's first
@@ -593,8 +553,24 @@ class Executor:
     def _exec_SelectStatement(
         self, stmt: ast.SelectStatement, session: "Session"
     ) -> ResultSet:
-        columns, rows = self._run_select(stmt, session, outer=None)
+        plan = self._plan_select(stmt, session)
+        trace = self.db.tracer.current()
+        if trace is not None:
+            trace.plan = plan  # what the slow-statement log renders
+        columns, rows = self._run_plan(plan, session, outer=None)
         return ResultSet(columns=columns, rows=rows, rowcount=len(rows), status="SELECT")
+
+    def _plan_select(
+        self, stmt: ast.SelectStatement, session: "Session"
+    ) -> SelectPlan:
+        """Plan ``stmt`` for execution. Reads take a shared lock per base
+        table, held to transaction end (no-op without a lock manager), and
+        each schema is resolved only after its lock is granted (see
+        :meth:`_locked_table`), so nothing is planned against a table a
+        concurrent DROP + CREATE replaced while this statement waited."""
+        return plan_select(
+            stmt, self.db, lambda name: self._locked_table(session, name, "S")
+        )
 
     def _run_select(
         self,
@@ -602,47 +578,25 @@ class Executor:
         session: "Session",
         outer: Scope | None,
     ) -> tuple[list[str], list[tuple]]:
+        return self._run_plan(self._plan_select(stmt, session), session, outer)
+
+    def _run_plan(
+        self, plan: SelectPlan, session: "Session", outer: Scope | None
+    ) -> tuple[list[str], list[tuple]]:
         def run_subquery(sub: ast.SelectStatement, scope: Scope) -> list[tuple]:
             _, sub_rows = self._run_select(sub, session, outer=scope)
             return sub_rows
 
         evaluator = Evaluator(run_subquery)
-
-        # single-source predicate pushdown only pays off when the filtered
-        # rows feed a join; single-table queries apply WHERE once, below
-        prefilter = (len(stmt.from_sources) + len(stmt.joins)) > 1
-        statement_sources = self._statement_sources(stmt) if prefilter else None
-
-        # aggregates are collected from the raw select list (star items can
-        # never contain one), so grouping — and with it order sensitivity —
-        # is known before any source is scanned
-        aggregates: list[ast.FunctionCall] = []
-        for item in stmt.items:
-            _collect_aggregates(item.expr, aggregates)
-        _collect_aggregates(stmt.having, aggregates)
-        for order in stmt.order_by:
-            _collect_aggregates(order.expr, aggregates)
-        grouped = bool(stmt.group_by) or bool(aggregates)
+        stmt = plan.stmt
+        aggregates = plan.aggregates
+        grouped = plan.grouped
         order_insensitive = _order_insensitive_output(stmt, aggregates)
-
-        # single-table ORDER BY fast path: when a sorted index already
-        # yields rows in ORDER BY order, scan it directly (early-exiting
-        # after OFFSET+LIMIT surviving rows) and skip the sort below
         where_handled = False
         order_handled = False
-        ordered_source = None
-        if (
-            not grouped
-            and not stmt.distinct
-            and stmt.set_op is None
-            and stmt.order_by
-            and len(stmt.from_sources) == 1
-            and not stmt.joins
-            and isinstance(stmt.from_sources[0], ast.TableRef)
-        ):
-            ordered_source = self._try_ordered_scan(stmt, session, outer, evaluator)
+        first = plan.scans[0] if plan.scans else None
 
-        if ordered_source is None and self._batch_select_shape(stmt):
+        if first is not None and first.batched:
             # column-batch (vectorized) pipeline: single-table statements
             # run batch-at-a-time over RowBatch column slices, amortizing
             # interpreter dispatch across ~batch_size rows instead of
@@ -650,33 +604,33 @@ class Executor:
             # keys) triple the row path below would; the shared tail
             # (DISTINCT, set ops, ORDER BY, OFFSET/LIMIT) is untouched
             out_columns, out_rows, order_keys = self._run_select_batched(
-                stmt, session, outer, evaluator, aggregates, grouped,
-                order_insensitive, run_subquery,
+                plan, outer, evaluator, order_insensitive, run_subquery
             )
         else:
-            if ordered_source is not None:
-                all_sources = [ordered_source]
+            if first is not None and first.kind == "ordered":
+                # rows arrive from the sorted index in ORDER BY order with
+                # WHERE already applied: no filter, no sort below
+                all_sources = [self._ordered_scan(plan, outer, evaluator)]
                 joined = [
-                    _JoinedRow({ordered_source.binding: row})
-                    for row in ordered_source.rows
+                    _JoinedRow({first.binding: row})
+                    for row in all_sources[0].rows
                 ]
                 where_handled = True
                 order_handled = True
             else:
-                # fold FROM sources one at a time (hash-joining on WHERE equi
-                # conjuncts where possible) instead of materializing the full
-                # cross product, then fold the explicit joins the same way
+                # fold sources one at a time (hash-joining on ON / WHERE
+                # equi conjuncts where planned) instead of materializing
+                # the full cross product
                 all_sources = []
                 joined = [_JoinedRow({})]
-                for src in stmt.from_sources:
-                    source = self._resolve_source(
-                        src, session, outer, stmt.where, statement_sources,
-                        order_insensitive,
+                for position, scan in enumerate(plan.scans):
+                    source = self._scan_source(
+                        scan, session, outer, order_insensitive
                     )
-                    if all_sources:
+                    if position:
                         joined = self._join_relation(
-                            joined, all_sources, source, "INNER", None,
-                            stmt.where, evaluator, outer, statement_sources,
+                            joined, all_sources, source,
+                            plan.joins[position - 1], evaluator, outer,
                         )
                     else:
                         joined = [
@@ -684,17 +638,6 @@ class Executor:
                             for row in source.rows
                         ]
                     all_sources.append(source)
-
-                for join in stmt.joins:
-                    right = self._resolve_source(
-                        join.source, session, outer, stmt.where,
-                        statement_sources, order_insensitive,
-                    )
-                    joined = self._join_relation(
-                        joined, all_sources, right, join.kind, join.condition,
-                        stmt.where, evaluator, outer, statement_sources,
-                    )
-                    all_sources.append(right)
 
             layout = _ScopeLayout(all_sources, outer)
             make_scope = layout.scope
@@ -713,9 +656,9 @@ class Executor:
                     ]
 
             # expand stars into concrete items
-            items = self._expand_items(stmt.items, all_sources)
+            items = expand_items(stmt.items, all_sources)
             out_columns = [
-                self._item_name(item, index) for index, item in enumerate(items)
+                item_name(item, index) for index, item in enumerate(items)
             ]
 
             if grouped:
@@ -746,8 +689,8 @@ class Executor:
             out_rows, order_keys = self._distinct(out_rows, order_keys)
 
         if stmt.set_op is not None:
-            kind, rhs = stmt.set_op
-            rhs_columns, rhs_rows = self._run_select(rhs, session, outer)
+            kind = stmt.set_op[0]
+            rhs_columns, rhs_rows = self._run_plan(plan.set_op, session, outer)
             if len(rhs_columns) != len(out_columns):
                 raise ExecutionError(
                     f"{kind} operands must have the same number of columns"
@@ -850,22 +793,11 @@ class Executor:
         return out_rows, order_keys
 
     def _join_relation(
-        self, left_rows, left_sources, right, kind, condition, where,
-        evaluator, outer, statement_sources=None,
+        self, left_rows, left_sources, right, plan: JoinPlan, evaluator, outer
     ) -> list[_JoinedRow]:
         """Fold ``right`` onto the joined relation using the planned strategy."""
         trace = self.db.tracer.current()
         started = perf_counter() if trace is not None else 0.0
-        plan = plan_join(
-            kind,
-            condition,
-            where,
-            [(s.binding, s.columns) for s in left_sources],
-            right.binding,
-            right.columns,
-            allow_hash=self.db.planner_options.get("enable_hash_join", True),
-            statement_sources=statement_sources,
-        )
         if plan.strategy == "hash":
             self.db.bump_planner_stat("hash_joins")
             result = self._hash_join(
@@ -880,12 +812,11 @@ class Executor:
         else:
             self.db.bump_planner_stat("nested_loop_joins")
             result = self._nested_loop_join(
-                left_rows, left_sources, right, kind, condition, evaluator, outer
+                left_rows, left_sources, right, plan.kind, plan.condition,
+                evaluator, outer,
             )
         if trace is not None:
-            trace.record_join(
-                right.binding, plan.strategy, len(result), perf_counter() - started
-            )
+            trace.record_join(plan, len(result), perf_counter() - started)
         return result
 
     @staticmethod
@@ -999,89 +930,29 @@ class Executor:
             return result
         raise ExecutionError(f"unsupported join kind {kind}")
 
-    def _resolve_source(
+    def _scan_source(
         self,
-        source: "ast.TableRef | ast.SubqueryRef",
+        scan: ScanPlan,
         session: "Session",
         outer: Scope | None,
-        where: ast.Expr | None = None,
-        statement_sources: list[tuple[str, list[str] | None]] | None = None,
         order_insensitive: bool = False,
     ) -> _Source:
+        """Materialize one planned source for the row fold."""
         trace = self.db.tracer.current()
         started = perf_counter() if trace is not None else 0.0
-        scan_kind = "seq"
-        examined = 0
-        if isinstance(source, ast.SubqueryRef):
-            columns, rows = self._run_select(source.subquery, session, outer)
-            derived_rows = _tuple_rows(columns, rows)
-            resolved = _Source(source.alias, columns, derived_rows)
-            scan_kind, examined = "subquery", len(derived_rows)
-        elif is_system_relation(source.name):
-            # observability system views: virtual read-only relations
-            # served from already-synchronized snapshots, so no table lock
-            # is taken — introspection never blocks the system
-            columns, dict_rows = system_view_rows(self.db, source.name)
-            resolved = _Source(source.binding, columns, dict_rows)
-            scan_kind, examined = "system", len(dict_rows)
-        elif self.db.catalog.has_view(source.name):
-            view = self.db.catalog.view(source.name)
-            columns, rows = self._run_select(view.select, session, outer)
-            derived_rows = _tuple_rows(columns, rows)
-            resolved = _Source(source.binding, columns, derived_rows)
-            scan_kind, examined = "view", len(derived_rows)
+        if scan.child is not None:  # view or derived table
+            columns, result_rows = self._run_plan(scan.child, session, outer)
+            rows = _tuple_rows(columns, result_rows)
+        elif scan.path is None:  # observability system view
+            columns, rows = system_view_rows(self.db, scan.name)
         else:
-            # reads take a shared table lock, held to transaction end
-            # (no-op without a lock manager); views never reach this
-            # branch — their expansion re-enters here per underlying
-            # table. Schema resolved after the lock grant (see
-            # _locked_table): a scan that blocked behind DROP + CREATE
-            # must see the recreated columns
-            schema = self._locked_table(session, source.name, "S")
-            heap = self.db.heap(schema.name)
-            # access-path planning: probe a covering index for top-level
-            # equality conjuncts, or slice a sorted index for range
-            # conjuncts; the residual WHERE still applies afterwards, so
-            # both are purely scan reductions
-            bindings = extract_equality_bindings(
-                where, source.binding, statement_sources
-            )
-            ranges = extract_range_bindings(
-                where, source.binding, statement_sources
-            )
-            unions = extract_union_bindings(
-                where, source.binding, statement_sources
-            )
-            path, index, key = choose_access_path(
-                schema.name,
-                heap,
-                bindings,
-                ranges,
-                allow_index=self.db.planner_options.get(
-                    "enable_index_scan", True
-                ),
-                unions=unions,
-                stats=self._stats_for(schema.name),
-            )
-            if path.kind == "index":
-                self.db.bump_planner_stat("index_scans")
-                rids: "list[int] | set[int]" = index.probe(key)
-            elif path.kind == "range":
-                self.db.bump_planner_stat("range_scans")
-                rng = path.range
-                rids = index.range_rids(
-                    path.prefix_values,
-                    rng.low,
-                    rng.high,
-                    rng.incl_low,
-                    rng.incl_high,
-                )
-            elif path.kind == "union":
-                self.db.bump_planner_stat("union_scans")
-                rids = self._union_rids(index, path.union)
+            columns, heap = scan.columns, scan.heap
+            rids = self._path_rids(scan)
+            if rids is None:
+                # copy: live heap dicts are mutated in place by in-statement
+                # schema changes and must not alias an in-flight scan
+                rows = [dict(row) for _, row in heap.rows()]
             else:
-                rids = None
-            if rids is not None:
                 # probed rids come back in rid order so the source feeds
                 # the pipeline exactly like a seq scan would — except when
                 # the statement's output provably ignores row order (pure
@@ -1093,29 +964,32 @@ class Executor:
                     row = heap.get(rid)  # fetched once per rid
                     if row is not None:
                         rows.append(dict(row))
-            else:
-                self.db.bump_planner_stat("seq_scans")
-                # copy: live heap dicts are mutated in place by in-statement
-                # schema changes and must not alias an in-flight scan
-                rows = [dict(row) for _, row in heap.rows()]
-            resolved = _Source(source.binding, schema.column_names(), rows)
-            scan_kind, examined = path.kind, len(rows)
-        if statement_sources is not None:
-            self._prefilter_source(resolved, where, statement_sources)
+        resolved = _Source(scan.binding, columns, rows)
+        examined = len(rows)
+        if scan.filter is not None:
+            self._prefilter_source(resolved, scan.filter)
         if trace is not None:
             trace.record_scan(
-                resolved.binding,
-                scan_kind,
-                len(resolved.rows),
-                examined,
-                perf_counter() - started,
+                scan, len(resolved.rows), examined, perf_counter() - started
             )
         return resolved
 
-    def _stats_for(self, table: str):
-        """ANALYZE product for ``table`` (staleness is checked by the
-        planner against the live heap's uid)."""
-        return self.db.catalog.statistics.get(table.lower())
+    def _path_rids(self, scan: ScanPlan) -> "list[int] | set[int] | None":
+        """Candidate rids of a planned base-table scan (``None``: the whole
+        heap), counting the access path in ``planner_stats``. Every path is
+        a pure reduction — callers re-apply the full WHERE."""
+        path, index = scan.path, scan.index
+        self.db.bump_planner_stat(f"{path.kind}_scans")
+        if path.kind == "index":
+            return index.probe(scan.key)
+        if path.kind == "range":
+            rng = path.range
+            return index.range_rids(
+                path.prefix_values, rng.low, rng.high, rng.incl_low, rng.incl_high
+            )
+        if path.kind == "union":
+            return self._union_rids(index, path.union)
+        return None
 
     @staticmethod
     def _union_rids(index, union) -> set[int]:
@@ -1149,197 +1023,36 @@ class Executor:
             return None
         return compile_predicate(expr, _layout_resolver(layout))
 
-    def _explain_ordered_scan(self, stmt: ast.SelectStatement) -> str | None:
-        """EXPLAIN text for the ordered-scan fast path, when it applies."""
-        if not self._ordered_scan_shape(stmt):
-            return None
-        src = stmt.from_sources[0]
-        if self.db.catalog.has_view(src.name) or not self.db.catalog.has_table(
-            src.name
-        ):
-            return None
-        plan = self._order_columns_of(stmt)
-        if plan is None:
-            return None
-        schema = self.db.catalog.table(src.name)
-        heap = self.db.heap(schema.name)
-        match = self._match_ordered_index(stmt, src.binding, schema, heap, plan)
-        if match is None:
-            return None
-        index, prefix_values, rng, reverse = match
-        conditions = [
-            f"{column} = {expr_to_sql(ast.Literal(value))}"
-            for column, value in zip(index.columns, prefix_values)
-        ]
-        if rng is not None:
-            conditions.append(rng.describe(index.columns[len(prefix_values)]))
-        order_text = ", ".join(plan[0]) + (" DESC" if reverse else "")
-        line = (
-            f"Ordered Index Scan using {index.name} on {schema.name} "
-            f"(ORDER BY {order_text})"
-        )
-        if conditions:
-            line += f" (cond: {' AND '.join(conditions)})"
-        if stmt.limit is not None:
-            line += f" (limit {stmt.limit})"
-        return line
+    def _ordered_scan(
+        self, plan: SelectPlan, outer: Scope | None, evaluator: Evaluator
+    ) -> _Source:
+        """Run a single-table block through its planned ``ordered`` path.
 
-    @staticmethod
-    def _ordered_scan_shape(stmt: ast.SelectStatement) -> bool:
-        """Structural gate for the ordered-scan fast path: one base-table
-        source, a real ORDER BY, and no machinery (grouping, aggregates,
-        DISTINCT, set ops) between scan order and output order. Mirrors
-        the gate in :meth:`_run_select`; EXPLAIN uses it to report the
-        plan without executing."""
-        if stmt.group_by or stmt.distinct or stmt.set_op is not None:
-            return False
-        if not stmt.order_by or len(stmt.from_sources) != 1 or stmt.joins:
-            return False
-        if not isinstance(stmt.from_sources[0], ast.TableRef):
-            return False
-        aggregates: list[ast.FunctionCall] = []
-        for item in stmt.items:
-            _collect_aggregates(item.expr, aggregates)
-        _collect_aggregates(stmt.having, aggregates)
-        for order in stmt.order_by:
-            _collect_aggregates(order.expr, aggregates)
-        return not aggregates
-
-    def _order_columns_of(
-        self, stmt: ast.SelectStatement
-    ) -> tuple[list[str], bool] | None:
-        """ORDER BY as (lowered column list, reverse) when every item is a
-        plain same-direction column of the single source (not shadowed by
-        an output alias); DESC only for single columns."""
-        directions = {order.descending for order in stmt.order_by}
-        if len(directions) != 1:
-            return None  # mixed ASC/DESC: no single index order matches
-        reverse = directions.pop()
-        aliases = {item.alias.lower() for item in stmt.items if item.alias}
-        binding_key = stmt.from_sources[0].binding.lower()
-        order_columns: list[str] = []
-        for order in stmt.order_by:
-            expr = order.expr
-            if not isinstance(expr, ast.ColumnRef):
-                return None
-            if expr.table is not None and expr.table.lower() != binding_key:
-                return None
-            if expr.table is None and expr.name.lower() in aliases:
-                return None  # orders by the output item, not the column
-            order_columns.append(expr.name.lower())
-        if reverse and len(order_columns) != 1:
-            return None
-        return order_columns, reverse
-
-    def _match_ordered_index(
-        self,
-        stmt: ast.SelectStatement,
-        binding: str,
-        schema: TableSchema,
-        heap: HeapTable,
-        plan: tuple[list[str], bool],
-    ):
-        """A sorted index whose order satisfies the statement's ORDER BY:
-        columns are exactly the WHERE-equality-bound prefix followed by
-        the ORDER BY columns. Returns ``(index, prefix_values, range,
-        reverse)`` or ``None``."""
-        if not self.db.planner_options.get("enable_index_scan", True):
-            return None
-        order_columns, reverse = plan
-        sources = [(binding, schema.column_names())]
-        bindings = extract_equality_bindings(stmt.where, binding, sources)
-        ranges = extract_range_bindings(stmt.where, binding, sources)
-        by_column = {b.column: b.value for b in bindings}
-        chosen = None
-        for index in heap.indexes.values():
-            if index.kind != "btree":
-                continue
-            columns = tuple(c.lower() for c in index.columns)
-            prefix_len = len(columns) - len(order_columns)
-            if prefix_len < 0 or list(columns[prefix_len:]) != order_columns:
-                continue
-            if all(c in by_column for c in columns[:prefix_len]):
-                chosen = (index, prefix_len)
-                break
-        if chosen is None:
-            return None
-        index, prefix_len = chosen
-        # cost check: a fully equality-bound probe (or a disjunctive union
-        # probe set) is strictly more selective than scanning in order,
-        # and a range on a column this index does not cover prunes rows
-        # the ordered scan would have to filter one by one — in these
-        # cases the generic path plus the bounded top-N sort wins
-        unions = extract_union_bindings(stmt.where, binding, sources)
-        path, _, _ = choose_access_path(
-            schema.name,
-            heap,
-            bindings,
-            ranges,
-            unions=unions,
-            stats=self._stats_for(schema.name),
-        )
-        if path.kind in ("index", "union"):
-            return None
-        if path.kind == "range":
-            covered = {c.lower() for c in index.columns}
-            if (path.range_column or "").lower() not in covered:
-                return None
-        prefix_values = tuple(
-            by_column[c.lower()] for c in index.columns[:prefix_len]
-        )
-        rng = ranges.get(index.columns[prefix_len].lower())
-        return index, prefix_values, rng, reverse
-
-    def _try_ordered_scan(
-        self,
-        stmt: ast.SelectStatement,
-        session: "Session",
-        outer: Scope | None,
-        evaluator: Evaluator,
-    ) -> _Source | None:
-        """Resolve a single-table SELECT through a sorted index in ORDER BY
-        order, or return ``None``.
-
-        Applies when every ORDER BY item is a plain same-direction column
-        of the table (not shadowed by an output alias) and some sorted
-        index's columns are exactly the WHERE-equality-bound prefix
-        followed by the ORDER BY columns — then index order *is* the
-        statement's sort order, ties included: equal keys store rids
-        ascending, matching the stable sort over a rid-ordered scan.
-        DESC is served for single-column suffixes only (see
-        :meth:`SortedIndex.ordered_rids` for why reverse order is not a
-        plain reversal). The returned source has the WHERE predicate
-        already applied, stopping after OFFSET+LIMIT surviving rows — the
-        early exit that makes ``ORDER BY ... LIMIT k`` O(k) instead of
-        O(n log n). Rows past the exit are never evaluated, so a
-        predicate whose error only a later row would trigger does not
-        raise here — the planner's documented error-surfacing contract
-        (see :mod:`repro.minidb.planner`), shared with every other
-        row-pruning plan.
+        The sorted index yields rids in the statement's ORDER BY order (see
+        :func:`repro.minidb.planner._ordered_path`); the returned source
+        has the WHERE predicate already applied, stopping after
+        OFFSET+LIMIT surviving rows — the early exit that makes
+        ``ORDER BY ... LIMIT k`` O(k) instead of O(n log n). Rows past the
+        exit are never evaluated, so a predicate whose error only a later
+        row would trigger does not raise here — the planner's documented
+        error-surfacing contract (see :mod:`repro.minidb.planner`), shared
+        with every other row-pruning plan.
         """
         db = self.db
-        src = stmt.from_sources[0]
-        if db.catalog.has_view(src.name) or not db.catalog.has_table(src.name):
-            return None
-        plan = self._order_columns_of(stmt)
-        if plan is None:
-            return None
-        schema = self._locked_table(session, src.name, "S")
-        heap = db.heap(schema.name)
-        match = self._match_ordered_index(stmt, src.binding, schema, heap, plan)
-        if match is None:
-            return None
-        index, prefix_values, rng, reverse = match
+        stmt = plan.stmt
+        scan = plan.scans[0]
+        path, index, heap = scan.path, scan.index, scan.heap
+        rng = path.range
         if rng is None:
-            start, end = index.slice_bounds(prefix_values)
+            start, end = index.slice_bounds(path.prefix_values)
         else:
             start, end = index.slice_bounds(
-                prefix_values, rng.low, rng.high, rng.incl_low, rng.incl_high
+                path.prefix_values, rng.low, rng.high, rng.incl_low, rng.incl_high
             )
         db.bump_planner_stat("ordered_scans")
         trace = db.tracer.current()
         started = perf_counter() if trace is not None else 0.0
-        source = _Source(src.binding, schema.column_names(), [])
+        source = _Source(scan.binding, scan.columns, [])
         layout = _ScopeLayout([source], outer)
         where = stmt.where
         where_fn = self._compile_filter(where, layout)
@@ -1349,7 +1062,7 @@ class Executor:
         binding = source.binding
         rows = source.rows
         examined = 0
-        for rid in index.ordered_rids(reverse, start, end, prefix_values):
+        for rid in index.ordered_rids(path.reverse, start, end, path.prefix_values):
             if needed is not None and len(rows) >= needed:
                 break
             examined += 1
@@ -1368,29 +1081,10 @@ class Executor:
                     continue
             rows.append(row)
         if trace is not None:
-            trace.record_scan(
-                binding, "ordered", len(rows), examined, perf_counter() - started
-            )
+            trace.record_scan(scan, len(rows), examined, perf_counter() - started)
         return source
 
     # ------------------------------------------------- column-batch pipeline
-
-    def _batch_select_shape(self, stmt: ast.SelectStatement) -> bool:
-        """Structural gate for the column-batch pipeline: enabled via
-        ``planner_options`` and exactly one plain base-table source with
-        no joins. Takes no locks, so EXPLAIN can report the plan without
-        executing; an unknown table falls through to the row path, which
-        raises the usual error."""
-        if not self.db.planner_options.get("enable_batch_execution", True):
-            return False
-        if len(stmt.from_sources) != 1 or stmt.joins:
-            return False
-        src = stmt.from_sources[0]
-        if not isinstance(src, ast.TableRef):
-            return False
-        if is_system_relation(src.name) or self.db.catalog.has_view(src.name):
-            return False
-        return self.db.catalog.has_table(src.name)
 
     @staticmethod
     def _referenced_columns(
@@ -1415,19 +1109,16 @@ class Executor:
 
     def _run_select_batched(
         self,
-        stmt: ast.SelectStatement,
-        session: "Session",
+        plan: SelectPlan,
         outer: Scope | None,
         evaluator: Evaluator,
-        aggregates: list[ast.FunctionCall],
-        grouped: bool,
         order_insensitive: bool,
         run_subquery,
     ) -> tuple[list[str], list[tuple], list[tuple]]:
         """Single-table SELECT over the column-batch pipeline.
 
-        Scans the heap batch-at-a-time (through the same access-path
-        planning as :meth:`_resolve_source`), applies WHERE as a
+        Scans the heap batch-at-a-time (through the same planned access
+        path :meth:`_scan_source` would read), applies WHERE as a
         vectorized mask, and projects/aggregates over the surviving
         column slices. Anything the batch compiler punts on is evaluated
         per row *inside* the batch through a :class:`_BatchRowView`, so
@@ -1442,11 +1133,11 @@ class Executor:
         full table; statements that complete report identical events.
         """
         db = self.db
-        src = stmt.from_sources[0]
-        schema = self._locked_table(session, src.name, "S")
-        heap = db.heap(schema.name)
-        all_columns = schema.column_names()
-        source = _Source(src.binding, all_columns, [])
+        stmt = plan.stmt
+        scan = plan.scans[0]
+        heap = scan.heap
+        all_columns = scan.columns
+        source = _Source(scan.binding, all_columns, [])
         layout = _ScopeLayout([source], outer)
         compiled_ok = db.planner_options.get("enable_compiled_predicates", True)
         resolver = _batch_layout_resolver(layout)
@@ -1464,7 +1155,7 @@ class Executor:
 
         needed = self._referenced_columns(stmt, all_columns)
         view = _BatchRowView()
-        parts: dict[str, Any] = {src.binding: view}
+        parts: dict[str, Any] = {scan.binding: view}
 
         where = stmt.where
         batch_where = batch_compile(where) if where is not None else None
@@ -1472,40 +1163,10 @@ class Executor:
         if where is not None and batch_where is None:
             row_where = self._compile_filter(where, layout)
 
-        # access-path planning: identical probe/range/union reductions to
-        # the row path (and the same planner counters), with batch_scans
-        # recording that the scan ran vectorized
-        bindings = extract_equality_bindings(where, src.binding, None)
-        ranges = extract_range_bindings(where, src.binding, None)
-        unions = extract_union_bindings(where, src.binding, None)
-        path, index, key = choose_access_path(
-            schema.name,
-            heap,
-            bindings,
-            ranges,
-            allow_index=db.planner_options.get("enable_index_scan", True),
-            unions=unions,
-            stats=self._stats_for(schema.name),
-        )
-        if path.kind == "index":
-            db.bump_planner_stat("index_scans")
-            rids: "list[int] | set[int] | None" = index.probe(key)
-        elif path.kind == "range":
-            db.bump_planner_stat("range_scans")
-            rng = path.range
-            rids = index.range_rids(
-                path.prefix_values,
-                rng.low,
-                rng.high,
-                rng.incl_low,
-                rng.incl_high,
-            )
-        elif path.kind == "union":
-            db.bump_planner_stat("union_scans")
-            rids = self._union_rids(index, path.union)
-        else:
-            db.bump_planner_stat("seq_scans")
-            rids = None
+        # identical probe/range/union reductions to the row path (and the
+        # same planner counters), with batch_scans recording that the scan
+        # ran vectorized
+        rids = self._path_rids(scan)
         db.bump_planner_stat("batch_scans")
 
         batch_size = db.planner_options.get("batch_size", DEFAULT_BATCH_SIZE)
@@ -1583,23 +1244,19 @@ class Executor:
         finally:
             if trace is not None:
                 trace.record_scan(
-                    src.binding,
-                    path.kind,
-                    examined,
-                    examined,
-                    perf_counter() - started,
+                    scan, examined, examined, perf_counter() - started
                 )
 
-        items = self._expand_items(stmt.items, [source])
+        items = expand_items(stmt.items, [source])
         out_columns = [
-            self._item_name(item, index) for index, item in enumerate(items)
+            item_name(item, index) for index, item in enumerate(items)
         ]
         sur_batch = RowBatch(None, sur_cols, n_sur)
         view.columns = sur_cols
-        if grouped:
+        if plan.grouped:
             out_rows, order_keys = self._run_grouped_batched(
                 stmt, items, sur_batch, view, parts, layout, evaluator,
-                aggregates, run_subquery, batch_compile,
+                plan.aggregates, run_subquery, batch_compile,
             )
         else:
             out_rows, order_keys = self._project_batched(
@@ -1812,31 +1469,8 @@ class Executor:
             key_parts.append(element)
         return tuple(key_parts)
 
-    def _statement_sources(
-        self, stmt: ast.SelectStatement
-    ) -> list[tuple[str, list[str] | None]]:
-        """(binding, columns) for every source; None = unknown (view/derived)."""
-        sources: list[tuple[str, list[str] | None]] = []
-        for src in list(stmt.from_sources) + [join.source for join in stmt.joins]:
-            if isinstance(src, ast.TableRef):
-                if self.db.catalog.has_table(src.name):
-                    columns = self.db.catalog.table(src.name).column_names()
-                else:
-                    columns = None
-                sources.append((src.binding, columns))
-            else:
-                sources.append((src.alias, None))
-        return sources
-
-    def _prefilter_source(
-        self, source: _Source, where: ast.Expr | None, statement_sources
-    ) -> None:
+    def _prefilter_source(self, source: _Source, predicate: ast.Expr) -> None:
         """Apply pushed-down null-rejecting single-source conjuncts in place."""
-        predicate = extract_pushdown_filter(
-            where, source.binding, source.columns, statement_sources
-        )
-        if predicate is None:
-            return
         layout = _ScopeLayout([source], None)
         binding = source.binding
         predicate_fn = self._compile_filter(predicate, layout)
@@ -1862,166 +1496,28 @@ class Executor:
     def _exec_ExplainStatement(
         self, stmt: ast.ExplainStatement, session: "Session"
     ) -> ResultSet:
-        select = stmt.select
-        table_of_binding: dict[str, str] = {}
-        columns_of_binding: dict[str, list[str] | None] = {}
-        sources = list(select.from_sources) + [join.source for join in select.joins]
-        for source in sources:
-            if isinstance(source, ast.TableRef):
-                if self.db.catalog.has_table(source.name):
-                    schema = self.db.catalog.table(source.name)
-                    table_of_binding[source.binding] = schema.name
-                    columns_of_binding[source.binding] = schema.column_names()
-                else:  # view / system view: column set unknown statically
-                    columns_of_binding[source.binding] = None
-            else:
-                columns_of_binding[source.alias] = None
-        paths = plan_select_paths(
-            select,
-            table_of_binding,
-            self.db.heap,
-            columns_of_binding,
-            allow_index=self.db.planner_options.get("enable_index_scan", True),
-            stats_of_table=self._stats_for,
-        )
-        # plan lines paired with the source binding each describes, so the
-        # ANALYZE branch can attach that binding's actual scan events
-        path_of_binding = dict(zip(table_of_binding.keys(), paths))
-        # the ordered-scan fast path preempts the batch pipeline at
-        # runtime, so its plan line must be known before paths are
-        # described with the (batched) annotation
-        ordered_line = self._explain_ordered_scan(select)
-        if ordered_line is None and self._batch_select_shape(select):
-            for path in paths:
-                path.batched = True
-        lines: list[tuple[str, str | None]] = []
-        described: set[str] = set()
-        for source in sources:
-            if not isinstance(source, ast.TableRef) or source.binding in described:
-                continue
-            described.add(source.binding)
-            if source.binding in path_of_binding:
-                lines.append(
-                    (path_of_binding[source.binding].describe(), source.binding)
-                )
-            elif is_system_relation(source.name):
-                lines.append(
-                    (f"System View Scan on {source.name.lower()}", source.binding)
-                )
-        if ordered_line is not None:
-            # the ordered scan replaces the source's generic access path
-            # (the ordered-scan gate admits exactly one plain table source)
-            ordered_entry = (ordered_line, select.from_sources[0].binding)
-            lines = [ordered_entry] if len(lines) == 1 else lines + [ordered_entry]
-        allow_hash = self.db.planner_options.get("enable_hash_join", True)
-        join_lines = [
-            plan.describe()
-            for plan in plan_select_joins(select, columns_of_binding, allow_hash)
-        ]
+        """Render the plan :meth:`_run_plan` would be handed. Plain EXPLAIN
+        resolves tables straight from the catalog: no locks, nothing runs.
+        ANALYZE plans like any execution, runs that very plan under a probe
+        trace and annotates each node with its own actual rows and time."""
         if not stmt.analyze:
-            rows = [(text,) for text, _ in lines]
-            rows.extend((text,) for text in join_lines)
-            if not rows:
-                rows = [("Result (no base tables)",)]
-            return ResultSet(columns=["QUERY PLAN"], rows=rows, status="EXPLAIN")
-        return self._explain_analyze(select, session, lines, join_lines)
-
-    def _explain_analyze(
-        self,
-        select: ast.SelectStatement,
-        session: "Session",
-        lines: list[tuple[str, str | None]],
-        join_lines: list[str],
-    ) -> ResultSet:
-        """Execute ``select`` under a probe trace and annotate the plan
-        lines with actual rows and per-node timings."""
-        tracer = self.db.tracer
-        probe = tracer.probe()
-        started = perf_counter()
-        try:
-            _, result_rows = self._run_select(select, session, None)
-        finally:
-            total_s = perf_counter() - started
-            tracer.release(probe)
-        scans_of_binding: dict[str, list[dict]] = {}
-        for event in probe.scans:
-            scans_of_binding.setdefault(event["binding"], []).append(event)
-        rows: list[tuple[str, ...]] = []
-        for text, binding in lines:
-            events = scans_of_binding.get(binding or "", [])
-            rows.append((text + self._actuals_suffix(events),))
-        # join events arrive in fold order (comma-folds then JOINs), the
-        # same order plan_select_joins describes them in
-        for index, text in enumerate(join_lines):
-            if index < len(probe.joins):
-                event = probe.joins[index]
-                rows.append(
-                    (
-                        text
-                        + f" (actual rows={event['rows']},"
-                        f" time={event['duration_s'] * 1000.0:.3f} ms)",
-                    )
-                )
-            else:
-                rows.append((text,))
-        if not rows:
-            rows = [("Result (no base tables)",)]
-        rows.append((f"Result rows: {len(result_rows)}",))
-        rows.append((f"Execution time: {total_s * 1000.0:.3f} ms",))
-        return ResultSet(columns=["QUERY PLAN"], rows=rows, status="EXPLAIN")
-
-    @staticmethod
-    def _actuals_suffix(events: list[dict]) -> str:
-        if not events:
-            return " (never executed)"
-        loops = len(events)
-        actual_rows = sum(event["rows"] for event in events)
-        time_ms = sum(event["duration_s"] for event in events) * 1000.0
-        if loops == 1:
-            return f" (actual rows={actual_rows}, time={time_ms:.3f} ms)"
-        return (
-            f" (actual rows={actual_rows}, loops={loops}, time={time_ms:.3f} ms)"
+            lines = plan_select(stmt.select, self.db, self.db.catalog.table).lines()
+        else:
+            plan = self._plan_select(stmt.select, session)
+            tracer = self.db.tracer
+            probe = tracer.probe()
+            started = perf_counter()
+            try:
+                _, result_rows = self._run_plan(plan, session, None)
+            finally:
+                total_s = perf_counter() - started
+                tracer.release(probe)
+            lines = plan.lines(probe.actuals)
+            lines.append(f"Result rows: {len(result_rows)}")
+            lines.append(f"Execution time: {total_s * 1000.0:.3f} ms")
+        return ResultSet(
+            columns=["QUERY PLAN"], rows=[(line,) for line in lines], status="EXPLAIN"
         )
-
-    @staticmethod
-    def _expand_items(
-        items: list[ast.SelectItem], sources: list[_Source]
-    ) -> list[ast.SelectItem]:
-        expanded: list[ast.SelectItem] = []
-        for item in items:
-            if isinstance(item.expr, ast.Star):
-                star = item.expr
-                targets = (
-                    [s for s in sources if s.binding.lower() == star.table.lower()]
-                    if star.table
-                    else sources
-                )
-                if star.table and not targets:
-                    raise UnknownTableError(
-                        f"missing FROM-clause entry for table {star.table!r}"
-                    )
-                if not targets:
-                    raise ExecutionError("SELECT * with no FROM clause")
-                for source in targets:
-                    for col in source.columns:
-                        expanded.append(
-                            ast.SelectItem(
-                                ast.ColumnRef(col, table=source.binding), alias=col
-                            )
-                        )
-            else:
-                expanded.append(item)
-        return expanded
-
-    @staticmethod
-    def _item_name(item: ast.SelectItem, index: int) -> str:
-        if item.alias:
-            return item.alias
-        if isinstance(item.expr, ast.ColumnRef):
-            return item.expr.name
-        if isinstance(item.expr, ast.FunctionCall):
-            return item.expr.name.lower()
-        return f"column{index + 1}"
 
     def _order_key(self, order_by, items, row, scope, evaluator) -> tuple:
         key_parts = []
@@ -2432,60 +1928,23 @@ class Executor:
     ) -> list[tuple[int, Row]]:
         """Resolve UPDATE/DELETE target rows through access-path planning.
 
-        The same :func:`choose_access_path` machinery that accelerates
-        SELECT sources narrows the candidate set here — a covering index
-        probe or sorted-index range slice instead of the unconditional
-        heap scan. Candidates always get the *full* WHERE re-applied
-        (compiled when possible), and targets come back in rid order, the
-        order the heap scan produced — so undo logs, WAL records, and
-        constraint-error attribution are byte-identical to the seq-scan
-        plan.
+        The same scan planner that serves SELECT sources narrows the
+        candidate set here — a covering index probe, union or sorted-index
+        range slice instead of the unconditional heap scan. Candidates
+        always get the *full* WHERE re-applied (compiled when possible),
+        and targets come back in rid order, the order the heap scan
+        produced — so undo logs, WAL records, and constraint-error
+        attribution are byte-identical to the seq-scan plan.
         """
-        candidates: "list[tuple[int, Row]] | None" = None
-        if where is not None:
-            sources = [(binding, schema.column_names())]
-            bindings = extract_equality_bindings(where, binding, sources)
-            ranges = extract_range_bindings(where, binding, sources)
-            unions = extract_union_bindings(where, binding, sources)
-            path, index, key = choose_access_path(
-                schema.name,
-                heap,
-                bindings,
-                ranges,
-                allow_index=self.db.planner_options.get(
-                    "enable_index_scan", True
-                ),
-                unions=unions,
-                stats=self._stats_for(schema.name),
-            )
-            rids = None
-            if path.kind == "index":
-                self.db.bump_planner_stat("index_scans")
-                rids = sorted(index.probe(key))
-            elif path.kind == "range":
-                self.db.bump_planner_stat("range_scans")
-                rng = path.range
-                rids = sorted(
-                    index.range_rids(
-                        path.prefix_values,
-                        rng.low,
-                        rng.high,
-                        rng.incl_low,
-                        rng.incl_high,
-                    )
-                )
-            elif path.kind == "union":
-                self.db.bump_planner_stat("union_scans")
-                rids = sorted(self._union_rids(index, path.union))
-            if rids is not None:
-                candidates = []
-                for rid in rids:
-                    row = heap.get(rid)
-                    if row is not None:
-                        candidates.append((rid, row))
-        if candidates is None:
-            self.db.bump_planner_stat("seq_scans")
+        rids = self._path_rids(plan_table_scan(self.db, schema, binding, where))
+        if rids is None:
             candidates = list(heap.rows())
+        else:
+            candidates = []
+            for rid in sorted(rids):
+                row = heap.get(rid)
+                if row is not None:
+                    candidates.append((rid, row))
         if where is None:
             return candidates
         layout = _ScopeLayout([_Source(binding, schema.column_names(), [])], None)

@@ -1,22 +1,31 @@
-"""Access-path and join planning for minidb.
+"""Planning for minidb: one physical plan per statement.
 
-minidb's executor defaults to sequential scans and nested-loop joins. This
-module plans two kinds of optimizations, both pure scan/pair reductions that
-never change statement semantics:
+:func:`plan_select` turns a SELECT block into a :class:`SelectPlan` — a
+:class:`ScanPlan` per FROM/JOIN source, a :class:`JoinPlan` per fold, and
+the set-operation arm as a child block. That value is built exactly once
+per execution: the executor only *consumes* the nodes it is handed,
+``EXPLAIN`` only *renders* them (:meth:`SelectPlan.lines`), and
+``EXPLAIN ANALYZE`` / the tracer attach actuals to the same node objects.
+Every planning decision is therefore taken in this module and nowhere
+else (the ``planner-seam`` staticcheck rule enforces it):
 
-* **Access paths** — for the common agent-issued query shape
-  ``SELECT ... FROM t WHERE col = literal [AND ...]`` the planner finds an
-  index covering an equality-bound column set and probes it, reducing
-  the scan to the matching row ids. Range conjuncts (``<, <=, >, >=``,
-  ``BETWEEN``) over a ``USING BTREE`` sorted index — optionally behind an
-  equality-bound column prefix — become *range* access paths that slice
-  the index's sorted array instead of scanning the heap
-  (:func:`extract_range_bindings`, :func:`choose_access_path`).
-  Additionally, null-rejecting single-source conjuncts
-  (``col <op> literal``) are pushed down into the scan of multi-source
-  queries so join inputs shrink before pairing. The residual WHERE
-  predicate is still evaluated afterwards, so every access path is a pure
-  candidate-set reduction.
+* **Access paths** (:func:`plan_table_scan`, shared by SELECT sources and
+  UPDATE/DELETE targets) — top-level AND-ed ``col = literal`` conjuncts
+  probe a covering index; range conjuncts (``<, <=, >, >=``, ``BETWEEN``)
+  over a ``USING BTREE`` sorted index — optionally behind an
+  equality-bound column prefix — slice the index's sorted run; ``IN``
+  lists / single-column OR-chains become index unions
+  (:func:`choose_access_path` ranks the candidates, by cost after
+  ``ANALYZE``). When a sorted index's order *is* the statement's ORDER BY
+  the scan becomes an ``ordered`` path that skips the sort and stops after
+  OFFSET+LIMIT survivors. Null-rejecting single-source conjuncts are
+  pushed down into the scans of multi-source blocks so join inputs shrink
+  before pairing. The full WHERE is always re-applied afterwards, so every
+  path is a pure candidate-set reduction.
+
+* **Pipelines** — a block over exactly one base table runs its scan on the
+  column-batch pipeline (``ScanPlan.batched``) unless the ordered path
+  took it; everything else folds row-at-a-time.
 
 * **Join strategies** — :func:`plan_join` splits a join's ON condition (and,
   because the full WHERE clause is re-applied after all joins, any
@@ -26,11 +35,17 @@ never change statement semantics:
   conditionless pairings remain cross products. Outer-join NULL extension is
   preserved: WHERE-derived keys are safe on nullable sides precisely because
   equality is null-rejecting and the WHERE clause filters the NULL-extended
-  rows it would have rejected anyway.
+  rows it would have rejected anyway. Keys resolve against each source's
+  *output* columns, which are known statically for views and derived
+  tables too (:meth:`SelectPlan.output_columns`).
 
-``EXPLAIN <select>`` surfaces the chosen access path per source and the
-chosen strategy per join (see :func:`plan_select_paths` and
-:func:`plan_select_joins`).
+Planning a block needs its base tables' schemas, which the caller supplies
+through ``resolve_table``: the executor passes a lock-then-resolve
+function (so a block is planned only after its S locks are granted, in
+FROM-then-JOIN order with views and derived tables expanding in place,
+then the set-operation arm), plain ``EXPLAIN`` passes the bare catalog
+lookup and so takes no locks. Subqueries inside expressions are separate
+blocks, planned when the evaluator first runs them.
 
 **Error-surfacing contract.** Planning never changes *results*: a query
 that evaluates without errors returns the same rows under every strategy.
@@ -60,11 +75,16 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any
 
+from ..obs.views import SYSTEM_VIEW_COLUMNS, is_system_relation
 from . import ast_nodes as ast
+from .errors import ExecutionError, MiniDBError, UnknownTableError
+from .functions import AGGREGATE_NAMES
 from .sqlgen import expr_to_sql
 from .storage import HashIndex, HeapTable, SortedIndex, ordering_key_element
 
 if TYPE_CHECKING:  # pragma: no cover
+    from .catalog import TableSchema
+    from .database import Database
     from .statistics import TableStatistics
 
 #: comparison operators that can never be true when an operand is NULL;
@@ -171,51 +191,54 @@ class AccessPath:
     """The chosen way to read one table."""
 
     table: str
-    kind: str  # "seq" | "index" | "range" | "union"
+    kind: str  # "seq" | "index" | "range" | "union" | "ordered"
     index_name: str | None = None
     key_columns: tuple[str, ...] = ()
-    filter_sql: str | None = None  # pushed-down single-source predicate
-    # range-path details (kind == "range"): equality-bound leading values,
-    # then bounds on the next index column
+    # range / ordered details: equality-bound leading values, then bounds
+    # on the next index column
     prefix_values: tuple = ()
     range_column: str | None = None
     range: "RangeBinding | None" = None
     union: "UnionBinding | None" = None  # kind == "union"
+    # kind == "ordered": the ORDER BY the index order stands in for
+    order_columns: tuple[str, ...] = ()
+    reverse: bool = False
+    limit: int | None = None
     #: cost-model output (only when table statistics informed the choice)
     estimated_rows: float | None = None
-    #: the executor will run this scan on the column-batch (vectorized)
-    #: pipeline; set by EXPLAIN's shape gate, purely an annotation
-    batched: bool = False
 
     def describe(self) -> str:
+        if self.kind == "seq":
+            return f"Seq Scan on {self.table}"
         if self.kind == "index":
             keys = ", ".join(self.key_columns)
-            base = f"Index Scan using {self.index_name} on {self.table} (key: {keys})"
-        elif self.kind == "range":
-            conditions = [
-                f"{column} = {expr_to_sql(ast.Literal(value))}"
-                for column, value in zip(self.key_columns, self.prefix_values)
-            ]
-            if self.range is not None:
-                conditions.append(self.range.describe(self.range_column))
-            base = (
-                f"Index Range Scan using {self.index_name} on {self.table} "
-                f"({' AND '.join(conditions)})"
-            )
-        elif self.kind == "union":
-            base = (
+            return f"Index Scan using {self.index_name} on {self.table} (key: {keys})"
+        if self.kind == "union":
+            return (
                 f"Index Union Scan using {self.index_name} on {self.table} "
                 f"({self.union.describe() if self.union else ''})"
             )
-        else:
-            base = f"Seq Scan on {self.table}"
-        if self.filter_sql:
-            base += f" (filter: {self.filter_sql})"
-        if self.estimated_rows is not None:
-            base += f" (est. rows={self.estimated_rows:.0f})"
-        if self.batched:
-            base += " (batched)"
-        return base
+        conditions = [
+            f"{column} = {expr_to_sql(ast.Literal(value))}"
+            for column, value in zip(self.key_columns, self.prefix_values)
+        ]
+        if self.range is not None:
+            conditions.append(self.range.describe(self.range_column))
+        if self.kind == "range":
+            return (
+                f"Index Range Scan using {self.index_name} on {self.table} "
+                f"({' AND '.join(conditions)})"
+            )
+        order_text = ", ".join(self.order_columns) + (" DESC" if self.reverse else "")
+        line = (
+            f"Ordered Index Scan using {self.index_name} on {self.table} "
+            f"(ORDER BY {order_text})"
+        )
+        if conditions:
+            line += f" (cond: {' AND '.join(conditions)})"
+        if self.limit is not None:
+            line += f" (limit {self.limit})"
+        return line
 
 
 @dataclass
@@ -227,7 +250,7 @@ class JoinKey:
     right_column: str
 
 
-@dataclass
+@dataclass(eq=False)
 class JoinPlan:
     """The chosen way to combine one new source into the joined relation."""
 
@@ -769,7 +792,7 @@ def plan_join(
 
 
 # --------------------------------------------------------------------------
-# whole-SELECT planning (EXPLAIN)
+# access-path choice
 # --------------------------------------------------------------------------
 
 
@@ -947,95 +970,429 @@ def _estimate_rows(
     return min(row_count * fraction, row_count)
 
 
-def _binding_of(source: "ast.TableRef | ast.SubqueryRef") -> str:
-    return source.binding if isinstance(source, ast.TableRef) else source.alias
+# --------------------------------------------------------------------------
+# the plan value: built once per block, rendered by EXPLAIN, run by the executor
+# --------------------------------------------------------------------------
+
+_RELATION_SCANS = {
+    "view": "View Scan",
+    "subquery": "Subquery Scan",
+    "system": "System View Scan",
+}
 
 
-def plan_select_paths(
-    stmt: ast.SelectStatement,
-    table_of_binding: dict[str, str],
-    heap_of_table,
-    columns_of_binding: dict[str, list[str] | None] | None = None,
-    allow_index: bool = True,
-    stats_of_table=None,
-) -> list[AccessPath]:
-    """Access paths for every base-table source of a SELECT (for EXPLAIN).
+@dataclass(eq=False)
+class ScanPlan:
+    """How one source of a SELECT block — or an UPDATE/DELETE target — is read.
 
-    ``stats_of_table`` (optional callable ``table -> TableStatistics |
-    None``) switches path choice to the cost model and stamps estimated
-    row counts onto the returned paths.
+    A base table carries its access path with the heap, index and key to
+    probe; a view or derived table carries the child block producing its
+    rows; a system view needs only its name. Nodes compare by identity:
+    tracer events and ``EXPLAIN ANALYZE`` actuals are keyed on the node.
     """
-    paths: list[AccessPath] = []
-    multi_source = (len(stmt.from_sources) + len(stmt.joins)) > 1
-    statement_sources = (
-        list(columns_of_binding.items())
-        if multi_source and columns_of_binding
+
+    binding: str
+    #: node kind in tracer events: the access-path kind for base tables,
+    #: else "view" | "subquery" | "system"
+    kind: str
+    name: str  # the relation as EXPLAIN prints it
+    #: output columns; None only for a child block whose star cannot be
+    #: expanded (running the block raises the proper error)
+    columns: list[str] | None
+    path: AccessPath | None = None
+    heap: HeapTable | None = None
+    index: "HashIndex | SortedIndex | None" = None
+    key: tuple | None = None  # probe key of an "index" path
+    #: the column-batch pipeline runs this scan (single-table blocks)
+    batched: bool = False
+    #: pushed-down single-source predicate, applied before joining
+    filter: ast.Expr | None = None
+    child: "SelectPlan | None" = None
+
+    def describe(self) -> str:
+        if self.path is None:
+            text = f"{_RELATION_SCANS[self.kind]} on {self.name}"
+        else:
+            text = self.path.describe()
+        if self.filter is not None:
+            text += f" (filter: {expr_to_sql(self.filter)})"
+        if self.path is not None and self.path.estimated_rows is not None:
+            text += f" (est. rows={self.path.estimated_rows:.0f})"
+        if self.batched:
+            text += " (batched)"
+        return text
+
+
+@dataclass(eq=False)
+class SelectPlan:
+    """The physical plan of one SELECT block."""
+
+    stmt: ast.SelectStatement
+    scans: list[ScanPlan]  # FROM sources, then JOIN sources: the fold order
+    joins: list[JoinPlan]  # joins[i] folds scans[i + 1] onto the relation
+    #: aggregate calls of the select list, HAVING and ORDER BY
+    aggregates: list[ast.FunctionCall]
+    set_op: "SelectPlan | None" = None  # right arm of ``stmt.set_op``
+
+    @property
+    def grouped(self) -> bool:
+        return bool(self.stmt.group_by) or bool(self.aggregates)
+
+    def output_columns(self) -> list[str] | None:
+        """Result column names, known without executing — what lets a
+        parent block plan joins and pushdown against a view or derived
+        table. None when a star cannot be expanded: running the block
+        raises the error, so the parent plans as if columns were unknown."""
+        if any(scan.columns is None for scan in self.scans):
+            return None
+        try:
+            items = expand_items(self.stmt.items, self.scans)
+        except MiniDBError:
+            return None
+        return [item_name(item, index) for index, item in enumerate(items)]
+
+    def lines(self, actuals: dict | None = None, indent: str = "") -> list[str]:
+        """EXPLAIN text: scans in fold order (child blocks indented beneath
+        their source), then joins, then the set-operation arm. ``actuals``
+        maps plan nodes to the tracer event of their one execution."""
+
+        def actual(node) -> str:
+            if actuals is None:
+                return ""
+            event = actuals.get(node)
+            if event is None:
+                return " (never executed)"
+            return (
+                f" (actual rows={event['rows']},"
+                f" time={event['duration_s'] * 1000.0:.3f} ms)"
+            )
+
+        out: list[str] = []
+        for scan in self.scans:
+            out.append(indent + scan.describe() + actual(scan))
+            if scan.child is not None:
+                out.extend(scan.child.lines(actuals, indent + "  "))
+        out.extend(indent + join.describe() + actual(join) for join in self.joins)
+        if not out:
+            out.append(indent + "Result (no base tables)")
+        if self.set_op is not None:
+            out.append(indent + self.stmt.set_op[0])
+            out.extend(self.set_op.lines(actuals, indent + "  "))
+        return out
+
+
+def collect_aggregates(expr: ast.Expr | None, out: list[ast.FunctionCall]) -> None:
+    """Find aggregate FunctionCall nodes (not descending into subqueries)."""
+    if expr is None:
+        return
+    if isinstance(expr, ast.FunctionCall):
+        if expr.name in AGGREGATE_NAMES:
+            out.append(expr)
+            return  # nested aggregates are invalid; don't descend
+        for arg in expr.args:
+            collect_aggregates(arg, out)
+        return
+    if isinstance(expr, ast.BinaryOp):
+        collect_aggregates(expr.left, out)
+        collect_aggregates(expr.right, out)
+    elif isinstance(expr, ast.UnaryOp):
+        collect_aggregates(expr.operand, out)
+    elif isinstance(expr, ast.CaseExpr):
+        if expr.operand:
+            collect_aggregates(expr.operand, out)
+        for when, then in expr.whens:
+            collect_aggregates(when, out)
+            collect_aggregates(then, out)
+        if expr.default:
+            collect_aggregates(expr.default, out)
+    elif isinstance(expr, ast.InExpr):
+        collect_aggregates(expr.operand, out)
+        if isinstance(expr.candidates, list):
+            for c in expr.candidates:
+                collect_aggregates(c, out)
+    elif isinstance(expr, ast.BetweenExpr):
+        collect_aggregates(expr.operand, out)
+        collect_aggregates(expr.low, out)
+        collect_aggregates(expr.high, out)
+    elif isinstance(expr, (ast.LikeExpr,)):
+        collect_aggregates(expr.operand, out)
+        collect_aggregates(expr.pattern, out)
+    elif isinstance(expr, ast.IsNullExpr):
+        collect_aggregates(expr.operand, out)
+    elif isinstance(expr, ast.CastExpr):
+        collect_aggregates(expr.operand, out)
+
+
+def expand_items(items: list[ast.SelectItem], sources: list) -> list[ast.SelectItem]:
+    """Expand stars against ``sources`` (anything with ``binding`` and
+    ``columns``) into concrete select items."""
+    expanded: list[ast.SelectItem] = []
+    for item in items:
+        if isinstance(item.expr, ast.Star):
+            star = item.expr
+            targets = (
+                [s for s in sources if s.binding.lower() == star.table.lower()]
+                if star.table
+                else sources
+            )
+            if star.table and not targets:
+                raise UnknownTableError(
+                    f"missing FROM-clause entry for table {star.table!r}"
+                )
+            if not targets:
+                raise ExecutionError("SELECT * with no FROM clause")
+            for source in targets:
+                for col in source.columns:
+                    expanded.append(
+                        ast.SelectItem(
+                            ast.ColumnRef(col, table=source.binding), alias=col
+                        )
+                    )
+        else:
+            expanded.append(item)
+    return expanded
+
+
+def item_name(item: ast.SelectItem, index: int) -> str:
+    if item.alias:
+        return item.alias
+    if isinstance(item.expr, ast.ColumnRef):
+        return item.expr.name
+    if isinstance(item.expr, ast.FunctionCall):
+        return item.expr.name.lower()
+    return f"column{index + 1}"
+
+
+def _order_columns_of(
+    stmt: ast.SelectStatement, binding: str
+) -> tuple[list[str], bool] | None:
+    """ORDER BY as (lowered column list, reverse) when every item is a
+    plain same-direction column of the single source (not shadowed by
+    an output alias); DESC only for single columns."""
+    directions = {order.descending for order in stmt.order_by}
+    if len(directions) != 1:
+        return None  # mixed ASC/DESC: no single index order matches
+    reverse = directions.pop()
+    aliases = {item.alias.lower() for item in stmt.items if item.alias}
+    binding_key = binding.lower()
+    order_columns: list[str] = []
+    for order in stmt.order_by:
+        expr = order.expr
+        if not isinstance(expr, ast.ColumnRef):
+            return None
+        if expr.table is not None and expr.table.lower() != binding_key:
+            return None
+        if expr.table is None and expr.name.lower() in aliases:
+            return None  # orders by the output item, not the column
+        order_columns.append(expr.name.lower())
+    if reverse and len(order_columns) != 1:
+        return None
+    return order_columns, reverse
+
+
+def _ordered_path(
+    stmt: ast.SelectStatement,
+    binding: str,
+    heap: HeapTable,
+    path: AccessPath,
+    by_column: dict[str, Any],
+    ranges: dict[str, RangeBinding],
+) -> "tuple[AccessPath, SortedIndex] | None":
+    """An ordered scan serving ``stmt``'s ORDER BY, when one beats ``path``.
+
+    Applies when every ORDER BY item is a plain same-direction column of
+    the table and some sorted index's columns are exactly the
+    WHERE-equality-bound prefix followed by the ORDER BY columns — then
+    index order *is* the statement's sort order, ties included: equal
+    keys store rids ascending, matching the stable sort over a rid-ordered
+    scan. DESC is served for single-column suffixes only (see
+    :meth:`SortedIndex.ordered_rids` for why reverse order is not a plain
+    reversal). The generic ``path`` wins when it is a fully equality-bound
+    probe or a disjunctive union (strictly more selective than scanning
+    in order), or a range on a column the ordered index does not cover
+    (it prunes rows the ordered scan would filter one by one) — there the
+    generic path plus the bounded top-N sort is cheaper.
+    """
+    if path.kind in ("index", "union"):
+        return None
+    order = _order_columns_of(stmt, binding)
+    if order is None:
+        return None
+    order_columns, reverse = order
+    for index in heap.indexes.values():
+        if index.kind != "btree":
+            continue
+        columns = [c.lower() for c in index.columns]
+        prefix_len = len(columns) - len(order_columns)
+        if prefix_len < 0 or columns[prefix_len:] != order_columns:
+            continue
+        if all(c in by_column for c in columns[:prefix_len]):
+            break
+    else:
+        return None
+    if path.kind == "range" and (path.range_column or "").lower() not in columns:
+        return None
+    ordered = AccessPath(
+        path.table,
+        "ordered",
+        index_name=index.name,
+        key_columns=tuple(index.columns[:prefix_len]),
+        prefix_values=tuple(by_column[c] for c in columns[:prefix_len]),
+        range_column=index.columns[prefix_len],
+        range=ranges.get(columns[prefix_len]),
+        order_columns=tuple(order_columns),
+        reverse=reverse,
+        limit=stmt.limit,
+    )
+    return ordered, index
+
+
+def plan_table_scan(
+    db: "Database",
+    schema: "TableSchema",
+    binding: str,
+    where: ast.Expr | None,
+    statement_sources: list[tuple[str, list[str] | None]] | None = None,
+    order_by_of: ast.SelectStatement | None = None,
+) -> ScanPlan:
+    """The scan node for one base table — the single place an access path
+    is chosen, for SELECT sources and UPDATE/DELETE targets alike.
+
+    ``statement_sources`` (multi-source blocks) guards unqualified-name
+    resolution; ``order_by_of`` names the single-table statement whose
+    ORDER BY an ordered index scan may serve.
+    """
+    heap = db.heap(schema.name)
+    allow_index = db.planner_options.get("enable_index_scan", True)
+    bindings = extract_equality_bindings(where, binding, statement_sources)
+    ranges = extract_range_bindings(where, binding, statement_sources)
+    path, index, key = choose_access_path(
+        schema.name,
+        heap,
+        bindings,
+        ranges,
+        allow_index=allow_index,
+        unions=extract_union_bindings(where, binding, statement_sources),
+        stats=db.catalog.statistics.get(schema.name.lower()),
+    )
+    if order_by_of is not None and allow_index:
+        ordered = _ordered_path(
+            order_by_of,
+            binding,
+            heap,
+            path,
+            {b.column: b.value for b in bindings},
+            ranges,
+        )
+        if ordered is not None:
+            path, index = ordered
+            key = None
+    return ScanPlan(
+        binding, path.kind, schema.name, schema.column_names(),
+        path=path, heap=heap, index=index, key=key,
+    )
+
+
+def plan_select(
+    stmt: ast.SelectStatement, db: "Database", resolve_table
+) -> SelectPlan:
+    """Plan one SELECT block (recursively: views, derived tables and the
+    set-operation arm become child blocks).
+
+    ``resolve_table(name) -> TableSchema`` is called once per base-table
+    source, in FROM-then-JOIN order with child blocks expanding in place,
+    and nothing of this block is planned before every call has returned:
+    the executor acquires the table's S lock inside it, so a scan that
+    blocked behind DROP + CREATE plans against the recreated schema and
+    indexes. Plain EXPLAIN passes the catalog lookup and locks nothing.
+    """
+    scans: list = []  # ScanPlan, or (binding, schema) until paths are planned
+    statement_sources: list[tuple[str, list[str] | None]] = []
+    for ref in list(stmt.from_sources) + [join.source for join in stmt.joins]:
+        select = None
+        if isinstance(ref, ast.SubqueryRef):
+            binding, kind, name, select = ref.alias, "subquery", ref.alias, ref.subquery
+        elif is_system_relation(ref.name):
+            # virtual read-only relations served from already-synchronized
+            # snapshots: no lock, introspection never blocks the system
+            binding, kind, name = ref.binding, "system", ref.name.lower()
+        elif db.catalog.has_view(ref.name):
+            view = db.catalog.view(ref.name)
+            binding, kind, name, select = ref.binding, "view", view.name, view.select
+        else:
+            schema = resolve_table(ref.name)
+            scans.append((ref.binding, schema))
+            statement_sources.append((ref.binding, schema.column_names()))
+            continue
+        if select is None:
+            child, columns = None, SYSTEM_VIEW_COLUMNS[name]
+        else:
+            child = plan_select(select, db, resolve_table)
+            columns = child.output_columns()
+        scans.append(ScanPlan(binding, kind, name, columns, child=child))
+        # WHERE conjuncts treat view / derived / system columns as unknown:
+        # unqualified names are then never used for probes, keys or pushdown
+        statement_sources.append((binding, None))
+
+    aggregates: list[ast.FunctionCall] = []
+    for item in stmt.items:
+        collect_aggregates(item.expr, aggregates)
+    collect_aggregates(stmt.having, aggregates)
+    for order in stmt.order_by:
+        collect_aggregates(order.expr, aggregates)
+
+    single = len(scans) == 1
+    # an ordered index scan needs a real ORDER BY and no machinery
+    # (grouping, aggregates, DISTINCT, set ops) between scan and output order
+    ordered_ok = (
+        single
+        and bool(stmt.order_by)
+        and not (aggregates or stmt.group_by or stmt.distinct)
+        and stmt.set_op is None
+    )
+    for position, scan in enumerate(scans):
+        if not isinstance(scan, ScanPlan):
+            binding, schema = scan
+            scans[position] = scan = plan_table_scan(
+                db,
+                schema,
+                binding,
+                stmt.where,
+                None if single else statement_sources,
+                stmt if ordered_ok else None,
+            )
+            scan.batched = (
+                single
+                and scan.kind != "ordered"
+                and db.planner_options.get("enable_batch_execution", True)
+            )
+        # pushdown only pays off when the filtered rows feed a join;
+        # single-source blocks apply WHERE once, after the scan
+        if not single and scan.columns:
+            scan.filter = extract_pushdown_filter(
+                stmt.where, scan.binding, scan.columns, statement_sources
+            )
+
+    # comma-separated FROM sources fold as conditionless inner joins (keys
+    # come from WHERE), then the explicit joins fold the same way
+    folds = [("INNER", None)] * len(stmt.from_sources)
+    folds += [(join.kind, join.condition) for join in stmt.joins]
+    allow_hash = db.planner_options.get("enable_hash_join", True)
+    joins: list[JoinPlan] = []
+    lefts: list[tuple[str, list[str] | None]] = []
+    for scan, (kind, condition) in zip(scans, folds):
+        if lefts:
+            joins.append(
+                plan_join(
+                    kind, condition, stmt.where, lefts, scan.binding,
+                    scan.columns, allow_hash, statement_sources,
+                )
+            )
+        lefts.append((scan.binding, scan.columns))
+
+    set_op = (
+        plan_select(stmt.set_op[1], db, resolve_table)
+        if stmt.set_op is not None
         else None
     )
-    for binding, table in table_of_binding.items():
-        heap = heap_of_table(table)
-        bindings = extract_equality_bindings(stmt.where, binding, statement_sources)
-        ranges = extract_range_bindings(stmt.where, binding, statement_sources)
-        unions = extract_union_bindings(stmt.where, binding, statement_sources)
-        path, _, _ = choose_access_path(
-            table,
-            heap,
-            bindings,
-            ranges,
-            allow_index=allow_index,
-            unions=unions,
-            stats=stats_of_table(table) if stats_of_table is not None else None,
-        )
-        if multi_source and columns_of_binding:
-            columns = columns_of_binding.get(binding)
-            if columns:
-                predicate = extract_pushdown_filter(
-                    stmt.where, binding, columns, list(columns_of_binding.items())
-                )
-                if predicate is not None:
-                    path.filter_sql = expr_to_sql(predicate)
-        paths.append(path)
-    return paths
-
-
-def plan_select_joins(
-    stmt: ast.SelectStatement,
-    columns_of_binding: dict[str, list[str] | None],
-    allow_hash: bool = True,
-) -> list[JoinPlan]:
-    """Join plans for a SELECT's implicit FROM folds and explicit joins."""
-    plans: list[JoinPlan] = []
-    statement_sources = list(columns_of_binding.items())
-    lefts: list[tuple[str, list[str] | None]] = []
-    for source in stmt.from_sources:
-        binding = _binding_of(source)
-        if lefts:
-            plans.append(
-                plan_join(
-                    "INNER",
-                    None,
-                    stmt.where,
-                    lefts,
-                    binding,
-                    columns_of_binding.get(binding),
-                    allow_hash,
-                    statement_sources,
-                )
-            )
-        lefts.append((binding, columns_of_binding.get(binding)))
-    for join in stmt.joins:
-        binding = _binding_of(join.source)
-        plans.append(
-            plan_join(
-                join.kind,
-                join.condition,
-                stmt.where,
-                lefts,
-                binding,
-                columns_of_binding.get(binding),
-                allow_hash,
-                statement_sources,
-            )
-        )
-        lefts.append((binding, columns_of_binding.get(binding)))
-    return plans
+    return SelectPlan(stmt, scans, joins, aggregates, set_op)

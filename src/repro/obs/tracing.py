@@ -124,6 +124,11 @@ class StatementTrace:
         self.spans: List[Span] = []
         self.scans: List[Dict[str, Any]] = []
         self.joins: List[Dict[str, Any]] = []
+        #: the plan a top-level SELECT ran (duck-typed: ``lines()``), and
+        #: each executed plan node's event, keyed by the node itself —
+        #: identity, never binding names, ties actuals to plan lines
+        self.plan: Any = None
+        self.actuals: Dict[Any, Dict[str, Any]] = {}
         self.annotations: Dict[str, Any] = {}
         self._stack: List[Span] = []
         self._prev: Optional["StatementTrace"] = None
@@ -153,29 +158,36 @@ class StatementTrace:
         self.annotations[key] = value
 
     def record_scan(
-        self, binding: str, kind: str, rows: int, examined: int, duration_s: float
+        self, node: Any, rows: int, examined: int, duration_s: float
     ) -> None:
-        self.scans.append(
-            {
-                "binding": binding,
-                "kind": kind,
-                "rows": rows,
-                "examined": examined,
-                "duration_s": duration_s,
-            }
-        )
+        """One execution of a plan scan node (``binding``/``kind`` attrs)."""
+        event = {
+            "binding": node.binding,
+            "kind": node.kind,
+            "rows": rows,
+            "examined": examined,
+            "duration_s": duration_s,
+        }
+        self.scans.append(event)
+        self.actuals[node] = event
 
-    def record_join(
-        self, binding: str, strategy: str, rows: int, duration_s: float
-    ) -> None:
-        self.joins.append(
-            {
-                "binding": binding,
-                "strategy": strategy,
-                "rows": rows,
-                "duration_s": duration_s,
-            }
-        )
+    def record_join(self, node: Any, rows: int, duration_s: float) -> None:
+        """One execution of a plan join node."""
+        event = {
+            "binding": node.right_binding,
+            "strategy": node.strategy,
+            "rows": rows,
+            "duration_s": duration_s,
+        }
+        self.joins.append(event)
+        self.actuals[node] = event
+
+    def release_plan(self) -> None:
+        """Drop the plan-node references once nothing will render them: a
+        ringed trace must not pin the heaps and indexes its plan points at
+        (a dropped table would stay alive until the ring evicts it)."""
+        self.plan = None
+        self.actuals = {}
 
     @property
     def rows_examined(self) -> int:

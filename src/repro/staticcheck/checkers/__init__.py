@@ -8,5 +8,6 @@ from . import (  # noqa: F401  — import-for-registration
     fs_seam,
     guarded_by,
     metric_registration,
+    planner_seam,
     wal_pairing,
 )

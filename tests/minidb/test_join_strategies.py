@@ -8,7 +8,7 @@ seed executor's semantics, so hash joins are proven drop-in equivalent.
 import pytest
 
 from repro.minidb import Database, parse
-from repro.minidb.planner import extract_pushdown_filter, plan_join, plan_select_joins
+from repro.minidb.planner import extract_pushdown_filter, plan_join, plan_select
 
 
 @pytest.fixture
@@ -344,13 +344,17 @@ class TestJoinPlanning:
         assert plan.strategy == "nested-loop"
 
     def test_plan_select_joins_spans_implicit_and_explicit(self):
+        db = Database(owner="a")
+        db.connect("a").execute_script(
+            "CREATE TABLE a (x INT); CREATE TABLE b (y INT); CREATE TABLE c (k INT)"
+        )
         stmt = parse(
             "SELECT * FROM a, b JOIN c ON c.k = a.x WHERE a.x = b.y"
         )
-        plans = plan_select_joins(
-            stmt, {"a": ["x"], "b": ["y"], "c": ["k"]}
-        )
-        assert [p.strategy for p in plans] == ["hash", "hash"]
+        plan = plan_select(stmt, db, db.catalog.table)
+        assert [(j.right_binding, j.strategy) for j in plan.joins] == [
+            ("b", "hash"), ("c", "hash")
+        ]
 
     def test_explain_reports_hash_join(self, s):
         result = s.execute(
@@ -386,9 +390,8 @@ class TestJoinPlanning:
 
 class TestScanAliasing:
     def test_seq_scan_returns_copies(self, s):
-        from repro.minidb import ast_nodes as ast
-
-        source = s.db.executor._resolve_source(ast.TableRef("emp"), s, None, None)
+        plan = plan_select(parse("SELECT * FROM emp"), s.db, s.db.catalog.table)
+        source = s.db.executor._scan_source(plan.scans[0], s, None)
         heap = s.db.heap("emp")
         heap.add_column("extra", 1)  # in-place row mutation (schema change)
         try:
@@ -397,10 +400,9 @@ class TestScanAliasing:
             heap.drop_column("extra")
 
     def test_index_scan_returns_copies(self, s):
-        stmt = parse("SELECT * FROM emp WHERE id = 1").where
-        source = s.db.executor._resolve_source(
-            __import__("repro.minidb.ast_nodes", fromlist=["TableRef"]).TableRef("emp"),
-            s, None, stmt,
-        )
+        stmt = parse("SELECT * FROM emp WHERE id = 1")
+        plan = plan_select(stmt, s.db, s.db.catalog.table)
+        assert plan.scans[0].kind == "index"
+        source = s.db.executor._scan_source(plan.scans[0], s, None)
         source.rows[0]["name"] = "mutated"
         assert s.db.heap("emp").get(1)["name"] == "ann"

@@ -145,6 +145,16 @@ class TestRingAndSink:
         assert ids == sorted(ids)  # newest-last, oldest evicted
         assert ids[-1] - ids[0] == 7
 
+    def test_ringed_trace_does_not_pin_the_plan_it_ran(self):
+        """The plan kept on a live trace points at heaps and indexes; once
+        the statement is finished the ringed trace must let them go, or a
+        dropped table stays alive until the ring evicts the trace."""
+        db, session = traced_db()
+        session.execute("CREATE TABLE t (id INT PRIMARY KEY)")
+        session.execute("SELECT id FROM t WHERE id = 1")
+        trace = db.tracer.recent()[-1]
+        assert trace.scans and trace.plan is None and trace.actuals == {}
+
     def test_configure_keeps_newest_entries(self):
         db, session = traced_db()
         session.execute("CREATE TABLE t (id INT PRIMARY KEY)")
@@ -223,6 +233,33 @@ class TestSlowQueryLog:
         assert any("Index Scan" in line for line in last["plan"])
         # slow-log capture without tracing must not populate the ring
         assert db.tracer.recent() == []
+
+    def test_logged_plan_is_the_one_that_ran_not_a_replan(self, monkeypatch):
+        """The slow entry renders the plan value the statement executed:
+        capturing it plans nothing (a re-plan after the fact could see a
+        catalog a concurrent DROP already changed)."""
+        from repro.minidb import executor
+
+        db = Database(owner="admin")
+        session = db.connect("admin")
+        session.execute("CREATE TABLE t (id INT PRIMARY KEY, v INT)")
+        session.execute("INSERT INTO t VALUES (1, 10)")
+        session.execute("CREATE VIEW vw AS SELECT * FROM t WHERE id = 1")
+        planned = []
+        real = executor.plan_select
+
+        def counting(stmt, *args):
+            planned.append(stmt)
+            return real(stmt, *args)
+
+        monkeypatch.setattr(executor, "plan_select", counting)
+        db.observability_options["slow_statement_s"] = 0.0
+        session.execute("SELECT v FROM vw")
+        assert len(planned) == 1  # child blocks plan inside the one call
+        assert db.tracer.slow_statements()[-1]["plan"] == [
+            "View Scan on vw",
+            "  Index Scan using pk_t on t (key: id) (batched)",
+        ]
 
     def test_non_select_statements_log_without_plan(self):
         db = Database(owner="admin")

@@ -303,6 +303,53 @@ class TestSchemaResolutionUnderLocks:
         assert outcome["error"] is not None
         assert db.connect("admin").scalar("SELECT COUNT(*) FROM t") == 0
 
+    def test_blocked_select_plans_against_recreated_schema(self):
+        """A SELECT block is planned only after the S locks on *all* its
+        base tables are granted: a join that blocked on its second table
+        behind DROP + CREATE must resolve names against the recreated
+        columns. Here the recreated ``t`` gains a column ``w`` that makes
+        the unqualified ``w`` ambiguous — planning from the pre-lock
+        catalog would push ``w = 5`` down into ``a`` and return no rows
+        instead of raising."""
+        from repro.minidb import UnknownColumnError
+        from repro.service import LockManager
+
+        db = Database(owner="admin")
+        db.lock_manager = LockManager(timeout_s=10.0)
+        admin = db.connect("admin")
+        admin.execute("CREATE TABLE a (id INT PRIMARY KEY, w INT)")
+        admin.execute("CREATE TABLE t (id INT PRIMARY KEY, v INT)")
+        admin.execute("INSERT INTO a VALUES (1, 7)")
+        admin.execute("INSERT INTO t VALUES (1, 1)")
+
+        ddl = db.connect("admin")
+        ddl.execute("BEGIN")
+        ddl.execute("DELETE FROM t WHERE id = 999")  # X on t, no rows hit
+
+        reader = db.connect("admin")
+        outcome = {}
+
+        def blocked_select():
+            try:
+                outcome["rows"] = reader.execute(
+                    "SELECT a.id FROM a, t WHERE a.id = t.id AND w = 5"
+                ).rows
+            except Exception as exc:
+                outcome["error"] = exc
+
+        thread = threading.Thread(target=blocked_select, daemon=True)
+        thread.start()
+        time.sleep(0.2)  # S on a granted; parked on t
+        assert thread.is_alive()
+        ddl.execute("DROP TABLE t")
+        ddl.execute("CREATE TABLE t (id INT PRIMARY KEY, w INT)")
+        ddl.execute("INSERT INTO t VALUES (1, 5)")
+        ddl.execute("COMMIT")
+        thread.join(timeout=10.0)
+        assert not thread.is_alive()
+        assert isinstance(outcome.get("error"), UnknownColumnError), outcome
+        assert "ambiguous" in str(outcome["error"])
+
     def test_blocked_retrieval_serves_recreated_table(self):
         """Regression: retrieve_values resolves schema/heap (and thus the
         cache fingerprint) *inside* the S lock, so a call that blocked

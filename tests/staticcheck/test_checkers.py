@@ -607,3 +607,73 @@ def test_metric_registration_suppression_honored():
     findings, suppressed = run_rule("metric-registration", source)
     assert len(findings) == 1  # the Histogram orphan still fires
     assert len(suppressed) == 1
+
+
+# ------------------------------------------------------------- planner-seam
+
+
+PLANNER_SEAM_BAD = """\
+    from repro.minidb import planner
+    from repro.minidb.planner import choose_access_path, extract_equality_bindings
+
+    class Executor:
+        def scan(self, table, heap, where, binding):
+            bindings = extract_equality_bindings(where, binding)
+            path, index, key = choose_access_path(table, heap, bindings)
+            return index.probe(key) if path.kind == "index" else None
+
+        def join(self, kind, condition, where, lefts, right):
+            return planner.plan_join(kind, condition, where, lefts, right.binding, right.columns)
+"""
+
+PLANNER_SEAM_GOOD = """\
+    from repro.minidb.planner import plan_select, plan_table_scan
+
+    class Executor:
+        def run(self, stmt, resolve_table):
+            plan = plan_select(stmt, self.db, resolve_table)
+            for scan in plan.scans:
+                self.scan(scan)
+
+        def scan(self, scan):
+            if scan.path.kind == "index":
+                return scan.index.probe(scan.key)
+            return None
+
+        def targets(self, schema, binding, where):
+            return self.scan(plan_table_scan(self.db, schema, binding, where))
+"""
+
+PLANNER_SEAM_PATH = "src/repro/minidb/executor.py"
+
+
+def test_planner_seam_flags_planning_outside_the_planner():
+    findings, _ = run_rule("planner-seam", PLANNER_SEAM_BAD, rel_path=PLANNER_SEAM_PATH)
+    assert len(findings) == 3
+    messages = " ".join(f.message for f in findings)
+    assert "extract_equality_bindings()" in messages
+    assert "choose_access_path()" in messages
+    assert "plan_join()" in messages  # attribute calls count too
+    assert findings[0].context == "Executor.scan"
+
+
+def test_planner_seam_clean_when_consuming_the_plan():
+    findings, _ = run_rule("planner-seam", PLANNER_SEAM_GOOD, rel_path=PLANNER_SEAM_PATH)
+    assert findings == []
+
+
+def test_planner_seam_exempts_the_planner_and_code_outside_src():
+    for rel_path in ("src/repro/minidb/planner.py", "tests/minidb/test_range_scans.py"):
+        findings, _ = run_rule("planner-seam", PLANNER_SEAM_BAD, rel_path=rel_path)
+        assert findings == []
+
+
+def test_planner_seam_suppression_honored():
+    source = PLANNER_SEAM_BAD.replace(
+        "bindings = extract_equality_bindings(where, binding)",
+        "bindings = extract_equality_bindings(where, binding)"
+        "  # staticcheck: ignore[planner-seam] — fixture rationale",
+    )
+    findings, suppressed = run_rule("planner-seam", source, rel_path=PLANNER_SEAM_PATH)
+    assert len(findings) == 2
+    assert len(suppressed) == 1
