@@ -36,9 +36,9 @@ class BatchError:
 
     Stored *as a value* in kernel output lists (checked via
     ``type(v) is BatchError`` on the hot path). The wrapped exception is
-    always a :class:`repro.minidb.errors.MiniDBError` — mirroring the
-    compile-time constant folding in :func:`expressions._fold`, which
-    defers exactly that hierarchy.
+    always a :class:`repro.minidb.errors.MiniDBError` — the hierarchy
+    :func:`expressions._fold_batch` defers, per element and when folding
+    constants at compile time.
     """
 
     __slots__ = ("exc",)
@@ -70,3 +70,9 @@ class RowBatch:
         self.rids = rids
         self.columns = columns
         self.length = length
+
+    def column(self, binding: str, name: str) -> list:
+        """The value list compiled kernels read for ``binding.name``. A
+        heap batch holds one relation, so ``binding`` is not consulted;
+        the executor's joined-row chunks answer the same call per part."""
+        return self.columns[name]

@@ -9,12 +9,38 @@ token-count experiments depend on reproducible schema strings.
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, replace
 from typing import Any
 
 from . import ast_nodes as ast
 from .errors import DuplicateObjectError, UnknownColumnError, UnknownTableError
+from .sqlgen import expr_to_sql
 from .types import ColumnType
+
+
+def _renamed(names: tuple[str, ...], old: str, new: str) -> tuple[str, ...]:
+    lowered = old.lower()
+    return tuple(new if name.lower() == lowered else name for name in names)
+
+
+def _rename_refs(node: Any, old: str, new: str) -> Any:
+    """Copy of a CHECK expression with references to column ``old``
+    renamed to ``new``."""
+    if isinstance(node, ast.ColumnRef):
+        if node.name.lower() == old.lower():
+            return replace(node, name=new)
+        return node
+    if isinstance(node, (list, tuple)):
+        return type(node)(_rename_refs(child, old, new) for child in node)
+    if isinstance(node, ast.Expr):
+        return replace(
+            node,
+            **{
+                f.name: _rename_refs(getattr(node, f.name), old, new)
+                for f in fields(node)
+            },
+        )
+    return node
 
 
 @dataclass
@@ -76,6 +102,20 @@ class TableSchema:
     def has_column(self, name: str) -> bool:
         lowered = name.lower()
         return any(c.name.lower() == lowered for c in self.columns)
+
+    def rename_column(self, old: str, new: str) -> None:
+        """Rename a column together with every constraint of this table
+        that names it: primary key, uniques, CHECK expressions and their
+        sources, and the table's own FK columns. Foreign keys *of other
+        tables* that reference the column are rewritten by
+        :meth:`Catalog.rename_column`, the entry point callers use."""
+        self.column(old).name = new
+        self.primary_key = _renamed(self.primary_key, old, new)
+        self.uniques = [_renamed(unique, old, new) for unique in self.uniques]
+        self.checks = [_rename_refs(check, old, new) for check in self.checks]
+        self.check_sources = [expr_to_sql(check) for check in self.checks]
+        for fk in self.foreign_keys:
+            fk.columns = _renamed(fk.columns, old, new)
 
     def render_create(self) -> str:
         """Render as a normalized CREATE TABLE statement (LLM-readable)."""
@@ -226,6 +266,17 @@ class Catalog:
 
     def remove_index(self, name: str) -> IndexSchema:
         return self.indexes.pop(self._key(name))
+
+    def rename_column(self, table: str, old: str, new: str) -> None:
+        """Rename ``table.old`` to ``new`` in the table's schema and in the
+        ``ref_columns`` of every foreign key that references it — a
+        constraint left on the old name reads NULL and silently passes."""
+        self.table(table).rename_column(old, new)
+        key = self._key(table)
+        for schema in self.tables.values():
+            for fk in schema.foreign_keys:
+                if self._key(fk.ref_table) == key:
+                    fk.ref_columns = _renamed(fk.ref_columns, old, new)
 
     def rename_table(self, old: str, new: str) -> None:
         if self.has_object(new):

@@ -87,11 +87,7 @@ class Session:
         manager = self.db.lock_manager
         if manager is None:
             return
-        trace = self.db.tracer.current()
-        if trace is None:
-            manager.acquire(self, table, mode)
-            return
-        with trace.span("lock-wait", table=table, mode=mode):
+        with self.db.tracer.span("lock-wait", table=table, mode=mode):
             manager.acquire(self, table, mode)
 
     def release_locks(self) -> None:
@@ -102,54 +98,58 @@ class Session:
     # ------------------------------------------------------------ execution
 
     def execute(self, sql: str, _skip_privileges: bool = False) -> ResultSet:
-        """Parse, authorize, and execute a single SQL statement."""
-        opts = self.db.observability_options
-        if opts["tracing"] or opts["slow_statement_s"] is not None:
-            return self._execute_traced(sql, _skip_privileges)
-        self.statement_count += 1
-        stmt = parse(sql)
-        return self.execute_statement(stmt, _skip_privileges=_skip_privileges)
+        """Parse, authorize, and execute a single SQL statement.
 
-    def _execute_traced(self, sql: str, _skip_privileges: bool) -> ResultSet:
-        """Tracing-enabled twin of :meth:`execute`.
-
-        Builds a :class:`~repro.obs.tracing.StatementTrace` around the
+        With tracing on (or a slow-statement threshold set) a
+        :class:`~repro.obs.tracing.StatementTrace` is built around the
         statement; the inner hooks (plan/lock-wait/execute/wal-flush/
-        checkpoint spans, executor scan/join events) find the trace through
-        the tracer's thread-local slot.
+        checkpoint spans, executor scan/join events) find it through the
+        tracer's thread-local slot, and find a no-op span when dark.
         """
         self.statement_count += 1
-        db = self.db
-        trace = db.tracer.start(sql, user=self.user, session=self.label)
-        status = "ERROR"
+        tracer = self.db.tracer
+        opts = self.db.observability_options
+        trace = None
+        if opts["tracing"] or opts["slow_statement_s"] is not None:
+            trace = tracer.start(sql, user=self.user, session=self.label)
+        result: ResultSet | None = None
         error: BaseException | None = None
         try:
-            with trace.span("parse"):
+            with tracer.span("parse"):
                 stmt = parse(sql)
             result = self.execute_statement(stmt, _skip_privileges=_skip_privileges)
-            status = result.status or "OK"
-            trace.rows_returned = (
-                len(result.rows) if result.rows else (result.rowcount or 0)
-            )
             return result
         except MiniDBError as exc:
             error = exc
             raise
         finally:
-            db.tracer.finish(trace, status=status, error=error)
-            slow_s = db.observability_options["slow_statement_s"]
-            if slow_s is not None and trace.duration_s >= slow_s:
-                # sql + trace + the rendered lines of the plan a SELECT
-                # actually ran (empty for everything else)
-                db.tracer.record_slow(
-                    {
-                        "sql": trace.sql,
-                        "duration_s": round(trace.duration_s, 9),
-                        "trace": trace.to_dict(),
-                        "plan": trace.plan.lines() if trace.plan is not None else [],
-                    }
-                )
-            trace.release_plan()
+            if trace is not None:
+                self._finish_trace(trace, result, error)
+
+    def _finish_trace(
+        self, trace: Any, result: ResultSet | None, error: BaseException | None
+    ) -> None:
+        tracer = self.db.tracer
+        status = "ERROR"
+        if result is not None:
+            status = result.status or "OK"
+            trace.rows_returned = (
+                len(result.rows) if result.rows else (result.rowcount or 0)
+            )
+        tracer.finish(trace, status=status, error=error)
+        slow_s = self.db.observability_options["slow_statement_s"]
+        if slow_s is not None and trace.duration_s >= slow_s:
+            # sql + trace + the rendered lines of the plan a SELECT
+            # actually ran (empty for everything else)
+            tracer.record_slow(
+                {
+                    "sql": trace.sql,
+                    "duration_s": round(trace.duration_s, 9),
+                    "trace": trace.to_dict(),
+                    "plan": trace.plan.lines() if trace.plan is not None else [],
+                }
+            )
+        trace.release_plan()
 
     def execute_script(self, sql: str) -> list[ResultSet]:
         """Execute a ``;``-separated script, stopping at the first error."""
@@ -161,12 +161,9 @@ class Session:
     def execute_statement(
         self, stmt: ast.Statement, _skip_privileges: bool = False
     ) -> ResultSet:
-        trace = self.db.tracer.current()
-        if trace is None:
+        tracer = self.db.tracer
+        with tracer.span("plan"):
             analysis = analyze(stmt, self.db.catalog)
-        else:
-            with trace.span("plan"):
-                analysis = analyze(stmt, self.db.catalog)
         if not _skip_privileges:
             self.db.authorize(self.user, stmt, analysis)
         self.db.ensure_writable(analysis)
@@ -179,14 +176,12 @@ class Session:
             # errors are retryable by contract, and retryable means the
             # client may simply re-issue BEGIN — which only works if the
             # old transaction is gone and its locks are free
+            trace = tracer.current()
             if trace is not None:
                 trace.annotate("concurrency_abort", type(exc).__name__)
             if self.tx.in_transaction:
-                if trace is None:
+                with tracer.span("rollback", reason=type(exc).__name__):
                     self.tx.rollback()
-                else:
-                    with trace.span("rollback", reason=type(exc).__name__):
-                        self.tx.rollback()
             raise
         finally:
             if self.db.lock_manager is not None and not self.tx.in_transaction:
@@ -238,13 +233,8 @@ class Session:
 
         self.db.statement_started()
         try:
-            trace = self.db.tracer.current()
-            if trace is None:
-                with StatementGuard(self.tx):
-                    return self.db.executor.execute(stmt, self)
-            with trace.span("execute"):
-                with StatementGuard(self.tx):
-                    return self.db.executor.execute(stmt, self)
+            with self.db.tracer.span("execute"), StatementGuard(self.tx):
+                return self.db.executor.execute(stmt, self)
         finally:
             self.db.statement_finished()
 
@@ -511,14 +501,9 @@ class Database:
             return
         with self._quiesce:
             if self._checkpointing:
-                trace = self.tracer.current()
-                if trace is None:
+                with self.tracer.span("checkpoint-stall"):
                     while self._checkpointing:
                         self._quiesce.wait()
-                else:
-                    with trace.span("checkpoint-stall"):
-                        while self._checkpointing:
-                            self._quiesce.wait()
             self._inflight += 1
 
     def statement_finished(self) -> None:
@@ -542,12 +527,8 @@ class Database:
         with self._quiesce:
             quiesced = self._inflight == 0 and self._open_explicit == 0
         if quiesced:
-            trace = self.tracer.current()
-            if trace is None:
+            with self.tracer.span("checkpoint"):
                 self.engine.run_pending_checkpoint()
-            else:
-                with trace.span("checkpoint"):
-                    self.engine.run_pending_checkpoint()
 
     def quiesced(self) -> "_QuiesceGuard":
         """Context manager giving the caller (a checkpoint) a window with
@@ -617,11 +598,7 @@ class Database:
     # -------------------------------------------- TransactionHooks protocol
 
     def commit_redo(self, records: list[dict[str, Any]]) -> None:
-        trace = self.tracer.current()
-        if trace is None:
-            self.engine.append_commit(records)
-            return
-        with trace.span("wal-flush", records=len(records)):
+        with self.tracer.span("wal-flush", records=len(records)):
             self.engine.append_commit(records)
 
     def explicit_began(self) -> None:

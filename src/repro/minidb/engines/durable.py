@@ -851,14 +851,9 @@ class DurableEngine(StorageEngine):
             heap.drop_column(column.name)
             heap.version = r["version"]
         elif op == "rename_column":
-            schema = db.catalog.table(r["table"])
             heap = db.heaps[r["table"].lower()]
-            column = schema.column(r["old"])
-            column.name = r["new"]
+            db.catalog.rename_column(r["table"], r["old"], r["new"])
             heap.rename_column(r["old"], r["new"])
-            schema.primary_key = tuple(
-                r["new"] if c == r["old"] else c for c in schema.primary_key
-            )
             heap.version = r["version"]
         elif op == "rename_table":
             db.catalog.rename_table(r["old"], r["new"])

@@ -26,22 +26,31 @@ operations, ORDER BY / bounded top-N via ``heapq``, OFFSET/LIMIT):
   aggregates, HAVING, projection. Correlated subqueries are supported
   via scope chaining.
 * **Ordered scan** — a ``kind == "ordered"`` path reads rows from a
-  sorted index in ORDER BY order, applies WHERE per row, skips the sort
-  and stops after OFFSET+LIMIT surviving rows.
+  sorted index in ORDER BY order, applies WHERE in chunks sized by what
+  the statement still needs, skips the sort and stops after OFFSET+LIMIT
+  surviving rows.
 * **Column batch** — a single-base-table block (``ScanPlan.batched``)
   scans :class:`RowBatch` column slices and evaluates WHERE, projection
   and aggregates as whole-column kernels, falling back per row *inside*
-  the batch for what the batch compiler punts on.
+  the batch for what the kernel compiler punts on.
 
-WHERE/residual/pushdown predicates are compiled once per statement into
-closure chains (:func:`repro.minidb.expressions.compile_predicate`),
-falling back to the AST interpreter for subquery-bearing or correlated
-expressions. Hash joins build a table over the right side and probe it
-per left row — including LEFT/RIGHT NULL extension for unmatched rows —
-non-equi conditions run nested loops and conditionless pairings remain
-cross products. Row scopes are built from a precomputed column layout
-(:class:`_ScopeLayout`), so constructing the scope for a row or a
-candidate pair is O(1) instead of O(total columns).
+There are two expression engines (:mod:`repro.minidb.expressions`): the
+AST interpreter — the reference, and the only path for subquery-bearing
+or correlated expressions — and batch kernels
+(:func:`~repro.minidb.expressions.compile_batch_expr`). Every predicate
+site outside the column-batch pipeline — the row fold's WHERE, the
+hash-join residual, the ordered scan, the pushed-down prefilter and
+UPDATE/DELETE target filtering — goes through one seam,
+:meth:`Executor._filter`: compile once per statement, evaluate the
+row-shaped elements a chunk at a time as a :class:`_PartsBatch`, keep
+what is ``True``, raise a deferred error only when the consumer reaches
+its element, and interpret per row when the predicate does not compile.
+Hash joins build a table over the right side and probe it per left row
+— including LEFT/RIGHT NULL extension for unmatched rows — non-equi
+conditions run nested loops on the interpreter and conditionless
+pairings remain cross products. Row scopes are built from a precomputed
+column layout (:class:`_ScopeLayout`), so constructing the scope for a
+row or a candidate pair is O(1) instead of O(total columns).
 
 ``db.planner_options`` keeps the baselines the equivalence suites compare
 against (``enable_index_scan``, ``enable_topn``,
@@ -53,6 +62,8 @@ actually ran.
 from __future__ import annotations
 
 import heapq
+from itertools import islice
+from operator import attrgetter
 from time import perf_counter
 from typing import TYPE_CHECKING, Any
 
@@ -76,7 +87,6 @@ from .expressions import (
     Scope,
     batch_raiser,
     compile_batch_expr,
-    compile_predicate,
 )
 from .functions import AGGREGATE_NAMES, make_aggregate
 from .planner import (
@@ -156,26 +166,6 @@ class _LayoutView:
         return None if row is None else row.get(column)
 
 
-class _PartsOverlay:
-    """Joined-row parts plus one pending (binding, row) not yet folded in.
-
-    Lets join predicates evaluate candidate pairs without copying the
-    parts dict per pair.
-    """
-
-    __slots__ = ("_parts", "_binding", "_row")
-
-    def __init__(self, parts: dict[str, Row | None], binding: str, row: Row | None):
-        self._parts = parts
-        self._binding = binding
-        self._row = row
-
-    def get(self, key: str) -> Row | None:
-        if key == self._binding:
-            return self._row
-        return self._parts.get(key)
-
-
 class _ScopeLayout:
     """Precomputed column layout for a set of sources.
 
@@ -215,61 +205,6 @@ class _ScopeLayout:
             self.ambiguous,
             self.outer,
         )
-
-    def pair_scope(self, jr: _JoinedRow, binding: str, row: Row | None) -> Scope:
-        return self.scope_parts(_PartsOverlay(jr.parts, binding, row))
-
-
-def _raising_accessor(exc: Exception):
-    def fn(ctx, exc=exc):
-        raise exc
-
-    return fn
-
-
-def _layout_resolver(layout: _ScopeLayout):
-    """Column resolver for :func:`compile_predicate` over a scope layout.
-
-    Resolution happens once at compile time; the returned accessors read
-    the addressed part row directly per evaluation — no per-row scope
-    object, no per-lookup name formatting. Names the layout cannot resolve
-    compile to closures raising the interpreter's exact error (preserving
-    "no rows evaluated, no error"), except when an outer scope exists:
-    there the name may be a correlated reference, so compilation bails to
-    the interpreter via :class:`CannotCompile`.
-    """
-    qualified = layout._qualified
-    unqualified = layout._unqualified
-    ambiguous = layout.ambiguous
-    has_outer = layout.outer is not None
-
-    def resolve(ref: ast.ColumnRef):
-        if ref.table is not None:
-            target = qualified.get(f"{ref.table.lower()}.{ref.name.lower()}")
-        else:
-            name = ref.name.lower()
-            if name in ambiguous:
-                return _raising_accessor(
-                    UnknownColumnError(
-                        f"column reference {ref.name!r} is ambiguous"
-                    )
-                )
-            target = unqualified.get(name)
-        if target is None:
-            if has_outer:
-                raise CannotCompile
-            return _raising_accessor(
-                UnknownColumnError(f"column {ref} does not exist")
-            )
-        binding, column = target
-
-        def accessor(parts, binding=binding, column=column):
-            row = parts.get(binding)
-            return None if row is None else row.get(column)
-
-        return accessor
-
-    return resolve
 
 
 class _TupleRow:
@@ -322,14 +257,53 @@ class _BatchRowView:
         return col[self.index] if col is not None else None
 
 
+class _PartsBatch:
+    """A chunk of row-shaped elements presented to compiled kernels as a
+    column batch.
+
+    ``parts_of(element)`` is an element's joined-row parts mapping
+    (binding -> row or ``None``), so a slice of a joined relation, of
+    hash-join candidate pairs or of single-table rows is one batch; a
+    column is extracted from the part rows on first reference and only if
+    the predicate references it. The mappings are asked for per column
+    rather than kept: a chunk's worth of live per-row dicts is what tips
+    the cyclic collector into extra passes over the whole heap."""
+
+    __slots__ = ("length", "_elements", "_parts_of", "_columns")
+
+    def __init__(self, elements: list, parts_of):
+        self.length = len(elements)
+        self._elements = elements
+        self._parts_of = parts_of
+        self._columns: dict[tuple[str, str], list] = {}
+
+    def column(self, binding: str, name: str) -> list:
+        col = self._columns.get((binding, name))
+        if col is None:
+            parts_of = self._parts_of
+            col = self._columns[(binding, name)] = [
+                None if (row := parts_of(e).get(binding)) is None else row.get(name)
+                for e in self._elements
+            ]
+        return col
+
+
+_joined_parts = attrgetter("parts")
+
+
 def _batch_layout_resolver(layout: _ScopeLayout):
-    """Batch-column resolver for :func:`compile_batch_expr` — the
-    vectorized mirror of :func:`_layout_resolver`: same compile-time
-    resolution and the same :class:`CannotCompile` bail for possibly
-    correlated names. Unresolvable names compile to columns of *deferred*
-    errors (:func:`batch_raiser`) rather than raising accessors: a
-    short-circuiting AND may never consume those elements, and a batch
-    must not raise on rows the row-at-a-time plan would have skipped."""
+    """Column resolver for :func:`compile_batch_expr` over a scope layout.
+
+    Resolution happens once at compile time; the returned accessors read
+    the addressed column of a batch directly (``batch.column(binding,
+    name)`` — a heap :class:`RowBatch` or a :class:`_PartsBatch` chunk),
+    with no per-row scope object and no per-lookup name formatting. Names
+    the layout cannot resolve compile to columns of *deferred* errors
+    (:func:`batch_raiser`) carrying the interpreter's exact error: a
+    short-circuiting AND may never consume those elements, and "no rows
+    evaluated, no error" must hold. The exception is a layout with an
+    outer scope: there the name may be a correlated reference, so
+    compilation bails to the interpreter via :class:`CannotCompile`."""
     qualified = layout._qualified
     unqualified = layout._unqualified
     ambiguous = layout.ambiguous
@@ -353,10 +327,10 @@ def _batch_layout_resolver(layout: _ScopeLayout):
             return batch_raiser(
                 UnknownColumnError(f"column {ref} does not exist")
             )
-        _, column = target
+        binding, column = target
 
-        def accessor(batch, column=column):
-            return batch.columns[column]
+        def accessor(batch, binding=binding, column=column):
+            return batch.column(binding, column)
 
         return accessor
 
@@ -643,17 +617,11 @@ class Executor:
             make_scope = layout.scope
 
             if stmt.where is not None and not where_handled:
-                where_fn = self._compile_filter(stmt.where, layout)
-                if where_fn is not None:
-                    joined = [jr for jr in joined if where_fn(jr.parts)]
-                else:
-                    joined = [
-                        jr
-                        for jr in joined
-                        if evaluator.evaluate_predicate(
-                            stmt.where, make_scope(jr)
-                        )
-                    ]
+                joined = list(
+                    self._filter(
+                        stmt.where, layout, joined, _joined_parts, evaluator
+                    )
+                )
 
             # expand stars into concrete items
             items = expand_items(stmt.items, all_sources)
@@ -838,54 +806,54 @@ class Executor:
             if self._join_key_valid(key):
                 buckets.setdefault(key, []).append((index, row))
 
-        residual = plan.residual
-        pair_layout = (
-            _ScopeLayout(left_sources + [right], outer)
-            if residual is not None
-            else None
-        )
-        # probe-side residuals run once per candidate pair: compile them
-        # (falling back to the interpreter for subquery-bearing residuals)
-        residual_fn = (
-            self._compile_filter(residual, pair_layout)
-            if residual is not None
-            else None
-        )
-        kind = plan.kind
-        track_rights = kind == "RIGHT"
-        matched_rights: set[int] = set()
-        result: list[_JoinedRow] = []
+        # probe: candidate pairs in probe order, each already folded into
+        # its joined row; ``lefts`` / ``rights`` keep each pair's left
+        # position and right index for the LEFT / RIGHT bookkeeping below
+        pairs: list[_JoinedRow] = []
+        lefts: list[int] = []
+        rights: list[int] = []
         empty: list = []
-        for jr in left_rows:
+        for position, jr in enumerate(left_rows):
             parts = jr.parts
             key = tuple(
                 None if (row := parts.get(binding)) is None else row.get(column)
                 for binding, column in left_key_columns
             )
-            matches = (
-                buckets.get(key, empty) if self._join_key_valid(key) else empty
+            if self._join_key_valid(key):
+                for index, right_row in buckets.get(key, empty):
+                    pairs.append(jr.extended(right_binding, right_row))
+                    lefts.append(position)
+                    rights.append(index)
+        kept = range(len(pairs))
+        if plan.residual is not None:
+            # raises for the first erroring pair in probe order
+            kept = list(
+                self._filter(
+                    plan.residual,
+                    _ScopeLayout(left_sources + [right], outer),
+                    kept,
+                    lambda pair: pairs[pair].parts,
+                    evaluator,
+                )
             )
-            matched = False
-            for index, right_row in matches:
-                if residual is not None:
-                    if residual_fn is not None:
-                        keep = residual_fn(
-                            _PartsOverlay(parts, right_binding, right_row)
-                        )
-                    else:
-                        keep = evaluator.evaluate_predicate(
-                            residual,
-                            pair_layout.pair_scope(jr, right_binding, right_row),
-                        )
-                    if not keep:
-                        continue
-                result.append(jr.extended(right_binding, right_row))
-                matched = True
-                if track_rights:
-                    matched_rights.add(index)
-            if kind == "LEFT" and not matched:
-                result.append(jr.extended(right_binding, None))
+
+        # NULL extension is decided after the residual: a left (right) row
+        # none of whose pairs survived it counts as unmatched
+        kind = plan.kind
+        if kind == "LEFT":
+            result: list[_JoinedRow] = []
+            unmatched_from = 0  # first left position not yet emitted
+            for pair in kept:
+                for skipped in range(unmatched_from, lefts[pair]):
+                    result.append(left_rows[skipped].extended(right_binding, None))
+                unmatched_from = lefts[pair] + 1
+                result.append(pairs[pair])
+            for skipped in range(unmatched_from, len(left_rows)):
+                result.append(left_rows[skipped].extended(right_binding, None))
+        else:
+            result = [pairs[pair] for pair in kept]
         if kind == "RIGHT":
+            matched_rights = {rights[pair] for pair in kept}
             empty_left = _JoinedRow(
                 {source.binding: None for source in left_sources}
             )
@@ -897,38 +865,34 @@ class Executor:
     def _nested_loop_join(
         self, left_rows, left_sources, right, kind, condition, evaluator, outer
     ) -> list[_JoinedRow]:
+        if kind not in ("INNER", "LEFT", "RIGHT"):
+            raise ExecutionError(f"unsupported join kind {kind}")
         layout = _ScopeLayout(left_sources + [right], outer)
         binding = right.binding
         result: list[_JoinedRow] = []
-        if kind in ("INNER", "LEFT"):
-            for jr in left_rows:
-                matched = False
-                for row in right.rows:
-                    if evaluator.evaluate_predicate(
-                        condition, layout.pair_scope(jr, binding, row)
-                    ):
-                        result.append(jr.extended(binding, row))
-                        matched = True
-                if kind == "LEFT" and not matched:
-                    result.append(jr.extended(binding, None))
-            return result
+        matched_rights: set[int] = set()
+        for jr in left_rows:
+            # one scratch parts mapping (and one scope over it) per left
+            # row; the right slot is re-pointed per candidate pair
+            parts = dict(jr.parts)
+            scope = layout.scope_parts(parts)
+            matched = False
+            for index, row in enumerate(right.rows):
+                parts[binding] = row
+                if evaluator.evaluate_predicate(condition, scope):
+                    result.append(jr.extended(binding, row))
+                    matched = True
+                    matched_rights.add(index)
+            if kind == "LEFT" and not matched:
+                result.append(jr.extended(binding, None))
         if kind == "RIGHT":
-            matched_rights: set[int] = set()
-            for jr in left_rows:
-                for index, row in enumerate(right.rows):
-                    if evaluator.evaluate_predicate(
-                        condition, layout.pair_scope(jr, binding, row)
-                    ):
-                        result.append(jr.extended(binding, row))
-                        matched_rights.add(index)
             empty_left = _JoinedRow(
                 {source.binding: None for source in left_sources}
             )
             for index, row in enumerate(right.rows):
                 if index not in matched_rights:
                     result.append(empty_left.extended(binding, row))
-            return result
-        raise ExecutionError(f"unsupported join kind {kind}")
+        return result
 
     def _scan_source(
         self,
@@ -1012,16 +976,69 @@ class Executor:
             )
         return rids
 
-    def _compile_filter(self, expr: ast.Expr | None, layout: _ScopeLayout):
-        """Compile a predicate for direct parts-based evaluation.
-
-        Returns ``fn(parts) -> bool`` or ``None`` (interpreter required,
-        or compiled predicates disabled via ``planner_options``)."""
-        if expr is None:
-            return None
+    def _kernel(self, expr: ast.Expr, layout: _ScopeLayout):
+        """``expr`` compiled to a batch kernel, or ``None`` when it needs
+        the interpreter (subqueries, aggregates, possibly-correlated
+        names) or ``enable_compiled_predicates`` is off."""
         if not self.db.planner_options.get("enable_compiled_predicates", True):
             return None
-        return compile_predicate(expr, _layout_resolver(layout))
+        return compile_batch_expr(expr, _batch_layout_resolver(layout))
+
+    def _batch_size(self) -> int:
+        size = self.db.planner_options.get("batch_size", DEFAULT_BATCH_SIZE)
+        if not isinstance(size, int) or size <= 0:
+            return DEFAULT_BATCH_SIZE
+        return size
+
+    def _filter(
+        self,
+        predicate: ast.Expr,
+        layout: _ScopeLayout,
+        elements,
+        parts_of,
+        evaluator: Evaluator,
+        first_chunk: int | None = None,
+        keep_errors=(),
+    ):
+        """The one predicate seam: yield, in order, the ``elements`` on
+        which ``predicate`` is true (NULL counts as false).
+
+        ``parts_of(element)`` is the element's joined-row parts mapping
+        (binding -> row) under ``layout``. The predicate is compiled once
+        per call — once per statement — and evaluated over chunks of at
+        most ``batch_size`` elements (``first_chunk``, then doubling, for a
+        consumer that may stop early); when it does not compile, or
+        compiled predicates are off, every element goes through the
+        interpreter instead. Either way an evaluation error surfaces only
+        when the consumer reaches the erroring element, so a consumer that
+        stops first never sees it; an erroring element whose error is one
+        of ``keep_errors`` is kept rather than raised.
+        """
+        kernel = self._kernel(predicate, layout)
+        if kernel is None:
+            for element in elements:
+                try:
+                    keep = evaluator.evaluate_predicate(
+                        predicate, layout.scope_parts(parts_of(element))
+                    )
+                except keep_errors:
+                    keep = True
+                if keep:
+                    yield element
+            return
+        limit = self._batch_size()
+        size = min(first_chunk or limit, limit)
+        stream = iter(elements)
+        while chunk := list(islice(stream, size)):
+            mask = kernel(_PartsBatch(chunk, parts_of))
+            for element, value in zip(chunk, mask):
+                if value is True:
+                    yield element
+                elif type(value) is BatchError:
+                    if not isinstance(value.exc, keep_errors):
+                        raise value.exc
+                    yield element
+            size = min(size * 2, limit)
 
     def _ordered_scan(
         self, plan: SelectPlan, outer: Scope | None, evaluator: Evaluator
@@ -1053,33 +1070,46 @@ class Executor:
         trace = db.tracer.current()
         started = perf_counter() if trace is not None else 0.0
         source = _Source(scan.binding, scan.columns, [])
-        layout = _ScopeLayout([source], outer)
-        where = stmt.where
-        where_fn = self._compile_filter(where, layout)
         needed = (
             stmt.limit + (stmt.offset or 0) if stmt.limit is not None else None
         )
         binding = source.binding
         rows = source.rows
+        fetched = 0
+
+        def fetch():
+            # (ordinal, row) in index order
+            nonlocal fetched
+            for rid in index.ordered_rids(
+                path.reverse, start, end, path.prefix_values
+            ):
+                fetched += 1
+                row = heap.get(rid)
+                if row is not None:
+                    yield fetched, dict(row)
+
+        survivors = fetch()
+        if stmt.where is not None:
+            # chunks sized by what the statement still needs: the filter
+            # runs ahead of the exit by less than it has already consumed,
+            # and errors (and ``examined``) count consumed rows only
+            survivors = self._filter(
+                stmt.where,
+                _ScopeLayout([source], outer),
+                survivors,
+                lambda element: {binding: element[1]},
+                evaluator,
+                first_chunk=needed,
+            )
         examined = 0
-        for rid in index.ordered_rids(path.reverse, start, end, path.prefix_values):
-            if needed is not None and len(rows) >= needed:
-                break
-            examined += 1
-            row = heap.get(rid)
-            if row is None:
-                continue
-            row = dict(row)
-            if where is not None:
-                if where_fn is not None:
-                    keep = where_fn({binding: row})
-                else:
-                    keep = evaluator.evaluate_predicate(
-                        where, layout.scope_parts({binding: row})
-                    )
-                if not keep:
-                    continue
-            rows.append(row)
+        if needed != 0:
+            for ordinal, row in survivors:
+                rows.append(row)
+                if needed is not None and len(rows) >= needed:
+                    examined = ordinal  # rows fetched past the exit don't count
+                    break
+            else:
+                examined = fetched
         if trace is not None:
             trace.record_scan(scan, len(rows), examined, perf_counter() - started)
         return source
@@ -1139,19 +1169,12 @@ class Executor:
         all_columns = scan.columns
         source = _Source(scan.binding, all_columns, [])
         layout = _ScopeLayout([source], outer)
-        compiled_ok = db.planner_options.get("enable_compiled_predicates", True)
-        resolver = _batch_layout_resolver(layout)
 
         def batch_compile(expr):
-            # the vectorized kernels lift the compiled-predicate seam, so
-            # they honor the same planner toggle: with compiled predicates
-            # disabled every expression takes the per-row fallback
-            if not compiled_ok:
-                return None
-            try:
-                return compile_batch_expr(expr, resolver)
-            except CannotCompile:
-                return None
+            # with compiled predicates disabled (or an expression the
+            # compiler punts on) this is None and the expression takes the
+            # per-row interpreter fallback inside the batch
+            return self._kernel(expr, layout)
 
         needed = self._referenced_columns(stmt, all_columns)
         view = _BatchRowView()
@@ -1159,9 +1182,6 @@ class Executor:
 
         where = stmt.where
         batch_where = batch_compile(where) if where is not None else None
-        row_where = None
-        if where is not None and batch_where is None:
-            row_where = self._compile_filter(where, layout)
 
         # identical probe/range/union reductions to the row path (and the
         # same planner counters), with batch_scans recording that the scan
@@ -1169,9 +1189,7 @@ class Executor:
         rids = self._path_rids(scan)
         db.bump_planner_stat("batch_scans")
 
-        batch_size = db.planner_options.get("batch_size", DEFAULT_BATCH_SIZE)
-        if not isinstance(batch_size, int) or batch_size <= 0:
-            batch_size = DEFAULT_BATCH_SIZE
+        batch_size = self._batch_size()
         if rids is not None:
             rid_list = list(rids) if order_insensitive else sorted(rids)
 
@@ -1225,13 +1243,9 @@ class Executor:
                     keep = []
                     for i in range(batch.length):
                         view.index = i
-                        if row_where is not None:
-                            ok = row_where(parts)
-                        else:
-                            ok = evaluator.evaluate_predicate(
-                                where, layout.scope_parts(parts)
-                            )
-                        if ok:
+                        if evaluator.evaluate_predicate(
+                            where, layout.scope_parts(parts)
+                        ):
                             keep.append(i)
                     if len(keep) == batch.length:
                         for name in needed:
@@ -1470,26 +1484,23 @@ class Executor:
         return tuple(key_parts)
 
     def _prefilter_source(self, source: _Source, predicate: ast.Expr) -> None:
-        """Apply pushed-down null-rejecting single-source conjuncts in place."""
-        layout = _ScopeLayout([source], None)
+        """Apply pushed-down null-rejecting single-source conjuncts in place.
+
+        A row whose conjunct raised an :class:`ExecutionError` (e.g. a
+        type-mismatched ordering) is kept and deferred to the final WHERE
+        pass: it raises only if the row survives the joins, exactly as
+        without pushdown. Any other error propagates."""
         binding = source.binding
-        predicate_fn = self._compile_filter(predicate, layout)
-        if predicate_fn is None:
-            evaluator = Evaluator(None)  # pushdown conjuncts are subquery-free
-            predicate_fn = lambda parts: evaluator.evaluate_predicate(  # noqa: E731
-                predicate, layout.scope_parts(parts)
+        source.rows = list(
+            self._filter(
+                predicate,
+                _ScopeLayout([source], None),
+                source.rows,
+                lambda row: {binding: row},
+                Evaluator(None),  # pushdown conjuncts are subquery-free
+                keep_errors=ExecutionError,
             )
-
-        def keep(row: Row) -> bool:
-            # on evaluation errors (e.g. type-mismatched ordering), keep the
-            # row and defer to the final WHERE pass: it raises only if the
-            # row survives the joins, exactly as without pushdown
-            try:
-                return predicate_fn({binding: row})
-            except ExecutionError:
-                return True
-
-        source.rows = [row for row in source.rows if keep(row)]
+        )
 
     # ---------------------------------------------------------------- EXPLAIN
 
@@ -1878,11 +1889,8 @@ class Executor:
 
         targets = self._dml_targets(schema, stmt.table, heap, stmt.where, evaluator)
 
-        deleted_rids = {rid for rid, _ in targets}
-        for rid, row in targets:
-            message = self._referencing_violation_excluding(
-                schema, row, deleted_rids, session
-            )
+        for _rid, row in targets:
+            message = self._referencing_violation(schema, row, session)
             if message:
                 raise ForeignKeyViolation(message)
 
@@ -1905,18 +1913,6 @@ class Executor:
                 )
             deleted += 1
         return ResultSet(rowcount=deleted, status=f"DELETE {deleted}")
-
-    def _referencing_violation_excluding(
-        self,
-        schema: TableSchema,
-        old_row: Row,
-        _excluded_rids: set[int],
-        session: "Session",
-    ) -> str | None:
-        # self-referencing FKs within the deleted set are tolerated only if
-        # the referencing row is also being deleted — approximated by the
-        # plain check for non-self references.
-        return self._referencing_violation(schema, old_row, session)
 
     def _dml_targets(
         self,
@@ -1947,19 +1943,15 @@ class Executor:
                     candidates.append((rid, row))
         if where is None:
             return candidates
-        layout = _ScopeLayout([_Source(binding, schema.column_names(), [])], None)
-        where_fn = self._compile_filter(where, layout)
-        targets: list[tuple[int, Row]] = []
-        if where_fn is not None:
-            for rid, row in candidates:
-                if where_fn({binding: row}):
-                    targets.append((rid, row))
-        else:
-            for rid, row in candidates:
-                scope = self._row_scope(schema, binding, row)
-                if evaluator.evaluate_predicate(where, scope):
-                    targets.append((rid, row))
-        return targets
+        return list(
+            self._filter(
+                where,
+                _ScopeLayout([_Source(binding, schema.column_names(), [])], None),
+                candidates,
+                lambda candidate: {binding: candidate[1]},
+                evaluator,
+            )
+        )
 
     @staticmethod
     def _row_scope(schema: TableSchema, binding: str, row: Row) -> Scope:
@@ -2223,23 +2215,14 @@ class Executor:
             column = schema.column(stmt.old_name or "")
             if schema.has_column(stmt.new_name or ""):
                 raise ExecutionError(f"column {stmt.new_name!r} already exists")
-            old_name = column.name
-            column.name = stmt.new_name or ""
-            heap.rename_column(old_name, column.name)
-            schema.primary_key = tuple(
-                column.name if c == old_name else c for c in schema.primary_key
-            )
-            def undo_rename(schema=schema, heap=heap, column=column,
-                            old=old_name):
-                new = column.name
+            old_name, new_name = column.name, stmt.new_name or ""
+            catalog.rename_column(schema.name, old_name, new_name)
+            heap.rename_column(old_name, new_name)
+
+            def undo_rename(catalog=catalog, heap=heap, table=schema.name,
+                            old=old_name, new=new_name):
                 heap.rename_column(new, old)
-                column.name = old
-                # the forward path rewrote the primary key too; leaving it
-                # pointing at the new name would dangle (and, durably,
-                # snapshot a PK on a nonexistent column)
-                schema.primary_key = tuple(
-                    old if c == new else c for c in schema.primary_key
-                )
+                catalog.rename_column(table, new, old)
 
             session.tx.log_undo(
                 f"rename column {schema.name}.{old_name}", undo_rename
@@ -2250,7 +2233,7 @@ class Executor:
                         "op": "rename_column",
                         "table": schema.name.lower(),
                         "old": old_name,
-                        "new": column.name,
+                        "new": new_name,
                         "uid": heap.uid,
                         "version": heap.version,
                     }

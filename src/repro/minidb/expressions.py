@@ -1,35 +1,33 @@
-"""Expression evaluation with SQL three-valued logic.
-
-Two evaluation strategies live here:
+"""Expression evaluation with SQL three-valued logic — two engines.
 
 * The :class:`Evaluator` walks the AST produced by
-  :mod:`repro.minidb.parser` against a :class:`Row` scope (a mapping from
-  column bindings to values) — the general path, required for subqueries
-  and outer-scope (correlated) references.
-* :func:`compile_predicate` compiles an expression tree *once per
-  statement* into a chain of Python closures — constants folded, AND/OR
-  short-circuited, LIKE patterns pre-compiled to regexes, and column
-  references resolved at compile time to direct slot reads — so per-row
-  evaluation skips the AST walk, the method dispatch, and the per-lookup
-  name formatting entirely. Expressions the compiler cannot handle
-  (subqueries, aggregates, names that may resolve to an outer scope)
-  return ``None`` and the caller falls back to the interpreter; both
-  paths share the same arithmetic/comparison kernels, so results and
-  errors are identical.
-* :func:`compile_batch_expr` / :func:`compile_batch_predicate` lift the
-  compiled closure chain to whole column batches
-  (:class:`repro.minidb.batch.RowBatch`): each compiled node maps a batch
-  to a list of per-row values, wrapping the *same* scalar kernels in
-  element-wise loops so one Python-level dispatch covers ~batch_size
-  rows. Because SQL short-circuiting means a row-at-a-time plan may
-  never evaluate an erroring operand for a given row, batch kernels
-  never raise eagerly: an element that errors becomes a
-  :class:`repro.minidb.batch.BatchError` sentinel that AND/OR/CASE
-  kernels discard for short-circuited elements and that consumers raise
-  only when the element's value is actually needed — the deferred-error
-  contract shared with :func:`_fold`'s constant folding. Anything the
-  row compiler punts on (:class:`CannotCompile`) the batch compiler
-  punts on identically.
+  :mod:`repro.minidb.parser` against a :class:`Scope` (a mapping from
+  column bindings to values). It is the **reference** every equivalence
+  suite compares against (``enable_compiled_predicates=False``) and the
+  only engine for subqueries and outer-scope (correlated) references.
+* :func:`compile_batch_expr` compiles an expression tree *once per
+  statement* into **batch kernels**: each compiled node maps a batch —
+  a :class:`repro.minidb.batch.RowBatch` column slice, or a chunk of
+  joined rows / DML candidates / join pairs the executor presents the
+  same way — to a list of per-row values. Constants are folded, LIKE
+  patterns pre-compiled to regexes, column references resolved at
+  compile time to direct column reads, and one Python-level dispatch
+  covers the whole batch instead of one AST walk per row. Expressions
+  the compiler cannot handle (subqueries, aggregates, names that may
+  resolve to an outer scope) return ``None`` and the caller falls back
+  to the interpreter per row; both engines share the arithmetic /
+  comparison / LIKE helpers below, so results and errors are identical.
+
+**The deferred-error contract.** SQL short-circuiting means the
+interpreter may never evaluate an erroring operand for a given row
+(``FALSE AND 1/0``), and a scan that exits early never evaluates rows
+past the exit. Kernels therefore never raise a
+:class:`~repro.minidb.errors.MiniDBError` eagerly: an element (or a
+folded constant) that errors becomes a
+:class:`repro.minidb.batch.BatchError` sentinel, AND/OR/CASE kernels
+discard sentinels of short-circuited elements, and a consumer raises a
+sentinel only when — walking in row order — it actually needs that
+element's value: the moment the interpreter would have raised.
 
 Aggregate functions are *not* evaluated here — the executor rewrites
 aggregate calls into pre-computed literals before projection; this module
@@ -375,143 +373,40 @@ def _to_text(value: Any) -> str:
 
 
 # --------------------------------------------------------------------------
-# predicate compilation
+# batch-kernel compilation
 # --------------------------------------------------------------------------
 
-#: a compiled accessor/evaluator: called with the caller-defined row
-#: context (joined-row parts, a plain row dict, ...) and returns a value
-CompiledFn = Callable[[Any], Any]
+#: a compiled batch evaluator: maps a batch (``length`` plus
+#: ``column(binding, name)`` — a :class:`RowBatch` or the executor's
+#: joined-row chunk) to a list of ``length`` per-row values, each a plain
+#: value or a deferred :class:`BatchError`
+BatchFn = Callable[[RowBatch], list]
 
-#: resolves one column reference to an accessor at compile time; raises
-#: :class:`CannotCompile` when the name might belong to an outer scope
-ColumnResolver = Callable[[ast.ColumnRef], CompiledFn]
+#: resolves one column reference to a batch accessor (``fn(batch) ->
+#: column list``) at compile time; raises :class:`CannotCompile` when the
+#: name might belong to an outer scope
+BatchColumnResolver = Callable[[ast.ColumnRef], BatchFn]
 
 
 class CannotCompile(Exception):
     """The expression needs the interpreter (subquery, aggregate, outer
-    scope). Internal control flow of :func:`compile_predicate`."""
+    scope). Internal control flow of :func:`compile_batch_expr`."""
 
 
-#: compiled node: (is_const, constant_value, runtime_fn) — exactly one of
-#: the last two is meaningful
-_Compiled = "tuple[bool, Any, CompiledFn | None]"
+# compiled node: (is_const, constant_value, batch_fn) — exactly one of
+# the last two is meaningful
 
 
 def _const(value: Any):
     return (True, value, None)
 
 
-def _thunk(fn: CompiledFn):
+def _thunk(fn: BatchFn):
     return (False, None, fn)
 
 
-def _as_fn(node) -> CompiledFn:
-    is_const, value, fn = node
-    if is_const:
-        return lambda ctx, value=value: value
-    return fn
-
-
-def _raiser(exc: Exception) -> CompiledFn:
-    def fn(ctx, exc=exc):
-        raise exc
-
-    return fn
-
-
-def _fold(operands: list, compute: Callable[..., Any]):
-    """Combine compiled operands through a pure, eager ``compute``.
-
-    All-constant operands evaluate once at compile time; an evaluation
-    error is *deferred* into a raising closure rather than raised here, so
-    a folded constant that the interpreter would only have evaluated
-    per-row (e.g. ``1/0`` behind a short-circuiting AND) still errors at
-    the same moment it would have interpreted. Only valid for operators
-    the interpreter evaluates eagerly — AND/OR/CASE build their own lazy
-    closures.
-    """
-    if all(node[0] for node in operands):
-        values = [node[1] for node in operands]
-        try:
-            return _const(compute(*values))
-        except MiniDBError as exc:
-            return _thunk(_raiser(exc))
-    fns = [_as_fn(node) for node in operands]
-    if len(fns) == 1:
-        f0 = fns[0]
-        return _thunk(lambda ctx: compute(f0(ctx)))
-    if len(fns) == 2:
-        f0, f1 = fns
-        return _thunk(lambda ctx: compute(f0(ctx), f1(ctx)))
-    return _thunk(lambda ctx: compute(*[fn(ctx) for fn in fns]))
-
-
-def compile_predicate(
-    expr: ast.Expr, resolve: ColumnResolver
-) -> CompiledFn | None:
-    """Compile a WHERE/ON/HAVING-style predicate to ``fn(ctx) -> bool``.
-
-    The returned closure applies the same NULL-counts-as-false rule as
-    :meth:`Evaluator.evaluate_predicate`. Returns ``None`` when any part
-    of the expression needs the interpreter; callers keep the AST around
-    and fall back. ``resolve`` maps each column reference to a per-row
-    accessor (or raises :class:`CannotCompile`); references that are
-    statically unresolvable compile to closures raising the interpreter's
-    exact error, preserving "no rows scanned, no error" behavior.
-    """
-    try:
-        node = _compile(expr, resolve)
-    except CannotCompile:
-        return None
-    if node[0]:
-        result = node[1] is True
-        return lambda ctx, result=result: result
-    fn = node[2]
-    return lambda ctx, fn=fn: fn(ctx) is True
-
-
-def _compile(expr: ast.Expr, resolve: ColumnResolver):
-    if isinstance(expr, ast.Literal):
-        return _const(expr.value)
-    if isinstance(expr, ast.ColumnRef):
-        return _thunk(resolve(expr))
-    if isinstance(expr, ast.Star):
-        return _thunk(
-            _raiser(
-                ExecutionError("'*' is only valid in a select list or COUNT(*)")
-            )
-        )
-    if isinstance(expr, ast.UnaryOp):
-        return _compile_unary(expr, resolve)
-    if isinstance(expr, ast.BinaryOp):
-        return _compile_binary(expr, resolve)
-    if isinstance(expr, ast.FunctionCall):
-        return _compile_function(expr, resolve)
-    if isinstance(expr, ast.CaseExpr):
-        return _compile_case(expr, resolve)
-    if isinstance(expr, ast.InExpr):
-        return _compile_in(expr, resolve)
-    if isinstance(expr, ast.BetweenExpr):
-        return _compile_between(expr, resolve)
-    if isinstance(expr, ast.LikeExpr):
-        return _compile_like(expr, resolve)
-    if isinstance(expr, ast.IsNullExpr):
-        return _fold(
-            [_compile(expr.operand, resolve)], _is_null_compute(expr.negated)
-        )
-    if isinstance(expr, ast.CastExpr):
-        try:
-            ctype = ColumnType.parse(expr.target_type)
-        except MiniDBError as exc:
-            return _thunk(_raiser(exc))
-        return _fold([_compile(expr.operand, resolve)], _cast_compute(ctype))
-    # subqueries (ExistsExpr, ScalarSubquery, IN (SELECT ...)) and anything
-    # unrecognized: the interpreter owns it
-    raise CannotCompile
-
-
-# -- shared per-element kernels: the row and batch compilers combine the
-# -- same ``compute`` closures, so their results and errors are identical
+# -- per-element computes: each eagerly-evaluated operator is one pure
+# -- ``compute`` closure that :func:`_fold_batch` maps over operand vectors
 
 
 def _unary_compute(op: str):
@@ -630,141 +525,6 @@ def _like_dynamic_compute(negated: bool, case_insensitive: bool):
     return compute
 
 
-def _compile_unary(expr: ast.UnaryOp, resolve: ColumnResolver):
-    return _fold([_compile(expr.operand, resolve)], _unary_compute(expr.op))
-
-
-def _compile_binary(expr: ast.BinaryOp, resolve: ColumnResolver):
-    op = expr.op
-    if op in ("AND", "OR"):
-        left = _compile(expr.left, resolve)
-        right = _compile(expr.right, resolve)
-        lf, rf = _as_fn(left), _as_fn(right)
-        if op == "AND":
-
-            def fn(ctx):
-                l = lf(ctx)
-                if l is not None and not _truthy(l):
-                    return False
-                r = rf(ctx)
-                if r is not None and not _truthy(r):
-                    return False
-                if l is None or r is None:
-                    return None
-                return True
-
-        else:
-
-            def fn(ctx):
-                l = lf(ctx)
-                if l is not None and _truthy(l):
-                    return True
-                r = rf(ctx)
-                if r is not None and _truthy(r):
-                    return True
-                if l is None or r is None:
-                    return None
-                return False
-
-        if left[0] and right[0]:
-            try:
-                return _const(fn(None))
-            except MiniDBError as exc:
-                return _thunk(_raiser(exc))
-        return _thunk(fn)
-    return _fold(
-        [_compile(expr.left, resolve), _compile(expr.right, resolve)],
-        _binary_compute(op),
-    )
-
-
-def _compile_function(expr: ast.FunctionCall, resolve: ColumnResolver):
-    if expr.name in AGGREGATE_NAMES:
-        raise CannotCompile  # the interpreter raises the contextual error
-    fn = SCALAR_FUNCTIONS.get(expr.name)
-    if fn is None:
-        return _thunk(_raiser(ExecutionError(f"unknown function {expr.name}()")))
-    arg_fns = [_as_fn(_compile(a, resolve)) for a in expr.args]
-
-    def call(ctx, fn=fn, arg_fns=arg_fns):
-        return fn([f(ctx) for f in arg_fns])
-
-    # never folded: keeps compile-time evaluation away from function
-    # implementations (and their argument-validation errors)
-    return _thunk(call)
-
-
-def _compile_case(expr: ast.CaseExpr, resolve: ColumnResolver):
-    # lazy like the interpreter: branches after the first match (and the
-    # ELSE of a matched CASE) are never evaluated, errors included
-    whens = [
-        (_as_fn(_compile(when, resolve)), _as_fn(_compile(then, resolve)))
-        for when, then in expr.whens
-    ]
-    default = (
-        _as_fn(_compile(expr.default, resolve))
-        if expr.default is not None
-        else None
-    )
-    if expr.operand is not None:
-        operand_fn = _as_fn(_compile(expr.operand, resolve))
-
-        def fn(ctx):
-            subject = operand_fn(ctx)
-            for when_fn, then_fn in whens:
-                candidate = when_fn(ctx)
-                if (
-                    subject is not None
-                    and candidate is not None
-                    and _compare("=", subject, candidate) is True
-                ):
-                    return then_fn(ctx)
-            return default(ctx) if default is not None else None
-
-    else:
-
-        def fn(ctx):
-            for when_fn, then_fn in whens:
-                if when_fn(ctx) is True:
-                    return then_fn(ctx)
-            return default(ctx) if default is not None else None
-
-    return _thunk(fn)
-
-
-def _compile_in(expr: ast.InExpr, resolve: ColumnResolver):
-    if isinstance(expr.candidates, ast.SelectStatement):
-        raise CannotCompile
-    operands = [_compile(expr.operand, resolve)]
-    operands.extend(_compile(c, resolve) for c in expr.candidates)
-    return _fold(operands, _in_compute(expr.negated))
-
-
-def _compile_between(expr: ast.BetweenExpr, resolve: ColumnResolver):
-    return _fold(
-        [
-            _compile(expr.operand, resolve),
-            _compile(expr.low, resolve),
-            _compile(expr.high, resolve),
-        ],
-        _between_compute(expr.negated),
-    )
-
-
-def _compile_like(expr: ast.LikeExpr, resolve: ColumnResolver):
-    operand = _compile(expr.operand, resolve)
-    pattern = _compile(expr.pattern, resolve)
-    if pattern[0] and pattern[1] is not None:
-        # constant pattern (the overwhelmingly common case): compile the
-        # regex once per statement instead of once per row
-        regex = _like_regex(_to_text(pattern[1]), expr.case_insensitive)
-        return _fold([operand], _like_const_compute(regex, expr.negated))
-    return _fold(
-        [operand, pattern],
-        _like_dynamic_compute(expr.negated, expr.case_insensitive),
-    )
-
-
 def _like_regex(pattern: str, case_insensitive: bool) -> "re.Pattern[str]":
     regex_parts = ["^"]
     for ch in pattern:
@@ -783,28 +543,16 @@ def _like_match(text: str, pattern: str, case_insensitive: bool) -> bool:
     return _like_regex(pattern, case_insensitive).match(text) is not None
 
 
-# --------------------------------------------------------------------------
-# batch (vectorized) compilation
-# --------------------------------------------------------------------------
-
-#: a compiled batch evaluator: maps a RowBatch to a list of ``length``
-#: per-row values, each a plain value or a deferred :class:`BatchError`
-BatchFn = Callable[[RowBatch], list]
-
-#: resolves one column reference to a batch accessor (``fn(batch) ->
-#: column list``) at compile time; raises :class:`CannotCompile` when the
-#: name might belong to an outer scope
-BatchColumnResolver = Callable[[ast.ColumnRef], BatchFn]
-
 #: CASE kernels need "no branch matched" distinct from a matched branch
 #: that produced None
 _UNMATCHED = object()
 
 
 def batch_raiser(exc: Exception) -> BatchFn:
-    """A batch accessor whose every element is the deferred ``exc`` —
-    the vectorized analogue of :func:`_raiser` (used for statically
-    unresolvable column references, unknown functions, bad casts)."""
+    """A batch accessor whose every element is the deferred ``exc``
+    (statically unresolvable column references, unknown functions, bad
+    casts): it raises only for an element that is actually consumed, so
+    "no rows evaluated, no error" holds."""
     err = BatchError(exc)
 
     def fn(batch, err=err):
@@ -834,13 +582,16 @@ def _deferred_const(exc: Exception):
 
 
 def _fold_batch(operands: list, compute: Callable[..., Any]):
-    """Vectorized :func:`_fold`: element-wise ``compute`` over operand
-    vectors. All-constant operands still fold once at compile time; a
-    per-element evaluation error is deferred into a :class:`BatchError`
-    sentinel rather than raised — only :class:`MiniDBError` is deferred,
-    exactly the hierarchy :func:`_fold` defers at compile time. An
-    operand element that is already an error propagates (leftmost operand
-    wins, matching the row path's left-to-right operand evaluation).
+    """Element-wise ``compute`` over operand vectors, for the operators
+    the interpreter evaluates eagerly (AND/OR/CASE have their own lazy
+    kernels). All-constant operands fold once at compile time; an
+    evaluation error — at fold time or per element — is deferred into a
+    :class:`BatchError` sentinel rather than raised, so a folded ``1/0``
+    behind a short-circuiting AND still errors exactly when the
+    interpreter would have evaluated it. Only :class:`MiniDBError` is
+    deferred. An operand element that is already an error propagates
+    (leftmost operand wins, matching the interpreter's left-to-right
+    operand evaluation).
     """
     if all(node[0] for node in operands):
         values = [node[1] for node in operands]
@@ -911,35 +662,24 @@ def _fold_batch(operands: list, compute: Callable[..., Any]):
 def compile_batch_expr(
     expr: ast.Expr, resolve: BatchColumnResolver
 ) -> BatchFn | None:
-    """Compile an expression to a batch evaluator, or ``None``.
+    """Compile an expression to a batch evaluator, or ``None`` — the
+    only compile entry point.
 
     The returned ``fn(batch)`` yields one value per row; elements whose
     evaluation errored are :class:`BatchError` sentinels the caller must
-    raise when (and only when) the element's value is consumed. Returns
-    ``None`` exactly when :func:`compile_predicate` would (subqueries,
-    aggregates, possibly-correlated names): callers fall back to per-row
-    evaluation inside the batch.
+    raise when (and only when) the element's value is consumed. A
+    predicate consumer applies the NULL-counts-as-false rule by keeping
+    only elements that are ``True`` and raises the first sentinel it
+    reaches in row order. Returns ``None`` when any part of the
+    expression needs the interpreter (subqueries, aggregates,
+    possibly-correlated names): callers keep the AST and evaluate it per
+    row through :class:`Evaluator`.
     """
     try:
         node = _compile_batch(expr, resolve)
     except CannotCompile:
         return None
     return _as_batch_list_fn(node)
-
-
-def compile_batch_predicate(
-    expr: ast.Expr, resolve: BatchColumnResolver
-) -> BatchFn | None:
-    """Compile a WHERE-style predicate to a batch mask evaluator.
-
-    Same contract as :func:`compile_batch_expr`; the caller applies the
-    NULL-counts-as-false rule by keeping only elements that are ``True``
-    (mirroring :func:`compile_predicate`'s ``is True`` wrapper, inlined
-    into the consumer's selection loop) and raising the first
-    :class:`BatchError` in row order — the moment the row-at-a-time
-    filter would have raised it.
-    """
-    return compile_batch_expr(expr, resolve)
 
 
 def _compile_batch(expr: ast.Expr, resolve: BatchColumnResolver):
@@ -992,7 +732,7 @@ def _compile_batch(expr: ast.Expr, resolve: BatchColumnResolver):
             [_compile_batch(expr.operand, resolve)], _cast_compute(ctype)
         )
     # subqueries (ExistsExpr, ScalarSubquery, IN (SELECT ...)) and anything
-    # unrecognized: the interpreter owns it — same bail set as _compile
+    # unrecognized: the interpreter owns it
     raise CannotCompile
 
 
@@ -1022,8 +762,8 @@ def _batch_and(lf, rf):
 
     The right operand vector is computed for the whole batch (kernels are
     pure, so that is unobservable), but its *errors* are discarded for
-    elements the row-at-a-time AND would never have evaluated the right
-    side for — the deferred-error contract that keeps batch plans from
+    elements the interpreter's AND would never have evaluated the right
+    side for — the deferred-error contract that keeps kernels from
     raising on rows a short-circuit would have skipped.
     """
 
@@ -1115,8 +855,9 @@ def _compile_batch_function(expr: ast.FunctionCall, resolve: BatchColumnResolver
         return _deferred_const(ExecutionError(f"unknown function {expr.name}()"))
     arg_fns = [_as_batch_list_fn(_compile_batch(a, resolve)) for a in expr.args]
 
-    # never folded (matching _compile_function): the implementation is
-    # still called once per row, in row order
+    # never folded: keeps compile-time evaluation away from function
+    # implementations (and their argument-validation errors); the
+    # implementation is still called once per row, in row order
     def call(batch, fn=fn, arg_fns=arg_fns):
         cols = [f(batch) for f in arg_fns]
         out = []
@@ -1141,10 +882,11 @@ def _compile_batch_function(expr: ast.FunctionCall, resolve: BatchColumnResolver
 
 
 def _compile_batch_case(expr: ast.CaseExpr, resolve: BatchColumnResolver):
-    # the row path is lazy (branches after the first match are never
-    # evaluated); the batch kernel evaluates every branch vector but
-    # defers errors, then per element walks the branches in order and
-    # discards whatever a lazy evaluation would not have touched
+    # the interpreter is lazy (branches after the first match, and the
+    # ELSE of a matched CASE, are never evaluated); the kernel evaluates
+    # every branch vector but defers errors, then per element walks the
+    # branches in order and discards whatever a lazy evaluation would
+    # not have touched
     whens = [
         (
             _as_batch_list_fn(_compile_batch(when, resolve)),
@@ -1220,7 +962,8 @@ def _compile_batch_like(expr: ast.LikeExpr, resolve: BatchColumnResolver):
     operand = _compile_batch(expr.operand, resolve)
     pattern = _compile_batch(expr.pattern, resolve)
     if pattern[0] and pattern[1] is not None:
-        # constant pattern: one regex per statement, shared by the batch
+        # constant pattern (the overwhelmingly common case): one regex per
+    # statement instead of one per row
         regex = _like_regex(_to_text(pattern[1]), expr.case_insensitive)
         return _fold_batch([operand], _like_const_compute(regex, expr.negated))
     return _fold_batch(

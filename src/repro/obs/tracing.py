@@ -13,8 +13,9 @@ traces, a bounded slow-statement log, and an optional JSONL sink written
 through the fault-injectable ``Filesystem`` seam.
 
 Dark-mode contract: when tracing is off and no slow threshold is set, the
-statement path never calls ``start``/``finish``; inner hooks only perform a
-``current()`` probe (one ``getattr`` on a thread-local) and branch away.
+statement path never calls ``start``/``finish``; inner hooks run the same
+code lit or dark — ``StatementTracer.span`` hands them the current trace's
+span or, after one ``getattr`` on a thread-local, a shared no-op.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ import json
 import threading
 import time
 from collections import deque
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from typing import Any, Dict, Iterator, List, Optional
 
 from ..faults import OS_FILESYSTEM, Filesystem
@@ -243,6 +244,9 @@ class StatementTrace:
         }
 
 
+_NO_SPAN = nullcontext()
+
+
 class StatementTracer:
     """Ring buffer + thread-local current-trace slot + JSONL sink."""
 
@@ -290,6 +294,12 @@ class StatementTracer:
 
     def current(self) -> Optional[StatementTrace]:
         return getattr(self._local, "trace", None)
+
+    def span(self, name: str, **meta: Any):
+        """A span on this thread's current trace, or a no-op context
+        manager when there is none (dark mode)."""
+        trace = getattr(self._local, "trace", None)
+        return _NO_SPAN if trace is None else trace.span(name, **meta)
 
     def start(self, sql: str, user: str, session: Optional[str]) -> StatementTrace:
         if self.options.get("redact_literals"):

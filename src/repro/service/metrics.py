@@ -21,13 +21,8 @@ from ..obs.metrics import MetricsRegistry
 class ServiceMetrics:
     """Thread-safe metrics surface for the multi-session service layer."""
 
-    def __init__(
-        self, latency_window: int = 2048, registry: MetricsRegistry | None = None
-    ):
+    def __init__(self, registry: MetricsRegistry | None = None):
         self._mutex = threading.Lock()
-        #: kept for backward API compatibility; quantiles now come from the
-        #: histogram's fixed buckets rather than a sample window
-        self.latency_window = latency_window
         #: instrument registry; callers may pass a shared one (e.g. the
         #: database's) so service latencies appear in its text exposition
         self.registry = registry or MetricsRegistry()

@@ -46,19 +46,25 @@ def s():
     return session
 
 
-def both(session, sql):
+def both(session, sql, interpreted_reference=False):
     """Run ``sql`` batched and row-at-a-time; both legs must agree on
-    (columns, rows) or on (error type, error message)."""
+    (columns, rows) or on (error type, error message). With
+    ``interpreted_reference`` the row-at-a-time leg also runs on the AST
+    interpreter, so the two legs share no compiled kernel."""
     options = session.db.planner_options
     outcomes = []
-    for enabled in (True, False):
-        options["enable_batch_execution"] = enabled
+    for batched in (True, False):
+        options["enable_batch_execution"] = batched
+        if interpreted_reference:
+            options["enable_compiled_predicates"] = batched
         try:
             result = session.execute(sql)
             outcomes.append(("ok", result.columns, result.rows))
         except MiniDBError as exc:
             outcomes.append(("err", type(exc).__name__, str(exc)))
     options["enable_batch_execution"] = True
+    if interpreted_reference:
+        options["enable_compiled_predicates"] = True
     assert outcomes[0] == outcomes[1], sql
     return outcomes[0]
 
@@ -400,7 +406,9 @@ def build_statement(select, where, order, limit):
 )
 def test_batched_execution_equivalent_to_row_plan(rows, statements, batch_size):
     """Random data + random statements: the batch pipeline must match the
-    row plan byte for byte — results, column names, and raised errors."""
+    row plan byte for byte — results, column names, and raised errors. The
+    reference leg is the row fold on the interpreter: the row fold's WHERE
+    runs on the same kernels otherwise, and an oracle must not share them."""
     db = Database(owner="a")
     session = db.connect("a")
     session.execute("CREATE TABLE t (id INT PRIMARY KEY, a INT, b INT, c TEXT)")
@@ -409,4 +417,8 @@ def test_batched_execution_equivalent_to_row_plan(rows, statements, batch_size):
         heap.insert({"id": i, "a": a, "b": b, "c": c})
     db.planner_options["batch_size"] = batch_size
     for select, where, order, limit in statements:
-        both(session, build_statement(select, where, order, limit))
+        both(
+            session,
+            build_statement(select, where, order, limit),
+            interpreted_reference=True,
+        )

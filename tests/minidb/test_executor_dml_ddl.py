@@ -276,6 +276,94 @@ class TestDDL:
             store.execute("CREATE VIEW items AS SELECT 1")
 
 
+class TestRenameColumnConstraints:
+    """RENAME COLUMN carries every constraint that names the column: a
+    constraint left on the old name reads NULL and silently passes (FK) or
+    fails every write (CHECK)."""
+
+    SETUP = [
+        "CREATE TABLE p (id INT PRIMARY KEY, v INT CHECK (v >= 0), u INT UNIQUE)",
+        "CREATE TABLE c (id INT PRIMARY KEY, pid INT REFERENCES p(id))",
+        "INSERT INTO p VALUES (1, 5, 7)",
+    ]
+    RENAMES = [
+        "ALTER TABLE p RENAME COLUMN v TO vv",
+        "ALTER TABLE p RENAME COLUMN u TO uu",
+        "ALTER TABLE c RENAME COLUMN pid TO parent",
+        "ALTER TABLE p RENAME COLUMN id TO pk",
+    ]
+
+    @staticmethod
+    def constraints(db):
+        return {
+            name: (
+                schema.column_names(),
+                schema.primary_key,
+                schema.uniques,
+                schema.check_sources,
+                [
+                    (fk.columns, fk.ref_table, fk.ref_columns)
+                    for fk in schema.foreign_keys
+                ],
+            )
+            for name, schema in db.catalog.tables.items()
+        }
+
+    @staticmethod
+    def assert_enforced(session):
+        session.execute("INSERT INTO p VALUES (2, 0, 8)")  # CHECK still passable
+        with pytest.raises(CheckViolation, match="vv >= 0"):
+            session.execute("INSERT INTO p VALUES (3, -1, 9)")
+        with pytest.raises(UniqueViolation):
+            session.execute("INSERT INTO p VALUES (3, 1, 7)")
+        with pytest.raises(ForeignKeyViolation):
+            session.execute("INSERT INTO c VALUES (1, 99)")  # no parent 99
+        session.execute("INSERT INTO c VALUES (1, 1)")
+        with pytest.raises(ForeignKeyViolation):
+            session.execute("DELETE FROM p WHERE pk = 1")  # still referenced
+        with pytest.raises(ForeignKeyViolation):
+            session.execute("UPDATE p SET pk = 4 WHERE pk = 1")
+        session.execute("DELETE FROM p WHERE pk = 2")
+
+    def test_constraints_follow_the_rename(self, db, s):
+        for sql in self.SETUP + self.RENAMES:
+            s.execute(sql)
+        assert self.constraints(db) == {
+            "p": (["pk", "vv", "uu"], ("pk",), [("uu",)], ["(vv >= 0)"], []),
+            "c": (["id", "parent"], ("id",), [], [], [(("parent",), "p", ("pk",))]),
+        }
+        self.assert_enforced(s)
+
+    def test_rollback_restores_every_list(self, db, s):
+        for sql in self.SETUP:
+            s.execute(sql)
+        before = self.constraints(db)
+        s.execute("BEGIN")
+        for sql in self.RENAMES:
+            s.execute(sql)
+        assert self.constraints(db) != before
+        s.execute("ROLLBACK")
+        assert self.constraints(db) == before
+        with pytest.raises(CheckViolation, match="v >= 0"):
+            s.execute("INSERT INTO p VALUES (3, -1, 9)")
+        with pytest.raises(ForeignKeyViolation):
+            s.execute("INSERT INTO c VALUES (1, 99)")
+
+    def test_wal_replay_matches_the_live_database(self, tmp_path):
+        path = str(tmp_path / "db")
+        live = Database.open(path)
+        session = live.connect("admin")
+        for sql in self.SETUP + self.RENAMES:
+            session.execute(sql)
+        expected = live.engine._snapshot_payload(live)
+        live.close()  # no checkpoint: reopening replays the WAL
+        replayed = Database.open(path)
+        assert replayed.engine.stats["wal_replayed"] > 0
+        assert replayed.engine._snapshot_payload(replayed) == expected
+        self.assert_enforced(replayed.connect("admin"))
+        replayed.close()
+
+
 class TestSnapshotHelpers:
     def test_snapshot(self, store):
         snap = store.db.snapshot()

@@ -1,0 +1,310 @@
+"""Two expression engines: batch kernels at every compiled predicate site,
+the AST interpreter as the reference.
+
+``enable_compiled_predicates=False`` forces the interpreter at every site
+(the row fold's WHERE, the hash-join residual, the ordered scan, the
+pushed-down prefilter, UPDATE/DELETE target filtering), so each test here
+runs a statement under both engines and requires the same outcome. The
+Hypothesis property covers DML target filtering; the targeted tests pin
+the behaviours the deleted per-row closures had by construction: the
+ordered scan's early exit, the prefilter's keep-on-``ExecutionError``
+rule, the hash-join residual's error order and NULL extension, and the
+rid order of DML targets in the WAL.
+"""
+
+import json
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.minidb import Database, parse
+from repro.minidb.batch import DEFAULT_BATCH_SIZE
+from repro.minidb.errors import (
+    DivisionByZeroError,
+    ExecutionError,
+    MiniDBError,
+    TypeMismatchError,
+)
+from repro.minidb.executor import _Source
+
+
+def outcome(session, sql):
+    try:
+        result = session.execute(sql)
+        return ("ok", result.status, result.columns, result.rows)
+    except MiniDBError as exc:
+        return ("err", type(exc).__name__, str(exc))
+
+
+def both_engines(session, sql):
+    """Run ``sql`` on kernels and on the interpreter; both must agree on
+    the result or on (error type, error message)."""
+    options = session.db.planner_options
+    outcomes = []
+    for compiled in (True, False):
+        options["enable_compiled_predicates"] = compiled
+        outcomes.append(outcome(session, sql))
+    options["enable_compiled_predicates"] = True
+    assert outcomes[0] == outcomes[1], sql
+    return outcomes[0]
+
+
+def where_of(text):
+    return parse(f"SELECT 1 FROM t WHERE {text}").where
+
+
+# ------------------------------------------------------ DML target filtering
+
+values = st.one_of(st.none(), st.integers(min_value=-2, max_value=6))
+texts = st.one_of(st.none(), st.sampled_from(["ab", "ba", "7", ""]))
+rows_strategy = st.lists(st.tuples(values, values, texts), max_size=30)
+
+DML_PREDICATES = [
+    "a > 2",
+    "a = b",
+    "b IS NULL",
+    "a + b >= 4",
+    "c LIKE 'a%'",
+    "a IN (1, 2, NULL)",
+    "a IN (0, 3, 5)",
+    "b BETWEEN 0 AND 4",
+    "CASE WHEN a > b THEN 1 ELSE 0 END = 1",
+    "a >= 1 AND a < 4",
+    "6 / a > 1",  # division by zero on a = 0
+    "a < c",  # INT vs TEXT ordering: ExecutionError
+    "CAST(c AS INT) > 3",  # TypeMismatchError on non-numeric text
+    "a IN (SELECT b FROM t)",  # not compilable: interpreter on both sides
+]
+dml_where = st.one_of(
+    st.none(),
+    st.lists(st.sampled_from(DML_PREDICATES), min_size=1, max_size=3).map(
+        " AND ".join
+    ),
+    st.lists(st.sampled_from(DML_PREDICATES), min_size=2, max_size=3).map(
+        " OR ".join
+    ),
+)
+dml_statement = st.tuples(
+    st.sampled_from(["UPDATE t SET b = b + 1, c = 'hit'", "DELETE FROM t"]),
+    dml_where,
+).map(lambda pair: pair[0] + (f" WHERE {pair[1]}" if pair[1] else ""))
+
+
+def dml_database(rows, index, compiled, batch_size):
+    db = Database(owner="a")
+    session = db.connect("a")
+    session.execute("CREATE TABLE t (id INT PRIMARY KEY, a INT, b INT, c TEXT)")
+    if index:
+        session.execute(f"CREATE INDEX ix_a ON t USING {index} (a)")
+    heap = db.heap("t")
+    for i, (a, b, c) in enumerate(rows):
+        heap.insert({"id": i, "a": a, "b": b, "c": c})
+    db.planner_options["enable_compiled_predicates"] = compiled
+    db.planner_options["batch_size"] = batch_size
+    return db, session
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    rows=rows_strategy,
+    statements=st.lists(dml_statement, min_size=1, max_size=3),
+    index=st.sampled_from([None, "HASH", "BTREE"]),
+    batch_size=st.sampled_from([1, 2, 7, DEFAULT_BATCH_SIZE]),
+)
+def test_dml_targets_kernels_equivalent_to_interpreter(
+    rows, statements, index, batch_size
+):
+    """UPDATE/DELETE with a generated WHERE: kernels and the interpreter
+    change the same rows, leave the same table, raise the same error."""
+    kernel_db, kernels = dml_database(rows, index, True, batch_size)
+    reference_db, reference = dml_database(rows, index, False, batch_size)
+    for sql in statements:
+        assert outcome(kernels, sql) == outcome(reference, sql), sql
+        assert kernel_db.snapshot() == reference_db.snapshot(), sql
+
+
+# ----------------------------------------------------------- ordered scan
+
+
+@pytest.fixture
+def ordered():
+    db = Database(owner="a")
+    session = db.connect("a")
+    session.execute("CREATE TABLE t (id INT PRIMARY KEY, v INT, d INT)")
+    session.execute("CREATE INDEX ix_v ON t USING BTREE (v)")
+    # d in v order: 1, 0, 1, 0, 0, 1, then the poisoned row; POISONED keeps
+    # d = 1, filters out d = 0 and divides by zero on d = 5
+    session.execute(
+        "INSERT INTO t VALUES (1,10,1),(2,20,0),(3,30,1),(4,40,0),(5,50,0),"
+        "(6,60,1),(7,70,5),(8,80,1),(9,90,1)"
+    )
+    db.observability_options["tracing"] = True
+    return session
+
+
+def last_scan(session):
+    return session.db.tracer.recent()[-1].scans[0]
+
+
+POISONED = "SELECT id FROM t WHERE d = 1 OR 1 / (d - 5) > 0 ORDER BY v LIMIT 3"
+
+
+class TestOrderedScanEarlyExit:
+    def test_error_past_the_exit_is_never_raised(self, ordered):
+        before = ordered.db.planner_stats["ordered_scans"]
+        result = both_engines(ordered, POISONED)
+        assert result[3] == [(1,), (3,), (6,)]
+        assert ordered.db.planner_stats["ordered_scans"] == before + 2
+        # without the early exit the seventh row does raise
+        with pytest.raises(DivisionByZeroError):
+            ordered.execute(POISONED.replace("LIMIT 3", "LIMIT 4"))
+
+    @pytest.mark.parametrize("batch_size", [1, 2, 7, DEFAULT_BATCH_SIZE])
+    def test_examined_counts_consumed_rows_only(self, ordered, batch_size):
+        options = ordered.db.planner_options
+        options["batch_size"] = batch_size
+        options["enable_compiled_predicates"] = False
+        ordered.execute(POISONED)
+        row_at_a_time = last_scan(ordered)
+        options["enable_compiled_predicates"] = True
+        ordered.execute(POISONED)
+        chunked = last_scan(ordered)
+        # the third survivor is the sixth row in index order
+        assert row_at_a_time["examined"] == 6
+        assert chunked["examined"] <= row_at_a_time["examined"]
+        assert chunked["rows"] == row_at_a_time["rows"] == 3
+        assert chunked["kind"] == "ordered"
+
+    def test_limit_reached_on_first_chunk_examines_limit_rows(self, ordered):
+        ordered.execute("SELECT id FROM t WHERE d >= 0 ORDER BY v LIMIT 2")
+        assert last_scan(ordered)["examined"] == 2
+        ordered.execute("SELECT id FROM t WHERE d >= 0 ORDER BY v LIMIT 0")
+        assert last_scan(ordered)["examined"] == 0
+
+    def test_exhausted_scan_examines_every_row(self, ordered):
+        result = both_engines(
+            ordered, "SELECT id FROM t WHERE d = 0 ORDER BY v LIMIT 5"
+        )
+        assert result[3] == [(2,), (4,), (5,)]
+        assert last_scan(ordered)["examined"] == 9
+
+
+# -------------------------------------------------------------- prefilter
+
+
+class TestPrefilterErrors:
+    ROWS = [{"c": "1", "n": 1}, {"c": "abc", "n": 2}, {"c": "3", "n": "x"}]
+
+    @pytest.mark.parametrize("compiled", [True, False])
+    def test_execution_error_keeps_the_row(self, compiled):
+        db = Database(owner="a")
+        db.planner_options["enable_compiled_predicates"] = compiled
+        source = _Source("t", ["c", "n"], list(self.ROWS))
+        # 'x' > 1 raises ExecutionError: kept for the final WHERE to judge
+        db.executor._prefilter_source(source, where_of("n > 1"))
+        assert source.rows == self.ROWS[1:]
+
+    @pytest.mark.parametrize("compiled", [True, False])
+    def test_other_errors_propagate(self, compiled):
+        db = Database(owner="a")
+        db.planner_options["enable_compiled_predicates"] = compiled
+        source = _Source("t", ["c", "n"], list(self.ROWS))
+        assert not issubclass(TypeMismatchError, ExecutionError)
+        with pytest.raises(TypeMismatchError, match="'abc'"):
+            db.executor._prefilter_source(source, where_of("CAST(c AS INT) > 0"))
+
+    def test_deferred_error_raises_only_if_the_row_survives_the_join(self):
+        db = Database(owner="a")
+        session = db.connect("a")
+        session.execute("CREATE TABLE l (k INT, v INT)")
+        session.execute("CREATE TABLE r (k INT)")
+        session.execute("INSERT INTO l VALUES (1, 5), (2, 6)")
+        session.execute("INSERT INTO r VALUES (7)")
+        sql = "SELECT l.v FROM l JOIN r ON l.k = r.k WHERE l.v < 'zzz'"
+        assert both_engines(session, sql)[3] == []
+        session.execute("INSERT INTO r VALUES (2)")
+        assert both_engines(session, sql)[1] == "ExecutionError"
+
+
+# ------------------------------------------------------ hash-join residual
+
+
+@pytest.fixture
+def pairs():
+    db = Database(owner="a")
+    session = db.connect("a")
+    session.execute("CREATE TABLE l (id INT PRIMARY KEY, k INT, d INT)")
+    session.execute("CREATE TABLE r (id INT PRIMARY KEY, k INT, tag TEXT)")
+    session.execute("INSERT INTO l VALUES (1, 1, 5), (2, 2, 5), (3, 3, 5)")
+    # right-table order puts the k = 2 row first; probe order reaches the
+    # k = 1 rows first
+    session.execute(
+        "INSERT INTO r VALUES (10, 2, 'x2'), (11, 1, '9'), (12, 1, 'x1'),"
+        " (13, 3, '1'), (14, 4, 'x4')"
+    )
+    return session
+
+
+RESIDUAL = (
+    "SELECT l.id, r.id FROM l {kind} JOIN r "
+    "ON l.k = r.k AND CAST(r.tag AS INT) > l.d"
+)
+
+
+class TestHashJoinResidual:
+    @pytest.mark.parametrize("kind", ["INNER", "LEFT", "RIGHT"])
+    def test_first_erroring_pair_in_probe_order_raises(self, pairs, kind):
+        before = pairs.db.planner_stats["hash_joins"]
+        result = both_engines(pairs, RESIDUAL.format(kind=kind))
+        assert pairs.db.planner_stats["hash_joins"] == before + 2
+        # (l1, r11) passes, (l1, r12) errors before (l2, r10) is reached
+        assert result[:2] == ("err", "TypeMismatchError")
+        assert "'x1'" in result[2]
+
+    @pytest.mark.parametrize("batch_size", [1, 2, 7, DEFAULT_BATCH_SIZE])
+    def test_null_extension_decided_after_the_residual(self, pairs, batch_size):
+        pairs.db.planner_options["batch_size"] = batch_size
+        pairs.execute("DELETE FROM r WHERE id IN (10, 12, 14)")
+        pairs.execute("INSERT INTO r VALUES (15, 5, '0')")
+        # survivors of the equi-key: (l1, r11) passes the residual,
+        # (l3, r13) fails it
+        left = both_engines(pairs, RESIDUAL.format(kind="LEFT"))
+        assert left[3] == [(1, 11), (2, None), (3, None)]
+        right = both_engines(pairs, RESIDUAL.format(kind="RIGHT"))
+        assert right[3] == [(1, 11), (None, 13), (None, 15)]
+        inner = both_engines(pairs, RESIDUAL.format(kind="INNER"))
+        assert inner[3] == [(1, 11)]
+        # and the nested-loop plan agrees
+        pairs.db.planner_options["enable_hash_join"] = False
+        assert pairs.execute(RESIDUAL.format(kind="LEFT")).rows == left[3]
+        assert pairs.execute(RESIDUAL.format(kind="RIGHT")).rows == right[3]
+
+
+# ----------------------------------------------------------- DML target order
+
+
+@pytest.mark.parametrize("compiled", [True, False])
+@pytest.mark.parametrize("index", [None, "HASH", "BTREE"])
+def test_multi_row_update_logs_targets_in_rid_order(tmp_path, compiled, index):
+    db = Database.open(str(tmp_path / "db"))
+    session = db.connect("admin")
+    session.execute("CREATE TABLE t (id INT PRIMARY KEY, k INT, v INT)")
+    if index:
+        session.execute(f"CREATE INDEX ix_k ON t USING {index} (k)")
+    session.execute(
+        "INSERT INTO t VALUES (1,5,0),(2,3,0),(3,9,0),(4,1,0),(5,3,0),(6,7,0)"
+    )
+    db.planner_options["enable_compiled_predicates"] = compiled
+    db.planner_options["batch_size"] = 2
+    session.execute("UPDATE t SET v = v + 1 WHERE k IN (7, 3, 1, 5) AND id <> 1")
+    with open(db.engine.wal_path, encoding="utf-8") as fh:
+        updates = [
+            record
+            for record in map(json.loads, fh)
+            if record.get("op") == "update"
+        ]
+    rids = [record["rid"] for record in updates]
+    assert rids == sorted(rids) and len(rids) == 4
+    assert [record["row"]["id"] for record in updates] == [2, 4, 5, 6]
+    db.close()
