@@ -8,15 +8,18 @@ Times eight agent-shaped query classes at scale (see
 * ``ORDER BY ... LIMIT 10`` through the early-exit ordered index scan,
 * a multi-conjunct sequential-scan WHERE through compiled predicates,
 * a selective 10-member ``IN`` list through an index union scan,
-* a wide low-selectivity filter through the column-batch pipeline,
-* a full-table five-aggregate ``GROUP BY`` over column slices,
 * incremental B-tree inserts vs the flat-sorted-array algorithm,
 * a skewed conjunction where post-``ANALYZE`` cost-based planning beats
   the static preference order,
 
 each against its forced baseline (``db.planner_options`` toggles, a
 modelled flat array, or the statistics-free planner), with results
-asserted byte-identical between the two plans.
+asserted byte-identical between the two plans — plus two classes recorded
+as absolute times with no gate (every SELECT runs the one column-batch
+pipeline, so they have no baseline to be a ratio of):
+
+* a wide low-selectivity filter with a wide projection,
+* a full-table five-aggregate ``GROUP BY``.
 
 Usage::
 
@@ -50,8 +53,6 @@ THRESHOLDS = {
     "topn": 5.0,
     "predicate": 1.5,
     "union": 20.0,
-    "batch_filter": 2.0,
-    "batch_aggregate": 2.0,
     "btree_write": 4.0,
     "stats_skew": 5.0,
 }
@@ -60,8 +61,6 @@ SMOKE_THRESHOLDS = {
     "topn": 1.5,
     "predicate": 1.1,
     "union": 3.0,
-    "batch_filter": 1.1,
-    "batch_aggregate": 1.1,
     "btree_write": 1.5,
     "stats_skew": 1.5,
 }
@@ -105,13 +104,6 @@ def main(argv: list[str] | None = None) -> int:
         and all("Seq Scan" in line for line in result["predicate"]["plan"])
         and any("Index Union Scan" in line for line in result["union"]["plan"])
         and result["planner_stats"]["union_scans"] > 0
-        # the batch classes must actually plan (and execute) vectorized
-        and any(
-            "(batched)" in line for line in result["batch_filter"]["plan"]
-        )
-        and any(
-            "(batched)" in line for line in result["batch_aggregate"]["plan"]
-        )
         and result["planner_stats"]["batch_scans"] > 0
         # the regression pin for cost-based planning: statically the
         # skewed conjunct picks the 90%-heavy hash probe; with ANALYZE

@@ -6,7 +6,9 @@ Shared by ``benchmarks/bench_join_scale.py`` (acceptance benchmark) and the
 strategies; the nested-loop side (the seed executor's only strategy,
 reachable via ``db.planner_options["enable_hash_join"] = False``) can be
 measured at a smaller row count and extrapolated quadratically, since at
-production row counts it is too slow to run at all.
+production row counts it is too slow to run at all. A hash join feeding a
+``GROUP BY`` is timed alongside as an absolute figure: it is the agent
+workloads' join shape, and has no baseline to be a ratio of.
 """
 
 from __future__ import annotations
@@ -19,6 +21,10 @@ from repro.minidb.database import Session
 
 JOIN_SQL = (
     "SELECT COUNT(*) FROM orders o JOIN customers c ON o.customer_id = c.id"
+)
+JOIN_GROUP_SQL = (
+    "SELECT c.region, COUNT(*), SUM(o.amount) FROM orders o "
+    "JOIN customers c ON o.customer_id = c.id GROUP BY c.region"
 )
 
 
@@ -42,13 +48,13 @@ def build_session(rows: int) -> Session:
     return session
 
 
-def time_join(session: Session, repeats: int = 3) -> float:
-    """Best-of-``repeats`` wall time of the benchmark join, in seconds."""
+def time_join(session: Session, repeats: int = 3, sql: str = JOIN_SQL) -> float:
+    """Best-of-``repeats`` wall time of a benchmark join, in seconds."""
     best = float("inf")
     expected = None
     for _ in range(repeats):
         start = time.perf_counter()
-        result = session.execute(JOIN_SQL).rows
+        result = session.execute(sql).rows
         best = min(best, time.perf_counter() - start)
         if expected is None:
             expected = result
@@ -65,6 +71,7 @@ def experiment_join_scale(
     plan = [line for (line,) in session.execute(f"EXPLAIN {JOIN_SQL}").rows]
     matches = session.execute(JOIN_SQL).scalar()
     hash_seconds = time_join(session)
+    join_group_seconds = time_join(session, sql=JOIN_GROUP_SQL)
 
     nl_session = session if nl_rows == rows else build_session(nl_rows)
     nl_session.db.planner_options["enable_hash_join"] = False
@@ -79,6 +86,7 @@ def experiment_join_scale(
         "matches": matches,
         "plan": plan,
         "hash_ms": hash_seconds * 1000,
+        "join_group_ms": join_group_seconds * 1000,
         "nl_ms": nl_seconds * 1000,
         "nl_extrapolated": scale != 1,
         "speedup": (nl_seconds / hash_seconds) if hash_seconds > 0 else float("inf"),

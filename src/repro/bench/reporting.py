@@ -276,8 +276,8 @@ def render_query_scale(result: dict[str, Any]) -> str:
         "topn": "ORDER BY LIMIT 10 (ordered scan vs full sort)",
         "predicate": "seq-scan WHERE (compiled vs interpreted)",
         "union": "10-member IN (index union vs seq scan)",
-        "batch_filter": "wide filter (column-batch vs row-at-a-time)",
-        "batch_aggregate": "GROUP BY fold (column-batch vs row-at-a-time)",
+        "batch_filter": "wide filter (absolute)",
+        "batch_aggregate": "GROUP BY fold (absolute)",
         "btree_write": "index insert (paged B-tree vs flat insort)",
         "stats_skew": "skewed conjunct (cost-based vs static plan)",
     }
@@ -288,8 +288,12 @@ def render_query_scale(result: dict[str, Any]) -> str:
                 label,
                 result[name].get("entries", result["rows"]),
                 result[name]["fast_ms"],
-                result[name]["baseline_ms"],
-                f"{result[name]['speedup']:,.1f}x",
+                result[name].get("baseline_ms", "-"),
+                (
+                    f"{result[name]['speedup']:,.1f}x"
+                    if "speedup" in result[name]
+                    else "-"
+                ),
             ]
             for name, label in labels.items()
             if name in result
@@ -334,6 +338,7 @@ def render_join_scale(result: dict[str, Any]) -> str:
         [
             ["hash join", result["rows"], result["hash_ms"]],
             ["nested loop" + suffix, result["rows"], result["nl_ms"]],
+            ["hash join + GROUP BY", result["rows"], result["join_group_ms"]],
         ],
         title="Join scale — equi-join strategy comparison (minidb)",
     )

@@ -1,9 +1,12 @@
 """Column-batch (vectorized) execution primitives.
 
-:class:`RowBatch` is the columnar intermediate representation of the
-batch execution path (PR 10): a slice of a relation held as parallel
-per-column value lists plus the rid vector, built batch-at-a-time from
-heap scans. Processing whole batches through precompiled kernels
+:class:`RowBatch` is what a scan reads: a slice of one source held as
+parallel per-column value lists plus the rid vector, built
+batch-at-a-time from the heap (or once from a child block's result). The
+executor's scan operator concatenates the surviving rows of each batch
+into the column store of its relation value, the one representation
+every SELECT operator after it works on. Processing whole columns
+through precompiled kernels
 (:func:`repro.minidb.expressions.compile_batch_expr`) amortizes the
 Python interpreter's per-row overhead — the MonetDB/X100 move — which
 matters doubly under the GIL, where the dispatcher cannot parallelize
@@ -54,12 +57,10 @@ class RowBatch:
     """One columnar slice of a relation.
 
     ``columns`` maps column name -> list of values, all lists parallel and
-    ``length`` long; ``rids`` is the matching rid vector (``None`` for
-    derived relations that no longer track heap identity, e.g. the
-    survivor set after filtering). Value lists are fresh copies made at
-    batch-build time, so an in-flight scan never aliases live heap row
-    dicts — the columnar analogue of the row path's per-row ``dict(row)``
-    snapshot copies.
+    ``length`` long; ``rids`` is the matching rid vector (``None`` for a
+    source with no heap identity: a view, derived table or system view).
+    Value lists are fresh copies made at batch-build time, so an
+    in-flight scan never aliases live heap row dicts.
     """
 
     __slots__ = ("rids", "columns", "length")
@@ -70,9 +71,3 @@ class RowBatch:
         self.rids = rids
         self.columns = columns
         self.length = length
-
-    def column(self, binding: str, name: str) -> list:
-        """The value list compiled kernels read for ``binding.name``. A
-        heap batch holds one relation, so ``binding`` is not consulted;
-        the executor's joined-row chunks answer the same call per part."""
-        return self.columns[name]

@@ -331,7 +331,11 @@ class Database:
         #: access-path and join-strategy counters maintained by the
         #: executor, backed by registry counters (atomic increments — the
         #: old plain-dict bumps could lose updates across executor
-        #: threads); ``planner_stats`` stays the compatible read view
+        #: threads); ``planner_stats`` stays the compatible read view.
+        #: ``batch_scans`` counts every base-table scan a SELECT block
+        #: runs (all of them read column batches; UPDATE/DELETE target
+        #: scans are not counted) — the key stays because the end-to-end
+        #: benchmark names ``minidb.planner.batch_scans``
         self._planner_counters = {
             name: self.metrics.counter(
                 f"minidb_planner_{name}_total", f"planner access-path count: {name}"
@@ -355,16 +359,15 @@ class Database:
         #: equality probes, range scans, and ordered index scans);
         #: ``enable_topn=False`` forces full sorts under ORDER BY+LIMIT;
         #: ``enable_compiled_predicates=False`` forces the AST-walking
-        #: expression interpreter; ``enable_batch_execution=False`` forces
-        #: row-at-a-time execution for single-table statements that would
-        #: otherwise run on the column-batch path (``batch_size`` rows per
-        #: :class:`repro.minidb.batch.RowBatch`)
+        #: expression interpreter at every expression site of the SELECT
+        #: pipeline and DML target filtering; ``batch_size`` is the rows
+        #: per :class:`repro.minidb.batch.RowBatch` and per kernel call
+        #: (interpreter at ``batch_size=1`` is the reference leg)
         self.planner_options = {
             "enable_hash_join": True,
             "enable_index_scan": True,
             "enable_topn": True,
             "enable_compiled_predicates": True,
-            "enable_batch_execution": True,
             "batch_size": 1024,
         }
         #: shared column-exemplar catalog cache, lazily attached by

@@ -8,64 +8,61 @@ every explicit transaction can roll back.
 Every SELECT block is planned exactly once, by
 :func:`repro.minidb.planner.plan_select`, and this module only *consumes*
 the :class:`~repro.minidb.planner.SelectPlan` it is handed: access paths,
-the index and key to probe, pushed-down filters, join strategies and the
-pipeline choice are all read off plan nodes (``EXPLAIN`` renders the same
+the index and key to probe, pushed-down filters and join strategies are
+all read off plan nodes (``EXPLAIN`` renders the same
 value; tracer events and ``EXPLAIN ANALYZE`` actuals are keyed on the
 node objects). UPDATE/DELETE resolve their target rows through the same
 scan planner. A block is planned only after the S locks on its base
 tables are granted (:meth:`Executor._plan_select`).
 
-Three pipelines run a planned block, sharing one tail (DISTINCT, set
-operations, ORDER BY / bounded top-N via ``heapq``, OFFSET/LIMIT):
+One pipeline runs every planned block — single table, join, view,
+derived table or system view alike — as an operator sequence over one
+columnar value, the :class:`_Relation` (per binding a column store of the
+statically referenced columns plus a pick vector of row indexes into it):
 
-* **Row fold** — the general, materializing path: scan each source
-  (:meth:`Executor._scan_source` — child blocks for views and derived
-  tables, index probes / range slices / unions or a heap scan for base
-  tables, then the pushed-down prefilter), fold sources and explicit
-  joins one at a time, WHERE filter, GROUP BY with accumulator
-  aggregates, HAVING, projection. Correlated subqueries are supported
-  via scope chaining.
-* **Ordered scan** — a ``kind == "ordered"`` path reads rows from a
-  sorted index in ORDER BY order, applies WHERE in chunks sized by what
-  the statement still needs, skips the sort and stops after OFFSET+LIMIT
-  surviving rows.
-* **Column batch** — a single-base-table block (``ScanPlan.batched``)
-  scans :class:`RowBatch` column slices and evaluates WHERE, projection
-  and aggregates as whole-column kernels, falling back per row *inside*
-  the batch for what the kernel compiler punts on.
+* **scan** (:meth:`Executor._scan`) — one operator for every
+  :class:`~repro.minidb.planner.ScanPlan` kind: heap batches through the
+  planned access path in rid order, or in index order for an ``ordered``
+  path; a child block's result or a system view's rows transposed. The
+  scan applies its *own* predicate batch by batch: the pushed-down
+  conjuncts of a multi-source block, or the whole WHERE of an ordered scan
+  (which stops after OFFSET+LIMIT survivors and so skips the sort). The
+  same operator resolves UPDATE/DELETE targets, since batches carry rids.
+* **join** (:meth:`Executor._join`) — hash, nested-loop and cross joins
+  all produce candidate-pair index vectors, narrow them with the residual
+  / ON predicate, then decide LEFT/RIGHT NULL extension; the result is two
+  pick vectors, never a copied row per pair.
+* **where**, then **group / project** (:meth:`Executor._aggregate`,
+  :meth:`Executor._project`) over the relation's columns, and the tail:
+  DISTINCT, set operations, ORDER BY / bounded top-N via ``heapq``,
+  OFFSET/LIMIT.
 
-There are two expression engines (:mod:`repro.minidb.expressions`): the
-AST interpreter — the reference, and the only path for subquery-bearing
-or correlated expressions — and batch kernels
-(:func:`~repro.minidb.expressions.compile_batch_expr`). Every predicate
-site outside the column-batch pipeline — the row fold's WHERE, the
-hash-join residual, the ordered scan, the pushed-down prefilter and
-UPDATE/DELETE target filtering — goes through one seam,
-:meth:`Executor._filter`: compile once per statement, evaluate the
-row-shaped elements a chunk at a time as a :class:`_PartsBatch`, keep
-what is ``True``, raise a deferred error only when the consumer reaches
-its element, and interpret per row when the predicate does not compile.
-Hash joins build a table over the right side and probe it per left row
-— including LEFT/RIGHT NULL extension for unmatched rows — non-equi
-conditions run nested loops on the interpreter and conditionless
-pairings remain cross products. Row scopes are built from a precomputed
-column layout (:class:`_ScopeLayout`), so constructing the scope for a
-row or a candidate pair is O(1) instead of O(total columns).
+There are two expression engines (:mod:`repro.minidb.expressions`): batch
+kernels (:func:`~repro.minidb.expressions.compile_batch_expr`), which read
+``relation.column(binding, name)``, and the AST interpreter — the
+reference, and the only path for subquery-bearing or correlated
+expressions — which reads the same relation through a per-row scope
+(:meth:`_ScopeLayout.scope`). Every predicate (scan, join, WHERE, DML
+targets) goes through one seam, :meth:`Executor._selector`: compile once
+per operator, evaluate chunks of at most ``batch_size`` rows, keep what is
+``True``, and raise a deferred error only when the walk reaches its row;
+projection, group keys and aggregate arguments compile per expression and
+fall back to the interpreter per row. Correlated subqueries are supported
+via scope chaining.
 
-``db.planner_options`` keeps the baselines the equivalence suites compare
-against (``enable_index_scan``, ``enable_topn``,
-``enable_compiled_predicates``, ``enable_batch_execution`` +
-``batch_size``, ``enable_hash_join``); ``db.planner_stats`` counts what
-actually ran.
+``db.planner_options`` keeps the alternatives that are the only path for
+some input and the reference for the rest (``enable_index_scan``,
+``enable_topn``, ``enable_hash_join``, ``enable_compiled_predicates`` +
+``batch_size``: the interpreter at ``batch_size=1`` is the reference leg
+of the equivalence suites); ``db.planner_stats`` counts what actually ran.
 """
 
 from __future__ import annotations
 
 import heapq
 from itertools import islice
-from operator import attrgetter
 from time import perf_counter
-from typing import TYPE_CHECKING, Any
+from typing import TYPE_CHECKING, Any, Iterator
 
 from ..obs.views import system_view_rows
 from . import ast_nodes as ast
@@ -120,231 +117,192 @@ if TYPE_CHECKING:  # pragma: no cover
 # --------------------------------------------------------------------------
 
 
-class _Source:
-    """One resolved FROM source: binding name + columns + materialized rows."""
-
-    def __init__(self, binding: str, columns: list[str], rows: list[Row]):
-        self.binding = binding
-        self.columns = columns
-        self.rows = rows
+def _compose(pick, rows):
+    """``pick`` restricted to ``rows`` (``None``: a NULL-extended row)."""
+    if pick is None:
+        return rows
+    return [None if i is None else pick[i] for i in rows]
 
 
-class _JoinedRow:
-    """A row of the joined relation: binding -> per-source row (or None)."""
+class _Relation:
+    """The value every SELECT operator consumes and produces.
 
-    __slots__ = ("parts",)
-
-    def __init__(self, parts: dict[str, Row | None]):
-        self.parts = parts
-
-    def extended(self, binding: str, row: Row | None) -> "_JoinedRow":
-        parts = dict(self.parts)
-        parts[binding] = row
-        return _JoinedRow(parts)
-
-
-class _LayoutView:
-    """Lazy name->value view over joined-row parts, driven by a layout map.
-
-    Implements just the mapping surface :class:`Scope` touches
-    (``in`` / ``[]``), resolving each lookup through ``layout`` as
-    ``name -> (binding, column)`` and reading the addressed part row.
+    Per binding a column store (``stores[binding]``: column name -> value
+    list, holding only the statically referenced columns) plus a pick
+    vector of row indexes into it (``None`` entry: the row is
+    NULL-extended on that binding; ``None`` vector: row *i* of the
+    relation is row *i* of the store). Filters and joins only rewrite
+    pick vectors; ``column`` gathers a column's values on first use,
+    which is all a compiled kernel ever asks for. ``row`` is the cursor of
+    the per-row scope (:meth:`_ScopeLayout.scope`) the interpreter
+    fallback reads through.
     """
 
-    __slots__ = ("_layout", "_parts")
+    __slots__ = ("stores", "picks", "length", "row", "_columns")
 
-    def __init__(self, layout: dict[str, tuple[str, str]], parts):
-        self._layout = layout
-        self._parts = parts
-
-    def __contains__(self, key: str) -> bool:
-        return key in self._layout
-
-    def __getitem__(self, key: str) -> Any:
-        binding, column = self._layout[key]
-        row = self._parts.get(binding)
-        return None if row is None else row.get(column)
-
-
-class _ScopeLayout:
-    """Precomputed column layout for a set of sources.
-
-    Building a :class:`Scope` per row previously rebuilt qualified and
-    unqualified value dicts over every column of every source — O(total
-    columns) per row (and per candidate join pair). The layout computes the
-    name-resolution maps once per relation shape; per-row scopes are then
-    O(1) views that fetch values on demand.
-    """
-
-    __slots__ = ("outer", "ambiguous", "_qualified", "_unqualified")
-
-    def __init__(self, sources: list[_Source], outer: Scope | None):
-        qualified: dict[str, tuple[str, str]] = {}
-        by_name: dict[str, list[tuple[str, str]]] = {}
-        for source in sources:
-            binding = source.binding
-            for col in source.columns:
-                qualified[f"{binding.lower()}.{col.lower()}"] = (binding, col)
-                by_name.setdefault(col.lower(), []).append((binding, col))
-        self.outer = outer
-        self.ambiguous = frozenset(
-            name for name, refs in by_name.items() if len(refs) > 1
-        )
-        self._qualified = qualified
-        self._unqualified = {
-            name: refs[0] for name, refs in by_name.items() if len(refs) == 1
-        }
-
-    def scope(self, jr: _JoinedRow) -> Scope:
-        return self.scope_parts(jr.parts)
-
-    def scope_parts(self, parts) -> Scope:
-        return Scope(
-            _LayoutView(self._qualified, parts),
-            _LayoutView(self._unqualified, parts),
-            self.ambiguous,
-            self.outer,
-        )
-
-
-class _TupleRow:
-    """Mapping-shaped row over a result tuple plus a shared name->index map.
-
-    Derived sources (subqueries, views) used to copy every result row into
-    a fresh ``dict(zip(columns, row))`` that downstream operators then
-    re-walked one lookup at a time; this view keeps the tuple and shares a
-    single index map across every row of the source. Duplicate output
-    names resolve to the last occurrence, matching the dict they replace.
-    """
-
-    __slots__ = ("_index", "_values")
-
-    def __init__(self, index: dict[str, int], values: tuple):
-        self._index = index
-        self._values = values
-
-    def get(self, column: str) -> Any:
-        i = self._index.get(column)
-        return None if i is None else self._values[i]
-
-
-def _tuple_rows(columns: list[str], rows: list[tuple]) -> "list[_TupleRow]":
-    index = {name: i for i, name in enumerate(columns)}
-    return [_TupleRow(index, row) for row in rows]
-
-
-class _BatchRowView:
-    """Mapping-shaped view of one row of a column batch.
-
-    Stands in for a row dict inside joined-row ``parts`` so per-row
-    fallback evaluation on the batch path (subquery-bearing predicates,
-    interpreter mode) reads straight from the batch's column lists —
-    ``columns`` and ``index`` are re-pointed by the pipeline as it walks.
-    Columns the statement never references are not materialized and so
-    read as missing; the batch pipeline materializes *every* column
-    whenever static reference analysis bails (stars, subqueries), which
-    is exactly when an unlisted name could be read.
-    """
-
-    __slots__ = ("columns", "index")
-
-    def __init__(self):
-        self.columns: dict[str, list] = {}
-        self.index = 0
-
-    def get(self, column: str) -> Any:
-        col = self.columns.get(column)
-        return col[self.index] if col is not None else None
-
-
-class _PartsBatch:
-    """A chunk of row-shaped elements presented to compiled kernels as a
-    column batch.
-
-    ``parts_of(element)`` is an element's joined-row parts mapping
-    (binding -> row or ``None``), so a slice of a joined relation, of
-    hash-join candidate pairs or of single-table rows is one batch; a
-    column is extracted from the part rows on first reference and only if
-    the predicate references it. The mappings are asked for per column
-    rather than kept: a chunk's worth of live per-row dicts is what tips
-    the cyclic collector into extra passes over the whole heap."""
-
-    __slots__ = ("length", "_elements", "_parts_of", "_columns")
-
-    def __init__(self, elements: list, parts_of):
-        self.length = len(elements)
-        self._elements = elements
-        self._parts_of = parts_of
+    def __init__(self, stores: dict, picks: dict, length: int):
+        self.stores = stores
+        self.picks = picks
+        self.length = length
+        self.row = 0
         self._columns: dict[tuple[str, str], list] = {}
 
     def column(self, binding: str, name: str) -> list:
         col = self._columns.get((binding, name))
         if col is None:
-            parts_of = self._parts_of
-            col = self._columns[(binding, name)] = [
-                None if (row := parts_of(e).get(binding)) is None else row.get(name)
-                for e in self._elements
-            ]
+            stored = self.stores[binding][name]
+            pick = self.picks[binding]
+            if pick is None:
+                col = stored
+            elif type(pick) is range:
+                col = stored[pick.start : pick.stop]
+            else:
+                col = [None if i is None else stored[i] for i in pick]
+            self._columns[(binding, name)] = col
         return col
 
+    def take(self, rows) -> "_Relation":
+        """The relation of this one's ``rows``, in that order."""
+        picks = {b: _compose(pick, rows) for b, pick in self.picks.items()}
+        return _Relation(self.stores, picks, len(rows))
 
-_joined_parts = attrgetter("parts")
+    def slice(self, start: int, stop: int) -> "_Relation":
+        picks = {
+            b: range(start, stop) if pick is None else pick[start:stop]
+            for b, pick in self.picks.items()
+        }
+        return _Relation(self.stores, picks, stop - start)
+
+    def beside(self, other: "_Relation") -> "_Relation":
+        """Row *i* of this relation paired with row *i* of ``other``."""
+        return _Relation(
+            {**self.stores, **other.stores},
+            {**self.picks, **other.picks},
+            self.length,
+        )
 
 
-def _batch_layout_resolver(layout: _ScopeLayout):
-    """Column resolver for :func:`compile_batch_expr` over a scope layout.
+class _RowView:
+    """Lazy name->value view of the cursor row of a relation.
 
-    Resolution happens once at compile time; the returned accessors read
-    the addressed column of a batch directly (``batch.column(binding,
-    name)`` — a heap :class:`RowBatch` or a :class:`_PartsBatch` chunk),
-    with no per-row scope object and no per-lookup name formatting. Names
-    the layout cannot resolve compile to columns of *deferred* errors
-    (:func:`batch_raiser`) carrying the interpreter's exact error: a
-    short-circuiting AND may never consume those elements, and "no rows
-    evaluated, no error" must hold. The exception is a layout with an
-    outer scope: there the name may be a correlated reference, so
-    compilation bails to the interpreter via :class:`CannotCompile`."""
-    qualified = layout._qualified
-    unqualified = layout._unqualified
-    ambiguous = layout.ambiguous
-    has_outer = layout.outer is not None
+    Implements just the mapping surface :class:`Scope` touches
+    (``in`` / ``[]``), resolving each lookup through ``names`` as
+    ``name -> (binding, column)`` and reading that column at
+    ``relation.row``.
+    """
 
-    def resolve(ref: ast.ColumnRef):
-        if ref.table is not None:
-            target = qualified.get(f"{ref.table.lower()}.{ref.name.lower()}")
-        else:
-            name = ref.name.lower()
-            if name in ambiguous:
-                return batch_raiser(
-                    UnknownColumnError(
-                        f"column reference {ref.name!r} is ambiguous"
-                    )
-                )
-            target = unqualified.get(name)
-        if target is None:
-            if has_outer:
-                raise CannotCompile
+    __slots__ = ("_names", "_relation")
+
+    def __init__(self, names: dict[str, tuple[str, str]], relation: _Relation):
+        self._names = names
+        self._relation = relation
+
+    def __contains__(self, key: str) -> bool:
+        return key in self._names
+
+    def __getitem__(self, key: str) -> Any:
+        relation = self._relation
+        return relation.column(*self._names[key])[relation.row]
+
+
+class _ScopeLayout:
+    """Precomputed name resolution for a set of sources (anything with
+    ``binding`` and ``columns`` — plan scan nodes).
+
+    The maps are built once per relation shape and serve both engines:
+    :meth:`resolve` turns a column reference into a direct column read at
+    kernel-compile time, :meth:`scope` is the interpreter's per-row scope
+    — one object per relation, re-pointed by moving ``relation.row``. A
+    name a source exposes twice (``SELECT id, a AS id``) is ambiguous
+    qualified or not: it must never silently read one of the two.
+    """
+
+    __slots__ = ("outer", "ambiguous", "_qualified", "_unqualified")
+
+    def __init__(self, sources: list, outer: Scope | None):
+        qualified: dict[str, tuple[str, str]] = {}
+        by_name: dict[str, list[tuple[str, str]]] = {}
+        ambiguous: set[str] = set()
+        for source in sources:
+            binding = source.binding
+            for col in source.columns:
+                key = f"{binding.lower()}.{col.lower()}"
+                if key in qualified:
+                    ambiguous.add(key)
+                qualified[key] = (binding, col)
+                by_name.setdefault(col.lower(), []).append((binding, col))
+        ambiguous.update(name for name, refs in by_name.items() if len(refs) > 1)
+        self.outer = outer
+        self.ambiguous = frozenset(ambiguous)
+        self._qualified = qualified
+        self._unqualified = {
+            name: refs[0] for name, refs in by_name.items() if len(refs) == 1
+        }
+
+    def scope(self, relation: _Relation) -> Scope:
+        return Scope(
+            _RowView(self._qualified, relation),
+            _RowView(self._unqualified, relation),
+            self.ambiguous,
+            self.outer,
+        )
+
+    def resolve(self, ref: ast.ColumnRef):
+        """Column resolver for :func:`compile_batch_expr`: the returned
+        accessor reads the addressed column of a relation directly. Names
+        the layout cannot resolve compile to columns of *deferred* errors
+        (:func:`batch_raiser`) carrying the interpreter's exact error: a
+        short-circuiting AND may never consume those elements, and "no
+        rows evaluated, no error" must hold. The exception is a layout
+        with an outer scope: there the name may be a correlated reference,
+        so compilation bails to the interpreter via
+        :class:`CannotCompile`."""
+        name = ref.name.lower()
+        key = f"{ref.table.lower()}.{name}" if ref.table is not None else name
+        if key in self.ambiguous:
             return batch_raiser(
-                UnknownColumnError(f"column {ref} does not exist")
+                UnknownColumnError(f"column reference {ref.name!r} is ambiguous")
             )
+        names = self._qualified if ref.table is not None else self._unqualified
+        target = names.get(key)
+        if target is None:
+            if self.outer is not None:
+                raise CannotCompile
+            return batch_raiser(UnknownColumnError(f"column {ref} does not exist"))
         binding, column = target
+        return lambda relation: relation.column(binding, column)
 
-        def accessor(batch, binding=binding, column=column):
-            return batch.column(binding, column)
 
-        return accessor
+def _referenced_names(exprs: list) -> "set[str] | None":
+    """Lowercased column names ``exprs`` can touch, or ``None`` when the
+    set is not statically determinable (stars, subqueries) — a scan then
+    materializes every column, exactly the cases where per-row fallback
+    evaluation could read an arbitrary name."""
+    refs: set[str] = set()
+    for expr in exprs:
+        if not _collect_column_refs(expr, refs):
+            return None
+    return refs
 
-    return resolve
+
+def _statement_exprs(stmt: ast.SelectStatement) -> list:
+    """Every expression position of one SELECT block."""
+    exprs: list[ast.Expr | None] = [item.expr for item in stmt.items]
+    exprs.extend(join.condition for join in stmt.joins)
+    exprs.append(stmt.where)
+    exprs.extend(stmt.group_by)
+    exprs.append(stmt.having)
+    exprs.extend(order.expr for order in stmt.order_by)
+    return exprs
 
 
 def _collect_column_refs(expr: ast.Expr | None, out: set[str]) -> bool:
     """Collect lowercased column names ``expr`` references into ``out``.
 
     Returns False when the reference set is not statically determinable
-    (stars, subqueries, unknown node kinds) — the batch pipeline then
-    materializes every column. ``COUNT(*)`` is the deliberate exception:
-    its star touches no concrete column, and it is the scan shape the
-    batch path exists to accelerate."""
+    (stars, subqueries, unknown node kinds) — the scan then materializes
+    every column. ``COUNT(*)`` is the deliberate exception: its star
+    touches no concrete column, so a counting scan reads no values."""
     if expr is None or isinstance(expr, ast.Literal):
         return True
     if isinstance(expr, ast.ColumnRef):
@@ -390,10 +348,10 @@ def _collect_column_refs(expr: ast.Expr | None, out: set[str]) -> bool:
 
 
 def _raise_first_batch_error(columns: list[list]) -> None:
-    """Raise the deferred error the row plan would have hit first.
+    """Raise the deferred error the interpreter would have hit first.
 
-    The row path walks rows outermost and select items innermost, so the
-    first error it raises is the minimum (row, item) pair in lexicographic
+    It walks rows outermost and select items innermost, so the first
+    error it raises is the minimum (row, item) pair in lexicographic
     order; within one item column only the earliest row can win."""
     best: "tuple[int, int, BatchError] | None" = None
     for c, col in enumerate(columns):
@@ -557,101 +515,72 @@ class Executor:
     def _run_plan(
         self, plan: SelectPlan, session: "Session", outer: Scope | None
     ) -> tuple[list[str], list[tuple]]:
+        """Run one planned block: scan -> join -> filter -> group/project
+        over one :class:`_Relation`, then the tail (DISTINCT, set
+        operation, ORDER BY / top-N, OFFSET/LIMIT)."""
+
         def run_subquery(sub: ast.SelectStatement, scope: Scope) -> list[tuple]:
             _, sub_rows = self._run_select(sub, session, outer=scope)
             return sub_rows
 
         evaluator = Evaluator(run_subquery)
         stmt = plan.stmt
-        aggregates = plan.aggregates
-        grouped = plan.grouped
-        order_insensitive = _order_insensitive_output(stmt, aggregates)
-        where_handled = False
-        order_handled = False
-        first = plan.scans[0] if plan.scans else None
+        scans = plan.scans
+        # an ordered scan hands over rows in ORDER BY order with WHERE
+        # applied, cut at OFFSET+LIMIT: no filter and no sort after it
+        ordered = bool(scans) and scans[0].kind == "ordered"
+        order_by = [] if ordered else stmt.order_by
+        needed = stmt.limit + (stmt.offset or 0) if stmt.limit is not None else None
+        refs = _referenced_names(_statement_exprs(stmt))
+        unordered = _order_insensitive_output(stmt, plan.aggregates)
+        trace = self.db.tracer.current()
 
-        if first is not None and first.batched:
-            # column-batch (vectorized) pipeline: single-table statements
-            # run batch-at-a-time over RowBatch column slices, amortizing
-            # interpreter dispatch across ~batch_size rows instead of
-            # paying it per row. Produces the same (columns, rows, order
-            # keys) triple the row path below would; the shared tail
-            # (DISTINCT, set ops, ORDER BY, OFFSET/LIMIT) is untouched
-            out_columns, out_rows, order_keys = self._run_select_batched(
-                plan, outer, evaluator, order_insensitive, run_subquery
+        relation = _Relation({}, {}, 1)  # no FROM clause: one empty row
+        for position, scan in enumerate(scans):
+            started = perf_counter() if trace is not None else 0.0
+            if ordered:
+                source, _, examined = self._scan(
+                    scan, session, outer, evaluator, refs, stmt.where,
+                    limit=needed,
+                )
+            else:
+                # pushed-down conjuncts: a row whose conjunct raised an
+                # ExecutionError (e.g. a type-mismatched ordering) is kept
+                # for the final WHERE, which raises only if the row
+                # survives the joins — exactly as without pushdown
+                source, _, examined = self._scan(
+                    scan, session, outer, evaluator, refs, scan.filter,
+                    keep_errors=ExecutionError, unordered=unordered,
+                )
+            if scan.path is not None:
+                self.db.bump_planner_stat("batch_scans")
+            if trace is not None:
+                trace.record_scan(
+                    scan, source.length, examined, perf_counter() - started
+                )
+            if position:
+                relation = self._join(
+                    relation, source, plan.joins[position - 1],
+                    scans[: position + 1], outer, evaluator,
+                )
+            else:
+                relation = source
+
+        layout = _ScopeLayout(scans, outer)
+        if stmt.where is not None and not ordered:
+            select = self._selector(stmt.where, layout, evaluator)
+            relation = relation.take(select(relation))
+
+        items = expand_items(stmt.items, scans)
+        out_columns = [item_name(item, index) for index, item in enumerate(items)]
+        if plan.grouped:
+            out_rows, order_keys = self._aggregate(
+                plan, items, order_by, relation, layout, evaluator, run_subquery
             )
         else:
-            if first is not None and first.kind == "ordered":
-                # rows arrive from the sorted index in ORDER BY order with
-                # WHERE already applied: no filter, no sort below
-                all_sources = [self._ordered_scan(plan, outer, evaluator)]
-                joined = [
-                    _JoinedRow({first.binding: row})
-                    for row in all_sources[0].rows
-                ]
-                where_handled = True
-                order_handled = True
-            else:
-                # fold sources one at a time (hash-joining on ON / WHERE
-                # equi conjuncts where planned) instead of materializing
-                # the full cross product
-                all_sources = []
-                joined = [_JoinedRow({})]
-                for position, scan in enumerate(plan.scans):
-                    source = self._scan_source(
-                        scan, session, outer, order_insensitive
-                    )
-                    if position:
-                        joined = self._join_relation(
-                            joined, all_sources, source,
-                            plan.joins[position - 1], evaluator, outer,
-                        )
-                    else:
-                        joined = [
-                            _JoinedRow({source.binding: row})
-                            for row in source.rows
-                        ]
-                    all_sources.append(source)
-
-            layout = _ScopeLayout(all_sources, outer)
-            make_scope = layout.scope
-
-            if stmt.where is not None and not where_handled:
-                joined = list(
-                    self._filter(
-                        stmt.where, layout, joined, _joined_parts, evaluator
-                    )
-                )
-
-            # expand stars into concrete items
-            items = expand_items(stmt.items, all_sources)
-            out_columns = [
-                item_name(item, index) for index, item in enumerate(items)
-            ]
-
-            if grouped:
-                out_rows, order_keys = self._run_grouped(
-                    stmt, items, joined, make_scope, evaluator, aggregates,
-                    run_subquery,
-                )
-            else:
-                out_rows = []
-                order_keys = []
-                for jr in joined:
-                    scope = make_scope(jr)
-                    out_rows.append(
-                        tuple(
-                            evaluator.evaluate(item.expr, scope)
-                            for item in items
-                        )
-                    )
-                    if stmt.order_by and not order_handled:
-                        order_keys.append(
-                            self._order_key(
-                                stmt.order_by, items, out_rows[-1], scope,
-                                evaluator,
-                            )
-                        )
+            out_rows, order_keys = self._project(
+                items, order_by, relation, layout, evaluator
+            )
 
         if stmt.distinct:
             out_rows, order_keys = self._distinct(out_rows, order_keys)
@@ -666,29 +595,26 @@ class Executor:
             out_rows = self._apply_set_op(kind, out_rows, rhs_rows)
             order_keys = []
 
-        if order_handled:
-            pass  # rows arrived in ORDER BY order from the sorted index
-        elif stmt.order_by and order_keys:
-            bound = None
-            if stmt.limit is not None and self.db.planner_options.get(
-                "enable_topn", True
+        if order_by and order_keys:
+            if (
+                needed is not None
+                and needed < len(out_rows)
+                and self.db.planner_options.get("enable_topn", True)
             ):
-                bound = stmt.limit + (stmt.offset or 0)
-            if bound is not None and bound < len(out_rows):
                 # bounded top-N: heapq.nsmallest with a key is documented
                 # equivalent to sorted(...)[:n] (stable on equal keys), so
                 # this returns the same rows in the same order without
                 # sorting the discarded tail
                 self.db.bump_planner_stat("topn_limits")
                 paired = heapq.nsmallest(
-                    bound, zip(order_keys, out_rows), key=lambda p: p[0]
+                    needed, zip(order_keys, out_rows), key=lambda p: p[0]
                 )
             else:
                 paired = sorted(zip(order_keys, out_rows), key=lambda p: p[0])
             out_rows = [row for _, row in paired]
-        elif stmt.order_by and not order_keys and out_rows:
+        elif order_by and out_rows:
             # set-op result ordered by ordinal/alias only
-            out_rows = self._order_by_output(stmt.order_by, out_columns, out_rows)
+            out_rows = self._order_by_output(order_by, out_columns, out_rows)
 
         offset = stmt.offset or 0
         if offset:
@@ -698,262 +624,131 @@ class Executor:
 
         return out_columns, out_rows
 
-    def _run_grouped(
-        self, stmt, items, joined, make_scope, evaluator, aggregates, run_subquery
-    ) -> tuple[list[tuple], list[tuple]]:
-        # bucket rows by group-by key
-        groups: dict[tuple, list] = {}
-        group_order: list[tuple] = []
-        for jr in joined:
-            scope = make_scope(jr)
-            if stmt.group_by:
-                key_values = tuple(
-                    evaluator.evaluate(g, scope) for g in stmt.group_by
-                )
-                key = tuple(
-                    _NULL_SENTINEL if v is None else (type(v).__name__, v)
-                    for v in key_values
-                )
-            else:
-                key = ()
-            if key not in groups:
-                groups[key] = []
-                group_order.append(key)
-            groups[key].append(jr)
+    # ---------------------------------------------------------------- scan
 
-        if not stmt.group_by and not groups:
-            groups[()] = []
-            group_order.append(())
-
-        out_rows: list[tuple] = []
-        order_keys: list[tuple] = []
-        for key in group_order:
-            members = groups[key]
-            computed: dict[int, Any] = {}
-            for agg in aggregates:
-                acc = make_aggregate(agg.name, agg.distinct)
-                star = bool(agg.args) and isinstance(agg.args[0], ast.Star)
-                if agg.name == "COUNT" and (star or not agg.args):
-                    for _ in members:
-                        acc.add(1)
-                else:
-                    if not agg.args:
-                        raise ExecutionError(f"{agg.name}() requires an argument")
-                    for jr in members:
-                        acc.add(evaluator.evaluate(agg.args[0], make_scope(jr)))
-                computed[id(agg)] = acc.result()
-            agg_eval = _AggregateEvaluator(run_subquery, computed)
-            rep_scope = (
-                make_scope(members[0])
-                if members
-                else Scope({}, {}, frozenset(), None)
-            )
-            if stmt.having is not None and not agg_eval.evaluate_predicate(
-                stmt.having, rep_scope
-            ):
-                continue
-            row = tuple(agg_eval.evaluate(item.expr, rep_scope) for item in items)
-            out_rows.append(row)
-            if stmt.order_by:
-                order_keys.append(
-                    self._order_key(stmt.order_by, items, row, rep_scope, agg_eval)
-                )
-        return out_rows, order_keys
-
-    def _join_relation(
-        self, left_rows, left_sources, right, plan: JoinPlan, evaluator, outer
-    ) -> list[_JoinedRow]:
-        """Fold ``right`` onto the joined relation using the planned strategy."""
-        trace = self.db.tracer.current()
-        started = perf_counter() if trace is not None else 0.0
-        if plan.strategy == "hash":
-            self.db.bump_planner_stat("hash_joins")
-            result = self._hash_join(
-                left_rows, left_sources, right, plan, evaluator, outer
-            )
-        elif plan.strategy == "cross":
-            result = [
-                jr.extended(right.binding, row)
-                for jr in left_rows
-                for row in right.rows
-            ]
-        else:
-            self.db.bump_planner_stat("nested_loop_joins")
-            result = self._nested_loop_join(
-                left_rows, left_sources, right, plan.kind, plan.condition,
-                evaluator, outer,
-            )
-        if trace is not None:
-            trace.record_join(plan, len(result), perf_counter() - started)
-        return result
-
-    @staticmethod
-    def _join_key_valid(key: tuple) -> bool:
-        # SQL equality is never true against NULL; NaN != NaN guards the
-        # dict-identity shortcut that would otherwise match a shared object
-        return not any(v is None or v != v for v in key)
-
-    def _hash_join(
-        self, left_rows, left_sources, right, plan: JoinPlan, evaluator, outer
-    ) -> list[_JoinedRow]:
-        right_binding = right.binding
-        right_key_columns = [k.right_column for k in plan.keys]
-        left_key_columns = [(k.left_binding, k.left_column) for k in plan.keys]
-
-        buckets: dict[tuple, list[tuple[int, Row]]] = {}
-        for index, row in enumerate(right.rows):
-            key = tuple(row.get(c) for c in right_key_columns)
-            if self._join_key_valid(key):
-                buckets.setdefault(key, []).append((index, row))
-
-        # probe: candidate pairs in probe order, each already folded into
-        # its joined row; ``lefts`` / ``rights`` keep each pair's left
-        # position and right index for the LEFT / RIGHT bookkeeping below
-        pairs: list[_JoinedRow] = []
-        lefts: list[int] = []
-        rights: list[int] = []
-        empty: list = []
-        for position, jr in enumerate(left_rows):
-            parts = jr.parts
-            key = tuple(
-                None if (row := parts.get(binding)) is None else row.get(column)
-                for binding, column in left_key_columns
-            )
-            if self._join_key_valid(key):
-                for index, right_row in buckets.get(key, empty):
-                    pairs.append(jr.extended(right_binding, right_row))
-                    lefts.append(position)
-                    rights.append(index)
-        kept = range(len(pairs))
-        if plan.residual is not None:
-            # raises for the first erroring pair in probe order
-            kept = list(
-                self._filter(
-                    plan.residual,
-                    _ScopeLayout(left_sources + [right], outer),
-                    kept,
-                    lambda pair: pairs[pair].parts,
-                    evaluator,
-                )
-            )
-
-        # NULL extension is decided after the residual: a left (right) row
-        # none of whose pairs survived it counts as unmatched
-        kind = plan.kind
-        if kind == "LEFT":
-            result: list[_JoinedRow] = []
-            unmatched_from = 0  # first left position not yet emitted
-            for pair in kept:
-                for skipped in range(unmatched_from, lefts[pair]):
-                    result.append(left_rows[skipped].extended(right_binding, None))
-                unmatched_from = lefts[pair] + 1
-                result.append(pairs[pair])
-            for skipped in range(unmatched_from, len(left_rows)):
-                result.append(left_rows[skipped].extended(right_binding, None))
-        else:
-            result = [pairs[pair] for pair in kept]
-        if kind == "RIGHT":
-            matched_rights = {rights[pair] for pair in kept}
-            empty_left = _JoinedRow(
-                {source.binding: None for source in left_sources}
-            )
-            for index, row in enumerate(right.rows):
-                if index not in matched_rights:
-                    result.append(empty_left.extended(right_binding, row))
-        return result
-
-    def _nested_loop_join(
-        self, left_rows, left_sources, right, kind, condition, evaluator, outer
-    ) -> list[_JoinedRow]:
-        if kind not in ("INNER", "LEFT", "RIGHT"):
-            raise ExecutionError(f"unsupported join kind {kind}")
-        layout = _ScopeLayout(left_sources + [right], outer)
-        binding = right.binding
-        result: list[_JoinedRow] = []
-        matched_rights: set[int] = set()
-        for jr in left_rows:
-            # one scratch parts mapping (and one scope over it) per left
-            # row; the right slot is re-pointed per candidate pair
-            parts = dict(jr.parts)
-            scope = layout.scope_parts(parts)
-            matched = False
-            for index, row in enumerate(right.rows):
-                parts[binding] = row
-                if evaluator.evaluate_predicate(condition, scope):
-                    result.append(jr.extended(binding, row))
-                    matched = True
-                    matched_rights.add(index)
-            if kind == "LEFT" and not matched:
-                result.append(jr.extended(binding, None))
-        if kind == "RIGHT":
-            empty_left = _JoinedRow(
-                {source.binding: None for source in left_sources}
-            )
-            for index, row in enumerate(right.rows):
-                if index not in matched_rights:
-                    result.append(empty_left.extended(binding, row))
-        return result
-
-    def _scan_source(
+    def _scan(
         self,
         scan: ScanPlan,
-        session: "Session",
+        session: "Session | None",
         outer: Scope | None,
-        order_insensitive: bool = False,
-    ) -> _Source:
-        """Materialize one planned source for the row fold."""
-        trace = self.db.tracer.current()
-        started = perf_counter() if trace is not None else 0.0
-        if scan.child is not None:  # view or derived table
-            columns, result_rows = self._run_plan(scan.child, session, outer)
-            rows = _tuple_rows(columns, result_rows)
-        elif scan.path is None:  # observability system view
-            columns, rows = system_view_rows(self.db, scan.name)
-        else:
-            columns, heap = scan.columns, scan.heap
-            rids = self._path_rids(scan)
-            if rids is None:
-                # copy: live heap dicts are mutated in place by in-statement
-                # schema changes and must not alias an in-flight scan
-                rows = [dict(row) for _, row in heap.rows()]
-            else:
-                # probed rids come back in rid order so the source feeds
-                # the pipeline exactly like a seq scan would — except when
-                # the statement's output provably ignores row order (pure
-                # COUNT aggregation), where the sort is skipped
-                if not order_insensitive:
-                    rids = sorted(rids)
-                rows = []
-                for rid in rids:
-                    row = heap.get(rid)  # fetched once per rid
-                    if row is not None:
-                        rows.append(dict(row))
-        resolved = _Source(scan.binding, columns, rows)
-        examined = len(rows)
-        if scan.filter is not None:
-            self._prefilter_source(resolved, scan.filter)
-        if trace is not None:
-            trace.record_scan(
-                scan, len(resolved.rows), examined, perf_counter() - started
-            )
-        return resolved
+        evaluator: Evaluator,
+        refs: "set[str] | None",
+        predicate: ast.Expr | None,
+        keep_errors=(),
+        limit: int | None = None,
+        unordered: bool = False,
+    ) -> tuple[_Relation, list[int], int]:
+        """The scan operator, for every :class:`ScanPlan` kind and for
+        UPDATE/DELETE targets: read the source batch by batch, apply the
+        scan's own ``predicate`` to each batch and keep the survivors'
+        columns. Returns ``(relation, rids, examined)`` — ``rids`` of the
+        surviving heap rows, ``examined`` the rows consumed.
 
-    def _path_rids(self, scan: ScanPlan) -> "list[int] | set[int] | None":
-        """Candidate rids of a planned base-table scan (``None``: the whole
-        heap), counting the access path in ``planner_stats``. Every path is
-        a pure reduction — callers re-apply the full WHERE."""
+        Only columns named in ``refs`` are materialized (``None``: all).
+        With a ``limit`` the scan stops at that many survivors — the early
+        exit that makes an ordered ``ORDER BY ... LIMIT k`` O(k) instead
+        of O(n log n). Rows past the exit are never evaluated, so a
+        predicate whose error only a later row would trigger does not
+        raise (the planner's error-surfacing contract), and they do not
+        count as examined.
+        """
+        # columns are unknown only for a child block whose star cannot be
+        # expanded: running it (in _batches) raises the proper error
+        columns = scan.columns or []
+        if refs is not None:
+            columns = [c for c in columns if c.lower() in refs]
+        if predicate is None:
+            def select(chunk, limit):
+                return range(chunk.length if limit is None else min(chunk.length, limit))
+        else:
+            select = self._selector(
+                predicate, _ScopeLayout([scan], outer), evaluator, keep_errors
+            )
+        binding = scan.binding
+        store: dict[str, list] = {name: [] for name in columns}
+        rids: list[int] = []
+        length = examined = 0
+        # planned (and counted) even when LIMIT 0 leaves nothing to fetch
+        batches = self._batches(scan, session, outer, columns, unordered, limit)
+        for batch in () if limit == 0 else batches:
+            chunk = _Relation({binding: batch.columns}, {binding: None}, batch.length)
+            keep = select(chunk, None if limit is None else limit - length)
+            whole = len(keep) == batch.length
+            for name in columns:
+                col = batch.columns[name]
+                store[name].extend(col if whole else [col[i] for i in keep])
+            if batch.rids is not None:
+                rids.extend(batch.rids if whole else [batch.rids[i] for i in keep])
+            length += len(keep)
+            if length == limit:
+                examined += keep[-1] + 1  # rows fetched past the exit don't count
+                break
+            examined += batch.length
+        return _Relation({binding: store}, {binding: None}, length), rids, examined
+
+    def _batches(
+        self, scan: ScanPlan, session, outer, columns, unordered, first
+    ) -> "Iterator[RowBatch]":
+        """The column batches of one planned source: a child block's
+        result or a system view's rows transposed into one batch; heap
+        batches in rid order, or in index order for an ``ordered`` path.
+        Value lists are fresh copies, so an in-flight scan never aliases
+        live heap row dicts (in-statement schema changes mutate those)."""
+        if scan.child is not None:  # view or derived table
+            _, rows = self._run_plan(scan.child, session, outer)
+            wanted = set(columns)
+            store = {
+                name: [row[i] for row in rows]
+                for i, name in enumerate(scan.columns)
+                if name in wanted
+            }
+            return iter([RowBatch(None, store, len(rows))])
+        if scan.path is None:  # observability system view
+            _, rows = system_view_rows(self.db, scan.name)
+            store = {name: [row.get(name) for row in rows] for name in columns}
+            return iter([RowBatch(None, store, len(rows))])
+        heap = scan.heap
+        size = self._batch_size()
+        rids = self._path_rids(scan, unordered)
+        if rids is None:
+            return heap.rows_batch(size, columns)
+
+        def fetch():
+            # fetches sized by what the statement still needs, then
+            # doubling: a scan that exits early never reads a full batch
+            stream = iter(rids)
+            count = min(first or size, size)
+            while chunk := list(islice(stream, count)):
+                yield heap.fetch_batch(chunk, columns)
+                count = min(count * 2, size)
+
+        return fetch()
+
+    def _path_rids(self, scan: ScanPlan, unordered: bool = False):
+        """Candidate rids of a planned base-table scan, in the order to
+        fetch them (``None``: the whole heap in rid order), counting the
+        access path in ``planner_stats``. Probed rids come back in rid
+        order so the source feeds the pipeline exactly like a seq scan
+        would — except when the statement's output provably ignores row
+        order (``unordered``: pure COUNT aggregation), where the sort is
+        skipped — and an ``ordered`` path yields them in index order.
+        Every path is a pure reduction: callers re-apply the full WHERE."""
         path, index = scan.path, scan.index
         self.db.bump_planner_stat(f"{path.kind}_scans")
+        if path.kind == "seq":
+            return None
+        rng = path.range
+        bounds = () if rng is None else (rng.low, rng.high, rng.incl_low, rng.incl_high)
+        if path.kind == "ordered":
+            start, end = index.slice_bounds(path.prefix_values, *bounds)
+            return index.ordered_rids(path.reverse, start, end, path.prefix_values)
         if path.kind == "index":
-            return index.probe(scan.key)
-        if path.kind == "range":
-            rng = path.range
-            return index.range_rids(
-                path.prefix_values, rng.low, rng.high, rng.incl_low, rng.incl_high
-            )
-        if path.kind == "union":
-            return self._union_rids(index, path.union)
-        return None
+            rids = index.probe(scan.key)
+        elif path.kind == "range":
+            rids = index.range_rids(path.prefix_values, *bounds)
+        else:
+            rids = self._union_rids(index, path.union)
+        return rids if unordered else sorted(rids)
 
     @staticmethod
     def _union_rids(index, union) -> set[int]:
@@ -976,13 +771,15 @@ class Executor:
             )
         return rids
 
+    # ---------------------------------------------------------- predicates
+
     def _kernel(self, expr: ast.Expr, layout: _ScopeLayout):
         """``expr`` compiled to a batch kernel, or ``None`` when it needs
         the interpreter (subqueries, aggregates, possibly-correlated
         names) or ``enable_compiled_predicates`` is off."""
         if not self.db.planner_options.get("enable_compiled_predicates", True):
             return None
-        return compile_batch_expr(expr, _batch_layout_resolver(layout))
+        return compile_batch_expr(expr, layout.resolve)
 
     def _batch_size(self) -> int:
         size = self.db.planner_options.get("batch_size", DEFAULT_BATCH_SIZE)
@@ -990,326 +787,183 @@ class Executor:
             return DEFAULT_BATCH_SIZE
         return size
 
-    def _filter(
+    def _selector(
         self,
         predicate: ast.Expr,
         layout: _ScopeLayout,
-        elements,
-        parts_of,
         evaluator: Evaluator,
-        first_chunk: int | None = None,
         keep_errors=(),
     ):
-        """The one predicate seam: yield, in order, the ``elements`` on
-        which ``predicate`` is true (NULL counts as false).
+        """The one predicate seam: ``select(relation, limit=None)`` returns,
+        in order, the row indexes of ``relation`` on which ``predicate`` is
+        true (NULL counts as false), stopping at ``limit`` of them.
 
-        ``parts_of(element)`` is the element's joined-row parts mapping
-        (binding -> row) under ``layout``. The predicate is compiled once
-        per call — once per statement — and evaluated over chunks of at
-        most ``batch_size`` elements (``first_chunk``, then doubling, for a
-        consumer that may stop early); when it does not compile, or
-        compiled predicates are off, every element goes through the
-        interpreter instead. Either way an evaluation error surfaces only
-        when the consumer reaches the erroring element, so a consumer that
-        stops first never sees it; an erroring element whose error is one
-        of ``keep_errors`` is kept rather than raised.
+        The predicate is compiled once per call — once per operator — and
+        evaluated over chunks of at most ``batch_size`` rows; when it does
+        not compile, or compiled predicates are off, every row goes
+        through the interpreter instead. Either way an evaluation error
+        surfaces only when the walk reaches the erroring row, so a
+        ``limit`` reached first hides it; an erroring row whose error is
+        one of ``keep_errors`` is kept rather than raised.
         """
         kernel = self._kernel(predicate, layout)
-        if kernel is None:
-            for element in elements:
-                try:
-                    keep = evaluator.evaluate_predicate(
-                        predicate, layout.scope_parts(parts_of(element))
-                    )
-                except keep_errors:
-                    keep = True
-                if keep:
-                    yield element
-            return
-        limit = self._batch_size()
-        size = min(first_chunk or limit, limit)
-        stream = iter(elements)
-        while chunk := list(islice(stream, size)):
-            mask = kernel(_PartsBatch(chunk, parts_of))
-            for element, value in zip(chunk, mask):
-                if value is True:
-                    yield element
-                elif type(value) is BatchError:
-                    if not isinstance(value.exc, keep_errors):
-                        raise value.exc
-                    yield element
-            size = min(size * 2, limit)
+        size = self._batch_size()
 
-    def _ordered_scan(
-        self, plan: SelectPlan, outer: Scope | None, evaluator: Evaluator
-    ) -> _Source:
-        """Run a single-table block through its planned ``ordered`` path.
+        def select(relation: _Relation, limit: int | None = None) -> list[int]:
+            kept: list[int] = []
+            if kernel is None:
+                scope = layout.scope(relation)
+                for i in range(relation.length):
+                    relation.row = i
+                    try:
+                        keep = evaluator.evaluate_predicate(predicate, scope)
+                    except keep_errors:
+                        keep = True
+                    if keep:
+                        kept.append(i)
+                        if len(kept) == limit:
+                            break
+                return kept
+            length = relation.length
+            for start in range(0, length, size):
+                chunk = relation
+                if length > size:
+                    chunk = relation.slice(start, min(start + size, length))
+                for i, value in enumerate(kernel(chunk), start):
+                    if value is not True:
+                        if type(value) is not BatchError:
+                            continue
+                        if not isinstance(value.exc, keep_errors):
+                            raise value.exc
+                    kept.append(i)
+                    if len(kept) == limit:
+                        return kept
+            return kept
 
-        The sorted index yields rids in the statement's ORDER BY order (see
-        :func:`repro.minidb.planner._ordered_path`); the returned source
-        has the WHERE predicate already applied, stopping after
-        OFFSET+LIMIT surviving rows — the early exit that makes
-        ``ORDER BY ... LIMIT k`` O(k) instead of O(n log n). Rows past the
-        exit are never evaluated, so a predicate whose error only a later
-        row would trigger does not raise here — the planner's documented
-        error-surfacing contract (see :mod:`repro.minidb.planner`), shared
-        with every other row-pruning plan.
-        """
-        db = self.db
-        stmt = plan.stmt
-        scan = plan.scans[0]
-        path, index, heap = scan.path, scan.index, scan.heap
-        rng = path.range
-        if rng is None:
-            start, end = index.slice_bounds(path.prefix_values)
-        else:
-            start, end = index.slice_bounds(
-                path.prefix_values, rng.low, rng.high, rng.incl_low, rng.incl_high
-            )
-        db.bump_planner_stat("ordered_scans")
-        trace = db.tracer.current()
-        started = perf_counter() if trace is not None else 0.0
-        source = _Source(scan.binding, scan.columns, [])
-        needed = (
-            stmt.limit + (stmt.offset or 0) if stmt.limit is not None else None
-        )
-        binding = source.binding
-        rows = source.rows
-        fetched = 0
+        return select
 
-        def fetch():
-            # (ordinal, row) in index order
-            nonlocal fetched
-            for rid in index.ordered_rids(
-                path.reverse, start, end, path.prefix_values
-            ):
-                fetched += 1
-                row = heap.get(rid)
-                if row is not None:
-                    yield fetched, dict(row)
+    # ---------------------------------------------------------------- join
 
-        survivors = fetch()
-        if stmt.where is not None:
-            # chunks sized by what the statement still needs: the filter
-            # runs ahead of the exit by less than it has already consumed,
-            # and errors (and ``examined``) count consumed rows only
-            survivors = self._filter(
-                stmt.where,
-                _ScopeLayout([source], outer),
-                survivors,
-                lambda element: {binding: element[1]},
-                evaluator,
-                first_chunk=needed,
-            )
-        examined = 0
-        if needed != 0:
-            for ordinal, row in survivors:
-                rows.append(row)
-                if needed is not None and len(rows) >= needed:
-                    examined = ordinal  # rows fetched past the exit don't count
-                    break
-            else:
-                examined = fetched
-        if trace is not None:
-            trace.record_scan(scan, len(rows), examined, perf_counter() - started)
-        return source
-
-    # ------------------------------------------------- column-batch pipeline
-
-    @staticmethod
-    def _referenced_columns(
-        stmt: ast.SelectStatement, all_columns: list[str]
-    ) -> list[str]:
-        """Table columns the statement can touch, in schema order.
-
-        Statically walks every expression position; whenever the
-        reference set is not determinable (stars, subqueries) every
-        column is materialized — exactly the cases where per-row
-        fallback evaluation could read an arbitrary name."""
-        refs: set[str] = set()
-        exprs: list[ast.Expr | None] = [item.expr for item in stmt.items]
-        exprs.append(stmt.where)
-        exprs.extend(stmt.group_by)
-        exprs.append(stmt.having)
-        exprs.extend(order.expr for order in stmt.order_by)
-        for expr in exprs:
-            if not _collect_column_refs(expr, refs):
-                return list(all_columns)
-        return [c for c in all_columns if c.lower() in refs]
-
-    def _run_select_batched(
+    def _join(
         self,
-        plan: SelectPlan,
+        left: _Relation,
+        right: _Relation,
+        plan: JoinPlan,
+        sources: list[ScanPlan],
         outer: Scope | None,
         evaluator: Evaluator,
-        order_insensitive: bool,
-        run_subquery,
-    ) -> tuple[list[str], list[tuple], list[tuple]]:
-        """Single-table SELECT over the column-batch pipeline.
-
-        Scans the heap batch-at-a-time (through the same planned access
-        path :meth:`_scan_source` would read), applies WHERE as a
-        vectorized mask, and projects/aggregates over the surviving
-        column slices. Anything the batch compiler punts on is evaluated
-        per row *inside* the batch through a :class:`_BatchRowView`, so
-        the pipeline shape is preserved even for interpreter-only
-        expressions. Error surfacing follows the planner's documented
-        contract: batch kernels defer per-element errors, and consumers
-        raise the first deferred error in row-major order — the moment
-        the row-at-a-time plan would have raised it. One divergence is
-        pinned here: on an erroring WHERE the scan trace event reports
-        only the batches examined before the error, where the row path
-        (scan and filter being separate stages) would have reported the
-        full table; statements that complete report identical events.
-        """
-        db = self.db
-        stmt = plan.stmt
-        scan = plan.scans[0]
-        heap = scan.heap
-        all_columns = scan.columns
-        source = _Source(scan.binding, all_columns, [])
-        layout = _ScopeLayout([source], outer)
-
-        def batch_compile(expr):
-            # with compiled predicates disabled (or an expression the
-            # compiler punts on) this is None and the expression takes the
-            # per-row interpreter fallback inside the batch
-            return self._kernel(expr, layout)
-
-        needed = self._referenced_columns(stmt, all_columns)
-        view = _BatchRowView()
-        parts: dict[str, Any] = {scan.binding: view}
-
-        where = stmt.where
-        batch_where = batch_compile(where) if where is not None else None
-
-        # identical probe/range/union reductions to the row path (and the
-        # same planner counters), with batch_scans recording that the scan
-        # ran vectorized
-        rids = self._path_rids(scan)
-        db.bump_planner_stat("batch_scans")
-
-        batch_size = self._batch_size()
-        if rids is not None:
-            rid_list = list(rids) if order_insensitive else sorted(rids)
-
-            def rid_batches():
-                for start in range(0, len(rid_list), batch_size):
-                    yield heap.fetch_batch(
-                        rid_list[start : start + batch_size], needed
-                    )
-
-            batch_iter = rid_batches()
-        else:
-            batch_iter = heap.rows_batch(batch_size, needed)
-
-        trace = db.tracer.current()
+    ) -> _Relation:
+        """Fold ``right`` onto the joined relation using the planned
+        strategy. Every strategy is candidate pairs (two parallel index
+        vectors, in left-then-right order) narrowed by a predicate — hash
+        probe + residual, all pairs + ON condition, all pairs — so no
+        strategy copies a row per pair, and the predicate raises for the
+        first erroring pair in that order."""
+        trace = self.db.tracer.current()
         started = perf_counter() if trace is not None else 0.0
-        sur_cols: dict[str, list] = {name: [] for name in needed}
-        n_sur = 0
-        examined = 0
-        try:
-            if where is None:
-                for batch in batch_iter:
-                    examined += batch.length
-                    for name in needed:
-                        sur_cols[name].extend(batch.columns[name])
-                    n_sur += batch.length
-            elif batch_where is not None:
-                for batch in batch_iter:
-                    examined += batch.length
-                    mask = batch_where(batch)
-                    keep: list[int] = []
-                    append = keep.append
-                    for i, v in enumerate(mask):
-                        if v is True:
-                            append(i)
-                        elif type(v) is BatchError:
-                            raise v.exc
-                    if len(keep) == batch.length:
-                        for name in needed:
-                            sur_cols[name].extend(batch.columns[name])
-                    elif keep:
-                        for name in needed:
-                            col = batch.columns[name]
-                            sur_cols[name].extend([col[i] for i in keep])
-                    n_sur += len(keep)
-            else:
-                # per-row fallback inside the batch: subqueries, or
-                # compiled predicates disabled
-                for batch in batch_iter:
-                    examined += batch.length
-                    view.columns = batch.columns
-                    keep = []
-                    for i in range(batch.length):
-                        view.index = i
-                        if evaluator.evaluate_predicate(
-                            where, layout.scope_parts(parts)
-                        ):
-                            keep.append(i)
-                    if len(keep) == batch.length:
-                        for name in needed:
-                            sur_cols[name].extend(batch.columns[name])
-                    elif keep:
-                        for name in needed:
-                            col = batch.columns[name]
-                            sur_cols[name].extend([col[i] for i in keep])
-                    n_sur += len(keep)
-        finally:
-            if trace is not None:
-                trace.record_scan(
-                    scan, examined, examined, perf_counter() - started
-                )
-
-        items = expand_items(stmt.items, [source])
-        out_columns = [
-            item_name(item, index) for index, item in enumerate(items)
-        ]
-        sur_batch = RowBatch(None, sur_cols, n_sur)
-        view.columns = sur_cols
-        if plan.grouped:
-            out_rows, order_keys = self._run_grouped_batched(
-                stmt, items, sur_batch, view, parts, layout, evaluator,
-                plan.aggregates, run_subquery, batch_compile,
-            )
+        if plan.strategy == "hash":
+            self.db.bump_planner_stat("hash_joins")
+            lefts, rights = self._hash_pairs(left, right, plan)
+            predicate = plan.residual
         else:
-            out_rows, order_keys = self._project_batched(
-                stmt, items, sur_batch, view, parts, layout, evaluator,
-                batch_compile,
-            )
-        return out_columns, out_rows, order_keys
+            if plan.strategy == "nested-loop":
+                self.db.bump_planner_stat("nested_loop_joins")
+            lefts = [i for i in range(left.length) for _ in range(right.length)]
+            rights = list(range(right.length)) * left.length
+            predicate = plan.condition
+        if predicate is not None:
+            pairs = left.take(lefts).beside(right.take(rights))
+            layout = _ScopeLayout(sources, outer)
+            kept = self._selector(predicate, layout, evaluator)(pairs)
+            lefts = [lefts[i] for i in kept]
+            rights = [rights[i] for i in kept]
 
-    def _project_batched(
-        self, stmt, items, sur_batch, view, parts, layout, evaluator,
-        batch_compile,
+        # NULL extension is decided after the predicate: a left (right) row
+        # none of whose pairs survived it counts as unmatched
+        if plan.kind == "LEFT":
+            paired_lefts, paired_rights = lefts, rights
+            lefts, rights = [], []
+            unmatched_from = 0  # first left position not yet emitted
+            for position, index in zip(paired_lefts, paired_rights):
+                for skipped in range(unmatched_from, position):
+                    lefts.append(skipped)
+                    rights.append(None)
+                unmatched_from = position + 1
+                lefts.append(position)
+                rights.append(index)
+            for skipped in range(unmatched_from, left.length):
+                lefts.append(skipped)
+                rights.append(None)
+        elif plan.kind == "RIGHT":
+            matched = set(rights)
+            unmatched = [i for i in range(right.length) if i not in matched]
+            lefts = lefts + [None] * len(unmatched)
+            rights = rights + unmatched
+        result = left.take(lefts).beside(right.take(rights))
+        if trace is not None:
+            trace.record_join(plan, result.length, perf_counter() - started)
+        return result
+
+    @staticmethod
+    def _hash_pairs(
+        left: _Relation, right: _Relation, plan: JoinPlan
+    ) -> tuple[list[int], list[int]]:
+        """Equi-key candidate pairs in probe order: build a table over the
+        right side's key columns, probe it with each left row."""
+
+        def valid(key: tuple) -> bool:
+            # SQL equality is never true against NULL; NaN != NaN guards the
+            # dict-identity shortcut that would otherwise match a shared object
+            return not any(v is None or v != v for v in key)
+
+        buckets: dict[tuple, list[int]] = {}
+        right_keys = zip(
+            *[right.column(plan.right_binding, k.right_column) for k in plan.keys]
+        )
+        for index, key in enumerate(right_keys):
+            if valid(key):
+                buckets.setdefault(key, []).append(index)
+        lefts: list[int] = []
+        rights: list[int] = []
+        left_keys = zip(
+            *[left.column(k.left_binding, k.left_column) for k in plan.keys]
+        )
+        for position, key in enumerate(left_keys):
+            if valid(key):
+                for index in buckets.get(key, ()):
+                    lefts.append(position)
+                    rights.append(index)
+        return lefts, rights
+
+    # ------------------------------------------------------- group / project
+
+    def _project(
+        self, items, order_by, relation, layout, evaluator
     ) -> tuple[list[tuple], list[tuple]]:
-        """Ungrouped projection over surviving column slices — no per-row
+        """Ungrouped projection over the relation's columns — no per-row
         dict is ever built. All-vectorized select lists without ORDER BY
-        transpose the item columns straight into output tuples."""
-        n = sur_batch.length
+        transpose the item columns straight into output tuples; an item
+        that does not compile is interpreted per row."""
+        n = relation.length
         plans: list[tuple[bool, Any]] = []
         all_vec = True
         for item in items:
-            fn = batch_compile(item.expr)
+            fn = self._kernel(item.expr, layout)
             if fn is not None:
-                plans.append((True, fn(sur_batch)))
+                plans.append((True, fn(relation)))
             else:
                 all_vec = False
                 plans.append((False, item.expr))
-        if all_vec and not stmt.order_by:
+        if all_vec and not order_by:
             cols = [payload for _, payload in plans]
             _raise_first_batch_error(cols)
             return list(zip(*cols)) if n else [], []
-        order_plans = (
-            self._batched_order_plans(stmt.order_by, items, batch_compile, sur_batch)
-            if stmt.order_by
-            else None
-        )
-        scope = layout.scope_parts(parts)
+        order_plans = self._order_plans(order_by, items, relation, layout)
+        scope = layout.scope(relation)
         out_rows: list[tuple] = []
         order_keys: list[tuple] = []
         for i in range(n):
-            view.index = i
+            relation.row = i
             values = []
             for is_vec, payload in plans:
                 if is_vec:
@@ -1321,37 +975,38 @@ class Executor:
                     values.append(evaluator.evaluate(payload, scope))
             row = tuple(values)
             out_rows.append(row)
-            if order_plans is not None:
+            if order_plans:
                 order_keys.append(
-                    self._batched_order_key(order_plans, row, i, scope, evaluator)
+                    self._order_key(order_plans, row, i, scope, evaluator)
                 )
         return out_rows, order_keys
 
-    def _run_grouped_batched(
-        self, stmt, items, sur_batch, view, parts, layout, evaluator,
-        aggregates, run_subquery, batch_compile,
+    def _aggregate(
+        self, plan, items, order_by, relation, layout, evaluator, run_subquery
     ) -> tuple[list[tuple], list[tuple]]:
-        """Grouped/aggregate evaluation over surviving column slices.
+        """Grouped/aggregate evaluation over the relation's columns.
 
         Group keys come from vectorized key columns where compilable;
-        groups hold member *indexes* into the slices, and each aggregate
-        folds a column slice directly. Accumulation order (group, then
-        aggregate, then member) matches :meth:`_run_grouped` exactly, so
-        deferred errors surface at the same point the row path raises."""
-        n = sur_batch.length
-        scope = layout.scope_parts(parts)
+        groups hold member *indexes* in first-member order, and each
+        aggregate folds its argument column in input order (group, then
+        aggregate, then member), so deferred errors surface at the point
+        a row-at-a-time fold would raise and float sums are bit-identical
+        across engines."""
+        stmt = plan.stmt
+        n = relation.length
+        scope = layout.scope(relation)
         groups: dict[tuple, list[int]] = {}
         group_order: list[tuple] = []
         if stmt.group_by:
             key_plans: list[tuple[bool, Any]] = []
             for g in stmt.group_by:
-                fn = batch_compile(g)
+                fn = self._kernel(g, layout)
                 if fn is not None:
-                    key_plans.append((True, fn(sur_batch)))
+                    key_plans.append((True, fn(relation)))
                 else:
                     key_plans.append((False, g))
             for i in range(n):
-                view.index = i
+                relation.row = i
                 key_values = []
                 for is_vec, payload in key_plans:
                     if is_vec:
@@ -1370,33 +1025,33 @@ class Executor:
                     groups[key] = members = []
                     group_order.append(key)
                 members.append(i)
-        elif n:
+        else:  # one group, present even over no rows
             groups[()] = list(range(n))
-            group_order.append(())
-        if not stmt.group_by and not groups:
-            groups[()] = []
             group_order.append(())
 
         agg_plans: list[tuple[str, Any]] = []
-        for agg in aggregates:
+        for agg in plan.aggregates:
             star = bool(agg.args) and isinstance(agg.args[0], ast.Star)
             if agg.name == "COUNT" and (star or not agg.args):
                 agg_plans.append(("count", None))
             elif not agg.args:
                 agg_plans.append(("malformed", None))
             else:
-                fn = batch_compile(agg.args[0])
+                fn = self._kernel(agg.args[0], layout)
                 if fn is not None:
-                    agg_plans.append(("vec", fn(sur_batch)))
+                    agg_plans.append(("vec", fn(relation)))
                 else:
                     agg_plans.append(("expr", agg.args[0]))
 
+        # aggregate references in ORDER BY need the per-group evaluator,
+        # so grouped order keys are interpreted, never vectorized
+        order_plans = self._order_plans(order_by, items)
         out_rows: list[tuple] = []
         order_keys: list[tuple] = []
         for group_key in group_order:
             members = groups[group_key]
             computed: dict[int, Any] = {}
-            for agg, (kind, payload) in zip(aggregates, agg_plans):
+            for agg, (kind, payload) in zip(plan.aggregates, agg_plans):
                 acc = make_aggregate(agg.name, agg.distinct)
                 if kind == "count":
                     for _ in members:
@@ -1411,12 +1066,12 @@ class Executor:
                         acc.add(v)
                 else:
                     for i in members:
-                        view.index = i
+                        relation.row = i
                         acc.add(evaluator.evaluate(payload, scope))
                 computed[id(agg)] = acc.result()
             agg_eval = _AggregateEvaluator(run_subquery, computed)
             if members:
-                view.index = members[0]
+                relation.row = members[0]
                 rep_scope = scope
             else:
                 rep_scope = Scope({}, {}, frozenset(), None)
@@ -1426,18 +1081,16 @@ class Executor:
                 continue
             row = tuple(agg_eval.evaluate(item.expr, rep_scope) for item in items)
             out_rows.append(row)
-            if stmt.order_by:
-                # not vectorized: aggregate references in ORDER BY need the
-                # per-group _AggregateEvaluator, so reuse the row path's key
+            if order_plans:
                 order_keys.append(
-                    self._order_key(stmt.order_by, items, row, rep_scope, agg_eval)
+                    self._order_key(order_plans, row, None, rep_scope, agg_eval)
                 )
         return out_rows, order_keys
 
-    def _batched_order_plans(self, order_by, items, batch_compile, sur_batch):
-        """Per-ORDER-BY-item plan mirroring :meth:`_order_value`'s
-        resolution: ordinal, output-alias, vectorized column, or
-        interpreted expression."""
+    def _order_plans(self, order_by, items, relation=None, layout=None) -> list[tuple]:
+        """Per-ORDER-BY-item plan: output ordinal, output alias, vectorized
+        column (when ``relation`` is given and the expression compiles),
+        or interpreted expression."""
         plans = []
         for order in order_by:
             expr = order.expr
@@ -1453,14 +1106,14 @@ class Executor:
                 if alias_index is not None:
                     plans.append(("alias", alias_index, order.descending))
                     continue
-            fn = batch_compile(expr)
+            fn = self._kernel(expr, layout) if relation is not None else None
             if fn is not None:
-                plans.append(("vec", fn(sur_batch), order.descending))
+                plans.append(("vec", fn(relation), order.descending))
             else:
                 plans.append(("expr", expr, order.descending))
         return plans
 
-    def _batched_order_key(self, plans, row, i, scope, evaluator) -> tuple:
+    def _order_key(self, plans, row, i, scope, evaluator) -> tuple:
         key_parts = []
         for kind, payload, descending in plans:
             if kind == "ordinal":
@@ -1479,28 +1132,11 @@ class Executor:
                 value = evaluator.evaluate(payload, scope)
             element = _sort_key_element(value)
             if descending:
+                # keep the NULL/type rank ascending (NULLS LAST either way),
+                # reverse only the value ordering within each type class
                 element = (element[0], _Reversed(element[1]), _Reversed(element[2]))
             key_parts.append(element)
         return tuple(key_parts)
-
-    def _prefilter_source(self, source: _Source, predicate: ast.Expr) -> None:
-        """Apply pushed-down null-rejecting single-source conjuncts in place.
-
-        A row whose conjunct raised an :class:`ExecutionError` (e.g. a
-        type-mismatched ordering) is kept and deferred to the final WHERE
-        pass: it raises only if the row survives the joins, exactly as
-        without pushdown. Any other error propagates."""
-        binding = source.binding
-        source.rows = list(
-            self._filter(
-                predicate,
-                _ScopeLayout([source], None),
-                source.rows,
-                lambda row: {binding: row},
-                Evaluator(None),  # pushdown conjuncts are subquery-free
-                keep_errors=ExecutionError,
-            )
-        )
 
     # ---------------------------------------------------------------- EXPLAIN
 
@@ -1529,30 +1165,6 @@ class Executor:
         return ResultSet(
             columns=["QUERY PLAN"], rows=[(line,) for line in lines], status="EXPLAIN"
         )
-
-    def _order_key(self, order_by, items, row, scope, evaluator) -> tuple:
-        key_parts = []
-        for order in order_by:
-            value = self._order_value(order.expr, items, row, scope, evaluator)
-            element = _sort_key_element(value)
-            if order.descending:
-                # keep the NULL/type rank ascending (NULLS LAST either way),
-                # reverse only the value ordering within each type class
-                element = (element[0], _Reversed(element[1]), _Reversed(element[2]))
-            key_parts.append(element)
-        return tuple(key_parts)
-
-    def _order_value(self, expr, items, row, scope, evaluator):
-        if isinstance(expr, ast.Literal) and isinstance(expr.value, int):
-            ordinal = expr.value
-            if not (1 <= ordinal <= len(row)):
-                raise ExecutionError(f"ORDER BY position {ordinal} is out of range")
-            return row[ordinal - 1]
-        if isinstance(expr, ast.ColumnRef) and expr.table is None:
-            for index, item in enumerate(items):
-                if item.alias and item.alias.lower() == expr.name.lower():
-                    return row[index]
-        return evaluator.evaluate(expr, scope)
 
     @staticmethod
     def _order_by_output(order_by, columns, rows):
@@ -1932,26 +1544,11 @@ class Executor:
         produced — so undo logs, WAL records, and constraint-error
         attribution are byte-identical to the seq-scan plan.
         """
-        rids = self._path_rids(plan_table_scan(self.db, schema, binding, where))
-        if rids is None:
-            candidates = list(heap.rows())
-        else:
-            candidates = []
-            for rid in sorted(rids):
-                row = heap.get(rid)
-                if row is not None:
-                    candidates.append((rid, row))
-        if where is None:
-            return candidates
-        return list(
-            self._filter(
-                where,
-                _ScopeLayout([_Source(binding, schema.column_names(), [])], None),
-                candidates,
-                lambda candidate: {binding: candidate[1]},
-                evaluator,
-            )
+        scan = plan_table_scan(self.db, schema, binding, where)
+        _, rids, _ = self._scan(
+            scan, None, None, evaluator, _referenced_names([where]), where
         )
+        return [(rid, heap.get(rid)) for rid in rids]
 
     @staticmethod
     def _row_scope(schema: TableSchema, binding: str, row: Row) -> Scope:

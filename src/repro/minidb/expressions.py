@@ -6,10 +6,10 @@
   suite compares against (``enable_compiled_predicates=False``) and the
   only engine for subqueries and outer-scope (correlated) references.
 * :func:`compile_batch_expr` compiles an expression tree *once per
-  statement* into **batch kernels**: each compiled node maps a batch —
-  a :class:`repro.minidb.batch.RowBatch` column slice, or a chunk of
-  joined rows / DML candidates / join pairs the executor presents the
-  same way — to a list of per-row values. Constants are folded, LIKE
+  operator* into **batch kernels**: each compiled node maps a batch —
+  the executor's columnar relation or a slice of it (a scanned heap
+  batch, a chunk of join candidate pairs, DML candidates) — to a list of
+  per-row values. Constants are folded, LIKE
   patterns pre-compiled to regexes, column references resolved at
   compile time to direct column reads, and one Python-level dispatch
   covers the whole batch instead of one AST walk per row. Expressions
@@ -42,7 +42,7 @@ from itertools import repeat
 from typing import Any, Callable, Mapping
 
 from . import ast_nodes as ast
-from .batch import BatchError, RowBatch
+from .batch import BatchError
 from .errors import (
     DivisionByZeroError,
     ExecutionError,
@@ -60,8 +60,10 @@ SubqueryRunner = Callable[[ast.SelectStatement, "Scope"], list[tuple]]
 class Scope:
     """Name-resolution scope for one row, with optional outer scope.
 
-    ``bindings`` maps *qualified* names (``alias.column``) and unqualified
-    column names to values. Ambiguous unqualified names raise.
+    ``qualified`` maps ``alias.column`` names and ``unqualified`` bare
+    column names to values; a name in ``ambiguous`` — a bare name two
+    sources share, or an ``alias.column`` one source exposes twice —
+    raises.
     """
 
     __slots__ = ("qualified", "unqualified", "ambiguous", "outer")
@@ -79,16 +81,13 @@ class Scope:
         self.outer = outer
 
     def lookup(self, ref: ast.ColumnRef) -> Any:
-        if ref.table:
-            key = f"{ref.table.lower()}.{ref.name.lower()}"
-            if key in self.qualified:
-                return self.qualified[key]
-        else:
-            name = ref.name.lower()
-            if name in self.ambiguous:
-                raise UnknownColumnError(f"column reference {ref.name!r} is ambiguous")
-            if name in self.unqualified:
-                return self.unqualified[name]
+        name = ref.name.lower()
+        key = f"{ref.table.lower()}.{name}" if ref.table else name
+        if key in self.ambiguous:
+            raise UnknownColumnError(f"column reference {ref.name!r} is ambiguous")
+        values = self.qualified if ref.table else self.unqualified
+        if key in values:
+            return values[key]
         if self.outer is not None:
             return self.outer.lookup(ref)
         raise UnknownColumnError(f"column {ref} does not exist")
@@ -376,11 +375,11 @@ def _to_text(value: Any) -> str:
 # batch-kernel compilation
 # --------------------------------------------------------------------------
 
-#: a compiled batch evaluator: maps a batch (``length`` plus
-#: ``column(binding, name)`` — a :class:`RowBatch` or the executor's
-#: joined-row chunk) to a list of ``length`` per-row values, each a plain
-#: value or a deferred :class:`BatchError`
-BatchFn = Callable[[RowBatch], list]
+#: a compiled batch evaluator: maps a batch (anything with ``length`` and
+#: ``column(binding, name)`` — the executor's relation) to a list of
+#: ``length`` per-row values, each a plain value or a deferred
+#: :class:`BatchError`
+BatchFn = Callable[[Any], list]
 
 #: resolves one column reference to a batch accessor (``fn(batch) ->
 #: column list``) at compile time; raises :class:`CannotCompile` when the

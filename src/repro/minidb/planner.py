@@ -23,9 +23,10 @@ else (the ``planner-seam`` staticcheck rule enforces it):
   before pairing. The full WHERE is always re-applied afterwards, so every
   path is a pure candidate-set reduction.
 
-* **Pipelines** — a block over exactly one base table runs its scan on the
-  column-batch pipeline (``ScanPlan.batched``) unless the ordered path
-  took it; everything else folds row-at-a-time.
+* **One pipeline** — access paths and join strategies are the whole plan:
+  the executor runs every block through the same scan -> join -> filter ->
+  group/project operators over column batches, so there is no execution
+  mode to choose (or to print in EXPLAIN).
 
 * **Join strategies** — :func:`plan_join` splits a join's ON condition (and,
   because the full WHERE clause is re-applied after all joins, any
@@ -603,7 +604,7 @@ def extract_pushdown_filter(
     """
     if where is None:
         return None
-    own_columns = {c.lower() for c in columns}
+    own_columns = _colmap(columns)  # a name exposed twice is ambiguous: not pushed
     lowered = binding.lower()
     kept: list[ast.Expr] = []
     for conjunct in split_conjuncts(where):
@@ -620,7 +621,7 @@ def extract_pushdown_filter(
                 isinstance(column_side, ast.ColumnRef)
                 and isinstance(literal_side, ast.Literal)
                 and literal_side.value is not None
-                and column_side.name.lower() in own_columns
+                and own_columns.get(column_side.name.lower()) is not None
                 and (
                     column_side.table.lower() == lowered
                     if column_side.table is not None
@@ -1003,8 +1004,6 @@ class ScanPlan:
     heap: HeapTable | None = None
     index: "HashIndex | SortedIndex | None" = None
     key: tuple | None = None  # probe key of an "index" path
-    #: the column-batch pipeline runs this scan (single-table blocks)
-    batched: bool = False
     #: pushed-down single-source predicate, applied before joining
     filter: ast.Expr | None = None
     child: "SelectPlan | None" = None
@@ -1018,8 +1017,6 @@ class ScanPlan:
             text += f" (filter: {expr_to_sql(self.filter)})"
         if self.path is not None and self.path.estimated_rows is not None:
             text += f" (est. rows={self.path.estimated_rows:.0f})"
-        if self.batched:
-            text += " (batched)"
         return text
 
 
@@ -1360,11 +1357,6 @@ def plan_select(
                 stmt.where,
                 None if single else statement_sources,
                 stmt if ordered_ok else None,
-            )
-            scan.batched = (
-                single
-                and scan.kind != "ordered"
-                and db.planner_options.get("enable_batch_execution", True)
             )
         # pushdown only pays off when the filtered rows feed a join;
         # single-source blocks apply WHERE once, after the scan

@@ -12,8 +12,8 @@ writes against any ``system.``-prefixed object):
 
 Row producers duck-type the ``Database`` they receive (this module must not
 import ``repro.minidb``); each returns ``(columns, rows)`` with rows as
-plain dicts keyed by column name, which is the shape the executor's
-``_Source`` wants. System views take no locks — they read snapshots of
+plain dicts keyed by column name, which the executor's scan transposes
+into a column batch. System views take no locks — they read snapshots of
 already-synchronized state, so observing the system never blocks it.
 """
 

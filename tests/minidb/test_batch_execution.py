@@ -1,15 +1,16 @@
-"""Column-batch (vectorized) execution over the compiled-predicate seam.
+"""The column-batch SELECT pipeline: kernels vs the interpreter.
 
-The batch pipeline is a pure execution-strategy change: for every
-statement it admits, results must match the row-at-a-time plan byte for
-byte — including which error is raised, and when. The Hypothesis
-property at the bottom drives random data (NULLs, duplicates, text)
-through random statements (WHERE with three-valued AND/OR, arithmetic,
-LIKE, IS NULL; aggregates; GROUP BY/HAVING; DISTINCT; ORDER BY;
-LIMIT/OFFSET) with ``enable_batch_execution`` on and off. The targeted
-tests pin the deferred-error contract, planner counters, EXPLAIN's
-``(batched)`` annotation, tracer scan-event parity, and the storage
-batch iterators.
+Every SELECT block runs scan -> join -> filter -> group/project over
+column batches; what varies is the expression engine and the batch size.
+For every statement, batch kernels at any ``batch_size`` must match the
+AST interpreter walking one row per batch byte for byte — including which
+error is raised, and when. The Hypothesis property at the bottom drives
+random data (NULLs, duplicates, text) through random statements (WHERE
+with three-valued AND/OR, arithmetic, LIKE, IS NULL; aggregates; GROUP
+BY/HAVING; DISTINCT; ORDER BY; LIMIT/OFFSET) over a table, a view, a
+derived table and hash joins of two tables. The targeted tests pin the
+deferred-error contract, the planner counter, tracer scan-event parity,
+and the storage batch iterators.
 """
 
 import pytest
@@ -46,25 +47,24 @@ def s():
     return session
 
 
-def both(session, sql, interpreted_reference=False):
-    """Run ``sql`` batched and row-at-a-time; both legs must agree on
-    (columns, rows) or on (error type, error message). With
-    ``interpreted_reference`` the row-at-a-time leg also runs on the AST
-    interpreter, so the two legs share no compiled kernel."""
+def both(session, sql):
+    """Run ``sql`` on batch kernels at the session's ``batch_size`` and on
+    the interpreter at ``batch_size=1`` — the reference leg shares no
+    compiled kernel and no batch boundary with the first. Both must agree
+    on (columns, rows) or on (error type, error message)."""
     options = session.db.planner_options
+    size = options["batch_size"]
     outcomes = []
-    for batched in (True, False):
-        options["enable_batch_execution"] = batched
-        if interpreted_reference:
-            options["enable_compiled_predicates"] = batched
+    for compiled, batch_size in ((True, size), (False, 1)):
+        options["enable_compiled_predicates"] = compiled
+        options["batch_size"] = batch_size
         try:
             result = session.execute(sql)
             outcomes.append(("ok", result.columns, result.rows))
         except MiniDBError as exc:
             outcomes.append(("err", type(exc).__name__, str(exc)))
-    options["enable_batch_execution"] = True
-    if interpreted_reference:
-        options["enable_compiled_predicates"] = True
+    options["enable_compiled_predicates"] = True
+    options["batch_size"] = size
     assert outcomes[0] == outcomes[1], sql
     return outcomes[0]
 
@@ -144,14 +144,36 @@ class TestEquivalence:
             s.db.planner_options["batch_size"] = DEFAULT_BATCH_SIZE
 
     def test_batched_under_interpreter_mode(self, s):
-        # compiled predicates off: the batch pipeline still runs, with
-        # per-row interpretation inside each batch
+        # compiled predicates off at the default batch size: per-row
+        # interpretation inside full batches agrees with both legs
+        sql = "SELECT id FROM t WHERE a = 2 ORDER BY id"
+        kind, _, rows = both(s, sql)
+        assert kind == "ok" and rows
         s.db.planner_options["enable_compiled_predicates"] = False
         try:
-            kind, _, rows = both(s, "SELECT id FROM t WHERE a = 2 ORDER BY id")
-            assert kind == "ok" and rows
+            assert s.execute(sql).rows == rows
         finally:
             s.db.planner_options["enable_compiled_predicates"] = True
+
+    def test_joins_views_and_derived_tables_share_the_pipeline(self, s):
+        s.execute("CREATE TABLE u (k INT, w TEXT)")
+        for k, w in [(1, "x"), (3, "y"), (3, None), (None, "z"), (9, "x")]:
+            s.db.heap("u").insert({"k": k, "w": w})
+        s.execute("CREATE VIEW vw AS SELECT id, a, b FROM t WHERE b > 2")
+        for sql in (
+            "SELECT t.id, u.w FROM t JOIN u ON t.a = u.k WHERE b < 7",
+            "SELECT t.id, u.w FROM t LEFT JOIN u ON t.a = u.k AND u.w <> 'x'",
+            "SELECT t.id, u.k FROM t RIGHT JOIN u ON t.a = u.k AND t.b > 4",
+            "SELECT t.id, u.k FROM t JOIN u ON t.a < u.k AND t.id < 6",
+            "SELECT u.w, COUNT(*), SUM(t.b) FROM t JOIN u ON t.a = u.k GROUP BY u.w",
+            "SELECT a, COUNT(*) FROM vw GROUP BY a ORDER BY a",
+            "SELECT d.a, d.n FROM (SELECT a, COUNT(*) AS n FROM t GROUP BY a) d"
+            " WHERE d.n > 6 ORDER BY d.a",
+            "SELECT u.k, d.n FROM u JOIN"
+            " (SELECT a, COUNT(*) AS n FROM t GROUP BY a) d ON u.k = d.a",
+        ):
+            kind, _, rows = both(s, sql)
+            assert kind == "ok" and rows, sql
 
 
 # ----------------------------------------------------- deferred-error contract
@@ -214,64 +236,29 @@ class TestObservability:
         stats = s.db.planner_stats
         before = (stats["batch_scans"], stats["seq_scans"])
         s.execute("SELECT COUNT(*) FROM t WHERE b > 100")
-        # the batched seq scan bumps both the access-path counter and the
-        # pipeline counter
+        # every base-table scan of a SELECT bumps the access-path counter
+        # and batch_scans
         assert stats["batch_scans"] == before[0] + 1
         assert stats["seq_scans"] == before[1] + 1
-
-    def test_counter_untouched_when_disabled(self, s):
-        stats = s.db.planner_stats
-        s.db.planner_options["enable_batch_execution"] = False
-        try:
-            before = stats["batch_scans"]
-            s.execute("SELECT COUNT(*) FROM t")
-            assert stats["batch_scans"] == before
-        finally:
-            s.db.planner_options["enable_batch_execution"] = True
-
-    def test_counter_untouched_for_joins(self, s):
+        # both sources of a join count; an UPDATE's target scan does not
         s.execute("CREATE TABLE u (k INT PRIMARY KEY)")
-        s.execute("INSERT INTO u (k) VALUES (1)")
-        before = s.db.planner_stats["batch_scans"]
         s.execute("SELECT t.id FROM t JOIN u ON t.a = u.k")
-        assert s.db.planner_stats["batch_scans"] == before
-
-    def test_explain_annotation(self, s):
-        rows = s.execute("EXPLAIN SELECT id FROM t WHERE b = 3").rows
-        assert any(line.endswith("(batched)") for (line,) in rows)
-        s.db.planner_options["enable_batch_execution"] = False
-        try:
-            rows = s.execute("EXPLAIN SELECT id FROM t WHERE b = 3").rows
-            assert not any("(batched)" in line for (line,) in rows)
-        finally:
-            s.db.planner_options["enable_batch_execution"] = True
-
-    def test_explain_no_annotation_for_joins_or_ordered_scans(self, s):
-        s.execute("CREATE TABLE u (k INT PRIMARY KEY)")
-        rows = s.execute(
-            "EXPLAIN SELECT t.id FROM t JOIN u ON t.a = u.k"
-        ).rows
-        assert not any("(batched)" in line for (line,) in rows)
-        # ORDER BY id is served by the ordered-scan fast path, which
-        # preempts the batch pipeline
-        s.execute("CREATE INDEX ix_tid ON t USING BTREE (id)")
-        rows = s.execute("EXPLAIN SELECT id FROM t ORDER BY id LIMIT 3").rows
-        assert any("Ordered Index Scan" in line for (line,) in rows)
-        assert not any("(batched)" in line for (line,) in rows)
+        s.execute("UPDATE t SET b = 0 WHERE a = 3")
+        assert stats["batch_scans"] == before[0] + 3
 
     def test_explain_analyze_actuals_follow_annotation(self, s):
         rows = s.execute(
             "EXPLAIN ANALYZE SELECT id FROM t WHERE b = 3"
         ).rows
-        assert any("(batched) (actual rows=" in line for (line,) in rows)
+        assert any(" (actual rows=" in line for (line,) in rows)
 
     def test_scan_event_parity(self, s):
-        """Batched scans report identical binding/kind/rows/examined
-        through the tracer as the row path (timings aside)."""
+        """Scans report identical binding/kind/rows/examined through the
+        tracer on kernels and on the interpreter (timings aside)."""
         tracer = s.db.tracer
         events = {}
         for enabled in (True, False):
-            s.db.planner_options["enable_batch_execution"] = enabled
+            s.db.planner_options["enable_compiled_predicates"] = enabled
             probe = tracer.probe()
             try:
                 s.execute("SELECT id FROM t WHERE b > 5")
@@ -282,7 +269,7 @@ class TestObservability:
                 {k: e[k] for k in ("binding", "kind", "rows", "examined")}
                 for e in probe.scans
             ]
-        s.db.planner_options["enable_batch_execution"] = True
+        s.db.planner_options["enable_compiled_predicates"] = True
         assert events[True] == events[False]
         assert [e["kind"] for e in events[True]] == ["seq", "index"]
 
@@ -359,6 +346,17 @@ SELECTS = [
     "a, COUNT(*), MIN(b), MAX(c) GROUP BY a",
     "b, COUNT(*) GROUP BY b HAVING COUNT(*) > 1",
 ]
+#: every source exposes id, a, b, c under those unqualified names (u's
+#: columns are k, w), so each select list and predicate runs over each
+SOURCES = [
+    "t",
+    "vw",
+    "(SELECT id, a, b, c FROM t WHERE a IS NOT NULL) d",
+    "t JOIN u ON t.a = u.k",
+    "t LEFT JOIN u ON t.a = u.k AND u.w <> 'ab'",
+    "u RIGHT JOIN t ON u.k = t.b",
+    "t JOIN (SELECT k, COUNT(*) AS n FROM u GROUP BY k) d ON t.b = d.k",
+]
 order_strategy = st.sampled_from(
     [None, "ORDER BY 1", "ORDER BY a, id", "ORDER BY b DESC, id"]
 )
@@ -367,16 +365,16 @@ limit_strategy = st.one_of(
 )
 
 
-def build_statement(select, where, order, limit):
+def build_statement(select, where, order, limit, source="t"):
     if "GROUP BY" in select:
         items, group = select.split(" GROUP BY", 1)
-        sql = f"SELECT {items} FROM t"
+        sql = f"SELECT {items} FROM {source}"
         if where:
             sql += f" WHERE {where}"
         sql += " GROUP BY" + group
         sql += " ORDER BY 1"  # aggregate outputs: positional order only
     else:
-        sql = f"SELECT {select} FROM t"
+        sql = f"SELECT {select} FROM {source}"
         if where:
             sql += f" WHERE {where}"
         if "COUNT" in select:
@@ -394,31 +392,33 @@ def build_statement(select, where, order, limit):
 @settings(max_examples=60, deadline=None)
 @given(
     rows=rows_strategy,
+    u_rows=st.lists(st.tuples(values, texts), max_size=8),
     statements=st.lists(
         st.tuples(
             st.sampled_from(SELECTS), where_strategy, order_strategy,
-            limit_strategy,
+            limit_strategy, st.sampled_from(SOURCES),
         ),
         min_size=1,
         max_size=4,
     ),
     batch_size=st.sampled_from([1, 2, 7, DEFAULT_BATCH_SIZE]),
 )
-def test_batched_execution_equivalent_to_row_plan(rows, statements, batch_size):
-    """Random data + random statements: the batch pipeline must match the
-    row plan byte for byte — results, column names, and raised errors. The
-    reference leg is the row fold on the interpreter: the row fold's WHERE
-    runs on the same kernels otherwise, and an oracle must not share them."""
+def test_batched_execution_equivalent_to_row_plan(
+    rows, u_rows, statements, batch_size
+):
+    """Random data + random statements: kernels at the drawn batch size
+    must match the interpreter walking one row per batch byte for byte —
+    results, column names, and raised errors — whether the block reads a
+    table, a view, a derived table or a join."""
     db = Database(owner="a")
     session = db.connect("a")
     session.execute("CREATE TABLE t (id INT PRIMARY KEY, a INT, b INT, c TEXT)")
-    heap = db.heap("t")
+    session.execute("CREATE TABLE u (k INT, w TEXT)")
+    session.execute("CREATE VIEW vw AS SELECT id, a, b, c FROM t WHERE b IS NOT NULL")
     for i, (a, b, c) in enumerate(rows):
-        heap.insert({"id": i, "a": a, "b": b, "c": c})
+        db.heap("t").insert({"id": i, "a": a, "b": b, "c": c})
+    for k, w in u_rows:
+        db.heap("u").insert({"k": k, "w": w})
     db.planner_options["batch_size"] = batch_size
-    for select, where, order, limit in statements:
-        both(
-            session,
-            build_statement(select, where, order, limit),
-            interpreted_reference=True,
-        )
+    for select, where, order, limit, source in statements:
+        both(session, build_statement(select, where, order, limit, source))

@@ -352,3 +352,42 @@ class TestViews:
         s.execute("CREATE VIEW a_names AS SELECT name FROM emp WHERE name LIKE 'a%'")
         s.execute("CREATE VIEW upper_a AS SELECT UPPER(name) AS n FROM a_names")
         assert s.execute("SELECT * FROM upper_a").rows == [("ALICE",)]
+
+
+class TestDuplicateOutputNames:
+    """A derived table or view exposing one name twice: a reference to it
+    is ambiguous whether qualified or not — it must never silently read
+    one of the two columns (it used to read the last)."""
+
+    DUP = "(SELECT id, dept_id AS id FROM emp)"
+
+    @pytest.mark.parametrize("compiled", [True, False])
+    @pytest.mark.parametrize(
+        "sql",
+        [
+            f"SELECT d.id FROM {DUP} d WHERE d.id = 4",
+            f"SELECT * FROM {DUP} d",
+            f"SELECT x.id, y.id FROM emp x JOIN {DUP} y ON x.id = y.id",
+            "SELECT v.id FROM dup_v v",
+        ],
+    )
+    def test_qualified_reference_is_ambiguous(self, s, sql, compiled):
+        s.execute("CREATE VIEW dup_v AS SELECT id, dept_id AS id FROM emp")
+        s.db.planner_options["enable_compiled_predicates"] = compiled
+        with pytest.raises(UnknownColumnError, match="'id' is ambiguous"):
+            s.execute(sql)
+
+    def test_other_columns_of_the_source_still_resolve(self, s):
+        rows = s.execute(
+            "SELECT d.name FROM (SELECT id, dept_id AS id, name FROM emp) d"
+            " WHERE d.name < 'c' ORDER BY d.name"
+        ).rows
+        assert rows == [("alice",), ("bob",)]
+
+    def test_ambiguous_name_is_not_pushed_into_the_scan(self, s):
+        # no joined row reaches the WHERE, so nothing may evaluate y.id —
+        # a pushed-down conjunct would raise from inside y's scan
+        sql = f"SELECT x.id FROM emp x, {self.DUP} y WHERE y.id = 2 AND x.id = 99"
+        plan = [line for (line,) in s.execute("EXPLAIN " + sql).rows]
+        assert plan[1] == "Subquery Scan on y"
+        assert s.execute(sql).rows == []

@@ -33,7 +33,7 @@ def result_rows_line(lines):
 class TestShape:
     def test_plain_explain_has_no_actuals(self, session):
         lines = plan_lines(session, "EXPLAIN SELECT v FROM t WHERE id = 1")
-        assert lines == ["Index Scan using pk_t on t (key: id) (batched)"]
+        assert lines == ["Index Scan using pk_t on t (key: id)"]
 
     def test_analyze_lines_extend_plain_plan(self, session):
         sql = "SELECT t.v FROM t JOIN u ON t.id = u.t_id WHERE u.id < 5"

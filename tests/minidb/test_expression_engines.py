@@ -2,14 +2,13 @@
 the AST interpreter as the reference.
 
 ``enable_compiled_predicates=False`` forces the interpreter at every site
-(the row fold's WHERE, the hash-join residual, the ordered scan, the
-pushed-down prefilter, UPDATE/DELETE target filtering), so each test here
-runs a statement under both engines and requires the same outcome. The
-Hypothesis property covers DML target filtering; the targeted tests pin
-the behaviours the deleted per-row closures had by construction: the
-ordered scan's early exit, the prefilter's keep-on-``ExecutionError``
-rule, the hash-join residual's error order and NULL extension, and the
-rid order of DML targets in the WAL.
+(WHERE, the hash-join residual, the ordered scan, pushed-down conjuncts,
+UPDATE/DELETE target filtering), so each test here runs a statement under
+both engines and requires the same outcome. The Hypothesis property covers
+DML target filtering; the targeted tests pin the behaviours a row-at-a-time
+executor has by construction: the ordered scan's early exit, the pushed-down
+conjunct's keep-on-``ExecutionError`` rule, the hash-join residual's error
+order and NULL extension, and the rid order of DML targets in the WAL.
 """
 
 import json
@@ -18,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.minidb import Database, parse
+from repro.minidb import Database
 from repro.minidb.batch import DEFAULT_BATCH_SIZE
 from repro.minidb.errors import (
     DivisionByZeroError,
@@ -26,7 +25,6 @@ from repro.minidb.errors import (
     MiniDBError,
     TypeMismatchError,
 )
-from repro.minidb.executor import _Source
 
 
 def outcome(session, sql):
@@ -48,10 +46,6 @@ def both_engines(session, sql):
     options["enable_compiled_predicates"] = True
     assert outcomes[0] == outcomes[1], sql
     return outcomes[0]
-
-
-def where_of(text):
-    return parse(f"SELECT 1 FROM t WHERE {text}").where
 
 
 # ------------------------------------------------------ DML target filtering
@@ -194,25 +188,40 @@ class TestOrderedScanEarlyExit:
 
 
 class TestPrefilterErrors:
-    ROWS = [{"c": "1", "n": 1}, {"c": "abc", "n": 2}, {"c": "3", "n": "x"}]
+    """Pushed-down conjuncts run inside the scan of a join's source: one
+    that raises an ``ExecutionError`` keeps its row for the final WHERE,
+    any other error propagates."""
 
-    @pytest.mark.parametrize("compiled", [True, False])
-    def test_execution_error_keeps_the_row(self, compiled):
+    @pytest.fixture(params=[True, False])
+    def joined(self, request):
         db = Database(owner="a")
-        db.planner_options["enable_compiled_predicates"] = compiled
-        source = _Source("t", ["c", "n"], list(self.ROWS))
-        # 'x' > 1 raises ExecutionError: kept for the final WHERE to judge
-        db.executor._prefilter_source(source, where_of("n > 1"))
-        assert source.rows == self.ROWS[1:]
+        session = db.connect("a")
+        session.execute("CREATE TABLE l (k INT, c TEXT, n INT)")
+        session.execute("CREATE TABLE r (k INT)")
+        # heap inserts skip coercion: n = 'x' makes ``n > 1`` raise
+        for k, c, n in [(1, "1", 1), (2, "abc", 2), (3, "3", "x")]:
+            db.heap("l").insert({"k": k, "c": c, "n": n})
+        session.execute("INSERT INTO r VALUES (2)")
+        db.planner_options["enable_compiled_predicates"] = request.param
+        db.observability_options["tracing"] = True
+        return session
 
-    @pytest.mark.parametrize("compiled", [True, False])
-    def test_other_errors_propagate(self, compiled):
-        db = Database(owner="a")
-        db.planner_options["enable_compiled_predicates"] = compiled
-        source = _Source("t", ["c", "n"], list(self.ROWS))
+    def test_execution_error_keeps_the_row(self, joined):
+        sql = "SELECT l.k FROM l JOIN r ON l.k = r.k WHERE l.n > 1"
+        assert "filter: (l.n > 1)" in joined.execute("EXPLAIN " + sql).rows[0][0]
+        # 'x' > 1 raises ExecutionError in l's scan: the row is kept for
+        # the final WHERE to judge, and never reaches it (no partner in r)
+        assert joined.execute(sql).rows == [(2,)]
+        scan = joined.db.tracer.recent()[-1].scans[0]
+        assert (scan["binding"], scan["examined"], scan["rows"]) == ("l", 3, 2)
+
+    def test_other_errors_propagate(self, joined):
         assert not issubclass(TypeMismatchError, ExecutionError)
         with pytest.raises(TypeMismatchError, match="'abc'"):
-            db.executor._prefilter_source(source, where_of("CAST(c AS INT) > 0"))
+            joined.execute(
+                "SELECT l.k FROM l JOIN r ON l.k = r.k "
+                "WHERE l.n > 1 AND CAST(l.c AS INT) > 0"
+            )
 
     def test_deferred_error_raises_only_if_the_row_survives_the_join(self):
         db = Database(owner="a")

@@ -8,6 +8,7 @@ seed executor's semantics, so hash joins are proven drop-in equivalent.
 import pytest
 
 from repro.minidb import Database, parse
+from repro.minidb.functions import SCALAR_FUNCTIONS
 from repro.minidb.planner import extract_pushdown_filter, plan_join, plan_select
 
 
@@ -389,20 +390,30 @@ class TestJoinPlanning:
 
 
 class TestScanAliasing:
-    def test_seq_scan_returns_copies(self, s):
-        plan = plan_select(parse("SELECT * FROM emp"), s.db, s.db.catalog.table)
-        source = s.db.executor._scan_source(plan.scans[0], s, None)
-        heap = s.db.heap("emp")
-        heap.add_column("extra", 1)  # in-place row mutation (schema change)
-        try:
-            assert all("extra" not in row for row in source.rows)
-        finally:
-            heap.drop_column("extra")
+    """A scan hands the pipeline copies: a schema change made while the
+    statement is still running (here from inside a scalar function, the
+    only in-statement hook SQL offers) mutates the live heap row dicts in
+    place and must not show up in the rows already scanned."""
 
-    def test_index_scan_returns_copies(self, s):
-        stmt = parse("SELECT * FROM emp WHERE id = 1")
-        plan = plan_select(stmt, s.db, s.db.catalog.table)
+    @pytest.fixture
+    def poke(self, s, monkeypatch):
+        heap = s.db.heap("emp")
+
+        def poke(args):
+            if "name" in heap.get(1):
+                heap.drop_column("name")  # in-place row mutation
+            return args[0]
+
+        monkeypatch.setitem(SCALAR_FUNCTIONS, "POKE", poke)
+
+    def test_seq_scan_returns_copies(self, s, poke):
+        rows = s.execute("SELECT POKE(id), name FROM emp").rows
+        assert rows == [(1, "ann"), (2, "bob"), (3, "cal"), (4, "dot"), (5, "eve")]
+        assert "name" not in s.db.heap("emp").get(1)  # the hook did run
+
+    def test_index_scan_returns_copies(self, s, poke):
+        sql = "SELECT POKE(id), name FROM emp WHERE id = 1"
+        plan = plan_select(parse(sql), s.db, s.db.catalog.table)
         assert plan.scans[0].kind == "index"
-        source = s.db.executor._scan_source(plan.scans[0], s, None)
-        source.rows[0]["name"] = "mutated"
-        assert s.db.heap("emp").get(1)["name"] == "ann"
+        assert s.execute(sql).rows == [(1, "ann")]
+        assert "name" not in s.db.heap("emp").get(1)

@@ -201,8 +201,8 @@ def explained_kinds(lines):
         for prefix, counter in NODE_COUNTERS:
             if text.startswith(prefix):
                 kinds[counter] += 1
-        if "(batched)" in text:
-            kinds["batch_scans"] += 1
+                if counter.endswith("_scans"):
+                    kinds["batch_scans"] += 1  # every base-table scan
     return kinds
 
 
@@ -326,7 +326,7 @@ class TestExplainMatchesExecution:
         assert lines == [
             "Seq Scan on u",
             "Subquery Scan on q",
-            "  Seq Scan on t (batched)",
+            "  Seq Scan on t",
             "Hash Join (INNER) on q (keys: u.t_id = q.tid)",
         ]
         assert executed_kinds(s, sql)["hash_joins"] == 1
@@ -340,7 +340,7 @@ class TestExplainMatchesExecution:
         ]
         assert lines == [
             "View Scan on vw",
-            "  Index Scan using ix_a on t (key: a) (batched)",
+            "  Index Scan using ix_a on t (key: a)",
         ]
 
     def test_analyze_keeps_same_binding_scans_on_separate_nodes(self):
@@ -355,7 +355,7 @@ class TestExplainMatchesExecution:
         assert lines[0].startswith("Seq Scan on t (filter: (t.b = 1)) (actual rows=29,")
         assert lines[1].startswith("View Scan on vw (actual rows=20,")
         assert lines[2].startswith(
-            "  Index Scan using ix_a on t (key: a) (batched) (actual rows=20,"
+            "  Index Scan using ix_a on t (key: a) (actual rows=20,"
         )
         assert lines[3].startswith("Hash Join (INNER) on vw (keys: t.id = vw.id)")
         assert not any("loops=" in line for line in lines)

@@ -258,7 +258,7 @@ class TestSlowQueryLog:
         assert len(planned) == 1  # child blocks plan inside the one call
         assert db.tracer.slow_statements()[-1]["plan"] == [
             "View Scan on vw",
-            "  Index Scan using pk_t on t (key: id) (batched)",
+            "  Index Scan using pk_t on t (key: id)",
         ]
 
     def test_non_select_statements_log_without_plan(self):
