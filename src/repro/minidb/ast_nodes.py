@@ -1,10 +1,19 @@
 """AST node definitions for the minidb SQL dialect.
 
-Every statement and expression form the parser can produce is a frozen-ish
-dataclass here. Nodes are deliberately dumb data carriers; evaluation lives
-in :mod:`repro.minidb.expressions` and :mod:`repro.minidb.executor`, and
+Every statement and expression form the parser can produce is a
+``frozen=True`` dataclass here (the ``ast-frozen`` staticcheck rule keeps it
+so). :func:`repro.minidb.parser.parse` hands the *same* statement object to
+every caller that passes the same text — the verifier, then the session
+that executes it, possibly on two threads at once — so nobody may change a
+node: the parser collects a node's parts and constructs it once, and
+whoever needs a variant builds a new node. The list-valued fields are part
+of that contract (``tests/minidb/test_parse_cache.py`` deep-compares
+statements before and after execution).
+
+Nodes are deliberately dumb data carriers; evaluation lives in
+:mod:`repro.minidb.expressions` and :mod:`repro.minidb.executor`, and
 static analysis (used by BridgeScope's object-level verification) lives in
-:mod:`repro.core.sql_analysis`.
+:mod:`repro.minidb.analysis`.
 """
 
 from __future__ import annotations
@@ -21,12 +30,12 @@ class Expr:
     """Base class for all expression nodes."""
 
 
-@dataclass
+@dataclass(frozen=True)
 class Literal(Expr):
     value: Any  # int | float | str | bool | None
 
 
-@dataclass
+@dataclass(frozen=True)
 class ColumnRef(Expr):
     name: str
     table: str | None = None  # qualifier as written, e.g. "t1" in t1.x
@@ -35,48 +44,48 @@ class ColumnRef(Expr):
         return f"{self.table}.{self.name}" if self.table else self.name
 
 
-@dataclass
+@dataclass(frozen=True)
 class Star(Expr):
     """``*`` or ``t.*`` in a select list or COUNT(*)."""
 
     table: str | None = None
 
 
-@dataclass
+@dataclass(frozen=True)
 class BinaryOp(Expr):
     op: str  # +,-,*,/,%,=,<>,<,<=,>,>=,AND,OR,||
     left: Expr
     right: Expr
 
 
-@dataclass
+@dataclass(frozen=True)
 class UnaryOp(Expr):
     op: str  # -, +, NOT
     operand: Expr
 
 
-@dataclass
+@dataclass(frozen=True)
 class FunctionCall(Expr):
     name: str  # upper-cased
     args: list[Expr]
     distinct: bool = False  # COUNT(DISTINCT x)
 
 
-@dataclass
+@dataclass(frozen=True)
 class CaseExpr(Expr):
     operand: Expr | None  # CASE x WHEN ... vs searched CASE
     whens: list[tuple[Expr, Expr]]
     default: Expr | None
 
 
-@dataclass
+@dataclass(frozen=True)
 class InExpr(Expr):
     operand: Expr
     candidates: "list[Expr] | SelectStatement"
     negated: bool = False
 
 
-@dataclass
+@dataclass(frozen=True)
 class BetweenExpr(Expr):
     operand: Expr
     low: Expr
@@ -84,7 +93,7 @@ class BetweenExpr(Expr):
     negated: bool = False
 
 
-@dataclass
+@dataclass(frozen=True)
 class LikeExpr(Expr):
     operand: Expr
     pattern: Expr
@@ -92,24 +101,24 @@ class LikeExpr(Expr):
     case_insensitive: bool = False  # ILIKE
 
 
-@dataclass
+@dataclass(frozen=True)
 class IsNullExpr(Expr):
     operand: Expr
     negated: bool = False  # IS NOT NULL
 
 
-@dataclass
+@dataclass(frozen=True)
 class ExistsExpr(Expr):
     subquery: "SelectStatement"
     negated: bool = False
 
 
-@dataclass
+@dataclass(frozen=True)
 class ScalarSubquery(Expr):
     subquery: "SelectStatement"
 
 
-@dataclass
+@dataclass(frozen=True)
 class CastExpr(Expr):
     operand: Expr
     target_type: str
@@ -120,13 +129,13 @@ class CastExpr(Expr):
 # --------------------------------------------------------------------------
 
 
-@dataclass
+@dataclass(frozen=True)
 class SelectItem:
     expr: Expr
     alias: str | None = None
 
 
-@dataclass
+@dataclass(frozen=True)
 class TableRef:
     """A table or view in FROM, possibly aliased."""
 
@@ -138,7 +147,7 @@ class TableRef:
         return self.alias or self.name
 
 
-@dataclass
+@dataclass(frozen=True)
 class SubqueryRef:
     """A derived table: ``(SELECT ...) AS alias``."""
 
@@ -146,20 +155,20 @@ class SubqueryRef:
     alias: str
 
 
-@dataclass
+@dataclass(frozen=True)
 class Join:
     kind: str  # INNER | LEFT | RIGHT | CROSS
     source: "TableRef | SubqueryRef"
     condition: Expr | None  # None for CROSS
 
 
-@dataclass
+@dataclass(frozen=True)
 class OrderItem:
     expr: Expr
     descending: bool = False
 
 
-@dataclass
+@dataclass(frozen=True)
 class SelectStatement:
     items: list[SelectItem]
     from_sources: list["TableRef | SubqueryRef"] = field(default_factory=list)
@@ -179,7 +188,7 @@ class SelectStatement:
 # --------------------------------------------------------------------------
 
 
-@dataclass
+@dataclass(frozen=True)
 class InsertStatement:
     table: str
     columns: list[str] | None  # None = declared order
@@ -187,14 +196,14 @@ class InsertStatement:
     select: SelectStatement | None = None  # INSERT ... SELECT form
 
 
-@dataclass
+@dataclass(frozen=True)
 class UpdateStatement:
     table: str
     assignments: list[tuple[str, Expr]]
     where: Expr | None = None
 
 
-@dataclass
+@dataclass(frozen=True)
 class DeleteStatement:
     table: str
     where: Expr | None = None
@@ -205,7 +214,7 @@ class DeleteStatement:
 # --------------------------------------------------------------------------
 
 
-@dataclass
+@dataclass(frozen=True)
 class ColumnDef:
     name: str
     declared_type: str
@@ -217,14 +226,14 @@ class ColumnDef:
     references: tuple[str, str] | None = None  # (table, column)
 
 
-@dataclass
+@dataclass(frozen=True)
 class ForeignKeyDef:
     columns: list[str]
     ref_table: str
     ref_columns: list[str]
 
 
-@dataclass
+@dataclass(frozen=True)
 class CreateTableStatement:
     table: str
     columns: list[ColumnDef]
@@ -235,14 +244,14 @@ class CreateTableStatement:
     if_not_exists: bool = False
 
 
-@dataclass
+@dataclass(frozen=True)
 class DropTableStatement:
     tables: list[str]
     if_exists: bool = False
     cascade: bool = False
 
 
-@dataclass
+@dataclass(frozen=True)
 class AlterTableStatement:
     table: str
     action: str  # ADD_COLUMN | DROP_COLUMN | RENAME_COLUMN | RENAME_TABLE
@@ -251,7 +260,7 @@ class AlterTableStatement:
     new_name: str | None = None
 
 
-@dataclass
+@dataclass(frozen=True)
 class CreateIndexStatement:
     name: str
     table: str
@@ -261,20 +270,20 @@ class CreateIndexStatement:
     using: str | None = None  # "BTREE" | "HASH" | None (defaults to hash)
 
 
-@dataclass
+@dataclass(frozen=True)
 class DropIndexStatement:
     name: str
     if_exists: bool = False
 
 
-@dataclass
+@dataclass(frozen=True)
 class CreateViewStatement:
     name: str
     select: SelectStatement
     or_replace: bool = False
 
 
-@dataclass
+@dataclass(frozen=True)
 class DropViewStatement:
     names: list[str]
     if_exists: bool = False
@@ -285,7 +294,7 @@ class DropViewStatement:
 # --------------------------------------------------------------------------
 
 
-@dataclass
+@dataclass(frozen=True)
 class ExplainStatement:
     select: SelectStatement
     #: EXPLAIN ANALYZE: execute the statement and annotate the plan lines
@@ -293,39 +302,39 @@ class ExplainStatement:
     analyze: bool = False
 
 
-@dataclass
+@dataclass(frozen=True)
 class AnalyzeStatement:
     """``ANALYZE [table]`` — collect planner statistics (None = all tables)."""
 
     table: str | None = None
 
 
-@dataclass
+@dataclass(frozen=True)
 class BeginStatement:
     pass
 
 
-@dataclass
+@dataclass(frozen=True)
 class CommitStatement:
     pass
 
 
-@dataclass
+@dataclass(frozen=True)
 class RollbackStatement:
     savepoint: str | None = None  # ROLLBACK TO SAVEPOINT x
 
 
-@dataclass
+@dataclass(frozen=True)
 class SavepointStatement:
     name: str
 
 
-@dataclass
+@dataclass(frozen=True)
 class ReleaseSavepointStatement:
     name: str
 
 
-@dataclass
+@dataclass(frozen=True)
 class GrantStatement:
     actions: list[str]  # SELECT/INSERT/... or ["ALL"]
     columns: list[str] | None  # column-level grant, None = whole object
@@ -333,7 +342,7 @@ class GrantStatement:
     grantee: str
 
 
-@dataclass
+@dataclass(frozen=True)
 class RevokeStatement:
     actions: list[str]
     columns: list[str] | None

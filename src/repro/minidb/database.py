@@ -36,7 +36,7 @@ from .errors import (
     TransactionError,
 )
 from .executor import Executor
-from .parser import parse, parse_script
+from .parser import parse, parse_cache_stats, parse_script
 from .privileges import PrivilegeManager
 from .result import ResultSet
 from .storage import HashIndex, HeapTable
@@ -401,6 +401,7 @@ class Database:
         self.metrics.attach_source("locks", self._lock_metric_samples)
         self.metrics.attach_source("retrieval", self._retrieval_metric_samples)
         self.metrics.attach_source("sessions", self._session_metric_samples)
+        self.metrics.attach_source("parse_cache", self._parse_cache_metric_samples)
         # recover persistent state (no-op for the in-memory engine); note
         # a recovered snapshot replaces the owner/privileges constructed
         # above — the directory's persisted identity wins
@@ -585,6 +586,15 @@ class Database:
 
     def _session_metric_samples(self) -> dict[str, Any]:
         return {"minidb_sessions_live": len(self.live_sessions)}
+
+    @staticmethod
+    def _parse_cache_metric_samples() -> dict[str, Any]:
+        # the text → AST cache belongs to the process, not to a database:
+        # every Database in it reports the same three numbers
+        return {
+            f"minidb_parse_cache_{key}": value
+            for key, value in parse_cache_stats().items()
+        }
 
     def ensure_retrieval_cache(self, factory: Callable[[], Any]) -> Any:
         """Lazily attach the shared retrieval cache exactly once.

@@ -37,6 +37,7 @@ queries.
 
 from __future__ import annotations
 
+import math
 import re
 from itertools import repeat
 from typing import Any, Callable, Mapping
@@ -321,13 +322,21 @@ def _arith(op: str, left: Any, right: Any) -> Any:
         if right == 0:
             raise DivisionByZeroError("division by zero")
         if isinstance(left, int) and isinstance(right, int):
-            # SQL integer division truncates toward zero
-            return int(left / right)
+            # SQL integer division truncates toward zero; done on integers,
+            # so operands beyond 2**53 keep every digit
+            quotient = abs(left) // abs(right)
+            return quotient if (left < 0) == (right < 0) else -quotient
         return left / right
     if op == "%":
         if right == 0:
             raise DivisionByZeroError("division by zero")
-        return left % right
+        # the remainder of that truncating division: it takes the sign of
+        # the dividend (PostgreSQL, sqlite), where Python's % takes the
+        # divisor's
+        if isinstance(left, int) and isinstance(right, int):
+            remainder = abs(left) % abs(right)
+            return -remainder if left < 0 else remainder
+        return math.fmod(left, right)
     raise ExecutionError(f"unknown arithmetic operator {op}")
 
 

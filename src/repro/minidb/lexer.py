@@ -1,17 +1,29 @@
-"""SQL lexer for minidb.
+"""SQL lexer for minidb: one compiled master regex, one match per token.
 
-Produces a flat list of :class:`Token` objects consumed by the
-recursive-descent parser. The token language covers the SQL dialect minidb
-executes: identifiers (optionally double-quoted), string literals with
-doubled-quote escaping, numeric literals, operators, and punctuation.
-Keywords are not distinguished here — the parser matches identifier tokens
-case-insensitively against expected keywords, which keeps the lexer small
-and lets column names shadow non-reserved words.
+:func:`tokenize` turns a statement into the flat :class:`Token` list the
+recursive-descent parser consumes. The token language (stated once, in
+"The SQL front end" of ``docs/ARCHITECTURE.md``):
+
+* whitespace, ``-- …`` line comments and ``/* … */`` block comments separate
+  tokens and produce none (an unterminated block comment is an error);
+* ``IDENT`` — a letter or ``_`` followed by letters, digits and ``_`` (Unicode
+  aware), or any text between double quotes;
+* ``NUMBER`` — ``12``, ``1.``, ``.5``, ``1.5e-3``; an exponent needs its
+  digits, so ``1e`` is the number ``1`` followed by the identifier ``e``;
+* ``STRING`` — single-quoted, a quote inside is doubled (``'it''s'``);
+* ``OP`` — ``<= >= <> != ||`` and ``+ - * / % < > =``; ``PUNCT`` — ``( ) , . ;``;
+  ``PARAM`` — ``?``; and a closing ``EOF``.
+
+Keywords are not a token kind: every ``IDENT`` carries its upper-cased form
+in ``word`` and the parser compares that with constant keyword strings, so
+column names may shadow non-reserved words. Every token records the offset
+of its *first* character for error messages.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import re
+from typing import NamedTuple
 
 from .errors import SQLSyntaxError
 
@@ -24,136 +36,91 @@ PUNCT = "PUNCT"
 PARAM = "PARAM"
 EOF = "EOF"
 
-_TWO_CHAR_OPS = ("<=", ">=", "<>", "!=", "||")
-_ONE_CHAR_OPS = "+-*/%<>="
-_PUNCT = "(),.;"
 
-
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     """A single lexical token with its source position (for error messages)."""
 
     kind: str
     value: str
+    #: offset of the token's first character in the source text
     pos: int
+    #: upper-cased ``value`` of an IDENT — what keywords are compared with;
+    #: empty for every other kind, so a string literal never reads as one
+    word: str = ""
 
     def matches_keyword(self, word: str) -> bool:
-        return self.kind == IDENT and self.value.upper() == word.upper()
+        return self.word == word.upper()
+
+
+# Token(...) runs a Python-level __new__; this is the same construction
+# without that frame (about a sixth of the lexer's time on a short SELECT)
+_new_token = tuple.__new__
+
+# One alternative per token kind behind a prefix that swallows whitespace and
+# comments, so finditer yields exactly one match per token. The EOF and BAD
+# alternatives make the pattern match at every offset: finditer never skips
+# text silently and never backtracks into the prefix.
+_QUOTED = "QUOTED"
+_BAD = "BAD"
+_TOKEN = re.compile(
+    r"""
+    (?: \s+ | --[^\n]* | /\*.*?\*/ )*
+    (?: (?P<IDENT>  [^\W\d]\w* )
+      | (?P<NUMBER> (?: \d+ (?:\.\d*)? | \.\d+ ) (?: [eE][+-]?\d+ )? )
+      | (?P<STRING> '[^']* (?: ''[^']* )* ' (?!') )
+      | (?P<QUOTED> "[^"]*" )
+      | (?P<OP>     <= | >= | <> | != | \|\| | [-+*%<>=] | /(?!\*) )
+      | (?P<PUNCT>  [(),.;] )
+      | (?P<PARAM>  \? )
+      | (?P<EOF>    \Z )
+      | (?P<BAD>    . )
+    )
+    """,
+    re.VERBOSE | re.DOTALL,
+)
 
 
 def tokenize(sql: str) -> list[Token]:
     """Tokenize ``sql`` into a list ending with an EOF token.
 
-    Raises :class:`SQLSyntaxError` on unterminated strings or illegal
-    characters.
+    Raises :class:`SQLSyntaxError` on unterminated strings, quoted
+    identifiers or block comments, and on illegal characters.
     """
     tokens: list[Token] = []
-    i = 0
-    n = len(sql)
-    while i < n:
-        ch = sql[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if sql.startswith("--", i):
-            newline = sql.find("\n", i)
-            i = n if newline < 0 else newline + 1
-            continue
-        if sql.startswith("/*", i):
-            end = sql.find("*/", i + 2)
-            if end < 0:
-                raise SQLSyntaxError(f"unterminated comment at position {i}")
-            i = end + 2
-            continue
-        if ch == "'":
-            value, i = _read_string(sql, i)
-            tokens.append(Token(STRING, value, i))
-            continue
-        if ch == '"':
-            value, i = _read_quoted_identifier(sql, i)
-            tokens.append(Token(IDENT, value, i))
-            continue
-        if ch.isdigit() or (ch == "." and i + 1 < n and sql[i + 1].isdigit()):
-            value, i = _read_number(sql, i)
-            tokens.append(Token(NUMBER, value, i))
-            continue
-        if ch.isalpha() or ch == "_":
-            start = i
-            while i < n and (sql[i].isalnum() or sql[i] == "_"):
-                i += 1
-            tokens.append(Token(IDENT, sql[start:i], start))
-            continue
-        if sql[i : i + 2] in _TWO_CHAR_OPS:
-            tokens.append(Token(OP, sql[i : i + 2], i))
-            i += 2
-            continue
-        if ch in _ONE_CHAR_OPS:
-            tokens.append(Token(OP, ch, i))
-            i += 1
-            continue
-        if ch in _PUNCT:
-            tokens.append(Token(PUNCT, ch, i))
-            i += 1
-            continue
-        if ch == "?":
-            tokens.append(Token(PARAM, "?", i))
-            i += 1
-            continue
-        raise SQLSyntaxError(f"illegal character {ch!r} at position {i}")
-    tokens.append(Token(EOF, "", n))
+    append = tokens.append
+    # ``[^\W\d]`` also admits the few alphanumerics that are neither letters
+    # nor decimal digits (², ½, Ⅷ); they may continue an identifier but not
+    # start one. Pure-ASCII text has none, so it skips the per-token check.
+    check_start = not sql.isascii()
+    for match in _TOKEN.finditer(sql):
+        kind = match.lastgroup
+        text = match.group(kind)
+        pos = match.start(kind)
+        if kind == IDENT:
+            if check_start and not (text[0].isalpha() or text[0] == "_"):
+                raise _illegal(sql, pos)
+            append(_new_token(Token, (IDENT, text, pos, text.upper())))
+        elif kind == STRING:
+            append(_new_token(Token, (STRING, text[1:-1].replace("''", "'"), pos, "")))
+        elif kind == _QUOTED:
+            name = text[1:-1]
+            append(_new_token(Token, (IDENT, name, pos, name.upper())))
+        elif kind == _BAD:
+            raise _illegal(sql, pos)
+        else:
+            append(_new_token(Token, (kind, text, pos, "")))
+            if kind == EOF:
+                break
     return tokens
 
 
-def _read_string(sql: str, start: int) -> tuple[str, int]:
-    """Read a single-quoted string literal starting at ``start``.
-
-    SQL escapes a quote by doubling it: ``'it''s'`` → ``it's``.
-    """
-    parts: list[str] = []
-    i = start + 1
-    n = len(sql)
-    while i < n:
-        ch = sql[i]
-        if ch == "'":
-            if i + 1 < n and sql[i + 1] == "'":
-                parts.append("'")
-                i += 2
-                continue
-            return "".join(parts), i + 1
-        parts.append(ch)
-        i += 1
-    raise SQLSyntaxError(f"unterminated string literal at position {start}")
-
-
-def _read_quoted_identifier(sql: str, start: int) -> tuple[str, int]:
-    end = sql.find('"', start + 1)
-    if end < 0:
-        raise SQLSyntaxError(f"unterminated quoted identifier at position {start}")
-    return sql[start + 1 : end], end + 1
-
-
-def _read_number(sql: str, start: int) -> tuple[str, int]:
-    i = start
-    n = len(sql)
-    seen_dot = False
-    seen_exp = False
-    while i < n:
-        ch = sql[i]
-        if ch.isdigit():
-            i += 1
-        elif ch == "." and not seen_dot and not seen_exp:
-            seen_dot = True
-            i += 1
-        elif ch in "eE" and not seen_exp and i > start:
-            # exponent must be followed by optional sign + digits
-            j = i + 1
-            if j < n and sql[j] in "+-":
-                j += 1
-            if j < n and sql[j].isdigit():
-                seen_exp = True
-                i = j
-            else:
-                break
-        else:
-            break
-    return sql[start:i], i
+def _illegal(sql: str, pos: int) -> SQLSyntaxError:
+    """The error for text no token alternative matches at ``pos``."""
+    ch = sql[pos]
+    if ch == "'":
+        return SQLSyntaxError(f"unterminated string literal at position {pos}")
+    if ch == '"':
+        return SQLSyntaxError(f"unterminated quoted identifier at position {pos}")
+    if sql.startswith("/*", pos):
+        return SQLSyntaxError(f"unterminated comment at position {pos}")
+    return SQLSyntaxError(f"illegal character {ch!r} at position {pos}")

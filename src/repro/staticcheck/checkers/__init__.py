@@ -1,6 +1,7 @@
 """Checker implementations — importing this package registers every rule."""
 
 from . import (  # noqa: F401  — import-for-registration
+    ast_frozen,
     broad_except,
     cond_wait,
     encapsulation,

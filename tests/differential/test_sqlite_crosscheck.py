@@ -50,13 +50,6 @@ EXCLUSIONS = [
         "SELECT 1 / (a - a) FROM t WHERE a = 1",
     ),
     (
-        "modulo with a negative operand",
-        "minidb's % is floored (-3 % 2 = 1); sqlite and PostgreSQL truncate "
-        "(-1) — a minidb bug in scalar arithmetic shared by every statement "
-        "kind, found while writing this suite and left for its own change",
-        "SELECT a % 2 FROM t WHERE a = -3",
-    ),
-    (
         "LIKE",
         "minidb's LIKE is case-sensitive (PostgreSQL; ILIKE is the "
         "insensitive form); sqlite's LIKE folds ASCII case",

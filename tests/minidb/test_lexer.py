@@ -121,3 +121,18 @@ class TestErrors:
         tokens = tokenize("ab cd")
         assert tokens[0].pos == 0
         assert tokens[1].pos == 3
+
+    def test_every_kind_records_its_start_offset(self):
+        # fails at the parent of PR 15: NUMBER, STRING and quoted IDENT
+        # recorded the offset *after* their last character
+        sql = """a 12.5e3 'it''s' "My Col" <= ( ? -- c\n /* c */ b"""
+        tokens = tokenize(sql)
+        assert [(t.value, t.pos) for t in tokens] == [
+            ("a", 0), ("12.5e3", 2), ("it's", 9), ("My Col", 17), ("<=", 26),
+            ("(", 29), ("?", 31), ("b", 47), ("", len(sql)),
+        ]  # fmt: skip
+        assert [sql[t.pos] for t in tokens[:-1]] == ["a", "1", "'", '"', "<", "(", "?", "b"]
+
+    def test_identifiers_carry_their_upper_cased_form(self):
+        tokens = tokenize("""select "from" 'WHERE' 12 =""")
+        assert [t.word for t in tokens] == ["SELECT", "FROM", "", "", "", ""]

@@ -443,3 +443,70 @@ class TestScriptsAndErrors:
         assert statement_action(parse("DROP TABLE t")) == "DROP"
         assert statement_action(parse("ALTER TABLE t RENAME TO u")) == "ALTER"
         assert statement_action(parse("BEGIN")) == "OTHER"
+
+    @pytest.mark.parametrize(
+        "sql, where",
+        [
+            # both fail at the parent of PR 15, which reported the offset
+            # after the offending token: 37 and 15
+            ("SELECT * FROM t WHERE a = 'hello' 'x'", "near 'x' (position 34)"),
+            ("SELECT 12345 67 FROM t", "near '67' (position 13)"),
+            ('SELECT a FROM t "u" "v"', "near 'v' (position 20)"),
+        ],
+    )
+    def test_error_names_the_offending_tokens_first_character(self, sql, where):
+        with pytest.raises(SQLSyntaxError) as caught:
+            parse(sql)
+        assert where in str(caught.value)
+        assert str(caught.value).endswith(f"in: {sql}")
+
+    def test_begin_takes_nothing_but_transaction(self):
+        # the parent accepted BEGIN START TRANSACTION by accident
+        assert isinstance(parse("BEGIN TRANSACTION"), ast.BeginStatement)
+        assert isinstance(parse("START TRANSACTION"), ast.BeginStatement)
+        with pytest.raises(SQLSyntaxError, match="unexpected trailing input"):
+            parse("BEGIN START TRANSACTION")
+
+
+class TestBuiltByConstruction:
+    """The parser creates each node once, complete (its nodes are frozen).
+    The first three pin the shapes the parent assembled by assignment and
+    pass there too; the last one needs the cache."""
+
+    def test_trailing_clauses_of_a_set_operation_bind_to_the_whole(self):
+        stmt = parse(
+            "SELECT a FROM t UNION ALL SELECT b FROM u INTERSECT SELECT c FROM w "
+            "ORDER BY 1 DESC LIMIT 3 OFFSET 1"
+        )
+        assert (len(stmt.order_by), stmt.limit, stmt.offset) == (1, 3, 1)
+        kind, middle = stmt.set_op
+        assert kind == "UNION ALL"
+        assert (middle.order_by, middle.limit, middle.offset) == ([], None, None)
+        kind, last = middle.set_op
+        assert kind == "INTERSECT" and last.set_op is None
+        assert (last.order_by, last.limit, last.offset) == ([], None, None)
+
+    def test_a_subquery_arm_keeps_its_own_trailing_clauses(self):
+        stmt = parse("SELECT a FROM (SELECT a FROM t ORDER BY a LIMIT 2) x UNION SELECT 1")
+        inner = stmt.from_sources[0].subquery
+        assert (len(inner.order_by), inner.limit) == (1, 2)
+        assert stmt.order_by == [] and stmt.limit is None
+
+    def test_column_constraints_in_any_order(self):
+        stmt = parse(
+            "CREATE TABLE t (a INT UNIQUE NOT NULL DEFAULT 7 REFERENCES u(id) CHECK (a > 0),"
+            " b TEXT NULL PRIMARY KEY, PRIMARY KEY (a, b), UNIQUE (b), CHECK (a < 9),"
+            " FOREIGN KEY (b) REFERENCES w)"
+        )
+        a, b = stmt.columns
+        assert (a.unique, a.not_null, a.primary_key, a.references) == (True, True, False, ("u", "id"))
+        assert a.default == ast.Literal(7) and isinstance(a.check, ast.BinaryOp)
+        assert (b.primary_key, b.not_null, b.unique, b.default) == (True, False, False, None)
+        assert stmt.primary_key == ["a", "b"] and stmt.uniques == [["b"]]
+        assert len(stmt.checks) == 1
+        assert stmt.foreign_keys == [ast.ForeignKeyDef(["b"], "w", [])]
+
+    def test_identical_text_yields_the_identical_statement(self):
+        sql = "SELECT a FROM t WHERE a = 1 /* parse-cache identity */"
+        assert parse(sql) is parse(sql)
+        assert parse(sql + " ") is not parse(sql) and parse(sql + " ") == parse(sql)

@@ -36,6 +36,14 @@ CASES = [
     ("SELECT (2 + 3) * 4", [(20,)]),
     ("SELECT -2 * -3", [(6,)]),
     ("SELECT 10 % 4", [(2,)]),
+    # % takes the dividend's sign and integer / is exact (PostgreSQL, sqlite).
+    # At the parent of PR 15 every row but the -7 / 2 one fails: % was floored
+    # (1, -1, 0.5) and the quotient went through a float (...000)
+    ("SELECT -3 % 2", [(-1,)]),
+    ("SELECT 3 % -2", [(1,)]),
+    ("SELECT -7 / 2, 7 / -2, -7 / -2", [(-3, -3, 3)]),
+    ("SELECT 100000000000000001 / 1", [(100000000000000001,)]),
+    ("SELECT -7.5 % 2", [(-1.5,)]),
     ("SELECT 1 < 2 AND 2 < 3", [(True,)]),
     ("SELECT NOT FALSE", [(True,)]),
     ("SELECT 'a' || 'b' = 'ab'", [(True,)]),

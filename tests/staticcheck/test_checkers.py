@@ -677,3 +677,73 @@ def test_planner_seam_suppression_honored():
     findings, suppressed = run_rule("planner-seam", source, rel_path=PLANNER_SEAM_PATH)
     assert len(findings) == 2
     assert len(suppressed) == 1
+
+
+# --------------------------------------------------------------- ast-frozen
+# (PR 15; the rule does not exist at the parent, so all four are new)
+
+
+AST_FROZEN_BAD = """\
+    import dataclasses
+    from dataclasses import dataclass
+
+    class Expr:
+        pass
+
+    @dataclass
+    class Literal(Expr):
+        value: object
+
+    @dataclass(frozen=False)
+    class ColumnRef(Expr):
+        name: str
+
+    @dataclasses.dataclass(eq=True)
+    class Star(Expr):
+        table: str = None
+"""
+
+AST_FROZEN_GOOD = """\
+    import dataclasses
+    from dataclasses import dataclass
+
+    class Expr:
+        pass
+
+    @dataclass(frozen=True)
+    class Literal(Expr):
+        value: object
+
+    @dataclasses.dataclass(eq=True, frozen=True)
+    class Star(Expr):
+        table: str = None
+"""
+
+AST_NODES_PATH = "src/repro/minidb/ast_nodes.py"
+
+
+def test_ast_frozen_flags_every_unfrozen_dataclass():
+    findings, _ = run_rule("ast-frozen", AST_FROZEN_BAD, rel_path=AST_NODES_PATH)
+    assert [f.context for f in findings] == ["Literal", "ColumnRef", "Star"]
+    assert "frozen=True" in findings[0].message
+
+
+def test_ast_frozen_clean_when_every_node_is_frozen():
+    findings, _ = run_rule("ast-frozen", AST_FROZEN_GOOD, rel_path=AST_NODES_PATH)
+    assert findings == []
+
+
+def test_ast_frozen_only_looks_at_the_ast_module():
+    for rel_path in ("src/repro/minidb/planner.py", "tests/minidb/test_parser.py"):
+        findings, _ = run_rule("ast-frozen", AST_FROZEN_BAD, rel_path=rel_path)
+        assert findings == []
+
+
+def test_ast_frozen_suppression_honored():
+    source = AST_FROZEN_BAD.replace(
+        "class Literal(Expr):",
+        "class Literal(Expr):  # staticcheck: ignore[ast-frozen] — fixture rationale",
+    )
+    findings, suppressed = run_rule("ast-frozen", source, rel_path=AST_NODES_PATH)
+    assert len(findings) == 2
+    assert len(suppressed) == 1
