@@ -45,6 +45,7 @@ from ..service import (
     run_with_retries,
 )
 from ..service.sessions import ServiceSession
+from .gates import expect, failed
 
 _FIRST = ["ada", "grace", "edsger", "barbara", "donald", "alan", "margaret"]
 _CITY = ["zurich", "lisbon", "osaka", "quito", "tromso", "accra", "perth"]
@@ -59,18 +60,14 @@ def _build_read_db(rows: int) -> Database:
     )
     session.execute("CREATE INDEX idx_customers_city ON customers (city)")
     session.execute("CREATE TABLE audit (id INT PRIMARY KEY, note TEXT)")
-    batch: list[str] = []
-    for i in range(rows):
-        name = f"{_FIRST[i % len(_FIRST)]}-{i}"
-        city = _CITY[i % len(_CITY)]
-        batch.append(f"({i}, '{name}', '{city}', {i % 997})")
-        if len(batch) == 500:
-            session.execute(
-                "INSERT INTO customers VALUES " + ", ".join(batch)
-            )
-            batch = []
-    if batch:
-        session.execute("INSERT INTO customers VALUES " + ", ".join(batch))
+    values = [
+        f"({i}, '{_FIRST[i % len(_FIRST)]}-{i}', '{_CITY[i % len(_CITY)]}', {i % 997})"
+        for i in range(rows)
+    ]
+    for start in range(0, rows, 500):
+        session.execute(
+            "INSERT INTO customers VALUES " + ", ".join(values[start : start + 500])
+        )
     return db
 
 
@@ -144,17 +141,15 @@ def run_read_heavy(
         tokens = {
             n: manager.create_session("admin").token for n in range(sessions)
         }
-        if label == "serial":
-            dispatcher: Any = SerialDispatcher(
-                manager, handler=_io_handler(io_delay_s)
-            )
-        else:
-            dispatcher = Dispatcher(
-                manager,
-                workers=workers,
+        handler = _io_handler(io_delay_s)
+        dispatcher: Any = (
+            SerialDispatcher(manager, handler=handler)
+            if label == "serial"
+            else Dispatcher(
+                manager, workers=workers, handler=handler,
                 queue_limit=sessions * ops_per_session + 1,
-                handler=_io_handler(io_delay_s),
             )
+        )
         started = time.perf_counter()
         futures = [
             dispatcher.submit(tokens[n], call) for n, call in interleaved
@@ -234,41 +229,29 @@ def run_writer_contention(
                 seed=index,
             )
 
+            def call(tool: str, **arguments: Any) -> ToolResult:
+                return dispatcher.call(token, ToolCall(tool, arguments))
+
             def attempt() -> ToolResult:
                 """One whole read-modify-write transaction; returns the
                 first error result (after rolling back) or the commit."""
-                begin = dispatcher.call(token, ToolCall("begin", {}))
+                begin = call("begin")
                 if begin.is_error:
                     return begin
-                read = dispatcher.call(
-                    token,
-                    ToolCall(
-                        "select",
-                        {"sql": "SELECT val FROM counters WHERE id = 1"},
-                    ),
-                )
+                read = call("select", sql="SELECT val FROM counters WHERE id = 1")
                 if read.is_error:
                     # the deadlock abort already rolled the transaction
                     # back; this rollback is a harmless no-op then
-                    dispatcher.call(token, ToolCall("rollback", {}))
+                    call("rollback")
                     return read
                 value = read.metadata["rows"][0][0]
-                write = dispatcher.call(
-                    token,
-                    ToolCall(
-                        "update",
-                        {
-                            "sql": (
-                                f"UPDATE counters SET val = {value + 1} "
-                                "WHERE id = 1"
-                            )
-                        },
-                    ),
+                write = call(
+                    "update", sql=f"UPDATE counters SET val = {value + 1} WHERE id = 1"
                 )
                 if write.is_error:
-                    dispatcher.call(token, ToolCall("rollback", {}))
+                    call("rollback")
                     return write
-                return dispatcher.call(token, ToolCall("commit", {}))
+                return call("commit")
 
             def note_retry(attempt_number: int, failure: Any) -> None:
                 with guard:
@@ -354,17 +337,8 @@ def experiment_concurrency(
     increments_per_session: int = 20,
 ) -> dict[str, Any]:
     """Both workloads plus the combined pass verdicts."""
-    read_heavy = run_read_heavy(
-        sessions=sessions,
-        workers=workers,
-        ops_per_session=ops_per_session,
-        rows=rows,
-        io_delay_ms=io_delay_ms,
-    )
-    contention = run_writer_contention(
-        sessions=writer_sessions,
-        increments_per_session=increments_per_session,
-    )
+    read_heavy = run_read_heavy(sessions, workers, ops_per_session, rows, io_delay_ms)
+    contention = run_writer_contention(writer_sessions, increments_per_session)
     contention_ok = (
         contention["lost_updates"] == 0
         and contention["stuck_sessions"] == 0
@@ -377,3 +351,28 @@ def experiment_concurrency(
         "writer_contention": contention,
         "contention_ok": contention_ok,
     }
+
+
+#: threaded-over-serialized throughput floors (full size, smoke): CI
+#: machines may have few cores
+SPEEDUP_FLOORS = (3.0, 1.5)
+
+
+def check_concurrency(result: dict[str, Any], smoke: bool) -> list[str]:
+    """The gate: no lost update, no stuck session, no error, and overlap."""
+    read = result["read_heavy"]
+    contention = result["writer_contention"]
+    return failed(
+        [
+            expect("lost updates", contention["lost_updates"], "==", 0),
+            expect("sessions that never finished",
+                   contention["stuck_sessions"], "==", 0),
+            expect("counter replayed by recovery",
+                   contention["recovered_value"], "==", contention["final_value"]),
+            (result["contention_ok"],
+             "writer-contention workload did not complete cleanly"),
+            expect("read-heavy errors",
+                   read["errors"]["serial"] + read["errors"]["threaded"], "==", 0),
+            expect("speedup", read["speedup"], ">=", SPEEDUP_FLOORS[smoke]),
+        ]
+    )

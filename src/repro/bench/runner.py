@@ -1,16 +1,18 @@
 """Experiment harness: builds toolkits, runs agents on tasks, scores runs.
 
 One function per paper experiment (Figures 5-6, Tables 1-2) returns the
-aggregated numbers; the ``benchmarks/`` targets print them in the paper's
-row/series layout. Every run is seeded from (task, model, toolkit) so the
-whole evaluation is deterministic.
+aggregated numbers, and a ``check_*`` beside it holds the shape the paper
+reports for them (``python -m repro.bench <name>`` prints both). Every run
+is seeded from (task, model, toolkit) so the whole evaluation is
+deterministic.
 """
 
 from __future__ import annotations
 
 import zlib
 from dataclasses import dataclass, field
-from typing import Any
+from itertools import islice, zip_longest
+from typing import Any, Callable
 
 from ..agent import ReActAgent, RunTrace
 from ..baselines import PGMCP, PGMCPMinus, make_sampled_binding
@@ -27,6 +29,7 @@ from .datasets import (
     build_bird_database,
     build_housing_database,
 )
+from .gates import expect, failed
 from .nl2ml import generate_nl2ml_tasks, idealized_pg_mcp_token_cost
 from .tasks import DBTask, MLTask
 
@@ -46,8 +49,6 @@ final answer strictly from tool results; never invent data you did not
 retrieve. Keep each tool call to a single SQL statement where possible,
 and prefer precise predicates over broad scans when filtering data.
 """
-
-TOOLKITS = ("bridgescope", "pg-mcp", "pg-mcp-minus", "pg-mcp-s")
 
 #: theoretical minimum LLM calls (paper Section 3.2/3.3)
 BEST_ACHIEVABLE = {
@@ -239,19 +240,39 @@ def _task_subset(tasks: list[DBTask], limit: int | None) -> list[DBTask]:
     by_action: dict[str, list[DBTask]] = {}
     for task in tasks:
         by_action.setdefault(task.action, []).append(task)
-    subset: list[DBTask] = []
-    index = 0
-    while len(subset) < limit:
-        progressed = False
-        for action in sorted(by_action):
-            bucket = by_action[action]
-            if index < len(bucket) and len(subset) < limit:
-                subset.append(bucket[index])
-                progressed = True
-        if not progressed:
-            break
-        index += 1
-    return subset
+    rounds = zip_longest(*(by_action[action] for action in sorted(by_action)))
+    in_turn = (task for round_ in rounds for task in round_ if task is not None)
+    return list(islice(in_turn, limit))
+
+
+def _cell(
+    tasks: list[DBTask], toolkit: str, profile: ModelProfile, **run: Any
+) -> CellStats:
+    cell = CellStats()
+    for task in tasks:
+        cell.add(run_db_task(task, toolkit, profile, **run))
+    return cell
+
+
+def _per_model(
+    models: list[str] | None,
+    tasks: list[DBTask],
+    toolkits: tuple[str, ...],
+    metric: str,
+    scale: float,
+    **constants: float,
+) -> dict[str, dict[str, float]]:
+    """``{model: {toolkit: its metric over the tasks, **constants}}``."""
+    return {
+        profile.name: {
+            **{
+                toolkit: getattr(_cell(tasks, toolkit, profile, scale=scale), metric)
+                for toolkit in toolkits
+            },
+            **constants,
+        }
+        for profile in _profiles(models)
+    }
 
 
 def experiment_fig5a(
@@ -265,18 +286,11 @@ def experiment_fig5a(
     retrieval, SQL execution, finalization — describes the read workflow).
     """
     reads = [t for t in generate_bird_ext_tasks() if not t.write]
-    tasks = _task_subset(reads, n_tasks)
-    results: dict[str, dict[str, float]] = {}
-    for profile in _profiles(models):
-        row: dict[str, float] = {}
-        for toolkit in ("bridgescope", "pg-mcp-minus"):
-            cell = CellStats()
-            for task in tasks:
-                cell.add(run_db_task(task, toolkit, profile, scale=scale))
-            row[toolkit] = cell.avg_llm_calls
-        row["best-achievable"] = float(BEST_ACHIEVABLE["read"])
-        results[profile.name] = row
-    return results
+    return _per_model(
+        models, _task_subset(reads, n_tasks), ("bridgescope", "pg-mcp-minus"),
+        "avg_llm_calls", scale,
+        **{"best-achievable": float(BEST_ACHIEVABLE["read"])},
+    )
 
 
 def experiment_fig5b(
@@ -286,16 +300,7 @@ def experiment_fig5b(
 ) -> dict[str, dict[str, float]]:
     """SQL execution accuracy, BridgeScope vs PG-MCP."""
     tasks = _task_subset(generate_bird_ext_tasks(), n_tasks)
-    results: dict[str, dict[str, float]] = {}
-    for profile in _profiles(models):
-        row: dict[str, float] = {}
-        for toolkit in ("bridgescope", "pg-mcp"):
-            cell = CellStats()
-            for task in tasks:
-                cell.add(run_db_task(task, toolkit, profile, scale=scale))
-            row[toolkit] = cell.accuracy
-        results[profile.name] = row
-    return results
+    return _per_model(models, tasks, ("bridgescope", "pg-mcp"), "accuracy", scale)
 
 
 def experiment_fig5c(
@@ -304,73 +309,56 @@ def experiment_fig5c(
     scale: float = 0.5,
 ) -> dict[str, dict[str, float]]:
     """Transaction trigger ratio on write tasks."""
-    tasks = [
-        t for t in _task_subset(generate_bird_ext_tasks(), None) if t.write
-    ]
-    if n_tasks is not None:
-        tasks = tasks[:n_tasks]
-    results: dict[str, dict[str, float]] = {}
-    for profile in _profiles(models):
-        row: dict[str, float] = {}
-        for toolkit in ("bridgescope", "pg-mcp"):
-            cell = CellStats()
-            for task in tasks:
-                cell.add(run_db_task(task, toolkit, profile, scale=scale))
-            row[toolkit] = cell.transaction_ratio
-        row["best-achievable"] = 1.0
-        results[profile.name] = row
-    return results
+    tasks = [t for t in generate_bird_ext_tasks() if t.write][:n_tasks]
+    return _per_model(
+        models, tasks, ("bridgescope", "pg-mcp"), "transaction_ratio", scale,
+        **{"best-achievable": 1.0},
+    )
 
 
-#: the five (role, task-type) cells of Figure 6 / Table 1
+#: {model: {"(role, task type)": {series: value}}} — Figure 6 / Table 1
+CellResults = dict[str, dict[str, dict[str, float]]]
+
+#: the five cells of Figure 6 / Table 1: role label, task type, role, and
+#: which best-achievable call count applies
 FIG6_CELLS = [
-    ("A", "read", ROLE_ADMIN, False),
-    ("A", "write", ROLE_ADMIN, True),
-    ("N", "write", ROLE_NORMAL, True),
-    ("I", "read", ROLE_IRRELEVANT, False),
-    ("I", "write", ROLE_IRRELEVANT, True),
+    ("A", "read", ROLE_ADMIN, "read"),
+    ("A", "write", ROLE_ADMIN, "write"),
+    ("N", "write", ROLE_NORMAL, "abort_no_tool"),
+    ("I", "read", ROLE_IRRELEVANT, "abort_schema"),
+    ("I", "write", ROLE_IRRELEVANT, "abort_schema"),
 ]
 
 
 def experiment_fig6_table1(
     models: list[str] | None = None,
-    n_tasks_per_cell: int = 20,
+    n_tasks: int = 20,
     scale: float = 0.5,
-) -> dict[str, dict[str, dict[str, float]]]:
+) -> CellResults:
     """LLM calls (Fig 6) and token usage (Table 1) across privilege roles.
 
     Returns ``{model: {cell: {toolkit: value, toolkit+"_tokens": value,
     "best": value}}}`` with cells keyed like ``"(N, write)"``.
     """
     all_tasks = generate_bird_ext_tasks()
-    reads = [t for t in all_tasks if not t.write]
-    writes = [t for t in all_tasks if t.write]
-    results: dict[str, dict[str, dict[str, float]]] = {}
+    by_type = {
+        "read": [t for t in all_tasks if not t.write],
+        "write": [t for t in all_tasks if t.write],
+    }
+    results: CellResults = {}
     for profile in _profiles(models):
-        per_cell: dict[str, dict[str, float]] = {}
-        for label, task_type, role, is_write in FIG6_CELLS:
-            tasks = (writes if is_write else reads)[:n_tasks_per_cell]
-            cell_key = f"({label}, {task_type})"
-            entry: dict[str, float] = {}
+        results[profile.name] = {}
+        for label, task_type, role, best in FIG6_CELLS:
+            tasks = by_type[task_type][:n_tasks]
+            entry = {"best": float(BEST_ACHIEVABLE[best])}
             for toolkit in ("bridgescope", "pg-mcp"):
-                cell = CellStats()
-                for task in tasks:
-                    cell.add(run_db_task(task, toolkit, profile, role=role, scale=scale))
+                cell = _cell(tasks, toolkit, profile, role=role, scale=scale)
                 entry[toolkit] = cell.avg_llm_calls
                 entry[f"{toolkit}_tokens"] = cell.avg_tokens
                 entry[f"{toolkit}_intercepted"] = sum(
                     1 for r in cell.runs if r.intercepted
                 ) / max(cell.n, 1)
-            if label == "A":
-                entry["best"] = float(
-                    BEST_ACHIEVABLE["write" if is_write else "read"]
-                )
-            elif label == "N":
-                entry["best"] = float(BEST_ACHIEVABLE["abort_no_tool"])
-            else:
-                entry["best"] = float(BEST_ACHIEVABLE["abort_schema"])
-            per_cell[cell_key] = entry
-        results[profile.name] = per_cell
+            results[profile.name][f"({label}, {task_type})"] = entry
     return results
 
 
@@ -382,24 +370,124 @@ def experiment_table2(
     """NL2ML: completion rate, token usage, LLM calls; plus idealized cost."""
     tasks = generate_nl2ml_tasks(per_level=per_level)
     housing = build_housing_database(rows=housing_rows)
-    results: dict[str, Any] = {"cells": {}, "idealized_pg_mcp_tokens": 0}
+    cells: dict[tuple[str, str], dict[str, float]] = {}
     for profile in _profiles(models):
         for toolkit in ("bridgescope", "pg-mcp", "pg-mcp-s"):
             cell = CellStats()
             for task in tasks:
                 cell.add(run_ml_task(task, toolkit, profile, housing))
-            results["cells"][(profile.name, toolkit)] = {
+            cells[(profile.name, toolkit)] = {
                 "completion_rate": cell.completion_rate,
                 "avg_tokens": cell.avg_tokens,
                 "avg_llm_calls": cell.avg_llm_calls,
             }
-    results["idealized_pg_mcp_tokens"] = idealized_pg_mcp_token_cost(housing)
     bridgescope_tokens = [
         stats["avg_tokens"]
-        for (model, toolkit), stats in results["cells"].items()
+        for (_, toolkit), stats in cells.items()
         if toolkit == "bridgescope"
     ]
-    results["bridgescope_avg_tokens"] = sum(bridgescope_tokens) / max(
-        len(bridgescope_tokens), 1
+    return {
+        "cells": cells,
+        "idealized_pg_mcp_tokens": idealized_pg_mcp_token_cost(housing),
+        "bridgescope_avg_tokens": sum(bridgescope_tokens)
+        / max(len(bridgescope_tokens), 1),
+    }
+
+
+# --------------------------------------------------------------------------
+# gates: the paper's result shapes, as (result, smoke) -> failures
+# --------------------------------------------------------------------------
+
+#: the Figure 6 / Table 1 cells whose tasks the role cannot complete
+INFEASIBLE_CELLS = ("(N, write)", "(I, read)", "(I, write)")
+
+
+def _each_model(
+    result: dict[str, Any], expectations: Callable[[str, Any], list]
+) -> list[str]:
+    return failed(e for model, row in result.items() for e in expectations(model, row))
+
+
+def check_fig5a(result: dict[str, dict[str, float]], smoke: bool) -> list[str]:
+    """BridgeScope approaches best-achievable and beats PG-MCP-minus."""
+    return _each_model(result, lambda model, row: [
+        expect(f"{model}: bridgescope calls", row["bridgescope"], "<",
+               row["pg-mcp-minus"]),
+        expect(f"{model}: bridgescope calls", row["bridgescope"], "<=",
+               row["best-achievable"] + 1.0),
+    ])
+
+
+def check_fig5b(result: dict[str, dict[str, float]], smoke: bool) -> list[str]:
+    """Accuracies are comparable: tool modularization has no side effect."""
+    return _each_model(result, lambda model, row: [
+        expect(f"{model}: accuracy gap to pg-mcp",
+               abs(row["bridgescope"] - row["pg-mcp"]), "<=", 0.15),
+        expect(f"{model}: bridgescope accuracy", row["bridgescope"], ">=", 0.6),
+    ])
+
+
+def check_fig5c(result: dict[str, dict[str, float]], smoke: bool) -> list[str]:
+    """Explicit transaction tools are (nearly) always used; execute_sql rarely."""
+    return _each_model(result, lambda model, row: [
+        expect(f"{model}: bridgescope txn ratio", row["bridgescope"], ">=", 0.9),
+        expect(f"{model}: pg-mcp txn ratio", row["pg-mcp"], "<=", 0.3),
+    ])
+
+
+def _savings(result: CellResults, what: str, suffix: str) -> list[tuple[str, float]]:
+    """``1 - bridgescope/pg-mcp`` per (model, infeasible cell), labelled."""
+    return [
+        (f"{model} {cell}: {what}",
+         1 - cells[cell][f"bridgescope{suffix}"] / cells[cell][f"pg-mcp{suffix}"])
+        for model, cells in result.items()
+        for cell in INFEASIBLE_CELLS
+    ]
+
+
+def check_fig6(result: CellResults, smoke: bool) -> list[str]:
+    """Infeasible tasks cost >= 20% fewer LLM calls; feasible ones stay small."""
+    savings = _savings(result, "LLM-call reduction", "")
+    return failed(
+        [expect(*saving, ">=", 0.2) for saving in savings]
+        + [
+            expect(f"{model} (A, read): bridgescope calls",
+                   cells["(A, read)"]["bridgescope"], "<=", 4.5)
+            for model, cells in result.items()
+        ]
     )
-    return results
+
+
+def check_table1(result: CellResults, smoke: bool) -> list[str]:
+    """Infeasible tasks cost >= 20% fewer tokens, and >= 60% somewhere."""
+    savings = _savings(result, "token saving", "_tokens")
+    return failed(
+        [expect(*saving, ">=", 0.2) for saving in savings]
+        + [expect("best token saving", max(s for _, s in savings), ">=", 0.6)]
+    )
+
+
+def check_table2(result: dict[str, Any], smoke: bool) -> list[str]:
+    """Only the proxy completes NL2ML cheaply; routing data costs >= 100x."""
+    cells = result["cells"]
+    expectations = [
+        # an idealized pg-mcp pays >= 2 orders of magnitude for moving the data
+        expect("idealized pg-mcp tokens over bridgescope's",
+               result["idealized_pg_mcp_tokens"] / result["bridgescope_avg_tokens"],
+               ">=", 100)
+    ]
+    for model in sorted({model for model, _ in cells}):
+        bridge, sampled = cells[(model, "bridgescope")], cells[(model, "pg-mcp-s")]
+        completion = tuple(
+            cells[(model, toolkit)]["completion_rate"]
+            for toolkit in ("bridgescope", "pg-mcp", "pg-mcp-s")
+        )
+        expectations += [
+            expect(f"{model}: completion rates (bridgescope, pg-mcp, pg-mcp-s)",
+                   completion, "==", (1.0, 0.0, 1.0)),
+            expect(f"{model}: bridgescope LLM calls", bridge["avg_llm_calls"], "<=",
+                   4.0),
+            expect(f"{model}: pg-mcp-s tokens", sampled["avg_tokens"], ">",
+                   bridge["avg_tokens"]),
+        ]
+    return failed(expectations)

@@ -1,7 +1,6 @@
 """Storage-durability experiment: warm reopen vs cold rebuild.
 
-Shared by ``benchmarks/bench_storage_durability.py`` (acceptance
-benchmark) and the ``python -m repro.bench storage`` CLI. Builds a
+Run and gated by ``python -m repro.bench storage``. Builds a
 durable database directory holding a ``products`` table with ``rows``
 rows of distinct text, checkpoints it, and serves one ``get_value`` call
 so the column's value catalog is persisted next to the snapshot. Then it
@@ -32,10 +31,21 @@ from typing import Any
 from repro.core import BridgeScope, BridgeScopeConfig, MinidbBinding
 from repro.minidb import Database
 
-from .retrieval_scale import QUERY_KEYS, _product_name
+from .gates import expect, failed
+from .retrieval_scale import QUERY_KEYS, get_value, product_name
 
 #: rows per INSERT statement in the cold-rebuild replay
 BATCH = 500
+
+#: warm-reopen speedup floors (full size, smoke). The ratio's *baseline* is
+#: the SQL replay, so a faster SQL path lowers it: at 100k rows the cold
+#: rebuild went 15.2 -> 16.2 -> 11.9 s at PRs 11 -> 14 -> 15 (PR 15 made
+#: parsing the 500-row INSERTs cheaper) while the warm reopen held at 1.45 ->
+#: 1.51 -> 1.55 s, so the ratio fell from 10.5x to 7.6x and under the 10x
+#: floor this gate carried until PR 17. 5x still fails a reopen that
+#: rebuilds (~1x) without punishing the engine for replaying faster. At
+#: smoke sizes fixed per-open costs dominate.
+SPEEDUP_FLOORS = (5.0, 2.0)
 
 
 def _bulk_load(db: Database, rows: int) -> None:
@@ -44,7 +54,7 @@ def _bulk_load(db: Database, rows: int) -> None:
     session.execute("CREATE TABLE products (id INT PRIMARY KEY, name TEXT)")
     heap = db.heap("products")
     for i in range(rows):
-        heap.insert({"id": i, "name": _product_name(i)})
+        heap.insert({"id": i, "name": product_name(i)})
 
 
 def _rebuild_via_sql(db: Database, rows: int) -> None:
@@ -53,7 +63,7 @@ def _rebuild_via_sql(db: Database, rows: int) -> None:
     session.execute("CREATE TABLE products (id INT PRIMARY KEY, name TEXT)")
     for start in range(0, rows, BATCH):
         values = ", ".join(
-            f"({i}, '{_product_name(i)}')"
+            f"({i}, '{product_name(i)}')"
             for i in range(start, min(start + BATCH, rows))
         )
         session.execute(f"INSERT INTO products VALUES {values}")
@@ -62,12 +72,6 @@ def _rebuild_via_sql(db: Database, rows: int) -> None:
 def _bridge(db: Database) -> BridgeScope:
     config = BridgeScopeConfig(exemplar_scan_limit=10_000_000)
     return BridgeScope(MinidbBinding.for_user(db, "admin"), config)
-
-
-def _get_value(bridge: BridgeScope, key: str) -> str:
-    result = bridge.invoke("get_value", col="products.name", key=key, k=5)
-    assert not result.is_error, result.content
-    return result.content
 
 
 def experiment_storage_durability(
@@ -88,7 +92,7 @@ def experiment_storage_durability(
         checkpoint_start = time.perf_counter()
         db.checkpoint()  # direct heap loads bypass the WAL; snapshot them
         checkpoint_seconds = time.perf_counter() - checkpoint_start
-        reference = _get_value(_bridge(db), QUERY_KEYS[0])  # builds + persists
+        reference = get_value(_bridge(db), QUERY_KEYS[0])  # builds + persists
         db.close()
 
         # ---- warm reopen: recover from disk, serve from persisted catalog
@@ -100,7 +104,7 @@ def experiment_storage_durability(
         for _ in range(max(warm_trials, 1)):
             warm_start = time.perf_counter()
             warm_db = Database.open(path)
-            warm_output = _get_value(_bridge(warm_db), QUERY_KEYS[0])
+            warm_output = get_value(_bridge(warm_db), QUERY_KEYS[0])
             warm_trial_seconds.append(time.perf_counter() - warm_start)
             warm_stats = dict(warm_db.retrieval_cache.stats)
             zero_rebuild = zero_rebuild and (
@@ -114,7 +118,7 @@ def experiment_storage_durability(
         cold_start = time.perf_counter()
         cold_db = Database(owner="admin")
         _rebuild_via_sql(cold_db, rows)
-        cold_output = _get_value(_bridge(cold_db), QUERY_KEYS[0])
+        cold_output = get_value(_bridge(cold_db), QUERY_KEYS[0])
         cold_seconds = time.perf_counter() - cold_start
 
         return {
@@ -134,3 +138,16 @@ def experiment_storage_durability(
         }
     finally:
         shutil.rmtree(workdir, ignore_errors=True)
+
+
+def check_storage_durability(result: dict[str, Any], smoke: bool) -> list[str]:
+    """The gate: same output, nothing rebuilt, and reopening pays off."""
+    return failed(
+        [
+            (result["equivalence_ok"],
+             "warm-reopen and cold-rebuild tool outputs differ"),
+            (result["zero_rebuild"],
+             "warm reopen rebuilt the catalog instead of serving the persisted one"),
+            expect("speedup", result["speedup"], ">=", SPEEDUP_FLOORS[smoke]),
+        ]
+    )

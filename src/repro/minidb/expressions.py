@@ -37,7 +37,6 @@ queries.
 
 from __future__ import annotations
 
-import math
 import re
 from itertools import repeat
 from typing import Any, Callable, Mapping
@@ -50,7 +49,7 @@ from .errors import (
     MiniDBError,
     UnknownColumnError,
 )
-from .functions import AGGREGATE_NAMES, SCALAR_FUNCTIONS
+from .functions import AGGREGATE_NAMES, SCALAR_FUNCTIONS, sql_mod
 from .types import ColumnType, coerce
 
 #: evaluator used for sub-SELECTs; injected by the executor to avoid an
@@ -310,6 +309,8 @@ def _require_number(value: Any, context: str) -> None:
 
 
 def _arith(op: str, left: Any, right: Any) -> Any:
+    if op == "%":
+        return sql_mod(left, right)
     _require_number(left, f"operator {op}")
     _require_number(right, f"operator {op}")
     if op == "+":
@@ -327,16 +328,6 @@ def _arith(op: str, left: Any, right: Any) -> Any:
             quotient = abs(left) // abs(right)
             return quotient if (left < 0) == (right < 0) else -quotient
         return left / right
-    if op == "%":
-        if right == 0:
-            raise DivisionByZeroError("division by zero")
-        # the remainder of that truncating division: it takes the sign of
-        # the dividend (PostgreSQL, sqlite), where Python's % takes the
-        # divisor's
-        if isinstance(left, int) and isinstance(right, int):
-            remainder = abs(left) % abs(right)
-            return -remainder if left < 0 else remainder
-        return math.fmod(left, right)
     raise ExecutionError(f"unknown arithmetic operator {op}")
 
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 from typing import Any, Callable
 
-from .errors import ExecutionError
+from .errors import DivisionByZeroError, ExecutionError
 
 # --------------------------------------------------------------------------
 # scalar functions
@@ -42,6 +42,23 @@ def _arity(name: str, args: list[Any], low: int, high: int | None = None) -> Non
             + (f"..{high}" if high != low else "")
             + f" arguments, got {len(args)}"
         )
+
+
+def sql_mod(left: Any, right: Any) -> Any:
+    """``left % right`` and ``MOD(left, right)``: the remainder of SQL's
+    truncating division. It takes the sign of the dividend (PostgreSQL,
+    sqlite), where Python's ``%`` takes the divisor's."""
+    for value in (left, right):
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            raise ExecutionError(
+                f"operator % requires a numeric operand, got {value!r}"
+            )
+    if right == 0:
+        raise DivisionByZeroError("division by zero")
+    if isinstance(left, int) and isinstance(right, int):
+        remainder = abs(left) % abs(right)
+        return -remainder if left < 0 else remainder
+    return math.fmod(left, right)
 
 
 def _fn_coalesce(args: list[Any]) -> Any:
@@ -154,7 +171,7 @@ SCALAR_FUNCTIONS: dict[str, Callable[[list[Any]], Any]] = {
     "POW": _nullprop(_fn_power),
     "EXP": _nullprop(lambda x: math.exp(x)),
     "LN": _nullprop(_fn_ln),
-    "MOD": _nullprop(lambda a, b: a % b),
+    "MOD": _nullprop(sql_mod),
     "SIGN": _nullprop(_fn_sign),
     "REPLACE": _nullprop(_fn_replace),
     "INSTR": _nullprop(_fn_instr),

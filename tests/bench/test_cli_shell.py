@@ -4,28 +4,30 @@ import io
 
 import pytest
 
-from repro.bench.cli import EXPERIMENTS, main as bench_main, run_experiment
+from repro.bench.cli import EXPERIMENTS, main as bench_main
 from repro.minidb import Database
 from repro.minidb.__main__ import run_shell
 
 
 class TestBenchCLI:
-    def test_run_experiment_fig5a(self):
-        report = run_experiment(
-            "fig5a", tasks=4, scale=0.3, housing_rows=500, models=["gpt-4o"]
-        )
-        assert "Figure 5(a)" in report
-        assert "gpt-4o" in report
+    @pytest.fixture
+    def report(self, tiny_result):
+        """One experiment from the table, run at test size and rendered."""
+        return lambda name: EXPERIMENTS[name].render(tiny_result(name))
 
-    def test_run_experiment_fig5c(self):
-        report = run_experiment(
-            "fig5c", tasks=4, scale=0.3, housing_rows=500, models=["gpt-4o"]
-        )
-        assert "transaction" in report
+    def test_run_experiment_fig5a(self, report):
+        text = report("fig5a")
+        assert "Figure 5(a)" in text
+        assert "gpt-4o" in text
 
-    def test_unknown_experiment(self):
-        with pytest.raises(ValueError):
-            run_experiment("fig99", 1, 0.3, 100)
+    def test_run_experiment_fig5c(self, report):
+        assert "transaction" in report("fig5c")
+
+    def test_unknown_experiment(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            bench_main(["fig99"])
+        assert exit_info.value.code == 2
+        assert "invalid choice: 'fig99'" in capsys.readouterr().err
 
     def test_main_prints_report(self, capsys):
         code = bench_main(
@@ -34,38 +36,50 @@ class TestBenchCLI:
         assert code == 0
         out = capsys.readouterr().out
         assert "Figure 5(a)" in out
+        assert "OK fig5a" in out
 
     def test_experiments_registry_complete(self):
         assert set(EXPERIMENTS) == {
-            "fig5a", "fig5b", "fig5c", "fig6", "table1", "table2", "joins",
-            "retrieval", "storage", "concurrency", "query", "faults", "obs",
+            "fig5a", "fig5b", "fig5c", "fig6", "table1", "table2", "ablations",
+            "joins", "retrieval", "storage", "concurrency", "query", "faults",
+            "obs",
         }
 
-    def test_run_experiment_query(self):
-        report = run_experiment("query", 1, 0.02, 100)
-        assert "Query scale" in report
-        assert "Index Range Scan" in report
+    def test_options_are_exactly_the_documented_seven(self, capsys):
+        with pytest.raises(SystemExit):
+            bench_main(["--help"])
+        usage = capsys.readouterr().out
+        options = {word.strip("[],") for word in usage.split() if word.startswith("--")}
+        assert options - {"--help"} == {
+            "--smoke", "--out", "--rows", "--tasks", "--scale",
+            "--housing-rows", "--model",
+        }
 
-    def test_run_experiment_storage(self):
-        report = run_experiment("storage", 1, 0.02, 100)
-        assert "Storage durability" in report
-        assert "warm reopen" in report
+    def test_run_experiment_query(self, report):
+        text = report("query")
+        assert "Query scale" in text
+        assert "Index Range Scan" in text
 
-    def test_run_experiment_joins(self):
-        report = run_experiment("joins", 1, 0.05, 100)
-        assert "Join scale" in report
-        assert "Hash Join" in report
+    def test_run_experiment_storage(self, report):
+        text = report("storage")
+        assert "Storage durability" in text
+        assert "warm reopen" in text
 
-    def test_run_experiment_retrieval(self):
-        report = run_experiment("retrieval", 1, 0.02, 100)
-        assert "Retrieval scale" in report
-        assert "rankings: identical" in report
+    def test_run_experiment_joins(self, report):
+        text = report("joins")
+        assert "Join scale" in text
+        assert "Hash Join" in text
 
-    def test_run_experiment_faults(self):
-        report = run_experiment("faults", 1, 0.02, 100)
-        assert "Fault injection" in report
-        assert "recovery violations" in report
-        assert "retry litmus" in report
+    def test_run_experiment_retrieval(self, report):
+        text = report("retrieval")
+        assert "Retrieval scale" in text
+        assert "rankings: identical" in text
+
+    def test_run_experiment_faults(self, report):
+        text = report("faults")
+        assert "Fault injection" in text
+        assert "recovery violations" in text
+        assert "retry litmus" in text
 
 
 class TestMinidbShell:
