@@ -188,6 +188,8 @@ def render_retrieval_scale(result: dict[str, Any]) -> str:
         [
             ["indexed (cold, builds catalog)", result["distinct"], result["cold_ms"]],
             ["indexed (warm)", result["distinct"], result["indexed_call_ms"]],
+            ["indexed (after a write, list unchanged)", result["distinct"],
+             result["after_write_ms"]],
             ["brute force" + suffix, result["distinct"], result["brute_call_ms"]],
         ],
         title="Retrieval scale — get_value exemplar retrieval (BridgeScope)",

@@ -146,7 +146,11 @@ class ContextTools(ToolServer):
         ],
     )
     def get_value(self, col: str, key: str, k: int | None = None) -> str:
-        k = k or self.config.exemplar_top_k
+        if k is None:
+            k = self.config.exemplar_top_k
+        elif k < 1:
+            # an empty ranking would read as "the column holds no values"
+            return "ERROR: k must be a positive integer"
         if "." not in col:
             return "ERROR: col must be qualified as 'table.column'"
         table, column = col.split(".", 1)

@@ -128,8 +128,7 @@ class MinidbBinding(DatabaseBinding):
             heap = self.session.db.heap(schema.name)
             seen: list[Any] = []
             seen_set: set[Any] = set()
-            for _, row in heap.rows():
-                value = row.get(column_name)
+            for value in heap.column_values(column_name):
                 if value is None or value in seen_set:
                     continue
                 seen_set.add(value)
@@ -151,8 +150,10 @@ class MinidbBinding(DatabaseBinding):
 
         Catalogs live on the shared :class:`~repro.minidb.Database` (all
         sessions reuse them) and are fingerprinted by the owning heap's
-        ``(uid, version)`` change counter, so any INSERT/UPDATE/DELETE,
-        DDL, or ROLLBACK triggers a lazy rebuild on the next call. On a
+        ``(uid, version)`` change counter, so after any
+        INSERT/UPDATE/DELETE, DDL, or ROLLBACK the next call re-scans the
+        column and revises the cached catalog against it (kept when the
+        distinct list is unchanged, rebuilt only when it must be). On a
         durable database they are also persisted into the engine's
         ``catalogs/`` sidecar directory, so a reopened database serves
         unchanged columns without rebuilding anything.

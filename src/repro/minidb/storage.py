@@ -887,6 +887,21 @@ class HeapTable:
                 len(chunk),
             )
 
+    def column_values(self, name: str) -> list[Any]:
+        """One column's values in rid order (``None`` where a row lacks it).
+
+        The single-column read of value retrieval's distinct-value scan:
+        one list of row references plus one list of values, no
+        ``(rid, row)`` tuple per row — :meth:`rows` allocates one
+        GC-tracked tuple per row, which a scan repeated after every write
+        turns into regular full collections. Read-only, same snapshot
+        safety as :meth:`rows_batch`.
+        """
+        if self._rows_unsorted:
+            self._rows = dict(sorted(self._rows.items()))
+            self._rows_unsorted = False
+        return [row.get(name) for row in list(self._rows.values())]
+
     def fetch_batch(
         self, rids: "list[int]", columns: "list[str]"
     ) -> RowBatch:

@@ -47,8 +47,12 @@ Catalogs are immutable snapshots. ``CatalogCache``
 for minidb, the owning ``HeapTable``'s ``(uid, version)`` change counter,
 which every INSERT/UPDATE/DELETE, DDL column change, and transaction
 ROLLBACK bumps (undo replays go through the same heap mutators). A stale
-fingerprint forces a rebuild on the next call, so exemplars never lag the
-data.
+fingerprint makes the next call re-scan the column, so exemplars never lag
+the data — but the scan is ~1% of the cost of building a catalog from its
+result, and a write to the table need not change this column's distinct
+list. The stale catalog is therefore *revised* against the fresh list
+(:meth:`ValueCatalog.revised`): kept as is when the list is unchanged,
+built anew otherwise. A catalog once handed out is never modified.
 
 Persistence
 ===========
@@ -61,8 +65,9 @@ counters exactly, a reopened database serves ``get_value`` from the
 persisted catalogs with zero rebuild for unchanged columns.
 
 Open follow-ups are tracked in ROADMAP.md: cross-column (table-wide)
-retrieval, incremental catalog maintenance, and pluggable ANN backends
-for embedding-based scoring.
+retrieval, editing a catalog whose list did change instead of rebuilding
+it, a cache bound by values held instead of entry count, and pluggable
+ANN backends for embedding-based scoring.
 """
 
 from .catalog import ValueCatalog

@@ -132,6 +132,15 @@ class _LazyEntries:
         return entry
 
 
+def _alike(a: Any, b: Any) -> bool:
+    """The same catalog entry: equal *as rendered*.
+
+    ``1 == 1.0 == True`` (and ``0.0 == -0.0``) in Python, yet each is
+    scored by its own text and handed back as itself.
+    """
+    return a is b or (type(a) is type(b) and str(a) == str(b))
+
+
 class ValueCatalog:
     """Immutable snapshot of one column's distinct values, indexed."""
 
@@ -197,6 +206,23 @@ class ValueCatalog:
         self._short_norms = state["short_norms"]
         self._text_order = state["text_order"]
         self.stats = {"queries": 0, "candidates": 0, "scored": 0}
+
+    def revised(self, fresh: list[Any]) -> "ValueCatalog | None":
+        """``self`` if it is the catalog of ``fresh`` already, else ``None``.
+
+        ``fresh`` is the column's ordered distinct list as scanned now;
+        this catalog indexes the list as it was. A stale fingerprint says
+        the table changed, not this list: another column updated, a
+        present value inserted or deleted again, index DDL, ROLLBACK and a
+        row beyond the scan limit all leave it as it was, and comparing
+        is far cheaper than building. On ``None`` — any difference, in
+        value, type or order — the caller builds ``ValueCatalog(fresh)``.
+        """
+        if len(fresh) == len(self.values) and all(
+            map(_alike, self.values, fresh)
+        ):
+            return self
+        return None
 
     # ---------------------------------------------------------- retrieval
 

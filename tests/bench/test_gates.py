@@ -21,7 +21,7 @@ from repro.bench.reporting import record_bench_result
 #: table2's context overflow (the house table only overflows at paper size)
 GOOD_VALUES = {
     "joins": {"speedup": 1000.0},
-    "retrieval": {"speedup": 1000.0},
+    "retrieval": {"speedup": 1000.0, "after_write_ms": 0.0},
     "storage": {"speedup": 1000.0},
     "concurrency": {"read_heavy.speedup": 1000.0},
     "query": {
@@ -76,6 +76,12 @@ DOCTORED = [
     # correctness checks and plan-shape pins: hard at every size
     ("joins", True, "plan", ["Nested Loop Join"], "does not report a hash join"),
     ("retrieval", True, "equivalence_ok", False, "rankings differ"),
+    ("retrieval", True, "after_write_ms", 1e9,
+     "after-write get_value ms 1e+09 is not <="),
+    ("retrieval", False, "after_write_ms", 1e9,
+     "after-write get_value ms 1e+09 is not <="),
+    ("retrieval", True, "after_write_revised", 4,
+     "catalogs kept after a write 4 is not == 5"),
     ("storage", True, "equivalence_ok", False, "tool outputs differ"),
     ("storage", True, "zero_rebuild", False, "rebuilt the catalog"),
     ("concurrency", True, "writer_contention.lost_updates", 1,
@@ -191,6 +197,17 @@ def test_floor_is_exactly_the_recorded_one(good, name, field, full, smoke_floor,
     put(result, field, floor * 0.99)
     (failure,) = EXPERIMENTS[name].check(result, smoke)
     assert f"is not >= {floor:.4g}" in failure or "is not > 5" in failure
+
+
+@pytest.mark.parametrize("smoke,factor", [(False, 10.0), (True, 3.0)])
+def test_after_write_ceiling_is_a_share_of_the_cold_call(good, smoke, factor):
+    result = good("retrieval")
+    result["cold_ms"] = 300.0
+    result["after_write_ms"] = 300.0 / factor
+    assert EXPERIMENTS["retrieval"].check(result, smoke) == []
+    result["after_write_ms"] = 300.0 / factor * 1.01
+    (failure,) = EXPERIMENTS["retrieval"].check(result, smoke)
+    assert f"is not <= {300.0 / factor:.4g}" in failure
 
 
 @pytest.mark.parametrize("name", list(QUERY_FLOORS))

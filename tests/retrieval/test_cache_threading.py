@@ -9,10 +9,13 @@ final state.
 """
 
 import os
+import pickle
+import sys
 import threading
 
 import pytest
 
+from repro.core.similarity import top_k
 from repro.retrieval import CatalogCache
 
 STRESS_THREADS = int(os.environ.get("REPRO_STRESS_THREADS", "8"))
@@ -102,8 +105,100 @@ class TestCacheThreading:
         assert cache.lookup(("a",), (1, 0), lambda: pytest.fail("cached")) is catalog
         assert cache.stats == {
             "hits": 1, "misses": 1, "rebuilds": 0, "persisted_hits": 0,
+            "revised": 0,
         }
         # stale fingerprint rebuilds
         rebuilt = cache.lookup(("a",), (1, 1), lambda: ["z"])
         assert rebuilt is not catalog
         assert cache.stats["rebuilds"] == 1
+
+
+class TestRevisionUnderConcurrency:
+    """Writers grow, shrink or merely re-stamp the column's list (so stale
+    catalogs are rebuilt or kept) while readers keep querying catalogs
+    they were handed earlier. A catalog kept for a list it does not
+    index, or one touched after it was handed out, would show as a wrong
+    ranking, an exception, or a changed pickle of a held catalog."""
+
+    KEYS = ("item 1", "item", "ab", "a", "zz")
+
+    def test_held_catalogs_never_change_while_the_list_moves(self):
+        cache = CatalogCache(max_entries=4)
+        key = ("t", "c", 100)
+        guard = threading.Lock()
+        #: every list the column ever held, by version (guarded by guard)
+        lists = {0: [f"item {n}" for n in range(30)] + ["ab", "a"]}
+        errors = []
+        writers = max(2, STRESS_THREADS // 4)
+        readers = STRESS_THREADS - writers
+
+        def current():
+            with guard:
+                version = max(lists)
+                return version, lists[version]
+
+        def write(seed):
+            try:
+                for step in range(150):
+                    with guard:
+                        version = max(lists)
+                        values = list(lists[version])
+                        kind = (seed + step) % 3
+                        if kind == 0 and len(values) > 8:
+                            del values[(seed * 5 + step) % (len(values) - 2)]
+                        elif kind == 1:
+                            values.append(f"item {seed}-{step}")
+                        # else: a write elsewhere in the table
+                        lists[version + 1] = values
+                    version, values = current()
+                    catalog = cache.lookup(key, (1, version), lambda: list(values))
+                    assert catalog.top_k("item", 3) == top_k("item", values, 3)
+            except Exception as exc:  # pragma: no cover - the failure mode
+                errors.append(exc)
+
+        def read(seed):
+            held = []
+            try:
+                for step in range(150):
+                    version, values = current()
+                    catalog = cache.lookup(key, (1, version), lambda: list(values))
+                    query = self.KEYS[(seed + step) % len(self.KEYS)]
+                    # the catalog is exactly the one for the list that was
+                    # current when the lookup was made
+                    expected = top_k(query, values, 5)
+                    assert catalog.top_k(query, 5) == expected
+                    if step % 10 == 0:
+                        held.append((catalog, query, expected, pickle.dumps(catalog)))
+                    for catalog, query, expected, _ in held[-3:]:
+                        assert catalog.top_k(query, 5) == expected
+                for catalog, query, expected, frozen in held:
+                    assert catalog.top_k(query, 5) == expected
+                    assert pickle.dumps(catalog) == frozen
+            except Exception as exc:  # pragma: no cover - the failure mode
+                errors.append(exc)
+
+        threads = [
+            threading.Thread(target=write, args=(n,), daemon=True)
+            for n in range(writers)
+        ] + [
+            threading.Thread(target=read, args=(n,), daemon=True)
+            for n in range(readers)
+        ]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        stats = cache.stats
+        assert stats["revised"] > 0
+        assert stats["revised"] <= stats["rebuilds"]
+        assert (
+            stats["hits"] + stats["persisted_hits"] + stats["misses"]
+            + stats["rebuilds"]
+        ) == (writers + readers) * 150

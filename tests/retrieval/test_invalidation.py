@@ -231,3 +231,19 @@ class TestIndexedBruteToolEquivalence:
                 "get_value", col="items.ghost", key="x"
             ).content
             assert out.startswith("ERROR")
+
+    @pytest.mark.parametrize("use_index", [True, False])
+    def test_k_below_one_is_an_error_not_an_empty_column(self, db, use_index):
+        """``k=-1`` used to answer ``(no values in items.category)``."""
+        bridge = BridgeScope(
+            MinidbBinding.for_user(db, "admin"),
+            BridgeScopeConfig(use_retrieval_index=use_index, exemplar_top_k=2),
+        )
+        for k in (-1, 0):
+            out = bridge.invoke(
+                "get_value", col="items.category", key="wear", k=k
+            ).content
+            assert out == "ERROR: k must be a positive integer"
+        # omitted k still means the configured default
+        out = bridge.invoke("get_value", col="items.category", key="wear").content
+        assert out.startswith("top-2 values of items.category")

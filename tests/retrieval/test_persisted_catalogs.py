@@ -14,8 +14,9 @@ import os
 import pytest
 
 from repro.core import BridgeScope, BridgeScopeConfig, MinidbBinding
+from repro.faults import FaultPlan, FaultyFilesystem
 from repro.minidb import Database
-from repro.retrieval import CatalogStore, ValueCatalog
+from repro.retrieval import CatalogCache, CatalogStore, ValueCatalog
 
 NAMES = (
     "womens wear", "mens shoes", "kids jacket", "coastal dress",
@@ -94,6 +95,44 @@ class TestZeroRebuildReopen:
         assert db2.retrieval_cache.stats["persisted_hits"] == 0
         db2.close()
 
+    @pytest.mark.parametrize(
+        "name,stores,listed",
+        [
+            ("womens wear", 1, False),  # a present value: list unchanged, sidecar renamed
+            ("womens gala dress", 2, True),  # a new value: catalog rebuilt, stored anew
+        ],
+    )
+    def test_write_then_call_then_reopen_serves_the_sidecar(
+        self, dbdir, name, stores, listed
+    ):
+        db = build(dbdir)
+        bridge = bridge_for(db)
+        get_value(bridge, "women")  # build + persist
+        db.connect("admin").execute(f"INSERT INTO products VALUES (99, '{name}')")
+        before = {key: get_value(bridge, key, k=9) for key in KEYS}
+        assert (name in before["women"]) is True
+        assert ("gala" in before["women"]) is listed
+        cache = db.retrieval_cache
+        assert cache.stats["rebuilds"] == 1
+        assert cache.stats["revised"] == (not listed)
+        assert cache.store.stats["stores"] == stores
+        heap = db.heap("products")
+        # one sidecar per key, and it carries the fingerprint of the write
+        (sidecar,) = os.listdir(db.engine.catalog_dir)
+        assert f".{heap.uid}-{heap.version}{CatalogStore.SUFFIX}" in sidecar
+        db.close()
+
+        db2 = Database.open(dbdir)
+        bridge = bridge_for(db2)
+        assert {key: get_value(bridge, key, k=9) for key in KEYS} == before
+        brute = bridge_for(db2, use_index=False)
+        assert {key: get_value(brute, key, k=9) for key in KEYS} == before
+        stats = db2.retrieval_cache.stats
+        assert stats["persisted_hits"] == 1
+        assert stats["misses"] == stats["rebuilds"] == 0
+        assert len(os.listdir(db2.engine.catalog_dir)) == 1
+        db2.close()
+
     def test_in_memory_database_has_no_store(self):
         db = Database(owner="admin")
         session = db.connect("admin")
@@ -169,3 +208,61 @@ class TestCatalogStore:
         with open(path, "wb") as fh:
             fh.write(b"not a pickle")
         assert store.load(("t", "c", 100), (7, 3)) is None
+
+
+class TestSidecarRenameFaults:
+    KEY = ("t", "c", 100)
+
+    def scenario(self, directory, plan=None):
+        """Build + persist at (7, 3), then look up at (7, 4) with the list
+        unchanged: the sidecar is renamed, not rewritten."""
+        fs = FaultyFilesystem(plan)
+        store = CatalogStore(directory, filesystem=fs)
+        cache = CatalogCache(store=store)
+        first = cache.lookup(self.KEY, (7, 3), lambda: ["alpha", "beta"])
+        mark = fs.ops
+        second = cache.lookup(self.KEY, (7, 4), lambda: ["alpha", "beta"])
+        assert second is first
+        return fs, store, cache, mark
+
+    def reload(self, directory):
+        # through the plain filesystem: the faulty file double cannot be
+        # unpickled from (it has no ``readline``)
+        return CatalogStore(str(directory)).load(self.KEY, (7, 4)).values
+
+    def test_unchanged_list_renames_the_sidecar(self, tmp_path):
+        fs, store, cache, mark = self.scenario(str(tmp_path))
+        assert [op for _, op, _ in fs.ops_log[mark:]] == ["open", "replace"]
+        assert store.stats["stores"] == 1
+        (name,) = os.listdir(str(tmp_path))
+        assert name.endswith(f".7-4{CatalogStore.SUFFIX}")
+        assert self.reload(tmp_path) == ["alpha", "beta"]
+        assert cache.stats["rebuilds"] == cache.stats["revised"] == 1
+
+    def test_eio_on_rename_falls_back_to_store(self, tmp_path):
+        clean = tmp_path / "clean"
+        fs, _, _, mark = self.scenario(str(clean))
+        (rename_op,) = [
+            index for index, op, _ in fs.ops_log[mark:] if op == "replace"
+        ]
+
+        faulty = tmp_path / "faulty"
+        fs, store, cache, _ = self.scenario(
+            str(faulty), FaultPlan(error_at=rename_op)
+        )
+        assert fs.injected == [(rename_op, "error", "replace")]
+        assert store.stats["stores"] == 2  # the fallback wrote it anew
+        (name,) = os.listdir(str(faulty))  # no temp file, no old sidecar
+        assert name.endswith(f".7-4{CatalogStore.SUFFIX}")
+        assert self.reload(faulty) == ["alpha", "beta"]
+        assert cache.stats["rebuilds"] == cache.stats["revised"] == 1
+
+    def test_missing_sidecar_falls_back_to_store(self, tmp_path):
+        store = CatalogStore(str(tmp_path))
+        cache = CatalogCache(store=store)
+        cache.lookup(self.KEY, (7, 3), lambda: ["alpha"])
+        (name,) = os.listdir(str(tmp_path))
+        os.unlink(os.path.join(str(tmp_path), name))  # e.g. pruned, or never stored
+        cache.lookup(self.KEY, (7, 4), lambda: ["alpha"])
+        (name,) = os.listdir(str(tmp_path))
+        assert name.endswith(f".7-4{CatalogStore.SUFFIX}")

@@ -136,6 +136,7 @@ class TestCatalogCache:
         assert second is first
         assert cache.stats == {
             "hits": 1, "misses": 1, "rebuilds": 0, "persisted_hits": 0,
+            "revised": 0,
         }
 
     def test_rebuild_on_fingerprint_change(self):
