@@ -229,7 +229,8 @@ def render_storage_durability(result: dict[str, Any]) -> str:
         f"(best of {len(result['warm_trials_s'])} warm trials)\n"
         f"zero catalog rebuild on reopen: {zero}\n"
         f"warm vs cold tool output: {equivalence}\n"
-        f"snapshot write (checkpoint) took {result['checkpoint_s']:.2f}s"
+        f"snapshot write (checkpoint) took {result['checkpoint_s']:.2f}s, "
+        f"{result['snapshot_bytes']:,} bytes"
     )
 
 

@@ -23,6 +23,7 @@ the rebuild (``persisted_hits == 1``, ``misses == 0``).
 
 from __future__ import annotations
 
+import os
 import shutil
 import tempfile
 import time
@@ -92,6 +93,7 @@ def experiment_storage_durability(
         checkpoint_start = time.perf_counter()
         db.checkpoint()  # direct heap loads bypass the WAL; snapshot them
         checkpoint_seconds = time.perf_counter() - checkpoint_start
+        snapshot_bytes = os.path.getsize(db.engine.snapshot_path)
         reference = get_value(_bridge(db), QUERY_KEYS[0])  # builds + persists
         db.close()
 
@@ -124,6 +126,7 @@ def experiment_storage_durability(
         return {
             "rows": rows,
             "checkpoint_s": checkpoint_seconds,
+            "snapshot_bytes": snapshot_bytes,
             "warm_reopen_s": warm_seconds,
             "warm_trials_s": warm_trial_seconds,
             "cold_rebuild_s": cold_seconds,

@@ -1,8 +1,8 @@
 """Column-batch (vectorized) execution primitives.
 
 :class:`RowBatch` is what a scan reads: a slice of one source held as
-parallel per-column value lists plus the rid vector, built
-batch-at-a-time from the heap (or once from a child block's result). The
+parallel per-column value lists plus the rid vector, cut from the
+heap's column lists (or built once from a child block's result). The
 executor's scan operator concatenates the surviving rows of each batch
 into the column store of its relation value, the one representation
 every SELECT operator after it works on. Processing whole columns
@@ -59,8 +59,10 @@ class RowBatch:
     ``columns`` maps column name -> list of values, all lists parallel and
     ``length`` long; ``rids`` is the matching rid vector (``None`` for a
     source with no heap identity: a view, derived table or system view).
-    Value lists are fresh copies made at batch-build time, so an
-    in-flight scan never aliases live heap row dicts.
+    Value lists are the batch's own — slices or gathers of the heap's
+    column lists cut when the scan starts, never those lists themselves —
+    so a consumer may keep (and extend) them and an in-flight scan does
+    not see later writes.
     """
 
     __slots__ = ("rids", "columns", "length")

@@ -762,6 +762,6 @@ class Database:
     def snapshot(self) -> dict[str, list[dict]]:
         """Deep copy of all table contents, keyed by table name (tests)."""
         return {
-            name: [dict(row) for _, row in heap.rows()]
+            name: [row for _, row in heap.rows()]
             for name, heap in sorted(self.heaps.items())
         }

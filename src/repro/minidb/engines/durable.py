@@ -3,7 +3,8 @@
 File layout (one directory per database)::
 
     <path>/
-      snapshot.json   full state at the last checkpoint (atomic replace)
+      snapshot.json   full state at the last checkpoint (atomic replace);
+                      table contents column-major, see SNAPSHOT_FORMAT
       wal.jsonl       one JSON record per committed mutation since then
       catalogs/       persisted retrieval value catalogs (sidecar files
                       owned by repro.retrieval; minidb only provides the
@@ -119,13 +120,28 @@ SNAPSHOT_NAME = "snapshot.json"
 WAL_NAME = "wal.jsonl"
 CATALOG_DIR_NAME = "catalogs"
 LOCK_NAME = "LOCK"
-SNAPSHOT_FORMAT = 1
+#: 2: each table's rows are column-major — ``rids`` plus one value list
+#: per column (:meth:`HeapTable.snapshot_state`). 1: ``rows`` as
+#: ``[[rid, {column: value}], ...]``; still opened, rewritten as 2 by the
+#: next checkpoint.
+SNAPSHOT_FORMAT = 2
 
 #: open engines of THIS process by directory — the pid lock file cannot
 #: tell a live same-process engine from one that was dropped without
 #: close() (a simulated crash), so same-process double-opens are policed
 #: here instead
 _LIVE_ENGINES: "dict[str, weakref.ref[DurableEngine]]" = {}
+
+
+def _columns_of_rows(rows: "list[list]") -> dict[str, Any]:
+    """A format-1 table's ``[[rid, row], ...]`` as format 2's ``rids``
+    and ``columns`` (columns in first-seen key order, ``None`` where a
+    row lacks one)."""
+    names = dict.fromkeys(name for _, row in rows for name in row)
+    return {
+        "rids": [rid for rid, _ in rows],
+        "columns": {name: [row.get(name) for _, row in rows] for name in names},
+    }
 
 
 class DurableEngine(StorageEngine):
@@ -675,7 +691,7 @@ class DurableEngine(StorageEngine):
             raise PersistenceError(
                 f"unreadable snapshot {self.snapshot_path!r}: {exc}"
             ) from exc
-        if data.get("format") != SNAPSHOT_FORMAT:
+        if data.get("format") not in (1, SNAPSHOT_FORMAT):
             raise PersistenceError(
                 f"unsupported snapshot format {data.get('format')!r}"
             )
@@ -684,9 +700,12 @@ class DurableEngine(StorageEngine):
         for entry in data["tables"]:
             schema = load_table_schema(entry["schema"])
             db.catalog.add_table(schema)
+            if data["format"] == 1:
+                entry.update(_columns_of_rows(entry.pop("rows")))
             db.heaps[schema.name.lower()] = HeapTable.from_snapshot(
                 schema.name,
-                entry["rows"],
+                entry["rids"],
+                entry["columns"],
                 next_rid=entry["next_rid"],
                 uid=entry["uid"],
                 version=entry["version"],

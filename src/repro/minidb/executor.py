@@ -62,7 +62,7 @@ from __future__ import annotations
 import heapq
 from itertools import islice
 from time import perf_counter
-from typing import TYPE_CHECKING, Any, Iterator
+from typing import TYPE_CHECKING, Any, Callable, Iterator
 
 from ..obs.views import system_view_rows
 from . import ast_nodes as ast
@@ -347,14 +347,22 @@ def _collect_column_refs(expr: ast.Expr | None, out: set[str]) -> bool:
     return False  # Star, ExistsExpr, ScalarSubquery, anything unknown
 
 
-def _raise_first_batch_error(columns: list[list]) -> None:
+def _raise_first_batch_error(columns: list[list], relation: _Relation) -> None:
     """Raise the deferred error the interpreter would have hit first.
 
     It walks rows outermost and select items innermost, so the first
     error it raises is the minimum (row, item) pair in lexicographic
-    order; within one item column only the earliest row can win."""
+    order; within one item column only the earliest row can win. A
+    column that *is* one of ``relation``'s own — what the kernel of a
+    resolved column reference returns — holds stored values, never an
+    error, and is not walked. That is decided by what the kernel
+    returned, not by the item's syntax: an unresolvable reference
+    compiles to a column of deferred errors."""
+    stored = {id(col) for col in relation._columns.values()}
     best: "tuple[int, int, BatchError] | None" = None
     for c, col in enumerate(columns):
+        if id(col) in stored:
+            continue
         for r, v in enumerate(col):
             if type(v) is BatchError:
                 if best is None or (r, c) < (best[0], best[1]):
@@ -676,7 +684,10 @@ class Executor:
             whole = len(keep) == batch.length
             for name in columns:
                 col = batch.columns[name]
-                store[name].extend(col if whole else [col[i] for i in keep])
+                if whole and not length:
+                    store[name] = col  # the batch's lists are the scan's own
+                else:
+                    store[name].extend(col if whole else [col[i] for i in keep])
             if batch.rids is not None:
                 rids.extend(batch.rids if whole else [batch.rids[i] for i in keep])
             length += len(keep)
@@ -692,8 +703,9 @@ class Executor:
         """The column batches of one planned source: a child block's
         result or a system view's rows transposed into one batch; heap
         batches in rid order, or in index order for an ``ordered`` path.
-        Value lists are fresh copies, so an in-flight scan never aliases
-        live heap row dicts (in-statement schema changes mutate those)."""
+        Value lists are fresh — slices or gathers of the heap's columns,
+        never those lists themselves — so the scan may keep them and
+        in-statement mutations of the heap do not reach it."""
         if scan.child is not None:  # view or derived table
             _, rows = self._run_plan(scan.child, session, outer)
             wanted = set(columns)
@@ -956,7 +968,7 @@ class Executor:
                 plans.append((False, item.expr))
         if all_vec and not order_by:
             cols = [payload for _, payload in plans]
-            _raise_first_batch_error(cols)
+            _raise_first_batch_error(cols, relation)
             return list(zip(*cols)) if n else [], []
         order_plans = self._order_plans(order_by, items, relation, layout)
         scope = layout.scope(relation)
@@ -1393,14 +1405,8 @@ class Executor:
             return  # SQL: NULL FK values pass
         ref_schema = self.db.catalog.table(fk.ref_table)
         ref_heap = self.db.heap(ref_schema.name)
-        index = ref_heap.find_index(tuple(fk.ref_columns))
-        if index is not None:
-            if index.probe(values):
-                return
-        else:
-            for _, ref_row in ref_heap.rows():
-                if tuple(ref_row.get(c) for c in fk.ref_columns) == values:
-                    return
+        if self._key_lookup(ref_heap, fk.ref_columns)(values):
+            return
         raise ForeignKeyViolation(
             f"insert or update violates foreign key constraint: "
             f"({', '.join(fk.columns)})={values!r} is not present in "
@@ -1408,25 +1414,49 @@ class Executor:
         )
 
     def _referencing_violation(
-        self, schema: TableSchema, old_row: Row, session: "Session"
+        self, schema: TableSchema, old_rows: "list[Row]", session: "Session"
     ) -> str | None:
-        """If rows elsewhere reference ``old_row``, return a message."""
+        """If rows elsewhere reference one of ``old_rows``, a message for
+        the first that is. Each referencing table is consulted as it
+        stands now, through one lookup per foreign key however many rows
+        are asked about."""
+        lookups = []
         for other_name in self.db.catalog.referencing_tables(schema.name):
             other = self.db.catalog.table(other_name)
             other_heap = self.db.heap(other.name)
             for fk in other.foreign_keys:
-                if fk.ref_table.lower() != schema.name.lower():
-                    continue
-                key = tuple(old_row.get(c) for c in fk.ref_columns)
-                if any(v is None for v in key):
-                    continue
-                for _, row in other_heap.rows():
-                    if tuple(row.get(c) for c in fk.columns) == key:
-                        return (
-                            f"row in {schema.name!r} is still referenced by "
-                            f"table {other.name!r}"
-                        )
+                if fk.ref_table.lower() == schema.name.lower():
+                    lookups.append(
+                        (other, fk.ref_columns, self._key_lookup(other_heap, fk.columns))
+                    )
+        for old_row in old_rows:
+            for other, ref_columns, present in lookups:
+                key = tuple(old_row.get(c) for c in ref_columns)
+                if not any(v is None for v in key) and present(key):
+                    return (
+                        f"row in {schema.name!r} is still referenced by "
+                        f"table {other.name!r}"
+                    )
         return None
+
+    @staticmethod
+    def _key_lookup(heap: HeapTable, columns) -> "Callable[[tuple], bool]":
+        """``present(key)``: whether some row of ``heap`` holds the
+        NULL-free ``key`` in ``columns`` — either side of a foreign-key
+        check. An index probe when one covers exactly those columns; else
+        the keys of those columns alone, read once on first use."""
+        index = heap.find_index(tuple(columns))
+        if index is not None:
+            return lambda key: bool(index.probe(key))
+        keys: "set[tuple] | None" = None
+
+        def present(key: tuple) -> bool:
+            nonlocal keys
+            if keys is None:
+                keys = set(zip(*[heap.column_values(c) for c in columns]))
+            return key in keys
+
+        return present
 
     def _exec_UpdateStatement(
         self, stmt: ast.UpdateStatement, session: "Session"
@@ -1468,7 +1498,7 @@ class Executor:
                 if c.lower() in referenced_key_columns
             )
             if changed_ref_keys:
-                message = self._referencing_violation(schema, old_row, session)
+                message = self._referencing_violation(schema, [old_row], session)
                 if message:
                     raise ForeignKeyViolation(message)
             previous = heap.update(rid, new_row)
@@ -1501,10 +1531,11 @@ class Executor:
 
         targets = self._dml_targets(schema, stmt.table, heap, stmt.where, evaluator)
 
-        for _rid, row in targets:
-            message = self._referencing_violation(schema, row, session)
-            if message:
-                raise ForeignKeyViolation(message)
+        message = self._referencing_violation(
+            schema, [row for _rid, row in targets], session
+        )
+        if message:
+            raise ForeignKeyViolation(message)
 
         deleted = 0
         for rid, _row in targets:
@@ -1784,12 +1815,9 @@ class Executor:
             column = schema.column(stmt.old_name or "")
             if column.name in schema.primary_key:
                 raise ExecutionError("cannot drop a primary key column")
-            saved_values = {
-                rid: row.get(column.name) for rid, row in heap.rows()
-            }
             index = schema.columns.index(column)
             schema.columns.remove(column)
-            heap.drop_column(column.name)
+            saved_values = heap.drop_column(column.name)
 
             def undo(schema=schema, heap=heap, column=column, index=index,
                      values=saved_values):

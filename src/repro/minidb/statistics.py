@@ -196,21 +196,17 @@ def build_table_statistics(
     heap: "HeapTable",
     buckets: int = HISTOGRAM_BUCKETS,
 ) -> TableStatistics:
-    """One full scan of ``heap`` into a fresh :class:`TableStatistics`."""
-    names = [c.name for c in schema.columns]
-    columns: dict[str, list[Any]] = {name: [] for name in names}
-    row_count = 0
-    for _, row in heap.rows():
-        row_count += 1
-        for name in names:
-            columns[name].append(row.get(name))
+    """One read of each column of ``heap`` into a fresh
+    :class:`TableStatistics`."""
     return TableStatistics(
         table=schema.name,
-        row_count=row_count,
+        row_count=len(heap),
         uid=heap.uid,
         version=heap.version,
         columns={
-            name.lower(): ColumnStats.from_values(values, buckets)
-            for name, values in columns.items()
+            c.name.lower(): ColumnStats.from_values(
+                heap.column_values(c.name), buckets
+            )
+            for c in schema.columns
         },
     )

@@ -1,10 +1,16 @@
 """Row storage and secondary indexes for minidb.
 
-A :class:`HeapTable` stores rows as dicts keyed by column name, addressed by
-a monotonically increasing row id (rid). Deleted rids leave tombstones (the
-rid simply disappears from the dict), which keeps undo-log entries cheap:
-the transaction manager records (rid, old_row) pairs and can restore them
-verbatim.
+A :class:`HeapTable` is column-major — one value list per column, all
+parallel, plus the rid of each slot and a rid -> slot map — because every
+operator above it reads whole columns (:mod:`repro.minidb.batch`): a scan
+slices the referenced columns, an index fetch gathers them, and only the
+point operations (``get`` / ``update`` / ``delete``, which hand a row to
+the undo log and the WAL) build a row dict. Rows are addressed by a
+monotonically increasing row id (rid). A deleted row leaves a tombstone in
+its slot, which keeps undo cheap — the transaction manager records
+(rid, old_row) pairs and :meth:`HeapTable.restore` puts a row back into
+its slot verbatim — and tombstones are dropped in one pass once they
+outnumber the live rows.
 
 Two kinds of secondary index attach to a heap:
 
@@ -29,10 +35,11 @@ from __future__ import annotations
 
 import threading
 from bisect import bisect_left, bisect_right
+from itertools import compress
 from typing import Any, Iterator
 
 from .batch import RowBatch
-from .errors import UniqueViolation
+from .errors import PersistenceError, UniqueViolation
 
 Row = dict[str, Any]
 
@@ -754,12 +761,82 @@ class SortedIndex:
                 run_end = run_start
 
 
+class _Slots:
+    """The arrays of one :class:`HeapTable`, published as a unit.
+
+    Slot *s* holds rid ``rids[s]`` and, per column, ``cols[name][s]``;
+    ``live[s]`` is 0 for a tombstone (a deleted row keeps its slot, rid
+    and stale values until the next settle) and ``slot`` maps each live
+    rid to its slot. ``dead`` counts tombstones. ``rids`` ascends unless
+    ``unsorted``: an out-of-order :meth:`HeapTable.restore` appends at
+    the tail and leaves the re-sort to the next ordered read.
+
+    Writers (exclusive table lock) mutate the arrays in place. A reader
+    never does: the one reader-side change, :meth:`settled`, builds new
+    arrays and the heap publishes them by rebinding a single attribute,
+    so readers sharing an S lock each see either the old unit or the new
+    one, never a mix.
+    """
+
+    __slots__ = ("rids", "cols", "live", "slot", "dead", "unsorted")
+
+    def __init__(self, rids: list[int], cols: dict[str, list]):
+        self.rids = rids
+        self.cols = cols
+        self.live = bytearray(b"\x01") * len(rids)
+        self.slot = dict(zip(rids, range(len(rids))))
+        self.dead = 0
+        self.unsorted = False
+
+    def read(
+        self, names: "list[str] | None" = None
+    ) -> tuple[list[int], dict[str, list]]:
+        """The live rids in slot order and the values of each of ``names``
+        (default: every column; all ``None`` for a column not held), as
+        fresh lists: what a reader may keep, since it aliases nothing."""
+        cols = self.cols
+        if names is None:
+            names = list(cols)
+        take = list.copy
+        if self.dead:
+            live = self.live
+
+            def take(col: list) -> list:
+                return list(compress(col, live))
+
+        rids = take(self.rids)
+        absent = [None] * len(rids)
+        return rids, {
+            name: take(cols[name]) if name in cols else absent[:] for name in names
+        }
+
+    def row(self, slot: int) -> Row:
+        return {name: col[slot] for name, col in self.cols.items()}
+
+    def settled(self) -> "_Slots":
+        """The live rows alone, in rid order, as a fresh unit. A heap
+        left without rows forgets its columns: the next insert brings
+        its own, in its own order, as rows of a row store would."""
+        order = list(compress(range(len(self.rids)), self.live))
+        if self.unsorted:
+            order.sort(key=self.rids.__getitem__)
+        if not order:
+            return _Slots([], {})
+        return _Slots(
+            list(map(self.rids.__getitem__, order)),
+            {
+                name: list(map(col.__getitem__, order))
+                for name, col in self.cols.items()
+            },
+        )
+
+
 class HeapTable:
-    """In-memory heap of rows with attached secondary indexes."""
+    """In-memory column-major heap with attached secondary indexes."""
 
     def __init__(self, name: str):
         self.name = name
-        self._rows: dict[int, Row] = {}
+        self._slots = _Slots([], {})
         self._next_rid = 1
         self.indexes: dict[str, HashIndex | SortedIndex] = {}
         #: identity of this heap across DROP/CREATE cycles of the same name
@@ -770,10 +847,6 @@ class HeapTable:
         #: restore below), so derived caches keyed on (uid, version) are
         #: invalidated by INSERT/UPDATE/DELETE, DDL, *and* ROLLBACK alike
         self.version = 0
-        #: insertion order of ``_rows`` no longer matches rid order; set
-        #: only by out-of-order :meth:`restore` (undo / WAL replay) so the
-        #: common :meth:`rows` scan skips the sort entirely
-        self._rows_unsorted = False
 
     def _bump(self) -> None:
         self.version += 1
@@ -782,7 +855,8 @@ class HeapTable:
     def from_snapshot(
         cls,
         name: str,
-        rows: "list[tuple[int, Row]] | list[list]",
+        rids: list[int],
+        columns: dict[str, list],
         next_rid: int,
         uid: int,
         version: int,
@@ -790,117 +864,146 @@ class HeapTable:
     ) -> "HeapTable":
         """Reconstruct a heap exactly as persisted by the durable engine.
 
-        ``rows`` must already be in rid order (snapshots are written from
-        :meth:`rows`); indexes arrive as empty definitions and are
-        bulk-loaded without uniqueness checks, since the snapshot captured
-        a state that satisfied every constraint when written. The
-        persisted ``(uid, version)`` identity is restored verbatim — and
-        the process-wide uid counter advanced past it — so caches and
+        ``rids`` must already ascend (snapshots are written from
+        :meth:`snapshot_state`); indexes arrive as empty definitions and
+        are bulk-loaded without uniqueness checks, since the snapshot
+        captured a state that satisfied every constraint when written.
+        The persisted ``(uid, version)`` identity is restored verbatim —
+        and the process-wide uid counter advanced past it — so caches and
         persisted value catalogs fingerprinted before the restart stay
         valid after it.
         """
         heap = cls(name)
         heap.restore_state(
-            rows, next_rid=next_rid, uid=uid, version=version, indexes=indexes
+            rids,
+            columns,
+            next_rid=next_rid,
+            uid=uid,
+            version=version,
+            indexes=indexes,
         )
         return heap
 
     def snapshot_state(self) -> dict[str, Any]:
-        """Persistable dump of this heap's state (rows in rid order).
+        """Persistable dump of this heap's state, column-major: the live
+        rids in order and one parallel value list per column.
 
         The inverse of :meth:`restore_state`; the durable engine embeds
-        this dict (JSON-compatible once rows are serialized) into its
-        snapshot payload instead of reading the heap's representation
-        directly.
+        this dict (JSON-compatible as it stands) into its snapshot
+        payload instead of reading the heap's representation directly.
         """
+        rids, columns = self._ordered().read()
         return {
             "uid": self.uid,
             "version": self.version,
             "next_rid": self._next_rid,
-            "rows": [[rid, row] for rid, row in self.rows()],
+            "rids": rids,
+            "columns": columns,
         }
 
     def restore_state(
         self,
-        rows: "list[tuple[int, Row]] | list[list]",
+        rids: list[int],
+        columns: dict[str, list],
         next_rid: int,
         uid: int,
         version: int,
         indexes: "list[HashIndex | SortedIndex]",
     ) -> None:
-        """Overwrite this (fresh) heap's state with a persisted dump."""
-        self._rows = {rid: row for rid, row in rows}
+        """Overwrite this (fresh) heap's state with a persisted dump; the
+        lists become the heap's own."""
+        for name, values in columns.items():
+            if len(values) != len(rids):
+                raise PersistenceError(
+                    f"corrupt snapshot of {self.name!r}: column {name!r} "
+                    f"holds {len(values)} values for {len(rids)} rows"
+                )
+        self._slots = _Slots(rids, columns if rids else {})
         self._next_rid = next_rid
         self.uid = uid
         self.version = version
         reserve_heap_uids(uid)
         for index in indexes:
-            index.bulk_load(self._rows.items())
+            index.bulk_load(self._key_rows(index.columns))
             self.indexes[index.name] = index
 
-    # -------------------------------------------------------------- basics
+    # -------------------------------------------------------------- reads
 
     def __len__(self) -> int:
-        return len(self._rows)
+        return len(self._slots.slot)
+
+    def _ordered(self) -> _Slots:
+        """The heap's slots with ``rids`` ascending. Out-of-order restores
+        are settled here, on the first ordered read after them, by
+        publishing a new :class:`_Slots` in one assignment (several
+        readers may share the table's S lock)."""
+        slots = self._slots
+        if slots.unsorted:
+            self._slots = slots = slots.settled()
+        return slots
 
     def rows(self) -> Iterator[tuple[int, Row]]:
-        """Iterate (rid, row) pairs in rid order.
-
-        Inserts allocate monotonically increasing rids, so dict insertion
-        order already *is* rid order; only an out-of-order :meth:`restore`
-        breaks the invariant, in which case the dict is re-sorted once and
-        the invariant re-established. The snapshot (``list``) keeps callers
-        safe from mutations performed while the iterator is live.
-        """
-        if self._rows_unsorted:
-            self._rows = dict(sorted(self._rows.items()))
-            self._rows_unsorted = False
-        yield from list(self._rows.items())
+        """Iterate (rid, row) pairs in rid order, each row a dict built
+        for the caller (keys in column order: first seen first, a renamed
+        or re-attached column last). Reads one copy of the columns taken
+        up front, so mutations performed while the iterator is live do
+        not reach it."""
+        rids, columns = self._ordered().read()
+        names = list(columns)
+        for rid, *values in zip(rids, *columns.values()):
+            yield rid, dict(zip(names, values))
 
     def get(self, rid: int) -> Row | None:
-        return self._rows.get(rid)
+        """The row at ``rid`` as a fresh dict, ``None`` when absent."""
+        slots = self._slots
+        slot = slots.slot.get(rid)
+        if slot is None:
+            return None
+        return slots.row(slot)
 
     def rows_batch(
         self, batch_size: int, columns: "list[str]"
     ) -> Iterator[RowBatch]:
         """Iterate the heap as :class:`RowBatch` column slices in rid order.
 
-        The vectorized analogue of :meth:`rows`: ``columns`` names the
-        columns to materialize (the executor passes only the columns the
-        statement references), and each batch holds fresh per-column value
-        lists — no per-row dict copies, but the same snapshot safety,
-        since live heap row dicts are never aliased. Read-only: no index
-        maintenance, no WAL interaction.
+        ``columns`` names the columns to materialize (the executor passes
+        only the columns the statement references). Every batch is cut
+        before the first is handed out, so a scan is a snapshot — later
+        mutations do not reach its later batches — and a batch's lists are
+        slices, never the heap's own. Read-only: no index maintenance, no
+        WAL interaction.
         """
-        if self._rows_unsorted:
-            self._rows = dict(sorted(self._rows.items()))
-            self._rows_unsorted = False
-        items = list(self._rows.items())
-        for start in range(0, len(items), batch_size):
-            chunk = items[start : start + batch_size]
-            yield RowBatch(
-                [rid for rid, _ in chunk],
-                {
-                    name: [row.get(name) for _, row in chunk]
-                    for name in columns
-                },
-                len(chunk),
-            )
+        slots = self._ordered()
+        if slots.dead or len(slots.rids) <= batch_size:
+            rids, values = slots.read(columns)
+            if len(rids) <= batch_size:
+                return iter([RowBatch(rids, values, len(rids))] if rids else [])
+        else:  # every slot is live: slice the heap's lists, once per cell
+            rids = slots.rids
+            absent = [None] * len(rids)
+            values = {name: slots.cols.get(name, absent) for name in columns}
+        return iter(
+            [
+                RowBatch(
+                    rids[start : start + batch_size],
+                    {
+                        name: col[start : start + batch_size]
+                        for name, col in values.items()
+                    },
+                    min(batch_size, len(rids) - start),
+                )
+                for start in range(0, len(rids), batch_size)
+            ]
+        )
 
     def column_values(self, name: str) -> list[Any]:
         """One column's values in rid order (``None`` where a row lacks it).
 
-        The single-column read of value retrieval's distinct-value scan:
-        one list of row references plus one list of values, no
-        ``(rid, row)`` tuple per row — :meth:`rows` allocates one
-        GC-tracked tuple per row, which a scan repeated after every write
-        turns into regular full collections. Read-only, same snapshot
-        safety as :meth:`rows_batch`.
+        The single-column read of value retrieval's distinct-value scan
+        and of ``ANALYZE``: one list copy. Read-only, same snapshot safety
+        as :meth:`rows_batch`.
         """
-        if self._rows_unsorted:
-            self._rows = dict(sorted(self._rows.items()))
-            self._rows_unsorted = False
-        return [row.get(name) for row in list(self._rows.values())]
+        return self._ordered().read([name])[1][name]
 
     def fetch_batch(
         self, rids: "list[int]", columns: "list[str]"
@@ -908,21 +1011,74 @@ class HeapTable:
         """One :class:`RowBatch` for an explicit rid list (index-path
         candidates), in the given rid order; rids no longer present in
         the heap are skipped, like per-rid :meth:`get` probes."""
-        rows: list[Row] = []
-        present: list[int] = []
-        get = self._rows.get
-        for rid in rids:
-            row = get(rid)
-            if row is not None:
-                present.append(rid)
-                rows.append(row)
+        slots = self._slots
+        picked = list(map(slots.slot.get, rids))
+        if None in picked:
+            rids = [rid for rid, slot in zip(rids, picked) if slot is not None]
+            picked = [slot for slot in picked if slot is not None]
+        else:
+            rids = list(rids)
+        cols = slots.cols
+        absent = [None] * len(picked)
         return RowBatch(
-            present,
-            {name: [row.get(name) for row in rows] for name in columns},
-            len(present),
+            rids,
+            {
+                name: list(map(cols[name].__getitem__, picked))
+                if name in cols
+                else absent[:]
+                for name in columns
+            },
+            len(picked),
         )
 
+    def _key_rows(self, columns: tuple[str, ...]) -> Iterator[tuple[int, Row]]:
+        """``(rid, {indexed columns only})`` per live row: what index
+        backfill and bulk load read instead of whole rows."""
+        slots = self._slots
+        absent = [None] * len(slots.rids)
+        entries = zip(slots.rids, *[slots.cols.get(c, absent) for c in columns])
+        if slots.dead:
+            entries = compress(entries, slots.live)
+        for rid, *values in entries:
+            yield rid, dict(zip(columns, values))
+
     # ---------------------------------------------------------- mutations
+
+    def _write(self, slot: int, row: Row) -> None:
+        """Store ``row`` in ``slot`` (one past the last slot: the caller
+        is appending it). A row with exactly the heap's keys — every row
+        SQL builds — is written by key; for any other, a key not seen
+        before opens a column (``None`` in every other slot) and a
+        missing one reads as ``None``."""
+        slots = self._slots
+        cols = slots.cols
+        total = len(slots.rids)
+        if len(row) == len(cols):
+            try:
+                if slot == total:
+                    for name, col in cols.items():
+                        col.append(row[name])
+                else:
+                    for name, col in cols.items():
+                        col[slot] = row[name]
+                return
+            except KeyError:
+                pass  # same width, other keys: redo the slot below
+        for name in row:
+            if name not in cols:
+                cols[name] = [None] * total
+        for name, col in cols.items():
+            # replaces the slot's value, or appends it where the column
+            # is still one short (an append the keyed loop did not reach)
+            col[slot : slot + 1] = [row.get(name)]
+
+    def _append(self, rid: int, row: Row) -> None:
+        """Give ``rid`` the next slot."""
+        slots = self._slots
+        self._write(len(slots.rids), row)
+        slots.slot[rid] = len(slots.rids)
+        slots.rids.append(rid)
+        slots.live.append(1)
 
     def insert(self, row: Row) -> int:
         """Insert ``row`` and maintain all indexes; returns the new rid."""
@@ -938,15 +1094,34 @@ class HeapTable:
             for index in inserted:
                 index.remove(rid, row)
             raise
-        self._rows[rid] = dict(row)
+        self._append(rid, row)
         self._bump()
         return rid
 
     def restore(self, rid: int, row: Row) -> None:
-        """Put back a previously deleted row under its original rid (undo)."""
-        if self._rows and rid < next(reversed(self._rows)):
-            self._rows_unsorted = True
-        self._rows[rid] = dict(row)
+        """Put back a previously deleted row under its original rid (undo).
+
+        A rid above every slot's appends in order; one whose tombstone
+        still stands gets its slot back; anything else appends out of
+        order and the next ordered read re-sorts (once, however many
+        restores a rollback made).
+        """
+        slots = self._slots
+        rids = slots.rids
+        slot = slots.slot.get(rid)
+        if slot is None and rids and rid <= rids[-1] and not slots.unsorted:
+            at = bisect_left(rids, rid)
+            if rids[at] == rid:  # in a sorted array this is its tombstone
+                slot = at
+                slots.live[at] = 1
+                slots.slot[rid] = at
+                slots.dead -= 1
+        if slot is not None:
+            self._write(slot, row)
+        else:
+            if rids and rid < rids[-1]:
+                slots.unsorted = True
+            self._append(rid, row)
         self._next_rid = max(self._next_rid, rid + 1)
         for index in self.indexes.values():
             index.insert(rid, row, owner=self.name)
@@ -954,7 +1129,9 @@ class HeapTable:
 
     def update(self, rid: int, new_row: Row) -> Row:
         """Replace the row at ``rid``; returns the old row (for undo logs)."""
-        old_row = self._rows[rid]
+        slots = self._slots
+        slot = slots.slot[rid]
+        old_row = slots.row(slot)
         for index in self.indexes.values():
             if index.unique and index.key_for(new_row) != index.key_for(old_row):
                 if index.would_violate(new_row, ignore_rid=rid):
@@ -965,13 +1142,25 @@ class HeapTable:
         for index in self.indexes.values():
             index.remove(rid, old_row)
             index.insert(rid, new_row, owner=self.name)
-        self._rows[rid] = dict(new_row)
+        self._write(slot, new_row)
         self._bump()
         return old_row
 
     def delete(self, rid: int) -> Row:
-        """Remove the row at ``rid``; returns it (for undo logs)."""
-        row = self._rows.pop(rid)
+        """Remove the row at ``rid``; returns it (for undo logs).
+
+        The slot becomes a tombstone. Once tombstones outnumber live rows
+        the heap is settled — here, on the write side, the only place
+        besides the re-sort in :meth:`_ordered` that moves slots — which
+        keeps scans over a shrinking table proportional to what is left.
+        """
+        slots = self._slots
+        slot = slots.slot.pop(rid)
+        row = slots.row(slot)
+        slots.live[slot] = 0
+        slots.dead += 1
+        if slots.dead > len(slots.slot):
+            self._slots = slots.settled()
         for index in self.indexes.values():
             index.remove(rid, row)
         self._bump()
@@ -986,7 +1175,7 @@ class HeapTable:
         row-by-row (cleaning up on violation), sorted indexes sort once
         and detect duplicates by adjacency.
         """
-        index.backfill(self._rows.items(), owner=self.name)
+        index.backfill(self._key_rows(index.columns), owner=self.name)
         self.indexes[index.name] = index
         # index DDL changes the heap's access paths (and its durable
         # representation), so it must move the (uid, version) fingerprint
@@ -1015,27 +1204,34 @@ class HeapTable:
         return found
 
     # ------------------------------------------------------ schema changes
+    #
+    # Whole-list operations. A heap without rows holds no columns (see
+    # _Slots.settled), so on one these only move the version.
 
     def add_column(self, name: str, default: Any = None) -> None:
-        for row in self._rows.values():
-            row[name] = default
+        slots = self._slots
+        if slots.rids:
+            slots.cols[name] = [default] * len(slots.rids)
         self._bump()
 
-    def drop_column(self, name: str) -> None:
-        for row in self._rows.values():
-            row.pop(name, None)
+    def drop_column(self, name: str) -> dict[int, Any]:
+        """Detach a column; returns its values by rid (for undo logs)."""
+        slots = self._slots
+        values = dict(zip(slots.rids, slots.cols.pop(name, ())))
         self._bump()
+        return values
 
     def restore_column(self, name: str, values: dict[int, Any]) -> None:
         """Re-attach a dropped column's values by rid (undo for drop_column)."""
-        for rid, row in self._rows.items():
-            row[name] = values.get(rid)
+        slots = self._slots
+        if slots.rids:
+            slots.cols[name] = list(map(values.get, slots.rids))
         self._bump()
 
     def rename_column(self, old: str, new: str) -> None:
-        for row in self._rows.values():
-            if old in row:
-                row[new] = row.pop(old)
+        cols = self._slots.cols
+        if old in cols:
+            cols[new] = cols.pop(old)
         for index in self.indexes.values():
             index.rename_column(old, new)  # keys hold values, not names
         self._bump()

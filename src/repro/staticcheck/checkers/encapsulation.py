@@ -1,6 +1,6 @@
 """Rule ``encapsulation``: no cross-module pokes at private attributes.
 
-The ``heap._rows`` class of bug: module B reaches into an object whose
+The ``heap._slots`` class of bug: module B reaches into an object whose
 class lives in module A and reads (or worse, writes) a ``_private``
 attribute, silently coupling itself to A's representation. The WAL
 engine poking ``heap._next_rid`` directly is exactly how snapshot writers
@@ -8,7 +8,7 @@ drift out of sync with the heap's own accessors.
 
 The rule is *module friendship*: code may touch single-underscore
 attributes of classes defined in its own module (``storage.py`` walking
-``heap._rows`` is the implementation working on itself; helper classes
+``heap._slots`` is the implementation working on itself; helper classes
 like a dispatcher's ``PendingResult._resolve`` stay usable by their
 module), but an attribute access ``obj._name`` on a non-``self``/``cls``
 receiver whose name is not declared by any class in the current module is

@@ -221,6 +221,29 @@ class TestErrorContract:
         outcome = both(s, "SELECT 1 / (a - a) FROM t WHERE id = 45")
         assert outcome[1] == DivisionByZeroError.__name__
 
+    def test_first_projection_error_with_stored_columns_skipped(self, s):
+        # the all-kernel projection looks for deferred errors only in the
+        # columns that can hold one; a bare reference that resolves is the
+        # relation's own list and is skipped, one that does not resolve is
+        # a column of errors and must still raise — decided by what the
+        # kernel returned, not by the item being a ColumnRef
+        for sql, error in (
+            ("SELECT nosuch FROM t", UnknownColumnError),
+            ("SELECT a, nosuch FROM t", UnknownColumnError),
+            ("SELECT a, 1 / 0 FROM t", DivisionByZeroError),
+            ("SELECT id, a, 1 / (b - 3), c FROM t", DivisionByZeroError),
+            # row 0 has b = 0: item 0 errs there, before item 1 does
+            ("SELECT 1 / b, nosuch FROM t", DivisionByZeroError),
+            ("SELECT nosuch, 1 / b FROM t", UnknownColumnError),
+            # the first erroring row decides, whichever item it is in
+            ("SELECT 1 / (id - 3), 1 / (id - 2), a FROM t", DivisionByZeroError),
+        ):
+            outcome = both(s, sql)
+            assert outcome[:2] == ("err", error.__name__), sql
+        kind, columns, rows = both(s, "SELECT a, id, a FROM t WHERE id < 3")
+        assert (kind, columns) == ("ok", ["a", "id", "a"])
+        assert rows == [(None, 0, None), (1, 1, 1), (2, 2, 2)]
+
     def test_aggregate_argument_error_parity(self, s):
         outcome = both(s, "SELECT SUM(c) FROM t")
         assert outcome[0] == "err"

@@ -394,6 +394,167 @@ def durable_prefix(data: bytes) -> bytes:
     return data[:end]
 
 
+# A database directory as the row-major engine (snapshot format 1, up to
+# commit a8f47cb) left it: three tables — one with a dropped rid, an added
+# column, a btree index and ANALYZE statistics; one referencing it; one
+# empty — checkpointed, then four more committed statements in the WAL.
+FORMAT_1_SNAPSHOT = (
+    '{"format":1,"name":"main","applied_seq":14,"privileges":{"owner":"admin",'
+    '"users":{"admin":[],"public":[]}},"tables":[{"schema":{"name":"items",'
+    '"columns":[{"name":"id","type":"INTEGER","length":null,"not_null":true,'
+    '"default":null,"has_default":false},{"name":"name","type":"TEXT","length":null,'
+    '"not_null":false,"default":null,"has_default":false},{"name":"qty",'
+    '"type":"INTEGER","length":null,"not_null":false,"default":0,"has_default":true},'
+    '{"name":"tag","type":"TEXT","length":null,"not_null":false,"default":"x",'
+    '"has_default":true}],"primary_key":["id"],"foreign_keys":[],"uniques":[],'
+    '"checks":[]},"indexes":[{"name":"pk_items","columns":["id"],"unique":true,'
+    '"kind":"hash"},{"name":"items_qty","columns":["qty"],"unique":false,'
+    '"kind":"btree"}],"uid":1,"version":9,"next_rid":5,"rows":[[1,{"id":1,'
+    '"name":"alpha","qty":5,"tag":"x"}],[3,{"id":3,"name":"gamma","qty":null,'
+    '"tag":"x"}],[4,{"id":4,"name":"delta","qty":9,"tag":"x"}]]},{"schema":{'
+    '"name":"notes","columns":[{"name":"id","type":"INTEGER","length":null,'
+    '"not_null":true,"default":null,"has_default":false},{"name":"item_id",'
+    '"type":"INTEGER","length":null,"not_null":false,"default":null,'
+    '"has_default":false},{"name":"body","type":"TEXT","length":null,'
+    '"not_null":false,"default":null,"has_default":false}],"primary_key":["id"],'
+    '"foreign_keys":[{"columns":["item_id"],"ref_table":"items","ref_columns":["id"]}],'
+    '"uniques":[],"checks":[]},"indexes":[{"name":"pk_notes","columns":["id"],'
+    '"unique":true,"kind":"hash"}],"uid":2,"version":3,"next_rid":3,"rows":[[1,{"id":1,'
+    '"item_id":1,"body":"first"}],[2,{"id":2,"item_id":3,"body":null}]]},{"schema":{'
+    '"name":"empty_t","columns":[{"name":"x","type":"INTEGER","length":null,'
+    '"not_null":false,"default":null,"has_default":false}],"primary_key":[],'
+    '"foreign_keys":[],"uniques":[],"checks":[]},"indexes":[],"uid":3,"version":0,'
+    '"next_rid":1,"rows":[]}],"views":[],"indexes":[{"name":"items_qty",'
+    '"table":"items","columns":["qty"],"unique":false,"kind":"btree"}],'
+    '"statistics":[{"table":"items","row_count":3,"uid":1,"version":9,"columns":{'
+    '"id":{"ndv":3,"null_frac":0.0,"boundaries":[1,3,4]},"name":{"ndv":3,'
+    '"null_frac":0.0,"boundaries":["alpha","delta","gamma"]},"qty":{"ndv":2,'
+    '"null_frac":0.3333333333333333,"boundaries":[5,9]},"tag":{"ndv":1,'
+    '"null_frac":0.0,"boundaries":["x","x","x"]}}}]}'
+)
+FORMAT_1_WAL = (
+    '{"seq":15,"op":"insert","table":"items","rid":5,"row":{"id":5,"name":"eps",'
+    '"qty":2,"tag":"y"},"uid":1,"version":10,"commit":true}\n'
+    '{"seq":16,"op":"update","table":"notes","rid":2,"row":{"id":2,"item_id":3,'
+    '"body":"second"},"uid":2,"version":4,"commit":true}\n'
+    '{"seq":17,"op":"delete","table":"items","rid":4,"uid":1,"version":11,'
+    '"commit":true}\n'
+    '{"seq":18,"op":"insert","table":"empty_t","rid":1,"row":{"x":1},"uid":3,'
+    '"version":1,"commit":true}\n'
+)
+# what each heap's snapshot_state() must read after opening the above
+FORMAT_1_STATES = {
+    "snapshot only": {
+        "items": {
+            "uid": 1, "version": 9, "next_rid": 5, "rids": [1, 3, 4],
+            "columns": {
+                "id": [1, 3, 4],
+                "name": ["alpha", "gamma", "delta"],
+                "qty": [5, None, 9],
+                "tag": ["x", "x", "x"],
+            },
+        },
+        "notes": {
+            "uid": 2, "version": 3, "next_rid": 3, "rids": [1, 2],
+            "columns": {
+                "id": [1, 2], "item_id": [1, 3], "body": ["first", None],
+            },
+        },
+        "empty_t": {
+            "uid": 3, "version": 0, "next_rid": 1, "rids": [], "columns": {},
+        },
+    },
+    "snapshot and wal": {
+        "items": {
+            "uid": 1, "version": 11, "next_rid": 6, "rids": [1, 3, 5],
+            "columns": {
+                "id": [1, 3, 5],
+                "name": ["alpha", "gamma", "eps"],
+                "qty": [5, None, 2],
+                "tag": ["x", "x", "y"],
+            },
+        },
+        "notes": {
+            "uid": 2, "version": 4, "next_rid": 3, "rids": [1, 2],
+            "columns": {
+                "id": [1, 2], "item_id": [1, 3], "body": ["first", "second"],
+            },
+        },
+        "empty_t": {
+            "uid": 3, "version": 1, "next_rid": 2, "rids": [1],
+            "columns": {"x": [1]},
+        },
+    },
+}
+
+
+class TestSnapshotFormats:
+    """Snapshot format 2 is column-major; format-1 files still open."""
+
+    def _write(self, tmp_path, snapshot: str, wal: str = "") -> str:
+        path = str(tmp_path / "db")
+        os.makedirs(path)
+        with open(os.path.join(path, "snapshot.json"), "w", encoding="utf-8") as fh:
+            fh.write(snapshot)
+        with open(os.path.join(path, "wal.jsonl"), "w", encoding="utf-8") as fh:
+            fh.write(wal)
+        return path
+
+    @pytest.mark.parametrize("case", sorted(FORMAT_1_STATES))
+    def test_format_1_opens_and_is_rewritten_as_format_2(self, tmp_path, case):
+        wal = FORMAT_1_WAL if case == "snapshot and wal" else ""
+        path = self._write(tmp_path, FORMAT_1_SNAPSHOT, wal)
+        expected = FORMAT_1_STATES[case]
+        db = reopen(path)
+        assert {n: h.snapshot_state() for n, h in db.heaps.items()} == expected
+        # indexes were rebuilt from the key columns alone
+        items = db.heap("items")
+        assert items.indexes["pk_items"].probe((3,)) == {3}
+        by_qty = [1, 4, 3] if case == "snapshot only" else [5, 1, 3]  # NULL last
+        assert list(items.indexes["items_qty"].ordered_rids()) == by_qty
+        assert db.catalog.statistics["items"].row_count == 3
+        session = db.connect("admin")
+        assert session.scalar("SELECT name FROM items WHERE qty = 5") == "alpha"
+        contents = db.snapshot()
+
+        db.checkpoint()
+        with open(os.path.join(path, "snapshot.json"), encoding="utf-8") as fh:
+            rewritten = json.load(fh)
+        assert rewritten["format"] == 2
+        for entry in rewritten["tables"]:
+            assert "rows" not in entry
+            state = expected[entry["schema"]["name"]]
+            assert {key: entry[key] for key in state} == state
+        db.close()
+
+        db2 = reopen(path)
+        assert db2.engine.stats["wal_replayed"] == 0
+        assert db2.snapshot() == contents
+        assert {n: h.snapshot_state() for n, h in db2.heaps.items()} == expected
+        db2.close()
+
+    def test_unknown_format_refused(self, tmp_path):
+        future = FORMAT_1_SNAPSHOT.replace('{"format":1,', '{"format":3,', 1)
+        path = self._write(tmp_path, future)
+        with pytest.raises(PersistenceError, match="unsupported snapshot format 3"):
+            reopen(path)
+
+    def test_ragged_columns_refused(self, dbdir):
+        db = seeded(dbdir)
+        db.checkpoint()
+        db.close()
+        snapshot_path = os.path.join(dbdir, "snapshot.json")
+        with open(snapshot_path, encoding="utf-8") as fh:
+            data = json.load(fh)
+        assert data["format"] == 2
+        assert data["tables"][0]["columns"]["name"] == ["alpha", "beta"]
+        data["tables"][0]["columns"]["name"].pop()
+        with open(snapshot_path, "w", encoding="utf-8") as fh:
+            json.dump(data, fh)
+        with pytest.raises(PersistenceError, match="column 'name' holds 1 values"):
+            reopen(dbdir)
+
+
 def copy_db(src: str, dst: str, wal: bytes) -> None:
     if os.path.exists(dst):
         shutil.rmtree(dst)
