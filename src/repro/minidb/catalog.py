@@ -279,9 +279,15 @@ class Catalog:
                     fk.ref_columns = _renamed(fk.ref_columns, old, new)
 
     def rename_table(self, old: str, new: str) -> None:
+        """Rename table ``old`` to ``new`` everywhere the catalog names
+        it: its schema, statistics and index entries, and the
+        ``ref_table`` of every foreign key that references it — a
+        constraint left on the old name fails every child INSERT and
+        stops guarding the parent's rows."""
         if self.has_object(new):
             raise DuplicateObjectError(f"relation {new!r} already exists")
-        stats = self.statistics.get(self._key(old))
+        key = self._key(old)
+        stats = self.statistics.get(key)
         schema = self.remove_table(old)
         schema.name = new
         self.add_table(schema)
@@ -289,5 +295,9 @@ class Catalog:
             stats.table = new
             self.statistics[self._key(new)] = stats
         for index in self.indexes.values():
-            if self._key(index.table) == self._key(old):
+            if self._key(index.table) == key:
                 index.table = new
+        for other in self.tables.values():
+            for fk in other.foreign_keys:
+                if self._key(fk.ref_table) == key:
+                    fk.ref_table = new

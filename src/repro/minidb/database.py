@@ -24,8 +24,9 @@ from typing import Any, Callable
 
 from ..obs import CounterMapView, MetricsRegistry, StatementTracer
 from . import ast_nodes as ast
+from . import changes
 from .analysis import StatementAnalysis, analyze
-from .catalog import Catalog, IndexSchema, TableSchema
+from .catalog import Catalog
 from .engines import DurableEngine, InMemoryEngine, StorageEngine
 from .errors import (
     DeadlockError,
@@ -39,7 +40,7 @@ from .executor import Executor
 from .parser import parse, parse_cache_stats, parse_script
 from .privileges import PrivilegeManager
 from .result import ResultSet
-from .storage import HashIndex, HeapTable
+from .storage import HeapTable
 from .transactions import StatementGuard, TransactionManager
 
 _session_ids = itertools.count(1)
@@ -65,8 +66,8 @@ class Session:
         self.db = db
         self.user = user
         # on a durable engine the database observes the commit boundary
-        # (redo flush) and explicit-transaction lifetimes; the in-memory
-        # engine skips redo logging entirely
+        # (redo flush) and explicit-transaction lifetimes; without hooks
+        # the manager keeps no redo log
         self.tx = TransactionManager(hooks=db if db.engine.durable else None)
         #: statements attempted through this session, failed parses
         #: included (``system.sessions`` reports it)
@@ -636,21 +637,15 @@ class Database:
         return Session(self, user)
 
     def create_user(self, name: str) -> None:
-        # same admission-window + ordering-point discipline as
-        # apply_grant: keeps the mutation out of checkpoint snapshots
-        # mid-flight and the WAL order identical to the memory order
         if self.engine.panicked:
             raise StorageFailedError(
                 "storage engine is in fail-stop mode: cannot create users"
             )
+        # same admission-window discipline as GRANT/REVOKE statements
+        # (see Session._dispatch_statement)
         self.statement_started()
         try:
-            with self.privileges.mutex:
-                self.privileges.create_user(name)
-                if self.engine.durable:
-                    self.engine.append_commit(
-                        [{"op": "create_user", "user": name}]
-                    )
+            self._apply_privilege_change({"op": "create_user", "user": name})
         finally:
             self.statement_finished()
 
@@ -685,74 +680,52 @@ class Database:
     def apply_grant(self, issuer: str, stmt: ast.GrantStatement) -> ResultSet:
         if not self.privileges.is_owner(issuer):
             raise PermissionDenied(f"user {issuer!r} may not GRANT privileges")
-        # one ordering point: the in-memory mutation and the WAL append
-        # must land in the same order for every concurrent GRANT/REVOKE,
-        # or recovery replays a different privilege state than the live
-        # database had. Safe against the checkpoint's opposite-order
-        # acquisition (commit mutex, then privileges.mutex in the dump)
-        # because grants run inside the statement-admission window the
-        # checkpoint quiesces first.
-        with self.privileges.mutex:
-            for obj in stmt.objects:
-                if obj != "*" and not self.catalog.has_object(obj):
-                    raise MiniDBError(f"relation {obj!r} does not exist")
-                for action in stmt.actions:
-                    self.privileges.grant(stmt.grantee, action, obj, stmt.columns)
-            self._log_privilege_op("grant", stmt)
+        # every object before the first grant: the statement is one record
+        # and applies whole or not at all
+        for obj in stmt.objects:
+            if obj != "*" and not self.catalog.has_object(obj):
+                raise MiniDBError(f"relation {obj!r} does not exist")
+        self._apply_privilege_change(self._privilege_record("grant", stmt))
         return ResultSet(status="GRANT")
 
     def apply_revoke(self, issuer: str, stmt: ast.RevokeStatement) -> ResultSet:
         if not self.privileges.is_owner(issuer):
             raise PermissionDenied(f"user {issuer!r} may not REVOKE privileges")
-        with self.privileges.mutex:  # see apply_grant
-            for obj in stmt.objects:
-                for action in stmt.actions:
-                    self.privileges.revoke(stmt.grantee, action, obj, stmt.columns)
-            self._log_privilege_op("revoke", stmt)
+        self._apply_privilege_change(self._privilege_record("revoke", stmt))
         return ResultSet(status="REVOKE")
 
-    def _log_privilege_op(
-        self, op: str, stmt: "ast.GrantStatement | ast.RevokeStatement"
-    ) -> None:
-        """WAL-log one GRANT/REVOKE. These bypass the transaction manager
-        (they are not undo-logged), so the record is appended directly."""
-        if self.engine.durable:
-            self.engine.append_commit(
-                [
-                    {
-                        "op": op,
-                        "grantee": stmt.grantee,
-                        "actions": list(stmt.actions),
-                        "objects": list(stmt.objects),
-                        "columns": list(stmt.columns) if stmt.columns else None,
-                    }
-                ]
-            )
+    @staticmethod
+    def _privilege_record(
+        op: str, stmt: "ast.GrantStatement | ast.RevokeStatement"
+    ) -> dict[str, Any]:
+        return {
+            "op": op,
+            "grantee": stmt.grantee,
+            "actions": list(stmt.actions),
+            "objects": list(stmt.objects),
+            "columns": list(stmt.columns) if stmt.columns else None,
+        }
+
+    def _apply_privilege_change(self, record: dict[str, Any]) -> None:
+        """Apply one grant / revoke / create_user record and append it to
+        the WAL. These bypass the transaction manager (they are not
+        undo-logged), so this is their whole write path — and one ordering
+        point: the in-memory mutation and the WAL append must land in the
+        same order for every concurrent change, or recovery replays a
+        different privilege state than the live database had. Safe
+        against the checkpoint's opposite-order acquisition (commit
+        mutex, then privileges.mutex in the dump) because callers run
+        inside the statement-admission window the checkpoint quiesces
+        first."""
+        with self.privileges.mutex:
+            changes.apply(self, record)
+            if self.engine.durable:
+                self.engine.append_commit([record])
 
     # ------------------------------------------------------------- storage
 
     def heap(self, table: str) -> HeapTable:
         return self.heaps[table.lower()]
-
-    def drop_table_physical(self, name: str) -> None:
-        """Remove a table from catalog + heap (undo helper for CREATE)."""
-        if self.catalog.has_table(name):
-            self.catalog.remove_table(name)
-        self.heaps.pop(name.lower(), None)
-        for index in self.catalog.indexes_on(name):
-            self.catalog.remove_index(index.name)
-
-    def restore_table(
-        self,
-        schema: TableSchema,
-        heap: HeapTable,
-        indexes: list[IndexSchema],
-    ) -> None:
-        """Re-attach a dropped table (undo helper for DROP)."""
-        self.catalog.add_table(schema)
-        self.heaps[schema.name.lower()] = heap
-        for index in indexes:
-            self.catalog.add_index(index)
 
     # ----------------------------------------------------------- inspection
 

@@ -26,7 +26,7 @@ from typing import TYPE_CHECKING, Any
 if TYPE_CHECKING:  # pragma: no cover
     from ..database import Database
 
-#: one committed mutation, as produced by the executor's redo logging
+#: one mutation, JSON-able (schema: :mod:`repro.minidb.changes`)
 Record = dict[str, Any]
 
 

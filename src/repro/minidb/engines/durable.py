@@ -10,41 +10,11 @@ File layout (one directory per database)::
                       owned by repro.retrieval; minidb only provides the
                       directory)
 
-WAL record schema
------------------
-
-Every record is one JSON object on its own ``\\n``-terminated line with a
-``seq`` field — a strictly increasing sequence number spanning snapshots
-— plus an ``op`` and op-specific fields. The last record of each
-committed transaction's batch additionally carries ``commit: true``;
-recovery applies whole batches only, so a crash can never half-apply a
-multi-record transaction. Row and DDL records are stamped with the
-owning heap's post-mutation ``(uid, version)``, so recovery restores
-change counters (and therefore retrieval-cache fingerprints) exactly:
-
-=================  ========================================================
-op                 fields
-=================  ========================================================
-``insert``         table, rid, row, uid, version
-``update``         table, rid, row (new image), uid, version
-``delete``         table, rid, uid, version
-``create_table``   schema (structural), indexes (definitions), uid, version
-``drop_table``     table
-``add_column``     table, column (structural), fill (value applied to
-                   existing rows), uid, version
-``drop_column``    table, column, uid, version
-``rename_column``  table, old, new, uid, version
-``rename_table``   old, new
-``create_index``   table, index (definition), uid, version
-``drop_index``     table, index, uid, version
-``create_view``    view, sql (select_to_sql round trip), or_replace
-``drop_view``      view
-``grant``          grantee, actions, objects, columns
-``revoke``         grantee, actions, objects, columns
-``create_user``    user
-``analyze``        table, stats (computed statistics payload — replay
-                   restores, never recomputes)
-=================  ========================================================
+The WAL's record format — one JSON object per line: ``seq``, ``op``,
+op-specific fields, ``commit: true`` on the last record of a batch — is
+documented where it is produced and applied,
+:mod:`repro.minidb.changes`. Recovery hands each replayed record to the
+same ``changes.apply`` the statement ran.
 
 Recovery invariants
 -------------------
@@ -93,9 +63,9 @@ import weakref
 from typing import TYPE_CHECKING, Any
 
 from ...faults import OS_FILESYSTEM, Filesystem
-from ..catalog import IndexSchema
+from .. import changes
 from ..errors import PersistenceError, StorageFailedError, TransactionError
-from ..storage import HeapTable, reserve_heap_uids
+from ..storage import HeapTable
 from .base import Record, StorageEngine
 from .serial import (
     dump_index,
@@ -104,7 +74,6 @@ from .serial import (
     dump_statistics,
     dump_table_schema,
     dump_view,
-    load_column,
     load_index,
     load_index_schema,
     load_privileges,
@@ -820,7 +789,9 @@ class DurableEngine(StorageEngine):
 
     def _apply(self, db: "Database", record: Record) -> None:
         try:
-            self._apply_record(db, record)
+            # the code the statement ran; recovery never rolls back, so
+            # the undo it returns is dropped
+            changes.apply(db, record)
         except PersistenceError:
             raise
         except Exception as exc:
@@ -828,93 +799,3 @@ class DurableEngine(StorageEngine):
                 f"WAL replay failed at seq {record.get('seq')} "
                 f"(op {record.get('op')!r}): {exc}"
             ) from exc
-
-    def _apply_record(self, db: "Database", r: Record) -> None:
-        op = r["op"]
-        if op == "insert":
-            heap = db.heaps[r["table"]]
-            heap.restore(r["rid"], r["row"])
-            heap.version = r["version"]
-        elif op == "update":
-            heap = db.heaps[r["table"]]
-            heap.update(r["rid"], r["row"])
-            heap.version = r["version"]
-        elif op == "delete":
-            heap = db.heaps[r["table"]]
-            heap.delete(r["rid"])
-            heap.version = r["version"]
-        elif op == "create_table":
-            schema = load_table_schema(r["schema"])
-            db.catalog.add_table(schema)
-            heap = HeapTable(schema.name)
-            for entry in r["indexes"]:
-                index = load_index(entry)
-                heap.indexes[index.name] = index  # new table: nothing to fill
-            heap.uid = r["uid"]
-            heap.version = r["version"]
-            reserve_heap_uids(heap.uid)
-            db.heaps[schema.name.lower()] = heap
-        elif op == "drop_table":
-            db.drop_table_physical(r["table"])
-        elif op == "add_column":
-            schema = db.catalog.table(r["table"])
-            heap = db.heaps[r["table"].lower()]
-            schema.columns.append(load_column(r["column"]))
-            heap.add_column(r["column"]["name"], r["fill"])
-            heap.version = r["version"]
-        elif op == "drop_column":
-            schema = db.catalog.table(r["table"])
-            heap = db.heaps[r["table"].lower()]
-            column = schema.column(r["column"])
-            schema.columns.remove(column)
-            heap.drop_column(column.name)
-            heap.version = r["version"]
-        elif op == "rename_column":
-            heap = db.heaps[r["table"].lower()]
-            db.catalog.rename_column(r["table"], r["old"], r["new"])
-            heap.rename_column(r["old"], r["new"])
-            heap.version = r["version"]
-        elif op == "rename_table":
-            db.catalog.rename_table(r["old"], r["new"])
-            db.heaps[r["new"].lower()] = db.heaps.pop(r["old"].lower())
-        elif op == "create_index":
-            entry = r["index"]
-            schema = db.catalog.table(r["table"])
-            db.catalog.add_index(
-                IndexSchema(
-                    entry["name"],
-                    schema.name,
-                    tuple(entry["columns"]),
-                    entry["unique"],
-                    kind=entry.get("kind", "hash"),
-                )
-            )
-            heap = db.heaps[r["table"].lower()]
-            heap.add_index(load_index(entry))
-            heap.version = r["version"]
-        elif op == "drop_index":
-            db.catalog.remove_index(r["index"])
-            heap = db.heaps[r["table"].lower()]
-            heap.drop_index(r["index"])
-            heap.version = r["version"]
-        elif op == "create_view":
-            view = load_view({"name": r["view"], "sql": r["sql"]})
-            db.catalog.add_view(view, replace=r.get("or_replace", False))
-        elif op == "drop_view":
-            db.catalog.remove_view(r["view"])
-        elif op == "grant":
-            for obj in r["objects"]:
-                for action in r["actions"]:
-                    db.privileges.grant(r["grantee"], action, obj, r["columns"])
-        elif op == "revoke":
-            for obj in r["objects"]:
-                for action in r["actions"]:
-                    db.privileges.revoke(r["grantee"], action, obj, r["columns"])
-        elif op == "create_user":
-            db.privileges.create_user(r["user"])
-        elif op == "analyze":
-            # the record carries the *computed* statistics, so replay
-            # restores them exactly without rescanning the heap
-            db.catalog.statistics[r["table"]] = load_statistics(r["stats"])
-        else:
-            raise PersistenceError(f"unknown WAL op {op!r}")

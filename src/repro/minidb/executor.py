@@ -1,9 +1,14 @@
 """Statement executor: the query-processing core of minidb.
 
 The executor receives parsed AST statements plus a :class:`Session` and
-performs them against the database's catalog and heaps, logging undo actions
-through the session's transaction manager so every statement is atomic and
-every explicit transaction can roll back.
+runs them against the database's catalog and heaps. Reads are executed
+here; a mutating statement takes its locks, validates (types, constraints,
+foreign keys) and then hands each physical change, as a record, to the
+session's transaction manager (``session.tx.apply`` →
+:mod:`repro.minidb.changes`), which performs it and keeps its undo — so
+every statement is atomic, every explicit transaction can roll back, and
+recovery replays what the statement ran. No ``_exec_*`` method mutates a
+heap or the catalog itself.
 
 Every SELECT block is planned exactly once, by
 :func:`repro.minidb.planner.plan_select`, and this module only *consumes*
@@ -67,7 +72,7 @@ from typing import TYPE_CHECKING, Any, Callable, Iterator
 from ..obs.views import system_view_rows
 from . import ast_nodes as ast
 from .batch import DEFAULT_BATCH_SIZE, BatchError, RowBatch
-from .catalog import Column, ForeignKey, IndexSchema, TableSchema, ViewSchema
+from .catalog import Column, ForeignKey, TableSchema
 from .errors import (
     CheckViolation,
     DuplicateObjectError,
@@ -95,17 +100,11 @@ from .planner import (
     plan_select,
     plan_table_scan,
 )
-from .engines.serial import dump_column, dump_index, dump_table_schema
+from .engines.serial import dump_column, dump_table_schema
 from .result import ResultSet
 from .sqlgen import expr_to_sql, select_to_sql
 from .statistics import build_table_statistics
-from .storage import (
-    HashIndex,
-    HeapTable,
-    Row,
-    SortedIndex,
-    ordering_key_element,
-)
+from .storage import HeapTable, Row, ordering_key_element
 from .types import ColumnType, coerce
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -1297,7 +1296,6 @@ class Executor:
         schema = self._locked_table(session, stmt.table, "X")
         for fk in schema.foreign_keys:
             session.lock_table(fk.ref_table, "S")
-        heap = self.db.heap(schema.name)
         evaluator = self._evaluator(session)
         empty_scope = Scope({}, {}, frozenset(), None)
 
@@ -1314,7 +1312,6 @@ class Executor:
             ]
 
         inserted = 0
-        redo = session.tx.redo_enabled
         table_key = schema.name.lower()
         for values in value_rows:
             if len(values) != len(target_columns):
@@ -1324,22 +1321,10 @@ class Executor:
                 )
             row = self._build_row(schema, dict(zip(target_columns, values)), evaluator)
             self._check_row_constraints(schema, row, evaluator, session)
-            rid = heap.insert(row)
-            session.tx.log_undo(
-                f"insert {schema.name} rid={rid}",
-                lambda heap=heap, rid=rid: heap.delete(rid),
+            session.tx.apply(
+                self.db,
+                {"op": "insert", "table": table_key, "rid": None, "row": row},
             )
-            if redo:
-                session.tx.log_redo(
-                    {
-                        "op": "insert",
-                        "table": table_key,
-                        "rid": rid,
-                        "row": row,
-                        "uid": heap.uid,
-                        "version": heap.version,
-                    }
-                )
             inserted += 1
         return ResultSet(rowcount=inserted, status=f"INSERT {inserted}")
 
@@ -1484,6 +1469,7 @@ class Executor:
         targets = self._dml_targets(schema, stmt.table, heap, stmt.where, evaluator)
 
         updated = 0
+        table_key = schema.name.lower()
         for rid, old_row in targets:
             scope = self._row_scope(schema, stmt.table, old_row)
             new_row = dict(old_row)
@@ -1501,22 +1487,10 @@ class Executor:
                 message = self._referencing_violation(schema, [old_row], session)
                 if message:
                     raise ForeignKeyViolation(message)
-            previous = heap.update(rid, new_row)
-            session.tx.log_undo(
-                f"update {schema.name} rid={rid}",
-                lambda heap=heap, rid=rid, prev=previous: heap.update(rid, prev),
+            session.tx.apply(
+                self.db,
+                {"op": "update", "table": table_key, "rid": rid, "row": new_row},
             )
-            if session.tx.redo_enabled:
-                session.tx.log_redo(
-                    {
-                        "op": "update",
-                        "table": schema.name.lower(),
-                        "rid": rid,
-                        "row": new_row,
-                        "uid": heap.uid,
-                        "version": heap.version,
-                    }
-                )
             updated += 1
         return ResultSet(rowcount=updated, status=f"UPDATE {updated}")
 
@@ -1538,22 +1512,11 @@ class Executor:
             raise ForeignKeyViolation(message)
 
         deleted = 0
+        table_key = schema.name.lower()
         for rid, _row in targets:
-            old = heap.delete(rid)
-            session.tx.log_undo(
-                f"delete {schema.name} rid={rid}",
-                lambda heap=heap, rid=rid, old=old: heap.restore(rid, old),
+            session.tx.apply(
+                self.db, {"op": "delete", "table": table_key, "rid": rid}
             )
-            if session.tx.redo_enabled:
-                session.tx.log_redo(
-                    {
-                        "op": "delete",
-                        "table": schema.name.lower(),
-                        "rid": rid,
-                        "uid": heap.uid,
-                        "version": heap.version,
-                    }
-                )
             deleted += 1
         return ResultSet(rowcount=deleted, status=f"DELETE {deleted}")
 
@@ -1672,35 +1635,25 @@ class Executor:
             for name in unique:
                 schema.column(name)
 
-        catalog.add_table(schema)
-        heap = HeapTable(schema.name)
+        unique_keys = [
+            (f"uq_{schema.name}_{number}", unique)
+            for number, unique in enumerate(schema.uniques)
+        ]
         if schema.primary_key:
-            heap.add_index(
-                HashIndex(f"pk_{schema.name}", tuple(schema.primary_key), unique=True)
-            )
-        for index_number, unique in enumerate(schema.uniques):
-            heap.add_index(
-                HashIndex(f"uq_{schema.name}_{index_number}", unique, unique=True)
-            )
-        self.db.heaps[schema.name.lower()] = heap
-
-        session.tx.log_undo(
-            f"create table {schema.name}",
-            lambda db=self.db, name=schema.name: db.drop_table_physical(name),
+            unique_keys.insert(0, (f"pk_{schema.name}", schema.primary_key))
+        session.tx.apply(
+            self.db,
+            {
+                "op": "create_table",
+                "table": schema.name.lower(),
+                "schema": dump_table_schema(schema),
+                "indexes": [
+                    {"name": name, "columns": list(columns), "unique": True,
+                     "kind": "hash"}
+                    for name, columns in unique_keys
+                ],
+            },
         )
-        if session.tx.redo_enabled:
-            session.tx.log_redo(
-                {
-                    "op": "create_table",
-                    "table": schema.name.lower(),
-                    "schema": dump_table_schema(schema),
-                    "indexes": [
-                        dump_index(ix) for ix in heap.indexes.values()
-                    ],
-                    "uid": heap.uid,
-                    "version": heap.version,
-                }
-            )
         return ResultSet(status="CREATE TABLE")
 
     def _exec_DropTableStatement(
@@ -1715,13 +1668,9 @@ class Executor:
                     continue
                 raise UnknownTableError(f"relation {name!r} does not exist")
             if catalog.has_view(name):
-                view = catalog.remove_view(name)
-                session.tx.log_undo(
-                    f"drop view {name}",
-                    lambda catalog=catalog, view=view: catalog.add_view(view),
+                session.tx.apply(
+                    self.db, {"op": "drop_view", "view": catalog.view(name).name}
                 )
-                if session.tx.redo_enabled:
-                    session.tx.log_redo({"op": "drop_view", "view": view.name})
                 continue
             referencing = [
                 t
@@ -1737,32 +1686,18 @@ class Executor:
             for table_name in to_drop:
                 if not catalog.has_table(table_name):
                     continue
-                schema = catalog.remove_table(table_name)
-                heap = self.db.heaps.pop(table_name.lower())
-                dropped_indexes = [
-                    catalog.remove_index(ix.name)
-                    for ix in catalog.indexes_on(table_name)
-                ]
-                session.tx.log_undo(
-                    f"drop table {table_name}",
-                    lambda db=self.db,
-                    schema=schema,
-                    heap=heap,
-                    dropped=dropped_indexes: db.restore_table(schema, heap, dropped),
+                session.tx.apply(
+                    self.db,
+                    {"op": "drop_table", "table": table_name.lower()},
                 )
-                if session.tx.redo_enabled:
-                    session.tx.log_redo(
-                        {"op": "drop_table", "table": schema.name.lower()}
-                    )
         return ResultSet(status="DROP TABLE")
 
     def _exec_AlterTableStatement(
         self, stmt: ast.AlterTableStatement, session: "Session"
     ) -> ResultSet:
-        catalog = self.db.catalog
         session.lock_table(stmt.table, "X")
-        schema = catalog.table(stmt.table)
-        heap = self.db.heap(schema.name)
+        schema = self.db.catalog.table(stmt.table)
+        table_key = schema.name.lower()
         if stmt.action == "ADD_COLUMN":
             cdef = stmt.column
             assert cdef is not None
@@ -1778,7 +1713,7 @@ class Executor:
                 if cdef.default is not None
                 else None
             )
-            if cdef.not_null and default is None and len(heap):
+            if cdef.not_null and default is None and len(self.db.heap(schema.name)):
                 raise NotNullViolation(
                     f"cannot add NOT NULL column {cdef.name!r} without a default "
                     "to a non-empty table"
@@ -1790,98 +1725,37 @@ class Executor:
                 default=default,
                 has_default=cdef.default is not None,
             )
-            schema.columns.append(column)
-            heap.add_column(column.name, default)
-            session.tx.log_undo(
-                f"add column {schema.name}.{column.name}",
-                lambda schema=schema, heap=heap, column=column: (
-                    schema.columns.remove(column),
-                    heap.drop_column(column.name),
-                ),
-            )
-            if session.tx.redo_enabled:
-                session.tx.log_redo(
-                    {
-                        "op": "add_column",
-                        "table": schema.name.lower(),
-                        "column": dump_column(column),
-                        "fill": default,
-                        "uid": heap.uid,
-                        "version": heap.version,
-                    }
-                )
-            return ResultSet(status="ALTER TABLE")
-        if stmt.action == "DROP_COLUMN":
+            record = {
+                "op": "add_column",
+                "table": table_key,
+                "column": dump_column(column),
+                "fill": default,
+            }
+        elif stmt.action == "DROP_COLUMN":
             column = schema.column(stmt.old_name or "")
             if column.name in schema.primary_key:
                 raise ExecutionError("cannot drop a primary key column")
-            index = schema.columns.index(column)
-            schema.columns.remove(column)
-            saved_values = heap.drop_column(column.name)
-
-            def undo(schema=schema, heap=heap, column=column, index=index,
-                     values=saved_values):
-                schema.columns.insert(index, column)
-                heap.restore_column(column.name, values)
-
-            session.tx.log_undo(f"drop column {schema.name}.{column.name}", undo)
-            if session.tx.redo_enabled:
-                session.tx.log_redo(
-                    {
-                        "op": "drop_column",
-                        "table": schema.name.lower(),
-                        "column": column.name,
-                        "uid": heap.uid,
-                        "version": heap.version,
-                    }
-                )
-            return ResultSet(status="ALTER TABLE")
-        if stmt.action == "RENAME_COLUMN":
+            record = {"op": "drop_column", "table": table_key, "column": column.name}
+        elif stmt.action == "RENAME_COLUMN":
             column = schema.column(stmt.old_name or "")
             if schema.has_column(stmt.new_name or ""):
                 raise ExecutionError(f"column {stmt.new_name!r} already exists")
-            old_name, new_name = column.name, stmt.new_name or ""
-            catalog.rename_column(schema.name, old_name, new_name)
-            heap.rename_column(old_name, new_name)
-
-            def undo_rename(catalog=catalog, heap=heap, table=schema.name,
-                            old=old_name, new=new_name):
-                heap.rename_column(new, old)
-                catalog.rename_column(table, new, old)
-
-            session.tx.log_undo(
-                f"rename column {schema.name}.{old_name}", undo_rename
-            )
-            if session.tx.redo_enabled:
-                session.tx.log_redo(
-                    {
-                        "op": "rename_column",
-                        "table": schema.name.lower(),
-                        "old": old_name,
-                        "new": new_name,
-                        "uid": heap.uid,
-                        "version": heap.version,
-                    }
-                )
-            return ResultSet(status="ALTER TABLE")
-        if stmt.action == "RENAME_TABLE":
-            old_name = schema.name
-            new_name = stmt.new_name or ""
-            catalog.rename_table(old_name, new_name)
-            self.db.heaps[new_name.lower()] = self.db.heaps.pop(old_name.lower())
-            session.tx.log_undo(
-                f"rename table {old_name}",
-                lambda db=self.db, old=old_name, new=new_name: (
-                    db.catalog.rename_table(new, old),
-                    db.heaps.__setitem__(old.lower(), db.heaps.pop(new.lower())),
-                ),
-            )
-            if session.tx.redo_enabled:
-                session.tx.log_redo(
-                    {"op": "rename_table", "old": old_name, "new": new_name}
-                )
-            return ResultSet(status="ALTER TABLE")
-        raise ExecutionError(f"unsupported ALTER TABLE action {stmt.action}")
+            record = {
+                "op": "rename_column",
+                "table": table_key,
+                "old": column.name,
+                "new": stmt.new_name or "",
+            }
+        elif stmt.action == "RENAME_TABLE":
+            record = {
+                "op": "rename_table",
+                "old": schema.name,
+                "new": stmt.new_name or "",
+            }
+        else:
+            raise ExecutionError(f"unsupported ALTER TABLE action {stmt.action}")
+        session.tx.apply(self.db, record)
+        return ResultSet(status="ALTER TABLE")
 
     def _exec_CreateIndexStatement(
         self, stmt: ast.CreateIndexStatement, session: "Session"
@@ -1891,50 +1765,36 @@ class Executor:
         # same table serialize here, so the loser sees "(exists)" instead
         # of a duplicate-index error (and the schema is the post-lock
         # one). Creators on *different* tables hold non-conflicting
-        # locks — their name race is settled by add_index's atomic
+        # locks — their name race is settled by the change's atomic
         # check-then-set, caught below.
         schema = self._locked_table(session, stmt.table, "X")
         if stmt.if_not_exists and stmt.name.lower() in catalog.indexes:
             return ResultSet(status="CREATE INDEX (exists)")
         for name in stmt.columns:
             schema.column(name)
-        kind = "btree" if (stmt.using or "").upper() == "BTREE" else "hash"
-        index_schema = IndexSchema(
-            stmt.name, schema.name, tuple(stmt.columns), stmt.unique, kind=kind
-        )
         try:
-            catalog.add_index(index_schema)
+            session.tx.apply(
+                self.db,
+                {
+                    "op": "create_index",
+                    "table": schema.name.lower(),
+                    "index": {
+                        "name": stmt.name,
+                        "columns": list(stmt.columns),
+                        "unique": stmt.unique,
+                        "kind": (
+                            "btree" if (stmt.using or "").upper() == "BTREE"
+                            else "hash"
+                        ),
+                    },
+                },
+            )
         except DuplicateObjectError:
             if stmt.if_not_exists:
                 # lost a cross-table name race after the probe: same
                 # contract as losing the probe itself
                 return ResultSet(status="CREATE INDEX (exists)")
             raise
-        heap = self.db.heap(schema.name)
-        index_cls = SortedIndex if kind == "btree" else HashIndex
-        index = index_cls(stmt.name, tuple(stmt.columns), stmt.unique)
-        try:
-            heap.add_index(index)
-        except Exception:
-            catalog.remove_index(stmt.name)
-            raise
-        session.tx.log_undo(
-            f"create index {stmt.name}",
-            lambda catalog=catalog, heap=heap, name=stmt.name: (
-                catalog.remove_index(name),
-                heap.drop_index(name),
-            ),
-        )
-        if session.tx.redo_enabled:
-            session.tx.log_redo(
-                {
-                    "op": "create_index",
-                    "table": schema.name.lower(),
-                    "index": dump_index(index),
-                    "uid": heap.uid,
-                    "version": heap.version,
-                }
-            )
         return ResultSet(status="CREATE INDEX")
 
     def _exec_DropIndexStatement(
@@ -1957,26 +1817,14 @@ class Executor:
                 and catalog.index(stmt.name).table == table
             ):
                 break
-        index_schema = catalog.remove_index(stmt.name)
-        heap = self.db.heap(index_schema.table)
-        index = heap.drop_index(index_schema.name)
-        session.tx.log_undo(
-            f"drop index {stmt.name}",
-            lambda catalog=catalog, heap=heap, ix=index_schema, index=index: (
-                catalog.add_index(ix),
-                heap.attach_index(index),
-            ),
+        session.tx.apply(
+            self.db,
+            {
+                "op": "drop_index",
+                "table": table.lower(),
+                "index": catalog.index(stmt.name).name,
+            },
         )
-        if session.tx.redo_enabled:
-            session.tx.log_redo(
-                {
-                    "op": "drop_index",
-                    "table": index_schema.table.lower(),
-                    "index": index_schema.name,
-                    "uid": heap.uid,
-                    "version": heap.version,
-                }
-            )
         return ResultSet(status="DROP INDEX")
 
     def _exec_AnalyzeStatement(
@@ -1996,25 +1844,17 @@ class Executor:
                 if stmt.table is None:
                     continue  # dropped while a bare ANALYZE waited; skip
                 raise
-            heap = self.db.heap(schema.name)
-            stats = build_table_statistics(schema, heap)
-            key = schema.name.lower()
-            previous = catalog.statistics.get(key)
-
-            def undo(catalog=catalog, key=key, previous=previous):
-                if previous is None:
-                    catalog.statistics.pop(key, None)
-                else:
-                    catalog.statistics[key] = previous
-
-            catalog.statistics[key] = stats
-            session.tx.log_undo(f"analyze {schema.name}", undo)
-            if session.tx.redo_enabled:
-                # the *computed* payload travels in the WAL, so replay
-                # restores the exact statistics without rescanning heaps
-                session.tx.log_redo(
-                    {"op": "analyze", "table": key, "stats": stats.to_payload()}
-                )
+            stats = build_table_statistics(schema, self.db.heap(schema.name))
+            # the *computed* payload is the change, so replay restores the
+            # exact statistics without rescanning heaps
+            session.tx.apply(
+                self.db,
+                {
+                    "op": "analyze",
+                    "table": schema.name.lower(),
+                    "stats": stats.to_payload(),
+                },
+            )
             analyzed += 1
         return ResultSet(status=f"ANALYZE {analyzed}")
 
@@ -2024,29 +1864,15 @@ class Executor:
         session.lock_table(stmt.name, "X")
         # the rendered definition round-trips through the parser, which is
         # both the catalog's human-readable DDL and the WAL representation
-        view = ViewSchema(
-            stmt.name, stmt.select, source_sql=select_to_sql(stmt.select)
+        session.tx.apply(
+            self.db,
+            {
+                "op": "create_view",
+                "view": stmt.name,
+                "sql": select_to_sql(stmt.select),
+                "or_replace": stmt.or_replace,
+            },
         )
-        replaced = (
-            self.db.catalog.views.get(stmt.name.lower()) if stmt.or_replace else None
-        )
-        self.db.catalog.add_view(view, replace=stmt.or_replace)
-
-        def undo(catalog=self.db.catalog, name=stmt.name, replaced=replaced):
-            catalog.remove_view(name)
-            if replaced is not None:
-                catalog.add_view(replaced)
-
-        session.tx.log_undo(f"create view {stmt.name}", undo)
-        if session.tx.redo_enabled:
-            session.tx.log_redo(
-                {
-                    "op": "create_view",
-                    "view": stmt.name,
-                    "sql": view.source_sql,
-                    "or_replace": stmt.or_replace,
-                }
-            )
         return ResultSet(status="CREATE VIEW")
 
     def _exec_DropViewStatement(
@@ -2059,13 +1885,9 @@ class Executor:
                 if stmt.if_exists:
                     continue
                 raise UnknownTableError(f"view {name!r} does not exist")
-            view = self.db.catalog.remove_view(name)
-            session.tx.log_undo(
-                f"drop view {name}",
-                lambda catalog=self.db.catalog, view=view: catalog.add_view(view),
+            session.tx.apply(
+                self.db, {"op": "drop_view", "view": self.db.catalog.view(name).name}
             )
-            if session.tx.redo_enabled:
-                session.tx.log_redo({"op": "drop_view", "view": view.name})
         return ResultSet(status="DROP VIEW")
 
 

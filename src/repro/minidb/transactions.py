@@ -1,43 +1,44 @@
 """Undo-log transaction manager giving minidb its ACID semantics.
 
-Every mutating operation appends an :class:`UndoRecord` to the active
-transaction's log. ``ROLLBACK`` replays the log in reverse; ``COMMIT``
-discards it. Statements executed outside an explicit transaction run in
-autocommit mode: a tiny implicit transaction wraps each one, so a failed
-multi-row INSERT still rolls back atomically (statement-level atomicity,
-as in PostgreSQL).
+Every mutation goes through :meth:`TransactionManager.apply`, which
+performs it (:func:`repro.minidb.changes.apply`) and appends the closure
+that reverses it to the active transaction's undo log. ``ROLLBACK`` runs
+the log in reverse; ``COMMIT`` discards it. Statements executed outside
+an explicit transaction run in autocommit mode: a tiny implicit
+transaction wraps each one, so a failed multi-row INSERT still rolls back
+atomically (statement-level atomicity, as in PostgreSQL).
 
 Savepoints are implemented as positions in the undo log.
 
-DDL is transactional too (PostgreSQL-style): CREATE/DROP TABLE record undo
-actions that restore catalog *and* heap state.
+DDL is transactional too (PostgreSQL-style): the undo of CREATE/DROP TABLE
+restores catalog *and* heap state.
 
 Durability hooks
 ----------------
 
-When the database runs on a durable storage engine, the manager also
-keeps a **redo log** per transaction: one JSON-able record per committed
-physical mutation (see :mod:`repro.minidb.engines`). Redo records are
-appended by the executor alongside undo records, truncated in lockstep
-with the undo log by savepoint/statement rollbacks, discarded by
-``ROLLBACK``, and flushed to the engine's write-ahead log at the commit
-boundary — so only mutations of *committed* transactions ever reach disk.
-Undo replay itself never logs redo (rolled-back work is invisible to the
-WAL by construction, not by compensation records).
+When the database runs on a durable storage engine, ``apply`` also keeps
+the record it was given in the transaction's **redo log** — undo and redo
+are paired in that one method, so a mutation cannot be logged for one and
+not the other. The redo log is truncated in lockstep with the undo log by
+savepoint/statement rollbacks, discarded by ``ROLLBACK``, and flushed to
+the engine's write-ahead log at the commit boundary — so only mutations
+of *committed* transactions ever reach disk, and recovery replays them
+through the same ``changes.apply``. Running an undo never logs redo
+(rolled-back work is invisible to the WAL by construction, not by
+compensation records).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Protocol
+from typing import TYPE_CHECKING, Protocol
 
+from . import changes
+from .changes import Record, Undo
 from .errors import TransactionError
 
-#: an undo record is just a closure that reverses one physical change
-UndoAction = Callable[[], None]
-
-#: a redo record is a JSON-able description of one committed mutation
-RedoRecord = dict[str, Any]
+if TYPE_CHECKING:  # pragma: no cover
+    from .database import Database
 
 
 class TransactionHooks(Protocol):
@@ -50,7 +51,7 @@ class TransactionHooks(Protocol):
     snapshot heaps containing uncommitted (undo-pending) mutations.
     """
 
-    def commit_redo(self, records: list[RedoRecord]) -> None: ...
+    def commit_redo(self, records: list[Record]) -> None: ...
 
     def explicit_began(self) -> None: ...
 
@@ -58,24 +59,15 @@ class TransactionHooks(Protocol):
 
 
 @dataclass
-class UndoRecord:
-    description: str
-    action: UndoAction
-
-
-@dataclass
 class Transaction:
     """State of one open transaction."""
 
     txid: int
-    undo_log: list[UndoRecord] = field(default_factory=list)
-    redo_log: list[RedoRecord] = field(default_factory=list)
+    undo_log: list[Undo] = field(default_factory=list)
+    redo_log: list[Record] = field(default_factory=list)
     #: savepoint name -> (undo position, redo position)
     savepoints: dict[str, tuple[int, int]] = field(default_factory=dict)
     implicit: bool = False
-
-    def log(self, description: str, action: UndoAction) -> None:
-        self.undo_log.append(UndoRecord(description, action))
 
 
 class TransactionManager:
@@ -107,15 +99,6 @@ class TransactionManager:
     @property
     def in_transaction(self) -> bool:
         return self.current is not None and not self.current.implicit
-
-    @property
-    def redo_enabled(self) -> bool:
-        """Whether mutation sites should build redo records at all.
-
-        ``False`` on the default in-memory engine, so the write path pays
-        nothing for durability it does not have.
-        """
-        return self.hooks is not None
 
     # ------------------------------------------------------------- control
 
@@ -167,8 +150,8 @@ class TransactionManager:
         if self.current is None:
             raise TransactionError("no transaction in progress")
         tx = self.current
-        for record in reversed(tx.undo_log):
-            record.action()
+        for undo in reversed(tx.undo_log):
+            undo()
         self.current = None
         if not tx.implicit:
             self.rolled_back += 1
@@ -210,26 +193,24 @@ class TransactionManager:
     def _truncate_to(tx: Transaction, undo_position: int, redo_position: int) -> None:
         """Undo (and un-log) everything past the given log positions."""
         while len(tx.undo_log) > undo_position:
-            tx.undo_log.pop().action()
+            tx.undo_log.pop()()
         del tx.redo_log[redo_position:]
 
-    # ------------------------------------------------------------- logging
+    # ------------------------------------------------------------ mutation
 
-    def log_undo(self, description: str, action: UndoAction) -> None:
-        """Record an undo action against the current (possibly implicit) tx."""
-        if self.current is None:
+    def apply(self, db: "Database", record: Record) -> None:
+        """Perform one change inside the current (possibly implicit)
+        transaction: its undo joins the undo log and — when a durable
+        engine is listening — the record, stamped by the change, joins
+        the redo log. A change that raises has logged nothing."""
+        tx = self.current
+        if tx is None:
             raise TransactionError(
                 "internal error: mutation outside any transaction context"
             )
-        self.current.log(description, action)
-
-    def log_redo(self, record: RedoRecord) -> None:
-        """Record one committed-if-we-commit mutation for the WAL."""
-        if self.current is None:
-            raise TransactionError(
-                "internal error: mutation outside any transaction context"
-            )
-        self.current.redo_log.append(record)
+        tx.undo_log.append(changes.apply(db, record))
+        if self.hooks is not None:
+            tx.redo_log.append(record)
 
 
 class StatementGuard:

@@ -10,5 +10,4 @@ from . import (  # noqa: F401  — import-for-registration
     guarded_by,
     metric_registration,
     planner_seam,
-    wal_pairing,
 )

@@ -407,6 +407,66 @@ class TestRenameColumnConstraints:
         replayed.close()
 
 
+class TestRenameTableForeignKeys:
+    """RENAME TO carries the foreign keys of other tables that reference
+    the renamed one: left on the old name, every child INSERT fails, the
+    parent's rows stop being guarded and DROP needs no CASCADE."""
+
+    SETUP = [
+        "CREATE TABLE p (id INT PRIMARY KEY)",
+        "CREATE TABLE c (id INT PRIMARY KEY, pid INT REFERENCES p(id))",
+        "INSERT INTO p VALUES (1)",
+        "INSERT INTO c VALUES (1, 1)",
+    ]
+    RENAME = "ALTER TABLE p RENAME TO parent2"
+
+    @staticmethod
+    def references(db):
+        return {
+            name: [fk.ref_table for fk in schema.foreign_keys]
+            for name, schema in db.catalog.tables.items()
+        }
+
+    @staticmethod
+    def assert_enforced(session, parent):
+        session.execute(f"INSERT INTO {parent} VALUES (2)")
+        session.execute("INSERT INTO c VALUES (2, 2)")
+        with pytest.raises(ForeignKeyViolation):
+            session.execute("INSERT INTO c VALUES (3, 99)")  # no parent 99
+        with pytest.raises(ForeignKeyViolation):
+            session.execute(f"DELETE FROM {parent} WHERE id = 2")  # referenced
+        with pytest.raises(ForeignKeyViolation, match="use CASCADE"):
+            session.execute(f"DROP TABLE {parent}")
+
+    def test_foreign_keys_follow_the_rename(self, db, s):
+        for sql in self.SETUP + [self.RENAME]:
+            s.execute(sql)
+        assert self.references(db) == {"parent2": [], "c": ["parent2"]}
+        self.assert_enforced(s, "parent2")
+
+    def test_rollback_restores_the_old_name_everywhere(self, db, s):
+        for sql in self.SETUP:
+            s.execute(sql)
+        s.execute("BEGIN")
+        s.execute(self.RENAME)
+        s.execute("ROLLBACK")
+        assert self.references(db) == {"p": [], "c": ["p"]}
+        self.assert_enforced(s, "p")
+
+    def test_wal_replay_matches_the_live_database(self, tmp_path):
+        path = str(tmp_path / "db")
+        live = Database.open(path)
+        session = live.connect("admin")
+        for sql in self.SETUP + [self.RENAME]:
+            session.execute(sql)
+        expected = live.engine._snapshot_payload(live)
+        live.close()  # no checkpoint: reopening replays the WAL
+        replayed = Database.open(path)
+        assert replayed.engine._snapshot_payload(replayed) == expected
+        self.assert_enforced(replayed.connect("admin"), "parent2")
+        replayed.close()
+
+
 class TestSnapshotHelpers:
     def test_snapshot(self, store):
         snap = store.db.snapshot()

@@ -25,10 +25,13 @@ from hypothesis import strategies as st
 
 from repro.minidb import (
     Database,
+    MiniDBError,
     PersistenceError,
     TransactionError,
     UniqueViolation,
+    changes,
 )
+from test_change_log import run as run_statement
 
 
 def reopen(path: str) -> Database:
@@ -192,6 +195,26 @@ class TestRoundTrip:
         with pytest.raises(PermissionDenied):
             reopen(dbdir).connect("analyst").execute("SELECT id FROM items")
 
+    def test_failed_multi_object_grant_grants_nothing(self, dbdir):
+        """One GRANT is one record: it applies whole or not at all, live
+        and after reopen alike."""
+        db = seeded(dbdir)
+        session = db.connect("admin")
+        session.execute("CREATE TABLE t1 (id INT)")
+        db.create_user("u")
+        before = len(wal_bytes(dbdir).splitlines())
+        with pytest.raises(MiniDBError, match="'nosuch' does not exist"):
+            session.execute("GRANT SELECT ON t1, nosuch TO u")
+        assert db.privileges.grants_of("u") == []
+        session.execute("GRANT SELECT ON t1, items TO u")
+        granted = db.privileges.grants_of("u")
+        assert [(g.action, g.obj) for g in granted] == [
+            ("SELECT", "t1"), ("SELECT", "items"),
+        ]
+        assert len(wal_bytes(dbdir).splitlines()) == before + 1
+        db.close()
+        assert reopen(dbdir).privileges.grants_of("u") == granted
+
     def test_alter_table_roundtrip(self, dbdir):
         db = seeded(dbdir)
         session = db.connect("admin")
@@ -227,8 +250,8 @@ class TestEngineLifecycle:
         db = Database(owner="admin")
         assert db.engine.durable is False
         assert db.engine.catalog_dir is None
-        # no redo overhead: the transaction manager skips record building
-        assert db.connect("admin").tx.redo_enabled is False
+        # no hooks: the transaction manager keeps no redo log
+        assert db.connect("admin").tx.hooks is None
 
     def test_checkpoint_compacts_wal(self, dbdir):
         db = seeded(dbdir)
@@ -486,6 +509,174 @@ FORMAT_1_STATES = {
         },
     },
 }
+
+
+# One session covering every change kind, a savepoint rollback, a rolled-back
+# DROP and two failing statements — and the WAL commit d3e43a4 wrote for it
+# (heap uids numbered by first appearance). The format is a compatibility
+# surface: directories written by earlier commits must keep opening, so the
+# comparison is record for record, key order included.
+GOLDEN_SCRIPT = (
+    "CREATE TABLE parent (id INT PRIMARY KEY, name TEXT NOT NULL, "
+    "qty INT DEFAULT 0 CHECK (qty >= 0), UNIQUE (name))",
+    "CREATE TABLE child (id INT PRIMARY KEY, pid INT REFERENCES parent(id), "
+    "note TEXT)",
+    "INSERT INTO parent VALUES (1, 'a', 1), (2, 'b', 2)",
+    "INSERT INTO child VALUES (1, 1, 'x')",
+    "INSERT INTO parent VALUES (1, 'dup', 0)",  # fails: primary key
+    "BEGIN",
+    "UPDATE parent SET qty = qty + 1 WHERE id = 1",
+    "SAVEPOINT s",
+    "DELETE FROM child WHERE id = 1",
+    "INSERT INTO parent VALUES (3, 'c', -1)",  # fails: CHECK
+    "ROLLBACK TO s",
+    "INSERT INTO parent VALUES (3, 'c', 3)",
+    "COMMIT",
+    "DELETE FROM parent WHERE id = 2",
+    "ALTER TABLE parent ADD COLUMN tag TEXT DEFAULT 't'",
+    "ALTER TABLE parent RENAME COLUMN tag TO label",
+    "ALTER TABLE child DROP COLUMN note",
+    "CREATE INDEX parent_qty ON parent USING BTREE (qty)",
+    "CREATE UNIQUE INDEX child_pid ON child (pid)",
+    "DROP INDEX child_pid",
+    "ANALYZE parent",
+    "CREATE VIEW busy AS SELECT id, name FROM parent WHERE qty > 1",
+    "CREATE OR REPLACE VIEW busy AS SELECT id FROM parent",
+    "BEGIN",
+    "DROP TABLE child",
+    "ROLLBACK",
+    "CREATE TABLE scratch (x INT)",
+    "ALTER TABLE scratch RENAME TO scratch2",
+    "DROP TABLE scratch2",
+    "DROP VIEW busy",
+    "CREATE USER reader",  # Database.create_user, not SQL
+    "GRANT SELECT, INSERT ON parent, child TO reader",
+    "GRANT SELECT (id) ON parent TO reader",
+    "REVOKE INSERT ON parent FROM reader",
+)
+GOLDEN_WAL = (
+    '{"seq":1,"op":"create_table","table":"parent","schema":{"name":"parent",'
+    '"columns":[{"name":"id","type":"INTEGER","length":null,"not_null":true,'
+    '"default":null,"has_default":false},{"name":"name","type":"TEXT",'
+    '"length":null,"not_null":true,"default":null,"has_default":false},'
+    '{"name":"qty","type":"INTEGER","length":null,"not_null":false,"default":0,'
+    '"has_default":true}],"primary_key":["id"],"foreign_keys":[],'
+    '"uniques":[["name"]],"checks":["(qty >= 0)"]},"indexes":[{"name":"pk_parent",'
+    '"columns":["id"],"unique":true,"kind":"hash"},{"name":"uq_parent_0",'
+    '"columns":["name"],"unique":true,"kind":"hash"}],"uid":1,"version":2,'
+    '"commit":true}\n'
+    '{"seq":2,"op":"create_table","table":"child","schema":{"name":"child",'
+    '"columns":[{"name":"id","type":"INTEGER","length":null,"not_null":true,'
+    '"default":null,"has_default":false},{"name":"pid","type":"INTEGER",'
+    '"length":null,"not_null":false,"default":null,"has_default":false},'
+    '{"name":"note","type":"TEXT","length":null,"not_null":false,"default":null,'
+    '"has_default":false}],"primary_key":["id"],"foreign_keys":[{"columns":["pid"],'
+    '"ref_table":"parent","ref_columns":["id"]}],"uniques":[],"checks":[]},'
+    '"indexes":[{"name":"pk_child","columns":["id"],"unique":true,"kind":"hash"}],'
+    '"uid":2,"version":1,"commit":true}\n'
+    '{"seq":3,"op":"insert","table":"parent","rid":1,"row":{"id":1,"name":"a",'
+    '"qty":1},"uid":1,"version":3}\n'
+    '{"seq":4,"op":"insert","table":"parent","rid":2,"row":{"id":2,"name":"b",'
+    '"qty":2},"uid":1,"version":4,"commit":true}\n'
+    '{"seq":5,"op":"insert","table":"child","rid":1,"row":{"id":1,"pid":1,'
+    '"note":"x"},"uid":2,"version":2,"commit":true}\n'
+    '{"seq":6,"op":"update","table":"parent","rid":1,"row":{"id":1,"name":"a",'
+    '"qty":2},"uid":1,"version":5}\n'
+    '{"seq":7,"op":"insert","table":"parent","rid":4,"row":{"id":3,"name":"c",'
+    '"qty":3},"uid":1,"version":6,"commit":true}\n'
+    '{"seq":8,"op":"delete","table":"parent","rid":2,"uid":1,"version":7,'
+    '"commit":true}\n'
+    '{"seq":9,"op":"add_column","table":"parent","column":{"name":"tag",'
+    '"type":"TEXT","length":null,"not_null":false,"default":"t",'
+    '"has_default":true},"fill":"t","uid":1,"version":8,"commit":true}\n'
+    '{"seq":10,"op":"rename_column","table":"parent","old":"tag","new":"label",'
+    '"uid":1,"version":9,"commit":true}\n'
+    '{"seq":11,"op":"drop_column","table":"child","column":"note","uid":2,'
+    '"version":5,"commit":true}\n'
+    '{"seq":12,"op":"create_index","table":"parent","index":{"name":"parent_qty",'
+    '"columns":["qty"],"unique":false,"kind":"btree"},"uid":1,"version":10,'
+    '"commit":true}\n'
+    '{"seq":13,"op":"create_index","table":"child","index":{"name":"child_pid",'
+    '"columns":["pid"],"unique":true,"kind":"hash"},"uid":2,"version":6,'
+    '"commit":true}\n'
+    '{"seq":14,"op":"drop_index","table":"child","index":"child_pid","uid":2,'
+    '"version":7,"commit":true}\n'
+    '{"seq":15,"op":"analyze","table":"parent","stats":{"table":"parent",'
+    '"row_count":2,"uid":1,"version":10,"columns":{"id":{"ndv":2,"null_frac":0.0,'
+    '"boundaries":[1,3]},"label":{"ndv":1,"null_frac":0.0,"boundaries":["t","t"]},'
+    '"name":{"ndv":2,"null_frac":0.0,"boundaries":["a","c"]},"qty":{"ndv":2,'
+    '"null_frac":0.0,"boundaries":[2,3]}}},"commit":true}\n'
+    '{"seq":16,"op":"create_view","view":"busy","sql":"SELECT id,'
+    ' name FROM parent WHERE (qty > 1)","or_replace":false,"commit":true}\n'
+    '{"seq":17,"op":"create_view","view":"busy","sql":"SELECT id FROM parent",'
+    '"or_replace":true,"commit":true}\n'
+    '{"seq":18,"op":"create_table","table":"scratch","schema":{"name":"scratch",'
+    '"columns":[{"name":"x","type":"INTEGER","length":null,"not_null":false,'
+    '"default":null,"has_default":false}],"primary_key":[],"foreign_keys":[],'
+    '"uniques":[],"checks":[]},"indexes":[],"uid":3,"version":0,"commit":true}\n'
+    '{"seq":19,"op":"rename_table","old":"scratch","new":"scratch2",'
+    '"commit":true}\n'
+    '{"seq":20,"op":"drop_table","table":"scratch2","commit":true}\n'
+    '{"seq":21,"op":"drop_view","view":"busy","commit":true}\n'
+    '{"seq":22,"op":"create_user","user":"reader","commit":true}\n'
+    '{"seq":23,"op":"grant","grantee":"reader","actions":["SELECT","INSERT"],'
+    '"objects":["parent","child"],"columns":null,"commit":true}\n'
+    '{"seq":24,"op":"grant","grantee":"reader","actions":["SELECT"],'
+    '"objects":["parent"],"columns":["id"],"commit":true}\n'
+    '{"seq":25,"op":"revoke","grantee":"reader","actions":["INSERT"],'
+    '"objects":["parent"],"columns":null,"commit":true}\n'
+)
+
+
+def uids_by_first_appearance(line: str, seen: dict[int, int]) -> str:
+    """``line`` re-encoded with every ``uid`` renumbered 1, 2, … in order
+    of first appearance (heap uids are process-wide counters)."""
+
+    def walk(node):
+        if isinstance(node, dict):
+            for key, value in node.items():
+                if key == "uid":
+                    node[key] = seen.setdefault(value, len(seen) + 1)
+                else:
+                    walk(value)
+        elif isinstance(node, list):
+            for value in node:
+                walk(value)
+
+    record = json.loads(line)
+    walk(record)
+    return json.dumps(record, separators=(",", ":"))
+
+
+class TestGoldenWal:
+    def test_wal_is_what_d3e43a4_wrote(self, dbdir):
+        db = Database.open(dbdir)
+        session = db.connect("admin")
+        failed = [s for s in GOLDEN_SCRIPT if not run_statement(db, session, s)]
+        assert [s[-8:] for s in failed] == ["dup', 0)", "'c', -1)"]
+        live = db.snapshot()
+        grants = db.privileges.grants_of("reader")
+        db.close()
+
+        seen: dict[int, int] = {}
+        with open(os.path.join(dbdir, "wal.jsonl"), encoding="utf-8") as fh:
+            written = [uids_by_first_appearance(line, seen) for line in fh]
+        assert written == GOLDEN_WAL.splitlines()
+        assert {json.loads(line)["op"] for line in written} == set(changes.OPS)
+
+        # and the literal itself — a WAL that commit wrote — opens to the
+        # same rows
+        other = dbdir + "-from-literal"
+        os.makedirs(other)
+        with open(os.path.join(other, "wal.jsonl"), "w", encoding="utf-8") as fh:
+            fh.write(GOLDEN_WAL)
+        for path in (dbdir, other):
+            db2 = reopen(path)
+            assert db2.engine.stats["wal_replayed"] == len(written)
+            assert db2.snapshot() == live
+            assert sorted(db2.catalog.indexes) == ["parent_qty"]
+            assert db2.privileges.grants_of("reader") == grants
+            db2.close()
 
 
 class TestSnapshotFormats:

@@ -161,6 +161,18 @@ class TestAnalyzeExecution:
         s.execute("ROLLBACK")
         assert "t" not in s.db.catalog.statistics
 
+    def test_rolled_back_drop_keeps_the_statistics(self, s):
+        s.execute("ANALYZE t")
+        stats = s.db.catalog.statistics["t"]
+        explain = "EXPLAIN SELECT * FROM t WHERE grp = 3"
+        plan = s.execute(explain).rows
+        s.execute("BEGIN")
+        s.execute("DROP TABLE t")
+        assert "t" not in s.db.catalog.statistics
+        s.execute("ROLLBACK")
+        assert s.db.catalog.statistics["t"] is stats
+        assert s.execute(explain).rows == plan
+
     def test_drop_table_leaves_stats_ignored_via_uid(self, s):
         # statistics for a dropped-and-recreated table must never apply:
         # the heap uid changes, which the planner checks before costing

@@ -256,61 +256,6 @@ def test_cond_wait_ignores_event_wait():
     assert findings == []
 
 
-# ----------------------------------------------------------- wal-pairing
-
-
-WAL_BAD = """\
-    def delete_row(session, heap, rid, old_row):
-        session.tx.log_undo("delete", heap.name, rid, old_row)
-        heap.delete(rid)
-"""
-
-WAL_GOOD = """\
-    def delete_row(session, heap, rid, old_row):
-        session.tx.log_undo("delete", heap.name, rid, old_row)
-        heap.delete(rid)
-        if session.tx.redo_enabled:
-            session.tx.log_redo("delete", heap.name, rid)
-"""
-
-
-def test_wal_pairing_flags_unpaired_undo():
-    findings, _ = run_rule("wal-pairing", WAL_BAD)
-    assert len(findings) == 1
-    assert "log_redo" in findings[0].message
-
-
-def test_wal_pairing_accepts_conditional_redo():
-    findings, _ = run_rule("wal-pairing", WAL_GOOD)
-    assert findings == []
-
-
-def test_wal_pairing_suppression_honored():
-    source = WAL_BAD.replace(
-        'session.tx.log_undo("delete", heap.name, rid, old_row)',
-        'session.tx.log_undo("delete", heap.name, rid, old_row)'
-        "  # staticcheck: ignore[wal-pairing] — fixture rationale",
-    )
-    findings, suppressed = run_rule("wal-pairing", source)
-    assert findings == []
-    assert len(suppressed) == 1
-
-
-def test_wal_pairing_redo_in_branch_after_undo_in_branch():
-    # undo inside an if-arm pairs with a redo later in the same arm
-    findings, _ = run_rule(
-        "wal-pairing",
-        """\
-        def update(session, heap, rid, row, old_row):
-            if old_row is not None:
-                session.tx.log_undo("update", heap.name, rid, old_row)
-                heap.update(rid, row)
-                session.tx.log_redo("update", heap.name, rid, row)
-        """,
-    )
-    assert findings == []
-
-
 # -------------------------------------------------------- error-taxonomy
 
 

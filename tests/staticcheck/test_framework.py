@@ -276,7 +276,6 @@ def test_cli_list_rules(workdir, capsys):
         "guarded-by",
         "encapsulation",
         "cond-wait",
-        "wal-pairing",
         "error-taxonomy",
         "broad-except",
     ):
