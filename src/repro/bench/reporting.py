@@ -203,8 +203,9 @@ def render_retrieval_scale(result: dict[str, Any]) -> str:
         f"{table}\n"
         f"speedup: {result['speedup']:,.1f}x on warm calls "
         f"({result['queries_per_round']} keys x {result['rounds']} rounds)\n"
-        f"candidates/scored per query: {result['avg_candidates']:,.1f} / "
-        f"{result['avg_scored']:,.1f} of {result['distinct']:,}\n"
+        f"candidates/bounded/scored per query: {result['avg_candidates']:,.1f} / "
+        f"{result['avg_bounded']:,.1f} / {result['avg_scored']:,.1f} "
+        f"of {result['distinct']:,}\n"
         f"indexed vs brute-force rankings: {equivalence}"
     )
 

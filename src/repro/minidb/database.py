@@ -583,6 +583,12 @@ class Database:
             for key, value in getattr(store, "stats", {}).items():
                 if isinstance(value, (int, float)):
                     samples[f"minidb_retrieval_store_{key}"] = value
+        # what top_k pruned, summed over the catalogs held now (gauges:
+        # an evicted catalog takes its share with it)
+        for catalog in getattr(cache, "cached_catalogs", list)():
+            for key, value in catalog.stats.items():
+                name = f"minidb_retrieval_catalog_{key}"
+                samples[name] = samples.get(name, 0) + value
         return samples
 
     def _session_metric_samples(self) -> dict[str, Any]:

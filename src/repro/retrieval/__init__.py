@@ -12,8 +12,10 @@ Index design
 ============
 
 ``ValueCatalog`` (:mod:`repro.retrieval.catalog`) snapshots the distinct
-values of one column and caches, per value, the normalized text, token
-set, and padded-trigram set used by :mod:`repro.core.similarity`. Three
+values of one column and keeps, per value, the normalized text and the
+size of its padded-trigram set in two flat arrays; the token and trigram
+sets :mod:`repro.core.similarity` scores with are derived from the norm on
+first touch, and only for the handful of values a query scores. Three
 query-acceleration structures sit on top:
 
 * a *trigram inverted index* — posting lists mapping each trigram to the
@@ -30,14 +32,23 @@ query-acceleration structures sit on top:
 
 Together these generate a **complete** candidate set: every value with a
 nonzero similarity score is covered by one of the three structures (see
-the proof sketch in ``catalog.py``). Candidates are ranked by a cheap
-upper bound — exact trigram Jaccard from the accumulated counts, plus
-length-based containment and token-hit bounds — and scored exactly in
-bound order with a size-k min-heap; scoring stops as soon as the next
-bound cannot beat the current k-th best. Because exact scoring reuses
+the proof sketch in ``catalog.py``). A name column shares common trigrams
+with almost any key, so most candidates are noise, and work after
+candidate generation goes only to what can still win: the k candidates
+with the most shared trigrams are scored first (the *pilot*), their
+lowest score is a floor under the final k-th best, and from it follows
+the fewest shared trigrams a candidate without a token or short-norm hit
+needs to reach that floor (the *count cut*; ``catalog.py`` argues why
+dropping the rest is safe). The survivors, a few percent, are ranked by
+a cheap upper bound read from the flat arrays — exact trigram Jaccard
+from the accumulated counts, plus exact containment and a token-hit
+bound — and scored exactly in bound order with a size-k min-heap;
+scoring stops as soon as the next bound cannot beat the current k-th
+best. Because exact scoring reuses
 :func:`repro.core.similarity.score_features`, the indexed ranking is
 bit-identical to the brute-force ``top_k`` ranking, zero-score tail
-included.
+included. ``catalog.stats`` counts, per catalog, queries and the
+candidates generated, bounded and scored.
 
 Freshness
 =========

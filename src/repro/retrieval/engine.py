@@ -108,7 +108,6 @@ class CatalogStore:
         if not isinstance(catalog, ValueCatalog):
             self.stats["misses"] += 1
             return None
-        catalog.stats = {"queries": 0, "candidates": 0, "scored": 0}
         self.stats["loads"] += 1
         return catalog
 

@@ -19,8 +19,8 @@ Public surface:
   ratchet;
 * :mod:`repro.staticcheck.cli` — argument parsing and output formats.
 
-See the "Invariants" section of ROADMAP.md for the rule catalog, the
-annotation syntax (``#: guarded by self._mutex``, ``#: requires
+See the "Invariants" section of docs/ARCHITECTURE.md for the rule catalog,
+the annotation syntax (``#: guarded by self._mutex``, ``#: requires
 self._mutex``) and the suppression format
 (``# staticcheck: ignore[rule] — reason``).
 """

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.core import BridgeScope, BridgeScopeConfig, MinidbBinding
 from repro.minidb import Database, PermissionDenied
 from repro.obs.views import SYSTEM_VIEW_COLUMNS, is_system_relation
 from repro.service import LockManager
@@ -92,6 +93,35 @@ class TestMetricsView:
         assert "minidb_statement_seconds_count" in names
         assert "minidb_statement_seconds_p95" in names
         assert "minidb_sessions_live" in names  # collector source
+
+    def test_catalog_pruning_counters_exported(self, db):
+        """"Did pruning work on this column" is a query: per ``get_value``,
+        candidates generated, bounded and scored, over the cached catalogs."""
+        session = db.connect("admin")
+        session.execute("CREATE TABLE names (id INT PRIMARY KEY, name TEXT)")
+        session.execute(
+            "INSERT INTO names VALUES (0, 'target phrase'), "
+            + ", ".join(f"({n}, 'tartan {n:04d}')" for n in range(1, 301))
+        )
+        bridge = BridgeScope(MinidbBinding.for_user(db, "admin"), BridgeScopeConfig())
+        result = bridge.invoke("get_value", col="names.name", key="target phrase", k=1)
+        assert not result.is_error, result.content
+        metrics = dict(session.execute(
+            "SELECT name, value FROM system.metrics "
+            "WHERE name LIKE 'minidb_retrieval_catalog_%'"
+        ).rows)
+        assert metrics["minidb_retrieval_catalog_queries"] == 1
+        assert metrics["minidb_retrieval_catalog_candidates"] == 301
+        assert (
+            metrics["minidb_retrieval_catalog_scored"]
+            <= metrics["minidb_retrieval_catalog_bounded"]
+            < 20
+        )
+        (catalog,) = db.retrieval_cache.cached_catalogs()
+        assert metrics == {
+            f"minidb_retrieval_catalog_{key}": value
+            for key, value in catalog.stats.items()
+        }
 
 
 class TestLocksView:

@@ -10,13 +10,15 @@ final state.
 
 import os
 import pickle
+import random
 import sys
 import threading
 
 import pytest
+from test_value_catalog import oracle_keys, syllable_column
 
 from repro.core.similarity import top_k
-from repro.retrieval import CatalogCache
+from repro.retrieval import CatalogCache, ValueCatalog
 
 STRESS_THREADS = int(os.environ.get("REPRO_STRESS_THREADS", "8"))
 
@@ -202,3 +204,46 @@ class TestRevisionUnderConcurrency:
             stats["hits"] + stats["persisted_hits"] + stats["misses"]
             + stats["rebuilds"]
         ) == (writers + readers) * 150
+
+
+class TestReadersOnOneBuiltCatalog:
+    """A built catalog derives features on first touch, in readers that
+    hold no lock. Racing readers must each still rank as brute force —
+    whichever of two equal entries lands in the memo."""
+
+    def test_racing_readers_fill_the_memo_and_rank_as_brute_force(self):
+        rng = random.Random("readers-on-one-built-catalog")
+        values = syllable_column(rng, 300)
+        keys = oracle_keys(rng, values, picks=3)
+        expected = {key: top_k(key, values, 5) for key in keys}
+        catalog = ValueCatalog(values)
+        assert len(catalog.entries._cache) == 0
+        errors = []
+        start = threading.Barrier(STRESS_THREADS)
+
+        def read(seed):
+            try:
+                start.wait(timeout=30.0)
+                # every thread meets every key, each from its own offset
+                for step in range(2 * len(keys)):
+                    key = keys[(seed + step) % len(keys)]
+                    assert catalog.top_k(key, 5) == expected[key], key
+            except Exception as exc:  # pragma: no cover - the failure mode
+                errors.append(exc)
+
+        threads = [
+            threading.Thread(target=read, args=(n,), daemon=True)
+            for n in range(STRESS_THREADS)
+        ]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        assert 0 < len(catalog.entries._cache) < len(values)

@@ -183,7 +183,9 @@ class TestCatalogStore:
         loaded = store.load(("t", "c", 100), (7, 3))
         assert isinstance(loaded, ValueCatalog)
         assert loaded.values == ["alpha", "beta"]
-        assert loaded.stats == {"queries": 0, "candidates": 0, "scored": 0}
+        assert loaded.stats == {
+            "queries": 0, "candidates": 0, "bounded": 0, "scored": 0,
+        }
 
     def test_load_misses_on_other_fingerprint(self, tmp_path):
         store = CatalogStore(str(tmp_path))

@@ -1,5 +1,8 @@
 """Tests for the indexed value catalog: ranking equivalence + internals."""
 
+import pickle
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -82,6 +85,7 @@ class TestValueCatalogRanking:
         ranked = catalog.top_k("target phrase", 1)
         assert ranked[0] == ("target phrase", 1.0)
         assert catalog.stats["candidates"] > 100
+        assert catalog.stats["bounded"] < 20
         assert catalog.stats["scored"] < 10
 
     def test_stats_track_queries(self):
@@ -126,6 +130,150 @@ class TestIndexedBruteEquivalence:
     )
     def test_identical_rankings_synonym_heavy(self, values, key, k):
         assert ValueCatalog(values).top_k(key, k) == top_k(key, values, k)
+
+
+#: a small syllable alphabet: every value shares trigrams with hundreds of
+#: others (long posting lists) and scores near-tie, which is where a
+#: candidate filter can drop a value that should have ranked
+SYLLABLES = ("ka", "lo", "mi", "ra", "te", "su", "no", "vi")
+
+
+def syllable_word(rng: random.Random, syllables: int) -> str:
+    return "".join(rng.choice(SYLLABLES) for _ in range(syllables))
+
+
+def syllable_column(rng: random.Random, count: int, duplicates: bool = False) -> list:
+    """``count`` column values: 1-3 syllable words each, ~10% bare
+    syllables and 1-5 character fragments (values that sit *inside* keys),
+    a few ints beside the strings they render like."""
+    values: list = []
+    seen: set = set()
+    while len(values) < count:
+        roll = rng.random()
+        if roll < 0.05:
+            value = rng.choice(SYLLABLES)
+        elif roll < 0.10:
+            word = syllable_word(rng, 3)
+            start = rng.randrange(len(word) - 1)
+            value = word[start : start + rng.randint(1, 5)]
+        elif roll < 0.12:
+            number = rng.randrange(1000)
+            value = rng.choice((number, str(number)))
+        else:
+            value = " ".join(
+                syllable_word(rng, rng.randint(1, 4))
+                for _ in range(rng.randint(1, 3))
+            )
+        if isinstance(value, str) and rng.random() < 0.1:
+            value = value.capitalize()
+        # as distinct_values dedups; ``1`` and ``"1"`` both stay
+        if duplicates or (type(value), value) not in seen:
+            values.append(value)
+            seen.add((type(value), value))
+    return values
+
+
+def oracle_keys(rng: random.Random, values: list, picks: int = 2) -> list[str]:
+    """Keys in the shapes that reach each branch of candidate generation:
+    a value, a value with one edit, a value inside a longer key, half a
+    value (a key inside values), 1-2 characters, and the empty string."""
+    keys = ["", rng.choice("klmrtsnv"), rng.choice(SYLLABLES)]
+    texts = [str(value) for value in values]
+    for text in rng.sample(texts, min(picks, len(texts))):
+        keys.append(text)
+        if text:
+            position = rng.randrange(len(text))
+            keys.append(
+                text[:position] + rng.choice(("", "x", "a")) + text[position + 1 :]
+            )
+            keys.append(text[: max(len(text) // 2, 1)])
+            keys.append(text[len(text) // 2 :])
+        keys.append(f"{syllable_word(rng, 2)} {text}")
+    return keys
+
+
+def syllable_synonyms(rng: random.Random, values: list) -> SynonymTable:
+    """Clusters over tokens the column really holds, so cluster and
+    reverse probes both land on posting lists."""
+    tokens = sorted({t for v in values for t in str(v).lower().split()})
+    heads = rng.sample(tokens, min(6, len(tokens)))
+    return SynonymTable(
+        {head: frozenset(rng.sample(tokens, min(3, len(tokens)))) for head in heads}
+    )
+
+
+class TestPruningScaleOracle:
+    """Indexed ``top_k`` ≡ brute force on columns large and repetitive
+    enough that candidates are pruned before they are bounded (the
+    Hypothesis lists above hold ≤ 20 values: nothing is ever dropped)."""
+
+    KS = (1, 2, 3, 5, 8, 12)
+
+    @pytest.mark.parametrize(
+        "seed,count,duplicates",
+        [
+            (1, 30, False), (2, 60, True), (3, 120, False), (4, 250, False),
+            (5, 400, True), (6, 700, False), (7, 1000, False), (8, 1500, False),
+            (9, 1500, True), (10, 90, False),
+        ],
+    )
+    def test_identical_rankings_where_candidates_are_pruned(
+        self, seed, count, duplicates
+    ):
+        rng = random.Random(f"pruning-oracle:{seed}")
+        values = syllable_column(rng, count, duplicates)
+        built = ValueCatalog(values)
+        catalogs = (built, pickle.loads(pickle.dumps(built)))
+        everything = len(values) + 3
+        for table in (None, syllable_synonyms(rng, values)):
+            for key in oracle_keys(rng, values):
+                # brute force sorts every value and slices: top_k(k) is a
+                # prefix of top_k(everything), so one full ranking serves
+                # each k
+                expected = top_k(key, values, everything, table)
+                for catalog in catalogs:
+                    for k in (*self.KS, everything):
+                        assert catalog.top_k(key, k, table) == expected[:k], (
+                            key, k, table is not None, catalog is built,
+                        )
+
+    def test_a_sidecar_without_trigram_sizes_still_opens(self):
+        """The pickle of a catalog written before sizes were persisted
+        (one key fewer) ranks exactly as a fresh build."""
+        rng = random.Random("pruning-oracle:old-sidecar")
+        values = syllable_column(rng, 400)
+        built = ValueCatalog(values)
+        state = built.__getstate__()
+        assert sorted(state) == [
+            "norms", "short_norms", "text_order", "token_postings",
+            "trigram_postings", "trigram_sizes", "values",
+        ]
+        del state["trigram_sizes"]
+        old = ValueCatalog.__new__(ValueCatalog)
+        old.__setstate__(pickle.loads(pickle.dumps(state)))
+        assert old._sizes == built._sizes
+        reloaded = pickle.loads(pickle.dumps(built))
+        assert reloaded._sizes == built._sizes
+        for key in oracle_keys(rng, values, picks=4):
+            for k in (1, 5, 12):
+                expected = top_k(key, values, k)
+                assert old.top_k(key, k) == expected, (key, k)
+                assert reloaded.top_k(key, k) == expected, (key, k)
+
+    def test_only_what_is_scored_is_materialised(self):
+        """A built catalog holds no feature object per value: bounding
+        reads flat arrays, and only scored vids are ever derived."""
+        rng = random.Random("pruning-oracle:materialised")
+        values = syllable_column(rng, 2000)
+        catalog = ValueCatalog(values)
+        assert len(catalog.entries._cache) == 0
+        for key in oracle_keys(rng, values, picks=10)[:50]:
+            catalog.top_k(key, 5)
+        stats = catalog.stats
+        assert stats["queries"] == 50
+        assert len(catalog.entries._cache) <= stats["scored"]
+        assert stats["scored"] <= stats["bounded"] <= stats["candidates"]
+        assert 10 * stats["scored"] <= stats["candidates"]
 
 
 class TestCatalogCache:
