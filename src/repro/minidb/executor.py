@@ -52,8 +52,11 @@ targets) goes through one seam, :meth:`Executor._selector`: compile once
 per operator, evaluate chunks of at most ``batch_size`` rows, keep what is
 ``True``, and raise a deferred error only when the walk reaches its row;
 projection, group keys and aggregate arguments compile per expression and
-fall back to the interpreter per row. Correlated subqueries are supported
-via scope chaining.
+fall back to the interpreter per row. Like the kernels' typed paths
+(:mod:`repro.minidb.expressions`), the selector, ungrouped ORDER BY /
+top-N and GROUP BY run in C on a vector whose values all lie in one class
+where the per-row code provably returns the same thing, and per row on
+any other. Correlated subqueries are supported via scope chaining.
 
 ``db.planner_options`` keeps the alternatives that are the only path for
 some input and the reference for the rest (``enable_index_scan``,
@@ -65,7 +68,9 @@ of the equivalence suites); ``db.planner_stats`` counts what actually ran.
 from __future__ import annotations
 
 import heapq
-from itertools import islice
+from functools import reduce
+from itertools import compress, islice
+from operator import add, ne
 from time import perf_counter
 from typing import TYPE_CHECKING, Any, Callable, Iterator
 
@@ -84,6 +89,11 @@ from .errors import (
     UnknownTableError,
 )
 from .expressions import (
+    FOLD_CLASS,
+    GROUP_CLASS,
+    SORT_NUMBER_CLASS,
+    TEXT_CLASS,
+    TRUTH_CLASS,
     CannotCompile,
     Evaluator,
     Scope,
@@ -362,11 +372,11 @@ def _raise_first_batch_error(columns: list[list], relation: _Relation) -> None:
     for c, col in enumerate(columns):
         if id(col) in stored:
             continue
-        for r, v in enumerate(col):
-            if type(v) is BatchError:
-                if best is None or (r, c) < (best[0], best[1]):
-                    best = (r, c, v)
-                break
+        kinds = list(map(type, col))
+        if BatchError in kinds:
+            r = kinds.index(BatchError)
+            if best is None or (r, c) < (best[0], best[1]):
+                best = (r, c, col[r])
     if best is not None:
         raise best[2].exc
 
@@ -443,6 +453,25 @@ def _order_insensitive_output(
     return not any(_order_sensitive_expr(e) for e in exprs)
 
 
+def _key_columns(order_plans: list, cols: list) -> "list[tuple[list, bool]] | None":
+    """``(values, descending)`` per ORDER BY plan of an all-vectorized
+    projection whose item columns are ``cols`` — ``None`` when a key must
+    be interpreted per row, or is an ordinal out of range (the per-row
+    path raises that)."""
+    key_columns = []
+    for kind, payload, descending in order_plans:
+        if kind == "vec":
+            values = payload
+        elif kind == "alias":
+            values = cols[payload]
+        elif kind == "ordinal" and 1 <= payload <= len(cols):
+            values = cols[payload - 1]
+        else:
+            return None
+        key_columns.append((values, descending))
+    return key_columns
+
+
 class _AggregateEvaluator(Evaluator):
     """Evaluator that resolves aggregate calls from a precomputed map."""
 
@@ -467,6 +496,64 @@ _NULL_SENTINEL = ("<null>",)
 #: that identity is what lets an index-ordered scan replace a sort
 #: bit-for-bit, so there is exactly one definition (storage.py)
 _sort_key_element = ordering_key_element
+
+
+def _descending_key_element(value: Any) -> tuple:
+    """The DESC sort key: the NULL/type rank stays ascending (NULLS LAST
+    either way), only the value ordering within each class is reversed."""
+    element = _sort_key_element(value)
+    return (element[0], _Reversed(element[1]), _Reversed(element[2]))
+
+
+def _is_own_sort_key(values: list) -> bool:
+    """Whether ``values`` are their own ORDER BY key: only ``str``, or only
+    ``int``/``float`` and no NaN. There ``ordering_key_element`` is a
+    bijection that preserves order, so sorting the values themselves (with
+    ``reverse`` for DESC) is sorting their keys."""
+    kinds = set(map(type, values))
+    if kinds <= TEXT_CLASS:
+        return True
+    return kinds <= SORT_NUMBER_CLASS and not any(map(ne, values, values))
+
+
+def _sort_keys(key_columns: "list[tuple[list, bool]]", reversible: bool):
+    """Per-row sort keys for ``(values, descending)`` key columns, and
+    whether to sort them in reverse. One key column that is its own key is
+    used as is, DESC by reversing the sort — only where the caller sorts
+    with that flag (``reversible``). Otherwise ``ordering_key_element`` —
+    wrapped for DESC — is mapped over each column, zipped when there are
+    several. (Mapped DESC keys compare through ``_Reversed`` in Python: a
+    10k-row ``ORDER BY dwell_s DESC LIMIT 10`` takes ≈ 7x as long on them
+    as on the column itself.)"""
+    if reversible and len(key_columns) == 1:
+        values, descending = key_columns[0]
+        if _is_own_sort_key(values):
+            return values, descending
+    columns = [
+        list(map(
+            _descending_key_element if descending else _sort_key_element, values
+        ))
+        for values, descending in key_columns
+    ]
+    return (columns[0] if len(columns) == 1 else list(zip(*columns))), False
+
+
+def _fold_avg(values: list) -> "float | None":
+    # from 0.0, in member order, like AvgAggregate
+    return reduce(add, values, 0.0) / len(values) if values else None
+
+
+#: aggregates folded over a member slice of an all-int/float argument
+#: vector, equal to the accumulator fed the same values in the same order.
+#: Never builtin ``sum``: since CPython 3.12 it compensates float sums,
+#: which changes the last bits against the accumulator and the interpreter
+_FOLDS: "dict[str, Callable[[list], Any]]" = {
+    "COUNT": len,
+    "SUM": lambda values: reduce(add, values) if values else None,
+    "AVG": _fold_avg,
+    "MIN": lambda values: min(values, default=None),
+    "MAX": lambda values: max(values, default=None),
+}
 
 
 # --------------------------------------------------------------------------
@@ -585,8 +672,11 @@ class Executor:
                 plan, items, order_by, relation, layout, evaluator, run_subquery
             )
         else:
+            # with no DISTINCT or set operation after it, a vectorized
+            # projection orders and cuts its own rows (order_keys None)
             out_rows, order_keys = self._project(
-                items, order_by, relation, layout, evaluator
+                items, order_by, relation, layout, evaluator,
+                not stmt.distinct and stmt.set_op is None, needed,
             )
 
         if stmt.distinct:
@@ -600,28 +690,13 @@ class Executor:
                     f"{kind} operands must have the same number of columns"
                 )
             out_rows = self._apply_set_op(kind, out_rows, rhs_rows)
-            order_keys = []
-
-        if order_by and order_keys:
-            if (
-                needed is not None
-                and needed < len(out_rows)
-                and self.db.planner_options.get("enable_topn", True)
-            ):
-                # bounded top-N: heapq.nsmallest with a key is documented
-                # equivalent to sorted(...)[:n] (stable on equal keys), so
-                # this returns the same rows in the same order without
-                # sorting the discarded tail
-                self.db.bump_planner_stat("topn_limits")
-                paired = heapq.nsmallest(
-                    needed, zip(order_keys, out_rows), key=lambda p: p[0]
-                )
-            else:
-                paired = sorted(zip(order_keys, out_rows), key=lambda p: p[0])
-            out_rows = [row for _, row in paired]
-        elif order_by and out_rows:
-            # set-op result ordered by ordinal/alias only
-            out_rows = self._order_by_output(order_by, out_columns, out_rows)
+            if order_by and out_rows:
+                # set-op result ordered by ordinal/alias only
+                out_rows = self._order_by_output(order_by, out_columns, out_rows)
+        elif order_by and order_keys:
+            out_rows = [
+                out_rows[i] for i in self._ordered_indexes(order_keys, False, needed)
+            ]
 
         offset = stmt.offset or 0
         if offset:
@@ -840,7 +915,13 @@ class Executor:
                 chunk = relation
                 if length > size:
                     chunk = relation.slice(start, min(start + size, length))
-                for i, value in enumerate(kernel(chunk), start):
+                values = kernel(chunk)
+                if limit is None and TRUTH_CLASS.issuperset(map(type, values)):
+                    # no error to raise and nothing to stop at: keep the
+                    # True elements in C
+                    kept.extend(compress(range(start, start + len(values)), values))
+                    continue
+                for i, value in enumerate(values, start):
                     if value is not True:
                         if type(value) is not BatchError:
                             continue
@@ -949,27 +1030,47 @@ class Executor:
     # ------------------------------------------------------- group / project
 
     def _project(
-        self, items, order_by, relation, layout, evaluator
-    ) -> tuple[list[tuple], list[tuple]]:
+        self, items, order_by, relation, layout, evaluator, final, needed
+    ) -> "tuple[list[tuple], list | None]":
         """Ungrouped projection over the relation's columns — no per-row
-        dict is ever built. All-vectorized select lists without ORDER BY
-        transpose the item columns straight into output tuples; an item
-        that does not compile is interpreted per row."""
+        dict is ever built. Returns the output rows and their per-row ORDER
+        BY keys, or ``None`` for keys when the rows come back ordered.
+
+        When every item and every ORDER BY key is a vectorized column, rows
+        are transposed straight from the item columns and the keys are
+        whole columns (:func:`_sort_keys`); with ``final`` rows (no
+        DISTINCT or set operation follows) the row indexes are ordered —
+        top-N cut at ``needed`` — and only the chosen rows materialized.
+        Otherwise each row is assembled in turn, interpreting what does
+        not compile."""
         n = relation.length
         plans: list[tuple[bool, Any]] = []
-        all_vec = True
         for item in items:
             fn = self._kernel(item.expr, layout)
             if fn is not None:
                 plans.append((True, fn(relation)))
             else:
-                all_vec = False
                 plans.append((False, item.expr))
-        if all_vec and not order_by:
-            cols = [payload for _, payload in plans]
-            _raise_first_batch_error(cols, relation)
-            return list(zip(*cols)) if n else [], []
         order_plans = self._order_plans(order_by, items, relation, layout)
+        cols = [payload for is_vec, payload in plans if is_vec]
+        key_columns = (
+            _key_columns(order_plans, cols) if len(cols) == len(plans) else None
+        )
+        if key_columns is not None:
+            # a row's item errors come before its key errors, as per row
+            _raise_first_batch_error(
+                cols + [payload for kind, payload, _ in order_plans if kind == "vec"],
+                relation,
+            )
+            if not n:
+                return [], None
+            if not key_columns:
+                return list(zip(*cols)), None
+            keys, reverse = _sort_keys(key_columns, final)
+            if not final:
+                return list(zip(*cols)), keys
+            chosen = self._ordered_indexes(keys, reverse, needed)
+            return list(zip(*[list(map(col.__getitem__, chosen)) for col in cols])), None
         scope = layout.scope(relation)
         out_rows: list[tuple] = []
         order_keys: list[tuple] = []
@@ -1002,12 +1103,15 @@ class Executor:
         aggregate folds its argument column in input order (group, then
         aggregate, then member), so deferred errors surface at the point
         a row-at-a-time fold would raise and float sums are bit-identical
-        across engines."""
+        across engines. One key column of one class groups by value in one
+        dict pass; COUNT is the member count, and SUM/AVG/MIN/MAX/COUNT
+        over an all-int/float argument column fold each member slice in C
+        (:data:`_FOLDS`)."""
         stmt = plan.stmt
         n = relation.length
         scope = layout.scope(relation)
-        groups: dict[tuple, list[int]] = {}
-        group_order: list[tuple] = []
+        # group key -> member indexes, in first-member order
+        groups: dict[Any, list[int]] = {}
         if stmt.group_by:
             key_plans: list[tuple[bool, Any]] = []
             for g in stmt.group_by:
@@ -1016,29 +1120,40 @@ class Executor:
                     key_plans.append((True, fn(relation)))
                 else:
                     key_plans.append((False, g))
-            for i in range(n):
-                relation.row = i
-                key_values = []
-                for is_vec, payload in key_plans:
-                    if is_vec:
-                        v = payload[i]
-                        if type(v) is BatchError:
-                            raise v.exc
+            single = key_plans[0][1] if len(key_plans) == 1 and key_plans[0][0] else ()
+            kinds = set(map(type, single))
+            if len(kinds) == 1 and kinds <= GROUP_CLASS:
+                # one key column of one class, no NULL: the value is as
+                # good a key as (type name, value) — NaN and -0.0/0.0 hash
+                # and compare alike either way
+                for i, v in enumerate(single):
+                    members = groups.get(v)
+                    if members is None:
+                        groups[v] = [i]
                     else:
-                        v = evaluator.evaluate(payload, scope)
-                    key_values.append(v)
-                key = tuple(
-                    _NULL_SENTINEL if v is None else (type(v).__name__, v)
-                    for v in key_values
-                )
-                members = groups.get(key)
-                if members is None:
-                    groups[key] = members = []
-                    group_order.append(key)
-                members.append(i)
+                        members.append(i)
+            else:
+                for i in range(n):
+                    relation.row = i
+                    key_values = []
+                    for is_vec, payload in key_plans:
+                        if is_vec:
+                            v = payload[i]
+                            if type(v) is BatchError:
+                                raise v.exc
+                        else:
+                            v = evaluator.evaluate(payload, scope)
+                        key_values.append(v)
+                    key = tuple(
+                        _NULL_SENTINEL if v is None else (type(v).__name__, v)
+                        for v in key_values
+                    )
+                    members = groups.get(key)
+                    if members is None:
+                        groups[key] = members = []
+                    members.append(i)
         else:  # one group, present even over no rows
             groups[()] = list(range(n))
-            group_order.append(())
 
         agg_plans: list[tuple[str, Any]] = []
         for agg in plan.aggregates:
@@ -1049,20 +1164,31 @@ class Executor:
                 agg_plans.append(("malformed", None))
             else:
                 fn = self._kernel(agg.args[0], layout)
-                if fn is not None:
-                    agg_plans.append(("vec", fn(relation)))
-                else:
+                if fn is None:
                     agg_plans.append(("expr", agg.args[0]))
+                    continue
+                values = fn(relation)
+                fold = None if agg.distinct else _FOLDS.get(agg.name)
+                if fold is not None and FOLD_CLASS.issuperset(map(type, values)):
+                    agg_plans.append(("fold", (fold, values)))
+                else:
+                    agg_plans.append(("vec", values))
 
         # aggregate references in ORDER BY need the per-group evaluator,
         # so grouped order keys are interpreted, never vectorized
         order_plans = self._order_plans(order_by, items)
         out_rows: list[tuple] = []
         order_keys: list[tuple] = []
-        for group_key in group_order:
-            members = groups[group_key]
+        for members in groups.values():
             computed: dict[int, Any] = {}
             for agg, (kind, payload) in zip(plan.aggregates, agg_plans):
+                if kind == "fold":
+                    fold, values = payload
+                    computed[id(agg)] = fold(list(map(values.__getitem__, members)))
+                    continue
+                if kind == "count" and not agg.distinct:
+                    computed[id(agg)] = len(members)
+                    continue
                 acc = make_aggregate(agg.name, agg.distinct)
                 if kind == "count":
                     for _ in members:
@@ -1141,13 +1267,30 @@ class Executor:
                     raise value.exc
             else:
                 value = evaluator.evaluate(payload, scope)
-            element = _sort_key_element(value)
-            if descending:
-                # keep the NULL/type rank ascending (NULLS LAST either way),
-                # reverse only the value ordering within each type class
-                element = (element[0], _Reversed(element[1]), _Reversed(element[2]))
-            key_parts.append(element)
+            key_parts.append(
+                _descending_key_element(value) if descending
+                else _sort_key_element(value)
+            )
         return tuple(key_parts)
+
+    def _ordered_indexes(self, keys: list, reverse: bool, needed: "int | None"):
+        """Row indexes ordered by ``keys`` (stable: ties keep row order),
+        only the first ``needed`` when that bounds the sort. Bounded top-N:
+        ``heapq.nsmallest`` / ``nlargest`` with a key are documented
+        equivalent to ``sorted(..., reverse=...)[:n]``, so this returns
+        the same rows in the same order without sorting the discarded
+        tail; ``enable_topn=False`` orders everything and the caller
+        cuts."""
+        n = len(keys)
+        if (
+            needed is not None
+            and needed < n
+            and self.db.planner_options.get("enable_topn", True)
+        ):
+            self.db.bump_planner_stat("topn_limits")
+            pick = heapq.nlargest if reverse else heapq.nsmallest
+            return pick(needed, range(n), key=keys.__getitem__)
+        return sorted(range(n), key=keys.__getitem__, reverse=reverse)
 
     # ---------------------------------------------------------------- EXPLAIN
 
@@ -1193,10 +1336,10 @@ class Executor:
                     raise ExecutionError(
                         "ORDER BY after a set operation must use output columns"
                     )
-                element = _sort_key_element(value)
-                if order.descending:
-                    element = (element[0], _Reversed(element[1]), _Reversed(element[2]))
-                parts.append(element)
+                parts.append(
+                    _descending_key_element(value) if order.descending
+                    else _sort_key_element(value)
+                )
             return tuple(parts)
 
         return sorted(rows, key=key)
@@ -1398,13 +1541,16 @@ class Executor:
             f"{fk.ref_table}({', '.join(fk.ref_columns)})"
         )
 
-    def _referencing_violation(
-        self, schema: TableSchema, old_rows: "list[Row]", session: "Session"
-    ) -> str | None:
-        """If rows elsewhere reference one of ``old_rows``, a message for
-        the first that is. Each referencing table is consulted as it
-        stands now, through one lookup per foreign key however many rows
-        are asked about."""
+    def _referencing_check(
+        self, schema: TableSchema
+    ) -> "Callable[[list[Row]], str | None]":
+        """``violation(old_rows)``: if rows elsewhere reference one of
+        ``old_rows``, a message for the first that is, else ``None``. One
+        lookup per foreign key into ``schema``, built here once per
+        statement however many rows — or calls — ask: a statement writes
+        only ``schema``, never the referencing tables the lookups read (a
+        foreign key names a table that existed before its own, so none
+        references itself)."""
         lookups = []
         for other_name in self.db.catalog.referencing_tables(schema.name):
             other = self.db.catalog.table(other_name)
@@ -1414,15 +1560,19 @@ class Executor:
                     lookups.append(
                         (other, fk.ref_columns, self._key_lookup(other_heap, fk.columns))
                     )
-        for old_row in old_rows:
-            for other, ref_columns, present in lookups:
-                key = tuple(old_row.get(c) for c in ref_columns)
-                if not any(v is None for v in key) and present(key):
-                    return (
-                        f"row in {schema.name!r} is still referenced by "
-                        f"table {other.name!r}"
-                    )
-        return None
+
+        def violation(old_rows: "list[Row]") -> str | None:
+            for old_row in old_rows:
+                for other, ref_columns, present in lookups:
+                    key = tuple(old_row.get(c) for c in ref_columns)
+                    if not any(v is None for v in key) and present(key):
+                        return (
+                            f"row in {schema.name!r} is still referenced by "
+                            f"table {other.name!r}"
+                        )
+            return None
+
+        return violation
 
     @staticmethod
     def _key_lookup(heap: HeapTable, columns) -> "Callable[[tuple], bool]":
@@ -1467,6 +1617,9 @@ class Executor:
         }
 
         targets = self._dml_targets(schema, stmt.table, heap, stmt.where, evaluator)
+        referencing = (
+            self._referencing_check(schema) if referenced_key_columns else None
+        )
 
         updated = 0
         table_key = schema.name.lower()
@@ -1484,7 +1637,7 @@ class Executor:
                 if c.lower() in referenced_key_columns
             )
             if changed_ref_keys:
-                message = self._referencing_violation(schema, [old_row], session)
+                message = referencing([old_row])
                 if message:
                     raise ForeignKeyViolation(message)
             session.tx.apply(
@@ -1505,9 +1658,7 @@ class Executor:
 
         targets = self._dml_targets(schema, stmt.table, heap, stmt.where, evaluator)
 
-        message = self._referencing_violation(
-            schema, [row for _rid, row in targets], session
-        )
+        message = self._referencing_check(schema)([row for _rid, row in targets])
         if message:
             raise ForeignKeyViolation(message)
 

@@ -18,6 +18,15 @@
   to the interpreter per row; both engines share the arithmetic /
   comparison / LIKE helpers below, so results and errors are identical.
 
+**Typed paths.** A comparison or BETWEEN against constants, and AND/OR,
+first check the batch it is handed once (``frozenset(...).issuperset(map(
+type, col))``): when every element lies in a class where the shared helper
+provably returns what Python's own operator returns — numbers (``int`` /
+``float`` / ``bool``) against a number, ``str`` against a ``str``, bools
+under AND/OR — it maps that operator over the vector in C. Any other batch
+(a NULL, a deferred error, text against a number) runs the per-element
+path on the vector already computed.
+
 **The deferred-error contract.** SQL short-circuiting means the
 interpreter may never evaluate an erroring operand for a given row
 (``FALSE AND 1/0``), and a scan that exits early never evaluates rows
@@ -37,6 +46,7 @@ queries.
 
 from __future__ import annotations
 
+import operator
 import re
 from itertools import repeat
 from typing import Any, Callable, Mapping
@@ -580,17 +590,63 @@ def _deferred_const(exc: Exception):
     return _thunk(batch_raiser(exc))
 
 
+def _apply(compute: Callable[..., Any], *cols) -> list:
+    """``compute`` element-wise over operand vectors, errors deferred: an
+    operand element that is already an error propagates (leftmost operand
+    wins, matching the interpreter's left-to-right operand evaluation) and
+    a :class:`MiniDBError` ``compute`` raises becomes a :class:`BatchError`.
+    The per-element path of every eager kernel, and the fallback of each
+    typed path (run on the vectors that path already computed)."""
+    out = []
+    append = out.append
+    if len(cols) == 1:
+        for v in cols[0]:
+            if type(v) is BatchError:
+                append(v)
+                continue
+            try:
+                append(compute(v))
+            except MiniDBError as exc:
+                append(BatchError(exc))
+        return out
+    if len(cols) == 2:
+        for l, r in zip(*cols):
+            if type(l) is BatchError:
+                append(l)
+                continue
+            if type(r) is BatchError:
+                append(r)
+                continue
+            try:
+                append(compute(l, r))
+            except MiniDBError as exc:
+                append(BatchError(exc))
+        return out
+    for args in zip(*cols):
+        err = None
+        for a in args:
+            if type(a) is BatchError:
+                err = a
+                break
+        if err is not None:
+            append(err)
+            continue
+        try:
+            append(compute(*args))
+        except MiniDBError as exc:
+            append(BatchError(exc))
+    return out
+
+
 def _fold_batch(operands: list, compute: Callable[..., Any]):
-    """Element-wise ``compute`` over operand vectors, for the operators
-    the interpreter evaluates eagerly (AND/OR/CASE have their own lazy
-    kernels). All-constant operands fold once at compile time; an
+    """Element-wise ``compute`` over operand vectors (:func:`_apply`), for
+    the operators the interpreter evaluates eagerly (AND/OR/CASE have their
+    own lazy kernels). All-constant operands fold once at compile time; an
     evaluation error — at fold time or per element — is deferred into a
     :class:`BatchError` sentinel rather than raised, so a folded ``1/0``
     behind a short-circuiting AND still errors exactly when the
     interpreter would have evaluated it. Only :class:`MiniDBError` is
-    deferred. An operand element that is already an error propagates
-    (leftmost operand wins, matching the interpreter's left-to-right
-    operand evaluation).
+    deferred.
     """
     if all(node[0] for node in operands):
         values = [node[1] for node in operands]
@@ -599,63 +655,65 @@ def _fold_batch(operands: list, compute: Callable[..., Any]):
         except MiniDBError as exc:
             return _deferred_const(exc)
     fns = [_as_batch_fn(node) for node in operands]
-    if len(fns) == 1:
-        f0 = fns[0]
 
-        def fn1(batch, f0=f0, compute=compute):
-            out = []
-            append = out.append
-            for v in f0(batch):
-                if type(v) is BatchError:
-                    append(v)
-                    continue
-                try:
-                    append(compute(v))
-                except MiniDBError as exc:
-                    append(BatchError(exc))
-            return out
+    def fn(batch, fns=fns, compute=compute):
+        return _apply(compute, *[f(batch) for f in fns])
 
-        return _thunk(fn1)
-    if len(fns) == 2:
-        f0, f1 = fns
+    return _thunk(fn)
 
-        def fn2(batch, f0=f0, f1=f1, compute=compute):
-            out = []
-            append = out.append
-            for l, r in zip(f0(batch), f1(batch)):
-                if type(l) is BatchError:
-                    append(l)
-                    continue
-                if type(r) is BatchError:
-                    append(r)
-                    continue
-                try:
-                    append(compute(l, r))
-                except MiniDBError as exc:
-                    append(BatchError(exc))
-            return out
 
-        return _thunk(fn2)
+# -- typed paths: a kernel handed a batch whose values all fall in one class
+# -- where the scalar helper provably returns what Python's own operator
+# -- returns maps that operator over the whole vector in C. The class is
+# -- checked once per batch; any other batch (a NULL, a deferred error, text
+# -- against a number) takes the per-element path on the same vectors.
+# -- Every class of the engine is defined here, the executor's included, each
+# -- beside the scalar code it agrees with.
 
-    def fnN(batch, fns=fns, compute=compute):
-        out = []
-        append = out.append
-        for args in zip(*[f(batch) for f in fns]):
-            err = None
-            for a in args:
-                if type(a) is BatchError:
-                    err = a
-                    break
-            if err is not None:
-                append(err)
-                continue
-            try:
-                append(compute(*args))
-            except MiniDBError as exc:
-                append(BatchError(exc))
-        return out
+#: ``_compare`` is Python's operator between any two of these: it lets
+#: ``bool`` meet ``int`` and ``float`` as a number ...
+NUMBER_CLASS = frozenset((int, float, bool))
+#: ... and between two of these
+TEXT_CLASS = frozenset((str,))
+#: ``_truthy`` and 3VL AND/OR are Python's ``&`` / ``|`` on these
+BOOL_CLASS = frozenset((bool,))
+#: a WHERE vector of these holds no deferred error, and the selector's
+#: per-row walk keeps exactly its ``True`` elements — ``compress`` in C
+TRUTH_CLASS = frozenset((bool, type(None)))
+#: the SUM / AVG / MIN / MAX / COUNT accumulators (``functions.py``) fed
+#: these return what ``reduce(add)`` / ``min`` / ``max`` / ``len`` return.
+#: Unlike NUMBER_CLASS, no ``bool``: SUM and AVG reject it with an error
+FOLD_CLASS = frozenset((int, float))
+#: ``ordering_key_element`` (storage.py) preserves order and loses nothing
+#: on a vector of only these, NaN aside (the caller scans for it), or of
+#: only TEXT_CLASS: such a vector is its own ORDER BY key. ``bool`` is left
+#: out: its key is ``int(value)``, not the value
+SORT_NUMBER_CLASS = frozenset((int, float))
+#: a GROUP BY key column holding exactly one of these types groups by its
+#: values as the per-row path groups by ``(type name, value)``: with one
+#: type the name adds nothing, and NaN and -0.0/0.0 hash alike either way
+GROUP_CLASS = frozenset((int, float, str))
 
-    return _thunk(fnN)
+_COMPARE_OPERATORS = {
+    "=": operator.eq,
+    "<>": operator.ne,
+    "<": operator.lt,
+    "<=": operator.le,
+    ">": operator.gt,
+    ">=": operator.ge,
+}
+
+
+def _constant_class(value: Any) -> "frozenset | None":
+    """The class a vector must lie in for comparisons against the
+    constant ``value`` to be Python's operator; ``None`` for NULL or any
+    other type (no typed path)."""
+    kind = type(value)
+    if kind in NUMBER_CLASS:
+        return NUMBER_CLASS
+    if kind is str:
+        return TEXT_CLASS
+    return None
 
 
 def compile_batch_expr(
@@ -707,14 +765,7 @@ def _compile_batch(expr: ast.Expr, resolve: BatchColumnResolver):
         operands.extend(_compile_batch(c, resolve) for c in expr.candidates)
         return _fold_batch(operands, _in_compute(expr.negated))
     if isinstance(expr, ast.BetweenExpr):
-        return _fold_batch(
-            [
-                _compile_batch(expr.operand, resolve),
-                _compile_batch(expr.low, resolve),
-                _compile_batch(expr.high, resolve),
-            ],
-            _between_compute(expr.negated),
-        )
+        return _compile_batch_between(expr, resolve)
     if isinstance(expr, ast.LikeExpr):
         return _compile_batch_like(expr, resolve)
     if isinstance(expr, ast.IsNullExpr):
@@ -747,13 +798,68 @@ def _compile_batch_binary(expr: ast.BinaryOp, resolve: BatchColumnResolver):
                 return _const(combine(lambda: lv, lambda: rv))
             except MiniDBError as exc:
                 return _deferred_const(exc)
-        lf, rf = _as_batch_fn(left), _as_batch_fn(right)
+        lf, rf = _as_batch_list_fn(left), _as_batch_list_fn(right)
         kernel = _batch_and if op == "AND" else _batch_or
         return _thunk(kernel(lf, rf))
-    return _fold_batch(
-        [_compile_batch(expr.left, resolve), _compile_batch(expr.right, resolve)],
-        _binary_compute(op),
-    )
+    operands = [_compile_batch(expr.left, resolve), _compile_batch(expr.right, resolve)]
+    if op in _COMPARE_OPERATORS:
+        return _compile_batch_compare(op, *operands)
+    return _fold_batch(operands, _binary_compute(op))
+
+
+def _compile_batch_compare(op: str, left, right):
+    """A comparison. With exactly one operand a non-NULL constant ``c``,
+    a batch whose other vector lies in ``c``'s class is
+    ``map(operator.<op>, ...)`` — operands kept in their order."""
+    compute = _binary_compute(op)
+    if left[0] == right[0]:  # two constants fold, two vectors have none
+        return _fold_batch([left, right], compute)
+    constant_left = left[0]
+    value, column = (left[1], right[2]) if constant_left else (right[1], left[2])
+    typed = _constant_class(value)
+    if typed is None:
+        return _fold_batch([left, right], compute)
+    python_op = _COMPARE_OPERATORS[op]
+
+    def fn(batch):
+        col = column(batch)
+        constants = repeat(value, batch.length)
+        operands = (constants, col) if constant_left else (col, constants)
+        if typed.issuperset(map(type, col)):
+            return list(map(python_op, *operands))
+        return _apply(compute, *operands)
+
+    return _thunk(fn)
+
+
+def _compile_batch_between(expr: ast.BetweenExpr, resolve: BatchColumnResolver):
+    """[NOT] BETWEEN. A vector operand with constant bounds of one class
+    is ``map(and_, map(ge, ...), map(le, ...))`` on a batch in that class
+    (both comparisons evaluated: inside the class neither can raise)."""
+    operands = [
+        _compile_batch(expr.operand, resolve),
+        _compile_batch(expr.low, resolve),
+        _compile_batch(expr.high, resolve),
+    ]
+    compute = _between_compute(expr.negated)
+    operand, low, high = operands
+    typed = _constant_class(low[1]) if low[0] and high[0] else None
+    if operand[0] or typed is None or _constant_class(high[1]) is not typed:
+        return _fold_batch(operands, compute)
+    column, lo, hi, negated = operand[2], low[1], high[1], expr.negated
+
+    def fn(batch):
+        col = column(batch)
+        if typed.issuperset(map(type, col)):
+            hits = map(
+                operator.and_,
+                map(operator.ge, col, repeat(lo)),
+                map(operator.le, col, repeat(hi)),
+            )
+            return list(map(operator.not_, hits) if negated else hits)
+        return _apply(compute, col, repeat(lo, batch.length), repeat(hi, batch.length))
+
+    return _thunk(fn)
 
 
 def _batch_and(lf, rf):
@@ -763,13 +869,19 @@ def _batch_and(lf, rf):
     pure, so that is unobservable), but its *errors* are discarded for
     elements the interpreter's AND would never have evaluated the right
     side for — the deferred-error contract that keeps kernels from
-    raising on rows a short-circuit would have skipped.
+    raising on rows a short-circuit would have skipped. Two vectors of
+    only bools (no NULL, so no error either) are ``map(operator.and_)``.
     """
 
     def fn(batch, lf=lf, rf=rf):
+        lv, rv = lf(batch), rf(batch)
+        if BOOL_CLASS.issuperset(map(type, lv)) and BOOL_CLASS.issuperset(
+            map(type, rv)
+        ):
+            return list(map(operator.and_, lv, rv))
         out = []
         append = out.append
-        for l, r in zip(lf(batch), rf(batch)):
+        for l, r in zip(lv, rv):
             if l is False:
                 append(False)
                 continue
@@ -806,12 +918,18 @@ def _batch_and(lf, rf):
 
 
 def _batch_or(lf, rf):
-    """Vectorized 3VL OR; see :func:`_batch_and` for the error contract."""
+    """Vectorized 3VL OR; see :func:`_batch_and` for the error contract
+    and the all-bool path."""
 
     def fn(batch, lf=lf, rf=rf):
+        lv, rv = lf(batch), rf(batch)
+        if BOOL_CLASS.issuperset(map(type, lv)) and BOOL_CLASS.issuperset(
+            map(type, rv)
+        ):
+            return list(map(operator.or_, lv, rv))
         out = []
         append = out.append
-        for l, r in zip(lf(batch), rf(batch)):
+        for l, r in zip(lv, rv):
             if l is True:
                 append(True)
                 continue

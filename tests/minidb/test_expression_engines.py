@@ -4,8 +4,10 @@ the AST interpreter as the reference.
 ``enable_compiled_predicates=False`` forces the interpreter at every site
 (WHERE, the hash-join residual, the ordered scan, pushed-down conjuncts,
 UPDATE/DELETE target filtering), so each test here runs a statement under
-both engines and requires the same outcome. The Hypothesis property covers
-DML target filtering; the targeted tests pin the behaviours a row-at-a-time
+both engines and requires the same outcome. One Hypothesis property covers
+DML target filtering, another the typed (type-uniform batch) paths of the
+comparison, BETWEEN and AND/OR kernels, the WHERE selector, ORDER BY /
+top-N and GROUP BY; the targeted tests pin the behaviours a row-at-a-time
 executor has by construction: the ordered scan's early exit, the pushed-down
 conjunct's keep-on-``ExecutionError`` rule, the hash-join residual's error
 order and NULL extension, and the rid order of DML targets in the WAL.
@@ -14,7 +16,7 @@ order and NULL extension, and the rid order of DML targets in the WAL.
 import json
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 from repro.minidb import Database
@@ -27,24 +29,27 @@ from repro.minidb.errors import (
 )
 
 
-def outcome(session, sql):
+def outcome(session, sql, errors=MiniDBError):
     try:
         result = session.execute(sql)
         return ("ok", result.status, result.columns, result.rows)
-    except MiniDBError as exc:
+    except errors as exc:
         return ("err", type(exc).__name__, str(exc))
 
 
-def both_engines(session, sql):
+def both_engines(session, sql, errors=MiniDBError):
     """Run ``sql`` on kernels and on the interpreter; both must agree on
-    the result or on (error type, error message)."""
+    the result or on (error type, error message). Compared by ``repr``, so
+    ``-0.0`` against ``0.0`` or a float sum that differs in its last bit
+    counts as a difference. Only ``errors`` count as an outcome; anything
+    else fails the test."""
     options = session.db.planner_options
     outcomes = []
     for compiled in (True, False):
         options["enable_compiled_predicates"] = compiled
-        outcomes.append(outcome(session, sql))
+        outcomes.append(outcome(session, sql, errors))
     options["enable_compiled_predicates"] = True
-    assert outcomes[0] == outcomes[1], sql
+    assert repr(outcomes[0]) == repr(outcomes[1]), sql
     return outcomes[0]
 
 
@@ -116,6 +121,131 @@ def test_dml_targets_kernels_equivalent_to_interpreter(
     for sql in statements:
         assert outcome(kernels, sql) == outcome(reference, sql), sql
         assert kernel_db.snapshot() == reference_db.snapshot(), sql
+
+
+# ------------------------------------------------------------- typed paths
+#
+# Comparisons and BETWEEN against a constant, AND/OR over bool vectors, the
+# WHERE selector, ungrouped ORDER BY / top-N and GROUP BY folds each take a
+# C-speed path only on a batch whose values all fall in one class. The
+# columns below are drawn type-uniform, then a few cells are overwritten
+# with the values that must push a batch off that path: NULL, a bool among
+# ints, text among numbers, NaN, -0.0 beside 0.0, ints beyond 2**53 beside
+# floats. Small value pools make ties. NaN is also drawn into float columns
+# as an ordinary value: such a column is still all-float, and only the
+# NaN check keeps it off the reversed sort of a DESC key.
+
+UNIFORM = {
+    "int": st.integers(min_value=-3, max_value=3),
+    "float": st.sampled_from([-1.5, -0.0, 0.0, 0.5, 2.0, 2.5, 2.0**53, float("nan")]),
+    "text": st.sampled_from(["", "a", "ab", "b", "B"]),
+}
+PERTURBATIONS = [None, True, False, "7", float("nan"), -0.0, 0.0, 2**53 + 1, 2**53, 1.5]
+
+NUMBER_CONSTANTS = ["2", "2.5", "0", "-0.0", "TRUE", "9007199254740993"]
+TEXT_CONSTANTS = ["'b'", "''", "'ab'"]
+#: a column's own class six times over: most comparisons are well typed,
+#: the rest raise (orderings) or are constant (= and <>) on both engines
+CONSTANTS = {
+    "number": NUMBER_CONSTANTS * 6 + TEXT_CONSTANTS + ["NULL"],
+    "text": TEXT_CONSTANTS * 6 + NUMBER_CONSTANTS + ["NULL"],
+}
+COMPARISONS = ["=", "<>", "<", "<=", ">", ">="]
+COLUMNS = ["v", "w", "s"]
+ORDER_KEYS = ["v", "v DESC", "w", "w DESC", "s DESC", "v DESC, w", "w, s DESC", "2 DESC"]
+AGGREGATES = "COUNT(*), COUNT(w), SUM(w), AVG(w), MIN(w), MAX(w), COUNT(DISTINCT w)"
+
+
+@st.composite
+def typed_case(draw):
+    """Rows of ``t(id, v, w, s)`` — ``v`` int, float or text, ``w`` int or
+    float, ``s`` text, at most two cells perturbed — and statements whose
+    constants mostly match the class their column was drawn in."""
+    n = draw(st.integers(min_value=0, max_value=24))
+    kinds = {
+        "v": draw(st.sampled_from(["int", "float", "text"])),
+        "w": draw(st.sampled_from(["int", "float"])),
+        "s": "text",
+    }
+    columns = {
+        name: draw(st.lists(UNIFORM[kind], min_size=n, max_size=n))
+        for name, kind in kinds.items()
+    }
+    for _ in range(draw(st.integers(min_value=0, max_value=2 if n else 0))):
+        row = draw(st.integers(min_value=0, max_value=n - 1))
+        columns[draw(st.sampled_from(COLUMNS))][row] = draw(
+            st.sampled_from(PERTURBATIONS)
+        )
+    rows = [dict(id=i, **{c: columns[c][i] for c in COLUMNS}) for i in range(n)]
+
+    def constant(column):
+        pool = CONSTANTS["text" if kinds[column] == "text" else "number"]
+        return draw(st.sampled_from(pool))
+
+    def atom():
+        column = draw(st.sampled_from(COLUMNS))
+        if draw(st.booleans()):
+            op, value = draw(st.sampled_from(COMPARISONS)), constant(column)
+            if draw(st.booleans()):
+                return f"{value} {op} {column}"
+            return f"{column} {op} {value}"
+        negated = "NOT " if draw(st.booleans()) else ""
+        return f"{column} {negated}BETWEEN {constant(column)} AND {constant(column)}"
+
+    def predicate():
+        shape = draw(st.sampled_from(["atom", "AND", "OR", "AND-OR"]))
+        if shape == "atom":
+            return atom()
+        if shape == "AND-OR":
+            return f"{atom()} AND {atom()} OR {atom()}"
+        return f" {shape} ".join(atom() for _ in range(draw(st.integers(2, 3))))
+
+    def statement():
+        shape = draw(st.integers(min_value=0, max_value=5))
+        if shape == 0:
+            return f"SELECT id FROM t WHERE {predicate()}"
+        if shape == 1:  # top-N: k in 0, 1, n-1, n, n+5
+            where = f" WHERE {predicate()}" if draw(st.booleans()) else ""
+            limit = max(0, draw(st.sampled_from([0, 1, n - 1, n, n + 5])))
+            offset = draw(st.sampled_from(["", " OFFSET 1", " OFFSET 3"]))
+            key = draw(st.sampled_from(ORDER_KEYS))
+            return f"SELECT id, v, w FROM t{where} ORDER BY {key} LIMIT {limit}{offset}"
+        if shape == 2:
+            return f"SELECT id, s FROM t ORDER BY {draw(st.sampled_from(ORDER_KEYS))}"
+        if shape == 3:
+            column = draw(st.sampled_from(COLUMNS))
+            return f"SELECT {column}, {AGGREGATES} FROM t GROUP BY {column}"
+        if shape == 4:
+            return draw(st.sampled_from(
+                [f"SELECT {AGGREGATES} FROM t", "SELECT MIN(v), MAX(v) FROM t"]
+            ))
+        return (
+            f"SELECT v, COUNT(*), SUM(w), MAX(w) FROM t WHERE {predicate()} GROUP BY v"
+        )
+
+    return rows, [statement() for _ in range(draw(st.integers(1, 4)))]
+
+
+@settings(max_examples=300, deadline=None)
+@seed(20251015)
+@given(case=typed_case(), batch_size=st.sampled_from([1, 7, DEFAULT_BATCH_SIZE]))
+def test_typed_paths_equivalent_to_interpreter(case, batch_size):
+    """Kernels and the interpreter agree — rows, row order, float bits,
+    error class and message — on the statements the typed paths serve,
+    whether the batch they see is uniform or perturbed."""
+    rows, statements = case
+    db = Database(owner="a")
+    session = db.connect("a")
+    session.execute("CREATE TABLE t (id INT PRIMARY KEY, v INT, w REAL, s TEXT)")
+    heap = db.heap("t")
+    for row in rows:
+        heap.insert(row)
+    db.planner_options["batch_size"] = batch_size
+    for sql in statements:
+        # MIN/MAX over text beside a number (planted by a heap insert that
+        # skips coercion) raises Python's TypeError; both engines must
+        # still raise it alike
+        both_engines(session, sql, errors=(MiniDBError, TypeError))
 
 
 # ----------------------------------------------------------- ordered scan

@@ -321,6 +321,37 @@ class TestTopN:
         both_plans(s, "SELECT id FROM t ORDER BY grp * 2, id DESC LIMIT 6")
         assert s.db.planner_stats["topn_limits"] == before + 1
 
+    def test_uniform_real_desc_top_n_counts_and_cuts_like_a_full_sort(self):
+        """An all-REAL key column is its own sort key (``nlargest`` over row
+        indexes): every bounded top-N still counts once in ``topn_limits``,
+        ``enable_topn=False`` still orders every row and then cuts, and the
+        interpreter, the scan actuals and the trace record agree."""
+        db = Database(owner="a")
+        session = db.connect("a")
+        session.execute("CREATE TABLE signals (signal_id INT PRIMARY KEY, dwell_s REAL)")
+        values = [float((i * 37) % 23) for i in range(200)]  # ties at the cut
+        for i, value in enumerate(values):
+            db.heap("signals").insert({"signal_id": i, "dwell_s": value})
+        db.observability_options["tracing"] = True
+        sql = "SELECT dwell_s, signal_id FROM signals ORDER BY dwell_s DESC LIMIT 10"
+        expected = [(v, i) for i, v in sorted(enumerate(values), key=lambda p: -p[1])][:10]
+        stats, options = db.planner_stats, db.planner_options
+        runs = [
+            ({}, 1),
+            ({"enable_compiled_predicates": False}, 1),
+            ({"enable_topn": False}, 0),
+        ]
+        for overrides, topn in runs:
+            options.update(overrides)
+            before = stats["topn_limits"]
+            assert session.execute(sql).rows == expected, overrides
+            assert stats["topn_limits"] == before + topn, overrides
+            scan = db.tracer.recent()[-1].scans[0]
+            assert (scan["kind"], scan["rows"], scan["examined"]) == ("seq", 200, 200)
+            explain = [line for (line,) in session.execute("EXPLAIN ANALYZE " + sql).rows]
+            assert explain[0].startswith("Seq Scan on signals (actual rows=200, ")
+            assert explain[1] == "Result rows: 10"
+
 
 class TestDMLAccessPaths:
     def test_update_uses_index_probe(self, s):
