@@ -11,6 +11,8 @@ from typing import Any, Sequence
 
 import numpy as np
 
+from .preprocessing import feature_matrix
+
 
 class _Node:
     __slots__ = ("feature", "threshold", "left", "right", "value")
@@ -121,15 +123,19 @@ class DecisionTreeRegressor:
     def predict(self, features: Sequence[Sequence[float]]) -> list[float]:
         if self.root is None:
             raise ValueError("model is not fitted")
-        matrix = np.asarray(features, dtype=float)
-        if matrix.ndim == 1:
-            matrix = matrix.reshape(1, -1)
-        out = []
-        for row in matrix:
-            node = self.root
-            while not node.is_leaf:
-                node = node.left if row[node.feature] <= node.threshold else node.right
-            out.append(float(node.value))
+        return self._predict(feature_matrix(features, self.n_features)).tolist()
+
+    def _predict(self, matrix: np.ndarray) -> np.ndarray:
+        """Leaf values of all rows at once; a node splits the rows reaching it."""
+        out = np.empty(len(matrix))
+        pending = [(self.root, np.arange(len(matrix)))]
+        while pending:
+            node, rows = pending.pop()
+            if node.is_leaf:
+                out[rows] = node.value
+            elif len(rows):
+                left = matrix[rows, node.feature] <= node.threshold
+                pending += [(node.left, rows[left]), (node.right, rows[~left])]
         return out
 
     def to_dict(self) -> dict[str, Any]:
@@ -191,8 +197,9 @@ class RandomForestRegressor:
     def predict(self, features: Sequence[Sequence[float]]) -> list[float]:
         if not self.trees:
             raise ValueError("model is not fitted")
-        per_tree = np.asarray([tree.predict(features) for tree in self.trees])
-        return [float(v) for v in per_tree.mean(axis=0)]
+        matrix = feature_matrix(features, self.n_features)
+        per_tree = np.asarray([tree._predict(matrix) for tree in self.trees])
+        return per_tree.mean(axis=0).tolist()
 
     def to_dict(self) -> dict[str, Any]:
         return {

@@ -7,6 +7,7 @@ from typing import Any, Sequence
 import numpy as np
 
 from .metrics import r2_score, rmse
+from .preprocessing import feature_matrix
 
 
 class LinearRegressionModel:
@@ -31,20 +32,16 @@ class LinearRegressionModel:
         return self
 
     def predict(self, features: Sequence[Sequence[float]]) -> list[float]:
-        matrix = np.asarray(features, dtype=float)
-        if matrix.ndim == 1:
-            matrix = matrix.reshape(1, -1)
-        if matrix.shape[1] != self.n_features:
-            raise ValueError(
-                f"expected {self.n_features} features, got {matrix.shape[1]}"
-            )
-        values = matrix @ np.asarray(self.coefficients) + self.intercept
-        return [float(v) for v in values]
+        return self._predict(features).tolist()
+
+    def _predict(self, features: Sequence[Sequence[float]]) -> np.ndarray:
+        matrix = feature_matrix(features, self.n_features)
+        return matrix @ np.asarray(self.coefficients) + self.intercept
 
     def evaluate(self, data: Sequence[Sequence[float]]) -> dict[str, float]:
         matrix = np.asarray(data, dtype=float)
-        predictions = self.predict(matrix[:, :-1])
-        truth = [float(v) for v in matrix[:, -1]]
+        predictions = self._predict(matrix[:, :-1])
+        truth = matrix[:, -1]
         return {"rmse": rmse(truth, predictions), "r2": r2_score(truth, predictions)}
 
     # ---- JSON-able serialization for proxy routing -----------------------

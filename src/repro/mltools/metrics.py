@@ -5,38 +5,38 @@ from __future__ import annotations
 import math
 from typing import Sequence
 
+import numpy as np
+
+from .preprocessing import ordered_sum
+
+
+def _arrays(name: str, y_true: Sequence[float], y_pred: Sequence[float]):
+    if len(y_true) != len(y_pred):
+        raise ValueError(f"{name}: length mismatch")
+    if len(y_true) == 0:
+        raise ValueError(f"{name}: empty input")
+    return np.asarray(y_true, dtype=float), np.asarray(y_pred, dtype=float)
+
 
 def rmse(y_true: Sequence[float], y_pred: Sequence[float]) -> float:
     """Root mean squared error."""
-    if len(y_true) != len(y_pred):
-        raise ValueError("rmse: length mismatch")
-    if not y_true:
-        raise ValueError("rmse: empty input")
-    total = 0.0
-    for t, p in zip(y_true, y_pred):
-        diff = float(t) - float(p)
-        total += diff * diff
-    return math.sqrt(total / len(y_true))
+    truth, pred = _arrays("rmse", y_true, y_pred)
+    diff = truth - pred
+    return math.sqrt(ordered_sum(diff * diff) / len(diff))
 
 
 def mae(y_true: Sequence[float], y_pred: Sequence[float]) -> float:
     """Mean absolute error."""
-    if len(y_true) != len(y_pred):
-        raise ValueError("mae: length mismatch")
-    if not y_true:
-        raise ValueError("mae: empty input")
-    return sum(abs(float(t) - float(p)) for t, p in zip(y_true, y_pred)) / len(y_true)
+    truth, pred = _arrays("mae", y_true, y_pred)
+    return float(ordered_sum(np.abs(truth - pred)) / len(truth))
 
 
 def r2_score(y_true: Sequence[float], y_pred: Sequence[float]) -> float:
     """Coefficient of determination; 0.0 for a constant true vector."""
-    if len(y_true) != len(y_pred):
-        raise ValueError("r2: length mismatch")
-    if not y_true:
-        raise ValueError("r2: empty input")
-    mean = sum(float(t) for t in y_true) / len(y_true)
-    ss_tot = sum((float(t) - mean) ** 2 for t in y_true)
-    ss_res = sum((float(t) - float(p)) ** 2 for t, p in zip(y_true, y_pred))
+    truth, pred = _arrays("r2", y_true, y_pred)
+    centred = truth - ordered_sum(truth) / len(truth)
+    residual = truth - pred
+    ss_tot = ordered_sum(centred * centred)
     if ss_tot == 0.0:
         return 0.0
-    return 1.0 - ss_res / ss_tot
+    return float(1.0 - ordered_sum(residual * residual) / ss_tot)

@@ -1,48 +1,77 @@
 """Data preprocessing tools: normalization and splitting.
 
-All functions operate on row-major numeric data (list of sequences), the
-payload format SQL producer tools hand over, and return plain lists so
-results remain JSON-able for proxy routing.
+All functions take row-major numeric data (list of sequences), the payload
+format SQL producer tools hand over, convert it once with :func:`as_matrix`,
+compute on that float matrix, and return plain lists so results remain
+JSON-able for proxy routing.
 """
 
 from __future__ import annotations
 
+import functools
 import random
+from itertools import chain
 from typing import Any, Sequence
+
+import numpy as np
 
 Rows = list[Sequence[Any]]
 
 
-def _validate(data: Rows) -> list[list[float]]:
-    if not data:
+def as_matrix(data: Rows) -> np.ndarray:
+    """The rows as one float matrix. ``ValueError`` for an empty or ragged
+    payload, non-sequence rows and non-numeric cells; ``TypeError`` for None."""
+    if len(data) == 0:
         raise ValueError("empty dataset")
-    width = len(data[0])
-    rows: list[list[float]] = []
-    for index, row in enumerate(data):
-        if len(row) != width:
-            raise ValueError(f"ragged row at index {index}")
-        rows.append([float(v) for v in row])
-    return rows
+    try:
+        widths = list(map(len, data))
+    except TypeError:
+        raise ValueError("rows must be sequences of numbers") from None
+    width = widths[0]
+    if widths.count(width) != len(widths):
+        index = next(i for i, w in enumerate(widths) if w != width)
+        raise ValueError(f"ragged row at index {index}")
+    cells = np.fromiter(chain.from_iterable(data), float, len(data) * width)
+    if np.isnan(cells).any():  # numpy reads None as nan; float() refuses it
+        list(map(float, chain.from_iterable(data)))
+    return cells.reshape(len(data), width)
+
+
+def feature_matrix(features: Sequence[Sequence[float]], n_features: int) -> np.ndarray:
+    """Feature rows (or one bare row) for a model fitted on ``n_features``."""
+    matrix = np.asarray(features, dtype=float)
+    if matrix.ndim == 1:
+        matrix = matrix.reshape(1, -1)
+    if matrix.shape[1] != n_features:
+        raise ValueError(f"expected {n_features} features, got {matrix.shape[1]}")
+    return matrix
+
+
+def ordered_sum(values: np.ndarray) -> np.ndarray:
+    """Sum over axis 0 adding row after row, the order of a Python ``sum``
+    loop; ``np.sum`` is pairwise on a vector and on a one-column matrix."""
+    return np.cumsum(values, axis=0)[-1]
+
+
+def _moments(matrix: np.ndarray) -> tuple[list[float], list[float]]:
+    """Per-column mean and population std."""
+    n = len(matrix)
+    mean = ordered_sum(matrix) / n
+    deviation = matrix - mean
+    variance = ordered_sum(deviation * deviation) / n
+    return mean.tolist(), [v ** 0.5 for v in variance.tolist()]
+
+
+def _scaled(matrix: np.ndarray, skip_last: bool) -> range:
+    width = matrix.shape[1]
+    return range(width - 1 if skip_last and width > 1 else width)
 
 
 def column_stats(data: Rows) -> list[dict[str, float]]:
     """Per-column mean/std/min/max (population std)."""
-    rows = _validate(data)
-    n, width = len(rows), len(rows[0])
-    stats = []
-    for col in range(width):
-        values = [row[col] for row in rows]
-        mean = sum(values) / n
-        variance = sum((v - mean) ** 2 for v in values) / n
-        stats.append(
-            {
-                "mean": mean,
-                "std": variance ** 0.5,
-                "min": min(values),
-                "max": max(values),
-            }
-        )
-    return stats
+    matrix = as_matrix(data)
+    columns = zip(*_moments(matrix), matrix.min(axis=0).tolist(), matrix.max(axis=0).tolist())
+    return [{"mean": m, "std": s, "min": lo, "max": hi} for m, s, lo, hi in columns]
 
 
 def zscore_normalize(data: Rows, skip_last: bool = True) -> list[list[float]]:
@@ -50,45 +79,49 @@ def zscore_normalize(data: Rows, skip_last: bool = True) -> list[list[float]]:
 
     Zero-variance columns pass through unchanged (centered at 0).
     """
-    rows = _validate(data)
-    stats = column_stats(rows)
-    width = len(rows[0])
-    stop = width - 1 if skip_last and width > 1 else width
-    result = []
-    for row in rows:
-        out = list(row)
-        for col in range(stop):
-            std = stats[col]["std"]
-            mean = stats[col]["mean"]
-            out[col] = (row[col] - mean) / std if std > 0 else 0.0
-        result.append(out)
-    return result
+    matrix = as_matrix(data)
+    mean, std = _moments(matrix)
+    for col in _scaled(matrix, skip_last):
+        matrix[:, col] = (matrix[:, col] - mean[col]) / std[col] if std[col] > 0 else 0.0
+    return matrix.tolist()
 
 
 def minmax_normalize(data: Rows, skip_last: bool = True) -> list[list[float]]:
     """Scale columns into [0, 1]; constant columns map to 0."""
-    rows = _validate(data)
-    stats = column_stats(rows)
-    width = len(rows[0])
-    stop = width - 1 if skip_last and width > 1 else width
-    result = []
-    for row in rows:
-        out = list(row)
-        for col in range(stop):
-            low, high = stats[col]["min"], stats[col]["max"]
-            span = high - low
-            out[col] = (row[col] - low) / span if span > 0 else 0.0
-        result.append(out)
-    return result
+    matrix = as_matrix(data)
+    low, high = matrix.min(axis=0).tolist(), matrix.max(axis=0).tolist()
+    for col in _scaled(matrix, skip_last):
+        span = high[col] - low[col]
+        matrix[:, col] = (matrix[:, col] - low[col]) / span if span > 0 else 0.0
+    return matrix.tolist()
+
+
+@functools.lru_cache(maxsize=16)
+def split_order(n: int, seed: int) -> np.ndarray:
+    """The permutation ``random.Random(seed).shuffle`` applies to any ``n``
+    rows (its draws depend only on the length), memoised read-only."""
+    order = list(range(n))
+    random.Random(seed).shuffle(order)
+    array = np.array(order, dtype=np.intp)
+    array.flags.writeable = False
+    return array
+
+
+def split_indexes(
+    n: int, test_fraction: float = 0.2, seed: int = 0
+) -> tuple[np.ndarray, np.ndarray]:
+    """Row indexes of the deterministic shuffled split into (train, test)."""
+    if not 0.0 < test_fraction < 1.0:
+        raise ValueError("test_fraction must be in (0, 1)")
+    order = split_order(n, seed)
+    cut = max(1, int(n * test_fraction))
+    return order[cut:], order[:cut]
 
 
 def train_test_split(
     data: Rows, test_fraction: float = 0.2, seed: int = 0
 ) -> tuple[list, list]:
-    """Deterministic shuffled split into (train, test)."""
-    if not 0.0 < test_fraction < 1.0:
-        raise ValueError("test_fraction must be in (0, 1)")
+    """Deterministic shuffled split of the row objects into (train, test)."""
     rows = list(data)
-    random.Random(seed).shuffle(rows)
-    cut = max(1, int(len(rows) * test_fraction))
-    return rows[cut:], rows[:cut]
+    train, test = split_indexes(len(rows), test_fraction, seed)
+    return [rows[i] for i in train.tolist()], [rows[i] for i in test.tolist()]

@@ -16,15 +16,19 @@ from ..mcp import ParamSpec, ToolResult, ToolServer, tool
 from .forest import DecisionTreeRegressor, RandomForestRegressor
 from .linear import LinearRegressionModel
 from .metrics import r2_score, rmse
-from .preprocessing import minmax_normalize, train_test_split, zscore_normalize
+from .preprocessing import as_matrix, minmax_normalize, split_indexes, zscore_normalize
 from .trend import trend_analyze
 
 
-def _split_xy(data: list) -> tuple[np.ndarray, np.ndarray]:
-    matrix = np.asarray(data, dtype=float)
-    if matrix.ndim != 2 or matrix.shape[1] < 2:
+def _holdout(data: list, test_fraction: float) -> tuple[np.ndarray, np.ndarray]:
+    """(train, test) matrices of rows of [features..., target]."""
+    matrix = as_matrix(data)
+    if len(matrix) < 2:
+        raise ValueError(f"need >= 2 rows to hold out a test set, got {len(matrix)}")
+    if matrix.shape[1] < 2:
         raise ValueError("data must be rows of [features..., target]")
-    return matrix[:, :-1], matrix[:, -1]
+    train, test = split_indexes(len(matrix), test_fraction, seed=0)
+    return matrix[train], matrix[test]
 
 
 def _model_result(payload: dict[str, Any]) -> ToolResult:
@@ -91,7 +95,7 @@ class MLToolServer(ToolServer):
         ],
     )
     def train_linear(self, data: list, test_fraction: float = 0.2) -> ToolResult:
-        train, test = train_test_split(data, test_fraction, seed=0)
+        train, test = _holdout(data, test_fraction)
         model = LinearRegressionModel().fit(train)
         metrics = model.evaluate(test)
         payload = model.to_dict()
@@ -113,15 +117,13 @@ class MLToolServer(ToolServer):
     def train_forest(
         self, data: list, n_trees: int = 8, test_fraction: float = 0.2
     ) -> ToolResult:
-        train, test = train_test_split(data, test_fraction, seed=0)
-        x_train, y_train = _split_xy(train)
-        model = RandomForestRegressor(n_trees=n_trees, seed=0).fit(x_train, y_train)
-        x_test, y_test = _split_xy(test)
-        predictions = model.predict(x_test)
+        train, test = _holdout(data, test_fraction)
+        model = RandomForestRegressor(n_trees=n_trees, seed=0).fit(train[:, :-1], train[:, -1])
+        predictions = model.predict(test[:, :-1])
         payload = model.to_dict()
         payload["metrics"] = {
-            "rmse": rmse([float(v) for v in y_test], predictions),
-            "r2": r2_score([float(v) for v in y_test], predictions),
+            "rmse": rmse(test[:, -1], predictions),
+            "r2": r2_score(test[:, -1], predictions),
         }
         return _model_result(payload)
 

@@ -19,6 +19,7 @@ from repro.mltools import (
     trend_analyze,
     zscore_normalize,
 )
+from repro.mltools.preprocessing import split_order
 
 
 def linear_data(n=200, seed=0, noise=0.1):
@@ -116,6 +117,19 @@ class TestPreprocessing:
     def test_split_fraction_validated(self):
         with pytest.raises(ValueError):
             train_test_split([[1.0]], 1.5)
+
+    def test_scalar_rows_rejected(self):
+        with pytest.raises(ValueError, match="sequences"):
+            zscore_normalize([1.0, 2.0])
+
+    def test_nan_cells_pass_through(self):
+        assert math.isnan(column_stats([[float("nan")], ["nan"]])[0]["mean"])
+
+    def test_split_order_is_memoised_and_read_only(self):
+        order = split_order(50, 7)
+        assert split_order(50, 7) is order
+        assert not order.flags.writeable
+        assert sorted(order.tolist()) == list(range(50))
 
 
 class TestLinearRegression:
@@ -284,3 +298,25 @@ class TestMLToolServer:
     def test_bad_data_is_tool_error(self, server):
         result = server.invoke("train_linear", data=[[1.0]])
         assert result.is_error
+
+    @pytest.mark.parametrize("tool", ["train_linear", "train_forest"])
+    def test_one_row_names_the_row_count(self, server, tool):
+        result = server.invoke(tool, data=[[1.0, 2.0]])
+        assert result.is_error
+        assert ">= 2 rows" in result.content and "got 1" in result.content
+
+    @pytest.mark.parametrize("kind", ["linear", "forest", "tree"])
+    @pytest.mark.parametrize("width", [1, 3])
+    def test_predict_checks_feature_count(self, server, kind, width):
+        if kind == "tree":
+            import numpy as np
+
+            x = np.random.default_rng(0).uniform(size=(50, 2))
+            model = DecisionTreeRegressor(max_depth=3).fit(x, x[:, 0]).to_dict()
+        else:
+            options = {"n_trees": 2} if kind == "forest" else {}
+            model = server.invoke(f"train_{kind}", data=linear_data(), **options)
+            model = model.metadata["payload"]
+        result = server.invoke("predict", model=model, features=[[0.5] * width])
+        assert result.is_error
+        assert result.content == f"expected 2 features, got {width}"
