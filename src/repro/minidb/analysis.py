@@ -97,24 +97,24 @@ class _Analyzer:
             access.columns.update(c.lower() for c, _ in stmt.assignments)
             binding_map = {stmt.table.lower(): stmt.table}
             for _, expr in stmt.assignments:
-                self._walk_expr(expr, binding_map, read_action="SELECT")
+                self._walk_expr(expr, binding_map)
             if stmt.where is not None:
-                self._walk_expr(stmt.where, binding_map, read_action="SELECT")
+                self._walk_expr(stmt.where, binding_map)
             return self._finish("UPDATE", read_only=False)
         if isinstance(stmt, ast.DeleteStatement):
             self._access("DELETE", stmt.table).whole_object = True
             if stmt.where is not None:
-                self._walk_expr(
-                    stmt.where, {stmt.table.lower(): stmt.table}, read_action="SELECT"
-                )
+                self._walk_expr(stmt.where, {stmt.table.lower(): stmt.table})
             return self._finish("DELETE", read_only=False)
         if isinstance(stmt, ast.CreateTableStatement):
             self._access("CREATE", stmt.table).whole_object = True
-            for fk in stmt.foreign_keys:
-                self._access("SELECT", fk.ref_table).whole_object = True
-            for cdef in stmt.columns:
-                if cdef.references:
-                    self._access("SELECT", cdef.references[0]).whole_object = True
+            referenced = [fk.ref_table for fk in stmt.foreign_keys]
+            referenced.extend(c.references[0] for c in stmt.columns if c.references)
+            for table in referenced:
+                # a self-reference reads the table being created, not an
+                # object the creator needs SELECT on
+                if table.lower() != stmt.table.lower():
+                    self._access("SELECT", table).whole_object = True
             return self._finish("CREATE", read_only=False, ddl=True)
         if isinstance(stmt, ast.CreateIndexStatement):
             self._access("CREATE", stmt.table).whole_object = True
@@ -197,20 +197,17 @@ class _Analyzer:
             self._bind_source(join.source, binding_map)
 
         for item in stmt.items:
-            if isinstance(item.expr, ast.Star):
-                self._claim_star(item.expr, binding_map)
-            else:
-                self._walk_expr(item.expr, binding_map, read_action="SELECT")
+            self._walk_expr(item.expr, binding_map)
         for expr in (stmt.where, stmt.having):
             if expr is not None:
-                self._walk_expr(expr, binding_map, read_action="SELECT")
+                self._walk_expr(expr, binding_map)
         for expr in stmt.group_by:
-            self._walk_expr(expr, binding_map, read_action="SELECT")
+            self._walk_expr(expr, binding_map)
         for order in stmt.order_by:
-            self._walk_expr(order.expr, binding_map, read_action="SELECT")
+            self._walk_expr(order.expr, binding_map)
         for join in stmt.joins:
             if join.condition is not None:
-                self._walk_expr(join.condition, binding_map, read_action="SELECT")
+                self._walk_expr(join.condition, binding_map)
         if stmt.set_op is not None:
             self._analyze_select(stmt.set_op[1])
 
@@ -252,48 +249,17 @@ class _Analyzer:
         for obj in candidates:
             self._access(action, obj).columns.add(ref.name.lower())
 
-    def _walk_expr(
-        self, expr: ast.Expr, binding_map: dict[str, str], read_action: str
-    ) -> None:
+    def _walk_expr(self, expr: ast.Expr, binding_map: dict[str, str]) -> None:
+        """Attribute the columns ``expr`` reads, claim its stars, analyze its
+        subqueries (IN's after its operand: ``accesses`` is first-seen order)."""
         if isinstance(expr, ast.ColumnRef):
-            self._attribute_column(expr, binding_map, read_action)
+            self._attribute_column(expr, binding_map, "SELECT")
         elif isinstance(expr, ast.Star):
             self._claim_star(expr, binding_map)
-        elif isinstance(expr, ast.BinaryOp):
-            self._walk_expr(expr.left, binding_map, read_action)
-            self._walk_expr(expr.right, binding_map, read_action)
-        elif isinstance(expr, ast.UnaryOp):
-            self._walk_expr(expr.operand, binding_map, read_action)
-        elif isinstance(expr, ast.FunctionCall):
-            for arg in expr.args:
-                self._walk_expr(arg, binding_map, read_action)
-        elif isinstance(expr, ast.CaseExpr):
-            if expr.operand is not None:
-                self._walk_expr(expr.operand, binding_map, read_action)
-            for when, then in expr.whens:
-                self._walk_expr(when, binding_map, read_action)
-                self._walk_expr(then, binding_map, read_action)
-            if expr.default is not None:
-                self._walk_expr(expr.default, binding_map, read_action)
-        elif isinstance(expr, ast.InExpr):
-            self._walk_expr(expr.operand, binding_map, read_action)
-            if isinstance(expr.candidates, ast.SelectStatement):
+        elif isinstance(expr, (ast.ExistsExpr, ast.ScalarSubquery)):
+            self._analyze_select(expr.subquery)
+        else:
+            for child in ast.children(expr):
+                self._walk_expr(child, binding_map)
+            if isinstance(expr, ast.InExpr) and not isinstance(expr.candidates, list):
                 self._analyze_select(expr.candidates)
-            else:
-                for candidate in expr.candidates:
-                    self._walk_expr(candidate, binding_map, read_action)
-        elif isinstance(expr, ast.BetweenExpr):
-            self._walk_expr(expr.operand, binding_map, read_action)
-            self._walk_expr(expr.low, binding_map, read_action)
-            self._walk_expr(expr.high, binding_map, read_action)
-        elif isinstance(expr, ast.LikeExpr):
-            self._walk_expr(expr.operand, binding_map, read_action)
-            self._walk_expr(expr.pattern, binding_map, read_action)
-        elif isinstance(expr, ast.IsNullExpr):
-            self._walk_expr(expr.operand, binding_map, read_action)
-        elif isinstance(expr, ast.ExistsExpr):
-            self._analyze_select(expr.subquery)
-        elif isinstance(expr, ast.ScalarSubquery):
-            self._analyze_select(expr.subquery)
-        elif isinstance(expr, ast.CastExpr):
-            self._walk_expr(expr.operand, binding_map, read_action)

@@ -13,13 +13,15 @@ statements before and after execution).
 Nodes are deliberately dumb data carriers; evaluation lives in
 :mod:`repro.minidb.expressions` and :mod:`repro.minidb.executor`, and
 static analysis (used by BridgeScope's object-level verification) lives in
-:mod:`repro.minidb.analysis`.
+:mod:`repro.minidb.analysis`. Which fields of an expression hold
+sub-expressions is stated once, by :func:`children`; a pass over a tree
+handles the kinds it cares about and loops over it for the rest.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Optional
+from dataclasses import dataclass, field, fields, replace
+from typing import Any, Optional, Sequence
 
 # --------------------------------------------------------------------------
 # expressions
@@ -122,6 +124,65 @@ class ScalarSubquery(Expr):
 class CastExpr(Expr):
     operand: Expr
     target_type: str
+
+
+def _case_children(expr: CaseExpr) -> list[Expr]:
+    parts = [] if expr.operand is None else [expr.operand]
+    parts.extend(part for pair in expr.whens for part in pair)
+    if expr.default is not None:
+        parts.append(expr.default)
+    return parts
+
+
+#: the one statement of which fields hold sub-expressions; a new ``Expr``
+#: kind needs a row here (``tests/minidb/test_expr_walk.py`` checks them all)
+_CHILDREN = {
+    Literal: lambda e: (),
+    ColumnRef: lambda e: (),
+    Star: lambda e: (),
+    BinaryOp: lambda e: (e.left, e.right),
+    UnaryOp: lambda e: (e.operand,),
+    FunctionCall: lambda e: e.args,
+    CaseExpr: _case_children,
+    InExpr: lambda e: (
+        (e.operand, *e.candidates) if isinstance(e.candidates, list) else (e.operand,)
+    ),
+    BetweenExpr: lambda e: (e.operand, e.low, e.high),
+    LikeExpr: lambda e: (e.operand, e.pattern),
+    IsNullExpr: lambda e: (e.operand,),
+    ExistsExpr: lambda e: (),
+    ScalarSubquery: lambda e: (),
+    CastExpr: lambda e: (e.operand,),
+}
+
+
+def children(expr: Expr) -> Sequence[Expr]:
+    """The direct sub-expressions of ``expr`` in field order (a CASE:
+    operand, each WHEN/THEN pair, default; absent parts skipped), read-only.
+    Never a subquery: EXISTS and scalar subqueries have none, ``IN (SELECT
+    ...)`` only its operand. An unknown kind raises ``KeyError``. As with
+    PostgreSQL's ``expression_tree_walker``, a pass handles the kinds it
+    cares about and loops over ``children`` for the rest."""
+    return _CHILDREN[type(expr)](expr)
+
+
+def with_column_renamed(node: Any, old: str, new: str) -> Any:
+    """Copy of expression ``node`` with its references to column ``old``
+    (any case) renamed to ``new`` — a CHECK constraint after RENAME
+    COLUMN. A subquery's ``SelectStatement`` is left as it is."""
+    if isinstance(node, ColumnRef):
+        return replace(node, name=new) if node.name.lower() == old.lower() else node
+    if isinstance(node, (list, tuple)):
+        return type(node)(with_column_renamed(part, old, new) for part in node)
+    if isinstance(node, Expr):
+        return replace(
+            node,
+            **{
+                f.name: with_column_renamed(getattr(node, f.name), old, new)
+                for f in fields(node)
+            },
+        )
+    return node
 
 
 # --------------------------------------------------------------------------

@@ -9,7 +9,7 @@ token-count experiments depend on reproducible schema strings.
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field
 from typing import Any
 
 from . import ast_nodes as ast
@@ -21,26 +21,6 @@ from .types import ColumnType
 def _renamed(names: tuple[str, ...], old: str, new: str) -> tuple[str, ...]:
     lowered = old.lower()
     return tuple(new if name.lower() == lowered else name for name in names)
-
-
-def _rename_refs(node: Any, old: str, new: str) -> Any:
-    """Copy of a CHECK expression with references to column ``old``
-    renamed to ``new``."""
-    if isinstance(node, ast.ColumnRef):
-        if node.name.lower() == old.lower():
-            return replace(node, name=new)
-        return node
-    if isinstance(node, (list, tuple)):
-        return type(node)(_rename_refs(child, old, new) for child in node)
-    if isinstance(node, ast.Expr):
-        return replace(
-            node,
-            **{
-                f.name: _rename_refs(getattr(node, f.name), old, new)
-                for f in fields(node)
-            },
-        )
-    return node
 
 
 @dataclass
@@ -112,7 +92,7 @@ class TableSchema:
         self.column(old).name = new
         self.primary_key = _renamed(self.primary_key, old, new)
         self.uniques = [_renamed(unique, old, new) for unique in self.uniques]
-        self.checks = [_rename_refs(check, old, new) for check in self.checks]
+        self.checks = [ast.with_column_renamed(check, old, new) for check in self.checks]
         self.check_sources = [expr_to_sql(check) for check in self.checks]
         for fk in self.foreign_keys:
             fk.columns = _renamed(fk.columns, old, new)

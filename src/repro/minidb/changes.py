@@ -27,7 +27,9 @@ retrieval-cache fingerprints) exactly:
 op                 fields
 =================  ========================================================
 ``insert``         table, rid, row, uid, version
-``update``         table, rid, row (new image), uid, version
+``update``         table, rid, row (new image, keys in heap column order:
+                   after RENAME COLUMN the renamed column comes last, not
+                   in schema order), uid, version
 ``delete``         table, rid, uid, version
 ``create_table``   table, schema (structural), indexes (definitions), uid,
                    version

@@ -282,15 +282,34 @@ class _ScopeLayout:
         return lambda relation: relation.column(binding, column)
 
 
+_OPAQUE = frozenset({ast.Star, ast.ExistsExpr, ast.ScalarSubquery})
+
+
+def _opaque(expr: ast.Expr) -> bool:
+    """A star or a subquery: which columns it reads is not in the tree."""
+    kind = type(expr)
+    return kind in _OPAQUE or (kind is ast.InExpr and type(expr.candidates) is not list)
+
+
 def _referenced_names(exprs: list) -> "set[str] | None":
     """Lowercased column names ``exprs`` can touch, or ``None`` when the
     set is not statically determinable (stars, subqueries) — a scan then
     materializes every column, exactly the cases where per-row fallback
-    evaluation could read an arbitrary name."""
+    evaluation could read an arbitrary name. An aggregate's ``*`` reads
+    no column, so a counting scan reads no values."""
     refs: set[str] = set()
-    for expr in exprs:
-        if not _collect_column_refs(expr, refs):
-            return None
+    stack = [expr for expr in exprs if expr is not None]
+    while stack:
+        expr = stack.pop()
+        kind = type(expr)
+        if kind is ast.ColumnRef:
+            refs.add(expr.name.lower())
+        elif kind is ast.FunctionCall and expr.name in AGGREGATE_NAMES:
+            stack.extend(a for a in expr.args if type(a) is not ast.Star)
+        elif kind is not ast.Literal:
+            if _opaque(expr):
+                return None
+            stack.extend(ast.children(expr))
     return refs
 
 
@@ -303,57 +322,6 @@ def _statement_exprs(stmt: ast.SelectStatement) -> list:
     exprs.append(stmt.having)
     exprs.extend(order.expr for order in stmt.order_by)
     return exprs
-
-
-def _collect_column_refs(expr: ast.Expr | None, out: set[str]) -> bool:
-    """Collect lowercased column names ``expr`` references into ``out``.
-
-    Returns False when the reference set is not statically determinable
-    (stars, subqueries, unknown node kinds) — the scan then materializes
-    every column. ``COUNT(*)`` is the deliberate exception: its star
-    touches no concrete column, so a counting scan reads no values."""
-    if expr is None or isinstance(expr, ast.Literal):
-        return True
-    if isinstance(expr, ast.ColumnRef):
-        out.add(expr.name.lower())
-        return True
-    if isinstance(expr, ast.UnaryOp):
-        return _collect_column_refs(expr.operand, out)
-    if isinstance(expr, ast.BinaryOp):
-        return _collect_column_refs(expr.left, out) and _collect_column_refs(
-            expr.right, out
-        )
-    if isinstance(expr, ast.FunctionCall):
-        if expr.name in AGGREGATE_NAMES:
-            args = [a for a in expr.args if not isinstance(a, ast.Star)]
-        else:
-            args = expr.args
-        return all(_collect_column_refs(a, out) for a in args)
-    if isinstance(expr, ast.CaseExpr):
-        parts: list[ast.Expr | None] = [expr.operand, expr.default]
-        for when, then in expr.whens:
-            parts.append(when)
-            parts.append(then)
-        return all(_collect_column_refs(p, out) for p in parts)
-    if isinstance(expr, ast.InExpr):
-        if not isinstance(expr.candidates, list):
-            return False  # IN (SELECT ...): subquery owns the references
-        return _collect_column_refs(expr.operand, out) and all(
-            _collect_column_refs(c, out) for c in expr.candidates
-        )
-    if isinstance(expr, ast.BetweenExpr):
-        return (
-            _collect_column_refs(expr.operand, out)
-            and _collect_column_refs(expr.low, out)
-            and _collect_column_refs(expr.high, out)
-        )
-    if isinstance(expr, ast.LikeExpr):
-        return _collect_column_refs(expr.operand, out) and _collect_column_refs(
-            expr.pattern, out
-        )
-    if isinstance(expr, (ast.IsNullExpr, ast.CastExpr)):
-        return _collect_column_refs(expr.operand, out)
-    return False  # Star, ExistsExpr, ScalarSubquery, anything unknown
 
 
 def _raise_first_batch_error(columns: list[list], relation: _Relation) -> None:
@@ -381,57 +349,6 @@ def _raise_first_batch_error(columns: list[list], relation: _Relation) -> None:
         raise best[2].exc
 
 
-def _order_sensitive_expr(expr: ast.Expr | None) -> bool:
-    """Whether evaluating ``expr`` for a single ungrouped aggregate row can
-    observe the input row order (bare column refs read the group's first
-    row; subqueries may correlate against it). Conservative: unknown node
-    kinds count as sensitive."""
-    if expr is None:
-        return False
-    if isinstance(expr, ast.Literal):
-        return False
-    if isinstance(expr, (ast.ColumnRef, ast.Star)):
-        return True
-    if isinstance(expr, (ast.ScalarSubquery, ast.ExistsExpr)):
-        return True
-    if isinstance(expr, ast.FunctionCall):
-        if expr.name in AGGREGATE_NAMES:
-            return False  # caller restricts to COUNT, which is order-free
-        return any(_order_sensitive_expr(a) for a in expr.args)
-    if isinstance(expr, ast.BinaryOp):
-        return _order_sensitive_expr(expr.left) or _order_sensitive_expr(expr.right)
-    if isinstance(expr, ast.UnaryOp):
-        return _order_sensitive_expr(expr.operand)
-    if isinstance(expr, ast.CaseExpr):
-        return (
-            _order_sensitive_expr(expr.operand)
-            or any(
-                _order_sensitive_expr(when) or _order_sensitive_expr(then)
-                for when, then in expr.whens
-            )
-            or _order_sensitive_expr(expr.default)
-        )
-    if isinstance(expr, ast.InExpr):
-        if not isinstance(expr.candidates, list):
-            return True  # IN (SELECT ...) may correlate
-        return _order_sensitive_expr(expr.operand) or any(
-            _order_sensitive_expr(c) for c in expr.candidates
-        )
-    if isinstance(expr, ast.BetweenExpr):
-        return (
-            _order_sensitive_expr(expr.operand)
-            or _order_sensitive_expr(expr.low)
-            or _order_sensitive_expr(expr.high)
-        )
-    if isinstance(expr, ast.LikeExpr):
-        return _order_sensitive_expr(expr.operand) or _order_sensitive_expr(
-            expr.pattern
-        )
-    if isinstance(expr, (ast.IsNullExpr, ast.CastExpr)):
-        return _order_sensitive_expr(expr.operand)
-    return True
-
-
 def _order_insensitive_output(
     stmt: ast.SelectStatement, aggregates: list[ast.FunctionCall]
 ) -> bool:
@@ -440,17 +357,26 @@ def _order_insensitive_output(
     The qualifying shape is the agent-common ``SELECT COUNT(*) FROM ...``:
     one ungrouped aggregate row whose expressions never read a concrete
     row (COUNT only — SUM/AVG float accumulation is order-sensitive at the
-    bit level, and bare columns read the first row of the group). Index
-    probes feeding such statements may skip their rid sort.
+    bit level; bare columns and stars read the first row of the group, and
+    subqueries may correlate against it). Index probes feeding such
+    statements may skip their rid sort.
     """
     if stmt.group_by or stmt.distinct or stmt.set_op is not None:
         return False
     if not aggregates or any(a.name != "COUNT" for a in aggregates):
         return False
-    exprs: list[ast.Expr | None] = [item.expr for item in stmt.items]
-    exprs.append(stmt.having)
-    exprs.extend(order.expr for order in stmt.order_by)
-    return not any(_order_sensitive_expr(e) for e in exprs)
+    stack = [item.expr for item in stmt.items]
+    stack.extend(order.expr for order in stmt.order_by)
+    if stmt.having is not None:
+        stack.append(stmt.having)
+    while stack:
+        expr = stack.pop()
+        kind = type(expr)
+        if kind is ast.ColumnRef or _opaque(expr):
+            return False
+        if not (kind is ast.FunctionCall and expr.name in AGGREGATE_NAMES):
+            stack.extend(ast.children(expr))
+    return True
 
 
 def _key_columns(order_plans: list, cols: list) -> "list[tuple[list, bool]] | None":
@@ -491,6 +417,14 @@ class _AggregateEvaluator(Evaluator):
 
 
 _NULL_SENTINEL = ("<null>",)
+
+
+def _row_marker(row) -> tuple:
+    """A row's identity for GROUP BY, DISTINCT and set operations: NULLs
+    are one value, and values of different types never match (``1``,
+    ``1.0`` and ``TRUE`` are three)."""
+    return tuple(_NULL_SENTINEL if v is None else (type(v).__name__, v) for v in row)
+
 
 #: ORDER BY sort keys and SortedIndex entry order share one total order —
 #: that identity is what lets an index-ordered scan replace a sort
@@ -1144,10 +1078,7 @@ class Executor:
                         else:
                             v = evaluator.evaluate(payload, scope)
                         key_values.append(v)
-                    key = tuple(
-                        _NULL_SENTINEL if v is None else (type(v).__name__, v)
-                        for v in key_values
-                    )
+                    key = _row_marker(key_values)
                     members = groups.get(key)
                     if members is None:
                         groups[key] = members = []
@@ -1349,9 +1280,7 @@ class Executor:
         seen: set = set()
         kept_rows, kept_keys = [], []
         for index, row in enumerate(rows):
-            marker = tuple(
-                _NULL_SENTINEL if v is None else (type(v).__name__, v) for v in row
-            )
+            marker = _row_marker(row)
             if marker in seen:
                 continue
             seen.add(marker)
@@ -1362,46 +1291,28 @@ class Executor:
 
     @staticmethod
     def _apply_set_op(kind, left, right):
-        def markers(rows):
-            return [
-                tuple(
-                    _NULL_SENTINEL if v is None else (type(v).__name__, v)
-                    for v in row
-                )
-                for row in rows
-            ]
-
+        """UNION / INTERSECT / EXCEPT: the first row of each distinct
+        marker among the candidates, where INTERSECT keeps only markers on
+        the right and EXCEPT only markers not on it."""
         if kind == "UNION ALL":
             return left + right
-        left_markers = markers(left)
-        right_markers = markers(right)
         if kind == "UNION":
-            seen: set = set()
-            result = []
-            for marker, row in zip(left_markers + right_markers, left + right):
-                if marker not in seen:
-                    seen.add(marker)
-                    result.append(row)
-            return result
-        if kind == "INTERSECT":
-            right_set = set(right_markers)
-            seen = set()
-            result = []
-            for marker, row in zip(left_markers, left):
-                if marker in right_set and marker not in seen:
-                    seen.add(marker)
-                    result.append(row)
-            return result
-        if kind == "EXCEPT":
-            right_set = set(right_markers)
-            seen = set()
-            result = []
-            for marker, row in zip(left_markers, left):
-                if marker not in right_set and marker not in seen:
-                    seen.add(marker)
-                    result.append(row)
-            return result
-        raise ExecutionError(f"unsupported set operation {kind}")
+            rows, wanted = left + right, None
+        elif kind in ("INTERSECT", "EXCEPT"):
+            rows, wanted = left, kind == "INTERSECT"
+            right_markers = set(map(_row_marker, right))
+        else:
+            raise ExecutionError(f"unsupported set operation {kind}")
+        seen: set = set()
+        result = []
+        for row in rows:
+            marker = _row_marker(row)
+            if marker in seen:
+                continue
+            if wanted is None or (marker in right_markers) == wanted:
+                seen.add(marker)
+                result.append(row)
+        return result
 
     # ----------------------------------------------------------------- DML
 
@@ -1463,11 +1374,12 @@ class Executor:
                     "target columns"
                 )
             row = self._build_row(schema, dict(zip(target_columns, values)), evaluator)
-            self._check_row_constraints(schema, row, evaluator, session)
+            self._check_row_constraints(schema, row, evaluator)
             session.tx.apply(
                 self.db,
                 {"op": "insert", "table": table_key, "rid": None, "row": row},
             )
+            self._check_foreign_keys(schema, row)
             inserted += 1
         return ResultSet(rowcount=inserted, status=f"INSERT {inserted}")
 
@@ -1497,7 +1409,6 @@ class Executor:
         schema: TableSchema,
         row: Row,
         evaluator: Evaluator,
-        session: "Session",
     ) -> None:
         for column in schema.columns:
             if column.not_null and row.get(column.name) is None:
@@ -1524,42 +1435,46 @@ class Executor:
                         f"new row for relation {schema.name!r} violates check "
                         f"constraint ({source})"
                     )
-        for fk in schema.foreign_keys:
-            self._check_fk_exists(fk, row, session)
 
-    def _check_fk_exists(self, fk: ForeignKey, row: Row, session: "Session") -> None:
-        values = tuple(row.get(c) for c in fk.columns)
-        if any(v is None for v in values):
-            return  # SQL: NULL FK values pass
-        ref_schema = self.db.catalog.table(fk.ref_table)
-        ref_heap = self.db.heap(ref_schema.name)
-        if self._key_lookup(ref_heap, fk.ref_columns)(values):
-            return
-        raise ForeignKeyViolation(
-            f"insert or update violates foreign key constraint: "
-            f"({', '.join(fk.columns)})={values!r} is not present in "
-            f"{fk.ref_table}({', '.join(fk.ref_columns)})"
-        )
+    def _check_foreign_keys(self, schema: TableSchema, row: Row) -> None:
+        """Raise unless each non-NULL foreign-key value of ``row`` is
+        present in the table it references. Statements call this once the
+        row is written — PostgreSQL checks after the row is in — so a row
+        of a self-referencing table may reference itself."""
+        for fk in schema.foreign_keys:
+            values = tuple(row.get(c) for c in fk.columns)
+            if any(v is None for v in values):
+                continue  # SQL: NULL FK values pass
+            if self._key_lookup(self.db.heap(fk.ref_table), fk.ref_columns)(values):
+                continue
+            raise ForeignKeyViolation(
+                f"insert or update violates foreign key constraint: "
+                f"({', '.join(fk.columns)})={values!r} is not present in "
+                f"{fk.ref_table}({', '.join(fk.ref_columns)})"
+            )
 
     def _referencing_check(
         self, schema: TableSchema
     ) -> "Callable[[list[Row]], str | None]":
-        """``violation(old_rows)``: if rows elsewhere reference one of
-        ``old_rows``, a message for the first that is, else ``None``. One
-        lookup per foreign key into ``schema``, built here once per
-        statement however many rows — or calls — ask: a statement writes
-        only ``schema``, never the referencing tables the lookups read (a
-        foreign key names a table that existed before its own, so none
-        references itself)."""
+        """``violation(old_rows)``: if rows reference one of ``old_rows``,
+        a message for the first that is, else ``None``. Statements ask
+        once the rows are written. One lookup per foreign key into
+        ``schema``, built here once per statement however many rows — or
+        calls — ask, except a self-reference's: the statement writes the
+        rows it reads, so that one reads them afresh on every call."""
         lookups = []
         for other_name in self.db.catalog.referencing_tables(schema.name):
             other = self.db.catalog.table(other_name)
             other_heap = self.db.heap(other.name)
             for fk in other.foreign_keys:
-                if fk.ref_table.lower() == schema.name.lower():
-                    lookups.append(
-                        (other, fk.ref_columns, self._key_lookup(other_heap, fk.columns))
+                if fk.ref_table.lower() != schema.name.lower():
+                    continue
+                present = self._key_lookup(other_heap, fk.columns)
+                if other_name.lower() == schema.name.lower():
+                    present = lambda key, heap=other_heap, columns=fk.columns: (
+                        self._key_lookup(heap, columns)(key)
                     )
+                lookups.append((other, fk.ref_columns, present))
 
         def violation(old_rows: "list[Row]") -> str | None:
             for old_row in old_rows:
@@ -1630,7 +1545,12 @@ class Executor:
                 new_row[column.name] = coerce(
                     evaluator.evaluate(expr, scope), column.ctype, column.name
                 )
-            self._check_row_constraints(schema, new_row, evaluator, session)
+            self._check_row_constraints(schema, new_row, evaluator)
+            session.tx.apply(
+                self.db,
+                {"op": "update", "table": table_key, "rid": rid, "row": new_row},
+            )
+            self._check_foreign_keys(schema, new_row)
             changed_ref_keys = any(
                 old_row.get(c) != new_row.get(c)
                 for c in old_row
@@ -1640,10 +1560,6 @@ class Executor:
                 message = referencing([old_row])
                 if message:
                     raise ForeignKeyViolation(message)
-            session.tx.apply(
-                self.db,
-                {"op": "update", "table": table_key, "rid": rid, "row": new_row},
-            )
             updated += 1
         return ResultSet(rowcount=updated, status=f"UPDATE {updated}")
 
@@ -1658,18 +1574,17 @@ class Executor:
 
         targets = self._dml_targets(schema, stmt.table, heap, stmt.where, evaluator)
 
-        message = self._referencing_check(schema)([row for _rid, row in targets])
-        if message:
-            raise ForeignKeyViolation(message)
-
-        deleted = 0
         table_key = schema.name.lower()
         for rid, _row in targets:
             session.tx.apply(
                 self.db, {"op": "delete", "table": table_key, "rid": rid}
             )
-            deleted += 1
-        return ResultSet(rowcount=deleted, status=f"DELETE {deleted}")
+        # rows of a self-referencing table that reference each other may go
+        # together: the check reads what the statement left
+        message = self._referencing_check(schema)([row for _rid, row in targets])
+        if message:
+            raise ForeignKeyViolation(message)
+        return ResultSet(rowcount=len(targets), status=f"DELETE {len(targets)}")
 
     def _dml_targets(
         self,
@@ -1720,6 +1635,10 @@ class Executor:
         primary_key = list(stmt.primary_key)
         uniques = [tuple(u) for u in stmt.uniques]
         foreign_keys: list[ForeignKey] = []
+        # (columns, referenced table, referenced columns, how much of the
+        # referenced key stands in for absent ones), resolved once the
+        # schema exists: a table may reference itself
+        references: list[tuple[tuple, str, tuple, "int | None"]] = []
         checks: list[ast.Expr] = list(stmt.checks)
         check_sources = [expr_to_sql(check) for check in stmt.checks]
         evaluator = self._evaluator(session)
@@ -1748,27 +1667,15 @@ class Executor:
                 check_sources.append(expr_to_sql(cdef.check))
             if cdef.references is not None:
                 ref_table, ref_column = cdef.references
-                target = catalog.table(ref_table)
-                if not ref_column:
-                    if not target.primary_key:
-                        raise ExecutionError(
-                            f"referenced table {ref_table!r} has no primary key"
-                        )
-                    ref_column = target.primary_key[0]
-                foreign_keys.append(
-                    ForeignKey((cdef.name,), target.name, (ref_column,))
+                # a column-level REFERENCES without a column names the
+                # first column of the referenced table's key
+                references.append(
+                    ((cdef.name,), ref_table, (ref_column,) if ref_column else (), 1)
                 )
-
-        for fkdef in stmt.foreign_keys:
-            target = catalog.table(fkdef.ref_table)
-            ref_columns = tuple(fkdef.ref_columns) or tuple(target.primary_key)
-            if not ref_columns:
-                raise ExecutionError(
-                    f"referenced table {fkdef.ref_table!r} has no primary key"
-                )
-            foreign_keys.append(
-                ForeignKey(tuple(fkdef.columns), target.name, ref_columns)
-            )
+        references.extend(
+            (tuple(fkdef.columns), fkdef.ref_table, tuple(fkdef.ref_columns), None)
+            for fkdef in stmt.foreign_keys
+        )
 
         schema = TableSchema(
             name=stmt.table,
@@ -1779,6 +1686,16 @@ class Executor:
             checks=checks,
             check_sources=check_sources,
         )
+        for fk_columns, ref_table, ref_columns, key_part in references:
+            target = (
+                schema
+                if ref_table.lower() == schema.name.lower()
+                else catalog.table(ref_table)
+            )
+            ref_columns = ref_columns or target.primary_key[:key_part]
+            if not ref_columns:
+                raise ExecutionError(f"referenced table {ref_table!r} has no primary key")
+            foreign_keys.append(ForeignKey(fk_columns, target.name, tuple(ref_columns)))
         for name in schema.primary_key:
             schema.column(name).not_null = True
             schema.column(name)  # validates existence
@@ -1886,6 +1803,12 @@ class Executor:
             column = schema.column(stmt.old_name or "")
             if column.name in schema.primary_key:
                 raise ExecutionError("cannot drop a primary key column")
+            dependent = self._column_dependent(schema, column.name)
+            if dependent is not None:
+                raise ExecutionError(
+                    f"cannot drop column {column.name!r} of table "
+                    f"{schema.name!r}: {dependent} depends on it"
+                )
             record = {"op": "drop_column", "table": table_key, "column": column.name}
         elif stmt.action == "RENAME_COLUMN":
             column = schema.column(stmt.old_name or "")
@@ -1907,6 +1830,36 @@ class Executor:
             raise ExecutionError(f"unsupported ALTER TABLE action {stmt.action}")
         session.tx.apply(self.db, record)
         return ResultSet(status="ALTER TABLE")
+
+    def _column_dependent(self, schema: TableSchema, name: str) -> "str | None":
+        """The first index or constraint naming column ``name`` of
+        ``schema``, described for an error message, or ``None``. Dropping
+        the column would leave it stale (index entries, a UNIQUE key) or
+        unusable (a CHECK or foreign key naming a column that is gone), so
+        DROP COLUMN refuses where PostgreSQL would drop it too."""
+        lowered = name.lower()
+
+        def names(columns) -> bool:
+            return any(c.lower() == lowered for c in columns)
+
+        for unique in schema.uniques:
+            if names(unique):
+                return f"constraint UNIQUE ({', '.join(unique)})"
+        for fk in schema.foreign_keys:
+            if names(fk.columns):
+                return f"constraint {fk.describe()}"
+        for other_name in self.db.catalog.referencing_tables(schema.name):
+            for fk in self.db.catalog.table(other_name).foreign_keys:
+                if fk.ref_table.lower() == schema.name.lower() and names(fk.ref_columns):
+                    return f"constraint {fk.describe()} of table {other_name!r}"
+        for check in schema.checks:
+            refs = _referenced_names([check])
+            if refs is None or lowered in refs:
+                return f"constraint CHECK ({expr_to_sql(check)})"
+        for index in self.db.heap(schema.name).indexes.values():
+            if names(index.columns):
+                return f"index {index.name!r}"
+        return None
 
     def _exec_CreateIndexStatement(
         self, stmt: ast.CreateIndexStatement, session: "Session"

@@ -1079,45 +1079,16 @@ class SelectPlan:
 
 
 def collect_aggregates(expr: ast.Expr | None, out: list[ast.FunctionCall]) -> None:
-    """Find aggregate FunctionCall nodes (not descending into subqueries)."""
+    """Append the aggregate calls in ``expr`` to ``out`` in tree order,
+    entering neither an aggregate (nested aggregates are invalid) nor a
+    subquery (``children`` never yields one)."""
     if expr is None:
         return
-    if isinstance(expr, ast.FunctionCall):
-        if expr.name in AGGREGATE_NAMES:
-            out.append(expr)
-            return  # nested aggregates are invalid; don't descend
-        for arg in expr.args:
-            collect_aggregates(arg, out)
+    if isinstance(expr, ast.FunctionCall) and expr.name in AGGREGATE_NAMES:
+        out.append(expr)
         return
-    if isinstance(expr, ast.BinaryOp):
-        collect_aggregates(expr.left, out)
-        collect_aggregates(expr.right, out)
-    elif isinstance(expr, ast.UnaryOp):
-        collect_aggregates(expr.operand, out)
-    elif isinstance(expr, ast.CaseExpr):
-        if expr.operand:
-            collect_aggregates(expr.operand, out)
-        for when, then in expr.whens:
-            collect_aggregates(when, out)
-            collect_aggregates(then, out)
-        if expr.default:
-            collect_aggregates(expr.default, out)
-    elif isinstance(expr, ast.InExpr):
-        collect_aggregates(expr.operand, out)
-        if isinstance(expr.candidates, list):
-            for c in expr.candidates:
-                collect_aggregates(c, out)
-    elif isinstance(expr, ast.BetweenExpr):
-        collect_aggregates(expr.operand, out)
-        collect_aggregates(expr.low, out)
-        collect_aggregates(expr.high, out)
-    elif isinstance(expr, (ast.LikeExpr,)):
-        collect_aggregates(expr.operand, out)
-        collect_aggregates(expr.pattern, out)
-    elif isinstance(expr, ast.IsNullExpr):
-        collect_aggregates(expr.operand, out)
-    elif isinstance(expr, ast.CastExpr):
-        collect_aggregates(expr.operand, out)
+    for child in ast.children(expr):
+        collect_aggregates(child, out)
 
 
 def expand_items(items: list[ast.SelectItem], sources: list) -> list[ast.SelectItem]:

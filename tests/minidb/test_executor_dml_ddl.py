@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.minidb import Database
+from repro.minidb import Database, analyze, parse
 from repro.minidb.errors import (
     CheckViolation,
     DuplicateObjectError,
@@ -506,6 +506,139 @@ class TestRenameTableForeignKeys:
         replayed = Database.open(path)
         assert replayed.engine._snapshot_payload(replayed) == expected
         self.assert_enforced(replayed.connect("admin"), "parent2")
+        replayed.close()
+
+
+class TestDropColumnDependencies:
+    """DROP COLUMN refuses a column that an index or constraint names.
+    Dropping it left the index with stale entries (a spurious
+    UniqueViolation once a column of that name came back) or a CHECK that
+    failed every later write. PostgreSQL drops the dependents with the
+    column; refusing needs no new WAL op."""
+
+    CASES = {
+        "index": (
+            ["CREATE TABLE t (id INT PRIMARY KEY, a INT, b TEXT)",
+             "CREATE UNIQUE INDEX ux_a ON t (a)"],
+            "index 'ux_a'",
+        ),
+        "unique": (
+            ["CREATE TABLE t (id INT PRIMARY KEY, a INT UNIQUE, b TEXT)"],
+            "constraint UNIQUE (a)",
+        ),
+        "foreign key": (
+            ["CREATE TABLE p (id INT PRIMARY KEY)",
+             "INSERT INTO p VALUES (10), (20)",
+             "CREATE TABLE t (id INT PRIMARY KEY, a INT REFERENCES p(id), b TEXT)"],
+            "constraint FOREIGN KEY (a) REFERENCES p(id)",
+        ),
+        "referenced by a foreign key": (
+            ["CREATE TABLE t (id INT PRIMARY KEY, a INT, b TEXT)",
+             "CREATE TABLE c (id INT PRIMARY KEY, ta INT, FOREIGN KEY (ta) REFERENCES t(a))"],
+            "constraint FOREIGN KEY (ta) REFERENCES t(a) of table 'c'",
+        ),
+        "check": (
+            ["CREATE TABLE t (id INT PRIMARY KEY, a INT CHECK (a > 0), b TEXT)"],
+            "constraint CHECK ((a > 0))",
+        ),
+    }
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_drop_is_refused_naming_the_dependent(self, s, case):
+        setup, dependent = self.CASES[case]
+        for sql in setup:
+            s.execute(sql)
+        s.execute("INSERT INTO t VALUES (1, 10, 'x'), (2, 20, 'y')")
+        with pytest.raises(ExecutionError) as caught:
+            s.execute("ALTER TABLE t DROP COLUMN a")
+        assert type(caught.value) is ExecutionError
+        assert str(caught.value) == (
+            f"22000: cannot drop column 'a' of table 't': {dependent} depends on it"
+        )
+        assert s.db.catalog.table("t").column_names() == ["id", "a", "b"]
+        s.execute("INSERT INTO t (id, b) VALUES (3, 'z')")  # still writable
+        s.execute("ALTER TABLE t DROP COLUMN b")  # nothing depends on b
+        assert s.execute("SELECT * FROM t ORDER BY id").rows == [
+            (1, 10), (2, 20), (3, None)
+        ]
+
+
+class TestSelfReferencingForeignKey:
+    """A table may reference itself (the employee / manager shape): the
+    reference resolves against the schema being created, and a row is
+    checked once it is in, so it may reference itself — as in PostgreSQL."""
+
+    @pytest.fixture(params=["column", "table"])
+    def emp(self, s, request):
+        if request.param == "column":
+            s.execute("CREATE TABLE emp (id INT PRIMARY KEY, boss INT REFERENCES emp(id))")
+        else:
+            s.execute(
+                "CREATE TABLE emp (id INT PRIMARY KEY, boss INT, "
+                "FOREIGN KEY (boss) REFERENCES emp(id))"
+            )
+        return s
+
+    def test_the_reference_names_the_table_itself(self, emp):
+        schema = emp.db.catalog.table("emp")
+        assert [(fk.columns, fk.ref_table, fk.ref_columns) for fk in schema.foreign_keys] == [
+            (("boss",), "emp", ("id",))
+        ]
+
+    def test_null_earlier_and_own_rows_are_accepted(self, emp):
+        emp.execute("INSERT INTO emp VALUES (1, NULL)")
+        emp.execute("INSERT INTO emp VALUES (2, 1)")
+        emp.execute("INSERT INTO emp VALUES (3, 3)")
+        emp.execute("UPDATE emp SET boss = id WHERE id = 2")
+        assert emp.execute("SELECT * FROM emp ORDER BY id").rows == [
+            (1, None), (2, 2), (3, 3)
+        ]
+
+    def test_a_dangling_boss_is_rejected(self, emp):
+        emp.execute("INSERT INTO emp VALUES (1, NULL)")
+        with pytest.raises(ForeignKeyViolation):
+            emp.execute("INSERT INTO emp VALUES (2, 99)")
+        with pytest.raises(ForeignKeyViolation):
+            emp.execute("UPDATE emp SET boss = 99 WHERE id = 1")
+        assert emp.execute("SELECT * FROM emp").rows == [(1, None)]
+
+    def test_a_referenced_row_cannot_be_deleted_or_rekeyed(self, emp):
+        emp.execute("INSERT INTO emp VALUES (1, NULL), (2, 1), (3, 3)")
+        with pytest.raises(ForeignKeyViolation, match="still referenced by table 'emp'"):
+            emp.execute("DELETE FROM emp WHERE id = 1")
+        with pytest.raises(ForeignKeyViolation):
+            emp.execute("UPDATE emp SET id = 10 WHERE id = 1")
+        emp.execute("UPDATE emp SET id = 30, boss = 30 WHERE id = 3")  # only itself
+        emp.execute("DELETE FROM emp WHERE id = 30")
+        emp.execute("DELETE FROM emp")  # rows that reference each other go together
+        assert emp.scalar("SELECT COUNT(*) FROM emp") == 0
+
+    def test_creating_needs_no_select_on_the_new_table(self):
+        for sql in (
+            "CREATE TABLE emp (id INT PRIMARY KEY, boss INT REFERENCES emp(id))",
+            "CREATE TABLE emp (id INT PRIMARY KEY, boss INT, "
+            "FOREIGN KEY (boss) REFERENCES EMP(id))",
+        ):
+            accesses = analyze(parse(sql)).accesses
+            assert [(a.action, a.obj) for a in accesses] == [("CREATE", "emp")]
+
+    def test_drop_table_needs_no_cascade(self, emp):
+        emp.execute("INSERT INTO emp VALUES (1, 1)")
+        emp.execute("DROP TABLE emp")
+        assert not emp.db.catalog.has_table("emp")
+
+    def test_wal_replay_matches_the_live_database(self, tmp_path):
+        path = str(tmp_path / "db")
+        live = Database.open(path)
+        session = live.connect("admin")
+        session.execute("CREATE TABLE emp (id INT PRIMARY KEY, boss INT REFERENCES emp(id))")
+        session.execute("INSERT INTO emp VALUES (1, 1), (2, 1)")
+        expected = live.engine._snapshot_payload(live)
+        live.close()  # no checkpoint: reopening replays the WAL
+        replayed = Database.open(path)
+        assert replayed.engine._snapshot_payload(replayed) == expected
+        with pytest.raises(ForeignKeyViolation):
+            replayed.connect("admin").execute("INSERT INTO emp VALUES (3, 99)")
         replayed.close()
 
 
