@@ -8,10 +8,9 @@ Two workloads over the multi-session service layer:
   simulated downstream I/O delay (the network/LLM round trip a real
   agent front end spends most of its wall clock on — pure-Python CPU
   work cannot speed up under the GIL, *overlapping I/O waits* is exactly
-  the dispatcher's job). The same request stream runs once through
-  :class:`~repro.service.SerialDispatcher` (today's one-at-a-time
-  semantics) and once through the threaded
-  :class:`~repro.service.Dispatcher`; the headline number is the
+  the dispatcher's job). The same request stream runs once through a
+  one-worker :class:`~repro.service.Dispatcher` (one request at a time)
+  and once through ``workers`` of them; the headline number is the
   throughput ratio.
 
 * **Writer contention** — M sessions repeatedly run the classic
@@ -39,7 +38,6 @@ from ..minidb import Database
 from ..service import (
     Dispatcher,
     RetryPolicy,
-    SerialDispatcher,
     SessionManager,
     retryable_result,
     run_with_retries,
@@ -141,14 +139,11 @@ def run_read_heavy(
         tokens = {
             n: manager.create_session("admin").token for n in range(sessions)
         }
-        handler = _io_handler(io_delay_s)
-        dispatcher: Any = (
-            SerialDispatcher(manager, handler=handler)
-            if label == "serial"
-            else Dispatcher(
-                manager, workers=workers, handler=handler,
-                queue_limit=sessions * ops_per_session + 1,
-            )
+        dispatcher = Dispatcher(
+            manager,
+            workers=1 if label == "serial" else workers,
+            handler=_io_handler(io_delay_s),
+            queue_limit=sessions * ops_per_session + 1,
         )
         started = time.perf_counter()
         futures = [
@@ -167,6 +162,7 @@ def run_read_heavy(
     return {
         "sessions": sessions,
         "workers": workers,
+        "baseline": "Dispatcher(workers=1)",
         "requests": requests,
         "rows": rows,
         "io_delay_ms": io_delay_ms,

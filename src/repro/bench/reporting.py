@@ -190,7 +190,8 @@ def render_retrieval_scale(result: dict[str, Any]) -> str:
             ["indexed (warm)", result["distinct"], result["indexed_call_ms"]],
             ["indexed (after a write, list unchanged)", result["distinct"],
              result["after_write_ms"]],
-            ["brute force" + suffix, result["distinct"], result["brute_call_ms"]],
+            ["brute force (binding without an index)" + suffix, result["distinct"],
+             result["brute_call_ms"]],
         ],
         title="Retrieval scale — get_value exemplar retrieval (BridgeScope)",
     )
@@ -241,7 +242,7 @@ def render_concurrency(result: dict[str, Any]) -> str:
     table = render_table(
         ["dispatcher", "requests", "time (s)", "req/s"],
         [
-            ["serialized (1 at a time)", read["requests"], read["serial_s"],
+            [f"serialized: {read['baseline']}", read["requests"], read["serial_s"],
              read["serial_rps"]],
             [f"threaded ({read['workers']} workers)", read["requests"],
              read["threaded_s"], read["threaded_rps"]],
@@ -272,10 +273,10 @@ def render_concurrency(result: dict[str, Any]) -> str:
 
 def render_query_scale(result: dict[str, Any]) -> str:
     labels = {
-        "range": "selective range (btree slice vs seq scan)",
-        "topn": "ORDER BY LIMIT 10 (ordered scan vs full sort)",
-        "predicate": "seq-scan WHERE (compiled vs interpreted)",
-        "union": "10-member IN (index union vs seq scan)",
+        "range": "selective range (btree slice vs unindexed twin)",
+        "topn": "ORDER BY LIMIT 10 (ordered scan vs unindexed twin)",
+        "predicate": "seq-scan WHERE (batch kernels, absolute)",
+        "union": "10-member IN (index union vs unindexed twin)",
         "batch_filter": "wide filter (absolute)",
         "batch_aggregate": "GROUP BY fold (absolute)",
         "btree_write": "index insert (paged B-tree vs flat insort)",
@@ -298,7 +299,7 @@ def render_query_scale(result: dict[str, Any]) -> str:
             for name, label in labels.items()
             if name in result
         ],
-        title="Query scale — indexed/compiled execution vs seed paths (minidb)",
+        title="Query scale — indexed and batch execution (minidb)",
     )
     stats = result["planner_stats"]
     plans = "\n".join(
@@ -337,16 +338,17 @@ def render_join_scale(result: dict[str, Any]) -> str:
         ["strategy", "rows", "time (ms)"],
         [
             ["hash join", result["rows"], result["hash_ms"]],
-            ["nested loop" + suffix, result["rows"], result["nl_ms"]],
+            ["nested loop (ON NOT (o.customer_id <> c.id))" + suffix, result["rows"],
+             result["nl_ms"]],
             ["hash join + GROUP BY", result["rows"], result["join_group_ms"]],
         ],
         title="Join scale — equi-join strategy comparison (minidb)",
     )
-    plan = "\n".join(f"  {line}" for line in result["plan"])
+    plans = "\n".join(f"  {line}" for line in result["plan"] + result["nl_plan"])
     return (
         f"{table}\n"
         f"speedup: {result['speedup']:,.1f}x on {result['matches']} matches\n"
-        f"query plan:\n{plan}"
+        f"query plans:\n{plans}"
     )
 
 

@@ -9,11 +9,13 @@ paths:
   binding's cached :class:`~repro.retrieval.ValueCatalog` (the first call
   pays the catalog build; every later call probes the trigram/token
   posting lists only);
-* **brute force** — ``config.use_retrieval_index = False``: every call
-  re-scans the heap and re-scores every distinct value. At production
-  column sizes a single call is so slow that the baseline is measured on
-  a smaller column and extrapolated linearly (per-call cost is
-  O(distinct)), mirroring the join-scale benchmark's method.
+* **brute force** — a binding without an exemplar index
+  (:class:`BruteForceBinding`, the interface default of
+  ``retrieve_values``): every call re-scans the heap and re-scores every
+  distinct value. At production column sizes a single call is so slow
+  that the baseline is measured on a smaller column and extrapolated
+  linearly (per-call cost is O(distinct)), mirroring the join-scale
+  benchmark's method.
 
 Both paths must return byte-identical tool output; the experiment checks
 that on an equivalence suite before timing anything.
@@ -33,6 +35,7 @@ import time
 from typing import Any
 
 from repro.core import BridgeScope, BridgeScopeConfig, MinidbBinding
+from repro.core.interfaces import DatabaseBinding
 from repro.minidb import Database
 
 from .gates import expect, failed
@@ -98,7 +101,14 @@ QUERY_KEYS = (
 )
 
 
-def build_bridge(distinct: int, use_index: bool) -> BridgeScope:
+class BruteForceBinding(MinidbBinding):
+    """minidb without the exemplar index: ``get_value`` scores every
+    distinct value of the column, as any binding without an index does."""
+
+    retrieve_values = DatabaseBinding.retrieve_values
+
+
+def build_bridge(distinct: int, brute: bool = False) -> BridgeScope:
     """A BridgeScope over a ``products`` table with ``distinct`` names."""
     db = Database(owner="bench")
     session = db.connect("bench")
@@ -106,10 +116,8 @@ def build_bridge(distinct: int, use_index: bool) -> BridgeScope:
     heap = db.heap("products")
     for i in range(distinct):
         heap.insert({"id": i, "name": product_name(i)})
-    config = BridgeScopeConfig(
-        exemplar_scan_limit=distinct, use_retrieval_index=use_index
-    )
-    return BridgeScope(MinidbBinding.for_user(db, "bench"), config)
+    binding = (BruteForceBinding if brute else MinidbBinding).for_user(db, "bench")
+    return BridgeScope(binding, BridgeScopeConfig(exemplar_scan_limit=distinct))
 
 
 def get_value(bridge: BridgeScope, key: str) -> str:
@@ -144,8 +152,8 @@ def _after_write_ms(bridge: BridgeScope, first_id: int) -> float:
 
 def check_equivalence(distinct: int = 2_000) -> list[str]:
     """Keys whose indexed and brute-force tool outputs differ (want: none)."""
-    indexed = build_bridge(distinct, use_index=True)
-    brute = build_bridge(distinct, use_index=False)
+    indexed = build_bridge(distinct)
+    brute = build_bridge(distinct, brute=True)
     return [
         key for key in QUERY_KEYS if get_value(indexed, key) != get_value(brute, key)
     ]
@@ -160,7 +168,7 @@ def experiment_retrieval_scale(
     brute_distinct = min(brute_distinct, distinct)
     mismatches = check_equivalence(min(distinct, 2_000))
 
-    indexed = build_bridge(distinct, use_index=True)
+    indexed = build_bridge(distinct)
     start = time.perf_counter()
     get_value(indexed, QUERY_KEYS[0])  # cold: pays the catalog build
     cold_seconds = time.perf_counter() - start
@@ -175,7 +183,7 @@ def experiment_retrieval_scale(
     }
     after_write_ms = _after_write_ms(indexed, distinct)
 
-    brute = build_bridge(brute_distinct, use_index=False)
+    brute = build_bridge(brute_distinct, brute=True)
     brute_measured = _time_calls(brute, rounds=1)
     scale = distinct / brute_distinct
     brute_seconds = brute_measured * scale

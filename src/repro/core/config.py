@@ -82,10 +82,6 @@ class BridgeScopeConfig:
     max_result_rows: int = 50
     #: maximum distinct values scanned per column for exemplar search
     exemplar_scan_limit: int = 10_000
-    #: serve get_value from the binding's indexed value catalogs; False
-    #: forces the brute-force score-everything path (equivalence testing
-    #: and benchmark baseline — rankings must be identical either way)
-    use_retrieval_index: bool = True
     #: run multi-producer proxy units in parallel threads
     parallel_producers: bool = False
     policy: SecurityPolicy = field(default_factory=SecurityPolicy.permissive)

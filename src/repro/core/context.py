@@ -25,7 +25,6 @@ from typing import Any
 from ..mcp import ParamSpec, ToolServer, tool
 from .config import BridgeScopeConfig
 from .interfaces import DatabaseBinding, ObjectInfo
-from .similarity import top_k
 
 
 class ContextTools(ToolServer):
@@ -162,15 +161,9 @@ class ContextTools(ToolServer):
         if restrictions is not None and column.lower() not in restrictions:
             return f"ERROR: permission denied: SELECT on {table}.{column}"
         try:
-            if self.config.use_retrieval_index:
-                ranked = self.binding.retrieve_values(
-                    table, column, key, k, self.config.exemplar_scan_limit
-                )
-            else:
-                values = self.binding.distinct_values(
-                    table, column, self.config.exemplar_scan_limit
-                )
-                ranked = top_k(key, values, k)
+            ranked = self.binding.retrieve_values(
+                table, column, key, k, self.config.exemplar_scan_limit
+            )
         except Exception as exc:  # staticcheck: ignore[broad-except] — binding-agnostic tool surface: whatever backend failure occurs must come back as the ERROR string the agent reads and reacts to
             return f"ERROR: {exc}"
         if not ranked:

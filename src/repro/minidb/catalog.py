@@ -248,10 +248,13 @@ class Catalog:
         return self.indexes.pop(self._key(name))
 
     def rename_column(self, table: str, old: str, new: str) -> None:
-        """Rename ``table.old`` to ``new`` in the table's schema and in the
-        ``ref_columns`` of every foreign key that references it — a
-        constraint left on the old name reads NULL and silently passes."""
+        """Rename ``table.old`` to ``new`` in the table's schema, in its
+        index entries, and in the ``ref_columns`` of every foreign key that
+        references it — a constraint left on the old name reads NULL and
+        silently passes."""
         self.table(table).rename_column(old, new)
+        for index in self.indexes_on(table):
+            index.columns = _renamed(index.columns, old, new)
         key = self._key(table)
         for schema in self.tables.values():
             for fk in schema.foreign_keys:

@@ -165,7 +165,7 @@ def _create_table(db: "Database", r: Record) -> Undo:
     db.catalog.add_table(schema)
     heap = HeapTable(schema.name)
     for entry in r["indexes"]:
-        heap.add_index(load_index(entry))
+        heap.add_index(load_index(entry, schema))
     if "uid" in r:
         heap.uid = r["uid"]
         reserve_heap_uids(heap.uid)
@@ -252,9 +252,9 @@ def _create_index(db: "Database", r: Record) -> Undo:
     heap = db.heaps[r["table"].lower()]
     # the name check-then-set is atomic across tables; a loser raises
     # DuplicateObjectError with nothing changed
-    catalog.add_index(load_index_schema({**entry, "table": schema.name}))
+    catalog.add_index(load_index_schema(entry, schema))
     try:
-        heap.add_index(load_index(entry))
+        heap.add_index(load_index(entry, schema))
     except Exception:
         catalog.remove_index(name)  # the backfill raised: no entry stays
         raise

@@ -26,6 +26,7 @@ from ..obs import CounterMapView, MetricsRegistry, StatementTracer
 from . import ast_nodes as ast
 from . import changes
 from .analysis import StatementAnalysis, analyze
+from .batch import DEFAULT_BATCH_SIZE
 from .catalog import Catalog
 from .engines import DurableEngine, InMemoryEngine, StorageEngine
 from .errors import (
@@ -354,22 +355,16 @@ class Database:
             )
         }
         self.planner_stats = CounterMapView(self._planner_counters)
-        #: planner toggles (benchmark baselines / debugging):
-        #: ``enable_hash_join=False`` forces the nested-loop fallback;
-        #: ``enable_index_scan=False`` forces sequential scans (disables
-        #: equality probes, range scans, and ordered index scans);
-        #: ``enable_topn=False`` forces full sorts under ORDER BY+LIMIT;
-        #: ``enable_compiled_predicates=False`` forces the AST-walking
-        #: expression interpreter at every expression site of the SELECT
-        #: pipeline and DML target filtering; ``batch_size`` is the rows
-        #: per :class:`repro.minidb.batch.RowBatch` and per kernel call
-        #: (interpreter at ``batch_size=1`` is the reference leg)
+        #: the kernels' test hooks, read by subscript: ``batch_size`` (a
+        #: positive int) is the rows per :class:`repro.minidb.batch.RowBatch`
+        #: and per kernel call; ``enable_compiled_predicates=False`` runs
+        #: every expression site of the SELECT pipeline and DML target
+        #: filtering on the AST interpreter (at ``batch_size=1``, the
+        #: reference leg). The planner has no switches: the input that
+        #: needs an alternative path is what reaches it
         self.planner_options = {
-            "enable_hash_join": True,
-            "enable_index_scan": True,
-            "enable_topn": True,
             "enable_compiled_predicates": True,
-            "batch_size": 1024,
+            "batch_size": DEFAULT_BATCH_SIZE,
         }
         #: shared column-exemplar catalog cache, lazily attached by
         #: ``repro.core.minidb_binding`` (kept as a plain slot so minidb

@@ -678,12 +678,14 @@ class DurableEngine(StorageEngine):
                 next_rid=entry["next_rid"],
                 uid=entry["uid"],
                 version=entry["version"],
-                indexes=[load_index(ix) for ix in entry["indexes"]],
+                indexes=[load_index(ix, schema) for ix in entry["indexes"]],
             )
         for entry in data["views"]:
             db.catalog.add_view(load_view(entry))
         for entry in data["indexes"]:
-            db.catalog.add_index(load_index_schema(entry))
+            db.catalog.add_index(
+                load_index_schema(entry, db.catalog.table(entry["table"]))
+            )
         # pre-statistics snapshots carry no "statistics" key; they load
         # with an empty catalog and the planner falls back to heuristics
         for entry in data.get("statistics", []):

@@ -115,10 +115,17 @@ def dump_index(index: "HashIndex | SortedIndex") -> dict[str, Any]:
     }
 
 
-def load_index(data: dict[str, Any]) -> "HashIndex | SortedIndex":
+def _stored_names(data: dict[str, Any], table: TableSchema) -> tuple[str, ...]:
+    """The index's columns as ``table`` stores them: rows are keyed by the
+    stored name, so an index on ``(ABC)`` over column ``abc`` must read
+    ``abc`` — or it keys every row NULL and covers nothing."""
+    return tuple(table.column(name).name for name in data["columns"])
+
+
+def load_index(data: dict[str, Any], table: TableSchema) -> "HashIndex | SortedIndex":
     # pre-PR-5 snapshots and WAL records carry no "kind": they are hash
     cls = SortedIndex if data.get("kind") == "btree" else HashIndex
-    return cls(data["name"], tuple(data["columns"]), data["unique"])
+    return cls(data["name"], _stored_names(data, table), data["unique"])
 
 
 def dump_index_schema(schema: IndexSchema) -> dict[str, Any]:
@@ -131,11 +138,11 @@ def dump_index_schema(schema: IndexSchema) -> dict[str, Any]:
     }
 
 
-def load_index_schema(data: dict[str, Any]) -> IndexSchema:
+def load_index_schema(data: dict[str, Any], table: TableSchema) -> IndexSchema:
     return IndexSchema(
         data["name"],
-        data["table"],
-        tuple(data["columns"]),
+        table.name,
+        _stored_names(data, table),
         data["unique"],
         kind=data.get("kind", "hash"),
     )

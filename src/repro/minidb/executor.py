@@ -58,9 +58,11 @@ top-N and GROUP BY run in C on a vector whose values all lie in one class
 where the per-row code provably returns the same thing, and per row on
 any other. Correlated subqueries are supported via scope chaining.
 
-``db.planner_options`` keeps the alternatives that are the only path for
-some input and the reference for the rest (``enable_index_scan``,
-``enable_topn``, ``enable_hash_join``, ``enable_compiled_predicates`` +
+Every alternative path is reached from its input: a seq scan reads a
+table without a usable index, a nested loop joins on a condition with no
+equi-key, a full sort orders a statement without LIMIT.
+``db.planner_options`` holds the two test hooks that compare kernels
+against the interpreter (``enable_compiled_predicates`` and
 ``batch_size``: the interpreter at ``batch_size=1`` is the reference leg
 of the equivalence suites); ``db.planner_stats`` counts what actually ran.
 """
@@ -76,7 +78,7 @@ from typing import TYPE_CHECKING, Any, Callable, Iterator
 
 from ..obs.views import system_view_rows
 from . import ast_nodes as ast
-from .batch import DEFAULT_BATCH_SIZE, BatchError, RowBatch
+from .batch import BatchError, RowBatch
 from .catalog import Column, ForeignKey, TableSchema
 from .errors import (
     CheckViolation,
@@ -728,7 +730,7 @@ class Executor:
             store = {name: [row.get(name) for row in rows] for name in columns}
             return iter([RowBatch(None, store, len(rows))])
         heap = scan.heap
-        size = self._batch_size()
+        size = self.db.planner_options["batch_size"]
         rids = self._path_rids(scan, unordered)
         if rids is None:
             return heap.rows_batch(size, columns)
@@ -797,15 +799,9 @@ class Executor:
         """``expr`` compiled to a batch kernel, or ``None`` when it needs
         the interpreter (subqueries, aggregates, possibly-correlated
         names) or ``enable_compiled_predicates`` is off."""
-        if not self.db.planner_options.get("enable_compiled_predicates", True):
+        if not self.db.planner_options["enable_compiled_predicates"]:
             return None
         return compile_batch_expr(expr, layout.resolve)
-
-    def _batch_size(self) -> int:
-        size = self.db.planner_options.get("batch_size", DEFAULT_BATCH_SIZE)
-        if not isinstance(size, int) or size <= 0:
-            return DEFAULT_BATCH_SIZE
-        return size
 
     def _selector(
         self,
@@ -827,7 +823,7 @@ class Executor:
         one of ``keep_errors`` is kept rather than raised.
         """
         kernel = self._kernel(predicate, layout)
-        size = self._batch_size()
+        size = self.db.planner_options["batch_size"]
 
         def select(relation: _Relation, limit: int | None = None) -> list[int]:
             kept: list[int] = []
@@ -1210,14 +1206,9 @@ class Executor:
         ``heapq.nsmallest`` / ``nlargest`` with a key are documented
         equivalent to ``sorted(..., reverse=...)[:n]``, so this returns
         the same rows in the same order without sorting the discarded
-        tail; ``enable_topn=False`` orders everything and the caller
-        cuts."""
+        tail."""
         n = len(keys)
-        if (
-            needed is not None
-            and needed < n
-            and self.db.planner_options.get("enable_topn", True)
-        ):
+        if needed is not None and needed < n:
             self.db.bump_planner_stat("topn_limits")
             pick = heapq.nlargest if reverse else heapq.nsmallest
             return pick(needed, range(n), key=keys.__getitem__)

@@ -752,7 +752,6 @@ def plan_join(
     left_sources: list[tuple[str, list[str] | None]],
     right_binding: str,
     right_columns: list[str] | None,
-    allow_hash: bool = True,
     statement_sources: list[tuple[str, list[str] | None]] | None = None,
 ) -> JoinPlan:
     """Choose a strategy for joining ``right_binding`` onto ``left_sources``.
@@ -781,7 +780,7 @@ def plan_join(
         if key is not None and key not in keys:
             keys.append(key)
     plan = JoinPlan(kind=kind, right_binding=right_binding, condition=condition)
-    if keys and allow_hash:
+    if keys:
         plan.strategy = "hash"
         plan.keys = keys
         plan.residual = conjoin(residual)
@@ -802,7 +801,6 @@ def choose_access_path(
     heap: HeapTable,
     bindings: list[EqualityBinding],
     ranges: dict[str, RangeBinding] | None = None,
-    allow_index: bool = True,
     unions: dict[str, UnionBinding] | None = None,
     stats: "TableStatistics | None" = None,
 ) -> "tuple[AccessPath, HashIndex | SortedIndex | None, tuple | None]":
@@ -832,8 +830,6 @@ def choose_access_path(
     Returns ``(path, index, key)``; ``key`` is the probe key for equality
     paths and ``None`` otherwise (range/union details live on the path).
     """
-    if not allow_index:
-        return AccessPath(table, "seq"), None, None
     if stats is not None and stats.uid != heap.uid:
         stats = None  # table was dropped/recreated since ANALYZE: ignore
     by_column = {b.column: b.value for b in bindings}
@@ -1231,7 +1227,6 @@ def plan_table_scan(
     ORDER BY an ordered index scan may serve.
     """
     heap = db.heap(schema.name)
-    allow_index = db.planner_options.get("enable_index_scan", True)
     bindings = extract_equality_bindings(where, binding, statement_sources)
     ranges = extract_range_bindings(where, binding, statement_sources)
     path, index, key = choose_access_path(
@@ -1239,11 +1234,10 @@ def plan_table_scan(
         heap,
         bindings,
         ranges,
-        allow_index=allow_index,
         unions=extract_union_bindings(where, binding, statement_sources),
         stats=db.catalog.statistics.get(schema.name.lower()),
     )
-    if order_by_of is not None and allow_index:
+    if order_by_of is not None:
         ordered = _ordered_path(
             order_by_of,
             binding,
@@ -1340,7 +1334,6 @@ def plan_select(
     # come from WHERE), then the explicit joins fold the same way
     folds = [("INNER", None)] * len(stmt.from_sources)
     folds += [(join.kind, join.condition) for join in stmt.joins]
-    allow_hash = db.planner_options.get("enable_hash_join", True)
     joins: list[JoinPlan] = []
     lefts: list[tuple[str, list[str] | None]] = []
     for scan, (kind, condition) in zip(scans, folds):
@@ -1348,7 +1341,7 @@ def plan_select(
             joins.append(
                 plan_join(
                     kind, condition, stmt.where, lefts, scan.binding,
-                    scan.columns, allow_hash, statement_sources,
+                    scan.columns, statement_sources,
                 )
             )
         lefts.append((scan.binding, scan.columns))

@@ -39,6 +39,7 @@ from itertools import compress
 from typing import Any, Iterator
 
 from .batch import RowBatch
+from .catalog import _renamed
 from .errors import PersistenceError, UniqueViolation
 
 Row = dict[str, Any]
@@ -212,7 +213,7 @@ class HashIndex:
 
     def rename_column(self, old: str, new: str) -> None:
         """Track a column rename; keys hold values only, so buckets stand."""
-        self.columns = tuple(new if c == old else c for c in self.columns)
+        self.columns = _renamed(self.columns, old, new)
 
     def __len__(self) -> int:
         return sum(len(b) for b in self._buckets.values())
@@ -666,7 +667,7 @@ class SortedIndex:
         return any(r != ignore_rid for _, r in self._iter_entries(start, end))
 
     def rename_column(self, old: str, new: str) -> None:
-        self.columns = tuple(new if c == old else c for c in self.columns)
+        self.columns = _renamed(self.columns, old, new)
 
     def __len__(self) -> int:
         return self._count

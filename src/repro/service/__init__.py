@@ -14,9 +14,8 @@ agent sessions against one shared, durable :class:`~repro.minidb.Database`
   end (strict 2PL ⇒ serializable at table granularity).
 * :class:`Dispatcher` — threaded worker pool with a bounded admission
   queue (backpressure) and per-session FIFO ordering; executes
-  ``ToolCall``s and resolves futures with ``ToolResult``s.
-  :class:`SerialDispatcher` is the zero-thread fast path preserving the
-  seed's single-threaded semantics.
+  ``ToolCall``s and resolves futures with ``ToolResult``s; with one
+  worker it serializes every request.
 * :class:`ServiceMetrics` — active sessions, queue depth, lock waits,
   deadlocks, p50/p95 latency.
 """
@@ -24,7 +23,6 @@ agent sessions against one shared, durable :class:`~repro.minidb.Database`
 from .dispatcher import (
     Dispatcher,
     PendingResult,
-    SerialDispatcher,
     ServiceOverloaded,
 )
 from .locks import EXCLUSIVE, SHARED, LockManager
@@ -39,7 +37,6 @@ from .sessions import ServiceSession, SessionError, SessionManager
 
 __all__ = [
     "Dispatcher",
-    "SerialDispatcher",
     "PendingResult",
     "ServiceOverloaded",
     "LockManager",

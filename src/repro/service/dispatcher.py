@@ -27,10 +27,8 @@ Workers pull a token, run exactly one request, then requeue the token if
 more arrived meanwhile — O(1) per hand-off, no scanning, and fair across
 sessions (round-robin through the ready queue).
 
-:class:`SerialDispatcher` is the zero-thread fast path with the same
-interface: it executes inline on submit, preserving the seed's
-single-threaded semantics exactly (tier-1 behavior, and the baseline the
-concurrency benchmark compares against).
+``Dispatcher(workers=1)`` runs one request at a time: the serialized
+baseline the concurrency benchmark compares against.
 """
 
 from __future__ import annotations
@@ -39,7 +37,7 @@ import queue
 import threading
 import time
 from collections import deque
-from typing import Any, Callable
+from typing import Callable
 
 from ..mcp import ToolCall, ToolResult
 from .metrics import ServiceMetrics
@@ -286,58 +284,3 @@ class Dispatcher:
     def queue_depth(self) -> int:
         with self._mutex:
             return self._queued
-
-
-class SerialDispatcher:
-    """Same interface, zero threads: executes inline on submit.
-
-    This is today's behavior (one request at a time, in global submission
-    order) packaged behind the dispatcher interface — the tier-1 fast
-    path and the serialized baseline for the concurrency benchmark.
-    """
-
-    def __init__(
-        self,
-        manager: SessionManager,
-        handler: Handler | None = None,
-        metrics: ServiceMetrics | None = None,
-        **_ignored: Any,
-    ):
-        self.manager = manager
-        self.handler = handler or _default_handler
-        self.metrics = metrics or ServiceMetrics()
-        self.metrics.attach_sessions(manager)
-        self.metrics.attach_locks(manager.lock_manager)
-        self.metrics.attach_engine(manager.db.engine)
-        manager.db.metrics.attach_source("service", self.metrics.metric_samples)
-
-    def submit(self, token: str, call: ToolCall) -> PendingResult:
-        session = self.manager.authenticate(token)
-        request = PendingResult(token, call)
-        self.metrics.record_submitted(1)
-        started = time.perf_counter()
-        try:
-            result = _mark_retryable(self.handler(session, call))
-        except BaseException as exc:  # staticcheck: ignore[broad-except] — inline execution mirrors the threaded worker's containment: _error_result folds the failure into an error ToolResult
-            result = _error_result(exc)
-        self.metrics.record_completed(
-            time.perf_counter() - started,
-            0,
-            is_error=result.is_error,
-            retryable=bool(result.metadata.get("retryable")),
-        )
-        if result.is_error and result.error_code in _STORAGE_CODES:
-            self.metrics.record_storage_error()
-        request._resolve(result)
-        return request
-
-    def call(
-        self, token: str, call: ToolCall, timeout: float | None = None
-    ) -> ToolResult:
-        return self.submit(token, call).result(timeout)
-
-    def close(self, **_ignored: Any) -> None:
-        return None
-
-    def queue_depth(self) -> int:
-        return 0

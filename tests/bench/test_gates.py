@@ -29,7 +29,7 @@ GOOD_VALUES = {
     "concurrency": {"read_heavy.speedup": 1000.0},
     "query": {
         f"{name}.speedup": 1000.0
-        for name in ("range", "topn", "predicate", "union", "btree_write", "stats_skew")
+        for name in ("range", "topn", "union", "btree_write", "stats_skew")
     },
     "faults": {
         "seam.passthrough_overhead_pct": 0.0,
@@ -78,6 +78,8 @@ GPT = "gpt-4o"
 DOCTORED = [
     # correctness checks and plan-shape pins: hard at every size
     ("joins", True, "plan", ["Nested Loop Join"], "does not report a hash join"),
+    ("joins", True, "nl_plan", ["Hash Join (INNER) on c"],
+     "does not report a nested loop for the baseline"),
     ("retrieval", True, "equivalence_ok", False, "rankings differ"),
     ("retrieval", True, "after_write_ms", 1e9,
      "after-write get_value ms 1e+09 is not <="),
@@ -108,6 +110,8 @@ DOCTORED = [
     ("query", True, "predicate.plan", ["Index Scan"], "no longer a plain Seq Scan"),
     ("query", True, "union.plan", ["Seq Scan on events"],
      "union plan no longer shows 'Index Union Scan'"),
+    ("query", True, "range.baseline_plan", ["Index Range Scan using ix_events_val"],
+     "range baseline_plan no longer shows 'Seq Scan on events_plain'"),
     ("query", True, "planner_stats.ordered_scans", 0, "'ordered_scans'] 0 is not > 0"),
     ("query", True, "planner_stats.union_scans", 0, "'union_scans'] 0 is not > 0"),
     ("query", True, "planner_stats.batch_scans", 0, "'batch_scans'] 0 is not > 0"),
@@ -173,7 +177,6 @@ def test_table1_needs_a_large_saving_somewhere(good):
 QUERY_FLOORS = {  # class: (full, smoke, >= 1M rows)
     "range": (20.0, 3.0, 20.0),
     "topn": (5.0, 1.5, 5.0),
-    "predicate": (1.5, 1.1, 1.5),
     "union": (20.0, 3.0, 20.0),
     "btree_write": (4.0, 1.5, 10.0),
     "stats_skew": (5.0, 1.5, 5.0),

@@ -1,5 +1,7 @@
 """Integration tests for DML, DDL, and constraint enforcement."""
 
+import os
+
 import pytest
 
 from repro.minidb import Database, analyze, parse
@@ -447,6 +449,73 @@ class TestRenameColumnConstraints:
         assert replayed.engine._snapshot_payload(replayed) == expected
         self.assert_enforced(replayed.connect("admin"))
         replayed.close()
+
+
+class TestIndexColumnCase:
+    """An index names the table's stored columns, whatever case the
+    statement spelled them in: rows are keyed by the stored name, so an
+    index over ``ABC`` on column ``abc`` used to key every row NULL."""
+
+    def test_index_spelled_in_another_case_finds_the_row(self, s):
+        s.execute("CREATE TABLE u (id INT PRIMARY KEY, abc INT)")
+        s.execute("INSERT INTO u VALUES (1, 5)")
+        s.execute("CREATE INDEX ix_u ON u (ABC)")
+        sql = "SELECT id FROM u WHERE abc = 5"
+        assert "Index Scan using ix_u" in s.execute("EXPLAIN " + sql).rows[0][0]
+        assert s.execute(sql).rows == [(1,)]
+
+    def test_unique_index_spelled_in_another_case_rejects_a_duplicate(self, s):
+        s.execute("CREATE TABLE u (id INT PRIMARY KEY, Abc INT)")
+        s.execute("CREATE UNIQUE INDEX ux_u ON u (abc)")
+        s.execute("INSERT INTO u VALUES (1, 5)")
+        with pytest.raises(UniqueViolation):
+            s.execute("INSERT INTO u VALUES (2, 5)")
+
+    def test_rename_carries_the_catalog_entry_and_both_index_kinds(self, db, s):
+        s.execute("CREATE TABLE t (id INT PRIMARY KEY, a INT, b INT)")
+        s.execute("CREATE INDEX ix_a ON t (a)")
+        s.execute("CREATE INDEX ix_b ON t USING BTREE (b)")
+        s.execute("ALTER TABLE t RENAME COLUMN a TO z")
+        s.execute("ALTER TABLE t RENAME COLUMN B TO y")
+        assert [ix.describe() for ix in db.catalog.indexes_on("t")] == [
+            "INDEX ix_a ON t(z)", "INDEX ix_b ON t USING BTREE(y)",
+        ]
+        heap = db.heap("t")
+        assert [heap.indexes[name].columns for name in ("ix_a", "ix_b")] == [
+            ("z",), ("y",),
+        ]
+        s.execute("INSERT INTO t VALUES (1, 5, 6)")
+        assert s.execute("SELECT id FROM t WHERE z = 5 AND y >= 6").rows == [(1,)]
+
+    def test_reopen_keys_by_the_stored_names(self, tmp_path):
+        """The WAL replays the statement's spelling, and a snapshot may hold
+        it too (written before index columns were resolved): both load
+        the index onto the stored column."""
+        path = str(tmp_path / "db")
+        sql = "SELECT id FROM u WHERE abc = 5"
+        live = Database.open(path)
+        session = live.connect("admin")
+        session.execute("CREATE TABLE u (id INT PRIMARY KEY, abc INT)")
+        session.execute("INSERT INTO u VALUES (1, 5)")
+        session.execute("CREATE UNIQUE INDEX ux_u ON u USING BTREE (ABC)")
+        live.close()  # no checkpoint: reopening replays the WAL
+        replayed = Database.open(path)
+        assert replayed.connect("admin").execute(sql).rows == [(1,)]
+        replayed.checkpoint()
+        replayed.close()
+        snapshot = os.path.join(path, "snapshot.json")
+        with open(snapshot, encoding="utf-8") as fh:
+            text = fh.read()
+        assert text.count('"columns":["abc"]') == 2  # heap and catalog entry
+        with open(snapshot, "w", encoding="utf-8") as fh:
+            fh.write(text.replace('"columns":["abc"]', '"columns":["ABC"]'))
+        reloaded = Database.open(path)
+        session = reloaded.connect("admin")
+        assert session.execute(sql).rows == [(1,)]
+        with pytest.raises(UniqueViolation):
+            session.execute("INSERT INTO u VALUES (2, 5)")
+        assert reloaded.catalog.index("ux_u").columns == ("abc",)
+        reloaded.close()
 
 
 class TestRenameTableForeignKeys:

@@ -414,10 +414,13 @@ class TestHashJoinResidual:
         assert right[3] == [(1, 11), (None, 13), (None, 15)]
         inner = both_engines(pairs, RESIDUAL.format(kind="INNER"))
         assert inner[3] == [(1, 11)]
-        # and the nested-loop plan agrees
-        pairs.db.planner_options["enable_hash_join"] = False
-        assert pairs.execute(RESIDUAL.format(kind="LEFT")).rows == left[3]
-        assert pairs.execute(RESIDUAL.format(kind="RIGHT")).rows == right[3]
+        # and the nested-loop plan agrees: the equi-key spelled
+        # NOT (l.k <> r.k) is a residual, not a hash key
+        for kind, rows in (("LEFT", left[3]), ("RIGHT", right[3]), ("INNER", inner[3])):
+            looped = RESIDUAL.format(kind=kind).replace("l.k = r.k", "NOT (l.k <> r.k)")
+            plan = [line for (line,) in pairs.execute("EXPLAIN " + looped).rows]
+            assert not any("Hash Join" in line for line in plan), plan
+            assert pairs.execute(looped).rows == rows
 
 
 # ----------------------------------------------------------- DML target order

@@ -1,9 +1,12 @@
 """Tests for hash-join execution, join planning, and predicate pushdown.
 
-Every query here is checked against the nested-loop fallback
-(``db.planner_options["enable_hash_join"] = False``), which preserves the
-seed executor's semantics, so hash joins are proven drop-in equivalent.
+Every query here is checked against the nested-loop plan of the same
+statement with its column = column equalities spelled ``NOT (x <> y)``
+(which the planner does not harvest as join keys), so hash joins are
+proven drop-in equivalent to the seed executor's only strategy.
 """
+
+import re
 
 import pytest
 
@@ -30,14 +33,25 @@ def s():
     return session
 
 
+#: a column = column equality (qualified or not; literals never match)
+_EQUALITY = re.compile(r"\b([a-z_][\w.]*) = ([a-z_][\w.]*)")
+
+
+def without_equi_keys(sql):
+    """``sql`` with each column = column equality spelled ``NOT (x <> y)``:
+    the same truth value on every input (NULL included), but not an
+    equi-key, so the planner joins by nested loop."""
+    return _EQUALITY.sub(r"NOT (\1 <> \2)", sql)
+
+
 def both_strategies(session, sql):
-    """Run ``sql`` with hash joins enabled and disabled; assert equal rows."""
-    options = session.db.planner_options
-    options["enable_hash_join"] = True
+    """Run ``sql`` as planned and with its equi-keys hidden from the
+    planner (the nested-loop reference); assert equal rows."""
     hashed = session.execute(sql).rows
-    options["enable_hash_join"] = False
-    looped = session.execute(sql).rows
-    options["enable_hash_join"] = True
+    reference = without_equi_keys(sql)
+    plan = "\n".join(line for (line,) in session.execute("EXPLAIN " + reference).rows)
+    assert "Hash Join" not in plan, reference
+    looped = session.execute(reference).rows
     assert sorted(hashed, key=repr) == sorted(looped, key=repr)
     return hashed
 
@@ -96,6 +110,21 @@ class TestHashJoinEquivalence:
             "SELECT e.name, d.name FROM emp e LEFT JOIN dept d ON e.dept_id = d.id",
         )
         assert ("dot", None) in left
+
+    @pytest.mark.parametrize("kind", ["INNER", "LEFT"])
+    @pytest.mark.parametrize("column", ["k", "t", "f"])
+    def test_null_and_cross_type_keys(self, s, kind, column):
+        # NULL keys on both sides; INT against TEXT and against REAL keys
+        s.execute("CREATE TABLE l (id INT PRIMARY KEY, k INT)")
+        s.execute("CREATE TABLE r (id INT PRIMARY KEY, k INT, t TEXT, f REAL)")
+        s.execute("INSERT INTO l VALUES (1, 1), (2, NULL), (3, 2), (4, NULL), (5, 3)")
+        s.execute(
+            "INSERT INTO r VALUES (10, NULL, '1', 1.0), (11, 1, NULL, NULL), "
+            "(12, 2, '2', 2.5), (13, NULL, 'x', 3.0)"
+        )
+        sql = f"SELECT l.id, r.id FROM l {kind} JOIN r ON l.k = r.{column}"
+        assert "Hash Join" in s.execute("EXPLAIN " + sql).rows[-1][0]
+        both_strategies(s, sql)
 
     def test_mixed_condition_hash_with_residual(self, s):
         before = s.db.planner_stats["hash_joins"]
@@ -231,11 +260,8 @@ class TestWherePushdown:
         s.execute("DELETE FROM emp WHERE salary < 95")  # make matches scarce
         from repro.minidb.errors import UnknownColumnError
 
-        for enabled in (True, False):
-            s.db.planner_options["enable_hash_join"] = enabled
-            with pytest.raises(UnknownColumnError):
-                s.execute("SELECT * FROM emp e, dept d WHERE name = 'zzz'")
-        s.db.planner_options["enable_hash_join"] = True
+        with pytest.raises(UnknownColumnError):
+            s.execute("SELECT * FROM emp e, dept d WHERE name = 'zzz'")
 
     def test_ambiguous_with_later_source_not_hashed(self, s):
         # "x" lives in tables a and c; at fold time of b only a is joined,
@@ -248,11 +274,10 @@ class TestWherePushdown:
         s.execute("INSERT INTO c VALUES (9)")
         from repro.minidb.errors import UnknownColumnError
 
-        for enabled in (True, False):
-            s.db.planner_options["enable_hash_join"] = enabled
+        sql = "SELECT * FROM a, b, c WHERE x = b.w"
+        for statement in (sql, without_equi_keys(sql)):
             with pytest.raises(UnknownColumnError):
-                s.execute("SELECT * FROM a, b, c WHERE x = b.w")
-        s.db.planner_options["enable_hash_join"] = True
+                s.execute(statement)
 
     def test_index_probe_respects_statement_ambiguity(self, s):
         # both tables have an indexed "id"; an unqualified probe must not
@@ -277,14 +302,10 @@ class TestWherePushdown:
         s.execute("INSERT INTO u VALUES (1), (2)")
         from repro.minidb.errors import UnknownColumnError
 
-        for enabled in (True, False):
-            s.db.planner_options["enable_hash_join"] = enabled
+        sql = "SELECT u.k FROM (SELECT x AS w, y AS w FROM t) d JOIN u ON w = u.k"
+        for statement in (sql, without_equi_keys(sql)):
             with pytest.raises(UnknownColumnError):
-                s.execute(
-                    "SELECT u.k FROM (SELECT x AS w, y AS w FROM t) d "
-                    "JOIN u ON w = u.k"
-                )
-        s.db.planner_options["enable_hash_join"] = True
+                s.execute(statement)
 
     def test_prefilter_type_error_deferred_to_where(self, s):
         # seed semantics: WHERE is only evaluated on joined rows, so a
@@ -335,15 +356,6 @@ class TestJoinPlanning:
         )
         assert len(plan.keys) == 2
 
-    def test_plan_join_disallow_hash(self):
-        stmt = parse("SELECT * FROM a JOIN b ON a.x = b.y")
-        join = stmt.joins[0]
-        plan = plan_join(
-            join.kind, join.condition, stmt.where,
-            [("a", ["x"])], "b", ["y"], allow_hash=False,
-        )
-        assert plan.strategy == "nested-loop"
-
     def test_plan_select_joins_spans_implicit_and_explicit(self):
         db = Database(owner="a")
         db.connect("a").execute_script(
@@ -370,18 +382,6 @@ class TestJoinPlanning:
         )
         plans = "\n".join(r[0] for r in result.rows)
         assert "Nested Loop Join (INNER) on d" in plans
-
-    def test_explain_respects_disabled_hash_join(self, s):
-        s.db.planner_options["enable_hash_join"] = False
-        try:
-            result = s.execute(
-                "EXPLAIN SELECT * FROM emp e JOIN dept d ON e.dept_id = d.id"
-            )
-            plans = "\n".join(r[0] for r in result.rows)
-            assert "Nested Loop Join" in plans
-            assert "Hash Join" not in plans
-        finally:
-            s.db.planner_options["enable_hash_join"] = True
 
     def test_explain_reports_cross_join(self, s):
         result = s.execute("EXPLAIN SELECT * FROM emp, dept")

@@ -3,11 +3,15 @@ and compiled predicates.
 
 Every optimized plan must be a pure scan/sort reduction: the Hypothesis
 property at the bottom executes random range/equality/ORDER BY/LIMIT
-statements over random data (NULLs, duplicate keys, ties included) with
-the fast paths enabled and with ``planner_options`` forcing the seed
-behavior — results must match byte for byte, mirroring
-``tests/minidb/test_join_strategies.py``'s hash-vs-nested-loop contract.
+statements over random data (NULLs, duplicate keys, ties included) as
+planned and against the reference legs — the same statement over an
+unindexed twin of the table, on the interpreter, and for a bounded
+statement the unbounded one cut in Python. Results must match byte for
+byte, mirroring ``tests/minidb/test_join_strategies.py``'s
+hash-vs-nested-loop contract.
 """
+
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -22,24 +26,56 @@ from repro.minidb.planner import (
     extract_union_bindings,
 )
 
-BASELINE = {
-    "enable_index_scan": False,
-    "enable_topn": False,
-    "enable_compiled_predicates": False,
-}
+#: a base-table source and its optional alias (keywords are upper case)
+_SOURCE = re.compile(r"\b(FROM|JOIN) (t|u|h)\b( [a-z]\w*)?")
+_BOUND = re.compile(r" LIMIT (\d+)(?: OFFSET (\d+))?$")
+
+
+def plain_twin(session, table):
+    """``<table>_plain``: the same columns and rows, in the same rid order,
+    and no index — every plan over it is a sequential scan."""
+    db = session.db
+    twin = f"{table}_plain"
+    session.execute(f"DROP TABLE IF EXISTS {twin}")
+    columns = ", ".join(f"{c.name} {c.ctype}" for c in db.catalog.table(table).columns)
+    session.execute(f"CREATE TABLE {twin} ({columns})")
+    heap = db.heap(twin)
+    for _, row in db.heap(table).rows():
+        heap.insert(row)
+
+
+def on_twins(sql):
+    """``sql`` reading each base table's plain twin under the table's name."""
+    return _SOURCE.sub(lambda m: f"{m[1]} {m[2]}_plain{m[3] or ' ' + m[2]}", sql)
+
+
+def reference_rows(session, sql):
+    """The reference legs of ``sql``: the statement on the plain twins with
+    the interpreter, and — for a statement with LIMIT/OFFSET — the
+    unbounded statement's rows cut in Python, the full sort that bounded
+    top-N (``heapq.nsmallest``/``nlargest``, documented equal to
+    ``sorted(...)[:n]``) must reproduce."""
+    options = session.db.planner_options
+    options["enable_compiled_predicates"] = False
+    try:
+        legs = [session.execute(on_twins(sql)).rows]
+        bound = _BOUND.search(sql)
+        if bound:
+            offset = int(bound[2] or 0)
+            unbounded = session.execute(on_twins(sql[: bound.start()])).rows
+            legs.append(unbounded[offset : offset + int(bound[1])])
+    finally:
+        options["enable_compiled_predicates"] = True
+    return legs
 
 
 def both_plans(session, sql):
-    """Run ``sql`` with fast paths on and forced off; assert equal rows."""
-    options = session.db.planner_options
-    saved = {k: options[k] for k in BASELINE}
+    """Run ``sql`` as planned and on its reference legs; assert equal rows."""
+    for table in {m[2] for m in _SOURCE.finditer(sql)}:
+        plain_twin(session, table)
     fast = session.execute(sql).rows
-    options.update(BASELINE)
-    try:
-        slow = session.execute(sql).rows
-    finally:
-        options.update(saved)
-    assert fast == slow, sql
+    for leg in reference_rows(session, sql):
+        assert fast == leg, sql
     return fast
 
 
@@ -145,15 +181,6 @@ class TestRangePathChoice:
         assert path.kind == "index"
         assert index.unique
 
-    def test_allow_index_false_forces_seq(self, s):
-        heap = s.db.heap("t")
-        where = parse("SELECT * FROM t WHERE val > 2").where
-        path, index, _ = choose_access_path(
-            "t", heap, [], extract_range_bindings(where, "t"), allow_index=False
-        )
-        assert path.kind == "seq"
-        assert index is None
-
     def test_hash_indexes_never_serve_ranges(self, s):
         s.execute("CREATE TABLE h (x INT)")
         s.execute("CREATE INDEX ix_h ON h (x)")  # hash
@@ -194,26 +221,15 @@ class TestRangeExecution:
         from repro.minidb import ExecutionError
 
         assert s.execute("SELECT id FROM t WHERE val >= 'abc'").rows == []
-        s.db.planner_options["enable_index_scan"] = False
-        try:
-            with pytest.raises(ExecutionError):
-                s.execute("SELECT id FROM t WHERE val >= 'abc'")
-        finally:
-            s.db.planner_options["enable_index_scan"] = True
+        plain_twin(s, "t")
+        with pytest.raises(ExecutionError):
+            s.execute("SELECT id FROM t_plain WHERE val >= 'abc'")
 
     def test_explain_shows_range_plan(self, s):
         result = s.execute("EXPLAIN SELECT * FROM t WHERE val >= 5 AND val < 9")
         assert "Index Range Scan using ix_val on t (val >= 5 AND val < 9)" in (
             result.rows[0][0]
         )
-
-    def test_explain_respects_disabled_index_scans(self, s):
-        s.db.planner_options["enable_index_scan"] = False
-        try:
-            result = s.execute("EXPLAIN SELECT * FROM t WHERE val > 5")
-            assert "Seq Scan on t" in result.rows[0][0]
-        finally:
-            s.db.planner_options["enable_index_scan"] = True
 
 
 class TestOrderedScan:
@@ -289,12 +305,9 @@ class TestOrderedScan:
             "ORDER BY val LIMIT 2"
         )
         assert len(s.execute(sql).rows) == 2
-        s.db.planner_options["enable_index_scan"] = False
-        try:
-            with pytest.raises(DivisionByZeroError):
-                s.execute(sql)
-        finally:
-            s.db.planner_options["enable_index_scan"] = True
+        plain_twin(s, "t")
+        with pytest.raises(DivisionByZeroError):
+            s.execute(on_twins(sql))
 
     def test_ordered_scan_without_limit_still_ordered(self, s):
         before = s.db.planner_stats["ordered_scans"]
@@ -304,9 +317,10 @@ class TestOrderedScan:
 
 class TestTopN:
     def test_heap_topn_on_unindexed_order(self, s):
+        sql = "SELECT id FROM t ORDER BY name, id LIMIT 5"
+        assert len(both_plans(s, sql)) == 5
         before = s.db.planner_stats["topn_limits"]
-        rows = both_plans(s, "SELECT id FROM t ORDER BY name, id LIMIT 5")
-        assert len(rows) == 5
+        s.execute(sql)
         assert s.db.planner_stats["topn_limits"] == before + 1
 
     def test_topn_with_offset(self, s):
@@ -317,15 +331,18 @@ class TestTopN:
         both_plans(s, "SELECT id, name FROM t ORDER BY name LIMIT 40")
 
     def test_expression_order_keys_still_topn(self, s):
+        sql = "SELECT id FROM t ORDER BY grp * 2, id DESC LIMIT 6"
+        both_plans(s, sql)
         before = s.db.planner_stats["topn_limits"]
-        both_plans(s, "SELECT id FROM t ORDER BY grp * 2, id DESC LIMIT 6")
+        s.execute(sql)
         assert s.db.planner_stats["topn_limits"] == before + 1
 
     def test_uniform_real_desc_top_n_counts_and_cuts_like_a_full_sort(self):
         """An all-REAL key column is its own sort key (``nlargest`` over row
         indexes): every bounded top-N still counts once in ``topn_limits``,
-        ``enable_topn=False`` still orders every row and then cuts, and the
-        interpreter, the scan actuals and the trace record agree."""
+        the statement without LIMIT orders every row and its first ten are
+        the top-N's, and the interpreter, the scan actuals and the trace
+        record agree."""
         db = Database(owner="a")
         session = db.connect("a")
         session.execute("CREATE TABLE signals (signal_id INT PRIMARY KEY, dwell_s REAL)")
@@ -333,24 +350,28 @@ class TestTopN:
         for i, value in enumerate(values):
             db.heap("signals").insert({"signal_id": i, "dwell_s": value})
         db.observability_options["tracing"] = True
-        sql = "SELECT dwell_s, signal_id FROM signals ORDER BY dwell_s DESC LIMIT 10"
+        unbounded = "SELECT dwell_s, signal_id FROM signals ORDER BY dwell_s DESC"
+        sql = unbounded + " LIMIT 10"
         expected = [(v, i) for i, v in sorted(enumerate(values), key=lambda p: -p[1])][:10]
         stats, options = db.planner_stats, db.planner_options
         runs = [
-            ({}, 1),
-            ({"enable_compiled_predicates": False}, 1),
-            ({"enable_topn": False}, 0),
+            ({}, sql, 1, 10),
+            ({"enable_compiled_predicates": False}, sql, 1, 10),
+            ({}, unbounded, 0, 200),
         ]
-        for overrides, topn in runs:
+        for overrides, statement, topn, count in runs:
             options.update(overrides)
             before = stats["topn_limits"]
-            assert session.execute(sql).rows == expected, overrides
-            assert stats["topn_limits"] == before + topn, overrides
+            rows = session.execute(statement).rows
+            assert (len(rows), rows[:10]) == (count, expected), statement
+            assert stats["topn_limits"] == before + topn, statement
             scan = db.tracer.recent()[-1].scans[0]
             assert (scan["kind"], scan["rows"], scan["examined"]) == ("seq", 200, 200)
-            explain = [line for (line,) in session.execute("EXPLAIN ANALYZE " + sql).rows]
+            explain = [
+                line for (line,) in session.execute("EXPLAIN ANALYZE " + statement).rows
+            ]
             assert explain[0].startswith("Seq Scan on signals (actual rows=200, ")
-            assert explain[1] == "Result rows: 10"
+            assert explain[1] == f"Result rows: {count}"
 
 
 class TestDMLAccessPaths:
@@ -386,26 +407,16 @@ class TestDMLAccessPaths:
         assert s.db.planner_stats["seq_scans"] == before["seq_scans"] + 1
         assert s.db.planner_stats["index_scans"] == before["index_scans"]
 
-    def test_dml_respects_disabled_index_scans(self, s):
-        s.db.planner_options["enable_index_scan"] = False
-        try:
-            before = dict(s.db.planner_stats)
-            s.execute("DELETE FROM t WHERE id = 3")
-            assert s.db.planner_stats["seq_scans"] == before["seq_scans"] + 1
-            assert s.db.planner_stats["index_scans"] == before["index_scans"]
-        finally:
-            s.db.planner_options["enable_index_scan"] = True
-
     def test_update_results_identical_to_seq_plan(self, s):
         fast_db = s.db
         s.execute("UPDATE t SET name = 'upd' WHERE grp = 3 AND val > 40")
         fast = fast_db.snapshot()
 
+        # the reference: the same rows in a table without any index, on
+        # the interpreter
         db2 = Database(owner="a")
         s2 = db2.connect("a")
-        s2.execute(
-            "CREATE TABLE t (id INT PRIMARY KEY, grp INT, val INT, name TEXT)"
-        )
+        s2.execute("CREATE TABLE t (id INT, grp INT, val INT, name TEXT)")
         heap = db2.heap("t")
         for i in range(200):
             heap.insert(
@@ -416,7 +427,7 @@ class TestDMLAccessPaths:
                     "name": f"n{i % 7}",
                 }
             )
-        db2.planner_options.update(BASELINE)
+        db2.planner_options["enable_compiled_predicates"] = False
         s2.execute("UPDATE t SET name = 'upd' WHERE grp = 3 AND val > 40")
         assert db2.snapshot() == fast
 
@@ -494,12 +505,12 @@ class TestUnionExtraction:
 
 class TestUnionExecution:
     def test_in_list_uses_union_scan(self, s):
+        sql = "SELECT id FROM t WHERE val IN (10, 20, 30)"
+        assert both_plans(s, sql)
         before = dict(s.db.planner_stats)
-        rows = both_plans(s, "SELECT id FROM t WHERE val IN (10, 20, 30)")
-        assert rows
+        s.execute(sql)
         assert s.db.planner_stats["union_scans"] == before["union_scans"] + 1
-        # exactly one seq scan: the forced-baseline leg of both_plans
-        assert s.db.planner_stats["seq_scans"] == before["seq_scans"] + 1
+        assert s.db.planner_stats["seq_scans"] == before["seq_scans"]
 
     def test_or_of_ranges_uses_union_scan(self, s):
         before = s.db.planner_stats["union_scans"]
@@ -545,16 +556,6 @@ class TestUnionExecution:
         both_plans(s, "SELECT id FROM t WHERE id = 7 AND val IN (1, 2)")
         assert s.db.planner_stats["index_scans"] > before["index_scans"]
         assert s.db.planner_stats["union_scans"] == before["union_scans"]
-
-    def test_union_respects_disabled_index_scans(self, s):
-        s.db.planner_options["enable_index_scan"] = False
-        try:
-            before = dict(s.db.planner_stats)
-            s.execute("SELECT id FROM t WHERE val IN (1, 2)")
-            assert s.db.planner_stats["seq_scans"] == before["seq_scans"] + 1
-            assert s.db.planner_stats["union_scans"] == before["union_scans"]
-        finally:
-            s.db.planner_options["enable_index_scan"] = True
 
 
 class TestDMLUnionAndCounterParity:
@@ -842,8 +843,9 @@ def build_statement(conjuncts, order, limit):
     min_size=1, max_size=4,
 ))
 def test_indexed_execution_equivalent_to_seq_scan(rows, statements):
-    """Random data + random statements: fast paths vs forced seq scans
-    must match byte for byte — NULL ordering, duplicate keys,
+    """Random data + random statements: fast paths vs the seq scans of the
+    unindexed twin (and, when bounded, the cut unbounded statement) must
+    match byte for byte — NULL ordering, duplicate keys,
     LIMIT-straddling ties, IN-lists with NULL/duplicate members, and
     OR-of-ranges included. Text columns use integer-free values so both
     plans stay inside comparable-type territory."""
@@ -856,6 +858,7 @@ def test_indexed_execution_equivalent_to_seq_scan(rows, statements):
     session.execute("CREATE INDEX ix_a ON t USING BTREE (a)")
     session.execute("CREATE INDEX ix_ab ON t USING BTREE (a, b)")
     session.execute("CREATE INDEX ix_c ON t USING BTREE (c)")
+    plain_twin(session, "t")
     for conjuncts, order, limit in statements:
         # c is TEXT: integer comparisons against it would raise (a
         # data-dependent error the access-path contract lets plans skip);
@@ -865,12 +868,5 @@ def test_indexed_execution_equivalent_to_seq_scan(rows, statements):
         ]
         sql = build_statement(text_free, order, limit)
         fast = session.execute(sql).rows
-        db.planner_options.update(BASELINE)
-        try:
-            slow = session.execute(sql).rows
-        finally:
-            db.planner_options.update(
-                enable_index_scan=True, enable_topn=True,
-                enable_compiled_predicates=True,
-            )
-        assert fast == slow, sql
+        for leg in reference_rows(session, sql):
+            assert fast == leg, sql

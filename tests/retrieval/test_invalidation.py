@@ -9,7 +9,16 @@ DDL, plus the equivalence of the indexed and brute-force tool outputs.
 import pytest
 
 from repro.core import BridgeScope, BridgeScopeConfig, MinidbBinding
+from repro.core.interfaces import DatabaseBinding
 from repro.minidb import Database
+
+
+class BruteForceBinding(MinidbBinding):
+    """A binding without an exemplar index: ``get_value`` takes the
+    interface default, which scores every distinct value of the column —
+    the reference every indexed ranking must equal."""
+
+    retrieve_values = DatabaseBinding.retrieve_values
 
 
 @pytest.fixture
@@ -178,15 +187,14 @@ class TestGetValueFreshness:
 class TestIndexedBruteToolEquivalence:
     KEYS = ("women", "wear", "foot", "mens", "zzz", "")
 
+    def bridges(self, db):
+        return (
+            BridgeScope(MinidbBinding.for_user(db, "admin")),
+            BridgeScope(BruteForceBinding.for_user(db, "admin")),
+        )
+
     def test_identical_tool_output(self, db):
-        indexed = BridgeScope(
-            MinidbBinding.for_user(db, "admin"),
-            BridgeScopeConfig(use_retrieval_index=True),
-        )
-        brute = BridgeScope(
-            MinidbBinding.for_user(db, "admin"),
-            BridgeScopeConfig(use_retrieval_index=False),
-        )
+        indexed, brute = self.bridges(db)
         for key in self.KEYS:
             a = indexed.invoke(
                 "get_value", col="items.category", key=key, k=5
@@ -197,14 +205,7 @@ class TestIndexedBruteToolEquivalence:
             assert a == b
 
     def test_identical_after_mutations(self, db):
-        indexed = BridgeScope(
-            MinidbBinding.for_user(db, "admin"),
-            BridgeScopeConfig(use_retrieval_index=True),
-        )
-        brute = BridgeScope(
-            MinidbBinding.for_user(db, "admin"),
-            BridgeScopeConfig(use_retrieval_index=False),
-        )
+        indexed, brute = self.bridges(db)
         session = db.connect("admin")
         for statement in (
             "INSERT INTO items VALUES (10, 'swimwear')",
@@ -222,11 +223,7 @@ class TestIndexedBruteToolEquivalence:
                 assert a == b
 
     def test_errors_identical(self, db):
-        for use_index in (True, False):
-            bridge = BridgeScope(
-                MinidbBinding.for_user(db, "admin"),
-                BridgeScopeConfig(use_retrieval_index=use_index),
-            )
+        for bridge in self.bridges(db):
             out = bridge.invoke(
                 "get_value", col="items.ghost", key="x"
             ).content
@@ -235,9 +232,9 @@ class TestIndexedBruteToolEquivalence:
     @pytest.mark.parametrize("use_index", [True, False])
     def test_k_below_one_is_an_error_not_an_empty_column(self, db, use_index):
         """``k=-1`` used to answer ``(no values in items.category)``."""
+        binding = MinidbBinding if use_index else BruteForceBinding
         bridge = BridgeScope(
-            MinidbBinding.for_user(db, "admin"),
-            BridgeScopeConfig(use_retrieval_index=use_index, exemplar_top_k=2),
+            binding.for_user(db, "admin"), BridgeScopeConfig(exemplar_top_k=2)
         )
         for k in (-1, 0):
             out = bridge.invoke(

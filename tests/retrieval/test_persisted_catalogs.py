@@ -13,7 +13,9 @@ import os
 
 import pytest
 
-from repro.core import BridgeScope, BridgeScopeConfig, MinidbBinding
+from test_invalidation import BruteForceBinding
+
+from repro.core import BridgeScope, MinidbBinding
 from repro.faults import FaultPlan, FaultyFilesystem
 from repro.minidb import Database
 from repro.retrieval import CatalogCache, CatalogStore, ValueCatalog
@@ -39,11 +41,9 @@ def build(dbdir: str) -> Database:
     return db
 
 
-def bridge_for(db: Database, use_index: bool = True) -> BridgeScope:
-    return BridgeScope(
-        MinidbBinding.for_user(db, "admin"),
-        BridgeScopeConfig(use_retrieval_index=use_index),
-    )
+def bridge_for(db: Database, brute: bool = False) -> BridgeScope:
+    binding = BruteForceBinding if brute else MinidbBinding
+    return BridgeScope(binding.for_user(db, "admin"))
 
 
 def get_value(bridge: BridgeScope, key: str, k: int = 4) -> str:
@@ -75,8 +75,8 @@ class TestZeroRebuildReopen:
         get_value(bridge_for(db), KEYS[0])  # build + persist
         db.close()
         db2 = Database.open(dbdir)
-        indexed = bridge_for(db2, use_index=True)
-        brute = bridge_for(db2, use_index=False)
+        indexed = bridge_for(db2)
+        brute = bridge_for(db2, brute=True)
         for key in KEYS:
             assert get_value(indexed, key) == get_value(brute, key)
         assert db2.retrieval_cache.stats["persisted_hits"] == 1
@@ -125,7 +125,7 @@ class TestZeroRebuildReopen:
         db2 = Database.open(dbdir)
         bridge = bridge_for(db2)
         assert {key: get_value(bridge, key, k=9) for key in KEYS} == before
-        brute = bridge_for(db2, use_index=False)
+        brute = bridge_for(db2, brute=True)
         assert {key: get_value(brute, key, k=9) for key in KEYS} == before
         stats = db2.retrieval_cache.stats
         assert stats["persisted_hits"] == 1

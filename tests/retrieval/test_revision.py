@@ -18,6 +18,7 @@ import pickle
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from test_invalidation import BruteForceBinding
 
 from repro.core import BridgeScope, BridgeScopeConfig, MinidbBinding
 from repro.core.similarity import top_k
@@ -234,14 +235,10 @@ class History:
 
 
 def bridges(db, scan_limit):
+    config = BridgeScopeConfig(exemplar_scan_limit=scan_limit)
     return [
-        BridgeScope(
-            MinidbBinding.for_user(db, "admin"),
-            BridgeScopeConfig(
-                use_retrieval_index=use_index, exemplar_scan_limit=scan_limit
-            ),
-        )
-        for use_index in (True, False)
+        BridgeScope(binding.for_user(db, "admin"), config)
+        for binding in (MinidbBinding, BruteForceBinding)
     ]
 
 

@@ -7,12 +7,7 @@ import pytest
 
 from repro.mcp import ToolCall, ToolResult
 from repro.minidb import Database
-from repro.service import (
-    Dispatcher,
-    SerialDispatcher,
-    ServiceOverloaded,
-    SessionManager,
-)
+from repro.service import Dispatcher, ServiceOverloaded, SessionManager
 
 
 @pytest.fixture
@@ -172,18 +167,7 @@ class TestMetrics:
         dispatcher.close()
 
 
-class TestSerialDispatcher:
-    def test_same_interface_inline_execution(self, manager):
-        dispatcher = SerialDispatcher(manager)
-        token = manager.create_session("admin").token
-        future = dispatcher.submit(
-            token, ToolCall("select", {"sql": "SELECT v FROM t WHERE id = 2"})
-        )
-        assert future.done()  # inline: resolved before submit returned
-        assert future.result().metadata["rows"] == [(20,)]
-        assert dispatcher.queue_depth() == 0
-        dispatcher.close()
-
+class TestOneWorker:
     def test_matches_threaded_results(self, db):
         calls = [
             ToolCall("select", {"sql": "SELECT v FROM t ORDER BY id"}),
@@ -191,24 +175,20 @@ class TestSerialDispatcher:
             ToolCall("select", {"sql": "SELECT SUM(v) FROM t"}),
         ]
         outputs = {}
-        for label in ("serial", "threaded"):
+        for workers in (1, 4):
             database = Database(owner="admin")
             admin = database.connect("admin")
             admin.execute("CREATE TABLE t (id INT PRIMARY KEY, v INT)")
             admin.execute("INSERT INTO t VALUES (1, 10), (2, 20)")
             manager = SessionManager(database)
             token = manager.create_session("admin").token
-            dispatcher = (
-                SerialDispatcher(manager)
-                if label == "serial"
-                else Dispatcher(manager, workers=4)
-            )
-            outputs[label] = [
+            dispatcher = Dispatcher(manager, workers=workers)
+            outputs[workers] = [
                 dispatcher.call(token, call).render() for call in calls
             ]
             dispatcher.close()
             manager.close()
-        assert outputs["serial"] == outputs["threaded"]
+        assert outputs[1] == outputs[4]
 
 
 class TestShutdown:

@@ -20,7 +20,6 @@ from repro.minidb.errors import DeadlockError, LockTimeoutError
 from repro.service import (
     Dispatcher,
     RetryPolicy,
-    SerialDispatcher,
     ServiceOverloaded,
     SessionManager,
     is_retryable_error,
@@ -199,14 +198,14 @@ class TestRunWithRetries:
 # --------------------------------------------------------------------------
 
 
-def panicked_service(tmp_path, dispatcher_cls):
+def panicked_service(tmp_path, workers):
     fs = FaultyFilesystem(FaultPlan())
     db = Database.open(str(tmp_path / "db"), filesystem=fs)
     admin = db.connect("admin")
     admin.execute("CREATE TABLE t (id INT PRIMARY KEY, v INT)")
     admin.execute("INSERT INTO t VALUES (1, 10)")
     manager = SessionManager(db, lock_timeout_s=5.0)
-    dispatcher = dispatcher_cls(manager, workers=2)
+    dispatcher = Dispatcher(manager, workers=workers)
     token = manager.create_session("admin").token
     # poison the next WAL append: the first write through the service
     # latches fail-stop panic mode
@@ -214,12 +213,10 @@ def panicked_service(tmp_path, dispatcher_cls):
     return db, dispatcher, token
 
 
-@pytest.mark.parametrize("dispatcher_cls", [Dispatcher, SerialDispatcher])
+@pytest.mark.parametrize("workers", [1, 4])
 class TestDegradedService:
-    def test_panic_degrades_to_readonly_with_counters(
-        self, tmp_path, dispatcher_cls
-    ):
-        db, dispatcher, token = panicked_service(tmp_path, dispatcher_cls)
+    def test_panic_degrades_to_readonly_with_counters(self, tmp_path, workers):
+        db, dispatcher, token = panicked_service(tmp_path, workers)
         before = dispatcher.metrics.snapshot()
         assert before["degraded"] is False
         assert before["storage_errors"] == 0
