@@ -1624,7 +1624,7 @@ class Executor:
 
         columns: list[Column] = []
         primary_key = list(stmt.primary_key)
-        uniques = [tuple(u) for u in stmt.uniques]
+        uniques = list(stmt.uniques)
         foreign_keys: list[ForeignKey] = []
         # (columns, referenced table, referenced columns, how much of the
         # referenced key stands in for absent ones), resolved once the
@@ -1671,28 +1671,32 @@ class Executor:
         schema = TableSchema(
             name=stmt.table,
             columns=columns,
-            primary_key=tuple(primary_key),
             foreign_keys=foreign_keys,
-            uniques=[tuple(u) for u in uniques],
             checks=checks,
             check_sources=check_sources,
         )
+
+        def stored(table: TableSchema, names) -> tuple[str, ...]:
+            # key lists keep the table's spelling of each column (raising for
+            # an unknown one): the WAL record and every lookup by name agree
+            return tuple(table.column(name).name for name in names)
+
+        schema.primary_key = stored(schema, primary_key)
+        schema.uniques = [stored(schema, unique) for unique in uniques]
+        for name in schema.primary_key:
+            schema.column(name).not_null = True
         for fk_columns, ref_table, ref_columns, key_part in references:
             target = (
                 schema
                 if ref_table.lower() == schema.name.lower()
                 else catalog.table(ref_table)
             )
-            ref_columns = ref_columns or target.primary_key[:key_part]
+            ref_columns = stored(target, ref_columns) or target.primary_key[:key_part]
             if not ref_columns:
                 raise ExecutionError(f"referenced table {ref_table!r} has no primary key")
-            foreign_keys.append(ForeignKey(fk_columns, target.name, tuple(ref_columns)))
-        for name in schema.primary_key:
-            schema.column(name).not_null = True
-            schema.column(name)  # validates existence
-        for unique in schema.uniques:
-            for name in unique:
-                schema.column(name)
+            foreign_keys.append(
+                ForeignKey(stored(schema, fk_columns), target.name, ref_columns)
+            )
 
         unique_keys = [
             (f"uq_{schema.name}_{number}", unique)

@@ -10,18 +10,18 @@ Every planning decision is therefore taken in this module and nowhere
 else (the ``planner-seam`` staticcheck rule enforces it):
 
 * **Access paths** (:func:`plan_table_scan`, shared by SELECT sources and
-  UPDATE/DELETE targets) — top-level AND-ed ``col = literal`` conjuncts
-  probe a covering index; range conjuncts (``<, <=, >, >=``, ``BETWEEN``)
-  over a ``USING BTREE`` sorted index — optionally behind an
-  equality-bound column prefix — slice the index's sorted run; ``IN``
-  lists / single-column OR-chains become index unions
-  (:func:`choose_access_path` ranks the candidates, by cost after
-  ``ANALYZE``). When a sorted index's order *is* the statement's ORDER BY
-  the scan becomes an ``ordered`` path that skips the sort and stops after
-  OFFSET+LIMIT survivors. Null-rejecting single-source conjuncts are
-  pushed down into the scans of multi-source blocks so join inputs shrink
-  before pairing. The full WHERE is always re-applied afterwards, so every
-  path is a pure candidate-set reduction.
+  UPDATE/DELETE targets) — one reader, ``_atom``, recognises a column
+  compared with literals; :func:`harvest_conjuncts` sorts the top-level
+  AND-ed conjuncts it reads into equalities, which probe a covering index,
+  ranges, which slice a ``USING BTREE`` index's sorted run (optionally
+  behind an equality-bound prefix), and IN lists / single-column OR-chains,
+  which become index unions (:func:`choose_access_path` ranks them, by
+  cost after ``ANALYZE``). When a sorted index's order *is* the ORDER BY
+  the scan becomes an ``ordered`` path that stops after OFFSET+LIMIT
+  survivors. :func:`pushdown_filter` pushes the null-rejecting comparisons
+  on a source's own columns into the scans of multi-source blocks. The full
+  WHERE is always re-applied afterwards, so every path is a pure
+  candidate-set reduction.
 
 * **One pipeline** — access paths and join strategies are the whole plan:
   the executor runs every block through the same scan -> join -> filter ->
@@ -74,7 +74,7 @@ byte-identical.)
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any
+from typing import TYPE_CHECKING, Any, NamedTuple
 
 from ..obs.views import SYSTEM_VIEW_COLUMNS, is_system_relation
 from . import ast_nodes as ast
@@ -91,14 +91,6 @@ if TYPE_CHECKING:  # pragma: no cover
 #: comparison operators that can never be true when an operand is NULL;
 #: only these may be pushed below an outer join's nullable side
 NULL_REJECTING_COMPARISONS = ("=", "<>", "<", "<=", ">", ">=")
-
-
-@dataclass
-class EqualityBinding:
-    """One ``column = constant`` conjunct usable for index probing."""
-
-    column: str  # lower-cased
-    value: Any
 
 
 @dataclass
@@ -298,63 +290,17 @@ def conjoin(conjuncts: list[ast.Expr]) -> ast.Expr | None:
     return predicate
 
 
-def extract_equality_bindings(
-    where: ast.Expr | None,
-    binding: str,
-    statement_sources: list[tuple[str, list[str] | None]] | None = None,
-) -> list[EqualityBinding]:
-    """Top-level AND-ed ``col = literal`` conjuncts attributable to ``binding``.
+class Harvest(NamedTuple):
+    """What one binding's top-level WHERE conjuncts offer its access path;
+    every key is a lower-cased column name."""
 
-    Only unqualified columns or columns qualified with this binding are
-    considered; anything more complex is left to the residual filter. When
-    ``statement_sources`` is given (multi-source queries), unqualified
-    columns must be unambiguous across the whole SELECT — otherwise an
-    empty index probe could return ``[]`` where the WHERE evaluator must
-    raise the ambiguity error.
-    """
-    bindings: list[EqualityBinding] = []
-    lowered = binding.lower()
-    for conjunct in split_conjuncts(where):
-        if isinstance(conjunct, ast.BinaryOp) and conjunct.op == "=":
-            column_ref, literal = _column_literal_pair(
-                conjunct.left, conjunct.right, lowered
-            )
-            if column_ref is None or literal is None or literal.value is None:
-                continue
-            if (
-                column_ref.table is None
-                and statement_sources is not None
-                and not _unqualified_unambiguous(
-                    column_ref.name.lower(), statement_sources
-                )
-            ):
-                continue
-            bindings.append(
-                EqualityBinding(column_ref.name.lower(), literal.value)
-            )
-    return bindings
+    equalities: dict[str, Any]  # column -> value of its last ``=`` conjunct
+    ranges: dict[str, RangeBinding]
+    unions: dict[str, UnionBinding]
 
 
-def _unqualified_unambiguous(
-    name: str, statement_sources: list[tuple[str, list[str] | None]] | None
-) -> bool:
-    """Whether an unqualified ``name`` names exactly one statement column.
-
-    ``statement_sources`` lists every source of the SELECT (not just those
-    already folded into the join). With it absent, or with any source's
-    columns unknown (views, derived tables), unqualified names are treated
-    as unusable: resolving them against a partial view could mask the
-    ambiguity error the evaluator would raise.
-    """
-    if statement_sources is None:
-        return False
-    count = 0
-    for _, columns in statement_sources:
-        if columns is None:
-            return False
-        count += sum(1 for c in columns if c.lower() == name)
-    return count == 1
-
+#: comparison op -> the op that reads the same with its operands swapped
+_FLIPPED = {"=": "=", "<>": "<>", "<": ">", "<=": ">=", ">": "<", ">=": "<="}
 
 #: comparison op -> (is_lower_bound, inclusive) with the column on the left
 _RANGE_OPS = {
@@ -365,71 +311,164 @@ _RANGE_OPS = {
 }
 
 
-def extract_range_bindings(
+def _usable(
+    binding: str, statement_sources: list[tuple[str, list[str] | None]] | None
+):
+    """The one name-resolution test of a harvested column reference.
+
+    A qualified reference must name ``binding``. An unqualified one is
+    usable when the statement has one source (``statement_sources`` None)
+    and otherwise only when it names exactly one column of the whole
+    SELECT — an empty index probe or pushed filter could otherwise return
+    ``[]`` where the WHERE evaluator must raise the ambiguity error.
+    """
+    lowered = binding.lower()
+
+    def usable(ref: ast.ColumnRef) -> bool:
+        if ref.table is not None:
+            return ref.table.lower() == lowered
+        return statement_sources is None or _unqualified_unambiguous(
+            ref.name.lower(), statement_sources
+        )
+
+    return usable
+
+
+def _atom(expr: ast.Expr, usable) -> tuple[str, str, Any] | None:
+    """``expr`` read as ``(column, op, value)``: a ``usable`` column
+    compared with literals — the one place the planner recognises that
+    shape.
+
+    ``op`` is one of ``= <> < <= > >=`` (a literal on the left flips it:
+    ``5 < a`` reads ``a > 5``), ``between`` with value ``(low, high)``, or
+    ``in`` with the tuple of member values, NULLs included. A NULL literal
+    anywhere else (the comparison is three-valued false, binding nothing),
+    NOT BETWEEN / NOT IN, a subquery IN or any non-literal operand gives
+    ``None``. ``column`` is lower-cased.
+    """
+    if isinstance(expr, ast.BinaryOp) and expr.op in _FLIPPED:
+        column, op, literal = expr.left, expr.op, expr.right
+        if not isinstance(column, ast.ColumnRef):
+            column, op, literal = literal, _FLIPPED[op], column
+        if not isinstance(literal, ast.Literal) or literal.value is None:
+            return None
+        value = literal.value
+    elif isinstance(expr, ast.BetweenExpr) and not expr.negated:
+        column, op, low, high = expr.operand, "between", expr.low, expr.high
+        if not (isinstance(low, ast.Literal) and isinstance(high, ast.Literal)):
+            return None
+        value = (low.value, high.value)
+        if None in value:
+            return None
+    elif (
+        isinstance(expr, ast.InExpr)
+        and not expr.negated
+        and isinstance(expr.candidates, list)
+    ):
+        column, op = expr.operand, "in"
+        if not all(isinstance(c, ast.Literal) for c in expr.candidates):
+            return None
+        value = tuple(c.value for c in expr.candidates)
+    else:
+        return None
+    if isinstance(column, ast.ColumnRef) and usable(column):
+        return column.name.lower(), op, value
+    return None
+
+
+def harvest_conjuncts(
     where: ast.Expr | None,
     binding: str,
     statement_sources: list[tuple[str, list[str] | None]] | None = None,
-) -> dict[str, RangeBinding]:
-    """Top-level AND-ed range conjuncts attributable to ``binding``.
+) -> Harvest:
+    """What the top-level AND-ed conjuncts of ``where`` bind on
+    ``binding``'s columns, read in one pass:
 
-    Harvests ``col <op> literal`` (either operand order) for the four
-    ordering comparisons, plus non-negated ``col BETWEEN lo AND hi``; NULL
-    literals never bind (the comparison is three-valued false anyway).
-    Name-resolution rules match :func:`extract_equality_bindings`:
-    unqualified columns only bind when provably unambiguous across the
-    whole statement. The harvested bounds only ever *narrow* a scan — the
-    executor re-applies the full predicate to the candidate rows, so a
-    range probe that over-approximates (e.g. across type ranks) stays
-    correct.
+    * ``equalities`` — ``col = literal``; of several on one column the
+      last wins.
+    * ``ranges`` — ``<, <=, >, >=`` and BETWEEN; several on one column
+      keep the tightest bound on each side.
+    * ``unions`` — ``col IN (literal, ...)``, or an OR-chain whose every
+      disjunct is an ``=``, range, BETWEEN or IN atom on one column (any
+      other disjunct could be true outside the union). NULL members match
+      nothing and are dropped; duplicates go by index ordering key, so
+      ``1`` and ``1.0`` coincide. Of several on one column the fewest
+      members win: conjuncts intersect.
+
+    A binding only *narrows* a scan: the full WHERE is re-applied to the
+    candidate rows, so over-approximating (a range across type ranks)
+    stays correct. ``statement_sources``: see :func:`_usable`.
     """
-    lowered = binding.lower()
+    usable = _usable(binding, statement_sources)
+    equalities: dict[str, Any] = {}
     ranges: dict[str, RangeBinding] = {}
-
-    def usable(column_ref: ast.ColumnRef) -> bool:
-        if column_ref.table is not None:
-            return column_ref.table.lower() == lowered
-        return statement_sources is None or _unqualified_unambiguous(
-            column_ref.name.lower(), statement_sources
-        )
-
-    def bind(column: str) -> RangeBinding:
-        return ranges.setdefault(column, RangeBinding(column))
-
+    unions: dict[str, UnionBinding] = {}
     for conjunct in split_conjuncts(where):
-        if isinstance(conjunct, ast.BinaryOp) and conjunct.op in _RANGE_OPS:
-            for column_side, literal_side, flip in (
-                (conjunct.left, conjunct.right, False),
-                (conjunct.right, conjunct.left, True),
-            ):
-                if (
-                    isinstance(column_side, ast.ColumnRef)
-                    and isinstance(literal_side, ast.Literal)
-                    and literal_side.value is not None
-                    and usable(column_side)
-                ):
-                    is_low, inclusive = _RANGE_OPS[conjunct.op]
-                    if flip:  # literal <op> column reads backwards
-                        is_low = not is_low
-                    entry = bind(column_side.name.lower())
-                    if is_low:
-                        entry.tighten_low(literal_side.value, inclusive)
-                    else:
-                        entry.tighten_high(literal_side.value, inclusive)
-                    break
-        elif (
-            isinstance(conjunct, ast.BetweenExpr)
-            and not conjunct.negated
-            and isinstance(conjunct.operand, ast.ColumnRef)
-            and isinstance(conjunct.low, ast.Literal)
-            and isinstance(conjunct.high, ast.Literal)
-            and conjunct.low.value is not None
-            and conjunct.high.value is not None
-            and usable(conjunct.operand)
+        atom = _atom(conjunct, usable)
+        if atom is None:
+            union = _or_union(conjunct, usable)
+        elif atom[1] == "in":
+            union = UnionBinding(atom[0], _distinct(atom[2]))
+        else:
+            column, op, value = atom
+            if op == "=":
+                equalities[column] = value
+            elif op != "<>":
+                _narrow(ranges.setdefault(column, RangeBinding(column)), op, value)
+            continue
+        if union is not None and (
+            union.column not in unions or union.members < unions[union.column].members
         ):
-            entry = bind(conjunct.operand.name.lower())
-            entry.tighten_low(conjunct.low.value, True)
-            entry.tighten_high(conjunct.high.value, True)
-    return ranges
+            unions[union.column] = union
+    return Harvest(equalities, ranges, unions)
+
+
+def _or_union(expr: ast.Expr, usable) -> UnionBinding | None:
+    """An OR-chain as one column's candidate set, if it is one."""
+    if not (isinstance(expr, ast.BinaryOp) and expr.op == "OR"):
+        return None
+    column: str | None = None
+    points: list = []
+    ranges: list[RangeBinding] = []
+    for disjunct in split_disjuncts(expr):
+        atom = _atom(disjunct, usable)
+        if atom is None or atom[1] == "<>" or column not in (None, atom[0]):
+            return None  # not a member, or the chain spans columns
+        column, op, value = atom
+        if op == "=":
+            points.append(value)
+        elif op == "in":
+            points.extend(value)
+        else:
+            ranges.append(_narrow(RangeBinding(column), op, value))
+    return UnionBinding(column, _distinct(points), ranges)
+
+
+def _distinct(values) -> list:
+    """The non-NULL ``values`` in order, one per index ordering key."""
+    seen: set = set()
+    points = []
+    for value in values:
+        if value is not None:
+            key = ordering_key_element(value)
+            if key not in seen:
+                seen.add(key)
+                points.append(value)
+    return points
+
+
+def _narrow(bound: RangeBinding, op: str, value: Any) -> RangeBinding:
+    """``bound`` tightened by one range atom."""
+    if op == "between":
+        bound.tighten_low(value[0], True)
+        bound.tighten_high(value[1], True)
+    else:
+        is_low, inclusive = _RANGE_OPS[op]
+        if is_low:
+            bound.tighten_low(value, inclusive)
+        else:
+            bound.tighten_high(value, inclusive)
+    return bound
 
 
 def split_disjuncts(expr: ast.Expr) -> list[ast.Expr]:
@@ -439,212 +478,54 @@ def split_disjuncts(expr: ast.Expr) -> list[ast.Expr]:
     return [expr]
 
 
-def extract_union_bindings(
-    where: ast.Expr | None,
-    binding: str,
-    statement_sources: list[tuple[str, list[str] | None]] | None = None,
-) -> dict[str, UnionBinding]:
-    """Top-level disjunctive conjuncts servable as index unions.
+def _unqualified_unambiguous(
+    name: str, statement_sources: list[tuple[str, list[str] | None]]
+) -> bool:
+    """Whether an unqualified ``name`` names exactly one statement column.
 
-    Two shapes qualify, both over a single column of ``binding``:
-
-    * ``col IN (v1, v2, ...)`` with every member a literal (non-negated;
-      subquery candidates are left to the evaluator). NULL members match
-      nothing under three-valued IN and are dropped; duplicates (by index
-      ordering key, so ``1`` and ``1.0`` coincide) are deduplicated.
-    * An OR-chain whose every disjunct is ``col = literal``, a range
-      comparison, or non-negated BETWEEN on the same column. One failing
-      disjunct disqualifies the whole chain — a union scan must cover
-      *every* way the disjunction can be true, or it would drop rows.
-
-    Name-resolution rules match :func:`extract_equality_bindings`. When
-    several conjuncts bind the same column, the one with the fewest
-    members wins (conjuncts intersect; either set alone is a superset of
-    the answer, and the full WHERE is re-applied regardless).
+    ``statement_sources`` lists every source of the SELECT (not just those
+    already folded into the join). With any source's columns unknown
+    (views, derived tables), unqualified names are treated as unusable:
+    resolving them against a partial view could mask the ambiguity error
+    the evaluator would raise.
     """
-    lowered = binding.lower()
-    unions: dict[str, UnionBinding] = {}
-
-    def usable(column_ref: ast.ColumnRef) -> bool:
-        if column_ref.table is not None:
-            return column_ref.table.lower() == lowered
-        return statement_sources is None or _unqualified_unambiguous(
-            column_ref.name.lower(), statement_sources
-        )
-
-    def from_in(conjunct: ast.InExpr) -> UnionBinding | None:
-        if conjunct.negated or not isinstance(conjunct.candidates, list):
-            return None
-        operand = conjunct.operand
-        if not (isinstance(operand, ast.ColumnRef) and usable(operand)):
-            return None
-        if not all(isinstance(c, ast.Literal) for c in conjunct.candidates):
-            return None
-        entry = UnionBinding(operand.name.lower())
-        seen: set = set()
-        for candidate in conjunct.candidates:
-            if candidate.value is None:
-                continue  # NULL member: three-valued IN matches nothing
-            key = ordering_key_element(candidate.value)
-            if key not in seen:
-                seen.add(key)
-                entry.points.append(candidate.value)
-        return entry
-
-    def from_or(conjunct: ast.Expr) -> UnionBinding | None:
-        disjuncts = split_disjuncts(conjunct)
-        if len(disjuncts) < 2:
-            return None
-        entry: UnionBinding | None = None
-        seen: set = set()
-        for disjunct in disjuncts:
-            column: str | None = None
-            if isinstance(disjunct, ast.BinaryOp) and disjunct.op in (
-                ("=",) + tuple(_RANGE_OPS)
-            ):
-                for column_side, literal_side, flip in (
-                    (disjunct.left, disjunct.right, False),
-                    (disjunct.right, disjunct.left, True),
-                ):
-                    if (
-                        isinstance(column_side, ast.ColumnRef)
-                        and isinstance(literal_side, ast.Literal)
-                        and literal_side.value is not None
-                        and usable(column_side)
-                    ):
-                        column = column_side.name.lower()
-                        value = literal_side.value
-                        if disjunct.op == "=":
-                            member: "RangeBinding | None" = None
-                        else:
-                            is_low, inclusive = _RANGE_OPS[disjunct.op]
-                            if flip:
-                                is_low = not is_low
-                            member = RangeBinding(column)
-                            if is_low:
-                                member.tighten_low(value, inclusive)
-                            else:
-                                member.tighten_high(value, inclusive)
-                        break
-                else:
-                    return None
-            elif (
-                isinstance(disjunct, ast.BetweenExpr)
-                and not disjunct.negated
-                and isinstance(disjunct.operand, ast.ColumnRef)
-                and isinstance(disjunct.low, ast.Literal)
-                and isinstance(disjunct.high, ast.Literal)
-                and disjunct.low.value is not None
-                and disjunct.high.value is not None
-                and usable(disjunct.operand)
-            ):
-                column = disjunct.operand.name.lower()
-                member = RangeBinding(column)
-                member.tighten_low(disjunct.low.value, True)
-                member.tighten_high(disjunct.high.value, True)
-            elif isinstance(disjunct, ast.InExpr):
-                in_entry = from_in(disjunct)
-                if in_entry is None:
-                    return None
-                column = in_entry.column
-                member = None
-                value = None  # points merged below
-            else:
-                return None
-            if entry is None:
-                entry = UnionBinding(column)
-            elif entry.column != column:
-                return None  # disjunction spans columns: not one index
-            if isinstance(disjunct, ast.InExpr):
-                for point in in_entry.points:
-                    key = ordering_key_element(point)
-                    if key not in seen:
-                        seen.add(key)
-                        entry.points.append(point)
-            elif member is None:
-                key = ordering_key_element(value)
-                if key not in seen:
-                    seen.add(key)
-                    entry.points.append(value)
-            else:
-                entry.ranges.append(member)
-        return entry
-
-    for conjunct in split_conjuncts(where):
-        if isinstance(conjunct, ast.InExpr):
-            entry = from_in(conjunct)
-        elif isinstance(conjunct, ast.BinaryOp) and conjunct.op == "OR":
-            entry = from_or(conjunct)
-        else:
-            continue
-        if entry is None:
-            continue
-        existing = unions.get(entry.column)
-        # conjuncts intersect: the smaller candidate set is the better scan
-        if existing is None or entry.members < existing.members:
-            unions[entry.column] = entry
-    return unions
+    count = 0
+    for _, columns in statement_sources:
+        if columns is None:
+            return False
+        count += sum(1 for c in columns if c.lower() == name)
+    return count == 1
 
 
-def extract_pushdown_filter(
+def pushdown_filter(
     where: ast.Expr | None,
     binding: str,
     columns: list[str],
-    statement_sources: list[tuple[str, list[str] | None]] | None = None,
+    statement_sources: list[tuple[str, list[str] | None]],
 ) -> ast.Expr | None:
     """The AND of WHERE conjuncts safe to evaluate during this source's scan.
 
-    A conjunct qualifies when it compares one of this source's columns to a
-    non-NULL literal with a null-rejecting operator. Because the full WHERE
-    clause is re-applied after joins, pre-filtering only removes rows whose
-    joined results the WHERE clause would reject — including rows an outer
-    join would otherwise NULL-extend, which the null-rejecting conjunct then
-    rejects too. Unqualified column references are only used when
-    ``statement_sources`` proves them unambiguous across the whole SELECT.
+    A conjunct qualifies when its atom compares one of this source's own
+    columns to a non-NULL literal with a null-rejecting comparison; a name
+    the source exposes twice is ambiguous and never pushed. Because the
+    full WHERE clause is re-applied after joins, pre-filtering only removes
+    rows whose joined results the WHERE clause would reject — including
+    rows an outer join would otherwise NULL-extend, which the
+    null-rejecting conjunct then rejects too. Only multi-source blocks push
+    down, so ``statement_sources`` always lists the whole SELECT.
     """
-    if where is None:
-        return None
-    own_columns = _colmap(columns)  # a name exposed twice is ambiguous: not pushed
-    lowered = binding.lower()
+    own_columns = _colmap(columns)
+    usable = _usable(binding, statement_sources)
     kept: list[ast.Expr] = []
     for conjunct in split_conjuncts(where):
-        if not (
-            isinstance(conjunct, ast.BinaryOp)
-            and conjunct.op in NULL_REJECTING_COMPARISONS
+        atom = _atom(conjunct, usable)
+        if (
+            atom is not None
+            and atom[1] in NULL_REJECTING_COMPARISONS
+            and own_columns.get(atom[0]) is not None
         ):
-            continue
-        for column_side, literal_side in (
-            (conjunct.left, conjunct.right),
-            (conjunct.right, conjunct.left),
-        ):
-            if (
-                isinstance(column_side, ast.ColumnRef)
-                and isinstance(literal_side, ast.Literal)
-                and literal_side.value is not None
-                and own_columns.get(column_side.name.lower()) is not None
-                and (
-                    column_side.table.lower() == lowered
-                    if column_side.table is not None
-                    else _unqualified_unambiguous(
-                        column_side.name.lower(), statement_sources
-                    )
-                )
-            ):
-                kept.append(conjunct)
-                break
+            kept.append(conjunct)
     return conjoin(kept)
-
-
-def _column_literal_pair(
-    left: ast.Expr, right: ast.Expr, binding: str
-) -> tuple[ast.ColumnRef | None, ast.Literal | None]:
-    for column_side, literal_side in ((left, right), (right, left)):
-        if isinstance(column_side, ast.ColumnRef) and isinstance(
-            literal_side, ast.Literal
-        ):
-            if column_side.table is None or column_side.table.lower() == binding:
-                return column_side, literal_side
-    return None, None
 
 
 # --------------------------------------------------------------------------
@@ -799,12 +680,10 @@ def plan_join(
 def choose_access_path(
     table: str,
     heap: HeapTable,
-    bindings: list[EqualityBinding],
-    ranges: dict[str, RangeBinding] | None = None,
-    unions: dict[str, UnionBinding] | None = None,
+    harvest: Harvest,
     stats: "TableStatistics | None" = None,
 ) -> "tuple[AccessPath, HashIndex | SortedIndex | None, tuple | None]":
-    """Pick the best access path for one table.
+    """Pick the best access path for one table from its WHERE ``harvest``.
 
     Without statistics, candidates rank in a static preference order:
 
@@ -832,7 +711,7 @@ def choose_access_path(
     """
     if stats is not None and stats.uid != heap.uid:
         stats = None  # table was dropped/recreated since ANALYZE: ignore
-    by_column = {b.column: b.value for b in bindings}
+    by_column, ranges, unions = harvest
     # (static_order, rank, kind, index, extra); lower order preferred,
     # higher rank preferred within an order class
     candidates: list[tuple] = []
@@ -1159,8 +1038,7 @@ def _ordered_path(
     binding: str,
     heap: HeapTable,
     path: AccessPath,
-    by_column: dict[str, Any],
-    ranges: dict[str, RangeBinding],
+    harvest: Harvest,
 ) -> "tuple[AccessPath, SortedIndex] | None":
     """An ordered scan serving ``stmt``'s ORDER BY, when one beats ``path``.
 
@@ -1183,6 +1061,7 @@ def _ordered_path(
     if order is None:
         return None
     order_columns, reverse = order
+    by_column = harvest.equalities
     for index in heap.indexes.values():
         if index.kind != "btree":
             continue
@@ -1203,7 +1082,7 @@ def _ordered_path(
         key_columns=tuple(index.columns[:prefix_len]),
         prefix_values=tuple(by_column[c] for c in columns[:prefix_len]),
         range_column=index.columns[prefix_len],
-        range=ranges.get(columns[prefix_len]),
+        range=harvest.ranges.get(columns[prefix_len]),
         order_columns=tuple(order_columns),
         reverse=reverse,
         limit=stmt.limit,
@@ -1227,25 +1106,12 @@ def plan_table_scan(
     ORDER BY an ordered index scan may serve.
     """
     heap = db.heap(schema.name)
-    bindings = extract_equality_bindings(where, binding, statement_sources)
-    ranges = extract_range_bindings(where, binding, statement_sources)
+    harvest = harvest_conjuncts(where, binding, statement_sources)
     path, index, key = choose_access_path(
-        schema.name,
-        heap,
-        bindings,
-        ranges,
-        unions=extract_union_bindings(where, binding, statement_sources),
-        stats=db.catalog.statistics.get(schema.name.lower()),
+        schema.name, heap, harvest, db.catalog.statistics.get(schema.name.lower())
     )
     if order_by_of is not None:
-        ordered = _ordered_path(
-            order_by_of,
-            binding,
-            heap,
-            path,
-            {b.column: b.value for b in bindings},
-            ranges,
-        )
+        ordered = _ordered_path(order_by_of, binding, heap, path, harvest)
         if ordered is not None:
             path, index = ordered
             key = None
@@ -1326,7 +1192,7 @@ def plan_select(
         # pushdown only pays off when the filtered rows feed a join;
         # single-source blocks apply WHERE once, after the scan
         if not single and scan.columns:
-            scan.filter = extract_pushdown_filter(
+            scan.filter = pushdown_filter(
                 stmt.where, scan.binding, scan.columns, statement_sources
             )
 

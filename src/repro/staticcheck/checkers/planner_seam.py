@@ -29,10 +29,8 @@ PLANNING_PRIMITIVES = frozenset(
     {
         "choose_access_path",
         "plan_join",
-        "extract_equality_bindings",
-        "extract_range_bindings",
-        "extract_union_bindings",
-        "extract_pushdown_filter",
+        "harvest_conjuncts",
+        "pushdown_filter",
     }
 )
 

@@ -711,6 +711,90 @@ class TestSelfReferencingForeignKey:
         replayed.close()
 
 
+class TestKeyColumnSpelling:
+    """Key lists may spell a column in any case; CREATE TABLE stores the
+    table's own spelling, so the WAL record carries it and every lookup by
+    name finds the column. Kept as written, ``PRIMARY KEY (ID)`` made a
+    ``REFERENCES p`` column look parents up in a column ``ID`` no row
+    holds, and ``FOREIGN KEY (PID)`` read NULL from every row."""
+
+    @pytest.fixture
+    def parent(self, s):
+        s.execute("CREATE TABLE p (id INT, v INT, PRIMARY KEY (ID))")
+        s.execute("INSERT INTO p VALUES (1, 0)")
+        return s
+
+    @pytest.fixture
+    def child(self, parent):
+        parent.execute("CREATE TABLE c (pid INT REFERENCES p, w INT)")
+        parent.db.heap("c").insert({"pid": 1, "w": 3})  # references p's row 1
+        return parent
+
+    def test_insert_finds_the_parent(self, parent):
+        parent.execute("CREATE TABLE c (pid INT REFERENCES p, w INT)")
+        parent.execute("INSERT INTO c VALUES (1, 3)")
+        assert parent.execute("SELECT * FROM c").rows == [(1, 3)]
+
+    def test_delete_of_a_referenced_parent_is_refused(self, child):
+        with pytest.raises(ForeignKeyViolation, match="still referenced"):
+            child.execute("DELETE FROM p WHERE id = 1")
+
+    def test_rekeying_a_referenced_parent_is_refused(self, child):
+        with pytest.raises(ForeignKeyViolation, match="still referenced"):
+            child.execute("UPDATE p SET id = 5 WHERE id = 1")
+
+    def test_table_level_foreign_key_is_enforced(self, parent):
+        parent.execute(
+            "CREATE TABLE c (pid INT, w INT, FOREIGN KEY (PID) REFERENCES p (ID))"
+        )
+        parent.execute("INSERT INTO c VALUES (1, 3)")
+        with pytest.raises(ForeignKeyViolation):
+            parent.execute("INSERT INTO c VALUES (7, 3)")
+
+    def test_the_wal_record_carries_the_stored_names(self, tmp_path):
+        path = str(tmp_path / "db")
+        live = Database.open(path)
+        session = live.connect("admin")
+        session.execute("CREATE TABLE p (id INT, abc INT, PRIMARY KEY (ID), UNIQUE (ABC))")
+        session.execute("CREATE TABLE c (pid INT, FOREIGN KEY (PID) REFERENCES P (Id))")
+        live.close()  # no checkpoint: reopening replays the WAL
+        replayed = Database.open(path)
+        p, c = replayed.catalog.table("p"), replayed.catalog.table("c")
+        assert (p.primary_key, p.uniques) == (("id",), [("abc",)])
+        assert [(fk.columns, fk.ref_table, fk.ref_columns) for fk in c.foreign_keys] == [
+            (("pid",), "p", ("id",))
+        ]
+        replayed.close()
+
+    @pytest.mark.parametrize(
+        "ddl",
+        [
+            "CREATE TABLE c (pid INT REFERENCES p (nope))",
+            "CREATE TABLE c (pid INT, FOREIGN KEY (nope) REFERENCES p (id))",
+            "CREATE TABLE c (pid INT, FOREIGN KEY (pid) REFERENCES p (nope))",
+            "CREATE TABLE c (pid INT, PRIMARY KEY (zz))",
+        ],
+    )
+    def test_an_unknown_key_column_is_refused(self, parent, ddl):
+        """Fails at the parent for the three foreign-key spellings."""
+        with pytest.raises(UnknownColumnError):
+            parent.execute(ddl)
+        assert not parent.db.catalog.has_table("c")
+
+    def test_a_non_unique_referenced_key_is_accepted(self, parent):
+        """Divergence (docs/ARCHITECTURE.md, "Constraints"): PostgreSQL
+        refuses a foreign key whose referenced columns are not a primary
+        key or UNIQUE constraint (42830); minidb accepts it and checks
+        presence, so a parent row holding a duplicated key stays guarded."""
+        parent.execute("INSERT INTO p VALUES (2, 0)")
+        parent.execute("CREATE TABLE c (pv INT REFERENCES p (V))")
+        parent.execute("INSERT INTO c VALUES (0)")
+        with pytest.raises(ForeignKeyViolation):
+            parent.execute("INSERT INTO c VALUES (9)")
+        with pytest.raises(ForeignKeyViolation, match="still referenced"):
+            parent.execute("DELETE FROM p WHERE id = 2")
+
+
 class TestSnapshotHelpers:
     def test_snapshot(self, store):
         snap = store.db.snapshot()

@@ -12,7 +12,7 @@ import pytest
 
 from repro.minidb import Database, parse
 from repro.minidb.functions import SCALAR_FUNCTIONS
-from repro.minidb.planner import extract_pushdown_filter, plan_join, plan_select
+from repro.minidb.planner import plan_join, plan_select, pushdown_filter
 
 
 @pytest.fixture
@@ -226,7 +226,7 @@ class TestWherePushdown:
     def test_pushdown_filter_extraction(self):
         where = parse("SELECT * FROM t WHERE a = 1 AND t.b > 2 AND c IS NULL").where
         sources = [("t", ["a", "b", "c"]), ("u", ["x"])]
-        predicate = extract_pushdown_filter(where, "t", ["a", "b", "c"], sources)
+        predicate = pushdown_filter(where, "t", ["a", "b", "c"], sources)
         from repro.minidb.sqlgen import expr_to_sql
 
         sql = expr_to_sql(predicate)
@@ -236,7 +236,7 @@ class TestWherePushdown:
     def test_pushdown_ignores_other_sources_columns(self):
         where = parse("SELECT * FROM t WHERE u.a = 1 AND b = 2").where
         sources = [("t", ["b"]), ("u", ["a"])]
-        predicate = extract_pushdown_filter(where, "t", ["b"], sources)
+        predicate = pushdown_filter(where, "t", ["b"], sources)
         from repro.minidb.sqlgen import expr_to_sql
 
         assert expr_to_sql(predicate) == "(b = 2)"
@@ -246,12 +246,12 @@ class TestWherePushdown:
         # the ambiguity error the WHERE evaluator must raise
         where = parse("SELECT * FROM t WHERE b = 2").where
         sources = [("t", ["b"]), ("u", ["b"])]
-        assert extract_pushdown_filter(where, "t", ["b"], sources) is None
+        assert pushdown_filter(where, "t", ["b"], sources) is None
 
     def test_pushdown_skips_unqualified_with_unknown_source(self):
         where = parse("SELECT * FROM t WHERE b = 2").where
         sources = [("t", ["b"]), ("v", None)]  # view: columns unknown
-        assert extract_pushdown_filter(where, "t", ["b"], sources) is None
+        assert pushdown_filter(where, "t", ["b"], sources) is None
 
     def test_ambiguous_unqualified_where_still_raises(self, s):
         # regression: both tables have "name"; the pushed-down filter and

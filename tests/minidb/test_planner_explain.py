@@ -5,7 +5,7 @@ import pytest
 from repro.minidb import Database, parse
 from repro.minidb.planner import (
     choose_access_path,
-    extract_equality_bindings,
+    harvest_conjuncts,
     plan_select,
 )
 
@@ -26,62 +26,56 @@ def s():
 
 
 class TestEqualityExtraction:
-    def where(self, sql):
-        return parse(f"SELECT * FROM t WHERE {sql}").where
+    def equalities(self, sql):
+        where = parse(f"SELECT * FROM t WHERE {sql}").where if sql else None
+        return harvest_conjuncts(where, "t").equalities
 
     def test_simple_equality(self):
-        bindings = extract_equality_bindings(self.where("grp = 3"), "t")
-        assert [(b.column, b.value) for b in bindings] == [("grp", 3)]
+        assert list(self.equalities("grp = 3").items()) == [("grp", 3)]
 
     def test_reversed_operands(self):
-        bindings = extract_equality_bindings(self.where("5 = id"), "t")
-        assert bindings[0].column == "id"
+        assert list(self.equalities("5 = id")) == ["id"]
 
     def test_and_conjuncts_collected(self):
-        bindings = extract_equality_bindings(
-            self.where("grp = 1 AND name = 'x' AND val > 2"), "t"
-        )
-        assert {b.column for b in bindings} == {"grp", "name"}
+        bindings = self.equalities("grp = 1 AND name = 'x' AND val > 2")
+        assert set(bindings) == {"grp", "name"}
 
     def test_or_not_extracted(self):
-        assert extract_equality_bindings(self.where("grp = 1 OR grp = 2"), "t") == []
+        assert self.equalities("grp = 1 OR grp = 2") == {}
 
     def test_qualified_other_binding_ignored(self):
-        bindings = extract_equality_bindings(self.where("u.grp = 1"), "t")
-        assert bindings == []
+        assert self.equalities("u.grp = 1") == {}
 
     def test_null_equality_ignored(self):
-        assert extract_equality_bindings(self.where("grp = NULL"), "t") == []
+        assert self.equalities("grp = NULL") == {}
 
     def test_none_where(self):
-        assert extract_equality_bindings(None, "t") == []
+        assert self.equalities(None) == {}
 
 
 class TestAccessPathChoice:
     def test_index_chosen_for_bound_column(self, s):
         heap = s.db.heap("t")
-        bindings = extract_equality_bindings(
-            parse("SELECT * FROM t WHERE grp = 3").where, "t"
-        )
-        path, index, key = choose_access_path("t", heap, bindings)
+        harvest = harvest_conjuncts(parse("SELECT * FROM t WHERE grp = 3").where, "t")
+        path, index, key = choose_access_path("t", heap, harvest)
         assert path.kind == "index"
         assert index.name == "ix_grp"
         assert key == (3,)
 
     def test_unique_index_preferred(self, s):
         heap = s.db.heap("t")
-        bindings = extract_equality_bindings(
+        harvest = harvest_conjuncts(
             parse("SELECT * FROM t WHERE grp = 3 AND id = 7").where, "t"
         )
-        path, index, _ = choose_access_path("t", heap, bindings)
+        path, index, _ = choose_access_path("t", heap, harvest)
         assert index.unique  # the PK index wins over ix_grp
 
     def test_seq_scan_without_match(self, s):
         heap = s.db.heap("t")
-        bindings = extract_equality_bindings(
+        harvest = harvest_conjuncts(
             parse("SELECT * FROM t WHERE name = 'x'").where, "t"
         )
-        path, index, _ = choose_access_path("t", heap, bindings)
+        path, index, _ = choose_access_path("t", heap, harvest)
         assert path.kind == "seq"
         assert index is None
 

@@ -21,9 +21,7 @@ from repro.minidb import Database, parse
 from repro.minidb.planner import (
     RangeBinding,
     choose_access_path,
-    extract_equality_bindings,
-    extract_range_bindings,
-    extract_union_bindings,
+    harvest_conjuncts,
 )
 
 #: a base-table source and its optional alias (keywords are upper case)
@@ -102,53 +100,47 @@ def s():
 
 
 class TestRangeExtraction:
-    def where(self, sql):
-        return parse(f"SELECT * FROM t WHERE {sql}").where
+    def ranges(self, sql):
+        return harvest_conjuncts(parse(f"SELECT * FROM t WHERE {sql}").where, "t").ranges
 
     def test_all_four_operators(self):
-        ranges = extract_range_bindings(
-            self.where("a > 1 AND b >= 2 AND c < 3 AND d <= 4"), "t"
-        )
+        ranges = self.ranges("a > 1 AND b >= 2 AND c < 3 AND d <= 4")
         assert (ranges["a"].low, ranges["a"].incl_low) == (1, False)
         assert (ranges["b"].low, ranges["b"].incl_low) == (2, True)
         assert (ranges["c"].high, ranges["c"].incl_high) == (3, False)
         assert (ranges["d"].high, ranges["d"].incl_high) == (4, True)
 
     def test_reversed_operands_flip_direction(self):
-        ranges = extract_range_bindings(self.where("5 < a AND 9 >= a"), "t")
+        ranges = self.ranges("5 < a AND 9 >= a")
         assert (ranges["a"].low, ranges["a"].incl_low) == (5, False)
         assert (ranges["a"].high, ranges["a"].incl_high) == (9, True)
 
     def test_between_binds_both_sides(self):
-        ranges = extract_range_bindings(self.where("a BETWEEN 2 AND 8"), "t")
+        ranges = self.ranges("a BETWEEN 2 AND 8")
         assert (ranges["a"].low, ranges["a"].high) == (2, 8)
         assert ranges["a"].incl_low and ranges["a"].incl_high
 
     def test_not_between_ignored(self):
-        assert extract_range_bindings(self.where("a NOT BETWEEN 2 AND 8"), "t") == {}
+        assert self.ranges("a NOT BETWEEN 2 AND 8") == {}
 
     def test_conjuncts_tighten(self):
-        ranges = extract_range_bindings(
-            self.where("a >= 2 AND a > 3 AND a < 10 AND a < 8"), "t"
-        )
+        ranges = self.ranges("a >= 2 AND a > 3 AND a < 10 AND a < 8")
         assert (ranges["a"].low, ranges["a"].incl_low) == (3, False)
         assert (ranges["a"].high, ranges["a"].incl_high) == (8, False)
 
     def test_or_and_null_literals_ignored(self):
-        assert extract_range_bindings(self.where("a > 1 OR a < 5"), "t") == {}
-        assert extract_range_bindings(self.where("a > NULL"), "t") == {}
+        assert self.ranges("a > 1 OR a < 5") == {}
+        assert self.ranges("a > NULL") == {}
 
     def test_other_binding_qualifier_ignored(self):
-        assert extract_range_bindings(self.where("u.a > 1"), "t") == {}
+        assert self.ranges("u.a > 1") == {}
 
 
 class TestRangePathChoice:
     def test_range_path_on_btree(self, s):
         heap = s.db.heap("t")
         where = parse("SELECT * FROM t WHERE val >= 10 AND val < 20").where
-        path, index, key = choose_access_path(
-            "t", heap, [], extract_range_bindings(where, "t")
-        )
+        path, index, key = choose_access_path("t", heap, harvest_conjuncts(where, "t"))
         assert path.kind == "range"
         assert index.name == "ix_val"
         assert key is None
@@ -158,12 +150,7 @@ class TestRangePathChoice:
     def test_equality_prefix_plus_range(self, s):
         heap = s.db.heap("t")
         stmt = parse("SELECT * FROM t WHERE grp = 3 AND val > 50")
-        path, index, _ = choose_access_path(
-            "t",
-            heap,
-            extract_equality_bindings(stmt.where, "t"),
-            extract_range_bindings(stmt.where, "t"),
-        )
+        path, index, _ = choose_access_path("t", heap, harvest_conjuncts(stmt.where, "t"))
         assert path.kind == "range"
         assert index.name == "ix_grp_val"
         assert path.prefix_values == (3,)
@@ -173,10 +160,7 @@ class TestRangePathChoice:
         heap = s.db.heap("t")
         stmt = parse("SELECT * FROM t WHERE id = 7 AND val > 2")
         path, index, key = choose_access_path(
-            "t",
-            heap,
-            extract_equality_bindings(stmt.where, "t"),
-            extract_range_bindings(stmt.where, "t"),
+            "t", heap, harvest_conjuncts(stmt.where, "t")
         )
         assert path.kind == "index"
         assert index.unique
@@ -185,9 +169,7 @@ class TestRangePathChoice:
         s.execute("CREATE TABLE h (x INT)")
         s.execute("CREATE INDEX ix_h ON h (x)")  # hash
         where = parse("SELECT * FROM h WHERE x > 2").where
-        path, _, _ = choose_access_path(
-            "h", s.db.heap("h"), [], extract_range_bindings(where, "h")
-        )
+        path, _, _ = choose_access_path("h", s.db.heap("h"), harvest_conjuncts(where, "h"))
         assert path.kind == "seq"
 
 
@@ -449,33 +431,24 @@ class TestDMLAccessPaths:
 
 
 class TestUnionExtraction:
-    def where(self, sql):
-        return parse(f"SELECT * FROM t WHERE {sql}").where
+    def unions(self, sql):
+        return harvest_conjuncts(parse(f"SELECT * FROM t WHERE {sql}").where, "t").unions
 
     def test_in_list_collects_points(self):
-        unions = extract_union_bindings(self.where("a IN (1, 2, 3)"), "t")
+        unions = self.unions("a IN (1, 2, 3)")
         assert unions["a"].points == [1, 2, 3]
         assert unions["a"].ranges == []
 
     def test_in_list_drops_nulls_and_duplicates(self):
-        unions = extract_union_bindings(
-            self.where("a IN (5, NULL, 5, 2, 2)"), "t"
-        )
+        unions = self.unions("a IN (5, NULL, 5, 2, 2)")
         assert unions["a"].points == [5, 2]
 
     def test_negated_and_subquery_in_ignored(self):
-        assert extract_union_bindings(self.where("a NOT IN (1, 2)"), "t") == {}
-        assert (
-            extract_union_bindings(
-                self.where("a IN (SELECT a FROM t)"), "t"
-            )
-            == {}
-        )
+        assert self.unions("a NOT IN (1, 2)") == {}
+        assert self.unions("a IN (SELECT a FROM t)") == {}
 
     def test_or_chain_of_ranges_and_points(self):
-        unions = extract_union_bindings(
-            self.where("a < 2 OR a BETWEEN 5 AND 7 OR a = 11"), "t"
-        )
+        unions = self.unions("a < 2 OR a BETWEEN 5 AND 7 OR a = 11")
         entry = unions["a"]
         assert entry.points == [11]
         assert len(entry.ranges) == 2
@@ -483,24 +456,17 @@ class TestUnionExtraction:
         assert (entry.ranges[1].low, entry.ranges[1].high) == (5, 7)
 
     def test_or_across_columns_rejected(self):
-        assert extract_union_bindings(self.where("a = 1 OR b = 2"), "t") == {}
+        assert self.unions("a = 1 OR b = 2") == {}
 
     def test_one_bad_disjunct_disqualifies_the_chain(self):
-        assert (
-            extract_union_bindings(
-                self.where("a = 1 OR a = 2 OR a LIKE 'x'"), "t"
-            )
-            == {}
-        )
+        assert self.unions("a = 1 OR a = 2 OR a LIKE 'x'") == {}
 
     def test_tighter_conjunct_wins(self):
-        unions = extract_union_bindings(
-            self.where("a IN (1, 2, 3) AND a IN (2, 3)"), "t"
-        )
+        unions = self.unions("a IN (1, 2, 3) AND a IN (2, 3)")
         assert unions["a"].points == [2, 3]
 
     def test_other_binding_qualifier_ignored(self):
-        assert extract_union_bindings(self.where("u.a IN (1, 2)"), "t") == {}
+        assert self.unions("u.a IN (1, 2)") == {}
 
 
 class TestUnionExecution:
@@ -539,10 +505,10 @@ class TestUnionExecution:
         assert len(rows) == 20
         assert s.db.planner_stats["union_scans"] == before + 1
         # ranges disqualify the hash index: no btree on x -> seq scan
-        unions = extract_union_bindings(
+        harvest = harvest_conjuncts(
             parse("SELECT * FROM h WHERE x = 1 OR x > 3").where, "h"
         )
-        path, _, _ = choose_access_path("h", s.db.heap("h"), [], unions=unions)
+        path, _, _ = choose_access_path("h", s.db.heap("h"), harvest)
         assert path.kind == "seq"
 
     def test_explain_shows_union_plan(self, s):

@@ -559,12 +559,12 @@ def test_metric_registration_suppression_honored():
 
 PLANNER_SEAM_BAD = """\
     from repro.minidb import planner
-    from repro.minidb.planner import choose_access_path, extract_equality_bindings
+    from repro.minidb.planner import choose_access_path, harvest_conjuncts
 
     class Executor:
         def scan(self, table, heap, where, binding):
-            bindings = extract_equality_bindings(where, binding)
-            path, index, key = choose_access_path(table, heap, bindings)
+            harvest = harvest_conjuncts(where, binding)
+            path, index, key = choose_access_path(table, heap, harvest)
             return index.probe(key) if path.kind == "index" else None
 
         def join(self, kind, condition, where, lefts, right):
@@ -596,7 +596,7 @@ def test_planner_seam_flags_planning_outside_the_planner():
     findings, _ = run_rule("planner-seam", PLANNER_SEAM_BAD, rel_path=PLANNER_SEAM_PATH)
     assert len(findings) == 3
     messages = " ".join(f.message for f in findings)
-    assert "extract_equality_bindings()" in messages
+    assert "harvest_conjuncts()" in messages
     assert "choose_access_path()" in messages
     assert "plan_join()" in messages  # attribute calls count too
     assert findings[0].context == "Executor.scan"
@@ -615,8 +615,8 @@ def test_planner_seam_exempts_the_planner_and_code_outside_src():
 
 def test_planner_seam_suppression_honored():
     source = PLANNER_SEAM_BAD.replace(
-        "bindings = extract_equality_bindings(where, binding)",
-        "bindings = extract_equality_bindings(where, binding)"
+        "harvest = harvest_conjuncts(where, binding)",
+        "harvest = harvest_conjuncts(where, binding)"
         "  # staticcheck: ignore[planner-seam] — fixture rationale",
     )
     findings, suppressed = run_rule("planner-seam", source, rel_path=PLANNER_SEAM_PATH)
