@@ -40,23 +40,30 @@ statically referenced columns plus a pick vector of row indexes into it):
 * **where**, then **group / project** (:meth:`Executor._aggregate`,
   :meth:`Executor._project`) over the relation's columns, and the tail:
   DISTINCT, set operations, ORDER BY / bounded top-N via ``heapq``,
-  OFFSET/LIMIT.
+  OFFSET/LIMIT. Select items and ORDER BY keys stay columns through the
+  tail — a key that is not an output column rides along as a hidden one
+  (:func:`_order_targets`), every ORDER BY sorts through one key builder
+  (:func:`_sort_keys`), and rows are built once, from the survivors.
 
 There are two expression engines (:mod:`repro.minidb.expressions`): batch
 kernels (:func:`~repro.minidb.expressions.compile_batch_expr`), which read
 ``relation.column(binding, name)``, and the AST interpreter — the
 reference, and the only path for subquery-bearing or correlated
 expressions — which reads the same relation through a per-row scope
-(:meth:`_ScopeLayout.scope`). Every predicate (scan, join, WHERE, DML
-targets) goes through one seam, :meth:`Executor._selector`: compile once
-per operator, evaluate chunks of at most ``batch_size`` rows, keep what is
-``True``, and raise a deferred error only when the walk reaches its row;
-projection, group keys and aggregate arguments compile per expression and
-fall back to the interpreter per row. Like the kernels' typed paths
-(:mod:`repro.minidb.expressions`), the selector, ungrouped ORDER BY /
-top-N and GROUP BY run in C on a vector whose values all lie in one class
-where the per-row code provably returns the same thing, and per row on
-any other. Correlated subqueries are supported via scope chaining.
+(:meth:`_ScopeLayout.scope`). Every expression position is a column
+(:meth:`Executor._compile`): its value per row, from a kernel or from the
+interpreter, with an erroring row's error deferred in place either way,
+so no operator branches on which engine computed it. Every predicate
+(scan, join, WHERE, DML targets) goes through one seam,
+:meth:`Executor._selector`: compile once per operator, evaluate chunks of
+at most ``batch_size`` rows, keep what is ``True``, and raise a deferred
+error only when the walk reaches its row; projection and group keys
+raise the first deferred error in row-major order, aggregates in fold
+order. Like the kernels' typed paths (:mod:`repro.minidb.expressions`),
+the selector, ORDER BY / top-N and GROUP BY run in C on a vector whose
+values all lie in one class where the per-row code provably returns the
+same thing, and per row on any other. Correlated subqueries are
+supported via scope chaining.
 
 Every alternative path is reached from its input: a seq scan reads a
 table without a usable index, a nested loop joins on a condition with no
@@ -85,8 +92,10 @@ from .errors import (
     DuplicateObjectError,
     ExecutionError,
     ForeignKeyViolation,
+    MiniDBError,
     NotNullViolation,
     SQLSyntaxError,
+    TransactionError,
     UnknownColumnError,
     UnknownTableError,
 )
@@ -381,23 +390,56 @@ def _order_insensitive_output(
     return True
 
 
-def _key_columns(order_plans: list, cols: list) -> "list[tuple[list, bool]] | None":
-    """``(values, descending)`` per ORDER BY plan of an all-vectorized
-    projection whose item columns are ``cols`` — ``None`` when a key must
-    be interpreted per row, or is an ordinal out of range (the per-row
-    path raises that)."""
-    key_columns = []
-    for kind, payload, descending in order_plans:
-        if kind == "vec":
-            values = payload
-        elif kind == "alias":
-            values = cols[payload]
-        elif kind == "ordinal" and 1 <= payload <= len(cols):
-            values = cols[payload - 1]
+def _order_targets(
+    order_by: list, labels: list, set_op: bool
+) -> "tuple[list[tuple[int, bool]], list[ast.Expr]]":
+    """Where each ORDER BY key is read, as ``(position, descending)``: a
+    position among the output columns followed by the returned hidden
+    key expressions, which are evaluated beside the select items (the
+    role of PostgreSQL's resjunk columns). An ordinal is an output
+    position; out of range it is refused before any item or key is
+    evaluated, whether or not rows come out — PostgreSQL refuses it at
+    analysis (42P10). An unqualified name that an item aliases is that
+    item (``labels``: the items' aliases). After a set operation
+    (``set_op``; ``labels``: the output names) a key must name an output
+    column, by ordinal or by name."""
+    lowered = [label.lower() if label else None for label in labels]
+    targets: list[tuple[int, bool]] = []
+    hidden: list[ast.Expr] = []
+    for order in order_by:
+        expr = order.expr
+        if isinstance(expr, ast.Literal) and isinstance(expr.value, int):
+            if not 1 <= expr.value <= len(labels):
+                raise ExecutionError(f"ORDER BY position {expr.value} is out of range")
+            position = expr.value - 1
+        elif (
+            isinstance(expr, ast.ColumnRef)
+            and (set_op or expr.table is None)
+            and expr.name.lower() in lowered
+        ):
+            position = lowered.index(expr.name.lower())
+        elif set_op:
+            raise ExecutionError(
+                "ORDER BY after a set operation must use output columns"
+            )
         else:
-            return None
-        key_columns.append((values, descending))
-    return key_columns
+            position = len(labels) + len(hidden)
+            hidden.append(expr)
+        targets.append((position, order.descending))
+    return targets, hidden
+
+
+def _gather(columns: list[list], picks) -> list[list]:
+    """``columns`` cut to the rows ``picks``, in that order."""
+    return [list(map(col.__getitem__, picks)) for col in columns]
+
+
+def _first_of_each(rows) -> list[int]:
+    """Index of the first row of each set of equal rows (DISTINCT)."""
+    first: dict[tuple, int] = {}
+    for i, row in enumerate(rows):
+        first.setdefault(_row_marker(row), i)
+    return list(first.values())
 
 
 class _AggregateEvaluator(Evaluator):
@@ -452,16 +494,16 @@ def _is_own_sort_key(values: list) -> bool:
     return kinds <= SORT_NUMBER_CLASS and not any(map(ne, values, values))
 
 
-def _sort_keys(key_columns: "list[tuple[list, bool]]", reversible: bool):
-    """Per-row sort keys for ``(values, descending)`` key columns, and
-    whether to sort them in reverse. One key column that is its own key is
-    used as is, DESC by reversing the sort — only where the caller sorts
-    with that flag (``reversible``). Otherwise ``ordering_key_element`` —
-    wrapped for DESC — is mapped over each column, zipped when there are
-    several. (Mapped DESC keys compare through ``_Reversed`` in Python: a
-    10k-row ``ORDER BY dwell_s DESC LIMIT 10`` takes ≈ 7x as long on them
-    as on the column itself.)"""
-    if reversible and len(key_columns) == 1:
+def _sort_keys(key_columns: "list[tuple[list, bool]]"):
+    """The one ORDER BY key builder: per-row sort keys for ``(values,
+    descending)`` key columns, and whether to sort them in reverse. One
+    key column that is its own key is used as is, DESC by reversing the
+    sort. Otherwise ``ordering_key_element`` — wrapped for DESC — is
+    mapped over each column, zipped when there are several. (Mapped DESC
+    keys compare through ``_Reversed`` in Python: a 10k-row ``ORDER BY
+    dwell_s DESC LIMIT 10`` takes ≈ 7x as long on them as on the column
+    itself.)"""
+    if len(key_columns) == 1:
         values, descending = key_columns[0]
         if _is_own_sort_key(values):
             return values, descending
@@ -559,7 +601,6 @@ class Executor:
         # an ordered scan hands over rows in ORDER BY order with WHERE
         # applied, cut at OFFSET+LIMIT: no filter and no sort after it
         ordered = bool(scans) and scans[0].kind == "ordered"
-        order_by = [] if ordered else stmt.order_by
         needed = stmt.limit + (stmt.offset or 0) if stmt.limit is not None else None
         refs = _referenced_names(_statement_exprs(stmt))
         unordered = _order_insensitive_output(stmt, plan.aggregates)
@@ -603,36 +644,42 @@ class Executor:
 
         items = expand_items(stmt.items, scans)
         out_columns = [item_name(item, index) for index, item in enumerate(items)]
+        set_op = stmt.set_op is not None
+        # a set operation's ORDER BY sorts the combined rows, by output column
+        targets, hidden = _order_targets(
+            [] if ordered else stmt.order_by,
+            out_columns if set_op else [item.alias for item in items],
+            set_op,
+        )
+        # every select item and hidden key is a column from here on: rows
+        # are built once, from the rows that survive DISTINCT and ORDER BY
+        exprs = [item.expr for item in items] + hidden
         if plan.grouped:
-            out_rows, order_keys = self._aggregate(
-                plan, items, order_by, relation, layout, evaluator, run_subquery
+            columns = self._aggregate(
+                plan, exprs, relation, layout, evaluator, run_subquery
             )
         else:
-            # with no DISTINCT or set operation after it, a vectorized
-            # projection orders and cuts its own rows (order_keys None)
-            out_rows, order_keys = self._project(
-                items, order_by, relation, layout, evaluator,
-                not stmt.distinct and stmt.set_op is None, needed,
-            )
+            columns = self._project(exprs, relation, layout, evaluator)
 
         if stmt.distinct:
-            out_rows, order_keys = self._distinct(out_rows, order_keys)
+            columns = _gather(columns, _first_of_each(zip(*columns[: len(items)])))
 
-        if stmt.set_op is not None:
+        if set_op:
             kind = stmt.set_op[0]
             rhs_columns, rhs_rows = self._run_plan(plan.set_op, session, outer)
             if len(rhs_columns) != len(out_columns):
                 raise ExecutionError(
                     f"{kind} operands must have the same number of columns"
                 )
-            out_rows = self._apply_set_op(kind, out_rows, rhs_rows)
-            if order_by and out_rows:
-                # set-op result ordered by ordinal/alias only
-                out_rows = self._order_by_output(order_by, out_columns, out_rows)
-        elif order_by and order_keys:
-            out_rows = [
-                out_rows[i] for i in self._ordered_indexes(order_keys, False, needed)
-            ]
+            rows = self._apply_set_op(kind, list(zip(*columns)), rhs_rows)
+            columns = [list(col) for col in zip(*rows)] or [[] for _ in items]
+
+        if targets:
+            keys, reverse = _sort_keys(
+                [(columns[position], descending) for position, descending in targets]
+            )
+            columns = _gather(columns, self._ordered_indexes(keys, reverse, needed))
+        out_rows = list(zip(*columns[: len(items)]))
 
         offset = stmt.offset or 0
         if offset:
@@ -793,15 +840,41 @@ class Executor:
             )
         return rids
 
-    # ---------------------------------------------------------- predicates
+    # ------------------------------------------------ columns and predicates
 
-    def _kernel(self, expr: ast.Expr, layout: _ScopeLayout):
-        """``expr`` compiled to a batch kernel, or ``None`` when it needs
-        the interpreter (subqueries, aggregates, possibly-correlated
-        names) or ``enable_compiled_predicates`` is off."""
-        if not self.db.planner_options["enable_compiled_predicates"]:
-            return None
-        return compile_batch_expr(expr, layout.resolve)
+    def _compile(self, expr: ast.Expr, layout: _ScopeLayout, evaluator: Evaluator):
+        """``expr`` as a column: ``column(relation)`` returns its value on
+        every row of ``relation``, with the :class:`MiniDBError` of an
+        erroring row deferred as a :class:`BatchError` in its place. A
+        batch kernel computes it where ``expr`` compiles and
+        ``enable_compiled_predicates`` is on; otherwise the interpreter
+        does, row by row through the relation's scope — the only way for
+        subqueries and possibly-correlated names. Consumers see one
+        contract either way.
+
+        Only value errors are deferred. A :class:`TransactionError` — a
+        subquery's lock timeout or deadlock — fails the statement at its
+        row: the transaction is already aborted, and every later row
+        would wait for the same lock again."""
+        if self.db.planner_options["enable_compiled_predicates"]:
+            kernel = compile_batch_expr(expr, layout.resolve)
+            if kernel is not None:
+                return kernel
+
+        def interpret(relation: _Relation) -> list:
+            scope = layout.scope(relation)
+            values: list = []
+            for i in range(relation.length):
+                relation.row = i
+                try:
+                    values.append(evaluator.evaluate(expr, scope))
+                except TransactionError:
+                    raise
+                except MiniDBError as exc:
+                    values.append(BatchError(exc))
+            return values
+
+        return interpret
 
     def _selector(
         self,
@@ -815,37 +888,23 @@ class Executor:
         true (NULL counts as false), stopping at ``limit`` of them.
 
         The predicate is compiled once per call — once per operator — and
-        evaluated over chunks of at most ``batch_size`` rows; when it does
-        not compile, or compiled predicates are off, every row goes
-        through the interpreter instead. Either way an evaluation error
-        surfaces only when the walk reaches the erroring row, so a
-        ``limit`` reached first hides it; an erroring row whose error is
-        one of ``keep_errors`` is kept rather than raised.
+        its column (:meth:`_compile`) computed over chunks of at most
+        ``batch_size`` rows. An evaluation error surfaces only when the
+        walk reaches the erroring row, so a ``limit`` reached first hides
+        it; an erroring row whose error is one of ``keep_errors`` is kept
+        rather than raised.
         """
-        kernel = self._kernel(predicate, layout)
+        column = self._compile(predicate, layout, evaluator)
         size = self.db.planner_options["batch_size"]
 
         def select(relation: _Relation, limit: int | None = None) -> list[int]:
             kept: list[int] = []
-            if kernel is None:
-                scope = layout.scope(relation)
-                for i in range(relation.length):
-                    relation.row = i
-                    try:
-                        keep = evaluator.evaluate_predicate(predicate, scope)
-                    except keep_errors:
-                        keep = True
-                    if keep:
-                        kept.append(i)
-                        if len(kept) == limit:
-                            break
-                return kept
             length = relation.length
             for start in range(0, length, size):
                 chunk = relation
                 if length > size:
                     chunk = relation.slice(start, min(start + size, length))
-                values = kernel(chunk)
+                values = column(chunk)
                 if limit is None and TRUTH_CLASS.issuperset(map(type, values)):
                     # no error to raise and nothing to stop at: keep the
                     # True elements in C
@@ -959,76 +1018,24 @@ class Executor:
 
     # ------------------------------------------------------- group / project
 
-    def _project(
-        self, items, order_by, relation, layout, evaluator, final, needed
-    ) -> "tuple[list[tuple], list | None]":
-        """Ungrouped projection over the relation's columns — no per-row
-        dict is ever built. Returns the output rows and their per-row ORDER
-        BY keys, or ``None`` for keys when the rows come back ordered.
-
-        When every item and every ORDER BY key is a vectorized column, rows
-        are transposed straight from the item columns and the keys are
-        whole columns (:func:`_sort_keys`); with ``final`` rows (no
-        DISTINCT or set operation follows) the row indexes are ordered —
-        top-N cut at ``needed`` — and only the chosen rows materialized.
-        Otherwise each row is assembled in turn, interpreting what does
-        not compile."""
-        n = relation.length
-        plans: list[tuple[bool, Any]] = []
-        for item in items:
-            fn = self._kernel(item.expr, layout)
-            if fn is not None:
-                plans.append((True, fn(relation)))
-            else:
-                plans.append((False, item.expr))
-        order_plans = self._order_plans(order_by, items, relation, layout)
-        cols = [payload for is_vec, payload in plans if is_vec]
-        key_columns = (
-            _key_columns(order_plans, cols) if len(cols) == len(plans) else None
-        )
-        if key_columns is not None:
-            # a row's item errors come before its key errors, as per row
-            _raise_first_batch_error(
-                cols + [payload for kind, payload, _ in order_plans if kind == "vec"],
-                relation,
-            )
-            if not n:
-                return [], None
-            if not key_columns:
-                return list(zip(*cols)), None
-            keys, reverse = _sort_keys(key_columns, final)
-            if not final:
-                return list(zip(*cols)), keys
-            chosen = self._ordered_indexes(keys, reverse, needed)
-            return list(zip(*[list(map(col.__getitem__, chosen)) for col in cols])), None
-        scope = layout.scope(relation)
-        out_rows: list[tuple] = []
-        order_keys: list[tuple] = []
-        for i in range(n):
-            relation.row = i
-            values = []
-            for is_vec, payload in plans:
-                if is_vec:
-                    v = payload[i]
-                    if type(v) is BatchError:
-                        raise v.exc
-                    values.append(v)
-                else:
-                    values.append(evaluator.evaluate(payload, scope))
-            row = tuple(values)
-            out_rows.append(row)
-            if order_plans:
-                order_keys.append(
-                    self._order_key(order_plans, row, i, scope, evaluator)
-                )
-        return out_rows, order_keys
+    def _project(self, exprs, relation, layout, evaluator) -> list[list]:
+        """Ungrouped projection: the column of each of ``exprs`` (select
+        items, then hidden ORDER BY keys) over the relation. No row is
+        built here; before returning, the deferred error a row-at-a-time
+        walk (rows outermost, positions innermost) would meet first is
+        raised."""
+        columns = [self._compile(expr, layout, evaluator)(relation) for expr in exprs]
+        _raise_first_batch_error(columns, relation)
+        return columns
 
     def _aggregate(
-        self, plan, items, order_by, relation, layout, evaluator, run_subquery
-    ) -> tuple[list[tuple], list[tuple]]:
-        """Grouped/aggregate evaluation over the relation's columns.
+        self, plan, exprs, relation, layout, evaluator, run_subquery
+    ) -> list[list]:
+        """Grouped/aggregate evaluation: the column of each of ``exprs``
+        (select items, then hidden ORDER BY keys) over the groups that
+        pass HAVING.
 
-        Group keys come from vectorized key columns where compilable;
+        Group keys and aggregate arguments are columns of the relation;
         groups hold member *indexes* in first-member order, and each
         aggregate folds its argument column in input order (group, then
         aggregate, then member), so deferred errors surface at the point
@@ -1036,45 +1043,28 @@ class Executor:
         across engines. One key column of one class groups by value in one
         dict pass; COUNT is the member count, and SUM/AVG/MIN/MAX/COUNT
         over an all-int/float argument column fold each member slice in C
-        (:data:`_FOLDS`)."""
+        (:data:`_FOLDS`). HAVING and ``exprs`` read aggregates, so they
+        are interpreted once per group (:class:`_AggregateEvaluator`)."""
         stmt = plan.stmt
         n = relation.length
-        scope = layout.scope(relation)
         # group key -> member indexes, in first-member order
         groups: dict[Any, list[int]] = {}
         if stmt.group_by:
-            key_plans: list[tuple[bool, Any]] = []
-            for g in stmt.group_by:
-                fn = self._kernel(g, layout)
-                if fn is not None:
-                    key_plans.append((True, fn(relation)))
-                else:
-                    key_plans.append((False, g))
-            single = key_plans[0][1] if len(key_plans) == 1 and key_plans[0][0] else ()
-            kinds = set(map(type, single))
+            keys = [self._compile(g, layout, evaluator)(relation) for g in stmt.group_by]
+            kinds = set(map(type, keys[0])) if len(keys) == 1 else set()
             if len(kinds) == 1 and kinds <= GROUP_CLASS:
                 # one key column of one class, no NULL: the value is as
                 # good a key as (type name, value) — NaN and -0.0/0.0 hash
                 # and compare alike either way
-                for i, v in enumerate(single):
+                for i, v in enumerate(keys[0]):
                     members = groups.get(v)
                     if members is None:
                         groups[v] = [i]
                     else:
                         members.append(i)
             else:
-                for i in range(n):
-                    relation.row = i
-                    key_values = []
-                    for is_vec, payload in key_plans:
-                        if is_vec:
-                            v = payload[i]
-                            if type(v) is BatchError:
-                                raise v.exc
-                        else:
-                            v = evaluator.evaluate(payload, scope)
-                        key_values.append(v)
-                    key = _row_marker(key_values)
+                _raise_first_batch_error(keys, relation)
+                for i, key in enumerate(map(_row_marker, zip(*keys))):
                     members = groups.get(key)
                     if members is None:
                         groups[key] = members = []
@@ -1090,22 +1080,15 @@ class Executor:
             elif not agg.args:
                 agg_plans.append(("malformed", None))
             else:
-                fn = self._kernel(agg.args[0], layout)
-                if fn is None:
-                    agg_plans.append(("expr", agg.args[0]))
-                    continue
-                values = fn(relation)
+                values = self._compile(agg.args[0], layout, evaluator)(relation)
                 fold = None if agg.distinct else _FOLDS.get(agg.name)
                 if fold is not None and FOLD_CLASS.issuperset(map(type, values)):
                     agg_plans.append(("fold", (fold, values)))
                 else:
-                    agg_plans.append(("vec", values))
+                    agg_plans.append(("column", values))
 
-        # aggregate references in ORDER BY need the per-group evaluator,
-        # so grouped order keys are interpreted, never vectorized
-        order_plans = self._order_plans(order_by, items)
+        scope = layout.scope(relation)
         out_rows: list[tuple] = []
-        order_keys: list[tuple] = []
         for members in groups.values():
             computed: dict[int, Any] = {}
             for agg, (kind, payload) in zip(plan.aggregates, agg_plans):
@@ -1122,16 +1105,12 @@ class Executor:
                         acc.add(1)
                 elif kind == "malformed":
                     raise ExecutionError(f"{agg.name}() requires an argument")
-                elif kind == "vec":
+                else:
                     for i in members:
                         v = payload[i]
                         if type(v) is BatchError:
                             raise v.exc
                         acc.add(v)
-                else:
-                    for i in members:
-                        relation.row = i
-                        acc.add(evaluator.evaluate(payload, scope))
                 computed[id(agg)] = acc.result()
             agg_eval = _AggregateEvaluator(run_subquery, computed)
             if members:
@@ -1143,62 +1122,8 @@ class Executor:
                 stmt.having, rep_scope
             ):
                 continue
-            row = tuple(agg_eval.evaluate(item.expr, rep_scope) for item in items)
-            out_rows.append(row)
-            if order_plans:
-                order_keys.append(
-                    self._order_key(order_plans, row, None, rep_scope, agg_eval)
-                )
-        return out_rows, order_keys
-
-    def _order_plans(self, order_by, items, relation=None, layout=None) -> list[tuple]:
-        """Per-ORDER-BY-item plan: output ordinal, output alias, vectorized
-        column (when ``relation`` is given and the expression compiles),
-        or interpreted expression."""
-        plans = []
-        for order in order_by:
-            expr = order.expr
-            if isinstance(expr, ast.Literal) and isinstance(expr.value, int):
-                plans.append(("ordinal", expr.value, order.descending))
-                continue
-            if isinstance(expr, ast.ColumnRef) and expr.table is None:
-                alias_index = None
-                for index, item in enumerate(items):
-                    if item.alias and item.alias.lower() == expr.name.lower():
-                        alias_index = index
-                        break
-                if alias_index is not None:
-                    plans.append(("alias", alias_index, order.descending))
-                    continue
-            fn = self._kernel(expr, layout) if relation is not None else None
-            if fn is not None:
-                plans.append(("vec", fn(relation), order.descending))
-            else:
-                plans.append(("expr", expr, order.descending))
-        return plans
-
-    def _order_key(self, plans, row, i, scope, evaluator) -> tuple:
-        key_parts = []
-        for kind, payload, descending in plans:
-            if kind == "ordinal":
-                if not (1 <= payload <= len(row)):
-                    raise ExecutionError(
-                        f"ORDER BY position {payload} is out of range"
-                    )
-                value = row[payload - 1]
-            elif kind == "alias":
-                value = row[payload]
-            elif kind == "vec":
-                value = payload[i]
-                if type(value) is BatchError:
-                    raise value.exc
-            else:
-                value = evaluator.evaluate(payload, scope)
-            key_parts.append(
-                _descending_key_element(value) if descending
-                else _sort_key_element(value)
-            )
-        return tuple(key_parts)
+            out_rows.append(tuple(agg_eval.evaluate(expr, rep_scope) for expr in exprs))
+        return [list(col) for col in zip(*out_rows)] or [[] for _ in exprs]
 
     def _ordered_indexes(self, keys: list, reverse: bool, needed: "int | None"):
         """Row indexes ordered by ``keys`` (stable: ties keep row order),
@@ -1241,44 +1166,6 @@ class Executor:
         return ResultSet(
             columns=["QUERY PLAN"], rows=[(line,) for line in lines], status="EXPLAIN"
         )
-
-    @staticmethod
-    def _order_by_output(order_by, columns, rows):
-        lowered = [c.lower() for c in columns]
-
-        def key(row):
-            parts = []
-            for order in order_by:
-                expr = order.expr
-                if isinstance(expr, ast.Literal) and isinstance(expr.value, int):
-                    value = row[expr.value - 1]
-                elif isinstance(expr, ast.ColumnRef) and expr.name.lower() in lowered:
-                    value = row[lowered.index(expr.name.lower())]
-                else:
-                    raise ExecutionError(
-                        "ORDER BY after a set operation must use output columns"
-                    )
-                parts.append(
-                    _descending_key_element(value) if order.descending
-                    else _sort_key_element(value)
-                )
-            return tuple(parts)
-
-        return sorted(rows, key=key)
-
-    @staticmethod
-    def _distinct(rows, order_keys):
-        seen: set = set()
-        kept_rows, kept_keys = [], []
-        for index, row in enumerate(rows):
-            marker = _row_marker(row)
-            if marker in seen:
-                continue
-            seen.add(marker)
-            kept_rows.append(row)
-            if order_keys:
-                kept_keys.append(order_keys[index])
-        return kept_rows, kept_keys
 
     @staticmethod
     def _apply_set_op(kind, left, right):

@@ -26,13 +26,16 @@ Two kinds of secondary index attach to a heap:
 
 Both index kinds share equality semantics: a key containing NULL is never
 returned by :meth:`probe` and never participates in uniqueness checks
-(SQL's "NULL is not equal to NULL"). A :class:`SortedIndex` still *stores*
+(SQL's "NULL is not equal to NULL"); a key containing NaN is left out of
+uniqueness checks too, so a unique index of either kind accepts any
+number of NaNs. A :class:`SortedIndex` still *stores*
 NULL-keyed entries — ordered last, matching the executor's NULLS LAST sort
 order — so an ordered scan covers every row of the heap.
 """
 
 from __future__ import annotations
 
+import math
 import threading
 from bisect import bisect_left, bisect_right
 from itertools import compress
@@ -46,19 +49,32 @@ Row = dict[str, Any]
 
 
 def ordering_key_element(value: Any) -> tuple:
-    """Total-order sort key for one value: NULLs last, numbers before text.
+    """Total-order sort key for one value: NULLs last, numbers before text,
+    NaN above every other number (PostgreSQL's order).
 
     This is *the* ordering of the engine: the executor's ORDER BY sort keys
     and the :class:`SortedIndex` entry order are both built from it, which
-    is what lets an index-ordered scan replace a sort bit-for-bit.
+    is what lets an index-ordered scan replace a sort bit-for-bit. A NaN
+    inside the key would compare false both ways and break the order —
+    an unsorted result, a btree whose bisects miss rows — so it is keyed
+    as ``inf`` tagged to sort after ``inf`` itself.
     """
     if value is None:
         return (2, 0, "")
     if isinstance(value, bool):
         return (0, int(value), "")
     if isinstance(value, (int, float)):
-        return (0, value, "")
+        return (0, value, "") if value == value else _NAN_ELEMENT
     return (1, 0, str(value))
+
+
+_NAN_ELEMENT = (0, math.inf, "nan")
+
+
+def _has_nan(key: tuple) -> bool:
+    """Whether ``key`` holds a NaN. Both index kinds leave such keys out
+    of uniqueness checks, as they do NULLs: NaN is not equal to itself."""
+    return any(v != v for v in key)
 
 
 def ordering_key(values: "tuple | list") -> tuple:
@@ -129,7 +145,7 @@ class HashIndex:
         if self._has_null(key):
             return
         bucket = self._buckets.setdefault(key, set())
-        if self.unique and bucket and rid not in bucket:
+        if self.unique and bucket and rid not in bucket and not _has_nan(key):
             raise UniqueViolation(
                 f"duplicate key value violates unique constraint {self.name!r} "
                 f"on {owner}({', '.join(self.columns)}): {key!r}"
@@ -193,7 +209,7 @@ class HashIndex:
             return False
         bucket = self._buckets.get(key, set())
         remaining = bucket - {ignore_rid} if ignore_rid is not None else bucket
-        return bool(remaining)
+        return bool(remaining) and not _has_nan(key)
 
     def backfill(self, rows: "Iterator[tuple[int, Row]]", owner: str = "?") -> None:
         """Fill a detached index from live rows, with uniqueness checks.
@@ -594,7 +610,7 @@ class SortedIndex:
     def insert(self, rid: int, row: Row, owner: str = "?") -> None:
         key = self.key_for(row)
         ok = ordering_key(key)
-        if self.unique and not self._has_null(key):
+        if self.unique and not self._has_null(key) and not _has_nan(key):
             start, end = self._equal_run(ok)
             if any(r != rid for _, r in self._iter_entries(start, end)):
                 raise UniqueViolation(
@@ -636,13 +652,16 @@ class SortedIndex:
         """Fill a detached index from live rows (CREATE INDEX backfill).
 
         One sort instead of n tree inserts; uniqueness falls out of
-        adjacency — duplicate non-NULL keys end up next to each other.
+        adjacency — duplicate keys end up next to each other, and those
+        holding a NULL or a NaN are exempt.
         """
         self.bulk_load(rows)
         if self.unique:
             previous_ok = None
             for ok, _ in self._iter_entries(0, self._count):
-                if ok == previous_ok and not any(e[0] == 2 for e in ok):
+                if ok == previous_ok and not any(
+                    e[0] == 2 or e == _NAN_ELEMENT for e in ok
+                ):
                     self._build([])
                     raise UniqueViolation(
                         f"duplicate key value violates unique constraint "
@@ -661,7 +680,7 @@ class SortedIndex:
         if not self.unique:
             return False
         key = self.key_for(row)
-        if self._has_null(key):
+        if self._has_null(key) or _has_nan(key):
             return False
         start, end = self._equal_run(ordering_key(key))
         return any(r != ignore_rid for _, r in self._iter_entries(start, end))

@@ -237,6 +237,37 @@ class TestRetryableAborts:
         victim.execute("ROLLBACK")
         blocker.execute("ROLLBACK")
 
+    @pytest.mark.parametrize(
+        "sql",
+        [
+            "SELECT (SELECT MAX(val) FROM counters) FROM log",
+            "SELECT id FROM log WHERE id < (SELECT MAX(val) FROM counters)",
+            "SELECT COUNT(*) FROM log GROUP BY (SELECT MAX(val) FROM counters)",
+            "SELECT SUM((SELECT MAX(val) FROM counters)) FROM log",
+        ],
+        ids=["item", "where", "group_key", "aggregate"],
+    )
+    def test_subquery_lock_timeout_fails_the_statement_once(self, sql):
+        """Regression: a subquery's lock error is not a per-row value
+        error. Deferring it let every later row wait for the same lock
+        again, so the statement took one timeout per row to fail."""
+        from repro.minidb.errors import LockTimeoutError
+        from repro.service import LockManager
+
+        db = make_db()
+        admin = db.connect("admin")
+        for i in range(2, 5):
+            admin.execute(f"INSERT INTO log VALUES ({i}, 'w')")
+        db.lock_manager = LockManager(timeout_s=0.05)
+        blocker = db.connect("admin")
+        blocker.execute("BEGIN")
+        blocker.execute("UPDATE counters SET val = 1 WHERE id = 1")  # X held
+        victim = db.connect("admin")
+        with pytest.raises(LockTimeoutError):
+            victim.execute(sql)
+        assert db.lock_manager.stats["timeouts"] == 1
+        blocker.execute("ROLLBACK")
+
     def test_value_retrieval_respects_table_locks(self):
         """Regression: the binding's catalog-building heap scans take an
         S lock, so they block on a writer's uncommitted X instead of
