@@ -5,9 +5,7 @@ Run and gated by ``python -m repro.bench ablations``:
 * adaptive-schema threshold sweep — token cost of ``get_schema`` in full
   vs hierarchical mode as the object count crosses the threshold;
 * verification on/off — overhead of object-level SQL verification;
-* exemplar top-k sweep — retrieval quality of ``get_value`` as k grows;
-* access-path planning — PK point lookup via index vs a forced seq scan;
-* parallel vs serial proxy producers — same rows either way.
+* exemplar top-k sweep — retrieval quality of ``get_value`` as k grows.
 """
 
 from __future__ import annotations
@@ -75,55 +73,17 @@ def exemplar_top_k_sweep() -> list[list[Any]]:
     return rows
 
 
-def index_scan_speedup(rows: int = 20_000, repeats: int = 50) -> dict[str, Any]:
-    """PK point lookup vs the same lookup written to defeat the planner."""
-    db = Database(owner="a")
-    session = db.connect("a")
-    session.execute("CREATE TABLE big (id INT PRIMARY KEY, grp INT, v FLOAT)")
-    heap = db.heap("big")
-    for i in range(rows):
-        heap.insert({"id": i, "grp": i % 100, "v": float(i)})
-    indexed_sql = f"SELECT v FROM big WHERE id = {rows - 1}"
-    scanned_sql = f"SELECT v FROM big WHERE id + 0 = {rows - 1}"
-    indexed = _seconds(lambda: session.execute(indexed_sql), repeats)
-    scanned = _seconds(lambda: session.execute(scanned_sql), repeats)
-    found = session.execute(indexed_sql).rows == [(float(rows - 1),)]
-    return {"found": found, "speedup": scanned / indexed}
-
-
-def proxied_count(db: Database, parallel: bool) -> Any:
-    """``COUNT(*)`` whose SQL text is itself produced through the proxy."""
-    bridge = BridgeScope(
-        MinidbBinding.for_user(db, "admin"),
-        BridgeScopeConfig(parallel_producers=parallel),
-    )
-    producer = {
-        "__tool__": "select",
-        "__args__": {"sql": "SELECT 'SELECT COUNT(*) FROM schools'"},
-        "__transform__": "lambda rows: rows[0][0]",
-    }
-    result = bridge.invoke("proxy", target_tool="select", tool_args={"sql": producer})
-    assert not result.is_error, result.content
-    return result.metadata.get("rows")
-
-
 def experiment_ablations(scale: float = 1.0) -> dict[str, Any]:
     db = build_bird_database(scale=scale)
     return {
         "schema_threshold": schema_threshold_sweep(db),
         "verification_overhead": verification_overhead(db),
         "exemplar_top_k": exemplar_top_k_sweep(),
-        "index_scan": index_scan_speedup(),
-        "producers": {
-            "serial": proxied_count(db, parallel=False),
-            "parallel": proxied_count(db, parallel=True),
-        },
     }
 
 
 def check_ablations(result: dict[str, Any], smoke: bool) -> list[str]:
     sweep = result["schema_threshold"]
-    index, producers = result["index_scan"], result["producers"]
     return failed(
         [
             expect("hierarchical get_schema tokens", sweep[0][2], "<",
@@ -132,9 +92,5 @@ def check_ablations(result: dict[str, Any], smoke: bool) -> list[str]:
             expect("verification overhead", result["verification_overhead"], "<", 1.0),
             (result["exemplar_top_k"][0][1] is True,
              "top-1 exemplar for 'women' misses the stored form"),
-            (index["found"], "index point lookup returned the wrong row"),
-            expect("index point-lookup speedup", index["speedup"], ">", 5),
-            (producers["serial"] == producers["parallel"],
-             "parallel and serial proxy producers returned different rows"),
         ]
     )

@@ -22,6 +22,12 @@ Two workloads over the multi-session service layer:
   session terminates (zero hangs — each deadlock was detected and a
   victim aborted), and the recovered database replays to the same
   counter value (WAL ``seq`` stayed sane under concurrent commits).
+
+* **Retry litmus** — the writer-contention workload again, at the same
+  sizes, with a zero-backoff immediate-re-issue policy instead of the
+  default jittered backoff. Neither leg may lose an update; the backoff
+  leg's commit throughput must stay comparable (backoff trades a little
+  latency for decorrelated retries).
 """
 
 from __future__ import annotations
@@ -189,9 +195,9 @@ def run_writer_contention(
 
     Each session re-issues its deadlock-aborted transactions through the
     blessed :func:`~repro.service.run_with_retries` primitive.
-    ``retry_policy`` overrides the backoff schedule — the fault-recovery
-    benchmark passes a zero-backoff policy to measure what the jitter
-    costs (and buys) against immediate re-issue.
+    ``retry_policy`` overrides the backoff schedule — the retry litmus
+    passes a zero-backoff policy to measure what the jitter costs (and
+    buys) against immediate re-issue.
     """
     data_dir = tempfile.mkdtemp(prefix="bench-concurrency-")
     try:
@@ -332,9 +338,14 @@ def experiment_concurrency(
     writer_sessions: int = 6,
     increments_per_session: int = 20,
 ) -> dict[str, Any]:
-    """Both workloads plus the combined pass verdicts."""
+    """Both workloads, the zero-backoff leg, and the combined verdicts."""
     read_heavy = run_read_heavy(sessions, workers, ops_per_session, rows, io_delay_ms)
     contention = run_writer_contention(writer_sessions, increments_per_session)
+    immediate = run_writer_contention(
+        writer_sessions,
+        increments_per_session,
+        retry_policy=RetryPolicy(max_attempts=1_000, base_delay_s=0.0, jitter=0.0),
+    )
     contention_ok = (
         contention["lost_updates"] == 0
         and contention["stuck_sessions"] == 0
@@ -342,22 +353,41 @@ def experiment_concurrency(
         and contention["committed"] == contention["expected"]
         and contention["final_value"] == contention["recovered_value"]
     )
+    backoff_rate, immediate_rate = (
+        round(leg["committed"] / max(leg["elapsed_s"], 1e-9), 1)
+        for leg in (contention, immediate)
+    )
     return {
         "read_heavy": read_heavy,
         "writer_contention": contention,
         "contention_ok": contention_ok,
+        "zero_backoff": immediate,
+        "backoff_commits_per_s": backoff_rate,
+        "zero_backoff_commits_per_s": immediate_rate,
+        "throughput_ratio": round(backoff_rate / max(immediate_rate, 1e-9), 3),
+        "litmus_ok": all(
+            leg["lost_updates"] == 0
+            and leg["stuck_sessions"] == 0
+            and leg["committed"] == leg["expected"]
+            for leg in (contention, immediate)
+        ),
     }
 
 
 #: threaded-over-serialized throughput floors (full size, smoke): CI
 #: machines may have few cores
 SPEEDUP_FLOORS = (3.0, 1.5)
+#: the litmus tolerates throughput noise; backoff must not collapse
+#: against immediate re-issue
+THROUGHPUT_RATIO_FLOOR = 0.5
 
 
 def check_concurrency(result: dict[str, Any], smoke: bool) -> list[str]:
-    """The gate: no lost update, no stuck session, no error, and overlap."""
+    """The gate: no lost update, no stuck session, no error, overlap, and
+    backoff that does not collapse throughput."""
     read = result["read_heavy"]
     contention = result["writer_contention"]
+    immediate = result["zero_backoff"]
     return failed(
         [
             expect("lost updates", contention["lost_updates"], "==", 0),
@@ -370,5 +400,13 @@ def check_concurrency(result: dict[str, Any], smoke: bool) -> list[str]:
             expect("read-heavy errors",
                    read["errors"]["serial"] + read["errors"]["threaded"], "==", 0),
             expect("speedup", read["speedup"], ">=", SPEEDUP_FLOORS[smoke]),
+            (result["litmus_ok"],
+             "retry litmus lost updates or stuck sessions: "
+             f"backoff={contention['lost_updates']} lost / "
+             f"{contention['stuck_sessions']} stuck, "
+             f"immediate={immediate['lost_updates']} lost / "
+             f"{immediate['stuck_sessions']} stuck"),
+            expect("backoff throughput over immediate re-issue",
+                   result["throughput_ratio"], ">=", THROUGHPUT_RATIO_FLOOR),
         ]
     )

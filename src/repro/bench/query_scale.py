@@ -1,14 +1,15 @@
-"""Query-scale experiment: paged B-trees, cost-based planning, and index
-unions vs the seed execution paths.
+"""Query-scale experiment: paged B-trees, cost-based planning, index
+unions and hash joins vs the seed execution paths.
 
 Run and gated by ``python -m repro.bench query`` (``--rows`` sizes the
-table). Builds one wide synthetic table, ``events``, and its unindexed
-twin ``events_plain`` (the same rows, no index), and times eight
-agent-shaped query classes — five against a baseline, three (the
-compiled filter, the wide filter and the GROUP BY fold) as absolute times:
-a constant-factor ratio against a slower engine says nothing a tracked
-time does not. The index classes' baseline is the same SQL on the twin,
-whose only plan is the sequential scan:
+events table). Builds one wide synthetic table, ``events``, and its
+unindexed twin ``events_plain`` (the same rows, no index), plus an
+``orders`` / ``customers`` pair, and times eleven agent-shaped query
+classes — seven against a baseline, four (the compiled filter, the wide
+filter, the GROUP BY fold and the join + GROUP BY) as absolute times: a
+constant-factor ratio against a slower engine says nothing a tracked time
+does not. The index classes' baseline is the same SQL on the twin, whose
+only plan is the sequential scan:
 
 * **selective range** — ``WHERE val >= lo AND val < hi`` through a
   ``USING BTREE`` index slice vs the twin's full sequential scan;
@@ -18,6 +19,8 @@ whose only plan is the sequential scan:
   batch kernels (absolute ms);
 * **index union** — a selective 10-member ``val IN (...)`` served as a
   union of B-tree probes vs the twin's sequential scan;
+* **point lookup** — ``WHERE id = k`` through the primary-key index vs
+  the twin's sequential scan;
 * **B-tree writes** — incremental ``SortedIndex.insert`` into a loaded
   paged B-tree vs the pre-PR-8 flat-sorted-array algorithm (``insort``
   into one big list), measured on synthetic entries at the same scale;
@@ -28,7 +31,15 @@ whose only plan is the sequential scan:
 * **batch filter** — a low-selectivity multi-conjunct seq-scan filter
   with a wide projection (absolute ms);
 * **batch aggregate** — a full-table ``GROUP BY`` folding five
-  aggregates over column slices (absolute ms).
+  aggregates over column slices (absolute ms);
+* **equi-join** — ``orders JOIN customers`` as a hash join vs the same
+  join with its key spelled ``ON NOT (o.customer_id <> c.id)``: the same
+  truth value on every row, but no equi-key for the planner to hash, so a
+  nested loop (the seed executor's only strategy). Too slow to run at
+  production row counts, the nested loop is measured on ``nl_rows``-sized
+  tables and extrapolated quadratically;
+* **join + GROUP BY** — the agent workloads' join shape, a hash join
+  feeding a ``GROUP BY`` (absolute ms).
 
 Every timed pair also asserts byte-identical results, and the returned
 payload records the EXPLAIN plans of both sides so :func:`check_query_scale`
@@ -46,7 +57,6 @@ from repro.minidb.database import Session
 from repro.minidb.storage import SortedIndex, ordering_key
 
 from .gates import expect, failed
-from .join_scale import time_query
 
 TOPN_SQL = "SELECT id, val FROM events ORDER BY val LIMIT 10"
 PREDICATE_SQL = (
@@ -60,6 +70,15 @@ BATCH_FILTER_SQL = (
 BATCH_AGGREGATE_SQL = (
     "SELECT grp, COUNT(*), SUM(val), MIN(val), MAX(val), AVG(flag) "
     "FROM events GROUP BY grp"
+)
+
+_JOIN = "SELECT COUNT(*) FROM orders o JOIN customers c ON "
+JOIN_SQL = _JOIN + "o.customer_id = c.id"
+#: the same join with its key out of the planner's reach: a nested loop
+NESTED_LOOP_SQL = _JOIN + "NOT (o.customer_id <> c.id)"
+JOIN_GROUP_SQL = (
+    "SELECT c.region, COUNT(*), SUM(o.amount) FROM orders o "
+    "JOIN customers c ON o.customer_id = c.id GROUP BY c.region"
 )
 
 #: IN-list width of the index-union query class
@@ -88,6 +107,11 @@ def union_sql(rows: int) -> str:
     return f"SELECT COUNT(*) FROM events WHERE val IN ({members})"
 
 
+def point_sql(rows: int) -> str:
+    """The last primary key: a seq scan reads every row to find it."""
+    return f"SELECT id FROM events WHERE id = {rows - 1}"
+
+
 def skew_sql(rows: int) -> str:
     """Skewed conjunction: ``hot = 0`` covers 90% of the table while the
     ``val`` range keeps ~50 rows — the probe choice decides the cost."""
@@ -98,13 +122,31 @@ def skew_sql(rows: int) -> str:
     )
 
 #: the query classes timed against the unindexed twin, and its name
-TWIN_CLASSES = ("range", "topn", "union")
+TWIN_CLASSES = ("range", "topn", "union", "point")
 TWIN = "events_plain"
 
 
-def build_session(rows: int) -> Session:
-    """A fresh database with one ``rows``-sized indexed events table and
-    its unindexed twin."""
+def join_tables(rows: int, session: Session | None = None) -> Session:
+    """``customers`` and ``orders``, ``rows`` each, joined by FK shape, in
+    ``session``'s database (a fresh one if None)."""
+    session = session or Database(owner="bench").connect("bench")
+    session.execute("CREATE TABLE customers (id INT PRIMARY KEY, region TEXT)")
+    session.execute(
+        "CREATE TABLE orders (id INT PRIMARY KEY, customer_id INT, amount FLOAT)"
+    )
+    customers, orders = session.db.heap("customers"), session.db.heap("orders")
+    regions = ("north", "south", "east", "west")
+    for i in range(rows):
+        customers.insert({"id": i, "region": regions[i % 4]})
+        orders.insert(
+            {"id": i, "customer_id": (i * 7919) % rows, "amount": float(i % 100)}
+        )
+    return session
+
+
+def build_session(rows: int, join_rows: int) -> Session:
+    """A fresh database with one ``rows``-sized indexed events table, its
+    unindexed twin, and the ``join_rows``-sized join pair."""
     db = Database(owner="bench")
     session = db.connect("bench")
     columns = "grp INT, val INT, flag INT, name TEXT, hot INT"
@@ -126,7 +168,21 @@ def build_session(rows: int) -> Session:
     # the ordered index arrives after the data: one bulk-sorted backfill
     session.execute("CREATE INDEX ix_events_val ON events USING BTREE (val)")
     session.execute("CREATE INDEX ix_events_hot ON events (hot)")
-    return session
+    return join_tables(join_rows, session)
+
+
+def time_query(session: Session, sql: str, repeats: int = 3) -> tuple[float, list]:
+    """Best-of-``repeats`` wall seconds of ``sql``, plus its (stable) rows."""
+    best = float("inf")
+    expected = None
+    for _ in range(repeats):
+        start = time.perf_counter()
+        rows = session.execute(sql).rows
+        best = min(best, time.perf_counter() - start)
+        if expected is None:
+            expected = rows
+        assert rows == expected
+    return best, expected
 
 
 def _explain(session: Session, sql: str) -> list[str]:
@@ -150,6 +206,25 @@ def _measure(
         "baseline_ms": base_s * 1000,
         "speedup": (base_s / fast_s) if fast_s > 0 else float("inf"),
         "identical": fast_rows == base_rows,
+    }
+
+
+def _measure_join(
+    session: Session, nl_session: Session, scale: float, repeats: int
+) -> dict[str, Any]:
+    """The hash join vs the nested loop, which runs once on ``nl_session``
+    and is scaled by ``scale``; both strategies must agree there."""
+    fast_s, fast_rows = time_query(session, JOIN_SQL, repeats)
+    nl_s, nl_rows = time_query(nl_session, NESTED_LOOP_SQL, repeats=1)
+    return {
+        "sql": JOIN_SQL,
+        "plan": _explain(session, JOIN_SQL),
+        "baseline_plan": _explain(nl_session, NESTED_LOOP_SQL),
+        "matches": fast_rows[0][0],
+        "fast_ms": fast_s * 1000,
+        "baseline_ms": nl_s * scale * 1000,
+        "speedup": (nl_s * scale / fast_s) if fast_s > 0 else float("inf"),
+        "identical": nl_rows == nl_session.execute(JOIN_SQL).rows,
     }
 
 
@@ -197,13 +272,10 @@ def _measure_stats_skew(
     cost-based (after ``ANALYZE``). Must run after every other class —
     the collected statistics stay on the catalog.
     """
-    explain = lambda: [  # noqa: E731
-        line for (line,) in session.execute(f"EXPLAIN {sql}").rows
-    ]
-    static_plan = explain()
+    static_plan = _explain(session, sql)
     static_s, static_rows = time_query(session, sql, repeats)
     session.execute("ANALYZE events")
-    stats_plan = explain()
+    stats_plan = _explain(session, sql)
     stats_s, stats_rows = time_query(session, sql, repeats)
     return {
         "sql": sql,
@@ -216,19 +288,33 @@ def _measure_stats_skew(
     }
 
 
-def experiment_query_scale(rows: int = 100_000, repeats: int = 3) -> dict[str, Any]:
-    """Measure the eight query classes; returns one payload per class."""
-    session = build_session(rows)
-    result: dict[str, Any] = {"rows": rows}
+def experiment_query_scale(
+    rows: int = 100_000,
+    join_rows: int = 10_000,
+    nl_rows: int = 1_000,
+    repeats: int = 3,
+) -> dict[str, Any]:
+    """Measure the eleven query classes; returns one payload per class.
+    The nested loop is measured at ``nl_rows`` and extrapolated."""
+    nl_rows = min(nl_rows, join_rows)
+    session = build_session(rows, join_rows)
+    result: dict[str, Any] = {"rows": rows, "join_rows": join_rows, "nl_rows": nl_rows}
     for name, sql in (
         ("range", range_sql(rows)),
         ("topn", TOPN_SQL),
         ("predicate", PREDICATE_SQL),
         ("union", union_sql(rows)),
+        ("point", point_sql(rows)),
         ("batch_filter", BATCH_FILTER_SQL),
         ("batch_aggregate", BATCH_AGGREGATE_SQL),
+        ("join_group", JOIN_GROUP_SQL),
     ):
         result[name] = _measure(session, name, sql, repeats)
+    result["point"]["found"] = session.execute(point_sql(rows)).rows == [(rows - 1,)]
+    nl_session = join_tables(nl_rows) if nl_rows < join_rows else session
+    result["join"] = _measure_join(
+        session, nl_session, (join_rows / nl_rows) ** 2, repeats
+    )
     # synthetic-entry write bench: small tables leave the flat array's
     # O(n) memmove too cheap to measure, so keep a meaningful floor
     entries = max(rows, 200_000)
@@ -253,12 +339,15 @@ SPEEDUP_FLOORS = {
     "range": (20.0, 3.0),
     "topn": (5.0, 1.5),
     "union": (20.0, 3.0),
+    "join": (20.0, 20.0),
     "btree_write": (4.0, 1.5),
     "stats_skew": (5.0, 1.5),
 }
 #: at >= 1M rows the asymptotics dominate and the B-tree floor tightens
 LARGE_ROWS = 1_000_000
 LARGE_BTREE_WRITE_FLOOR = 10.0
+#: the point lookup must beat the twin's scan by more than this, at any size
+POINT_FLOOR = 5.0
 
 
 #: (query class, which plan, the node EXPLAIN must show). The stats_skew
@@ -269,6 +358,7 @@ PLAN_PINS = (
     ("range", "plan", "Index Range Scan"),
     ("topn", "plan", "Ordered Index Scan"),
     ("union", "plan", "Index Union Scan"),
+    ("point", "plan", "Index Scan using pk_events"),
     *((name, "baseline_plan", f"Seq Scan on {TWIN}") for name in TWIN_CLASSES),
     ("stats_skew", "static_plan", "Index Scan using ix_events_hot"),
     ("stats_skew", "plan", "Index Range Scan using ix_events_val"),
@@ -277,8 +367,8 @@ PLAN_PINS = (
 
 
 def check_query_scale(result: dict[str, Any], smoke: bool) -> list[str]:
-    """The gate: identical rows, the fast and twin plans in EXPLAIN, five
-    floors."""
+    """The gate: identical rows, the fast, twin and join plans in EXPLAIN,
+    seven floors."""
     floors = {name: pair[smoke] for name, pair in SPEEDUP_FLOORS.items()}
     if not smoke and result["rows"] >= LARGE_ROWS:
         floors["btree_write"] = LARGE_BTREE_WRITE_FLOOR
@@ -288,6 +378,14 @@ def check_query_scale(result: dict[str, Any], smoke: bool) -> list[str]:
              "fast-path and baseline plans returned different rows"),
             (all("Seq Scan" in line for line in result["predicate"]["plan"]),
              "predicate plan is no longer a plain Seq Scan"),
+            (result["point"]["found"], "index point lookup returned the wrong row"),
+            (any("Hash Join" in line for line in result["join"]["plan"]),
+             "EXPLAIN does not report a hash join for the equi-join"),
+            (any("Nested Loop Join" in line
+                 for line in result["join"]["baseline_plan"]),
+             "EXPLAIN does not report a nested loop for the baseline"),
+            expect("index point-lookup speedup", result["point"]["speedup"], ">",
+                   POINT_FLOOR),
         ]
         + [
             (any(node in line for line in result[name][plan]),

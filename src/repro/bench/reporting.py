@@ -86,39 +86,49 @@ def render_table(headers: list[str], rows: list[list[Any]], title: str = "") -> 
     return "\n".join(lines)
 
 
-def render_fig5a(results: dict[str, dict[str, float]]) -> str:
-    rows = [
-        [model, row["bridgescope"], row["pg-mcp-minus"], row["best-achievable"]]
-        for model, row in results.items()
-    ]
+def _overhead_table(
+    title: str,
+    headers: list[str],
+    count: int,
+    variants: list[tuple[str, float, float | None]],
+) -> str:
+    """``(label, seconds, overhead % over the first variant)`` rows."""
     return render_table(
-        ["model", "BridgeScope #calls", "PG-MCP- #calls", "best-achievable"],
-        rows,
-        title="Figure 5(a) — context retrieval: average LLM calls per task",
+        [*headers, "time (s)", "overhead"],
+        [
+            [label, count, seconds, "-" if pct is None else f"{pct:+.2f}%"]
+            for label, seconds, pct in variants
+        ],
+        title=title,
     )
 
 
-def render_fig5b(results: dict[str, dict[str, float]]) -> str:
-    rows = [
-        [model, row["bridgescope"], row["pg-mcp"]]
-        for model, row in results.items()
-    ]
-    return render_table(
-        ["model", "BridgeScope accuracy", "PG-MCP accuracy"],
-        rows,
-        title="Figure 5(b) — SQL execution accuracy",
-    )
+#: each Figure 5 panel's title and its columns, ``(header, result key)``
+FIG5_PANELS = {
+    "fig5a": (
+        "Figure 5(a) — context retrieval: average LLM calls per task",
+        [("BridgeScope #calls", "bridgescope"), ("PG-MCP- #calls", "pg-mcp-minus"),
+         ("best-achievable", "best-achievable")],
+    ),
+    "fig5b": (
+        "Figure 5(b) — SQL execution accuracy",
+        [("BridgeScope accuracy", "bridgescope"), ("PG-MCP accuracy", "pg-mcp")],
+    ),
+    "fig5c": (
+        "Figure 5(c) — transaction trigger ratio on write tasks",
+        [("BridgeScope txn ratio", "bridgescope"), ("PG-MCP txn ratio", "pg-mcp"),
+         ("best", "best-achievable")],
+    ),
+}
 
 
-def render_fig5c(results: dict[str, dict[str, float]]) -> str:
-    rows = [
-        [model, row["bridgescope"], row["pg-mcp"], row["best-achievable"]]
-        for model, row in results.items()
-    ]
+def render_fig5(panel: str, results: dict[str, dict[str, float]]) -> str:
+    """One row per model of ``results``, in ``panel``'s columns."""
+    title, columns = FIG5_PANELS[panel]
     return render_table(
-        ["model", "BridgeScope txn ratio", "PG-MCP txn ratio", "best"],
-        rows,
-        title="Figure 5(c) — transaction trigger ratio on write tasks",
+        ["model", *(header for header, _ in columns)],
+        [[model, *(row[key] for _, key in columns)] for model, row in results.items()],
+        title=title,
     )
 
 
@@ -225,6 +235,19 @@ def render_storage_durability(result: dict[str, Any]) -> str:
     equivalence = (
         "identical" if result["equivalence_ok"] else "MISMATCH"
     )
+    seam = result["seam"]
+    seam_table = _overhead_table(
+        "Storage durability — Filesystem seam overhead (WAL-shaped I/O)",
+        ["filesystem variant", "cycles"],
+        seam["cycles"],
+        [
+            ("raw builtins (no seam)", seam["raw_s"], None),
+            ("passthrough seam (production)", seam["passthrough_s"],
+             seam["passthrough_overhead_pct"]),
+            ("FaultyFilesystem wrapper (tests)", seam["wrapper_s"],
+             seam["wrapper_overhead_pct"]),
+        ],
+    )
     return (
         f"{table}\n"
         f"speedup: {result['speedup']:,.1f}x "
@@ -232,7 +255,8 @@ def render_storage_durability(result: dict[str, Any]) -> str:
         f"zero catalog rebuild on reopen: {zero}\n"
         f"warm vs cold tool output: {equivalence}\n"
         f"snapshot write (checkpoint) took {result['checkpoint_s']:.2f}s, "
-        f"{result['snapshot_bytes']:,} bytes"
+        f"{result['snapshot_bytes']:,} bytes\n"
+        f"{seam_table}"
     )
 
 
@@ -262,12 +286,22 @@ def render_concurrency(result: dict[str, Any]) -> str:
         f"{contention['retries']} retries, "
         f"{contention['stuck_sessions']} stuck sessions"
     )
+    immediate = result["zero_backoff"]
+    litmus_line = (
+        "retry litmus: jittered backoff "
+        f"{result['backoff_commits_per_s']} commits/s vs zero-backoff "
+        f"{result['zero_backoff_commits_per_s']} commits/s "
+        f"(ratio {result['throughput_ratio']}), lost updates "
+        f"{contention['lost_updates']}/{immediate['lost_updates']}, "
+        f"retries {contention['retries']}/{immediate['retries']}"
+    )
     return (
         f"{table}\n"
         f"speedup: {read['speedup']:,.2f}x  "
         f"(p50 {read['p50_latency_ms']}ms / p95 {read['p95_latency_ms']}ms, "
         f"max queue depth {read['max_queue_depth']})\n"
-        f"{contention_line}"
+        f"{contention_line}\n"
+        f"{litmus_line}"
     )
 
 
@@ -277,17 +311,25 @@ def render_query_scale(result: dict[str, Any]) -> str:
         "topn": "ORDER BY LIMIT 10 (ordered scan vs unindexed twin)",
         "predicate": "seq-scan WHERE (batch kernels, absolute)",
         "union": "10-member IN (index union vs unindexed twin)",
+        "point": "PK point lookup (index vs unindexed twin)",
         "batch_filter": "wide filter (absolute)",
         "batch_aggregate": "GROUP BY fold (absolute)",
+        "join": "equi-join (hash vs nested loop ON NOT (o.customer_id <> c.id))",
+        "join_group": "hash join + GROUP BY (absolute)",
         "btree_write": "index insert (paged B-tree vs flat insort)",
         "stats_skew": "skewed conjunct (cost-based vs static plan)",
+    }
+    sizes = {
+        "join": result["join_rows"],
+        "join_group": result["join_rows"],
+        "btree_write": result["btree_write"]["entries"],
     }
     table = render_table(
         ["query class", "rows", "fast (ms)", "baseline (ms)", "speedup"],
         [
             [
                 label,
-                result[name].get("entries", result["rows"]),
+                sizes.get(name, result["rows"]),
                 result[name]["fast_ms"],
                 result[name].get("baseline_ms", "-"),
                 (
@@ -297,112 +339,31 @@ def render_query_scale(result: dict[str, Any]) -> str:
                 ),
             ]
             for name, label in labels.items()
-            if name in result
         ],
         title="Query scale — indexed and batch execution (minidb)",
     )
     stats = result["planner_stats"]
     plans = "\n".join(
-        f"  {line}"
-        for name in labels
-        if name in result
-        for line in result[name].get("plan", [])
+        f"  {line}" for name in labels for line in result[name].get("plan", [])
     )
     equivalence = "identical" if result["identical"] else "MISMATCH"
-    lines = [
+    nested_loop = f"measured at {result['nl_rows']} rows" + (
+        f", extrapolated quadratically to {result['join_rows']}"
+        if result["nl_rows"] < result["join_rows"] else ""
+    )
+    return "\n".join([
         table,
         f"fast vs baseline rows: {equivalence}",
+        f"equi-join: {result['join']['matches']} matches; nested loop {nested_loop}",
         f"planner stats: {stats['range_scans']} range scans, "
         f"{stats['ordered_scans']} ordered scans, "
         f"{stats['topn_limits']} top-N limits, "
-        f"{stats.get('union_scans', 0)} union scans, "
-        f"{stats.get('batch_scans', 0)} batch scans",
-    ]
-    skew = result.get("stats_skew")
-    if skew is not None:
-        lines.append(
-            "static plan (pre-ANALYZE): "
-            + "; ".join(skew.get("static_plan", []))
-        )
-    lines.append(f"query plans:\n{plans}")
-    return "\n".join(lines)
-
-
-def render_join_scale(result: dict[str, Any]) -> str:
-    suffix = (
-        f" (measured at {result['nl_rows']} rows, extrapolated)"
-        if result["nl_extrapolated"]
-        else ""
-    )
-    table = render_table(
-        ["strategy", "rows", "time (ms)"],
-        [
-            ["hash join", result["rows"], result["hash_ms"]],
-            ["nested loop (ON NOT (o.customer_id <> c.id))" + suffix, result["rows"],
-             result["nl_ms"]],
-            ["hash join + GROUP BY", result["rows"], result["join_group_ms"]],
-        ],
-        title="Join scale — equi-join strategy comparison (minidb)",
-    )
-    plans = "\n".join(f"  {line}" for line in result["plan"] + result["nl_plan"])
-    return (
-        f"{table}\n"
-        f"speedup: {result['speedup']:,.1f}x on {result['matches']} matches\n"
-        f"query plans:\n{plans}"
-    )
-
-
-def _overhead_table(
-    title: str,
-    headers: list[str],
-    count: int,
-    variants: list[tuple[str, float, float | None]],
-) -> str:
-    """``(label, seconds, overhead % over the first variant)`` rows."""
-    return render_table(
-        [*headers, "time (s)", "overhead"],
-        [
-            [label, count, seconds, "-" if pct is None else f"{pct:+.2f}%"]
-            for label, seconds, pct in variants
-        ],
-        title=title,
-    )
-
-
-def render_faults(result: dict[str, Any]) -> str:
-    seam = result["seam"]
-    torture = result["torture"]
-    litmus = result["retry_litmus"]
-    seam_table = _overhead_table(
-        "Fault injection — Filesystem seam overhead (WAL-shaped I/O)",
-        ["filesystem variant", "cycles"],
-        seam["cycles"],
-        [
-            ("raw builtins (no seam)", seam["raw_s"], None),
-            ("passthrough seam (production)", seam["passthrough_s"],
-             seam["passthrough_overhead_pct"]),
-            ("FaultyFilesystem wrapper (tests)", seam["wrapper_s"],
-             seam["wrapper_overhead_pct"]),
-        ],
-    )
-    torture_line = (
-        f"torture sweep: {torture['crash_points']} crash points + "
-        f"{torture['error_points']} EIO points over {torture['total_ops']} ops "
-        f"(stride {torture['stride']}): {torture['panics']} fail-stop panics, "
-        f"{torture['open_failures']} failed opens, "
-        f"{torture['violations']} recovery violations"
-    )
-    litmus_line = (
-        "retry litmus: jittered backoff "
-        f"{litmus['backoff_commits_per_s']} commits/s vs zero-backoff "
-        f"{litmus['immediate_commits_per_s']} commits/s "
-        f"(ratio {litmus['throughput_ratio']}), lost updates "
-        f"{litmus['backoff']['lost_updates']}/"
-        f"{litmus['immediate']['lost_updates']}, "
-        f"retries {litmus['backoff']['retries']}/"
-        f"{litmus['immediate']['retries']}"
-    )
-    return f"{seam_table}\n{torture_line}\n{litmus_line}"
+        f"{stats['union_scans']} union scans, "
+        f"{stats['batch_scans']} batch scans",
+        "static plan (pre-ANALYZE): "
+        + "; ".join(result["stats_skew"]["static_plan"]),
+        f"query plans:\n{plans}",
+    ])
 
 
 def render_observability(result: dict[str, Any]) -> str:
@@ -435,8 +396,6 @@ def render_observability(result: dict[str, Any]) -> str:
 
 
 def render_ablations(result: dict[str, Any]) -> str:
-    producers = result["producers"]
-    same = "identical" if producers["serial"] == producers["parallel"] else "MISMATCH"
     schema = render_table(
         ["threshold n", "mode", "get_schema tokens"],
         result["schema_threshold"],
@@ -450,8 +409,5 @@ def render_ablations(result: dict[str, Any]) -> str:
     return (
         f"{schema}\n"
         f"verification overhead: {result['verification_overhead']:+.1%} "
-        f"over bare execution\n{top_k}\n"
-        "index point-lookup speedup over seq scan: "
-        f"{result['index_scan']['speedup']:.0f}x\n"
-        f"parallel vs serial proxy producers: {same}"
+        f"over bare execution\n{top_k}"
     )

@@ -1,4 +1,5 @@
-"""Storage-durability experiment: warm reopen vs cold rebuild.
+"""Storage-durability experiment: warm reopen vs cold rebuild, and the
+cost of the durable engine's I/O seam.
 
 Run and gated by ``python -m repro.bench storage``. Builds a
 durable database directory holding a ``products`` table with ``rows``
@@ -19,6 +20,14 @@ measures the two restart stories the tentpole distinguishes:
 Both paths must produce byte-identical tool output; the experiment checks
 that before timing anything, and asserts the warm path really did skip
 the rebuild (``persisted_hits == 1``, ``misses == 0``).
+
+Every durable-engine file operation routes through the
+:class:`repro.faults.Filesystem` seam. The passthrough seam hands back raw
+builtin file objects, so its only added cost is one method dispatch on
+open/fsync — measured on WAL-append-shaped I/O against direct builtin calls
+(must stay within a few percent), alongside the scripted
+:class:`~repro.faults.FaultyFilesystem` wrapper (allowed to cost more; it
+never runs in production).
 """
 
 from __future__ import annotations
@@ -27,12 +36,14 @@ import os
 import shutil
 import tempfile
 import time
-from typing import Any
+from functools import partial
+from typing import Any, Callable
 
 from repro.core import BridgeScope, BridgeScopeConfig, MinidbBinding
+from repro.faults import OS_FILESYSTEM, FaultPlan, FaultyFilesystem
 from repro.minidb import Database
 
-from .gates import expect, failed
+from .gates import best_cpu_seconds, expect, failed, remeasure_until_under
 from .retrieval_scale import QUERY_KEYS, get_value, product_name
 
 #: rows per INSERT statement in the cold-rebuild replay
@@ -47,6 +58,8 @@ BATCH = 500
 #: rebuilds (~1x) without punishing the engine for replaying faster. At
 #: smoke sizes fixed per-open costs dominate.
 SPEEDUP_FLOORS = (5.0, 2.0)
+#: ceiling on the production seam's cost over raw builtin calls
+PASSTHROUGH_OVERHEAD_PCT = 5.0
 
 
 def _bulk_load(db: Database, rows: int) -> None:
@@ -75,10 +88,80 @@ def _bridge(db: Database) -> BridgeScope:
     return BridgeScope(MinidbBinding.for_user(db, "admin"), config)
 
 
-def experiment_storage_durability(
-    rows: int = 100_000, warm_trials: int = 3
+def _append_run(
+    opener: Callable[..., Any],
+    fsyncer: Callable[[Any], None],
+    path: str,
+    payload: str,
+    cycles: int,
+    fsync_every: int,
+) -> None:
+    """The engine's steady state: one open WAL, many write+flush commits."""
+    fh = opener(path, "a", encoding="utf-8")
+    try:
+        for n in range(cycles):
+            fh.write(payload)
+            fh.flush()
+            if n % fsync_every == 0:
+                fsyncer(fh)
+    finally:
+        fh.close()
+
+
+def measure_seam_overhead(
+    cycles: int = 20_000, repeats: int = 7, fsync_every: int = 100
 ) -> dict[str, Any]:
-    """Measure warm reopen (snapshot + persisted catalogs) vs cold rebuild.
+    """WAL-append-shaped I/O: raw builtins vs seam vs fault wrapper.
+
+    Mirrors :meth:`DurableEngine.append_commit`'s steady state — the WAL
+    is opened once and every commit is a write + flush, with periodic
+    fsyncs. Variants are interleaved and best-of-``repeats`` so cache
+    and frequency drift hit all three equally. ``overhead_pct`` is
+    relative to raw builtins.
+    """
+    payload = '{"seq":1,"op":"insert","row":{"id":1,"v":"x"},"commit":true}\n'
+    os_fsync = lambda fh: os.fsync(fh.fileno())  # noqa: E731
+    seams = {  # variant: (open, fsync)
+        "raw": (open, os_fsync),
+        "passthrough": (OS_FILESYSTEM.open, OS_FILESYSTEM.fsync),
+        "wrapper": (lambda *a, **kw: FaultyFilesystem(FaultPlan()).open(*a, **kw),
+                    os_fsync),
+    }
+    data_dir = tempfile.mkdtemp(prefix="bench-storage-seam-")
+    try:
+        best = best_cpu_seconds(
+            {
+                name: partial(
+                    _append_run, opener, fsyncer,
+                    os.path.join(data_dir, f"{name}.jsonl"),
+                    payload, cycles, fsync_every,
+                )
+                for name, (opener, fsyncer) in seams.items()
+            },
+            repeats,
+        )
+    finally:
+        shutil.rmtree(data_dir, ignore_errors=True)
+
+    def overhead(variant_s: float) -> float:
+        return round((variant_s / best["raw"] - 1.0) * 100.0, 2)
+
+    return {
+        "cycles": cycles,
+        "repeats": repeats,
+        "raw_s": round(best["raw"], 4),
+        "passthrough_s": round(best["passthrough"], 4),
+        "wrapper_s": round(best["wrapper"], 4),
+        "passthrough_overhead_pct": overhead(best["passthrough"]),
+        "wrapper_overhead_pct": overhead(best["wrapper"]),
+    }
+
+
+def experiment_storage_durability(
+    rows: int = 100_000, warm_trials: int = 3, seam_cycles: int = 20_000
+) -> dict[str, Any]:
+    """Measure warm reopen (snapshot + persisted catalogs) vs cold rebuild,
+    and the I/O seam's overhead.
 
     The warm path is repeated ``warm_trials`` times and the minimum kept —
     a sub-2-second measurement on a shared machine is noise-dominated, and
@@ -138,13 +221,19 @@ def experiment_storage_durability(
             "warm_cache_stats": warm_stats,
             "snapshot_loaded": engine_stats["snapshot_loaded"],
             "wal_replayed": engine_stats["wal_replayed"],
+            "seam": remeasure_until_under(
+                lambda: measure_seam_overhead(seam_cycles),
+                "passthrough_overhead_pct", PASSTHROUGH_OVERHEAD_PCT,
+            ),
         }
     finally:
         shutil.rmtree(workdir, ignore_errors=True)
 
 
 def check_storage_durability(result: dict[str, Any], smoke: bool) -> list[str]:
-    """The gate: same output, nothing rebuilt, and reopening pays off."""
+    """The gate: same output, nothing rebuilt, reopening pays off, and a
+    near-free seam."""
+    seam = result["seam"]
     return failed(
         [
             (result["equivalence_ok"],
@@ -152,5 +241,7 @@ def check_storage_durability(result: dict[str, Any], smoke: bool) -> list[str]:
             (result["zero_rebuild"],
              "warm reopen rebuilt the catalog instead of serving the persisted one"),
             expect("speedup", result["speedup"], ">=", SPEEDUP_FLOORS[smoke]),
+            expect(f"passthrough seam overhead % (best of {seam['measurements']})",
+                   seam["passthrough_overhead_pct"], "<=", PASSTHROUGH_OVERHEAD_PCT),
         ]
     )

@@ -82,6 +82,4 @@ class BridgeScopeConfig:
     max_result_rows: int = 50
     #: maximum distinct values scanned per column for exemplar search
     exemplar_scan_limit: int = 10_000
-    #: run multi-producer proxy units in parallel threads
-    parallel_producers: bool = False
     policy: SecurityPolicy = field(default_factory=SecurityPolicy.permissive)

@@ -23,7 +23,6 @@ Wire format (exactly the paper's Figure 3): the ``proxy`` tool takes
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -35,7 +34,6 @@ from ..mcp import (
     ToolServer,
     ToolSpec,
 )
-from .config import BridgeScopeConfig
 from .transforms import TransformError, compile_transform
 
 PRODUCER_KEY = "__tool__"
@@ -51,7 +49,6 @@ class ProxyStats:
     producer_calls: int = 0
     max_depth: int = 0
     values_routed: int = 0  # rows/items moved tool-to-tool, LLM-free
-    last_parallel_batch: int = 0
 
 
 @dataclass
@@ -67,10 +64,9 @@ class ProxyTool(ToolServer):
 
     name = "bridgescope.proxy"
 
-    def __init__(self, registry: ToolRegistry, config: BridgeScopeConfig):
+    def __init__(self, registry: ToolRegistry):
         super().__init__()
         self.registry = registry
-        self.config = config
         self.stats = ProxyStats()
         self.register(
             ToolSpec(
@@ -126,31 +122,7 @@ class ProxyTool(ToolServer):
     # ---------------------------------------------------------- resolution
 
     def _resolve_args(self, args: dict[str, Any], depth: int) -> dict[str, Any]:
-        producer_items: list[tuple[str, Any]] = []
-        literal_items: list[tuple[str, Any]] = []
-        for key, value in args.items():
-            if self._is_producer_spec(value) or self._is_producer_list(value):
-                producer_items.append((key, value))
-            else:
-                literal_items.append((key, value))
-
-        resolved = dict(literal_items)
-        if (
-            self.config.parallel_producers
-            and len(producer_items) > 1
-        ):
-            self.stats.last_parallel_batch = len(producer_items)
-            with ThreadPoolExecutor(max_workers=len(producer_items)) as pool:
-                futures = {
-                    key: pool.submit(self._resolve_value, value, depth)
-                    for key, value in producer_items
-                }
-                for key, future in futures.items():
-                    resolved[key] = future.result()
-        else:
-            for key, value in producer_items:
-                resolved[key] = self._resolve_value(value, depth)
-        return resolved
+        return {key: self._resolve_value(value, depth) for key, value in args.items()}
 
     def _resolve_value(self, value: Any, depth: int) -> Any:
         if self._is_producer_list(value):

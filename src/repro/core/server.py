@@ -60,7 +60,7 @@ class BridgeScope:
         for server in extra_servers or []:
             self.registry.add_server(server)
 
-        self.proxy = ProxyTool(self.registry, self.config)
+        self.proxy = ProxyTool(self.registry)
         self.registry.add_server(self.proxy)
 
         if namespace:

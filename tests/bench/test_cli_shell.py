@@ -29,6 +29,14 @@ class TestBenchCLI:
         assert exit_info.value.code == 2
         assert "invalid choice: 'fig99'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("name", ["joins", "faults"])
+    def test_folded_experiments_are_no_longer_names(self, capsys, name):
+        # joins folded into query; faults into storage and concurrency
+        with pytest.raises(SystemExit) as exit_info:
+            bench_main([name, "--smoke"])
+        assert exit_info.value.code == 2
+        assert f"invalid choice: '{name}'" in capsys.readouterr().err
+
     def test_main_prints_report(self, capsys):
         code = bench_main(
             ["fig5a", "--tasks", "4", "--scale", "0.3", "--model", "gpt-4o"]
@@ -41,8 +49,7 @@ class TestBenchCLI:
     def test_experiments_registry_complete(self):
         assert set(EXPERIMENTS) == {
             "fig5a", "fig5b", "fig5c", "fig6", "table1", "table2", "ablations",
-            "joins", "retrieval", "storage", "concurrency", "query", "faults",
-            "obs",
+            "retrieval", "storage", "concurrency", "query", "obs",
         }
 
     def test_options_are_exactly_the_documented_seven(self, capsys):
@@ -59,26 +66,22 @@ class TestBenchCLI:
         text = report("query")
         assert "Query scale" in text
         assert "Index Range Scan" in text
+        assert "Hash Join" in text
 
     def test_run_experiment_storage(self, report):
         text = report("storage")
         assert "Storage durability" in text
         assert "warm reopen" in text
-
-    def test_run_experiment_joins(self, report):
-        text = report("joins")
-        assert "Join scale" in text
-        assert "Hash Join" in text
+        assert "passthrough seam" in text
 
     def test_run_experiment_retrieval(self, report):
         text = report("retrieval")
         assert "Retrieval scale" in text
         assert "rankings: identical" in text
 
-    def test_run_experiment_faults(self, report):
-        text = report("faults")
-        assert "Fault injection" in text
-        assert "recovery violations" in text
+    def test_run_experiment_concurrency(self, report):
+        text = report("concurrency")
+        assert "writer contention" in text
         assert "retry litmus" in text
 
 

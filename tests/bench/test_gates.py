@@ -23,21 +23,20 @@ from repro.bench.reporting import record_bench_result
 #: names related to most keys, so the k-th best score is noise and no
 #: candidate can be ruled out: 75 of 111 are bounded)
 GOOD_VALUES = {
-    "joins": {"speedup": 1000.0},
     "retrieval": {"speedup": 1000.0, "after_write_ms": 0.0, "avg_bounded": 0.0},
-    "storage": {"speedup": 1000.0},
-    "concurrency": {"read_heavy.speedup": 1000.0},
-    "query": {
-        f"{name}.speedup": 1000.0
-        for name in ("range", "topn", "union", "btree_write", "stats_skew")
-    },
-    "faults": {
+    "storage": {
+        "speedup": 1000.0,
         "seam.passthrough_overhead_pct": 0.0,
         "seam.measurements": 1,
-        "retry_litmus.throughput_ratio": 1.0,
+    },
+    "concurrency": {"read_heavy.speedup": 1000.0, "throughput_ratio": 1.0},
+    "query": {
+        f"{name}.speedup": 1000.0
+        for name in ("range", "topn", "union", "point", "join", "btree_write",
+                     "stats_skew")
     },
     "obs": {"overhead.dark_overhead_pct": 0.0, "overhead.measurements": 1},
-    "ablations": {"verification_overhead": 0.1, "index_scan.speedup": 100.0},
+    "ablations": {"verification_overhead": 0.1},
     "table2": {
         ("cells", ("gpt-4o", "pg-mcp"), "completion_rate"): 0.0,
         ("cells", ("claude-4", "pg-mcp"), "completion_rate"): 0.0,
@@ -77,8 +76,8 @@ GPT = "gpt-4o"
 #: (experiment, smoke, field, doctored value, words the failure must carry)
 DOCTORED = [
     # correctness checks and plan-shape pins: hard at every size
-    ("joins", True, "plan", ["Nested Loop Join"], "does not report a hash join"),
-    ("joins", True, "nl_plan", ["Hash Join (INNER) on c"],
+    ("query", True, "join.plan", ["Nested Loop Join"], "does not report a hash join"),
+    ("query", True, "join.baseline_plan", ["Hash Join (INNER) on c"],
      "does not report a nested loop for the baseline"),
     ("retrieval", True, "equivalence_ok", False, "rankings differ"),
     ("retrieval", True, "after_write_ms", 1e9,
@@ -102,6 +101,7 @@ DOCTORED = [
     ("concurrency", True, "contention_ok", False, "did not complete cleanly"),
     ("concurrency", True, "read_heavy.errors", {"serial": 0, "threaded": 2},
      "read-heavy errors 2 is not == 0"),
+    ("concurrency", True, "litmus_ok", False, "lost updates or stuck"),
     ("query", True, "identical", False, "different rows"),
     ("query", True, "range.plan", ["Seq Scan on events"],
      "range plan no longer shows 'Index Range Scan'"),
@@ -110,6 +110,11 @@ DOCTORED = [
     ("query", True, "predicate.plan", ["Index Scan"], "no longer a plain Seq Scan"),
     ("query", True, "union.plan", ["Seq Scan on events"],
      "union plan no longer shows 'Index Union Scan'"),
+    ("query", True, "point.plan", ["Seq Scan on events"],
+     "point plan no longer shows 'Index Scan using pk_events'"),
+    ("query", True, "point.baseline_plan", ["Index Scan using pk_events"],
+     "point baseline_plan no longer shows 'Seq Scan on events_plain'"),
+    ("query", True, "point.found", False, "wrong row"),
     ("query", True, "range.baseline_plan", ["Index Range Scan using ix_events_val"],
      "range baseline_plan no longer shows 'Seq Scan on events_plain'"),
     ("query", True, "planner_stats.ordered_scans", 0, "'ordered_scans'] 0 is not > 0"),
@@ -121,14 +126,10 @@ DOCTORED = [
      "plan no longer shows 'Index Range Scan using ix_events_val'"),
     ("query", True, "stats_skew.plan", ["Index Range Scan using ix_events_val on events"],
      "plan no longer shows 'est. rows'"),
-    ("faults", True, "torture.violations", 1, "recovery violations 1 is not == 0"),
-    ("faults", True, "retry_litmus.litmus_ok", False, "lost updates or stuck"),
     ("obs", True, "features.slow_entries", 0, "slow_entries 0 is not >= 1"),
     ("obs", True, "features.explain_analyze_lines", 2,
      "explain_analyze_lines 2 is not >= 3"),
     ("obs", True, "features.spans_last_statement", 0, "spans_last_statement 0"),
-    ("ablations", True, "producers.parallel", [("other",)], "different rows"),
-    ("ablations", True, "index_scan.found", False, "wrong row"),
     ("ablations", True, "exemplar_top_k", [[1, False, "men's wear"]], "stored form"),
     # the paper's shapes (the assertions of the old bench_fig*/table* files)
     ("fig5a", False, (GPT, "bridgescope"), 99.0, "gpt-4o: bridgescope calls 99 is not <"),
@@ -178,19 +179,21 @@ QUERY_FLOORS = {  # class: (full, smoke, >= 1M rows)
     "range": (20.0, 3.0, 20.0),
     "topn": (5.0, 1.5, 5.0),
     "union": (20.0, 3.0, 20.0),
+    "join": (20.0, 20.0, 20.0),
     "btree_write": (4.0, 1.5, 10.0),
     "stats_skew": (5.0, 1.5, 5.0),
 }
 #: (experiment, field, floor at full size, floor at smoke size): the values
 #: the seven bench_*.py scripts carried; storage's full floor is re-based
-#: (10x -> 5x, see storage_durability.SPEEDUP_FLOOR)
+#: (10x -> 5x, see storage_durability.SPEEDUP_FLOORS). The join floor was
+#: the joins experiment's, the retry-litmus floor the faults experiment's
+#: and the point-lookup floor (> 5) the ablations' index_scan check
 FLOORS = [
-    ("joins", "speedup", 20.0, 20.0),
     ("retrieval", "speedup", 50.0, 5.0),
     ("storage", "speedup", 5.0, 2.0),
     ("concurrency", "read_heavy.speedup", 3.0, 1.5),
-    ("faults", "retry_litmus.throughput_ratio", 0.5, 0.5),
-    ("ablations", "index_scan.speedup", 5.01, 5.01),
+    ("concurrency", "throughput_ratio", 0.5, 0.5),
+    ("query", "point.speedup", 5.01, 5.01),
 ] + [
     ("query", f"{name}.speedup", full, smoke)
     for name, (full, smoke, _) in QUERY_FLOORS.items()
@@ -235,7 +238,7 @@ def test_query_floors_at_a_million_rows(good, name):
 @pytest.mark.parametrize(
     "name,field,words",
     [
-        ("faults", "seam.passthrough_overhead_pct", "passthrough seam overhead % (best"),
+        ("storage", "seam.passthrough_overhead_pct", "passthrough seam overhead % (best"),
         ("obs", "overhead.dark_overhead_pct", "dark-mode overhead % (best of 1) 5.01"),
         ("ablations", "verification_overhead", "verification overhead 1 is not < 1"),
     ],
@@ -250,6 +253,15 @@ def test_ceilings(good, name, field, words):
     assert words in failure
 
 
+def test_zero_backoff_leg_runs_at_the_writer_contention_sizes(tiny_result):
+    result = tiny_result("concurrency")
+    backoff, immediate = result["writer_contention"], result["zero_backoff"]
+    assert (immediate["sessions"], immediate["increments_per_session"]) == (
+        backoff["sessions"], backoff["increments_per_session"]
+    )
+    assert immediate["committed"] == immediate["expected"] == backoff["expected"]
+
+
 # ------------------------------------------------------------------ the CLI
 
 
@@ -262,17 +274,17 @@ def _swap(monkeypatch, name, **changes):
 def test_main_exits_0_when_the_gate_holds_and_1_when_it_does_not(
     monkeypatch, capsys, good
 ):
-    fine, bad = good("joins"), good("joins")
-    _swap(monkeypatch, "joins", run=lambda **sizes: fine)
-    assert main(["joins", "--smoke"]) == 0
-    assert "OK joins" in capsys.readouterr().out
+    fine, bad = good("query"), good("query")
+    _swap(monkeypatch, "query", run=lambda **sizes: fine)
+    assert main(["query", "--smoke"]) == 0
+    assert "OK query" in capsys.readouterr().out
 
-    bad["speedup"] = 19.9
-    _swap(monkeypatch, "joins", run=lambda **sizes: bad)
-    assert main(["joins", "--smoke"]) == 1
+    bad["join"]["speedup"] = 19.9
+    _swap(monkeypatch, "query", run=lambda **sizes: bad)
+    assert main(["query", "--smoke"]) == 1
     out = capsys.readouterr().out
-    assert "Join scale" in out  # the report is printed either way
-    assert "FAIL joins: speedup 19.9 is not >= 20" in out
+    assert "Query scale" in out  # the report is printed either way
+    assert "FAIL query: join speedup 19.9 is not >= 20" in out
 
 
 def test_sizes_come_from_the_table_and_the_seven_options(monkeypatch, good):
@@ -296,10 +308,10 @@ def test_sizes_come_from_the_table_and_the_seven_options(monkeypatch, good):
     main(["fig5a", "--tasks", "3", "--scale", "0.25", "--model", "gpt-4o"])
     main(["table2", "--housing-rows", "300"])
     assert seen == [
-        {"rows": 100_000},
-        {"rows": 10_000},
-        {"rows": 1234},
-        {"rows": 10_000},
+        {"rows": 100_000, "join_rows": 10_000, "nl_rows": 1_000},
+        {"rows": 10_000, "join_rows": 500, "nl_rows": 500},
+        {"rows": 1234, "join_rows": 10_000, "nl_rows": 1_000},
+        {"rows": 10_000, "seam_cycles": 8_000},
         {"n_tasks": 25, "scale": 0.5},
         {"n_tasks": 3, "scale": 0.25, "models": ["gpt-4o"]},
         {"per_level": 10, "housing_rows": 300},

@@ -1,9 +1,9 @@
 """Tests for the reporting helpers."""
 
+import pytest
+
 from repro.bench.reporting import (
-    render_fig5a,
-    render_fig5b,
-    render_fig5c,
+    render_fig5,
     render_fig6,
     render_table,
     render_table1,
@@ -27,21 +27,61 @@ class TestRenderTable:
         assert "a" in out
 
 
+#: one input rendered by the three per-panel renderers render_fig5 replaced;
+#: the text each gave is the text its panel must still give
+FIG5_INPUT = {
+    "gpt-4o": {"bridgescope": 3.2, "pg-mcp-minus": 4.8, "pg-mcp": 0.88,
+               "best-achievable": 3.0},
+    "claude-4": {"bridgescope": 1.0, "pg-mcp-minus": 12.25, "pg-mcp": 0.1,
+                 "best-achievable": 1.0},
+}
+FIG5_TEXT = {
+    "fig5a": (
+        "Figure 5(a) — context retrieval: average LLM calls per task\n"
+        "model    | BridgeScope #calls | PG-MCP- #calls | best-achievable\n"
+        "---------+--------------------+----------------+----------------\n"
+        "gpt-4o   | 3.20               | 4.80           | 3.00           \n"
+        "claude-4 | 1.00               | 12.25          | 1.00           "
+    ),
+    "fig5b": (
+        "Figure 5(b) — SQL execution accuracy\n"
+        "model    | BridgeScope accuracy | PG-MCP accuracy\n"
+        "---------+----------------------+----------------\n"
+        "gpt-4o   | 3.20                 | 0.88           \n"
+        "claude-4 | 1.00                 | 0.10           "
+    ),
+    "fig5c": (
+        "Figure 5(c) — transaction trigger ratio on write tasks\n"
+        "model    | BridgeScope txn ratio | PG-MCP txn ratio | best\n"
+        "---------+-----------------------+------------------+-----\n"
+        "gpt-4o   | 3.20                  | 0.88             | 3.00\n"
+        "claude-4 | 1.00                  | 0.10             | 1.00"
+    ),
+}
+
+
+@pytest.mark.parametrize("panel", sorted(FIG5_TEXT))
+def test_fig5_panel_text_is_unchanged(panel):
+    assert render_fig5(panel, FIG5_INPUT) == FIG5_TEXT[panel]
+
+
 class TestFigureRenderers:
     def test_fig5a(self):
-        out = render_fig5a(
-            {"gpt-4o": {"bridgescope": 3.2, "pg-mcp-minus": 4.8, "best-achievable": 3.0}}
+        out = render_fig5(
+            "fig5a",
+            {"gpt-4o": {"bridgescope": 3.2, "pg-mcp-minus": 4.8, "best-achievable": 3.0}},
         )
         assert "Figure 5(a)" in out
         assert "gpt-4o" in out
 
     def test_fig5b(self):
-        out = render_fig5b({"m": {"bridgescope": 0.9, "pg-mcp": 0.88}})
+        out = render_fig5("fig5b", {"m": {"bridgescope": 0.9, "pg-mcp": 0.88}})
         assert "accuracy" in out
 
     def test_fig5c(self):
-        out = render_fig5c(
-            {"m": {"bridgescope": 1.0, "pg-mcp": 0.1, "best-achievable": 1.0}}
+        out = render_fig5(
+            "fig5c",
+            {"m": {"bridgescope": 1.0, "pg-mcp": 0.1, "best-achievable": 1.0}},
         )
         assert "transaction" in out
 

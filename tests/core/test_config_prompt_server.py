@@ -57,7 +57,6 @@ class TestConfigDefaults:
         assert config.schema_detail_threshold == 20
         assert config.exemplar_top_k == 5
         assert config.max_result_rows == 50
-        assert not config.parallel_producers
 
     def test_policy_default_is_permissive(self):
         assert BridgeScopeConfig().policy.permits_action("DROP")

@@ -192,27 +192,35 @@ class TestRecursiveUnits:
         assert stats.values_routed >= 3
 
 
-class TestParallelProducers:
-    def test_parallel_matches_serial(self, db, sink):
-        serial = BridgeScope(
-            MinidbBinding.for_user(db, "manager"),
-            BridgeScopeConfig(parallel_producers=False),
-            extra_servers=[SinkServer()],
+class TestSiblingProducers:
+    def test_siblings_resolve_one_after_another_in_argument_order(
+        self, bridge, sink
+    ):
+        seen = []
+        invoke = bridge.proxy.registry.invoke
+
+        def recording_invoke(tool_name, **kwargs):
+            seen.append(kwargs.get("sql", tool_name))
+            return invoke(tool_name, **kwargs)
+
+        bridge.proxy.registry.invoke = recording_invoke
+        result = bridge.invoke(
+            "proxy",
+            target_tool="combine",
+            tool_args={
+                "left": producer("SELECT amount FROM sales"),
+                "right": producer("SELECT price FROM items"),
+            },
         )
-        parallel_sink = SinkServer()
-        parallel = BridgeScope(
-            MinidbBinding.for_user(db, "manager"),
-            BridgeScopeConfig(parallel_producers=True),
-            extra_servers=[parallel_sink],
-        )
-        args = {
-            "left": producer("SELECT amount FROM sales"),
-            "right": producer("SELECT price FROM items"),
-        }
-        r1 = serial.invoke("proxy", target_tool="combine", tool_args=dict(args))
-        r2 = parallel.invoke("proxy", target_tool="combine", tool_args=dict(args))
-        assert r1.content == r2.content
-        assert parallel.proxy.stats.last_parallel_batch == 2
+        assert not result.is_error, result.content
+        assert seen == [
+            "proxy", "SELECT amount FROM sales", "SELECT price FROM items",
+            "combine",
+        ]
+        left, right = sink.received[-1]
+        assert result.content["left_n"] == len(left) > 0
+        assert result.content["right_n"] == len(right) > 0
+        assert bridge.proxy.stats.producer_calls == 2
 
 
 class TestTransforms:

@@ -18,7 +18,6 @@ def test_the_settable_surface_is_exactly_this():
         "exemplar_top_k",
         "max_result_rows",
         "exemplar_scan_limit",
-        "parallel_producers",
         "policy",
     ]
     # one dispatcher class; one worker is how it serializes
