@@ -8,6 +8,7 @@ token-count experiments depend on reproducible schema strings.
 
 from __future__ import annotations
 
+import itertools
 import threading
 from dataclasses import dataclass, field
 from typing import Any
@@ -141,10 +142,19 @@ class ViewSchema:
         return f"CREATE VIEW {self.name} AS {self.source_sql};"
 
 
+#: catalog versions come from one process-wide sequence, so no two catalogs
+#: ever share one and a cache keyed by version needs no catalog identity
+_VERSIONS = itertools.count(1)
+
+
 class Catalog:
     """Registry of all named objects in a database."""
 
     def __init__(self):
+        #: a new number after every change to the tables, columns, views or
+        #: indexes (statistics excepted): an analysis cached under an older
+        #: version is not served again (``parser.shared_analysis``)
+        self.version = next(_VERSIONS)
         self.tables: dict[str, TableSchema] = {}
         self.views: dict[str, ViewSchema] = {}
         self.indexes: dict[str, IndexSchema] = {}
@@ -156,6 +166,12 @@ class Catalog:
         #: different) tables — the name check-then-set must be atomic on
         #: its own
         self._index_name_mutex = threading.Lock()
+
+    def changed(self) -> None:
+        """Give the catalog a new version. Called *after* each change is
+        complete: an analysis that read the old version and saw part of the
+        change is stored under the old version, which nobody asks for again."""
+        self.version = next(_VERSIONS)
 
     # ------------------------------------------------------------- lookups
 
@@ -218,10 +234,13 @@ class Catalog:
         if self.has_object(schema.name):
             raise DuplicateObjectError(f"relation {schema.name!r} already exists")
         self.tables[self._key(schema.name)] = schema
+        self.changed()
 
     def remove_table(self, name: str) -> TableSchema:
         self.statistics.pop(self._key(name), None)
-        return self.tables.pop(self._key(name))
+        schema = self.tables.pop(self._key(name))
+        self.changed()
+        return schema
 
     def add_view(self, schema: ViewSchema, replace: bool = False) -> None:
         key = self._key(schema.name)
@@ -232,9 +251,12 @@ class Catalog:
                 f"a table named {schema.name!r} already exists"
             )
         self.views[key] = schema
+        self.changed()
 
     def remove_view(self, name: str) -> ViewSchema:
-        return self.views.pop(self._key(name))
+        view = self.views.pop(self._key(name))
+        self.changed()
+        return view
 
     def add_index(self, schema: IndexSchema) -> None:
         with self._index_name_mutex:
@@ -243,9 +265,12 @@ class Catalog:
                     f"index {schema.name!r} already exists"
                 )
             self.indexes[self._key(schema.name)] = schema
+            self.changed()
 
     def remove_index(self, name: str) -> IndexSchema:
-        return self.indexes.pop(self._key(name))
+        index = self.indexes.pop(self._key(name))
+        self.changed()
+        return index
 
     def rename_column(self, table: str, old: str, new: str) -> None:
         """Rename ``table.old`` to ``new`` in the table's schema, in its
@@ -260,6 +285,7 @@ class Catalog:
             for fk in schema.foreign_keys:
                 if self._key(fk.ref_table) == key:
                     fk.ref_columns = _renamed(fk.ref_columns, old, new)
+        self.changed()
 
     def rename_table(self, old: str, new: str) -> None:
         """Rename table ``old`` to ``new`` everywhere the catalog names
@@ -284,3 +310,4 @@ class Catalog:
             for fk in other.foreign_keys:
                 if self._key(fk.ref_table) == key:
                     fk.ref_table = new
+        self.changed()

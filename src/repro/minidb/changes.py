@@ -201,11 +201,13 @@ def _add_column(db: "Database", r: Record) -> Undo:
     heap = db.heaps[r["table"].lower()]
     column = load_column(r["column"])
     schema.columns.append(column)
+    db.catalog.changed()
     heap.add_column(column.name, r["fill"])
     _stamp(heap, r)
 
     def undo() -> None:
         schema.columns.remove(column)
+        db.catalog.changed()
         heap.drop_column(column.name)
 
     return undo
@@ -217,11 +219,13 @@ def _drop_column(db: "Database", r: Record) -> Undo:
     column = schema.column(r["column"])
     position = schema.columns.index(column)
     del schema.columns[position]
+    db.catalog.changed()
     values = heap.drop_column(column.name)
     _stamp(heap, r)
 
     def undo() -> None:
         schema.columns.insert(position, column)
+        db.catalog.changed()
         heap.restore_column(column.name, values)
 
     return undo

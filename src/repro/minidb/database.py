@@ -591,8 +591,8 @@ class Database:
 
     @staticmethod
     def _parse_cache_metric_samples() -> dict[str, Any]:
-        # the text → AST cache belongs to the process, not to a database:
-        # every Database in it reports the same three numbers
+        # the parse caches (text, template, analysis) belong to the process,
+        # not to a database: every Database in it reports the same numbers
         return {
             f"minidb_parse_cache_{key}": value
             for key, value in parse_cache_stats().items()

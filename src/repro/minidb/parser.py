@@ -1,20 +1,33 @@
-"""Recursive-descent SQL parser for minidb, behind a text → AST cache.
+"""Recursive-descent SQL parser for minidb, behind a text cache and a
+template cache.
 
 Entry points:
 
 * :func:`parse` — one statement (trailing semicolons allowed). The text is
-  looked up in a small bounded cache first; the recursive-descent parser is
-  the miss path. A tool call's SQL is parsed by the verifier and again,
-  microseconds later, by ``Session.execute``: the second call is a hit.
+  looked up in a small bounded cache first. A tool call's SQL is parsed by
+  the verifier and again, microseconds later, by ``Session.execute``: the
+  second call is a hit. On a miss the text is tokenized and its *template*
+  looked up: the token stream with every NUMBER / STRING value replaced by
+  its kind. Agent SQL inlines its literals, so ``... WHERE id = 7`` and
+  ``... WHERE id = 8`` share one; on a template hit the template's
+  statement is rebuilt around the new literal values (only the nodes on
+  the root-to-literal paths are new; untouched subtrees are shared, the
+  nodes being frozen). Only a template miss runs the recursive-descent
+  parser.
+* :func:`shared_analysis` — ``analyze()``'s cache: at most one analysis
+  per template and catalog version, shared by every statement bound from
+  the template.
 * :func:`parse_script` — a ``;``-separated script into a list (not cached).
-* :func:`parse_cache_stats` — the cache's own counters, for ``system.metrics``.
+* :func:`parse_cache_stats` — the caches' own counters, for ``system.metrics``.
 
-Only the pure function is cached: text → AST depends on nothing but the
-text, and the nodes are frozen, so one statement object can be handed to
-every caller. Whatever reads the catalog, privileges or statistics
-(``analyze``, ``Database.authorize``, planning) runs on every call. A
-:class:`SQLSyntaxError` is raised afresh each time; nothing is remembered
-for text that does not parse.
+A literal token the parser reads as structure — a ``LIMIT`` / ``OFFSET``
+count, a ``VARCHAR(40)`` or ``CAST(... AS VARCHAR(n))`` length — is pinned,
+not slotted: a text that differs there is not an instance of the template.
+Whatever reads privileges, statistics or literals (``Database.authorize``,
+the verifier's decision, planning) runs on every call; nothing caches a
+plan. A :class:`SQLSyntaxError` is raised afresh each time; nothing is
+remembered for text that does not parse. Texts longer than
+:data:`PARSE_CACHE_MAX_TEXT` skip every cache.
 
 The parser tests keywords by comparing ``Token.word`` (the identifier
 upper-cased once, by the lexer) with constant strings and frozensets, and
@@ -33,18 +46,20 @@ from __future__ import annotations
 
 import threading
 from collections import OrderedDict
+from typing import Callable, TypeVar
 
 from . import ast_nodes as ast
 from .errors import SQLSyntaxError
 from .lexer import EOF, IDENT, NUMBER, OP, PARAM, PUNCT, STRING, Token, tokenize
 
-#: statements the parse cache holds. It has to cover the calls in flight
-#: between verification and execution across dispatcher workers plus the
-#: three transaction-control texts; a SELECT's AST is ~6 kB, so this is well
-#: under 1 MB where a thousand entries would show in the process's peak RSS.
+#: entries in each of the parse caches (texts, templates, bound statements).
+#: The text cache has to cover the calls in flight between verification and
+#: execution across dispatcher workers plus the three transaction-control
+#: texts; a SELECT's AST is ~6 kB, so each cache stays well under 1 MB where
+#: a thousand entries would show in the process's peak RSS.
 PARSE_CACHE_ENTRIES = 128
 #: longer texts (bulk INSERT scripts) are parsed every time: with this and the
-#: entry count the memory the cache can pin is bounded whatever callers send
+#: entry count the memory the caches can pin is bounded whatever callers send
 PARSE_CACHE_MAX_TEXT = 4096
 
 _JOIN_KINDS = frozenset({"INNER", "LEFT", "RIGHT", "CROSS", "FULL"})
@@ -67,42 +82,205 @@ _COMPARISON_OPS = frozenset({"=", "<>", "!=", "<", "<=", ">", ">="})
 _ARITHMETIC_PRECEDENCE = {"+": 1, "-": 1, "||": 1, "*": 2, "/": 2, "%": 2}
 _SIGN_OPS = frozenset({"-", "+"})
 _KEYWORD_LITERALS = {"NULL": None, "TRUE": True, "FALSE": False}
+#: the token kinds whose values a template abstracts over
+_LITERAL_KINDS = frozenset({NUMBER, STRING})
+
+T = TypeVar("T")
+
+
+def _literal_value(token: Token) -> int | float | str:
+    """The value a NUMBER or STRING token's :class:`ast.Literal` holds — for
+    a fresh parse and a template binding alike."""
+    text = token.value
+    if token.kind == STRING:
+        return text
+    if "." in text or "e" in text or "E" in text:
+        return float(text)
+    return int(text)
+
+
+class _Template:
+    """One statement shape: every text with the same tokens, NUMBER and
+    STRING values aside, parses to this statement with other literals.
+
+    ``stmt`` is the statement parsed from the first such text. ``slots``
+    are the token positions that became :class:`ast.Literal` nodes, in
+    order, and ``steps`` the root-to-literal paths to them (see
+    :func:`_rebuilt`). Every other NUMBER / STRING token was read as
+    structure (a LIMIT count, a ``VARCHAR(40)`` length): ``pins`` holds
+    their positions and values, and a text that differs there is not an
+    instance. ``analysis`` is :func:`shared_analysis`'s one slot.
+    """
+
+    __slots__ = ("key", "stmt", "slots", "pins", "steps", "analysis")
+
+    def __init__(
+        self,
+        key: tuple,
+        stmt: ast.Statement,
+        tokens: list[Token],
+        literals: list[tuple[int, ast.Literal]],
+    ):
+        #: the cache's own key object: refreshing the entry under it
+        #: compares by identity, not token by token
+        self.key = key
+        self.stmt = stmt
+        self.slots = tuple(position for position, _ in literals)
+        slotted = set(self.slots)
+        self.pins = tuple(
+            (position, token.value)
+            for position, token in enumerate(tokens)
+            if token.kind in _LITERAL_KINDS and position not in slotted
+        )
+        self.steps = _plan(stmt, {id(node): n for n, (_, node) in enumerate(literals)})
+        #: (catalog version, StatementAnalysis) of the last analysis; one
+        #: attribute, rebound whole, so a reader on another thread sees the
+        #: old pair or the new one
+        self.analysis: tuple[object, object] | None = None
+
+    def bind(self, tokens: list[Token]) -> ast.Statement | None:
+        """The statement ``tokens`` (same key) parse to, or ``None`` when a
+        pinned token differs."""
+        for position, value in self.pins:
+            if tokens[position].value != value:
+                return None
+        if self.steps is None:
+            return self.stmt
+        values = [_literal_value(tokens[position]) for position in self.slots]
+        return _rebuilt(self.stmt, self.steps, values)
+
+
+def _template_key(tokens: list[Token]) -> tuple:
+    """The token stream with each NUMBER / STRING value replaced by its kind."""
+    return tuple(
+        [kind if (kind := token.kind) in _LITERAL_KINDS else token[:2] for token in tokens]
+    )
+
+
+def _plan(node: object, slot_of: dict[int, int]) -> object:
+    """How to rebuild ``node`` around new literal values: the slot number of
+    a slotted :class:`ast.Literal`, a tuple of ``(field name or index,
+    plan)`` steps for a node, list or tuple with one below it, else ``None``."""
+    if type(node) is ast.Literal:
+        return slot_of.get(id(node))
+    if isinstance(node, (list, tuple)):
+        parts = enumerate(node)
+    elif hasattr(node, "__dataclass_fields__"):
+        parts = vars(node).items()
+    else:
+        return None
+    steps = tuple(
+        (key, step) for key, part in parts if (step := _plan(part, slot_of)) is not None
+    )
+    return steps or None
+
+
+def _rebuilt(node: object, steps: tuple, values: list) -> object:
+    """A copy of ``node`` with the literals ``steps`` leads to bound to
+    ``values``. Only the nodes on those paths are new, each built once;
+    every other subtree is shared with the template's statement (nodes
+    are frozen). A node is copied before anyone else can see it."""
+    kind = type(node)
+    if kind is list or kind is tuple:
+        parts = list(node)
+        for index, step in steps:
+            parts[index] = (
+                ast.Literal(values[step])
+                if type(step) is int
+                else _rebuilt(parts[index], step, values)
+            )
+        return parts if kind is list else tuple(parts)
+    copy = object.__new__(kind)
+    attrs = copy.__dict__
+    attrs.update(node.__dict__)
+    for name, step in steps:
+        attrs[name] = (
+            ast.Literal(values[step])
+            if type(step) is int
+            else _rebuilt(attrs[name], step, values)
+        )
+    return copy
+
+
+def _remember(entries: OrderedDict, key: object, value: object) -> None:
+    """Insert into one of the cache's LRUs, dropping the oldest entry beyond
+    :data:`PARSE_CACHE_ENTRIES`; the caller holds the lock."""
+    entries[key] = value
+    entries.move_to_end(key)
+    if len(entries) > PARSE_CACHE_ENTRIES:
+        entries.popitem(last=False)
+
+
+_COUNTERS = (
+    "hits", "misses", "template_hits", "template_misses", "analysis_hits", "analysis_misses"
+)
 
 
 class _ParseCache:
-    """Bounded, thread-safe LRU of statement text → parsed statement."""
+    """The three bounded, thread-safe LRUs behind :func:`parse` and
+    :func:`shared_analysis`: statement text → statement, template key →
+    :class:`_Template`, and ``id(statement)`` → the (statement, template)
+    it was bound from (the entry holds the statement, so its id cannot be
+    reused while the entry lives)."""
 
     def __init__(self) -> None:
         self._lock = threading.Lock()
-        #: least recently used first
-        self._entries: OrderedDict[str, ast.Statement] = OrderedDict()  #: guarded by self._lock
-        self._hits = 0  #: guarded by self._lock
-        self._misses = 0  #: guarded by self._lock
+        #: least recently used first, in all three
+        self._texts: OrderedDict[str, tuple[ast.Statement, _Template]] = OrderedDict()  #: guarded by self._lock
+        self._templates: OrderedDict[tuple, _Template] = OrderedDict()  #: guarded by self._lock
+        self._bound: OrderedDict[int, tuple[ast.Statement, _Template]] = OrderedDict()  #: guarded by self._lock
+        self._counts = dict.fromkeys(_COUNTERS, 0)  #: guarded by self._lock
 
     def lookup(self, sql: str) -> ast.Statement | None:
         with self._lock:
-            stmt = self._entries.get(sql)
-            if stmt is None:
-                self._misses += 1
+            entry = self._texts.get(sql)
+            if entry is None:
+                self._counts["misses"] += 1
                 return None
-            self._hits += 1
-            self._entries.move_to_end(sql)
-            return stmt
+            self._counts["hits"] += 1
+            self._texts.move_to_end(sql)
+            # a text that keeps hitting (BEGIN) keeps its statement's link
+            # to the template, so its analysis keeps being shared
+            _remember(self._bound, id(entry[0]), entry)
+            return entry[0]
 
-    def remember(self, sql: str, stmt: ast.Statement) -> None:
-        if len(sql) > PARSE_CACHE_MAX_TEXT:
-            return
+    def template(self, key: tuple) -> _Template | None:
         with self._lock:
-            self._entries[sql] = stmt
-            if len(self._entries) > PARSE_CACHE_ENTRIES:
-                self._entries.popitem(last=False)
+            template = self._templates.get(key)
+            if template is not None:
+                self._templates.move_to_end(template.key)
+            return template
+
+    def remember(
+        self, sql: str, stmt: ast.Statement, template: _Template, parsed: bool
+    ) -> None:
+        """Keep ``sql`` → ``stmt``, bound from ``template``, which was
+        ``parsed`` just now on a template miss."""
+        with self._lock:
+            if parsed:
+                self._counts["template_misses"] += 1
+                _remember(self._templates, template.key, template)
+            else:
+                self._counts["template_hits"] += 1
+            entry = (stmt, template)
+            _remember(self._texts, sql, entry)
+            _remember(self._bound, id(stmt), entry)
+
+    def template_of(self, stmt: ast.Statement) -> _Template | None:
+        with self._lock:
+            entry = self._bound.get(id(stmt))
+            return None if entry is None else entry[1]
+
+    def count(self, counter: str) -> None:
+        with self._lock:
+            self._counts[counter] += 1
 
     def stats(self) -> dict[str, int]:
         with self._lock:
             return {
-                "hits": self._hits,
-                "misses": self._misses,
-                "entries": len(self._entries),
+                **self._counts,
+                "entries": len(self._texts),
+                "template_entries": len(self._templates),
             }
 
 
@@ -113,20 +291,57 @@ def parse(sql: str) -> ast.Statement:
     """Parse exactly one SQL statement. Raises :class:`SQLSyntaxError`.
 
     The returned statement is shared with every other caller that passes
-    the same text; its nodes are frozen.
+    the same text, and shares subtrees with every statement of the same
+    template; its nodes are frozen.
     """
     stmt = _cache.lookup(sql)
-    if stmt is None:
-        parser = _Parser(sql)
-        stmt = parser.parse_statement()
-        parser.skip_semicolons()
-        parser.expect_eof()
-        _cache.remember(sql, stmt)
+    if stmt is not None:
+        return stmt
+    if len(sql) > PARSE_CACHE_MAX_TEXT:
+        return _Parser(sql).parse_one()
+    tokens = tokenize(sql)
+    key = _template_key(tokens)
+    template = _cache.template(key)
+    stmt = None if template is None else template.bind(tokens)
+    parsed = stmt is None
+    if parsed:
+        parser = _Parser(sql, tokens)
+        stmt = parser.parse_one()
+        template = _Template(key, stmt, tokens, parser.literals)
+    _cache.remember(sql, stmt, template, parsed)
     return stmt
 
 
+def shared_analysis(stmt: ast.Statement, version: object, compute: Callable[[], T]) -> T:
+    """``compute()`` — the analysis of ``stmt`` under catalog ``version`` —
+    at most once per template and version.
+
+    Whatever ``compute`` returns must depend on the statement's shape and
+    the catalog alone, never on a literal, and be immutable: every statement
+    of the template gets it, on any thread. ``version`` is read before the
+    analysis runs, so a schema change that lands during it gives the
+    catalog a version this result is never stored under. A statement
+    :func:`parse` did not bind (``parse_script``, an oversized text, one
+    built by hand) is analysed every time.
+    """
+    template = _cache.template_of(stmt)
+    if template is not None:
+        memo = template.analysis
+        if memo is not None and memo[0] == version:
+            _cache.count("analysis_hits")
+            return memo[1]
+    result = compute()
+    if template is not None:
+        template.analysis = (version, result)
+    _cache.count("analysis_misses")
+    return result
+
+
 def parse_cache_stats() -> dict[str, int]:
-    """``hits`` / ``misses`` / ``entries`` of :func:`parse`'s cache (process-wide)."""
+    """Counters and sizes of :func:`parse`'s caches (process-wide): text
+    ``hits`` / ``misses`` / ``entries``, ``template_hits`` /
+    ``template_misses`` / ``template_entries`` (lookups on a text miss),
+    and :func:`shared_analysis`'s ``analysis_hits`` / ``analysis_misses``."""
     return _cache.stats()
 
 
@@ -164,15 +379,18 @@ def statement_action(stmt: ast.Statement) -> str:
 
 
 class _Parser:
-    def __init__(self, source: str):
-        tokens = tokenize(source)
+    def __init__(self, source: str, tokens: list[Token] | None = None):
+        if tokens is None:
+            tokens = tokenize(source)
         # two more EOFs: a lookahead of two never runs off the end
-        tokens += tokens[-1:] * 2
+        tokens = tokens + tokens[-1:] * 2
         self.tokens = tokens
         self.source = source
         self.pos = 0
         #: the current token, ``tokens[pos]``
         self.tok = tokens[0]
+        #: (token position, node) of each NUMBER / STRING literal parsed
+        self.literals: list[tuple[int, ast.Literal]] = []
 
     # ---------------------------------------------------------------- utils
 
@@ -246,6 +464,13 @@ class _Parser:
         )
 
     # ----------------------------------------------------------- statements
+
+    def parse_one(self) -> ast.Statement:
+        """The one statement the text holds (trailing semicolons allowed)."""
+        stmt = self.parse_statement()
+        self.skip_semicolons()
+        self.expect_eof()
+        return stmt
 
     def parse_statement(self) -> ast.Statement:
         handler = self._statement_parsers.get(self.tok.word)
@@ -909,14 +1134,9 @@ class _Parser:
                             self.expect_identifier("column name"), table=token.value
                         )
                 node = ast.ColumnRef(token.value)
-        elif kind == NUMBER:
-            text = token.value
-            if "." in text or "e" in text or "E" in text:
-                node = ast.Literal(float(text))
-            else:
-                node = ast.Literal(int(text))
-        elif kind == STRING:
-            node = ast.Literal(token.value)
+        elif kind in _LITERAL_KINDS:
+            node = ast.Literal(_literal_value(token))
+            self.literals.append((self.pos, node))
         elif kind == PUNCT and token.value == "(":
             self.advance()
             if self.tok.word == "SELECT":

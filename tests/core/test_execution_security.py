@@ -10,7 +10,7 @@ from repro.core import (
     SqlVerifier,
     SecurityViolation,
 )
-from repro.minidb import Database
+from repro.minidb import Database, PermissionDenied
 
 
 class TestToolExposure:
@@ -111,6 +111,29 @@ class TestActionMismatch:
 
 
 class TestObjectLevelVerification:
+    @pytest.mark.parametrize(
+        "sql",
+        [
+            "SELECT item_id, (SELECT i.price FROM sales WHERE order_id = 10) FROM items i",
+            "SELECT item_id FROM items WHERE EXISTS (SELECT 1 FROM sales WHERE price > 50)",
+            "SELECT item_id FROM items WHERE item_id IN (SELECT item_id FROM sales WHERE price > 50)",
+        ],
+    )
+    def test_correlated_reference_needs_the_column_grant(self, db, sql):
+        """The ``select`` tool and minidb both refuse an outer column read
+        through a subquery (at the parent, both returned or filtered on
+        every ``price``)."""
+        admin = db.connect("admin")
+        admin.execute("GRANT SELECT (item_id, item_name) ON items TO viewer")
+        bridge = BridgeScope(MinidbBinding.for_user(db, "viewer"))
+        assert not bridge.invoke("select", sql="SELECT item_id, item_name FROM items").is_error
+        result = bridge.invoke("select", sql=sql)
+        assert result.is_error and result.error_code == "SecurityViolation"
+        assert "permission denied" in result.content and "price" in result.content
+        with pytest.raises(PermissionDenied) as denied:
+            db.connect("viewer").execute(sql)
+        assert denied.value.code == "42501"
+
     def test_unauthorized_table_intercepted(self, viewer_bridge):
         result = viewer_bridge.invoke("select", sql="SELECT * FROM items")
         assert result.is_error

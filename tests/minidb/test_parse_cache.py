@@ -245,24 +245,28 @@ def test_differential_grid_leaves_its_statements_unchanged():
             assert_unchanged_by_execution(session, shape.format(p=predicate.format(q=qualifier)))
 
 
+#: DML and DDL over the ``db`` fixture's schema, in an order that runs
+DML_AND_DDL = [
+    "CREATE TABLE notes (id INT PRIMARY KEY, body TEXT NOT NULL DEFAULT 'x' CHECK (id > 0),"
+    " sale INT REFERENCES sales(id), UNIQUE (body), CHECK (id < 100))",
+    "INSERT INTO notes (id, sale) VALUES (1, 1)",
+    "INSERT INTO notes SELECT id + 10, 'n' || id, id FROM sales",
+    "UPDATE notes SET body = body || '!' WHERE id IN (SELECT id FROM sales)",
+    "CREATE VIEW big AS SELECT id FROM sales WHERE amount > 100 UNION SELECT 0 ORDER BY id",
+    "EXPLAIN ANALYZE SELECT * FROM big",
+    "DELETE FROM notes WHERE id > 10",
+    "ALTER TABLE notes ADD COLUMN tag TEXT DEFAULT 't'",
+    "CREATE INDEX ix_notes_tag ON notes USING BTREE (tag)",
+    "ANALYZE notes",
+    "GRANT SELECT (id) ON notes TO viewer",
+    "DROP VIEW big",
+    "DROP TABLE notes",
+]
+
+
 def test_dml_and_ddl_leave_their_statements_unchanged(db):
     admin = db.connect("admin")
-    for sql in [
-        "CREATE TABLE notes (id INT PRIMARY KEY, body TEXT NOT NULL DEFAULT 'x' CHECK (id > 0),"
-        " sale INT REFERENCES sales(id), UNIQUE (body), CHECK (id < 100))",
-        "INSERT INTO notes (id, sale) VALUES (1, 1)",
-        "INSERT INTO notes SELECT id + 10, 'n' || id, id FROM sales",
-        "UPDATE notes SET body = body || '!' WHERE id IN (SELECT id FROM sales)",
-        "CREATE VIEW big AS SELECT id FROM sales WHERE amount > 100 UNION SELECT 0 ORDER BY id",
-        "EXPLAIN ANALYZE SELECT * FROM big",
-        "DELETE FROM notes WHERE id > 10",
-        "ALTER TABLE notes ADD COLUMN tag TEXT DEFAULT 't'",
-        "CREATE INDEX ix_notes_tag ON notes USING BTREE (tag)",
-        "ANALYZE notes",
-        "GRANT SELECT (id) ON notes TO viewer",
-        "DROP VIEW big",
-        "DROP TABLE notes",
-    ]:
+    for sql in DML_AND_DDL:
         assert_unchanged_by_execution(admin, sql)
 
 
@@ -278,21 +282,47 @@ def test_nodes_refuse_assignment():
 
 def test_hit_ratio_is_one_query_away(db):
     admin = db.connect("admin")
-    sql = "SELECT amount FROM sales WHERE id = 2"
+    bridge = BridgeScope(MinidbBinding.for_user(db, "admin"))
+    # a template no other test parses, so its first call is a template miss
+    sql = "SELECT amount AS hit_ratio_probe FROM sales WHERE id = {}"
+    prefix = "minidb_parse_cache_"
 
     def sample():
         rows = admin.execute(
-            "SELECT name, value FROM system.metrics WHERE name LIKE 'minidb_parse_cache_%'"
+            f"SELECT name, value FROM system.metrics WHERE name LIKE '{prefix}%'"
         ).rows
-        return {name.rsplit("_", 1)[1]: value for name, value in rows}
+        return {name[len(prefix):]: value for name, value in rows}
 
-    before = sample()
-    BridgeScope(MinidbBinding.for_user(db, "admin")).call(ToolCall("select", {"sql": sql}))
-    after = sample()
-    assert set(after) == {"hits", "misses", "entries"}
-    # verified (miss) then executed (hit): one real parse per tool call. The
-    # metrics query itself is a hit the second time it runs.
-    assert after["misses"] - before["misses"] == 1
-    assert after["hits"] - before["hits"] == 2
-    assert 0 < after["entries"] <= PARSE_CACHE_ENTRIES
-    assert "minidb_parse_cache_hits" in db.metrics.render_text()
+    def delta(after, before):
+        return {key: after[key] - before[key] for key in after if not key.endswith("entries")}
+
+    first = sample()
+    bridge.call(ToolCall("select", {"sql": sql.format(2)}))
+    second = sample()
+    assert set(second) == {
+        "hits", "misses", "entries",
+        "template_hits", "template_misses", "template_entries",
+        "analysis_hits", "analysis_misses",
+    }  # fmt: skip
+    # verified (text miss, template miss: the one real parse; the analysis
+    # is computed) then executed (text hit, analysis hit). The metrics query
+    # itself is a text hit and an analysis hit the second time it runs.
+    assert delta(second, first) == {
+        "hits": 2, "misses": 1,
+        "template_hits": 0, "template_misses": 1,
+        "analysis_hits": 2, "analysis_misses": 1,
+    }  # fmt: skip
+    # another literal: a text miss bound from the template, and no analysis
+    bridge.call(ToolCall("select", {"sql": sql.format(1)}))
+    third = sample()
+    assert delta(third, second) == {
+        "hits": 2, "misses": 1,
+        "template_hits": 1, "template_misses": 0,
+        "analysis_hits": 3, "analysis_misses": 0,
+    }  # fmt: skip
+    assert 0 < third["entries"] <= PARSE_CACHE_ENTRIES
+    assert 0 < third["template_entries"] <= PARSE_CACHE_ENTRIES
+    text = db.metrics.render_text()
+    assert "minidb_parse_cache_hits" in text
+    assert "minidb_parse_cache_template_hits" in text
+    assert "minidb_parse_cache_analysis_hits" in text

@@ -6,6 +6,15 @@ from repro.minidb import Database, PermissionDenied, analyze, parse
 from repro.minidb.privileges import PrivilegeManager
 
 
+#: a subquery reads ``salaries.pay`` by correlation: qualified, bare in
+#: EXISTS, bare in IN (``sales`` has no ``pay``)
+CORRELATED_LEAKS = [
+    "SELECT id, (SELECT p.pay FROM sales) FROM salaries p",
+    "SELECT id FROM salaries WHERE EXISTS (SELECT 1 FROM sales WHERE pay > 100)",
+    "SELECT id FROM salaries WHERE id IN (SELECT id FROM sales WHERE pay > 100)",
+]
+
+
 @pytest.fixture
 def db():
     database = Database(owner="admin")
@@ -176,6 +185,19 @@ class TestDatabaseEnforcement:
         analyst.execute("BEGIN")
         analyst.execute("ROLLBACK")
 
+    @pytest.mark.parametrize("sql", CORRELATED_LEAKS)
+    def test_correlated_reference_needs_the_column_grant(self, db, admin, sql):
+        """A subquery's reference to an outer table's column is checked
+        against that table's column grant (at the parent, each of these
+        returned or filtered on every ``pay``)."""
+        admin.execute("GRANT SELECT (id, who) ON salaries TO clerk")
+        admin.execute("GRANT SELECT ON sales TO clerk")
+        clerk = db.connect("clerk")
+        assert clerk.execute("SELECT id, who FROM salaries").rowcount == 1
+        with pytest.raises(PermissionDenied) as denied:
+            clerk.execute(sql)
+        assert denied.value.code == "42501" and "pay" in str(denied.value)
+
 
 class TestStatementAnalysis:
     def test_select_objects_and_columns(self):
@@ -251,8 +273,30 @@ class TestStatementAnalysis:
             "SELECT name FROM dept d WHERE EXISTS "
             "(SELECT 1 FROM emp e WHERE e.dept_id = d.id)"
         ))
-        objects = set(analysis.objects())
-        assert {"dept", "emp"} <= objects
+        assert [(a.action, a.obj, a.columns) for a in analysis.accesses] == [
+            ("SELECT", "dept", {"name", "id"}),
+            ("SELECT", "emp", {"dept_id"}),
+        ]
+
+    def test_correlated_names_resolve_to_the_nearest_binding_block(self, db):
+        """With a catalog, a bare name binds in the nearest block with a
+        table that has it, as the executor resolves it; without one it is
+        attributed to every table in reach."""
+        def columns(sql, catalog):
+            return {a.obj: a.columns for a in analyze(parse(sql), catalog).accesses}
+
+        inner = "SELECT amount FROM sales WHERE EXISTS (SELECT 1 FROM salaries WHERE id = 1)"
+        assert columns(inner, db.catalog) == {"sales": {"amount"}, "salaries": {"id"}}
+        outer = "SELECT amount FROM sales WHERE EXISTS (SELECT 1 FROM salaries WHERE region = 'w')"
+        assert columns(outer, db.catalog) == {"sales": {"amount", "region"}, "salaries": set()}
+        assert columns(outer, None) == {
+            "sales": {"amount", "region"},
+            "salaries": {"region"},
+        }
+        # a qualifier resolves outward too, and stops at the nearest block
+        # that binds it (here the inner alias s, not the outer table)
+        shadowed = "SELECT s.amount FROM sales s WHERE EXISTS (SELECT s.pay FROM salaries s)"
+        assert columns(shadowed, db.catalog) == {"sales": {"amount"}, "salaries": {"pay"}}
 
     def test_set_op_both_sides(self):
         analysis = analyze(parse("SELECT a FROM t UNION SELECT b FROM u"))
