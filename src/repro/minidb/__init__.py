@@ -40,7 +40,7 @@ from .errors import (
     UnknownColumnError,
     UnknownTableError,
 )
-from .parser import parse, parse_script, statement_action
+from .parser import parse, parse_script
 from .privileges import ACTIONS, PrivilegeManager
 from .result import ResultSet
 
@@ -82,5 +82,4 @@ __all__ = [
     "analyze",
     "parse",
     "parse_script",
-    "statement_action",
 ]

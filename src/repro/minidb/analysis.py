@@ -69,9 +69,6 @@ class StatementAnalysis:
         return seen
 
 
-_WRITE_ACTIONS = {"INSERT", "UPDATE", "DELETE", "CREATE", "DROP", "ALTER"}
-
-
 def analyze(stmt: ast.Statement, catalog: Catalog | None = None) -> StatementAnalysis:
     """Compute the access footprint of ``stmt``.
 

@@ -50,7 +50,8 @@ kernels (:func:`~repro.minidb.expressions.compile_batch_expr`), which read
 ``relation.column(binding, name)``, and the AST interpreter — the
 reference, and the only path for subquery-bearing or correlated
 expressions — which reads the same relation through a per-row scope
-(:meth:`_ScopeLayout.scope`). Every expression position is a column
+(:meth:`_Names.scope`); both read names through the resolver the planner
+stored on the plan node. Every expression position is a column
 (:meth:`Executor._compile`): its value per row, from a kernel or from the
 interpreter, with an erroring row's error deferred in place either way,
 so no operator branches on which engine computed it. Every predicate
@@ -81,7 +82,7 @@ from functools import reduce
 from itertools import compress, islice
 from operator import add, ne
 from time import perf_counter
-from typing import TYPE_CHECKING, Any, Callable, Iterator
+from typing import TYPE_CHECKING, Any, Callable, Iterator, NamedTuple
 
 from ..obs.views import system_view_rows
 from . import ast_nodes as ast
@@ -114,6 +115,7 @@ from .expressions import (
 from .functions import AGGREGATE_NAMES, make_aggregate
 from .planner import (
     JoinPlan,
+    NameResolver,
     ScanPlan,
     SelectPlan,
     expand_items,
@@ -154,7 +156,7 @@ class _Relation:
     relation is row *i* of the store). Filters and joins only rewrite
     pick vectors; ``column`` gathers a column's values on first use,
     which is all a compiled kernel ever asks for. ``row`` is the cursor of
-    the per-row scope (:meth:`_ScopeLayout.scope`) the interpreter
+    the per-row scope (:meth:`_Names.scope`) the interpreter
     fallback reads through.
     """
 
@@ -225,67 +227,40 @@ class _RowView:
         return relation.column(*self._names[key])[relation.row]
 
 
-class _ScopeLayout:
-    """Precomputed name resolution for a set of sources (anything with
-    ``binding`` and ``columns`` — plan scan nodes).
-
-    The maps are built once per relation shape and serve both engines:
+class _Names(NamedTuple):
+    """A plan node's :class:`~repro.minidb.planner.NameResolver` paired
+    with the run-time outer scope: how both engines read a name.
     :meth:`resolve` turns a column reference into a direct column read at
     kernel-compile time, :meth:`scope` is the interpreter's per-row scope
-    — one object per relation, re-pointed by moving ``relation.row``. A
-    name a source exposes twice (``SELECT id, a AS id``) is ambiguous
-    qualified or not: it must never silently read one of the two.
-    """
+    — one object per relation, re-pointed by moving ``relation.row``."""
 
-    __slots__ = ("outer", "ambiguous", "_qualified", "_unqualified")
-
-    def __init__(self, sources: list, outer: Scope | None):
-        qualified: dict[str, tuple[str, str]] = {}
-        by_name: dict[str, list[tuple[str, str]]] = {}
-        ambiguous: set[str] = set()
-        for source in sources:
-            binding = source.binding
-            for col in source.columns:
-                key = f"{binding.lower()}.{col.lower()}"
-                if key in qualified:
-                    ambiguous.add(key)
-                qualified[key] = (binding, col)
-                by_name.setdefault(col.lower(), []).append((binding, col))
-        ambiguous.update(name for name, refs in by_name.items() if len(refs) > 1)
-        self.outer = outer
-        self.ambiguous = frozenset(ambiguous)
-        self._qualified = qualified
-        self._unqualified = {
-            name: refs[0] for name, refs in by_name.items() if len(refs) == 1
-        }
+    resolver: NameResolver
+    outer: Scope | None
 
     def scope(self, relation: _Relation) -> Scope:
+        names = self.resolver
         return Scope(
-            _RowView(self._qualified, relation),
-            _RowView(self._unqualified, relation),
-            self.ambiguous,
+            _RowView(names.qualified, relation),
+            _RowView(names.unqualified, relation),
+            names.ambiguous,
             self.outer,
         )
 
     def resolve(self, ref: ast.ColumnRef):
         """Column resolver for :func:`compile_batch_expr`: the returned
         accessor reads the addressed column of a relation directly. Names
-        the layout cannot resolve compile to columns of *deferred* errors
+        the resolver cannot resolve compile to columns of *deferred* errors
         (:func:`batch_raiser`) carrying the interpreter's exact error: a
         short-circuiting AND may never consume those elements, and "no
-        rows evaluated, no error" must hold. The exception is a layout
-        with an outer scope: there the name may be a correlated reference,
-        so compilation bails to the interpreter via
-        :class:`CannotCompile`."""
-        name = ref.name.lower()
-        key = f"{ref.table.lower()}.{name}" if ref.table is not None else name
-        if key in self.ambiguous:
-            return batch_raiser(
-                UnknownColumnError(f"column reference {ref.name!r} is ambiguous")
-            )
-        names = self._qualified if ref.table is not None else self._unqualified
-        target = names.get(key)
+        rows evaluated, no error" must hold. The exception is a block with
+        an outer scope: there the name may be a correlated reference, so
+        compilation bails to the interpreter via :class:`CannotCompile`."""
+        target = self.resolver.lookup(ref)
         if target is None:
+            if NameResolver.key(ref) in self.resolver.ambiguous:
+                return batch_raiser(
+                    UnknownColumnError(f"column reference {ref.name!r} is ambiguous")
+                )
             if self.outer is not None:
                 raise CannotCompile
             return batch_raiser(UnknownColumnError(f"column {ref} does not exist"))
@@ -631,15 +606,14 @@ class Executor:
                 )
             if position:
                 relation = self._join(
-                    relation, source, plan.joins[position - 1],
-                    scans[: position + 1], outer, evaluator,
+                    relation, source, plan.joins[position - 1], outer, evaluator
                 )
             else:
                 relation = source
 
-        layout = _ScopeLayout(scans, outer)
+        names = _Names(plan.resolver, outer)
         if stmt.where is not None and not ordered:
-            select = self._selector(stmt.where, layout, evaluator)
+            select = self._selector(stmt.where, names, evaluator)
             relation = relation.take(select(relation))
 
         items = expand_items(stmt.items, scans)
@@ -656,10 +630,10 @@ class Executor:
         exprs = [item.expr for item in items] + hidden
         if plan.grouped:
             columns = self._aggregate(
-                plan, exprs, relation, layout, evaluator, run_subquery
+                plan, exprs, relation, names, evaluator, run_subquery
             )
         else:
-            columns = self._project(exprs, relation, layout, evaluator)
+            columns = self._project(exprs, relation, names, evaluator)
 
         if stmt.distinct:
             columns = _gather(columns, _first_of_each(zip(*columns[: len(items)])))
@@ -727,7 +701,7 @@ class Executor:
                 return range(chunk.length if limit is None else min(chunk.length, limit))
         else:
             select = self._selector(
-                predicate, _ScopeLayout([scan], outer), evaluator, keep_errors
+                predicate, _Names(scan.resolver, outer), evaluator, keep_errors
             )
         binding = scan.binding
         store: dict[str, list] = {name: [] for name in columns}
@@ -842,7 +816,7 @@ class Executor:
 
     # ------------------------------------------------ columns and predicates
 
-    def _compile(self, expr: ast.Expr, layout: _ScopeLayout, evaluator: Evaluator):
+    def _compile(self, expr: ast.Expr, names: _Names, evaluator: Evaluator):
         """``expr`` as a column: ``column(relation)`` returns its value on
         every row of ``relation``, with the :class:`MiniDBError` of an
         erroring row deferred as a :class:`BatchError` in its place. A
@@ -857,12 +831,12 @@ class Executor:
         row: the transaction is already aborted, and every later row
         would wait for the same lock again."""
         if self.db.planner_options["enable_compiled_predicates"]:
-            kernel = compile_batch_expr(expr, layout.resolve)
+            kernel = compile_batch_expr(expr, names.resolve)
             if kernel is not None:
                 return kernel
 
         def interpret(relation: _Relation) -> list:
-            scope = layout.scope(relation)
+            scope = names.scope(relation)
             values: list = []
             for i in range(relation.length):
                 relation.row = i
@@ -879,7 +853,7 @@ class Executor:
     def _selector(
         self,
         predicate: ast.Expr,
-        layout: _ScopeLayout,
+        names: _Names,
         evaluator: Evaluator,
         keep_errors=(),
     ):
@@ -894,7 +868,7 @@ class Executor:
         it; an erroring row whose error is one of ``keep_errors`` is kept
         rather than raised.
         """
-        column = self._compile(predicate, layout, evaluator)
+        column = self._compile(predicate, names, evaluator)
         size = self.db.planner_options["batch_size"]
 
         def select(relation: _Relation, limit: int | None = None) -> list[int]:
@@ -930,7 +904,6 @@ class Executor:
         left: _Relation,
         right: _Relation,
         plan: JoinPlan,
-        sources: list[ScanPlan],
         outer: Scope | None,
         evaluator: Evaluator,
     ) -> _Relation:
@@ -954,8 +927,8 @@ class Executor:
             predicate = plan.condition
         if predicate is not None:
             pairs = left.take(lefts).beside(right.take(rights))
-            layout = _ScopeLayout(sources, outer)
-            kept = self._selector(predicate, layout, evaluator)(pairs)
+            names = _Names(plan.resolver, outer)
+            kept = self._selector(predicate, names, evaluator)(pairs)
             lefts = [lefts[i] for i in kept]
             rights = [rights[i] for i in kept]
 
@@ -1018,18 +991,18 @@ class Executor:
 
     # ------------------------------------------------------- group / project
 
-    def _project(self, exprs, relation, layout, evaluator) -> list[list]:
+    def _project(self, exprs, relation, names, evaluator) -> list[list]:
         """Ungrouped projection: the column of each of ``exprs`` (select
         items, then hidden ORDER BY keys) over the relation. No row is
         built here; before returning, the deferred error a row-at-a-time
         walk (rows outermost, positions innermost) would meet first is
         raised."""
-        columns = [self._compile(expr, layout, evaluator)(relation) for expr in exprs]
+        columns = [self._compile(expr, names, evaluator)(relation) for expr in exprs]
         _raise_first_batch_error(columns, relation)
         return columns
 
     def _aggregate(
-        self, plan, exprs, relation, layout, evaluator, run_subquery
+        self, plan, exprs, relation, names, evaluator, run_subquery
     ) -> list[list]:
         """Grouped/aggregate evaluation: the column of each of ``exprs``
         (select items, then hidden ORDER BY keys) over the groups that
@@ -1050,7 +1023,7 @@ class Executor:
         # group key -> member indexes, in first-member order
         groups: dict[Any, list[int]] = {}
         if stmt.group_by:
-            keys = [self._compile(g, layout, evaluator)(relation) for g in stmt.group_by]
+            keys = [self._compile(g, names, evaluator)(relation) for g in stmt.group_by]
             kinds = set(map(type, keys[0])) if len(keys) == 1 else set()
             if len(kinds) == 1 and kinds <= GROUP_CLASS:
                 # one key column of one class, no NULL: the value is as
@@ -1080,14 +1053,14 @@ class Executor:
             elif not agg.args:
                 agg_plans.append(("malformed", None))
             else:
-                values = self._compile(agg.args[0], layout, evaluator)(relation)
+                values = self._compile(agg.args[0], names, evaluator)(relation)
                 fold = None if agg.distinct else _FOLDS.get(agg.name)
                 if fold is not None and FOLD_CLASS.issuperset(map(type, values)):
                     agg_plans.append(("fold", (fold, values)))
                 else:
                     agg_plans.append(("column", values))
 
-        scope = layout.scope(relation)
+        scope = names.scope(relation)
         out_rows: list[tuple] = []
         for members in groups.values():
             computed: dict[int, Any] = {}
@@ -1409,15 +1382,18 @@ class Executor:
             for c in fk.ref_columns
         }
 
-        targets = self._dml_targets(schema, stmt.table, heap, stmt.where, evaluator)
+        targets, relation, scope = self._dml_targets(
+            schema, stmt.table, heap, stmt.where, evaluator,
+            [expr for _, expr in assignments],
+        )
         referencing = (
             self._referencing_check(schema) if referenced_key_columns else None
         )
 
         updated = 0
         table_key = schema.name.lower()
-        for rid, old_row in targets:
-            scope = self._row_scope(schema, stmt.table, old_row)
+        for position, (rid, old_row) in enumerate(targets):
+            relation.row = position  # SET reads the target row
             new_row = dict(old_row)
             for column, expr in assignments:
                 new_row[column.name] = coerce(
@@ -1450,7 +1426,9 @@ class Executor:
         heap = self.db.heap(schema.name)
         evaluator = self._evaluator(session)
 
-        targets = self._dml_targets(schema, stmt.table, heap, stmt.where, evaluator)
+        targets, _, _ = self._dml_targets(
+            schema, stmt.table, heap, stmt.where, evaluator
+        )
 
         table_key = schema.name.lower()
         for rid, _row in targets:
@@ -1471,7 +1449,8 @@ class Executor:
         heap: HeapTable,
         where: ast.Expr | None,
         evaluator: Evaluator,
-    ) -> list[tuple[int, Row]]:
+        reads: list = (),
+    ) -> "tuple[list[tuple[int, Row]], _Relation, Scope]":
         """Resolve UPDATE/DELETE target rows through access-path planning.
 
         The same scan planner that serves SELECT sources narrows the
@@ -1481,21 +1460,17 @@ class Executor:
         and targets come back in rid order, the order the heap scan
         produced — so undo logs, WAL records, and constraint-error
         attribution are byte-identical to the seq-scan plan.
+
+        Also returns the target scan's relation, holding the columns
+        ``where`` and ``reads`` name, and its per-row scope through the
+        scan's resolver: target *i* is read with ``relation.row = i``.
         """
         scan = plan_table_scan(self.db, schema, binding, where)
-        _, rids, _ = self._scan(
-            scan, None, None, evaluator, _referenced_names([where]), where
+        relation, rids, _ = self._scan(
+            scan, None, None, evaluator, _referenced_names([where, *reads]), where
         )
-        return [(rid, heap.get(rid)) for rid in rids]
-
-    @staticmethod
-    def _row_scope(schema: TableSchema, binding: str, row: Row) -> Scope:
-        unqualified = {k.lower(): v for k, v in row.items()}
-        qualified = {f"{binding.lower()}.{k.lower()}": v for k, v in row.items()}
-        qualified.update(
-            {f"{schema.name.lower()}.{k.lower()}": v for k, v in row.items()}
-        )
-        return Scope(qualified, unqualified, frozenset(), None)
+        targets = [(rid, heap.get(rid)) for rid in rids]
+        return targets, relation, _Names(scan.resolver, None).scope(relation)
 
     # ----------------------------------------------------------------- DDL
 

@@ -356,28 +356,6 @@ def parse_script(sql: str) -> list[ast.Statement]:
     return statements
 
 
-def statement_action(stmt: ast.Statement) -> str:
-    """The privilege action a statement requires (SELECT/INSERT/...)."""
-    mapping = {
-        ast.SelectStatement: "SELECT",
-        ast.InsertStatement: "INSERT",
-        ast.UpdateStatement: "UPDATE",
-        ast.DeleteStatement: "DELETE",
-        ast.CreateTableStatement: "CREATE",
-        ast.CreateIndexStatement: "CREATE",
-        ast.CreateViewStatement: "CREATE",
-        ast.DropTableStatement: "DROP",
-        ast.DropIndexStatement: "DROP",
-        ast.DropViewStatement: "DROP",
-        ast.AlterTableStatement: "ALTER",
-        ast.AnalyzeStatement: "ALTER",  # maintenance: table-owner surface
-    }
-    for klass, action in mapping.items():
-        if isinstance(stmt, klass):
-            return action
-    return "OTHER"
-
-
 class _Parser:
     def __init__(self, source: str, tokens: list[Token] | None = None):
         if tokens is None:

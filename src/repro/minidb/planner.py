@@ -51,9 +51,9 @@ blocks, planned when the evaluator first runs them.
 **Error-surfacing contract.** Planning never changes *results*: a query
 that evaluates without errors returns the same rows under every strategy.
 Name-resolution errors (unknown or ambiguous columns) are likewise
-strategy-independent — unqualified references are only used for keys,
-filters, or index probes when provably unambiguous across the whole
-statement. Data-dependent *evaluation* errors (e.g. comparing an ``INT``
+strategy-independent — an unqualified reference is only used for a key,
+filter or index probe when the block's :class:`NameResolver`, the one the
+evaluator reads it through, resolves it. Data-dependent *evaluation* errors (e.g. comparing an ``INT``
 column to a ``TEXT`` literal), however, follow standard SQL-optimizer
 semantics: a predicate that planning proved unnecessary to evaluate (its
 rows were already pruned by an index probe, range slice, pushed filter,
@@ -249,6 +249,9 @@ class JoinPlan:
 
     kind: str  # INNER | LEFT | RIGHT | CROSS
     right_binding: str
+    #: names over the sources folded so far and this one: the residual's
+    #: and the ON condition's scope
+    resolver: NameResolver
     strategy: str = "nested-loop"  # "hash" | "nested-loop" | "cross"
     keys: list[JoinKey] = field(default_factory=list)
     residual: ast.Expr | None = None  # non-equi remainder of the ON condition
@@ -311,27 +314,59 @@ _RANGE_OPS = {
 }
 
 
-def _usable(
-    binding: str, statement_sources: list[tuple[str, list[str] | None]] | None
-):
-    """The one name-resolution test of a harvested column reference.
+class NameResolver:
+    """The one rule for which source column a column reference names,
+    over ``(binding, columns)`` sources — a scan's one source, a block's
+    sources or a join's prefix of them. The planner asks it which
+    conjuncts may probe an index, filter a scan or key a hash join; the
+    executor reads the same maps for the batch kernels and the
+    interpreter's per-row scope, so both read every name alike.
 
-    A qualified reference must name ``binding``. An unqualified one is
-    usable when the statement has one source (``statement_sources`` None)
-    and otherwise only when it names exactly one column of the whole
-    SELECT — an empty index probe or pushed filter could otherwise return
-    ``[]`` where the WHERE evaluator must raise the ambiguity error.
+    ``qualified`` maps ``binding.column`` and ``unqualified`` a bare
+    column name to ``(binding, stored column)``. A name in ``ambiguous``
+    — a bare name two columns share, or a ``binding.column`` exposed
+    twice (``SELECT a AS x, b AS x``, or one alias used twice) — names no
+    column. ``columns=None`` (only a child block whose star cannot
+    expand; running it raises) makes every unqualified name unresolvable.
     """
-    lowered = binding.lower()
 
-    def usable(ref: ast.ColumnRef) -> bool:
-        if ref.table is not None:
-            return ref.table.lower() == lowered
-        return statement_sources is None or _unqualified_unambiguous(
-            ref.name.lower(), statement_sources
-        )
+    __slots__ = ("qualified", "unqualified", "ambiguous")
 
-    return usable
+    def __init__(self, sources: list[tuple[str, list[str] | None]]):
+        qualified: dict[str, tuple[str, str]] = {}
+        by_name: dict[str, list[tuple[str, str]]] = {}
+        ambiguous: set[str] = set()
+        known = True
+        for binding, columns in sources:
+            if columns is None:
+                known = False
+                continue
+            for col in columns:
+                key = f"{binding.lower()}.{col.lower()}"
+                if key in qualified:
+                    ambiguous.add(key)
+                qualified[key] = (binding, col)
+                by_name.setdefault(col.lower(), []).append((binding, col))
+        ambiguous.update(name for name, refs in by_name.items() if len(refs) > 1)
+        self.qualified = qualified
+        self.unqualified = {
+            name: refs[0] for name, refs in by_name.items() if known and len(refs) == 1
+        }
+        self.ambiguous = frozenset(ambiguous)
+
+    @staticmethod
+    def key(ref: ast.ColumnRef) -> str:
+        name = ref.name.lower()
+        return f"{ref.table.lower()}.{name}" if ref.table is not None else name
+
+    def lookup(self, ref: ast.ColumnRef) -> tuple[str, str] | None:
+        """``(binding, stored column)`` of the one column ``ref`` names,
+        or None when it names none or more than one."""
+        name = ref.name.lower()
+        if ref.table is None:
+            return None if name in self.ambiguous else self.unqualified.get(name)
+        key = f"{ref.table.lower()}.{name}"
+        return None if key in self.ambiguous else self.qualified.get(key)
 
 
 def _atom(expr: ast.Expr, usable) -> tuple[str, str, Any] | None:
@@ -377,9 +412,7 @@ def _atom(expr: ast.Expr, usable) -> tuple[str, str, Any] | None:
 
 
 def harvest_conjuncts(
-    where: ast.Expr | None,
-    binding: str,
-    statement_sources: list[tuple[str, list[str] | None]] | None = None,
+    where: ast.Expr | None, binding: str, resolver: NameResolver | None = None
 ) -> Harvest:
     """What the top-level AND-ed conjuncts of ``where`` bind on
     ``binding``'s columns, read in one pass:
@@ -397,9 +430,21 @@ def harvest_conjuncts(
 
     A binding only *narrows* a scan: the full WHERE is re-applied to the
     candidate rows, so over-approximating (a range across type ranks)
-    stays correct. ``statement_sources``: see :func:`_usable`.
+    stays correct.
+
+    A qualified reference must name ``binding``. An unqualified one binds
+    in a single-source block (``resolver`` None) and otherwise only when
+    the block's ``resolver`` resolves it — an empty index probe could
+    otherwise return ``[]`` where the WHERE evaluator must raise the
+    ambiguity error.
     """
-    usable = _usable(binding, statement_sources)
+    lowered = binding.lower()
+
+    def usable(ref: ast.ColumnRef) -> bool:
+        if ref.table is not None:
+            return ref.table.lower() == lowered
+        return resolver is None or resolver.lookup(ref) is not None
+
     equalities: dict[str, Any] = {}
     ranges: dict[str, RangeBinding] = {}
     unions: dict[str, UnionBinding] = {}
@@ -478,52 +523,30 @@ def split_disjuncts(expr: ast.Expr) -> list[ast.Expr]:
     return [expr]
 
 
-def _unqualified_unambiguous(
-    name: str, statement_sources: list[tuple[str, list[str] | None]]
-) -> bool:
-    """Whether an unqualified ``name`` names exactly one statement column.
-
-    ``statement_sources`` lists every source of the SELECT (not just those
-    already folded into the join). With any source's columns unknown
-    (views, derived tables), unqualified names are treated as unusable:
-    resolving them against a partial view could mask the ambiguity error
-    the evaluator would raise.
-    """
-    count = 0
-    for _, columns in statement_sources:
-        if columns is None:
-            return False
-        count += sum(1 for c in columns if c.lower() == name)
-    return count == 1
-
-
 def pushdown_filter(
-    where: ast.Expr | None,
-    binding: str,
-    columns: list[str],
-    statement_sources: list[tuple[str, list[str] | None]],
+    where: ast.Expr | None, own: NameResolver, resolver: NameResolver
 ) -> ast.Expr | None:
-    """The AND of WHERE conjuncts safe to evaluate during this source's scan.
+    """The AND of WHERE conjuncts safe to evaluate during one source's scan.
 
-    A conjunct qualifies when its atom compares one of this source's own
-    columns to a non-NULL literal with a null-rejecting comparison; a name
-    the source exposes twice is ambiguous and never pushed. Because the
-    full WHERE clause is re-applied after joins, pre-filtering only removes
-    rows whose joined results the WHERE clause would reject — including
-    rows an outer join would otherwise NULL-extend, which the
-    null-rejecting conjunct then rejects too. Only multi-source blocks push
-    down, so ``statement_sources`` always lists the whole SELECT.
+    A conjunct qualifies when its atom compares a column ``own`` (the
+    scan's resolver) resolves — one the source exposes once — to a
+    non-NULL literal with a null-rejecting comparison, and an unqualified
+    name resolves in the block's ``resolver`` too. Because the full WHERE
+    clause is re-applied after joins, pre-filtering only removes rows whose
+    joined results the WHERE clause would reject — including rows an outer
+    join would otherwise NULL-extend, which the null-rejecting conjunct
+    then rejects too. Only multi-source blocks push down.
     """
-    own_columns = _colmap(columns)
-    usable = _usable(binding, statement_sources)
+
+    def usable(ref: ast.ColumnRef) -> bool:
+        return own.lookup(ref) is not None and (
+            ref.table is not None or resolver.lookup(ref) is not None
+        )
+
     kept: list[ast.Expr] = []
     for conjunct in split_conjuncts(where):
         atom = _atom(conjunct, usable)
-        if (
-            atom is not None
-            and atom[1] in NULL_REJECTING_COMPARISONS
-            and own_columns.get(atom[0]) is not None
-        ):
+        if atom is not None and atom[1] in NULL_REJECTING_COMPARISONS:
             kept.append(conjunct)
     return conjoin(kept)
 
@@ -532,65 +555,19 @@ def pushdown_filter(
 # join planning
 # --------------------------------------------------------------------------
 
-# column maps are binding name -> {lowered column -> stored column}; a None
-# map means the columns are unknown (EXPLAIN over views/derived tables),
-# where only qualified refs resolve
-
-
-def _colmap(columns: list[str] | None) -> dict[str, str | None] | None:
-    """lower name -> stored name; duplicates within the source map to None.
-
-    Derived tables can expose the same output name twice (``SELECT x AS w,
-    y AS w``); such names must stay unresolvable so they fall to the
-    evaluator, which raises the ambiguity error.
-    """
-    if columns is None:
-        return None
-    mapping: dict[str, str | None] = {}
-    for column in columns:
-        key = column.lower()
-        mapping[key] = None if key in mapping else column
-    return mapping
-
-
-def _resolve_ref(
-    ref: ast.ColumnRef, sources: list[tuple[str, dict[str, str | None] | None]]
-) -> tuple[str, str] | None:
-    """Resolve a column reference to ``(binding, stored column name)``."""
-    name = ref.name.lower()
-    if ref.table is not None:
-        qualifier = ref.table.lower()
-        for binding, columns in sources:
-            if binding.lower() == qualifier:
-                if columns is None:
-                    return binding, ref.name
-                actual = columns.get(name)
-                return (binding, actual) if actual is not None else None
-        return None
-    hits: list[tuple[str, str]] = []
-    for binding, columns in sources:
-        if columns is None:
-            return None  # unknown columns: unqualified names are uncertain
-        if name in columns:
-            actual = columns[name]
-            if actual is None:
-                return None  # duplicated within the source: ambiguous
-            hits.append((binding, actual))
-    return hits[0] if len(hits) == 1 else None
-
 
 def _equi_key(
     conjunct: ast.Expr,
-    lefts: list[tuple[str, dict[str, str] | None]],
-    right: tuple[str, dict[str, str] | None],
-    statement_sources: list[tuple[str, list[str] | None]] | None = None,
+    scope: NameResolver,
+    right_binding: str,
+    resolver: NameResolver | None = None,
 ) -> JoinKey | None:
-    """A hash key if ``conjunct`` equates one left column with one right.
+    """A hash key if ``conjunct`` equates one column of the join's left
+    side with one of its right (``right_binding``).
 
-    ON conjuncts resolve against the join's own scope (``lefts`` + right),
-    exactly like the nested-loop evaluator would. WHERE conjuncts are
-    name-resolved against the *whole* statement, so callers pass
-    ``statement_sources``: an unqualified name that is ambiguous with a
+    Both names must resolve in the join's ``scope`` (its sources so far),
+    as the nested-loop evaluator would read them. A WHERE conjunct must
+    resolve in the block's ``resolver`` too: a name ambiguous with a
     source not yet folded in must not become a key — the final WHERE
     filter raises for it, and hashing on it could empty the relation
     before that error surfaces.
@@ -602,74 +579,54 @@ def _equi_key(
         and isinstance(conjunct.right, ast.ColumnRef)
     ):
         return None
-    if statement_sources is not None:
-        for ref in (conjunct.left, conjunct.right):
-            if ref.table is None and not _unqualified_unambiguous(
-                ref.name.lower(), statement_sources
-            ):
-                return None
-    for left_ref, right_ref in (
-        (conjunct.left, conjunct.right),
-        (conjunct.right, conjunct.left),
-    ):
-        left_hit = _resolve_ref(left_ref, lefts)
-        right_hit = _resolve_ref(right_ref, [right])
-        if left_hit is None or right_hit is None:
-            continue
-        # reject refs resolvable on both sides (ambiguous; leave to the
-        # evaluator, which raises the proper error)
-        if _resolve_ref(left_ref, [right]) is not None:
-            continue
-        if _resolve_ref(right_ref, lefts) is not None:
-            continue
-        return JoinKey(left_hit[0], left_hit[1], right_hit[1])
-    return None
+    refs = (conjunct.left, conjunct.right)
+    if resolver is not None and None in map(resolver.lookup, refs):
+        return None
+    hits = [scope.lookup(ref) for ref in refs]
+    if None in hits:
+        return None
+    left, right = hits if hits[1][0] == right_binding else hits[::-1]
+    if left[0] == right_binding or right[0] != right_binding:
+        return None  # both names on one side
+    return JoinKey(left[0], left[1], right[1])
 
 
 def plan_join(
     kind: str,
     condition: ast.Expr | None,
     where: ast.Expr | None,
-    left_sources: list[tuple[str, list[str] | None]],
     right_binding: str,
-    right_columns: list[str] | None,
-    statement_sources: list[tuple[str, list[str] | None]] | None = None,
+    scope: NameResolver,
+    resolver: NameResolver,
 ) -> JoinPlan:
-    """Choose a strategy for joining ``right_binding`` onto ``left_sources``.
+    """Choose a strategy for joining ``right_binding`` onto the sources
+    before it; ``scope`` resolves names over those sources and the right
+    one, ``resolver`` over the whole block.
 
     Equi-keys come from the ON condition and from cross-source equality
     conjuncts of the WHERE clause (always re-checked by the final WHERE
     filter, so harvesting them is safe for outer joins too). ON conjuncts
     that are not equi-keys become the residual predicate, evaluated per
-    matched pair. ``statement_sources`` (all of the SELECT's sources) guards
-    WHERE-conjunct name resolution; when omitted, WHERE keys only use
-    qualified references.
+    matched pair through ``scope``.
     """
-    lefts = [(binding, _colmap(columns)) for binding, columns in left_sources]
-    right = (right_binding, _colmap(right_columns))
     keys: list[JoinKey] = []
     residual: list[ast.Expr] = []
     for conjunct in split_conjuncts(condition):
-        key = _equi_key(conjunct, lefts, right)
+        key = _equi_key(conjunct, scope, right_binding)
         if key is not None:
             keys.append(key)
         else:
             residual.append(conjunct)
-    where_scope = statement_sources if statement_sources is not None else []
     for conjunct in split_conjuncts(where):
-        key = _equi_key(conjunct, lefts, right, where_scope)
+        key = _equi_key(conjunct, scope, right_binding, resolver)
         if key is not None and key not in keys:
             keys.append(key)
-    plan = JoinPlan(kind=kind, right_binding=right_binding, condition=condition)
     if keys:
-        plan.strategy = "hash"
-        plan.keys = keys
-        plan.residual = conjoin(residual)
-    elif condition is None:
-        plan.strategy = "cross"
-    else:
-        plan.strategy = "nested-loop"
-    return plan
+        return JoinPlan(
+            kind, right_binding, scope, "hash", keys, conjoin(residual), condition
+        )
+    strategy = "cross" if condition is None else "nested-loop"
+    return JoinPlan(kind, right_binding, scope, strategy, condition=condition)
 
 
 # --------------------------------------------------------------------------
@@ -882,6 +839,12 @@ class ScanPlan:
     #: pushed-down single-source predicate, applied before joining
     filter: ast.Expr | None = None
     child: "SelectPlan | None" = None
+    #: names over this source alone: the scan's own predicate (and
+    #: UPDATE's SET) reads them
+    resolver: NameResolver = field(init=False)
+
+    def __post_init__(self) -> None:
+        self.resolver = NameResolver([(self.binding, self.columns)])
 
     def describe(self) -> str:
         if self.path is None:
@@ -904,6 +867,9 @@ class SelectPlan:
     joins: list[JoinPlan]  # joins[i] folds scans[i + 1] onto the relation
     #: aggregate calls of the select list, HAVING and ORDER BY
     aggregates: list[ast.FunctionCall]
+    #: names over every source: WHERE, the select list, GROUP BY, HAVING
+    #: and ORDER BY read them
+    resolver: NameResolver
     set_op: "SelectPlan | None" = None  # right arm of ``stmt.set_op``
 
     @property
@@ -1095,18 +1061,18 @@ def plan_table_scan(
     schema: "TableSchema",
     binding: str,
     where: ast.Expr | None,
-    statement_sources: list[tuple[str, list[str] | None]] | None = None,
+    resolver: NameResolver | None = None,
     order_by_of: ast.SelectStatement | None = None,
 ) -> ScanPlan:
     """The scan node for one base table — the single place an access path
     is chosen, for SELECT sources and UPDATE/DELETE targets alike.
 
-    ``statement_sources`` (multi-source blocks) guards unqualified-name
+    ``resolver`` (multi-source blocks: the block's) guards unqualified-name
     resolution; ``order_by_of`` names the single-table statement whose
     ORDER BY an ordered index scan may serve.
     """
     heap = db.heap(schema.name)
-    harvest = harvest_conjuncts(where, binding, statement_sources)
+    harvest = harvest_conjuncts(where, binding, resolver)
     path, index, key = choose_access_path(
         schema.name, heap, harvest, db.catalog.statistics.get(schema.name.lower())
     )
@@ -1135,7 +1101,7 @@ def plan_select(
     indexes. Plain EXPLAIN passes the catalog lookup and locks nothing.
     """
     scans: list = []  # ScanPlan, or (binding, schema) until paths are planned
-    statement_sources: list[tuple[str, list[str] | None]] = []
+    sources: list[tuple[str, list[str] | None]] = []
     for ref in list(stmt.from_sources) + [join.source for join in stmt.joins]:
         select = None
         if isinstance(ref, ast.SubqueryRef):
@@ -1150,7 +1116,7 @@ def plan_select(
         else:
             schema = resolve_table(ref.name)
             scans.append((ref.binding, schema))
-            statement_sources.append((ref.binding, schema.column_names()))
+            sources.append((ref.binding, schema.column_names()))
             continue
         if select is None:
             child, columns = None, SYSTEM_VIEW_COLUMNS[name]
@@ -1158,9 +1124,7 @@ def plan_select(
             child = plan_select(select, db, resolve_table)
             columns = child.output_columns()
         scans.append(ScanPlan(binding, kind, name, columns, child=child))
-        # WHERE conjuncts treat view / derived / system columns as unknown:
-        # unqualified names are then never used for probes, keys or pushdown
-        statement_sources.append((binding, None))
+        sources.append((binding, columns))
 
     aggregates: list[ast.FunctionCall] = []
     for item in stmt.items:
@@ -1170,6 +1134,8 @@ def plan_select(
         collect_aggregates(order.expr, aggregates)
 
     single = len(scans) == 1
+    # a single-source block reads names through its scan's resolver
+    resolver = None if single else NameResolver(sources)
     # an ordered index scan needs a real ORDER BY and no machinery
     # (grouping, aggregates, DISTINCT, set ops) between scan and output order
     ordered_ok = (
@@ -1182,39 +1148,37 @@ def plan_select(
         if not isinstance(scan, ScanPlan):
             binding, schema = scan
             scans[position] = scan = plan_table_scan(
-                db,
-                schema,
-                binding,
-                stmt.where,
-                None if single else statement_sources,
+                db, schema, binding, stmt.where, resolver,
                 stmt if ordered_ok else None,
             )
         # pushdown only pays off when the filtered rows feed a join;
         # single-source blocks apply WHERE once, after the scan
         if not single and scan.columns:
-            scan.filter = pushdown_filter(
-                stmt.where, scan.binding, scan.columns, statement_sources
-            )
+            scan.filter = pushdown_filter(stmt.where, scan.resolver, resolver)
+    if single:
+        resolver = scans[0].resolver
 
     # comma-separated FROM sources fold as conditionless inner joins (keys
-    # come from WHERE), then the explicit joins fold the same way
+    # come from WHERE), then the explicit joins fold the same way; the
+    # last join's sources are the block's
     folds = [("INNER", None)] * len(stmt.from_sources)
     folds += [(join.kind, join.condition) for join in stmt.joins]
     joins: list[JoinPlan] = []
-    lefts: list[tuple[str, list[str] | None]] = []
-    for scan, (kind, condition) in zip(scans, folds):
-        if lefts:
-            joins.append(
-                plan_join(
-                    kind, condition, stmt.where, lefts, scan.binding,
-                    scan.columns, statement_sources,
-                )
+    for position, (kind, condition) in enumerate(folds[1:], 1):
+        scope = (
+            resolver
+            if position == len(scans) - 1
+            else NameResolver(sources[: position + 1])
+        )
+        joins.append(
+            plan_join(
+                kind, condition, stmt.where, scans[position].binding, scope, resolver
             )
-        lefts.append((scan.binding, scan.columns))
+        )
 
     set_op = (
         plan_select(stmt.set_op[1], db, resolve_table)
         if stmt.set_op is not None
         else None
     )
-    return SelectPlan(stmt, scans, joins, aggregates, set_op)
+    return SelectPlan(stmt, scans, joins, aggregates, resolver, set_op)

@@ -6,8 +6,12 @@ only stays true while nothing else re-derives a piece of it — the access
 path, the join strategy, or the WHERE-conjunct bindings they are chosen
 from. Before the plan value existed the access-path decision was written
 out five times and the join decision twice, and the copies drifted (EXPLAIN
-printed ``Nested Loop Join`` over a hash join that ran). Calls to the
-planning primitives from any module under ``src/repro/`` other than
+printed ``Nested Loop Join`` over a hash join that ran). The rule for which
+source column a name means drifted the same way while the executor built
+its own name maps beside the planner's, so the one
+:class:`~repro.minidb.planner.NameResolver` is built by the planner and
+stored on the plan nodes. Calls to the planning primitives — constructing
+the resolver included — from any module under ``src/repro/`` other than
 ``minidb/planner.py`` are therefore findings: consume a plan node instead.
 
 Tests may call the primitives directly — they pin the primitives' own
@@ -31,6 +35,7 @@ PLANNING_PRIMITIVES = frozenset(
         "plan_join",
         "harvest_conjuncts",
         "pushdown_filter",
+        "NameResolver",
     }
 )
 
@@ -39,8 +44,9 @@ PLANNING_PRIMITIVES = frozenset(
 class PlannerSeamChecker(Checker):
     name = "planner-seam"
     description = (
-        "access-path / join / binding planning primitives are called from "
-        "minidb/planner.py only; everything else consumes the plan value"
+        "access-path / join / binding planning primitives and the name "
+        "resolver are called from minidb/planner.py only; everything else "
+        "consumes the plan value"
     )
 
     def check(self, module: ModuleSource) -> Iterator[Finding]:

@@ -6,7 +6,10 @@ Both read ``column op literal`` through one private reader,
 themselves, with their own name-resolution test: equality bindings (plus a
 column/literal pair helper), range bindings, index unions and the
 pushed-down scan filter. They are copied below verbatim (only renamed) as
-the references.
+the references, with the planner's ``_colmap`` the pushdown reference
+read, which went when one :class:`planner.NameResolver` replaced the
+planner's name-resolution helpers. The new side builds its resolvers from
+the same statement sources.
 
 Hypothesis draws WHERE trees over column/literal comparisons in both
 operand orders (NULL literals and ``<>`` included), BETWEEN and NOT
@@ -34,9 +37,9 @@ from repro.minidb import ast_nodes as ast
 from repro.minidb import parse, planner
 from repro.minidb.planner import (
     NULL_REJECTING_COMPARISONS,
+    NameResolver,
     RangeBinding,
     UnionBinding,
-    _colmap,
     conjoin,
     split_conjuncts,
 )
@@ -298,6 +301,16 @@ def reference_extract_union_bindings(
     return unions
 
 
+def reference_colmap(columns: list[str] | None) -> dict[str, str | None] | None:
+    if columns is None:
+        return None
+    mapping: dict[str, str | None] = {}
+    for column in columns:
+        key = column.lower()
+        mapping[key] = None if key in mapping else column
+    return mapping
+
+
 def reference_extract_pushdown_filter(
     where: ast.Expr | None,
     binding: str,
@@ -306,7 +319,7 @@ def reference_extract_pushdown_filter(
 ) -> ast.Expr | None:
     if where is None:
         return None
-    own_columns = _colmap(columns)  # a name exposed twice is ambiguous: not pushed
+    own_columns = reference_colmap(columns)  # a name exposed twice is ambiguous: not pushed
     lowered = binding.lower()
     kept: list[ast.Expr] = []
     for conjunct in split_conjuncts(where):
@@ -369,15 +382,20 @@ def reference_harvest(where, binding, statement_sources):
 
 
 def new_harvest(where, binding, statement_sources):
-    harvest = planner.harvest_conjuncts(where, binding, statement_sources)
+    # the block's resolver over the same sources; None: a single source
+    resolver = None if statement_sources is None else NameResolver(statement_sources)
+    harvest = planner.harvest_conjuncts(where, binding, resolver)
     return (harvest.equalities, harvest.ranges, harvest.unions)
 
 
+def new_pushdown(where, binding, columns, statement_sources):
+    return planner.pushdown_filter(
+        where, NameResolver([(binding, columns)]), NameResolver(statement_sources)
+    )
+
+
 HARVESTS = {"reference": reference_harvest, "new": new_harvest}
-PUSHDOWNS = {
-    "reference": reference_extract_pushdown_filter,
-    "new": lambda *args: planner.pushdown_filter(*args),
-}
+PUSHDOWNS = {"reference": reference_extract_pushdown_filter, "new": new_pushdown}
 
 
 def where_of(sql):

@@ -3,8 +3,9 @@
 import pytest
 
 from repro.minidb import ast_nodes as ast
+from repro.minidb.analysis import analyze
 from repro.minidb.errors import SQLSyntaxError
-from repro.minidb.parser import parse, parse_script, statement_action
+from repro.minidb.parser import parse, parse_script
 
 
 class TestSelectParsing:
@@ -435,14 +436,18 @@ class TestScriptsAndErrors:
             parse("")
 
     def test_statement_action_mapping(self):
-        assert statement_action(parse("SELECT 1")) == "SELECT"
-        assert statement_action(parse("INSERT INTO t VALUES (1)")) == "INSERT"
-        assert statement_action(parse("UPDATE t SET a=1")) == "UPDATE"
-        assert statement_action(parse("DELETE FROM t")) == "DELETE"
-        assert statement_action(parse("CREATE TABLE t (a INT)")) == "CREATE"
-        assert statement_action(parse("DROP TABLE t")) == "DROP"
-        assert statement_action(parse("ALTER TABLE t RENAME TO u")) == "ALTER"
-        assert statement_action(parse("BEGIN")) == "OTHER"
+        # the one statement -> action map is the analysis's
+        def action(sql):
+            return analyze(parse(sql)).action
+
+        assert action("SELECT 1") == "SELECT"
+        assert action("INSERT INTO t VALUES (1)") == "INSERT"
+        assert action("UPDATE t SET a=1") == "UPDATE"
+        assert action("DELETE FROM t") == "DELETE"
+        assert action("CREATE TABLE t (a INT)") == "CREATE"
+        assert action("DROP TABLE t") == "DROP"
+        assert action("ALTER TABLE t RENAME TO u") == "ALTER"
+        assert action("BEGIN") == "TRANSACTION"
 
     @pytest.mark.parametrize(
         "sql, where",

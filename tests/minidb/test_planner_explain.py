@@ -317,8 +317,10 @@ class TestExplainMatchesExecution:
             "ON tid = t_id WHERE v = 3"
         )
         lines = [row[0] for row in s.execute("EXPLAIN " + sql).rows]
+        # the derived table's columns are known, so ``v`` names u.v alone
+        # and probes ix_v
         assert lines == [
-            "Seq Scan on u",
+            "Index Scan using ix_v on u (key: v) (filter: (v = 3))",
             "Subquery Scan on q",
             "  Seq Scan on t",
             "Hash Join (INNER) on q (keys: u.t_id = q.tid)",

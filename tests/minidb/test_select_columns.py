@@ -57,10 +57,10 @@ from repro.minidb.executor import (
     _AggregateEvaluator,
     _order_insensitive_output,
     _referenced_names,
+    _Names,
     _Relation,
     _Reversed,
     _row_marker,
-    _ScopeLayout,
     _statement_exprs,
 )
 from repro.minidb.expressions import (
@@ -183,13 +183,12 @@ class ReferenceExecutor(Executor):
                 )
             if position:
                 relation = self._join(
-                    relation, source, plan.joins[position - 1],
-                    scans[: position + 1], outer, evaluator,
+                    relation, source, plan.joins[position - 1], outer, evaluator
                 )
             else:
                 relation = source
 
-        layout = _ScopeLayout(scans, outer)
+        layout = _Names(plan.resolver, outer)
         if stmt.where is not None and not ordered:
             select = self._selector(stmt.where, layout, evaluator)
             relation = relation.take(select(relation))
@@ -233,7 +232,7 @@ class ReferenceExecutor(Executor):
 
         return out_columns, out_rows
 
-    def _kernel(self, expr: ast.Expr, layout: _ScopeLayout):
+    def _kernel(self, expr: ast.Expr, layout: _Names):
         if not self.db.planner_options["enable_compiled_predicates"]:
             return None
         return compile_batch_expr(expr, layout.resolve)
@@ -241,7 +240,7 @@ class ReferenceExecutor(Executor):
     def _selector(
         self,
         predicate: ast.Expr,
-        layout: _ScopeLayout,
+        layout: _Names,
         evaluator: Evaluator,
         keep_errors=(),
     ):

@@ -607,6 +607,38 @@ def test_planner_seam_clean_when_consuming_the_plan():
     assert findings == []
 
 
+PLANNER_SEAM_RESOLVER_BAD = """\
+    from repro.minidb.planner import NameResolver
+
+    class Executor:
+        def where(self, plan, outer):
+            names = NameResolver([(scan.binding, scan.columns) for scan in plan.scans])
+            return self.layout(names, outer)
+"""
+
+PLANNER_SEAM_RESOLVER_GOOD = """\
+    class Executor:
+        def where(self, plan, outer):
+            return self.layout(plan.resolver, outer)
+"""
+
+
+def test_planner_seam_flags_building_the_resolver_outside_the_planner():
+    findings, _ = run_rule(
+        "planner-seam", PLANNER_SEAM_RESOLVER_BAD, rel_path=PLANNER_SEAM_PATH
+    )
+    assert len(findings) == 1
+    assert "NameResolver()" in findings[0].message
+    assert findings[0].context == "Executor.where"
+
+
+def test_planner_seam_clean_when_reading_the_resolver_off_the_plan():
+    findings, _ = run_rule(
+        "planner-seam", PLANNER_SEAM_RESOLVER_GOOD, rel_path=PLANNER_SEAM_PATH
+    )
+    assert findings == []
+
+
 def test_planner_seam_exempts_the_planner_and_code_outside_src():
     for rel_path in ("src/repro/minidb/planner.py", "tests/minidb/test_range_scans.py"):
         findings, _ = run_rule("planner-seam", PLANNER_SEAM_BAD, rel_path=rel_path)
