@@ -170,7 +170,7 @@ class Session:
             self.db.authorize(self.user, stmt, analysis)
         self.db.ensure_writable(analysis)
         try:
-            return self._dispatch_statement(stmt)
+            return self._dispatch_statement(stmt, analysis)
         except (DeadlockError, LockTimeoutError) as exc:
             # deadlock victim or lock-wait timeout: abort the whole
             # transaction so every lock this session holds releases (the
@@ -195,7 +195,9 @@ class Session:
             # this session still holds
             self.db.maybe_run_pending_checkpoint()
 
-    def _dispatch_statement(self, stmt: ast.Statement) -> ResultSet:
+    def _dispatch_statement(
+        self, stmt: ast.Statement, analysis: StatementAnalysis
+    ) -> ResultSet:
         # transaction control bypasses the statement guard
         if isinstance(stmt, ast.BeginStatement):
             self.tx.begin()
@@ -236,7 +238,7 @@ class Session:
         self.db.statement_started()
         try:
             with self.db.tracer.span("execute"), StatementGuard(self.tx):
-                return self.db.executor.execute(stmt, self)
+                return self.db.executor.execute(stmt, self, analysis)
         finally:
             self.db.statement_finished()
 

@@ -48,6 +48,18 @@ class DuplicateObjectError(CatalogError):
     code = "42P07"
 
 
+class DuplicateAliasError(CatalogError):
+    """One FROM clause binds a name twice."""
+
+    code = "42712"
+
+
+class DuplicateColumnError(CatalogError):
+    """A table would have two columns whose names differ only in case."""
+
+    code = "42701"
+
+
 class TypeMismatchError(MiniDBError):
     """Value incompatible with the declared column type."""
 

@@ -18,7 +18,9 @@ all read off plan nodes (``EXPLAIN`` renders the same
 value; tracer events and ``EXPLAIN ANALYZE`` actuals are keyed on the
 node objects). UPDATE/DELETE resolve their target rows through the same
 scan planner. A block is planned only after the S locks on its base
-tables are granted (:meth:`Executor._plan_select`).
+tables are granted (:meth:`Executor._plan_select`), under the
+statement's binding; a name error the binder recorded is raised before
+any lock or row (:meth:`Executor.execute`).
 
 One pipeline runs every planned block — single table, join, view,
 derived table or system view alike — as an operator sequence over one
@@ -49,9 +51,10 @@ There are two expression engines (:mod:`repro.minidb.expressions`): batch
 kernels (:func:`~repro.minidb.expressions.compile_batch_expr`), which read
 ``relation.column(binding, name)``, and the AST interpreter — the
 reference, and the only path for subquery-bearing or correlated
-expressions — which reads the same relation through a per-row scope
-(:meth:`_Names.scope`); both read names through the resolver the planner
-stored on the plan node. Every expression position is a column
+expressions — which reads the same relation through a per-row
+:class:`~repro.minidb.expressions.Scope`; both read each name through
+the slot the binder (:mod:`repro.minidb.analysis`) gave it before the
+statement ran, so no name is resolved here. Every expression position is a column
 (:meth:`Executor._compile`): its value per row, from a kernel or from the
 interpreter, with an erroring row's error deferred in place either way,
 so no operator branches on which engine computed it. Every predicate
@@ -82,22 +85,22 @@ from functools import reduce
 from itertools import compress, islice
 from operator import add, ne
 from time import perf_counter
-from typing import TYPE_CHECKING, Any, Callable, Iterator, NamedTuple
+from typing import TYPE_CHECKING, Any, Callable, Iterator
 
 from ..obs.views import system_view_rows
 from . import ast_nodes as ast
+from .analysis import Binding, StatementAnalysis, analyze
 from .batch import BatchError, RowBatch
 from .catalog import Column, ForeignKey, TableSchema
 from .errors import (
     CheckViolation,
+    DuplicateColumnError,
     DuplicateObjectError,
     ExecutionError,
     ForeignKeyViolation,
     MiniDBError,
     NotNullViolation,
-    SQLSyntaxError,
     TransactionError,
-    UnknownColumnError,
     UnknownTableError,
 )
 from .expressions import (
@@ -106,23 +109,12 @@ from .expressions import (
     SORT_NUMBER_CLASS,
     TEXT_CLASS,
     TRUTH_CLASS,
-    CannotCompile,
     Evaluator,
     Scope,
-    batch_raiser,
     compile_batch_expr,
 )
 from .functions import AGGREGATE_NAMES, make_aggregate
-from .planner import (
-    JoinPlan,
-    NameResolver,
-    ScanPlan,
-    SelectPlan,
-    expand_items,
-    item_name,
-    plan_select,
-    plan_table_scan,
-)
+from .planner import JoinPlan, ScanPlan, SelectPlan, plan_select, plan_table_scan
 from .engines.serial import dump_column, dump_table_schema
 from .result import ResultSet
 from .sqlgen import expr_to_sql, select_to_sql
@@ -155,9 +147,8 @@ class _Relation:
     NULL-extended on that binding; ``None`` vector: row *i* of the
     relation is row *i* of the store). Filters and joins only rewrite
     pick vectors; ``column`` gathers a column's values on first use,
-    which is all a compiled kernel ever asks for. ``row`` is the cursor of
-    the per-row scope (:meth:`_Names.scope`) the interpreter
-    fallback reads through.
+    which is all a compiled kernel ever asks for. ``row`` is the cursor
+    the interpreter's :class:`Scope` reads the relation's names at.
     """
 
     __slots__ = ("stores", "picks", "length", "row", "_columns")
@@ -202,70 +193,6 @@ class _Relation:
             {**self.picks, **other.picks},
             self.length,
         )
-
-
-class _RowView:
-    """Lazy name->value view of the cursor row of a relation.
-
-    Implements just the mapping surface :class:`Scope` touches
-    (``in`` / ``[]``), resolving each lookup through ``names`` as
-    ``name -> (binding, column)`` and reading that column at
-    ``relation.row``.
-    """
-
-    __slots__ = ("_names", "_relation")
-
-    def __init__(self, names: dict[str, tuple[str, str]], relation: _Relation):
-        self._names = names
-        self._relation = relation
-
-    def __contains__(self, key: str) -> bool:
-        return key in self._names
-
-    def __getitem__(self, key: str) -> Any:
-        relation = self._relation
-        return relation.column(*self._names[key])[relation.row]
-
-
-class _Names(NamedTuple):
-    """A plan node's :class:`~repro.minidb.planner.NameResolver` paired
-    with the run-time outer scope: how both engines read a name.
-    :meth:`resolve` turns a column reference into a direct column read at
-    kernel-compile time, :meth:`scope` is the interpreter's per-row scope
-    — one object per relation, re-pointed by moving ``relation.row``."""
-
-    resolver: NameResolver
-    outer: Scope | None
-
-    def scope(self, relation: _Relation) -> Scope:
-        names = self.resolver
-        return Scope(
-            _RowView(names.qualified, relation),
-            _RowView(names.unqualified, relation),
-            names.ambiguous,
-            self.outer,
-        )
-
-    def resolve(self, ref: ast.ColumnRef):
-        """Column resolver for :func:`compile_batch_expr`: the returned
-        accessor reads the addressed column of a relation directly. Names
-        the resolver cannot resolve compile to columns of *deferred* errors
-        (:func:`batch_raiser`) carrying the interpreter's exact error: a
-        short-circuiting AND may never consume those elements, and "no
-        rows evaluated, no error" must hold. The exception is a block with
-        an outer scope: there the name may be a correlated reference, so
-        compilation bails to the interpreter via :class:`CannotCompile`."""
-        target = self.resolver.lookup(ref)
-        if target is None:
-            if NameResolver.key(ref) in self.resolver.ambiguous:
-                return batch_raiser(
-                    UnknownColumnError(f"column reference {ref.name!r} is ambiguous")
-                )
-            if self.outer is not None:
-                raise CannotCompile
-            return batch_raiser(UnknownColumnError(f"column {ref} does not exist"))
-        binding, column = target
-        return lambda relation: relation.column(binding, column)
 
 
 _OPAQUE = frozenset({ast.Star, ast.ExistsExpr, ast.ScalarSubquery})
@@ -317,10 +244,8 @@ def _raise_first_batch_error(columns: list[list], relation: _Relation) -> None:
     error it raises is the minimum (row, item) pair in lexicographic
     order; within one item column only the earliest row can win. A
     column that *is* one of ``relation``'s own — what the kernel of a
-    resolved column reference returns — holds stored values, never an
-    error, and is not walked. That is decided by what the kernel
-    returned, not by the item's syntax: an unresolvable reference
-    compiles to a column of deferred errors."""
+    column reference returns — holds stored values, never an error, and
+    is not walked."""
     stored = {id(col) for col in relation._columns.values()}
     best: "tuple[int, int, BatchError] | None" = None
     for c, col in enumerate(columns):
@@ -366,39 +291,34 @@ def _order_insensitive_output(
 
 
 def _order_targets(
-    order_by: list, labels: list, set_op: bool
+    order_by: list, width: int, set_op: bool, positions: "dict[int, int]"
 ) -> "tuple[list[tuple[int, bool]], list[ast.Expr]]":
     """Where each ORDER BY key is read, as ``(position, descending)``: a
-    position among the output columns followed by the returned hidden
-    key expressions, which are evaluated beside the select items (the
-    role of PostgreSQL's resjunk columns). An ordinal is an output
+    position among the ``width`` output columns followed by the returned
+    hidden key expressions, which are evaluated beside the select items
+    (the role of PostgreSQL's resjunk columns). An ordinal is an output
     position; out of range it is refused before any item or key is
     evaluated, whether or not rows come out — PostgreSQL refuses it at
-    analysis (42P10). An unqualified name that an item aliases is that
-    item (``labels``: the items' aliases). After a set operation
-    (``set_op``; ``labels``: the output names) a key must name an output
-    column, by ordinal or by name."""
-    lowered = [label.lower() if label else None for label in labels]
+    analysis (42P10). A name the binder found among the output names is
+    that output column (``positions``). After a set operation
+    (``set_op``) a key must name an output column, by ordinal or by
+    name."""
     targets: list[tuple[int, bool]] = []
     hidden: list[ast.Expr] = []
     for order in order_by:
         expr = order.expr
         if isinstance(expr, ast.Literal) and isinstance(expr.value, int):
-            if not 1 <= expr.value <= len(labels):
+            if not 1 <= expr.value <= width:
                 raise ExecutionError(f"ORDER BY position {expr.value} is out of range")
             position = expr.value - 1
-        elif (
-            isinstance(expr, ast.ColumnRef)
-            and (set_op or expr.table is None)
-            and expr.name.lower() in lowered
-        ):
-            position = lowered.index(expr.name.lower())
+        elif id(expr) in positions:
+            position = positions[id(expr)]
         elif set_op:
             raise ExecutionError(
                 "ORDER BY after a set operation must use output columns"
             )
         else:
-            position = len(labels) + len(hidden)
+            position = width + len(hidden)
             hidden.append(expr)
         targets.append((position, order.descending))
     return targets, hidden
@@ -520,19 +440,38 @@ class Executor:
 
     # ------------------------------------------------------------ dispatch
 
-    def execute(self, stmt: ast.Statement, session: "Session") -> ResultSet:
+    def execute(
+        self,
+        stmt: ast.Statement,
+        session: "Session",
+        analysis: StatementAnalysis | None = None,
+    ) -> ResultSet:
+        """Run ``stmt``; ``analysis`` is its :func:`analyze` result when the
+        caller has one. A name error the binder recorded is raised here,
+        before any lock is taken or any row is read."""
         name = type(stmt).__name__
         handler = getattr(self, f"_exec_{name}", None)
         if handler is None:
             raise ExecutionError(f"unsupported statement {name}")
-        return handler(stmt, session)
+        bound = None if analysis is None else analysis.binding
+        return handler(stmt, session, self._current(stmt, bound))
+
+    def _current(self, stmt: ast.Statement, binding: Binding | None) -> Binding:
+        """``stmt``'s binding under the catalog as it is now — ``binding``
+        when no schema change landed since, else a fresh one (a statement
+        that waited for a lock reads its names again) — its name error
+        raised."""
+        if binding is None or binding.version != self.db.catalog.version:
+            binding = analyze(stmt, self.db.catalog).binding
+        binding.check()
+        return binding
 
     # -------------------------------------------------------------- SELECT
 
     def _exec_SelectStatement(
-        self, stmt: ast.SelectStatement, session: "Session"
+        self, stmt: ast.SelectStatement, session: "Session", binding: Binding
     ) -> ResultSet:
-        plan = self._plan_select(stmt, session)
+        plan = self._plan_select(stmt, stmt, session, binding)
         trace = self.db.tracer.current()
         if trace is not None:
             trace.plan = plan  # what the slow-statement log renders
@@ -540,24 +479,42 @@ class Executor:
         return ResultSet(columns=columns, rows=rows, rowcount=len(rows), status="SELECT")
 
     def _plan_select(
-        self, stmt: ast.SelectStatement, session: "Session"
+        self,
+        stmt: ast.Statement,
+        select: ast.SelectStatement,
+        session: "Session",
+        binding: Binding,
     ) -> SelectPlan:
-        """Plan ``stmt`` for execution. Reads take a shared lock per base
-        table, held to transaction end (no-op without a lock manager), and
-        each schema is resolved only after its lock is granted (see
-        :meth:`_locked_table`), so nothing is planned against a table a
-        concurrent DROP + CREATE replaced while this statement waited."""
-        return plan_select(
-            stmt, self.db, lambda name: self._locked_table(session, name, "S")
-        )
+        """Plan ``stmt``'s ``select`` for execution. Reads take a shared
+        lock per base table, held to transaction end (no-op without a lock
+        manager), and each schema is resolved only after its lock is
+        granted (see :meth:`_locked_table`), so nothing is planned against
+        a table a concurrent DROP + CREATE replaced while this statement
+        waited: when the catalog moved meanwhile, ``stmt`` is bound and
+        planned again, under the locks it now holds."""
+        while True:
+            plan = self._plan(select, session, binding)
+            current = self._current(stmt, binding)
+            if current is binding:
+                return plan
+            binding = current
 
     def _run_select(
         self,
         stmt: ast.SelectStatement,
         session: "Session",
         outer: Scope | None,
+        binding: Binding,
     ) -> tuple[list[str], list[tuple]]:
-        return self._run_plan(self._plan_select(stmt, session), session, outer)
+        """Run a subquery block of a statement bound by ``binding``."""
+        return self._run_plan(self._plan(stmt, session, binding), session, outer)
+
+    def _plan(
+        self, select: ast.SelectStatement, session: "Session", binding: Binding
+    ) -> SelectPlan:
+        return plan_select(
+            select, self.db, lambda name: self._locked_table(session, name, "S"), binding
+        )
 
     def _run_plan(
         self, plan: SelectPlan, session: "Session", outer: Scope | None
@@ -567,7 +524,7 @@ class Executor:
         operation, ORDER BY / top-N, OFFSET/LIMIT)."""
 
         def run_subquery(sub: ast.SelectStatement, scope: Scope) -> list[tuple]:
-            _, sub_rows = self._run_select(sub, session, outer=scope)
+            _, sub_rows = self._run_select(sub, session, scope, plan.binding)
             return sub_rows
 
         evaluator = Evaluator(run_subquery)
@@ -581,12 +538,13 @@ class Executor:
         unordered = _order_insensitive_output(stmt, plan.aggregates)
         trace = self.db.tracer.current()
 
+        names = Scope(plan.binding.slots, None, outer)
         relation = _Relation({}, {}, 1)  # no FROM clause: one empty row
         for position, scan in enumerate(scans):
             started = perf_counter() if trace is not None else 0.0
             if ordered:
                 source, _, examined = self._scan(
-                    scan, session, outer, evaluator, refs, stmt.where,
+                    scan, session, names, evaluator, refs, stmt.where,
                     limit=needed,
                 )
             else:
@@ -595,7 +553,7 @@ class Executor:
                 # for the final WHERE, which raises only if the row
                 # survives the joins — exactly as without pushdown
                 source, _, examined = self._scan(
-                    scan, session, outer, evaluator, refs, scan.filter,
+                    scan, session, names, evaluator, refs, scan.filter,
                     keep_errors=ExecutionError, unordered=unordered,
                 )
             if scan.path is not None:
@@ -606,24 +564,21 @@ class Executor:
                 )
             if position:
                 relation = self._join(
-                    relation, source, plan.joins[position - 1], outer, evaluator
+                    relation, source, plan.joins[position - 1], names, evaluator
                 )
             else:
                 relation = source
 
-        names = _Names(plan.resolver, outer)
         if stmt.where is not None and not ordered:
             select = self._selector(stmt.where, names, evaluator)
             relation = relation.take(select(relation))
 
-        items = expand_items(stmt.items, scans)
-        out_columns = [item_name(item, index) for index, item in enumerate(items)]
+        items = plan.items
+        out_columns = plan.output_columns()
         set_op = stmt.set_op is not None
         # a set operation's ORDER BY sorts the combined rows, by output column
         targets, hidden = _order_targets(
-            [] if ordered else stmt.order_by,
-            out_columns if set_op else [item.alias for item in items],
-            set_op,
+            [] if ordered else stmt.order_by, len(items), set_op, plan.binding.order
         )
         # every select item and hidden key is a column from here on: rows
         # are built once, from the rows that survive DISTINCT and ORDER BY
@@ -669,7 +624,7 @@ class Executor:
         self,
         scan: ScanPlan,
         session: "Session | None",
-        outer: Scope | None,
+        names: Scope,
         evaluator: Evaluator,
         refs: "set[str] | None",
         predicate: ast.Expr | None,
@@ -683,6 +638,7 @@ class Executor:
         columns. Returns ``(relation, rids, examined)`` — ``rids`` of the
         surviving heap rows, ``examined`` the rows consumed.
 
+        ``names`` reads the predicate's names (its relation unset).
         Only columns named in ``refs`` are materialized (``None``: all).
         With a ``limit`` the scan stops at that many survivors — the early
         exit that makes an ordered ``ORDER BY ... LIMIT k`` O(k) instead
@@ -691,24 +647,20 @@ class Executor:
         raise (the planner's error-surfacing contract), and they do not
         count as examined.
         """
-        # columns are unknown only for a child block whose star cannot be
-        # expanded: running it (in _batches) raises the proper error
-        columns = scan.columns or []
+        columns = scan.columns
         if refs is not None:
             columns = [c for c in columns if c.lower() in refs]
         if predicate is None:
             def select(chunk, limit):
                 return range(chunk.length if limit is None else min(chunk.length, limit))
         else:
-            select = self._selector(
-                predicate, _Names(scan.resolver, outer), evaluator, keep_errors
-            )
+            select = self._selector(predicate, names, evaluator, keep_errors)
         binding = scan.binding
         store: dict[str, list] = {name: [] for name in columns}
         rids: list[int] = []
         length = examined = 0
         # planned (and counted) even when LIMIT 0 leaves nothing to fetch
-        batches = self._batches(scan, session, outer, columns, unordered, limit)
+        batches = self._batches(scan, session, names.outer, columns, unordered, limit)
         for batch in () if limit == 0 else batches:
             chunk = _Relation({binding: batch.columns}, {binding: None}, batch.length)
             keep = select(chunk, None if limit is None else limit - length)
@@ -736,8 +688,12 @@ class Executor:
         batches in rid order, or in index order for an ``ordered`` path.
         Value lists are fresh — slices or gathers of the heap's columns,
         never those lists themselves — so the scan may keep them and
-        in-statement mutations of the heap do not reach it."""
-        if scan.child is not None:  # view or derived table
+        in-statement mutations of the heap do not reach it. A derived
+        table runs inside the statement's ``outer`` scope, a view on its
+        own: it never reads its caller's columns."""
+        if scan.child is not None:
+            if scan.kind == "view":
+                outer = None
             _, rows = self._run_plan(scan.child, session, outer)
             wanted = set(columns)
             store = {
@@ -816,14 +772,14 @@ class Executor:
 
     # ------------------------------------------------ columns and predicates
 
-    def _compile(self, expr: ast.Expr, names: _Names, evaluator: Evaluator):
+    def _compile(self, expr: ast.Expr, names: Scope, evaluator: Evaluator):
         """``expr`` as a column: ``column(relation)`` returns its value on
         every row of ``relation``, with the :class:`MiniDBError` of an
         erroring row deferred as a :class:`BatchError` in its place. A
         batch kernel computes it where ``expr`` compiles and
         ``enable_compiled_predicates`` is on; otherwise the interpreter
-        does, row by row through the relation's scope — the only way for
-        subqueries and possibly-correlated names. Consumers see one
+        does, row by row through ``names`` pointed at the relation — the
+        only way for subqueries and correlated names. Consumers see one
         contract either way.
 
         Only value errors are deferred. A :class:`TransactionError` — a
@@ -831,12 +787,12 @@ class Executor:
         row: the transaction is already aborted, and every later row
         would wait for the same lock again."""
         if self.db.planner_options["enable_compiled_predicates"]:
-            kernel = compile_batch_expr(expr, names.resolve)
+            kernel = compile_batch_expr(expr, names.slots)
             if kernel is not None:
                 return kernel
 
         def interpret(relation: _Relation) -> list:
-            scope = names.scope(relation)
+            scope = Scope(names.slots, relation, names.outer)
             values: list = []
             for i in range(relation.length):
                 relation.row = i
@@ -853,7 +809,7 @@ class Executor:
     def _selector(
         self,
         predicate: ast.Expr,
-        names: _Names,
+        names: Scope,
         evaluator: Evaluator,
         keep_errors=(),
     ):
@@ -904,7 +860,7 @@ class Executor:
         left: _Relation,
         right: _Relation,
         plan: JoinPlan,
-        outer: Scope | None,
+        names: Scope,
         evaluator: Evaluator,
     ) -> _Relation:
         """Fold ``right`` onto the joined relation using the planned
@@ -927,7 +883,6 @@ class Executor:
             predicate = plan.condition
         if predicate is not None:
             pairs = left.take(lefts).beside(right.take(rights))
-            names = _Names(plan.resolver, outer)
             kept = self._selector(predicate, names, evaluator)(pairs)
             lefts = [lefts[i] for i in kept]
             rights = [rights[i] for i in kept]
@@ -1060,7 +1015,10 @@ class Executor:
                 else:
                     agg_plans.append(("column", values))
 
-        scope = names.scope(relation)
+        scope = Scope(names.slots, relation, names.outer)
+        # a group of no rows (no GROUP BY, nothing matched) reads its
+        # columns on a NULL row
+        empty = Scope(names.slots, relation.take([None]), names.outer)
         out_rows: list[tuple] = []
         for members in groups.values():
             computed: dict[int, Any] = {}
@@ -1090,7 +1048,7 @@ class Executor:
                 relation.row = members[0]
                 rep_scope = scope
             else:
-                rep_scope = Scope({}, {}, frozenset(), None)
+                rep_scope = empty
             if stmt.having is not None and not agg_eval.evaluate_predicate(
                 stmt.having, rep_scope
             ):
@@ -1115,16 +1073,18 @@ class Executor:
     # ---------------------------------------------------------------- EXPLAIN
 
     def _exec_ExplainStatement(
-        self, stmt: ast.ExplainStatement, session: "Session"
+        self, stmt: ast.ExplainStatement, session: "Session", binding: Binding
     ) -> ResultSet:
         """Render the plan :meth:`_run_plan` would be handed. Plain EXPLAIN
         resolves tables straight from the catalog: no locks, nothing runs.
         ANALYZE plans like any execution, runs that very plan under a probe
         trace and annotates each node with its own actual rows and time."""
         if not stmt.analyze:
-            lines = plan_select(stmt.select, self.db, self.db.catalog.table).lines()
+            lines = plan_select(
+                stmt.select, self.db, self.db.catalog.table, binding
+            ).lines()
         else:
-            plan = self._plan_select(stmt.select, session)
+            plan = self._plan_select(stmt, stmt.select, session, binding)
             tracer = self.db.tracer
             probe = tracer.probe()
             started = perf_counter()
@@ -1167,9 +1127,9 @@ class Executor:
 
     # ----------------------------------------------------------------- DML
 
-    def _evaluator(self, session: "Session") -> Evaluator:
+    def _evaluator(self, session: "Session", binding: Binding) -> Evaluator:
         def run_subquery(sub: ast.SelectStatement, scope: Scope) -> list[tuple]:
-            _, rows = self._run_select(sub, session, outer=scope)
+            _, rows = self._run_select(sub, session, scope, binding)
             return rows
 
         return Evaluator(run_subquery)
@@ -1194,25 +1154,28 @@ class Executor:
         return self.db.catalog.table(name)
 
     def _exec_InsertStatement(
-        self, stmt: ast.InsertStatement, session: "Session"
+        self, stmt: ast.InsertStatement, session: "Session", binding: Binding
     ) -> ResultSet:
         # DML takes an exclusive lock on its target and shared locks on
         # the tables its FK checks read, all held to transaction end
         schema = self._locked_table(session, stmt.table, "X")
         for fk in schema.foreign_keys:
             session.lock_table(fk.ref_table, "S")
-        evaluator = self._evaluator(session)
-        empty_scope = Scope({}, {}, frozenset(), None)
+        binding = self._current(stmt, binding)
 
         target_columns = stmt.columns or schema.column_names()
         for name in target_columns:
             schema.column(name)  # raises UnknownColumnError
 
         if stmt.select is not None:
-            _, value_rows = self._run_select(stmt.select, session, outer=None)
-        else:
+            plan = self._plan_select(stmt, stmt.select, session, binding)
+            binding = plan.binding
+            _, value_rows = self._run_plan(plan, session, None)
+        evaluator = self._evaluator(session, binding)
+        if stmt.select is None:
+            values_scope = Scope(binding.slots)
             value_rows = [
-                tuple(evaluator.evaluate(expr, empty_scope) for expr in row)
+                tuple(evaluator.evaluate(expr, values_scope) for expr in row)
                 for row in stmt.rows or []
             ]
 
@@ -1225,7 +1188,7 @@ class Executor:
                     "target columns"
                 )
             row = self._build_row(schema, dict(zip(target_columns, values)), evaluator)
-            self._check_row_constraints(schema, row, evaluator)
+            self._check_row_constraints(schema, stmt.table, row, evaluator, binding)
             session.tx.apply(
                 self.db,
                 {"op": "insert", "table": table_key, "rid": None, "row": row},
@@ -1239,7 +1202,6 @@ class Executor:
     ) -> Row:
         provided_lower = {k.lower(): v for k, v in provided.items()}
         row: Row = {}
-        empty_scope = Scope({}, {}, frozenset(), None)
         for column in schema.columns:
             key = column.name.lower()
             if key in provided_lower:
@@ -1249,7 +1211,7 @@ class Executor:
             elif column.has_default:
                 default = column.default
                 if isinstance(default, ast.Expr):
-                    default = evaluator.evaluate(default, empty_scope)
+                    default = evaluator.evaluate(default, Scope({}))
                 row[column.name] = coerce(default, column.ctype, column.name)
             else:
                 row[column.name] = None
@@ -1258,9 +1220,14 @@ class Executor:
     def _check_row_constraints(
         self,
         schema: TableSchema,
+        table: str,
         row: Row,
         evaluator: Evaluator,
+        binding: Binding,
     ) -> None:
+        """Raise unless ``row`` meets ``schema``'s NOT NULL and CHECK
+        constraints; the CHECKs read the row as ``table``'s, through the
+        slots the statement's ``binding`` gave them."""
         for column in schema.columns:
             if column.not_null and row.get(column.name) is None:
                 raise NotNullViolation(
@@ -1268,12 +1235,8 @@ class Executor:
                     f"{schema.name!r} violates not-null constraint"
                 )
         if schema.checks:
-            scope = Scope(
-                {},
-                {k.lower(): v for k, v in row.items()},
-                frozenset(),
-                None,
-            )
+            store = {name: [value] for name, value in row.items()}
+            scope = Scope(binding.slots, _Relation({table: store}, {table: None}, 1))
             for index, check in enumerate(schema.checks):
                 value = evaluator.evaluate(check, scope)
                 if value is False:
@@ -1360,15 +1323,16 @@ class Executor:
         return present
 
     def _exec_UpdateStatement(
-        self, stmt: ast.UpdateStatement, session: "Session"
+        self, stmt: ast.UpdateStatement, session: "Session", binding: Binding
     ) -> ResultSet:
         schema = self._locked_table(session, stmt.table, "X")
         for fk in schema.foreign_keys:
             session.lock_table(fk.ref_table, "S")  # forward FK checks read these
         for other in self.db.catalog.referencing_tables(schema.name):
             session.lock_table(other, "S")  # FK back-reference checks read these
+        binding = self._current(stmt, binding)
         heap = self.db.heap(schema.name)
-        evaluator = self._evaluator(session)
+        evaluator = self._evaluator(session, binding)
         assignments = []
         for name, expr in stmt.assignments:
             column = schema.column(name)
@@ -1383,7 +1347,7 @@ class Executor:
         }
 
         targets, relation, scope = self._dml_targets(
-            schema, stmt.table, heap, stmt.where, evaluator,
+            schema, stmt.table, heap, stmt.where, evaluator, binding.slots,
             [expr for _, expr in assignments],
         )
         referencing = (
@@ -1399,7 +1363,9 @@ class Executor:
                 new_row[column.name] = coerce(
                     evaluator.evaluate(expr, scope), column.ctype, column.name
                 )
-            self._check_row_constraints(schema, new_row, evaluator)
+            self._check_row_constraints(
+                schema, stmt.table, new_row, evaluator, binding
+            )
             session.tx.apply(
                 self.db,
                 {"op": "update", "table": table_key, "rid": rid, "row": new_row},
@@ -1418,16 +1384,17 @@ class Executor:
         return ResultSet(rowcount=updated, status=f"UPDATE {updated}")
 
     def _exec_DeleteStatement(
-        self, stmt: ast.DeleteStatement, session: "Session"
+        self, stmt: ast.DeleteStatement, session: "Session", binding: Binding
     ) -> ResultSet:
         schema = self._locked_table(session, stmt.table, "X")
         for other in self.db.catalog.referencing_tables(schema.name):
             session.lock_table(other, "S")  # FK back-reference checks read these
+        binding = self._current(stmt, binding)
         heap = self.db.heap(schema.name)
-        evaluator = self._evaluator(session)
+        evaluator = self._evaluator(session, binding)
 
         targets, _, _ = self._dml_targets(
-            schema, stmt.table, heap, stmt.where, evaluator
+            schema, stmt.table, heap, stmt.where, evaluator, binding.slots
         )
 
         table_key = schema.name.lower()
@@ -1449,6 +1416,7 @@ class Executor:
         heap: HeapTable,
         where: ast.Expr | None,
         evaluator: Evaluator,
+        slots,
         reads: list = (),
     ) -> "tuple[list[tuple[int, Row]], _Relation, Scope]":
         """Resolve UPDATE/DELETE target rows through access-path planning.
@@ -1462,20 +1430,21 @@ class Executor:
         attribution are byte-identical to the seq-scan plan.
 
         Also returns the target scan's relation, holding the columns
-        ``where`` and ``reads`` name, and its per-row scope through the
-        scan's resolver: target *i* is read with ``relation.row = i``.
+        ``where`` and ``reads`` name, and the scope the statement's names
+        read it through: target *i* is read with ``relation.row = i``.
         """
-        scan = plan_table_scan(self.db, schema, binding, where)
+        scan = plan_table_scan(self.db, schema, binding, where, slots)
         relation, rids, _ = self._scan(
-            scan, None, None, evaluator, _referenced_names([where, *reads]), where
+            scan, None, Scope(slots), evaluator, _referenced_names([where, *reads]),
+            where,
         )
         targets = [(rid, heap.get(rid)) for rid in rids]
-        return targets, relation, _Names(scan.resolver, None).scope(relation)
+        return targets, relation, Scope(slots, relation)
 
     # ----------------------------------------------------------------- DDL
 
     def _exec_CreateTableStatement(
-        self, stmt: ast.CreateTableStatement, session: "Session"
+        self, stmt: ast.CreateTableStatement, session: "Session", binding: Binding
     ) -> ResultSet:
         catalog = self.db.catalog
         # DDL takes an exclusive lock on the object name — for CREATE this
@@ -1494,8 +1463,8 @@ class Executor:
         references: list[tuple[tuple, str, tuple, "int | None"]] = []
         checks: list[ast.Expr] = list(stmt.checks)
         check_sources = [expr_to_sql(check) for check in stmt.checks]
-        evaluator = self._evaluator(session)
-        empty_scope = Scope({}, {}, frozenset(), None)
+        evaluator = self._evaluator(session, binding)
+        empty_scope = Scope(binding.slots)
 
         for cdef in stmt.columns:
             ctype = ColumnType.parse(cdef.declared_type)
@@ -1582,7 +1551,7 @@ class Executor:
         return ResultSet(status="CREATE TABLE")
 
     def _exec_DropTableStatement(
-        self, stmt: ast.DropTableStatement, session: "Session"
+        self, stmt: ast.DropTableStatement, session: "Session", binding: Binding
     ) -> ResultSet:
         catalog = self.db.catalog
         for name in stmt.tables:
@@ -1618,7 +1587,7 @@ class Executor:
         return ResultSet(status="DROP TABLE")
 
     def _exec_AlterTableStatement(
-        self, stmt: ast.AlterTableStatement, session: "Session"
+        self, stmt: ast.AlterTableStatement, session: "Session", binding: Binding
     ) -> ResultSet:
         session.lock_table(stmt.table, "X")
         schema = self.db.catalog.table(stmt.table)
@@ -1627,14 +1596,13 @@ class Executor:
             cdef = stmt.column
             assert cdef is not None
             if schema.has_column(cdef.name):
-                raise ExecutionError(
+                raise DuplicateColumnError(
                     f"column {cdef.name!r} already exists in {schema.name!r}"
                 )
             ctype = ColumnType.parse(cdef.declared_type)
-            evaluator = self._evaluator(session)
-            empty_scope = Scope({}, {}, frozenset(), None)
+            evaluator = self._evaluator(session, binding)
             default = (
-                evaluator.evaluate(cdef.default, empty_scope)
+                evaluator.evaluate(cdef.default, Scope(binding.slots))
                 if cdef.default is not None
                 else None
             )
@@ -1670,7 +1638,7 @@ class Executor:
         elif stmt.action == "RENAME_COLUMN":
             column = schema.column(stmt.old_name or "")
             if schema.has_column(stmt.new_name or ""):
-                raise ExecutionError(f"column {stmt.new_name!r} already exists")
+                raise DuplicateColumnError(f"column {stmt.new_name!r} already exists")
             record = {
                 "op": "rename_column",
                 "table": table_key,
@@ -1719,7 +1687,7 @@ class Executor:
         return None
 
     def _exec_CreateIndexStatement(
-        self, stmt: ast.CreateIndexStatement, session: "Session"
+        self, stmt: ast.CreateIndexStatement, session: "Session", binding: Binding
     ) -> ResultSet:
         catalog = self.db.catalog
         # lock before the IF NOT EXISTS probe: racing creators on the
@@ -1759,7 +1727,7 @@ class Executor:
         return ResultSet(status="CREATE INDEX")
 
     def _exec_DropIndexStatement(
-        self, stmt: ast.DropIndexStatement, session: "Session"
+        self, stmt: ast.DropIndexStatement, session: "Session", binding: Binding
     ) -> ResultSet:
         catalog = self.db.catalog
         # existence (and the owning table) must hold *after* the lock
@@ -1789,7 +1757,7 @@ class Executor:
         return ResultSet(status="DROP INDEX")
 
     def _exec_AnalyzeStatement(
-        self, stmt: ast.AnalyzeStatement, session: "Session"
+        self, stmt: ast.AnalyzeStatement, session: "Session", binding: Binding
     ) -> ResultSet:
         catalog = self.db.catalog
         if stmt.table is not None:
@@ -1820,7 +1788,7 @@ class Executor:
         return ResultSet(status=f"ANALYZE {analyzed}")
 
     def _exec_CreateViewStatement(
-        self, stmt: ast.CreateViewStatement, session: "Session"
+        self, stmt: ast.CreateViewStatement, session: "Session", binding: Binding
     ) -> ResultSet:
         session.lock_table(stmt.name, "X")
         # the rendered definition round-trips through the parser, which is
@@ -1837,7 +1805,7 @@ class Executor:
         return ResultSet(status="CREATE VIEW")
 
     def _exec_DropViewStatement(
-        self, stmt: ast.DropViewStatement, session: "Session"
+        self, stmt: ast.DropViewStatement, session: "Session", binding: Binding
     ) -> ResultSet:
         for name in stmt.names:
             session.lock_table(name, "X")

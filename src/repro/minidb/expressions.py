@@ -1,21 +1,21 @@
 """Expression evaluation with SQL three-valued logic — two engines.
 
 * The :class:`Evaluator` walks the AST produced by
-  :mod:`repro.minidb.parser` against a :class:`Scope` (a mapping from
-  column bindings to values). It is the **reference** every equivalence
+  :mod:`repro.minidb.parser` against a :class:`Scope` (the binder's
+  slots over the current row of a relation). It is the **reference** every equivalence
   suite compares against (``enable_compiled_predicates=False``) and the
   only engine for subqueries and outer-scope (correlated) references.
 * :func:`compile_batch_expr` compiles an expression tree *once per
   operator* into **batch kernels**: each compiled node maps a batch —
   the executor's columnar relation or a slice of it (a scanned heap
   batch, a chunk of join candidate pairs, DML candidates) — to a list of
-  per-row values. Constants are folded, LIKE
-  patterns pre-compiled to regexes, column references resolved at
-  compile time to direct column reads, and one Python-level dispatch
-  covers the whole batch instead of one AST walk per row. Expressions
-  the compiler cannot handle (subqueries, aggregates, names that may
-  resolve to an outer scope) return ``None`` and the caller falls back
-  to the interpreter per row; both engines share the arithmetic /
+  per-row values. Constants are folded, LIKE patterns pre-compiled to
+  regexes, column references turned at compile time into direct reads
+  of the columns their slots name, and one Python-level dispatch covers
+  the whole batch instead of one AST walk per row. Expressions the
+  compiler cannot handle (subqueries, aggregates, names bound in an
+  outer scope) return ``None`` and the caller falls back to the
+  interpreter per row; both engines share the arithmetic /
   comparison / LIKE helpers below, so results and errors are identical.
 
 **Typed paths.** A comparison or BETWEEN against constants, and AND/OR,
@@ -57,7 +57,6 @@ from .errors import (
     DivisionByZeroError,
     ExecutionError,
     MiniDBError,
-    UnknownColumnError,
 )
 from .functions import AGGREGATE_NAMES, SCALAR_FUNCTIONS, sql_mod
 from .types import ColumnType, coerce
@@ -68,39 +67,35 @@ SubqueryRunner = Callable[[ast.SelectStatement, "Scope"], list[tuple]]
 
 
 class Scope:
-    """Name-resolution scope for one row, with optional outer scope.
+    """Where the interpreter reads a column reference: the statement's
+    slots (:class:`repro.minidb.analysis.Binding`), the relation whose
+    cursor row (``relation.row``) this block's names read, and the scope
+    of the block it is nested in. A slot ``(depth, binding, column)``
+    reads ``column`` of ``binding`` in the relation ``depth`` scopes out;
+    names were resolved once, by the binder, before any row."""
 
-    ``qualified`` maps ``alias.column`` names and ``unqualified`` bare
-    column names to values; a name in ``ambiguous`` — a bare name two
-    sources share, or an ``alias.column`` one source exposes twice —
-    raises.
-    """
-
-    __slots__ = ("qualified", "unqualified", "ambiguous", "outer")
+    __slots__ = ("slots", "relation", "outer")
 
     def __init__(
         self,
-        qualified: Mapping[str, Any],
-        unqualified: Mapping[str, Any],
-        ambiguous: frozenset[str] = frozenset(),
+        slots: Mapping[int, tuple[int, str, str]],
+        relation: Any = None,
         outer: "Scope | None" = None,
     ):
-        self.qualified = qualified
-        self.unqualified = unqualified
-        self.ambiguous = ambiguous
+        self.slots = slots
+        self.relation = relation
         self.outer = outer
 
     def lookup(self, ref: ast.ColumnRef) -> Any:
-        name = ref.name.lower()
-        key = f"{ref.table.lower()}.{name}" if ref.table else name
-        if key in self.ambiguous:
-            raise UnknownColumnError(f"column reference {ref.name!r} is ambiguous")
-        values = self.qualified if ref.table else self.unqualified
-        if key in values:
-            return values[key]
-        if self.outer is not None:
-            return self.outer.lookup(ref)
-        raise UnknownColumnError(f"column {ref} does not exist")
+        slot = self.slots.get(id(ref))
+        if slot is None:
+            raise ExecutionError(f"column {ref} is not bound")
+        depth, binding, column = slot
+        scope = self
+        for _ in range(depth):
+            scope = scope.outer
+        relation = scope.relation
+        return relation.column(binding, column)[relation.row]
 
 
 class Evaluator:
@@ -393,7 +388,7 @@ BatchFn = Callable[[Any], list]
 
 #: resolves one column reference to a batch accessor (``fn(batch) ->
 #: column list``) at compile time; raises :class:`CannotCompile` when the
-#: name might belong to an outer scope
+#: name belongs to an outer scope
 BatchColumnResolver = Callable[[ast.ColumnRef], BatchFn]
 
 
@@ -557,19 +552,6 @@ def _like_match(text: str, pattern: str, case_insensitive: bool) -> bool:
 _UNMATCHED = object()
 
 
-def batch_raiser(exc: Exception) -> BatchFn:
-    """A batch accessor whose every element is the deferred ``exc``
-    (statically unresolvable column references, unknown functions, bad
-    casts): it raises only for an element that is actually consumed, so
-    "no rows evaluated, no error" holds."""
-    err = BatchError(exc)
-
-    def fn(batch, err=err):
-        return [err] * batch.length
-
-    return fn
-
-
 def _as_batch_fn(node):
     """Node -> per-batch iterable producer (constants broadcast lazily)."""
     is_const, value, fn = node
@@ -587,7 +569,11 @@ def _as_batch_list_fn(node) -> BatchFn:
 
 
 def _deferred_const(exc: Exception):
-    return _thunk(batch_raiser(exc))
+    """A column whose every element is the deferred ``exc`` (an unknown
+    function, a bad cast): it raises only for an element that is
+    actually consumed, so "no rows evaluated, no error" holds."""
+    err = BatchError(exc)
+    return _thunk(lambda batch: [err] * batch.length)
 
 
 def _apply(compute: Callable[..., Any], *cols) -> list:
@@ -717,7 +703,7 @@ def _constant_class(value: Any) -> "frozenset | None":
 
 
 def compile_batch_expr(
-    expr: ast.Expr, resolve: BatchColumnResolver
+    expr: ast.Expr, slots: Mapping[int, tuple[int, str, str]]
 ) -> BatchFn | None:
     """Compile an expression to a batch evaluator, or ``None`` — the
     only compile entry point.
@@ -727,11 +713,19 @@ def compile_batch_expr(
     raise when (and only when) the element's value is consumed. A
     predicate consumer applies the NULL-counts-as-false rule by keeping
     only elements that are ``True`` and raises the first sentinel it
-    reaches in row order. Returns ``None`` when any part of the
-    expression needs the interpreter (subqueries, aggregates,
-    possibly-correlated names): callers keep the AST and evaluate it per
-    row through :class:`Evaluator`.
+    reaches in row order. A column reference reads its ``slots`` entry's
+    column of the batch directly. Returns ``None`` when any part of the
+    expression needs the interpreter (subqueries, aggregates, correlated
+    names): callers keep the AST and evaluate it per row through
+    :class:`Evaluator`.
     """
+
+    def resolve(ref: ast.ColumnRef) -> BatchFn:
+        depth, binding, column = slots[id(ref)]
+        if depth:
+            raise CannotCompile  # an outer block's row: read per row
+        return lambda batch: batch.column(binding, column)
+
     try:
         node = _compile_batch(expr, resolve)
     except CannotCompile:

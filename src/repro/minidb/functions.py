@@ -24,12 +24,17 @@ from .errors import DivisionByZeroError, ExecutionError
 
 
 def _nullprop(fn: Callable[..., Any]) -> Callable[[list[Any]], Any]:
-    """Wrap ``fn`` so that any NULL argument yields NULL."""
+    """Wrap ``fn`` so that any NULL argument yields NULL; arguments ``fn``
+    cannot take (too many, too few, of a type it refuses) raise an
+    :class:`ExecutionError`."""
 
     def wrapper(args: list[Any]) -> Any:
         if any(a is None for a in args):
             return None
-        return fn(*args)
+        try:
+            return fn(*args)
+        except TypeError as exc:
+            raise ExecutionError(f"invalid function arguments: {exc}") from None
 
     return wrapper
 

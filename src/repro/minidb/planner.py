@@ -48,12 +48,14 @@ then the set-operation arm), plain ``EXPLAIN`` passes the bare catalog
 lookup and so takes no locks. Subqueries inside expressions are separate
 blocks, planned when the evaluator first runs them.
 
+Which column each name means is not decided here: the binder
+(:mod:`repro.minidb.analysis`) gave every column reference a slot, and
+the planner reads a conjunct's slots to tell whose columns it compares.
+
 **Error-surfacing contract.** Planning never changes *results*: a query
 that evaluates without errors returns the same rows under every strategy.
-Name-resolution errors (unknown or ambiguous columns) are likewise
-strategy-independent — an unqualified reference is only used for a key,
-filter or index probe when the block's :class:`NameResolver`, the one the
-evaluator reads it through, resolves it. Data-dependent *evaluation* errors (e.g. comparing an ``INT``
+Name-resolution errors (unknown or ambiguous columns) are raised by the
+binder before any plan is built. Data-dependent *evaluation* errors (e.g. comparing an ``INT``
 column to a ``TEXT`` literal), however, follow standard SQL-optimizer
 semantics: a predicate that planning proved unnecessary to evaluate (its
 rows were already pruned by an index probe, range slice, pushed filter,
@@ -74,11 +76,11 @@ byte-identical.)
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, NamedTuple
+from typing import TYPE_CHECKING, Any, Mapping, NamedTuple
 
 from ..obs.views import SYSTEM_VIEW_COLUMNS, is_system_relation
 from . import ast_nodes as ast
-from .errors import ExecutionError, MiniDBError, UnknownTableError
+from .analysis import Binding, Slot, analyze, item_name
 from .functions import AGGREGATE_NAMES
 from .sqlgen import expr_to_sql
 from .storage import HashIndex, HeapTable, SortedIndex, ordering_key_element
@@ -249,9 +251,6 @@ class JoinPlan:
 
     kind: str  # INNER | LEFT | RIGHT | CROSS
     right_binding: str
-    #: names over the sources folded so far and this one: the residual's
-    #: and the ON condition's scope
-    resolver: NameResolver
     strategy: str = "nested-loop"  # "hash" | "nested-loop" | "cross"
     keys: list[JoinKey] = field(default_factory=list)
     residual: ast.Expr | None = None  # non-equi remainder of the ON condition
@@ -314,61 +313,6 @@ _RANGE_OPS = {
 }
 
 
-class NameResolver:
-    """The one rule for which source column a column reference names,
-    over ``(binding, columns)`` sources — a scan's one source, a block's
-    sources or a join's prefix of them. The planner asks it which
-    conjuncts may probe an index, filter a scan or key a hash join; the
-    executor reads the same maps for the batch kernels and the
-    interpreter's per-row scope, so both read every name alike.
-
-    ``qualified`` maps ``binding.column`` and ``unqualified`` a bare
-    column name to ``(binding, stored column)``. A name in ``ambiguous``
-    — a bare name two columns share, or a ``binding.column`` exposed
-    twice (``SELECT a AS x, b AS x``, or one alias used twice) — names no
-    column. ``columns=None`` (only a child block whose star cannot
-    expand; running it raises) makes every unqualified name unresolvable.
-    """
-
-    __slots__ = ("qualified", "unqualified", "ambiguous")
-
-    def __init__(self, sources: list[tuple[str, list[str] | None]]):
-        qualified: dict[str, tuple[str, str]] = {}
-        by_name: dict[str, list[tuple[str, str]]] = {}
-        ambiguous: set[str] = set()
-        known = True
-        for binding, columns in sources:
-            if columns is None:
-                known = False
-                continue
-            for col in columns:
-                key = f"{binding.lower()}.{col.lower()}"
-                if key in qualified:
-                    ambiguous.add(key)
-                qualified[key] = (binding, col)
-                by_name.setdefault(col.lower(), []).append((binding, col))
-        ambiguous.update(name for name, refs in by_name.items() if len(refs) > 1)
-        self.qualified = qualified
-        self.unqualified = {
-            name: refs[0] for name, refs in by_name.items() if known and len(refs) == 1
-        }
-        self.ambiguous = frozenset(ambiguous)
-
-    @staticmethod
-    def key(ref: ast.ColumnRef) -> str:
-        name = ref.name.lower()
-        return f"{ref.table.lower()}.{name}" if ref.table is not None else name
-
-    def lookup(self, ref: ast.ColumnRef) -> tuple[str, str] | None:
-        """``(binding, stored column)`` of the one column ``ref`` names,
-        or None when it names none or more than one."""
-        name = ref.name.lower()
-        if ref.table is None:
-            return None if name in self.ambiguous else self.unqualified.get(name)
-        key = f"{ref.table.lower()}.{name}"
-        return None if key in self.ambiguous else self.qualified.get(key)
-
-
 def _atom(expr: ast.Expr, usable) -> tuple[str, str, Any] | None:
     """``expr`` read as ``(column, op, value)``: a ``usable`` column
     compared with literals — the one place the planner recognises that
@@ -412,7 +356,7 @@ def _atom(expr: ast.Expr, usable) -> tuple[str, str, Any] | None:
 
 
 def harvest_conjuncts(
-    where: ast.Expr | None, binding: str, resolver: NameResolver | None = None
+    where: ast.Expr | None, binding: str, slots: "Mapping[int, Slot] | None" = None
 ) -> Harvest:
     """What the top-level AND-ed conjuncts of ``where`` bind on
     ``binding``'s columns, read in one pass:
@@ -432,18 +376,19 @@ def harvest_conjuncts(
     candidate rows, so over-approximating (a range across type ranks)
     stays correct.
 
-    A qualified reference must name ``binding``. An unqualified one binds
-    in a single-source block (``resolver`` None) and otherwise only when
-    the block's ``resolver`` resolves it — an empty index probe could
-    otherwise return ``[]`` where the WHERE evaluator must raise the
-    ambiguity error.
+    A reference counts when its slot names a column of ``binding`` in
+    this block. Without ``slots`` (a bare WHERE, read as one table's) a
+    qualified reference must name ``binding`` and an unqualified one is
+    taken as its.
     """
-    lowered = binding.lower()
+    if slots is None:
+        lowered = binding.lower()
 
-    def usable(ref: ast.ColumnRef) -> bool:
-        if ref.table is not None:
-            return ref.table.lower() == lowered
-        return resolver is None or resolver.lookup(ref) is not None
+        def usable(ref: ast.ColumnRef) -> bool:
+            return ref.table is None or ref.table.lower() == lowered
+    else:
+        def usable(ref: ast.ColumnRef) -> bool:
+            return _owner(ref, slots) == binding
 
     equalities: dict[str, Any] = {}
     ranges: dict[str, RangeBinding] = {}
@@ -523,15 +468,21 @@ def split_disjuncts(expr: ast.Expr) -> list[ast.Expr]:
     return [expr]
 
 
+def _owner(ref: ast.ColumnRef, slots: "Mapping[int, Slot]") -> str | None:
+    """The binding of this block whose column ``ref`` reads, or None (an
+    outer block's column)."""
+    slot = slots.get(id(ref))
+    return None if slot is None or slot[0] else slot[1]
+
+
 def pushdown_filter(
-    where: ast.Expr | None, own: NameResolver, resolver: NameResolver
+    where: ast.Expr | None, binding: str, slots: "Mapping[int, Slot]"
 ) -> ast.Expr | None:
     """The AND of WHERE conjuncts safe to evaluate during one source's scan.
 
-    A conjunct qualifies when its atom compares a column ``own`` (the
-    scan's resolver) resolves — one the source exposes once — to a
-    non-NULL literal with a null-rejecting comparison, and an unqualified
-    name resolves in the block's ``resolver`` too. Because the full WHERE
+    A conjunct qualifies when its atom compares a column of ``binding``
+    (by its slot) to a non-NULL literal with a null-rejecting comparison.
+    Because the full WHERE
     clause is re-applied after joins, pre-filtering only removes rows whose
     joined results the WHERE clause would reject — including rows an outer
     join would otherwise NULL-extend, which the null-rejecting conjunct
@@ -539,9 +490,7 @@ def pushdown_filter(
     """
 
     def usable(ref: ast.ColumnRef) -> bool:
-        return own.lookup(ref) is not None and (
-            ref.table is not None or resolver.lookup(ref) is not None
-        )
+        return _owner(ref, slots) == binding
 
     kept: list[ast.Expr] = []
     for conjunct in split_conjuncts(where):
@@ -558,20 +507,13 @@ def pushdown_filter(
 
 def _equi_key(
     conjunct: ast.Expr,
-    scope: NameResolver,
+    slots: "Mapping[int, Slot]",
+    folded: list[str],
     right_binding: str,
-    resolver: NameResolver | None = None,
 ) -> JoinKey | None:
     """A hash key if ``conjunct`` equates one column of the join's left
-    side with one of its right (``right_binding``).
-
-    Both names must resolve in the join's ``scope`` (its sources so far),
-    as the nested-loop evaluator would read them. A WHERE conjunct must
-    resolve in the block's ``resolver`` too: a name ambiguous with a
-    source not yet folded in must not become a key — the final WHERE
-    filter raises for it, and hashing on it could empty the relation
-    before that error surfaces.
-    """
+    side with one of its right (``right_binding``): both slots must name
+    columns of ``folded``, the sources joined so far and the right one."""
     if not (
         isinstance(conjunct, ast.BinaryOp)
         and conjunct.op == "="
@@ -579,16 +521,13 @@ def _equi_key(
         and isinstance(conjunct.right, ast.ColumnRef)
     ):
         return None
-    refs = (conjunct.left, conjunct.right)
-    if resolver is not None and None in map(resolver.lookup, refs):
+    hits = [slots.get(id(ref)) for ref in (conjunct.left, conjunct.right)]
+    if None in hits or any(depth or b not in folded for depth, b, _ in hits):
         return None
-    hits = [scope.lookup(ref) for ref in refs]
-    if None in hits:
-        return None
-    left, right = hits if hits[1][0] == right_binding else hits[::-1]
-    if left[0] == right_binding or right[0] != right_binding:
+    left, right = hits if hits[1][1] == right_binding else hits[::-1]
+    if left[1] == right_binding or right[1] != right_binding:
         return None  # both names on one side
-    return JoinKey(left[0], left[1], right[1])
+    return JoinKey(left[1], left[2], right[2])
 
 
 def plan_join(
@@ -596,37 +535,34 @@ def plan_join(
     condition: ast.Expr | None,
     where: ast.Expr | None,
     right_binding: str,
-    scope: NameResolver,
-    resolver: NameResolver,
+    folded: list[str],
+    slots: "Mapping[int, Slot]",
 ) -> JoinPlan:
     """Choose a strategy for joining ``right_binding`` onto the sources
-    before it; ``scope`` resolves names over those sources and the right
-    one, ``resolver`` over the whole block.
+    before it; ``folded`` are their bindings and the right one's.
 
     Equi-keys come from the ON condition and from cross-source equality
     conjuncts of the WHERE clause (always re-checked by the final WHERE
     filter, so harvesting them is safe for outer joins too). ON conjuncts
     that are not equi-keys become the residual predicate, evaluated per
-    matched pair through ``scope``.
+    matched pair.
     """
     keys: list[JoinKey] = []
     residual: list[ast.Expr] = []
     for conjunct in split_conjuncts(condition):
-        key = _equi_key(conjunct, scope, right_binding)
+        key = _equi_key(conjunct, slots, folded, right_binding)
         if key is not None:
             keys.append(key)
         else:
             residual.append(conjunct)
     for conjunct in split_conjuncts(where):
-        key = _equi_key(conjunct, scope, right_binding, resolver)
+        key = _equi_key(conjunct, slots, folded, right_binding)
         if key is not None and key not in keys:
             keys.append(key)
     if keys:
-        return JoinPlan(
-            kind, right_binding, scope, "hash", keys, conjoin(residual), condition
-        )
+        return JoinPlan(kind, right_binding, "hash", keys, conjoin(residual), condition)
     strategy = "cross" if condition is None else "nested-loop"
-    return JoinPlan(kind, right_binding, scope, strategy, condition=condition)
+    return JoinPlan(kind, right_binding, strategy, condition=condition)
 
 
 # --------------------------------------------------------------------------
@@ -829,9 +765,8 @@ class ScanPlan:
     #: else "view" | "subquery" | "system"
     kind: str
     name: str  # the relation as EXPLAIN prints it
-    #: output columns; None only for a child block whose star cannot be
-    #: expanded (running the block raises the proper error)
-    columns: list[str] | None
+    columns: list[str]  # output columns
+
     path: AccessPath | None = None
     heap: HeapTable | None = None
     index: "HashIndex | SortedIndex | None" = None
@@ -839,12 +774,6 @@ class ScanPlan:
     #: pushed-down single-source predicate, applied before joining
     filter: ast.Expr | None = None
     child: "SelectPlan | None" = None
-    #: names over this source alone: the scan's own predicate (and
-    #: UPDATE's SET) reads them
-    resolver: NameResolver = field(init=False)
-
-    def __post_init__(self) -> None:
-        self.resolver = NameResolver([(self.binding, self.columns)])
 
     def describe(self) -> str:
         if self.path is None:
@@ -867,27 +796,19 @@ class SelectPlan:
     joins: list[JoinPlan]  # joins[i] folds scans[i + 1] onto the relation
     #: aggregate calls of the select list, HAVING and ORDER BY
     aggregates: list[ast.FunctionCall]
-    #: names over every source: WHERE, the select list, GROUP BY, HAVING
-    #: and ORDER BY read them
-    resolver: NameResolver
+    items: list[ast.SelectItem]  # the select list, stars expanded
+    #: the statement's binding: every column reference's slot
+    binding: Binding
     set_op: "SelectPlan | None" = None  # right arm of ``stmt.set_op``
 
     @property
     def grouped(self) -> bool:
         return bool(self.stmt.group_by) or bool(self.aggregates)
 
-    def output_columns(self) -> list[str] | None:
-        """Result column names, known without executing — what lets a
-        parent block plan joins and pushdown against a view or derived
-        table. None when a star cannot be expanded: running the block
-        raises the error, so the parent plans as if columns were unknown."""
-        if any(scan.columns is None for scan in self.scans):
-            return None
-        try:
-            items = expand_items(self.stmt.items, self.scans)
-        except MiniDBError:
-            return None
-        return [item_name(item, index) for index, item in enumerate(items)]
+    def output_columns(self) -> list[str]:
+        """Result column names, known without executing — what a parent
+        block's scan of a view or derived table exposes."""
+        return [item_name(item, index) for index, item in enumerate(self.items)]
 
     def lines(self, actuals: dict | None = None, indent: str = "") -> list[str]:
         """EXPLAIN text: scans in fold order (child blocks indented beneath
@@ -930,46 +851,6 @@ def collect_aggregates(expr: ast.Expr | None, out: list[ast.FunctionCall]) -> No
         return
     for child in ast.children(expr):
         collect_aggregates(child, out)
-
-
-def expand_items(items: list[ast.SelectItem], sources: list) -> list[ast.SelectItem]:
-    """Expand stars against ``sources`` (anything with ``binding`` and
-    ``columns``) into concrete select items."""
-    expanded: list[ast.SelectItem] = []
-    for item in items:
-        if isinstance(item.expr, ast.Star):
-            star = item.expr
-            targets = (
-                [s for s in sources if s.binding.lower() == star.table.lower()]
-                if star.table
-                else sources
-            )
-            if star.table and not targets:
-                raise UnknownTableError(
-                    f"missing FROM-clause entry for table {star.table!r}"
-                )
-            if not targets:
-                raise ExecutionError("SELECT * with no FROM clause")
-            for source in targets:
-                for col in source.columns:
-                    expanded.append(
-                        ast.SelectItem(
-                            ast.ColumnRef(col, table=source.binding), alias=col
-                        )
-                    )
-        else:
-            expanded.append(item)
-    return expanded
-
-
-def item_name(item: ast.SelectItem, index: int) -> str:
-    if item.alias:
-        return item.alias
-    if isinstance(item.expr, ast.ColumnRef):
-        return item.expr.name
-    if isinstance(item.expr, ast.FunctionCall):
-        return item.expr.name.lower()
-    return f"column{index + 1}"
 
 
 def _order_columns_of(
@@ -1061,18 +942,18 @@ def plan_table_scan(
     schema: "TableSchema",
     binding: str,
     where: ast.Expr | None,
-    resolver: NameResolver | None = None,
+    slots: "Mapping[int, Slot]",
     order_by_of: ast.SelectStatement | None = None,
 ) -> ScanPlan:
     """The scan node for one base table — the single place an access path
     is chosen, for SELECT sources and UPDATE/DELETE targets alike.
 
-    ``resolver`` (multi-source blocks: the block's) guards unqualified-name
-    resolution; ``order_by_of`` names the single-table statement whose
-    ORDER BY an ordered index scan may serve.
+    ``slots`` say which conjuncts read ``binding``'s columns;
+    ``order_by_of`` names the single-table statement whose ORDER BY an
+    ordered index scan may serve.
     """
     heap = db.heap(schema.name)
-    harvest = harvest_conjuncts(where, binding, resolver)
+    harvest = harvest_conjuncts(where, binding, slots)
     path, index, key = choose_access_path(
         schema.name, heap, harvest, db.catalog.statistics.get(schema.name.lower())
     )
@@ -1088,10 +969,14 @@ def plan_table_scan(
 
 
 def plan_select(
-    stmt: ast.SelectStatement, db: "Database", resolve_table
+    stmt: ast.SelectStatement,
+    db: "Database",
+    resolve_table,
+    binding: Binding | None = None,
 ) -> SelectPlan:
     """Plan one SELECT block (recursively: views, derived tables and the
-    set-operation arm become child blocks).
+    set-operation arm become child blocks) under the statement's
+    ``binding`` (default: ``stmt`` bound as a statement of its own).
 
     ``resolve_table(name) -> TableSchema`` is called once per base-table
     source, in FROM-then-JOIN order with child blocks expanding in place,
@@ -1100,31 +985,32 @@ def plan_select(
     blocked behind DROP + CREATE plans against the recreated schema and
     indexes. Plain EXPLAIN passes the catalog lookup and locks nothing.
     """
+    if binding is None:
+        binding = analyze(stmt, db.catalog).binding
+        binding.check()
+    slots = binding.slots
     scans: list = []  # ScanPlan, or (binding, schema) until paths are planned
-    sources: list[tuple[str, list[str] | None]] = []
     for ref in list(stmt.from_sources) + [join.source for join in stmt.joins]:
         select = None
         if isinstance(ref, ast.SubqueryRef):
-            binding, kind, name, select = ref.alias, "subquery", ref.alias, ref.subquery
+            kind, name, select = "subquery", ref.alias, ref.subquery
         elif is_system_relation(ref.name):
             # virtual read-only relations served from already-synchronized
             # snapshots: no lock, introspection never blocks the system
-            binding, kind, name = ref.binding, "system", ref.name.lower()
+            kind, name = "system", ref.name.lower()
         elif db.catalog.has_view(ref.name):
             view = db.catalog.view(ref.name)
-            binding, kind, name, select = ref.binding, "view", view.name, view.select
+            kind, name, select = "view", view.name, view.select
         else:
-            schema = resolve_table(ref.name)
-            scans.append((ref.binding, schema))
-            sources.append((ref.binding, schema.column_names()))
+            scans.append((ref.binding, resolve_table(ref.name)))
             continue
         if select is None:
             child, columns = None, SYSTEM_VIEW_COLUMNS[name]
         else:
-            child = plan_select(select, db, resolve_table)
+            child = plan_select(select, db, resolve_table, binding)
             columns = child.output_columns()
-        scans.append(ScanPlan(binding, kind, name, columns, child=child))
-        sources.append((binding, columns))
+        source = ref.alias if kind == "subquery" else ref.binding
+        scans.append(ScanPlan(source, kind, name, columns, child=child))
 
     aggregates: list[ast.FunctionCall] = []
     for item in stmt.items:
@@ -1134,8 +1020,6 @@ def plan_select(
         collect_aggregates(order.expr, aggregates)
 
     single = len(scans) == 1
-    # a single-source block reads names through its scan's resolver
-    resolver = None if single else NameResolver(sources)
     # an ordered index scan needs a real ORDER BY and no machinery
     # (grouping, aggregates, DISTINCT, set ops) between scan and output order
     ordered_ok = (
@@ -1146,39 +1030,34 @@ def plan_select(
     )
     for position, scan in enumerate(scans):
         if not isinstance(scan, ScanPlan):
-            binding, schema = scan
+            source, schema = scan
             scans[position] = scan = plan_table_scan(
-                db, schema, binding, stmt.where, resolver,
+                db, schema, source, stmt.where, slots,
                 stmt if ordered_ok else None,
             )
         # pushdown only pays off when the filtered rows feed a join;
         # single-source blocks apply WHERE once, after the scan
-        if not single and scan.columns:
-            scan.filter = pushdown_filter(stmt.where, scan.resolver, resolver)
-    if single:
-        resolver = scans[0].resolver
+        if not single:
+            scan.filter = pushdown_filter(stmt.where, scan.binding, slots)
 
     # comma-separated FROM sources fold as conditionless inner joins (keys
-    # come from WHERE), then the explicit joins fold the same way; the
-    # last join's sources are the block's
+    # come from WHERE), then the explicit joins fold the same way
     folds = [("INNER", None)] * len(stmt.from_sources)
     folds += [(join.kind, join.condition) for join in stmt.joins]
-    joins: list[JoinPlan] = []
-    for position, (kind, condition) in enumerate(folds[1:], 1):
-        scope = (
-            resolver
-            if position == len(scans) - 1
-            else NameResolver(sources[: position + 1])
+    bindings = [scan.binding for scan in scans]
+    joins = [
+        plan_join(
+            kind, condition, stmt.where, bindings[position],
+            bindings[: position + 1], slots,
         )
-        joins.append(
-            plan_join(
-                kind, condition, stmt.where, scans[position].binding, scope, resolver
-            )
-        )
+        for position, (kind, condition) in enumerate(folds[1:], 1)
+    ]
 
     set_op = (
-        plan_select(stmt.set_op[1], db, resolve_table)
+        plan_select(stmt.set_op[1], db, resolve_table, binding)
         if stmt.set_op is not None
         else None
     )
-    return SelectPlan(stmt, scans, joins, aggregates, resolver, set_op)
+    return SelectPlan(
+        stmt, scans, joins, aggregates, binding.items(stmt), binding, set_op
+    )

@@ -1,4 +1,5 @@
-"""Rule ``planner-seam``: planning decisions are taken in ``planner.py`` only.
+"""Rule ``planner-seam``: planning decisions are taken in ``planner.py``
+only, and which column a name means is decided in ``analysis.py`` only.
 
 A statement has one physical plan (:func:`repro.minidb.planner.plan_select`
 / ``plan_table_scan``): EXPLAIN renders it and the executor runs it. That
@@ -6,13 +7,18 @@ only stays true while nothing else re-derives a piece of it — the access
 path, the join strategy, or the WHERE-conjunct bindings they are chosen
 from. Before the plan value existed the access-path decision was written
 out five times and the join decision twice, and the copies drifted (EXPLAIN
-printed ``Nested Loop Join`` over a hash join that ran). The rule for which
-source column a name means drifted the same way while the executor built
-its own name maps beside the planner's, so the one
-:class:`~repro.minidb.planner.NameResolver` is built by the planner and
-stored on the plan nodes. Calls to the planning primitives — constructing
-the resolver included — from any module under ``src/repro/`` other than
+printed ``Nested Loop Join`` over a hash join that ran). Calls to the
+planning primitives from any module under ``src/repro/`` other than
 ``minidb/planner.py`` are therefore findings: consume a plan node instead.
+
+The rule for which source column a name means drifted the same way: the
+privilege footprint, the planner and the per-row scope each read names on
+their own, and a view body read its caller's columns. The binder in
+``minidb/analysis.py`` resolves every name once, before any row, and
+everything else reads its slots. Constructing the
+:class:`~repro.minidb.analysis.NameResolver` anywhere else, or raising
+``UnknownColumnError`` anywhere but there and in ``minidb/catalog.py``
+(a named column of a known table), is a finding.
 
 Tests may call the primitives directly — they pin the primitives' own
 behaviour and live outside ``src/repro/``.
@@ -26,6 +32,8 @@ from typing import Iterator
 from ..core import Checker, Finding, ModuleSource, register
 
 PLANNER_PATH = "src/repro/minidb/planner.py"
+BINDER_PATH = "src/repro/minidb/analysis.py"
+CATALOG_PATH = "src/repro/minidb/catalog.py"
 
 #: the primitives a plan is derived from; each has call sites in
 #: ``planner.py`` only
@@ -35,39 +43,62 @@ PLANNING_PRIMITIVES = frozenset(
         "plan_join",
         "harvest_conjuncts",
         "pushdown_filter",
-        "NameResolver",
     }
 )
+
+
+def _called_name(node: ast.AST) -> str | None:
+    if isinstance(node, ast.Call):
+        node = node.func
+    if isinstance(node, ast.Name):
+        return node.id
+    if isinstance(node, ast.Attribute):
+        return node.attr
+    return None
 
 
 @register
 class PlannerSeamChecker(Checker):
     name = "planner-seam"
     description = (
-        "access-path / join / binding planning primitives and the name "
-        "resolver are called from minidb/planner.py only; everything else "
-        "consumes the plan value"
+        "access-path / join / binding planning primitives are called from "
+        "minidb/planner.py only; names are resolved (NameResolver, "
+        "UnknownColumnError) in minidb/analysis.py only"
     )
 
     def check(self, module: ModuleSource) -> Iterator[Finding]:
-        if not module.rel_path.startswith("src/repro/"):
-            return
-        if module.rel_path == PLANNER_PATH:
+        path = module.rel_path
+        if not path.startswith("src/repro/"):
             return
         for node in ast.walk(module.tree):
-            if not isinstance(node, ast.Call):
-                continue
-            func = node.func
-            name = (
-                func.id
-                if isinstance(func, ast.Name)
-                else func.attr if isinstance(func, ast.Attribute) else None
-            )
-            if name in PLANNING_PRIMITIVES:
+            if isinstance(node, ast.Call):
+                name = _called_name(node)
+                if name in PLANNING_PRIMITIVES and path != PLANNER_PATH:
+                    yield module.finding(
+                        self.name,
+                        node,
+                        f"{name}() outside minidb/planner.py re-derives part of "
+                        "the plan — take it from the SelectPlan / ScanPlan / "
+                        "JoinPlan node plan_select() built",
+                    )
+                elif name == "NameResolver" and path != BINDER_PATH:
+                    yield module.finding(
+                        self.name,
+                        node,
+                        "NameResolver() outside minidb/analysis.py resolves names "
+                        "a second way — read the slot the binder gave the "
+                        "reference (StatementAnalysis.binding)",
+                    )
+            elif (
+                isinstance(node, ast.Raise)
+                and node.exc is not None
+                and _called_name(node.exc) == "UnknownColumnError"
+                and path not in (BINDER_PATH, CATALOG_PATH)
+            ):
                 yield module.finding(
                     self.name,
                     node,
-                    f"{name}() outside minidb/planner.py re-derives part of "
-                    "the plan — take it from the SelectPlan / ScanPlan / "
-                    "JoinPlan node plan_select() built",
+                    "raising UnknownColumnError outside minidb/analysis.py "
+                    "decides at run time what a name means — the binder "
+                    "records the name error before any row",
                 )

@@ -206,10 +206,10 @@ class TestErrorContract:
         assert outcome[0] == "err"
         assert outcome[1] == ExecutionError.__name__
 
-    def test_unknown_column_defers_until_a_row_is_scanned(self, s):
+    def test_unknown_column_raises_before_any_row(self, s):
         s.execute("CREATE TABLE empty_t (x INT)")
-        kind, _, rows = both(s, "SELECT x FROM empty_t WHERE nosuch = 1")
-        assert (kind, rows) == ("ok", [])
+        outcome = both(s, "SELECT x FROM empty_t WHERE nosuch = 1")
+        assert outcome[:2] == ("err", UnknownColumnError.__name__)
         outcome = both(s, "SELECT id FROM t WHERE nosuch = 1")
         assert outcome[0] == "err"
         assert outcome[1] == UnknownColumnError.__name__
@@ -232,8 +232,9 @@ class TestErrorContract:
             ("SELECT a, nosuch FROM t", UnknownColumnError),
             ("SELECT a, 1 / 0 FROM t", DivisionByZeroError),
             ("SELECT id, a, 1 / (b - 3), c FROM t", DivisionByZeroError),
-            # row 0 has b = 0: item 0 errs there, before item 1 does
-            ("SELECT 1 / b, nosuch FROM t", DivisionByZeroError),
+            # a name error is raised before any row, so before row 0's
+            # division by zero (b = 0 there)
+            ("SELECT 1 / b, nosuch FROM t", UnknownColumnError),
             ("SELECT nosuch, 1 / b FROM t", UnknownColumnError),
             # the first erroring row decides, whichever item it is in
             ("SELECT 1 / (id - 3), 1 / (id - 2), a FROM t", DivisionByZeroError),

@@ -8,8 +8,11 @@ column/literal pair helper), range bindings, index unions and the
 pushed-down scan filter. They are copied below verbatim (only renamed) as
 the references, with the planner's ``_colmap`` the pushdown reference
 read, which went when one :class:`planner.NameResolver` replaced the
-planner's name-resolution helpers. The new side builds its resolvers from
-the same statement sources.
+planner's name-resolution helpers. The planner now reads which column a
+reference names off the binder's slots; the new side gives a reference
+the slot of a column of the scanned binding exactly when that resolver,
+built from the same statement sources, let the reference bind there —
+the name rule the references were written against.
 
 Hypothesis draws WHERE trees over column/literal comparisons in both
 operand orders (NULL literals and ``<>`` included), BETWEEN and NOT
@@ -35,9 +38,9 @@ from hypothesis import strategies as st
 
 from repro.minidb import ast_nodes as ast
 from repro.minidb import parse, planner
+from repro.minidb.analysis import NameResolver
 from repro.minidb.planner import (
     NULL_REJECTING_COMPARISONS,
-    NameResolver,
     RangeBinding,
     UnionBinding,
     conjoin,
@@ -381,17 +384,54 @@ def reference_harvest(where, binding, statement_sources):
     )
 
 
+def resolves(resolver, ref):
+    """Whether ``resolver`` names one column by ``ref``; a bare name binds
+    only when every source's columns are known."""
+    name = ref.name.lower()
+    if ref.table is None:
+        known = not resolver.unknown and name in resolver.unqualified
+        return known and name not in resolver.ambiguous
+    key = f"{ref.table.lower()}.{name}"
+    return key in resolver.qualified and key not in resolver.ambiguous
+
+
+def slots_for(where, binding, usable):
+    """Slots giving each reference in ``where`` that ``usable`` accepts a
+    column of ``binding``; every other reference binds elsewhere."""
+    slots = {}
+    stack = [] if where is None else [where]
+    while stack:
+        expr = stack.pop()
+        if isinstance(expr, ast.ColumnRef):
+            if usable(expr):
+                slots[id(expr)] = (0, binding, expr.name)
+        else:
+            stack.extend(ast.children(expr))
+    return slots
+
+
 def new_harvest(where, binding, statement_sources):
     # the block's resolver over the same sources; None: a single source
+    lowered = binding.lower()
     resolver = None if statement_sources is None else NameResolver(statement_sources)
-    harvest = planner.harvest_conjuncts(where, binding, resolver)
+
+    def usable(ref):
+        if ref.table is not None:
+            return ref.table.lower() == lowered
+        return resolver is None or resolves(resolver, ref)
+
+    harvest = planner.harvest_conjuncts(where, binding, slots_for(where, binding, usable))
     return (harvest.equalities, harvest.ranges, harvest.unions)
 
 
 def new_pushdown(where, binding, columns, statement_sources):
-    return planner.pushdown_filter(
-        where, NameResolver([(binding, columns)]), NameResolver(statement_sources)
-    )
+    own = NameResolver([(binding, columns)])
+    resolver = NameResolver(statement_sources)
+
+    def usable(ref):
+        return resolves(own, ref) and (ref.table is not None or resolves(resolver, ref))
+
+    return planner.pushdown_filter(where, binding, slots_for(where, binding, usable))
 
 
 HARVESTS = {"reference": reference_harvest, "new": new_harvest}

@@ -7,6 +7,7 @@ import pytest
 from repro.minidb import Database, analyze, parse
 from repro.minidb.errors import (
     CheckViolation,
+    DuplicateColumnError,
     DuplicateObjectError,
     ExecutionError,
     ForeignKeyViolation,
@@ -324,6 +325,18 @@ class TestDDL:
     def test_alter_rename_column(self, store):
         store.execute("ALTER TABLE items RENAME COLUMN qty TO quantity")
         assert store.scalar("SELECT quantity FROM items WHERE id = 1") == 3
+
+    def test_case_twin_columns_are_refused(self, s):
+        # PostgreSQL folds unquoted names: ``a`` and ``A`` are one column
+        with pytest.raises(DuplicateColumnError, match='"A" specified more than once'):
+            s.execute("CREATE TABLE tw (a INT, A INT)")
+        assert not s.db.catalog.has_table("tw")
+        s.execute("CREATE TABLE tw (a INT, b INT)")
+        for ddl in ("ALTER TABLE tw ADD COLUMN A TEXT", "ALTER TABLE tw RENAME COLUMN b TO A"):
+            with pytest.raises(DuplicateColumnError) as caught:
+                s.execute(ddl)
+            assert caught.value.code == "42701"
+        assert s.db.catalog.table("tw").column_names() == ["a", "b"]
 
     def test_alter_rename_table(self, store):
         store.execute("ALTER TABLE items RENAME TO products")

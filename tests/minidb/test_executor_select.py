@@ -3,7 +3,12 @@
 import pytest
 
 from repro.minidb import Database
-from repro.minidb.errors import ExecutionError, UnknownColumnError, UnknownTableError
+from repro.minidb.errors import (
+    DuplicateAliasError,
+    ExecutionError,
+    UnknownColumnError,
+    UnknownTableError,
+)
 
 
 @pytest.fixture
@@ -354,6 +359,30 @@ class TestViews:
         assert s.execute("SELECT * FROM upper_a").rows == [("ALICE",)]
 
 
+class TestDuplicateAliases:
+    @pytest.mark.parametrize(
+        "sql",
+        [
+            "SELECT * FROM emp x, dept x",
+            "SELECT x.id FROM emp x JOIN dept X ON x.id = X.id",
+            "SELECT 1 FROM emp, emp",
+            "SELECT d.id FROM emp d, (SELECT id FROM dept) d",
+        ],
+    )
+    def test_a_binding_used_twice_in_one_from_is_refused(self, s, sql):
+        # it used to raise a bare KeyError (or read one of the two sources)
+        with pytest.raises(DuplicateAliasError, match="specified more than once") as caught:
+            s.execute(sql)
+        assert caught.value.code == "42712"
+
+    def test_the_same_alias_in_another_block_is_fine(self, s):
+        rows = s.execute(
+            "SELECT x.id FROM emp x WHERE EXISTS (SELECT 1 FROM dept x WHERE x.id = 2)"
+            " ORDER BY x.id"
+        ).rows
+        assert rows == [(1,), (2,), (3,), (4,)]
+
+
 class TestDuplicateOutputNames:
     """A derived table or view exposing one name twice: a reference to it
     is ambiguous whether qualified or not — it must never silently read
@@ -384,10 +413,10 @@ class TestDuplicateOutputNames:
         ).rows
         assert rows == [("alice",), ("bob",)]
 
-    def test_ambiguous_name_is_not_pushed_into_the_scan(self, s):
-        # no joined row reaches the WHERE, so nothing may evaluate y.id —
-        # a pushed-down conjunct would raise from inside y's scan
+    def test_ambiguous_name_raises_before_any_scan(self, s):
+        # no joined row would reach the WHERE, yet y.id names no column:
+        # the statement is refused when it is bound, EXPLAIN included
         sql = f"SELECT x.id FROM emp x, {self.DUP} y WHERE y.id = 2 AND x.id = 99"
-        plan = [line for (line,) in s.execute("EXPLAIN " + sql).rows]
-        assert plan[1] == "Subquery Scan on y"
-        assert s.execute(sql).rows == []
+        for statement in ("EXPLAIN " + sql, sql):
+            with pytest.raises(UnknownColumnError, match="'id' is ambiguous"):
+                s.execute(statement)

@@ -3,17 +3,25 @@
 import pytest
 
 from repro.minidb import ast_nodes as ast
-from repro.minidb.errors import ExecutionError, UnknownColumnError
+from repro.minidb.errors import ExecutionError
 from repro.minidb.expressions import Evaluator, Scope
 
 
-def scope(unqualified=None, qualified=None, ambiguous=(), outer=None):
-    return Scope(
-        qualified or {},
-        unqualified or {},
-        frozenset(ambiguous),
-        outer,
-    )
+class OneRow:
+    """A relation of one row: ``binding -> column -> value``."""
+
+    row = 0
+
+    def __init__(self, **bindings):
+        self.bindings = bindings
+
+    def column(self, binding, name):
+        return [self.bindings[binding][name]]
+
+
+def scope(slots=None, relation=None, outer=None):
+    """A slot scope: ``slots`` maps column references to their slots."""
+    return Scope({id(ref): slot for ref, slot in (slots or {}).items()}, relation, outer)
 
 
 @pytest.fixture
@@ -30,34 +38,35 @@ def lit(value):
 
 
 class TestScopeResolution:
-    def test_unqualified_lookup(self, ev):
-        assert ev.evaluate(col("x"), scope({"x": 5})) == 5
+    """The interpreter reads a reference through its slot; which column a
+    name means is the binder's business (``test_binder.py``)."""
 
-    def test_qualified_lookup(self, ev):
-        s = scope(qualified={"t.x": 7})
-        assert ev.evaluate(col("x", "t"), s) == 7
+    def test_slot_reads_the_cursor_row(self, ev):
+        x = col("x")
+        assert ev.evaluate(x, scope({x: (0, "t", "x")}, OneRow(t={"x": 5}))) == 5
 
-    def test_qualified_lookup_case_insensitive(self, ev):
-        s = scope(qualified={"t.x": 7})
-        assert ev.evaluate(col("X", "T"), s) == 7
+    def test_qualified_reference_reads_its_slot(self, ev):
+        x = col("x", "t")
+        assert ev.evaluate(x, scope({x: (0, "t", "x")}, OneRow(t={"x": 7}))) == 7
 
-    def test_ambiguous_raises(self, ev):
-        s = scope({"x": 1}, ambiguous=("x",))
-        with pytest.raises(UnknownColumnError, match="ambiguous"):
-            ev.evaluate(col("x"), s)
+    def test_slot_names_the_stored_spelling(self, ev):
+        x = col("X", "T")
+        assert ev.evaluate(x, scope({x: (0, "t", "x")}, OneRow(t={"x": 7}))) == 7
 
-    def test_outer_scope_fallback(self, ev):
-        outer = scope({"y": 9})
-        inner = scope({"x": 1}, outer=outer)
-        assert ev.evaluate(col("y"), inner) == 9
+    def test_depth_counts_scopes_outward(self, ev):
+        y = col("y")
+        outer = scope(relation=OneRow(o={"y": 9}))
+        inner = scope({y: (1, "o", "y")}, OneRow(t={"y": 1}), outer)
+        assert ev.evaluate(y, inner) == 9
 
-    def test_inner_shadows_outer(self, ev):
-        outer = scope({"x": 9})
-        inner = scope({"x": 1}, outer=outer)
-        assert ev.evaluate(col("x"), inner) == 1
+    def test_depth_zero_reads_the_inner_row(self, ev):
+        x = col("x")
+        outer = scope(relation=OneRow(t={"x": 9}))
+        inner = scope({x: (0, "t", "x")}, OneRow(t={"x": 1}), outer)
+        assert ev.evaluate(x, inner) == 1
 
-    def test_missing_column(self, ev):
-        with pytest.raises(UnknownColumnError):
+    def test_unbound_reference_is_refused(self, ev):
+        with pytest.raises(ExecutionError, match="not bound"):
             ev.evaluate(col("ghost"), scope())
 
 

@@ -15,9 +15,10 @@ from hypothesis import strategies as st
 
 from repro.minidb import Database, parse
 from repro.minidb import ast_nodes as ast
+from repro.minidb.analysis import analyze
 from repro.minidb.errors import MiniDBError
 from repro.minidb.functions import SCALAR_FUNCTIONS
-from repro.minidb.planner import NameResolver, plan_join, plan_select, pushdown_filter
+from repro.minidb.planner import plan_join, plan_select, pushdown_filter
 
 
 @pytest.fixture
@@ -40,6 +41,23 @@ def s():
 
 #: a column = column equality (qualified or not; literals never match)
 _EQUALITY = re.compile(r"\b([a-z_][\w.]*) = ([a-z_][\w.]*)")
+
+
+AB_TABLES = "CREATE TABLE a (x INT, z INT); CREATE TABLE b (y INT, w INT)"
+
+
+def catalog_of(script):
+    db = Database(owner="a")
+    db.connect("a").execute_script(script)
+    return db.catalog
+
+
+def bound(sql, script):
+    """``sql``'s WHERE and the slots binding it gave, under the tables
+    ``script`` creates (``None``: no catalog)."""
+    stmt = parse(sql)
+    catalog = None if script is None else catalog_of(script)
+    return stmt.where, analyze(stmt, catalog).binding.slots
 
 
 def without_equi_keys(sql):
@@ -229,11 +247,11 @@ class TestWherePushdown:
         assert rows == [("lab",)]
 
     def test_pushdown_filter_extraction(self):
-        where = parse("SELECT * FROM t WHERE a = 1 AND t.b > 2 AND c IS NULL").where
-        sources = [("t", ["a", "b", "c"]), ("u", ["x"])]
-        predicate = pushdown_filter(
-            where, NameResolver(sources[:1]), NameResolver(sources)
+        where, slots = bound(
+            "SELECT * FROM t, u WHERE a = 1 AND t.b > 2 AND c IS NULL",
+            "CREATE TABLE t (a INT, b INT, c INT); CREATE TABLE u (x INT)",
         )
+        predicate = pushdown_filter(where, "t", slots)
         from repro.minidb.sqlgen import expr_to_sql
 
         sql = expr_to_sql(predicate)
@@ -241,28 +259,26 @@ class TestWherePushdown:
         assert "IS NULL" not in sql
 
     def test_pushdown_ignores_other_sources_columns(self):
-        where = parse("SELECT * FROM t WHERE u.a = 1 AND b = 2").where
-        sources = [("t", ["b"]), ("u", ["a"])]
-        predicate = pushdown_filter(
-            where, NameResolver(sources[:1]), NameResolver(sources)
+        where, slots = bound(
+            "SELECT * FROM t, u WHERE u.a = 1 AND b = 2",
+            "CREATE TABLE t (b INT); CREATE TABLE u (a INT)",
         )
+        predicate = pushdown_filter(where, "t", slots)
         from repro.minidb.sqlgen import expr_to_sql
 
         assert expr_to_sql(predicate) == "(b = 2)"
 
     def test_pushdown_skips_statement_ambiguous_unqualified(self):
-        # "b" exists in both sources: pushing it could empty a scan and mask
-        # the ambiguity error the WHERE evaluator must raise
-        where = parse("SELECT * FROM t WHERE b = 2").where
-        sources = [("t", ["b"]), ("u", ["b"])]
-        own = NameResolver(sources[:1])
-        assert pushdown_filter(where, own, NameResolver(sources)) is None
+        # "b" exists in both sources: it names no column, so it has no slot
+        where, slots = bound(
+            "SELECT * FROM t, u WHERE b = 2",
+            "CREATE TABLE t (b INT); CREATE TABLE u (b INT)",
+        )
+        assert pushdown_filter(where, "t", slots) is None
 
     def test_pushdown_skips_unqualified_with_unknown_source(self):
-        where = parse("SELECT * FROM t WHERE b = 2").where
-        sources = [("t", ["b"]), ("v", None)]  # columns unknown
-        own = NameResolver(sources[:1])
-        assert pushdown_filter(where, own, NameResolver(sources)) is None
+        where, slots = bound("SELECT * FROM t, v WHERE b = 2", None)  # no catalog
+        assert pushdown_filter(where, "t", slots) is None
 
     def test_ambiguous_unqualified_where_still_raises(self, s):
         # regression: both tables have "name"; the pushed-down filter and
@@ -348,8 +364,8 @@ class TestJoinPlanning:
     def test_plan_join_extracts_on_keys(self):
         stmt = parse("SELECT * FROM a JOIN b ON a.x = b.y AND a.z > b.w")
         join = stmt.joins[0]
-        scope = NameResolver([("a", ["x", "z"]), ("b", ["y", "w"])])
-        plan = plan_join(join.kind, join.condition, stmt.where, "b", scope, scope)
+        slots = analyze(stmt, catalog_of(AB_TABLES)).binding.slots
+        plan = plan_join(join.kind, join.condition, stmt.where, "b", ["a", "b"], slots)
         assert plan.strategy == "hash"
         assert [(k.left_binding, k.left_column, k.right_column) for k in plan.keys] == [
             ("a", "x", "y")
@@ -359,8 +375,8 @@ class TestJoinPlanning:
     def test_plan_join_where_keys_added(self):
         stmt = parse("SELECT * FROM a JOIN b ON a.x = b.y WHERE a.z = b.w")
         join = stmt.joins[0]
-        scope = NameResolver([("a", ["x", "z"]), ("b", ["y", "w"])])
-        plan = plan_join(join.kind, join.condition, stmt.where, "b", scope, scope)
+        slots = analyze(stmt, catalog_of(AB_TABLES)).binding.slots
+        plan = plan_join(join.kind, join.condition, stmt.where, "b", ["a", "b"], slots)
         assert len(plan.keys) == 2
 
     def test_plan_select_joins_spans_implicit_and_explicit(self):
@@ -518,18 +534,30 @@ def check_plan_names(session, sql):
     after asserting that the plan uses only such names: each hash key is
     an ON or WHERE ``col = col`` whose names resolve to its two columns,
     each pushed filter's names resolve to its own source, and each index
-    probe's key column is bound by a resolving WHERE equality."""
+    probe's key column is bound by a resolving WHERE equality. A block
+    where some name does not resolve must be refused before it is
+    planned."""
     stmt = parse(sql)
-    plan = plan_select(stmt, session.db, session.db.catalog.table)
-    bindings = [scan.binding for scan in plan.scans]
+    sources = list(stmt.from_sources) + [join.source for join in stmt.joins]
+    bindings = [
+        src.alias if isinstance(src, ast.SubqueryRef) else src.binding for src in sources
+    ]
     where = conjuncts_of(stmt.where)
-    valid = names_resolve(where, bindings)
     wheres = [c for c in where if names_resolve([c], bindings)]
     conditions = [None] * len(stmt.from_sources) + [j.condition for j in stmt.joins]
+    valid = len(wheres) == len(where) and all(
+        names_resolve(conjuncts_of(condition), bindings[: position + 1])
+        for position, condition in enumerate(conditions)
+    )
+    try:
+        plan = plan_select(stmt, session.db, session.db.catalog.table)
+    except MiniDBError:
+        assert not valid, sql
+        return False
+    assert valid, sql
     for position, join in enumerate(plan.joins, 1):
         scope = bindings[: position + 1]
         on = conjuncts_of(conditions[position])
-        valid = valid and names_resolve(on, scope)
         equalities = [
             {named(c.left, scope), named(c.right, scope)}
             for c in on + wheres
@@ -608,12 +636,10 @@ class TestSideSources:
     knows the columns of, so WHERE and ON conjuncts beside them are probes,
     pushed filters and hash keys exactly when their names name one column
     of their scope — never otherwise (:func:`check_plan_names`). Each
-    drawn block must give what its unindexed twin gives — the same rows,
-    or the same error — and, when every name resolves, what its
-    nested-loop spelling gives. (Where a name does not resolve the
-    nested loop may raise where the plan returns rows: a key taken from
-    another conjunct can leave no row for the erroring name to be
-    evaluated on, and minidb raises a name error only on a row.)"""
+    drawn block must give what its unindexed twin and its nested-loop
+    spelling give — the same rows, or the same error. A name that does
+    not resolve is refused when the statement is bound, before any row,
+    so no plan can hide it."""
 
     @settings(max_examples=300, deadline=None)
     @given(side_blocks())
@@ -629,12 +655,14 @@ class TestSideSources:
         planned = sql.format(t="t")
         valid = check_plan_names(s, planned)
         reference = without_equi_keys(planned)
-        assert "Hash Join" not in explain(s, reference), reference
         expected = outcome(s, planned)
         assert outcome(s, sql.format(t="t_plain")) == expected
+        assert outcome(s, reference) == expected
         if valid:
             assert isinstance(expected, list), expected
-            assert outcome(s, reference) == expected
+            assert "Hash Join" not in explain(s, reference), reference
+        else:
+            assert expected.startswith("UnknownColumnError"), expected
 
     def test_where_beside_a_view_probes_the_index(self):
         s = side_session()

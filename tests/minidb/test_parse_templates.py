@@ -15,10 +15,12 @@ Hypothesis substitutions into them: integers, NaN-free reals, strings with
 quotes, NULL / TRUE / FALSE and signed numbers. For each text the statement
 ``parse()`` returns must equal a fresh ``_Parser`` parse, compared by
 dataclass equality *and* by ``repr`` (so ``1``, ``1.0`` and ``TRUE``
-differ), and ``analyze()``'s answer must equal a fresh ``_Analyzer`` run,
-under a catalog and without one in turn. A rebind that turns ``1.0`` into
-``1`` fails it, and so does an analysis cache that ignores the catalog
-version.
+differ), and ``analyze()``'s answer must equal a fresh ``_Binder`` run,
+under a catalog and without one in turn: the same footprint, and the same
+binding read in tree order — each column reference's slot, each star's
+expansion, each ORDER BY output position and the name error. A rebind
+that turns ``1.0`` into ``1`` fails it, and so does an analysis cache
+that ignores the catalog version.
 
 Below the oracle: the invalidation contract (privileges and every schema
 change are seen by the next call of a template, whatever its literals) and
@@ -39,7 +41,8 @@ from test_sql_conformance import CASES
 from repro.core import BridgeScope, MinidbBinding
 from repro.mcp import ToolCall
 from repro.minidb import Database, analyze
-from repro.minidb.analysis import _Analyzer
+from repro.minidb import ast_nodes as ast
+from repro.minidb.analysis import _Binder
 from repro.minidb.errors import PermissionDenied, SQLSyntaxError
 from repro.minidb.lexer import _TOKEN, NUMBER, STRING
 from repro.minidb.parser import _Parser, parse, parse_cache_stats
@@ -173,6 +176,44 @@ def fresh(sql):
     return _Parser(sql).parse_one()
 
 
+def fresh_analysis(stmt, catalog):
+    return _Binder(catalog, None if catalog is None else catalog.version).run(stmt)
+
+
+def _nodes(node):
+    """The AST nodes under ``node`` in tree order (field order, depth first)."""
+    if isinstance(node, (list, tuple)):
+        for part in node:
+            yield from _nodes(part)
+    elif hasattr(node, "__dataclass_fields__"):
+        yield node
+        for name in node.__dataclass_fields__:
+            yield from _nodes(getattr(node, name))
+
+
+def bound_values(stmt, binding):
+    """``binding`` read along ``stmt`` in tree order, by value: what it
+    says of each column reference and star, then its error."""
+    values = []
+    for node in _nodes(stmt):
+        if type(node) is ast.ColumnRef:
+            values.append((binding.slots.get(id(node)), binding.order.get(id(node))))
+        elif type(node) is ast.Star:
+            items = binding.stars.get(id(node), ())
+            values.append([(item.alias, binding.slots.get(id(item.expr))) for item in items])
+    error = binding.error
+    values.append(None if error is None else (type(error), error.message))
+    return values
+
+
+def assert_analysis_is_fresh(stmt, expected, catalog):
+    """``analyze(stmt)`` equals a fresh analysis of the fresh parse
+    ``expected``, footprint and binding alike."""
+    cached, new = analyze(stmt, catalog), fresh_analysis(expected, catalog)
+    assert cached == new
+    assert bound_values(stmt, cached.binding) == bound_values(expected, new.binding)
+
+
 def check_text(sql, catalogs):
     """The oracle for one text: ``parse`` ≡ a fresh parse, ``analyze`` ≡ a
     fresh analysis under each of ``catalogs`` in turn. Returns the
@@ -189,7 +230,7 @@ def check_text(sql, catalogs):
     assert stmt == expected, sql
     assert repr(stmt) == repr(expected), sql
     for cat in catalogs:
-        assert analyze(stmt, cat) == _Analyzer(cat).run(expected), (sql, cat)
+        assert_analysis_is_fresh(stmt, expected, cat)
     return stmt
 
 
@@ -401,7 +442,9 @@ def test_threads_binding_one_template_each_get_their_own_values(db):
             stmt = parse(text)
             if repr(stmt) != repr(fresh(text)):
                 wrong.append(("parse", text))
-            if analyze(stmt, db.catalog) != _Analyzer(db.catalog).run(stmt):
+            try:
+                assert_analysis_is_fresh(stmt, fresh(text), db.catalog)
+            except AssertionError:
                 wrong.append(("analyze", text))
             expected = [(k, f"w{k}-{n}", (30, 160)[n % 2] + n + 0.5)]
             if session.execute(text).rows != expected:

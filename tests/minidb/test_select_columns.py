@@ -11,7 +11,12 @@ per-row key tuples, grouped key tuples, set-operation output keys), and
 group keys, aggregate arguments and the predicate seam each branched per
 row between a kernel column and the interpreter. Those methods are
 copied below verbatim (re-homed on a subclass, module helpers renamed)
-as the reference executor.
+as the reference executor; since the binder resolves every name before
+any row, they read names through the statement's slots (a
+:class:`Scope`) where they read the planner's resolver, an empty
+group's bare column reads NULL where it used to find no name, and a set
+operation's ORDER BY keys, which name output columns, are no longer also
+evaluated over the left arm's rows.
 
 Hypothesis draws tables with NULLs and NaN, a few cells perturbed out of
 their column's class (a bool or text among ints, -0.0 or ints beyond
@@ -57,7 +62,6 @@ from repro.minidb.executor import (
     _AggregateEvaluator,
     _order_insensitive_output,
     _referenced_names,
-    _Names,
     _Relation,
     _Reversed,
     _row_marker,
@@ -74,7 +78,6 @@ from repro.minidb.expressions import (
     compile_batch_expr,
 )
 from repro.minidb.functions import make_aggregate
-from repro.minidb.planner import expand_items, item_name
 from repro.minidb.storage import ordering_key_element
 
 # --------------------------------------------------------------------------
@@ -149,7 +152,7 @@ class ReferenceExecutor(Executor):
         self, plan, session: "Session", outer: Scope | None
     ) -> tuple[list[str], list[tuple]]:
         def run_subquery(sub: ast.SelectStatement, scope: Scope) -> list[tuple]:
-            _, sub_rows = self._run_select(sub, session, outer=scope)
+            _, sub_rows = self._run_select(sub, session, scope, plan.binding)
             return sub_rows
 
         evaluator = Evaluator(run_subquery)
@@ -162,17 +165,18 @@ class ReferenceExecutor(Executor):
         unordered = _order_insensitive_output(stmt, plan.aggregates)
         trace = self.db.tracer.current()
 
+        layout = Scope(plan.binding.slots, None, outer)
         relation = _Relation({}, {}, 1)  # no FROM clause: one empty row
         for position, scan in enumerate(scans):
             started = perf_counter() if trace is not None else 0.0
             if ordered:
                 source, _, examined = self._scan(
-                    scan, session, outer, evaluator, refs, stmt.where,
+                    scan, session, layout, evaluator, refs, stmt.where,
                     limit=needed,
                 )
             else:
                 source, _, examined = self._scan(
-                    scan, session, outer, evaluator, refs, scan.filter,
+                    scan, session, layout, evaluator, refs, scan.filter,
                     keep_errors=ExecutionError, unordered=unordered,
                 )
             if scan.path is not None:
@@ -183,25 +187,26 @@ class ReferenceExecutor(Executor):
                 )
             if position:
                 relation = self._join(
-                    relation, source, plan.joins[position - 1], outer, evaluator
+                    relation, source, plan.joins[position - 1], layout, evaluator
                 )
             else:
                 relation = source
 
-        layout = _Names(plan.resolver, outer)
         if stmt.where is not None and not ordered:
             select = self._selector(stmt.where, layout, evaluator)
             relation = relation.take(select(relation))
 
-        items = expand_items(stmt.items, scans)
-        out_columns = [item_name(item, index) for index, item in enumerate(items)]
+        items = plan.items
+        out_columns = plan.output_columns()
+        # a set operation's ORDER BY names output columns, not the arm's
+        arm_order_by = order_by if stmt.set_op is None else []
         if plan.grouped:
             out_rows, order_keys = self._aggregate(
-                plan, items, order_by, relation, layout, evaluator, run_subquery
+                plan, items, arm_order_by, relation, layout, evaluator, run_subquery
             )
         else:
             out_rows, order_keys = self._project(
-                items, order_by, relation, layout, evaluator,
+                items, arm_order_by, relation, layout, evaluator,
                 not stmt.distinct and stmt.set_op is None, needed,
             )
 
@@ -232,15 +237,15 @@ class ReferenceExecutor(Executor):
 
         return out_columns, out_rows
 
-    def _kernel(self, expr: ast.Expr, layout: _Names):
+    def _kernel(self, expr: ast.Expr, layout: Scope):
         if not self.db.planner_options["enable_compiled_predicates"]:
             return None
-        return compile_batch_expr(expr, layout.resolve)
+        return compile_batch_expr(expr, layout.slots)
 
     def _selector(
         self,
         predicate: ast.Expr,
-        layout: _Names,
+        layout: Scope,
         evaluator: Evaluator,
         keep_errors=(),
     ):
@@ -250,7 +255,7 @@ class ReferenceExecutor(Executor):
         def select(relation: _Relation, limit: int | None = None) -> list[int]:
             kept: list[int] = []
             if kernel is None:
-                scope = layout.scope(relation)
+                scope = Scope(layout.slots, relation, layout.outer)
                 for i in range(relation.length):
                     relation.row = i
                     try:
@@ -314,7 +319,7 @@ class ReferenceExecutor(Executor):
                 return list(zip(*cols)), keys
             chosen = self._reference_ordered_indexes(keys, reverse, needed)
             return list(zip(*[list(map(col.__getitem__, chosen)) for col in cols])), None
-        scope = layout.scope(relation)
+        scope = Scope(layout.slots, relation, layout.outer)
         out_rows: list[tuple] = []
         order_keys: list[tuple] = []
         for i in range(n):
@@ -341,7 +346,7 @@ class ReferenceExecutor(Executor):
     ) -> tuple[list[tuple], list[tuple]]:
         stmt = plan.stmt
         n = relation.length
-        scope = layout.scope(relation)
+        scope = Scope(layout.slots, relation, layout.outer)
         groups: dict[Any, list[int]] = {}
         if stmt.group_by:
             key_plans: list[tuple[bool, Any]] = []
@@ -434,7 +439,7 @@ class ReferenceExecutor(Executor):
                 relation.row = members[0]
                 rep_scope = scope
             else:
-                rep_scope = Scope({}, {}, frozenset(), None)
+                rep_scope = Scope(layout.slots, relation.take([None]), layout.outer)
             if stmt.having is not None and not agg_eval.evaluate_predicate(
                 stmt.having, rep_scope
             ):

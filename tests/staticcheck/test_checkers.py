@@ -608,7 +608,7 @@ def test_planner_seam_clean_when_consuming_the_plan():
 
 
 PLANNER_SEAM_RESOLVER_BAD = """\
-    from repro.minidb.planner import NameResolver
+    from repro.minidb.analysis import NameResolver
 
     class Executor:
         def where(self, plan, outer):
@@ -619,11 +619,11 @@ PLANNER_SEAM_RESOLVER_BAD = """\
 PLANNER_SEAM_RESOLVER_GOOD = """\
     class Executor:
         def where(self, plan, outer):
-            return self.layout(plan.resolver, outer)
+            return Scope(plan.binding.slots, None, outer)
 """
 
 
-def test_planner_seam_flags_building_the_resolver_outside_the_planner():
+def test_planner_seam_flags_building_the_resolver_outside_the_binder():
     findings, _ = run_rule(
         "planner-seam", PLANNER_SEAM_RESOLVER_BAD, rel_path=PLANNER_SEAM_PATH
     )
@@ -632,9 +632,39 @@ def test_planner_seam_flags_building_the_resolver_outside_the_planner():
     assert findings[0].context == "Executor.where"
 
 
-def test_planner_seam_clean_when_reading_the_resolver_off_the_plan():
+def test_planner_seam_clean_when_reading_the_binders_slots():
     findings, _ = run_rule(
         "planner-seam", PLANNER_SEAM_RESOLVER_GOOD, rel_path=PLANNER_SEAM_PATH
+    )
+    assert findings == []
+
+
+PLANNER_SEAM_NAME_ERROR = """\
+    from .errors import UnknownColumnError
+
+    class Scope:
+        def lookup(self, ref):
+            if ref.name not in self.values:
+                raise UnknownColumnError(f"column {ref} does not exist")
+            return self.values[ref.name]
+"""
+
+
+def test_planner_seam_flags_a_name_error_raised_outside_the_binder():
+    findings, _ = run_rule(
+        "planner-seam", PLANNER_SEAM_NAME_ERROR, rel_path="src/repro/minidb/expressions.py"
+    )
+    assert len(findings) == 1
+    assert "UnknownColumnError" in findings[0].message
+    assert findings[0].context == "Scope.lookup"
+
+
+def test_planner_seam_lets_the_binder_and_the_catalog_raise_name_errors():
+    for rel_path in ("src/repro/minidb/analysis.py", "src/repro/minidb/catalog.py"):
+        findings, _ = run_rule("planner-seam", PLANNER_SEAM_NAME_ERROR, rel_path=rel_path)
+        assert findings == []
+    findings, _ = run_rule(
+        "planner-seam", PLANNER_SEAM_RESOLVER_BAD, rel_path="src/repro/minidb/analysis.py"
     )
     assert findings == []
 
