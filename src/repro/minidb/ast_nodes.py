@@ -38,6 +38,16 @@ class Literal(Expr):
 
 
 @dataclass(frozen=True)
+class Param(Expr):
+    """Slot ``index`` of the statement's literal vector: what a literal
+    becomes in a template's *shape* (:mod:`repro.minidb.parser`), so a plan
+    and its kernels built once read each execution's value from the vector
+    it supplies."""
+
+    index: int
+
+
+@dataclass(frozen=True)
 class ColumnRef(Expr):
     name: str
     table: str | None = None  # qualifier as written, e.g. "t1" in t1.x
@@ -138,6 +148,7 @@ def _case_children(expr: CaseExpr) -> list[Expr]:
 #: kind needs a row here (``tests/minidb/test_expr_walk.py`` checks them all)
 _CHILDREN = {
     Literal: lambda e: (),
+    Param: lambda e: (),
     ColumnRef: lambda e: (),
     Star: lambda e: (),
     BinaryOp: lambda e: (e.left, e.right),
@@ -182,6 +193,32 @@ def with_column_renamed(node: Any, old: str, new: str) -> Any:
                 for f in fields(node)
             },
         )
+    return node
+
+
+def with_params_bound(node: Any, params: Sequence) -> Any:
+    """Copy of ``node`` with each :class:`Param` replaced by its value in
+    ``params`` — a :class:`Literal`, or the bare count in a LIMIT / OFFSET
+    — so a shape's expressions render as the statement's SQL (EXPLAIN).
+    Subqueries are entered; a subtree with no Param is shared."""
+    if isinstance(node, Param):
+        return Literal(params[node.index])
+    if isinstance(node, (list, tuple)):
+        parts = [with_params_bound(part, params) for part in node]
+        if all(new is old for new, old in zip(parts, node)):
+            return node
+        return type(node)(parts)
+    if hasattr(node, "__dataclass_fields__"):
+        changes = {}
+        for f in fields(node):
+            old = getattr(node, f.name)
+            if isinstance(old, Param) and f.name in ("limit", "offset"):
+                changes[f.name] = params[old.index]
+                continue
+            new = with_params_bound(old, params)
+            if new is not old:
+                changes[f.name] = new
+        return replace(node, **changes) if changes else node
     return node
 
 
@@ -238,8 +275,8 @@ class SelectStatement:
     group_by: list[Expr] = field(default_factory=list)
     having: Expr | None = None
     order_by: list[OrderItem] = field(default_factory=list)
-    limit: int | None = None
-    offset: int | None = None
+    limit: int | None = None  # a Param in a template's shape
+    offset: int | None = None  # likewise
     distinct: bool = False
     set_op: Optional[tuple[str, "SelectStatement"]] = None  # ("UNION"|"UNION ALL"|..., rhs)
 

@@ -10,17 +10,30 @@ every statement is atomic, every explicit transaction can roll back, and
 recovery replays what the statement ran. No ``_exec_*`` method mutates a
 heap or the catalog itself.
 
-Every SELECT block is planned exactly once, by
-:func:`repro.minidb.planner.plan_select`, and this module only *consumes*
-the :class:`~repro.minidb.planner.SelectPlan` it is handed: access paths,
-the index and key to probe, pushed-down filters and join strategies are
-all read off plan nodes (``EXPLAIN`` renders the same
-value; tracer events and ``EXPLAIN ANALYZE`` actuals are keyed on the
-node objects). UPDATE/DELETE resolve their target rows through the same
-scan planner. A block is planned only after the S locks on its base
-tables are granted (:meth:`Executor._plan_select`), under the
-statement's binding; a name error the binder recorded is raised before
-any lock or row (:meth:`Executor.execute`).
+Every SELECT block is planned by :func:`repro.minidb.planner.plan_select`,
+and this module only *consumes* the
+:class:`~repro.minidb.planner.SelectPlan` it is handed: access paths, the
+index to probe, pushed-down filters and join strategies are all read off
+plan nodes (``EXPLAIN`` renders the same value; tracer events and
+``EXPLAIN ANALYZE`` actuals are keyed on the node objects).
+UPDATE/DELETE resolve their target rows through the same scan planner.
+A block is planned only after the S locks on its base tables are granted
+(:meth:`Executor._plan_select`), under the statement's binding; a name
+error the binder recorded is raised before any lock or row
+(:meth:`Executor.execute`).
+
+**Prepared plans.** A statement :func:`~repro.minidb.parser.parse` bound
+from a template runs as the template's *shape* (each literal an
+:class:`~repro.minidb.ast_nodes.Param`) with its literal vector
+(:meth:`Executor._statement`), and a plan built from the shape whose
+every choice held for any literal (``SelectPlan.generic``) is kept on the
+template with its kernels (:class:`_PreparedPlan`): later executions take
+their S locks in FROM order, check the key — catalog version, each
+scanned table's statistics object and heap uid, the planner options —
+and run it, reading the probe key, range bounds and every literal from
+their own vector. Nothing of an execution is stored on a plan.
+Privileges and the verifier are never cached: they run before the
+executor, on every call.
 
 One pipeline runs every planned block — single table, join, view,
 derived table or system view alike — as an operator sequence over one
@@ -85,7 +98,8 @@ from functools import reduce
 from itertools import compress, islice
 from operator import add, ne
 from time import perf_counter
-from typing import TYPE_CHECKING, Any, Callable, Iterator
+from types import MappingProxyType
+from typing import TYPE_CHECKING, Any, Callable, Iterator, Mapping, NamedTuple
 
 from ..obs.views import system_view_rows
 from . import ast_nodes as ast
@@ -106,6 +120,7 @@ from .errors import (
 from .expressions import (
     FOLD_CLASS,
     GROUP_CLASS,
+    NOTHING_COMPILED,
     SORT_NUMBER_CLASS,
     TEXT_CLASS,
     TRUTH_CLASS,
@@ -114,7 +129,15 @@ from .expressions import (
     compile_batch_expr,
 )
 from .functions import AGGREGATE_NAMES, make_aggregate
-from .planner import JoinPlan, ScanPlan, SelectPlan, plan_select, plan_table_scan
+from .parser import count_plan, prepared
+from .planner import (
+    JoinPlan,
+    ScanPlan,
+    SelectPlan,
+    count_of,
+    plan_select,
+    plan_table_scan,
+)
 from .engines.serial import dump_column, dump_table_schema
 from .result import ResultSet
 from .sqlgen import expr_to_sql, select_to_sql
@@ -196,6 +219,8 @@ class _Relation:
 
 
 _OPAQUE = frozenset({ast.Star, ast.ExistsExpr, ast.ScalarSubquery})
+#: a node no prepared plan compiled anything for (``Scope.compiled`` miss)
+_UNCOMPILED = object()
 
 
 def _opaque(expr: ast.Expr) -> bool:
@@ -429,6 +454,83 @@ _FOLDS: "dict[str, Callable[[list], Any]]" = {
 }
 
 
+class _PreparedPlan(NamedTuple):
+    """A template's prepared plan (a SELECT's :class:`SelectPlan`, or an
+    UPDATE/DELETE target's :class:`ScanPlan`) with its key and what was
+    compiled for it.
+    Immutable once kept, and shared by every session and thread that runs
+    the template; nothing of one execution is stored here."""
+
+    version: int  #: ``Catalog.version`` it was planned under
+    options: dict  #: ``planner_options`` it was planned and compiled under
+    #: (table key, its TableStatistics object or None, its heap's uid) per
+    #: base-table scan: statistics by identity, so the object a rolled-back
+    #: ANALYZE restores is recognised
+    tables: tuple
+    locks: tuple  #: tables S-locked in FROM order, on every execution
+    plan: "SelectPlan | ScanPlan"
+    #: by node identity: each expression's kernel (None: interpreted) and
+    #: each block's (columns its scans read, output ignores row order)
+    compiled: Mapping
+
+
+class _PlanText(NamedTuple):
+    """A plan with the literal vector it ran with: what the slow-statement
+    log renders (``lines()``, as the tracer expects)."""
+
+    plan: SelectPlan
+    params: tuple
+
+    def lines(self) -> list[str]:
+        return self.plan.lines(params=self.params)
+
+
+def _blocks(plan: SelectPlan) -> Iterator[SelectPlan]:
+    """``plan`` and every child block and set-operation arm in it."""
+    yield plan
+    for scan in plan.scans:
+        if scan.child is not None:
+            yield from _blocks(scan.child)
+    if plan.set_op is not None:
+        yield from _blocks(plan.set_op)
+
+
+def _block_reads(plan: SelectPlan) -> "tuple[set[str] | None, bool]":
+    """The columns ``plan``'s scans read and whether its output ignores
+    row order: ``_run_plan``'s two reads of the statement."""
+    stmt = plan.stmt
+    return (
+        _referenced_names(_statement_exprs(stmt)),
+        _order_insensitive_output(stmt, plan.aggregates),
+    )
+
+
+def _block_expressions(plan: SelectPlan) -> Iterator[ast.Expr]:
+    """Every expression position the executor compiles for one block:
+    scan predicates, join predicates, WHERE, select items, hidden ORDER BY
+    keys, group keys and aggregate arguments."""
+    stmt = plan.stmt
+    ordered = bool(plan.scans) and plan.scans[0].kind == "ordered"
+    for scan in plan.scans:
+        yield stmt.where if ordered else scan.filter
+    for join in plan.joins:
+        yield join.residual if join.strategy == "hash" else join.condition
+    yield stmt.where
+    yield from (item.expr for item in plan.items)
+    try:
+        _, hidden = _order_targets(
+            [] if ordered else stmt.order_by, len(plan.items),
+            stmt.set_op is not None, plan.binding.order,
+        )
+    except ExecutionError:
+        hidden = []  # the execution raises it
+    yield from hidden
+    yield from stmt.group_by
+    for agg in plan.aggregates:
+        if agg.args and not isinstance(agg.args[0], ast.Star):
+            yield agg.args[0]
+
+
 # --------------------------------------------------------------------------
 # executor
 # --------------------------------------------------------------------------
@@ -471,12 +573,24 @@ class Executor:
     def _exec_SelectStatement(
         self, stmt: ast.SelectStatement, session: "Session", binding: Binding
     ) -> ResultSet:
-        plan = self._plan_select(stmt, stmt, session, binding)
+        shape, params, template = self._statement(stmt)
+        plan, compiled = self._plan_select(stmt, shape, session, binding, params, template)
         trace = self.db.tracer.current()
         if trace is not None:
-            trace.plan = plan  # what the slow-statement log renders
-        columns, rows = self._run_plan(plan, session, outer=None)
+            trace.plan = _PlanText(plan, params)  # what the slow-statement log renders
+        columns, rows = self._run_plan(plan, session, None, params, compiled)
         return ResultSet(columns=columns, rows=rows, rowcount=len(rows), status="SELECT")
+
+    @staticmethod
+    def _statement(stmt: ast.Statement) -> "tuple[Any, tuple, Any]":
+        """What runs for ``stmt``: its template's shape, its literal vector
+        and the template — or, for a statement no template holds, itself,
+        no vector and ``None`` (planned afresh every time)."""
+        found = prepared(stmt)
+        if found is None:
+            return stmt, (), None
+        template, params = found
+        return template.shape, params, template
 
     def _plan_select(
         self,
@@ -484,44 +598,149 @@ class Executor:
         select: ast.SelectStatement,
         session: "Session",
         binding: Binding,
-    ) -> SelectPlan:
-        """Plan ``stmt``'s ``select`` for execution. Reads take a shared
-        lock per base table, held to transaction end (no-op without a lock
-        manager), and each schema is resolved only after its lock is
-        granted (see :meth:`_locked_table`), so nothing is planned against
-        a table a concurrent DROP + CREATE replaced while this statement
-        waited: when the catalog moved meanwhile, ``stmt`` is bound and
-        planned again, under the locks it now holds."""
+        params: tuple = (),
+        template: Any = None,
+    ) -> "tuple[SelectPlan, Mapping]":
+        """``stmt``'s ``select`` (of its shape, when ``template`` holds it)
+        planned for execution, with what was compiled for it. Reads
+        take a shared lock per base table, held to transaction end (no-op
+        without a lock manager), in FROM order; a schema is resolved only
+        after its lock is granted (see :meth:`_locked_table`), and the
+        template's prepared plan is trusted only if its key still holds
+        once every lock is granted (:meth:`_reuse`). So nothing runs
+        against a table a concurrent DROP + CREATE replaced while this
+        statement waited: when the catalog moved meanwhile, ``stmt`` is
+        bound and planned again, under the locks it now holds. A plan
+        whose every choice held for any literal is kept for the template
+        (:meth:`_keep`); any other is this execution's own."""
         while True:
-            plan = self._plan(select, session, binding)
+            entry = None if template is None else self._reuse(template, session)
+            if entry is not None:
+                plan = entry.plan
+            else:
+                options = dict(self.db.planner_options)
+                locks: list[str] = []
+                plan = self._plan(select, session, binding, params, locks)
             current = self._current(stmt, binding)
             if current is binding:
-                return plan
+                break
             binding = current
+        if entry is not None:
+            count_plan("hits")
+            return plan, entry.compiled
+        return plan, self._keep(
+            template, plan, binding, options, locks,
+            (expr for block in _blocks(plan) for expr in _block_expressions(block)),
+            ((id(block), _block_reads(block)) for block in _blocks(plan)),
+        )  # fmt: skip
+
+    def _reuse(self, template: Any, session: "Session") -> "_PreparedPlan | None":
+        """``template``'s prepared plan if it is current: same catalog
+        version and planner options, then — after the S locks on its
+        tables are taken in FROM order — still the same version, and the
+        same statistics object and heap for every table it scans."""
+        entry = template.plan
+        db = self.db
+        if (
+            entry is None
+            or entry.version != db.catalog.version
+            or entry.options != db.planner_options
+        ):
+            return None
+        for name in entry.locks:
+            session.lock_table(name, "S")
+        if entry.version != db.catalog.version:
+            return None  # a schema change landed while a lock was waited for
+        statistics = db.catalog.statistics
+        for key, stats, uid in entry.tables:
+            if statistics.get(key) is not stats or db.heap(key).uid != uid:
+                return None
+        return entry
+
+    def _keep(
+        self,
+        template: Any,
+        plan: "SelectPlan | ScanPlan",
+        binding: Binding,
+        options: dict,
+        locks: list,
+        exprs,
+        reads,
+    ) -> Mapping:
+        """What was compiled for ``plan``, built under ``binding``'s
+        catalog version and ``options``. A generic plan is kept as
+        ``template``'s prepared plan (a miss), with the kernels of ``exprs``
+        compiled once (when compiled predicates are on) beside ``reads``,
+        the ``(node id, value)`` pairs its nodes' executions read off the
+        statement. A custom plan, or one no template holds, keeps and
+        compiles nothing: its execution compiles as it runs."""
+        if template is None:
+            return NOTHING_COMPILED
+        if not plan.generic:
+            count_plan("custom")
+            return NOTHING_COMPILED
+        count_plan("misses")
+        compiled: dict[int, Any] = dict(reads)
+        if options["enable_compiled_predicates"]:
+            for expr in exprs:
+                if expr is not None:
+                    compiled[id(expr)] = compile_batch_expr(expr, binding.slots)
+        scans = (
+            [plan] if isinstance(plan, ScanPlan)
+            else [s for block in _blocks(plan) for s in block.scans if s.heap is not None]
+        )
+        tables = tuple((scan.name.lower(), scan.stats, scan.heap.uid) for scan in scans)
+        entry = _PreparedPlan(
+            binding.version, options, tables, tuple(locks), plan, MappingProxyType(compiled)
+        )
+        template.plan = entry
+        return entry.compiled
+
+    def _plan(
+        self,
+        select: ast.SelectStatement,
+        session: "Session",
+        binding: Binding,
+        params: tuple,
+        locks: "list[str] | None" = None,
+    ) -> SelectPlan:
+        """The one place a SELECT block is planned to run — a statement's
+        (then kept, or its custom plan) and a subquery's when it runs —
+        each base table resolved after its S lock is granted, in FROM
+        order; ``locks`` collects the locked tables' names."""
+
+        def resolve(name: str) -> TableSchema:
+            schema = self._locked_table(session, name, "S")
+            if locks is not None:
+                locks.append(schema.name)
+            return schema
+
+        return plan_select(select, self.db, resolve, binding, params)
 
     def _run_select(
         self,
         stmt: ast.SelectStatement,
         session: "Session",
-        outer: Scope | None,
+        outer: Scope,
         binding: Binding,
     ) -> tuple[list[str], list[tuple]]:
-        """Run a subquery block of a statement bound by ``binding``."""
-        return self._run_plan(self._plan(stmt, session, binding), session, outer)
-
-    def _plan(
-        self, select: ast.SelectStatement, session: "Session", binding: Binding
-    ) -> SelectPlan:
-        return plan_select(
-            select, self.db, lambda name: self._locked_table(session, name, "S"), binding
-        )
+        """Run a subquery block of a statement bound by ``binding``,
+        planned when it runs, under the statement's literal vector."""
+        plan = self._plan(stmt, session, binding, outer.params)
+        return self._run_plan(plan, session, outer, outer.params)
 
     def _run_plan(
-        self, plan: SelectPlan, session: "Session", outer: Scope | None
+        self,
+        plan: SelectPlan,
+        session: "Session",
+        outer: Scope | None,
+        params: tuple = (),
+        compiled: Mapping = NOTHING_COMPILED,
     ) -> tuple[list[str], list[tuple]]:
         """Run one planned block: scan -> join -> filter -> group/project
         over one :class:`_Relation`, then the tail (DISTINCT, set
-        operation, ORDER BY / top-N, OFFSET/LIMIT)."""
+        operation, ORDER BY / top-N, OFFSET/LIMIT), reading the literal
+        vector ``params`` and what was ``compiled`` for the plan."""
 
         def run_subquery(sub: ast.SelectStatement, scope: Scope) -> list[tuple]:
             _, sub_rows = self._run_select(sub, session, scope, plan.binding)
@@ -533,12 +752,13 @@ class Executor:
         # an ordered scan hands over rows in ORDER BY order with WHERE
         # applied, cut at OFFSET+LIMIT: no filter and no sort after it
         ordered = bool(scans) and scans[0].kind == "ordered"
-        needed = stmt.limit + (stmt.offset or 0) if stmt.limit is not None else None
-        refs = _referenced_names(_statement_exprs(stmt))
-        unordered = _order_insensitive_output(stmt, plan.aggregates)
+        limit = count_of(stmt.limit, params)
+        offset = count_of(stmt.offset, params) or 0
+        needed = limit + offset if limit is not None else None
+        refs, unordered = compiled.get(id(plan)) or _block_reads(plan)
         trace = self.db.tracer.current()
 
-        names = Scope(plan.binding.slots, None, outer)
+        names = Scope(plan.binding.slots, None, outer, params, compiled)
         relation = _Relation({}, {}, 1)  # no FROM clause: one empty row
         for position, scan in enumerate(scans):
             started = perf_counter() if trace is not None else 0.0
@@ -595,7 +815,9 @@ class Executor:
 
         if set_op:
             kind = stmt.set_op[0]
-            rhs_columns, rhs_rows = self._run_plan(plan.set_op, session, outer)
+            rhs_columns, rhs_rows = self._run_plan(
+                plan.set_op, session, outer, params, compiled
+            )
             if len(rhs_columns) != len(out_columns):
                 raise ExecutionError(
                     f"{kind} operands must have the same number of columns"
@@ -610,11 +832,10 @@ class Executor:
             columns = _gather(columns, self._ordered_indexes(keys, reverse, needed))
         out_rows = list(zip(*columns[: len(items)]))
 
-        offset = stmt.offset or 0
         if offset:
             out_rows = out_rows[offset:]
-        if stmt.limit is not None:
-            out_rows = out_rows[: stmt.limit]
+        if limit is not None:
+            out_rows = out_rows[:limit]
 
         return out_columns, out_rows
 
@@ -660,7 +881,7 @@ class Executor:
         rids: list[int] = []
         length = examined = 0
         # planned (and counted) even when LIMIT 0 leaves nothing to fetch
-        batches = self._batches(scan, session, names.outer, columns, unordered, limit)
+        batches = self._batches(scan, session, names, columns, unordered, limit)
         for batch in () if limit == 0 else batches:
             chunk = _Relation({binding: batch.columns}, {binding: None}, batch.length)
             keep = select(chunk, None if limit is None else limit - length)
@@ -681,7 +902,7 @@ class Executor:
         return _Relation({binding: store}, {binding: None}, length), rids, examined
 
     def _batches(
-        self, scan: ScanPlan, session, outer, columns, unordered, first
+        self, scan: ScanPlan, session, names: Scope, columns, unordered, first
     ) -> "Iterator[RowBatch]":
         """The column batches of one planned source: a child block's
         result or a system view's rows transposed into one batch; heap
@@ -689,12 +910,16 @@ class Executor:
         Value lists are fresh — slices or gathers of the heap's columns,
         never those lists themselves — so the scan may keep them and
         in-statement mutations of the heap do not reach it. A derived
-        table runs inside the statement's ``outer`` scope, a view on its
-        own: it never reads its caller's columns."""
+        table runs inside the statement's outer scope (``names.outer``),
+        on its literal vector; a view on its own, with its body's
+        literals: it never reads its caller's columns."""
         if scan.child is not None:
             if scan.kind == "view":
-                outer = None
-            _, rows = self._run_plan(scan.child, session, outer)
+                _, rows = self._run_plan(scan.child, session, None, (), names.compiled)
+            else:
+                _, rows = self._run_plan(
+                    scan.child, session, names.outer, names.params, names.compiled
+                )
             wanted = set(columns)
             store = {
                 name: [row[i] for row in rows]
@@ -708,7 +933,7 @@ class Executor:
             return iter([RowBatch(None, store, len(rows))])
         heap = scan.heap
         size = self.db.planner_options["batch_size"]
-        rids = self._path_rids(scan, unordered)
+        rids = self._path_rids(scan, names.params, unordered)
         if rids is None:
             return heap.rows_batch(size, columns)
 
@@ -723,26 +948,28 @@ class Executor:
 
         return fetch()
 
-    def _path_rids(self, scan: ScanPlan, unordered: bool = False):
+    def _path_rids(self, scan: ScanPlan, params: tuple, unordered: bool = False):
         """Candidate rids of a planned base-table scan, in the order to
         fetch them (``None``: the whole heap in rid order), counting the
-        access path in ``planner_stats``. Probed rids come back in rid
-        order so the source feeds the pipeline exactly like a seq scan
-        would — except when the statement's output provably ignores row
-        order (``unordered``: pure COUNT aggregation), where the sort is
-        skipped — and an ``ordered`` path yields them in index order.
+        access path in ``planner_stats``; the probe key, bounds and union
+        members are the literal vector ``params``'s. Probed rids come back
+        in rid order so the source feeds the pipeline exactly like a seq
+        scan would — except when the statement's output provably ignores
+        row order (``unordered``: pure COUNT aggregation), where the sort
+        is skipped — and an ``ordered`` path yields them in index order.
         Every path is a pure reduction: callers re-apply the full WHERE."""
-        path, index = scan.path, scan.index
-        self.db.bump_planner_stat(f"{path.kind}_scans")
-        if path.kind == "seq":
+        index = scan.index
+        self.db.bump_planner_stat(f"{scan.path.kind}_scans")
+        if scan.path.kind == "seq":
             return None
+        path, key = scan.access(params)
         rng = path.range
         bounds = () if rng is None else (rng.low, rng.high, rng.incl_low, rng.incl_high)
         if path.kind == "ordered":
             start, end = index.slice_bounds(path.prefix_values, *bounds)
             return index.ordered_rids(path.reverse, start, end, path.prefix_values)
         if path.kind == "index":
-            rids = index.probe(scan.key)
+            rids = index.probe(key)
         elif path.kind == "range":
             rids = index.range_rids(path.prefix_values, *bounds)
         else:
@@ -785,14 +1012,23 @@ class Executor:
         Only value errors are deferred. A :class:`TransactionError` — a
         subquery's lock timeout or deadlock — fails the statement at its
         row: the transaction is already aborted, and every later row
-        would wait for the same lock again."""
-        if self.db.planner_options["enable_compiled_predicates"]:
-            kernel = compile_batch_expr(expr, names.slots)
-            if kernel is not None:
-                return kernel
+        would wait for the same lock again.
+
+        What a prepared plan compiled in advance (``names.compiled``, under
+        the options its key holds) is used as it is: its kernel, or the
+        interpreter where it found none. Either kind reads the statement's
+        literals from ``names.params``."""
+        kernel = names.compiled.get(id(expr), _UNCOMPILED)
+        if kernel is _UNCOMPILED:
+            kernel = None
+            if self.db.planner_options["enable_compiled_predicates"]:
+                kernel = compile_batch_expr(expr, names.slots)
+        if kernel is not None:
+            params = names.params
+            return lambda relation: kernel(relation, params)
 
         def interpret(relation: _Relation) -> list:
-            scope = Scope(names.slots, relation, names.outer)
+            scope = names.at(relation)
             values: list = []
             for i in range(relation.length):
                 relation.row = i
@@ -1015,10 +1251,10 @@ class Executor:
                 else:
                     agg_plans.append(("column", values))
 
-        scope = Scope(names.slots, relation, names.outer)
+        scope = names.at(relation)
         # a group of no rows (no GROUP BY, nothing matched) reads its
         # columns on a NULL row
-        empty = Scope(names.slots, relation.take([None]), names.outer)
+        empty = names.at(relation.take([None]))
         out_rows: list[tuple] = []
         for members in groups.values():
             computed: dict[int, Any] = {}
@@ -1084,16 +1320,19 @@ class Executor:
                 stmt.select, self.db, self.db.catalog.table, binding
             ).lines()
         else:
-            plan = self._plan_select(stmt, stmt.select, session, binding)
+            shape, params, template = self._statement(stmt)
+            plan, compiled = self._plan_select(
+                stmt, shape.select, session, binding, params, template
+            )
             tracer = self.db.tracer
             probe = tracer.probe()
             started = perf_counter()
             try:
-                _, result_rows = self._run_plan(plan, session, None)
+                _, result_rows = self._run_plan(plan, session, None, params, compiled)
             finally:
                 total_s = perf_counter() - started
                 tracer.release(probe)
-            lines = plan.lines(probe.actuals)
+            lines = plan.lines(probe.actuals, params=params)
             lines.append(f"Result rows: {len(result_rows)}")
             lines.append(f"Execution time: {total_s * 1000.0:.3f} ms")
         return ResultSet(
@@ -1168,9 +1407,12 @@ class Executor:
             schema.column(name)  # raises UnknownColumnError
 
         if stmt.select is not None:
-            plan = self._plan_select(stmt, stmt.select, session, binding)
+            shape, params, template = self._statement(stmt)
+            plan, compiled = self._plan_select(
+                stmt, shape.select, session, binding, params, template
+            )
             binding = plan.binding
-            _, value_rows = self._run_plan(plan, session, None)
+            _, value_rows = self._run_plan(plan, session, None, params, compiled)
         evaluator = self._evaluator(session, binding)
         if stmt.select is None:
             values_scope = Scope(binding.slots)
@@ -1331,10 +1573,10 @@ class Executor:
         for other in self.db.catalog.referencing_tables(schema.name):
             session.lock_table(other, "S")  # FK back-reference checks read these
         binding = self._current(stmt, binding)
-        heap = self.db.heap(schema.name)
         evaluator = self._evaluator(session, binding)
+        shape, params, template = self._statement(stmt)
         assignments = []
-        for name, expr in stmt.assignments:
+        for name, expr in shape.assignments:
             column = schema.column(name)
             assignments.append((column, expr))
 
@@ -1347,7 +1589,7 @@ class Executor:
         }
 
         targets, relation, scope = self._dml_targets(
-            schema, stmt.table, heap, stmt.where, evaluator, binding.slots,
+            schema, stmt, shape.where, evaluator, binding, params, template,
             [expr for _, expr in assignments],
         )
         referencing = (
@@ -1390,11 +1632,11 @@ class Executor:
         for other in self.db.catalog.referencing_tables(schema.name):
             session.lock_table(other, "S")  # FK back-reference checks read these
         binding = self._current(stmt, binding)
-        heap = self.db.heap(schema.name)
         evaluator = self._evaluator(session, binding)
+        shape, params, template = self._statement(stmt)
 
         targets, _, _ = self._dml_targets(
-            schema, stmt.table, heap, stmt.where, evaluator, binding.slots
+            schema, stmt, shape.where, evaluator, binding, params, template
         )
 
         table_key = schema.name.lower()
@@ -1412,11 +1654,12 @@ class Executor:
     def _dml_targets(
         self,
         schema: TableSchema,
-        binding: str,
-        heap: HeapTable,
+        stmt: "ast.UpdateStatement | ast.DeleteStatement",
         where: ast.Expr | None,
         evaluator: Evaluator,
-        slots,
+        binding: Binding,
+        params: tuple,
+        template: Any,
         reads: list = (),
     ) -> "tuple[list[tuple[int, Row]], _Relation, Scope]":
         """Resolve UPDATE/DELETE target rows through access-path planning.
@@ -1427,19 +1670,50 @@ class Executor:
         always get the *full* WHERE re-applied (compiled when possible),
         and targets come back in rid order, the order the heap scan
         produced — so undo logs, WAL records, and constraint-error
-        attribution are byte-identical to the seq-scan plan.
+        attribution are byte-identical to the seq-scan plan. The target
+        scan and its WHERE kernel are ``template``'s prepared plan when
+        one is current (the statement already holds its X lock), read
+        with the literal vector ``params``.
 
         Also returns the target scan's relation, holding the columns
         ``where`` and ``reads`` name, and the scope the statement's names
         read it through: target *i* is read with ``relation.row = i``.
         """
-        scan = plan_table_scan(self.db, schema, binding, where, slots)
-        relation, rids, _ = self._scan(
-            scan, None, Scope(slots), evaluator, _referenced_names([where, *reads]),
-            where,
+        scan, compiled = self._target_scan(
+            schema, stmt, where, binding, params, template, reads
         )
+        names = Scope(binding.slots, None, None, params, compiled)
+        refs = compiled.get(id(scan), _UNCOMPILED)
+        if refs is _UNCOMPILED:
+            refs = _referenced_names([where, *reads])
+        relation, rids, _ = self._scan(scan, None, names, evaluator, refs, where)
+        heap = scan.heap
         targets = [(rid, heap.get(rid)) for rid in rids]
-        return targets, relation, Scope(slots, relation)
+        return targets, relation, names.at(relation)
+
+    def _target_scan(
+        self,
+        schema: TableSchema,
+        stmt: "ast.UpdateStatement | ast.DeleteStatement",
+        where: ast.Expr | None,
+        binding: Binding,
+        params: tuple,
+        template: Any,
+        reads: list,
+    ) -> "tuple[ScanPlan, Mapping]":
+        """The UPDATE/DELETE target scan and what was compiled for it (its
+        WHERE kernel, the columns it reads for WHERE and ``reads``):
+        ``template``'s prepared plan when it is current (the statement
+        holds its X lock already), else planned here — and kept when
+        generic."""
+        entry = None if template is None else self._reuse(template, None)
+        if entry is not None:
+            count_plan("hits")
+            return entry.plan, entry.compiled
+        options = dict(self.db.planner_options)
+        scan = plan_table_scan(self.db, schema, stmt.table, where, binding.slots, None, params)
+        refs = [(id(scan), _referenced_names([where, *reads]))]
+        return scan, self._keep(template, scan, binding, options, [], [where], refs)
 
     # ----------------------------------------------------------------- DDL
 

@@ -49,6 +49,7 @@ from __future__ import annotations
 import operator
 import re
 from itertools import repeat
+from types import MappingProxyType
 from typing import Any, Callable, Mapping
 
 from . import ast_nodes as ast
@@ -66,25 +67,41 @@ from .types import ColumnType, coerce
 SubqueryRunner = Callable[[ast.SelectStatement, "Scope"], list[tuple]]
 
 
+#: a plan nothing was compiled for in advance
+NOTHING_COMPILED: Mapping[int, Any] = MappingProxyType({})
+
+
 class Scope:
     """Where the interpreter reads a column reference: the statement's
     slots (:class:`repro.minidb.analysis.Binding`), the relation whose
     cursor row (``relation.row``) this block's names read, and the scope
     of the block it is nested in. A slot ``(depth, binding, column)``
     reads ``column`` of ``binding`` in the relation ``depth`` scopes out;
-    names were resolved once, by the binder, before any row."""
+    names were resolved once, by the binder, before any row. ``params``
+    is the statement's literal vector, which each :class:`ast.Param`
+    reads; ``compiled`` what the executor derived from its plan in advance,
+    by node identity (an expression's batch kernel, or ``None`` for one the
+    interpreter runs), read before it compiles anything itself."""
 
-    __slots__ = ("slots", "relation", "outer")
+    __slots__ = ("slots", "relation", "outer", "params", "compiled")
 
     def __init__(
         self,
         slots: Mapping[int, tuple[int, str, str]],
         relation: Any = None,
         outer: "Scope | None" = None,
+        params: "tuple | list" = (),
+        compiled: "Mapping[int, Any]" = NOTHING_COMPILED,
     ):
         self.slots = slots
         self.relation = relation
         self.outer = outer
+        self.params = params
+        self.compiled = compiled
+
+    def at(self, relation: Any) -> "Scope":
+        """This block's names read at ``relation``'s cursor row."""
+        return Scope(self.slots, relation, self.outer, self.params, self.compiled)
 
     def lookup(self, ref: ast.ColumnRef) -> Any:
         slot = self.slots.get(id(ref))
@@ -121,6 +138,9 @@ class Evaluator:
 
     def _eval_Literal(self, expr: ast.Literal, scope: Scope) -> Any:
         return expr.value
+
+    def _eval_Param(self, expr: ast.Param, scope: Scope) -> Any:
+        return scope.params[expr.index]
 
     def _eval_ColumnRef(self, expr: ast.ColumnRef, scope: Scope) -> Any:
         return scope.lookup(expr)
@@ -381,14 +401,15 @@ def _to_text(value: Any) -> str:
 # --------------------------------------------------------------------------
 
 #: a compiled batch evaluator: maps a batch (anything with ``length`` and
-#: ``column(binding, name)`` — the executor's relation) to a list of
-#: ``length`` per-row values, each a plain value or a deferred
+#: ``column(binding, name)`` — the executor's relation) and the
+#: statement's literal vector (which each :class:`ast.Param` reads) to a
+#: list of ``length`` per-row values, each a plain value or a deferred
 #: :class:`BatchError`
-BatchFn = Callable[[Any], list]
+BatchFn = Callable[[Any, Any], list]
 
-#: resolves one column reference to a batch accessor (``fn(batch) ->
-#: column list``) at compile time; raises :class:`CannotCompile` when the
-#: name belongs to an outer scope
+#: resolves one column reference to a batch accessor (``fn(batch, params)
+#: -> column list``) at compile time; raises :class:`CannotCompile` when
+#: the name belongs to an outer scope
 BatchColumnResolver = Callable[[ast.ColumnRef], BatchFn]
 
 
@@ -397,8 +418,12 @@ class CannotCompile(Exception):
     scope). Internal control flow of :func:`compile_batch_expr`."""
 
 
-# compiled node: (is_const, constant_value, batch_fn) — exactly one of
-# the last two is meaningful
+# compiled node: (kind, value, batch_fn) — a constant ``(True, value,
+# None)``, a vector ``(False, None, fn)``, or one value per execution
+# ``(None, getter, None)``: ``getter(params)`` computes it from the literal
+# vector (a Param, or an operator over Params and constants), raising its
+# MiniDBError. A per-execution value is folded like a constant, once per
+# call instead of once per compile, and takes the same typed paths.
 
 
 def _const(value: Any):
@@ -407,6 +432,26 @@ def _const(value: Any):
 
 def _thunk(fn: BatchFn):
     return (False, None, fn)
+
+
+def _per_execution(getter: Callable[[Any], Any]):
+    return (None, getter, None)
+
+
+def _scalar_getter(node) -> Callable[[Any], Any]:
+    """``getter(params)`` of a constant or per-execution node."""
+    if node[0]:
+        value = node[1]
+        return lambda params: value
+    return node[1]
+
+
+def _scalar_value(getter: Callable[[Any], Any], params) -> Any:
+    """A per-execution value, its error deferred as a :class:`BatchError`."""
+    try:
+        return getter(params)
+    except MiniDBError as exc:
+        return BatchError(exc)
 
 
 # -- per-element computes: each eagerly-evaluated operator is one pure
@@ -554,17 +599,25 @@ _UNMATCHED = object()
 
 def _as_batch_fn(node):
     """Node -> per-batch iterable producer (constants broadcast lazily)."""
-    is_const, value, fn = node
-    if is_const:
-        return lambda batch, value=value: repeat(value, batch.length)
+    kind, value, fn = node
+    if kind:
+        return lambda batch, params, value=value: repeat(value, batch.length)
+    if kind is None:
+        return lambda batch, params, getter=value: repeat(
+            _scalar_value(getter, params), batch.length
+        )
     return fn
 
 
 def _as_batch_list_fn(node) -> BatchFn:
     """Node -> per-batch *list* producer (for kernels that index)."""
-    is_const, value, fn = node
-    if is_const:
-        return lambda batch, value=value: [value] * batch.length
+    kind, value, fn = node
+    if kind:
+        return lambda batch, params, value=value: [value] * batch.length
+    if kind is None:
+        return lambda batch, params, getter=value: [
+            _scalar_value(getter, params)
+        ] * batch.length
     return fn
 
 
@@ -573,7 +626,7 @@ def _deferred_const(exc: Exception):
     function, a bad cast): it raises only for an element that is
     actually consumed, so "no rows evaluated, no error" holds."""
     err = BatchError(exc)
-    return _thunk(lambda batch: [err] * batch.length)
+    return _thunk(lambda batch, params: [err] * batch.length)
 
 
 def _apply(compute: Callable[..., Any], *cols) -> list:
@@ -632,7 +685,8 @@ def _fold_batch(operands: list, compute: Callable[..., Any]):
     :class:`BatchError` sentinel rather than raised, so a folded ``1/0``
     behind a short-circuiting AND still errors exactly when the
     interpreter would have evaluated it. Only :class:`MiniDBError` is
-    deferred.
+    deferred. Operands that are each a constant or a per-execution value
+    fold into a per-execution value: ``compute`` once per call.
     """
     if all(node[0] for node in operands):
         values = [node[1] for node in operands]
@@ -640,10 +694,15 @@ def _fold_batch(operands: list, compute: Callable[..., Any]):
             return _const(compute(*values))
         except MiniDBError as exc:
             return _deferred_const(exc)
+    if all(node[0] is not False for node in operands):
+        getters = [_scalar_getter(node) for node in operands]
+        return _per_execution(
+            lambda params: compute(*[getter(params) for getter in getters])
+        )
     fns = [_as_batch_fn(node) for node in operands]
 
-    def fn(batch, fns=fns, compute=compute):
-        return _apply(compute, *[f(batch) for f in fns])
+    def fn(batch, params, fns=fns, compute=compute):
+        return _apply(compute, *[f(batch, params) for f in fns])
 
     return _thunk(fn)
 
@@ -708,13 +767,16 @@ def compile_batch_expr(
     """Compile an expression to a batch evaluator, or ``None`` — the
     only compile entry point.
 
-    The returned ``fn(batch)`` yields one value per row; elements whose
+    The returned ``fn(batch, params)`` yields one value per row; elements whose
     evaluation errored are :class:`BatchError` sentinels the caller must
     raise when (and only when) the element's value is consumed. A
     predicate consumer applies the NULL-counts-as-false rule by keeping
     only elements that are ``True`` and raises the first sentinel it
     reaches in row order. A column reference reads its ``slots`` entry's
-    column of the batch directly. Returns ``None`` when any part of the
+    column of the batch directly, and a :class:`ast.Param` slot
+    ``index`` of the literal vector ``params`` (per call: a kernel is
+    compiled once and run with every execution's vector). Returns ``None``
+    when any part of the
     expression needs the interpreter (subqueries, aggregates, correlated
     names): callers keep the AST and evaluate it per row through
     :class:`Evaluator`.
@@ -724,7 +786,7 @@ def compile_batch_expr(
         depth, binding, column = slots[id(ref)]
         if depth:
             raise CannotCompile  # an outer block's row: read per row
-        return lambda batch: batch.column(binding, column)
+        return lambda batch, params: batch.column(binding, column)
 
     try:
         node = _compile_batch(expr, resolve)
@@ -736,6 +798,8 @@ def compile_batch_expr(
 def _compile_batch(expr: ast.Expr, resolve: BatchColumnResolver):
     if isinstance(expr, ast.Literal):
         return _const(expr.value)
+    if isinstance(expr, ast.Param):
+        return _per_execution(operator.itemgetter(expr.index))
     if isinstance(expr, ast.ColumnRef):
         return _thunk(resolve(expr))
     if isinstance(expr, ast.Star):
@@ -802,24 +866,26 @@ def _compile_batch_binary(expr: ast.BinaryOp, resolve: BatchColumnResolver):
 
 
 def _compile_batch_compare(op: str, left, right):
-    """A comparison. With exactly one operand a non-NULL constant ``c``,
-    a batch whose other vector lies in ``c``'s class is
-    ``map(operator.<op>, ...)`` — operands kept in their order."""
+    """A comparison. With exactly one operand a non-NULL constant ``c`` (or
+    a per-execution value, read once per call), a batch whose other vector
+    lies in ``c``'s class is ``map(operator.<op>, ...)`` — operands kept
+    in their order."""
     compute = _binary_compute(op)
-    if left[0] == right[0]:  # two constants fold, two vectors have none
+    if (left[0] is False) == (right[0] is False):
+        # two values fold, two vectors have no constant
         return _fold_batch([left, right], compute)
-    constant_left = left[0]
-    value, column = (left[1], right[2]) if constant_left else (right[1], left[2])
-    typed = _constant_class(value)
-    if typed is None:
-        return _fold_batch([left, right], compute)
+    constant_left = left[0] is not False
+    scalar, column = (left, right[2]) if constant_left else (right, left[2])
+    getter = _scalar_getter(scalar)
     python_op = _COMPARE_OPERATORS[op]
 
-    def fn(batch):
-        col = column(batch)
+    def fn(batch, params):
+        col = column(batch, params)
+        value = _scalar_value(getter, params)
+        typed = _constant_class(value)
         constants = repeat(value, batch.length)
         operands = (constants, col) if constant_left else (col, constants)
-        if typed.issuperset(map(type, col)):
+        if typed is not None and typed.issuperset(map(type, col)):
             return list(map(python_op, *operands))
         return _apply(compute, *operands)
 
@@ -827,9 +893,10 @@ def _compile_batch_compare(op: str, left, right):
 
 
 def _compile_batch_between(expr: ast.BetweenExpr, resolve: BatchColumnResolver):
-    """[NOT] BETWEEN. A vector operand with constant bounds of one class
-    is ``map(and_, map(ge, ...), map(le, ...))`` on a batch in that class
-    (both comparisons evaluated: inside the class neither can raise)."""
+    """[NOT] BETWEEN. A vector operand with constant (or per-execution)
+    bounds of one class is ``map(and_, map(ge, ...), map(le, ...))`` on a
+    batch in that class (both comparisons evaluated: inside the class
+    neither can raise)."""
     operands = [
         _compile_batch(expr.operand, resolve),
         _compile_batch(expr.low, resolve),
@@ -837,14 +904,20 @@ def _compile_batch_between(expr: ast.BetweenExpr, resolve: BatchColumnResolver):
     ]
     compute = _between_compute(expr.negated)
     operand, low, high = operands
-    typed = _constant_class(low[1]) if low[0] and high[0] else None
-    if operand[0] or typed is None or _constant_class(high[1]) is not typed:
+    if operand[0] is not False or low[0] is False or high[0] is False:
         return _fold_batch(operands, compute)
-    column, lo, hi, negated = operand[2], low[1], high[1], expr.negated
+    column, negated = operand[2], expr.negated
+    low_of, high_of = _scalar_getter(low), _scalar_getter(high)
 
-    def fn(batch):
-        col = column(batch)
-        if typed.issuperset(map(type, col)):
+    def fn(batch, params):
+        col = column(batch, params)
+        lo, hi = _scalar_value(low_of, params), _scalar_value(high_of, params)
+        typed = _constant_class(lo)
+        if (
+            typed is not None
+            and _constant_class(hi) is typed
+            and typed.issuperset(map(type, col))
+        ):
             hits = map(
                 operator.and_,
                 map(operator.ge, col, repeat(lo)),
@@ -867,8 +940,8 @@ def _batch_and(lf, rf):
     only bools (no NULL, so no error either) are ``map(operator.and_)``.
     """
 
-    def fn(batch, lf=lf, rf=rf):
-        lv, rv = lf(batch), rf(batch)
+    def fn(batch, params, lf=lf, rf=rf):
+        lv, rv = lf(batch, params), rf(batch, params)
         if BOOL_CLASS.issuperset(map(type, lv)) and BOOL_CLASS.issuperset(
             map(type, rv)
         ):
@@ -915,8 +988,8 @@ def _batch_or(lf, rf):
     """Vectorized 3VL OR; see :func:`_batch_and` for the error contract
     and the all-bool path."""
 
-    def fn(batch, lf=lf, rf=rf):
-        lv, rv = lf(batch), rf(batch)
+    def fn(batch, params, lf=lf, rf=rf):
+        lv, rv = lf(batch, params), rf(batch, params)
         if BOOL_CLASS.issuperset(map(type, lv)) and BOOL_CLASS.issuperset(
             map(type, rv)
         ):
@@ -969,8 +1042,8 @@ def _compile_batch_function(expr: ast.FunctionCall, resolve: BatchColumnResolver
     # never folded: keeps compile-time evaluation away from function
     # implementations (and their argument-validation errors); the
     # implementation is still called once per row, in row order
-    def call(batch, fn=fn, arg_fns=arg_fns):
-        cols = [f(batch) for f in arg_fns]
+    def call(batch, params, fn=fn, arg_fns=arg_fns):
+        cols = [f(batch, params) for f in arg_fns]
         out = []
         append = out.append
         for i in range(batch.length):
@@ -1013,10 +1086,10 @@ def _compile_batch_case(expr: ast.CaseExpr, resolve: BatchColumnResolver):
     if expr.operand is not None:
         operand_fn = _as_batch_list_fn(_compile_batch(expr.operand, resolve))
 
-        def fn(batch, operand_fn=operand_fn, whens=whens, default=default):
-            subjects = operand_fn(batch)
-            when_cols = [(wf(batch), tf(batch)) for wf, tf in whens]
-            dflt = default(batch) if default is not None else None
+        def fn(batch, params, operand_fn=operand_fn, whens=whens, default=default):
+            subjects = operand_fn(batch, params)
+            when_cols = [(wf(batch, params), tf(batch, params)) for wf, tf in whens]
+            dflt = default(batch, params) if default is not None else None
             out = []
             append = out.append
             for i in range(batch.length):
@@ -1046,9 +1119,9 @@ def _compile_batch_case(expr: ast.CaseExpr, resolve: BatchColumnResolver):
 
     else:
 
-        def fn(batch, whens=whens, default=default):
-            when_cols = [(wf(batch), tf(batch)) for wf, tf in whens]
-            dflt = default(batch) if default is not None else None
+        def fn(batch, params, whens=whens, default=default):
+            when_cols = [(wf(batch, params), tf(batch, params)) for wf, tf in whens]
+            dflt = default(batch, params) if default is not None else None
             out = []
             append = out.append
             for i in range(batch.length):
@@ -1072,12 +1145,23 @@ def _compile_batch_case(expr: ast.CaseExpr, resolve: BatchColumnResolver):
 def _compile_batch_like(expr: ast.LikeExpr, resolve: BatchColumnResolver):
     operand = _compile_batch(expr.operand, resolve)
     pattern = _compile_batch(expr.pattern, resolve)
+    dynamic = _like_dynamic_compute(expr.negated, expr.case_insensitive)
     if pattern[0] and pattern[1] is not None:
         # constant pattern (the overwhelmingly common case): one regex per
-    # statement instead of one per row
+        # statement instead of one per row
         regex = _like_regex(_to_text(pattern[1]), expr.case_insensitive)
         return _fold_batch([operand], _like_const_compute(regex, expr.negated))
-    return _fold_batch(
-        [operand, pattern],
-        _like_dynamic_compute(expr.negated, expr.case_insensitive),
-    )
+    if pattern[0] is None and operand[0] is False:
+        # a pattern of the literal vector: one regex per call
+        column, getter = operand[2], pattern[1]
+
+        def fn(batch, params):
+            col = column(batch, params)
+            value = _scalar_value(getter, params)
+            if value is None or type(value) is BatchError:
+                return _apply(dynamic, col, repeat(value, batch.length))
+            regex = _like_regex(_to_text(value), expr.case_insensitive)
+            return _apply(_like_const_compute(regex, expr.negated), col)
+
+        return _thunk(fn)
+    return _fold_batch([operand, pattern], dynamic)

@@ -17,15 +17,24 @@ Entry points:
 * :func:`shared_analysis` — ``analyze()``'s cache: at most one analysis
   per template and catalog version, shared by every statement bound from
   the template.
+* :func:`prepared` — the template a statement was bound from and its
+  *literal vector* (the values of its slots, in token order). The
+  template's :attr:`_Template.shape` is its statement with each slot a
+  :class:`ast.Param`, and :attr:`_Template.plan` the one prepared plan the
+  executor keeps for it (:meth:`repro.minidb.executor.Executor._plan_select`):
+  a plan built from the shape reads every literal from the vector an
+  execution supplies.
 * :func:`parse_script` — a ``;``-separated script into a list (not cached).
 * :func:`parse_cache_stats` — the caches' own counters, for ``system.metrics``.
 
-A literal token the parser reads as structure — a ``LIMIT`` / ``OFFSET``
-count, a ``VARCHAR(40)`` or ``CAST(... AS VARCHAR(n))`` length — is pinned,
-not slotted: a text that differs there is not an instance of the template.
-Whatever reads privileges, statistics or literals (``Database.authorize``,
-the verifier's decision, planning) runs on every call; nothing caches a
-plan. A :class:`SQLSyntaxError` is raised afresh each time; nothing is
+A ``LIMIT`` / ``OFFSET`` count is a slot like any literal (it binds as a
+bare int; a text whose count is not an integer is parsed afresh, which
+raises). A literal token the parser reads as structure — a ``VARCHAR(40)``
+or ``CAST(... AS VARCHAR(n))`` length, an ORDER BY item that is a bare
+literal (an ordinal is a column position) — is pinned, not slotted: a text
+that differs there is not an instance of the template. Whatever reads
+privileges (``Database.authorize``, the verifier's decision) runs on every
+call. A :class:`SQLSyntaxError` is raised afresh each time; nothing is
 remembered for text that does not parse. Texts longer than
 :data:`PARSE_CACHE_MAX_TEXT` skip every cache.
 
@@ -99,55 +108,106 @@ def _literal_value(token: Token) -> int | float | str:
     return int(text)
 
 
+def _count_value(token: Token) -> int | None:
+    """A LIMIT / OFFSET count, or ``None`` when the token is no integer
+    (the parser raises for it)."""
+    try:
+        return int(token.value)
+    except ValueError:
+        return None
+
+
 class _Template:
     """One statement shape: every text with the same tokens, NUMBER and
     STRING values aside, parses to this statement with other literals.
 
     ``stmt`` is the statement parsed from the first such text. ``slots``
-    are the token positions that became :class:`ast.Literal` nodes, in
-    order, and ``steps`` the root-to-literal paths to them (see
+    are the token positions whose values the statement holds — each
+    :class:`ast.Literal` and each LIMIT / OFFSET count (``counts``, by slot
+    number) — in order, and ``steps`` the root-to-slot paths to them (see
     :func:`_rebuilt`). Every other NUMBER / STRING token was read as
-    structure (a LIMIT count, a ``VARCHAR(40)`` length): ``pins`` holds
-    their positions and values, and a text that differs there is not an
-    instance. ``analysis`` is :func:`shared_analysis`'s one slot.
+    structure (a ``VARCHAR(40)`` length, an ORDER BY ordinal): ``pins``
+    holds their positions and values, and a text that differs there is not
+    an instance. ``analysis`` is :func:`shared_analysis`'s one slot and
+    ``plan`` the executor's prepared plan; each is one attribute, rebound
+    whole, so a reader on another thread sees the old value or the new.
     """
 
-    __slots__ = ("key", "stmt", "slots", "pins", "steps", "analysis")
+    __slots__ = (
+        "key", "stmt", "slots", "counts", "readers", "pins", "steps",
+        "analysis", "plan", "_shape",
+    )  # fmt: skip
 
     def __init__(
         self,
         key: tuple,
         stmt: ast.Statement,
         tokens: list[Token],
-        literals: list[tuple[int, ast.Literal]],
+        literals: list[tuple[int, object]],
     ):
         #: the cache's own key object: refreshing the entry under it
         #: compares by identity, not token by token
         self.key = key
         self.stmt = stmt
         self.slots = tuple(position for position, _ in literals)
+        self.counts = frozenset(
+            n for n, (_, leaf) in enumerate(literals) if type(leaf) is tuple
+        )
+        self.readers = tuple(
+            _count_value if n in self.counts else _literal_value
+            for n in range(len(self.slots))
+        )
         slotted = set(self.slots)
         self.pins = tuple(
             (position, token.value)
             for position, token in enumerate(tokens)
             if token.kind in _LITERAL_KINDS and position not in slotted
         )
-        self.steps = _plan(stmt, {id(node): n for n, (_, node) in enumerate(literals)})
-        #: (catalog version, StatementAnalysis) of the last analysis; one
-        #: attribute, rebound whole, so a reader on another thread sees the
-        #: old pair or the new one
+        slot_of = {
+            (id(leaf[0]), leaf[1]) if type(leaf) is tuple else id(leaf): n
+            for n, (_, leaf) in enumerate(literals)
+        }
+        self.steps = _plan(stmt, slot_of)
+        #: (catalog version, StatementAnalysis) of the last analysis
         self.analysis: tuple[object, object] | None = None
+        #: the executor's prepared plan for this template, or None
+        self.plan: object = None
+        self._shape: ast.Statement | None = None
 
-    def bind(self, tokens: list[Token]) -> ast.Statement | None:
-        """The statement ``tokens`` (same key) parse to, or ``None`` when a
-        pinned token differs."""
+    def bind(self, tokens: list[Token]) -> tuple[ast.Statement, tuple] | None:
+        """The statement ``tokens`` (same key) parse to and its literal
+        vector, or ``None`` when a pinned token differs or a count is no
+        integer."""
         for position, value in self.pins:
             if tokens[position].value != value:
                 return None
+        values = tuple(
+            [read(tokens[position]) for position, read in zip(self.slots, self.readers)]
+        )
+        if self.counts and None in values:
+            return None
         if self.steps is None:
-            return self.stmt
-        values = [_literal_value(tokens[position]) for position in self.slots]
-        return _rebuilt(self.stmt, self.steps, values)
+            return self.stmt, values
+        leaves: list = [ast.Literal(value) for value in values]
+        for n in self.counts:
+            leaves[n] = values[n]
+        return _rebuilt(self.stmt, self.steps, leaves), values
+
+    @property
+    def shape(self) -> ast.Statement:
+        """The statement with slot *n* an ``ast.Param(n)`` (a count's field
+        holds the Param itself): what the executor plans and compiles once.
+        Built on first use; two threads building it at once build equal
+        ones, sharing every subtree without a slot."""
+        shape = self._shape
+        if shape is None:
+            if self.steps is None:
+                shape = self.stmt
+            else:
+                params = [ast.Param(n) for n in range(len(self.slots))]
+                shape = _rebuilt(self.stmt, self.steps, params)
+            self._shape = shape
+        return shape
 
 
 def _template_key(tokens: list[Token]) -> tuple:
@@ -157,10 +217,12 @@ def _template_key(tokens: list[Token]) -> tuple:
     )
 
 
-def _plan(node: object, slot_of: dict[int, int]) -> object:
-    """How to rebuild ``node`` around new literal values: the slot number of
-    a slotted :class:`ast.Literal`, a tuple of ``(field name or index,
-    plan)`` steps for a node, list or tuple with one below it, else ``None``."""
+def _plan(node: object, slot_of: dict) -> object:
+    """How to rebuild ``node`` around new slot values: the slot number of a
+    slotted :class:`ast.Literal`, a tuple of ``(field name or index, plan)``
+    steps for a node, list or tuple with one below it, else ``None``. A
+    node's field the parser read a count into (``slot_of`` key ``(id(node),
+    field)``) is a step straight to its slot number."""
     if type(node) is ast.Literal:
         return slot_of.get(id(node))
     if isinstance(node, (list, tuple)):
@@ -169,25 +231,27 @@ def _plan(node: object, slot_of: dict[int, int]) -> object:
         parts = vars(node).items()
     else:
         return None
-    steps = tuple(
-        (key, step) for key, part in parts if (step := _plan(part, slot_of)) is not None
-    )
-    return steps or None
+    steps = []
+    for key, part in parts:
+        step = slot_of.get((id(node), key))
+        if step is None:
+            step = _plan(part, slot_of)
+        if step is not None:
+            steps.append((key, step))
+    return tuple(steps) or None
 
 
-def _rebuilt(node: object, steps: tuple, values: list) -> object:
-    """A copy of ``node`` with the literals ``steps`` leads to bound to
-    ``values``. Only the nodes on those paths are new, each built once;
-    every other subtree is shared with the template's statement (nodes
-    are frozen). A node is copied before anyone else can see it."""
+def _rebuilt(node: object, steps: tuple, leaves: list) -> object:
+    """A copy of ``node`` with the slot ``steps`` leads to holding
+    ``leaves[slot]``. Only the nodes on those paths are new, each built
+    once; every other subtree is shared with the template's statement
+    (nodes are frozen). A node is copied before anyone else can see it."""
     kind = type(node)
     if kind is list or kind is tuple:
         parts = list(node)
         for index, step in steps:
             parts[index] = (
-                ast.Literal(values[step])
-                if type(step) is int
-                else _rebuilt(parts[index], step, values)
+                leaves[step] if type(step) is int else _rebuilt(parts[index], step, leaves)
             )
         return parts if kind is list else tuple(parts)
     copy = object.__new__(kind)
@@ -195,9 +259,7 @@ def _rebuilt(node: object, steps: tuple, values: list) -> object:
     attrs.update(node.__dict__)
     for name, step in steps:
         attrs[name] = (
-            ast.Literal(values[step])
-            if type(step) is int
-            else _rebuilt(attrs[name], step, values)
+            leaves[step] if type(step) is int else _rebuilt(attrs[name], step, leaves)
         )
     return copy
 
@@ -212,23 +274,28 @@ def _remember(entries: OrderedDict, key: object, value: object) -> None:
 
 
 _COUNTERS = (
-    "hits", "misses", "template_hits", "template_misses", "analysis_hits", "analysis_misses"
-)
+    "hits", "misses", "template_hits", "template_misses", "analysis_hits", "analysis_misses",
+    "plan_hits", "plan_misses", "plan_custom",
+)  # fmt: skip
+
+#: one bound statement: (statement, its template, its literal vector)
+_Entry = tuple
 
 
 class _ParseCache:
-    """The three bounded, thread-safe LRUs behind :func:`parse` and
-    :func:`shared_analysis`: statement text → statement, template key →
-    :class:`_Template`, and ``id(statement)`` → the (statement, template)
-    it was bound from (the entry holds the statement, so its id cannot be
-    reused while the entry lives)."""
+    """The three bounded, thread-safe LRUs behind :func:`parse`,
+    :func:`shared_analysis` and :func:`prepared`: statement text → entry,
+    template key → :class:`_Template`, and ``id(statement)`` → the entry
+    it was bound in (the entry holds the statement, so its id cannot be
+    reused while the entry lives). An entry is (statement, template,
+    literal vector)."""
 
     def __init__(self) -> None:
         self._lock = threading.Lock()
         #: least recently used first, in all three
-        self._texts: OrderedDict[str, tuple[ast.Statement, _Template]] = OrderedDict()  #: guarded by self._lock
+        self._texts: OrderedDict[str, _Entry] = OrderedDict()  #: guarded by self._lock
         self._templates: OrderedDict[tuple, _Template] = OrderedDict()  #: guarded by self._lock
-        self._bound: OrderedDict[int, tuple[ast.Statement, _Template]] = OrderedDict()  #: guarded by self._lock
+        self._bound: OrderedDict[int, _Entry] = OrderedDict()  #: guarded by self._lock
         self._counts = dict.fromkeys(_COUNTERS, 0)  #: guarded by self._lock
 
     def lookup(self, sql: str) -> ast.Statement | None:
@@ -251,25 +318,22 @@ class _ParseCache:
                 self._templates.move_to_end(template.key)
             return template
 
-    def remember(
-        self, sql: str, stmt: ast.Statement, template: _Template, parsed: bool
-    ) -> None:
-        """Keep ``sql`` → ``stmt``, bound from ``template``, which was
-        ``parsed`` just now on a template miss."""
+    def remember(self, sql: str, entry: _Entry, parsed: bool) -> None:
+        """Keep ``sql`` → ``entry``, whose template was ``parsed`` just now
+        on a template miss."""
         with self._lock:
             if parsed:
                 self._counts["template_misses"] += 1
+                template = entry[1]
                 _remember(self._templates, template.key, template)
             else:
                 self._counts["template_hits"] += 1
-            entry = (stmt, template)
             _remember(self._texts, sql, entry)
-            _remember(self._bound, id(stmt), entry)
+            _remember(self._bound, id(entry[0]), entry)
 
-    def template_of(self, stmt: ast.Statement) -> _Template | None:
+    def entry_of(self, stmt: ast.Statement) -> _Entry | None:
         with self._lock:
-            entry = self._bound.get(id(stmt))
-            return None if entry is None else entry[1]
+            return self._bound.get(id(stmt))
 
     def count(self, counter: str) -> None:
         with self._lock:
@@ -302,13 +366,19 @@ def parse(sql: str) -> ast.Statement:
     tokens = tokenize(sql)
     key = _template_key(tokens)
     template = _cache.template(key)
-    stmt = None if template is None else template.bind(tokens)
-    parsed = stmt is None
+    bound = None if template is None else template.bind(tokens)
+    parsed = bound is None
     if parsed:
         parser = _Parser(sql, tokens)
         stmt = parser.parse_one()
         template = _Template(key, stmt, tokens, parser.literals)
-    _cache.remember(sql, stmt, template, parsed)
+        values = tuple(
+            leaf.value if type(leaf) is ast.Literal else getattr(*leaf)
+            for _, leaf in parser.literals
+        )
+    else:
+        stmt, values = bound
+    _cache.remember(sql, (stmt, template, values), parsed)
     return stmt
 
 
@@ -324,7 +394,8 @@ def shared_analysis(stmt: ast.Statement, version: object, compute: Callable[[], 
     :func:`parse` did not bind (``parse_script``, an oversized text, one
     built by hand) is analysed every time.
     """
-    template = _cache.template_of(stmt)
+    entry = _cache.entry_of(stmt)
+    template = None if entry is None else entry[1]
     if template is not None:
         memo = template.analysis
         if memo is not None and memo[0] == version:
@@ -337,11 +408,28 @@ def shared_analysis(stmt: ast.Statement, version: object, compute: Callable[[], 
     return result
 
 
+def prepared(stmt: ast.Statement) -> "tuple[_Template, tuple] | None":
+    """The template ``stmt`` was bound from and its literal vector, or
+    ``None`` for a statement :func:`parse` did not bind (it is planned
+    afresh on every execution)."""
+    entry = _cache.entry_of(stmt)
+    return None if entry is None else entry[1:]
+
+
+def count_plan(outcome: str) -> None:
+    """Count one prepared-plan lookup: ``hits`` (a cached plan served),
+    ``misses`` (a plan built and kept) or ``custom`` (a plan whose choice
+    read a literal, built for this execution only)."""
+    _cache.count(f"plan_{outcome}")
+
+
 def parse_cache_stats() -> dict[str, int]:
     """Counters and sizes of :func:`parse`'s caches (process-wide): text
     ``hits`` / ``misses`` / ``entries``, ``template_hits`` /
     ``template_misses`` / ``template_entries`` (lookups on a text miss),
-    and :func:`shared_analysis`'s ``analysis_hits`` / ``analysis_misses``."""
+    :func:`shared_analysis`'s ``analysis_hits`` / ``analysis_misses`` and
+    the prepared plans' ``plan_hits`` / ``plan_misses`` / ``plan_custom``
+    (:func:`count_plan`)."""
     return _cache.stats()
 
 
@@ -367,8 +455,10 @@ class _Parser:
         self.pos = 0
         #: the current token, ``tokens[pos]``
         self.tok = tokens[0]
-        #: (token position, node) of each NUMBER / STRING literal parsed
-        self.literals: list[tuple[int, ast.Literal]] = []
+        #: (token position, slot) of each NUMBER / STRING value the
+        #: statement holds: an ast.Literal node, or (SelectStatement, field)
+        #: for a LIMIT / OFFSET count
+        self.literals: list[tuple[int, object]] = []
 
     # ---------------------------------------------------------------- utils
 
@@ -502,14 +592,24 @@ class _Parser:
 
     def parse_select(self) -> ast.SelectStatement:
         block, (order_by, limit, offset) = self.parse_select_parts()
-        return ast.SelectStatement(
-            **block, order_by=order_by, limit=limit, offset=offset
+        stmt = ast.SelectStatement(
+            **block,
+            order_by=order_by,
+            limit=None if limit is None else limit[0],
+            offset=None if offset is None else offset[0],
         )
+        # the counts are slots of this node's fields
+        for name, count in (("limit", limit), ("offset", offset)):
+            if count is not None:
+                position = self.literals[count[1]][0]
+                self.literals[count[1]] = (position, (stmt, name))
+        return stmt
 
     def parse_select_parts(
         self,
-    ) -> tuple[dict, tuple[list[ast.OrderItem], int | None, int | None]]:
-        """One SELECT as (the block's fields, its ORDER BY / LIMIT / OFFSET).
+    ) -> tuple[dict, tuple[list[ast.OrderItem], tuple | None, tuple | None]]:
+        """One SELECT as (the block's fields, its ORDER BY / LIMIT / OFFSET);
+        a count is ``(value, index of its entry in self.literals)``.
 
         ORDER BY / LIMIT written after the last arm of a set operation bind
         to the whole operation (standard SQL), so the right-hand arm is
@@ -582,10 +682,14 @@ class _Parser:
 
         return block, (order_by, limit, offset)
 
-    def parse_nonnegative_int(self, clause: str) -> int:
+    def parse_nonnegative_int(self, clause: str) -> tuple[int, int]:
+        """A LIMIT / OFFSET count: its value, and the index of the entry
+        it was given in ``self.literals`` (the statement it belongs to is
+        filled in by :meth:`parse_select`)."""
         token = self.tok
         if token.kind != NUMBER:
             raise self.error(f"expected integer after {clause}")
+        position = self.pos
         self.advance()
         try:
             value = int(token.value)
@@ -593,7 +697,8 @@ class _Parser:
             raise self.error(f"{clause} requires an integer") from None
         if value < 0:
             raise self.error(f"{clause} must be non-negative")
-        return value
+        self.literals.append((position, None))
+        return value, len(self.literals) - 1
 
     def parse_select_item(self) -> ast.SelectItem:
         token = self.tok
@@ -661,6 +766,9 @@ class _Parser:
 
     def parse_order_item(self) -> ast.OrderItem:
         expr = self.parse_expression()
+        if self.literals and self.literals[-1][1] is expr:
+            # a bare literal is an ordinal (or a constant key): structure
+            self.literals.pop()
         word = self.tok.word
         descending = word == "DESC"
         if descending or word == "ASC":

@@ -2,12 +2,31 @@
 
 :func:`plan_select` turns a SELECT block into a :class:`SelectPlan` — a
 :class:`ScanPlan` per FROM/JOIN source, a :class:`JoinPlan` per fold, and
-the set-operation arm as a child block. That value is built exactly once
-per execution: the executor only *consumes* the nodes it is handed,
-``EXPLAIN`` only *renders* them (:meth:`SelectPlan.lines`), and
-``EXPLAIN ANALYZE`` / the tracer attach actuals to the same node objects.
-Every planning decision is therefore taken in this module and nowhere
-else (the ``planner-seam`` staticcheck rule enforces it):
+the set-operation arm as a child block. The executor only *consumes* the
+nodes it is handed, ``EXPLAIN`` only *renders* them
+(:meth:`SelectPlan.lines`), and ``EXPLAIN ANALYZE`` / the tracer record
+actuals per execution, keyed by the node objects. Every planning decision
+is therefore taken in this module and nowhere else (the ``planner-seam``
+staticcheck rule enforces it).
+
+**Shape and values.** A plan holds the *choice* — access-path kinds and
+indexes, join strategies, pushed filters — and never a value of one
+execution: a literal in the statement is an :class:`ast.Param` of its
+template's shape (:mod:`repro.minidb.parser`), planned under the literal
+vector ``params`` the planning execution supplies, and the probe key,
+prefix values, range bounds, union points and ordered-scan limit are read
+from each execution's vector by :meth:`ScanPlan.access`. A plan of a
+statement that holds its literals plans and reads them with no vector. A
+scan is *generic* when no decision read a value (:attr:`ScanPlan.generic`:
+at most one candidate besides the sequential scan — ``_estimate_rows``
+never estimates above ``seq``, and ties keep the static order, so a lone
+candidate wins for any literal — and no two IN lists / OR-chains on one
+column, whose member counts pick the union). A plan whose scans are all
+generic is the executor's prepared plan for every execution of its
+template (PostgreSQL's generic plan); any other is planned again on every
+execution (its custom plan).
+
+The parts:
 
 * **Access paths** (:func:`plan_table_scan`, shared by SELECT sources and
   UPDATE/DELETE targets) — one reader, ``_atom``, recognises a column
@@ -75,7 +94,7 @@ byte-identical.)
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING, Any, Mapping, NamedTuple
 
 from ..obs.views import SYSTEM_VIEW_COLUMNS, is_system_relation
@@ -256,7 +275,7 @@ class JoinPlan:
     residual: ast.Expr | None = None  # non-equi remainder of the ON condition
     condition: ast.Expr | None = None
 
-    def describe(self) -> str:
+    def describe(self, params=()) -> str:
         if self.strategy == "hash":
             keys = ", ".join(
                 f"{k.left_binding}.{k.left_column} = "
@@ -265,7 +284,7 @@ class JoinPlan:
             )
             return f"Hash Join ({self.kind}) on {self.right_binding} (keys: {keys})"
         if self.strategy == "nested-loop":
-            cond = expr_to_sql(self.condition) if self.condition is not None else "true"
+            cond = _sql(self.condition, params) if self.condition is not None else "true"
             return (
                 f"Nested Loop Join ({self.kind}) on {self.right_binding} "
                 f"(cond: {cond})"
@@ -299,6 +318,8 @@ class Harvest(NamedTuple):
     equalities: dict[str, Any]  # column -> value of its last ``=`` conjunct
     ranges: dict[str, RangeBinding]
     unions: dict[str, UnionBinding]
+    #: two union conjuncts on one column: the fewest members won
+    contested: bool = False
 
 
 #: comparison op -> the op that reads the same with its operands swapped
@@ -313,10 +334,25 @@ _RANGE_OPS = {
 }
 
 
-def _atom(expr: ast.Expr, usable) -> tuple[str, str, Any] | None:
+def _value(node: ast.Expr, params) -> Any:
+    """The value a literal operand holds — a :class:`ast.Literal`'s, or a
+    :class:`ast.Param`'s slot of ``params`` (with ``params`` None, the
+    Param itself) — else :data:`_NOT_LITERAL`."""
+    kind = type(node)
+    if kind is ast.Literal:
+        return node.value
+    if kind is ast.Param:
+        return node if params is None else params[node.index]
+    return _NOT_LITERAL
+
+
+_NOT_LITERAL = object()
+
+
+def _atom(expr: ast.Expr, usable, params=()) -> tuple[str, str, Any] | None:
     """``expr`` read as ``(column, op, value)``: a ``usable`` column
-    compared with literals — the one place the planner recognises that
-    shape.
+    compared with literals (a Param reads ``params``) — the one place the
+    planner recognises that shape.
 
     ``op`` is one of ``= <> < <= > >=`` (a literal on the left flips it:
     ``5 < a`` reads ``a > 5``), ``between`` with value ``(low, high)``, or
@@ -329,15 +365,13 @@ def _atom(expr: ast.Expr, usable) -> tuple[str, str, Any] | None:
         column, op, literal = expr.left, expr.op, expr.right
         if not isinstance(column, ast.ColumnRef):
             column, op, literal = literal, _FLIPPED[op], column
-        if not isinstance(literal, ast.Literal) or literal.value is None:
+        value = _value(literal, params)
+        if value is _NOT_LITERAL or value is None:
             return None
-        value = literal.value
     elif isinstance(expr, ast.BetweenExpr) and not expr.negated:
-        column, op, low, high = expr.operand, "between", expr.low, expr.high
-        if not (isinstance(low, ast.Literal) and isinstance(high, ast.Literal)):
-            return None
-        value = (low.value, high.value)
-        if None in value:
+        column, op = expr.operand, "between"
+        value = (_value(expr.low, params), _value(expr.high, params))
+        if _NOT_LITERAL in value or None in value:
             return None
     elif (
         isinstance(expr, ast.InExpr)
@@ -345,9 +379,9 @@ def _atom(expr: ast.Expr, usable) -> tuple[str, str, Any] | None:
         and isinstance(expr.candidates, list)
     ):
         column, op = expr.operand, "in"
-        if not all(isinstance(c, ast.Literal) for c in expr.candidates):
+        value = tuple(_value(c, params) for c in expr.candidates)
+        if _NOT_LITERAL in value:
             return None
-        value = tuple(c.value for c in expr.candidates)
     else:
         return None
     if isinstance(column, ast.ColumnRef) and usable(column):
@@ -356,7 +390,10 @@ def _atom(expr: ast.Expr, usable) -> tuple[str, str, Any] | None:
 
 
 def harvest_conjuncts(
-    where: ast.Expr | None, binding: str, slots: "Mapping[int, Slot] | None" = None
+    where: ast.Expr | None,
+    binding: str,
+    slots: "Mapping[int, Slot] | None" = None,
+    params=(),
 ) -> Harvest:
     """What the top-level AND-ed conjuncts of ``where`` bind on
     ``binding``'s columns, read in one pass:
@@ -379,7 +416,9 @@ def harvest_conjuncts(
     A reference counts when its slot names a column of ``binding`` in
     this block. Without ``slots`` (a bare WHERE, read as one table's) a
     qualified reference must name ``binding`` and an unqualified one is
-    taken as its.
+    taken as its. A :class:`ast.Param` reads its value from ``params``.
+    ``contested`` says that two union conjuncts on one column competed, so
+    which one binds depended on their values.
     """
     if slots is None:
         lowered = binding.lower()
@@ -393,10 +432,11 @@ def harvest_conjuncts(
     equalities: dict[str, Any] = {}
     ranges: dict[str, RangeBinding] = {}
     unions: dict[str, UnionBinding] = {}
+    contested = False
     for conjunct in split_conjuncts(where):
-        atom = _atom(conjunct, usable)
+        atom = _atom(conjunct, usable, params)
         if atom is None:
-            union = _or_union(conjunct, usable)
+            union = _or_union(conjunct, usable, params)
         elif atom[1] == "in":
             union = UnionBinding(atom[0], _distinct(atom[2]))
         else:
@@ -406,14 +446,17 @@ def harvest_conjuncts(
             elif op != "<>":
                 _narrow(ranges.setdefault(column, RangeBinding(column)), op, value)
             continue
-        if union is not None and (
-            union.column not in unions or union.members < unions[union.column].members
-        ):
-            unions[union.column] = union
-    return Harvest(equalities, ranges, unions)
+        if union is None:
+            continue
+        if union.column in unions:
+            contested = True
+            if union.members >= unions[union.column].members:
+                continue
+        unions[union.column] = union
+    return Harvest(equalities, ranges, unions, contested)
 
 
-def _or_union(expr: ast.Expr, usable) -> UnionBinding | None:
+def _or_union(expr: ast.Expr, usable, params) -> UnionBinding | None:
     """An OR-chain as one column's candidate set, if it is one."""
     if not (isinstance(expr, ast.BinaryOp) and expr.op == "OR"):
         return None
@@ -421,7 +464,7 @@ def _or_union(expr: ast.Expr, usable) -> UnionBinding | None:
     points: list = []
     ranges: list[RangeBinding] = []
     for disjunct in split_disjuncts(expr):
-        atom = _atom(disjunct, usable)
+        atom = _atom(disjunct, usable, params)
         if atom is None or atom[1] == "<>" or column not in (None, atom[0]):
             return None  # not a member, or the chain spans columns
         column, op, value = atom
@@ -476,7 +519,7 @@ def _owner(ref: ast.ColumnRef, slots: "Mapping[int, Slot]") -> str | None:
 
 
 def pushdown_filter(
-    where: ast.Expr | None, binding: str, slots: "Mapping[int, Slot]"
+    where: ast.Expr | None, binding: str, slots: "Mapping[int, Slot]", params=()
 ) -> ast.Expr | None:
     """The AND of WHERE conjuncts safe to evaluate during one source's scan.
 
@@ -494,7 +537,7 @@ def pushdown_filter(
 
     kept: list[ast.Expr] = []
     for conjunct in split_conjuncts(where):
-        atom = _atom(conjunct, usable)
+        atom = _atom(conjunct, usable, params)
         if atom is not None and atom[1] in NULL_REJECTING_COMPARISONS:
             kept.append(conjunct)
     return conjoin(kept)
@@ -602,11 +645,15 @@ def choose_access_path(
     Returns ``(path, index, key)``; ``key`` is the probe key for equality
     paths and ``None`` otherwise (range/union details live on the path).
     """
-    if stats is not None and stats.uid != heap.uid:
-        stats = None  # table was dropped/recreated since ANALYZE: ignore
-    by_column, ranges, unions = harvest
-    # (static_order, rank, kind, index, extra); lower order preferred,
-    # higher rank preferred within an order class
+    return _chosen(table, _candidates(heap, harvest), harvest.equalities, stats, heap)
+
+
+def _candidates(heap: HeapTable, harvest: Harvest) -> list[tuple]:
+    """Every access path ``harvest`` allows on ``heap`` as ``(static_order,
+    rank, kind, index, extra)``, best first in the static order (lower
+    order preferred, higher rank within an order class); the sequential
+    scan last."""
+    by_column, ranges, unions = harvest.equalities, harvest.ranges, harvest.unions
     candidates: list[tuple] = []
     for index in heap.indexes.values():
         columns = tuple(c.lower() for c in index.columns)
@@ -645,6 +692,24 @@ def choose_access_path(
             candidates.append((2, rank, "union", index, entry))
     candidates.append((3, (), "seq", None, None))
     candidates.sort(key=lambda c: (c[0], _negated_rank(c[1])))
+    return candidates
+
+
+def _live(stats: "TableStatistics | None", heap: HeapTable) -> "TableStatistics | None":
+    """``stats`` unless the table was dropped/recreated since ANALYZE."""
+    return None if stats is None or stats.uid != heap.uid else stats
+
+
+def _chosen(
+    table: str,
+    candidates: list[tuple],
+    by_column: dict[str, Any],
+    stats: "TableStatistics | None",
+    heap: HeapTable,
+) -> "tuple[AccessPath, HashIndex | SortedIndex | None, tuple | None]":
+    """The cheapest of ``candidates`` under live ``stats`` (else the first)
+    as ``choose_access_path`` returns it."""
+    stats = _live(stats, heap)
     chosen = candidates[0]
     chosen_estimate: float | None = None
     if stats is not None:
@@ -754,10 +819,14 @@ _RELATION_SCANS = {
 class ScanPlan:
     """How one source of a SELECT block — or an UPDATE/DELETE target — is read.
 
-    A base table carries its access path with the heap, index and key to
-    probe; a view or derived table carries the child block producing its
-    rows; a system view needs only its name. Nodes compare by identity:
-    tracer events and ``EXPLAIN ANALYZE`` actuals are keyed on the node.
+    A base table carries its access path's choice (kind, index, columns)
+    with the heap and index to read, and what the path's values are read
+    from: ``where`` (its conjuncts, read through ``slots``), the statement
+    whose LIMIT an ordered path stops at (``limit_of``) and the statistics
+    the choice was made under (``stats``, also its estimates); a view or
+    derived table carries the child block producing its rows; a system
+    view needs only its name. Nodes compare by identity: tracer events and
+    ``EXPLAIN ANALYZE`` actuals are keyed on the node.
     """
 
     binding: str
@@ -767,24 +836,81 @@ class ScanPlan:
     name: str  # the relation as EXPLAIN prints it
     columns: list[str]  # output columns
 
-    path: AccessPath | None = None
+    path: AccessPath | None = None  # the choice, without values
     heap: HeapTable | None = None
     index: "HashIndex | SortedIndex | None" = None
-    key: tuple | None = None  # probe key of an "index" path
+    where: ast.Expr | None = None
+    slots: "Mapping[int, Slot] | None" = None
+    limit_of: ast.SelectStatement | None = None
+    stats: "TableStatistics | None" = None
+    #: no choice read a value: the path holds for every literal vector
+    generic: bool = True
+    #: an ``index`` path's key, per index column: the constant, or the
+    #: Param whose slot an execution's vector fills
+    key_of: tuple | None = None
     #: pushed-down single-source predicate, applied before joining
     filter: ast.Expr | None = None
     child: "SelectPlan | None" = None
 
-    def describe(self) -> str:
-        if self.path is None:
+    def access(
+        self, params=(), estimate: bool = False
+    ) -> "tuple[AccessPath | None, tuple | None]":
+        """The access path with the values of the execution whose literal
+        vector is ``params`` — prefix values, range bounds, union points,
+        the ordered limit and (with ``estimate``) the estimated rows — and
+        the probe key of an ``index`` path."""
+        path = self.path
+        kind = None if path is None else path.kind
+        key = None
+        if kind == "index":
+            key = tuple([params[s.index] if type(s) is ast.Param else s for s in self.key_of])
+        if kind is None or (kind in ("seq", "index") and not estimate):
+            return path, key
+        harvest = harvest_conjuncts(self.where, self.binding, self.slots, params)
+        by_column = harvest.equalities
+        values, extra = {}, None
+        if kind == "union":
+            extra = values["union"] = harvest.unions[path.key_columns[0].lower()]
+        elif kind in ("range", "ordered"):
+            values["prefix_values"] = tuple(by_column[c.lower()] for c in path.key_columns)
+            values["range"] = harvest.ranges.get(path.range_column.lower())
+            extra = (len(path.key_columns), values["range"])
+            if kind == "ordered":
+                values["limit"] = count_of(self.limit_of.limit, params)
+        stats = _live(self.stats, self.heap) if estimate and kind != "ordered" else None
+        if stats is not None:
+            values["estimated_rows"] = _estimate_rows(
+                (0, (), kind, self.index, extra), stats, by_column
+            )
+        return (replace(path, **values) if values else path), key
+
+    @property
+    def key(self) -> tuple | None:
+        """The probe key of an ``index`` path over a statement that holds
+        its literals."""
+        return self.access()[1]
+
+    def describe(self, params=()) -> str:
+        path, _ = self.access(params, estimate=True)
+        if path is None:
             text = f"{_RELATION_SCANS[self.kind]} on {self.name}"
         else:
-            text = self.path.describe()
+            text = path.describe()
         if self.filter is not None:
-            text += f" (filter: {expr_to_sql(self.filter)})"
-        if self.path is not None and self.path.estimated_rows is not None:
-            text += f" (est. rows={self.path.estimated_rows:.0f})"
+            text += f" (filter: {_sql(self.filter, params)})"
+        if path is not None and path.estimated_rows is not None:
+            text += f" (est. rows={path.estimated_rows:.0f})"
         return text
+
+
+def count_of(value, params) -> int | None:
+    """A LIMIT / OFFSET: the count, or its Param's slot of ``params``."""
+    return params[value.index] if type(value) is ast.Param else value
+
+
+def _sql(expr: ast.Expr, params) -> str:
+    """``expr`` as SQL, each Param printed as its value in ``params``."""
+    return expr_to_sql(ast.with_params_bound(expr, params) if params else expr)
 
 
 @dataclass(eq=False)
@@ -805,15 +931,27 @@ class SelectPlan:
     def grouped(self) -> bool:
         return bool(self.stmt.group_by) or bool(self.aggregates)
 
+    @property
+    def generic(self) -> bool:
+        """Every scan of every block is generic: the plan serves any
+        literal vector of its statement."""
+        return all(
+            scan.generic and (scan.child is None or scan.child.generic)
+            for scan in self.scans
+        ) and (self.set_op is None or self.set_op.generic)
+
     def output_columns(self) -> list[str]:
         """Result column names, known without executing — what a parent
         block's scan of a view or derived table exposes."""
         return [item_name(item, index) for index, item in enumerate(self.items)]
 
-    def lines(self, actuals: dict | None = None, indent: str = "") -> list[str]:
+    def lines(
+        self, actuals: dict | None = None, indent: str = "", params=()
+    ) -> list[str]:
         """EXPLAIN text: scans in fold order (child blocks indented beneath
-        their source), then joins, then the set-operation arm. ``actuals``
-        maps plan nodes to the tracer event of their one execution."""
+        their source), then joins, then the set-operation arm, with the
+        values of the literal vector ``params``. ``actuals`` maps plan
+        nodes to the tracer event of their one execution."""
 
         def actual(node) -> str:
             if actuals is None:
@@ -828,15 +966,20 @@ class SelectPlan:
 
         out: list[str] = []
         for scan in self.scans:
-            out.append(indent + scan.describe() + actual(scan))
+            out.append(indent + scan.describe(params) + actual(scan))
             if scan.child is not None:
-                out.extend(scan.child.lines(actuals, indent + "  "))
-        out.extend(indent + join.describe() + actual(join) for join in self.joins)
+                # a view's body holds its literals; a derived table's
+                # are the statement's
+                child_params = () if scan.kind == "view" else params
+                out.extend(scan.child.lines(actuals, indent + "  ", child_params))
+        out.extend(
+            indent + join.describe(params) + actual(join) for join in self.joins
+        )
         if not out:
             out.append(indent + "Result (no base tables)")
         if self.set_op is not None:
             out.append(indent + self.stmt.set_op[0])
-            out.extend(self.set_op.lines(actuals, indent + "  "))
+            out.extend(self.set_op.lines(actuals, indent + "  ", params))
         return out
 
 
@@ -932,7 +1075,6 @@ def _ordered_path(
         range=harvest.ranges.get(columns[prefix_len]),
         order_columns=tuple(order_columns),
         reverse=reverse,
-        limit=stmt.limit,
     )
     return ordered, index
 
@@ -944,27 +1086,42 @@ def plan_table_scan(
     where: ast.Expr | None,
     slots: "Mapping[int, Slot]",
     order_by_of: ast.SelectStatement | None = None,
+    params=(),
 ) -> ScanPlan:
     """The scan node for one base table — the single place an access path
     is chosen, for SELECT sources and UPDATE/DELETE targets alike.
 
-    ``slots`` say which conjuncts read ``binding``'s columns;
-    ``order_by_of`` names the single-table statement whose ORDER BY an
-    ordered index scan may serve.
+    ``slots`` say which conjuncts read ``binding``'s columns, ``params``
+    is the literal vector their Params read; ``order_by_of`` names the
+    single-table statement whose ORDER BY an ordered index scan may serve.
+    The node keeps the choice; :meth:`ScanPlan.access` reads the values.
     """
     heap = db.heap(schema.name)
-    harvest = harvest_conjuncts(where, binding, slots)
-    path, index, key = choose_access_path(
-        schema.name, heap, harvest, db.catalog.statistics.get(schema.name.lower())
-    )
+    harvest = harvest_conjuncts(where, binding, slots, params)
+    stats = db.catalog.statistics.get(schema.name.lower())
+    candidates = _candidates(heap, harvest)
+    path, index, _ = _chosen(schema.name, candidates, harvest.equalities, stats, heap)
     if order_by_of is not None:
         ordered = _ordered_path(order_by_of, binding, heap, path, harvest)
         if ordered is not None:
             path, index = ordered
-            key = None
+    choice = replace(
+        path, prefix_values=(), range=None, union=None, estimated_rows=None
+    )
+    key_of = None
+    if path.kind == "index":
+        # each column's last ``=`` operand, as harvest_conjuncts reads it
+        sources = {}
+        for conjunct in split_conjuncts(where):
+            atom = _atom(conjunct, lambda ref: _owner(ref, slots) == binding, None)
+            if atom is not None and atom[1] == "=":
+                sources[atom[0]] = atom[2]
+        key_of = tuple(sources[c.lower()] for c in index.columns)
     return ScanPlan(
         binding, path.kind, schema.name, schema.column_names(),
-        path=path, heap=heap, index=index, key=key,
+        path=choice, heap=heap, index=index, where=where, slots=slots,
+        limit_of=order_by_of, stats=stats,
+        generic=len(candidates) <= 2 and not harvest.contested, key_of=key_of,
     )
 
 
@@ -973,10 +1130,12 @@ def plan_select(
     db: "Database",
     resolve_table,
     binding: Binding | None = None,
+    params=(),
 ) -> SelectPlan:
     """Plan one SELECT block (recursively: views, derived tables and the
     set-operation arm become child blocks) under the statement's
-    ``binding`` (default: ``stmt`` bound as a statement of its own).
+    ``binding`` (default: ``stmt`` bound as a statement of its own), its
+    Params read from the literal vector ``params``.
 
     ``resolve_table(name) -> TableSchema`` is called once per base-table
     source, in FROM-then-JOIN order with child blocks expanding in place,
@@ -1007,7 +1166,10 @@ def plan_select(
         if select is None:
             child, columns = None, SYSTEM_VIEW_COLUMNS[name]
         else:
-            child = plan_select(select, db, resolve_table, binding)
+            # a view's body holds its literals and has its own binding
+            child = plan_select(
+                select, db, resolve_table, binding, () if kind == "view" else params
+            )
             columns = child.output_columns()
         source = ref.alias if kind == "subquery" else ref.binding
         scans.append(ScanPlan(source, kind, name, columns, child=child))
@@ -1033,12 +1195,12 @@ def plan_select(
             source, schema = scan
             scans[position] = scan = plan_table_scan(
                 db, schema, source, stmt.where, slots,
-                stmt if ordered_ok else None,
+                stmt if ordered_ok else None, params,
             )
         # pushdown only pays off when the filtered rows feed a join;
         # single-source blocks apply WHERE once, after the scan
         if not single:
-            scan.filter = pushdown_filter(stmt.where, scan.binding, slots)
+            scan.filter = pushdown_filter(stmt.where, scan.binding, slots, params)
 
     # comma-separated FROM sources fold as conditionless inner joins (keys
     # come from WHERE), then the explicit joins fold the same way
@@ -1054,7 +1216,7 @@ def plan_select(
     ]
 
     set_op = (
-        plan_select(stmt.set_op[1], db, resolve_table, binding)
+        plan_select(stmt.set_op[1], db, resolve_table, binding, params)
         if stmt.set_op is not None
         else None
     )

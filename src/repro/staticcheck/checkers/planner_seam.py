@@ -11,6 +11,14 @@ printed ``Nested Loop Join`` over a hash join that ran). Calls to the
 planning primitives from any module under ``src/repro/`` other than
 ``minidb/planner.py`` are therefore findings: consume a plan node instead.
 
+A plan is built once per template and kept (the executor's prepared
+plans), so building one anywhere else would run unkept and unkeyed.
+Calling ``plan_select`` or ``plan_table_scan`` outside ``planner.py`` is a
+finding except in the prepared-plan entry — ``Executor._plan`` (every
+SELECT block that runs) and ``Executor._target_scan`` (UPDATE/DELETE
+targets) — and in plain EXPLAIN (``Executor._exec_ExplainStatement``),
+which renders a plan it never runs.
+
 The rule for which source column a name means drifted the same way: the
 privilege footprint, the planner and the per-row scope each read names on
 their own, and a view body read its caller's columns. The binder in
@@ -34,6 +42,7 @@ from ..core import Checker, Finding, ModuleSource, register
 PLANNER_PATH = "src/repro/minidb/planner.py"
 BINDER_PATH = "src/repro/minidb/analysis.py"
 CATALOG_PATH = "src/repro/minidb/catalog.py"
+EXECUTOR_PATH = "src/repro/minidb/executor.py"
 
 #: the primitives a plan is derived from; each has call sites in
 #: ``planner.py`` only
@@ -43,6 +52,18 @@ PLANNING_PRIMITIVES = frozenset(
         "plan_join",
         "harvest_conjuncts",
         "pushdown_filter",
+    }
+)
+
+
+#: the plan builders, and the only functions outside ``planner.py`` that
+#: may call them
+PLAN_BUILDERS = frozenset({"plan_select", "plan_table_scan"})
+PLAN_ENTRIES = frozenset(
+    {
+        (EXECUTOR_PATH, "Executor._plan"),
+        (EXECUTOR_PATH, "Executor._target_scan"),
+        (EXECUTOR_PATH, "Executor._exec_ExplainStatement"),
     }
 )
 
@@ -62,7 +83,8 @@ class PlannerSeamChecker(Checker):
     name = "planner-seam"
     description = (
         "access-path / join / binding planning primitives are called from "
-        "minidb/planner.py only; names are resolved (NameResolver, "
+        "minidb/planner.py only, plans are built in the prepared-plan entry "
+        "and EXPLAIN only; names are resolved (NameResolver, "
         "UnknownColumnError) in minidb/analysis.py only"
     )
 
@@ -80,6 +102,18 @@ class PlannerSeamChecker(Checker):
                         f"{name}() outside minidb/planner.py re-derives part of "
                         "the plan — take it from the SelectPlan / ScanPlan / "
                         "JoinPlan node plan_select() built",
+                    )
+                elif (
+                    name in PLAN_BUILDERS
+                    and path != PLANNER_PATH
+                    and (path, module.qualname(node)) not in PLAN_ENTRIES
+                ):
+                    yield module.finding(
+                        self.name,
+                        node,
+                        f"{name}() outside the prepared-plan entry builds a "
+                        "plan that is neither kept nor keyed — plan through "
+                        "Executor._plan / Executor._target_scan",
                     )
                 elif name == "NameResolver" and path != BINDER_PATH:
                     yield module.finding(

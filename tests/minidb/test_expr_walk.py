@@ -866,7 +866,7 @@ def _with_markers(kind):
 
 
 def test_every_expr_kind_is_covered():
-    assert len(EXPR_KINDS) == 14
+    assert len(EXPR_KINDS) == 15
 
 
 @pytest.mark.parametrize("kind", EXPR_KINDS, ids=lambda kind: kind.__name__)

@@ -303,22 +303,27 @@ def test_hit_ratio_is_one_query_away(db):
         "hits", "misses", "entries",
         "template_hits", "template_misses", "template_entries",
         "analysis_hits", "analysis_misses",
+        "plan_hits", "plan_misses", "plan_custom",
     }  # fmt: skip
     # verified (text miss, template miss: the one real parse; the analysis
-    # is computed) then executed (text hit, analysis hit). The metrics query
-    # itself is a text hit and an analysis hit the second time it runs.
+    # is computed) then executed (text hit, analysis hit, its plan prepared).
+    # The metrics query itself is a text hit, an analysis hit and a plan hit
+    # the second time it runs (its counts are read after it planned).
     assert delta(second, first) == {
         "hits": 2, "misses": 1,
         "template_hits": 0, "template_misses": 1,
         "analysis_hits": 2, "analysis_misses": 1,
+        "plan_hits": 1, "plan_misses": 1, "plan_custom": 0,
     }  # fmt: skip
     # another literal: a text miss bound from the template, and no analysis
+    # and no plan to build
     bridge.call(ToolCall("select", {"sql": sql.format(1)}))
     third = sample()
     assert delta(third, second) == {
         "hits": 2, "misses": 1,
         "template_hits": 1, "template_misses": 0,
         "analysis_hits": 3, "analysis_misses": 0,
+        "plan_hits": 2, "plan_misses": 0, "plan_custom": 0,
     }  # fmt: skip
     assert 0 < third["entries"] <= PARSE_CACHE_ENTRIES
     assert 0 < third["template_entries"] <= PARSE_CACHE_ENTRIES
@@ -326,3 +331,4 @@ def test_hit_ratio_is_one_query_away(db):
     assert "minidb_parse_cache_hits" in text
     assert "minidb_parse_cache_template_hits" in text
     assert "minidb_parse_cache_analysis_hits" in text
+    assert "minidb_parse_cache_plan_hits" in text

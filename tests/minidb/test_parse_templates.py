@@ -305,6 +305,73 @@ def test_integral_reals_keep_their_type():
 
 
 # --------------------------------------------------------------------------
+# LIMIT / OFFSET counts are slots
+# --------------------------------------------------------------------------
+
+
+def test_alternating_counts_share_one_template():
+    """Texts that differ only in their LIMIT / OFFSET counts are one
+    template: each binds, none is parsed again."""
+    database = Database(owner="admin")
+    admin = database.connect("admin")
+    admin.execute("CREATE TABLE sales (id INT PRIMARY KEY, amount INT)")
+    admin.execute("INSERT INTO sales VALUES (1, 30), (2, 160), (3, 5)")
+    sql = "SELECT id AS count_probe FROM sales ORDER BY id LIMIT {} OFFSET {}"
+    admin.execute(sql.format(5, 0))  # the template's one parse
+    before = parse_cache_stats()
+    answers = [
+        admin.execute(sql.format(limit, offset)).rows
+        for limit, offset in [(1, 0), (2, 0), (1, 1), (5, 0), (2, 1), (1, 0)]
+    ]
+    after = parse_cache_stats()
+    assert after["template_misses"] == before["template_misses"]
+    # (5, 0) and the second (1, 0) are text hits
+    assert after["template_hits"] - before["template_hits"] == 4
+    # and every execution runs the one plan the first prepared
+    assert after["plan_misses"] == before["plan_misses"]
+    assert after["plan_hits"] - before["plan_hits"] == 6
+    assert answers == [[(1,)], [(1,), (2,)], [(2,)], [(1,), (2,), (3,)], [(2,), (3,)], [(1,)]]
+    for limit, offset in [(1, 0), (2, 1)]:
+        text = sql.format(limit, offset)
+        assert parse(text) == fresh(text)
+        assert repr(parse(text)) == repr(fresh(text))
+
+
+#: (text, the error a fresh parse raised before counts were slots)
+BAD_COUNTS = [
+    ("SELECT id FROM sales LIMIT -1",
+     "42601: expected integer after LIMIT near '-' (position 27) in: "
+     "SELECT id FROM sales LIMIT -1"),
+    ("SELECT id FROM sales LIMIT 2.5",
+     "42601: LIMIT requires an integer near '<end of input>' (position 30) in: "
+     "SELECT id FROM sales LIMIT 2.5"),
+    ("SELECT id FROM sales OFFSET 'x'",
+     "42601: expected integer after OFFSET near 'x' (position 28) in: "
+     "SELECT id FROM sales OFFSET 'x'"),
+    ("SELECT id FROM sales LIMIT 1e3",
+     "42601: LIMIT requires an integer near '<end of input>' (position 30) in: "
+     "SELECT id FROM sales LIMIT 1e3"),
+    ("SELECT id FROM sales LIMIT 3 OFFSET 2.0",
+     "42601: OFFSET requires an integer near '<end of input>' (position 39) in: "
+     "SELECT id FROM sales LIMIT 3 OFFSET 2.0"),
+]  # fmt: skip
+
+
+@pytest.mark.parametrize("text, message", BAD_COUNTS)
+def test_a_count_that_is_no_integer_raises_as_before(text, message):
+    # an integer count first, so the bad one meets a template of its tokens
+    parse("SELECT id FROM sales LIMIT 7 OFFSET 1")
+    parse("SELECT id FROM sales LIMIT 7")
+    before = parse_cache_stats()
+    for _ in range(2):
+        with pytest.raises(SQLSyntaxError) as raised:
+            parse(text)
+        assert str(raised.value) == message
+    assert parse_cache_stats()["template_entries"] >= before["template_entries"]
+    assert parse("SELECT id FROM sales LIMIT 7 OFFSET 1").limit == 7
+
+
+# --------------------------------------------------------------------------
 # invalidation: the same template, another literal
 # --------------------------------------------------------------------------
 

@@ -70,6 +70,7 @@ from repro.minidb.executor import (
 from repro.minidb.expressions import (
     FOLD_CLASS,
     GROUP_CLASS,
+    NOTHING_COMPILED,
     SORT_NUMBER_CLASS,
     TEXT_CLASS,
     TRUTH_CLASS,
@@ -78,6 +79,7 @@ from repro.minidb.expressions import (
     compile_batch_expr,
 )
 from repro.minidb.functions import make_aggregate
+from repro.minidb.planner import count_of
 from repro.minidb.storage import ordering_key_element
 
 # --------------------------------------------------------------------------
@@ -149,7 +151,7 @@ class ReferenceExecutor(Executor):
     scan, join, set operations and everything else are inherited."""
 
     def _run_plan(
-        self, plan, session: "Session", outer: Scope | None
+        self, plan, session: "Session", outer: Scope | None, params=(), compiled=NOTHING_COMPILED
     ) -> tuple[list[str], list[tuple]]:
         def run_subquery(sub: ast.SelectStatement, scope: Scope) -> list[tuple]:
             _, sub_rows = self._run_select(sub, session, scope, plan.binding)
@@ -160,12 +162,13 @@ class ReferenceExecutor(Executor):
         scans = plan.scans
         ordered = bool(scans) and scans[0].kind == "ordered"
         order_by = [] if ordered else stmt.order_by
-        needed = stmt.limit + (stmt.offset or 0) if stmt.limit is not None else None
+        limit, offset = count_of(stmt.limit, params), count_of(stmt.offset, params)
+        needed = limit + (offset or 0) if limit is not None else None
         refs = _referenced_names(_statement_exprs(stmt))
         unordered = _order_insensitive_output(stmt, plan.aggregates)
         trace = self.db.tracer.current()
 
-        layout = Scope(plan.binding.slots, None, outer)
+        layout = Scope(plan.binding.slots, None, outer, params)
         relation = _Relation({}, {}, 1)  # no FROM clause: one empty row
         for position, scan in enumerate(scans):
             started = perf_counter() if trace is not None else 0.0
@@ -215,7 +218,7 @@ class ReferenceExecutor(Executor):
 
         if stmt.set_op is not None:
             kind = stmt.set_op[0]
-            rhs_columns, rhs_rows = self._run_plan(plan.set_op, session, outer)
+            rhs_columns, rhs_rows = self._run_plan(plan.set_op, session, outer, params)
             if len(rhs_columns) != len(out_columns):
                 raise ExecutionError(
                     f"{kind} operands must have the same number of columns"
@@ -229,18 +232,19 @@ class ReferenceExecutor(Executor):
                 for i in self._reference_ordered_indexes(order_keys, False, needed)
             ]
 
-        offset = stmt.offset or 0
+        offset = offset or 0
         if offset:
             out_rows = out_rows[offset:]
-        if stmt.limit is not None:
-            out_rows = out_rows[: stmt.limit]
+        if limit is not None:
+            out_rows = out_rows[:limit]
 
         return out_columns, out_rows
 
     def _kernel(self, expr: ast.Expr, layout: Scope):
         if not self.db.planner_options["enable_compiled_predicates"]:
             return None
-        return compile_batch_expr(expr, layout.slots)
+        kernel = compile_batch_expr(expr, layout.slots)
+        return None if kernel is None else lambda batch: kernel(batch, layout.params)
 
     def _selector(
         self,
@@ -255,7 +259,7 @@ class ReferenceExecutor(Executor):
         def select(relation: _Relation, limit: int | None = None) -> list[int]:
             kept: list[int] = []
             if kernel is None:
-                scope = Scope(layout.slots, relation, layout.outer)
+                scope = layout.at(relation)
                 for i in range(relation.length):
                     relation.row = i
                     try:
@@ -319,7 +323,7 @@ class ReferenceExecutor(Executor):
                 return list(zip(*cols)), keys
             chosen = self._reference_ordered_indexes(keys, reverse, needed)
             return list(zip(*[list(map(col.__getitem__, chosen)) for col in cols])), None
-        scope = Scope(layout.slots, relation, layout.outer)
+        scope = layout.at(relation)
         out_rows: list[tuple] = []
         order_keys: list[tuple] = []
         for i in range(n):
@@ -346,7 +350,7 @@ class ReferenceExecutor(Executor):
     ) -> tuple[list[tuple], list[tuple]]:
         stmt = plan.stmt
         n = relation.length
-        scope = Scope(layout.slots, relation, layout.outer)
+        scope = layout.at(relation)
         groups: dict[Any, list[int]] = {}
         if stmt.group_by:
             key_plans: list[tuple[bool, Any]] = []
@@ -439,7 +443,7 @@ class ReferenceExecutor(Executor):
                 relation.row = members[0]
                 rep_scope = scope
             else:
-                rep_scope = Scope(layout.slots, relation.take([None]), layout.outer)
+                rep_scope = layout.at(relation.take([None]))
             if stmt.having is not None and not agg_eval.evaluate_predicate(
                 stmt.having, rep_scope
             ):

@@ -575,7 +575,7 @@ PLANNER_SEAM_GOOD = """\
     from repro.minidb.planner import plan_select, plan_table_scan
 
     class Executor:
-        def run(self, stmt, resolve_table):
+        def _plan(self, stmt, resolve_table):
             plan = plan_select(stmt, self.db, resolve_table)
             for scan in plan.scans:
                 self.scan(scan)
@@ -585,7 +585,7 @@ PLANNER_SEAM_GOOD = """\
                 return scan.index.probe(scan.key)
             return None
 
-        def targets(self, schema, binding, where):
+        def _target_scan(self, schema, binding, where):
             return self.scan(plan_table_scan(self.db, schema, binding, where))
 """
 
@@ -604,6 +604,51 @@ def test_planner_seam_flags_planning_outside_the_planner():
 
 def test_planner_seam_clean_when_consuming_the_plan():
     findings, _ = run_rule("planner-seam", PLANNER_SEAM_GOOD, rel_path=PLANNER_SEAM_PATH)
+    assert findings == []
+
+
+PLANNER_SEAM_UNKEPT_BAD = """\
+    from repro.minidb.planner import plan_select, plan_table_scan
+
+    class Executor:
+        def _run_select(self, sub, session, outer):
+            return self._run_plan(plan_select(sub, self.db, self.db.catalog.table), outer)
+
+        def _dml_targets(self, schema, binding, where):
+            return plan_table_scan(self.db, schema, binding, where)
+"""
+
+PLANNER_SEAM_UNKEPT_GOOD = """\
+    from repro.minidb.planner import plan_select
+
+    class Executor:
+        def _run_select(self, sub, session, outer):
+            return self._run_plan(self._plan(sub, session), outer)
+
+        def _plan(self, select, session):
+            return plan_select(select, self.db, self.resolver(session))
+
+        def _exec_ExplainStatement(self, stmt):
+            return plan_select(stmt.select, self.db, self.db.catalog.table).lines()
+"""
+
+
+def test_planner_seam_flags_a_plan_built_outside_the_prepared_plan_entry():
+    findings, _ = run_rule(
+        "planner-seam", PLANNER_SEAM_UNKEPT_BAD, rel_path=PLANNER_SEAM_PATH
+    )
+    findings = sorted(findings, key=lambda finding: finding.line)
+    assert len(findings) == 2
+    assert "plan_select()" in findings[0].message
+    assert findings[0].context == "Executor._run_select"
+    assert "plan_table_scan()" in findings[1].message
+    assert findings[1].context == "Executor._dml_targets"
+
+
+def test_planner_seam_lets_the_prepared_plan_entry_and_explain_build_plans():
+    findings, _ = run_rule(
+        "planner-seam", PLANNER_SEAM_UNKEPT_GOOD, rel_path=PLANNER_SEAM_PATH
+    )
     assert findings == []
 
 
