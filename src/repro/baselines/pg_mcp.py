@@ -12,6 +12,7 @@
 
 from __future__ import annotations
 
+from ..core.execution import head
 from ..core.interfaces import DatabaseBinding
 from ..core.minidb_binding import MinidbBinding
 from ..mcp import ParamSpec, ToolResult, ToolServer, tool
@@ -58,7 +59,7 @@ class PGMCP(ToolServer):
         outcome = self.binding.run_sql(sql)
         if outcome.columns:
             lines = [" | ".join(outcome.columns)]
-            rows = outcome.rows[: self.max_result_rows]
+            rows = head(outcome.rows, self.max_result_rows)
             for row in rows:
                 lines.append(
                     " | ".join("NULL" if v is None else str(v) for v in row)

@@ -13,7 +13,7 @@ Every call is additionally verified object-by-object by the
 
 from __future__ import annotations
 
-from ..mcp import ParamSpec, ToolResult, ToolServer, ToolSpec
+from ..mcp import Columns, ParamSpec, ToolResult, ToolServer, ToolSpec
 from .config import BridgeScopeConfig
 from .interfaces import DatabaseBinding
 from .verification import SqlVerifier
@@ -100,12 +100,17 @@ class ExecutionTools(ToolServer):
         return run
 
 
-def _render_rows(columns: list[str], rows: list[tuple], max_rows: int) -> str:
-    shown = rows[:max_rows]
+def head(rows: list[tuple] | Columns, count: int) -> list[tuple]:
+    """The first ``count`` rows: a column-backed result builds only those."""
+    return rows.head(count) if isinstance(rows, Columns) else rows[:count]
+
+
+def _render_rows(columns: list[str], rows: list[tuple] | Columns, max_rows: int) -> str:
+    total = len(rows)
     lines = [" | ".join(columns)]
-    for row in shown:
+    for row in head(rows, max_rows):
         lines.append(" | ".join("NULL" if v is None else str(v) for v in row))
-    if len(rows) > max_rows:
-        lines.append(f"... ({len(rows) - max_rows} more rows truncated)")
-    lines.append(f"({len(rows)} rows)")
+    if total > max_rows:
+        lines.append(f"... ({total - max_rows} more rows truncated)")
+    lines.append(f"({total} rows)")
     return "\n".join(lines)

@@ -13,6 +13,8 @@ import abc
 from dataclasses import dataclass, field
 from typing import Any
 
+from ..mcp import Columns
+
 
 @dataclass
 class ObjectInfo:
@@ -29,10 +31,11 @@ class ObjectInfo:
 
 @dataclass
 class SqlOutcome:
-    """Uniform result of running SQL through a binding."""
+    """Uniform result of running SQL through a binding. ``rows`` may be
+    column-backed; ``len(rows)`` is the row count either way."""
 
     columns: list[str]
-    rows: list[tuple]
+    rows: list[tuple] | Columns
     rowcount: int
     status: str
 
@@ -55,7 +58,13 @@ class DatabaseBinding(abc.ABC):
 
     @abc.abstractmethod
     def run_sql(self, sql: str) -> SqlOutcome:
-        """Execute one SQL statement in this binding's session."""
+        """Execute one SQL statement in this binding's session.
+
+        A SELECT's ``rows`` may be a column-backed
+        :class:`~repro.mcp.Columns` rather than a list of tuples. It is not
+        iterable or indexable: read it with ``len``, ``.columns`` or
+        ``wire()`` (the list of tuples).
+        """
 
     @abc.abstractmethod
     def analyze_sql(self, sql: str) -> AccessFootprint:

@@ -5,6 +5,7 @@ from __future__ import annotations
 from contextlib import contextmanager
 from typing import Any, Iterator
 
+from ..mcp import Columns
 from ..minidb import Database, Session, analyze, parse
 from ..minidb.errors import DeadlockError, LockTimeoutError
 from .interfaces import AccessFootprint, DatabaseBinding, ObjectInfo, SqlOutcome
@@ -34,10 +35,12 @@ class MinidbBinding(DatabaseBinding):
     # ----------------------------------------------------------- execution
 
     def run_sql(self, sql: str) -> SqlOutcome:
+        """A SELECT's rows are passed on as its output columns."""
         result = self.session.execute(sql)
+        values = result.values
         return SqlOutcome(
             columns=result.columns,
-            rows=result.rows,
+            rows=result.rows if values is None else Columns(values, len(result)),
             rowcount=result.rowcount,
             status=result.status,
         )

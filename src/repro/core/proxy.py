@@ -19,22 +19,31 @@ Wire format (exactly the paper's Figure 3): the ``proxy`` tool takes
 
   ``__args__`` may itself contain nested producer specs (recursive units),
   and a list of producer specs yields a list of produced values.
+
+The proxy's own calls are :meth:`~repro.mcp.ToolCall.routed`, so their
+results keep their native form: a SELECT result reaches an ``array``
+parameter as its column lists (:class:`~repro.mcp.Columns`), and rows are
+built only where a value leaves the data channel.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from inspect import unwrap
 from typing import Any
 
 from ..mcp import (
+    Columns,
     ParamSpec,
+    ToolCall,
     ToolError,
     ToolRegistry,
     ToolResult,
     ToolServer,
     ToolSpec,
 )
-from .transforms import TransformError, compile_transform
+from ..mcp.columns import wire
+from .transforms import TransformError, compile_transform, identity
 
 PRODUCER_KEY = "__tool__"
 ARGS_KEY = "__args__"
@@ -110,7 +119,7 @@ class ProxyTool(ToolServer):
                 retriable=True,
             )
         resolved = self._resolve_args(unit.tool_args, depth)
-        result = self.registry.invoke(unit.target_tool, **resolved)
+        result = self.registry.call(ToolCall.routed(unit.target_tool, resolved))
         if result.is_error:
             raise ToolError(
                 f"proxy consumer {unit.target_tool} failed: {result.content}",
@@ -125,8 +134,8 @@ class ProxyTool(ToolServer):
         return {key: self._resolve_value(value, depth) for key, value in args.items()}
 
     def _resolve_value(self, value: Any, depth: int) -> Any:
-        if self._is_producer_list(value):
-            return [self._resolve_producer(spec, depth) for spec in value]
+        if self._is_producer_list(value):  # a nested value is read as rows
+            return [wire(self._resolve_producer(spec, depth)) for spec in value]
         if self._is_producer_spec(value):
             return self._resolve_producer(value, depth)
         return value
@@ -143,7 +152,7 @@ class ProxyTool(ToolServer):
             raise ToolError(
                 f"proxy producer tool {tool_name!r} not found", retriable=True
             )
-        result = self.registry.invoke(tool_name, **resolved_args)
+        result = self.registry.call(ToolCall.routed(tool_name, resolved_args))
         self.stats.producer_calls += 1
         if result.is_error:
             raise ToolError(
@@ -157,7 +166,10 @@ class ProxyTool(ToolServer):
         if transform_source:
             try:
                 transform = compile_transform(str(transform_source))
-                value = transform(value)
+                # the identity (also behind a functools.wraps decorator)
+                # passes the native value on; any other transform reads rows
+                if unwrap(transform) is not identity:
+                    value = transform(wire(value))
             except TransformError as exc:
                 raise ToolError(
                     f"transform for producer {tool_name} failed: {exc}",
@@ -169,9 +181,11 @@ class ProxyTool(ToolServer):
     def _payload_of(result: ToolResult) -> Any:
         """The structured payload a producer hands downstream.
 
-        Data-bearing tools attach their wire payload in metadata (SQL tools
-        as ``rows``, ML tools as ``payload``); prefer those over the
-        LLM-oriented rendering. Other tools pass content through.
+        Data-bearing tools attach their payload in metadata (SQL tools as
+        ``rows``, ML tools as ``payload``); prefer those over the
+        LLM-oriented rendering. Other tools pass content through. A result
+        of a routed call keeps its native form: SQL rows and normalised
+        matrices arrive as :class:`~repro.mcp.Columns`.
         """
         if "payload" in result.metadata:
             return result.metadata["payload"]
@@ -180,7 +194,7 @@ class ProxyTool(ToolServer):
         return result.content
 
     def _count_routed(self, value: Any) -> None:
-        if isinstance(value, (list, tuple)):
+        if isinstance(value, (list, tuple, Columns)):  # rows, either form
             self.stats.values_routed += len(value)
         else:
             self.stats.values_routed += 1

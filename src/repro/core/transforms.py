@@ -62,7 +62,7 @@ def compile_transform(source: str) -> Callable[..., Any]:
     """
     source = (source or "").strip()
     if not source:
-        return lambda x: x
+        return identity
     try:
         tree = pyast.parse(source, mode="eval")
     except SyntaxError as exc:
@@ -73,6 +73,8 @@ def compile_transform(source: str) -> Callable[..., Any]:
         if body.args.vararg or body.args.kwarg or body.args.kwonlyargs:
             raise TransformError("transform lambdas take plain positional args only")
         expr = body.body
+        if param_names == [getattr(expr, "id", None)]:
+            return identity  # ``lambda x: x``, the paper's Figure 3 form
     else:
         param_names = ["x"]
         expr = body
@@ -97,7 +99,9 @@ def compile_transform(source: str) -> Callable[..., Any]:
 
 
 def identity(x: Any) -> Any:
-    """The default adaptation function."""
+    """The default adaptation function; :func:`compile_transform` returns
+    it for an empty source and for ``lambda x: x``, and the proxy does not
+    call it."""
     return x
 
 

@@ -6,6 +6,7 @@ servers that expose a set of tools, a registry aggregating servers, and
 uniform call/result messages with an error channel.
 """
 
+from .columns import Columns
 from .errors import ToolError, ToolNotFoundError, ToolArgumentError
 from .messages import ToolCall, ToolResult
 from .registry import ToolRegistry
@@ -13,6 +14,7 @@ from .schema import ParamSpec, ToolSpec
 from .server import ToolServer, tool
 
 __all__ = [
+    "Columns",
     "ParamSpec",
     "ToolArgumentError",
     "ToolCall",

@@ -5,6 +5,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any
 
+from .columns import Columns
+
 
 @dataclass
 class ToolCall:
@@ -12,6 +14,16 @@ class ToolCall:
 
     tool: str
     args: dict[str, Any] = field(default_factory=dict)
+    #: set by :meth:`routed` alone: a call the proxy makes, whose result
+    #: keeps its native form because the proxy is its only reader
+    native: bool = field(default=False, init=False, repr=False, compare=False)
+
+    @classmethod
+    def routed(cls, tool: str, args: dict[str, Any]) -> "ToolCall":
+        """A call on the proxy's data channel (``ProxyTool`` makes these)."""
+        call = cls(tool, args)
+        call.native = True
+        return call
 
     def render(self) -> str:
         parts = ", ".join(f"{k}={_short(v)}" for k, v in self.args.items())
@@ -41,6 +53,17 @@ class ToolResult:
     @classmethod
     def error(cls, message: str, code: str = "ToolError") -> "ToolResult":
         return cls(content=message, is_error=True, error_code=code)
+
+    def to_wire(self) -> "ToolResult":
+        """This result with ``content`` and each ``metadata`` value in
+        their wire form (see :class:`~repro.mcp.columns.Columns`)."""
+        if isinstance(self.content, Columns):
+            self.content = self.content.wire()
+        metadata = self.metadata
+        for key, value in metadata.items():
+            if isinstance(value, Columns):
+                metadata[key] = value.wire()
+        return self
 
     def render(self) -> str:
         """Text as it would enter an LLM context."""

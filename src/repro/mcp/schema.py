@@ -5,6 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any
 
+from .columns import Columns
 from .errors import ToolArgumentError
 
 _JSON_TYPES = {"string", "number", "integer", "boolean", "object", "array", "any"}
@@ -12,7 +13,14 @@ _JSON_TYPES = {"string", "number", "integer", "boolean", "object", "array", "any
 
 @dataclass(frozen=True)
 class ParamSpec:
-    """One declared parameter of a tool."""
+    """One declared parameter of a tool.
+
+    An ``array`` parameter may receive a column-backed
+    :class:`~repro.mcp.Columns` when the proxy routes a value to it: it has
+    ``len`` and ``.columns`` but is not iterable or indexable, so a tool
+    that walks its rows reads them through ``wire()``. Every other type
+    receives the wire form (the list of rows).
+    """
 
     name: str
     type: str = "string"
@@ -30,6 +38,10 @@ class ParamSpec:
             if self.required:
                 raise ToolArgumentError(f"missing required argument {self.name!r}")
             return self.default
+        if isinstance(value, Columns):  # only an array reads the native form
+            if self.type == "array":
+                return value
+            value = value.wire()
         checkers = {
             "string": lambda v: isinstance(v, str),
             "number": lambda v: isinstance(v, (int, float)) and not isinstance(v, bool),

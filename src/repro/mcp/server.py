@@ -122,9 +122,9 @@ class ToolServer:
             _, fn = self._tools[call.tool]
             args = spec.validate_args(call.args)
             content = fn(**args)
-            if isinstance(content, ToolResult):
-                return content
-            return ToolResult.ok(content)
+            result = content if isinstance(content, ToolResult) else ToolResult.ok(content)
+            # a result leaves the tool in its wire form, except to the proxy
+            return result if call.native else result.to_wire()
         except ToolError as exc:
             return ToolResult.error(exc.message, code=type(exc).__name__)
         except Exception as exc:  # engine errors surface with their class name

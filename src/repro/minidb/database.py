@@ -135,9 +135,7 @@ class Session:
         status = "ERROR"
         if result is not None:
             status = result.status or "OK"
-            trace.rows_returned = (
-                len(result.rows) if result.rows else (result.rowcount or 0)
-            )
+            trace.rows_returned = len(result) or result.rowcount or 0
         tracer.finish(trace, status=status, error=error)
         slow_s = self.db.observability_options["slow_statement_s"]
         if slow_s is not None and trace.duration_s >= slow_s:

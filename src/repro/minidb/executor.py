@@ -349,6 +349,11 @@ def _order_targets(
     return targets, hidden
 
 
+def _length(values: list[list]) -> int:
+    """Rows in a block's output columns (none without a column)."""
+    return len(values[0]) if values else 0
+
+
 def _gather(columns: list[list], picks) -> list[list]:
     """``columns`` cut to the rows ``picks``, in that order."""
     return [list(map(col.__getitem__, picks)) for col in columns]
@@ -578,8 +583,10 @@ class Executor:
         trace = self.db.tracer.current()
         if trace is not None:
             trace.plan = _PlanText(plan, params)  # what the slow-statement log renders
-        columns, rows = self._run_plan(plan, session, None, params, compiled)
-        return ResultSet(columns=columns, rows=rows, rowcount=len(rows), status="SELECT")
+        names, values = self._run_plan(plan, session, None, params, compiled)
+        return ResultSet(
+            columns=names, values=values, rowcount=_length(values), status="SELECT"
+        )
 
     @staticmethod
     def _statement(stmt: ast.Statement) -> "tuple[Any, tuple, Any]":
@@ -725,9 +732,11 @@ class Executor:
         binding: Binding,
     ) -> tuple[list[str], list[tuple]]:
         """Run a subquery block of a statement bound by ``binding``,
-        planned when it runs, under the statement's literal vector."""
+        planned when it runs, under the statement's literal vector: its
+        column names and rows."""
         plan = self._plan(stmt, session, binding, outer.params)
-        return self._run_plan(plan, session, outer, outer.params)
+        names, values = self._run_plan(plan, session, outer, outer.params)
+        return names, list(zip(*values))
 
     def _run_plan(
         self,
@@ -736,11 +745,12 @@ class Executor:
         outer: Scope | None,
         params: tuple = (),
         compiled: Mapping = NOTHING_COMPILED,
-    ) -> tuple[list[str], list[tuple]]:
+    ) -> tuple[list[str], list[list]]:
         """Run one planned block: scan -> join -> filter -> group/project
         over one :class:`_Relation`, then the tail (DISTINCT, set
         operation, ORDER BY / top-N, OFFSET/LIMIT), reading the literal
-        vector ``params`` and what was ``compiled`` for the plan."""
+        vector ``params`` and what was ``compiled`` for the plan. Returns
+        the output column names and one value list per output column."""
 
         def run_subquery(sub: ast.SelectStatement, scope: Scope) -> list[tuple]:
             _, sub_rows = self._run_select(sub, session, scope, plan.binding)
@@ -815,14 +825,16 @@ class Executor:
 
         if set_op:
             kind = stmt.set_op[0]
-            rhs_columns, rhs_rows = self._run_plan(
+            rhs_columns, rhs_values = self._run_plan(
                 plan.set_op, session, outer, params, compiled
             )
             if len(rhs_columns) != len(out_columns):
                 raise ExecutionError(
                     f"{kind} operands must have the same number of columns"
                 )
-            rows = self._apply_set_op(kind, list(zip(*columns)), rhs_rows)
+            rows = self._apply_set_op(
+                kind, list(zip(*columns)), list(zip(*rhs_values))
+            )
             columns = [list(col) for col in zip(*rows)] or [[] for _ in items]
 
         if targets:
@@ -830,14 +842,11 @@ class Executor:
                 [(columns[position], descending) for position, descending in targets]
             )
             columns = _gather(columns, self._ordered_indexes(keys, reverse, needed))
-        out_rows = list(zip(*columns[: len(items)]))
-
-        if offset:
-            out_rows = out_rows[offset:]
-        if limit is not None:
-            out_rows = out_rows[:limit]
-
-        return out_columns, out_rows
+        columns = columns[: len(items)]
+        if offset or limit is not None:
+            end = None if limit is None else offset + limit
+            columns = [col[offset:end] for col in columns]
+        return out_columns, columns
 
     # ---------------------------------------------------------------- scan
 
@@ -915,18 +924,17 @@ class Executor:
         literals: it never reads its caller's columns."""
         if scan.child is not None:
             if scan.kind == "view":
-                _, rows = self._run_plan(scan.child, session, None, (), names.compiled)
+                _, values = self._run_plan(scan.child, session, None, (), names.compiled)
             else:
-                _, rows = self._run_plan(
+                _, values = self._run_plan(
                     scan.child, session, names.outer, names.params, names.compiled
                 )
+            # the child's output columns are fresh lists: the scan keeps them
             wanted = set(columns)
             store = {
-                name: [row[i] for row in rows]
-                for i, name in enumerate(scan.columns)
-                if name in wanted
+                name: values[i] for i, name in enumerate(scan.columns) if name in wanted
             }
-            return iter([RowBatch(None, store, len(rows))])
+            return iter([RowBatch(None, store, _length(values))])
         if scan.path is None:  # observability system view
             _, rows = system_view_rows(self.db, scan.name)
             store = {name: [row.get(name) for row in rows] for name in columns}
@@ -1328,12 +1336,12 @@ class Executor:
             probe = tracer.probe()
             started = perf_counter()
             try:
-                _, result_rows = self._run_plan(plan, session, None, params, compiled)
+                _, values = self._run_plan(plan, session, None, params, compiled)
             finally:
                 total_s = perf_counter() - started
                 tracer.release(probe)
             lines = plan.lines(probe.actuals, params=params)
-            lines.append(f"Result rows: {len(result_rows)}")
+            lines.append(f"Result rows: {_length(values)}")
             lines.append(f"Execution time: {total_s * 1000.0:.3f} ms")
         return ResultSet(
             columns=["QUERY PLAN"], rows=[(line,) for line in lines], status="EXPLAIN"
@@ -1412,7 +1420,8 @@ class Executor:
                 stmt, shape.select, session, binding, params, template
             )
             binding = plan.binding
-            _, value_rows = self._run_plan(plan, session, None, params, compiled)
+            _, values = self._run_plan(plan, session, None, params, compiled)
+            value_rows = list(zip(*values))
         evaluator = self._evaluator(session, binding)
         if stmt.select is None:
             values_scope = Scope(binding.slots)

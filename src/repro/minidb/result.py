@@ -2,26 +2,55 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Any, Iterator
 
 
-@dataclass
 class ResultSet:
     """Uniform result of executing one statement.
 
     ``columns``/``rows`` are populated for SELECT; ``rowcount`` for DML
     (number of rows affected); ``status`` is a short human/LLM-readable
     completion tag like ``"INSERT 3"`` or ``"BEGIN"``.
+
+    A SELECT's result is built from its output columns: ``values`` holds
+    one value list per column, and ``rows`` (a list of tuples) is built
+    from them once, on first read. A reader that takes ``values`` never
+    pays for the row tuples.
     """
 
-    columns: list[str] = field(default_factory=list)
-    rows: list[tuple] = field(default_factory=list)
-    rowcount: int = 0
-    status: str = "OK"
+    def __init__(
+        self,
+        columns: list[str] | None = None,
+        rows: list[tuple] | None = None,
+        rowcount: int = 0,
+        status: str = "OK",
+        values: list[list] | None = None,
+    ):
+        self.columns = [] if columns is None else columns
+        #: the output columns' value lists (a SELECT), or None
+        self.values = values
+        if rows is None and values is None:
+            rows = []
+        self._rows = rows  # None: built from ``values`` on first read
+        self.rowcount = rowcount
+        self.status = status
+
+    @property
+    def rows(self) -> list[tuple]:
+        if self._rows is None:
+            self._rows = list(zip(*self.values))
+        return self._rows
+
+    def __repr__(self) -> str:
+        return (
+            f"ResultSet(columns={self.columns!r}, rows={self.rows!r}, "
+            f"rowcount={self.rowcount!r}, status={self.status!r})"
+        )
 
     def __len__(self) -> int:
-        return len(self.rows)
+        if self._rows is None:
+            return len(self.values[0]) if self.values else 0
+        return len(self._rows)
 
     def __iter__(self) -> Iterator[tuple]:
         return iter(self.rows)

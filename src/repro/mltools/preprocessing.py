@@ -1,9 +1,9 @@
 """Data preprocessing tools: normalization and splitting.
 
-All functions take row-major numeric data (list of sequences), the payload
-format SQL producer tools hand over, convert it once with :func:`as_matrix`,
-compute on that float matrix, and return plain lists so results remain
-JSON-able for proxy routing.
+All functions take row-major numeric data (list of sequences), or the same
+table as a column-backed :class:`~repro.mcp.Columns` (how the proxy hands
+over a SELECT result), convert it once with :func:`as_matrix`, compute on
+that float matrix, and return plain lists so results remain JSON-able.
 """
 
 from __future__ import annotations
@@ -15,12 +15,22 @@ from typing import Any, Sequence
 
 import numpy as np
 
+from ..mcp import Columns
+from ..mcp.columns import wire
+
 Rows = list[Sequence[Any]]
 
 
-def as_matrix(data: Rows) -> np.ndarray:
+def as_matrix(data: Rows | Columns) -> np.ndarray:
     """The rows as one float matrix. ``ValueError`` for an empty or ragged
-    payload, non-sequence rows and non-numeric cells; ``TypeError`` for None."""
+    payload, non-sequence rows and non-numeric cells; ``TypeError`` for None.
+    Column-backed data is read column by column; when that fails, the rows
+    are walked as below, so the error names the first bad cell in row order."""
+    if isinstance(data, Columns):
+        matrix = _column_matrix(data)
+        if matrix is not None:
+            return matrix
+        data = data.wire()
     if len(data) == 0:
         raise ValueError("empty dataset")
     try:
@@ -37,9 +47,31 @@ def as_matrix(data: Rows) -> np.ndarray:
     return cells.reshape(len(data), width)
 
 
-def feature_matrix(features: Sequence[Sequence[float]], n_features: int) -> np.ndarray:
+def _column_matrix(data: Columns) -> np.ndarray | None:
+    """The C-ordered float matrix of a column-backed table, each column read
+    with the same ``float()`` conversions as the row path; ``None`` for no
+    rows or columns, any conversion failure, or a nan (numpy reads None as
+    nan), where the caller's row path decides."""
+    columns, n = data.columns, len(data)
+    if not n or not columns:
+        return None
+    matrix = np.empty((n, len(columns)))
+    try:
+        for index, column in enumerate(columns):
+            matrix[:, index] = np.fromiter(column, float, n)
+    except Exception:  # staticcheck: ignore[broad-except] — the row path raises its own error for the first bad cell
+        return None
+    return None if np.isnan(matrix).any() else matrix
+
+
+def columns_of(matrix: np.ndarray) -> Columns:
+    """``matrix`` as a column-backed value; its wire form is ``matrix.tolist()``."""
+    return Columns(matrix.T.tolist(), len(matrix), list)
+
+
+def feature_matrix(features: Sequence[Sequence[float]] | Columns, n_features: int) -> np.ndarray:
     """Feature rows (or one bare row) for a model fitted on ``n_features``."""
-    matrix = np.asarray(features, dtype=float)
+    matrix = np.asarray(wire(features), dtype=float)
     if matrix.ndim == 1:
         matrix = matrix.reshape(1, -1)
     if matrix.shape[1] != n_features:
@@ -74,7 +106,7 @@ def column_stats(data: Rows) -> list[dict[str, float]]:
     return [{"mean": m, "std": s, "min": lo, "max": hi} for m, s, lo, hi in columns]
 
 
-def zscore_normalize(data: Rows, skip_last: bool = True) -> list[list[float]]:
+def zscore_matrix(data: Rows | Columns, skip_last: bool = True) -> np.ndarray:
     """Z-score standardize columns (optionally leaving the target column).
 
     Zero-variance columns pass through unchanged (centered at 0).
@@ -83,17 +115,27 @@ def zscore_normalize(data: Rows, skip_last: bool = True) -> list[list[float]]:
     mean, std = _moments(matrix)
     for col in _scaled(matrix, skip_last):
         matrix[:, col] = (matrix[:, col] - mean[col]) / std[col] if std[col] > 0 else 0.0
-    return matrix.tolist()
+    return matrix
 
 
-def minmax_normalize(data: Rows, skip_last: bool = True) -> list[list[float]]:
+def minmax_matrix(data: Rows | Columns, skip_last: bool = True) -> np.ndarray:
     """Scale columns into [0, 1]; constant columns map to 0."""
     matrix = as_matrix(data)
     low, high = matrix.min(axis=0).tolist(), matrix.max(axis=0).tolist()
     for col in _scaled(matrix, skip_last):
         span = high[col] - low[col]
         matrix[:, col] = (matrix[:, col] - low[col]) / span if span > 0 else 0.0
-    return matrix.tolist()
+    return matrix
+
+
+def zscore_normalize(data: Rows | Columns, skip_last: bool = True) -> list[list[float]]:
+    """:func:`zscore_matrix` as row lists."""
+    return zscore_matrix(data, skip_last).tolist()
+
+
+def minmax_normalize(data: Rows | Columns, skip_last: bool = True) -> list[list[float]]:
+    """:func:`minmax_matrix` as row lists."""
+    return minmax_matrix(data, skip_last).tolist()
 
 
 @functools.lru_cache(maxsize=16)

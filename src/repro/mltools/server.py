@@ -3,7 +3,10 @@
 These are the "domain-specific MCP servers" of the paper's Section 2.5 —
 the proxy routes database query results into them without LLM involvement.
 All tool payloads are plain Python lists/dicts so they survive both proxy
-routing and (for the baselines) inline LLM routing.
+routing and (for the baselines) inline LLM routing. ``array`` arguments
+may arrive column-backed from the proxy, and the normalisers answer with
+:class:`~repro.mcp.Columns`, which leave the tool as row lists to every
+caller but the proxy.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ from ..mcp import ParamSpec, ToolResult, ToolServer, tool
 from .forest import DecisionTreeRegressor, RandomForestRegressor
 from .linear import LinearRegressionModel
 from .metrics import r2_score, rmse
-from .preprocessing import as_matrix, minmax_normalize, split_indexes, zscore_normalize
+from .preprocessing import as_matrix, columns_of, minmax_matrix, split_indexes, zscore_matrix
 from .trend import trend_analyze
 
 
@@ -71,7 +74,7 @@ class MLToolServer(ToolServer):
         params=[ParamSpec("data", "array", "row-major numeric data")],
     )
     def zscore_normalize(self, data: list) -> ToolResult:
-        return ToolResult.ok(zscore_normalize(data))
+        return ToolResult.ok(columns_of(zscore_matrix(data)))
 
     @tool(
         description=(
@@ -81,7 +84,7 @@ class MLToolServer(ToolServer):
         params=[ParamSpec("data", "array", "row-major numeric data")],
     )
     def minmax_normalize(self, data: list) -> ToolResult:
-        return ToolResult.ok(minmax_normalize(data))
+        return ToolResult.ok(columns_of(minmax_matrix(data)))
 
     @tool(
         description=(

@@ -6,11 +6,14 @@ from typing import Any, Sequence
 
 import numpy as np
 
+from ..mcp import Columns
+from ..mcp.columns import wire
 
-def _series(values: Sequence[Any]) -> np.ndarray:
+
+def _series(values: Sequence[Any] | Columns) -> np.ndarray:
     """Flatten a producer payload (rows of 1-tuples or scalars) to floats."""
     flat: list[float] = []
-    for value in values:
+    for value in wire(values):
         if isinstance(value, (list, tuple)):
             if len(value) != 1:
                 raise ValueError(

@@ -8,6 +8,7 @@ from . import (  # noqa: F401  — import-for-registration
     error_taxonomy,
     fs_seam,
     guarded_by,
+    layering,
     metric_registration,
     planner_seam,
 )

@@ -197,13 +197,13 @@ class TestSiblingProducers:
         self, bridge, sink
     ):
         seen = []
-        invoke = bridge.proxy.registry.invoke
+        call = bridge.proxy.registry.call
 
-        def recording_invoke(tool_name, **kwargs):
-            seen.append(kwargs.get("sql", tool_name))
-            return invoke(tool_name, **kwargs)
+        def recording_call(tool_call):
+            seen.append(tool_call.args.get("sql", tool_call.tool))
+            return call(tool_call)
 
-        bridge.proxy.registry.invoke = recording_invoke
+        bridge.proxy.registry.call = recording_call
         result = bridge.invoke(
             "proxy",
             target_tool="combine",

@@ -152,7 +152,7 @@ class ReferenceExecutor(Executor):
 
     def _run_plan(
         self, plan, session: "Session", outer: Scope | None, params=(), compiled=NOTHING_COMPILED
-    ) -> tuple[list[str], list[tuple]]:
+    ) -> tuple[list[str], list[list]]:
         def run_subquery(sub: ast.SelectStatement, scope: Scope) -> list[tuple]:
             _, sub_rows = self._run_select(sub, session, scope, plan.binding)
             return sub_rows
@@ -218,7 +218,8 @@ class ReferenceExecutor(Executor):
 
         if stmt.set_op is not None:
             kind = stmt.set_op[0]
-            rhs_columns, rhs_rows = self._run_plan(plan.set_op, session, outer, params)
+            rhs_columns, rhs_values = self._run_plan(plan.set_op, session, outer, params)
+            rhs_rows = list(zip(*rhs_values))
             if len(rhs_columns) != len(out_columns):
                 raise ExecutionError(
                     f"{kind} operands must have the same number of columns"
@@ -238,7 +239,8 @@ class ReferenceExecutor(Executor):
         if limit is not None:
             out_rows = out_rows[:limit]
 
-        return out_columns, out_rows
+        # the block's output columns, as Executor._run_plan returns them
+        return out_columns, [list(col) for col in zip(*out_rows)] or [[] for _ in items]
 
     def _kernel(self, expr: ast.Expr, layout: Scope):
         if not self.db.planner_options["enable_compiled_predicates"]:

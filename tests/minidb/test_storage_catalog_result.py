@@ -197,6 +197,13 @@ class TestResultSet:
         assert list(result) == [(1,), (2,)]
         assert len(result) == 2
 
+    def test_column_built_len_does_not_depend_on_reads(self):
+        result = ResultSet(columns=["a"], values=[[1, 2, 3]])
+        assert len(result) == 3
+        assert result.rows == [(1,), (2,), (3,)]
+        assert len(result) == 3
+        assert len(ResultSet(values=[])) == 0
+
     def test_render_with_truncation(self):
         result = ResultSet(columns=["a"], rows=[(i,) for i in range(10)])
         text = result.render(max_rows=3)

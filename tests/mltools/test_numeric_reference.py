@@ -30,6 +30,7 @@ import random
 import numpy as np
 import pytest
 
+from repro.mcp import Columns
 from repro.mltools import (
     DecisionTreeRegressor,
     MLToolServer,
@@ -385,3 +386,62 @@ def test_errors_match_reference(defect):
             expected = _outcome(ref, data)
             assert expected is not None
             assert _outcome(fn, data) == expected, (fn.__name__, data)
+
+
+# ------------------------------------------------- column-backed input
+#
+# The proxy hands a SELECT result to the tools as its column lists. Every
+# check above holds for that form too: the same draws and defects, as
+# ``Columns``, must give the reference's values and errors.
+
+
+def as_columns(data: list) -> Columns:
+    return Columns([list(column) for column in zip(*data)], len(data))
+
+
+def test_column_input_matches_reference():
+    for index, data in enumerate(draws()):
+        columns = as_columns(data)
+        width = len(data[0])
+        for skip_last in (True, False):
+            stop = width - 1 if skip_last and width > 1 else width
+            found = zscore_normalize(columns, skip_last)
+            assert _rows_close(found, ref_zscore(data, skip_last), stop), index
+            assert repr(found) == repr(zscore_normalize(data, skip_last)), index
+            assert minmax_normalize(columns, skip_last) == ref_minmax(data, skip_last), index
+        assert repr(column_stats(columns)) == repr(column_stats(data)), index
+
+
+def test_column_input_trains_like_the_reference():
+    server = MLToolServer()
+    for seed in range(40):
+        data = draw(seed, widths=range(2, 7), sizes=tuple(n for n in _SIZES if n >= 2))
+        fraction = random.Random(seed).choice([0.2, 0.3, 0.5])
+        result = server.invoke("train_linear", data=as_columns(data), test_fraction=fraction)
+        assert not result.is_error, (seed, result.content)
+        found, expected = result.metadata["payload"], ref_train_linear(data, fraction)
+        assert found["coefficients"] == expected["coefficients"], seed
+        assert found["intercept"] == expected["intercept"], seed
+    for seed in range(4):
+        data = draw(seed, widths=range(2, 5), sizes=(2, 3, 9, 40, 300))
+        result = server.invoke("train_forest", data=as_columns(data), n_trees=2)
+        found = result.metadata["payload"]
+        assert found["trees"] == ref_train_forest(data, 2)["trees"], seed
+        features = [row[:-1] for row in draw(seed + 1000, widths=[len(data[0])])]
+        predicted = server.invoke("predict", model=found, features=as_columns(features))
+        assert predicted.content["predictions"] == ref_forest_predict(found, features), seed
+
+
+@pytest.mark.parametrize("defect", ["empty", "non-numeric", "none"])
+def test_column_input_errors_match_reference(defect):
+    rng = random.Random(defect)
+    pairs = [
+        (column_stats, ref_column_stats),
+        (zscore_normalize, ref_zscore),
+        (minmax_normalize, ref_minmax),
+    ]
+    for _ in range(25):
+        data = _defective(rng, defect)
+        for fn, ref in pairs:
+            expected = _outcome(ref, data)
+            assert _outcome(fn, as_columns(data)) == expected, (fn.__name__, data)

@@ -799,3 +799,57 @@ def test_ast_frozen_suppression_honored():
     findings, suppressed = run_rule("ast-frozen", source, rel_path=AST_NODES_PATH)
     assert len(findings) == 2
     assert len(suppressed) == 1
+
+
+# ---------------------------------------------------------------- layering
+
+
+LAYERING_BAD = """\
+    from ..obs import MetricsRegistry
+    from ..mcp import Columns
+
+    def render(result):
+        from repro.core.execution import head
+        from .. import service
+        return head(result, 5)
+"""
+
+LAYERING_GOOD = """\
+    from ..obs import MetricsRegistry
+    from .errors import MiniDBError
+    from ...faults import OS_FILESYSTEM
+
+    def render(result):
+        from repro.minidb.result import ResultSet
+        return ResultSet(values=[[1]])
+"""
+
+
+def test_layering_flags_an_upward_import():
+    findings, _ = run_rule("layering", LAYERING_BAD, rel_path="src/repro/minidb/executor.py")
+    assert [f.message.split(":")[0] for f in findings] == [
+        "repro.minidb imports repro.mcp",
+        "repro.minidb imports repro.core",
+        "repro.minidb imports repro.service",
+    ]
+    findings, _ = run_rule(
+        "layering", "from ..core import BridgeScope\n", rel_path="src/repro/mltools/server.py"
+    )
+    assert len(findings) == 1 and "repro.mltools imports repro.core" in findings[0].message
+    findings, _ = run_rule(
+        "layering", "import repro.minidb\n", rel_path="src/repro/mcp/columns.py"
+    )
+    assert len(findings) == 1 and "repro.mcp imports repro.minidb" in findings[0].message
+
+
+def test_layering_lets_each_layer_import_what_is_below_it():
+    findings, _ = run_rule(
+        "layering", LAYERING_GOOD, rel_path="src/repro/minidb/engines/durable.py"
+    )
+    assert findings == []
+    for rel_path, source in (
+        ("src/repro/mltools/trend.py", "from ..mcp import Columns\nfrom .preprocessing import as_matrix\n"),
+        ("src/repro/core/minidb_binding.py", "from ..mcp import Columns\nfrom ..minidb import parse\n"),
+    ):
+        findings, _ = run_rule("layering", source, rel_path=rel_path)
+        assert findings == [], rel_path
