@@ -8,8 +8,10 @@ recursive-descent parser consumes. The token language (stated once, in
   tokens and produce none (an unterminated block comment is an error);
 * ``IDENT`` — a letter or ``_`` followed by letters, digits and ``_`` (Unicode
   aware), or any text between double quotes;
-* ``NUMBER`` — ``12``, ``1.``, ``.5``, ``1.5e-3``; an exponent needs its
-  digits, so ``1e`` is the number ``1`` followed by the identifier ``e``;
+* ``NUMBER`` — ``12``, ``1.``, ``.5``, ``1.5e-3``, in ASCII digits only (as
+  in PostgreSQL: ``٣`` is an illegal character, not the number 3); an
+  exponent needs its digits, so ``1e`` is the number ``1`` followed by the
+  identifier ``e``;
 * ``STRING`` — single-quoted, a quote inside is doubled (``'it''s'``);
 * ``OP`` — ``<= >= <> != ||`` and ``+ - * / % < > =``; ``PUNCT`` — ``( ) , . ;``;
   ``PARAM`` — ``?``; and a closing ``EOF``.
@@ -18,6 +20,14 @@ Keywords are not a token kind: every ``IDENT`` carries its upper-cased form
 in ``word`` and the parser compares that with constant keyword strings, so
 column names may shadow non-reserved words. Every token records the offset
 of its *first* character for error messages.
+
+:func:`skeleton` is the parser's template key, read without a lexer pass:
+the text with each NUMBER / STRING literal replaced by a one-character
+marker of its kind, and the literals' values. It comes from one more
+compiled regex, built from the same STRING and NUMBER patterns, which reads
+literals where :func:`tokenize` does on every text ``tokenize`` accepts
+(``tests/minidb/test_lexer_equivalence.py``); :func:`literal_tokens` is the
+same regex's answer with positions, for checking that.
 """
 
 from __future__ import annotations
@@ -56,6 +66,12 @@ class Token(NamedTuple):
 # without that frame (about a sixth of the lexer's time on a short SELECT)
 _new_token = tuple.__new__
 
+# The literal patterns, stated once: the token regex and the skeleton regex
+# read the same text as a literal. A number's digits are ASCII; other
+# decimal digits (``٣``) may continue an identifier but start no token.
+_STRING = r"' [^']* (?: ''[^']* )* ' (?!')"
+_NUMBER = r"(?: [0-9]+ (?: \.[0-9]* )? | \.[0-9]+ ) (?: [eE][+-]?[0-9]+ )?"
+
 # One alternative per token kind behind a prefix that swallows whitespace and
 # comments, so finditer yields exactly one match per token. The EOF and BAD
 # alternatives make the pattern match at every offset: finditer never skips
@@ -63,11 +79,11 @@ _new_token = tuple.__new__
 _QUOTED = "QUOTED"
 _BAD = "BAD"
 _TOKEN = re.compile(
-    r"""
+    rf"""
     (?: \s+ | --[^\n]* | /\*.*?\*/ )*
     (?: (?P<IDENT>  [^\W\d]\w* )
-      | (?P<NUMBER> (?: \d+ (?:\.\d*)? | \.\d+ ) (?: [eE][+-]?\d+ )? )
-      | (?P<STRING> '[^']* (?: ''[^']* )* ' (?!') )
+      | (?P<NUMBER> {_NUMBER} )
+      | (?P<STRING> {_STRING} )
       | (?P<QUOTED> "[^"]*" )
       | (?P<OP>     <= | >= | <> | != | \|\| | [-+*%<>=] | /(?!\*) )
       | (?P<PUNCT>  [(),.;] )
@@ -75,6 +91,30 @@ _TOKEN = re.compile(
       | (?P<EOF>    \Z )
       | (?P<BAD>    . )
     )
+    """,
+    re.VERBOSE | re.DOTALL,
+)
+
+#: the marker standing for each literal kind in a skeleton: characters the
+#: lexer rejects outside a string, comment or quoted identifier, so in a
+#: text it accepts every marker outside those is a literal
+SKELETON_MARKERS = {NUMBER: "#", STRING: "$"}
+
+# One match per literal: the run of text before it, then the literal (or the
+# end). The run swallows comments and quoted identifiers whole and every
+# character that cannot start a literal. Digits after a word character
+# continue an identifier (the run's lookbehind), so a digit-started number
+# has none before it; a ``.``-started one needs nothing (``t.5`` and
+# ``x1.5`` end in the number ``.5``). The run stops only where a literal or
+# the end matches, so nothing backtracks.
+_SKELETON = re.compile(
+    rf"""
+    ( (?: [^-/"'.0-9]+
+        | --[^\n]* | /\*.*?\*/ | "[^"]*"
+        | (?<=\w)[0-9]+
+        | [-/"] | \.(?![0-9]) | (?!{_STRING})'
+      )* )
+    (?: (?P<STRING> {_STRING} ) | (?P<NUMBER> {_NUMBER} ) | \Z )
     """,
     re.VERBOSE | re.DOTALL,
 )
@@ -124,3 +164,39 @@ def _illegal(sql: str, pos: int) -> SQLSyntaxError:
     if sql.startswith("/*", pos):
         return SQLSyntaxError(f"unterminated comment at position {pos}")
     return SQLSyntaxError(f"illegal character {ch!r} at position {pos}")
+
+
+def skeleton(sql: str) -> tuple[str, list[str]]:
+    """``sql``'s literal skeleton and the value of each of its literals, in
+    order (a STRING's with its quotes undone, as :func:`tokenize` gives it).
+
+    Two texts with one skeleton differ only in their literals. The
+    skeleton of a text :func:`tokenize` rejects is still defined; it may
+    coincide with an accepted text's, but never with the same literal count.
+    """
+    parts: list[str] = []
+    values: list[str] = []
+    for run, string, number in _SKELETON.findall(sql):
+        parts.append(run)
+        if string:
+            parts.append(SKELETON_MARKERS[STRING])
+            values.append(string[1:-1].replace("''", "'"))
+        elif number:
+            parts.append(SKELETON_MARKERS[NUMBER])
+            values.append(number)
+    return "".join(parts), values
+
+
+def literal_tokens(sql: str) -> list[tuple[str, str, int]]:
+    """``(kind, value, offset)`` of each literal the skeleton regex reads in
+    ``sql``: on a text :func:`tokenize` accepts, its NUMBER and STRING
+    tokens."""
+    found = []
+    for match in _SKELETON.finditer(sql):
+        kind = match.lastgroup
+        if kind is not None:
+            text = match.group(kind)
+            if kind == STRING:
+                text = text[1:-1].replace("''", "'")
+            found.append((kind, text, match.start(kind)))
+    return found

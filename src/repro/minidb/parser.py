@@ -6,19 +6,25 @@ Entry points:
 * :func:`parse` — one statement (trailing semicolons allowed). The text is
   looked up in a small bounded cache first. A tool call's SQL is parsed by
   the verifier and again, microseconds later, by ``Session.execute``: the
-  second call is a hit. On a miss the text is tokenized and its *template*
-  looked up: the token stream with every NUMBER / STRING value replaced by
-  its kind. Agent SQL inlines its literals, so ``... WHERE id = 7`` and
-  ``... WHERE id = 8`` share one; on a template hit the template's
-  statement is rebuilt around the new literal values (only the nodes on
-  the root-to-literal paths are new; untouched subtrees are shared, the
-  nodes being frozen). Only a template miss runs the recursive-descent
-  parser.
+  second call is a hit. On a miss its *template* is looked up under the
+  text's literal skeleton (:func:`lexer.skeleton`: the text with every
+  NUMBER / STRING literal replaced by a marker of its kind, read with the
+  literals' values in one regex pass). Agent SQL inlines its literals, so
+  ``... WHERE id = 7`` and ``... WHERE id = 8`` share one; on a template
+  hit the template's statement is rebuilt around the new literal values
+  (only the nodes on the root-to-literal paths are new; untouched subtrees
+  are shared, the nodes being frozen). Only a template miss runs the lexer
+  and the recursive-descent parser. The key is the text itself, so
+  spellings that differ in whitespace, keyword case or comments are
+  separate templates, each parsed once. A new template is kept only if the
+  lexer's NUMBER / STRING tokens are the skeleton's literals (kind, value
+  and offset); a text where they are not is *untemplated*, parsed every
+  time.
 * :func:`shared_analysis` — ``analyze()``'s cache: at most one analysis
   per template and catalog version, shared by every statement bound from
   the template.
 * :func:`prepared` — the template a statement was bound from and its
-  *literal vector* (the values of its slots, in token order). The
+  *literal vector* (the values of its slots, in text order). The
   template's :attr:`_Template.shape` is its statement with each slot a
   :class:`ast.Param`, and :attr:`_Template.plan` the one prepared plan the
   executor keeps for it (:meth:`repro.minidb.executor.Executor._plan_select`):
@@ -59,7 +65,19 @@ from typing import Callable, TypeVar
 
 from . import ast_nodes as ast
 from .errors import SQLSyntaxError
-from .lexer import EOF, IDENT, NUMBER, OP, PARAM, PUNCT, STRING, Token, tokenize
+from .lexer import (
+    EOF,
+    IDENT,
+    NUMBER,
+    OP,
+    PARAM,
+    PUNCT,
+    STRING,
+    Token,
+    literal_tokens,
+    skeleton,
+    tokenize,
+)
 
 #: entries in each of the parse caches (texts, templates, bound statements).
 #: The text cache has to cover the calls in flight between verification and
@@ -97,71 +115,82 @@ _LITERAL_KINDS = frozenset({NUMBER, STRING})
 T = TypeVar("T")
 
 
-def _literal_value(token: Token) -> int | float | str:
-    """The value a NUMBER or STRING token's :class:`ast.Literal` holds — for
-    a fresh parse and a template binding alike."""
-    text = token.value
-    if token.kind == STRING:
+def _literal_value(kind: str, text: str) -> int | float | str:
+    """The value the :class:`ast.Literal` of a NUMBER or STRING literal
+    holds, from its kind and its token value — for a fresh parse and a
+    template binding alike."""
+    if kind == STRING:
         return text
     if "." in text or "e" in text or "E" in text:
         return float(text)
     return int(text)
 
 
-def _count_value(token: Token) -> int | None:
-    """A LIMIT / OFFSET count, or ``None`` when the token is no integer
-    (the parser raises for it)."""
+def _count_value(kind: str, text: str) -> int | None:
+    """A LIMIT / OFFSET count, or ``None`` when the literal is no integer
+    (the parser raises for it). ``kind`` is NUMBER: the parser reads a
+    count from no other literal."""
     try:
-        return int(token.value)
+        return int(text)
     except ValueError:
         return None
 
 
 class _Template:
-    """One statement shape: every text with the same tokens, NUMBER and
-    STRING values aside, parses to this statement with other literals.
+    """One statement shape: every text with the same literal skeleton
+    parses to this statement with other literals.
 
-    ``stmt`` is the statement parsed from the first such text. ``slots``
-    are the token positions whose values the statement holds — each
-    :class:`ast.Literal` and each LIMIT / OFFSET count (``counts``, by slot
-    number) — in order, and ``steps`` the root-to-slot paths to them (see
-    :func:`_rebuilt`). Every other NUMBER / STRING token was read as
-    structure (a ``VARCHAR(40)`` length, an ORDER BY ordinal): ``pins``
-    holds their positions and values, and a text that differs there is not
+    ``stmt`` is the statement parsed from the first such text. The text's
+    NUMBER / STRING literals are numbered in order (``arity`` of them);
+    ``readers`` holds, for each slot — each :class:`ast.Literal` and each
+    LIMIT / OFFSET count (``counts``, by slot number) — the number of the
+    literal it holds, its kind and how to read its value, and ``steps`` the
+    root-to-slot paths (see :func:`_rebuilt`). Every other literal was read
+    as structure (a ``VARCHAR(40)`` length, an ORDER BY ordinal): ``pins``
+    holds their numbers and values, and a text that differs there is not
     an instance. ``analysis`` is :func:`shared_analysis`'s one slot and
     ``plan`` the executor's prepared plan; each is one attribute, rebound
     whole, so a reader on another thread sees the old value or the new.
     """
 
     __slots__ = (
-        "key", "stmt", "slots", "counts", "readers", "pins", "steps",
+        "key", "stmt", "arity", "readers", "counts", "pins", "steps",
         "analysis", "plan", "_shape",
     )  # fmt: skip
 
     def __init__(
         self,
-        key: tuple,
+        key: str,
         stmt: ast.Statement,
         tokens: list[Token],
         literals: list[tuple[int, object]],
     ):
         #: the cache's own key object: refreshing the entry under it
-        #: compares by identity, not token by token
+        #: compares by identity, not character by character
         self.key = key
         self.stmt = stmt
-        self.slots = tuple(position for position, _ in literals)
+        #: token position → literal number
+        numbered: dict[int, int] = {}
+        for position, token in enumerate(tokens):
+            if token.kind in _LITERAL_KINDS:
+                numbered[position] = len(numbered)
+        self.arity = len(numbered)
         self.counts = frozenset(
             n for n, (_, leaf) in enumerate(literals) if type(leaf) is tuple
         )
         self.readers = tuple(
-            _count_value if n in self.counts else _literal_value
-            for n in range(len(self.slots))
+            (
+                numbered[position],
+                tokens[position].kind,
+                _count_value if n in self.counts else _literal_value,
+            )
+            for n, (position, _) in enumerate(literals)
         )
-        slotted = set(self.slots)
+        slotted = {position for position, _ in literals}
         self.pins = tuple(
-            (position, token.value)
-            for position, token in enumerate(tokens)
-            if token.kind in _LITERAL_KINDS and position not in slotted
+            (n, tokens[position].value)
+            for position, n in numbered.items()
+            if position not in slotted
         )
         slot_of = {
             (id(leaf[0]), leaf[1]) if type(leaf) is tuple else id(leaf): n
@@ -174,16 +203,16 @@ class _Template:
         self.plan: object = None
         self._shape: ast.Statement | None = None
 
-    def bind(self, tokens: list[Token]) -> tuple[ast.Statement, tuple] | None:
-        """The statement ``tokens`` (same key) parse to and its literal
-        vector, or ``None`` when a pinned token differs or a count is no
-        integer."""
-        for position, value in self.pins:
-            if tokens[position].value != value:
+    def bind(self, texts: list[str]) -> tuple[ast.Statement, tuple] | None:
+        """The statement a text with this skeleton and the literal values
+        ``texts`` parses to, and its literal vector; ``None`` when the
+        literal count or a pinned literal differs or a count is no integer."""
+        if len(texts) != self.arity:
+            return None
+        for n, value in self.pins:
+            if texts[n] != value:
                 return None
-        values = tuple(
-            [read(tokens[position]) for position, read in zip(self.slots, self.readers)]
-        )
+        values = tuple([read(kind, texts[n]) for n, kind, read in self.readers])
         if self.counts and None in values:
             return None
         if self.steps is None:
@@ -204,17 +233,10 @@ class _Template:
             if self.steps is None:
                 shape = self.stmt
             else:
-                params = [ast.Param(n) for n in range(len(self.slots))]
+                params = [ast.Param(n) for n in range(len(self.readers))]
                 shape = _rebuilt(self.stmt, self.steps, params)
             self._shape = shape
         return shape
-
-
-def _template_key(tokens: list[Token]) -> tuple:
-    """The token stream with each NUMBER / STRING value replaced by its kind."""
-    return tuple(
-        [kind if (kind := token.kind) in _LITERAL_KINDS else token[:2] for token in tokens]
-    )
 
 
 def _plan(node: object, slot_of: dict) -> object:
@@ -274,8 +296,8 @@ def _remember(entries: OrderedDict, key: object, value: object) -> None:
 
 
 _COUNTERS = (
-    "hits", "misses", "template_hits", "template_misses", "analysis_hits", "analysis_misses",
-    "plan_hits", "plan_misses", "plan_custom",
+    "hits", "misses", "template_hits", "template_misses", "untemplated",
+    "analysis_hits", "analysis_misses", "plan_hits", "plan_misses", "plan_custom",
 )  # fmt: skip
 
 #: one bound statement: (statement, its template, its literal vector)
@@ -285,7 +307,7 @@ _Entry = tuple
 class _ParseCache:
     """The three bounded, thread-safe LRUs behind :func:`parse`,
     :func:`shared_analysis` and :func:`prepared`: statement text → entry,
-    template key → :class:`_Template`, and ``id(statement)`` → the entry
+    literal skeleton → :class:`_Template`, and ``id(statement)`` → the entry
     it was bound in (the entry holds the statement, so its id cannot be
     reused while the entry lives). An entry is (statement, template,
     literal vector)."""
@@ -294,7 +316,7 @@ class _ParseCache:
         self._lock = threading.Lock()
         #: least recently used first, in all three
         self._texts: OrderedDict[str, _Entry] = OrderedDict()  #: guarded by self._lock
-        self._templates: OrderedDict[tuple, _Template] = OrderedDict()  #: guarded by self._lock
+        self._templates: OrderedDict[str, _Template] = OrderedDict()  #: guarded by self._lock
         self._bound: OrderedDict[int, _Entry] = OrderedDict()  #: guarded by self._lock
         self._counts = dict.fromkeys(_COUNTERS, 0)  #: guarded by self._lock
 
@@ -311,7 +333,7 @@ class _ParseCache:
             _remember(self._bound, id(entry[0]), entry)
             return entry[0]
 
-    def template(self, key: tuple) -> _Template | None:
+    def template(self, key: str) -> _Template | None:
         with self._lock:
             template = self._templates.get(key)
             if template is not None:
@@ -363,14 +385,22 @@ def parse(sql: str) -> ast.Statement:
         return stmt
     if len(sql) > PARSE_CACHE_MAX_TEXT:
         return _Parser(sql).parse_one()
-    tokens = tokenize(sql)
-    key = _template_key(tokens)
+    key, texts = skeleton(sql)
     template = _cache.template(key)
-    bound = None if template is None else template.bind(tokens)
+    bound = None if template is None else template.bind(texts)
     parsed = bound is None
     if parsed:
+        tokens = tokenize(sql)
         parser = _Parser(sql, tokens)
         stmt = parser.parse_one()
+        if literal_tokens(sql) != [
+            (token.kind, token.value, token.pos)
+            for token in tokens
+            if token.kind in _LITERAL_KINDS
+        ]:
+            # the skeleton would bind other texts wrongly: keep nothing
+            _cache.count("untemplated")
+            return stmt
         template = _Template(key, stmt, tokens, parser.literals)
         values = tuple(
             leaf.value if type(leaf) is ast.Literal else getattr(*leaf)
@@ -427,7 +457,8 @@ def parse_cache_stats() -> dict[str, int]:
     """Counters and sizes of :func:`parse`'s caches (process-wide): text
     ``hits`` / ``misses`` / ``entries``, ``template_hits`` /
     ``template_misses`` / ``template_entries`` (lookups on a text miss),
-    :func:`shared_analysis`'s ``analysis_hits`` / ``analysis_misses`` and
+    ``untemplated`` (texts parsed and not kept, their lexer and skeleton
+    disagreeing), :func:`shared_analysis`'s ``analysis_hits`` / ``analysis_misses`` and
     the prepared plans' ``plan_hits`` / ``plan_misses`` / ``plan_custom``
     (:func:`count_plan`)."""
     return _cache.stats()
@@ -1221,7 +1252,7 @@ class _Parser:
                         )
                 node = ast.ColumnRef(token.value)
         elif kind in _LITERAL_KINDS:
-            node = ast.Literal(_literal_value(token))
+            node = ast.Literal(_literal_value(kind, token.value))
             self.literals.append((self.pos, node))
         elif kind == PUNCT and token.value == "(":
             self.advance()

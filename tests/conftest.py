@@ -5,6 +5,9 @@ seed-sensitive: under CI or a busy machine they intermittently abort
 otherwise-passing property tests, which turns a ``pytest -x`` gate red on
 unrelated changes. Suppress them globally; per-test ``@settings`` still
 control example counts and deadlines.
+
+The ``ci-deep`` profile is the same with 5,000 examples, for CI's deep run
+of the skeleton properties (``--hypothesis-profile=ci-deep``).
 """
 
 from hypothesis import HealthCheck, settings
@@ -15,3 +18,6 @@ settings.register_profile(
     deadline=None,
 )
 settings.load_profile("repo-default")
+# ``--hypothesis-profile=ci-deep`` (a CI step): properties that set no
+# ``max_examples`` of their own run 5,000 examples instead of the default
+settings.register_profile("ci-deep", settings.get_profile("repo-default"), max_examples=5000)

@@ -136,3 +136,22 @@ class TestErrors:
     def test_identifiers_carry_their_upper_cased_form(self):
         tokens = tokenize("""select "from" 'WHERE' 12 =""")
         assert [t.word for t in tokens] == ["SELECT", "FROM", "", "", "", ""]
+
+
+class TestNumbersAreAsciiDigits:
+    """A NUMBER's digits are ``0``–``9`` (as in PostgreSQL). Other decimal
+    digits used to lex as a NUMBER that ``int()`` accepted: ``SELECT ٣``
+    answered 3, ``a = ١٠`` matched 10, ``LIMIT ٢`` returned two rows."""
+
+    @pytest.mark.parametrize("sql", ["SELECT ٣", "a = ١٠", "LIMIT ٢", "١٢३", "x + ٣.٥", "1٣"])
+    def test_other_decimal_digits_start_no_token(self, sql):
+        with pytest.raises(SQLSyntaxError, match="illegal character"):
+            tokenize(sql)
+
+    def test_other_decimal_digits_continue_an_identifier(self):
+        assert [(t.kind, t.value) for t in tokenize("a٣ x١٠_2")[:-1]] == [
+            (IDENT, "a٣"), (IDENT, "x١٠_2"),
+        ]  # fmt: skip
+
+    def test_an_exponent_needs_ascii_digits(self):
+        assert [(t.kind, t.value) for t in tokenize("1e٣")[:-1]] == [(NUMBER, "1"), (IDENT, "e٣")]

@@ -301,7 +301,7 @@ def test_hit_ratio_is_one_query_away(db):
     second = sample()
     assert set(second) == {
         "hits", "misses", "entries",
-        "template_hits", "template_misses", "template_entries",
+        "template_hits", "template_misses", "template_entries", "untemplated",
         "analysis_hits", "analysis_misses",
         "plan_hits", "plan_misses", "plan_custom",
     }  # fmt: skip
@@ -311,7 +311,7 @@ def test_hit_ratio_is_one_query_away(db):
     # the second time it runs (its counts are read after it planned).
     assert delta(second, first) == {
         "hits": 2, "misses": 1,
-        "template_hits": 0, "template_misses": 1,
+        "template_hits": 0, "template_misses": 1, "untemplated": 0,
         "analysis_hits": 2, "analysis_misses": 1,
         "plan_hits": 1, "plan_misses": 1, "plan_custom": 0,
     }  # fmt: skip
@@ -321,7 +321,7 @@ def test_hit_ratio_is_one_query_away(db):
     third = sample()
     assert delta(third, second) == {
         "hits": 2, "misses": 1,
-        "template_hits": 1, "template_misses": 0,
+        "template_hits": 1, "template_misses": 0, "untemplated": 0,
         "analysis_hits": 3, "analysis_misses": 0,
         "plan_hits": 2, "plan_misses": 0, "plan_custom": 0,
     }  # fmt: skip
@@ -332,3 +332,4 @@ def test_hit_ratio_is_one_query_away(db):
     assert "minidb_parse_cache_template_hits" in text
     assert "minidb_parse_cache_analysis_hits" in text
     assert "minidb_parse_cache_plan_hits" in text
+    assert "minidb_parse_cache_untemplated" in text

@@ -1,9 +1,10 @@
 """The template layer behind ``parse()``'s text cache, and ``analyze()``'s
 cache per template and catalog version.
 
-A text-cache miss looks its token stream up with every NUMBER / STRING
-value replaced by its kind; a hit rebuilds the template's statement around
-the new literals instead of parsing. ``analyze()`` runs once per template
+A text-cache miss looks its literal skeleton up (the text with every
+NUMBER / STRING literal replaced by a marker of its kind, read without the
+lexer); a hit rebuilds the template's statement around the new literals
+instead of lexing and parsing. ``analyze()`` runs once per template
 and catalog version. Both are sound only if a bound statement is exactly
 what a fresh parse of the text gives, and a cached analysis exactly what a
 fresh analysis gives, under the catalog as it is now.
@@ -22,9 +23,15 @@ expansion, each ORDER BY output position and the name error. A rebind
 that turns ``1.0`` into ``1`` fails it, and so does an analysis cache
 that ignores the catalog version.
 
-Below the oracle: the invalidation contract (privileges and every schema
-change are seen by the next call of a template, whatever its literals) and
-a threaded test (many threads bind one template with their own literals).
+Beside it, a property over texts that share a skeleton: same-kind literal
+substitutions (``''''``, ``1.``, ``.5``, ``2.5E-3``, numbers after a sign,
+pinned ORDER BY ordinals and type lengths) parse as a fresh parse does, or
+raise its message. Below: the invalidation contract (privileges and every
+schema change are seen by the next call of a template, whatever its
+literals), threaded tests (many threads bind one template with their own
+literals; many threads miss one new skeleton at once) and the lexer's
+accounting (in an ``oltp_durable`` run, ``tokenize`` runs only where a
+template is missed).
 """
 
 import os
@@ -42,15 +49,16 @@ from repro.core import BridgeScope, MinidbBinding
 from repro.mcp import ToolCall
 from repro.minidb import Database, analyze
 from repro.minidb import ast_nodes as ast
+from repro.minidb import parser as parser_module
 from repro.minidb.analysis import _Binder
 from repro.minidb.errors import PermissionDenied, SQLSyntaxError
-from repro.minidb.lexer import _TOKEN, NUMBER, STRING
-from repro.minidb.parser import _Parser, parse, parse_cache_stats
+from repro.minidb.lexer import _TOKEN, NUMBER, STRING, literal_tokens, skeleton
+from repro.minidb.parser import PARSE_CACHE_MAX_TEXT, _Parser, parse, parse_cache_stats
 
 ROOT = Path(__file__).resolve().parents[2]
 sys.path.insert(0, str(ROOT / "tests" / "differential"))
 sys.path.insert(0, str(ROOT / "benchmarks" / "e2e"))
-from e2ebench import spec  # noqa: E402
+from e2ebench import harness, spec  # noqa: E402
 from e2ebench.workloads import WORKLOADS  # noqa: E402
 from test_sqlite_crosscheck import NULL_FREE_SHAPES, PREDICATES, SHAPES  # noqa: E402
 
@@ -262,18 +270,23 @@ def test_bound_statements_and_cached_analyses_match_fresh_ones(e2e_corpus, catal
     assert after["analysis_hits"] - before["analysis_hits"] > checked // 3
 
 
+#: literal texts by token kind: numbers (unsigned, so each stays one NUMBER
+#: token) and strings with their quotes doubled
+NUMBER_TEXTS = st.one_of(
+    st.integers(min_value=0, max_value=10**20).map(str),
+    st.floats(min_value=0, allow_nan=False, allow_infinity=False).map(repr),
+    st.sampled_from(["1.", ".5", "2.5E-3", "0", "007", "1e5", "1E+2", "7.0"]),
+)
+STRING_TEXTS = st.one_of(
+    st.text(max_size=8).map(lambda s: "'" + s.replace("'", "''") + "'"),
+    st.sampled_from(["''''", "'it''s'", "''", "' '' '", "'#'", "'$'", "'--'", "'/*'", "'\"'"]),
+)
+
+
 def _literal_renderings():
-    integers = st.integers(min_value=0, max_value=10**20).map(str)
-    reals = st.floats(
-        min_value=0, allow_nan=False, allow_infinity=False
-    ).map(repr)
-    strings = st.text(max_size=8).map(lambda s: "'" + s.replace("'", "''") + "'")
-    quoted = st.sampled_from(["''''", "'it''s'", "''", "' '' '"])
     keywords = st.sampled_from(["NULL", "TRUE", "FALSE", "null", "True"])
-    signed = st.tuples(
-        st.sampled_from(["-", "+", "- "]), st.one_of(integers, reals)
-    ).map("".join)
-    return st.one_of(integers, reals, strings, quoted, keywords, signed)
+    signed = st.tuples(st.sampled_from(["-", "+", "- "]), NUMBER_TEXTS).map("".join)
+    return st.one_of(NUMBER_TEXTS, STRING_TEXTS, keywords, signed)
 
 
 @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -290,6 +303,78 @@ def test_literal_substitutions_match_fresh_parses(data, e2e_corpus, catalog):
     )
     check_text(sql, (cat,))  # the template, from the original text
     check_text(substituted(sql, renderings), (cat, None))
+
+
+#: texts whose literals the skeleton property varies beyond the corpus: a
+#: number after a sign, pinned ORDER BY ordinals and type lengths, counts
+SIGNED_AND_PINNED = [
+    "SELECT -1 + a, - 2.5 * b, +.5 FROM t WHERE c = 'x' ORDER BY 1 LIMIT 3 OFFSET 1",
+    "SELECT CAST(a AS VARCHAR(10)) AS v, b FROM t WHERE b > -.5 ORDER BY 2 DESC, 'k'",
+    "SELECT a FROM t WHERE c IN ('a', 'b''c', '') AND b BETWEEN -1e3 AND 2.5E-3",
+    "CREATE TABLE skeletal (id INT PRIMARY KEY, name VARCHAR(40) DEFAULT 'n', w REAL DEFAULT -1.)",
+]
+
+
+@settings(deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_texts_sharing_a_skeleton_parse_like_fresh_ones(data, e2e_corpus, catalog):
+    """No ``max_examples`` of its own: CI's ``ci-deep`` profile runs it at
+    5,000 examples."""
+    texts, cat = data.draw(
+        st.sampled_from([(TEST_CORPUS + SIGNED_AND_PINNED, catalog)] + list(e2e_corpus)),
+        label="corpus",
+    )
+    sql = data.draw(st.sampled_from(texts).filter(literal_spans), label="sql")
+    key, _ = skeleton(sql)
+    check_text(sql, (cat,))  # the template, from the original text
+    kinds = [kind for kind, _, _ in literal_tokens(sql)]
+    for _ in range(2):
+        renderings = [
+            data.draw(STRING_TEXTS if kind == STRING else NUMBER_TEXTS, label=kind)
+            for kind in kinds
+        ]
+        variant = substituted(sql, renderings)
+        # ``t.5`` → ``t5`` would be another skeleton; the corpus has none
+        assert skeleton(variant)[0] == key, variant
+        check_text(variant, (cat, None))
+
+
+def test_a_rejected_text_never_binds_from_a_template():
+    """A text the lexer rejects can have an accepted text's skeleton (a
+    marker is a character of its own), never with its literal count."""
+    for accepted, rejected in [
+        ("SELECT 1 FROM t", "SELECT # FROM t"),
+        ("SELECT '#', 1 FROM t", "SELECT $, 1 FROM t"),
+        ("SELECT a FROM t WHERE b = 2 -- $", "SELECT a FROM t WHERE b = # -- $"),
+    ]:
+        parse(accepted)
+        assert skeleton(rejected)[0] == skeleton(accepted)[0]
+        with pytest.raises(SQLSyntaxError, match="illegal character"):
+            parse(rejected)
+
+
+def test_a_text_whose_lexer_and_skeleton_disagree_is_never_kept(monkeypatch):
+    """No such text is known (the skeleton property), so the disagreement
+    is planted: the skeleton regex is made to misplace a literal. The text
+    parses right, is counted ``untemplated`` every time, and neither it nor
+    its skeleton is remembered."""
+    real = parser_module.literal_tokens
+
+    def misplaced(sql):
+        return [(kind, value, pos + 1) for kind, value, pos in real(sql)]
+
+    monkeypatch.setattr(parser_module, "literal_tokens", misplaced)
+    sql = "SELECT a AS untemplated_probe FROM t WHERE b = {}"
+    before = parse_cache_stats()
+    for n in (1, 1, 2):
+        assert repr(parse(sql.format(n))) == repr(fresh(sql.format(n)))
+    after = parse_cache_stats()
+    assert after["untemplated"] - before["untemplated"] == 3
+    assert after["template_misses"] == before["template_misses"]
+    assert after["hits"] == before["hits"]
+    monkeypatch.setattr(parser_module, "literal_tokens", real)
+    parse(sql.format(3))
+    assert parse_cache_stats()["template_misses"] == after["template_misses"] + 1
 
 
 def test_integral_reals_keep_their_type():
@@ -539,3 +624,87 @@ def test_threads_binding_one_template_each_get_their_own_values(db):
     assert not any(thread.is_alive() for thread in threads)
     assert wrong == []
     assert sorted(finished) == list(range(STRESS_THREADS))
+
+
+def test_threads_racing_on_a_new_skeleton_each_get_a_fresh_parse():
+    """``STRESS_THREADS`` threads miss one new skeleton at the same moment,
+    each with its own literals: every one gets its own text's statement,
+    each miss is counted once, and the skeleton then binds."""
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for round_number in range(10):
+            sql = (
+                f"SELECT a + {{n}} AS race_{round_number}_probe, 'r{{n}}' FROM t "
+                "WHERE b = {n}.5 ORDER BY a LIMIT {n}"
+            )
+            texts = [sql.format(n=k + 1) for k in range(STRESS_THREADS)]
+            barrier = threading.Barrier(STRESS_THREADS)
+            results = {}
+
+            def work(k):
+                barrier.wait(timeout=60.0)
+                results[k] = parse(texts[k])
+
+            before = parse_cache_stats()
+            threads = [
+                threading.Thread(target=work, args=(k,), daemon=True)
+                for k in range(STRESS_THREADS)
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60.0)
+            after = parse_cache_stats()
+            assert not any(thread.is_alive() for thread in threads)
+            for k, text in enumerate(texts):
+                assert repr(results[k]) == repr(fresh(text)), text
+            misses = after["template_misses"] - before["template_misses"]
+            hits = after["template_hits"] - before["template_hits"]
+            assert 1 <= misses and misses + hits == STRESS_THREADS
+            assert after["untemplated"] == before["untemplated"]
+            later = sql.format(n=STRESS_THREADS + 7)
+            assert repr(parse(later)) == repr(fresh(later))
+            assert parse_cache_stats()["template_hits"] == after["template_hits"] + 1
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_only_a_template_miss_runs_the_lexer(monkeypatch, tmp_path):
+    """Through a whole ``oltp_durable`` run (setup, warm-up, measured
+    episodes), ``tokenize`` runs once for each template miss, untemplated
+    text or syntax error of :func:`parse`, and otherwise only for
+    ``parse_script`` or a text over ``PARSE_CACHE_MAX_TEXT``."""
+    calls = []
+    real = parser_module.tokenize
+
+    def spy(sql):
+        # (text, the function that called tokenize, the one that called it)
+        calls.append((sql, sys._getframe(1).f_code.co_name, sys._getframe(2).f_code.co_name))
+        return real(sql)
+
+    monkeypatch.setattr(parser_module, "tokenize", spy)
+    before = parse_cache_stats()
+    record = harness.run(
+        WORKLOADS["oltp_durable"], seed=3, seconds=0, trace=False, sizing=spec.SMOKE,
+        out_dir=str(tmp_path), episodes=300,
+    )
+    after = parse_cache_stats()
+    assert record["correct"] and record["failures"] == []
+    from_parse = [sql for sql, caller, _ in calls if caller == "parse"]
+    for sql, caller, outer in calls:
+        if caller != "parse":
+            # a _Parser built without tokens
+            assert caller == "__init__"
+            assert outer == "parse_script" or (outer == "parse" and len(sql) > PARSE_CACHE_MAX_TEXT)
+    errors = 0
+    for sql in from_parse:
+        try:
+            fresh(sql)
+        except SQLSyntaxError:
+            errors += 1
+    misses = after["template_misses"] - before["template_misses"]
+    untemplated = after["untemplated"] - before["untemplated"]
+    assert len(from_parse) == misses + untemplated + errors
+    # and nearly all of the run's SQL was a text hit or bound from a template
+    assert after["template_hits"] - before["template_hits"] > 10 * len(from_parse)
