@@ -22,8 +22,9 @@ source has it, and a name two columns of that block share is ambiguous.
 Its slot is ``(depth, binding, column)``, ``depth`` counted in the hops
 the executor's scope chain takes outward. The first name error — an
 unknown relation, column or star qualifier, an ambiguous name, an alias
-used twice in one FROM — is recorded, in PostgreSQL's transform order,
-and raised before any row is read.
+used twice in one FROM, an ORDER BY key PostgreSQL refuses at analysis
+(42P10) — is recorded, in PostgreSQL's transform order, and raised before
+any lock is taken or any row is read.
 
 **Footprint.** Each bound reference is attributed to the object behind
 its source (a derived table's own body attributes its columns), and
@@ -446,8 +447,11 @@ class _Binder:
     def _bind_select(self, stmt: ast.SelectStatement) -> list[str] | None:
         """Bind one block (and its set-operation arm) in PostgreSQL's
         order: FROM with each ON condition after its source, the select
-        list, WHERE, HAVING, ORDER BY, GROUP BY. Returns its output
-        column names, or None when a star cannot be expanded."""
+        list, WHERE, HAVING, ORDER BY, GROUP BY — a set operation's ORDER
+        BY after both arms. An ORDER BY ordinal out of range, or a key
+        after a set operation that names no output column, is refused at
+        its step. Returns its output column names, or None when a star
+        cannot be expanded."""
         sources: list[_Source] = []
         for ref in stmt.from_sources:
             sources.append(self._source(ref, sources))
@@ -478,9 +482,15 @@ class _Binder:
             names = [item_name(item, index) for index, item in enumerate(items)]
             labels = names if set_op else [item.alias for item in items]
             lowered = [label.lower() if label else None for label in labels]
+        refusal = None  # PostgreSQL's 42P10, raised before any row
         for order in stmt.order_by:
             expr = order.expr
-            if (
+            if isinstance(expr, ast.Literal) and isinstance(expr.value, int):
+                if items is not None and not 1 <= expr.value <= len(items):
+                    refusal = refusal or ExecutionError(
+                        f"ORDER BY position {expr.value} is out of range"
+                    )
+            elif (
                 items is not None
                 and type(expr) is ast.ColumnRef
                 and (set_op or expr.table is None)
@@ -489,13 +499,21 @@ class _Binder:
                 position = lowered.index(expr.name.lower())
                 self.order[id(expr)] = position
                 self._claim_item(items[position])
-            elif not set_op:  # after a set operation only outputs are keys
+            elif not set_op:
                 self._bind_expr(expr)
+            elif items is not None:  # after a set operation only outputs are keys
+                refusal = refusal or ExecutionError(
+                    "ORDER BY after a set operation must use output columns"
+                )
+        if refusal is not None and not set_op:
+            self._fail(refusal)
         for expr in stmt.group_by:
             self._bind_expr(expr)
         self.stack.pop()
         if set_op:
             self._bind_select(stmt.set_op[1])
+            if refusal is not None:  # a set operation's ORDER BY follows its arms
+                self._fail(refusal)
         return None if items is None else names
 
     def _expand(self, star: ast.Star, resolver: NameResolver) -> list[ast.SelectItem] | None:

@@ -99,7 +99,7 @@ class Session:
 
     # ------------------------------------------------------------ execution
 
-    def execute(self, sql: str, _skip_privileges: bool = False) -> ResultSet:
+    def execute(self, sql: str) -> ResultSet:
         """Parse, authorize, and execute a single SQL statement.
 
         With tracing on (or a slow-statement threshold set) a
@@ -119,7 +119,7 @@ class Session:
         try:
             with tracer.span("parse"):
                 stmt = parse(sql)
-            result = self.execute_statement(stmt, _skip_privileges=_skip_privileges)
+            result = self.execute_statement(stmt)
             return result
         except MiniDBError as exc:
             error = exc
@@ -158,14 +158,11 @@ class Session:
             results.append(self.execute_statement(stmt))
         return results
 
-    def execute_statement(
-        self, stmt: ast.Statement, _skip_privileges: bool = False
-    ) -> ResultSet:
+    def execute_statement(self, stmt: ast.Statement) -> ResultSet:
         tracer = self.db.tracer
         with tracer.span("plan"):
             analysis = analyze(stmt, self.db.catalog)
-        if not _skip_privileges:
-            self.db.authorize(self.user, stmt, analysis)
+        self.db.authorize(self.user, stmt, analysis)
         self.db.ensure_writable(analysis)
         try:
             return self._dispatch_statement(stmt, analysis)
@@ -355,17 +352,14 @@ class Database:
             )
         }
         self.planner_stats = CounterMapView(self._planner_counters)
-        #: the kernels' test hooks, read by subscript: ``batch_size`` (a
+        #: the one execution knob, read by subscript: ``batch_size`` (a
         #: positive int) is the rows per :class:`repro.minidb.batch.RowBatch`
-        #: and per kernel call; ``enable_compiled_predicates=False`` runs
-        #: every expression site of the SELECT pipeline and DML target
-        #: filtering on the AST interpreter (at ``batch_size=1``, the
-        #: reference leg). The planner has no switches: the input that
-        #: needs an alternative path is what reaches it
-        self.planner_options = {
-            "enable_compiled_predicates": True,
-            "batch_size": DEFAULT_BATCH_SIZE,
-        }
+        #: and per kernel call (at ``batch_size=1``, against an executor
+        #: that ignores kernels, the equivalence suites' reference leg).
+        #: Plans never read it, so a prepared plan serves any value. The
+        #: planner has no switches: the input that needs an alternative
+        #: path is what reaches it
+        self.planner_options = {"batch_size": DEFAULT_BATCH_SIZE}
         #: shared column-exemplar catalog cache, lazily attached by
         #: ``repro.core.minidb_binding`` (kept as a plain slot so minidb
         #: has no dependency on the retrieval layer)

@@ -25,13 +25,16 @@ error the binder recorded is raised before any lock or row
 **Prepared plans.** A statement :func:`~repro.minidb.parser.parse` bound
 from a template runs as the template's *shape* (each literal an
 :class:`~repro.minidb.ast_nodes.Param`) with its literal vector
-(:meth:`Executor._statement`), and a plan built from the shape whose
-every choice held for any literal (``SelectPlan.generic``) is kept on the
-template with its kernels (:class:`_PreparedPlan`): later executions take
-their S locks in FROM order, check the key — catalog version, each
-scanned table's statistics object and heap uid, the planner options —
-and run it, reading the probe key, range bounds and every literal from
-their own vector. Nothing of an execution is stored on a plan.
+(:meth:`Executor._statement`). Every plan the executor runs — a
+statement's, a subquery's, an UPDATE/DELETE target scan — gets its
+kernels where it is planned, in one place (:meth:`Executor._prepare`),
+and a plan built from the shape whose every choice held for any literal
+(``SelectPlan.generic``) is kept on the template with them
+(:class:`_PreparedPlan`): later executions take their S locks in FROM
+order, check the key — catalog version, each scanned table's statistics
+object and heap uid — and run it, reading the probe key, range bounds
+and every literal from their own vector. Nothing of an execution is
+stored on a plan.
 Privileges and the verifier are never cached: they run before the
 executor, on every call.
 
@@ -61,19 +64,21 @@ statically referenced columns plus a pick vector of row indexes into it):
   (:func:`_sort_keys`), and rows are built once, from the survivors.
 
 There are two expression engines (:mod:`repro.minidb.expressions`): batch
-kernels (:func:`~repro.minidb.expressions.compile_batch_expr`), which read
+kernels (:func:`~repro.minidb.expressions.compile_batch_expr`, called by
+:meth:`Executor._prepare` only), which read
 ``relation.column(binding, name)``, and the AST interpreter — the
 reference, and the only path for subquery-bearing or correlated
 expressions — which reads the same relation through a per-row
 :class:`~repro.minidb.expressions.Scope`; both read each name through
 the slot the binder (:mod:`repro.minidb.analysis`) gave it before the
-statement ran, so no name is resolved here. Every expression position is a column
-(:meth:`Executor._compile`): its value per row, from a kernel or from the
-interpreter, with an erroring row's error deferred in place either way,
-so no operator branches on which engine computed it. Every predicate
-(scan, join, WHERE, DML targets) goes through one seam,
-:meth:`Executor._selector`: compile once per operator, evaluate chunks of
-at most ``batch_size`` rows, keep what is ``True``, and raise a deferred
+statement ran, so no name is resolved here. Every expression position
+is a column (:meth:`Executor._compile`): its value per row, from the
+kernel its plan holds for it or from the interpreter, with an erroring
+row's error deferred in place either way, so no operator branches on
+which engine computed it. Every predicate (scan, join, WHERE, DML
+targets) goes through one seam, :meth:`Executor._selector`: one column
+per operator, evaluated over chunks of at most ``batch_size`` rows; keep
+what is ``True``, and raise a deferred
 error only when the walk reaches its row; projection and group keys
 raise the first deferred error in row-major order, aggregates in fold
 order. Like the kernels' typed paths (:mod:`repro.minidb.expressions`),
@@ -85,10 +90,10 @@ supported via scope chaining.
 Every alternative path is reached from its input: a seq scan reads a
 table without a usable index, a nested loop joins on a condition with no
 equi-key, a full sort orders a statement without LIMIT.
-``db.planner_options`` holds the two test hooks that compare kernels
-against the interpreter (``enable_compiled_predicates`` and
-``batch_size``: the interpreter at ``batch_size=1`` is the reference leg
-of the equivalence suites); ``db.planner_stats`` counts what actually ran.
+``db.planner_options`` holds one knob, ``batch_size``, which no plan
+reads (the equivalence suites' reference leg is an executor that ignores
+every kernel, at ``batch_size=1``); ``db.planner_stats`` counts what
+actually ran.
 """
 
 from __future__ import annotations
@@ -120,7 +125,6 @@ from .errors import (
 from .expressions import (
     FOLD_CLASS,
     GROUP_CLASS,
-    NOTHING_COMPILED,
     SORT_NUMBER_CLASS,
     TEXT_CLASS,
     TRUTH_CLASS,
@@ -219,8 +223,6 @@ class _Relation:
 
 
 _OPAQUE = frozenset({ast.Star, ast.ExistsExpr, ast.ScalarSubquery})
-#: a node no prepared plan compiled anything for (``Scope.compiled`` miss)
-_UNCOMPILED = object()
 
 
 def _opaque(expr: ast.Expr) -> bool:
@@ -316,32 +318,24 @@ def _order_insensitive_output(
 
 
 def _order_targets(
-    order_by: list, width: int, set_op: bool, positions: "dict[int, int]"
+    order_by: list, width: int, positions: "dict[int, int]"
 ) -> "tuple[list[tuple[int, bool]], list[ast.Expr]]":
     """Where each ORDER BY key is read, as ``(position, descending)``: a
     position among the ``width`` output columns followed by the returned
     hidden key expressions, which are evaluated beside the select items
     (the role of PostgreSQL's resjunk columns). An ordinal is an output
-    position; out of range it is refused before any item or key is
-    evaluated, whether or not rows come out — PostgreSQL refuses it at
-    analysis (42P10). A name the binder found among the output names is
-    that output column (``positions``). After a set operation
-    (``set_op``) a key must name an output column, by ordinal or by
-    name."""
+    position, and a name the binder found among the output names is that
+    output column (``positions``). The binder refused an ordinal out of
+    range, and a key after a set operation that is neither, before any
+    lock or row (42P10, as PostgreSQL refuses them at analysis)."""
     targets: list[tuple[int, bool]] = []
     hidden: list[ast.Expr] = []
     for order in order_by:
         expr = order.expr
         if isinstance(expr, ast.Literal) and isinstance(expr.value, int):
-            if not 1 <= expr.value <= width:
-                raise ExecutionError(f"ORDER BY position {expr.value} is out of range")
             position = expr.value - 1
         elif id(expr) in positions:
             position = positions[id(expr)]
-        elif set_op:
-            raise ExecutionError(
-                "ORDER BY after a set operation must use output columns"
-            )
         else:
             position = width + len(hidden)
             hidden.append(expr)
@@ -467,7 +461,6 @@ class _PreparedPlan(NamedTuple):
     the template; nothing of one execution is stored here."""
 
     version: int  #: ``Catalog.version`` it was planned under
-    options: dict  #: ``planner_options`` it was planned and compiled under
     #: (table key, its TableStatistics object or None, its heap's uid) per
     #: base-table scan: statistics by identity, so the object a rolled-back
     #: ANALYZE restores is recognised
@@ -500,35 +493,22 @@ def _blocks(plan: SelectPlan) -> Iterator[SelectPlan]:
         yield from _blocks(plan.set_op)
 
 
-def _block_reads(plan: SelectPlan) -> "tuple[set[str] | None, bool]":
-    """The columns ``plan``'s scans read and whether its output ignores
-    row order: ``_run_plan``'s two reads of the statement."""
-    stmt = plan.stmt
-    return (
-        _referenced_names(_statement_exprs(stmt)),
-        _order_insensitive_output(stmt, plan.aggregates),
-    )
-
-
 def _block_expressions(plan: SelectPlan) -> Iterator[ast.Expr]:
     """Every expression position the executor compiles for one block:
-    scan predicates, join predicates, WHERE, select items, hidden ORDER BY
-    keys, group keys and aggregate arguments."""
+    scan predicates (a multi-source block's pushed-down conjuncts; an
+    ordered scan applies the WHERE), join predicates, WHERE, select items,
+    hidden ORDER BY keys, group keys and aggregate arguments."""
     stmt = plan.stmt
     ordered = bool(plan.scans) and plan.scans[0].kind == "ordered"
     for scan in plan.scans:
-        yield stmt.where if ordered else scan.filter
+        yield scan.filter
     for join in plan.joins:
         yield join.residual if join.strategy == "hash" else join.condition
     yield stmt.where
     yield from (item.expr for item in plan.items)
-    try:
-        _, hidden = _order_targets(
-            [] if ordered else stmt.order_by, len(plan.items),
-            stmt.set_op is not None, plan.binding.order,
-        )
-    except ExecutionError:
-        hidden = []  # the execution raises it
+    _, hidden = _order_targets(
+        [] if ordered else stmt.order_by, len(plan.items), plan.binding.order
+    )
     yield from hidden
     yield from stmt.group_by
     for agg in plan.aggregates:
@@ -619,13 +599,12 @@ class Executor:
         statement waited: when the catalog moved meanwhile, ``stmt`` is
         bound and planned again, under the locks it now holds. A plan
         whose every choice held for any literal is kept for the template
-        (:meth:`_keep`); any other is this execution's own."""
+        (:meth:`_prepare`); any other is this execution's own."""
         while True:
             entry = None if template is None else self._reuse(template, session)
             if entry is not None:
                 plan = entry.plan
             else:
-                options = dict(self.db.planner_options)
                 locks: list[str] = []
                 plan = self._plan(select, session, binding, params, locks)
             current = self._current(stmt, binding)
@@ -635,24 +614,16 @@ class Executor:
         if entry is not None:
             count_plan("hits")
             return plan, entry.compiled
-        return plan, self._keep(
-            template, plan, binding, options, locks,
-            (expr for block in _blocks(plan) for expr in _block_expressions(block)),
-            ((id(block), _block_reads(block)) for block in _blocks(plan)),
-        )  # fmt: skip
+        return plan, self._prepare(plan, binding, template, locks)
 
     def _reuse(self, template: Any, session: "Session") -> "_PreparedPlan | None":
         """``template``'s prepared plan if it is current: same catalog
-        version and planner options, then — after the S locks on its
-        tables are taken in FROM order — still the same version, and the
-        same statistics object and heap for every table it scans."""
+        version, then — after the S locks on its tables are taken in FROM
+        order — still the same version, and the same statistics object
+        and heap for every table it scans."""
         entry = template.plan
         db = self.db
-        if (
-            entry is None
-            or entry.version != db.catalog.version
-            or entry.options != db.planner_options
-        ):
+        if entry is None or entry.version != db.catalog.version:
             return None
         for name in entry.locks:
             session.lock_table(name, "S")
@@ -664,41 +635,52 @@ class Executor:
                 return None
         return entry
 
-    def _keep(
+    def _prepare(
         self,
-        template: Any,
         plan: "SelectPlan | ScanPlan",
         binding: Binding,
-        options: dict,
-        locks: list,
-        exprs,
-        reads,
+        template: Any = None,
+        locks: "list | tuple" = (),
+        reads: "list | tuple" = (),
     ) -> Mapping:
-        """What was compiled for ``plan``, built under ``binding``'s
-        catalog version and ``options``. A generic plan is kept as
-        ``template``'s prepared plan (a miss), with the kernels of ``exprs``
-        compiled once (when compiled predicates are on) beside ``reads``,
-        the ``(node id, value)`` pairs its nodes' executions read off the
-        statement. A custom plan, or one no template holds, keeps and
-        compiles nothing: its execution compiles as it runs."""
+        """The one compile site: what every plan the executor runs reads,
+        by node identity — each expression position's batch kernel (``None``
+        where the interpreter runs it) and each block's (columns its scans
+        read, output ignores row order); for an UPDATE/DELETE target scan,
+        its WHERE kernel and the columns its WHERE and ``reads`` name.
+
+        Built once per plan, under ``binding``'s catalog version: a generic
+        plan is kept as ``template``'s prepared plan (a miss), with
+        ``locks``, and every later execution reads the map it was kept
+        with. A custom plan, one no template holds and a subquery's are
+        this execution's own."""
+        if isinstance(plan, ScanPlan):
+            compiled: dict[int, Any] = {id(plan): _referenced_names([plan.where, *reads])}
+            exprs = [plan.where]
+            scans = [plan]
+        else:
+            blocks = list(_blocks(plan))
+            compiled = {
+                id(block): (
+                    _referenced_names(_statement_exprs(block.stmt)),
+                    _order_insensitive_output(block.stmt, block.aggregates),
+                )
+                for block in blocks
+            }
+            exprs = [expr for block in blocks for expr in _block_expressions(block)]
+            scans = [scan for block in blocks for scan in block.scans if scan.heap is not None]
+        for expr in exprs:
+            if expr is not None:
+                compiled[id(expr)] = compile_batch_expr(expr, binding.slots)
         if template is None:
-            return NOTHING_COMPILED
+            return compiled
         if not plan.generic:
             count_plan("custom")
-            return NOTHING_COMPILED
+            return compiled
         count_plan("misses")
-        compiled: dict[int, Any] = dict(reads)
-        if options["enable_compiled_predicates"]:
-            for expr in exprs:
-                if expr is not None:
-                    compiled[id(expr)] = compile_batch_expr(expr, binding.slots)
-        scans = (
-            [plan] if isinstance(plan, ScanPlan)
-            else [s for block in _blocks(plan) for s in block.scans if s.heap is not None]
-        )
         tables = tuple((scan.name.lower(), scan.stats, scan.heap.uid) for scan in scans)
         entry = _PreparedPlan(
-            binding.version, options, tables, tuple(locks), plan, MappingProxyType(compiled)
+            binding.version, tables, tuple(locks), plan, MappingProxyType(compiled)
         )
         template.plan = entry
         return entry.compiled
@@ -732,10 +714,11 @@ class Executor:
         binding: Binding,
     ) -> tuple[list[str], list[tuple]]:
         """Run a subquery block of a statement bound by ``binding``,
-        planned when it runs, under the statement's literal vector: its
-        column names and rows."""
+        planned and compiled when it runs, under the statement's literal
+        vector: its column names and rows."""
         plan = self._plan(stmt, session, binding, outer.params)
-        names, values = self._run_plan(plan, session, outer, outer.params)
+        compiled = self._prepare(plan, binding)
+        names, values = self._run_plan(plan, session, outer, outer.params, compiled)
         return names, list(zip(*values))
 
     def _run_plan(
@@ -743,8 +726,8 @@ class Executor:
         plan: SelectPlan,
         session: "Session",
         outer: Scope | None,
-        params: tuple = (),
-        compiled: Mapping = NOTHING_COMPILED,
+        params: tuple,
+        compiled: Mapping,
     ) -> tuple[list[str], list[list]]:
         """Run one planned block: scan -> join -> filter -> group/project
         over one :class:`_Relation`, then the tail (DISTINCT, set
@@ -765,7 +748,7 @@ class Executor:
         limit = count_of(stmt.limit, params)
         offset = count_of(stmt.offset, params) or 0
         needed = limit + offset if limit is not None else None
-        refs, unordered = compiled.get(id(plan)) or _block_reads(plan)
+        refs, unordered = compiled[id(plan)]
         trace = self.db.tracer.current()
 
         names = Scope(plan.binding.slots, None, outer, params, compiled)
@@ -808,7 +791,7 @@ class Executor:
         set_op = stmt.set_op is not None
         # a set operation's ORDER BY sorts the combined rows, by output column
         targets, hidden = _order_targets(
-            [] if ordered else stmt.order_by, len(items), set_op, plan.binding.order
+            [] if ordered else stmt.order_by, len(items), plan.binding.order
         )
         # every select item and hidden key is a column from here on: rows
         # are built once, from the rows that survive DISTINCT and ORDER BY
@@ -1010,27 +993,19 @@ class Executor:
     def _compile(self, expr: ast.Expr, names: Scope, evaluator: Evaluator):
         """``expr`` as a column: ``column(relation)`` returns its value on
         every row of ``relation``, with the :class:`MiniDBError` of an
-        erroring row deferred as a :class:`BatchError` in its place. A
-        batch kernel computes it where ``expr`` compiles and
-        ``enable_compiled_predicates`` is on; otherwise the interpreter
-        does, row by row through ``names`` pointed at the relation — the
-        only way for subqueries and correlated names. Consumers see one
-        contract either way.
+        erroring row deferred as a :class:`BatchError` in its place. The
+        batch kernel :meth:`_prepare` compiled for ``expr``
+        (``names.compiled``) computes it; where there is none the
+        interpreter does, row by row through ``names`` pointed at the
+        relation — the only way for subqueries and correlated names.
+        Either kind reads the statement's literals from ``names.params``,
+        and consumers see one contract either way.
 
         Only value errors are deferred. A :class:`TransactionError` — a
         subquery's lock timeout or deadlock — fails the statement at its
         row: the transaction is already aborted, and every later row
-        would wait for the same lock again.
-
-        What a prepared plan compiled in advance (``names.compiled``, under
-        the options its key holds) is used as it is: its kernel, or the
-        interpreter where it found none. Either kind reads the statement's
-        literals from ``names.params``."""
-        kernel = names.compiled.get(id(expr), _UNCOMPILED)
-        if kernel is _UNCOMPILED:
-            kernel = None
-            if self.db.planner_options["enable_compiled_predicates"]:
-                kernel = compile_batch_expr(expr, names.slots)
+        would wait for the same lock again."""
+        kernel = names.compiled[id(expr)]
         if kernel is not None:
             params = names.params
             return lambda relation: kernel(relation, params)
@@ -1061,8 +1036,8 @@ class Executor:
         in order, the row indexes of ``relation`` on which ``predicate`` is
         true (NULL counts as false), stopping at ``limit`` of them.
 
-        The predicate is compiled once per call — once per operator — and
-        its column (:meth:`_compile`) computed over chunks of at most
+        The predicate becomes a column once per call — once per operator
+        (:meth:`_compile`) — computed over chunks of at most
         ``batch_size`` rows. An evaluation error surfaces only when the
         walk reaches the erroring row, so a ``limit`` reached first hides
         it; an erroring row whose error is one of ``keep_errors`` is kept
@@ -1692,10 +1667,9 @@ class Executor:
             schema, stmt, where, binding, params, template, reads
         )
         names = Scope(binding.slots, None, None, params, compiled)
-        refs = compiled.get(id(scan), _UNCOMPILED)
-        if refs is _UNCOMPILED:
-            refs = _referenced_names([where, *reads])
-        relation, rids, _ = self._scan(scan, None, names, evaluator, refs, where)
+        relation, rids, _ = self._scan(
+            scan, None, names, evaluator, compiled[id(scan)], where
+        )
         heap = scan.heap
         targets = [(rid, heap.get(rid)) for rid in rids]
         return targets, relation, names.at(relation)
@@ -1719,10 +1693,8 @@ class Executor:
         if entry is not None:
             count_plan("hits")
             return entry.plan, entry.compiled
-        options = dict(self.db.planner_options)
         scan = plan_table_scan(self.db, schema, stmt.table, where, binding.slots, None, params)
-        refs = [(id(scan), _referenced_names([where, *reads]))]
-        return scan, self._keep(template, scan, binding, options, [], [where], refs)
+        return scan, self._prepare(scan, binding, template, reads=reads)
 
     # ----------------------------------------------------------------- DDL
 

@@ -3,10 +3,11 @@
 * The :class:`Evaluator` walks the AST produced by
   :mod:`repro.minidb.parser` against a :class:`Scope` (the binder's
   slots over the current row of a relation). It is the **reference** every equivalence
-  suite compares against (``enable_compiled_predicates=False``) and the
+  suite compares against (an executor that ignores every kernel) and the
   only engine for subqueries and outer-scope (correlated) references.
 * :func:`compile_batch_expr` compiles an expression tree *once per
-  operator* into **batch kernels**: each compiled node maps a batch —
+  plan* (``Executor._prepare``, its one caller, when the plan is made)
+  into **batch kernels**: each compiled node maps a batch —
   the executor's columnar relation or a slice of it (a scanned heap
   batch, a chunk of join candidate pairs, DML candidates) — to a list of
   per-row values. Constants are folded, LIKE patterns pre-compiled to
@@ -67,7 +68,8 @@ from .types import ColumnType, coerce
 SubqueryRunner = Callable[[ast.SelectStatement, "Scope"], list[tuple]]
 
 
-#: a plan nothing was compiled for in advance
+#: the compiled map of a scope only the interpreter reads (CHECK
+#: constraints, INSERT values, defaults)
 NOTHING_COMPILED: Mapping[int, Any] = MappingProxyType({})
 
 
@@ -79,9 +81,9 @@ class Scope:
     reads ``column`` of ``binding`` in the relation ``depth`` scopes out;
     names were resolved once, by the binder, before any row. ``params``
     is the statement's literal vector, which each :class:`ast.Param`
-    reads; ``compiled`` what the executor derived from its plan in advance,
-    by node identity (an expression's batch kernel, or ``None`` for one the
-    interpreter runs), read before it compiles anything itself."""
+    reads; ``compiled`` what the executor derived from its plan when it
+    planned it, by node identity (an expression's batch kernel, or
+    ``None`` for one the interpreter runs)."""
 
     __slots__ = ("slots", "relation", "outer", "params", "compiled")
 

@@ -192,14 +192,3 @@ def _coerce_text(value: Any) -> str:
     if isinstance(value, (int, float)):
         return str(value)
     raise _CoercionFailure(value)
-
-
-def is_comparable(left: Any, right: Any) -> bool:
-    """Whether two non-NULL runtime values can be ordered against each other."""
-    if isinstance(left, (int, float)) and not isinstance(left, bool):
-        return isinstance(right, (int, float)) and not isinstance(right, bool)
-    if isinstance(left, str):
-        return isinstance(right, str)
-    if isinstance(left, bool):
-        return isinstance(right, bool)
-    return False

@@ -19,6 +19,13 @@ SELECT block that runs) and ``Executor._target_scan`` (UPDATE/DELETE
 targets) — and in plain EXPLAIN (``Executor._exec_ExplainStatement``),
 which renders a plan it never runs.
 
+Kernels are compiled where a plan is made, in one function, so a
+prepared plan and an unprepared one run the same code for a position:
+``Executor._prepare`` builds the kernels of every plan the executor runs
+(a prepared plan, a custom one, a statement no template holds, a
+subquery's), and a ``compile_batch_expr`` call anywhere else under
+``src/repro/`` is a finding.
+
 The rule for which source column a name means drifted the same way: the
 privilege footprint, the planner and the per-row scope each read names on
 their own, and a view body read its caller's columns. The binder in
@@ -67,6 +74,9 @@ PLAN_ENTRIES = frozenset(
     }
 )
 
+#: the one function that compiles batch kernels, for every plan that runs
+COMPILE_SITE = (EXECUTOR_PATH, "Executor._prepare")
+
 
 def _called_name(node: ast.AST) -> str | None:
     if isinstance(node, ast.Call):
@@ -84,7 +94,8 @@ class PlannerSeamChecker(Checker):
     description = (
         "access-path / join / binding planning primitives are called from "
         "minidb/planner.py only, plans are built in the prepared-plan entry "
-        "and EXPLAIN only; names are resolved (NameResolver, "
+        "and EXPLAIN only; kernels are compiled in Executor._prepare only; "
+        "names are resolved (NameResolver, "
         "UnknownColumnError) in minidb/analysis.py only"
     )
 
@@ -114,6 +125,17 @@ class PlannerSeamChecker(Checker):
                         f"{name}() outside the prepared-plan entry builds a "
                         "plan that is neither kept nor keyed — plan through "
                         "Executor._plan / Executor._target_scan",
+                    )
+                elif (
+                    name == "compile_batch_expr"
+                    and (path, module.qualname(node)) != COMPILE_SITE
+                ):
+                    yield module.finding(
+                        self.name,
+                        node,
+                        "compile_batch_expr() outside Executor._prepare is a "
+                        "second compile path — read the kernel the plan's "
+                        "compiled map holds (Scope.compiled)",
                     )
                 elif name == "NameResolver" and path != BINDER_PATH:
                     yield module.finding(

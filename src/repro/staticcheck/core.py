@@ -100,14 +100,6 @@ class ModuleSource:
             yield current
             current = self._parents.get(current)
 
-    def enclosing_function(
-        self, node: ast.AST
-    ) -> ast.FunctionDef | ast.AsyncFunctionDef | None:
-        for ancestor in self.ancestors(node):
-            if isinstance(ancestor, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                return ancestor
-        return None
-
     def qualname(self, node: ast.AST) -> str:
         """Dotted path of enclosing class/function scopes (for baselines)."""
         parts: list[str] = []
@@ -124,9 +116,6 @@ class ModuleSource:
         return ".".join(reversed(parts))
 
     # ------------------------------------------------------------- comments
-
-    def comment_on(self, line: int) -> str | None:
-        return self.comments.get(line)
 
     def header_comments(self, node: ast.stmt) -> list[str]:
         """Comments attached to a statement: on its first line, or in the

@@ -5,14 +5,19 @@ unindexed table, a key the planner cannot hash, a binding without an
 exemplar index, one worker); this test keeps them retired."""
 
 import dataclasses
+import inspect
 
 import repro.service
 from repro.core import BridgeScopeConfig
-from repro.minidb import Database
+from repro.minidb import Database, Session
 
 
 def test_the_settable_surface_is_exactly_this():
-    assert set(Database().planner_options) == {"enable_compiled_predicates", "batch_size"}
+    # plans never read batch_size; which engine runs an expression is not
+    # a setting (the equivalence suites swap the executor instead)
+    assert set(Database().planner_options) == {"batch_size"}
+    # every statement a session runs is authorized: no bypass parameter
+    assert list(inspect.signature(Session.execute).parameters) == ["self", "sql"]
     assert [field.name for field in dataclasses.fields(BridgeScopeConfig)] == [
         "schema_detail_threshold",
         "exemplar_top_k",

@@ -16,6 +16,7 @@ and the storage batch iterators.
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from interpreter_leg import use_engine
 
 from repro.minidb import Database
 from repro.minidb.batch import DEFAULT_BATCH_SIZE, BatchError, RowBatch
@@ -56,14 +57,14 @@ def both(session, sql):
     size = options["batch_size"]
     outcomes = []
     for compiled, batch_size in ((True, size), (False, 1)):
-        options["enable_compiled_predicates"] = compiled
+        use_engine(session.db, compiled)
         options["batch_size"] = batch_size
         try:
             result = session.execute(sql)
             outcomes.append(("ok", result.columns, result.rows))
         except MiniDBError as exc:
             outcomes.append(("err", type(exc).__name__, str(exc)))
-    options["enable_compiled_predicates"] = True
+    use_engine(session.db, True)
     options["batch_size"] = size
     assert outcomes[0] == outcomes[1], sql
     return outcomes[0]
@@ -144,16 +145,16 @@ class TestEquivalence:
             s.db.planner_options["batch_size"] = DEFAULT_BATCH_SIZE
 
     def test_batched_under_interpreter_mode(self, s):
-        # compiled predicates off at the default batch size: per-row
+        # the interpreter at the default batch size: per-row
         # interpretation inside full batches agrees with both legs
         sql = "SELECT id FROM t WHERE a = 2 ORDER BY id"
         kind, _, rows = both(s, sql)
         assert kind == "ok" and rows
-        s.db.planner_options["enable_compiled_predicates"] = False
+        use_engine(s.db, False)
         try:
             assert s.execute(sql).rows == rows
         finally:
-            s.db.planner_options["enable_compiled_predicates"] = True
+            use_engine(s.db, True)
 
     def test_joins_views_and_derived_tables_share_the_pipeline(self, s):
         s.execute("CREATE TABLE u (k INT, w TEXT)")
@@ -282,7 +283,7 @@ class TestObservability:
         tracer = s.db.tracer
         events = {}
         for enabled in (True, False):
-            s.db.planner_options["enable_compiled_predicates"] = enabled
+            use_engine(s.db, enabled)
             probe = tracer.probe()
             try:
                 s.execute("SELECT id FROM t WHERE b > 5")
@@ -293,7 +294,7 @@ class TestObservability:
                 {k: e[k] for k in ("binding", "kind", "rows", "examined")}
                 for e in probe.scans
             ]
-        s.db.planner_options["enable_compiled_predicates"] = True
+        use_engine(s.db, True)
         assert events[True] == events[False]
         assert [e["kind"] for e in events[True]] == ["seq", "index"]
 

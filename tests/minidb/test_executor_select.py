@@ -1,6 +1,7 @@
 """Integration tests for SELECT execution."""
 
 import pytest
+from interpreter_leg import use_engine
 
 from repro.minidb import Database
 from repro.minidb.errors import (
@@ -402,7 +403,7 @@ class TestDuplicateOutputNames:
     )
     def test_qualified_reference_is_ambiguous(self, s, sql, compiled):
         s.execute("CREATE VIEW dup_v AS SELECT id, dept_id AS id FROM emp")
-        s.db.planner_options["enable_compiled_predicates"] = compiled
+        use_engine(s.db, compiled)
         with pytest.raises(UnknownColumnError, match="'id' is ambiguous"):
             s.execute(sql)
 

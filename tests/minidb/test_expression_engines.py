@@ -1,11 +1,12 @@
 """Two expression engines: batch kernels at every compiled predicate site,
 the AST interpreter as the reference.
 
-``enable_compiled_predicates=False`` forces the interpreter at every site
-(WHERE, the hash-join residual, the ordered scan, pushed-down conjuncts,
-UPDATE/DELETE target filtering), so each test here runs a statement under
-both engines and requires the same outcome. One Hypothesis property covers
-DML target filtering, another the typed (type-uniform batch) paths of the
+The interpreting executor (``interpreter_leg.InterpretingExecutor``) runs
+the interpreter at every site (WHERE, the hash-join residual, the ordered
+scan, pushed-down conjuncts, UPDATE/DELETE target filtering), so each test
+here runs a statement under both engines and requires the same outcome.
+One Hypothesis property covers DML target filtering, another the typed
+(type-uniform batch) paths of the
 comparison, BETWEEN and AND/OR kernels, the WHERE selector, ORDER BY /
 top-N and GROUP BY; the targeted tests pin the behaviours a row-at-a-time
 executor has by construction: the ordered scan's early exit, the pushed-down
@@ -18,6 +19,7 @@ import json
 import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
+from interpreter_leg import use_engine
 
 from repro.minidb import Database
 from repro.minidb.batch import DEFAULT_BATCH_SIZE
@@ -43,12 +45,11 @@ def both_engines(session, sql, errors=MiniDBError):
     ``-0.0`` against ``0.0`` or a float sum that differs in its last bit
     counts as a difference. Only ``errors`` count as an outcome; anything
     else fails the test."""
-    options = session.db.planner_options
     outcomes = []
     for compiled in (True, False):
-        options["enable_compiled_predicates"] = compiled
+        use_engine(session.db, compiled)
         outcomes.append(outcome(session, sql, errors))
-    options["enable_compiled_predicates"] = True
+    use_engine(session.db, True)
     assert repr(outcomes[0]) == repr(outcomes[1]), sql
     return outcomes[0]
 
@@ -99,7 +100,7 @@ def dml_database(rows, index, compiled, batch_size):
     heap = db.heap("t")
     for i, (a, b, c) in enumerate(rows):
         heap.insert({"id": i, "a": a, "b": b, "c": c})
-    db.planner_options["enable_compiled_predicates"] = compiled
+    use_engine(db, compiled)
     db.planner_options["batch_size"] = batch_size
     return db, session
 
@@ -288,10 +289,10 @@ class TestOrderedScanEarlyExit:
     def test_examined_counts_consumed_rows_only(self, ordered, batch_size):
         options = ordered.db.planner_options
         options["batch_size"] = batch_size
-        options["enable_compiled_predicates"] = False
+        use_engine(ordered.db, False)
         ordered.execute(POISONED)
         row_at_a_time = last_scan(ordered)
-        options["enable_compiled_predicates"] = True
+        use_engine(ordered.db, True)
         ordered.execute(POISONED)
         chunked = last_scan(ordered)
         # the third survivor is the sixth row in index order
@@ -332,7 +333,7 @@ class TestPrefilterErrors:
         for k, c, n in [(1, "1", 1), (2, "abc", 2), (3, "3", "x")]:
             db.heap("l").insert({"k": k, "c": c, "n": n})
         session.execute("INSERT INTO r VALUES (2)")
-        db.planner_options["enable_compiled_predicates"] = request.param
+        use_engine(db, request.param)
         db.observability_options["tracing"] = True
         return session
 
@@ -437,7 +438,7 @@ def test_multi_row_update_logs_targets_in_rid_order(tmp_path, compiled, index):
     session.execute(
         "INSERT INTO t VALUES (1,5,0),(2,3,0),(3,9,0),(4,1,0),(5,3,0),(6,7,0)"
     )
-    db.planner_options["enable_compiled_predicates"] = compiled
+    use_engine(db, compiled)
     db.planner_options["batch_size"] = 2
     session.execute("UPDATE t SET v = v + 1 WHERE k IN (7, 3, 1, 5) AND id <> 1")
     with open(db.engine.wal_path, encoding="utf-8") as fh:

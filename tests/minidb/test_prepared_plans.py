@@ -1,6 +1,6 @@
 """Prepared plans: a template's plan and kernels are built once per catalog
-version, table statistics and planner options, and every execution reads
-its literals from the vector it supplies.
+version and table statistics, and every execution reads its literals from
+the vector it supplies.
 
 **The oracle.** Each statement runs twice over: through ``parse()`` — the
 text is bound from a template whose prepared plan a sibling text (same
@@ -15,8 +15,10 @@ same under churn — DDL, ANALYZE, ``BEGIN; ANALYZE; ROLLBACK``, DROP +
 CREATE — and from ``REPRO_STRESS_THREADS`` threads at once.
 
 Beside it: a cached-plan SELECT that waits for its S lock behind DROP +
-CREATE answers from the new table; ``enable_compiled_predicates`` off
-reaches the interpreter even after a compiled plan was cached; a REVOKE,
+CREATE answers from the new table; the interpreting executor interprets a
+plan the kernel executor prepared, and the kernel executor runs the kernels
+of one the interpreting executor prepared; kernels are compiled where a
+plan is made, once per prepared plan and on every run of any other; a REVOKE,
 or a GRANT rolled back, between two executions of one cached template is
 honoured; a range choice between two indexes follows each execution's
 selectivity; the plan counters.
@@ -30,9 +32,11 @@ import time
 from pathlib import Path
 
 import pytest
+from interpreter_leg import use_engine
 from test_sql_conformance import CASES
 
 from repro.minidb import Database
+from repro.minidb import executor as executor_module
 from repro.minidb import ast_nodes as ast
 from repro.minidb.errors import MiniDBError, PermissionDenied, UnknownColumnError
 from repro.minidb.expressions import Evaluator
@@ -301,7 +305,7 @@ def test_threads_share_plans_under_churn():
 
 
 # --------------------------------------------------------------------------
-# locks, options, privileges, the generic-vs-custom rule
+# locks, engines, compile sites, privileges, the generic-vs-custom rule
 # --------------------------------------------------------------------------
 
 
@@ -360,11 +364,15 @@ def test_cached_select_waiting_on_its_lock_reads_the_recreated_table():
     assert isinstance(answer.get("error"), UnknownColumnError), answer
 
 
-def test_compiled_predicates_option_reaches_the_interpreter(monkeypatch):
+@pytest.mark.parametrize("prepared_on_kernels", [True, False], ids=["kernels", "interpreter"])
+def test_a_prepared_plan_runs_on_the_engine_of_its_executor(monkeypatch, prepared_on_kernels):
+    """Which engine runs is the executor's, not the plan's: a template one
+    executor prepared is served to the other (a plan hit), which
+    interprets it (the interpreting executor) or runs its kernels."""
     db, admin = differential_db()
     sql = "SELECT id FROM t WHERE b + {} > 3"
-    for value in (1, 2):
-        admin.execute(sql.format(value))  # prepared with kernels
+    use_engine(db, prepared_on_kernels)
+    admin.execute(sql.format(1))  # prepared
     calls = []
     evaluate = Evaluator.evaluate
 
@@ -373,10 +381,53 @@ def test_compiled_predicates_option_reaches_the_interpreter(monkeypatch):
         return evaluate(self, expr, scope)
 
     monkeypatch.setattr(Evaluator, "evaluate", counting)
-    db.planner_options["enable_compiled_predicates"] = False
+    use_engine(db, not prepared_on_kernels)
+    hits = parse_cache_stats()["plan_hits"]
     rows = admin.execute(sql.format(0)).rows
-    assert calls, "the interpreter never ran: a compiled plan was served"
+    assert parse_cache_stats()["plan_hits"] == hits + 1
+    if prepared_on_kernels:
+        assert calls, "the interpreter never ran: the prepared kernels were read"
+    else:
+        assert not calls, "the interpreter ran where the plan holds kernels"
+    monkeypatch.undo()
     assert rows == admin.execute_statement(fresh(sql.format(0))).rows
+
+
+def test_kernels_are_compiled_where_a_plan_is_made(monkeypatch):
+    """One compile site: a prepared-plan hit compiles nothing, and a kept
+    plan, a custom plan, a statement no template holds and each run of a
+    correlated subquery compile their positions in ``Executor._prepare``."""
+    callers = []
+    compile_batch_expr = executor_module.compile_batch_expr
+
+    def counting(expr, slots):
+        callers.append(sys._getframe(1).f_code.co_qualname)
+        return compile_batch_expr(expr, slots)
+
+    monkeypatch.setattr(executor_module, "compile_batch_expr", counting)
+
+    def compiles(run, *args):
+        callers.clear()
+        run(*args)
+        assert set(callers) <= {"Executor._prepare"}, callers
+        return len(callers)
+
+    db, admin = differential_db()
+    sql = "SELECT id, a + {} FROM t WHERE b > {}"  # WHERE and two items
+    assert compiles(admin.execute, sql.format(1, 1)) == 3  # a miss: kept
+    assert compiles(admin.execute, sql.format(2, 2)) == 0  # a hit
+    assert compiles(admin.execute_statement, fresh(sql.format(3, 3))) == 3
+    update = "UPDATE t SET c = c WHERE a = {}"  # the target scan's WHERE
+    assert compiles(admin.execute, update.format(1)) == 1
+    assert compiles(admin.execute, update.format(2)) == 0
+    # the WHERE (interpreted: it holds a subquery) and the item, then the
+    # subquery's WHERE and item once per row of t
+    correlated = "SELECT id FROM t WHERE EXISTS (SELECT u.id FROM u WHERE u.a = t.a)"
+    assert compiles(admin.execute_statement, fresh(correlated)) == 2 + 2 * 24
+    db, admin = ranged_db()
+    custom = "SELECT id FROM r WHERE a > {} AND b > 5"
+    for value in range(2):
+        assert compiles(admin.execute, custom.format(value)) == 2
 
 
 def test_privileges_are_read_on_every_execution():

@@ -17,6 +17,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from interpreter_leg import use_engine
+
 from repro.minidb import Database, parse
 from repro.minidb.planner import (
     RangeBinding,
@@ -53,8 +55,7 @@ def reference_rows(session, sql):
     unbounded statement's rows cut in Python, the full sort that bounded
     top-N (``heapq.nsmallest``/``nlargest``, documented equal to
     ``sorted(...)[:n]``) must reproduce."""
-    options = session.db.planner_options
-    options["enable_compiled_predicates"] = False
+    use_engine(session.db, False)
     try:
         legs = [session.execute(on_twins(sql)).rows]
         bound = _BOUND.search(sql)
@@ -63,7 +64,7 @@ def reference_rows(session, sql):
             unbounded = session.execute(on_twins(sql[: bound.start()])).rows
             legs.append(unbounded[offset : offset + int(bound[1])])
     finally:
-        options["enable_compiled_predicates"] = True
+        use_engine(session.db, True)
     return legs
 
 
@@ -335,14 +336,15 @@ class TestTopN:
         unbounded = "SELECT dwell_s, signal_id FROM signals ORDER BY dwell_s DESC"
         sql = unbounded + " LIMIT 10"
         expected = [(v, i) for i, v in sorted(enumerate(values), key=lambda p: -p[1])][:10]
-        stats, options = db.planner_stats, db.planner_options
+        stats = db.planner_stats
+        # kernels, then the interpreter from the second run on
         runs = [
-            ({}, sql, 1, 10),
-            ({"enable_compiled_predicates": False}, sql, 1, 10),
-            ({}, unbounded, 0, 200),
+            (True, sql, 1, 10),
+            (False, sql, 1, 10),
+            (False, unbounded, 0, 200),
         ]
-        for overrides, statement, topn, count in runs:
-            options.update(overrides)
+        for compiled, statement, topn, count in runs:
+            use_engine(db, compiled)
             before = stats["topn_limits"]
             rows = session.execute(statement).rows
             assert (len(rows), rows[:10]) == (count, expected), statement
@@ -409,7 +411,7 @@ class TestDMLAccessPaths:
                     "name": f"n{i % 7}",
                 }
             )
-        db2.planner_options["enable_compiled_predicates"] = False
+        use_engine(db2, False)
         s2.execute("UPDATE t SET name = 'upd' WHERE grp = 3 AND val > 40")
         assert db2.snapshot() == fast
 
@@ -680,12 +682,12 @@ class TestCompiledPredicates:
         from repro.minidb import DivisionByZeroError
 
         for enabled in (True, False):
-            s.db.planner_options["enable_compiled_predicates"] = enabled
+            use_engine(s.db, enabled)
             try:
                 with pytest.raises(DivisionByZeroError):
                     s.execute("SELECT id FROM t WHERE 1 / (grp - grp) > 0")
             finally:
-                s.db.planner_options["enable_compiled_predicates"] = True
+                use_engine(s.db, True)
 
     def test_join_residual_compiled(self, s):
         s.execute("CREATE TABLE u (id INT PRIMARY KEY, lo INT, hi INT)")

@@ -27,7 +27,9 @@ INT/TEXT ordering); ORDER BY ordinals, aliases, qualified names and
 expressions in either direction; WHERE with subqueries; GROUP BY with
 HAVING and aggregates over interpreted arguments; DISTINCT; set
 operations ordered by output column; LIMIT/OFFSET — at batch sizes 1, 2
-and 1024, with compiled predicates on and off. Both executors must
+and 1024, on kernels and on the interpreter (the reference takes its own
+flag; the column executor's interpreter leg is
+``interpreter_leg.InterpretingExecutor``). Both executors must
 return the same columns and rows, or raise the same error class with the
 same message, compared by ``repr``. :data:`PINS` fixes the cases the
 draw reaches only by luck.
@@ -51,9 +53,11 @@ from typing import Any
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from interpreter_leg import use_engine
 
-from repro.minidb import Database
+from repro.minidb import Database, parse
 from repro.minidb import ast_nodes as ast
+from repro.minidb.analysis import analyze
 from repro.minidb.batch import DEFAULT_BATCH_SIZE, BatchError
 from repro.minidb.errors import ExecutionError, MiniDBError, UniqueViolation
 from repro.minidb.executor import (
@@ -70,7 +74,6 @@ from repro.minidb.executor import (
 from repro.minidb.expressions import (
     FOLD_CLASS,
     GROUP_CLASS,
-    NOTHING_COMPILED,
     SORT_NUMBER_CLASS,
     TEXT_CLASS,
     TRUTH_CLASS,
@@ -148,10 +151,16 @@ def reference_sort_keys(key_columns: "list[tuple[list, bool]]", reversible: bool
 
 class ReferenceExecutor(Executor):
     """The per-row SELECT tail and predicate seam kept as the reference;
-    scan, join, set operations and everything else are inherited."""
+    scan, join, set operations and everything else are inherited. It
+    compiles its own kernels unless ``compiled`` is false, and then
+    interprets every position."""
+
+    def __init__(self, database, compiled: bool = True):
+        super().__init__(database)
+        self.compiled = compiled
 
     def _run_plan(
-        self, plan, session: "Session", outer: Scope | None, params=(), compiled=NOTHING_COMPILED
+        self, plan, session: "Session", outer: Scope | None, params, compiled
     ) -> tuple[list[str], list[list]]:
         def run_subquery(sub: ast.SelectStatement, scope: Scope) -> list[tuple]:
             _, sub_rows = self._run_select(sub, session, scope, plan.binding)
@@ -218,7 +227,9 @@ class ReferenceExecutor(Executor):
 
         if stmt.set_op is not None:
             kind = stmt.set_op[0]
-            rhs_columns, rhs_values = self._run_plan(plan.set_op, session, outer, params)
+            rhs_columns, rhs_values = self._run_plan(
+                plan.set_op, session, outer, params, compiled
+            )
             rhs_rows = list(zip(*rhs_values))
             if len(rhs_columns) != len(out_columns):
                 raise ExecutionError(
@@ -243,7 +254,7 @@ class ReferenceExecutor(Executor):
         return out_columns, [list(col) for col in zip(*out_rows)] or [[] for _ in items]
 
     def _kernel(self, expr: ast.Expr, layout: Scope):
-        if not self.db.planner_options["enable_compiled_predicates"]:
+        if not self.compiled:
             return None
         kernel = compile_batch_expr(expr, layout.slots)
         return None if kernel is None else lambda batch: kernel(batch, layout.params)
@@ -739,7 +750,9 @@ def statement(draw):
 def database(rows, reference: bool, compiled: bool, batch_size: int):
     db = Database(owner="a")
     if reference:
-        db.executor = ReferenceExecutor(db)
+        db.executor = ReferenceExecutor(db, compiled)
+    else:
+        use_engine(db, compiled)
     session = db.connect("a")
     session.execute("CREATE TABLE t (id INT PRIMARY KEY, a INT, b REAL, c TEXT)")
     session.execute("CREATE INDEX ix_a ON t USING BTREE (a)")
@@ -748,7 +761,6 @@ def database(rows, reference: bool, compiled: bool, batch_size: int):
     for i, (a, b, c) in enumerate(rows):
         heap.insert({"id": i, "a": a, "b": b, "c": c})
     session.execute("INSERT INTO u VALUES (0, 1, 3), (1, 2, 2), (2, 2, 5), (3, 4, 1)")
-    db.planner_options["enable_compiled_predicates"] = compiled
     db.planner_options["batch_size"] = batch_size
     return session
 
@@ -817,14 +829,15 @@ def test_pins_on_both_executors(sql, expected, compiled):
     for reference in (True, False):
         db = Database(owner="a")
         if reference:
-            db.executor = ReferenceExecutor(db)
+            db.executor = ReferenceExecutor(db, compiled)
+        else:
+            use_engine(db, compiled)
         session = db.connect("a")
         session.execute("CREATE TABLE t (id INT PRIMARY KEY, c TEXT, a INT, w REAL)")
         session.execute(
             "INSERT INTO t VALUES (0, 'b', 5, 2.0), (1, 'a', 1, CAST('nan' AS REAL)),"
             " (2, 'b', 0, 1.0), (3, 'c', 2, -0.0)"
         )
-        db.planner_options["enable_compiled_predicates"] = compiled
         outcomes.append(outcome(session, sql))
     assert repr(outcomes[0]) == repr(outcomes[1])
     answer = outcomes[1][2] if outcomes[1][0] == "ok" else outcomes[1][1:]
@@ -936,6 +949,30 @@ class TestOrderByResolution:
     def test_ordinal_out_of_range_before_any_row_error(self, s):
         with pytest.raises(ExecutionError, match="ORDER BY position 2 is out of range"):
             s.execute("SELECT 10 / (a - 3) FROM t ORDER BY 2")
+
+    @pytest.mark.parametrize(
+        "sql, message",
+        [
+            # the WHERE divides by zero on every row: PostgreSQL refuses the
+            # ORDER BY at analysis, before a row is read
+            (
+                "SELECT a FROM t WHERE 1 / (a - a) = 0 ORDER BY 2",
+                "ORDER BY position 2 is out of range",
+            ),
+            (
+                "SELECT a FROM t WHERE 1 / (a - a) = 0 UNION SELECT a FROM t ORDER BY 1 / 0",
+                "ORDER BY after a set operation must use output columns",
+            ),
+        ],
+    )
+    def test_refused_by_the_binder_before_any_lock_or_row(self, s, sql, message, monkeypatch):
+        assert analyze(parse(sql), s.db.catalog).binding.error.message == message
+        locks = []
+        monkeypatch.setattr(s, "lock_table", lambda table, mode: locks.append(table))
+        scans = s.db.planner_stats["seq_scans"]
+        with pytest.raises(ExecutionError, match=message):
+            s.execute(sql)
+        assert (locks, s.db.planner_stats["seq_scans"]) == ([], scans)
 
     def test_set_operation_ordinal_zero(self, s):
         # with an empty left arm, row[-1] used to sort by the last column

@@ -652,6 +652,53 @@ def test_planner_seam_lets_the_prepared_plan_entry_and_explain_build_plans():
     assert findings == []
 
 
+PLANNER_SEAM_COMPILE_BAD = """\
+    from .expressions import compile_batch_expr
+
+    class Executor:
+        def _prepare(self, plan, binding):
+            return {id(e): compile_batch_expr(e, binding.slots) for e in plan.exprs}
+
+        def _compile(self, expr, names, evaluator):
+            kernel = names.compiled.get(id(expr))
+            if kernel is None:
+                kernel = compile_batch_expr(expr, names.slots)
+            return kernel
+"""
+
+PLANNER_SEAM_COMPILE_GOOD = """\
+    from .expressions import compile_batch_expr
+
+    class Executor:
+        def _prepare(self, plan, binding):
+            return {id(e): compile_batch_expr(e, binding.slots) for e in plan.exprs}
+
+        def _compile(self, expr, names, evaluator):
+            return names.compiled[id(expr)]
+"""
+
+
+def test_planner_seam_flags_a_kernel_compiled_outside_the_compile_site():
+    findings, _ = run_rule(
+        "planner-seam", PLANNER_SEAM_COMPILE_BAD, rel_path=PLANNER_SEAM_PATH
+    )
+    assert len(findings) == 1
+    assert "compile_batch_expr()" in findings[0].message
+    assert findings[0].context == "Executor._compile"
+    # the same call is a second compile path in any module under src/repro
+    findings, _ = run_rule(
+        "planner-seam", PLANNER_SEAM_COMPILE_GOOD, rel_path="src/repro/minidb/planner.py"
+    )
+    assert [f.context for f in findings] == ["Executor._prepare"]
+
+
+def test_planner_seam_lets_the_compile_site_compile():
+    findings, _ = run_rule(
+        "planner-seam", PLANNER_SEAM_COMPILE_GOOD, rel_path=PLANNER_SEAM_PATH
+    )
+    assert findings == []
+
+
 PLANNER_SEAM_RESOLVER_BAD = """\
     from repro.minidb.analysis import NameResolver
 
