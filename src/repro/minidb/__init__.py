@@ -28,6 +28,7 @@ from .errors import (
     ExecutionError,
     ForeignKeyViolation,
     IntegrityError,
+    InvalidColumnReferenceError,
     MiniDBError,
     NotNullViolation,
     PermissionDenied,
@@ -60,6 +61,7 @@ __all__ = [
     "InMemoryEngine",
     "IndexSchema",
     "IntegrityError",
+    "InvalidColumnReferenceError",
     "MiniDBError",
     "NotNullViolation",
     "ObjectAccess",

@@ -56,6 +56,7 @@ from .errors import (
     DuplicateAliasError,
     DuplicateColumnError,
     ExecutionError,
+    InvalidColumnReferenceError,
     MiniDBError,
     UnknownColumnError,
     UnknownTableError,
@@ -487,7 +488,7 @@ class _Binder:
             expr = order.expr
             if isinstance(expr, ast.Literal) and isinstance(expr.value, int):
                 if items is not None and not 1 <= expr.value <= len(items):
-                    refusal = refusal or ExecutionError(
+                    refusal = refusal or InvalidColumnReferenceError(
                         f"ORDER BY position {expr.value} is out of range"
                     )
             elif (
@@ -502,7 +503,7 @@ class _Binder:
             elif not set_op:
                 self._bind_expr(expr)
             elif items is not None:  # after a set operation only outputs are keys
-                refusal = refusal or ExecutionError(
+                refusal = refusal or InvalidColumnReferenceError(
                     "ORDER BY after a set operation must use output columns"
                 )
         if refusal is not None and not set_op:

@@ -142,6 +142,16 @@ class DivisionByZeroError(ExecutionError):
     code = "22012"
 
 
+class InvalidColumnReferenceError(ExecutionError):
+    """An ORDER BY key the statement cannot sort by: an ordinal out of
+    range, or a key after a set operation that names no output column.
+    Refused when the statement is bound, as PostgreSQL refuses it at
+    analysis; an :class:`ExecutionError` by descent, so a handler of
+    that class still catches it."""
+
+    code = "42P10"
+
+
 class PersistenceError(MiniDBError):
     """Durable-storage failure: unreadable snapshot, corrupt WAL record
     (other than a torn tail, which recovery repairs), or I/O against a

@@ -100,8 +100,8 @@ from __future__ import annotations
 
 import heapq
 from functools import reduce
-from itertools import compress, islice
-from operator import add, ne
+from itertools import compress, islice, repeat
+from operator import add, is_not, ne
 from time import perf_counter
 from types import MappingProxyType
 from typing import TYPE_CHECKING, Any, Callable, Iterator, Mapping, NamedTuple
@@ -158,11 +158,14 @@ if TYPE_CHECKING:  # pragma: no cover
 # --------------------------------------------------------------------------
 
 
-def _compose(pick, rows):
-    """``pick`` restricted to ``rows`` (``None``: a NULL-extended row)."""
+def _compose(pick, rows, nulls: bool):
+    """``pick`` restricted to ``rows`` (``nulls``: ``rows`` may hold
+    ``None``, a NULL-extended row)."""
     if pick is None:
         return rows
-    return [None if i is None else pick[i] for i in rows]
+    if nulls:
+        return [None if i is None else pick[i] for i in rows]
+    return [pick[i] for i in rows]
 
 
 class _Relation:
@@ -172,18 +175,23 @@ class _Relation:
     list, holding only the statically referenced columns) plus a pick
     vector of row indexes into it (``None`` entry: the row is
     NULL-extended on that binding; ``None`` vector: row *i* of the
-    relation is row *i* of the store). Filters and joins only rewrite
-    pick vectors; ``column`` gathers a column's values on first use,
-    which is all a compiled kernel ever asks for. ``row`` is the cursor
-    the interpreter's :class:`Scope` reads the relation's names at.
+    relation is row *i* of the store). Only a LEFT/RIGHT join's NULL
+    extension and the empty group's NULL row put ``None`` entries in a
+    pick vector; ``nullable`` names the bindings whose vectors may hold
+    one, and every other vector is gathered without a ``None`` test.
+    Filters and joins only rewrite pick vectors; ``column`` gathers a
+    column's values on first use, which is all a compiled kernel ever
+    asks for. ``row`` is the cursor the interpreter's :class:`Scope`
+    reads the relation's names at.
     """
 
-    __slots__ = ("stores", "picks", "length", "row", "_columns")
+    __slots__ = ("stores", "picks", "length", "nullable", "row", "_columns")
 
-    def __init__(self, stores: dict, picks: dict, length: int):
+    def __init__(self, stores: dict, picks: dict, length: int, nullable=frozenset()):
         self.stores = stores
         self.picks = picks
         self.length = length
+        self.nullable = nullable
         self.row = 0
         self._columns: dict[tuple[str, str], list] = {}
 
@@ -196,22 +204,26 @@ class _Relation:
                 col = stored
             elif type(pick) is range:
                 col = stored[pick.start : pick.stop]
-            else:
+            elif binding in self.nullable:
                 col = [None if i is None else stored[i] for i in pick]
+            else:
+                col = [stored[i] for i in pick]
             self._columns[(binding, name)] = col
         return col
 
-    def take(self, rows) -> "_Relation":
-        """The relation of this one's ``rows``, in that order."""
-        picks = {b: _compose(pick, rows) for b, pick in self.picks.items()}
-        return _Relation(self.stores, picks, len(rows))
+    def take(self, rows, nulls: bool = False) -> "_Relation":
+        """The relation of this one's ``rows``, in that order (``nulls``:
+        ``rows`` may hold ``None``, a row NULL on every binding)."""
+        picks = {b: _compose(pick, rows, nulls) for b, pick in self.picks.items()}
+        nullable = frozenset(picks) if nulls else self.nullable
+        return _Relation(self.stores, picks, len(rows), nullable)
 
     def slice(self, start: int, stop: int) -> "_Relation":
         picks = {
             b: range(start, stop) if pick is None else pick[start:stop]
             for b, pick in self.picks.items()
         }
-        return _Relation(self.stores, picks, stop - start)
+        return _Relation(self.stores, picks, stop - start, self.nullable)
 
     def beside(self, other: "_Relation") -> "_Relation":
         """Row *i* of this relation paired with row *i* of ``other``."""
@@ -219,6 +231,7 @@ class _Relation:
             {**self.stores, **other.stores},
             {**self.picks, **other.picks},
             self.length,
+            self.nullable | other.nullable,
         )
 
 
@@ -1127,7 +1140,9 @@ class Executor:
             unmatched = [i for i in range(right.length) if i not in matched]
             lefts = lefts + [None] * len(unmatched)
             rights = rights + unmatched
-        result = left.take(lefts).beside(right.take(rights))
+        result = left.take(lefts, nulls=plan.kind == "RIGHT").beside(
+            right.take(rights, nulls=plan.kind == "LEFT")
+        )
         if trace is not None:
             trace.record_join(plan, result.length, perf_counter() - started)
         return result
@@ -1136,32 +1151,41 @@ class Executor:
     def _hash_pairs(
         left: _Relation, right: _Relation, plan: JoinPlan
     ) -> tuple[list[int], list[int]]:
-        """Equi-key candidate pairs in probe order: build a table over the
-        right side's key columns, probe it with each left row."""
-
-        def valid(key: tuple) -> bool:
-            # SQL equality is never true against NULL; NaN != NaN guards the
-            # dict-identity shortcut that would otherwise match a shared object
-            return not any(v is None or v != v for v in key)
-
-        buckets: dict[tuple, list[int]] = {}
-        right_keys = zip(
-            *[right.column(plan.right_binding, k.right_column) for k in plan.keys]
-        )
-        for index, key in enumerate(right_keys):
-            if valid(key):
-                buckets.setdefault(key, []).append(index)
-        lefts: list[int] = []
-        rights: list[int] = []
-        left_keys = zip(
-            *[left.column(k.left_binding, k.left_column) for k in plan.keys]
-        )
-        for position, key in enumerate(left_keys):
-            if valid(key):
-                for index in buckets.get(key, ()):
-                    lefts.append(position)
-                    rights.append(index)
-        return lefts, rights
+        """Equi-key candidate pairs in probe order: a table over the right
+        side's keys, probed with each left row's. One key column is its
+        own key, more key by tuple: a dict lookup and a tuple comparison
+        both match by identity, then ``==``. Unique build keys (a PK/FK
+        join) map to their index and pair in C, others to their index
+        list. The NULL and NaN keys are dropped once, after the build —
+        SQL equality is never true against NULL, and NaN would match a
+        shared object by identity — so no probe key is tested."""
+        rights = [right.column(plan.right_binding, k.right_column) for k in plan.keys]
+        lefts = [left.column(k.left_binding, k.left_column) for k in plan.keys]
+        single = len(plan.keys) == 1
+        build = rights[0] if single else list(zip(*rights))
+        table: dict = dict(zip(build, range(len(build))))
+        unique = len(table) == len(build)
+        if not unique:  # every build key finds itself, NaN by identity
+            table = {key: [] for key in table}
+            for index, key in enumerate(build):
+                table[key].append(index)
+        if single:  # NaN is the one value unequal to itself
+            invalid = [None, *compress(table, map(ne, table, table))]
+        else:
+            invalid = [k for k in table if None in k or any(map(ne, k, k))]
+        for key in invalid:
+            table.pop(key, None)
+        matches = list(map(table.get, lefts[0] if single else zip(*lefts)))
+        found = list(map(is_not, matches, repeat(None)))
+        positions = compress(range(len(matches)), found)
+        if unique:
+            return list(positions), list(compress(matches, found))
+        paired_lefts: list[int] = []
+        paired_rights: list[int] = []
+        for position, bucket in zip(positions, compress(matches, found)):
+            paired_lefts.extend(repeat(position, len(bucket)))
+            paired_rights.extend(bucket)
+        return paired_lefts, paired_rights
 
     # ------------------------------------------------------- group / project
 
@@ -1237,7 +1261,7 @@ class Executor:
         scope = names.at(relation)
         # a group of no rows (no GROUP BY, nothing matched) reads its
         # columns on a NULL row
-        empty = names.at(relation.take([None]))
+        empty = names.at(relation.take([None], nulls=True))
         out_rows: list[tuple] = []
         for members in groups.values():
             computed: dict[int, Any] = {}

@@ -7,7 +7,9 @@ proven drop-in equivalent to the seed executor's only strategy.
 """
 
 import functools
+import gc
 import re
+import sys
 
 import pytest
 from hypothesis import example, given, settings
@@ -669,3 +671,128 @@ class TestSideSources:
         sql = "SELECT * FROM t JOIN v ON t.id = v.vid WHERE a = 3"
         assert "Index Scan using ix_ta on t" in explain(s, sql)
         assert s.execute(sql).rows == [(3, 3, 0, 3, 3, 1)]
+
+
+# --------------------------------------------------------------------------
+# the hash join's key semantics: every cell class against the nested loop
+# --------------------------------------------------------------------------
+
+NAN = float("nan")
+#: key cells by equality class — ``=`` holds within a class and never
+#: across: ±0.0 beside 0 and FALSE, 1.0 beside 1 and TRUE, 2.0**53 beside
+#: 2**53 but not 2**53 + 1, text that spells a number — and the cells
+#: equal to nothing, not even themselves: NULL, one NaN object shared by
+#: every row that draws it, and NaN objects of their own
+KEY_CLASSES = [[0, 0.0, -0.0, False], [1, 1.0, True], [2**53, float(2**53)],
+               [2**53 + 1], ["1"], ["a"], [None], [NAN], ["own NaN"]]
+#: one to three classes per example, shared by both sides and both key
+#: columns, so equal cells of different types (and one NaN object on
+#: both sides) meet often
+key_cells = st.shared(
+    st.lists(st.sampled_from(KEY_CLASSES), min_size=1, max_size=3), key="key classes"
+).flatmap(lambda classes: st.sampled_from(sum(classes, []))).map(
+    lambda cell: float("nan") if cell == "own NaN" else cell
+)
+join_row = st.tuples(key_cells, key_cells, st.sampled_from([None, 0, 1, 2, 3]))
+#: half the sides have ``k`` cells distinct as written, like a primary
+#: key's, yet equal across types (``0``, ``0.0``, ``-0.0``, ``FALSE``)
+join_rows = st.one_of(
+    st.lists(join_row, max_size=6),
+    st.lists(join_row, max_size=6, unique_by=lambda row: repr(row[0])),
+)
+
+
+@st.composite
+def keyed_joins(draw):
+    """A join of ``l`` and ``r`` on one or two ``col = col`` keys (either
+    spelling order): INNER / LEFT / RIGHT with the keys in ON, or a comma
+    join keyed from WHERE; with or without a residual ``l.v < r.v``."""
+    kind = draw(st.sampled_from(["JOIN", "LEFT JOIN", "RIGHT JOIN", ","]))
+    conjuncts = []
+    for column in draw(st.sampled_from([["k"], ["j"], ["k", "j"], ["j", "k"]])):
+        sides = [f"l.{column}", f"r.{column}"]
+        conjuncts.append(" = ".join(sides[:: draw(st.sampled_from([1, -1]))]))
+    if draw(st.booleans()):
+        conjuncts.append("l.v < r.v")
+    condition = " AND ".join(conjuncts)
+    if kind == ",":
+        return f"SELECT l.id, r.id FROM l, r WHERE {condition}"
+    return f"SELECT l.id, r.id FROM l {kind} r ON {condition}"
+
+
+def keyed_session(lefts, rights):
+    """``l`` and ``r`` holding the drawn cells as they are: a heap insert
+    skips coercion, so every class reaches the key columns."""
+    db = Database(owner="a")
+    session = db.connect("a")
+    for table, rows in (("l", lefts), ("r", rights)):
+        session.execute(f"CREATE TABLE {table} (id INT PRIMARY KEY, k INT, j INT, v INT)")
+        heap = db.heap(table)
+        for i, (k, j, v) in enumerate(rows):
+            heap.insert({"id": i, "k": k, "j": j, "v": v})
+    return session
+
+
+@settings(deadline=None)
+@given(lefts=join_rows, rights=join_rows, sql=keyed_joins())
+@example(lefts=[(NAN, 0, 1)], rights=[(NAN, 0, 2)], sql="SELECT l.id, r.id FROM l JOIN r ON l.k = r.k")
+@example(
+    lefts=[(1, 0, None), (True, 0, None), (1.0, 0, None)],
+    rights=[(True, 0, None), (1.0, 0, None), (1, 0, None)],
+    sql="SELECT l.id, r.id FROM l LEFT JOIN r ON l.k = r.k",
+)
+@example(lefts=[(2**53 + 1, None, 0)], rights=[(float(2**53), None, 1), (2**53 + 1, None, 1)],
+         sql="SELECT l.id, r.id FROM l RIGHT JOIN r ON r.k = l.k AND l.v < r.v")
+def test_hash_join_pairs_what_the_nested_loop_pairs(lefts, rights, sql):
+    """The hash plan's rows, in order, are the nested-loop spelling's:
+    NULL and NaN keys match nothing (a shared NaN object not even
+    itself), -0.0 = 0.0, 1 = 1.0 = TRUE, 2**53 + 1 <> 2.0**53, and text
+    equals no number; duplicates on either side pair in probe order.
+    No ``max_examples`` of its own: CI's ``ci-deep`` profile runs it at
+    5,000."""
+    s = keyed_session(lefts, rights)
+    reference = without_equi_keys(sql)
+    assert "Hash Join" in explain(s, sql)
+    assert "Hash Join" not in explain(s, reference)
+    assert s.execute(sql).rows == s.execute(reference).rows
+
+
+def python_calls(rows: int, key: str) -> int:
+    """Python function calls (``sys.setprofile`` ``call`` events) made by
+    one run of a join + GROUP BY of ``rows`` probe rows against ``rows``
+    build rows, every operator in one batch and its plan already kept.
+    ``key``: ``id`` joins on the build side's primary key (unique build
+    keys); ``d`` on a column holding each key twice."""
+    db = Database(owner="a")
+    session = db.connect("a")
+    session.execute("CREATE TABLE l (id INT PRIMARY KEY, k INT, v INT)")
+    session.execute("CREATE TABLE r (id INT PRIMARY KEY, d INT, g INT)")
+    for i in range(rows):
+        db.heap("l").insert({"id": i, "k": i, "v": i % 7})
+        db.heap("r").insert({"id": i, "d": i // 2, "g": i % 4})
+    db.planner_options["batch_size"] = 2 * rows
+    sql = f"SELECT r.g, COUNT(*), SUM(l.v) FROM l JOIN r ON l.k = r.{key} GROUP BY r.g"
+    assert "Hash Join" in explain(session, sql)
+    assert len(session.execute(sql).rows) == 4
+    calls = 0
+
+    def profile(frame, event, arg):
+        nonlocal calls
+        calls += event == "call"
+
+    gc.disable()
+    sys.setprofile(profile)
+    try:
+        session.execute(sql)
+    finally:
+        sys.setprofile(None)
+        gc.enable()
+    return calls
+
+
+@pytest.mark.parametrize("key", ["id", "d"], ids=["unique-build", "duplicate-build"])
+def test_join_python_calls_do_not_grow_with_the_rows(key):
+    """Pairing, gathers and grouping run in C or in loops that call
+    nothing: a join of 10,000 rows makes the Python calls one of 100
+    rows makes."""
+    assert python_calls(10_000, key) == python_calls(100, key)

@@ -59,7 +59,12 @@ from repro.minidb import Database, parse
 from repro.minidb import ast_nodes as ast
 from repro.minidb.analysis import analyze
 from repro.minidb.batch import DEFAULT_BATCH_SIZE, BatchError
-from repro.minidb.errors import ExecutionError, MiniDBError, UniqueViolation
+from repro.minidb.errors import (
+    ExecutionError,
+    InvalidColumnReferenceError,
+    MiniDBError,
+    UniqueViolation,
+)
 from repro.minidb.executor import (
     _FOLDS,
     Executor,
@@ -456,7 +461,7 @@ class ReferenceExecutor(Executor):
                 relation.row = members[0]
                 rep_scope = scope
             else:
-                rep_scope = layout.at(relation.take([None]))
+                rep_scope = layout.at(relation.take([None], nulls=True))
             if stmt.having is not None and not agg_eval.evaluate_predicate(
                 stmt.having, rep_scope
             ):
@@ -973,6 +978,23 @@ class TestOrderByResolution:
         with pytest.raises(ExecutionError, match=message):
             s.execute(sql)
         assert (locks, s.db.planner_stats["seq_scans"]) == ([], scans)
+
+    @pytest.mark.parametrize(
+        "sql",
+        [
+            "SELECT a FROM t ORDER BY 2",
+            "SELECT a FROM t UNION SELECT a FROM e ORDER BY 1 / 0",
+        ],
+        ids=["ordinal-out-of-range", "set-operation-non-output-key"],
+    )
+    def test_refusals_carry_sqlstate_42p10(self, s, sql):
+        # invalid_column_reference, PostgreSQL's SQLSTATE for both; still
+        # an ExecutionError by descent
+        with pytest.raises(InvalidColumnReferenceError) as caught:
+            s.execute(sql)
+        assert caught.value.code == "42P10"
+        assert isinstance(caught.value, ExecutionError)
+        assert str(caught.value).startswith("42P10: ")
 
     def test_set_operation_ordinal_zero(self, s):
         # with an empty left arm, row[-1] used to sort by the last column
