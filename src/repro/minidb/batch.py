@@ -62,14 +62,21 @@ class RowBatch:
     Value lists are the batch's own — slices or gathers of the heap's
     column lists cut when the scan starts, never those lists themselves —
     so a consumer may keep (and extend) them and an in-flight scan does
-    not see later writes.
+    not see later writes. ``facts`` maps each column name to its class
+    fact, a frozenset of the types its values may hold, read from the
+    heap when the batch was cut (``None``: a source that keeps none).
     """
 
-    __slots__ = ("rids", "columns", "length")
+    __slots__ = ("rids", "columns", "length", "facts")
 
     def __init__(
-        self, rids: list[int] | None, columns: dict[str, list], length: int
+        self,
+        rids: list[int] | None,
+        columns: dict[str, list],
+        length: int,
+        facts: "dict[str, frozenset] | None" = None,
     ):
         self.rids = rids
         self.columns = columns
         self.length = length
+        self.facts = facts

@@ -101,7 +101,7 @@ from __future__ import annotations
 import heapq
 from functools import reduce
 from itertools import compress, islice, repeat
-from operator import add, is_not, ne
+from operator import add, is_not, itemgetter, ne, neg
 from time import perf_counter
 from types import MappingProxyType
 from typing import TYPE_CHECKING, Any, Callable, Iterator, Mapping, NamedTuple
@@ -125,12 +125,16 @@ from .errors import (
 from .expressions import (
     FOLD_CLASS,
     GROUP_CLASS,
+    NULL_CLASS,
     SORT_NUMBER_CLASS,
     TEXT_CLASS,
     TRUTH_CLASS,
+    BoolVector,
     Evaluator,
     Scope,
     compile_batch_expr,
+    in_class,
+    vector_fact,
 )
 from .functions import AGGREGATE_NAMES, make_aggregate
 from .parser import count_plan, prepared
@@ -158,14 +162,29 @@ if TYPE_CHECKING:  # pragma: no cover
 # --------------------------------------------------------------------------
 
 
-def _compose(pick, rows, nulls: bool):
-    """``pick`` restricted to ``rows`` (``nulls``: ``rows`` may hold
-    ``None``, a NULL-extended row)."""
-    if pick is None:
-        return rows
-    if nulls:
-        return [None if i is None else pick[i] for i in rows]
-    return [pick[i] for i in rows]
+#: the fewest positions a gather takes through one ``itemgetter``: from
+#: here on its argument and result tuples (8 bytes a position) are past
+#: pymalloc's 512-byte small-object limit. Below it, exact-size tuples of
+#: every length each claimed a 16 KiB pymalloc pool, which raised
+#: ``oltp_durable``'s peak RSS by 0.35 MB (its point statements gather
+#: 2 to 99 rows at a time)
+_ITEMGETTER_MIN = 64
+
+
+def _gatherer(pick) -> Callable[[list], list]:
+    """``take(values)``: ``values`` cut to the positions of the pick vector
+    ``pick``, in its order. Built once per pick vector and applied to
+    every column it cuts: a ``range`` slices, a long vector goes through
+    one ``itemgetter`` (a C loop, its argument tuple built once), a short
+    one through ``map``. A pick vector that may hold ``None`` (a
+    NULL-extended row) is never handed here: its gathers keep their
+    per-element ``None`` test."""
+    if type(pick) is range:
+        return lambda values: values[pick.start : pick.stop]
+    if len(pick) >= _ITEMGETTER_MIN:
+        get = itemgetter(*pick)
+        return lambda values: list(get(values))
+    return lambda values: list(map(values.__getitem__, pick))
 
 
 class _Relation:
@@ -183,17 +202,32 @@ class _Relation:
     column's values on first use, which is all a compiled kernel ever
     asks for. ``row`` is the cursor the interpreter's :class:`Scope`
     reads the relation's names at.
+
+    ``facts[binding]`` maps a binding's column names to their class facts
+    (the scanned batches' :attr:`RowBatch.facts`) and goes wherever the
+    binding's store goes; a binding without facts — a view or derived
+    table, a system view, a NULL-extended side — has no entry. ``fact``
+    answers for a column ``column`` handed out, by identity: the list is
+    held by the relation, so no other list can share its ``id``.
     """
 
-    __slots__ = ("stores", "picks", "length", "nullable", "row", "_columns")
+    __slots__ = (
+        "stores", "picks", "length", "nullable", "facts", "row",
+        "_columns", "_facts", "_gathers",
+    )
 
-    def __init__(self, stores: dict, picks: dict, length: int, nullable=frozenset()):
+    def __init__(
+        self, stores: dict, picks: dict, length: int, nullable=frozenset(), facts=None
+    ):
         self.stores = stores
         self.picks = picks
         self.length = length
         self.nullable = nullable
+        self.facts = {} if facts is None else facts
         self.row = 0
         self._columns: dict[tuple[str, str], list] = {}
+        self._facts: dict[int, frozenset] = {}
+        self._gathers: dict[str, Callable[[list], list]] = {}
 
     def column(self, binding: str, name: str) -> list:
         col = self._columns.get((binding, name))
@@ -202,28 +236,49 @@ class _Relation:
             pick = self.picks[binding]
             if pick is None:
                 col = stored
-            elif type(pick) is range:
-                col = stored[pick.start : pick.stop]
             elif binding in self.nullable:
                 col = [None if i is None else stored[i] for i in pick]
             else:
-                col = [stored[i] for i in pick]
+                take = self._gathers.get(binding)
+                if take is None:
+                    take = self._gathers[binding] = _gatherer(pick)
+                col = take(stored)
             self._columns[(binding, name)] = col
+            facts = self.facts.get(binding)
+            if facts is not None:
+                self._facts[id(col)] = facts[name]
         return col
+
+    def fact(self, values: list) -> "frozenset | None":
+        """The class fact of ``values`` when it is one of this relation's
+        columns with a stored fact, else ``None``."""
+        return self._facts.get(id(values))
 
     def take(self, rows, nulls: bool = False) -> "_Relation":
         """The relation of this one's ``rows``, in that order (``nulls``:
-        ``rows`` may hold ``None``, a row NULL on every binding)."""
-        picks = {b: _compose(pick, rows, nulls) for b, pick in self.picks.items()}
-        nullable = frozenset(picks) if nulls else self.nullable
-        return _Relation(self.stores, picks, len(rows), nullable)
+        ``rows`` may hold ``None``, a row NULL on every binding, and the
+        facts go: a NULL-extended column holds a type they do not)."""
+        picks = {}
+        take = None
+        for binding, pick in self.picks.items():
+            if pick is None:
+                picks[binding] = rows
+            elif nulls:
+                picks[binding] = [None if i is None else pick[i] for i in rows]
+            else:
+                if take is None:
+                    take = _gatherer(rows)
+                picks[binding] = take(pick)
+        if nulls:
+            return _Relation(self.stores, picks, len(rows), frozenset(picks))
+        return _Relation(self.stores, picks, len(rows), self.nullable, self.facts)
 
     def slice(self, start: int, stop: int) -> "_Relation":
         picks = {
             b: range(start, stop) if pick is None else pick[start:stop]
             for b, pick in self.picks.items()
         }
-        return _Relation(self.stores, picks, stop - start, self.nullable)
+        return _Relation(self.stores, picks, stop - start, self.nullable, self.facts)
 
     def beside(self, other: "_Relation") -> "_Relation":
         """Row *i* of this relation paired with row *i* of ``other``."""
@@ -232,6 +287,7 @@ class _Relation:
             {**self.picks, **other.picks},
             self.length,
             self.nullable | other.nullable,
+            {**self.facts, **other.facts},
         )
 
 
@@ -363,7 +419,8 @@ def _length(values: list[list]) -> int:
 
 def _gather(columns: list[list], picks) -> list[list]:
     """``columns`` cut to the rows ``picks``, in that order."""
-    return [list(map(col.__getitem__, picks)) for col in columns]
+    take = _gatherer(picks)
+    return [take(col) for col in columns]
 
 
 def _first_of_each(rows) -> list[int]:
@@ -415,37 +472,71 @@ def _descending_key_element(value: Any) -> tuple:
     return (element[0], _Reversed(element[1]), _Reversed(element[2]))
 
 
-def _is_own_sort_key(values: list) -> bool:
-    """Whether ``values`` are their own ORDER BY key: only ``str``, or only
-    ``int``/``float`` and no NaN. There ``ordering_key_element`` is a
-    bijection that preserves order, so sorting the values themselves (with
-    ``reverse`` for DESC) is sorting their keys."""
-    kinds = set(map(type, values))
-    if kinds <= TEXT_CLASS:
-        return True
-    return kinds <= SORT_NUMBER_CLASS and not any(map(ne, values, values))
+def _own_sort_class(values: list, fact: "frozenset | None") -> "frozenset | None":
+    """TEXT_CLASS or SORT_NUMBER_CLASS when ``values`` are their own ORDER
+    BY key — only ``str``, or only ``int``/``float`` and no NaN — else
+    ``None``. There ``ordering_key_element`` is a bijection that preserves
+    order, so sorting the values themselves is sorting their keys. The
+    type half reads the class ``fact``; the NaN half is always a pass."""
+    if in_class(TEXT_CLASS, values, fact):
+        return TEXT_CLASS
+    if in_class(SORT_NUMBER_CLASS, values, fact) and not any(map(ne, values, values)):
+        return SORT_NUMBER_CLASS
+    return None
 
 
-def _sort_keys(key_columns: "list[tuple[list, bool]]"):
+def _sort_keys(key_columns: "list[tuple[list, bool, frozenset | None]]"):
     """The one ORDER BY key builder: per-row sort keys for ``(values,
-    descending)`` key columns, and whether to sort them in reverse. One
-    key column that is its own key is used as is, DESC by reversing the
-    sort. Otherwise ``ordering_key_element`` — wrapped for DESC — is
-    mapped over each column, zipped when there are several. (Mapped DESC
-    keys compare through ``_Reversed`` in Python: a 10k-row ``ORDER BY
-    dwell_s DESC LIMIT 10`` takes ≈ 7x as long on them as on the column
-    itself.)"""
-    if len(key_columns) == 1:
-        values, descending = key_columns[0]
-        if _is_own_sort_key(values):
-            return values, descending
-    columns = [
-        list(map(
-            _descending_key_element if descending else _sort_key_element, values
-        ))
-        for values, descending in key_columns
-    ]
+    descending, fact)`` key columns, and whether to sort them in reverse.
+    One key column that is its own key is used as is, DESC by reversing
+    the sort. Among several, an own-key column is its own element
+    ascending, and a numeric one is its negated value DESC (exact on
+    ``int`` and ``float``); any other column maps ``ordering_key_element``
+    — wrapped for DESC — and the columns are zipped. (Mapped DESC keys
+    compare through ``_Reversed`` in Python: a 10k-row ``ORDER BY dwell_s
+    DESC LIMIT 10`` takes ≈ 7x as long on them as on the column itself.)"""
+    owns = [_own_sort_class(values, fact) for values, _, fact in key_columns]
+    if len(key_columns) == 1 and owns[0] is not None:
+        return key_columns[0][:2]
+    columns = []
+    for (values, descending, _), own in zip(key_columns, owns):
+        if own is not None and not descending:
+            columns.append(values)
+        elif own is SORT_NUMBER_CLASS:
+            columns.append(list(map(neg, values)))
+        else:
+            columns.append(list(map(
+                _descending_key_element if descending else _sort_key_element, values
+            )))
     return (columns[0] if len(columns) == 1 else list(zip(*columns))), False
+
+
+def _column_fact(
+    expr: ast.Expr, names: Scope, relation: "_Relation"
+) -> "frozenset | None":
+    """The class fact of the column ``expr`` reads when it is a bare column
+    of this block (``None`` for any other expression): it holds for any
+    of that column's values at ``relation``'s rows."""
+    slot = names.slots.get(id(expr)) if type(expr) is ast.ColumnRef else None
+    if slot is None or slot[0]:
+        return None
+    facts = relation.facts.get(slot[1])
+    return None if facts is None else facts.get(slot[2])
+
+
+def _groups_by_value(key: list, relation: "_Relation") -> bool:
+    """Whether the one GROUP BY key column ``key`` holds one GROUP_CLASS
+    type at most beside NULL, so its values group as ``_row_marker`` does:
+    by its class fact, else one pass for the type of its first non-NULL
+    value."""
+    fact = vector_fact(relation, key)
+    if fact is not None:
+        kinds = fact - NULL_CLASS
+        if len(kinds) <= 1 and kinds <= GROUP_CLASS:
+            return True
+    first = next(compress(key, map(is_not, key, repeat(None))), None)
+    cls = NULL_CLASS | {type(first)}
+    return cls - NULL_CLASS <= GROUP_CLASS and cls.issuperset(map(type, key))
 
 
 def _fold_avg(values: list) -> "float | None":
@@ -834,9 +925,18 @@ class Executor:
             columns = [list(col) for col in zip(*rows)] or [[] for _ in items]
 
         if targets:
-            keys, reverse = _sort_keys(
-                [(columns[position], descending) for position, descending in targets]
-            )
+            # a key column of the block's rows (a group's first member's
+            # under GROUP BY, not the NULL row of an empty group) keeps its
+            # fact; the rows of a set operation are both operands'
+            read = not set_op and (stmt.group_by or not plan.grouped)
+            keys, reverse = _sort_keys([
+                (
+                    columns[position],
+                    descending,
+                    _column_fact(exprs[position], names, relation) if read else None,
+                )
+                for position, descending in targets
+            ])
             columns = _gather(columns, self._ordered_indexes(keys, reverse, needed))
         columns = columns[: len(items)]
         if offset or limit is not None:
@@ -885,26 +985,43 @@ class Executor:
         store: dict[str, list] = {name: [] for name in columns}
         rids: list[int] = []
         length = examined = 0
+        # the union of the batches' facts (a source without them has none)
+        facts: "dict[str, frozenset] | None" = {name: frozenset() for name in columns}
         # planned (and counted) even when LIMIT 0 leaves nothing to fetch
         batches = self._batches(scan, session, names, columns, unordered, limit)
         for batch in () if limit == 0 else batches:
-            chunk = _Relation({binding: batch.columns}, {binding: None}, batch.length)
+            cut = batch.facts
+            chunk = _Relation(
+                {binding: batch.columns}, {binding: None}, batch.length,
+                facts={binding: cut} if cut is not None else None,
+            )
             keep = select(chunk, None if limit is None else limit - length)
             whole = len(keep) == batch.length
+            take = None if whole else _gatherer(keep)
             for name in columns:
                 col = batch.columns[name]
                 if whole and not length:
                     store[name] = col  # the batch's lists are the scan's own
                 else:
-                    store[name].extend(col if whole else [col[i] for i in keep])
+                    store[name].extend(col if whole else take(col))
             if batch.rids is not None:
-                rids.extend(batch.rids if whole else [batch.rids[i] for i in keep])
+                rids.extend(batch.rids if whole else take(batch.rids))
+            if cut is None:
+                facts = None
+            elif facts is not None and facts is not cut:
+                facts = cut if not examined else {
+                    name: fact | cut[name] for name, fact in facts.items()
+                }
             length += len(keep)
             if length == limit:
                 examined += keep[-1] + 1  # rows fetched past the exit don't count
                 break
             examined += batch.length
-        return _Relation({binding: store}, {binding: None}, length), rids, examined
+        relation = _Relation(
+            {binding: store}, {binding: None}, length,
+            facts={binding: facts} if facts is not None else None,
+        )
+        return relation, rids, examined
 
     def _batches(
         self, scan: ScanPlan, session, names: Scope, columns, unordered, first
@@ -1067,7 +1184,9 @@ class Executor:
                 if length > size:
                     chunk = relation.slice(start, min(start + size, length))
                 values = column(chunk)
-                if limit is None and TRUTH_CLASS.issuperset(map(type, values)):
+                if limit is None and in_class(
+                    TRUTH_CLASS, values, vector_fact(chunk, values)
+                ):
                     # no error to raise and nothing to stop at: keep the
                     # True elements in C
                     kept.extend(compress(range(start, start + len(values)), values))
@@ -1115,9 +1234,8 @@ class Executor:
             predicate = plan.condition
         if predicate is not None:
             pairs = left.take(lefts).beside(right.take(rights))
-            kept = self._selector(predicate, names, evaluator)(pairs)
-            lefts = [lefts[i] for i in kept]
-            rights = [rights[i] for i in kept]
+            take = _gatherer(self._selector(predicate, names, evaluator)(pairs))
+            lefts, rights = take(lefts), take(rights)
 
         # NULL extension is decided after the predicate: a left (right) row
         # none of whose pairs survived it counts as unmatched
@@ -1197,7 +1315,7 @@ class Executor:
         raised."""
         columns = [self._compile(expr, names, evaluator)(relation) for expr in exprs]
         _raise_first_batch_error(columns, relation)
-        return columns
+        return [list(col) if type(col) is BoolVector else col for col in columns]
 
     def _aggregate(
         self, plan, exprs, relation, names, evaluator, run_subquery
@@ -1222,11 +1340,10 @@ class Executor:
         groups: dict[Any, list[int]] = {}
         if stmt.group_by:
             keys = [self._compile(g, names, evaluator)(relation) for g in stmt.group_by]
-            kinds = set(map(type, keys[0])) if len(keys) == 1 else set()
-            if len(kinds) == 1 and kinds <= GROUP_CLASS:
-                # one key column of one class, no NULL: the value is as
+            if len(keys) == 1 and _groups_by_value(keys[0], relation):
+                # one key column of one class beside NULL: the value is as
                 # good a key as (type name, value) — NaN and -0.0/0.0 hash
-                # and compare alike either way
+                # and compare alike either way, and None is its own group
                 for i, v in enumerate(keys[0]):
                     members = groups.get(v)
                     if members is None:
@@ -1253,7 +1370,9 @@ class Executor:
             else:
                 values = self._compile(agg.args[0], names, evaluator)(relation)
                 fold = None if agg.distinct else _FOLDS.get(agg.name)
-                if fold is not None and FOLD_CLASS.issuperset(map(type, values)):
+                if fold is not None and in_class(
+                    FOLD_CLASS, values, vector_fact(relation, values)
+                ):
                     agg_plans.append(("fold", (fold, values)))
                 else:
                     agg_plans.append(("column", values))
@@ -1265,10 +1384,13 @@ class Executor:
         out_rows: list[tuple] = []
         for members in groups.values():
             computed: dict[int, Any] = {}
+            take = None  # the members' gatherer, shared by every fold
             for agg, (kind, payload) in zip(plan.aggregates, agg_plans):
                 if kind == "fold":
                     fold, values = payload
-                    computed[id(agg)] = fold(list(map(values.__getitem__, members)))
+                    if take is None:
+                        take = _gatherer(members)
+                    computed[id(agg)] = fold(take(values))
                     continue
                 if kind == "count" and not agg.distinct:
                     computed[id(agg)] = len(members)

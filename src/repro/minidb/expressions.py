@@ -20,13 +20,18 @@
   comparison / LIKE helpers below, so results and errors are identical.
 
 **Typed paths.** A comparison or BETWEEN against constants, and AND/OR,
-first check the batch it is handed once (``frozenset(...).issuperset(map(
-type, col))``): when every element lies in a class where the shared helper
-provably returns what Python's own operator returns — numbers (``int`` /
-``float`` / ``bool``) against a number, ``str`` against a ``str``, bools
-under AND/OR — it maps that operator over the vector in C. Any other batch
-(a NULL, a deferred error, text against a number) runs the per-element
-path on the vector already computed.
+map Python's own operator over a vector in C when every element lies in a
+class where the shared helper provably returns what that operator
+returns — numbers (``int`` / ``float`` / ``bool``) against a number,
+``str`` against a ``str``, bools under AND/OR. The vector's *class fact*
+decides (:func:`in_class`): a stored column carries the types its heap
+column may hold (``RowBatch.facts``, kept per column by the heap's write
+path and copied when the batch is cut), and a typed path's output is a
+:class:`BoolVector`, all-bool by its type. Only a vector without a fact,
+or with one straddling the class, is scanned once
+(``frozenset(...).issuperset(map(type, col))``). Any vector outside the
+class (a NULL, a deferred error, text against a number) runs the
+per-element path on the vector already computed.
 
 **The deferred-error contract.** SQL short-circuiting means the
 interpreter may never evaluate an erroring operand for a given row
@@ -402,11 +407,11 @@ def _to_text(value: Any) -> str:
 # batch-kernel compilation
 # --------------------------------------------------------------------------
 
-#: a compiled batch evaluator: maps a batch (anything with ``length`` and
-#: ``column(binding, name)`` — the executor's relation) and the
-#: statement's literal vector (which each :class:`ast.Param` reads) to a
-#: list of ``length`` per-row values, each a plain value or a deferred
-#: :class:`BatchError`
+#: a compiled batch evaluator: maps a batch (anything with ``length``,
+#: ``column(binding, name)`` and ``fact(values)`` — the executor's
+#: relation) and the statement's literal vector (which each
+#: :class:`ast.Param` reads) to a list of ``length`` per-row values, each
+#: a plain value or a deferred :class:`BatchError`
 BatchFn = Callable[[Any, Any], list]
 
 #: resolves one column reference to a batch accessor (``fn(batch, params)
@@ -711,11 +716,11 @@ def _fold_batch(operands: list, compute: Callable[..., Any]):
 
 # -- typed paths: a kernel handed a batch whose values all fall in one class
 # -- where the scalar helper provably returns what Python's own operator
-# -- returns maps that operator over the whole vector in C. The class is
-# -- checked once per batch; any other batch (a NULL, a deferred error, text
-# -- against a number) takes the per-element path on the same vectors.
-# -- Every class of the engine is defined here, the executor's included, each
-# -- beside the scalar code it agrees with.
+# -- returns maps that operator over the whole vector in C. The vector's
+# -- class fact decides, else one pass per batch; any other batch (a NULL, a
+# -- deferred error, text against a number) takes the per-element path on
+# -- the same vectors. Every class of the engine is defined here, the
+# -- executor's included, each beside the scalar code it agrees with.
 
 #: ``_compare`` is Python's operator between any two of these: it lets
 #: ``bool`` meet ``int`` and ``float`` as a number ...
@@ -736,10 +741,49 @@ FOLD_CLASS = frozenset((int, float))
 #: only TEXT_CLASS: such a vector is its own ORDER BY key. ``bool`` is left
 #: out: its key is ``int(value)``, not the value
 SORT_NUMBER_CLASS = frozenset((int, float))
-#: a GROUP BY key column holding exactly one of these types groups by its
-#: values as the per-row path groups by ``(type name, value)``: with one
-#: type the name adds nothing, and NaN and -0.0/0.0 hash alike either way
+#: a GROUP BY key column holding exactly one of these types (and perhaps
+#: NULL) groups by its values as the per-row path groups by ``(type name,
+#: value)``: with one type the name adds nothing, and NaN and -0.0/0.0
+#: hash alike either way
 GROUP_CLASS = frozenset((int, float, str))
+#: NULL, which a GROUP BY key may hold beside its one GROUP_CLASS type: it
+#: groups apart from every value, as its ``_row_marker`` does
+NULL_CLASS = frozenset((type(None),))
+
+
+class BoolVector(list):
+    """A kernel output that holds only ``bool``: what the typed path of a
+    comparison, BETWEEN, AND or OR returns. Its type is its class fact
+    (BOOL_CLASS), so AND/OR and the WHERE selector read the fact instead
+    of scanning it. It stays inside the executor: a column a statement
+    returns is a plain ``list``."""
+
+    __slots__ = ()
+
+
+def vector_fact(batch, values: list) -> "frozenset | None":
+    """The class fact of a vector a kernel reads or returns: BOOL_CLASS
+    for a :class:`BoolVector`, the stored fact ``batch`` keeps for one of
+    its columns, else ``None`` (unknown). A fact may be wider than the
+    vector's types, never narrower."""
+    if type(values) is BoolVector:
+        return BOOL_CLASS
+    return batch.fact(values)
+
+
+def in_class(cls: frozenset, values: list, fact: "frozenset | None") -> bool:
+    """Whether every element of ``values`` lies in ``cls``: the vector's
+    ``fact`` decides when it is known and inside ``cls`` (yes) or shares
+    no type with it (no; on an empty vector either answer leads every
+    caller to the same result); otherwise — no fact, or one that
+    straddles ``cls`` — one pass over the vector does."""
+    if fact is not None:
+        if fact <= cls:
+            return True
+        if fact.isdisjoint(cls):
+            return False
+    return cls.issuperset(map(type, values))
+
 
 _COMPARE_OPERATORS = {
     "=": operator.eq,
@@ -887,8 +931,8 @@ def _compile_batch_compare(op: str, left, right):
         typed = _constant_class(value)
         constants = repeat(value, batch.length)
         operands = (constants, col) if constant_left else (col, constants)
-        if typed is not None and typed.issuperset(map(type, col)):
-            return list(map(python_op, *operands))
+        if typed is not None and in_class(typed, col, vector_fact(batch, col)):
+            return BoolVector(map(python_op, *operands))
         return _apply(compute, *operands)
 
     return _thunk(fn)
@@ -918,14 +962,14 @@ def _compile_batch_between(expr: ast.BetweenExpr, resolve: BatchColumnResolver):
         if (
             typed is not None
             and _constant_class(hi) is typed
-            and typed.issuperset(map(type, col))
+            and in_class(typed, col, vector_fact(batch, col))
         ):
             hits = map(
                 operator.and_,
                 map(operator.ge, col, repeat(lo)),
                 map(operator.le, col, repeat(hi)),
             )
-            return list(map(operator.not_, hits) if negated else hits)
+            return BoolVector(map(operator.not_, hits) if negated else hits)
         return _apply(compute, col, repeat(lo, batch.length), repeat(hi, batch.length))
 
     return _thunk(fn)
@@ -944,10 +988,10 @@ def _batch_and(lf, rf):
 
     def fn(batch, params, lf=lf, rf=rf):
         lv, rv = lf(batch, params), rf(batch, params)
-        if BOOL_CLASS.issuperset(map(type, lv)) and BOOL_CLASS.issuperset(
-            map(type, rv)
+        if in_class(BOOL_CLASS, lv, vector_fact(batch, lv)) and in_class(
+            BOOL_CLASS, rv, vector_fact(batch, rv)
         ):
-            return list(map(operator.and_, lv, rv))
+            return BoolVector(map(operator.and_, lv, rv))
         out = []
         append = out.append
         for l, r in zip(lv, rv):
@@ -992,10 +1036,10 @@ def _batch_or(lf, rf):
 
     def fn(batch, params, lf=lf, rf=rf):
         lv, rv = lf(batch, params), rf(batch, params)
-        if BOOL_CLASS.issuperset(map(type, lv)) and BOOL_CLASS.issuperset(
-            map(type, rv)
+        if in_class(BOOL_CLASS, lv, vector_fact(batch, lv)) and in_class(
+            BOOL_CLASS, rv, vector_fact(batch, rv)
         ):
-            return list(map(operator.or_, lv, rv))
+            return BoolVector(map(operator.or_, lv, rv))
         out = []
         append = out.append
         for l, r in zip(lv, rv):

@@ -47,6 +47,9 @@ from .errors import PersistenceError, UniqueViolation
 
 Row = dict[str, Any]
 
+#: the class fact of a column no row holds: every cell reads NULL
+_NULL_FACT = frozenset((type(None),))
+
 
 def ordering_key_element(value: Any) -> tuple:
     """Total-order sort key for one value: NULLs last, numbers before text,
@@ -796,17 +799,40 @@ class _Slots:
     arrays and the heap publishes them by rebinding a single attribute,
     so readers sharing an S lock each see either the old unit or the new
     one, never a mix.
+
+    ``facts[name]`` is the column's class fact: a frozenset of the types
+    its list may hold, tombstones included. A write only widens it (the
+    written value's type joins, nothing leaves), so it may be wider than
+    the column's values but never narrower; a new unit — :meth:`settled`,
+    a snapshot load — computes it from the values it is given. A scan
+    copies the facts into its batches when it cuts them, and the
+    executor's typed paths read them instead of scanning for types.
     """
 
-    __slots__ = ("rids", "cols", "live", "slot", "dead", "unsorted")
+    __slots__ = ("rids", "cols", "facts", "live", "slot", "dead", "unsorted")
 
     def __init__(self, rids: list[int], cols: dict[str, list]):
         self.rids = rids
         self.cols = cols
+        self.facts = {name: frozenset(map(type, col)) for name, col in cols.items()}
         self.live = bytearray(b"\x01") * len(rids)
         self.slot = dict(zip(rids, range(len(rids))))
         self.dead = 0
         self.unsorted = False
+
+    def cut_facts(self, names: "list[str]") -> "dict[str, frozenset]":
+        """The facts of ``names`` as they stand (a column not held reads
+        all ``None``): what a batch cut now carries. A write replaces a
+        fact it widens and never mutates one, so the copy stays true of
+        the values cut beside it whatever the statement writes next."""
+        facts, cols = self.facts, self.cols
+        return {name: facts[name] if name in cols else _NULL_FACT for name in names}
+
+    def widen(self, name: str, value: Any) -> None:
+        """Make ``value``'s type part of column ``name``'s fact."""
+        fact = self.facts[name]
+        if type(value) not in fact:
+            self.facts[name] = fact | {type(value)}
 
     def read(
         self, names: "list[str] | None" = None
@@ -990,14 +1016,16 @@ class HeapTable:
         only the columns the statement references). Every batch is cut
         before the first is handed out, so a scan is a snapshot — later
         mutations do not reach its later batches — and a batch's lists are
-        slices, never the heap's own. Read-only: no index maintenance, no
-        WAL interaction.
+        slices, never the heap's own; each carries the columns' facts as
+        they stood at the cut. Read-only: no index maintenance, no WAL
+        interaction.
         """
         slots = self._ordered()
+        facts = slots.cut_facts(columns)
         if slots.dead or len(slots.rids) <= batch_size:
             rids, values = slots.read(columns)
             if len(rids) <= batch_size:
-                return iter([RowBatch(rids, values, len(rids))] if rids else [])
+                return iter([RowBatch(rids, values, len(rids), facts)] if rids else [])
         else:  # every slot is live: slice the heap's lists, once per cell
             rids = slots.rids
             absent = [None] * len(rids)
@@ -1011,6 +1039,7 @@ class HeapTable:
                         for name, col in values.items()
                     },
                     min(batch_size, len(rids) - start),
+                    facts,
                 )
                 for start in range(0, len(rids), batch_size)
             ]
@@ -1030,7 +1059,8 @@ class HeapTable:
     ) -> RowBatch:
         """One :class:`RowBatch` for an explicit rid list (index-path
         candidates), in the given rid order; rids no longer present in
-        the heap are skipped, like per-rid :meth:`get` probes."""
+        the heap are skipped, like per-rid :meth:`get` probes. It carries
+        the columns' facts as they stand now, at its cut."""
         slots = self._slots
         picked = list(map(slots.slot.get, rids))
         if None in picked:
@@ -1049,6 +1079,7 @@ class HeapTable:
                 for name in columns
             },
             len(picked),
+            slots.cut_facts(columns),
         )
 
     def _key_rows(self, columns: tuple[str, ...]) -> Iterator[tuple[int, Row]]:
@@ -1069,28 +1100,39 @@ class HeapTable:
         is appending it). A row with exactly the heap's keys — every row
         SQL builds — is written by key; for any other, a key not seen
         before opens a column (``None`` in every other slot) and a
-        missing one reads as ``None``."""
+        missing one reads as ``None``. Each written value's type joins
+        its column's fact."""
         slots = self._slots
         cols = slots.cols
+        facts = slots.facts
         total = len(slots.rids)
         if len(row) == len(cols):
             try:
                 if slot == total:
                     for name, col in cols.items():
-                        col.append(row[name])
+                        value = row[name]
+                        col.append(value)
+                        if type(value) not in facts[name]:
+                            slots.widen(name, value)
                 else:
                     for name, col in cols.items():
-                        col[slot] = row[name]
+                        value = row[name]
+                        col[slot] = value
+                        if type(value) not in facts[name]:
+                            slots.widen(name, value)
                 return
             except KeyError:
                 pass  # same width, other keys: redo the slot below
         for name in row:
             if name not in cols:
                 cols[name] = [None] * total
+                facts[name] = _NULL_FACT if total else frozenset()
         for name, col in cols.items():
             # replaces the slot's value, or appends it where the column
             # is still one short (an append the keyed loop did not reach)
-            col[slot : slot + 1] = [row.get(name)]
+            value = row.get(name)
+            col[slot : slot + 1] = [value]
+            slots.widen(name, value)
 
     def _append(self, rid: int, row: Row) -> None:
         """Give ``rid`` the next slot."""
@@ -1232,12 +1274,14 @@ class HeapTable:
         slots = self._slots
         if slots.rids:
             slots.cols[name] = [default] * len(slots.rids)
+            slots.facts[name] = frozenset((type(default),))
         self._bump()
 
     def drop_column(self, name: str) -> dict[int, Any]:
         """Detach a column; returns its values by rid (for undo logs)."""
         slots = self._slots
         values = dict(zip(slots.rids, slots.cols.pop(name, ())))
+        slots.facts.pop(name, None)
         self._bump()
         return values
 
@@ -1245,13 +1289,15 @@ class HeapTable:
         """Re-attach a dropped column's values by rid (undo for drop_column)."""
         slots = self._slots
         if slots.rids:
-            slots.cols[name] = list(map(values.get, slots.rids))
+            col = slots.cols[name] = list(map(values.get, slots.rids))
+            slots.facts[name] = frozenset(map(type, col))
         self._bump()
 
     def rename_column(self, old: str, new: str) -> None:
-        cols = self._slots.cols
-        if old in cols:
-            cols[new] = cols.pop(old)
+        slots = self._slots
+        if old in slots.cols:
+            slots.cols[new] = slots.cols.pop(old)
+            slots.facts[new] = slots.facts.pop(old)
         for index in self.indexes.values():
             index.rename_column(old, new)  # keys hold values, not names
         self._bump()

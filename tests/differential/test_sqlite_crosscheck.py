@@ -134,6 +134,13 @@ SHAPES = [
     ("t.", "SELECT t.id, u.id FROM t JOIN u ON t.a = u.a WHERE {p}", False),
     ("t.", "SELECT t.id, u.id FROM t JOIN u ON t.a = u.a AND {p}", False),
     ("t.", "SELECT t.id, u.id, u.d FROM t LEFT JOIN u ON t.a = u.a WHERE {p}", False),
+    # GROUP BY a NULL-extended key: NULL groups beside one type of value
+    (
+        "t.",
+        "SELECT u.d, COUNT(*), SUM(t.b) FROM t LEFT JOIN u ON t.a = u.id WHERE {p}"
+        " GROUP BY u.d",
+        False,
+    ),
     (
         "t.",
         "SELECT t.id, u.id FROM t LEFT JOIN u ON t.a = u.a AND u.id > t.b AND {p}",

@@ -15,6 +15,8 @@ order and NULL extension, and the rid order of DML targets in the WAL.
 """
 
 import json
+import random
+import sys
 
 import pytest
 from hypothesis import given, seed, settings
@@ -29,6 +31,8 @@ from repro.minidb.errors import (
     MiniDBError,
     TypeMismatchError,
 )
+from repro.minidb.executor import _descending_key_element, _sort_keys
+from repro.minidb.storage import ordering_key_element
 
 
 def outcome(session, sql, errors=MiniDBError):
@@ -153,7 +157,11 @@ CONSTANTS = {
 }
 COMPARISONS = ["=", "<>", "<", "<=", ">", ">="]
 COLUMNS = ["v", "w", "s"]
-ORDER_KEYS = ["v", "v DESC", "w", "w DESC", "s DESC", "v DESC, w", "w, s DESC", "2 DESC"]
+ORDER_KEYS = [
+    "v", "v DESC", "w", "w DESC", "s DESC", "v DESC, w", "w, s DESC", "2 DESC",
+    # several keys, mixed directions: a numeric DESC key negates its values
+    "w DESC, v DESC", "v DESC, w DESC, id", "s, w DESC", "w DESC, s DESC, id DESC",
+]
 AGGREGATES = "COUNT(*), COUNT(w), SUM(w), AVG(w), MIN(w), MAX(w), COUNT(DISTINCT w)"
 
 
@@ -247,6 +255,179 @@ def test_typed_paths_equivalent_to_interpreter(case, batch_size):
         # skips coercion) raises Python's TypeError; both engines must
         # still raise it alike
         both_engines(session, sql, errors=(MiniDBError, TypeError))
+
+
+#: values whose ORDER BY keys the typed sort path must order exactly as the
+#: ``_Reversed`` key path does: ties (1 / 1.0 / TRUE, -0.0 / 0.0 / 0),
+#: ints beyond 2**53 beside their float, NaN, infinity, NULL, text
+SORT_VALUES = [
+    0, 1, -1, 2, 2**53, 2**53 + 1, -(2**60), True, False,
+    0.0, -0.0, 1.0, 1.5, -2.5, float(2**53), float("inf"), float("nan"),
+    None, "", "a", "b",
+]
+SORT_POOLS = {
+    "int": [v for v in SORT_VALUES if type(v) is int],
+    "number": [v for v in SORT_VALUES if type(v) in (int, float)],
+    "float": [v for v in SORT_VALUES if type(v) is float and v == v],
+    "text": [v for v in SORT_VALUES if type(v) is str],
+    "any": SORT_VALUES,
+}
+
+
+@st.composite
+def sort_case(draw):
+    n = draw(st.integers(min_value=0, max_value=12))
+    columns = []
+    for _ in range(draw(st.integers(min_value=1, max_value=3))):
+        pool = SORT_POOLS[draw(st.sampled_from(sorted(SORT_POOLS)))]
+        values = draw(st.lists(st.sampled_from(pool), min_size=n, max_size=n))
+        # the fact a column may arrive with: none, its own, or a wider one
+        fact = draw(st.sampled_from([
+            None, frozenset(map(type, values)), frozenset(map(type, values)) | {str},
+        ]))
+        columns.append((values, draw(st.booleans()), fact))
+    return columns, draw(st.sampled_from([None, 0, 1, 3, n]))
+
+
+@settings(max_examples=400, deadline=None)
+@seed(20261018)
+@given(case=sort_case())
+def test_sort_keys_order_as_the_reversed_key_path(case):
+    """``_sort_keys`` (own-key columns as they are, numeric DESC keys
+    negated) orders rows — and cuts a top-N — exactly as mapping
+    ``ordering_key_element``, wrapped in ``_Reversed`` for DESC, over every
+    key column does, whatever fact each column arrives with."""
+    columns, needed = case
+    n = len(columns[0][0])
+    keys, reverse = _sort_keys(columns)
+    got = Database(owner="a").executor._ordered_indexes(keys, reverse, needed)
+
+    def reference(i):
+        return tuple(
+            (_descending_key_element if descending else ordering_key_element)(
+                values[i]
+            )
+            for values, descending, _ in columns
+        )
+
+    expected = sorted(range(n), key=reference)
+    assert got == (expected if needed is None else expected[:needed])
+
+
+# ------------------------------------------------------------- class facts
+#
+# A stored column's class fact (and the all-bool fact of a typed kernel's
+# output) decides the typed paths; only a vector whose fact is unknown or
+# straddles the class is scanned for its types — one ``issuperset`` pass.
+# Counting those calls stands in for a timing: over NOT NULL columns the
+# benchmark's statement shapes make none, at any size.
+
+FACT_SHAPES = {
+    "filter": (
+        "SELECT id, x FROM l WHERE d BETWEEN 10 AND 100 AND x < 150 AND kind <> 's'"
+    ),
+    "aggregate": (
+        "SELECT kind, COUNT(*), AVG(x), SUM(x), MAX(d) FROM l WHERE d >= 100"
+        " GROUP BY kind ORDER BY kind"
+    ),
+    "join": (
+        "SELECT r.g, COUNT(*), AVG(l.x) FROM l JOIN r ON r.id = l.k"
+        " WHERE l.d < 200 GROUP BY r.g ORDER BY r.g"
+    ),
+    "top-N": "SELECT id, d FROM l ORDER BY d DESC, id LIMIT 5",
+    "filter without x": "SELECT id FROM l WHERE d BETWEEN 10 AND 100 AND kind <> 's'",
+}
+
+
+def fact_tables(rows):
+    db = Database(owner="a")
+    session = db.connect("a")
+    session.execute("CREATE TABLE r (id INT PRIMARY KEY, g TEXT NOT NULL)")
+    session.execute(
+        "CREATE TABLE l (id INT PRIMARY KEY, k INT NOT NULL, x REAL NOT NULL,"
+        " d INT NOT NULL, kind TEXT NOT NULL)"
+    )
+    rng = random.Random(rows)
+    for i in range(50):
+        db.heap("r").insert({"id": i, "g": f"g{i % 7}"})
+    heap = db.heap("l")
+    for i in range(rows):
+        heap.insert({
+            "id": i, "k": rng.randrange(60), "x": rng.random() * 200,
+            "d": rng.randrange(365), "kind": rng.choice("abcs"),
+        })
+    return db, session
+
+
+def class_passes(session, sql):
+    """The ``issuperset`` class passes one run of ``sql`` makes (after a
+    first run has prepared its plan)."""
+    session.execute(sql)
+    calls = []
+
+    def profile(frame, event, arg):
+        if event == "c_call" and getattr(arg, "__name__", None) == "issuperset":
+            calls.append(frame.f_code.co_name)
+
+    sys.setprofile(profile)
+    try:
+        session.execute(sql)
+    finally:
+        sys.setprofile(None)
+    return len(calls)
+
+
+@pytest.mark.parametrize("rows", [100, 10_000])
+def test_not_null_columns_need_no_class_pass(rows):
+    _, session = fact_tables(rows)
+    for name, sql in FACT_SHAPES.items():
+        assert class_passes(session, sql) == 0, name
+
+
+@pytest.mark.parametrize("rows", [100, 10_000])
+def test_a_planted_null_sends_only_its_columns_sites_to_a_pass(rows):
+    """A NULL in ``x`` (a raw insert: it skips NOT NULL) widens ``x``'s
+    fact alone: the fold sites over ``x`` scan it once each (AVG and SUM
+    in the aggregate, AVG in the join), the filter's comparison on ``x``
+    scans its batches, and no site over another column scans anything.
+    Rows equal the interpreter leg's."""
+    db, session = fact_tables(rows)
+    db.heap("l").insert({"id": rows, "k": 1, "x": None, "d": 50, "kind": "a"})
+    passes = {name: class_passes(session, sql) for name, sql in FACT_SHAPES.items()}
+    assert passes["aggregate"] == 2
+    assert passes["join"] == 1
+    assert passes["filter"] >= 1
+    assert passes["top-N"] == passes["filter without x"] == 0
+    for sql in FACT_SHAPES.values():
+        both_engines(session, sql)
+
+
+def test_group_by_a_null_key_groups_by_value():
+    """A LEFT join's unmatched rows group under one NULL key beside the
+    matched keys' one class: the one-key typed grouping, no per-row
+    ``_row_marker``; rows and group order as the interpreter's."""
+    db = Database(owner="a")
+    session = db.connect("a")
+    session.execute("CREATE TABLE l (id INT PRIMARY KEY, k INT)")
+    session.execute("CREATE TABLE r (id INT PRIMARY KEY, g TEXT)")
+    for i in range(8):
+        session.execute(f"INSERT INTO r VALUES ({i}, 'g{i % 3}')")
+    for i in range(60):
+        session.execute(f"INSERT INTO l VALUES ({i}, {(i * 7) % 10})")
+    sql = "SELECT r.g, COUNT(*) FROM l LEFT JOIN r ON l.k = r.id GROUP BY r.g"
+    assert both_engines(session, sql)[3] == [("g0", 18), ("g1", 18), (None, 12), ("g2", 12)]
+    markers = []
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code.co_name == "_row_marker":
+            markers.append(frame)
+
+    sys.setprofile(profile)
+    try:
+        session.execute(sql)
+    finally:
+        sys.setprofile(None)
+    assert not markers
 
 
 # ----------------------------------------------------------- ordered scan

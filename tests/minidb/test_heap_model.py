@@ -18,8 +18,17 @@ produces, because UPDATE's WAL record copies it.
 
 The file was written against, and passes on, the row-dict heap as well
 (commit a8f47cb): nothing here reads a private attribute.
+
+It is also the oracle of the class facts (``RowBatch.facts``): every batch
+a scan or a fetch cuts — so every column's fact, which a whole-heap scan
+carries — must hold the type of every value cut beside it, also when the
+heap is written between the cut and the read, and SQL over a column whose
+fact has to widen (an UPDATE to NULL, a rolled-back DELETE, ADD COLUMN,
+raw inserts, WAL replay, a snapshot load) must answer as the interpreter
+does.
 """
 
+import gc
 import json
 import os
 import sys
@@ -34,8 +43,10 @@ from hypothesis.stateful import (
     precondition,
     rule,
 )
+from interpreter_leg import use_engine
 
-from repro.minidb.errors import UniqueViolation
+from repro.minidb import Database
+from repro.minidb.errors import MiniDBError, UniqueViolation
 from repro.minidb.storage import HashIndex, HeapTable, SortedIndex
 
 STRESS_THREADS = int(os.environ.get("REPRO_STRESS_THREADS", "4"))
@@ -111,6 +122,14 @@ def norm(row):
 
 def key_of(row, columns):
     return tuple(row.get(c) for c in columns)
+
+
+def assert_facts_cover(batch):
+    """Each column's class fact holds the type of every value the batch
+    carries (it may be wider, never narrower)."""
+    assert set(batch.facts) == set(batch.columns)
+    for name, values in batch.columns.items():
+        assert set(map(type, values)) <= batch.facts[name], name
 
 
 class HeapMachine(RuleBasedStateMachine):
@@ -195,12 +214,24 @@ class HeapMachine(RuleBasedStateMachine):
     @precondition(lambda self: self.model.rows)
     @rule()
     def delete_all_then_undo(self):
-        """A rolled-back ``DELETE FROM t``: restores arrive in reverse."""
+        """A rolled-back ``DELETE FROM t``: restores arrive in reverse.
+        Scans cut before the deletes are read after them (the deletes
+        settle the heap, whose new facts know none of the old values)."""
+        names = self.columns_in_use() + ["nosuch"]
+        cut = {name: self.model.column(name) for name in names}
+        scans = [self.heap.rows_batch(size, names) for size in (1, 1024)]
+        fetched = self.heap.fetch_batch(sorted(self.model.rows), names)
         undo = []
         for rid in sorted(self.model.rows):
             old = self.heap.delete(rid)
             assert norm(old) == norm(self.model.delete(rid))
             undo.append((rid, old))
+        for batches in map(list, scans):
+            for name in names:
+                assert [v for b in batches for v in b.columns[name]] == cut[name]
+            for batch in batches:
+                assert_facts_cover(batch)
+        assert_facts_cover(fetched)
         self.agrees()
         for rid, old in reversed(undo):
             self.heap.restore(rid, old)
@@ -328,6 +359,8 @@ class HeapMachine(RuleBasedStateMachine):
             for name in names:
                 got = [v for b in batches for v in b.columns[name]]
                 assert got == columns[name]
+            for b in batches:
+                assert_facts_cover(b)
 
         wanted = []
         for rid in reversed(rids):
@@ -338,6 +371,7 @@ class HeapMachine(RuleBasedStateMachine):
         assert batch.rids == present and batch.length == len(present)
         for name in names:
             assert batch.columns[name] == [model.rows[r].get(name) for r in present]
+        assert_facts_cover(batch)
 
         assert set(heap.indexes) == set(self.indexes)
         for name, (_, index_columns, _) in self.indexes.items():
@@ -355,8 +389,12 @@ class HeapMachine(RuleBasedStateMachine):
 
 
 TestHeapAgainstModel = HeapMachine.TestCase
+# 120 examples, or the profile's count where it asks for more (CI's deep
+# step runs the machine under ``--hypothesis-profile=ci-deep``: 5,000)
 TestHeapAgainstModel.settings = settings(
-    max_examples=120, stateful_step_count=40, deadline=None
+    max_examples=max(120, settings.default.max_examples),
+    stateful_step_count=40,
+    deadline=None,
 )
 
 
@@ -561,3 +599,116 @@ def test_concurrent_readers_settle_out_of_order_restores():
             assert not errors, errors[0]
     finally:
         sys.setswitchinterval(interval)
+
+
+# ------------------------------------------------- facts that must widen
+#
+# A typed kernel trusts a column's fact: a fact too narrow for a value it
+# meets maps Python's operator over a NULL or a text, which raises a
+# ``TypeError`` no SQL statement may raise. Each witness below writes a
+# value the fact has to take in, on a path that writes it, then reads the
+# column through a typed comparison on both engines.
+
+T_ROWS = [(i, i) for i in range(1, 9)]
+
+
+def fresh(path=None):
+    db = Database.open(path) if path else Database(owner="a")
+    session = db.connect("admin" if path else "a")
+    return db, session
+
+
+def answer(session, sql):
+    """The statement on kernels and on the interpreter; both must agree
+    (rows, or the error class and message)."""
+    outcomes = []
+    for compiled in (True, False):
+        use_engine(session.db, compiled)
+        try:
+            outcomes.append(("rows", session.execute(sql).rows))
+        except MiniDBError as exc:
+            outcomes.append(("error", type(exc).__name__, str(exc)))
+    use_engine(session.db, True)
+    assert repr(outcomes[0]) == repr(outcomes[1]), sql
+    return outcomes[0]
+
+
+def with_table(session, rows=T_ROWS):
+    session.execute("CREATE TABLE t (id INT PRIMARY KEY, a INT)")
+    for rid, a in rows:
+        session.execute(f"INSERT INTO t VALUES ({rid}, {'NULL' if a is None else a})")
+
+
+def test_update_to_null_widens_the_fact():
+    _, session = fresh()
+    with_table(session)
+    session.execute("UPDATE t SET a = NULL WHERE id = 3")
+    assert answer(session, "SELECT id FROM t WHERE a < 5") == (
+        "rows", [(1,), (2,), (4,)],
+    )
+
+
+@pytest.mark.parametrize("odd", [None, "x"])
+def test_rollback_restores_what_the_fact_forgot(odd):
+    """DELETE FROM t settles the emptied heap (its facts start over);
+    ROLLBACK's restores bring the NULL or the text back."""
+    db, session = fresh()
+    with_table(session)
+    db.heap("t").insert({"id": 9, "a": odd})  # raw: no coercion
+    session.execute("BEGIN")
+    session.execute("DELETE FROM t")
+    session.execute("ROLLBACK")
+    outcome = answer(session, "SELECT id FROM t WHERE a < 5 AND a >= 2")
+    if odd is None:
+        assert outcome == ("rows", [(2,), (3,), (4,)])
+    else:
+        assert outcome[0] == "error"
+
+
+def test_add_column_brings_its_default_into_the_fact():
+    _, session = fresh()
+    with_table(session)
+    session.execute("ALTER TABLE t ADD COLUMN b INT")
+    session.execute("ALTER TABLE t ADD COLUMN c TEXT DEFAULT 'z'")
+    assert answer(session, "SELECT id FROM t WHERE b < 5") == ("rows", [])
+    assert answer(session, "SELECT COUNT(*) FROM t WHERE c = 'z' AND a > 6") == (
+        "rows", [(2,)],
+    )
+
+
+def test_raw_inserts_of_mixed_values():
+    """``heap.insert`` skips coercion (the benchmark builds its tables
+    through it): a float, a bool, a NULL and a text in an INT column."""
+    db, session = fresh()
+    with_table(session)
+    heap = db.heap("t")
+    for rid, value in ((10, 2.5), (11, True), (12, None)):
+        heap.insert({"id": rid, "a": value})
+    assert answer(session, "SELECT id FROM t WHERE a < 3 OR a BETWEEN 7 AND 8") == (
+        "rows", [(1,), (2,), (7,), (8,), (10,), (11,)],
+    )
+    assert answer(session, "SELECT SUM(a), MAX(a) FROM t WHERE id < 10") == (
+        "rows", [(36, 8)],
+    )
+    heap.insert({"id": 13, "a": "text"})
+    assert answer(session, "SELECT id FROM t WHERE a < 3")[0] == "error"
+
+
+@pytest.mark.parametrize("checkpoint", [False, True])
+def test_reopened_heaps_know_their_nulls(tmp_path, checkpoint):
+    """A crash leaves the WAL, which replays through the insert path; a
+    checkpoint leaves a snapshot, whose load computes the facts."""
+    path = str(tmp_path / "db")
+    db, session = fresh(path)
+    with_table(session, T_ROWS + [(9, None)])
+    session.execute("UPDATE t SET a = NULL WHERE id = 2")
+    if checkpoint:
+        db.checkpoint()
+        db.close()
+    del db, session
+    gc.collect()  # a crash: the dropped engine leaves its WAL behind
+    db, session = fresh(path)
+    assert answer(session, "SELECT id FROM t WHERE a < 5") == (
+        "rows", [(1,), (3,), (4,)],
+    )
+    db.close()
