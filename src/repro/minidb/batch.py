@@ -1,12 +1,12 @@
 """Column-batch (vectorized) execution primitives.
 
-:class:`RowBatch` is what a scan reads: a slice of one source held as
-parallel per-column value lists plus the rid vector, cut from the
-heap's column lists (or built once from a child block's result). The
-executor's scan operator concatenates the surviving rows of each batch
-into the column store of its relation value, the one representation
-every SELECT operator after it works on. Processing whole columns
-through precompiled kernels
+:class:`RowBatch` is what a scan reads: one source held as parallel
+per-column value lists plus the rid vector, copied from the heap's
+column lists in one cut, gathered by an index fetch (or built once from a
+child block's result). The executor's scan operator keeps the surviving
+rows of its batch as the column store of its relation value, the one
+representation every SELECT operator after it works on. Processing
+whole columns through precompiled kernels
 (:func:`repro.minidb.expressions.compile_batch_expr`) amortizes the
 Python interpreter's per-row overhead — the MonetDB/X100 move — which
 matters doubly under the GIL, where the dispatcher cannot parallelize
@@ -29,8 +29,9 @@ from __future__ import annotations
 
 from typing import Any
 
-#: default number of rows per batch: large enough to amortize per-batch
-#: dispatch, small enough that in-flight column copies stay cache-friendly
+#: default number of rows per kernel call (and per fetch of a scan a LIMIT
+#: may stop early): large enough to amortize per-call dispatch, small
+#: enough that a kernel's intermediate vectors stay cache-friendly
 DEFAULT_BATCH_SIZE = 1024
 
 
@@ -54,12 +55,12 @@ class BatchError:
 
 
 class RowBatch:
-    """One columnar slice of a relation.
+    """One columnar cut of a relation.
 
     ``columns`` maps column name -> list of values, all lists parallel and
     ``length`` long; ``rids`` is the matching rid vector (``None`` for a
     source with no heap identity: a view, derived table or system view).
-    Value lists are the batch's own — slices or gathers of the heap's
+    Value lists are the batch's own — copies or gathers of the heap's
     column lists cut when the scan starts, never those lists themselves —
     so a consumer may keep (and extend) them and an in-flight scan does
     not see later writes. ``facts`` maps each column name to its class

@@ -353,9 +353,11 @@ class Database:
         }
         self.planner_stats = CounterMapView(self._planner_counters)
         #: the one execution knob, read by subscript: ``batch_size`` (a
-        #: positive int) is the rows per :class:`repro.minidb.batch.RowBatch`
-        #: and per kernel call (at ``batch_size=1``, against an executor
-        #: that ignores kernels, the equivalence suites' reference leg).
+        #: positive int) is the rows per kernel call — the chunk the
+        #: selector evaluates a predicate over — and the cap on one fetch
+        #: of a scan a LIMIT may stop early (at ``batch_size=1``, against
+        #: an executor that ignores kernels, the equivalence suites'
+        #: reference leg). A scan otherwise reads its source in one batch.
         #: Plans never read it, so a prepared plan serves any value. The
         #: planner has no switches: the input that needs an alternative
         #: path is what reaches it

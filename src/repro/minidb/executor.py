@@ -44,10 +44,11 @@ columnar value, the :class:`_Relation` (per binding a column store of the
 statically referenced columns plus a pick vector of row indexes into it):
 
 * **scan** (:meth:`Executor._scan`) — one operator for every
-  :class:`~repro.minidb.planner.ScanPlan` kind: heap batches through the
-  planned access path in rid order, or in index order for an ``ordered``
-  path; a child block's result or a system view's rows transposed. The
-  scan applies its *own* predicate batch by batch: the pushed-down
+  :class:`~repro.minidb.planner.ScanPlan` kind: the heap's one cut or one
+  fetch of the access path's rids (in index order, and in doubling steps
+  under a LIMIT, for an ``ordered`` path); a child block's result or a
+  system view's rows transposed. The scan applies its *own* predicate to
+  that batch and keeps its lists as the column store: the pushed-down
   conjuncts of a multi-source block, or the whole WHERE of an ordered scan
   (which stops after OFFSET+LIMIT survivors and so skips the sort). The
   same operator resolves UPDATE/DELETE targets, since batches carry rids.
@@ -90,17 +91,18 @@ supported via scope chaining.
 Every alternative path is reached from its input: a seq scan reads a
 table without a usable index, a nested loop joins on a condition with no
 equi-key, a full sort orders a statement without LIMIT.
-``db.planner_options`` holds one knob, ``batch_size``, which no plan
-reads (the equivalence suites' reference leg is an executor that ignores
-every kernel, at ``batch_size=1``); ``db.planner_stats`` counts what
-actually ran.
+``db.planner_options`` holds one knob, ``batch_size`` — the rows per
+kernel call in the selector, and the cap on one fetch of a limit-bound
+path — which no plan reads (the equivalence suites' reference leg is an
+executor that ignores every kernel, at ``batch_size=1``);
+``db.planner_stats`` counts what actually ran.
 """
 
 from __future__ import annotations
 
 import heapq
 from functools import reduce
-from itertools import compress, islice, repeat
+from itertools import compress, filterfalse, islice, repeat
 from operator import add, is_not, itemgetter, ne, neg
 from time import perf_counter
 from types import MappingProxyType
@@ -959,10 +961,12 @@ class Executor:
         unordered: bool = False,
     ) -> tuple[_Relation, list[int], int]:
         """The scan operator, for every :class:`ScanPlan` kind and for
-        UPDATE/DELETE targets: read the source batch by batch, apply the
-        scan's own ``predicate`` to each batch and keep the survivors'
-        columns. Returns ``(relation, rids, examined)`` — ``rids`` of the
-        surviving heap rows, ``examined`` the rows consumed.
+        UPDATE/DELETE targets: apply the scan's own ``predicate`` to its
+        source's one batch and keep that batch's lists, or one gather of
+        them to the survivors, as the column store (a limit-bound path's
+        later fetches are appended). Returns ``(relation, rids,
+        examined)`` — ``rids`` of the surviving heap rows, ``examined``
+        the rows consumed.
 
         ``names`` reads the predicate's names (its relation unset).
         Only columns named in ``refs`` are materialized (``None``: all).
@@ -982,11 +986,10 @@ class Executor:
         else:
             select = self._selector(predicate, names, evaluator, keep_errors)
         binding = scan.binding
-        store: dict[str, list] = {name: [] for name in columns}
+        store: "dict[str, list] | None" = None
         rids: list[int] = []
+        facts: "dict[str, frozenset] | None" = None
         length = examined = 0
-        # the union of the batches' facts (a source without them has none)
-        facts: "dict[str, frozenset] | None" = {name: frozenset() for name in columns}
         # planned (and counted) even when LIMIT 0 leaves nothing to fetch
         batches = self._batches(scan, session, names, columns, unordered, limit)
         for batch in () if limit == 0 else batches:
@@ -996,27 +999,27 @@ class Executor:
                 facts={binding: cut} if cut is not None else None,
             )
             keep = select(chunk, None if limit is None else limit - length)
-            whole = len(keep) == batch.length
-            take = None if whole else _gatherer(keep)
-            for name in columns:
-                col = batch.columns[name]
-                if whole and not length:
-                    store[name] = col  # the batch's lists are the scan's own
-                else:
-                    store[name].extend(col if whole else take(col))
-            if batch.rids is not None:
-                rids.extend(batch.rids if whole else take(batch.rids))
-            if cut is None:
-                facts = None
-            elif facts is not None and facts is not cut:
-                facts = cut if not examined else {
-                    name: fact | cut[name] for name, fact in facts.items()
-                }
+            kept, kept_rids = batch.columns, batch.rids
+            if len(keep) < batch.length:
+                take = _gatherer(keep)
+                # each list goes once gathered; by the batch's names (columns may repeat)
+                kept = {name: take(kept.pop(name)) for name in list(kept)}
+                kept_rids = None if kept_rids is None else take(kept_rids)
+            if store is None:  # the first batch's lists are the scan's own
+                store, rids, facts = kept, kept_rids or [], cut
+            else:  # a later fetch of a limit-bound path
+                for name, values in kept.items():
+                    store[name].extend(values)
+                rids.extend(kept_rids)
+                facts = {name: fact | cut[name] for name, fact in facts.items()}
             length += len(keep)
             if length == limit:
                 examined += keep[-1] + 1  # rows fetched past the exit don't count
                 break
             examined += batch.length
+        if store is None:  # nothing fetched: every fact holds of no rows
+            store = {name: [] for name in columns}
+            facts = dict.fromkeys(columns, frozenset())
         relation = _Relation(
             {binding: store}, {binding: None}, length,
             facts={binding: facts} if facts is not None else None,
@@ -1027,9 +1030,11 @@ class Executor:
         self, scan: ScanPlan, session, names: Scope, columns, unordered, first
     ) -> "Iterator[RowBatch]":
         """The column batches of one planned source: a child block's
-        result or a system view's rows transposed into one batch; heap
-        batches in rid order, or in index order for an ``ordered`` path.
-        Value lists are fresh — slices or gathers of the heap's columns,
+        result or a system view's rows transposed into one batch; the
+        heap's one cut (a seq path) or one fetch of the path's rids in rid
+        order (index order for an ``ordered`` path) — in doubling steps
+        of at most ``batch_size`` only when a limit (``first``) may stop
+        it early. Value lists are fresh — copies or gathers of the heap's columns,
         never those lists themselves — so the scan may keep them and
         in-statement mutations of the heap do not reach it. A derived
         table runs inside the statement's outer scope (``names.outer``),
@@ -1053,16 +1058,18 @@ class Executor:
             store = {name: [row.get(name) for row in rows] for name in columns}
             return iter([RowBatch(None, store, len(rows))])
         heap = scan.heap
-        size = self.db.planner_options["batch_size"]
         rids = self._path_rids(scan, names.params, unordered)
         if rids is None:
-            return heap.rows_batch(size, columns)
+            return iter([heap.cut(columns)])
+        if first is None:
+            return iter([heap.fetch_batch(list(rids), columns)])
 
         def fetch():
             # fetches sized by what the statement still needs, then
             # doubling: a scan that exits early never reads a full batch
+            size = self.db.planner_options["batch_size"]
             stream = iter(rids)
-            count = min(first or size, size)
+            count = min(first, size)
             while chunk := list(islice(stream, count)):
                 yield heap.fetch_batch(chunk, columns)
                 count = min(count * 2, size)
@@ -1240,22 +1247,15 @@ class Executor:
         # NULL extension is decided after the predicate: a left (right) row
         # none of whose pairs survived it counts as unmatched
         if plan.kind == "LEFT":
-            paired_lefts, paired_rights = lefts, rights
-            lefts, rights = [], []
-            unmatched_from = 0  # first left position not yet emitted
-            for position, index in zip(paired_lefts, paired_rights):
-                for skipped in range(unmatched_from, position):
-                    lefts.append(skipped)
-                    rights.append(None)
-                unmatched_from = position + 1
-                lefts.append(position)
-                rights.append(index)
-            for skipped in range(unmatched_from, left.length):
-                lefts.append(skipped)
-                rights.append(None)
+            unmatched = list(filterfalse(set(lefts).__contains__, range(left.length)))
+            if unmatched:
+                # both runs ascend by left position: one stable sort merges them
+                lefts = lefts + unmatched
+                rights = rights + [None] * len(unmatched)
+                take = _gatherer(sorted(range(len(lefts)), key=lefts.__getitem__))
+                lefts, rights = take(lefts), take(rights)
         elif plan.kind == "RIGHT":
-            matched = set(rights)
-            unmatched = [i for i in range(right.length) if i not in matched]
+            unmatched = list(filterfalse(set(rights).__contains__, range(right.length)))
             lefts = lefts + [None] * len(unmatched)
             rights = rights + unmatched
         result = left.take(lefts, nulls=plan.kind == "RIGHT").beside(

@@ -3,7 +3,7 @@
 A :class:`HeapTable` is column-major — one value list per column, all
 parallel, plus the rid of each slot and a rid -> slot map — because every
 operator above it reads whole columns (:mod:`repro.minidb.batch`): a scan
-slices the referenced columns, an index fetch gathers them, and only the
+copies the referenced columns, an index fetch gathers them, and only the
 point operations (``get`` / ``update`` / ``delete``, which hand a row to
 the undo log and the WAL) build a row dict. Rows are addressed by a
 monotonically increasing row id (rid). A deleted row leaves a tombstone in
@@ -1007,50 +1007,24 @@ class HeapTable:
             return None
         return slots.row(slot)
 
-    def rows_batch(
-        self, batch_size: int, columns: "list[str]"
-    ) -> Iterator[RowBatch]:
-        """Iterate the heap as :class:`RowBatch` column slices in rid order.
-
-        ``columns`` names the columns to materialize (the executor passes
-        only the columns the statement references). Every batch is cut
-        before the first is handed out, so a scan is a snapshot — later
-        mutations do not reach its later batches — and a batch's lists are
-        slices, never the heap's own; each carries the columns' facts as
-        they stood at the cut. Read-only: no index maintenance, no WAL
-        interaction.
+    def cut(self, columns: "list[str]") -> RowBatch:
+        """The heap as one :class:`RowBatch` in rid order: the rid vector
+        and a fresh copy of each of ``columns`` (the columns the statement
+        references), never the heap's own lists, carrying the columns'
+        facts as they stood at the cut. A scan is a snapshot: later
+        mutations do not reach it. Read-only: no index maintenance, no
+        WAL interaction.
         """
         slots = self._ordered()
-        facts = slots.cut_facts(columns)
-        if slots.dead or len(slots.rids) <= batch_size:
-            rids, values = slots.read(columns)
-            if len(rids) <= batch_size:
-                return iter([RowBatch(rids, values, len(rids), facts)] if rids else [])
-        else:  # every slot is live: slice the heap's lists, once per cell
-            rids = slots.rids
-            absent = [None] * len(rids)
-            values = {name: slots.cols.get(name, absent) for name in columns}
-        return iter(
-            [
-                RowBatch(
-                    rids[start : start + batch_size],
-                    {
-                        name: col[start : start + batch_size]
-                        for name, col in values.items()
-                    },
-                    min(batch_size, len(rids) - start),
-                    facts,
-                )
-                for start in range(0, len(rids), batch_size)
-            ]
-        )
+        rids, values = slots.read(columns)
+        return RowBatch(rids, values, len(rids), slots.cut_facts(columns))
 
     def column_values(self, name: str) -> list[Any]:
         """One column's values in rid order (``None`` where a row lacks it).
 
         The single-column read of value retrieval's distinct-value scan
         and of ``ANALYZE``: one list copy. Read-only, same snapshot safety
-        as :meth:`rows_batch`.
+        as :meth:`cut`.
         """
         return self._ordered().read([name])[1][name]
 

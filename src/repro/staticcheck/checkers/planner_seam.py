@@ -26,6 +26,13 @@ prepared plan and an unprepared one run the same code for a position:
 subquery's), and a ``compile_batch_expr`` call anywhere else under
 ``src/repro/`` is a finding.
 
+A scan reads its heap in one place too: ``Executor._batches`` turns a
+planned source into batches — the heap's one ``cut``, or the access
+path's ``fetch_batch`` — and every scan, a SELECT's or an UPDATE/DELETE
+target's, goes through it. A ``cut`` or ``fetch_batch`` call anywhere
+else under ``src/repro/`` is a finding: a second reader of the heap would
+hold its own copy and its own batching.
+
 The rule for which source column a name means drifted the same way: the
 privilege footprint, the planner and the per-row scope each read names on
 their own, and a view body read its caller's columns. The binder in
@@ -77,6 +84,10 @@ PLAN_ENTRIES = frozenset(
 #: the one function that compiles batch kernels, for every plan that runs
 COMPILE_SITE = (EXECUTOR_PATH, "Executor._prepare")
 
+#: the heap reads of a scan, and the one function that makes them
+SCAN_READS = frozenset({"cut", "fetch_batch"})
+SCAN_SITE = (EXECUTOR_PATH, "Executor._batches")
+
 
 def _called_name(node: ast.AST) -> str | None:
     if isinstance(node, ast.Call):
@@ -88,6 +99,16 @@ def _called_name(node: ast.AST) -> str | None:
     return None
 
 
+def _inside(module: ModuleSource, node: ast.AST, site: tuple[str, str]) -> bool:
+    """Whether ``node`` lies in the function ``site`` names (its own
+    body, or a function nested in it)."""
+    path, qualname = site
+    scope = module.qualname(node)
+    return module.rel_path == path and (
+        scope == qualname or scope.startswith(qualname + ".")
+    )
+
+
 @register
 class PlannerSeamChecker(Checker):
     name = "planner-seam"
@@ -95,6 +116,7 @@ class PlannerSeamChecker(Checker):
         "access-path / join / binding planning primitives are called from "
         "minidb/planner.py only, plans are built in the prepared-plan entry "
         "and EXPLAIN only; kernels are compiled in Executor._prepare only; "
+        "heaps are cut / fetched for a scan in Executor._batches only; "
         "names are resolved (NameResolver, "
         "UnknownColumnError) in minidb/analysis.py only"
     )
@@ -136,6 +158,14 @@ class PlannerSeamChecker(Checker):
                         "compile_batch_expr() outside Executor._prepare is a "
                         "second compile path — read the kernel the plan's "
                         "compiled map holds (Scope.compiled)",
+                    )
+                elif name in SCAN_READS and not _inside(module, node, SCAN_SITE):
+                    yield module.finding(
+                        self.name,
+                        node,
+                        f"{name}() outside Executor._batches reads the heap "
+                        "a second way — scan through the planned source "
+                        "(Executor._scan)",
                     )
                 elif name == "NameResolver" and path != BINDER_PATH:
                     yield module.finding(

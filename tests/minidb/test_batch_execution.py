@@ -303,19 +303,17 @@ class TestObservability:
 
 
 class TestStorageBatches:
-    def test_rows_batch_slices(self, s):
+    def test_cut_is_the_heap_in_rid_order(self, s):
         heap = s.db.heap("t")
-        batches = list(heap.rows_batch(16, ["id", "a"]))
-        assert [b.length for b in batches] == [16, 16, 16, 2]
-        assert all(set(b.columns) == {"id", "a"} for b in batches)
-        ids = [v for b in batches for v in b.columns["id"]]
+        batch = heap.cut(["id", "a"])
+        assert batch.length == 50 and set(batch.columns) == {"id", "a"}
+        ids = batch.columns["id"]
         assert ids == sorted(ids) and len(ids) == 50
-        rids = [rid for rid, _ in heap.rows()]
-        assert batches[0].rids == rids[:16]
+        assert batch.rids == [rid for rid, _ in heap.rows()]
 
-    def test_rows_batch_copies_are_snapshots(self, s):
+    def test_cut_copies_are_snapshots(self, s):
         heap = s.db.heap("t")
-        batch = next(heap.rows_batch(10, ["b"]))
+        batch = heap.cut(["b"])
         batch.columns["b"][0] = "mutated"
         assert heap.get(batch.rids[0])["b"] != "mutated"
 

@@ -10,7 +10,7 @@ round trips, and after every step every read path of the heap must agree
 with the model.
 
 A row that lacks a column and a row holding ``None`` in it read the same
-through ``column_values`` / ``rows_batch`` / ``fetch_batch`` (``None``),
+through ``column_values`` / ``cut`` / ``fetch_batch`` (``None``),
 so ``rows`` / ``get`` dicts are compared with ``None`` entries dropped:
 the model keeps per-row key sets, a rectangular heap cannot. Key *order*
 is pinned separately (:func:`test_row_key_order`) for the shapes SQL
@@ -20,7 +20,7 @@ The file was written against, and passes on, the row-dict heap as well
 (commit a8f47cb): nothing here reads a private attribute.
 
 It is also the oracle of the class facts (``RowBatch.facts``): every batch
-a scan or a fetch cuts — so every column's fact, which a whole-heap scan
+a scan or a fetch cuts — so every column's fact, which a whole-heap cut
 carries — must hold the type of every value cut beside it, also when the
 heap is written between the cut and the read, and SQL over a column whose
 fact has to widen (an UPDATE to NULL, a rolled-back DELETE, ADD COLUMN,
@@ -215,23 +215,23 @@ class HeapMachine(RuleBasedStateMachine):
     @rule()
     def delete_all_then_undo(self):
         """A rolled-back ``DELETE FROM t``: restores arrive in reverse.
-        Scans cut before the deletes are read after them (the deletes
-        settle the heap, whose new facts know none of the old values)."""
+        A scan's cut and a fetch taken before the deletes are read after
+        them (the deletes settle the heap, whose new facts know none of
+        the old values)."""
         names = self.columns_in_use() + ["nosuch"]
-        cut = {name: self.model.column(name) for name in names}
-        scans = [self.heap.rows_batch(size, names) for size in (1, 1024)]
-        fetched = self.heap.fetch_batch(sorted(self.model.rows), names)
+        rids = sorted(self.model.rows)
+        before = {name: self.model.column(name) for name in names}
+        cut = self.heap.cut(names)
+        fetched = self.heap.fetch_batch(rids, names)
         undo = []
-        for rid in sorted(self.model.rows):
+        for rid in rids:
             old = self.heap.delete(rid)
             assert norm(old) == norm(self.model.delete(rid))
             undo.append((rid, old))
-        for batches in map(list, scans):
-            for name in names:
-                assert [v for b in batches for v in b.columns[name]] == cut[name]
-            for batch in batches:
-                assert_facts_cover(batch)
-        assert_facts_cover(fetched)
+        for batch in (cut, fetched):
+            assert batch.rids == rids
+            assert batch.columns == before
+            assert_facts_cover(batch)
         self.agrees()
         for rid, old in reversed(undo):
             self.heap.restore(rid, old)
@@ -348,19 +348,14 @@ class HeapMachine(RuleBasedStateMachine):
         columns = {name: model.column(name) for name in names}
         for name in names:
             assert heap.column_values(name) == columns[name]
-        for size in (1, 3, 1024):
-            batches = list(heap.rows_batch(size, names))
-            assert all(0 < b.length <= size for b in batches)
-            assert all(
-                len(b.rids) == b.length and set(b.columns) == set(names)
-                for b in batches
-            )
-            assert [rid for b in batches for rid in b.rids] == rids
-            for name in names:
-                got = [v for b in batches for v in b.columns[name]]
-                assert got == columns[name]
-            for b in batches:
-                assert_facts_cover(b)
+        cut = heap.cut(names)
+        assert cut.length == len(cut.rids) == len(rids)
+        assert cut.rids == rids
+        assert cut.columns == columns
+        assert_facts_cover(cut)
+        for values in (cut.rids, *cut.columns.values()):
+            values.clear()  # the cut's lists are its own: the heap keeps its rows
+        assert heap.cut(names).columns == columns
 
         wanted = []
         for rid in reversed(rids):
@@ -440,32 +435,27 @@ def _filled(n):
 
 
 def test_scan_is_a_snapshot():
-    """Row mutations between two ``next()`` calls of one ``rows_batch`` do
-    not reach its later batches."""
+    """Row and column mutations after a ``cut`` do not reach it."""
     heap = _filled(8)
     before = [(rid, row["a"], row["b"]) for rid, row in heap.rows()]
-    scan = heap.rows_batch(3, ["a", "b"])
-    batches = [next(scan)]
+    cut = heap.cut(["a", "b"])
     heap.update(4, {"a": -1, "b": "changed"})
     gone = heap.delete(5)
     heap.delete(8)
     heap.insert({"a": 100, "b": "new"})
     heap.restore(5, gone)  # out of rid order
     heap.add_column("c", 7)
-    batches.extend(scan)
-    seen = [
-        (rid, a, b)
-        for batch in batches
-        for rid, a, b in zip(batch.rids, batch.columns["a"], batch.columns["b"])
-    ]
+    heap.rename_column("b", "z")
+    seen = list(zip(cut.rids, cut.columns["a"], cut.columns["b"]))
     assert seen == before
+    assert cut.facts == {"a": frozenset({int}), "b": frozenset({str})}
     assert [rid for rid, _ in heap.rows()] == [1, 2, 3, 4, 5, 6, 7, 9]
 
 
 def test_returned_lists_do_not_alias_the_heap():
     heap = _filled(5)
     expected = [(rid, dict(row)) for rid, row in heap.rows()]
-    (batch,) = heap.rows_batch(1024, ["a", "b", "nosuch"])
+    batch = heap.cut(["a", "b", "nosuch"])
     fetched = heap.fetch_batch([2, 4], ["a", "b"])
     values = heap.column_values("a")
     for victim in (batch.rids, fetched.rids, values):
@@ -495,13 +485,12 @@ def _unsettled():
 
 
 def _scan(heap):
-    rids, a, b = [], [], []
-    for batch in heap.rows_batch(4, ["a", "b"]):
-        rids += batch.rids
-        a += batch.columns["a"]
-        b += batch.columns["b"]
+    cut = heap.cut(["a", "b"])
     fetched = heap.fetch_batch([6, 3], ["a"])
-    return rids, a, b, heap.column_values("b"), fetched.rids, fetched.columns["a"]
+    return (
+        cut.rids, cut.columns["a"], cut.columns["b"], heap.column_values("b"),
+        fetched.rids, fetched.columns["a"],
+    )
 
 
 def test_settle_is_published_atomically():
@@ -562,13 +551,9 @@ def test_concurrent_readers_settle_out_of_order_restores():
     def reader(barrier):
         try:
             barrier.wait(timeout=60.0)
-            rids, a, b = [], [], []
-            for batch in heap.rows_batch(256, ["a", "b"]):
-                rids += batch.rids
-                a += batch.columns["a"]
-                b += batch.columns["b"]
-            assert rids == expected_rids
-            assert a == expected_a and b == expected_b
+            cut = heap.cut(["a", "b"])
+            assert cut.rids == expected_rids
+            assert cut.columns == {"a": expected_a, "b": expected_b}
             assert heap.column_values("a") == expected_a
             assert [rid for rid, _ in heap.rows()] == expected_rids
             fetched = heap.fetch_batch([rows, 1, rows // 2], ["b"])

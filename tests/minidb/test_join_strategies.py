@@ -19,6 +19,7 @@ from repro.minidb import Database, parse
 from repro.minidb import ast_nodes as ast
 from repro.minidb.analysis import analyze
 from repro.minidb.errors import MiniDBError
+from repro.minidb.executor import Executor
 from repro.minidb.functions import SCALAR_FUNCTIONS
 from repro.minidb.planner import plan_join, plan_select, pushdown_filter
 
@@ -757,12 +758,16 @@ def test_hash_join_pairs_what_the_nested_loop_pairs(lefts, rights, sql):
     assert s.execute(sql).rows == s.execute(reference).rows
 
 
-def python_calls(rows: int, key: str) -> int:
+def python_calls(rows: int, key: str, kind: str = "") -> "tuple[int, int]":
     """Python function calls (``sys.setprofile`` ``call`` events) made by
     one run of a join + GROUP BY of ``rows`` probe rows against ``rows``
-    build rows, every operator in one batch and its plan already kept.
+    build rows, every operator in one batch and its plan already kept,
+    and the C calls ``Executor._join`` makes itself (a per-pair
+    ``append`` there calls no Python function, but counts here).
     ``key``: ``id`` joins on the build side's primary key (unique build
-    keys); ``d`` on a column holding each key twice."""
+    keys); ``d`` on a column holding each key twice, so half the probe
+    rows find none (``kind`` ``LEFT``: those are NULL-extended, and group
+    under the NULL key)."""
     db = Database(owner="a")
     session = db.connect("a")
     session.execute("CREATE TABLE l (id INT PRIMARY KEY, k INT, v INT)")
@@ -771,14 +776,15 @@ def python_calls(rows: int, key: str) -> int:
         db.heap("l").insert({"id": i, "k": i, "v": i % 7})
         db.heap("r").insert({"id": i, "d": i // 2, "g": i % 4})
     db.planner_options["batch_size"] = 2 * rows
-    sql = f"SELECT r.g, COUNT(*), SUM(l.v) FROM l JOIN r ON l.k = r.{key} GROUP BY r.g"
+    sql = f"SELECT r.g, COUNT(*), SUM(l.v) FROM l {kind} JOIN r ON l.k = r.{key} GROUP BY r.g"
     assert "Hash Join" in explain(session, sql)
-    assert len(session.execute(sql).rows) == 4
-    calls = 0
+    assert len(session.execute(sql).rows) == (5 if kind else 4)
+    calls = c_calls = 0
 
     def profile(frame, event, arg):
-        nonlocal calls
+        nonlocal calls, c_calls
         calls += event == "call"
+        c_calls += event == "c_call" and frame.f_code is Executor._join.__code__
 
     gc.disable()
     sys.setprofile(profile)
@@ -787,12 +793,16 @@ def python_calls(rows: int, key: str) -> int:
     finally:
         sys.setprofile(None)
         gc.enable()
-    return calls
+    return calls, c_calls
 
 
-@pytest.mark.parametrize("key", ["id", "d"], ids=["unique-build", "duplicate-build"])
-def test_join_python_calls_do_not_grow_with_the_rows(key):
-    """Pairing, gathers and grouping run in C or in loops that call
-    nothing: a join of 10,000 rows makes the Python calls one of 100
-    rows makes."""
-    assert python_calls(10_000, key) == python_calls(100, key)
+@pytest.mark.parametrize(
+    "key, kind",
+    [("id", ""), ("d", ""), ("d", "LEFT")],
+    ids=["unique-build", "duplicate-build", "left-unmatched"],
+)
+def test_join_python_calls_do_not_grow_with_the_rows(key, kind):
+    """Pairing, NULL extension, gathers and grouping run in C or in loops
+    that call nothing: a join of 10,000 rows makes the Python calls one
+    of 100 rows makes."""
+    assert python_calls(10_000, key, kind) == python_calls(100, key, kind)

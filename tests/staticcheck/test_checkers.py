@@ -699,6 +699,60 @@ def test_planner_seam_lets_the_compile_site_compile():
     assert findings == []
 
 
+PLANNER_SEAM_SCAN_BAD = """\
+    class Executor:
+        def _batches(self, scan, columns, rids):
+            if rids is None:
+                return iter([scan.heap.cut(columns)])
+            return iter([scan.heap.fetch_batch(rids, columns)])
+
+        def _dml_targets(self, heap, columns):
+            return heap.cut(columns).rids
+
+    def peek(heap, rids):
+        return heap.fetch_batch(rids, ["a"]).columns["a"]
+"""
+
+PLANNER_SEAM_SCAN_GOOD = """\
+    class Executor:
+        def _batches(self, scan, columns, rids):
+            if rids is None:
+                return iter([scan.heap.cut(columns)])
+
+            def fetch():
+                for chunk in rids:
+                    yield scan.heap.fetch_batch(chunk, columns)
+
+            return fetch()
+
+        def _dml_targets(self, scan, names, evaluator, where):
+            relation, rids, _ = self._scan(scan, None, names, evaluator, None, where)
+            return rids
+"""
+
+
+def test_planner_seam_flags_a_heap_read_outside_the_scan_site():
+    findings, _ = run_rule(
+        "planner-seam", PLANNER_SEAM_SCAN_BAD, rel_path=PLANNER_SEAM_PATH
+    )
+    findings = sorted(findings, key=lambda finding: finding.line)
+    assert [f.context for f in findings] == ["Executor._dml_targets", "peek"]
+    assert "cut()" in findings[0].message
+    assert "fetch_batch()" in findings[1].message
+    # the same calls are a second reader in any module under src/repro
+    findings, _ = run_rule(
+        "planner-seam", PLANNER_SEAM_SCAN_GOOD, rel_path="src/repro/minidb/database.py"
+    )
+    assert [f.context for f in findings] == ["Executor._batches", "Executor._batches.fetch"]
+
+
+def test_planner_seam_lets_the_scan_site_read_the_heap():
+    findings, _ = run_rule(
+        "planner-seam", PLANNER_SEAM_SCAN_GOOD, rel_path=PLANNER_SEAM_PATH
+    )
+    assert findings == []
+
+
 PLANNER_SEAM_RESOLVER_BAD = """\
     from repro.minidb.analysis import NameResolver
 
