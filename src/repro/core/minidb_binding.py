@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from contextlib import contextmanager
+from itertools import islice
 from typing import Any, Iterator
 
 from ..mcp import Columns
@@ -129,16 +130,11 @@ class MinidbBinding(DatabaseBinding):
             schema = self.session.db.catalog.table(table)
             column_name = schema.column(column).name
             heap = self.session.db.heap(schema.name)
-            seen: list[Any] = []
-            seen_set: set[Any] = set()
-            for value in heap.column_values(column_name):
-                if value is None or value in seen_set:
-                    continue
-                seen_set.add(value)
-                seen.append(value)
-                if len(seen) >= limit:
-                    break
-        return seen
+            # dedupe in C: first-seen order and set equality (1 == 1.0 ==
+            # True keep the first); a limit below 1 still gives one value
+            seen = dict.fromkeys(heap.column_values(column_name))
+        seen.pop(None, None)
+        return list(islice(seen, max(limit, 1)))
 
     def retrieve_values(
         self,

@@ -18,9 +18,11 @@ sets :mod:`repro.core.similarity` scores with are derived from the norm on
 first touch, and only for the handful of values a query scores. Three
 query-acceleration structures sit on top:
 
-* a *trigram inverted index* — posting lists mapping each trigram to the
-  ids of values containing it. A query walks only the posting lists of the
-  key's trigrams, accumulating exact shared-trigram counts per candidate
+* a *trigram inverted index* — postings mapping each trigram to the ids
+  of values containing it: an ``int`` bitmap where the trigram is common
+  (at least 1/60 of the values: there the bitmap is the smaller), a vid
+  list elsewhere. A query reads only the postings of the key's trigrams
+  and adds them into exact shared-trigram counts held as bit planes,
   instead of intersecting sets against every value;
 * a *token inverted index* — posting lists per normalized token, probed
   with the key's tokens expanded through the reverse synonym map
@@ -39,10 +41,12 @@ with the most shared trigrams are scored first (the *pilot*), their
 lowest score is a floor under the final k-th best, and from it follows
 the fewest shared trigrams a candidate without a token or short-norm hit
 needs to reach that floor (the *count cut*; ``catalog.py`` argues why
-dropping the rest is safe). The survivors, a few percent, are ranked by
-a cheap upper bound read from the flat arrays — exact trigram Jaccard
-from the accumulated counts, plus exact containment and a token-hit
-bound — and scored exactly in bound order with a size-k min-heap;
+dropping the rest is safe). Pilot and cut are read off the count planes
+as masks, so no candidate is visited one by one before it survives.
+The survivors, a few percent, are ranked by a cheap upper bound read
+from the flat arrays — exact trigram Jaccard from their counts, plus
+exact containment and a token-hit bound — and scored exactly in bound
+order with a size-k min-heap;
 scoring stops as soon as the next bound cannot beat the current k-th
 best. Because exact scoring reuses
 :func:`repro.core.similarity.score_features`, the indexed ranking is

@@ -6,7 +6,7 @@ is nonzero appears in the candidate set — goes component by component
 over the score ``max(0.55·trigram + 0.45·token, 0.9·containment)``:
 
 * ``trigram > 0`` — the key and value share a padded trigram, so the
-  value sits on a posting list of one of the key's trigrams.
+  value sits on a posting of one of the key's trigrams.
 * ``token > 0`` — some key token matches a value token directly, through
   its cluster, or through the reverse map; the probe set
   ``key_tokens ∪ related(key_token)`` covers all three directions.
@@ -18,14 +18,31 @@ over the score ``max(0.55·trigram + 0.45·token, 0.9·containment)``:
   table, and a key norm < 3 chars triggers a one-off substring sweep
   (bounded, and only for 1-2 character keys).
 
+**Postings and counts.** A trigram held by at least ``n / DENSE_SHARE``
+of the catalog's ``n`` values is posted as one ``int`` bitmap (bit ``vid``
+set for each value holding it); a sparser one keeps its vid list. Token
+and short-norm postings are lists. A query counts the trigrams each value
+shares with the key in a *bit-sliced* counter (Rinfret, O'Neil & O'Neil,
+SIGMOD 2001): plane ``j`` is the bitmap of the values whose count has bit
+``j`` set. Each dense bitmap of the key is added by ripple carry (``^``
+sums, ``&`` carries); the sparse lists are counted once with ``Counter``
+and each count is added at its value's bit. Every posting of every key
+trigram is added exactly once, so the planes hold the exact shared count
+``s`` of every value, and ``s > 0`` exactly for the values the first
+bullet above reaches. What follows reads the planes as masks: ``s ≥ t``
+compares them with ``t`` from the top plane down, and the values with the
+highest counts are found by narrowing plane by plane. No step visits a
+candidate one at a time until the survivors below.
+
 A column of names shares common trigrams with nearly every key (8,000 of
 10,000 values are candidates of a typical one), so the work after
 candidate generation is made proportional to what can still win, in four
 steps — pilot, cut, bound, score:
 
 * **Pilot floor.** The k candidates sharing the most trigrams with the
-  key are scored exactly. The smallest of those scores, ``floor``, is a
-  floor under the final k-th best — any k exact scores are.
+  key (ties in vid order) are scored exactly. The smallest of those
+  scores, ``floor``, is a floor under the final k-th best — any k exact
+  scores are.
 * **Count cut** (the count filter of approximate string search: Li, Lu &
   Lu, ICDE 2008). Let ``q = len(key.trigrams)``, ``L = len(key.norm)``,
   ``n_v`` the trigram-set size of value ``v`` and ``s`` their shared
@@ -56,8 +73,14 @@ steps — pilot, cut, bound, score:
   below ``floor ≤`` the final k-th best, so it can neither enter the
   result nor tie with its last entry. The pilot's own members survive by
   the same argument, so at least k do, and the zero-score tail (reached
-  only when fewer than k candidates exist at all) is unaffected.
-* **Bound.** Each survivor gets a cheap upper bound on its score, read
+  only when fewer than k candidates exist at all) is unaffected. As
+  masks: a value with ``n_v ≥ cut + 4`` meets ``s + 4 ≥ n_v`` only with
+  ``s ≥ cut``, so the survivors are ``s ≥ cut``, OR'd for each size
+  ``m < cut + 4`` with the mask of the values of that size and ``s ≥
+  max(m − 4, 1)``, OR'd with the token and containment hits — the same
+  set, built from a few dozen integer operations.
+* **Bound.** Each survivor's count is read from the planes (the
+  survivors' bits only) and gives a cheap upper bound on its score, read
   from two flat per-value arrays (norms, trigram-set sizes) without
   materializing its features.
 * **Score.** Survivors are scored with the exact kernel
@@ -74,10 +97,14 @@ with zero-score values in text order when fewer than k candidates exist.
 from __future__ import annotations
 
 import heapq
+import struct
+import sys
 from array import array
 from collections import Counter
+from functools import reduce
 from itertools import chain
-from typing import Any, Iterable
+from operator import is_, or_
+from typing import Any, Iterable, Mapping
 
 from ..core.similarity import (
     SynonymTable,
@@ -87,6 +114,197 @@ from ..core.similarity import (
     resolve_synonyms,
     score_features,
 )
+
+#: A trigram posted on at least ``1 / DENSE_SHARE`` of a catalog's values
+#: is kept as a bitmap. The share is where the bitmap stops costing more
+#: than the list: a list spends one pointer (8 bytes) per entry, a CPython
+#: ``int`` one 4-byte digit per 30 values, so over ``n`` values a bitmap is
+#: the smaller from ``n / 60`` entries on.
+DENSE_SHARE = (
+    struct.calcsize("P")
+    * sys.int_info.bits_per_digit
+    // sys.int_info.sizeof_digit
+)
+
+
+def _bitmap(vids: Iterable[int], nbytes: int) -> int:
+    """The bitmap with bit ``vid`` set for each of ``vids`` (all below
+    ``8 * nbytes``)."""
+    lanes = bytearray(nbytes)
+    for vid in vids:
+        lanes[vid >> 3] |= 1 << (vid & 7)
+    return int.from_bytes(lanes, "little")
+
+
+def _vids_by(pairs: Iterable[tuple[int, int]]) -> dict[int, list[int]]:
+    """``(vid, value)`` pairs grouped: value -> its vids, in pair order."""
+    groups: dict[int, list[int]] = {}
+    for vid, value in pairs:
+        groups.setdefault(value, []).append(vid)
+    return groups
+
+
+def _count_planes(counts: Mapping[int, int], nbytes: int) -> list[int]:
+    """``counts`` (vid -> count ≥ 1) as bit planes: plane ``j`` holds
+    bit ``j`` of each vid's count."""
+    by_count = _vids_by(counts.items())
+    planes = [0] * max(by_count).bit_length()
+    for count, vids in by_count.items():
+        bitmap = _bitmap(vids, nbytes)
+        for j in range(len(planes)):
+            if count >> j & 1:
+                planes[j] |= bitmap
+    return planes
+
+
+def _shared_planes(
+    bitmaps: Iterable[int], lists: Iterable[Iterable[int]], nbytes: int
+) -> list[int]:
+    """Bit planes counting, per vid, the ``bitmaps`` and ``lists`` that
+    hold it: each bitmap added by ripple carry, the lists counted once
+    (``Counter`` over them chained counts in C) and added as planes."""
+    planes: list[int] = []
+    for bitmap in bitmaps:
+        _add(planes, (bitmap,))
+    sparse = Counter(chain.from_iterable(lists))
+    if sparse:
+        _add(planes, _count_planes(sparse, nbytes))
+    return planes
+
+
+def _add(planes: list[int], addend: Iterable[int]) -> None:
+    """``planes += addend``, both bit-sliced, by ripple carry."""
+    carry = j = 0
+    for bits in addend:
+        if j == len(planes):
+            planes.append(0)
+        plane = planes[j]
+        half = plane ^ bits
+        planes[j] = half ^ carry
+        carry = (plane & bits) | (half & carry)
+        j += 1
+    while carry:
+        if j == len(planes):
+            planes.append(carry)
+            return
+        plane = planes[j]
+        planes[j] = plane ^ carry
+        carry &= plane
+        j += 1
+
+
+def _at_least(planes: list[int], t: int, universe: int) -> int:
+    """The values of ``universe`` whose count is ``≥ t`` (``t ≥ 1``),
+    comparing top plane down: ``above`` already exceeds ``t``'s leading
+    bits, ``equal`` matches them so far."""
+    if t.bit_length() > len(planes):
+        return 0
+    above, equal = 0, universe
+    for j in range(len(planes) - 1, -1, -1):
+        if t >> j & 1:
+            equal &= planes[j]
+        else:
+            hit = equal & planes[j]
+            above |= hit
+            equal ^= hit
+    return above | equal
+
+
+def _highest(planes: list[int], k: int, universe: int) -> list[int]:
+    """``k`` vids of ``universe`` (which holds at least ``k``) with the
+    highest counts, ties in vid order: top plane down, a plane bit either
+    settles its holders inside (they all fit) or narrows the search to
+    them."""
+    taken, tied, need = 0, universe, k
+    for plane in reversed(planes):
+        high = tied & plane
+        found = high.bit_count()
+        if found > need:
+            tied = high
+        else:
+            taken |= high
+            tied ^= high
+            need -= found
+    return _lowest(taken, k) + _lowest(tied, need)
+
+
+def _lowest(mask: int, count: int) -> list[int]:
+    """The ``count`` lowest vids set in ``mask``."""
+    vids: list[int] = []
+    while mask and len(vids) < count:
+        low = mask & -mask
+        vids.append(low.bit_length() - 1)
+        mask ^= low
+    return vids
+
+
+#: byte -> 1 if any bit is set (``bytes.translate`` table)
+_ANY = bytes([0] + [1] * 255)
+#: byte -> the offsets of its set bits
+_OFFSETS = tuple(
+    tuple(bit for bit in range(8) if byte >> bit & 1) for byte in range(256)
+)
+
+
+def _members(mask: int) -> list[int]:
+    """Every vid set in ``mask``, ascending: the nonzero bytes are found
+    in C, and only their bits are visited."""
+    raw = mask.to_bytes((mask.bit_length() + 7) >> 3, "little")
+    find = raw.translate(_ANY).find
+    vids: list[int] = []
+    at = find(1)
+    while at >= 0:
+        base = at << 3
+        for bit in _OFFSETS[raw[at]]:
+            vids.append(base + bit)
+        at = find(1, at + 1)
+    return vids
+
+
+def _read_counts(planes: list[int], mask: int) -> dict[int, int]:
+    """The count of each vid set in ``mask``: top plane down, ``mask`` is
+    split into the parts that agree on every bit read so far, so each
+    distinct count ends as one part, and only those parts' vids are
+    visited."""
+    parts = [(mask, 0)]
+    for j in range(len(planes) - 1, -1, -1):
+        plane = planes[j]
+        split = []
+        for part, count in parts:
+            high = part & plane
+            if high:
+                split.append((high, count | 1 << j))
+            if high != part:
+                split.append((part ^ high, count))
+        parts = split
+    counts: dict[int, int] = {}
+    for part, count in parts:
+        counts.update(dict.fromkeys(_members(part), count))
+    return counts
+
+
+def _split_dense(
+    postings: Mapping[str, Any], n: int
+) -> tuple[dict[str, int], dict[str, Any]]:
+    """``(bitmaps, lists)``: the postings of at least ``n / DENSE_SHARE``
+    vids as bitmaps, the rest as they are."""
+    nbytes = (n + 7) >> 3
+    bitmaps: dict[str, int] = {}
+    lists: dict[str, Any] = {}
+    for trigram, vids in postings.items():
+        if len(vids) * DENSE_SHARE >= n:
+            bitmaps[trigram] = _bitmap(vids, nbytes)
+        else:
+            lists[trigram] = vids
+    return bitmaps, lists
+
+
+def _size_masks(sizes: Iterable[int], nbytes: int) -> dict[int, int]:
+    """Trigram-set size -> the bitmap of the values of that size."""
+    return {
+        size: _bitmap(vids, nbytes)
+        for size, vids in _vids_by(enumerate(sizes)).items()
+    }
 
 
 class _PackedPostings:
@@ -198,12 +416,12 @@ def _new_stats() -> dict[str, int]:
 
 
 #: Candidates per requested result above which ``top_k`` runs a pilot. The
-#: pilot has a fixed cost per call (pick, cut, survivor set: ~10 us) and
-#: saves ~0.7 us per candidate it spares a bound, so it pays from a few
-#: dozen candidates up. Measured at k = 5 on two-word syllable columns,
-#: with a pilot against without: 24 and 40 values (11 and 19 candidates)
-#: +0.015 ms per call, 100 values (47) even, 200 (93) -0.02 ms, 400 (236)
-#: -0.11 ms, 10,000 (8,000) -10 ms.
+#: pilot has a fixed cost per call (pick, cut, survivor masks, and k exact
+#: scores that bounding might have skipped) and spares each dropped
+#: candidate a bound, so it pays from a few dozen candidates up. Measured
+#: at k = 5 on two-word syllable columns, CPU ms per warm call with a
+#: pilot against without: 40 values (20 candidates) +0.02, 100 (48)
+#: -0.03 to -0.04, 200 (97) -0.12, 400 (184) -0.43, 1,000 (461) -0.56.
 PILOT_FACTOR = 8
 
 
@@ -220,7 +438,7 @@ class ValueCatalog:
         #: they give its trigram Jaccard from three ints
         self._sizes = array("i")
         # inverted indexes: trigram -> value ids, token -> value ids
-        self._trigram_postings: dict[str, list[int]] = {}
+        trigram_postings: dict[str, list[int]] = {}
         self._token_postings: dict[str, list[int]] = {}
         # norms too short to own a space-free trigram: norm -> value ids
         self._short_norms: dict[str, list[int]] = {}
@@ -231,11 +449,18 @@ class ValueCatalog:
             if not entry.norm:
                 continue
             for trigram in entry.trigrams:
-                self._trigram_postings.setdefault(trigram, []).append(vid)
+                trigram_postings.setdefault(trigram, []).append(vid)
             for token in entry.tokens:
                 self._token_postings.setdefault(token, []).append(vid)
             if len(entry.norm) < 3:
                 self._short_norms.setdefault(entry.norm, []).append(vid)
+        #: dense trigram postings as bitmaps, the sparse ones as vid lists
+        self._trigram_bitmaps, self._trigram_postings = _split_dense(
+            trigram_postings, len(texts)
+        )
+        #: trigram-set size -> bitmap of the values of that size (the
+        #: ``s + 4 ≥ n_v`` escape of the count cut, as masks)
+        self._size_masks = _size_masks(self._sizes, self._nbytes)
         #: features by vid, derived on first touch — the one entry
         #: representation, shared with a catalog loaded from its sidecar
         self.entries = _LazyEntries(self.values, self._norms)
@@ -249,20 +474,27 @@ class ValueCatalog:
     def __len__(self) -> int:
         return len(self.values)
 
+    @property
+    def _nbytes(self) -> int:
+        """Bytes of one bitmap over this catalog's values."""
+        return (len(self.values) + 7) >> 3
+
     # -------------------------------------------------------- serialization
 
     def __getstate__(self) -> dict:
         """Packed pickle form — loading must be far cheaper than rebuilding.
 
         Per-entry feature objects are dropped entirely (norms suffice to
-        re-derive them lazily, see :class:`_LazyEntries`) and posting
-        lists become ``array('i')``, which pickle stores as raw bytes and
-        restores at memcpy speed instead of one-object-at-a-time.
+        re-derive them lazily, see :class:`_LazyEntries`), posting lists
+        become ``array('i')`` and bitmaps stay ``int``: pickle stores both
+        as raw bytes and restores them at memcpy speed instead of
+        one-object-at-a-time.
         """
         return {
             "values": self.values,
             "norms": list(self._norms),
             "trigram_sizes": self._sizes,
+            "trigram_bitmaps": self._trigram_bitmaps,
             "trigram_postings": _pack_postings(self._trigram_postings),
             "token_postings": _pack_postings(self._token_postings),
             "short_norms": self._short_norms,
@@ -280,9 +512,20 @@ class ValueCatalog:
                 "i", (len(_trigrams_of_norm(norm)) for norm in self._norms)
             )
         self.entries = _LazyEntries(self.values, self._norms)
-        # postings stay packed: candidate generation only probes and
-        # iterates them, which the span-slicing wrapper serves directly
-        self._trigram_postings = _PackedPostings(*state["trigram_postings"])
+        # postings stay packed: candidate generation only probes them,
+        # which the span-slicing wrapper serves directly
+        postings = _PackedPostings(*state["trigram_postings"])
+        self._trigram_bitmaps = state.get("trigram_bitmaps")
+        if self._trigram_bitmaps is None:
+            # a sidecar written before bitmaps packs every trigram: its
+            # dense lists become bitmaps once, here
+            self._trigram_bitmaps, sparse = _split_dense(
+                postings, len(self.values)
+            )
+            postings = _PackedPostings(*_pack_postings(sparse))
+        self._trigram_postings = postings
+        # a function of the sizes (~2% of a load), so not persisted
+        self._size_masks = _size_masks(self._sizes, self._nbytes)
         self._token_postings = _PackedPostings(*state["token_postings"])
         self._short_norms = state["short_norms"]
         self._text_order = state["text_order"]
@@ -298,9 +541,12 @@ class ValueCatalog:
         row beyond the scan limit all leave it as it was, and comparing
         is far cheaper than building. On ``None`` — any difference, in
         value, type or order — the caller builds ``ValueCatalog(fresh)``.
+        An unchanged list after a write holds the heap's own objects, so
+        identity settles it in C before any value is rendered.
         """
-        if len(fresh) == len(self.values) and all(
-            map(_alike, self.values, fresh)
+        if len(fresh) == len(self.values) and (
+            all(map(is_, self.values, fresh))
+            or all(map(_alike, self.values, fresh))
         ):
             return self
         return None
@@ -317,10 +563,15 @@ class ValueCatalog:
         self.stats["queries"] += 1
         table = resolve_synonyms(synonyms)
         key_features = features(key)
-        candidates, token_hits, containable = self._candidates(
+        planes, token_hits, containable = self._candidates(
             key_features, table
         )
-        self.stats["candidates"] += len(candidates)
+        # values sharing a trigram, and the token / containment hits
+        sharing = reduce(or_, planes, 0)
+        hits = _bitmap(token_hits | containable, self._nbytes)
+        candidates = sharing | hits
+        found = candidates.bit_count()
+        self.stats["candidates"] += found
 
         # exact scores by vid, each computed once (pilot, then main loop)
         scores: dict[int, float] = {}
@@ -333,21 +584,20 @@ class ValueCatalog:
                 )
             return score
 
-        survivors: Iterable[int] = candidates
-        if len(candidates) > PILOT_FACTOR * k:
+        survivors = candidates
+        if found > PILOT_FACTOR * k and sharing.bit_count() >= k:
             # pilot: the k candidates sharing the most trigrams, so that
-            # the floor their exact scores set is a high one
-            pilot = heapq.nlargest(k, candidates, key=candidates.get)
-            floor = min(map(exact, pilot))
-            cut = self._count_cut(key_features, floor)
-            sizes = self._sizes
-            survivors = {
-                vid
-                for vid, shared in candidates.items()
-                if shared >= cut or shared + 4 >= sizes[vid]
-            }
-            survivors |= token_hits
-            survivors |= containable
+            # the floor their exact scores set is a high one. With fewer
+            # than k sharing any, the candidates are mostly hits, which
+            # survive anyway, and all of them are kept.
+            floor = min(map(exact, _highest(planes, k, sharing)))
+            survivors = self._survivors(
+                planes, sharing, self._count_cut(key_features, floor)
+            ) | hits
+        # exact shared counts, of the survivors only; with a pilot at least
+        # its k members survive, so the zero tail below is only ever
+        # reached without one, when ``shared`` holds every candidate
+        shared = _read_counts(planes, survivors)
 
         # rank the survivors by a cheap upper bound on their exact score
         bounded = [
@@ -355,13 +605,13 @@ class ValueCatalog:
                 self._upper_bound(
                     key_features,
                     vid,
-                    candidates[vid],
+                    count,
                     vid in token_hits,
                     vid in containable,
                 ),
                 vid,
             )
-            for vid in survivors
+            for vid, count in shared.items()
         ]
         self.stats["bounded"] += len(bounded)
         bounded.sort(reverse=True)
@@ -389,7 +639,7 @@ class ValueCatalog:
         )
         result = [(self.values[vid], score) for score, vid in evaluated[:k]]
         if len(result) < k:
-            result.extend(self._zero_tail(k - len(result), candidates))
+            result.extend(self._zero_tail(k - len(result), shared))
         return result
 
     # ----------------------------------------------------- count filtering
@@ -413,49 +663,58 @@ class ValueCatalog:
             cut = min(cut, len({norm[i : i + 3] for i in range(len(norm) - 2)}))
         return cut
 
+    def _survivors(self, planes: list[int], sharing: int, cut: int) -> int:
+        """The values sharing a trigram with ``s ≥ cut or s + 4 ≥ n_v``:
+        a size ``m ≥ cut + 4`` meets the second only with the first."""
+        survivors = _at_least(planes, cut, sharing)
+        for size, mask in self._size_masks.items():
+            if size < cut + 4:
+                survivors |= mask & _at_least(planes, max(size - 4, 1), sharing)
+        return survivors
+
     # ------------------------------------------------- candidate generation
 
     def _candidates(
         self, key: TextFeatures, table: SynonymTable
-    ) -> tuple[dict[int, int], set[int], set[int]]:
+    ) -> tuple[list[int], set[int], set[int]]:
         """Value ids that may score > 0.
 
-        Returns ``(shared, token_hits, containable)``: every candidate id
-        mapped to its exact shared-trigram count, the subset reached via
-        token postings (direct, cluster, or reverse-synonym probes), and
-        the subset with a *confirmed* substring relation found through the
-        short-norm structures (sub-trigram containment the trigram
-        postings cannot see).
+        Returns ``(planes, token_hits, containable)``: every value's exact
+        shared-trigram count as bit planes (see the module docstring), the
+        ids reached via token postings (direct, cluster, or
+        reverse-synonym probes), and the ids with a *confirmed* substring
+        relation found through the short-norm structures (sub-trigram
+        containment the trigram postings cannot see).
         """
         if not key.text or not key.norm:
-            return {}, set(), set()
-        # Counter.update over chained posting lists counts in C
-        shared: dict[int, int] = Counter()
-        postings = (self._trigram_postings.get(t) for t in key.trigrams)
-        shared.update(chain.from_iterable(p for p in postings if p))
+            return [], set(), set()
+        bitmaps: list[int] = []
+        lists = []
+        for trigram in key.trigrams:
+            bitmap = self._trigram_bitmaps.get(trigram)
+            if bitmap is None:
+                lists.append(self._trigram_postings.get(trigram, ()))
+            else:
+                bitmaps.append(bitmap)
+        planes = _shared_planes(bitmaps, lists, self._nbytes)
         token_hits: set[int] = set()
         probes = set(key.tokens)
         for token in key.tokens:
             probes |= table.related(token)
         for token in probes:
-            for vid in self._token_postings.get(token, ()):
-                token_hits.add(vid)
-                shared.setdefault(vid, 0)
+            token_hits.update(self._token_postings.get(token, ()))
         # containment without shared trigrams: sub-trigram norms either way
         containable: set[int] = set()
         for norm, vids in self._short_norms.items():
             if norm in key.norm:
-                for vid in vids:
-                    containable.add(vid)
-                    shared.setdefault(vid, 0)
+                containable.update(vids)
         if len(key.norm) < 3:
             # norms are stored flat (shared with the persisted form), so
             # this sweep never materializes lazy entries
             for vid, norm in enumerate(self._norms):
                 if norm and key.norm in norm:
                     containable.add(vid)
-                    shared.setdefault(vid, 0)
-        return shared, token_hits, containable
+        return planes, token_hits, containable
 
     def _upper_bound(
         self,

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from repro.core.similarity import SynonymTable, similarity, top_k
 from repro.retrieval import CatalogCache, ValueCatalog
+from repro.retrieval.catalog import _members, _pack_postings
 
 VALUES = [
     "women's wear",
@@ -238,26 +239,46 @@ class TestPruningScaleOracle:
                         )
 
     def test_a_sidecar_without_trigram_sizes_still_opens(self):
-        """The pickle of a catalog written before sizes were persisted
-        (one key fewer) ranks exactly as a fresh build."""
+        """The pickles of catalogs written before dense postings became
+        bitmaps (every trigram packed as a vid list) and before sizes were
+        persisted (one key fewer still) rank exactly as a fresh build;
+        their dense lists become bitmaps at load."""
         rng = random.Random("pruning-oracle:old-sidecar")
         values = syllable_column(rng, 400)
         built = ValueCatalog(values)
+        assert built._trigram_bitmaps and built._trigram_postings
         state = built.__getstate__()
         assert sorted(state) == [
             "norms", "short_norms", "text_order", "token_postings",
-            "trigram_postings", "trigram_sizes", "values",
+            "trigram_bitmaps", "trigram_postings", "trigram_sizes", "values",
         ]
+        # the layout before bitmaps: every trigram's vid list packed
+        lists = {
+            trigram: _members(bitmap)
+            for trigram, bitmap in state.pop("trigram_bitmaps").items()
+        }
+        lists.update(built._trigram_postings)
+        state["trigram_postings"] = _pack_postings(lists)
+        before_bitmaps = ValueCatalog.__new__(ValueCatalog)
+        before_bitmaps.__setstate__(pickle.loads(pickle.dumps(state)))
+        assert before_bitmaps._trigram_bitmaps == built._trigram_bitmaps
+        assert {
+            trigram: list(vids)
+            for trigram, vids in before_bitmaps._trigram_postings.items()
+        } == built._trigram_postings
+        assert before_bitmaps._size_masks == built._size_masks
         del state["trigram_sizes"]
         old = ValueCatalog.__new__(ValueCatalog)
         old.__setstate__(pickle.loads(pickle.dumps(state)))
         assert old._sizes == built._sizes
+        assert old._size_masks == built._size_masks
         reloaded = pickle.loads(pickle.dumps(built))
         assert reloaded._sizes == built._sizes
         for key in oracle_keys(rng, values, picks=4):
             for k in (1, 5, 12):
                 expected = top_k(key, values, k)
                 assert old.top_k(key, k) == expected, (key, k)
+                assert before_bitmaps.top_k(key, k) == expected, (key, k)
                 assert reloaded.top_k(key, k) == expected, (key, k)
 
     def test_only_what_is_scored_is_materialised(self):
