@@ -11,7 +11,13 @@ Subpackages:
 * :mod:`repro.llm` — simulated LLM substrate (tokenizer, profiles, policy)
 * :mod:`repro.agent` — ReAct agent loop
 * :mod:`repro.mltools` — analytical/ML tools for data-intensive workflows
-* :mod:`repro.bench` — BIRD-Ext and NL2ML benchmarks plus the harness
+* :mod:`repro.retrieval` — indexed column-value catalogs behind ``get_value``
+* :mod:`repro.service` — sessions, dispatcher, lock manager, retry policy
+* :mod:`repro.obs` — tracing, metrics and the ``system.*`` views
+* :mod:`repro.faults` — the filesystem seam and scripted fault injection
+* :mod:`repro.staticcheck` — machine-checked source invariants
+* :mod:`repro.bench` — the paper's experiments (BIRD-Ext and NL2ML: figures
+  5–6, tables 1–2, ablations) plus the ``concurrency`` and ``obs`` gates
 """
 
 __version__ = "1.0.0"

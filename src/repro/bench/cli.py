@@ -1,7 +1,7 @@
 """Command-line front end: the one way to run an experiment.
 
     python -m repro.bench fig5a --tasks 25 --scale 0.5
-    python -m repro.bench storage --out BENCH_storage.json
+    python -m repro.bench concurrency --out BENCH_concurrency.json
     python -m repro.bench all --smoke
 
 Each run prints the experiment's report and then its gate's verdict; the
@@ -16,11 +16,7 @@ from dataclasses import dataclass, field
 from functools import partial
 from typing import Any, Callable
 
-from . import (
-    ablations, concurrency, observability as obs, query_scale as query,
-    reporting, retrieval_scale as retrieval, runner,
-    storage_durability as storage,
-)
+from . import ablations, concurrency, observability as obs, reporting, runner
 
 
 @dataclass(frozen=True)
@@ -84,19 +80,8 @@ EXPERIMENTS: dict[str, Experiment] = {
         ablations.experiment_ablations, reporting.render_ablations,
         ablations.check_ablations,
     ),
-    # the scale experiments: timings against a baseline reached from its input
-    "retrieval": Experiment(
-        retrieval.experiment_retrieval_scale, reporting.render_retrieval_scale,
-        retrieval.check_retrieval_scale,
-        full={"distinct": 100_000, "brute_distinct": 5_000},
-        smoke={"distinct": 4_000, "brute_distinct": 4_000},
-    ),
-    "storage": Experiment(
-        storage.experiment_storage_durability, reporting.render_storage_durability,
-        storage.check_storage_durability,
-        full={"rows": 100_000, "seam_cycles": 20_000},
-        smoke={"rows": 10_000, "seam_cycles": 8_000},
-    ),
+    # the scale experiments with no deterministic successor yet: timings
+    # against a baseline reached from its input
     "concurrency": Experiment(
         concurrency.experiment_concurrency, reporting.render_concurrency,
         concurrency.check_concurrency,
@@ -108,13 +93,6 @@ EXPERIMENTS: dict[str, Experiment] = {
             "sessions": 4, "workers": 4, "ops_per_session": 15, "rows": 2_000,
             "io_delay_ms": 8.0, "writer_sessions": 4, "increments_per_session": 8,
         },
-    ),
-    "query": Experiment(
-        query.experiment_query_scale, reporting.render_query_scale,
-        query.check_query_scale,
-        full={"rows": 100_000, "join_rows": 10_000, "nl_rows": 1_000},
-        smoke={"rows": 10_000, "join_rows": 500, "nl_rows": 500},
-        options={"rows": "rows"},
     ),
     "obs": Experiment(
         obs.experiment_observability, reporting.render_observability,
@@ -141,7 +119,6 @@ def main(argv: list[str] | None = None) -> int:
         help="history file to append this run to (one experiment, not 'all')",
     )
     for flag, kind, text in (
-        ("--rows", int, "rows in the query experiment's events table (default 100000)"),
         ("--tasks", int, "tasks per cell (default 25)"),
         ("--scale", float, "database scale (default 0.5)"),
         ("--housing-rows", int, "NL2ML table size (default 20000, the paper's)"),

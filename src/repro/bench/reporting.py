@@ -86,23 +86,6 @@ def render_table(headers: list[str], rows: list[list[Any]], title: str = "") -> 
     return "\n".join(lines)
 
 
-def _overhead_table(
-    title: str,
-    headers: list[str],
-    count: int,
-    variants: list[tuple[str, float, float | None]],
-) -> str:
-    """``(label, seconds, overhead % over the first variant)`` rows."""
-    return render_table(
-        [*headers, "time (s)", "overhead"],
-        [
-            [label, count, seconds, "-" if pct is None else f"{pct:+.2f}%"]
-            for label, seconds, pct in variants
-        ],
-        title=title,
-    )
-
-
 #: each Figure 5 panel's title and its columns, ``(header, result key)``
 FIG5_PANELS = {
     "fig5a": (
@@ -187,79 +170,6 @@ def render_table2(results: dict[str, Any]) -> str:
     return table + footer
 
 
-def render_retrieval_scale(result: dict[str, Any]) -> str:
-    suffix = (
-        f" (measured at {result['brute_distinct']} distinct, extrapolated)"
-        if result["brute_extrapolated"]
-        else ""
-    )
-    table = render_table(
-        ["path", "distinct values", "per call (ms)"],
-        [
-            ["indexed (cold, builds catalog)", result["distinct"], result["cold_ms"]],
-            ["indexed (warm)", result["distinct"], result["indexed_call_ms"]],
-            ["indexed (after a write, list unchanged)", result["distinct"],
-             result["after_write_ms"]],
-            ["brute force (binding without an index)" + suffix, result["distinct"],
-             result["brute_call_ms"]],
-        ],
-        title="Retrieval scale — get_value exemplar retrieval (BridgeScope)",
-    )
-    equivalence = (
-        "identical"
-        if result["equivalence_ok"]
-        else f"MISMATCH on keys {result['equivalence_mismatches']}"
-    )
-    return (
-        f"{table}\n"
-        f"speedup: {result['speedup']:,.1f}x on warm calls "
-        f"({result['queries_per_round']} keys x {result['rounds']} rounds)\n"
-        f"candidates/bounded/scored per query: {result['avg_candidates']:,.1f} / "
-        f"{result['avg_bounded']:,.1f} / {result['avg_scored']:,.1f} "
-        f"of {result['distinct']:,}\n"
-        f"indexed vs brute-force rankings: {equivalence}"
-    )
-
-
-def render_storage_durability(result: dict[str, Any]) -> str:
-    rows, warm, cold = result["rows"], result["warm_reopen_s"], result["cold_rebuild_s"]
-    table = render_table(
-        ["restart path", "rows", "time (s)"],
-        [
-            ["warm reopen (snapshot + persisted catalogs)", rows, warm],
-            ["cold rebuild (SQL replay + catalog build)", rows, cold],
-        ],
-        title="Storage durability — restart cost (minidb durable engine)",
-    )
-    zero = "yes" if result["zero_rebuild"] else "NO (catalog was rebuilt)"
-    equivalence = (
-        "identical" if result["equivalence_ok"] else "MISMATCH"
-    )
-    seam = result["seam"]
-    seam_table = _overhead_table(
-        "Storage durability — Filesystem seam overhead (WAL-shaped I/O)",
-        ["filesystem variant", "cycles"],
-        seam["cycles"],
-        [
-            ("raw builtins (no seam)", seam["raw_s"], None),
-            ("passthrough seam (production)", seam["passthrough_s"],
-             seam["passthrough_overhead_pct"]),
-            ("FaultyFilesystem wrapper (tests)", seam["wrapper_s"],
-             seam["wrapper_overhead_pct"]),
-        ],
-    )
-    return (
-        f"{table}\n"
-        f"speedup: {result['speedup']:,.1f}x "
-        f"(best of {len(result['warm_trials_s'])} warm trials)\n"
-        f"zero catalog rebuild on reopen: {zero}\n"
-        f"warm vs cold tool output: {equivalence}\n"
-        f"snapshot write (checkpoint) took {result['checkpoint_s']:.2f}s, "
-        f"{result['snapshot_bytes']:,} bytes\n"
-        f"{seam_table}"
-    )
-
-
 def render_concurrency(result: dict[str, Any]) -> str:
     read = result["read_heavy"]
     contention = result["writer_contention"]
@@ -305,81 +215,24 @@ def render_concurrency(result: dict[str, Any]) -> str:
     )
 
 
-def render_query_scale(result: dict[str, Any]) -> str:
-    labels = {
-        "range": "selective range (btree slice vs unindexed twin)",
-        "topn": "ORDER BY LIMIT 10 (ordered scan vs unindexed twin)",
-        "predicate": "seq-scan WHERE (batch kernels, absolute)",
-        "union": "10-member IN (index union vs unindexed twin)",
-        "point": "PK point lookup (index vs unindexed twin)",
-        "batch_filter": "wide filter (absolute)",
-        "batch_aggregate": "GROUP BY fold (absolute)",
-        "join": "equi-join (hash vs nested loop ON NOT (o.customer_id <> c.id))",
-        "join_group": "hash join + GROUP BY (absolute)",
-        "btree_write": "index insert (paged B-tree vs flat insort)",
-        "stats_skew": "skewed conjunct (cost-based vs static plan)",
-    }
-    sizes = {
-        "join": result["join_rows"],
-        "join_group": result["join_rows"],
-        "btree_write": result["btree_write"]["entries"],
-    }
-    table = render_table(
-        ["query class", "rows", "fast (ms)", "baseline (ms)", "speedup"],
-        [
-            [
-                label,
-                sizes.get(name, result["rows"]),
-                result[name]["fast_ms"],
-                result[name].get("baseline_ms", "-"),
-                (
-                    f"{result[name]['speedup']:,.1f}x"
-                    if "speedup" in result[name]
-                    else "-"
-                ),
-            ]
-            for name, label in labels.items()
-        ],
-        title="Query scale — indexed and batch execution (minidb)",
-    )
-    stats = result["planner_stats"]
-    plans = "\n".join(
-        f"  {line}" for name in labels for line in result[name].get("plan", [])
-    )
-    equivalence = "identical" if result["identical"] else "MISMATCH"
-    nested_loop = f"measured at {result['nl_rows']} rows" + (
-        f", extrapolated quadratically to {result['join_rows']}"
-        if result["nl_rows"] < result["join_rows"] else ""
-    )
-    return "\n".join([
-        table,
-        f"fast vs baseline rows: {equivalence}",
-        f"equi-join: {result['join']['matches']} matches; nested loop {nested_loop}",
-        f"planner stats: {stats['range_scans']} range scans, "
-        f"{stats['ordered_scans']} ordered scans, "
-        f"{stats['topn_limits']} top-N limits, "
-        f"{stats['union_scans']} union scans, "
-        f"{stats['batch_scans']} batch scans",
-        "static plan (pre-ANALYZE): "
-        + "; ".join(result["stats_skew"]["static_plan"]),
-        f"query plans:\n{plans}",
-    ])
-
-
 def render_observability(result: dict[str, Any]) -> str:
     overhead = result["overhead"]
     features = result["features"]
-    table = _overhead_table(
-        "Observability — statement-path overhead (point lookups)",
-        ["variant", "statements"],
-        overhead["statements"],
+    variants = (  # (label, seconds, overhead % over the baseline)
+        ("no-dispatch baseline", overhead["baseline_s"], None),
+        ("dark (defaults, production)", overhead["dark_s"],
+         overhead["dark_overhead_pct"]),
+        ("traced (ring + spans)", overhead["traced_s"],
+         overhead["traced_overhead_pct"]),
+    )
+    table = render_table(
+        ["variant", "statements", "time (s)", "overhead"],
         [
-            ("no-dispatch baseline", overhead["baseline_s"], None),
-            ("dark (defaults, production)", overhead["dark_s"],
-             overhead["dark_overhead_pct"]),
-            ("traced (ring + spans)", overhead["traced_s"],
-             overhead["traced_overhead_pct"]),
+            [label, overhead["statements"], seconds,
+             "-" if pct is None else f"{pct:+.2f}%"]
+            for label, seconds, pct in variants
         ],
+        title="Observability — statement-path overhead (point lookups)",
     )
     feature_line = (
         f"features: {features['system_statements_rows']} system.statements rows, "

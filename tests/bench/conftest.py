@@ -17,13 +17,10 @@ TINY_SIZES = {
     "table1": dict(n_tasks=4, scale=0.3),
     "table2": dict(per_level=2, housing_rows=500),
     "ablations": dict(scale=0.3),
-    "retrieval": dict(distinct=2_000, brute_distinct=2_000),
-    "storage": dict(rows=2_000, seam_cycles=200),
     "concurrency": dict(
         sessions=2, workers=2, ops_per_session=5, rows=500, io_delay_ms=1.0,
         writer_sessions=2, increments_per_session=3,
     ),
-    "query": dict(rows=2_000, join_rows=500, nl_rows=500),
     "obs": dict(statements=50, rows=200, repeats=2),
 }
 

@@ -29,9 +29,10 @@ class TestBenchCLI:
         assert exit_info.value.code == 2
         assert "invalid choice: 'fig99'" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("name", ["joins", "faults"])
+    @pytest.mark.parametrize("name", ["joins", "faults", "query", "retrieval", "storage"])
     def test_folded_experiments_are_no_longer_names(self, capsys, name):
-        # joins folded into query; faults into storage and concurrency
+        # joins folded into query, faults into storage and concurrency;
+        # query, retrieval and storage became count tests under tests/
         with pytest.raises(SystemExit) as exit_info:
             bench_main([name, "--smoke"])
         assert exit_info.value.code == 2
@@ -49,35 +50,17 @@ class TestBenchCLI:
     def test_experiments_registry_complete(self):
         assert set(EXPERIMENTS) == {
             "fig5a", "fig5b", "fig5c", "fig6", "table1", "table2", "ablations",
-            "retrieval", "storage", "concurrency", "query", "obs",
+            "concurrency", "obs",
         }
 
-    def test_options_are_exactly_the_documented_seven(self, capsys):
+    def test_options_are_exactly_the_documented_six(self, capsys):
         with pytest.raises(SystemExit):
             bench_main(["--help"])
         usage = capsys.readouterr().out
         options = {word.strip("[],") for word in usage.split() if word.startswith("--")}
         assert options - {"--help"} == {
-            "--smoke", "--out", "--rows", "--tasks", "--scale",
-            "--housing-rows", "--model",
+            "--smoke", "--out", "--tasks", "--scale", "--housing-rows", "--model",
         }
-
-    def test_run_experiment_query(self, report):
-        text = report("query")
-        assert "Query scale" in text
-        assert "Index Range Scan" in text
-        assert "Hash Join" in text
-
-    def test_run_experiment_storage(self, report):
-        text = report("storage")
-        assert "Storage durability" in text
-        assert "warm reopen" in text
-        assert "passthrough seam" in text
-
-    def test_run_experiment_retrieval(self, report):
-        text = report("retrieval")
-        assert "Retrieval scale" in text
-        assert "rankings: identical" in text
 
     def test_run_experiment_concurrency(self, report):
         text = report("concurrency")

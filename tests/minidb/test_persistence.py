@@ -23,6 +23,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.faults import OS_FILESYSTEM
 from repro.minidb import (
     Database,
     MiniDBError,
@@ -265,6 +266,21 @@ class TestEngineLifecycle:
         assert db2.snapshot() == expected
         assert db2.engine.stats["snapshot_loaded"] is True
         assert db2.engine.stats["wal_replayed"] == 0
+
+    @pytest.mark.parametrize(
+        "mode,encoding", [("a", "utf-8"), ("w", "utf-8"), ("rb", None), ("r+b", None)]
+    )
+    def test_the_passthrough_seam_returns_the_builtin_file(
+        self, tmp_path, mode, encoding
+    ):
+        """The production seam adds no per-write wrapper: in every mode
+        the engine opens a file in, it hands back the builtin file object."""
+        path = str(tmp_path / "wal.jsonl")
+        open(path, "w").close()
+        with OS_FILESYSTEM.open(path, mode, encoding=encoding) as seam, open(
+            path, mode, encoding=encoding
+        ) as builtin:
+            assert type(seam) is type(builtin)
 
     def test_checkpoint_refused_inside_transaction(self, dbdir):
         db = seeded(dbdir)

@@ -1,0 +1,59 @@
+"""A high-cardinality product-name column and the task keys run against it.
+
+Shared by the retrieval tests that need a column much larger than a
+hand-written one: the bitmap-kernel memory guard and the per-query work
+counts.
+"""
+
+_ADJECTIVES = (
+    "womens", "mens", "kids", "coastal", "inland", "premium",
+    "classic", "sport", "vintage", "eco", "alpine", "urban",
+)
+_NOUNS = (
+    "wear", "shoes", "jacket", "dress", "boots", "accessories",
+    "equipment", "apparel", "outfit", "gear", "luggage", "kit",
+)
+
+
+def _pseudo_word(seed: int, length: int) -> str:
+    """Deterministic letter soup (no stdlib randomness: runs reproduce)."""
+    state = (seed * 2654435761 + 97) & 0x7FFFFFFF
+    chars = []
+    for _ in range(length):
+        state = (state * 1103515245 + 12345) & 0x7FFFFFFF
+        chars.append(chr(ord("a") + (state >> 16) % 26))
+    return "".join(chars)
+
+
+def unrelated_name(i: int) -> str:
+    """A pseudo-random product name no query key targets; the id suffix
+    keeps every value distinct."""
+    return f"{_pseudo_word(i, 7)} {_pseudo_word(i * 31 + 7, 8)} {i:06d}"
+
+
+def product_name(i: int) -> str:
+    """The i-th distinct value of the column.
+
+    A high-cardinality text column is mostly irrelevant to any given task
+    key, so only every 50th value is a category-style name the query keys
+    actually target; the rest are :func:`unrelated_name`.
+    """
+    if i % 50 == 0:
+        adjective = _ADJECTIVES[(i // 50) % len(_ADJECTIVES)]
+        noun = _NOUNS[(i // (50 * len(_ADJECTIVES))) % len(_NOUNS)]
+        return f"{adjective} {noun} {i:06d}"
+    return unrelated_name(i)
+
+
+#: task keys exercising the signals the scorer blends: stored surface
+#: forms, synonyms, misspellings, substrings, multi-token paraphrases
+QUERY_KEYS = (
+    "women",
+    "ladies dress",
+    "mens jacket",
+    "sport shoes",
+    "premum boots",       # misspelling
+    "coastal",
+    "eco equipment",
+    "vintage wear",
+)

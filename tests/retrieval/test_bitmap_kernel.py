@@ -18,7 +18,8 @@ from operator import or_
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.bench.retrieval_scale import product_name
+from product_names import product_name
+
 from repro.retrieval import ValueCatalog
 from repro.retrieval.catalog import (
     DENSE_SHARE,
@@ -89,8 +90,8 @@ def name_column(count: int) -> list[str]:
 
 
 def test_bitmaps_take_no_more_memory_than_the_lists_they_replace():
-    """On a name column and on the retrieval bench's 100k letter-soup
-    column, every trigram bitmap is at most the size of its vid list, and
+    """On a name column and on a 100k-value letter-soup product column,
+    every trigram bitmap is at most the size of its vid list, and
     bitmaps plus size masks stay under the all-list postings."""
     for values in (name_column(10_000), [product_name(i) for i in range(100_000)]):
         catalog = ValueCatalog(values)
