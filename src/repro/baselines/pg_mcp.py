@@ -130,17 +130,9 @@ def make_sampled_binding(
                     tuple(row[column_index[c.lower()]] for c in schema.primary_key)
                 )
         inserted_keys[name.lower()] = keys
+    # replicate users and grants wholesale (owner-level copy)
     for target in db.privileges.users():
-        sampled.create_user(target)
-    # replicate grants wholesale (owner-level copy)
-    for target in db.privileges.users():
-        for grant in db.privileges.grants_of(target):
-            sampled.privileges.grant(
-                target,
-                grant.action,
-                grant.obj,
-                sorted(grant.columns) if grant.columns else None,
-            )
+        sampled.privileges.set_grants(target, db.privileges.grants_of(target))
     return MinidbBinding.for_user(sampled, user)
 
 

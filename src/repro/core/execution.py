@@ -7,8 +7,9 @@ executes statements performing *a*. A tool is exposed to the agent only if
 * the user holds the *a* privilege on at least one object (database-side), and
 * *a* passes the user's security policy (user-side white/black-lists).
 
-Every call is additionally verified object-by-object by the
-:class:`~repro.core.verification.SqlVerifier` before touching the engine.
+Every call is verified first by the :class:`~repro.core.verification.SqlVerifier`
+(tool rules, then the database's own privilege verdict); the engine authorizes
+again when it runs the statement: two calls, one privilege rule.
 """
 
 from __future__ import annotations

@@ -48,7 +48,19 @@ class AccessFootprint:
     accesses: list[tuple[str, str, set[str] | None]]
     # each entry: (action, object, columns-or-None-for-whole-object)
     is_transaction_control: bool = False
-    is_ddl: bool = False
+    #: the binding's own analysis of the statement, kept so that
+    #: :meth:`DatabaseBinding.authorize` need not analyze it again
+    parsed: Any = field(default=None, repr=False, compare=False)
+
+
+@dataclass(frozen=True)
+class Denial:
+    """The database's refusal of one access, as its privilege rule reports it."""
+
+    action: str
+    obj: str  # "*" when the privilege needed is database-wide
+    columns: frozenset[str] | None  # what the access needs; None = whole object
+    granted: frozenset[str]  # what the user's grants cover; empty = nothing
 
 
 class DatabaseBinding(abc.ABC):
@@ -106,6 +118,13 @@ class DatabaseBinding(abc.ABC):
         return top_k(key, self.distinct_values(table, column, limit), k, synonyms)
 
     # ---------------------------------------------------------- privileges
+
+    @abc.abstractmethod
+    def authorize(self, footprint: AccessFootprint) -> Denial | None:
+        """The database's verdict on ``footprint``: its first refused
+        access, or ``None`` when the bound user holds every privilege the
+        accesses need. The one privilege rule is the database's; the
+        verifier asks for it rather than walking grants itself."""
 
     @abc.abstractmethod
     def user_actions_on(self, obj: str) -> set[str]:

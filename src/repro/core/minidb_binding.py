@@ -8,8 +8,9 @@ from typing import Any, Iterator
 
 from ..mcp import Columns
 from ..minidb import Database, Session, analyze, parse
-from ..minidb.errors import DeadlockError, LockTimeoutError
-from .interfaces import AccessFootprint, DatabaseBinding, ObjectInfo, SqlOutcome
+from ..minidb.analysis import ObjectAccess, StatementAnalysis
+from ..minidb.errors import DeadlockError, LockTimeoutError, PermissionDenied
+from .interfaces import AccessFootprint, DatabaseBinding, Denial, ObjectInfo, SqlOutcome
 
 
 class MinidbBinding(DatabaseBinding):
@@ -55,7 +56,7 @@ class MinidbBinding(DatabaseBinding):
                 (a.action, a.obj, a.column_set()) for a in analysis.accesses
             ],
             is_transaction_control=analysis.is_transaction_control,
-            is_ddl=analysis.is_ddl,
+            parsed=(stmt, analysis),
         )
 
     # ------------------------------------------------------------- catalog
@@ -193,6 +194,23 @@ class MinidbBinding(DatabaseBinding):
         return catalog.top_k(key, k, synonyms)
 
     # ---------------------------------------------------------- privileges
+
+    def authorize(self, footprint: AccessFootprint) -> Denial | None:
+        """``Database.authorize`` over the statement and analysis
+        :meth:`analyze_sql` built; a footprint built by hand is authorized
+        from its accesses."""
+        stmt, analysis = footprint.parsed or (None, StatementAnalysis(
+            footprint.action,
+            tuple(ObjectAccess(a, o, frozenset(c or ()), c is None)
+                  for a, o, c in footprint.accesses),
+        ))
+        try:
+            self.session.db.authorize(self.session.user, stmt, analysis)
+        except PermissionDenied as denied:
+            if denied.access is None:
+                raise
+            return Denial(*denied.access, denied.granted)
+        return None
 
     def user_actions_on(self, obj: str) -> set[str]:
         return self.session.db.privileges.actions_on(self.session.user, obj)

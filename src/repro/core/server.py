@@ -89,26 +89,6 @@ class BridgeScope:
 
         return cls(MinidbBinding.for_user(db, user), config, **kwargs)
 
-    @classmethod
-    def open_minidb(
-        cls,
-        path: str,
-        user: str = "admin",
-        config: BridgeScopeConfig | None = None,
-        **kwargs,
-    ) -> "BridgeScope":
-        """Assemble a toolkit over a *durable* minidb database directory.
-
-        Convenience for agent deployments (including the MCP server
-        wiring): the database is opened/recovered from ``path``, so tool
-        state — tables, privileges, and persisted ``get_value`` catalogs —
-        survives process restarts. The caller owns the lifecycle; call
-        ``bridge.binding.session.db.close()`` on shutdown.
-        """
-        from .minidb_binding import MinidbBinding
-
-        return cls(MinidbBinding.open(path, user), config, **kwargs)
-
     # ------------------------------------------------------------- calling
 
     def call(self, call: ToolCall) -> ToolResult:

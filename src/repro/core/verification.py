@@ -4,12 +4,13 @@ Even though BridgeScope only exposes privilege-compatible tools,
 hallucinated or injected SQL can still reference forbidden objects or smuggle
 a different action through a tool (e.g. a DELETE string passed to the
 ``select`` tool). :class:`SqlVerifier` statically analyzes every SQL string
-before execution and enforces, rule-based:
-
-1. the statement's action matches the invoking tool's action;
-2. the user holds the database privilege for every (action, object, columns)
-   access the statement performs;
-3. every touched object and action passes the user-side security policy.
+before execution. It keeps the tool-side rules — the tool's action, the
+transaction tools, the user's security policy, no GRANT/REVOKE, and SELECT
+on every object for a ``system.*`` view (``system.statements`` shows other
+users' SQL) — and asks the database for its privilege verdict
+(:meth:`~repro.core.interfaces.DatabaseBinding.authorize`) instead of
+keeping a copy of the rule. The database authorizes again when the
+statement runs: two calls, one rule.
 
 Violations raise :class:`SecurityViolation` (non-retriable) — the statement
 never reaches the database.
@@ -82,35 +83,20 @@ class SqlVerifier:
     def verify(self, sql: str, expected_action: str | None = None) -> AccessFootprint:
         """Verify ``sql``; returns its footprint or raises SecurityViolation."""
         footprint = self.binding.analyze_sql(sql)
-        objects = sorted({obj for _, obj, _ in footprint.accesses})
         try:
             self._check(footprint, expected_action)
         except SecurityViolation as violation:
             self.rejected += 1
-            self.audit.append(
-                AuditRecord(
-                    user=self.binding.user,
-                    sql=sql,
-                    action=footprint.action,
-                    objects=objects,
-                    allowed=False,
-                    reason=violation.message,
-                )
-            )
+            self._record(sql, footprint, violation.message)
             raise
         self.verified += 1
-        self.audit.append(
-            AuditRecord(
-                user=self.binding.user,
-                sql=sql,
-                action=footprint.action,
-                objects=objects,
-                allowed=True,
-            )
-        )
+        self._record(sql, footprint)
         return footprint
 
-    # ----------------------------------------------------------- internals
+    def _record(self, sql: str, footprint: AccessFootprint, reason: str = "") -> None:
+        user, objects = self.binding.user, sorted({o for _, o, _ in footprint.accesses})
+        record = AuditRecord(user, sql, footprint.action, objects, not reason, reason)
+        self.audit.append(record)
 
     def _check(self, footprint: AccessFootprint, expected_action: str | None) -> None:
         if footprint.is_transaction_control:
@@ -144,39 +130,23 @@ class SqlVerifier:
                     f"object {obj!r} is not accessible under the user's "
                     "security policy"
                 )
-            if action == "CREATE" and obj.lower() not in {
-                o.lower() for o in self.binding.list_objects()
-            }:
-                # creating a brand-new object: database-wide CREATE privilege
-                if "CREATE" not in self.binding.user_actions_on("*"):
-                    raise SecurityViolation(
-                        f"permission denied: CREATE (database-wide) for "
-                        f"user {self.binding.user!r}"
-                    )
-                continue
-            held = self.binding.user_actions_on(obj)
-            if action not in held:
-                raise SecurityViolation(
-                    f"permission denied: {action} on {obj} for user "
-                    f"{self.binding.user!r}"
-                )
-            if columns is not None:
-                restrictions = self.binding.user_column_restrictions(action, obj)
-                if restrictions is not None and not (
-                    {c.lower() for c in columns} <= restrictions
-                ):
-                    missing = sorted(
-                        {c.lower() for c in columns} - restrictions
-                    )
-                    raise SecurityViolation(
-                        f"permission denied: {action} on {obj} columns "
-                        f"({', '.join(missing)})"
-                    )
-            else:
-                # whole-object access with a column-restricted grant
-                restrictions = self.binding.user_column_restrictions(action, obj)
-                if restrictions is not None:
-                    raise SecurityViolation(
-                        f"permission denied: whole-object {action} on {obj} "
-                        "exceeds the column-level grant"
-                    )
+            if action == "SELECT" and obj.startswith("system."):
+                self._refuse(AccessFootprint(action, [(action, "*", columns)]), obj)
+        self._refuse(footprint)
+
+    def _refuse(self, footprint: AccessFootprint, shown: str | None = None) -> None:
+        """Raise the database's refusal of ``footprint``, if it has one, in
+        the tool's words (``shown`` names the object asked for)."""
+        denial = self.binding.authorize(footprint)
+        if denial is None:
+            return
+        obj = shown or denial.obj
+        target = f"{denial.action} " + ("(database-wide)" if obj == "*" else f"on {obj}")
+        if obj == "*" or not denial.granted:
+            message = f"{target} for user {self.binding.user!r}"
+        elif denial.columns is None:
+            message = f"whole-object {target} exceeds the column-level grant"
+        else:
+            missing = sorted({c.lower() for c in denial.columns} - denial.granted)
+            message = f"{target} columns ({', '.join(missing)})"
+        raise SecurityViolation(f"permission denied: {message}")

@@ -149,6 +149,16 @@ def analyze(stmt: ast.Statement, catalog: Catalog | None = None) -> StatementAna
     return shared_analysis(stmt, version, lambda: _Binder(catalog, version).run(stmt))
 
 
+def require_columns(catalog: Catalog, name: str, columns: list[str]) -> None:
+    """Raise ``UnknownColumnError`` for the first of ``columns`` (a GRANT's)
+    that relation ``name`` does not expose (a view: its output names)."""
+    exposed = _Binder(catalog, catalog.version)._relation_columns(name) or []
+    known = {column.lower() for column in exposed}
+    for column in columns:
+        if column.lower() not in known:
+            raise UnknownColumnError(f"column {column!r} of relation {name!r} does not exist")
+
+
 def item_name(item: ast.SelectItem, index: int) -> str:
     """The output column name of select item number ``index``."""
     if item.alias:

@@ -25,7 +25,7 @@ from typing import Any, Callable
 from ..obs import CounterMapView, MetricsRegistry, StatementTracer
 from . import ast_nodes as ast
 from . import changes
-from .analysis import StatementAnalysis, analyze
+from .analysis import StatementAnalysis, analyze, require_columns
 from .batch import DEFAULT_BATCH_SIZE
 from .catalog import Catalog
 from .engines import DurableEngine, InMemoryEngine, StorageEngine
@@ -677,11 +677,13 @@ class Database:
     def apply_grant(self, issuer: str, stmt: ast.GrantStatement) -> ResultSet:
         if not self.privileges.is_owner(issuer):
             raise PermissionDenied(f"user {issuer!r} may not GRANT privileges")
-        # every object before the first grant: the statement is one record
-        # and applies whole or not at all
+        # every object and column before the first grant: the statement is
+        # one record and applies whole or not at all
         for obj in stmt.objects:
             if obj != "*" and not self.catalog.has_object(obj):
                 raise MiniDBError(f"relation {obj!r} does not exist")
+            if obj != "*" and stmt.columns:
+                require_columns(self.catalog, obj, stmt.columns)
         self._apply_privilege_change(self._privilege_record("grant", stmt))
         return ResultSet(status="GRANT")
 

@@ -89,9 +89,16 @@ class CheckViolation(IntegrityError):
 
 
 class PermissionDenied(MiniDBError):
-    """User lacks the privilege required for the attempted operation."""
+    """User lacks the privilege required for the attempted operation. The
+    privilege rule's refusal names the ``access`` it refused, ``(action,
+    object, columns-or-None)`` (object ``"*"``: database-wide), and the
+    columns the grants do cover (``granted``; empty: nothing granted)."""
 
     code = "42501"
+
+    def __init__(self, message: str, access: tuple | None = None, granted=frozenset()):
+        super().__init__(message)
+        self.access, self.granted = access, granted
 
 
 class TransactionError(MiniDBError):

@@ -38,9 +38,9 @@ bare int; a text whose count is not an integer is parsed afresh, which
 raises). A literal token the parser reads as structure — a ``VARCHAR(40)``
 or ``CAST(... AS VARCHAR(n))`` length, an ORDER BY item that is a bare
 literal (an ordinal is a column position) — is pinned, not slotted: a text
-that differs there is not an instance of the template. Whatever reads
-privileges (``Database.authorize``, the verifier's decision) runs on every
-call. A :class:`SQLSyntaxError` is raised afresh each time; nothing is
+that differs there is not an instance of the template. Privileges are read
+on every call (``Database.authorize``, asked by the verifier and again by
+the session). A :class:`SQLSyntaxError` is raised afresh each time; nothing is
 remembered for text that does not parse. Texts longer than
 :data:`PARSE_CACHE_MAX_TEXT` skip every cache.
 

@@ -18,7 +18,7 @@ granted on the pseudo-object ``*`` (database-wide).
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import PermissionDenied
 
@@ -35,29 +35,14 @@ class Grant:
     obj: str  # lower-cased object name or "*"
     columns: frozenset[str] | None = None  # lower-cased column names
 
-    def covers_columns(self, needed: set[str] | None) -> bool:
-        if self.columns is None:
-            return True
-        if needed is None:
-            # whole-object access requested but only column grant held
-            return False
-        return {c.lower() for c in needed} <= self.columns
-
-
-@dataclass
-class _UserEntry:
-    grants: list[Grant] = field(default_factory=list)
-
 
 class PrivilegeManager:
     """Tracks users and their grants; answers privilege queries."""
 
     def __init__(self, owner: str):
         self.owner = owner
-        self._users: dict[str, _UserEntry] = {
-            owner.lower(): _UserEntry(),
-            PUBLIC: _UserEntry(),
-        }
+        #: user -> the grants made to that user
+        self._users: dict[str, list[Grant]] = {owner.lower(): [], PUBLIC: []}
         #: guards ``_users`` and every grants list against concurrent
         #: sessions: GRANT/REVOKE mutate while other sessions' authorize()
         #: checks and checkpoint snapshots iterate. Re-entrant because
@@ -69,7 +54,7 @@ class PrivilegeManager:
 
     def create_user(self, name: str) -> None:
         with self.mutex:
-            self._users.setdefault(name.lower(), _UserEntry())
+            self._users.setdefault(name.lower(), [])
 
     def has_user(self, name: str) -> bool:
         return name.lower() in self._users
@@ -82,15 +67,14 @@ class PrivilegeManager:
         """Copy of ``user``'s direct grants (no PUBLIC merge, no owner
         implication) — the serialization surface for snapshot dumps."""
         with self.mutex:
-            return list(self._entry(user).grants)
+            return list(self._entry(user))
 
     def set_grants(self, user: str, grants: list[Grant]) -> None:
         """Replace ``user``'s grant list wholesale (snapshot restore)."""
         with self.mutex:
-            self.create_user(user)
-            self._entry(user).grants = list(grants)
+            self._users[user.lower()] = list(grants)
 
-    def _entry(self, name: str) -> _UserEntry:
+    def _entry(self, name: str) -> list[Grant]:
         key = name.lower()
         if key not in self._users:
             raise PermissionDenied(f"role {name!r} does not exist")
@@ -118,11 +102,11 @@ class PrivilegeManager:
             raise PermissionDenied(f"unknown privilege action {action!r}")
         with self.mutex:
             self.create_user(user)
-            entry = self._entry(user)
+            grants = self._entry(user)
             cols = frozenset(c.lower() for c in columns) if columns else None
             grant = Grant(action, obj.lower(), cols)
-            if grant not in entry.grants:
-                entry.grants.append(grant)
+            if grant not in grants:
+                grants.append(grant)
 
     def revoke(
         self,
@@ -131,41 +115,34 @@ class PrivilegeManager:
         obj: str,
         columns: list[str] | None = None,
     ) -> None:
-        """Revoke matching grants. Revoking an action removes both whole-object
-        and column-level grants for that (action, object)."""
+        """Revoke ``action`` on ``obj`` from ``user``. Without columns every
+        grant of that (action, object) goes, whole-object and column-level.
+        With columns, as in PostgreSQL, they leave each column-level grant
+        (one left with none goes); a whole-object grant stays."""
         action = action.upper()
         if action == "ALL":
             for each in ACTIONS:
                 self.revoke(user, each, obj, columns)
             return
         with self.mutex:
-            entry = self._entry(user)
+            grants = self._entry(user)
             obj_key = obj.lower()
-            if columns:
-                wanted = frozenset(c.lower() for c in columns)
-                entry.grants = [
-                    g
-                    for g in entry.grants
-                    if not (
-                        g.action == action
-                        and g.obj == obj_key
-                        and g.columns == wanted
-                    )
-                ]
-            else:
-                entry.grants = [
-                    g
-                    for g in entry.grants
-                    if not (g.action == action and g.obj == obj_key)
-                ]
+            wanted = frozenset(c.lower() for c in columns) if columns else None
+            kept = []
+            for g in grants:
+                if g.action != action or g.obj != obj_key:
+                    kept.append(g)
+                elif wanted is not None and g.columns is None:
+                    kept.append(g)
+                elif wanted is not None and g.columns - wanted:
+                    kept.append(Grant(action, obj_key, g.columns - wanted))
+            grants[:] = kept
 
     # -------------------------------------------------------------- checks
 
     def _grants_for(self, user: str) -> list[Grant]:
         with self.mutex:
-            grants = list(self._entry(user).grants)
-            grants.extend(self._users[PUBLIC].grants)
-            return grants
+            return self._entry(user) + self._users[PUBLIC]
 
     def allows(
         self,
@@ -175,20 +152,7 @@ class PrivilegeManager:
         columns: set[str] | None = None,
     ) -> bool:
         """Whether ``user`` may perform ``action`` on ``obj`` (over ``columns``)."""
-        if self.is_owner(user):
-            return True
-        if not self.has_user(user):
-            return False
-        action = action.upper()
-        obj_key = obj.lower()
-        for grant in self._grants_for(user):
-            if grant.action != action:
-                continue
-            if grant.obj not in (obj_key, ALL_OBJECTS):
-                continue
-            if grant.covers_columns(columns):
-                return True
-        return False
+        return _covers(self.column_restrictions(user, action, obj), columns)
 
     def check(
         self,
@@ -197,11 +161,15 @@ class PrivilegeManager:
         obj: str,
         columns: set[str] | None = None,
     ) -> None:
-        """Raise :class:`PermissionDenied` unless :meth:`allows`."""
-        if not self.allows(user, action, obj, columns):
+        """Raise :class:`PermissionDenied` unless :meth:`allows`; the error
+        names the refused access and what the grants do cover."""
+        granted = self.column_restrictions(user, action, obj)
+        if not _covers(granted, columns):
             detail = f" (columns: {', '.join(sorted(columns))})" if columns else ""
             raise PermissionDenied(
-                f"permission denied for user {user!r}: {action} on {obj}{detail}"
+                f"permission denied for user {user!r}: {action} on {obj}{detail}",
+                access=(action, obj, columns),
+                granted=granted,
             )
 
     def actions_on(self, user: str, obj: str) -> set[str]:
@@ -218,28 +186,40 @@ class PrivilegeManager:
         return actions
 
     def column_restrictions(self, user: str, action: str, obj: str) -> frozenset[str] | None:
-        """Column set the user's ``action`` grant is limited to, or ``None``.
+        """What ``user``'s ``action`` grants on ``obj`` cover — the one
+        coverage rule, read by :meth:`allows` and :meth:`check` too.
 
-        Returns ``None`` when the user holds a whole-object grant (or is the
-        owner); otherwise the union of granted column sets.
+        ``None`` when the user holds a whole-object grant (or is the
+        owner); otherwise the union of the user's and PUBLIC's granted
+        column sets, as in PostgreSQL, which is empty when nothing is
+        granted.
         """
         if self.is_owner(user):
             return None
+        if not self.has_user(user):
+            return frozenset()
         action = action.upper()
         obj_key = obj.lower()
         columns: set[str] = set()
-        saw_column_grant = False
         for grant in self._grants_for(user):
             if grant.action != action or grant.obj not in (obj_key, ALL_OBJECTS):
                 continue
             if grant.columns is None:
                 return None
-            saw_column_grant = True
             columns |= grant.columns
-        if saw_column_grant:
-            return frozenset(columns)
-        return frozenset()  # no grant at all -> empty column set
+        return frozenset(columns)
 
     def accessible_objects(self, user: str, objects: list[str]) -> list[str]:
         """Filter ``objects`` to those on which ``user`` holds any action."""
         return [o for o in objects if self.actions_on(user, o)]
+
+
+def _covers(granted: frozenset[str] | None, columns: set[str] | None) -> bool:
+    """Whether an access to ``columns`` (``None``: the whole object) lies
+    inside ``granted``, an answer of
+    :meth:`PrivilegeManager.column_restrictions`."""
+    if granted is None:
+        return True
+    if not granted or columns is None:
+        return False
+    return {c.lower() for c in columns} <= granted

@@ -42,6 +42,12 @@ everything else reads its slots. Constructing the
 ``UnknownColumnError`` anywhere but there and in ``minidb/catalog.py``
 (a named column of a known table), is a finding.
 
+Privileges have one rule, the database's. The verifier's own walk of the
+grants drifted from it (a column grant split in two passed one and failed
+the other), so ``repro.core.verification`` asks for the database's verdict
+(``DatabaseBinding.authorize``): a ``user_actions_on`` or
+``user_column_restrictions`` call there is a finding.
+
 Tests may call the primitives directly — they pin the primitives' own
 behaviour and live outside ``src/repro/``.
 """
@@ -84,6 +90,10 @@ PLAN_ENTRIES = frozenset(
 #: the one function that compiles batch kernels, for every plan that runs
 COMPILE_SITE = (EXECUTOR_PATH, "Executor._prepare")
 
+#: the verifier asks for the database's verdict; it walks no grants
+VERIFIER_PATH = "src/repro/core/verification.py"
+GRANT_WALKS = frozenset({"user_actions_on", "user_column_restrictions"})
+
 #: the heap reads of a scan, and the one function that makes them
 SCAN_READS = frozenset({"cut", "fetch_batch"})
 SCAN_SITE = (EXECUTOR_PATH, "Executor._batches")
@@ -118,7 +128,8 @@ class PlannerSeamChecker(Checker):
         "and EXPLAIN only; kernels are compiled in Executor._prepare only; "
         "heaps are cut / fetched for a scan in Executor._batches only; "
         "names are resolved (NameResolver, "
-        "UnknownColumnError) in minidb/analysis.py only"
+        "UnknownColumnError) in minidb/analysis.py only; "
+        "the verifier walks no grants"
     )
 
     def check(self, module: ModuleSource) -> Iterator[Finding]:
@@ -166,6 +177,14 @@ class PlannerSeamChecker(Checker):
                         f"{name}() outside Executor._batches reads the heap "
                         "a second way — scan through the planned source "
                         "(Executor._scan)",
+                    )
+                elif name in GRANT_WALKS and path == VERIFIER_PATH:
+                    yield module.finding(
+                        self.name,
+                        node,
+                        f"{name}() in the verifier copies the privilege rule "
+                        "— ask the database for its verdict "
+                        "(DatabaseBinding.authorize)",
                     )
                 elif name == "NameResolver" and path != BINDER_PATH:
                     yield module.finding(

@@ -6,6 +6,7 @@ from repro.core import MinidbBinding, similarity, top_k
 from repro.core.interfaces import (
     AccessFootprint,
     DatabaseBinding,
+    Denial,
     ObjectInfo,
     SqlOutcome,
 )
@@ -107,6 +108,16 @@ class ToyBinding(DatabaseBinding):
     def distinct_values(self, table, column, limit):
         return [1, 2]
 
+    def authorize(self, footprint):
+        # the toy's own rule: SELECT on t, and on column a of c
+        for action, obj, columns in footprint.accesses:
+            if (action, obj) == ("SELECT", "c"):
+                if columns is None or not columns <= {"a"}:
+                    return Denial(action, obj, columns, frozenset({"a"}))
+            elif (action, obj) != ("SELECT", "t"):
+                return Denial(action, obj, columns, frozenset())
+        return None
+
     def user_actions_on(self, obj):
         return {"SELECT"} if obj == "t" else set()
 
@@ -134,6 +145,38 @@ class TestDatabaseAgnosticism:
         assert "CREATE TABLE t" in out
         result = bridge.invoke("select", sql="SELECT a FROM t")
         assert not result.is_error
+
+    @pytest.mark.parametrize(
+        "access,message",
+        [
+            (("SELECT", "t", None), None),
+            (("SELECT", "c", frozenset({"a"})), None),
+            (("SELECT", "u", None), "permission denied: SELECT on u for user 'toy'"),
+            (
+                ("SELECT", "c", frozenset({"a", "b"})),
+                "permission denied: SELECT on c columns (b)",
+            ),
+            (
+                ("SELECT", "c", None),
+                "permission denied: whole-object SELECT on c exceeds the "
+                "column-level grant",
+            ),
+        ],
+    )
+    def test_the_bindings_verdict_drives_the_verifier(self, access, message):
+        """The verifier holds no privilege rule: the toy's ``authorize``
+        alone decides, and the refusal reads as the tool's message."""
+        from repro.core import SecurityPolicy, SecurityViolation, SqlVerifier
+
+        binding = ToyBinding()
+        binding.analyze_sql = lambda sql: AccessFootprint("SELECT", [access])
+        verifier = SqlVerifier(binding, SecurityPolicy.permissive())
+        if message is None:
+            verifier.verify("SELECT a FROM t", "SELECT")
+            return
+        with pytest.raises(SecurityViolation) as refused:
+            verifier.verify("SELECT a FROM t", "SELECT")
+        assert refused.value.message == message
 
 
 class TestMinidbBinding:

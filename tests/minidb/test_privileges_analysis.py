@@ -3,6 +3,7 @@
 import pytest
 
 from repro.minidb import Database, PermissionDenied, analyze, parse
+from repro.minidb.errors import UnknownColumnError
 from repro.minidb.privileges import PrivilegeManager
 
 
@@ -87,6 +88,42 @@ class TestPrivilegeManagerUnit:
         assert pm.column_restrictions("u", "SELECT", "t") == {"a", "b"}
         pm.grant("u", "SELECT", "t")
         assert pm.column_restrictions("u", "SELECT", "t") is None
+
+    def test_column_grants_cover_by_their_union(self):
+        """As in PostgreSQL: two column grants, or one of the user's and
+        one of PUBLIC's, together allow what each alone does not."""
+        pm = PrivilegeManager("root")
+        pm.grant("u", "SELECT", "t", columns=["a"])
+        pm.grant("public", "SELECT", "t", columns=["b"])
+        assert pm.allows("u", "SELECT", "t", {"a", "b"})
+        assert not pm.allows("u", "SELECT", "t", {"a", "c"})
+        assert not pm.allows("u", "SELECT", "t", None)
+        pm.check("u", "SELECT", "t", {"a", "b"})
+
+    def test_check_names_the_refused_access(self):
+        pm = PrivilegeManager("root")
+        pm.grant("u", "UPDATE", "t", columns=["a"])
+        with pytest.raises(PermissionDenied) as denied:
+            pm.check("u", "UPDATE", "t", {"a", "b"})
+        assert denied.value.access == ("UPDATE", "t", {"a", "b"})
+        assert denied.value.granted == {"a"}
+        with pytest.raises(PermissionDenied) as denied:
+            pm.check("u", "CREATE", "*")
+        assert denied.value.access == ("CREATE", "*", None)
+        assert denied.value.granted == frozenset()
+
+    def test_column_revoke_takes_the_named_columns(self):
+        pm = PrivilegeManager("root")
+        pm.grant("u", "SELECT", "t", columns=["a", "b"])
+        pm.grant("u", "SELECT", "t", columns=["a"])
+        pm.revoke("u", "SELECT", "t", columns=["a"])
+        assert pm.column_restrictions("u", "SELECT", "t") == {"b"}
+        pm.revoke("u", "SELECT", "t", columns=["b"])
+        assert pm.grants_of("u") == []
+        # a whole-object grant is not a column grant: it stays
+        pm.grant("u", "SELECT", "t")
+        pm.revoke("u", "SELECT", "t", columns=["a"])
+        assert pm.allows("u", "SELECT", "t", {"a"})
 
     def test_actions_on(self):
         pm = PrivilegeManager("root")
@@ -197,6 +234,48 @@ class TestDatabaseEnforcement:
         with pytest.raises(PermissionDenied) as denied:
             clerk.execute(sql)
         assert denied.value.code == "42501" and "pay" in str(denied.value)
+
+
+class TestColumnGrantChanges:
+    def test_column_revoke_takes_the_named_columns(self, tmp_path):
+        """``REVOKE SELECT (who)`` after ``GRANT SELECT (id, who)`` leaves
+        ``id`` only — live, and after the WAL is replayed (at the parent
+        the revoke matched no grant and ``who`` stayed readable)."""
+        path = str(tmp_path / "db")
+        db = Database.open(path)
+        admin = db.connect("admin")
+        admin.execute("CREATE TABLE salaries (id INT PRIMARY KEY, who TEXT)")
+        admin.execute("INSERT INTO salaries VALUES (1, 'alice')")
+        db.create_user("analyst")
+        admin.execute("GRANT SELECT (id, who) ON salaries TO analyst")
+        admin.execute("REVOKE SELECT (who) ON salaries FROM analyst")
+        for reopen in (False, True):
+            if reopen:
+                db.close()
+                db = Database.open(path)
+            analyst = db.connect("analyst")
+            assert analyst.execute("SELECT id FROM salaries").rows == [(1,)]
+            with pytest.raises(PermissionDenied):
+                analyst.execute("SELECT who FROM salaries")
+        db.close()
+
+    @pytest.mark.parametrize(
+        "grant",
+        [
+            "GRANT SELECT (nosuch) ON sales TO analyst",
+            "GRANT UPDATE (region, nosuch) ON sales TO analyst",
+            "GRANT SELECT (pay) ON v TO analyst",
+            "GRANT SELECT (id) ON v, sales TO analyst",
+        ],
+    )
+    def test_grant_on_a_missing_column_fails(self, db, admin, grant):
+        admin.execute("CREATE VIEW v AS SELECT region FROM sales")
+        with pytest.raises(UnknownColumnError) as refused:
+            admin.execute(grant)
+        assert refused.value.code == "42703"
+        assert db.privileges.grants_of("analyst") == []
+        admin.execute("GRANT SELECT (region) ON v, sales TO analyst")
+        assert len(db.privileges.grants_of("analyst")) == 2
 
 
 class TestStatementAnalysis:

@@ -815,6 +815,47 @@ def test_planner_seam_lets_the_binder_and_the_catalog_raise_name_errors():
     assert findings == []
 
 
+PLANNER_SEAM_VERIFIER_BAD = """\
+    class SqlVerifier:
+        def _check(self, footprint):
+            for action, obj, columns in footprint.accesses:
+                if action not in self.binding.user_actions_on(obj):
+                    raise SecurityViolation("permission denied")
+                held = self.binding.user_column_restrictions(action, obj)
+"""
+
+PLANNER_SEAM_VERIFIER_GOOD = """\
+    class SqlVerifier:
+        def _check(self, footprint):
+            denial = self.binding.authorize(footprint)
+            if denial is not None:
+                raise SecurityViolation("permission denied")
+"""
+
+
+def test_planner_seam_flags_a_grant_walk_in_the_verifier():
+    findings, _ = run_rule(
+        "planner-seam", PLANNER_SEAM_VERIFIER_BAD, rel_path="src/repro/core/verification.py"
+    )
+    assert sorted(f.message.split("()")[0] for f in findings) == [
+        "user_actions_on",
+        "user_column_restrictions",
+    ]
+    assert {f.context for f in findings} == {"SqlVerifier._check"}
+
+
+def test_planner_seam_lets_the_verifier_ask_for_the_verdict():
+    findings, _ = run_rule(
+        "planner-seam", PLANNER_SEAM_VERIFIER_GOOD, rel_path="src/repro/core/verification.py"
+    )
+    assert findings == []
+    # the tool-exposure code may still ask which actions a user holds
+    findings, _ = run_rule(
+        "planner-seam", PLANNER_SEAM_VERIFIER_BAD, rel_path="src/repro/core/execution.py"
+    )
+    assert findings == []
+
+
 def test_planner_seam_exempts_the_planner_and_code_outside_src():
     for rel_path in ("src/repro/minidb/planner.py", "tests/minidb/test_range_scans.py"):
         findings, _ = run_rule("planner-seam", PLANNER_SEAM_BAD, rel_path=rel_path)
