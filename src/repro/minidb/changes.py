@@ -61,7 +61,10 @@ version)`` fingerprints the catalog sidecars are keyed on.
 Privilege records (``grant`` / ``revoke`` / ``create_user``) are not
 transactional: their ops return no undo, and the database applies and
 appends them under one mutex (:meth:`Database.apply_grant
-<repro.minidb.database.Database.apply_grant>`).
+<repro.minidb.database.Database.apply_grant>`). Grants follow their
+object, as in PostgreSQL: ``drop_table`` / ``drop_view`` drop the
+object's grants, ``drop_column`` takes the column out of column grants,
+and the renames move them — each op's undo puts them back.
 """
 
 from __future__ import annotations
@@ -179,7 +182,14 @@ def _create_table(db: "Database", r: Record) -> Undo:
 
 
 def _drop_table(db: "Database", r: Record) -> Undo:
-    return _detach_table(db, r["table"])
+    reattach = _detach_table(db, r["table"])
+    regrant = db.privileges.follow_object(r["table"], None)
+
+    def undo() -> None:
+        regrant()
+        reattach()
+
+    return undo
 
 
 def _move_table(db: "Database", old: str, new: str) -> None:
@@ -190,7 +200,13 @@ def _move_table(db: "Database", old: str, new: str) -> None:
 def _rename_table(db: "Database", r: Record) -> Undo:
     old, new = r["old"], r["new"]
     _move_table(db, old, new)
-    return lambda: _move_table(db, new, old)
+    regrant = db.privileges.follow_object(old, new)
+
+    def undo() -> None:
+        regrant()
+        _move_table(db, new, old)
+
+    return undo
 
 
 # ---------------------------------------------------------------- columns
@@ -222,8 +238,10 @@ def _drop_column(db: "Database", r: Record) -> Undo:
     db.catalog.changed()
     values = heap.drop_column(column.name)
     _stamp(heap, r)
+    regrant = db.privileges.follow_column(r["table"], column.name, None)
 
     def undo() -> None:
+        regrant()
         schema.columns.insert(position, column)
         db.catalog.changed()
         heap.restore_column(column.name, values)
@@ -237,8 +255,10 @@ def _rename_column(db: "Database", r: Record) -> Undo:
     db.catalog.rename_column(table, old, new)
     heap.rename_column(old, new)
     _stamp(heap, r)
+    regrant = db.privileges.follow_column(table, old, new)
 
     def undo() -> None:
+        regrant()
         heap.rename_column(new, old)
         db.catalog.rename_column(table, new, old)
 
@@ -305,7 +325,13 @@ def _create_view(db: "Database", r: Record) -> Undo:
 
 def _drop_view(db: "Database", r: Record) -> Undo:
     view = db.catalog.remove_view(r["view"])
-    return lambda: db.catalog.add_view(view)
+    regrant = db.privileges.follow_object(r["view"], None)
+
+    def undo() -> None:
+        regrant()
+        db.catalog.add_view(view)
+
+    return undo
 
 
 # ------------------------------------------------------------- statistics

@@ -218,6 +218,13 @@ class Session:
             return ResultSet(status=f"RELEASE {stmt.name}")
 
         if isinstance(stmt, (ast.GrantStatement, ast.RevokeStatement)):
+            if self.tx.in_transaction and self.tx.current.undo_log:
+                # a privilege change reaches the WAL at once, the block's
+                # changes at COMMIT: replay would run a DROP or RENAME the
+                # block made before the grant after it
+                raise TransactionError(
+                    "GRANT and REVOKE cannot follow changes in a transaction block"
+                )
             # privilege mutations run inside the statement-admission
             # window so a deferred checkpoint never snapshots them
             # half-applied (the WAL append and the _users mutation must

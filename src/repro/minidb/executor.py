@@ -1365,7 +1365,7 @@ class Executor:
             star = bool(agg.args) and isinstance(agg.args[0], ast.Star)
             if agg.name == "COUNT" and (star or not agg.args):
                 agg_plans.append(("count", None))
-            elif not agg.args:
+            elif not agg.args or star:
                 agg_plans.append(("malformed", None))
             else:
                 values = self._compile(agg.args[0], names, evaluator)(relation)
@@ -1400,7 +1400,9 @@ class Executor:
                     for _ in members:
                         acc.add(1)
                 elif kind == "malformed":
-                    raise ExecutionError(f"{agg.name}() requires an argument")
+                    raise ExecutionError(
+                        f"{agg.name}() requires an argument; only COUNT takes *"
+                    )
                 else:
                     for i in members:
                         v = payload[i]

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
+from typing import Callable
 
 from .errors import PermissionDenied
 
@@ -137,6 +138,63 @@ class PrivilegeManager:
                 elif wanted is not None and g.columns - wanted:
                     kept.append(Grant(action, obj_key, g.columns - wanted))
             grants[:] = kept
+
+    # --------------------------------------------- grants follow their object
+
+    def follow_object(self, obj: str, new: str | None) -> Callable[[], None]:
+        """Carry every grant on ``obj`` to ``new`` (a renamed table), or
+        with ``new=None`` drop them (a dropped table or view)."""
+        key = obj.lower()
+        if new is None:
+            return self._rewrite(lambda g: None if g.obj == key else g)
+        new_key = new.lower()
+        return self._rewrite(
+            lambda g: Grant(g.action, new_key, g.columns) if g.obj == key else g
+        )
+
+    def follow_column(
+        self, obj: str, column: str, new: str | None
+    ) -> Callable[[], None]:
+        """Rename ``column`` to ``new`` in the column grants on ``obj``, or
+        with ``new=None`` take it out of them (a grant left with no column
+        goes)."""
+        key, col = obj.lower(), column.lower()
+        added = frozenset() if new is None else frozenset({new.lower()})
+
+        def change(g: Grant) -> Grant | None:
+            if g.obj != key or g.columns is None or col not in g.columns:
+                return g
+            rest = g.columns - {col} | added
+            return Grant(g.action, key, rest) if rest else None
+
+        return self._rewrite(change)
+
+    def _rewrite(self, change: Callable[[Grant], Grant | None]) -> Callable[[], None]:
+        """Replace each grant ``g`` of every user by ``change(g)``
+        (``None`` drops it); returns the closure that puts back exactly
+        the grants it replaced, in their places."""
+        edits: list[tuple[list[Grant], int, Grant, Grant | None]] = []
+        with self.mutex:
+            for grants in self._users.values():
+                kept = []
+                for position, grant in enumerate(grants):
+                    new = change(grant)
+                    if new is not grant:
+                        edits.append((grants, position, grant, new))
+                    if new is not None:
+                        kept.append(new)
+                grants[:] = kept
+
+        def undo() -> None:
+            # in order: each reinsertion finds the grants before it back
+            with self.mutex:
+                for grants, position, old, new in edits:
+                    if new is None:
+                        grants.insert(position, old)
+                    else:
+                        grants[:] = [old if g is new else g for g in grants]
+
+        return undo
 
     # -------------------------------------------------------------- checks
 

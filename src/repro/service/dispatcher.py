@@ -27,6 +27,13 @@ Workers pull a token, run exactly one request, then requeue the token if
 more arrived meanwhile — O(1) per hand-off, no scanning, and fair across
 sessions (round-robin through the ready queue).
 
+Each hand-off wakes its sleeper with one lock release: the ready queue is
+a C ``queue.SimpleQueue``, and a :class:`PendingResult` parks its waiters
+on one bare lock. (``queue.Queue`` and ``threading.Event`` wait on a
+Python ``Condition``: a fresh waiter lock per wait and a second acquire
+after the wake-up.) Only admission, which rarely blocks, waits on a
+``Condition``.
+
 ``Dispatcher(workers=1)`` runs one request at a time: the serialized
 baseline the concurrency benchmark compares against.
 """
@@ -53,28 +60,37 @@ class ServiceOverloaded(Exception):
 
 
 class PendingResult:
-    """Future for one submitted request."""
+    """Future for one submitted request.
+
+    Waiters park on one bare lock, held from creation until the request
+    resolves: ``_resolve`` releases it once, and each ``result`` call
+    acquires it and releases it again for the next waiter.
+    """
 
     def __init__(self, session_token: str, call: ToolCall):
         self.session_token = session_token
         self.call = call
-        self._done = threading.Event()
+        #: submit time: the latency histogram runs from here
+        self.submitted = time.perf_counter()
         self._result: ToolResult | None = None
+        self._parked = threading.Lock()
+        self._parked.acquire()
 
     def done(self) -> bool:
-        return self._done.is_set()
+        return self._result is not None
 
     def result(self, timeout: float | None = None) -> ToolResult:
-        if not self._done.wait(timeout):
+        if not self._parked.acquire(timeout=-1 if timeout is None else timeout):
             raise TimeoutError(
                 f"request {self.call.tool!r} not finished within {timeout}s"
             )
+        self._parked.release()
         assert self._result is not None
         return self._result
 
     def _resolve(self, result: ToolResult) -> None:
         self._result = result
-        self._done.set()
+        self._parked.release()
 
 
 def _default_handler(session: ServiceSession, call: ToolCall) -> ToolResult:
@@ -138,7 +154,7 @@ class Dispatcher:
         #: guarded by self._mutex
         self._pending: dict[str, deque[tuple[PendingResult, ServiceSession]]] = {}
         #: sessions with pending work and no active worker
-        self._ready: "queue.Queue[str | None]" = queue.Queue()
+        self._ready: "queue.SimpleQueue[str | None]" = queue.SimpleQueue()
         self._queued = 0  #: guarded by self._mutex
         self._closed = False  #: guarded by self._mutex
         self._workers = [
@@ -216,12 +232,11 @@ class Dispatcher:
                     self._pending.pop(token, None)
                     continue
                 request, session = bucket.popleft()
-            started = time.perf_counter()
             try:
                 result = _mark_retryable(self.handler(session, request.call))
             except BaseException as exc:  # staticcheck: ignore[broad-except] — worker must survive anything the handler raises; _error_result folds it into an error ToolResult for the waiting client
                 result = _error_result(exc)
-            latency = time.perf_counter() - started
+            latency = time.perf_counter() - request.submitted
             with self._space:
                 bucket = self._pending.get(token)
                 if bucket:

@@ -29,8 +29,10 @@ Design points, in the order they matter:
   :class:`~repro.minidb.errors.LockTimeoutError` is also retryable.
 
 Owners are opaque hashable tokens — the service layer passes the minidb
-``Session`` object itself. All state is guarded by one mutex; waiting
-happens on per-waiter events outside it.
+``Session`` object itself. All state is guarded by one mutex. A blocked
+acquire sleeps outside it on its waiter's own bare lock, held from the
+moment it queues: the grant, or the first mark as deadlock victim,
+releases that lock exactly once, so one wake-up costs one release.
 """
 
 from __future__ import annotations
@@ -49,12 +51,15 @@ _ticket = itertools.count(1)
 
 
 class _Waiter:
-    __slots__ = ("owner", "mode", "event", "granted", "victim", "ticket")
+    __slots__ = ("owner", "mode", "parked", "granted", "victim", "ticket")
 
     def __init__(self, owner: Hashable, mode: str):
         self.owner = owner
         self.mode = mode
-        self.event = threading.Event()
+        #: held until the waiter is granted or first marked victim; that
+        #: one release wakes the sleeping acquire()
+        self.parked = threading.Lock()
+        self.parked.acquire()
         self.granted = False
         self.victim = False
         #: global arrival order — used to pick the youngest cycle member
@@ -146,8 +151,8 @@ class LockManager:
                     f"deadlock detected while waiting for {mode} lock on "
                     f"{table!r}; transaction aborted, retry it"
                 )
-        # wait outside the mutex
-        if not waiter.event.wait(deadline):
+        # wait outside the mutex (-1: the lock's "no timeout")
+        if not waiter.parked.acquire(timeout=-1 if deadline is None else deadline):
             with self._mutex:
                 if not waiter.granted:  # lost the race with a late grant
                     self._abandon_wait(key, lock, waiter)
@@ -242,7 +247,7 @@ class LockManager:
             lock.queue.pop(0)
             self._grant(lock, key, waiter.owner, waiter.mode)
             waiter.granted = True
-            waiter.event.set()
+            waiter.parked.release()
         # same identity check as _discard_waiter: never pop a live lock
         # that replaced this (possibly stale) object under the same key
         if lock.idle() and self._tables.get(key) is lock:
@@ -295,10 +300,12 @@ class LockManager:
     def _mark_victim(self, owner: Hashable, wake: bool) -> None:
         for lock in self._tables.values():
             for waiter in lock.queue:
-                if waiter.owner == owner:
+                # a victim not yet awake is found again by the next
+                # search: its lock is released once, on the first mark
+                if waiter.owner == owner and not waiter.victim:
                     waiter.victim = True
                     if wake:
-                        waiter.event.set()
+                        waiter.parked.release()
 
     #: requires self._mutex
     def _youngest(self, cycle: Iterable[Hashable]) -> Hashable:

@@ -1024,6 +1024,15 @@ class TestOrderByResolution:
         assert rows == [(8,), (7,)]
         assert stats["topn_limits"] == before + 1
 
+    @pytest.mark.parametrize("sql", [
+        "SELECT SUM(*) FROM t",
+        "SELECT a FROM t UNION SELECT MAX(*) FROM t",
+    ])
+    def test_only_count_takes_a_star(self, s, sql):
+        # a KeyError out of the kernel lookup before the fix
+        with pytest.raises(ExecutionError, match="only COUNT takes"):
+            s.execute(sql)
+
     def test_grouped_and_distinct_keys(self, s):
         s.execute("INSERT INTO t VALUES (4, 1, 'x'), (5, 3, 'y')")
         assert s.execute(

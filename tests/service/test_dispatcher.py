@@ -58,6 +58,63 @@ class TestExecution:
         dispatcher.close()
 
 
+class TestFuture:
+    """A PendingResult parks its waiters on one bare lock: each waiter
+    must pass it on, and a timed-out wait must leave it usable."""
+
+    @pytest.fixture
+    def gated(self, manager):
+        gate = threading.Event()
+
+        def handler(session, call):
+            gate.wait(10.0)
+            return ToolResult.ok("done")
+
+        dispatcher = Dispatcher(manager, workers=1, handler=handler)
+        token = manager.create_session("admin").token
+        yield dispatcher, token, gate
+        gate.set()
+        dispatcher.close()
+
+    def test_timeout_then_a_later_call_succeeds(self, gated):
+        dispatcher, token, gate = gated
+        future = dispatcher.submit(token, ToolCall("noop", {}))
+        with pytest.raises(TimeoutError):
+            future.result(timeout=0.05)
+        gate.set()
+        assert future.result(timeout=5.0).content == "done"
+
+    def test_every_call_and_every_waiter_gets_the_same_result(self, gated):
+        dispatcher, token, gate = gated
+        future = dispatcher.submit(token, ToolCall("noop", {}))
+        seen = []
+        waiters = [
+            threading.Thread(
+                target=lambda: seen.append(future.result(timeout=5.0)),
+                daemon=True,
+            )
+            for _ in range(2)
+        ]
+        for waiter in waiters:
+            waiter.start()
+        time.sleep(0.05)  # both parked before the resolve
+        gate.set()
+        for waiter in waiters:
+            waiter.join(timeout=10.0)
+        seen.append(future.result(timeout=1.0))
+        seen.append(future.result(timeout=1.0))
+        assert len(seen) == 4
+        assert all(result is seen[0] for result in seen)
+
+    def test_done_flips_when_resolved(self, gated):
+        dispatcher, token, gate = gated
+        future = dispatcher.submit(token, ToolCall("noop", {}))
+        assert not future.done()
+        gate.set()
+        future.result(timeout=5.0)
+        assert future.done()
+
+
 class TestOrdering:
     def test_per_session_fifo(self, manager):
         """One session's requests execute in submission order even with
@@ -165,6 +222,38 @@ class TestMetrics:
         assert snapshot["p95_latency_s"] >= snapshot["p50_latency_s"]
         assert "deadlocks" in snapshot and "lock_waits" in snapshot
         dispatcher.close()
+
+    def test_latency_runs_from_submit(self, manager):
+        """``service_request_latency_seconds`` is submit to completion:
+        a request queued behind a slow one of its session records its
+        wait in the queue too."""
+        gate = threading.Event()
+
+        def handler(session, call):
+            if call.args["n"] == 0:
+                gate.wait(10.0)
+            return ToolResult.ok("done")
+
+        dispatcher = Dispatcher(manager, workers=2, handler=handler)
+        recorded = []
+        record_completed = dispatcher.metrics.record_completed
+
+        def record(latency_s, *args, **kwargs):
+            recorded.append(latency_s)
+            record_completed(latency_s, *args, **kwargs)
+
+        dispatcher.metrics.record_completed = record
+        token = manager.create_session("admin").token
+        dispatcher.submit(token, ToolCall("noop", {"n": 0}))
+        submitted = time.perf_counter()
+        queued = dispatcher.submit(token, ToolCall("noop", {"n": 1}))
+        time.sleep(0.1)
+        waited = time.perf_counter() - submitted
+        gate.set()
+        queued.result(timeout=5.0)
+        dispatcher.close()
+        assert len(recorded) == 2
+        assert recorded[1] >= waited
 
 
 class TestOneWorker:

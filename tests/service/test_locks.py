@@ -15,6 +15,14 @@ def spawn(fn, *args):
     return thread
 
 
+def queued(lm, count, within_s=5.0):
+    """Wait until ``count`` requests sit in ``lm``'s queues."""
+    deadline = time.monotonic() + within_s
+    while lm.waiting_count() < count:
+        assert time.monotonic() < deadline, "waiters never queued"
+        time.sleep(0.005)
+
+
 class TestCompatibility:
     def test_shared_locks_coexist(self):
         lm = LockManager()
@@ -243,6 +251,84 @@ class TestDeadlock:
         lm.release_all("a")
         lm.release_all("b")
         assert follower_done.wait(timeout=5.0)
+
+
+class TestParking:
+    """A waiter sleeps on one bare lock that is released exactly once: by
+    its grant, or by the first mark as deadlock victim."""
+
+    def test_victim_found_by_two_searches_is_woken_once(self):
+        lm = LockManager(timeout_s=10.0)
+        lm.acquire("a", "t1", EXCLUSIVE)
+        lm.acquire("b", "t2", EXCLUSIVE)
+        outcomes = {}
+
+        def cross(name, table):
+            try:
+                lm.acquire(name, table, EXCLUSIVE)
+                outcomes[name] = "granted"
+            except DeadlockError:
+                outcomes[name] = "deadlock"
+            lm.release_all(name)
+
+        # both park in the cycle unseen: no search while they queue
+        lm._abort_deadlock_victims = lambda requester: None
+        threads = [spawn(cross, "a", "t2")]
+        queued(lm, 1)
+        threads.append(spawn(cross, "b", "t1"))
+        queued(lm, 2)
+        del lm._abort_deadlock_victims
+        with lm._mutex:
+            # two later requesters' searches, before the victim wakes
+            lm._abort_deadlock_victims(requester="c")
+            lm._abort_deadlock_victims(requester="d")
+        for thread in threads:
+            thread.join(timeout=5.0)
+        assert outcomes == {"a": "granted", "b": "deadlock"}  # b: youngest
+        assert lm.stats["deadlocks"] == 1
+
+    def test_timeout_racing_a_late_grant_returns_granted(self):
+        lm = LockManager(timeout_s=0.05)
+        lm.acquire("a", "t", EXCLUSIVE)
+        outcome = {}
+
+        def wait_for_b():
+            try:
+                lm.acquire("b", "t", EXCLUSIVE)
+                outcome["b"] = "granted"
+            except LockTimeoutError:
+                outcome["b"] = "timeout"
+
+        thread = spawn(wait_for_b)
+        queued(lm, 1)
+        with lm._mutex:
+            time.sleep(0.2)  # b's wait times out; it now needs the mutex
+            lock = lm._tables["t"]
+            del lock.holders["a"]
+            del lm._held["a"]
+            lm._promote("t", lock)  # the grant lands before b looks
+        thread.join(timeout=5.0)
+        assert outcome == {"b": "granted"}
+        assert lm.held_by("b") == {"t": "X"}
+
+    def test_no_timeout_waits_until_granted(self):
+        lm = LockManager(timeout_s=None)
+        lm.acquire("a", "t", EXCLUSIVE)
+        outcome = {}
+
+        def wait_for_b():
+            try:
+                lm.acquire("b", "t", SHARED)
+                outcome["b"] = "granted"
+            except Exception as exc:  # recorded for the assertion below
+                outcome["b"] = exc
+
+        thread = spawn(wait_for_b)
+        queued(lm, 1)
+        time.sleep(0.05)  # b is asleep, not just queued
+        lm.release_all("a")
+        thread.join(timeout=5.0)
+        assert outcome == {"b": "granted"}
 
 
 class TestTimeout:
