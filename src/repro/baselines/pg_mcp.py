@@ -79,8 +79,9 @@ class PGMCPMinus(PGMCP):
 
     name = "pg-mcp-minus"
 
-    def visible_tools(self):
-        return [spec for spec in super().visible_tools() if spec.name == "execute_sql"]
+    def __init__(self, binding: DatabaseBinding):
+        super().__init__(binding)
+        self.unregister("get_schema")
 
 
 def make_sampled_binding(

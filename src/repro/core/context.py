@@ -52,11 +52,12 @@ class ContextTools(ToolServer):
             if self.config.policy.permits_object(name)
         ]
 
-    def _privilege_annotation(self, name: str) -> str:
-        actions = sorted(self.binding.user_actions_on(name))
-        if not actions:
+    def _privilege_annotation(self, name: str, every: frozenset[str]) -> str:
+        held = self.binding.user_actions_on(name)
+        if not held:
             return "-- Access: False"
-        if set(actions) >= set(self.binding.all_actions()):
+        actions = sorted(held)
+        if held >= every:
             header = "-- Access: True, Privileges: ALL"
         else:
             header = f"-- Access: True, Privileges: {', '.join(actions)}"
@@ -69,8 +70,10 @@ class ContextTools(ToolServer):
             header += "\n-- " + "; ".join(restrictions)
         return header
 
-    def _render_object(self, info: ObjectInfo) -> str:
-        annotation = self._privilege_annotation(info.name)
+    def _render_object(self, info: ObjectInfo, every: frozenset[str]) -> str:
+        """``info`` under its privilege annotation; ``every`` is the
+        binding's whole action vocabulary (held entire, it reads ALL)."""
+        annotation = self._privilege_annotation(info.name, every)
         body = info.ddl if info.ddl else f"{info.kind.upper()} {info.name}"
         extras = []
         if info.indexes:
@@ -90,9 +93,10 @@ class ContextTools(ToolServer):
     )
     def get_schema(self) -> str:
         names = self.permitted_objects()
+        every = frozenset(self.binding.all_actions())
         if len(names) <= self.config.schema_detail_threshold:
             blocks = [
-                self._render_object(self.binding.object_info(name))
+                self._render_object(self.binding.object_info(name), every)
                 for name in names
             ]
             if not blocks:
@@ -103,13 +107,13 @@ class ContextTools(ToolServer):
             "(call get_object(name) for details)"
         ]
         for name in names:
-            actions = sorted(self.binding.user_actions_on(name))
-            if not actions:
+            held = self.binding.user_actions_on(name)
+            if not held:
                 access = "NONE"
-            elif set(actions) >= set(self.binding.all_actions()):
+            elif held >= every:
                 access = "ALL"
             else:
-                access = ", ".join(actions)
+                access = ", ".join(sorted(held))
             lines.append(f"{name}  [privileges: {access}]")
         return "\n".join(lines)
 
@@ -130,7 +134,9 @@ class ContextTools(ToolServer):
         known = {n.lower() for n in self.binding.list_objects()}
         if name.lower() not in known:
             return f"ERROR: object {name!r} does not exist"
-        return self._render_object(self.binding.object_info(name))
+        return self._render_object(
+            self.binding.object_info(name), frozenset(self.binding.all_actions())
+        )
 
     @tool(
         description=(

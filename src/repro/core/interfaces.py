@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass, field
-from typing import Any
+from typing import AbstractSet, Any
 
 from ..mcp import Columns
 
@@ -127,8 +127,9 @@ class DatabaseBinding(abc.ABC):
         verifier asks for it rather than walking grants itself."""
 
     @abc.abstractmethod
-    def user_actions_on(self, obj: str) -> set[str]:
-        """Actions the bound user holds on ``obj`` (database-side)."""
+    def user_actions_on(self, obj: str) -> AbstractSet[str]:
+        """Actions the bound user holds on ``obj`` (database-side); callers
+        must not change the set (a binding may hand out a shared one)."""
 
     @abc.abstractmethod
     def user_column_restrictions(self, action: str, obj: str) -> frozenset[str] | None:

@@ -10,6 +10,7 @@ from ..mcp import Columns
 from ..minidb import Database, Session, analyze, parse
 from ..minidb.analysis import ObjectAccess, StatementAnalysis
 from ..minidb.errors import DeadlockError, LockTimeoutError, PermissionDenied
+from ..minidb.privileges import ACTIONS
 from .interfaces import AccessFootprint, DatabaseBinding, Denial, ObjectInfo, SqlOutcome
 
 
@@ -212,7 +213,7 @@ class MinidbBinding(DatabaseBinding):
             return Denial(*denied.access, denied.granted)
         return None
 
-    def user_actions_on(self, obj: str) -> set[str]:
+    def user_actions_on(self, obj: str) -> frozenset[str]:
         return self.session.db.privileges.actions_on(self.session.user, obj)
 
     def user_column_restrictions(self, action: str, obj: str) -> frozenset[str] | None:
@@ -221,8 +222,6 @@ class MinidbBinding(DatabaseBinding):
         )
 
     def all_actions(self) -> tuple[str, ...]:
-        from ..minidb.privileges import ACTIONS
-
         return ACTIONS
 
     # -------------------------------------------------------- transactions

@@ -38,7 +38,7 @@ class ToolRegistry:
         return [spec.name for spec in self.visible_tools()]
 
     def has_tool(self, name: str) -> bool:
-        return name in self.tool_names()
+        return any(server.has_tool(name) for server in self.servers)
 
     def owner_of(self, name: str) -> ToolServer:
         for server in self.servers:

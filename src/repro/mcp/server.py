@@ -55,9 +55,11 @@ def _infer_params(fn: Callable) -> list[ParamSpec]:
 class ToolServer:
     """Base class: collects ``@tool``-decorated methods into a tool table.
 
-    Subclasses may also register tools dynamically with :meth:`register`,
-    and restrict visibility by overriding :meth:`visible_tools` (this is how
-    BridgeScope exposes only privilege-compatible tools).
+    Visibility is registration: a tool is listed, found and callable
+    exactly when it is in the table. Subclasses add tools with
+    :meth:`register` (this is how BridgeScope exposes only
+    privilege-compatible tools) and withdraw one with :meth:`unregister`;
+    :meth:`has_tool` and :meth:`spec` are lookups in the table.
     """
 
     name = "server"
@@ -101,17 +103,17 @@ class ToolServer:
         self._tools = renamed
 
     def visible_tools(self) -> list[ToolSpec]:
-        """Tool specs exposed to the caller; subclasses may filter."""
+        """Tool specs exposed to the caller, in registration order."""
         return [spec for spec, _ in self._tools.values()]
 
     def has_tool(self, name: str) -> bool:
-        return any(spec.name == name for spec in self.visible_tools())
+        return name in self._tools
 
     def spec(self, name: str) -> ToolSpec:
-        for candidate in self.visible_tools():
-            if candidate.name == name:
-                return candidate
-        raise ToolNotFoundError(name, [s.name for s in self.visible_tools()])
+        entry = self._tools.get(name)
+        if entry is None:
+            raise ToolNotFoundError(name, list(self._tools))
+        return entry[0]
 
     # ------------------------------------------------------------- calling
 

@@ -39,7 +39,7 @@ from .errors import (
 )
 from .executor import Executor
 from .parser import parse, parse_cache_stats, parse_script
-from .privileges import PrivilegeManager
+from .privileges import ALL_OBJECTS, PrivilegeManager
 from .result import ResultSet
 from .storage import HeapTable
 from .transactions import StatementGuard, TransactionManager
@@ -231,6 +231,13 @@ class Session:
             # both land on the same side of the snapshot)
             self.db.statement_started()
             try:
+                for obj in stmt.objects:
+                    if obj != ALL_OBJECTS:
+                        # X on each named object: a change another session's
+                        # open DDL made to it (a DROP, a RENAME, which also
+                        # takes X on its new name) commits first, so the WAL
+                        # holds the two in the order they took effect
+                        self.lock_table(obj, "X")
                 if isinstance(stmt, ast.GrantStatement):
                     return self.db.apply_grant(self.user, stmt)
                 return self.db.apply_revoke(self.user, stmt)

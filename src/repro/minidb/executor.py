@@ -2049,6 +2049,9 @@ class Executor:
                 "new": stmt.new_name or "",
             }
         elif stmt.action == "RENAME_TABLE":
+            # the new name too: a GRANT or REVOKE naming it waits for this
+            # transaction, so replay meets the two in the order they ran
+            session.lock_table(stmt.new_name or "", "X")
             record = {
                 "op": "rename_table",
                 "old": schema.name,

@@ -13,19 +13,35 @@ Special users:
 DDL actions (CREATE/DROP/ALTER) are object-scoped like DML: granting
 ``DROP ON inventory`` lets the grantee drop that one table, while CREATE is
 granted on the pseudo-object ``*`` (database-wide).
+
+Every tool call asks the same questions again (the verifier's and the
+engine's ``Database.authorize``, ``get_schema``'s annotations), so
+:meth:`PrivilegeManager.actions_on` and
+:meth:`PrivilegeManager.column_restrictions` answer from a memo that holds
+for one *epoch*. Every change to users or grants bumps
+:attr:`PrivilegeManager.epoch` under the manager's mutex and starts an
+empty memo. A read takes no lock; a miss walks the grants and keeps its
+answer only when the epoch did not move during the walk, so an answer
+computed from grants a concurrent GRANT or REVOKE replaced is never kept.
 """
 
 from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
-from typing import Callable
+from typing import Any, Callable
 
 from .errors import PermissionDenied
 
 ACTIONS = ("SELECT", "INSERT", "UPDATE", "DELETE", "CREATE", "DROP", "ALTER")
 ALL_OBJECTS = "*"
 PUBLIC = "public"
+
+#: answers one epoch's memo keeps before it starts over, so a caller that
+#: asks about made-up names can fill it but never grow it
+MEMO_LIMIT = 2048
+
+_MISSING = object()
 
 
 @dataclass
@@ -50,12 +66,26 @@ class PrivilegeManager:
         #: ``ALL`` grants/revokes recurse per action. Public so the
         #: snapshot serializer can hold it across a whole dump.
         self.mutex = threading.RLock()
+        #: bumped, under ``mutex``, by every change to users or grants; read
+        #: without the lock by a memo miss, before and after its walk
+        self.epoch = 0
+        #: (user, action or None, object), lower-cased -> the answer of
+        #: :meth:`column_restrictions` (or, action ``None``,
+        #: :meth:`actions_on`) at ``epoch``; rebound, never cleared in place
+        self._memo: dict[tuple[str, str | None, str], Any] = {}
+
+    #: requires self.mutex
+    def _bump(self) -> None:
+        """Start a new epoch: every remembered answer is dropped."""
+        self.epoch += 1
+        self._memo = {}
 
     # ------------------------------------------------------------- users
 
     def create_user(self, name: str) -> None:
         with self.mutex:
             self._users.setdefault(name.lower(), [])
+            self._bump()
 
     def has_user(self, name: str) -> bool:
         return name.lower() in self._users
@@ -74,6 +104,7 @@ class PrivilegeManager:
         """Replace ``user``'s grant list wholesale (snapshot restore)."""
         with self.mutex:
             self._users[user.lower()] = list(grants)
+            self._bump()
 
     def _entry(self, name: str) -> list[Grant]:
         key = name.lower()
@@ -102,12 +133,12 @@ class PrivilegeManager:
         if action not in ACTIONS:
             raise PermissionDenied(f"unknown privilege action {action!r}")
         with self.mutex:
-            self.create_user(user)
-            grants = self._entry(user)
+            grants = self._users.setdefault(user.lower(), [])
             cols = frozenset(c.lower() for c in columns) if columns else None
             grant = Grant(action, obj.lower(), cols)
             if grant not in grants:
                 grants.append(grant)
+            self._bump()
 
     def revoke(
         self,
@@ -138,6 +169,7 @@ class PrivilegeManager:
                 elif wanted is not None and g.columns - wanted:
                     kept.append(Grant(action, obj_key, g.columns - wanted))
             grants[:] = kept
+            self._bump()
 
     # --------------------------------------------- grants follow their object
 
@@ -184,6 +216,7 @@ class PrivilegeManager:
                     if new is not None:
                         kept.append(new)
                 grants[:] = kept
+            self._bump()
 
         def undo() -> None:
             # in order: each reinsertion finds the grants before it back
@@ -193,6 +226,7 @@ class PrivilegeManager:
                         grants.insert(position, old)
                     else:
                         grants[:] = [old if g is new else g for g in grants]
+                self._bump()
 
         return undo
 
@@ -230,18 +264,13 @@ class PrivilegeManager:
                 granted=granted,
             )
 
-    def actions_on(self, user: str, obj: str) -> set[str]:
+    def actions_on(self, user: str, obj: str) -> frozenset[str]:
         """The set of actions ``user`` holds on ``obj`` (whole or partial)."""
-        if self.is_owner(user):
-            return set(ACTIONS)
-        if not self.has_user(user):
-            return set()
-        obj_key = obj.lower()
-        actions = set()
-        for grant in self._grants_for(user):
-            if grant.obj in (obj_key, ALL_OBJECTS):
-                actions.add(grant.action)
-        return actions
+        key = (user.lower(), None, obj.lower())
+        answer = self._memo.get(key, _MISSING)
+        if answer is _MISSING:
+            answer = self._remember(key, self._walk_actions)
+        return answer
 
     def column_restrictions(self, user: str, action: str, obj: str) -> frozenset[str] | None:
         """What ``user``'s ``action`` grants on ``obj`` cover — the one
@@ -252,15 +281,53 @@ class PrivilegeManager:
         column sets, as in PostgreSQL, which is empty when nothing is
         granted.
         """
+        key = (user.lower(), action.upper(), obj.lower())
+        answer = self._memo.get(key, _MISSING)
+        if answer is _MISSING:
+            answer = self._remember(key, self._walk_restrictions)
+        return answer
+
+    def _remember(
+        self,
+        key: tuple[str, str | None, str],
+        walk: Callable[[str, str | None, str], Any],
+    ) -> Any:
+        """``walk(*key)``, kept in the memo unless the epoch moved while it
+        ran (the walk may have read grants that are gone)."""
+        epoch = self.epoch
+        answer = walk(*key)
+        with self.mutex:
+            if self.epoch == epoch:
+                if len(self._memo) >= MEMO_LIMIT:
+                    self._memo = {}
+                self._memo[key] = answer
+        return answer
+
+    def _walk_actions(self, user: str, _: None, obj: str) -> frozenset[str]:
+        """:meth:`actions_on` from the grants themselves (lower-cased
+        arguments)."""
+        if self.is_owner(user):
+            return frozenset(ACTIONS)
+        if not self.has_user(user):
+            return frozenset()
+        return frozenset(
+            grant.action
+            for grant in self._grants_for(user)
+            if grant.obj in (obj, ALL_OBJECTS)
+        )
+
+    def _walk_restrictions(
+        self, user: str, action: str, obj: str
+    ) -> frozenset[str] | None:
+        """:meth:`column_restrictions` from the grants themselves
+        (lower-cased user and object, upper-cased action)."""
         if self.is_owner(user):
             return None
         if not self.has_user(user):
             return frozenset()
-        action = action.upper()
-        obj_key = obj.lower()
         columns: set[str] = set()
         for grant in self._grants_for(user):
-            if grant.action != action or grant.obj not in (obj_key, ALL_OBJECTS):
+            if grant.action != action or grant.obj not in (obj, ALL_OBJECTS):
                 continue
             if grant.columns is None:
                 return None

@@ -5,16 +5,21 @@ grants go with it, and a rename carries them to the new name, so a later
 object that reuses a name does not inherit them. Each probe is checked on
 the live database, after the directory is reopened (WAL replay, then a
 checkpoint), and under ``BEGIN … ROLLBACK``, which must give back exactly
-the grants the DDL took.
+the grants the DDL took. A GRANT or REVOKE naming an object another
+session's open transaction changed waits for it (the two-session
+witnesses), so the WAL holds the two in the order they took effect.
 """
 
 import tempfile
+import threading
+import time
 
 import pytest
 
 from repro.minidb import Database, PermissionDenied
 from repro.minidb.errors import TransactionError
 from repro.minidb.privileges import PrivilegeManager
+from repro.service import LockManager
 
 SETUP = (
     "CREATE TABLE t (id INT)",
@@ -61,9 +66,9 @@ BEFORE = {
 }
 
 
-def may(db: Database, query: str) -> bool:
+def may(db: Database, query: str, user: str = "u") -> bool:
     try:
-        db.connect("u").execute(query)
+        db.connect(user).execute(query)
     except PermissionDenied:
         return False
     return True
@@ -187,3 +192,95 @@ def test_undo_restores_each_grant_in_its_place():
     for undo in reversed(undos):
         undo()
     assert privileges.grants_of("u") == before
+
+
+def run_behind(session, statement: str, lock_manager) -> threading.Thread:
+    """Start ``statement`` on ``session`` in a thread and return once it
+    has finished or waits for a lock."""
+    failures: list[BaseException] = []
+
+    def run() -> None:
+        try:
+            session.execute(statement)
+        except Exception as exc:  # handed to the joining test
+            failures.append(exc)
+
+    thread = threading.Thread(target=run)
+    thread.failures = failures
+    thread.start()
+    deadline = time.monotonic() + 5
+    while thread.is_alive() and not lock_manager.waiting_count():
+        assert time.monotonic() < deadline, f"{statement} neither ran nor waited"
+        time.sleep(0.001)
+    return thread
+
+
+@pytest.mark.parametrize(
+    "ddl,statement,expected",
+    [
+        (
+            "ALTER TABLE r RENAME TO r2",
+            "REVOKE SELECT ON r2 FROM u",
+            {"SELECT id FROM r2": False},
+        ),
+        (
+            "ALTER TABLE r RENAME TO r2",
+            "GRANT SELECT ON r2 TO v",
+            {"SELECT id FROM r2": True},
+        ),
+        (
+            "DROP TABLE r",
+            "REVOKE SELECT ON r FROM u",
+            {},
+        ),
+    ],
+)
+def test_privilege_change_waits_for_open_ddl_on_its_object(ddl, statement, expected):
+    """``A: BEGIN; <DDL>`` / ``B: GRANT or REVOKE on the object`` /
+    ``A: COMMIT``: B waits for A's X lock, so the WAL holds A's change
+    first and a reopened directory grants what the live one did."""
+    with tempfile.TemporaryDirectory() as path:
+        db = start(path)
+        db.create_user("v")
+        db.lock_manager = LockManager(timeout_s=10.0)
+        a, b = db.connect("admin"), db.connect("admin")
+        a.execute("BEGIN")
+        a.execute(ddl)
+        behind = run_behind(b, statement, db.lock_manager)
+        a.execute("COMMIT")
+        behind.join(timeout=10)
+        assert not behind.is_alive()
+        assert not behind.failures
+        user = "v" if " TO v" in statement else "u"
+        live = {q: may(db, q, user) for q in expected}
+        grants = {name: db.privileges.grants_of(name) for name in ("u", "v")}
+        assert live == expected
+        db.close()
+
+        db = Database.open(path)  # replays the WAL in the order it was written
+        assert {name: db.privileges.grants_of(name) for name in ("u", "v")} == grants
+        assert {q: may(db, q, user) for q in expected} == expected
+        db.close()
+
+
+def test_grant_waits_for_an_uncommitted_create():
+    """A GRANT on a table another session created in a block it then
+    rolls back finds no table, live and after a reopen."""
+    with tempfile.TemporaryDirectory() as path:
+        db = start(path)
+        db.lock_manager = LockManager(timeout_s=10.0)
+        a, b = db.connect("admin"), db.connect("admin")
+        a.execute("BEGIN")
+        a.execute("CREATE TABLE fresh (id INT)")
+        behind = run_behind(b, "GRANT SELECT ON fresh TO u", db.lock_manager)
+        a.execute("ROLLBACK")
+        behind.join(timeout=10)
+        assert not behind.is_alive()
+        assert [type(e).__name__ for e in behind.failures] == ["MiniDBError"]
+        a.execute("CREATE TABLE fresh (secret INT)")
+        assert not may(db, "SELECT secret FROM fresh")
+        db.close()
+
+        db = Database.open(path)
+        assert not may(db, "SELECT secret FROM fresh")
+        db.close()
