@@ -1,7 +1,7 @@
 """The filesystem seam and its deterministic fault injector.
 
 Every file operation the durable stack performs — WAL appends, snapshot
-writes, LOCK acquisition and stealing, retrieval-catalog sidecars — goes
+writes, the ``LOCK`` file's flock, retrieval-catalog sidecars — goes
 through a :class:`Filesystem` instance instead of calling ``open``/``os``
 directly (the ``fs-seam`` staticcheck rule enforces this). Production
 uses the passthrough :class:`Filesystem`, whose ``open`` returns the raw
@@ -31,13 +31,14 @@ Fault shapes (all composable in one plan):
 
 :class:`SimulatedCrash` subclasses ``BaseException`` deliberately:
 production code legitimately catches broad ``Exception`` around "best
-effort" I/O (cache loads, lock cleanup), and a simulated process death
+effort" I/O (cache loads, temp cleanup), and a simulated process death
 must not be swallowed by those handlers.
 """
 
 from __future__ import annotations
 
 import errno as _errno
+import fcntl
 import os
 import random
 import time
@@ -93,17 +94,17 @@ class Filesystem:
     def fsync(self, fh: Any) -> None:
         os.fsync(fh.fileno())
 
-    def rename(self, src: str, dst: str) -> None:
-        os.rename(src, dst)
+    def lock(self, fh: Any) -> None:
+        """Take an exclusive POSIX ``flock`` on ``fh`` without waiting;
+        ``BlockingIOError`` while another open file description holds it.
+        The kernel releases it when ``fh`` closes or its process dies."""
+        fcntl.flock(fh.fileno(), fcntl.LOCK_EX | fcntl.LOCK_NB)
 
     def replace(self, src: str, dst: str) -> None:
         os.replace(src, dst)
 
     def unlink(self, path: str) -> None:
         os.unlink(path)
-
-    def link(self, src: str, dst: str) -> None:
-        os.link(src, dst)
 
     def makedirs(self, path: str, exist_ok: bool = False) -> None:
         os.makedirs(path, exist_ok=exist_ok)
@@ -268,9 +269,9 @@ class FaultyFilesystem(Filesystem):
             raise self._os_error(self.plan.fsync_errno, getattr(fh, "path", "?"))
         os.fsync(fh.fileno())
 
-    def rename(self, src: str, dst: str) -> None:
-        self._op("rename", src)
-        os.rename(src, dst)
+    def lock(self, fh: Any) -> None:
+        self._op("lock", getattr(fh, "path", "?"))
+        fcntl.flock(fh.fileno(), fcntl.LOCK_EX | fcntl.LOCK_NB)
 
     def replace(self, src: str, dst: str) -> None:
         self._op("replace", src)
@@ -279,10 +280,6 @@ class FaultyFilesystem(Filesystem):
     def unlink(self, path: str) -> None:
         self._op("unlink", path)
         os.unlink(path)
-
-    def link(self, src: str, dst: str) -> None:
-        self._op("link", src)
-        os.link(src, dst)
 
     def makedirs(self, path: str, exist_ok: bool = False) -> None:
         self._op("makedirs", path)

@@ -170,6 +170,18 @@ def item_name(item: ast.SelectItem, index: int) -> str:
     return f"column{index + 1}"
 
 
+def _operand_bindings(stmt: ast.SelectStatement) -> set[str]:
+    """The FROM / JOIN bindings of every operand of a set operation
+    chain, lowercased: the qualifiers its ORDER BY may use."""
+    bindings: set[str] = set()
+    while stmt is not None:
+        for ref in [*stmt.from_sources, *(join.source for join in stmt.joins)]:
+            binding = ref.alias if isinstance(ref, ast.SubqueryRef) else ref.binding
+            bindings.add(binding.lower())
+        stmt = stmt.set_op[1] if stmt.set_op else None
+    return bindings
+
+
 class NameResolver:
     """The one rule for which source column a name means, over one
     block's ``(binding, columns, ...)`` sources (or a join's prefix of
@@ -494,6 +506,7 @@ class _Binder:
             labels = names if set_op else [item.alias for item in items]
             lowered = [label.lower() if label else None for label in labels]
         refusal = None  # PostgreSQL's 42P10, raised before any row
+        operands = _operand_bindings(stmt) if set_op and stmt.order_by else ()
         for order in stmt.order_by:
             expr = order.expr
             if isinstance(expr, ast.Literal) and isinstance(expr.value, int):
@@ -501,6 +514,13 @@ class _Binder:
                     refusal = refusal or InvalidColumnReferenceError(
                         f"ORDER BY position {expr.value} is out of range"
                     )
+            elif (
+                set_op
+                and type(expr) is ast.ColumnRef
+                and expr.table is not None
+                and expr.table.lower() not in operands
+            ):
+                refusal = refusal or UnknownColumnError(f"column {expr} does not exist")
             elif (
                 items is not None
                 and type(expr) is ast.ColumnRef

@@ -459,10 +459,6 @@ class Database:
     def open_explicit_transactions(self) -> int:
         return self._open_explicit  # staticcheck: ignore[guarded-by] — racy monitoring/pre-check read; every correctness-bearing check re-runs under the quiesce window
 
-    @property
-    def inflight_statements(self) -> int:
-        return self._inflight  # staticcheck: ignore[guarded-by] — racy monitoring read (observability only)
-
     def ensure_writable(self, analysis: StatementAnalysis) -> None:
         """Refuse mutating statements while the engine is in fail-stop
         panic mode (see :class:`~repro.minidb.errors.StorageFailedError`).

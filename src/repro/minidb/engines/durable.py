@@ -9,6 +9,8 @@ File layout (one directory per database)::
       catalogs/       persisted retrieval value catalogs (sidecar files
                       owned by repro.retrieval; minidb only provides the
                       directory)
+      LOCK            the single-writer lock: an empty file an open engine
+                      holds an exclusive flock on; never unlinked
 
 The WAL's record format — one JSON object per line: ``seq``, ``op``,
 op-specific fields, ``commit: true`` on the last record of a batch — is
@@ -38,10 +40,11 @@ Recovery invariants
   usage: sessions do not mutate rows of another session's still-open
   transaction.
 
-A ``LOCK`` file (owner pid, created O_EXCL) enforces a single writer per
-directory: a concurrent open from another live process fails loudly
-instead of interleaving sequence numbers; locks left by dead processes
-(or this process's own crashed-and-dropped engines) are stolen.
+An exclusive POSIX ``flock`` on ``LOCK`` enforces a single writer per
+directory: a second open, from this process or another, fails loudly
+instead of interleaving sequence numbers. The kernel drops the lock when
+its holder's descriptor closes or its process dies, so a crashed owner
+never blocks an open. ``flock`` is the supported platform's lock (POSIX).
 
 Checkpoint/compaction policy: a checkpoint runs on demand
 (:meth:`~repro.minidb.database.Database.checkpoint`) and automatically
@@ -54,12 +57,10 @@ snapshotted.
 from __future__ import annotations
 
 import gc
-import itertools
 import json
 import os
 import re
 import threading
-import weakref
 from typing import TYPE_CHECKING, Any
 
 from ...faults import OS_FILESYSTEM, Filesystem
@@ -95,12 +96,6 @@ LOCK_NAME = "LOCK"
 #: next checkpoint.
 SNAPSHOT_FORMAT = 2
 
-#: open engines of THIS process by directory — the pid lock file cannot
-#: tell a live same-process engine from one that was dropped without
-#: close() (a simulated crash), so same-process double-opens are policed
-#: here instead
-_LIVE_ENGINES: "dict[str, weakref.ref[DurableEngine]]" = {}
-
 
 def _columns_of_rows(rows: "list[list]") -> dict[str, Any]:
     """A format-1 table's ``[[rid, row], ...]`` as format 2's ``rids``
@@ -134,6 +129,7 @@ class DurableEngine(StorageEngine):
         self.path = os.path.abspath(path)
         self.snapshot_path = os.path.join(self.path, SNAPSHOT_NAME)
         self.wal_path = os.path.join(self.path, WAL_NAME)
+        self.lock_path = os.path.join(self.path, LOCK_NAME)
         self._catalog_dir = os.path.join(self.path, CATALOG_DIR_NAME)
         #: WAL records between automatic checkpoints (0 disables them)
         self.auto_checkpoint_records = auto_checkpoint_records
@@ -155,7 +151,8 @@ class DurableEngine(StorageEngine):
         #: in-memory reads keep serving (degraded read-only operation)
         #: guarded by self._commit_mutex
         self._panic: OSError | None = None
-        self._locked = False
+        #: the open ``LOCK`` file whose flock this engine holds, or None
+        self._lock_file = None
         #: serializes WAL appends and checkpoints across sessions: ``seq``
         #: allocation and the physical write happen under one mutex, so
         #: concurrent committers can never interleave or reorder records
@@ -201,10 +198,9 @@ class DurableEngine(StorageEngine):
         super().attach(db)
         self.fs.makedirs(self.path, exist_ok=True)
         self.fs.makedirs(self._catalog_dir, exist_ok=True)
-        self._register_live()
         try:
             self._acquire_lock()
-            self._remove_orphan_temps()
+            self._remove_orphan_temp()
             fresh = not self.fs.exists(self.snapshot_path)
             if not fresh:
                 self._load_snapshot(db)
@@ -219,57 +215,23 @@ class DurableEngine(StorageEngine):
             # failed recovery must not leave the directory locked: the
             # operator's retry (possibly from another process) would be
             # refused by a lock no live engine holds
-            self._deregister_live()
-            self._release_lock()
+            if self._lock_file is not None:
+                self._lock_file.close()
+                self._lock_file = None
             raise
 
-    def _register_live(self) -> None:
-        existing = _LIVE_ENGINES.get(self.path)
-        if existing is not None and existing() is not None:
-            # a dropped-without-close engine lingers until its Database
-            # reference cycle is collected; give it one chance to die
-            # before concluding the open handle is genuinely live
-            gc.collect()
-            existing = _LIVE_ENGINES.get(self.path)
-        engine = existing() if existing is not None else None
-        if engine is not None and not engine._closed:
-            raise PersistenceError(
-                f"database directory {self.path!r} is already open in this "
-                "process; close() the other Database first"
-            )
-        _LIVE_ENGINES[self.path] = weakref.ref(self)
-
-    def _deregister_live(self) -> None:
-        existing = _LIVE_ENGINES.get(self.path)
-        if existing is not None and existing() is self:
-            del _LIVE_ENGINES[self.path]
-
-    def _remove_orphan_temps(self) -> None:
-        """Drop temp files a crashed predecessor left behind.
-
-        A checkpoint that died between temp write and atomic replace
-        leaves ``snapshot.json.tmp``; a crashed lock steal leaves
-        ``LOCK.stale.*`` asides. Neither is ever read again — the atomic
-        protocols only trust the final names — so they are garbage.
-        Runs after :meth:`_acquire_lock`: we own the directory, so no
-        live contender's aside can be yanked from under it.
-        """
+    def _remove_orphan_temp(self) -> None:
+        """Drop the ``snapshot.json.tmp`` a checkpoint that died between
+        temp write and atomic replace left behind. Nothing reads it again
+        — the atomic protocol only trusts the final name — so it is
+        garbage. Runs after :meth:`_acquire_lock`: no live engine's
+        checkpoint can be writing it."""
         tmp = self.snapshot_path + ".tmp"
         if self.fs.exists(tmp):
             try:
                 self.fs.unlink(tmp)
             except OSError:
                 pass
-        try:
-            names = self.fs.listdir(self.path)
-        except OSError:
-            return
-        for name in names:
-            if name.startswith(LOCK_NAME + ".stale."):
-                try:
-                    self.fs.unlink(os.path.join(self.path, name))
-                except OSError:
-                    pass
 
     def close(self) -> None:
         with self._commit_mutex:  # never close mid-append
@@ -285,16 +247,16 @@ class DurableEngine(StorageEngine):
                     # failed WAL swap already closed (ValueError): the
                     # final flush is best-effort — close must stay
                     # idempotent and never raise, or degraded shutdown
-                    # paths would leak the LOCK file and the live-engine
-                    # registration
+                    # paths would keep the directory locked
                     pass
                 try:
                     self._wal.close()
                 except (OSError, ValueError):
                     pass
                 self._wal = None
-            self._deregister_live()
-            self._release_lock()
+            if self._lock_file is not None:
+                self._lock_file.close()
+                self._lock_file = None
 
     #: requires self._commit_mutex
     def _ensure_open(self) -> None:
@@ -321,145 +283,33 @@ class DurableEngine(StorageEngine):
 
     # ---------------------------------------------------- single-writer lock
 
-    @property
-    def lock_path(self) -> str:
-        return os.path.join(self.path, LOCK_NAME)
-
     def _acquire_lock(self) -> None:
-        """Refuse to share the directory with another live writer process.
+        """Refuse to share the directory with another open engine.
 
         A second writer would interleave duplicate WAL sequence numbers
-        and truncate logs under the first — silent data loss. The lock
-        file holds the owner's pid; a lock whose pid is dead, unparseable,
-        or this very process (an earlier engine on the same path that was
-        dropped without ``close()``, e.g. a simulated crash) is stale and
-        stolen. Cross-process double-opens fail loudly instead.
-
-        Ownership is only ever taken through the ``O_EXCL`` create: a
-        stale lock is first *retired* by atomically renaming it aside
-        (:meth:`_steal_stale_lock`) — a rename of a specific path succeeds
-        for exactly one racer — and then every contender loops back to the
-        ``O_EXCL`` create, which again has exactly one winner. Two
-        processes racing to steal a dead owner's lock therefore can never
-        both conclude they own the directory.
+        and truncate logs under the first — silent data loss. The guard
+        is an exclusive ``flock`` on ``LOCK`` through a descriptor this
+        engine keeps until :meth:`close`. A ``flock`` belongs to its open
+        file description, so a second open in this process conflicts
+        like one in another process, and the kernel drops it when the
+        descriptor closes or its process dies: no lock is ever stale.
+        The file is never unlinked — a third opener would lock a fresh
+        inode while the old one is still held — and never read.
         """
-        while True:
+        self._lock_file = self.fs.open(self.lock_path, "ab")
+        try:
+            self.fs.lock(self._lock_file)
+        except BlockingIOError:
+            # an engine of this process dropped without close() inside a
+            # reference cycle holds its descriptor until it is collected
+            gc.collect()
             try:
-                # "x" = O_CREAT|O_EXCL through the seam: exactly one
-                # creator wins, every other racer sees FileExistsError
-                fh = self.fs.open(self.lock_path, "x")
-            except FileExistsError:
-                owner = self._lock_owner()
-                if owner is not None and owner != self._pid():
-                    raise PersistenceError(
-                        f"database directory {self.path!r} is locked by "
-                        f"running process {owner}"
-                    ) from None
-                # stale (dead owner, garbage, or our own earlier open):
-                # retire it atomically, then race for the O_EXCL create
-                self._steal_stale_lock()
-                continue
-            try:
-                # newline-terminated like WAL records: a torn write of a
-                # pid prefix (e.g. "6" of "61234") would otherwise parse
-                # as a *different* process and brick the directory —
-                # without the terminator the pid is not trusted
-                fh.write(f"{self._pid()}\n")
-                fh.flush()
-                self.fs.fsync(fh)
-            finally:
-                fh.close()
-            self._locked = True
-            return
-
-    _steal_counter = itertools.count(1)
-
-    def _steal_stale_lock(self) -> bool:
-        """Atomically retire a stale ``LOCK`` file; ``True`` if we did.
-
-        ``os.rename`` of a specific source path is the compare-and-swap
-        here: when several processes race to steal the same stale lock,
-        exactly one rename succeeds and the losers see ``FileNotFoundError``
-        (the unlink-then-recreate protocol this replaces let a slow racer
-        unlink the *winner's fresh lock* and both would claim ownership).
-        After the rename, the retired file's pid is re-checked: if a live
-        foreign owner wrote the file between our staleness read and the
-        rename, we yanked a *live* lock — it is put back via ``os.link``
-        (atomic create-if-absent) and the acquire loop will fail loudly.
-        """
-        aside = (
-            f"{self.lock_path}.stale.{self._pid()}."
-            f"{next(self._steal_counter)}"
-        )
-        try:
-            self.fs.rename(self.lock_path, aside)
-        except OSError:
-            return False  # another contender retired it first
-        try:
-            with self.fs.open(aside, "r", encoding="utf-8") as fh:
-                pid = self._parse_lock_pid(fh.read())
-        except OSError:
-            pid = None
-        if pid is not None and pid != self._pid() and self._pid_alive(pid):
-            # pid re-check failed: the lock became live under us — restore
-            # it unless its owner (or a new winner) already re-created one
-            try:
-                self.fs.link(aside, self.lock_path)
-            except OSError:
-                pass
-        try:
-            self.fs.unlink(aside)
-        except OSError:
-            pass
-        return True
-
-    def _pid(self) -> int:
-        """This engine's process id (a seam for race-regression tests)."""
-        return os.getpid()
-
-    def _pid_alive(self, pid: int) -> bool:
-        try:
-            os.kill(pid, 0)
-        except ProcessLookupError:
-            return False
-        except (PermissionError, OverflowError, ValueError):
-            return True  # exists (or unknowable): treat as alive
-        return True
-
-    @staticmethod
-    def _parse_lock_pid(content: str) -> int | None:
-        """Owner pid from lock-file content; ``None`` if untrustworthy.
-
-        Only a ``\\n``-terminated record is trusted: a crash mid-write
-        leaves a prefix of the pid ("6" of "61234"), which would parse as
-        an unrelated — possibly live — process and wrongly refuse every
-        future open. No terminator, no owner: the lock is stale.
-        """
-        if not content.endswith("\n"):
-            return None
-        try:
-            return int(content.strip())
-        except ValueError:
-            return None
-
-    def _lock_owner(self) -> int | None:
-        """Pid of a *live* process holding the lock, else ``None``."""
-        try:
-            with self.fs.open(self.lock_path, "r", encoding="utf-8") as fh:
-                pid = self._parse_lock_pid(fh.read())
-        except OSError:
-            return None
-        if pid is None:
-            return None
-        return pid if self._pid_alive(pid) else None
-
-    def _release_lock(self) -> None:
-        if self._locked:
-            self._locked = False
-            try:
-                self.fs.unlink(self.lock_path)
-            except OSError:
-                pass
+                self.fs.lock(self._lock_file)
+            except BlockingIOError:
+                raise PersistenceError(
+                    f"database directory {self.path!r} is already open in "
+                    "this or another process"
+                ) from None
 
     # -------------------------------------------------------------- commits
 

@@ -58,9 +58,6 @@ class Token(NamedTuple):
     #: empty for every other kind, so a string literal never reads as one
     word: str = ""
 
-    def matches_keyword(self, word: str) -> bool:
-        return self.word == word.upper()
-
 
 # Token(...) runs a Python-level __new__; this is the same construction
 # without that frame (about a sixth of the lexer's time on a short SELECT)

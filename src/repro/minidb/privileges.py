@@ -334,10 +334,6 @@ class PrivilegeManager:
             columns |= grant.columns
         return frozenset(columns)
 
-    def accessible_objects(self, user: str, objects: list[str]) -> list[str]:
-        """Filter ``objects`` to those on which ``user`` holds any action."""
-        return [o for o in objects if self.actions_on(user, o)]
-
 
 def _covers(granted: frozenset[str] | None, columns: set[str] | None) -> bool:
     """Whether an access to ``columns`` (``None``: the whole object) lies

@@ -502,28 +502,16 @@ class ValueCatalog:
         }
 
     def __setstate__(self, state: dict) -> None:
+        # a sidecar of an older layout lacks a key here: the KeyError makes
+        # CatalogStore.load a miss, and the caller rebuilds
         self.values = state["values"]
         self._norms = state["norms"]
-        # a sidecar written before sizes were persisted still opens: they
-        # are a function of the norms (~40 ms at 10k values, once)
-        self._sizes = state.get("trigram_sizes")
-        if self._sizes is None:
-            self._sizes = array(
-                "i", (len(_trigrams_of_norm(norm)) for norm in self._norms)
-            )
+        self._sizes = state["trigram_sizes"]
         self.entries = _LazyEntries(self.values, self._norms)
         # postings stay packed: candidate generation only probes them,
         # which the span-slicing wrapper serves directly
-        postings = _PackedPostings(*state["trigram_postings"])
-        self._trigram_bitmaps = state.get("trigram_bitmaps")
-        if self._trigram_bitmaps is None:
-            # a sidecar written before bitmaps packs every trigram: its
-            # dense lists become bitmaps once, here
-            self._trigram_bitmaps, sparse = _split_dense(
-                postings, len(self.values)
-            )
-            postings = _PackedPostings(*_pack_postings(sparse))
-        self._trigram_postings = postings
+        self._trigram_bitmaps = state["trigram_bitmaps"]
+        self._trigram_postings = _PackedPostings(*state["trigram_postings"])
         # a function of the sizes (~2% of a load), so not persisted
         self._size_masks = _size_masks(self._sizes, self._nbytes)
         self._token_postings = _PackedPostings(*state["token_postings"])

@@ -15,8 +15,6 @@ Public surface:
   library entry points (the tests drive these);
 * :class:`repro.staticcheck.core.ModuleSource`, :class:`Checker`,
   :func:`register` — the framework for writing new rules;
-* :class:`repro.staticcheck.baseline.Baseline` — the grandfathering
-  ratchet;
 * :mod:`repro.staticcheck.cli` — argument parsing and output formats.
 
 See the "Invariants" section of docs/ARCHITECTURE.md for the rule catalog,
@@ -25,7 +23,6 @@ self._mutex``) and the suppression format
 (``# staticcheck: ignore[rule] — reason``).
 """
 
-from .baseline import Baseline
 from .core import (
     Checker,
     Finding,
@@ -37,7 +34,6 @@ from .core import (
 from .runner import RunResult, check_module, iter_python_files, run_paths
 
 __all__ = [
-    "Baseline",
     "Checker",
     "Finding",
     "MiniStaticError",

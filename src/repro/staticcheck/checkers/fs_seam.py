@@ -6,12 +6,13 @@ flows through the :class:`~repro.faults.Filesystem` seam. One bare
 retrieval sidecar store is an operation the torture sweep can neither
 crash nor error — an untested failure path by construction. Inside the
 seamed modules, every file operation must use ``self.fs`` (or another
-``Filesystem`` instance); direct builtin ``open`` calls and the ``os``
-file-mutation functions are findings.
+``Filesystem`` instance); direct builtin ``open`` calls, the ``os``
+file-mutation functions and any ``fcntl`` call (the ``LOCK`` file's
+flock is ``Filesystem.lock``) are findings.
 
-``os.path.*`` helpers, ``os.getpid``/``os.kill`` (pid liveness probes),
-and everything outside the seamed modules are untouched — the seam is a
-durability contract, not a repo-wide style rule.
+``os.path.*`` helpers, other ``os`` calls, and everything outside the
+seamed modules are untouched — the seam is a durability contract, not a
+repo-wide style rule.
 """
 
 from __future__ import annotations
@@ -76,13 +77,15 @@ class FsSeamChecker(Checker):
             elif (
                 isinstance(func, ast.Attribute)
                 and isinstance(func.value, ast.Name)
-                and func.value.id == "os"
-                and func.attr in BANNED_OS
+                and (
+                    (func.value.id == "os" and func.attr in BANNED_OS)
+                    or func.value.id == "fcntl"
+                )
             ):
                 yield module.finding(
                     self.name,
                     node,
-                    f"os.{func.attr}() in a seamed module — route it "
-                    "through the Filesystem seam so fault injection can "
-                    "reach it",
+                    f"{func.value.id}.{func.attr}() in a seamed module — "
+                    "route it through the Filesystem seam so fault "
+                    "injection can reach it",
                 )

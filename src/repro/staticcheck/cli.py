@@ -1,7 +1,8 @@
 """``python -m repro.staticcheck`` — the CI gate and the developer loop.
 
-Exit codes: ``0`` clean (or everything baselined), ``1`` at least one
-non-baselined finding, ``2`` usage or framework error. Formats: ``text``
+Exit codes: ``0`` clean, ``1`` at least one finding (a finding is
+accepted only by a suppression comment with its reason), ``2`` usage or
+framework error. Formats: ``text``
 (developer terminal, one line per finding plus a summary) and ``github``
 (``::error file=...`` workflow annotations, one per finding, so the CI
 gate highlights the offending lines in the PR diff).
@@ -13,11 +14,8 @@ import argparse
 import os
 import sys
 
-from .baseline import Baseline
 from .core import MiniStaticError, all_checkers
 from .runner import run_paths
-
-DEFAULT_BASELINE = "staticcheck.baseline.json"
 
 
 def _default_paths() -> "list[str]":
@@ -45,21 +43,6 @@ def build_parser() -> argparse.ArgumentParser:
         choices=("text", "github"),
         default="text",
         help="finding output format (github = workflow annotations)",
-    )
-    parser.add_argument(
-        "--baseline",
-        default=None,
-        help=f"baseline file (default: ./{DEFAULT_BASELINE} if present)",
-    )
-    parser.add_argument(
-        "--no-baseline",
-        action="store_true",
-        help="ignore any baseline file: report every finding",
-    )
-    parser.add_argument(
-        "--write-baseline",
-        action="store_true",
-        help="record current findings as the new baseline and exit 0",
     )
     parser.add_argument(
         "--rule",
@@ -108,27 +91,7 @@ def main(argv: "list[str] | None" = None) -> int:
         print(f"staticcheck: error: {exc}", file=sys.stderr)
         return 2
 
-    baseline_path = args.baseline or DEFAULT_BASELINE
-    if args.write_baseline:
-        Baseline.from_findings(result.findings).save(baseline_path)
-        print(
-            f"wrote {len(result.findings)} finding(s) to {baseline_path} "
-            f"({result.files_checked} files checked)"
-        )
-        return 0
-
-    baseline = Baseline()
-    if not args.no_baseline and (args.baseline or os.path.exists(baseline_path)):
-        try:
-            baseline = Baseline.load(baseline_path)
-        except MiniStaticError as exc:
-            print(f"staticcheck: error: {exc}", file=sys.stderr)
-            return 2
-
-    new = [f for f in result.findings if not baseline.covers(f)]
-    grandfathered = len(result.findings) - len(new)
-
-    for finding in new:
+    for finding in result.findings:
         if args.format == "github":
             message = finding.message.replace("\n", " ")
             print(
@@ -141,20 +104,11 @@ def main(argv: "list[str] | None" = None) -> int:
         for finding in result.suppressed:
             print(f"suppressed: {finding.render()}")
 
-    stale = baseline.stale_entries(result.findings)
-    if stale and args.format == "text":
-        print(
-            f"note: {len(stale)} stale baseline entr"
-            f"{'y' if len(stale) == 1 else 'ies'} no longer match — "
-            f"shrink {baseline_path} with --write-baseline"
-        )
-
     if args.format == "text":
         summary = (
             f"{result.files_checked} files checked, "
-            f"{len(new)} new finding(s), "
-            f"{grandfathered} baselined, "
+            f"{len(result.findings)} finding(s), "
             f"{len(result.suppressed)} suppressed"
         )
         print(summary)
-    return 1 if new else 0
+    return 1 if result.findings else 0

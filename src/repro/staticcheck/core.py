@@ -44,13 +44,8 @@ class Finding:
     path: str  # repo-relative, POSIX separators
     line: int
     message: str
-    #: enclosing scope (``Class.method``) — part of the baseline identity,
-    #: so findings survive unrelated line drift
+    #: enclosing scope (``Class.method``)
     context: str = ""
-
-    def key(self) -> tuple[str, str, str, str]:
-        """Line-independent identity used for baseline matching."""
-        return (self.rule, self.path, self.context, self.message)
 
     def render(self) -> str:
         return f"{self.path}:{self.line}: [{self.rule}] {self.message}"
@@ -101,7 +96,7 @@ class ModuleSource:
             current = self._parents.get(current)
 
     def qualname(self, node: ast.AST) -> str:
-        """Dotted path of enclosing class/function scopes (for baselines)."""
+        """Dotted path of enclosing class/function scopes."""
         parts: list[str] = []
         for ancestor in self.ancestors(node):
             if isinstance(

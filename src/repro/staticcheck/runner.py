@@ -48,7 +48,7 @@ def iter_python_files(paths: "list[str]") -> "list[str]":
 
 @dataclass
 class RunResult:
-    """Outcome of one analysis run, before baseline filtering."""
+    """Outcome of one analysis run."""
 
     findings: list[Finding] = field(default_factory=list)
     suppressed: list[Finding] = field(default_factory=list)
@@ -80,7 +80,7 @@ def run_paths(
 ) -> RunResult:
     """Analyze every Python file under ``paths``.
 
-    ``root`` anchors the repo-relative paths findings (and baselines) use;
+    ``root`` anchors the repo-relative paths findings use;
     it defaults to the current working directory. ``rules`` restricts the
     run to a subset of checker names (unknown names are an error — a typo
     must not silently run nothing).

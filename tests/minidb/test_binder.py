@@ -96,3 +96,16 @@ def test_a_check_naming_an_unknown_column_is_refused_when_created(db):
     assert not db.catalog.has_table("c")
     admin.execute("CREATE TABLE c (a INT CHECK (a > 0))")
     admin.execute("INSERT INTO c VALUES (1)")
+
+
+@pytest.mark.parametrize("qualifier", ["zz", "u"])
+def test_a_set_operations_order_by_names_a_source_of_an_operand(db, qualifier):
+    # zz names nothing and u is a table outside the statement: neither may
+    # key the union's output column a (nor claim SELECT on t for it)
+    admin = db.connect("admin")
+    sql = f"SELECT * FROM t UNION SELECT * FROM t ORDER BY {qualifier}.a"
+    with pytest.raises(UnknownColumnError) as caught:
+        admin.execute(sql)
+    assert caught.value.code == "42703"
+    assert admin.execute("SELECT * FROM t UNION SELECT * FROM t ORDER BY t.a").rows == [(1,)]
+    assert admin.execute("SELECT a FROM t UNION SELECT b FROM u x ORDER BY x.a").rows == [(1,), (2,)]

@@ -227,7 +227,7 @@ def assert_self_consistent(state: dict) -> None:
 def reopen_after_crash(path: str) -> Database:
     """Open ``path`` again after the caller dropped its database without
     ``close()`` — the WAL is all a crashed process leaves."""
-    gc.collect()  # the dropped engine's weak registration dies with it
+    gc.collect()  # the dropped engine's LOCK descriptor closes with it
     return Database.open(path)
 
 

@@ -1,12 +1,11 @@
-"""Durability under concurrency: WAL ordering, recovery, lock stealing.
-
-Covers the two concurrency-hardening changes in the durable engine:
+"""Durability under concurrency: WAL ordering, recovery, racing opens.
 
 * ``append_commit`` serializes sequence allocation and the physical
   write, so the WAL of a multi-threaded run is strictly increasing in
   ``seq``, batch-atomic, and replays to exactly the live state;
-* stale-``LOCK`` takeover is atomic (rename-aside + pid re-check), so
-  two processes racing to steal a dead owner's lock cannot both win.
+* opens racing for one directory (even one whose ``LOCK`` names a dead
+  process) get exactly one winner: the ``flock`` on ``LOCK`` is taken
+  through a separate descriptor per engine.
 """
 
 import json
@@ -18,7 +17,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.minidb import Database
-from repro.minidb.engines.durable import DurableEngine
 from repro.minidb.errors import PersistenceError
 from repro.service import SessionManager
 
@@ -146,110 +144,69 @@ class TestConcurrentCommitOrdering:
         reopened.close()
 
 
-class TestLockStealRace:
-    """Regression: two engines racing to steal one stale LOCK file."""
+class TestRacingOpens:
+    """Opens of one directory that run at the same moment."""
+
+    CONTENDERS = 4
 
     @staticmethod
-    def fake_process_engine(path, pid, live_pids):
-        """An engine that believes it runs as ``pid`` and can see which
-        of ``live_pids`` are alive (simulating separate processes in one
-        test process)."""
-        engine = DurableEngine(path)
-        engine._pid = lambda: pid
-        engine._pid_alive = lambda candidate: candidate in live_pids
-        return engine
+    def race(path, contenders):
+        """Start ``contenders`` threads that call ``Database.open(path)``
+        together; return the opened databases and the refusals."""
+        barrier = threading.Barrier(contenders)
+        opened, refused = [], []
 
-    def test_forced_interleaving_single_winner(self, tmp_path):
-        """Both contenders observe the stale lock *before* either steals
-        (the exact double-win interleaving of the old unlink+create
-        protocol); exactly one may end up owning the directory."""
-        path = str(tmp_path)
-        dead_pid = 999_999_999
-        with open(os.path.join(path, "LOCK"), "w") as fh:
-            fh.write(f"{dead_pid}\n")
-
-        live = {111, 222}
-        engine_a = self.fake_process_engine(path, 111, live)
-        engine_b = self.fake_process_engine(path, 222, live)
-
-        barrier = threading.Barrier(2)
-        for engine in (engine_a, engine_b):
-            original = engine._steal_stale_lock
-
-            def synced_steal(original=original):
-                # force both contenders to the steal point together
-                try:
-                    barrier.wait(timeout=10.0)
-                except threading.BrokenBarrierError:
-                    pass  # the loser already errored out of its loop
-                return original()
-
-            engine._steal_stale_lock = synced_steal
-
-        outcomes = {}
-
-        def contend(name, engine):
+        def contend():
             try:
-                engine._acquire_lock()
-                outcomes[name] = "acquired"
-            except PersistenceError:
-                outcomes[name] = "refused"
+                barrier.wait(timeout=30.0)
+            except threading.BrokenBarrierError:
+                pass
+            try:
+                opened.append(Database.open(path))
+            except PersistenceError as exc:
+                refused.append(exc)
 
         threads = [
-            threading.Thread(target=contend, args=("a", engine_a), daemon=True),
-            threading.Thread(target=contend, args=("b", engine_b), daemon=True),
+            threading.Thread(target=contend, daemon=True)
+            for _ in range(contenders)
         ]
         for thread in threads:
             thread.start()
         for thread in threads:
-            thread.join(timeout=30.0)
+            thread.join(timeout=60.0)
+        assert not any(thread.is_alive() for thread in threads)
+        return opened, refused
 
-        assert sorted(outcomes.values()) == ["acquired", "refused"]
-        # the lock file names the winner
-        with open(os.path.join(path, "LOCK")) as fh:
-            owner = int(fh.read().strip())
-        winner = next(n for n, o in outcomes.items() if o == "acquired")
-        assert owner == {"a": 111, "b": 222}[winner]
-        # no stale-aside litter left behind
-        assert [n for n in os.listdir(path) if n.startswith("LOCK.stale")] == []
-
-    def test_steal_restores_lock_that_went_live_under_us(self, tmp_path):
-        """If the lock's owner becomes live between the staleness read and
-        the rename, the steal must put the live lock back and the acquire
-        must refuse."""
-        path = str(tmp_path)
-        live_owner = 333
-        # the engine's lock records are newline-terminated; an unterminated
-        # pid would read as torn and be stolen without the liveness check
-        with open(os.path.join(path, "LOCK"), "w") as fh:
-            fh.write(f"{live_owner}\n")
-
-        engine = self.fake_process_engine(path, 111, {111, 333})
-        # engine initially believes 333 is dead (simulates the stale read),
-        # but the aside re-check sees it alive
-        liveness = {"checks": 0}
-
-        def flaky_alive(candidate):
-            if candidate == live_owner:
-                liveness["checks"] += 1
-                return liveness["checks"] > 1  # dead on first look, then live
-            return candidate == 111
-
-        engine._pid_alive = flaky_alive
-        with pytest.raises(PersistenceError, match="locked by running process"):
-            engine._acquire_lock()
-        # the live owner's lock survived the attempted steal
-        with open(os.path.join(path, "LOCK")) as fh:
-            assert int(fh.read().strip()) == live_owner
-
-    def test_plain_stale_steal_still_works(self, tmp_path):
+    @pytest.fixture
+    def stale_dir(self, tmp_path):
+        """A closed directory whose ``LOCK`` names a dead process."""
         path = str(tmp_path / "db")
         db = Database.open(path)
         db.connect("admin").execute("CREATE TABLE t (id INT PRIMARY KEY)")
         db.close()
-        # a dead process's lock lingers
         with open(os.path.join(path, "LOCK"), "w") as fh:
-            fh.write("999999999\n")
-        reopened = Database.open(path)  # steals and recovers
-        assert reopened.table_row_count("t") == 0
+            fh.write("999999999\n")  # beyond pid_max: never a live process
+        return path
+
+    def test_racing_opens_have_a_single_winner(self, stale_dir):
+        opened, refused = self.race(stale_dir, self.CONTENDERS)
+        try:
+            assert len(opened) == 1
+            assert len(refused) == self.CONTENDERS - 1
+            for exc in refused:
+                assert "already open in this or another process" in str(exc)
+            assert opened[0].table_row_count("t") == 0
+        finally:
+            for db in opened:
+                db.close()
+
+    def test_a_refused_contender_opens_once_the_winner_closes(self, stale_dir):
+        opened, refused = self.race(stale_dir, self.CONTENDERS)
+        assert len(opened) == 1 and refused
+        winner = opened[0]
+        winner.connect("admin").execute("INSERT INTO t VALUES (7)")
+        winner.close()
+        # the losers released their descriptors when their opens failed
+        reopened = Database.open(stale_dir)
+        assert [row["id"] for row in reopened.snapshot()["t"]] == [7]
         reopened.close()

@@ -142,8 +142,8 @@ SHADOW = shadow_states()
 
 def scrub(exc: BaseException | None) -> None:
     """Strip traceback chains so a caught injected failure cannot keep the
-    crashed engine alive through frame references (the reopen would then
-    see a same-process double-open instead of a stale crashed lock)."""
+    crashed engine alive through frame references (its open ``LOCK``
+    descriptor would then refuse the reopen as a same-process double-open)."""
     seen: set[int] = set()
     while exc is not None and id(exc) not in seen:
         seen.add(id(exc))
@@ -257,7 +257,7 @@ class TestRecoveryCrashSweep:
         session = db.connect("admin")
         session.execute("INSERT INTO t VALUES (6, 'fin', 60, 'z')")
         final = logical_state(db)
-        # no close(): recovery must also steal our own stale LOCK
+        # no close(): the dropped engine's LOCK descriptor closes with it
         db = session = None
         gc.collect()
         # freeze the crashed directory: each sweep iteration recovers an
@@ -502,14 +502,10 @@ class TestDegradationSemantics:
         db, session = seeded_db(path, FaultyFilesystem(FaultPlan()))
         db.close()
         tmp = os.path.join(path, "snapshot.json.tmp")
-        stale = os.path.join(path, "LOCK.stale.99999.1")
         with open(tmp, "w") as fh:
             fh.write("{garbage")
-        with open(stale, "w") as fh:
-            fh.write("99999")
         db2 = Database.open(path)
         assert not os.path.exists(tmp)
-        assert not os.path.exists(stale)
         assert sorted(row["k"] for row in db2.snapshot()["kv"]) == ["a", "b"]
         db2.close()
 
@@ -569,4 +565,4 @@ class TestFaultPlanMechanics:
         db.close()
         assert fs.ops == len(fs.ops_log)
         kinds = {op for _, op, _ in fs.ops_log}
-        assert {"open", "write", "flush", "fsync", "replace"} <= kinds
+        assert {"open", "lock", "write", "flush", "fsync", "replace"} <= kinds

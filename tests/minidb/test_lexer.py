@@ -113,9 +113,7 @@ class TestErrors:
             tokenize("SELECT #")
 
     def test_keyword_matching_is_case_insensitive(self):
-        token = tokenize("select")[0]
-        assert token.matches_keyword("SELECT")
-        assert token.matches_keyword("select")
+        assert tokenize("select")[0].word == tokenize("SeLeCt")[0].word == "SELECT"
 
     def test_positions_recorded(self):
         tokens = tokenize("ab cd")

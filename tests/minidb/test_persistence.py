@@ -15,14 +15,19 @@ Covers the PR-3 tentpole contract end to end:
 
 from __future__ import annotations
 
+import gc
 import json
 import os
 import shutil
+import subprocess
+import sys
+import weakref
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import repro
 from repro.faults import OS_FILESYSTEM
 from repro.minidb import (
     Database,
@@ -42,6 +47,29 @@ def reopen(path: str) -> Database:
 @pytest.fixture
 def dbdir(tmp_path):
     return str(tmp_path / "db")
+
+
+#: holds a database directory open from another process until killed
+HOLDER = """\
+import sys
+from repro.minidb import Database
+db = Database.open(sys.argv[1])
+db.connect("admin").execute("INSERT INTO items VALUES (3, 'gamma', 9)")
+print("ready", flush=True)
+sys.stdin.read()
+"""
+
+
+def spawn(source: str, *args: str) -> subprocess.Popen:
+    """A Python child running ``source``, blocked on its stdin."""
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(repro.__file__)))
+    return subprocess.Popen(
+        [sys.executable, "-c", source, *args],
+        stdin=subprocess.PIPE,
+        stdout=subprocess.PIPE,
+        text=True,
+        env=env,
+    )
 
 
 def seeded(path: str) -> Database:
@@ -268,7 +296,8 @@ class TestEngineLifecycle:
         assert db2.engine.stats["wal_replayed"] == 0
 
     @pytest.mark.parametrize(
-        "mode,encoding", [("a", "utf-8"), ("w", "utf-8"), ("rb", None), ("r+b", None)]
+        "mode,encoding",
+        [("a", "utf-8"), ("ab", None), ("w", "utf-8"), ("rb", None), ("r+b", None)],
     )
     def test_the_passthrough_seam_returns_the_builtin_file(
         self, tmp_path, mode, encoding
@@ -329,18 +358,36 @@ class TestEngineLifecycle:
         with pytest.raises(PersistenceError):
             session.execute("INSERT INTO items VALUES (5, 'late', 0)")
 
-    def test_lock_file_guards_against_second_writer(self, dbdir):
-        db = seeded(dbdir)
-        assert os.path.exists(db.engine.lock_path)
-        # fake another live process holding the lock (pid 1 is always up)
+    def test_live_holder_in_another_process_refuses_then_dies(self, dbdir):
+        seeded(dbdir).close()
+        holder = spawn(HOLDER, dbdir)
+        try:
+            assert holder.stdout.readline() == "ready\n"
+            with pytest.raises(PersistenceError, match="already open in this or another"):
+                Database.open(dbdir)
+        finally:
+            holder.kill()
+            holder.communicate()  # reaps it and closes the pipes
+        # the kernel dropped the dead holder's lock: no stale file to clear
+        db = reopen(dbdir)
+        assert sorted(row["id"] for row in db.snapshot()["items"]) == [1, 2, 3]
         db.close()
-        assert not os.path.exists(db.engine.lock_path)
-        os.makedirs(dbdir, exist_ok=True)
-        with open(os.path.join(dbdir, "LOCK"), "w") as fh:
-            fh.write("1\n")
-        with pytest.raises(PersistenceError, match="locked by running process"):
-            Database.open(dbdir)
-        os.unlink(os.path.join(dbdir, "LOCK"))
+
+    def test_lock_naming_a_live_process_that_holds_nothing_opens(self, dbdir):
+        # a crashed owner's pid handed to an unrelated, still-running process
+        db = seeded(dbdir)
+        expected = db.snapshot()
+        db.close()
+        bystander = spawn("import sys; sys.stdin.read()")
+        try:
+            with open(os.path.join(dbdir, "LOCK"), "w") as fh:
+                fh.write(f"{bystander.pid}\n")
+            db2 = reopen(dbdir)
+            assert db2.snapshot() == expected
+            db2.close()
+        finally:
+            bystander.kill()
+            bystander.communicate()  # reaps it and closes the pipes
 
     def test_same_process_double_open_refused(self, dbdir):
         db = seeded(dbdir)
@@ -350,25 +397,62 @@ class TestEngineLifecycle:
         db2 = reopen(dbdir)  # fine once the first handle is closed
         db2.close()
 
+    def test_an_owner_dropped_unclosed_in_a_cycle_never_blocks_an_open(self, dbdir):
+        db = seeded(dbdir)
+        expected = db.snapshot()
+        engine = weakref.ref(db.engine)
+        gc.disable()  # keep the dropped database's reference cycle alive
+        try:
+            db = None
+            assert engine() is not None  # its LOCK descriptor is still open
+            db2 = reopen(dbdir)  # the open collects it and retries
+        finally:
+            gc.enable()
+        assert engine() is None
+        assert db2.snapshot() == expected
+        db2.close()
+
     def test_failed_recovery_releases_lock(self, dbdir):
         db = seeded(dbdir)
         db.checkpoint()
+        expected = db.snapshot()
         db.close()
         snapshot_path = os.path.join(dbdir, "snapshot.json")
+        with open(snapshot_path, "rb") as fh:
+            good = fh.read()
         with open(snapshot_path, "r+") as fh:
             fh.write("garbage")  # corrupt the snapshot header
         with pytest.raises(PersistenceError):
             Database.open(dbdir)
         # the failed open must not hold the directory hostage
-        assert not os.path.exists(os.path.join(dbdir, "LOCK"))
+        with open(snapshot_path, "wb") as fh:
+            fh.write(good)
+        db2 = reopen(dbdir)
+        assert db2.snapshot() == expected
+        db2.close()
 
-    def test_stale_lock_from_dead_process_is_stolen(self, dbdir):
+    def test_lock_file_is_never_unlinked(self, dbdir):
+        # unlinking a held LOCK would let a third opener lock a fresh inode
+        db = seeded(dbdir)
+        lock_path = os.path.join(dbdir, "LOCK")
+        inode = os.stat(lock_path).st_ino
+        with pytest.raises(PersistenceError):
+            Database.open(dbdir)  # a refused open leaves the file alone
+        assert os.stat(lock_path).st_ino == inode
+        db.close()
+        assert os.stat(lock_path).st_ino == inode
+        db2 = reopen(dbdir)
+        assert os.stat(lock_path).st_ino == inode
+        db2.close()
+        assert os.path.getsize(lock_path) == 0  # never written either
+
+    def test_stale_lock_from_dead_process_opens(self, dbdir):
         db = seeded(dbdir)
         expected = db.snapshot()
         db.close()
         with open(os.path.join(dbdir, "LOCK"), "w") as fh:
             fh.write("999999999\n")  # beyond pid_max: never a live process
-        db2 = reopen(dbdir)  # steals the stale lock instead of failing
+        db2 = reopen(dbdir)
         assert db2.snapshot() == expected
         db2.close()
 

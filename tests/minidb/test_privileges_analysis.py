@@ -131,11 +131,6 @@ class TestPrivilegeManagerUnit:
         pm.grant("u", "INSERT", "t")
         assert pm.actions_on("u", "t") == {"SELECT", "INSERT"}
 
-    def test_accessible_objects_filter(self):
-        pm = PrivilegeManager("root")
-        pm.grant("u", "SELECT", "a")
-        assert pm.accessible_objects("u", ["a", "b"]) == ["a"]
-
     def test_check_raises_with_detail(self):
         pm = PrivilegeManager("root")
         pm.create_user("u")

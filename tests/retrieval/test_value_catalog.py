@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.similarity import SynonymTable, similarity, top_k
-from repro.retrieval import CatalogCache, ValueCatalog
+from repro.retrieval import CatalogCache, CatalogStore, ValueCatalog
 from repro.retrieval.catalog import _members, _pack_postings
 
 VALUES = [
@@ -238,11 +238,14 @@ class TestPruningScaleOracle:
                             key, k, table is not None, catalog is built,
                         )
 
-    def test_a_sidecar_without_trigram_sizes_still_opens(self):
+    @pytest.mark.parametrize("layout", ["before bitmaps", "before sizes"])
+    def test_an_old_sidecar_is_a_miss_and_the_rebuild_ranks_as_fresh(
+        self, tmp_path, monkeypatch, layout
+    ):
         """The pickles of catalogs written before dense postings became
         bitmaps (every trigram packed as a vid list) and before sizes were
-        persisted (one key fewer still) rank exactly as a fresh build;
-        their dense lists become bitmaps at load."""
+        persisted (one key fewer still) do not load: the store misses, and
+        the catalog rebuilt in their place ranks exactly as a fresh build."""
         rng = random.Random("pruning-oracle:old-sidecar")
         values = syllable_column(rng, 400)
         built = ValueCatalog(values)
@@ -259,27 +262,25 @@ class TestPruningScaleOracle:
         }
         lists.update(built._trigram_postings)
         state["trigram_postings"] = _pack_postings(lists)
-        before_bitmaps = ValueCatalog.__new__(ValueCatalog)
-        before_bitmaps.__setstate__(pickle.loads(pickle.dumps(state)))
-        assert before_bitmaps._trigram_bitmaps == built._trigram_bitmaps
-        assert {
-            trigram: list(vids)
-            for trigram, vids in before_bitmaps._trigram_postings.items()
-        } == built._trigram_postings
-        assert before_bitmaps._size_masks == built._size_masks
-        del state["trigram_sizes"]
-        old = ValueCatalog.__new__(ValueCatalog)
-        old.__setstate__(pickle.loads(pickle.dumps(state)))
-        assert old._sizes == built._sizes
-        assert old._size_masks == built._size_masks
-        reloaded = pickle.loads(pickle.dumps(built))
-        assert reloaded._sizes == built._sizes
-        for key in oracle_keys(rng, values, picks=4):
+        if layout == "before sizes":
+            del state["trigram_sizes"]
+        key, fingerprint = ("t", "c", 400), (7, 3)
+        store = CatalogStore(str(tmp_path))
+        with monkeypatch.context() as patch:  # the older build's pickler
+            patch.setattr(ValueCatalog, "__getstate__", lambda self: state)
+            store.store(key, fingerprint, built)
+        assert store.load(key, fingerprint) is None
+        assert store.stats["misses"] == 1
+        cache = CatalogCache(store=store)
+        rebuilt = cache.lookup(key, fingerprint, lambda: values)
+        assert (cache.stats["persisted_hits"], cache.stats["misses"]) == (0, 1)
+        reloaded = store.load(key, fingerprint)  # the rebuild replaced it
+        for probe in oracle_keys(rng, values, picks=4):
             for k in (1, 5, 12):
-                expected = top_k(key, values, k)
-                assert old.top_k(key, k) == expected, (key, k)
-                assert before_bitmaps.top_k(key, k) == expected, (key, k)
-                assert reloaded.top_k(key, k) == expected, (key, k)
+                expected = top_k(probe, values, k)
+                assert built.top_k(probe, k) == expected, (probe, k)
+                assert rebuilt.top_k(probe, k) == expected, (probe, k)
+                assert reloaded.top_k(probe, k) == expected, (probe, k)
 
     def test_only_what_is_scored_is_materialised(self):
         """A built catalog holds no feature object per value: bounding

@@ -430,6 +430,22 @@ def test_fs_seam_flags_bare_io_in_seamed_module():
     assert "os.replace()" in messages
 
 
+def test_fs_seam_flags_a_bare_flock():
+    findings, _ = run_rule(
+        "fs-seam",
+        """\
+        import fcntl
+
+        class Engine:
+            def _acquire_lock(self, fh):
+                fcntl.flock(fh.fileno(), fcntl.LOCK_EX | fcntl.LOCK_NB)
+        """,
+        rel_path=FS_SEAM_PATH,
+    )
+    assert len(findings) == 1
+    assert "fcntl.flock()" in findings[0].message
+
+
 def test_fs_seam_clean_through_the_seam():
     findings, _ = run_rule("fs-seam", FS_SEAM_GOOD, rel_path=FS_SEAM_PATH)
     assert findings == []

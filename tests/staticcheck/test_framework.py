@@ -1,15 +1,13 @@
-"""Framework-level tests: suppression parsing and scoping, the baseline
-ratchet, and the CLI contract (exit codes, output formats) the CI gate
-depends on."""
+"""Framework-level tests: suppression parsing and scoping, and the CLI
+contract (exit codes, output formats) the CI gate depends on."""
 
-import json
 import textwrap
 
 import pytest
 
-from repro.staticcheck import Baseline, ModuleSource, check_module, run_paths
+from repro.staticcheck import ModuleSource, check_module, run_paths
 from repro.staticcheck.cli import main
-from repro.staticcheck.core import Finding, MiniStaticError
+from repro.staticcheck.core import MiniStaticError
 
 
 def module(source, rel_path="src/repro/fixture.py"):
@@ -132,49 +130,6 @@ def test_def_level_suppression_does_not_leak_to_siblings():
     assert result.findings[0].context == "uncovered"
 
 
-# -------------------------------------------------------------- baseline
-
-
-def test_baseline_round_trip_and_covers(tmp_path):
-    finding = Finding(
-        rule="broad-except",
-        path="src/repro/x.py",
-        line=10,
-        message="msg",
-        context="C.m",
-    )
-    path = tmp_path / "baseline.json"
-    Baseline.from_findings([finding]).save(str(path))
-    loaded = Baseline.load(str(path))
-    assert loaded.covers(finding)
-    # line drift must not break the match: identity is line-independent
-    moved = Finding(
-        rule="broad-except",
-        path="src/repro/x.py",
-        line=99,
-        message="msg",
-        context="C.m",
-    )
-    assert loaded.covers(moved)
-    other = Finding(
-        rule="broad-except", path="src/repro/y.py", line=10, message="msg"
-    )
-    assert not loaded.covers(other)
-    assert loaded.stale_entries([finding]) == []
-    assert loaded.stale_entries([]) == [finding.key()]
-
-
-def test_baseline_missing_file_is_empty(tmp_path):
-    assert Baseline.load(str(tmp_path / "nope.json")).entries == set()
-
-
-def test_baseline_bad_version_rejected(tmp_path):
-    path = tmp_path / "baseline.json"
-    path.write_text(json.dumps({"version": 99, "findings": []}))
-    with pytest.raises(MiniStaticError):
-        Baseline.load(str(path))
-
-
 # ------------------------------------------------------------ run_paths
 
 
@@ -210,7 +165,7 @@ def write_fixture(workdir, source=BAD_HANDLER, name="mod.py"):
 def test_cli_clean_exits_zero(workdir, capsys):
     name = write_fixture(workdir, "x = 1\n")
     assert main([name]) == 0
-    assert "0 new finding(s)" in capsys.readouterr().out
+    assert "0 finding(s)" in capsys.readouterr().out
 
 
 def test_cli_findings_exit_one(workdir, capsys):
@@ -232,25 +187,6 @@ def test_cli_usage_errors_exit_two(workdir, capsys):
     assert main(["does/not/exist.py"]) == 2
     name = write_fixture(workdir, "x = 1\n")
     assert main([name, "--rule", "no-such-rule"]) == 2
-
-
-def test_cli_write_baseline_then_clean(workdir, capsys):
-    name = write_fixture(workdir)
-    assert main([name, "--write-baseline"]) == 0
-    assert (workdir / "staticcheck.baseline.json").exists()
-    # default baseline path is picked up automatically
-    assert main([name]) == 0
-    assert "1 baselined" in capsys.readouterr().out
-    # --no-baseline reports everything again
-    assert main([name, "--no-baseline"]) == 1
-
-
-def test_cli_reports_stale_baseline_entries(workdir, capsys):
-    name = write_fixture(workdir)
-    assert main([name, "--write-baseline"]) == 0
-    write_fixture(workdir, "x = 1\n")  # fix the finding
-    assert main([name]) == 0
-    assert "stale baseline" in capsys.readouterr().out
 
 
 def test_cli_rule_filter_keeps_suppression_format(workdir, capsys):
