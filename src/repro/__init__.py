@@ -17,7 +17,7 @@ Subpackages:
 * :mod:`repro.faults` — the filesystem seam and scripted fault injection
 * :mod:`repro.staticcheck` — machine-checked source invariants
 * :mod:`repro.bench` — the paper's experiments (BIRD-Ext and NL2ML: figures
-  5–6, tables 1–2, ablations) plus the ``concurrency`` and ``obs`` gates
+  5–6, tables 1–2, ablations), seeded and gated
 """
 
 __version__ = "1.0.0"

@@ -1,12 +1,13 @@
 """Command-line front end: the one way to run an experiment.
 
     python -m repro.bench fig5a --tasks 25 --scale 0.5
-    python -m repro.bench concurrency --out BENCH_concurrency.json
-    python -m repro.bench all --smoke
+    python -m repro.bench table2 --out BENCH_table2.json
+    python -m repro.bench all
 
 Each run prints the experiment's report and then its gate's verdict; the
-exit code is 1 when any gate failed. Nothing is written unless ``--out``
-names a history file to append the run to.
+exit code is 1 when any gate failed. Every experiment is seeded and reads
+no clock, so a run prints the same text every time. Nothing is written
+unless ``--out`` names a history file to append the run to.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from dataclasses import dataclass, field
 from functools import partial
 from typing import Any, Callable
 
-from . import ablations, concurrency, observability as obs, reporting, runner
+from . import ablations, reporting, runner
 
 
 @dataclass(frozen=True)
@@ -25,16 +26,15 @@ class Experiment:
 
     run: Callable[..., Any]
     render: Callable[[Any], str]
-    #: ``check(result, smoke)`` -> one line per failed gate, [] when it passes
-    check: Callable[[Any, bool], list[str]]
-    #: keyword sizes of a full run, and of a CI-sized one (None: the same)
-    full: dict[str, Any] = field(default_factory=dict)
-    smoke: dict[str, Any] | None = None
+    #: ``check(result)`` -> one line per failed gate, [] when it passes
+    check: Callable[[Any], list[str]]
+    #: keyword sizes of a run
+    size: dict[str, Any] = field(default_factory=dict)
     #: size keyword -> the command-line option that overrides it when given
     options: dict[str, str] = field(default_factory=dict)
 
     def sizes(self, args: argparse.Namespace) -> dict[str, Any]:
-        sizes = dict(self.smoke if args.smoke and self.smoke else self.full)
+        sizes = dict(self.size)
         for keyword, option in self.options.items():
             if getattr(args, option) is not None:
                 sizes[keyword] = getattr(args, option)
@@ -50,55 +50,35 @@ EXPERIMENTS: dict[str, Experiment] = {
     "fig5a": Experiment(
         runner.experiment_fig5a, partial(reporting.render_fig5, "fig5a"),
         runner.check_fig5a,
-        full=_PAPER, options=_TASKS,
+        size=_PAPER, options=_TASKS,
     ),
     "fig5b": Experiment(
         runner.experiment_fig5b, partial(reporting.render_fig5, "fig5b"),
         runner.check_fig5b,
-        full=_PAPER, options=_TASKS,
+        size=_PAPER, options=_TASKS,
     ),
     "fig5c": Experiment(
         runner.experiment_fig5c, partial(reporting.render_fig5, "fig5c"),
         runner.check_fig5c,
-        full=_PAPER, options=_TASKS,
+        size=_PAPER, options=_TASKS,
     ),
     # fig6 and table1 print two views of one run; `all` makes it once
     "fig6": Experiment(
         runner.experiment_fig6_table1, reporting.render_fig6, runner.check_fig6,
-        full=_PAPER, options=_TASKS,
+        size=_PAPER, options=_TASKS,
     ),
     "table1": Experiment(
         runner.experiment_fig6_table1, reporting.render_table1, runner.check_table1,
-        full=_PAPER, options=_TASKS,
+        size=_PAPER, options=_TASKS,
     ),
     "table2": Experiment(
         runner.experiment_table2, reporting.render_table2, runner.check_table2,
-        full={"per_level": 10, "housing_rows": 20_000},
+        size={"per_level": 10, "housing_rows": 20_000},
         options={"models": "model", "housing_rows": "housing_rows"},
     ),
     "ablations": Experiment(
         ablations.experiment_ablations, reporting.render_ablations,
         ablations.check_ablations,
-    ),
-    # the scale experiments with no deterministic successor yet: timings
-    # against a baseline reached from its input
-    "concurrency": Experiment(
-        concurrency.experiment_concurrency, reporting.render_concurrency,
-        concurrency.check_concurrency,
-        full={
-            "sessions": 8, "workers": 8, "ops_per_session": 40, "rows": 10_000,
-            "io_delay_ms": 8.0, "writer_sessions": 6, "increments_per_session": 20,
-        },
-        smoke={
-            "sessions": 4, "workers": 4, "ops_per_session": 15, "rows": 2_000,
-            "io_delay_ms": 8.0, "writer_sessions": 4, "increments_per_session": 8,
-        },
-    ),
-    "obs": Experiment(
-        obs.experiment_observability, reporting.render_observability,
-        obs.check_observability,
-        full={"statements": 600, "rows": 2_000, "repeats": 5},
-        smoke={"statements": 300, "rows": 1_000, "repeats": 4},
     ),
 }
 
@@ -109,10 +89,6 @@ def main(argv: list[str] | None = None) -> int:
         "experiment",
         choices=[*EXPERIMENTS, "all"],
         help="which result to regenerate and gate",
-    )
-    parser.add_argument(
-        "--smoke", action="store_true",
-        help="CI-sized scale experiments, gated at their smoke floors",
     )
     parser.add_argument(
         "--out", default=None,
@@ -141,7 +117,7 @@ def main(argv: list[str] | None = None) -> int:
             results[experiment.run] = experiment.run(**experiment.sizes(args))
         result = results[experiment.run]
         print(experiment.render(result))
-        failures = experiment.check(result, args.smoke)
+        failures = experiment.check(result)
         for failure in failures:
             print(f"FAIL {name}: {failure}")
         if not failures:
@@ -149,10 +125,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.out:
             reporting.record_bench_result(
                 args.out,
-                dict(
-                    result, experiment=name, smoke=args.smoke,
-                    passed=not failures, failures=failures,
-                ),
+                dict(result, experiment=name, passed=not failures, failures=failures),
             )
             print(f"recorded run in {args.out}")
         print()

@@ -170,84 +170,6 @@ def render_table2(results: dict[str, Any]) -> str:
     return table + footer
 
 
-def render_concurrency(result: dict[str, Any]) -> str:
-    read = result["read_heavy"]
-    contention = result["writer_contention"]
-    table = render_table(
-        ["dispatcher", "requests", "time (s)", "req/s"],
-        [
-            [f"serialized: {read['baseline']}", read["requests"], read["serial_s"],
-             read["serial_rps"]],
-            [f"threaded ({read['workers']} workers)", read["requests"],
-             read["threaded_s"], read["threaded_rps"]],
-        ],
-        title=(
-            "Concurrency — read-heavy mixed workload "
-            f"({read['sessions']} sessions, {read['io_delay_ms']}ms simulated "
-            "I/O per request)"
-        ),
-    )
-    contention_line = (
-        f"writer contention: {contention['committed']}/{contention['expected']} "
-        f"increments committed, final counter {contention['final_value']} "
-        f"(recovered: {contention['recovered_value']}), "
-        f"{contention['lost_updates']} lost updates, "
-        f"{contention['deadlocks_detected']} deadlocks detected, "
-        f"{contention['retries']} retries, "
-        f"{contention['stuck_sessions']} stuck sessions"
-    )
-    immediate = result["zero_backoff"]
-    litmus_line = (
-        "retry litmus: jittered backoff "
-        f"{result['backoff_commits_per_s']} commits/s vs zero-backoff "
-        f"{result['zero_backoff_commits_per_s']} commits/s "
-        f"(ratio {result['throughput_ratio']}), lost updates "
-        f"{contention['lost_updates']}/{immediate['lost_updates']}, "
-        f"retries {contention['retries']}/{immediate['retries']}"
-    )
-    return (
-        f"{table}\n"
-        f"speedup: {read['speedup']:,.2f}x  "
-        f"(p50 {read['p50_latency_ms']}ms / p95 {read['p95_latency_ms']}ms, "
-        f"max queue depth {read['max_queue_depth']})\n"
-        f"{contention_line}\n"
-        f"{litmus_line}"
-    )
-
-
-def render_observability(result: dict[str, Any]) -> str:
-    overhead = result["overhead"]
-    features = result["features"]
-    variants = (  # (label, seconds, overhead % over the baseline)
-        ("no-dispatch baseline", overhead["baseline_s"], None),
-        ("dark (defaults, production)", overhead["dark_s"],
-         overhead["dark_overhead_pct"]),
-        ("traced (ring + spans)", overhead["traced_s"],
-         overhead["traced_overhead_pct"]),
-    )
-    table = render_table(
-        ["variant", "statements", "time (s)", "overhead"],
-        [
-            [label, overhead["statements"], seconds,
-             "-" if pct is None else f"{pct:+.2f}%"]
-            for label, seconds, pct in variants
-        ],
-        title="Observability — statement-path overhead (point lookups)",
-    )
-    feature_line = (
-        f"features: {features['system_statements_rows']} system.statements rows, "
-        f"{features['system_metrics_rows']} system.metrics rows, "
-        f"{features['slow_entries']} slow-log entries, "
-        f"{features['explain_analyze_lines']} EXPLAIN ANALYZE lines, "
-        f"{features['render_text_bytes']}B exposition"
-    )
-    ring_line = (
-        f"ring buffer: {overhead['ring_entries']} traces retained "
-        "(bounded) after the traced runs"
-    )
-    return f"{table}\n{feature_line}\n{ring_line}"
-
-
 def render_ablations(result: dict[str, Any]) -> str:
     schema = render_table(
         ["threshold n", "mode", "get_schema tokens"],
@@ -259,8 +181,4 @@ def render_ablations(result: dict[str, Any]) -> str:
         result["exemplar_top_k"],
         title="Ablation — get_value top-k recall for key 'women'",
     )
-    return (
-        f"{schema}\n"
-        f"verification overhead: {result['verification_overhead']:+.1%} "
-        f"over bare execution\n{top_k}"
-    )
+    return f"{schema}\n{top_k}"

@@ -395,7 +395,7 @@ def experiment_table2(
 
 
 # --------------------------------------------------------------------------
-# gates: the paper's result shapes, as (result, smoke) -> failures
+# gates: the paper's result shapes, as result -> failures
 # --------------------------------------------------------------------------
 
 #: the Figure 6 / Table 1 cells whose tasks the role cannot complete
@@ -408,7 +408,7 @@ def _each_model(
     return failed(e for model, row in result.items() for e in expectations(model, row))
 
 
-def check_fig5a(result: dict[str, dict[str, float]], smoke: bool) -> list[str]:
+def check_fig5a(result: dict[str, dict[str, float]]) -> list[str]:
     """BridgeScope approaches best-achievable and beats PG-MCP-minus."""
     return _each_model(result, lambda model, row: [
         expect(f"{model}: bridgescope calls", row["bridgescope"], "<",
@@ -418,7 +418,7 @@ def check_fig5a(result: dict[str, dict[str, float]], smoke: bool) -> list[str]:
     ])
 
 
-def check_fig5b(result: dict[str, dict[str, float]], smoke: bool) -> list[str]:
+def check_fig5b(result: dict[str, dict[str, float]]) -> list[str]:
     """Accuracies are comparable: tool modularization has no side effect."""
     return _each_model(result, lambda model, row: [
         expect(f"{model}: accuracy gap to pg-mcp",
@@ -427,7 +427,7 @@ def check_fig5b(result: dict[str, dict[str, float]], smoke: bool) -> list[str]:
     ])
 
 
-def check_fig5c(result: dict[str, dict[str, float]], smoke: bool) -> list[str]:
+def check_fig5c(result: dict[str, dict[str, float]]) -> list[str]:
     """Explicit transaction tools are (nearly) always used; execute_sql rarely."""
     return _each_model(result, lambda model, row: [
         expect(f"{model}: bridgescope txn ratio", row["bridgescope"], ">=", 0.9),
@@ -445,7 +445,7 @@ def _savings(result: CellResults, what: str, suffix: str) -> list[tuple[str, flo
     ]
 
 
-def check_fig6(result: CellResults, smoke: bool) -> list[str]:
+def check_fig6(result: CellResults) -> list[str]:
     """Infeasible tasks cost >= 20% fewer LLM calls; feasible ones stay small."""
     savings = _savings(result, "LLM-call reduction", "")
     return failed(
@@ -458,7 +458,7 @@ def check_fig6(result: CellResults, smoke: bool) -> list[str]:
     )
 
 
-def check_table1(result: CellResults, smoke: bool) -> list[str]:
+def check_table1(result: CellResults) -> list[str]:
     """Infeasible tasks cost >= 20% fewer tokens, and >= 60% somewhere."""
     savings = _savings(result, "token saving", "_tokens")
     return failed(
@@ -467,7 +467,7 @@ def check_table1(result: CellResults, smoke: bool) -> list[str]:
     )
 
 
-def check_table2(result: dict[str, Any], smoke: bool) -> list[str]:
+def check_table2(result: dict[str, Any]) -> list[str]:
     """Only the proxy completes NL2ML cheaply; routing data costs >= 100x."""
     cells = result["cells"]
     expectations = [

@@ -78,10 +78,17 @@ class ObjectAccess:
     whole_object: bool = False  # SELECT * or DDL — needs the full object
 
     def column_set(self) -> frozenset[str] | None:
-        """Columns needed for a privilege check (None = whole object)."""
+        """Columns needed for a privilege check (None = whole object).
+
+        A SELECT that names no column of the object (``SELECT COUNT(*)
+        FROM t``) needs the empty set, which SELECT on any one column of
+        it covers, as in PostgreSQL; any other action naming no column
+        needs the whole object."""
         if self.whole_object:
             return None
-        return self.columns or None
+        if self.columns or self.action == "SELECT":
+            return self.columns
+        return None
 
 
 @dataclass(frozen=True, eq=False)
@@ -580,13 +587,15 @@ class _Binder:
     # --------------------------------------------------------- expressions
 
     def _bind_expr(self, expr: ast.Expr) -> None:
-        """Bind the columns ``expr`` reads, claim its stars, bind its
-        subqueries (IN's after its operand), in tree order."""
+        """Bind the columns ``expr`` reads, claim its qualified stars, bind
+        its subqueries (IN's after its operand), in tree order. A bare star
+        here is ``COUNT(*)``'s, which reads no column."""
         kind = type(expr)
         if kind is ast.ColumnRef:
             self._bind_ref(expr)
         elif kind is ast.Star:
-            self._star_claims(expr)
+            if expr.table is not None:
+                self._star_claims(expr)
         elif kind is ast.ExistsExpr or kind is ast.ScalarSubquery:
             self._bind_select(expr.subquery)
         else:

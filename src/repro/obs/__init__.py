@@ -18,7 +18,8 @@ The package has three pillars (PR 9):
 
 The layer is zero-cost-when-dark: with ``db.observability_options`` left at
 defaults the statement hot path performs one dict read and one
-``threading.local`` probe; ``BENCH_obs.json`` gates the measured overhead.
+``threading.local`` probe, starts no trace, and every span it asks for is
+one shared no-op (``tests/obs/test_tracing.py::TestDarkMode`` counts it).
 
 Import discipline: nothing in this package imports ``repro.minidb`` at
 module level (``repro.minidb.database`` imports us), so the dependency edge

@@ -35,7 +35,7 @@ after the wake-up.) Only admission, which rarely blocks, waits on a
 ``Condition``.
 
 ``Dispatcher(workers=1)`` runs one request at a time: the serialized
-baseline the concurrency benchmark compares against.
+baseline (one handler in flight, never two).
 """
 
 from __future__ import annotations
@@ -50,8 +50,8 @@ from ..mcp import ToolCall, ToolResult
 from .metrics import ServiceMetrics
 from .sessions import ServiceSession, SessionError, SessionManager
 
-#: executes one request; swap-in point for benchmarks that model
-#: downstream latency (the default just runs the session's toolkit)
+#: executes one request; swap-in point for tests that hold a request in
+#: flight (the default just runs the session's toolkit)
 Handler = Callable[[ServiceSession, ToolCall], ToolResult]
 
 

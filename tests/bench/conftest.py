@@ -17,11 +17,6 @@ TINY_SIZES = {
     "table1": dict(n_tasks=4, scale=0.3),
     "table2": dict(per_level=2, housing_rows=500),
     "ablations": dict(scale=0.3),
-    "concurrency": dict(
-        sessions=2, workers=2, ops_per_session=5, rows=500, io_delay_ms=1.0,
-        writer_sessions=2, increments_per_session=3,
-    ),
-    "obs": dict(statements=50, rows=200, repeats=2),
 }
 
 

@@ -29,12 +29,16 @@ class TestBenchCLI:
         assert exit_info.value.code == 2
         assert "invalid choice: 'fig99'" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("name", ["joins", "faults", "query", "retrieval", "storage"])
+    @pytest.mark.parametrize(
+        "name",
+        ["joins", "faults", "query", "retrieval", "storage", "concurrency", "obs"],
+    )
     def test_folded_experiments_are_no_longer_names(self, capsys, name):
         # joins folded into query, faults into storage and concurrency;
-        # query, retrieval and storage became count tests under tests/
+        # query, retrieval, storage, concurrency and obs became count and
+        # barrier tests under tests/
         with pytest.raises(SystemExit) as exit_info:
-            bench_main([name, "--smoke"])
+            bench_main([name])
         assert exit_info.value.code == 2
         assert f"invalid choice: '{name}'" in capsys.readouterr().err
 
@@ -50,22 +54,22 @@ class TestBenchCLI:
     def test_experiments_registry_complete(self):
         assert set(EXPERIMENTS) == {
             "fig5a", "fig5b", "fig5c", "fig6", "table1", "table2", "ablations",
-            "concurrency", "obs",
         }
 
-    def test_options_are_exactly_the_documented_six(self, capsys):
+    def test_options_are_exactly_the_documented_five(self, capsys):
         with pytest.raises(SystemExit):
             bench_main(["--help"])
         usage = capsys.readouterr().out
         options = {word.strip("[],") for word in usage.split() if word.startswith("--")}
         assert options - {"--help"} == {
-            "--smoke", "--out", "--tasks", "--scale", "--housing-rows", "--model",
+            "--out", "--tasks", "--scale", "--housing-rows", "--model",
         }
 
-    def test_run_experiment_concurrency(self, report):
-        text = report("concurrency")
-        assert "writer contention" in text
-        assert "retry litmus" in text
+    def test_smoke_is_no_longer_an_option(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            bench_main(["all", "--smoke"])
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments: --smoke" in capsys.readouterr().err
 
 
 class TestMinidbShell:

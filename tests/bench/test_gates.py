@@ -1,10 +1,9 @@
-"""The gates of ``python -m repro.bench``: every ``check(result, smoke)``
-passes a good result, names the failure on a doctored one, and carries the
+"""The gates of ``python -m repro.bench``: every ``check(result)`` passes
+a good result, names the failure on a doctored one, and carries the
 thresholds the benchmark scripts carried before they were folded in.
 
 Each case starts from a real result (``tiny_result``, test-sized) whose
-size-dependent fields are first set comfortably inside every floor, so the
-verdicts below do not depend on how fast this machine is.
+size-dependent fields are first set comfortably inside every floor.
 """
 
 import copy
@@ -17,13 +16,9 @@ import pytest
 from repro.bench.cli import EXPERIMENTS, main
 from repro.bench.reporting import record_bench_result
 
-#: fields a tiny run cannot be trusted to get inside its gate: timings
-#: and table2's context overflow (the house table only overflows at paper
-#: size)
+#: fields a tiny run cannot be trusted to get inside its gate: table2's
+#: context overflow (the house table only overflows at paper size)
 GOOD_VALUES = {
-    "concurrency": {"read_heavy.speedup": 1000.0, "throughput_ratio": 1.0},
-    "obs": {"overhead.dark_overhead_pct": 0.0, "overhead.measurements": 1},
-    "ablations": {"verification_overhead": 0.1},
     "table2": {
         ("cells", ("gpt-4o", "pg-mcp"), "completion_rate"): 0.0,
         ("cells", ("claude-4", "pg-mcp"), "completion_rate"): 0.0,
@@ -54,61 +49,47 @@ def good(tiny_result):
 
 
 @pytest.mark.parametrize("name", list(EXPERIMENTS))
-@pytest.mark.parametrize("smoke", [False, True])
-def test_gate_passes_a_good_result(good, name, smoke):
-    assert EXPERIMENTS[name].check(good(name), smoke) == []
+def test_gate_passes_a_good_result(good, name):
+    assert EXPERIMENTS[name].check(good(name)) == []
 
 
 GPT = "gpt-4o"
-#: (experiment, smoke, field, doctored value, words the failure must carry)
+#: (experiment, field, doctored value, words the failure must carry)
 DOCTORED = [
-    # correctness checks: hard at every size
-    ("concurrency", True, "writer_contention.lost_updates", 1,
-     "lost updates 1 is not == 0"),
-    ("concurrency", True, "writer_contention.stuck_sessions", 1,
-     "never finished 1 is not == 0"),
-    ("concurrency", True, "writer_contention.recovered_value", -1,
-     "counter replayed by recovery -1 is not =="),
-    ("concurrency", True, "contention_ok", False, "did not complete cleanly"),
-    ("concurrency", True, "read_heavy.errors", {"serial": 0, "threaded": 2},
-     "read-heavy errors 2 is not == 0"),
-    ("concurrency", True, "litmus_ok", False, "lost updates or stuck"),
-    ("obs", True, "features.slow_entries", 0, "slow_entries 0 is not >= 1"),
-    ("obs", True, "features.explain_analyze_lines", 2,
-     "explain_analyze_lines 2 is not >= 3"),
-    ("obs", True, "features.spans_last_statement", 0, "spans_last_statement 0"),
-    ("ablations", True, "exemplar_top_k", [[1, False, "men's wear"]], "stored form"),
+    ("ablations", "exemplar_top_k", [[1, False, "men's wear"]], "stored form"),
+    ("ablations", "schema_threshold", [[0, "hierarchical", 60], [50, "full", 100]],
+     "hierarchical get_schema tokens 60 is not < 50"),
     # the paper's shapes (the assertions of the old bench_fig*/table* files)
-    ("fig5a", False, (GPT, "bridgescope"), 99.0, "gpt-4o: bridgescope calls 99 is not <"),
-    ("fig5a", False, (GPT, "pg-mcp-minus"), 0.0, "is not < 0"),
-    ("fig5a", False, (GPT, "best-achievable"), 0.0, "is not <= 1"),
-    ("fig5b", False, (GPT, "pg-mcp"), 9.0, "accuracy gap to pg-mcp"),
-    ("fig5b", False, (GPT, "bridgescope"), 0.59, "bridgescope accuracy 0.59 is not >= 0.6"),
-    ("fig5c", False, (GPT, "bridgescope"), 0.89, "txn ratio 0.89 is not >= 0.9"),
-    ("fig5c", False, (GPT, "pg-mcp"), 0.31, "pg-mcp txn ratio 0.31 is not <= 0.3"),
-    ("fig6", False, (GPT, "(I, write)", "bridgescope"), 99.0,
+    ("fig5a", (GPT, "bridgescope"), 99.0, "gpt-4o: bridgescope calls 99 is not <"),
+    ("fig5a", (GPT, "pg-mcp-minus"), 0.0, "is not < 0"),
+    ("fig5a", (GPT, "best-achievable"), 0.0, "is not <= 1"),
+    ("fig5b", (GPT, "pg-mcp"), 9.0, "accuracy gap to pg-mcp"),
+    ("fig5b", (GPT, "bridgescope"), 0.59, "bridgescope accuracy 0.59 is not >= 0.6"),
+    ("fig5c", (GPT, "bridgescope"), 0.89, "txn ratio 0.89 is not >= 0.9"),
+    ("fig5c", (GPT, "pg-mcp"), 0.31, "pg-mcp txn ratio 0.31 is not <= 0.3"),
+    ("fig6", (GPT, "(I, write)", "bridgescope"), 99.0,
      "gpt-4o (I, write): LLM-call reduction"),
-    ("fig6", False, (GPT, "(A, read)", "bridgescope"), 4.6,
+    ("fig6", (GPT, "(A, read)", "bridgescope"), 4.6,
      "(A, read): bridgescope calls 4.6 is not <= 4.5"),
-    ("table1", False, (GPT, "(N, write)", "bridgescope_tokens"), 1e9,
+    ("table1", (GPT, "(N, write)", "bridgescope_tokens"), 1e9,
      "gpt-4o (N, write): token saving"),
-    ("table2", False, ("cells", (GPT, "pg-mcp"), "completion_rate"), 0.5,
+    ("table2", ("cells", (GPT, "pg-mcp"), "completion_rate"), 0.5,
      "(1.0, 0.5, 1.0) is not == (1.0, 0.0, 1.0)"),
-    ("table2", False, ("cells", (GPT, "bridgescope"), "avg_llm_calls"), 4.1,
+    ("table2", ("cells", (GPT, "bridgescope"), "avg_llm_calls"), 4.1,
      "bridgescope LLM calls 4.1 is not <= 4"),
-    ("table2", False, ("cells", (GPT, "pg-mcp-s"), "avg_tokens"), 0.0,
+    ("table2", ("cells", (GPT, "pg-mcp-s"), "avg_tokens"), 0.0,
      "pg-mcp-s tokens 0 is not >"),
-    ("table2", False, "idealized_pg_mcp_tokens", 1, "is not >= 100"),
+    ("table2", "idealized_pg_mcp_tokens", 1, "is not >= 100"),
 ]
 
 
 @pytest.mark.parametrize(
-    "name,smoke,field,value,words", DOCTORED, ids=[f"{c[0]}-{c[4]}" for c in DOCTORED]
+    "name,field,value,words", DOCTORED, ids=[f"{c[0]}-{c[3]}" for c in DOCTORED]
 )
-def test_gate_names_the_doctored_field(good, name, smoke, field, value, words):
+def test_gate_names_the_doctored_field(good, name, field, value, words):
     result = good(name)
     put(result, field, value)
-    failures = EXPERIMENTS[name].check(result, smoke)
+    failures = EXPERIMENTS[name].check(result)
     assert any(words in failure for failure in failures), failures
 
 
@@ -117,56 +98,9 @@ def test_table1_needs_a_large_saving_somewhere(good):
     for cells in result.values():
         for cell in ("(N, write)", "(I, read)", "(I, write)"):
             cells[cell]["bridgescope_tokens"] = 0.5 * cells[cell]["pg-mcp_tokens"]
-    assert EXPERIMENTS["table1"].check(result, False) == [
+    assert EXPERIMENTS["table1"].check(result) == [
         "best token saving 0.5 is not >= 0.6"
     ]
-
-
-#: (experiment, field, floor at full size, floor at smoke size): the values
-#: the bench_*.py scripts carried; the retry-litmus floor was the faults
-#: experiment's
-FLOORS = [
-    ("concurrency", "read_heavy.speedup", 3.0, 1.5),
-    ("concurrency", "throughput_ratio", 0.5, 0.5),
-]
-
-
-@pytest.mark.parametrize("name,field,full,smoke_floor", FLOORS)
-@pytest.mark.parametrize("smoke", [False, True])
-def test_floor_is_exactly_the_recorded_one(good, name, field, full, smoke_floor, smoke):
-    floor = smoke_floor if smoke else full
-    result = good(name)
-    put(result, field, floor)
-    assert EXPERIMENTS[name].check(result, smoke) == []
-    put(result, field, floor * 0.99)
-    (failure,) = EXPERIMENTS[name].check(result, smoke)
-    assert f"is not >= {floor:.4g}" in failure
-
-
-@pytest.mark.parametrize(
-    "name,field,words",
-    [
-        ("obs", "overhead.dark_overhead_pct", "dark-mode overhead % (best of 1) 5.01"),
-        ("ablations", "verification_overhead", "verification overhead 1 is not < 1"),
-    ],
-)
-def test_ceilings(good, name, field, words):
-    ceiling = 0.99 if name == "ablations" else 5.0
-    result = good(name)
-    put(result, field, ceiling)
-    assert EXPERIMENTS[name].check(result, True) == []
-    put(result, field, ceiling + 0.01)
-    (failure,) = EXPERIMENTS[name].check(result, False)
-    assert words in failure
-
-
-def test_zero_backoff_leg_runs_at_the_writer_contention_sizes(tiny_result):
-    result = tiny_result("concurrency")
-    backoff, immediate = result["writer_contention"], result["zero_backoff"]
-    assert (immediate["sessions"], immediate["increments_per_session"]) == (
-        backoff["sessions"], backoff["increments_per_session"]
-    )
-    assert immediate["committed"] == immediate["expected"] == backoff["expected"]
 
 
 # ------------------------------------------------------------------ the CLI
@@ -181,20 +115,20 @@ def _swap(monkeypatch, name, **changes):
 def test_main_exits_0_when_the_gate_holds_and_1_when_it_does_not(
     monkeypatch, capsys, good
 ):
-    fine, bad = good("concurrency"), good("concurrency")
-    _swap(monkeypatch, "concurrency", run=lambda **sizes: fine)
-    assert main(["concurrency", "--smoke"]) == 0
-    assert "OK concurrency" in capsys.readouterr().out
+    fine, bad = good("fig5c"), good("fig5c")
+    _swap(monkeypatch, "fig5c", run=lambda **sizes: fine)
+    assert main(["fig5c"]) == 0
+    assert "OK fig5c" in capsys.readouterr().out
 
-    bad["read_heavy"]["speedup"] = 1.49
-    _swap(monkeypatch, "concurrency", run=lambda **sizes: bad)
-    assert main(["concurrency", "--smoke"]) == 1
+    bad[GPT]["bridgescope"] = 0.89
+    _swap(monkeypatch, "fig5c", run=lambda **sizes: bad)
+    assert main(["fig5c"]) == 1
     out = capsys.readouterr().out
-    assert "Concurrency" in out  # the report is printed either way
-    assert "FAIL concurrency: speedup 1.49 is not >= 1.5" in out
+    assert "Figure 5(c)" in out  # the report is printed either way
+    assert "FAIL fig5c: gpt-4o: bridgescope txn ratio 0.89 is not >= 0.9" in out
 
 
-def test_sizes_come_from_the_table_and_the_six_options(monkeypatch, good):
+def test_sizes_come_from_the_table_and_the_five_options(monkeypatch, good):
     seen = []
 
     def spy(name):
@@ -205,22 +139,14 @@ def test_sizes_come_from_the_table_and_the_six_options(monkeypatch, good):
             return result
         return run
 
-    for name in ("concurrency", "fig5a", "table2"):
+    for name in ("ablations", "fig5a", "table2"):
         _swap(monkeypatch, name, run=spy(name))
-    main(["concurrency"])
-    main(["concurrency", "--smoke", "--tasks", "3"])  # not concurrency's option
-    main(["fig5a", "--smoke"])
+    main(["ablations", "--tasks", "3"])  # not ablations' option
+    main(["fig5a"])
     main(["fig5a", "--tasks", "3", "--scale", "0.25", "--model", "gpt-4o"])
     main(["table2", "--housing-rows", "300"])
     assert seen == [
-        {
-            "sessions": 8, "workers": 8, "ops_per_session": 40, "rows": 10_000,
-            "io_delay_ms": 8.0, "writer_sessions": 6, "increments_per_session": 20,
-        },
-        {
-            "sessions": 4, "workers": 4, "ops_per_session": 15, "rows": 2_000,
-            "io_delay_ms": 8.0, "writer_sessions": 4, "increments_per_session": 8,
-        },
+        {},
         {"n_tasks": 25, "scale": 0.5},
         {"n_tasks": 3, "scale": 0.25, "models": ["gpt-4o"]},
         {"per_level": 10, "housing_rows": 300},
@@ -229,23 +155,23 @@ def test_sizes_come_from_the_table_and_the_six_options(monkeypatch, good):
 
 def test_a_run_without_out_writes_no_file(tmp_path, monkeypatch, good):
     monkeypatch.chdir(tmp_path)
-    result = good("concurrency")
-    _swap(monkeypatch, "concurrency", run=lambda **sizes: result)
-    assert main(["concurrency", "--smoke"]) == 0
+    result = good("ablations")
+    _swap(monkeypatch, "ablations", run=lambda **sizes: result)
+    assert main(["ablations"]) == 0
     assert os.listdir(tmp_path) == []
 
 
 def test_out_appends_one_entry_per_run(tmp_path, monkeypatch, good, capsys):
     out = tmp_path / "history.json"
-    for name in ("concurrency", "table2"):  # table2's cells are keyed by tuples
+    for name in ("ablations", "table2"):  # table2's cells are keyed by tuples
         _swap(monkeypatch, name, run=lambda result=good(name), **sizes: result)
-        assert main([name, "--smoke", "--out", str(out)]) == 0
+        assert main([name, "--out", str(out)]) == 0
     document = json.loads(out.read_text())
     first, second = document["history"]
-    assert (first["experiment"], first["smoke"], first["passed"]) == (
-        "concurrency", True, True
+    assert (first["experiment"], first["passed"], first["failures"]) == (
+        "ablations", True, []
     )
-    assert first["failures"] == [] and first["read_heavy"]["sessions"] == 2
+    assert first["exemplar_top_k"][0][:2] == [1, True]
     assert second["experiment"] == "table2"
     assert "gpt-4o/bridgescope" in second["cells"]
     assert document["latest"] == second
@@ -254,7 +180,7 @@ def test_out_appends_one_entry_per_run(tmp_path, monkeypatch, good, capsys):
 
 def test_out_is_refused_for_all(tmp_path, capsys):
     with pytest.raises(SystemExit) as exit_info:
-        main(["all", "--smoke", "--out", str(tmp_path / "x.json")])
+        main(["all", "--out", str(tmp_path / "x.json")])
     assert exit_info.value.code == 2
     assert os.listdir(tmp_path) == []
 
@@ -269,7 +195,7 @@ def test_all_runs_each_experiment_function_once(monkeypatch, capsys, good):
                 return result
             stubs[experiment.run] = stub
         _swap(monkeypatch, name, run=stubs[experiment.run])
-    assert main(["all", "--smoke"]) == 0
+    assert main(["all"]) == 0
     assert calls.count("experiment_fig6_table1") == 1
     assert len(calls) == len(stubs) == len(EXPERIMENTS) - 1
     out = capsys.readouterr().out

@@ -221,3 +221,48 @@ class TestTransactionTools:
         )
         manager_bridge.invoke("rollback")
         assert db.table_row_count("sales") == 3
+
+
+class TestVerificationCost:
+    """What verification costs, counted: it parses and analyzes a template
+    once and then only binds literals; it never runs the statement."""
+
+    SQL = (
+        "SELECT i.category, AVG(s.amount) FROM items i "
+        "JOIN sales s ON s.item_id = i.item_id "
+        "WHERE s.amount > {} GROUP BY i.category"
+    )
+
+    def test_one_template_is_analyzed_once_and_never_executed(self, db, monkeypatch):
+        from repro.minidb.parser import parse_cache_stats
+
+        executor = db.executor
+        counted = {"executions": 0, "examined": 0}
+
+        def execute(*args, _real=executor.execute, **kwargs):
+            counted["executions"] += 1
+            return _real(*args, **kwargs)
+
+        def scan(*args, _real=executor._scan, **kwargs):
+            relation, rids, examined = _real(*args, **kwargs)
+            counted["examined"] += examined
+            return relation, rids, examined
+
+        monkeypatch.setattr(executor, "execute", execute)
+        monkeypatch.setattr(executor, "_scan", scan)
+        verifier = SqlVerifier(
+            MinidbBinding.for_user(db, "manager"), SecurityPolicy.permissive()
+        )
+        texts = [self.SQL.format(n) for n in range(1000, 1050)]
+        verifier.verify(texts[0], expected_action="SELECT")
+        before = parse_cache_stats()
+        for sql in texts[1:]:
+            verifier.verify(sql, expected_action="SELECT")
+        after = parse_cache_stats()
+        moved = {key: after[key] - before[key] for key in after if "entries" not in key}
+
+        assert verifier.verified == len(texts)
+        assert moved["template_misses"] == moved["analysis_misses"] == 0
+        # every later text is bound from the template and served its analysis
+        assert moved["template_hits"] == moved["analysis_hits"] == len(texts) - 1
+        assert counted == {"executions": 0, "examined": 0}

@@ -5,7 +5,9 @@
 PostgreSQL's verdicts below are written by hand from its rules:
 
 * a statement needs SELECT on every column it reads anywhere — in a
-  correlated subquery too — and the whole object for ``SELECT *``;
+  correlated subquery too — and the whole object for ``SELECT *``; a
+  SELECT that reads no column of a relation (``SELECT COUNT(*) FROM t``)
+  needs SELECT on any one column of it;
 * UPDATE needs UPDATE on its SET columns and SELECT on the columns its
   WHERE reads; INSERT needs INSERT on its target columns;
 * a column access is allowed when the *union* of the user's and PUBLIC's
@@ -14,11 +16,8 @@ PostgreSQL's verdicts below are written by hand from its rules:
 * a view needs SELECT on the view only (its owner's rights read the body);
 * creating an object needs CREATE on the database (``ON *`` here).
 
-Two kinds of cell are pinned apart from that rule:
+One kind of cell is pinned apart from that rule:
 
-* ``LENIENCY``: minidb is *stricter* than PostgreSQL. ``SELECT COUNT(*)``
-  names no column, so minidb asks for the whole table, where PostgreSQL
-  is content with SELECT on any one column. Both sides refuse alike.
 * ``system.*`` (``TestSystemViews``): the engine lets every session read
   the observability views, as ``pg_catalog`` is readable; the tools
   refuse them to a user who may not read every object, because
@@ -96,6 +95,15 @@ STATEMENTS = {
         {"table", "cols", "split", "public", "star", "update_col", "update_split",
          "all", "views", "s_and_id"},
     ),
+    "one": (
+        "SELECT 1 FROM t",
+        "SELECT",
+        {"table", "cols", "split", "public", "star", "update_col", "update_split",
+         "all", "views", "s_and_id"},
+    ),
+    "count_where": (
+        "SELECT COUNT(*) FROM t WHERE b = 1", "SELECT", {"table", "star", "all"}
+    ),
     "where": ("SELECT id FROM t WHERE b = 1", "SELECT", {"table", "star", "all"}),
     "update": (
         "UPDATE t SET b = 0 WHERE id = 1",
@@ -108,6 +116,7 @@ STATEMENTS = {
         {"update_split", "all"},
     ),
     "insert": ("INSERT INTO t (id, a) VALUES (9, 9)", "INSERT", {"all"}),
+    "delete_all": ("DELETE FROM t", "DELETE", {"all"}),
     "view": ("SELECT * FROM v", "SELECT", {"star", "views"}),
     "create": ("CREATE TABLE n (x INT)", "CREATE", {"create"}),
     # correlated references (the shapes of the column-grant bypass)
@@ -132,13 +141,6 @@ STATEMENTS = {
 
 #: statements whose authorized run is refused by name, not by privilege
 NAME_ERRORS = {"broken_view": "UnknownColumnError"}
-
-#: cells PostgreSQL allows and minidb refuses on both sides (see above)
-LENIENCY = {
-    ("count", shape)
-    for shape in ("cols", "split", "public", "update_col", "update_split", "views",
-                  "s_and_id")
-}
 
 ALLOW, DENY = "allow", "deny"
 
@@ -179,7 +181,7 @@ def engine_verdict(db: Database, sql: str) -> str:
 
 def expected(shape: str, statement: str) -> str:
     _, _, allowed = STATEMENTS[statement]
-    if shape not in allowed or (statement, shape) in LENIENCY:
+    if shape not in allowed:
         return DENY
     return NAME_ERRORS.get(statement, ALLOW)
 

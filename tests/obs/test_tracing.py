@@ -280,3 +280,48 @@ class TestSlowQueryLog:
         for _ in range(10):
             session.execute("SELECT id FROM t")
         assert len(db.tracer.slow_statements()) == 4
+
+
+class TestDarkMode:
+    def test_defaults_start_no_trace_and_share_one_no_op_span(
+        self, tmp_path, monkeypatch
+    ):
+        """With every observability option at its default, statements
+        start and finish no trace and every inner hook gets one shared
+        no-op span: the dark path's cost, counted instead of timed."""
+        db = Database.open(tmp_path)
+        session = db.connect("admin")
+        session.execute("CREATE TABLE t (id INT PRIMARY KEY, v INT)")
+        assert db.observability_options["tracing"] is False
+        assert db.observability_options["slow_statement_s"] is None
+        tracer = db.tracer
+        calls = {"start": 0, "finish": 0}
+        spans = []
+
+        def counting(name):
+            real = getattr(tracer, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return real(*args, **kwargs)
+            return wrapper
+
+        def span(name, _real=tracer.span, **meta):
+            spans.append(_real(name, **meta))
+            return spans[-1]
+
+        for name in calls:
+            monkeypatch.setattr(tracer, name, counting(name))
+        monkeypatch.setattr(tracer, "span", span)
+        statements = 40
+        for n in range(statements // 4):
+            session.execute(f"INSERT INTO t VALUES ({n}, {n % 3})")
+            session.execute(f"SELECT v FROM t WHERE id = {n}")
+            session.execute(f"UPDATE t SET v = v + 1 WHERE id = {n}")
+            session.execute(f"EXPLAIN SELECT * FROM t WHERE v = {n}")
+        db.close()
+
+        assert calls == {"start": 0, "finish": 0}
+        assert len(spans) >= statements  # at least each statement's parse span
+        assert all(s is spans[0] for s in spans)
+        assert tracer.recent() == []

@@ -23,8 +23,8 @@ from repro.service import (
 STRESS_SESSIONS = int(os.environ.get("REPRO_STRESS_THREADS", "6"))
 
 
-def make_db():
-    db = Database(owner="admin")
+def make_db(db=None):
+    db = db or Database(owner="admin")
     admin = db.connect("admin")
     admin.execute("CREATE TABLE counters (id INT PRIMARY KEY, val INT)")
     admin.execute("INSERT INTO counters VALUES (1, 0)")
@@ -32,21 +32,38 @@ def make_db():
     return db
 
 
-def run_increments(dispatcher, manager, sessions, increments):
+def run_increments(
+    dispatcher, manager, sessions, increments, policy=None, receipts=False
+):
     """Each session commits `increments` read-modify-write transactions,
     re-issuing deadlock/timeout victims through the blessed retry
-    primitive (`run_with_retries` + the result-metadata taxonomy)."""
+    primitive (`run_with_retries` + the result-metadata taxonomy) under
+    `policy`, by default a jittered backoff seeded per session. With
+    `receipts`, each transaction first inserts its increment's number into
+    the session's own table `receipts_<n>`, so a deadlock victim has a
+    write of its own to roll back."""
     stats = {"committed": 0, "retries": 0, "nonretryable": 0}
     guard = threading.Lock()
 
     def work(index):
         token = manager.create_session("admin").token
-        policy = RetryPolicy(
+        retry = policy or RetryPolicy(
             max_attempts=1000, base_delay_s=0.001, max_delay_s=0.05, seed=index
         )
 
         def attempt():
             dispatcher.call(token, ToolCall("begin", {}))
+            if receipts:
+                stamp = dispatcher.call(
+                    token,
+                    ToolCall(
+                        "insert",
+                        {"sql": f"INSERT INTO receipts_{index} VALUES ({done})"},
+                    ),
+                )
+                if stamp.is_error:
+                    dispatcher.call(token, ToolCall("rollback", {}))
+                    return stamp
             read = dispatcher.call(
                 token,
                 ToolCall("select", {"sql": "SELECT val FROM counters WHERE id = 1"}),
@@ -77,7 +94,7 @@ def run_increments(dispatcher, manager, sessions, increments):
         while done < increments:
             result = run_with_retries(
                 attempt,
-                policy,
+                retry,
                 retry_result=retryable_result,
                 on_retry=note_retry,
             )
@@ -127,6 +144,48 @@ class TestWriterContention:
         assert final == stats["committed"]
         # locks fully drained
         assert manager.lock_manager.waiting_count() == 0
+
+    def test_durable_immediate_reissue_loses_nothing_and_replays(self, tmp_path):
+        """The same increments on a durable database, each victim re-issued
+        at once (zero backoff, no jitter), each transaction stamping a
+        receipt first: every increment lands, no session hangs, and the
+        reopened database replays the live counter and exactly one receipt
+        per increment — no deadlock victim's rolled-back write reached the
+        log."""
+        db = make_db(Database.open(tmp_path))
+        admin = db.connect("admin")
+        for n in range(STRESS_SESSIONS):
+            admin.execute(f"CREATE TABLE receipts_{n} (id INT PRIMARY KEY)")
+        manager = SessionManager(db, lock_timeout_s=5.0)
+        dispatcher = Dispatcher(
+            manager, workers=STRESS_SESSIONS, queue_limit=STRESS_SESSIONS * 4
+        )
+        increments = 10
+        stats, hung = run_increments(
+            dispatcher, manager, STRESS_SESSIONS, increments,
+            policy=RetryPolicy(max_attempts=1000, base_delay_s=0.0, jitter=0.0),
+            receipts=True,
+        )
+        assert not hung, f"{len(hung)} sessions hung"
+        read_back = " + ".join(
+            f"(SELECT COUNT(*) FROM receipts_{n})" for n in range(STRESS_SESSIONS)
+        )
+        read_back = f"SELECT val, {read_back} FROM counters WHERE id = 1"
+        live = db.connect("admin").execute(read_back).rows
+        lock_stats = dict(manager.lock_manager.stats)
+        dispatcher.close()
+        manager.close()
+        db.close()
+        reopened = Database.open(tmp_path)
+        replayed = reopened.connect("admin").execute(read_back).rows
+        reopened.close()
+
+        assert stats["nonretryable"] == 0, stats
+        assert lock_stats["deadlocks"] >= 1  # victims had receipts to undo
+        total = STRESS_SESSIONS * increments
+        assert stats["committed"] == total
+        assert live == [(total, total)]
+        assert replayed == live
 
     def test_deadlocks_were_exercised_and_detected(self):
         """With enough contention the upgrade pattern must deadlock at

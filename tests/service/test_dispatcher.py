@@ -139,29 +139,43 @@ class TestOrdering:
         assert seen == list(range(50))
         dispatcher.close()
 
-    def test_sessions_run_concurrently(self, manager):
-        """K sessions with blocking handlers overlap on K workers."""
-        active = {"now": 0, "peak": 0}
+    @pytest.mark.parametrize("workers", [4, 1])
+    def test_sessions_run_concurrently(self, manager, workers):
+        """K sessions on K workers are all in flight at once: each handler
+        waits on a K-party barrier, which only opens when every one has
+        arrived. One worker runs one handler at a time, so there the
+        barrier can never fill, and each wait ends in its timeout."""
+        sessions = 4
+        in_flight = {"now": 0, "peak": 0}
         guard = threading.Lock()
+        barrier = threading.Barrier(sessions, timeout=10 if workers > 1 else 0.05)
 
-        def blocking(session, call):
+        def meeting(session, call):
             with guard:
-                active["now"] += 1
-                active["peak"] = max(active["peak"], active["now"])
-            time.sleep(0.05)
+                in_flight["now"] += 1
+                in_flight["peak"] = max(in_flight["peak"], in_flight["now"])
+            try:
+                barrier.wait()
+                met = True
+            except threading.BrokenBarrierError:
+                met = False
             with guard:
-                active["now"] -= 1
-            return ToolResult.ok("done")
+                in_flight["now"] -= 1
+            return ToolResult.ok(met)
 
-        dispatcher = Dispatcher(manager, workers=4, handler=blocking)
-        tokens = [manager.create_session("admin").token for _ in range(4)]
+        dispatcher = Dispatcher(manager, workers=workers, handler=meeting)
+        tokens = [manager.create_session("admin").token for _ in range(sessions)]
         futures = [
             dispatcher.submit(token, ToolCall("noop", {})) for token in tokens
         ]
-        for future in futures:
-            future.result(timeout=30.0)
-        assert active["peak"] >= 3  # genuinely parallel, not serialized
+        met = [future.result(timeout=30.0).content for future in futures]
         dispatcher.close()
+        if workers > 1:
+            assert met == [True] * sessions  # the barrier filled: all at once
+            assert in_flight["peak"] == sessions
+        else:
+            assert met == [False] * sessions
+            assert in_flight["peak"] == 1
 
 
 class TestBackpressure:
@@ -278,6 +292,76 @@ class TestOneWorker:
             dispatcher.close()
             manager.close()
         assert outputs[1] == outputs[4]
+
+    def test_mixed_sessions_fail_nothing_and_agree_on_one_and_many_workers(self):
+        """Four users interleave point reads, an indexed slice and an
+        aggregate over a shared table with inserts into, and counts of,
+        their own audit table (the only one each may touch), a millisecond
+        of simulated I/O before each request so the threaded run overlaps
+        them: no request fails, and every session reads on four workers
+        what it reads on one."""
+        sessions, ops = 4, 24
+        outputs = {}
+        for workers in (1, sessions):
+            database = Database(owner="admin")
+            admin = database.connect("admin")
+            admin.execute(
+                "CREATE TABLE customers (id INT PRIMARY KEY, city TEXT, spend INT)"
+            )
+            admin.execute("CREATE INDEX idx_customers_city ON customers (city)")
+            admin.execute("INSERT INTO customers VALUES " + ", ".join(
+                f"({i}, 'c{i % 7}', {i % 97})" for i in range(500)
+            ))
+            for n in range(sessions):
+                database.create_user(f"u{n}")
+                admin.execute(f"CREATE TABLE audit_{n} (id INT PRIMARY KEY, note TEXT)")
+                admin.execute(f"GRANT SELECT ON customers TO u{n}")
+                admin.execute(f"GRANT SELECT, INSERT ON audit_{n} TO u{n}")
+            manager = SessionManager(database)
+            tokens = [manager.create_session(f"u{n}").token for n in range(sessions)]
+
+            def io_then_call(session, call):
+                time.sleep(0.001)
+                return session.call(call)
+
+            dispatcher = Dispatcher(
+                manager, workers=workers, handler=io_then_call,
+                queue_limit=sessions * ops + 1,
+            )
+            futures = [
+                (n, dispatcher.submit(tokens[n], _mixed_call(n, op)))
+                for op in range(ops)
+                for n in range(sessions)
+            ]
+            rendered = {n: [] for n in range(sessions)}
+            errors = []
+            for n, future in futures:
+                result = future.result(timeout=30.0)
+                rendered[n].append(result.render())
+                if result.is_error:
+                    errors.append(rendered[n][-1])
+            dispatcher.close()
+            manager.close()
+            assert errors == []
+            outputs[workers] = rendered
+        assert outputs[1] == outputs[sessions]
+
+
+def _mixed_call(n, op):
+    """Session ``n``'s request number ``op``: reads of the shared table,
+    and an insert into its own audit table followed by a count of it."""
+    kind = op % 6
+    if kind < 2:
+        sql = f"SELECT spend FROM customers WHERE id = {(n * 131 + op * 17) % 500}"
+    elif kind == 2:
+        sql = f"SELECT id FROM customers WHERE city = 'c{(n + op) % 7}' AND spend > 90"
+    elif kind == 3:
+        sql = f"SELECT COUNT(*), SUM(spend) FROM customers WHERE city = 'c{op % 7}'"
+    elif kind == 4:
+        return ToolCall("insert", {"sql": f"INSERT INTO audit_{n} VALUES ({op}, 'op {op}')"})
+    else:
+        sql = f"SELECT COUNT(*) FROM audit_{n}"
+    return ToolCall("select", {"sql": sql})
 
 
 class TestShutdown:
