@@ -82,6 +82,13 @@ EXPERIMENTS: dict[str, Experiment] = {
     ),
 }
 
+#: every size option some experiment maps (``argparse`` dest names)
+_OPTIONS = {
+    option
+    for experiment in EXPERIMENTS.values()
+    for option in experiment.options.values()
+}
+
 
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(prog="repro.bench", description=__doc__)
@@ -109,6 +116,14 @@ def main(argv: list[str] | None = None) -> int:
         parser.error("--out records one experiment; name it instead of 'all'")
 
     names = list(EXPERIMENTS) if args.experiment == "all" else [args.experiment]
+    # an option is refused unless an experiment of this run maps it
+    mapped = {
+        option for name in names for option in EXPERIMENTS[name].options.values()
+    }
+    for option in sorted(_OPTIONS - mapped):
+        if getattr(args, option) is not None:
+            flag = "--" + option.replace("_", "-")
+            parser.error(f"{flag} does not apply to {args.experiment}")
     results: dict[Callable[..., Any], Any] = {}
     failed = False
     for name in names:

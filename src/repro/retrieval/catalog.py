@@ -32,7 +32,9 @@ trigram is added exactly once, so the planes hold the exact shared count
 bullet above reaches. What follows reads the planes as masks: ``s ≥ t``
 compares them with ``t`` from the top plane down, and the values with the
 highest counts are found by narrowing plane by plane. No step visits a
-candidate one at a time until the survivors below.
+candidate one at a time until the bound below, and it visits only the
+survivors that are not in a plain level, and the levels the scoring
+loop reaches.
 
 A column of names shares common trigrams with nearly every key (8,000 of
 10,000 values are candidates of a typical one), so the work after
@@ -79,15 +81,28 @@ steps — pilot, cut, bound, score:
   ``m < cut + 4`` with the mask of the values of that size and ``s ≥
   max(m − 4, 1)``, OR'd with the token and containment hits — the same
   set, built from a few dozen integer operations.
-* **Bound.** Each survivor's count is read from the planes (the
-  survivors' bits only) and gives a cheap upper bound on its score, read
-  from two flat per-value arrays (norms, trigram-set sizes) without
-  materializing its features.
-* **Score.** Survivors are scored with the exact kernel
-  :func:`repro.core.similarity.score_features` in descending bound order,
-  keeping a size-k min-heap of exact scores; iteration stops when the
-  next upper bound is strictly below the heap's k-th best, which cannot
-  change the result even under tie-breaking.
+* **Bound, by level.** The survivor mask is split top plane down into one
+  part per shared count ``c``, and each part, less the hits, is AND'd
+  with each size mask: the values of a *level* ``(c, m)`` all share ``s =
+  c`` and ``n_v = m``. A level is *plain* when ``L ≥ 3``, ``c <`` the
+  key's distinct inner 3-grams and ``m − c > 4``. By the count cut's two
+  containment bullets, none of its values contains the key (that needs
+  ``s ≥`` those 3-grams) or sits inside it (that needs ``s + 4 ≥ n_v``,
+  or a short norm, which is a hit); nor does one equal it (equal norms
+  share a token, so that is a hit too). Its containment term is exactly
+  ``0.0`` and its token term ``0.45 * 0.0``, so ``0.55 * (c / (q + m −
+  c))``, computed once, is bit for bit what the per-value bound gives
+  each of its values. Every other survivor — hits, ``c = 0`` and the
+  other levels — is bounded one at a time from two flat per-value arrays
+  (norms, trigram-set sizes) without materializing its features.
+* **Score.** Levels and single survivors are scored with the exact
+  kernel :func:`repro.core.similarity.score_features` in descending
+  bound order, a level's vids pulled out of its mask only when it is
+  reached, keeping a size-k min-heap of exact scores; iteration stops
+  when the next upper bound is strictly below the heap's k-th best. Every
+  value whose bound reaches the final k-th best is scored, whatever the
+  order among equal bounds, so this cannot change the result even under
+  tie-breaking.
 
 The final ranking sorts by ``(-score, str(value), insertion order)`` —
 exactly the stable sort the brute-force ``top_k`` performs — and pads
@@ -261,12 +276,11 @@ def _members(mask: int) -> list[int]:
     return vids
 
 
-def _read_counts(planes: list[int], mask: int) -> dict[int, int]:
-    """The count of each vid set in ``mask``: top plane down, ``mask`` is
-    split into the parts that agree on every bit read so far, so each
-    distinct count ends as one part, and only those parts' vids are
-    visited."""
-    parts = [(mask, 0)]
+def _count_parts(planes: list[int], mask: int) -> list[tuple[int, int]]:
+    """``mask`` split by count: ``(part, count)`` for each distinct count
+    of its vids, highest first. Top plane down, each part is split into
+    the vids that agree on every bit read so far; no vid is visited."""
+    parts = [(mask, 0)] if mask else []
     for j in range(len(planes) - 1, -1, -1):
         plane = planes[j]
         split = []
@@ -277,10 +291,7 @@ def _read_counts(planes: list[int], mask: int) -> dict[int, int]:
             if high != part:
                 split.append((part ^ high, count))
         parts = split
-    counts: dict[int, int] = {}
-    for part, count in parts:
-        counts.update(dict.fromkeys(_members(part), count))
-    return counts
+    return parts
 
 
 def _split_dense(
@@ -410,9 +421,20 @@ def _alike(a: Any, b: Any) -> bool:
 
 def _new_stats() -> dict[str, int]:
     """Zeroed query counters: per call, ``candidates`` generated, of those
-    ``bounded`` (reached :meth:`ValueCatalog._upper_bound`), of those
-    ``scored`` exactly (pilot included, each vid once)."""
-    return {"queries": 0, "candidates": 0, "bounded": 0, "scored": 0}
+    ``bounded`` (survived the count cut and were ranked), ``visited`` (the
+    vids of those touched one at a time: bounded by
+    :meth:`ValueCatalog._upper_bound`, or pulled out of a level the
+    scoring loop reached), and ``scored`` exactly (pilot included, each
+    vid once)."""
+    return {
+        "queries": 0, "candidates": 0, "bounded": 0, "visited": 0, "scored": 0,
+    }
+
+
+def _inner_trigrams(norm: str) -> int:
+    """The distinct inner 3-grams of ``norm``, which every value containing
+    it shares with it (0 under 3 characters)."""
+    return len({norm[i : i + 3] for i in range(len(norm) - 2)})
 
 
 #: Candidates per requested result above which ``top_k`` runs a pilot. The
@@ -582,42 +604,40 @@ class ValueCatalog:
             survivors = self._survivors(
                 planes, sharing, self._count_cut(key_features, floor)
             ) | hits
-        # exact shared counts, of the survivors only; with a pilot at least
-        # its k members survive, so the zero tail below is only ever
-        # reached without one, when ``shared`` holds every candidate
-        shared = _read_counts(planes, survivors)
+        # with a pilot at least its k members survive, so the zero tail
+        # below is only ever reached without one, when the survivors are
+        # every candidate
+        self.stats["bounded"] += survivors.bit_count()
 
-        # rank the survivors by a cheap upper bound on their exact score
-        bounded = [
-            (
-                self._upper_bound(
-                    key_features,
-                    vid,
-                    count,
-                    vid in token_hits,
-                    vid in containable,
-                ),
-                vid,
-            )
-            for vid, count in shared.items()
-        ]
-        self.stats["bounded"] += len(bounded)
-        bounded.sort(reverse=True)
+        # rank the survivors by an upper bound on their exact score: a
+        # plain (count, size) level once, every other survivor by vid
+        ranked = self._ranked(
+            key_features, planes, survivors, hits, token_hits, containable
+        )
+        ranked.sort(reverse=True)
 
         # exact-score in bound order with a size-k min-heap; stop once the
         # next bound is strictly below the current k-th best (ties at the
-        # boundary are still scored, so tie-breaking stays exact)
+        # boundary are still scored, so tie-breaking stays exact). A level
+        # is split into its vids only when the loop reaches it.
         evaluated: list[tuple[float, int]] = []
         best_k: list[float] = []
-        for bound, vid in bounded:
+        for bound, level, item in ranked:
             if len(best_k) >= k and bound < best_k[0]:
                 break
-            score = exact(vid)
-            evaluated.append((score, vid))
-            if len(best_k) < k:
-                heapq.heappush(best_k, score)
-            elif score > best_k[0]:
-                heapq.heapreplace(best_k, score)
+            vids = (item,)
+            if level:
+                vids = _members(item)
+                self.stats["visited"] += len(vids)
+            for vid in vids:
+                if len(best_k) >= k and bound < best_k[0]:
+                    break
+                score = exact(vid)
+                evaluated.append((score, vid))
+                if len(best_k) < k:
+                    heapq.heappush(best_k, score)
+                elif score > best_k[0]:
+                    heapq.heapreplace(best_k, score)
         self.stats["scored"] += len(scores)
 
         # brute force stable-sorts all values by (-score, text); replicate
@@ -627,8 +647,61 @@ class ValueCatalog:
         )
         result = [(self.values[vid], score) for score, vid in evaluated[:k]]
         if len(result) < k:
-            result.extend(self._zero_tail(k - len(result), shared))
+            result.extend(self._zero_tail(k - len(result), survivors))
         return result
+
+    def _ranked(
+        self,
+        key: TextFeatures,
+        planes: list[int],
+        survivors: int,
+        hits: int,
+        token_hits: set[int],
+        containable: set[int],
+    ) -> list[tuple[float, bool, int]]:
+        """``(bound, True, level)`` for each plain (count, size) level of
+        ``survivors`` and ``(bound, False, vid)`` for every other survivor
+        (see the module docstring's "Bound, by level")."""
+        q = len(key.trigrams)
+        # a count this high may hold a value containing the key; 0 for a
+        # key under 3 characters, so that every survivor is bounded by vid
+        inner = _inner_trigrams(key.norm)
+        plain = survivors & ~hits
+        sizes = [
+            (size, of_size)
+            for size, mask in self._size_masks.items()
+            if (of_size := mask & plain)
+        ]
+        ranked: list[tuple[float, bool, int]] = []
+        one_by_one: list[tuple[int, int]] = []
+        for part, count in _count_parts(planes, survivors):
+            if not count or count >= inner:
+                one_by_one.append((part, count))
+                continue
+            if part & hits:
+                one_by_one.append((part & hits, count))
+            for size, mask in sizes:
+                level = part & mask
+                if not level:
+                    continue
+                if size - count <= 4:  # it may sit inside the key
+                    one_by_one.append((level, count))
+                else:
+                    ranked.append((0.55 * (count / (q + size - count)), True, level))
+        for part, count in one_by_one:
+            vids = _members(part)
+            self.stats["visited"] += len(vids)
+            ranked.extend(
+                (
+                    self._upper_bound(
+                        key, vid, count, vid in token_hits, vid in containable
+                    ),
+                    False,
+                    vid,
+                )
+                for vid in vids
+            )
+        return ranked
 
     # ----------------------------------------------------- count filtering
 
@@ -647,8 +720,7 @@ class ValueCatalog:
         )
         if len(key.norm) >= 3:
             # a value containing the key shares all of its inner 3-grams
-            norm = key.norm
-            cut = min(cut, len({norm[i : i + 3] for i in range(len(norm) - 2)}))
+            cut = min(cut, _inner_trigrams(key.norm))
         return cut
 
     def _survivors(self, planes: list[int], sharing: int, cut: int) -> int:
@@ -740,10 +812,10 @@ class ValueCatalog:
             containment = 0.5 + 0.5 * (shorter / longer)
         return max(0.55 * trigram + 0.45 * token, 0.9 * containment)
 
-    def _zero_tail(
-        self, n: int, exclude: dict[int, int]
-    ) -> list[tuple[Any, float]]:
-        """Zero-score padding in text order, skipping scored candidates."""
+    def _zero_tail(self, n: int, survivors: int) -> list[tuple[Any, float]]:
+        """Zero-score padding in text order, skipping scored candidates
+        (``survivors``, which are every candidate when this is reached)."""
+        exclude = set(_members(survivors))
         tail: list[tuple[Any, float]] = []
         for vid in self._text_order:
             if vid in exclude:

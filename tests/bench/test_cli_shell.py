@@ -1,6 +1,7 @@
 """Tests for the CLI front ends (bench CLI and minidb shell)."""
 
 import io
+from dataclasses import replace
 
 import pytest
 
@@ -64,6 +65,48 @@ class TestBenchCLI:
         assert options - {"--help"} == {
             "--out", "--tasks", "--scale", "--housing-rows", "--model",
         }
+
+    @pytest.mark.parametrize(
+        "argv,flag",
+        [
+            (["ablations", "--scale", "0.3"], "--scale"),
+            (["ablations", "--tasks", "3"], "--tasks"),
+            (["table2", "--tasks", "3"], "--tasks"),
+            (["table2", "--scale", "0.3"], "--scale"),
+            (["fig5a", "--housing-rows", "10"], "--housing-rows"),
+            (["ablations", "--model", "gpt-4o"], "--model"),
+        ],
+    )
+    def test_an_option_the_experiment_does_not_map_is_refused(
+        self, capsys, argv, flag
+    ):
+        with pytest.raises(SystemExit) as exit_info:
+            bench_main(argv)
+        assert exit_info.value.code == 2
+        assert f"{flag} does not apply to {argv[0]}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "flag,text,keyword,value",
+        [
+            ("--tasks", "3", "n_tasks", 3),
+            ("--scale", "0.3", "scale", 0.3),
+            ("--housing-rows", "10", "housing_rows", 10),
+        ],
+    )
+    def test_all_accepts_an_option_any_of_its_experiments_maps(
+        self, monkeypatch, flag, text, keyword, value
+    ):
+        ran = {}
+        for name, experiment in EXPERIMENTS.items():
+            monkeypatch.setitem(EXPERIMENTS, name, replace(
+                experiment,
+                run=lambda name=name, **sizes: ran.setdefault(name, sizes),
+                render=lambda result: "",
+                check=lambda result: [],
+            ))
+        assert bench_main(["all", flag, text]) == 0
+        assert list(ran) == list(EXPERIMENTS)
+        assert any(sizes.get(keyword) == value for sizes in ran.values())
 
     def test_smoke_is_no_longer_an_option(self, capsys):
         with pytest.raises(SystemExit) as exit_info:

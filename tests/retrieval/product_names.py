@@ -1,9 +1,12 @@
-"""A high-cardinality product-name column and the task keys run against it.
+"""A high-cardinality product-name column and the task keys run against
+it, and a column of persona-like names.
 
 Shared by the retrieval tests that need a column much larger than a
 hand-written one: the bitmap-kernel memory guard and the per-query work
 counts.
 """
+
+import random
 
 _ADJECTIVES = (
     "womens", "mens", "kids", "coastal", "inland", "premium",
@@ -57,3 +60,21 @@ QUERY_KEYS = (
     "eco equipment",
     "vintage wear",
 )
+
+
+def name_column(count: int) -> list[str]:
+    """``count`` distinct two-word names in the shape of the e2e
+    ``context_retrieval`` persona names: words of four and three syllables
+    drawn from 24. A larger column holds every name of a smaller one."""
+    syllables = (
+        "ka lo mi ren dar vel sor tin qua bel nor fi zan hul pra eth ost uld "
+        "yra mek bri cho dun esk gal"
+    ).split()
+    rng = random.Random("bitmap-kernel:names")
+    names: set[str] = set()
+    while len(names) < count:
+        names.add(" ".join(
+            "".join(rng.choice(syllables) for _ in range(length)).capitalize()
+            for length in (4, 3)
+        ))
+    return sorted(names)

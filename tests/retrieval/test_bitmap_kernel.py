@@ -8,7 +8,6 @@ comprehensions over its counts. The memory guard checks the density rule:
 a bitmap never costs more than the list it replaces.
 """
 
-import random
 import sys
 from collections import Counter
 from functools import reduce
@@ -18,16 +17,16 @@ from operator import or_
 from hypothesis import given
 from hypothesis import strategies as st
 
-from product_names import product_name
+from product_names import name_column, product_name
 
 from repro.retrieval import ValueCatalog
 from repro.retrieval.catalog import (
     DENSE_SHARE,
     _at_least,
     _bitmap,
+    _count_parts,
     _highest,
     _members,
-    _read_counts,
     _shared_planes,
 )
 
@@ -46,6 +45,16 @@ def posting_mixes(draw):
     return n, postings, dense, draw(st.integers(min_value=0, max_value=every))
 
 
+def read_counts(planes: list[int], mask: int) -> dict[int, int]:
+    """Each vid of ``mask`` with its count, from its count parts (which
+    are distinct, in descending count order, and cover ``mask``)."""
+    parts = _count_parts(planes, mask)
+    counts = [count for _, count in parts]
+    assert counts == sorted(set(counts), reverse=True)
+    assert all(parts) and sum(part.bit_count() for part, _ in parts) == mask.bit_count()
+    return {vid: count for part, count in parts for vid in _members(part)}
+
+
 @given(posting_mixes())
 def test_planes_count_what_counter_counts(mix):
     n, postings, dense, probe = mix
@@ -58,8 +67,8 @@ def test_planes_count_what_counter_counts(mix):
     counts = Counter(chain.from_iterable(postings))
     sharing = reduce(or_, planes, 0)
     assert _members(sharing) == sorted(counts)
-    assert _read_counts(planes, sharing) == counts
-    assert _read_counts(planes, probe & sharing) == {
+    assert read_counts(planes, sharing) == counts
+    assert read_counts(planes, probe & sharing) == {
         vid: count for vid, count in counts.items() if probe >> vid & 1
     }
     for t in range(1, len(postings) + 2):
@@ -69,24 +78,6 @@ def test_planes_count_what_counter_counts(mix):
     ranked = sorted(counts, key=lambda vid: (-counts[vid], vid))
     for k in range(1, len(ranked) + 1):
         assert sorted(_highest(planes, k, sharing)) == sorted(ranked[:k]), k
-
-
-def name_column(count: int) -> list[str]:
-    """``count`` distinct two-word names in the shape of the e2e
-    ``context_retrieval`` persona names: words of four and three syllables
-    drawn from 24."""
-    syllables = (
-        "ka lo mi ren dar vel sor tin qua bel nor fi zan hul pra eth ost uld "
-        "yra mek bri cho dun esk gal"
-    ).split()
-    rng = random.Random("bitmap-kernel:names")
-    names: set[str] = set()
-    while len(names) < count:
-        names.add(" ".join(
-            "".join(rng.choice(syllables) for _ in range(length)).capitalize()
-            for length in (4, 3)
-        ))
-    return sorted(names)
 
 
 def test_bitmaps_take_no_more_memory_than_the_lists_they_replace():

@@ -184,7 +184,8 @@ class TestCatalogStore:
         assert isinstance(loaded, ValueCatalog)
         assert loaded.values == ["alpha", "beta"]
         assert loaded.stats == {
-            "queries": 0, "candidates": 0, "bounded": 0, "scored": 0,
+            "queries": 0, "candidates": 0, "bounded": 0, "visited": 0,
+            "scored": 0,
         }
 
     def test_load_misses_on_other_fingerprint(self, tmp_path):
