@@ -12,10 +12,9 @@ Implements the paper's Section 2.2:
   exposed;
 * column-exemplar retrieval — ``get_value(col, key, k)`` returns the top-k
   values of a column most semantically relevant to a task key. Behind the
-  binding, catalogs are cached per column and — when the database runs on
-  a durable storage engine (``MinidbBinding.open(path, user)``) — persisted
-  next to its snapshot, so agent sessions reopened after a restart serve
-  ``get_value`` for unchanged columns without rebuilding anything.
+  binding, catalogs are cached in memory per column and kept fresh by the
+  heap's change counter; a database reopened from a durable directory
+  (``MinidbBinding.open(path, user)``) builds each on its first call.
 """
 
 from __future__ import annotations

@@ -154,29 +154,16 @@ class MinidbBinding(DatabaseBinding):
         ``(uid, version)`` change counter, so after any
         INSERT/UPDATE/DELETE, DDL, or ROLLBACK the next call re-scans the
         column and revises the cached catalog against it (kept when the
-        distinct list is unchanged, rebuilt only when it must be). On a
-        durable database they are also persisted into the engine's
-        ``catalogs/`` sidecar directory, so a reopened database serves
-        unchanged columns without rebuilding anything.
+        distinct list is unchanged, rebuilt only when it must be). Catalogs
+        are held in memory only: a reopened durable database builds each
+        from the recovered rows on its first call.
         """
-        from ..retrieval import CatalogCache, CatalogStore
+        from ..retrieval import CatalogCache
 
         db = self.session.db
         schema = db.catalog.table(table)  # validate pre-lock
-
-        def make_cache() -> CatalogCache:
-            catalog_dir = db.engine.catalog_dir
-            # share the engine's I/O seam so fault injection (and the
-            # fs-seam rule) covers sidecar persistence too
-            store = (
-                CatalogStore(catalog_dir, filesystem=db.engine.filesystem)
-                if catalog_dir
-                else None
-            )
-            return CatalogCache(store=store)
-
         # guarded lazy init: concurrent first callers must share one cache
-        cache = db.ensure_retrieval_cache(make_cache)
+        cache = db.ensure_retrieval_cache(CatalogCache)
         # hold the S lock across schema/heap resolution, fingerprint read,
         # *and* build: resolving before the grant would let a call that
         # blocked behind DROP + CREATE fingerprint (and serve) the dropped

@@ -1,7 +1,7 @@
 """The filesystem seam and its deterministic fault injector.
 
 Every file operation the durable stack performs — WAL appends, snapshot
-writes, the ``LOCK`` file's flock, retrieval-catalog sidecars — goes
+writes, the ``LOCK`` file's flock, trace exports — goes
 through a :class:`Filesystem` instance instead of calling ``open``/``os``
 directly (the ``fs-seam`` staticcheck rule enforces this). Production
 uses the passthrough :class:`Filesystem`, whose ``open`` returns the raw
@@ -30,9 +30,9 @@ Fault shapes (all composable in one plan):
 * ``latency_s`` — sleep before every operation (slow-disk modeling).
 
 :class:`SimulatedCrash` subclasses ``BaseException`` deliberately:
-production code legitimately catches broad ``Exception`` around "best
-effort" I/O (cache loads, temp cleanup), and a simulated process death
-must not be swallowed by those handlers.
+production code legitimately catches broad ``Exception`` (recovery
+wraps any replay failure in a ``PersistenceError``), and a simulated
+process death must not be swallowed or rewrapped by those handlers.
 """
 
 from __future__ import annotations
@@ -108,9 +108,6 @@ class Filesystem:
 
     def makedirs(self, path: str, exist_ok: bool = False) -> None:
         os.makedirs(path, exist_ok=exist_ok)
-
-    def listdir(self, path: str) -> list[str]:
-        return os.listdir(path)
 
     def exists(self, path: str) -> bool:
         return os.path.exists(path)
@@ -284,10 +281,6 @@ class FaultyFilesystem(Filesystem):
     def makedirs(self, path: str, exist_ok: bool = False) -> None:
         self._op("makedirs", path)
         os.makedirs(path, exist_ok=exist_ok)
-
-    def listdir(self, path: str) -> list[str]:
-        self._op("listdir", path)
-        return os.listdir(path)
 
     # ``exists`` is a metadata peek, not a mutation — not a fault point,
     # mirroring the passthrough class.

@@ -55,8 +55,12 @@ op                 fields
 the mutation produced into it, in the positions above, and that is what
 reaches the WAL. A record read from the WAL has them, and the heap adopts
 them instead — rolled-back work moves the live counters without reaching
-the WAL, so counting again at replay would not reproduce the ``(uid,
-version)`` fingerprints the catalog sidecars are keyed on.
+the WAL, so counting again at replay would not reproduce them. ``uid`` is
+what must survive a restart: ANALYZE statistics are keyed on it
+(:class:`~repro.minidb.statistics.TableStatistics` ignores statistics of
+another uid). Nothing reads ``version`` across a restart any more (value
+catalogs are rebuilt after a reopen); records keep it so the WAL format
+does not change until a deliberate format revision drops it.
 
 Privilege records (``grant`` / ``revoke`` / ``create_user``) are not
 transactional: their ops return no undo, and the database applies and

@@ -579,11 +579,6 @@ class Database:
             for key, value in getattr(cache, "stats", {}).items()
             if isinstance(value, (int, float))
         }
-        store = getattr(cache, "store", None)
-        if store is not None:
-            for key, value in getattr(store, "stats", {}).items():
-                if isinstance(value, (int, float)):
-                    samples[f"minidb_retrieval_store_{key}"] = value
         # what top_k pruned, summed over the catalogs held now (gauges:
         # an evicted catalog takes its share with it)
         for catalog in getattr(cache, "cached_catalogs", list)():

@@ -65,22 +65,5 @@ class StorageEngine:
         base engine has no storage to fail."""
         return False
 
-    @property
-    def filesystem(self) -> Any | None:
-        """The :class:`repro.faults.Filesystem` seam this engine performs
-        file I/O through, or ``None`` for engines that do none. Sidecar
-        writers (persisted retrieval catalogs) must use the same seam so
-        fault injection covers them too. Typed ``Any`` so minidb never
-        imports the faults package at class-definition time."""
-        return None
-
-    @property
-    def catalog_dir(self) -> str | None:
-        """Directory for derived-cache sidecar files (persisted retrieval
-        catalogs), or ``None`` when the engine has no durable home for
-        them. Kept as a plain path so minidb never imports the retrieval
-        layer."""
-        return None
-
     def describe(self) -> str:
         return type(self).__name__

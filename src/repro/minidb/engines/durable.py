@@ -6,11 +6,11 @@ File layout (one directory per database)::
       snapshot.json   full state at the last checkpoint (atomic replace);
                       table contents column-major, see SNAPSHOT_FORMAT
       wal.jsonl       one JSON record per committed mutation since then
-      catalogs/       persisted retrieval value catalogs (sidecar files
-                      owned by repro.retrieval; minidb only provides the
-                      directory)
       LOCK            the single-writer lock: an empty file an open engine
                       holds an exclusive flock on; never unlinked
+
+Any other entry (such as the ``catalogs/`` folder older builds kept
+pickled value catalogs in) is never read.
 
 The WAL's record format — one JSON object per line: ``seq``, ``op``,
 op-specific fields, ``commit: true`` on the last record of a batch — is
@@ -59,7 +59,6 @@ from __future__ import annotations
 import gc
 import json
 import os
-import re
 import threading
 from typing import TYPE_CHECKING, Any
 
@@ -88,7 +87,6 @@ if TYPE_CHECKING:  # pragma: no cover
 
 SNAPSHOT_NAME = "snapshot.json"
 WAL_NAME = "wal.jsonl"
-CATALOG_DIR_NAME = "catalogs"
 LOCK_NAME = "LOCK"
 #: 2: each table's rows are column-major — ``rids`` plus one value list
 #: per column (:meth:`HeapTable.snapshot_state`). 1: ``rows`` as
@@ -130,7 +128,6 @@ class DurableEngine(StorageEngine):
         self.snapshot_path = os.path.join(self.path, SNAPSHOT_NAME)
         self.wal_path = os.path.join(self.path, WAL_NAME)
         self.lock_path = os.path.join(self.path, LOCK_NAME)
-        self._catalog_dir = os.path.join(self.path, CATALOG_DIR_NAME)
         #: WAL records between automatic checkpoints (0 disables them)
         self.auto_checkpoint_records = auto_checkpoint_records
         #: fsync the WAL on every commit (crash-beyond-process safety) —
@@ -178,14 +175,6 @@ class DurableEngine(StorageEngine):
     # ------------------------------------------------------------ lifecycle
 
     @property
-    def catalog_dir(self) -> str | None:
-        return self._catalog_dir
-
-    @property
-    def filesystem(self) -> Filesystem:
-        return self.fs
-
-    @property
     def panicked(self) -> bool:
         return self._panic is not None  # staticcheck: ignore[guarded-by] — monotonic flag; racy reads only ever lag the (permanent) transition
 
@@ -197,7 +186,6 @@ class DurableEngine(StorageEngine):
     def attach(self, db: "Database") -> None:
         super().attach(db)
         self.fs.makedirs(self.path, exist_ok=True)
-        self.fs.makedirs(self._catalog_dir, exist_ok=True)
         try:
             self._acquire_lock()
             self._remove_orphan_temp()
@@ -205,7 +193,6 @@ class DurableEngine(StorageEngine):
             if not fresh:
                 self._load_snapshot(db)
             self._replay_wal(db)
-            self._prune_catalog_sidecars(db)
             self._wal = self.fs.open(self.wal_path, "a", encoding="utf-8")
             if fresh:
                 # persist the base state (owner, empty catalog) immediately
@@ -601,41 +588,6 @@ class DurableEngine(StorageEngine):
             with self.fs.open(self.wal_path, "r+b") as fh:
                 fh.truncate(valid_end)
         self._records_since_snapshot += self.stats["wal_replayed"]
-
-    _SIDECAR_RE = re.compile(r"\.(\d+)-(\d+)\.catalog\.pkl$")
-
-    def _prune_catalog_sidecars(self, db: "Database") -> None:
-        """Delete persisted retrieval catalogs recovery cannot vouch for.
-
-        Sidecar files encode their ``(uid, version)`` fingerprint in the
-        filename (see ``repro.retrieval.engine.CatalogStore``). Only files
-        matching a heap's *exact current* fingerprint can ever be served
-        again — version counters only grow — and files persisted from
-        uncommitted data (counters run ahead of the WAL inside open
-        transactions) would otherwise collide with a future committed
-        state after a crash rewinds the counter. Pruning to the live
-        fingerprint set makes both impossible.
-        """
-        try:
-            names = self.fs.listdir(self._catalog_dir)
-        except OSError:
-            return
-        valid = {(heap.uid, heap.version) for heap in db.heaps.values()}
-        for name in names:
-            path = os.path.join(self._catalog_dir, name)
-            if name.endswith(".tmp"):  # torn sidecar write
-                remove = True
-            else:
-                match = self._SIDECAR_RE.search(name)
-                if match is None:
-                    continue  # not a catalog sidecar; leave it alone
-                fingerprint = (int(match.group(1)), int(match.group(2)))
-                remove = fingerprint not in valid
-            if remove:
-                try:
-                    self.fs.unlink(path)
-                except OSError:
-                    pass
 
     # ---------------------------------------------------------- WAL replay
 

@@ -113,8 +113,8 @@ def reserve_heap_uids(minimum: int) -> None:
 
     Durable-engine recovery restores heaps under their persisted uids;
     reserving keeps freshly created heaps from colliding with them (uids
-    must stay unique for the life of the process, since retrieval caches
-    and persisted catalogs key on ``(uid, version)``).
+    must stay unique for the life of the process, since ANALYZE statistics
+    key on ``uid`` and the retrieval cache on ``(uid, version)``).
     """
     global _next_heap_uid
     with _uid_mutex:
@@ -915,9 +915,8 @@ class HeapTable:
         are bulk-loaded without uniqueness checks, since the snapshot
         captured a state that satisfied every constraint when written.
         The persisted ``(uid, version)`` identity is restored verbatim —
-        and the process-wide uid counter advanced past it — so caches and
-        persisted value catalogs fingerprinted before the restart stay
-        valid after it.
+        and the process-wide uid counter advanced past it — so ANALYZE
+        statistics recorded before the restart still match the heap.
         """
         heap = cls(name)
         heap.restore_state(

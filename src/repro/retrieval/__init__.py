@@ -69,15 +69,9 @@ list. The stale catalog is therefore *revised* against the fresh list
 (:meth:`ValueCatalog.revised`): kept as is when the list is unchanged,
 built anew otherwise. A catalog once handed out is never modified.
 
-Persistence
-===========
-
-On a durable minidb database (``Database.open(path)``), built catalogs
-are additionally written through a :class:`CatalogStore` into the
-database directory's ``catalogs/`` sidecar folder, keyed by cache key and
-fingerprint. Since the durable engine restores ``(uid, version)``
-counters exactly, a reopened database serves ``get_value`` from the
-persisted catalogs with zero rebuild for unchanged columns.
+Catalogs live in memory only. A reopened durable database rebuilds each
+column's catalog from the recovered rows on its first ``get_value``;
+nothing is read back from the database directory.
 
 Open follow-ups are tracked in ROADMAP.md: cross-column (table-wide)
 retrieval, editing a catalog whose list did change instead of rebuilding
@@ -86,6 +80,6 @@ ANN backends for embedding-based scoring.
 """
 
 from .catalog import ValueCatalog
-from .engine import CatalogCache, CatalogStore
+from .engine import CatalogCache
 
-__all__ = ["CatalogCache", "CatalogStore", "ValueCatalog"]
+__all__ = ["CatalogCache", "ValueCatalog"]

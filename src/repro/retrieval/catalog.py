@@ -318,63 +318,12 @@ def _size_masks(sizes: Iterable[int], nbytes: int) -> dict[int, int]:
     }
 
 
-class _PackedPostings:
-    """Read-only posting index restored from the flat persisted layout.
-
-    Pickling one ``array`` per posting list still costs one object per
-    key; the persisted form is instead three objects total — the key
-    list, an end-offset array, and one flat vid array — which pickle
-    restores at memcpy speed. Lookups slice the flat array on demand, so
-    only probed keys ever pay for materialization. Implements just the
-    mapping surface candidate generation uses (``get`` / ``items``).
-    """
-
-    __slots__ = ("_spans", "_flat")
-
-    def __init__(self, keys: list[str], ends: array, flat: array):
-        spans: dict[str, tuple[int, int]] = {}
-        start = 0
-        for key, end in zip(keys, ends):
-            spans[key] = (start, end)
-            start = end
-        self._spans = spans
-        self._flat = flat
-
-    def get(self, key: str, default: Any = None) -> Any:
-        span = self._spans.get(key)
-        if span is None:
-            return default
-        return self._flat[span[0]:span[1]]
-
-    def items(self):
-        for key, (start, end) in self._spans.items():
-            yield key, self._flat[start:end]
-
-    def __len__(self) -> int:
-        return len(self._spans)
-
-
-def _pack_postings(postings) -> tuple[list[str], array, array]:
-    """Flatten a posting mapping into the persisted (keys, ends, flat) form."""
-    keys: list[str] = []
-    ends = array("i")
-    flat = array("i")
-    total = 0
-    for key, vids in postings.items():
-        keys.append(key)
-        flat.extend(vids)
-        total += len(vids)
-        ends.append(total)
-    return keys, ends, flat
-
-
 class _LazyEntries:
     """List-like view deriving :class:`TextFeatures` from values and norms.
 
-    A catalog — built or restored from disk alike — holds only values,
-    normalized strings and per-value trigram-set sizes (plus the inverted
-    indexes); tokens and trigrams of an entry are recomputed from its norm
-    on first touch. Bounding reads the flat arrays and materializes
+    A catalog holds only values, normalized strings and per-value
+    trigram-set sizes (plus the inverted indexes); tokens and trigrams of
+    an entry are recomputed from its norm on first touch. Bounding reads the flat arrays and materializes
     nothing; only the vids a query *scores* (its pilot and the few that
     survive the bound-ordered early exit, ~6 per call) are ever built, so
     a 10k-value catalog holds a few hundred feature objects instead of
@@ -484,7 +433,7 @@ class ValueCatalog:
         #: ``s + 4 ≥ n_v`` escape of the count cut, as masks)
         self._size_masks = _size_masks(self._sizes, self._nbytes)
         #: features by vid, derived on first touch — the one entry
-        #: representation, shared with a catalog loaded from its sidecar
+        #: representation
         self.entries = _LazyEntries(self.values, self._norms)
         # zero-score tail ordering: by rendered text, then insertion order
         self._text_order: list[int] = sorted(
@@ -500,46 +449,6 @@ class ValueCatalog:
     def _nbytes(self) -> int:
         """Bytes of one bitmap over this catalog's values."""
         return (len(self.values) + 7) >> 3
-
-    # -------------------------------------------------------- serialization
-
-    def __getstate__(self) -> dict:
-        """Packed pickle form — loading must be far cheaper than rebuilding.
-
-        Per-entry feature objects are dropped entirely (norms suffice to
-        re-derive them lazily, see :class:`_LazyEntries`), posting lists
-        become ``array('i')`` and bitmaps stay ``int``: pickle stores both
-        as raw bytes and restores them at memcpy speed instead of
-        one-object-at-a-time.
-        """
-        return {
-            "values": self.values,
-            "norms": list(self._norms),
-            "trigram_sizes": self._sizes,
-            "trigram_bitmaps": self._trigram_bitmaps,
-            "trigram_postings": _pack_postings(self._trigram_postings),
-            "token_postings": _pack_postings(self._token_postings),
-            "short_norms": self._short_norms,
-            "text_order": array("i", self._text_order),
-        }
-
-    def __setstate__(self, state: dict) -> None:
-        # a sidecar of an older layout lacks a key here: the KeyError makes
-        # CatalogStore.load a miss, and the caller rebuilds
-        self.values = state["values"]
-        self._norms = state["norms"]
-        self._sizes = state["trigram_sizes"]
-        self.entries = _LazyEntries(self.values, self._norms)
-        # postings stay packed: candidate generation only probes them,
-        # which the span-slicing wrapper serves directly
-        self._trigram_bitmaps = state["trigram_bitmaps"]
-        self._trigram_postings = _PackedPostings(*state["trigram_postings"])
-        # a function of the sizes (~2% of a load), so not persisted
-        self._size_masks = _size_masks(self._sizes, self._nbytes)
-        self._token_postings = _PackedPostings(*state["token_postings"])
-        self._short_norms = state["short_norms"]
-        self._text_order = state["text_order"]
-        self.stats = _new_stats()
 
     def revised(self, fresh: list[Any]) -> "ValueCatalog | None":
         """``self`` if it is the catalog of ``fresh`` already, else ``None``.
@@ -769,8 +678,8 @@ class ValueCatalog:
             if norm in key.norm:
                 containable.update(vids)
         if len(key.norm) < 3:
-            # norms are stored flat (shared with the persisted form), so
-            # this sweep never materializes lazy entries
+            # norms are stored flat, so this sweep never materializes
+            # lazy entries
             for vid, norm in enumerate(self._norms):
                 if norm and key.norm in norm:
                     containable.add(vid)

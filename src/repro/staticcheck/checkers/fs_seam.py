@@ -3,7 +3,7 @@
 The fault-injection story (:mod:`repro.faults`) only covers what actually
 flows through the :class:`~repro.faults.Filesystem` seam. One bare
 ``open(...)`` or ``os.rename(...)`` inside the durable engine or the
-retrieval sidecar store is an operation the torture sweep can neither
+trace exporter is an operation the torture sweep can neither
 crash nor error — an untested failure path by construction. Inside the
 seamed modules, every file operation must use ``self.fs`` (or another
 ``Filesystem`` instance); direct builtin ``open`` calls, the ``os``
@@ -27,7 +27,6 @@ SEAMED_PATHS = frozenset(
     {
         "src/repro/minidb/engines/durable.py",
         "src/repro/obs/tracing.py",
-        "src/repro/retrieval/engine.py",
     }
 )
 
@@ -55,7 +54,7 @@ BANNED_OS = frozenset(
 class FsSeamChecker(Checker):
     name = "fs-seam"
     description = (
-        "file I/O in the durable engine and retrieval persistence must go "
+        "file I/O in the durable engine and the trace exporter must go "
         "through the repro.faults.Filesystem seam, not bare open()/os.*"
     )
 

@@ -278,7 +278,6 @@ class TestEngineLifecycle:
     def test_in_memory_remains_default(self):
         db = Database(owner="admin")
         assert db.engine.durable is False
-        assert db.engine.catalog_dir is None
         # no hooks: the transaction manager keeps no redo log
         assert db.connect("admin").tx.hooks is None
 

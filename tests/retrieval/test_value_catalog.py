@@ -1,6 +1,6 @@
 """Tests for the indexed value catalog: ranking equivalence + internals."""
 
-import pickle
+import inspect
 import random
 
 import pytest
@@ -8,8 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.similarity import SynonymTable, features, similarity, top_k
-from repro.retrieval import CatalogCache, CatalogStore, ValueCatalog
-from repro.retrieval.catalog import PILOT_FACTOR, _members, _pack_postings
+from repro.retrieval import CatalogCache, ValueCatalog
+from repro.retrieval.catalog import PILOT_FACTOR
 
 VALUES = [
     "women's wear",
@@ -24,6 +24,23 @@ VALUES = [
     100,
     "100",
 ]
+
+
+def index_fields(catalog: ValueCatalog) -> tuple:
+    """A copy of every field a catalog's ranking reads, to compare later:
+    a catalog once handed out must never change. Values compare by type
+    and ``repr``, so ``1`` swapped for ``True`` in place shows."""
+    return (
+        [(type(value), repr(value)) for value in catalog.values],
+        list(catalog._norms),
+        catalog._sizes.tolist(),
+        {trigram: list(vids) for trigram, vids in catalog._trigram_postings.items()},
+        {token: list(vids) for token, vids in catalog._token_postings.items()},
+        dict(catalog._trigram_bitmaps),
+        dict(catalog._size_masks),
+        {norm: list(vids) for norm, vids in catalog._short_norms.items()},
+        list(catalog._text_order),
+    )
 
 
 class TestValueCatalogRanking:
@@ -223,8 +240,7 @@ class TestPruningScaleOracle:
     ):
         rng = random.Random(f"pruning-oracle:{seed}")
         values = syllable_column(rng, count, duplicates)
-        built = ValueCatalog(values)
-        catalogs = (built, pickle.loads(pickle.dumps(built)))
+        catalog = ValueCatalog(values)
         everything = len(values) + 3
         for table in (None, syllable_synonyms(rng, values)):
             for key in oracle_keys(rng, values):
@@ -232,55 +248,10 @@ class TestPruningScaleOracle:
                 # prefix of top_k(everything), so one full ranking serves
                 # each k
                 expected = top_k(key, values, everything, table)
-                for catalog in catalogs:
-                    for k in (*self.KS, everything):
-                        assert catalog.top_k(key, k, table) == expected[:k], (
-                            key, k, table is not None, catalog is built,
-                        )
-
-    @pytest.mark.parametrize("layout", ["before bitmaps", "before sizes"])
-    def test_an_old_sidecar_is_a_miss_and_the_rebuild_ranks_as_fresh(
-        self, tmp_path, monkeypatch, layout
-    ):
-        """The pickles of catalogs written before dense postings became
-        bitmaps (every trigram packed as a vid list) and before sizes were
-        persisted (one key fewer still) do not load: the store misses, and
-        the catalog rebuilt in their place ranks exactly as a fresh build."""
-        rng = random.Random("pruning-oracle:old-sidecar")
-        values = syllable_column(rng, 400)
-        built = ValueCatalog(values)
-        assert built._trigram_bitmaps and built._trigram_postings
-        state = built.__getstate__()
-        assert sorted(state) == [
-            "norms", "short_norms", "text_order", "token_postings",
-            "trigram_bitmaps", "trigram_postings", "trigram_sizes", "values",
-        ]
-        # the layout before bitmaps: every trigram's vid list packed
-        lists = {
-            trigram: _members(bitmap)
-            for trigram, bitmap in state.pop("trigram_bitmaps").items()
-        }
-        lists.update(built._trigram_postings)
-        state["trigram_postings"] = _pack_postings(lists)
-        if layout == "before sizes":
-            del state["trigram_sizes"]
-        key, fingerprint = ("t", "c", 400), (7, 3)
-        store = CatalogStore(str(tmp_path))
-        with monkeypatch.context() as patch:  # the older build's pickler
-            patch.setattr(ValueCatalog, "__getstate__", lambda self: state)
-            store.store(key, fingerprint, built)
-        assert store.load(key, fingerprint) is None
-        assert store.stats["misses"] == 1
-        cache = CatalogCache(store=store)
-        rebuilt = cache.lookup(key, fingerprint, lambda: values)
-        assert (cache.stats["persisted_hits"], cache.stats["misses"]) == (0, 1)
-        reloaded = store.load(key, fingerprint)  # the rebuild replaced it
-        for probe in oracle_keys(rng, values, picks=4):
-            for k in (1, 5, 12):
-                expected = top_k(probe, values, k)
-                assert built.top_k(probe, k) == expected, (probe, k)
-                assert rebuilt.top_k(probe, k) == expected, (probe, k)
-                assert reloaded.top_k(probe, k) == expected, (probe, k)
+                for k in (*self.KS, everything):
+                    assert catalog.top_k(key, k, table) == expected[:k], (
+                        key, k, table is not None,
+                    )
 
     def test_only_what_is_scored_is_materialised(self):
         """A built catalog holds no feature object per value: bounding
@@ -391,14 +362,18 @@ class TestLevelRankingOracle:
 
 
 class TestCatalogCache:
+    def test_max_entries_is_the_only_parameter(self):
+        """Catalogs live in this process's memory only: nothing configures
+        a place they are written to or read from."""
+        assert list(inspect.signature(CatalogCache).parameters) == ["max_entries"]
+
     def test_hit_on_same_fingerprint(self):
         cache = CatalogCache()
         first = cache.lookup("t.c", (1, 0), lambda: ["a"])
         second = cache.lookup("t.c", (1, 0), lambda: ["b"])
         assert second is first
         assert cache.stats == {
-            "hits": 1, "misses": 1, "rebuilds": 0, "persisted_hits": 0,
-            "revised": 0,
+            "hits": 1, "misses": 1, "rebuilds": 0, "revised": 0,
         }
 
     def test_rebuild_on_fingerprint_change(self):
@@ -417,15 +392,6 @@ class TestCatalogCache:
         assert len(cache) == 2
         cache.lookup("b", 1, lambda: [])
         assert cache.stats["misses"] == 4  # a, b, c, then b again
-
-    def test_invalidate(self):
-        cache = CatalogCache()
-        cache.lookup("a", 1, lambda: [])
-        cache.invalidate("a")
-        assert len(cache) == 0
-        cache.lookup("a", 1, lambda: [])
-        cache.invalidate()
-        assert len(cache) == 0
 
 
 class TestSynonymTable:
